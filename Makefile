@@ -60,9 +60,10 @@ bench-cluster:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterAggregateAnswer' -benchmem -count 3 ./internal/dsms/cluster/
 
 # Short fuzz pass over the wire frame decoders, WAL replay, checkpoint
-# reader and the placement ring (the corpora are regenerated, not
-# committed).
+# reader, the placement ring and the Kalman kernel against its mat-API
+# reference (the corpora are regenerated, not committed).
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzFilterMatchesReference -fuzztime 30s ./internal/kalman/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/dsms/wire/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 15s ./internal/wal/

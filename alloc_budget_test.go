@@ -114,17 +114,46 @@ func sourceProcessAllocs(t *testing.T, traced bool) float64 {
 	return testing.AllocsPerRun(200, offer)
 }
 
-// TestSourceProcessTraceAllocBudget pins the tracing zero-cost
-// contract at the source. The suppressed path's only allocation is the
-// VecSlice copy of the returned estimate (pre-tracing baseline);
-// attaching a recorder — which logs predict and decision events for
-// every suppressed reading — must not add a single allocation on top.
+// TestSourceProcessTraceAllocBudget pins the suppressed path of
+// SourceNode.Process at zero allocations — the returned estimate is
+// node-owned scratch, the filter reads the reading in place — and the
+// tracing zero-cost contract on top of it: attaching a recorder, which
+// logs predict and decision events for every suppressed reading, must
+// not add a single allocation.
 func TestSourceProcessTraceAllocBudget(t *testing.T) {
 	base := sourceProcessAllocs(t, false)
-	if base > 1 {
-		t.Errorf("untraced suppressed Process allocates %v/op, want <= 1 (estimate copy)", base)
+	if base != 0 {
+		t.Errorf("untraced suppressed Process allocates %v/op, want 0", base)
 	}
 	if got := sourceProcessAllocs(t, true); got != base {
 		t.Errorf("traced suppressed Process allocates %v/op, untraced %v/op — tracing must be free", got, base)
+	}
+}
+
+// TestSourceProcessSentAllocBudget pins the transmitted path: the Update
+// and its Values — heap copies because the transport keeps them until
+// they are acknowledged — and nothing else.
+func TestSourceProcessSentAllocBudget(t *testing.T) {
+	node, err := core.NewSourceNode(core.Config{
+		SourceID: "s1",
+		Model:    model.Linear(1, 1, 0.05, 0.05),
+		Delta:    1e-9, // every reading misses the prediction
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stream.Reading{Values: []float64{1}}
+	offer := func() {
+		r.Seq++
+		r.Values[0] = float64(r.Seq % 7)
+		if u, _, err := node.Process(r); err != nil || u == nil {
+			t.Fatalf("reading %d: update %v, err %v; want a transmission", r.Seq, u, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		offer()
+	}
+	if got := testing.AllocsPerRun(200, offer); got > 2 {
+		t.Errorf("sent Process allocates %v/op, want <= 2 (Update and Values)", got)
 	}
 }

@@ -125,15 +125,13 @@ type SourceNode struct {
 	outliers  int              // consecutive rejected readings
 	stats     SourceStats
 
-	// Reusable buffers for the per-reading hot path. zbuf carries the
-	// measurement into NIS/Correct; predBuf receives H x. Slices handed
-	// back to callers are always freshly allocated — only the matrix
-	// intermediates are recycled.
-	zbuf       *mat.Matrix
-	predBuf    *mat.Matrix
-	smoothBuf  []float64
-	smoothZ    *mat.Matrix // 1 x 1 measurement for the KFc bank
-	smoothPred *mat.Matrix // 1 x 1 prediction from the KFc bank
+	// Node-owned scratch for the per-reading hot path: pred receives H x
+	// and is what Process hands back as the mirrored estimate; smoothBuf
+	// holds the KFc bank's output. The filters read measurements in place,
+	// so only a transmitted Update (which the transport retains) is a heap
+	// copy.
+	pred      []float64
+	smoothBuf []float64
 
 	// Flight recorder (nil when tracing is off: every recording site is
 	// one branch), the per-reading trace id counter, and the evidence of
@@ -165,8 +163,7 @@ func NewSourceNode(cfg Config) (*SourceNode, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	m := cfg.Model.MeasDim
-	return &SourceNode{cfg: cfg, zbuf: mat.New(m, 1), predBuf: mat.New(m, 1)}, nil
+	return &SourceNode{cfg: cfg, pred: make([]float64, cfg.Model.MeasDim)}, nil
 }
 
 // smooth returns the measurement KFm tracks for the raw reading values:
@@ -191,18 +188,14 @@ func (s *SourceNode) smooth(raw []float64) ([]float64, error) {
 	}
 	if s.smoothBuf == nil {
 		s.smoothBuf = make([]float64, len(raw))
-		s.smoothZ = mat.New(1, 1)
-		s.smoothPred = mat.New(1, 1)
 	}
 	out := s.smoothBuf
-	for i, v := range raw {
-		f := s.smoothers[i]
+	for i, f := range s.smoothers {
 		f.Predict()
-		s.smoothZ.Set(0, 0, v)
-		if err := f.Correct(s.smoothZ); err != nil {
+		if err := f.CorrectValues(raw[i : i+1]); err != nil {
 			return nil, err
 		}
-		out[i] = f.PredictedMeasurementInto(s.smoothPred).At(0, 0)
+		f.PredictedInto(out[i : i+1])
 	}
 	return out, nil
 }
@@ -212,7 +205,7 @@ func (s *SourceNode) smooth(raw []float64) ([]float64, error) {
 func (s *SourceNode) smoothedEstimate() []float64 {
 	out := make([]float64, len(s.smoothers))
 	for i, f := range s.smoothers {
-		out[i] = f.PredictedMeasurement().At(0, 0)
+		f.PredictedInto(out[i : i+1])
 	}
 	return out
 }
@@ -233,7 +226,9 @@ func (s *SourceNode) LastDecision() trace.DecisionInfo { return s.lastDec }
 // Process handles one sensor reading. It returns a non-nil Update when
 // the reading must be transmitted to the server, and the value the server
 // will be answering queries with after this step (the mirrored server
-// estimate).
+// estimate). That estimate is node-owned scratch, valid until the next
+// Process or SkipTick on this node: a caller that keeps it copies it. The
+// Update and its Values are heap copies the transport may retain.
 func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	if len(r.Values) != s.cfg.Model.MeasDim {
 		return nil, nil, fmt.Errorf("core: reading has %d values, model %s wants %d", len(r.Values), s.cfg.Model.Name, s.cfg.Model.MeasDim)
@@ -268,11 +263,11 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		if s.tr != nil {
 			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionBootstrap, Raw: raw, Value: v[0], Delta: s.cfg.Delta})
 		}
-		return u, s.mirror.PredictedMeasurementInto(s.predBuf).VecSlice(), nil
+		return u, s.mirror.PredictedInto(s.pred), nil
 	}
 
 	s.mirror.Predict()
-	pred := s.mirror.PredictedMeasurementInto(s.predBuf).VecSlice()
+	pred := s.mirror.PredictedInto(s.pred)
 	// The max-abs residual both decides suppression (residual <= δ is
 	// exactly stream.WithinPrecision) and is the numeric evidence the
 	// trace records.
@@ -293,10 +288,9 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindPredict, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta})
 	}
 
-	z := vecInto(s.zbuf, v)
 	var lastNIS float64
 	if s.cfg.OutlierNIS > 0 && s.outliers < s.cfg.MaxConsecutiveOutliers {
-		nis, err := s.mirror.NIS(z)
+		nis, err := s.mirror.NISValues(v)
 		if err == nil {
 			lastNIS = nis
 			if nis > s.cfg.OutlierNIS {
@@ -314,7 +308,7 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	}
 	s.outliers = 0
 
-	if err := s.mirror.Correct(z); err != nil {
+	if err := s.mirror.CorrectValues(v); err != nil {
 		return nil, nil, err
 	}
 	u := &Update{SourceID: s.cfg.SourceID, Seq: r.Seq, Time: r.Time, Values: clone(v)}
@@ -324,13 +318,16 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	if s.tr != nil {
 		s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionSend, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: lastNIS})
 	}
-	return u, s.mirror.PredictedMeasurementInto(s.predBuf).VecSlice(), nil
+	// pred's pre-correction value is recorded above; it now takes the
+	// corrected estimate.
+	return u, s.mirror.PredictedInto(pred), nil
 }
 
 // maxAbsResidual returns max_i |pred[i] - v[i]| — the residual the
-// suppression decision compares against δ. Comparing it to delta with
-// <= is equivalent to stream.WithinPrecision (NaN components never
-// raise the max, matching WithinPrecision's NaN behavior).
+// suppression decision compares against δ, and the server's divergence
+// tap. Comparing it to delta with <= is equivalent to
+// stream.WithinPrecision (NaN components never raise the max, matching
+// WithinPrecision's NaN behavior).
 func maxAbsResidual(pred, v []float64) float64 {
 	var m float64
 	for i := range pred {
@@ -367,8 +364,7 @@ type ServerNode struct {
 	ticks   int
 	lastSeq int
 
-	zbuf    *mat.Matrix // reusable measurement buffer for ApplyUpdate
-	predBuf *mat.Matrix // reusable H x buffer for Estimate
+	pred []float64 // reusable H x buffer for ApplyUpdate's divergence tap
 
 	// Filter-health diagnostics over the transmitted-update stream: the
 	// NIS of the latest update against the pre-correction prediction and
@@ -403,31 +399,25 @@ func NewServerNode(cfg Config) (*ServerNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ServerNode{cfg: cfg, zbuf: mat.New(m, 1), predBuf: mat.New(m, 1), health: health}, nil
+	return &ServerNode{cfg: cfg, pred: make([]float64, m), health: health}, nil
 }
 
 // Tick advances the server's prediction by one time step on which no
 // update arrived. Before bootstrap it is a no-op (the server has no
 // estimate yet).
-func (s *ServerNode) Tick() {
-	if s.filter == nil {
-		return
-	}
-	s.filter.Predict()
-	s.ticks++
-	s.lastSeq++
-}
+func (s *ServerNode) Tick() { s.AdvanceTo(s.lastSeq + 1) }
 
 // AdvanceTo runs predict steps until the node's prediction corresponds to
-// reading index seq. A no-op before bootstrap or when already at or past
-// seq.
+// reading index seq — one PredictN over the whole suppressed run. A no-op
+// before bootstrap or when already at or past seq.
 func (s *ServerNode) AdvanceTo(seq int) {
-	if s.filter == nil {
+	if s.filter == nil || seq <= s.lastSeq {
 		return
 	}
-	for s.lastSeq < seq {
-		s.Tick()
-	}
+	steps := seq - s.lastSeq
+	s.filter.PredictN(steps)
+	s.ticks += steps
+	s.lastSeq = seq
 }
 
 // Seq returns the reading index the node's estimate corresponds to.
@@ -472,37 +462,22 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 	// u.Seq; in that case the server has performed precisely the same
 	// number of predicts as the mirror and the correction aligns.
 	s.AdvanceTo(u.Seq)
-	z := s.zbuf
-	if len(u.Values) == z.Rows() {
-		vecInto(z, u.Values)
+	// The filter reads u.Values in place; a malformed update gets its
+	// dimension error from the filter itself, as it always has.
+	if len(u.Values) == len(s.pred) {
 		// Divergence tap: distance between the pre-correction prediction
 		// and the transmitted measurement, in measurement units. One H x
 		// into the reusable buffer per transmitted update — allocation
 		// free, and transmitted updates are the rare case by design.
-		pm := s.filter.PredictedMeasurementInto(s.predBuf)
-		var innov float64
-		for i := range u.Values {
-			d := u.Values[i] - pm.At(i, 0)
-			if d < 0 {
-				d = -d
-			}
-			if d > innov {
-				innov = d
-			}
-		}
-		s.lastInnov, s.innovValid = innov, true
-	} else {
-		// Malformed update: hand the filter a fresh vector so it reports
-		// the dimension error itself, as it always has.
-		z = vec(u.Values)
+		s.lastInnov, s.innovValid = maxAbsResidual(u.Values, s.filter.PredictedInto(s.pred)), true
 	}
 	// Health tap: score the update against the pre-correction prediction.
 	// NIS shares the cached innovation covariance with Correct, so this
 	// adds one quadratic form, no allocation, and no second inversion.
-	if nis, err := s.filter.NIS(z); err == nil {
+	if nis, err := s.filter.NISValues(u.Values); err == nil {
 		s.lastNIS, s.nisValid = nis, true
 	}
-	if err := s.filter.Correct(z); err != nil {
+	if err := s.filter.CorrectValues(u.Values); err != nil {
 		return err
 	}
 	s.health.ObserveFilter(s.filter)
@@ -580,7 +555,7 @@ func (s *ServerNode) Estimate() (values []float64, ok bool) {
 	if s.filter == nil {
 		return nil, false
 	}
-	return s.filter.PredictedMeasurementInto(s.predBuf).VecSlice(), true
+	return s.filter.PredictedInto(make([]float64, len(s.pred))), true
 }
 
 // Filter exposes KFs for invariant checks and diagnostics; nil before
@@ -665,15 +640,4 @@ func clone(v []float64) []float64 {
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
-}
-
-func vec(v []float64) *mat.Matrix { return mat.Vec(v...) }
-
-// vecInto copies v into the reusable column buffer buf (len(v) must equal
-// buf.Rows()) and returns buf.
-func vecInto(buf *mat.Matrix, v []float64) *mat.Matrix {
-	for i, x := range v {
-		buf.Set(i, 0, x)
-	}
-	return buf
 }

@@ -9,14 +9,15 @@ import (
 // SkipTick advances the mirror prediction across a time step on which the
 // sensor chose not to take a measurement at all (adaptive sampling,
 // future work item 5). It returns the mirrored server estimate for that
-// step. The server needs no message: its lazy AdvanceTo covers skipped
-// steps identically, so mirror synchrony is preserved.
+// step, in the same node-owned scratch Process returns. The server needs
+// no message: its lazy AdvanceTo covers skipped steps identically, so
+// mirror synchrony is preserved.
 func (s *SourceNode) SkipTick() ([]float64, error) {
 	if s.mirror == nil {
 		return nil, fmt.Errorf("core: SkipTick before bootstrap")
 	}
 	s.mirror.Predict()
-	return s.mirror.PredictedMeasurement().VecSlice(), nil
+	return s.mirror.PredictedInto(s.pred), nil
 }
 
 // SampledMetrics extends the protocol metrics with sensing counters.
@@ -109,7 +110,8 @@ func (s *SampledSession) Step(r stream.Reading) ([]float64, error) {
 	if e > s.metrics.MaxAbsErr {
 		s.metrics.MaxAbsErr = e
 	}
-	return est, nil
+	// est is the source node's scratch; the caller gets its own copy.
+	return clone(est), nil
 }
 
 // priorError returns the a priori prediction error the sampler should

@@ -163,9 +163,10 @@ func TestSelfMonIntermittentSignalSync(t *testing.T) {
 
 // TestSelfStreamAllocBudget pins the steady-state cost of a
 // self-monitoring tick on an engineless server: at most one small
-// allocation per fed signal — SourceNode.Process's estimate copy, the
-// same pre-existing contract TestSourceProcessTraceAllocBudget pins —
-// and nothing from the ring snapshot or the signal reads.
+// allocation per fed signal (a suppressed SourceNode.Process itself
+// allocates nothing, see TestSourceProcessTraceAllocBudget; the slack
+// covers a signal that happens to transmit) and nothing from the ring
+// snapshot or the signal reads.
 func TestSelfStreamAllocBudget(t *testing.T) {
 	s := NewServer(testCatalog())
 	m, err := s.EnableSelfMon(SelfMonOptions{Every: time.Second})
@@ -191,7 +192,7 @@ func TestSelfStreamAllocBudget(t *testing.T) {
 		clk.tick(m)
 	})
 	if allocs > float64(fed) {
-		t.Fatalf("steady-state Tick allocates %.1f/op with %d fed signals, want <= %d (one estimate copy per fed signal)", allocs, fed, fed)
+		t.Fatalf("steady-state Tick allocates %.1f/op with %d fed signals, want <= %d (one per fed signal)", allocs, fed, fed)
 	}
 }
 

@@ -190,12 +190,35 @@ func TestTCPDialSourceServerSpeaksWrongVersion(t *testing.T) {
 func TestTCPDialSourceTruncatedHandshake(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		wire.WritePreamble(conn, wire.Version)
+		// Absorb the client's preamble and hello: closing with them
+		// unread would answer with RST, not the FIN this test is about.
+		io.ReadFull(conn, make([]byte, 6))
+		conn.Read(make([]byte, 64))
 		// A frame header promising 50 bytes, then the connection dies.
 		conn.Write([]byte{51, 0, 0, 0, byte(wire.TagInstall), 1, 2, 3})
 	})
 	_, err := DialSource(addr, "s", testCatalog())
 	if !errors.Is(err, core.ErrTruncated) {
 		t.Fatalf("truncated handshake: %v, want core.ErrTruncated", err)
+	}
+}
+
+// TestTCPDialSourceResetMidFrame is the same truncation delivered as a
+// reset: the server aborts the connection (linger 0 sends RST) after
+// part of a frame. The client must still report core.ErrTruncated.
+func TestTCPDialSourceResetMidFrame(t *testing.T) {
+	addr := fakeServer(t, func(conn net.Conn) {
+		wire.WritePreamble(conn, wire.Version)
+		io.ReadFull(conn, make([]byte, 6))
+		conn.Read(make([]byte, 64))
+		conn.Write([]byte{51, 0, 0, 0, byte(wire.TagInstall), 1, 2, 3})
+		// Let the partial frame reach the client before the abort.
+		time.Sleep(50 * time.Millisecond)
+		conn.(*net.TCPConn).SetLinger(0)
+	})
+	_, err := DialSource(addr, "s", testCatalog())
+	if !errors.Is(err, core.ErrTruncated) {
+		t.Fatalf("reset mid-frame: %v, want core.ErrTruncated", err)
 	}
 }
 

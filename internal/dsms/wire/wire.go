@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"syscall"
 
 	"streamkf/internal/core"
 	"streamkf/internal/trace"
@@ -199,12 +200,16 @@ func CheckVersion(got byte) error {
 // mapReadErr classifies a short read: a clean EOF at a message boundary
 // becomes core.ErrPeerClosed, an EOF inside a message becomes
 // core.ErrTruncated. midMessage forces the truncation classification for
-// reads that began after a frame header was already consumed.
+// reads that began after part of a frame was already consumed — and
+// extends it to a connection reset there: a peer that closes with our
+// bytes unread answers with RST instead of FIN, and to the reader that
+// is the same event, a frame cut short.
 func mapReadErr(err error, midMessage bool) error {
 	if errors.Is(err, io.EOF) && !midMessage {
 		return core.ErrPeerClosed
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		midMessage && errors.Is(err, syscall.ECONNRESET) {
 		return fmt.Errorf("%w: %v", core.ErrTruncated, err)
 	}
 	return err
@@ -508,9 +513,9 @@ func (r *Reader) Buffered() int { return r.br.Buffered() }
 // frame boundary returns core.ErrPeerClosed; a connection dropped
 // mid-frame returns core.ErrTruncated.
 func (r *Reader) Next() (Tag, []byte, error) {
-	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+	if n, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		// A partial header is a truncation, not a clean close.
-		return 0, nil, mapReadErr(err, errors.Is(err, io.ErrUnexpectedEOF))
+		return 0, nil, mapReadErr(err, n > 0)
 	}
 	n := binary.LittleEndian.Uint32(r.hdr[:4])
 	if n == 0 {

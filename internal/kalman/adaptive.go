@@ -19,7 +19,7 @@ type NoiseEstimator struct {
 	m      int
 	window int
 	floor  float64
-	buf    []*mat.Matrix // ring buffer of innovations
+	buf    []float64 // ring of window innovations, m values each; allocated by the first Observe
 	next   int
 	filled bool
 }
@@ -37,22 +37,26 @@ func NewNoiseEstimator(m, window int, floor float64) (*NoiseEstimator, error) {
 	if floor <= 0 {
 		return nil, fmt.Errorf("kalman: NewNoiseEstimator floor = %v, want > 0", floor)
 	}
-	return &NoiseEstimator{m: m, window: window, floor: floor, buf: make([]*mat.Matrix, window)}, nil
+	return &NoiseEstimator{m: m, window: window, floor: floor}, nil
 }
 
-// Observe records one innovation vector (m x 1). The ring buffer slots
-// are allocated on first use and reused afterwards, so a warm estimator
-// observes without allocating — the property that lets the DSMS server
-// run one estimator per stream on the ingest hot path.
+// Observe records one innovation vector (m x 1). The ring is one flat
+// block allocated on first use, so a stream that never corrects pays
+// nothing and a warm estimator observes without allocating — the
+// property that lets the DSMS server run one estimator per stream on the
+// ingest hot path.
 func (n *NoiseEstimator) Observe(innov *mat.Matrix) {
 	if innov.Rows() != n.m || innov.Cols() != 1 {
 		panic(fmt.Sprintf("kalman: NoiseEstimator.Observe innovation is %dx%d, want %dx1", innov.Rows(), innov.Cols(), n.m))
 	}
-	if n.buf[n.next] == nil {
-		n.buf[n.next] = innov.Clone()
-	} else {
-		n.buf[n.next].CopyFrom(innov)
+	n.observe(innov.RawData())
+}
+
+func (n *NoiseEstimator) observe(d []float64) {
+	if n.buf == nil {
+		n.buf = make([]float64, n.window*n.m)
 	}
+	copy(n.slot(n.next), d)
 	n.next++
 	if n.next == n.window {
 		n.next = 0
@@ -60,36 +64,41 @@ func (n *NoiseEstimator) Observe(innov *mat.Matrix) {
 	}
 }
 
+// slot returns ring entry i.
+func (n *NoiseEstimator) slot(i int) []float64 { return n.buf[i*n.m : (i+1)*n.m] }
+
 // ObserveFilter records f's most recent innovation (the one produced by
-// its last Correct), without allocating once the window is warm. It
+// its last Correct), without allocating once the ring exists. It
 // reports whether an innovation was available.
 func (n *NoiseEstimator) ObserveFilter(f *Filter) bool {
-	if f.innov == nil {
+	if !f.hasGain {
 		return false
 	}
-	n.Observe(f.innov)
+	n.observe(f.seg(segInnov))
 	return true
 }
 
 // Ready reports whether a full window of innovations has been observed.
 func (n *NoiseEstimator) Ready() bool { return n.filled }
 
+// count returns how many innovations the ring holds and the slot of the
+// oldest one.
+func (n *NoiseEstimator) count() (count, oldest int) {
+	if n.filled {
+		return n.window, n.next
+	}
+	return n.next, 0
+}
+
 // Window returns the observed innovations in time order, oldest first,
 // each as a fresh value slice. Together with RestoreWindow it lets a
 // checkpoint persist the whiteness state of a stream's health monitor,
 // so a recovered server reports the same diagnostics bit for bit.
 func (n *NoiseEstimator) Window() [][]float64 {
-	count := n.next
-	if n.filled {
-		count = n.window
-	}
+	count, oldest := n.count()
 	out := make([][]float64, 0, count)
 	for i := 0; i < count; i++ {
-		idx := i
-		if n.filled {
-			idx = (n.next + i) % n.window
-		}
-		out = append(out, n.buf[idx].VecSlice())
+		out = append(out, append([]float64(nil), n.slot((oldest+i)%n.window)...))
 	}
 	return out
 }
@@ -108,7 +117,7 @@ func (n *NoiseEstimator) RestoreWindow(innovs [][]float64) error {
 		if len(v) != n.m {
 			return fmt.Errorf("kalman: RestoreWindow innovation has %d values, want %d", len(v), n.m)
 		}
-		n.Observe(mat.Vec(v...))
+		n.observe(v)
 	}
 	return nil
 }
@@ -124,24 +133,17 @@ func (n *NoiseEstimator) RestoreWindow(innovs [][]float64) error {
 // server-side filter-health signal, paper §3.2). ok is false until the
 // window has filled.
 func (n *NoiseEstimator) Whiteness() (rho float64, ok bool) {
-	count := n.next
-	if n.filled {
-		count = n.window
-	}
+	count, oldest := n.count()
 	if count < 2 {
 		return 0, false
 	}
 	var num, den float64
-	var prev *mat.Matrix
+	var prev []float64
 	for i := 0; i < count; i++ {
-		idx := i
-		if n.filled {
-			idx = (n.next + i) % n.window
-		}
-		d := n.buf[idx]
-		den += mat.Dot(d, d)
+		d := n.slot((oldest + i) % n.window)
+		den += dot(d, d)
 		if prev != nil {
-			num += mat.Dot(prev, d)
+			num += dot(prev, d)
 		}
 		prev = d
 	}
@@ -149,6 +151,15 @@ func (n *NoiseEstimator) Whiteness() (rho float64, ok bool) {
 		return 0, false
 	}
 	return num / den, n.filled
+}
+
+// dot is mat.Dot on bare vectors: accumulation from +0 in index order.
+func dot(a, b []float64) float64 {
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
 }
 
 // WhitenessBound returns the ±2/√window acceptance band for Whiteness:
@@ -165,7 +176,8 @@ func (n *NoiseEstimator) EstimateR(hpht *mat.Matrix) *mat.Matrix {
 	}
 	// Sample covariance of innovations (mean assumed ~0 under whiteness).
 	c := mat.New(n.m, n.m)
-	for _, d := range n.buf {
+	for i := 0; i < n.window; i++ {
+		d := mat.FromSlice(n.m, 1, n.slot(i))
 		c = mat.AddInPlace(mat.Mul(d, mat.Transpose(d)), c)
 	}
 	c = mat.Scale(1/float64(n.window), c)
@@ -202,11 +214,12 @@ func NewAdaptive(f *Filter, window int, floor float64) (*AdaptiveFilter, error) 
 // periodically re-estimates R.
 func (a *AdaptiveFilter) Correct(z *mat.Matrix) error {
 	// H P^- H^T must be captured before the correction consumes P^-.
-	hpht := mat.Mul3(a.h, a.p, mat.Transpose(a.h))
+	h := mat.FromSlice(a.m, a.n, a.seg(segH))
+	hpht := mat.Mul3(h, a.Cov(), mat.Transpose(h))
 	if err := a.Filter.Correct(z); err != nil {
 		return err
 	}
-	a.est.Observe(a.Filter.innov)
+	a.est.ObserveFilter(a.Filter)
 	a.count++
 	if a.est.Ready() && a.count%a.every == 0 {
 		a.SetNoise(nil, a.est.EstimateR(hpht))

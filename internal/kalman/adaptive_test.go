@@ -89,7 +89,7 @@ func TestAdaptiveFilterLearnsR(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	learned := ad.r.At(0, 0)
+	learned := ad.seg(segR)[0]
 	if learned < 1 {
 		t.Fatalf("adaptive R = %v, want inflated toward 4", learned)
 	}

@@ -18,8 +18,7 @@ type MeasFunc func(x *mat.Matrix) *mat.Matrix
 type JacobianFunc func(k int, x *mat.Matrix) *mat.Matrix
 
 // ekfWorkspace holds the scratch matrices an EKF needs per step. Unlike
-// the linear filter's workspace it carries no innovation-covariance
-// cache: the measurement Jacobian is re-evaluated at every Correct, so S
+// the linear filter it carries no innovation-covariance cache: the measurement Jacobian is re-evaluated at every Correct, so S
 // is never reusable across calls.
 type ekfWorkspace struct {
 	ht   *mat.Matrix // n x m: transpose of the current measurement Jacobian

@@ -10,16 +10,29 @@ import (
 // refFilter replays the historical allocating implementation of the
 // filter recursions, operation for operation (left-associated triple
 // products, AddInPlace accumulation order, Symmetrize of the fresh
-// product). The workspace rewrite must reproduce its trajectories bit for
-// bit — the property the DKF server/mirror synchrony invariant rests on.
+// product) on the mat API. The flat-array kernel must reproduce its
+// trajectories bit for bit — the property the DKF server/mirror synchrony
+// invariant rests on.
 type refFilter struct {
 	phi    TransitionFunc
 	h      *mat.Matrix
 	q, r   *mat.Matrix
 	x, p   *mat.Matrix
+	gain   *mat.Matrix
 	k      int
 	joseph bool
 }
+
+// RefFilter and NewRefFilter let the bit-identity tests in package
+// kalman_test — which need internal/model, an importer of this package —
+// drive the reference.
+type RefFilter = refFilter
+
+func NewRefFilter(cfg Config) *RefFilter { return newRefFilter(cfg) }
+
+func (f *refFilter) State() *mat.Matrix { return f.x }
+func (f *refFilter) Cov() *mat.Matrix   { return f.p }
+func (f *refFilter) Gain() *mat.Matrix  { return f.gain }
 
 func newRefFilter(cfg Config) *refFilter {
 	p0 := cfg.P0
@@ -32,21 +45,27 @@ func newRefFilter(cfg Config) *refFilter {
 	}
 }
 
-func (f *refFilter) predict() {
+func (f *refFilter) Predict() {
 	phi := f.phi(f.k)
 	f.x = mat.Mul(phi, f.x)
 	f.p = mat.Symmetrize(mat.AddInPlace(mat.Mul(mat.Mul(phi, f.p), mat.Transpose(phi)), f.q))
 	f.k++
 }
 
-func (f *refFilter) correct(z *mat.Matrix) {
-	ht := mat.Transpose(f.h)
-	s := mat.AddInPlace(mat.Mul(mat.Mul(f.h, f.p), ht), f.r)
-	sInv, err := mat.Inverse(s)
+// innovCov returns the inverse and the determinant of S = H P H^T + R.
+func (f *refFilter) innovCov() (sInv *mat.Matrix, det float64) {
+	s := mat.AddInPlace(mat.Mul(mat.Mul(f.h, f.p), mat.Transpose(f.h)), f.r)
+	sInv = mat.New(s.Rows(), s.Cols())
+	det, err := mat.InverseInto(sInv, s, nil)
 	if err != nil {
 		panic(err)
 	}
-	k := mat.Mul(mat.Mul(f.p, ht), sInv)
+	return sInv, det
+}
+
+func (f *refFilter) Correct(z *mat.Matrix) {
+	sInv, _ := f.innovCov()
+	k := mat.Mul(mat.Mul(f.p, mat.Transpose(f.h)), sInv)
 	innov := mat.Sub(z, mat.Mul(f.h, f.x))
 	f.x = mat.AddInPlace(mat.Mul(k, innov), f.x)
 	ikh := mat.Sub(mat.Identity(f.x.Rows()), mat.Mul(k, f.h))
@@ -58,17 +77,19 @@ func (f *refFilter) correct(z *mat.Matrix) {
 	} else {
 		f.p = mat.Symmetrize(mat.Mul(ikh, f.p))
 	}
+	f.gain = k
 }
 
-func (f *refFilter) nis(z *mat.Matrix) float64 {
-	ht := mat.Transpose(f.h)
-	s := mat.AddInPlace(mat.Mul(mat.Mul(f.h, f.p), ht), f.r)
-	sInv, err := mat.Inverse(s)
-	if err != nil {
-		panic(err)
-	}
+func (f *refFilter) NIS(z *mat.Matrix) float64 {
+	sInv, _ := f.innovCov()
 	d := mat.Sub(z, mat.Mul(f.h, f.x))
 	return mat.Mul(mat.Mul(mat.Transpose(d), sInv), d).At(0, 0)
+}
+
+// LogLikelihood also returns det S: the filter refuses a non-positive one.
+func (f *refFilter) LogLikelihood(z *mat.Matrix) (ll, det float64) {
+	_, det = f.innovCov()
+	return -0.5 * (float64(z.Rows())*math.Log(2*math.Pi) + math.Log(det) + f.NIS(z)), det
 }
 
 // traceLCG is a tiny deterministic generator for reproducible measurement
@@ -105,7 +126,7 @@ func equivalenceConfigs() map[string]Config {
 	}
 }
 
-// TestRewriteMatchesReferenceTrace drives the workspace-based filter and
+// TestRewriteMatchesReferenceTrace drives the flat-array filter and
 // the reference implementation through a DKF-style trace — predictions,
 // NIS probes, and corrections gated by an update-suppression rule — and
 // requires bit-identical state, covariance and NIS at every step.
@@ -120,7 +141,7 @@ func TestRewriteMatchesReferenceTrace(t *testing.T) {
 			suppressed := 0
 			for step := 0; step < 400; step++ {
 				f.Predict()
-				ref.predict()
+				ref.Predict()
 				zv := make([]float64, m)
 				for i := range zv {
 					zv[i] = 0.02*float64(step) + gen.next()
@@ -130,7 +151,7 @@ func TestRewriteMatchesReferenceTrace(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: NIS: %v", step, err)
 				}
-				if wantNIS := ref.nis(z); gotNIS != wantNIS {
+				if wantNIS := ref.NIS(z); gotNIS != wantNIS {
 					t.Fatalf("step %d: NIS = %v, reference %v", step, gotNIS, wantNIS)
 				}
 				// DKF update suppression: skip the correction when the
@@ -147,13 +168,13 @@ func TestRewriteMatchesReferenceTrace(t *testing.T) {
 					if err := f.Correct(z); err != nil {
 						t.Fatalf("step %d: Correct: %v", step, err)
 					}
-					ref.correct(z)
+					ref.Correct(z)
 				}
-				if !mat.Equal(f.x, ref.x) {
-					t.Fatalf("step %d: state diverged: %v vs %v", step, f.x, ref.x)
+				if !mat.Equal(f.State(), ref.x) {
+					t.Fatalf("step %d: state diverged: %v vs %v", step, f.State(), ref.x)
 				}
-				if !mat.Equal(f.p, ref.p) {
-					t.Fatalf("step %d: covariance diverged: %v vs %v", step, f.p, ref.p)
+				if !mat.Equal(f.Cov(), ref.p) {
+					t.Fatalf("step %d: covariance diverged: %v vs %v", step, f.Cov(), ref.p)
 				}
 			}
 			if suppressed == 0 || suppressed == 400 {
@@ -224,13 +245,13 @@ func TestCloneSharesNothingMutable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !mat.Equal(f.x, x0) || !mat.Equal(f.p, p0) {
+	if !mat.Equal(f.State(), x0) || !mat.Equal(f.Cov(), p0) {
 		t.Fatal("stepping a clone mutated the original's state")
 	}
-	if !mat.Equal(f.gain, gain0) || !mat.Equal(f.innov, innov0) {
+	if !mat.Equal(f.Gain(), gain0) || !mat.Equal(f.Innovation(), innov0) {
 		t.Fatal("stepping a clone mutated the original's gain/innovation")
 	}
-	if mat.Equal(c.x, x0) {
+	if mat.Equal(c.State(), x0) {
 		t.Fatal("clone did not actually diverge; test is vacuous")
 	}
 }

@@ -12,13 +12,42 @@
 // halves of a predict–correct cycle are driven independently by the
 // protocol layer (internal/core).
 //
-// The per-reading hot path (Predict, Correct, NIS, LogLikelihood) is
-// allocation-free in steady state: every filter owns a workspace of
-// scratch matrices sized at construction and runs on the destination-
-// taking mat kernels. The kernels replicate the floating-point operation
-// order of the allocating API they replaced, so filter trajectories are
-// bit-identical to the historical implementation — the property the DKF
-// mirror-synchrony invariant rests on.
+// Layout. A Filter keeps every number it owns — H, H^T, Q, R, x, P, the
+// gain, the innovation, S, S^-1 and all scratch — in one []float64 block,
+// allocated once at construction (the seg* constants name the segments);
+// φ_k is read in place from whatever the TransitionFunc returns. The
+// per-reading path (Predict, Correct, NIS, LogLikelihood, PredictedInto)
+// runs as loops over that block: no matrix objects, no per-operation
+// dimension or aliasing checks, no allocation. The *mat.Matrix-taking
+// methods are wrappers over the slice-taking ones.
+//
+// Operation order is a contract. The DKF protocol only works because the
+// source's mirror and the server's filter compute the same bits, on
+// different machines and across versions of this code, so the kernel
+// performs exactly the floating-point operations of the mat-API
+// recursions it replaced (kept as refFilter in the tests), in their
+// order:
+//
+//   - triple products associate to the left: (φ P) φ^T, (H P) H^T,
+//     (P H^T) S^-1, ((I-KH) P) (I-KH)^T, (K R) K^T, (d^T S^-1) d;
+//   - each product element accumulates its terms from +0 in index order;
+//   - a term whose LEFT factor is zero is skipped, whatever the right
+//     factor is (0·NaN and 0·Inf contribute nothing); a zero right factor
+//     is multiplied normally;
+//   - a 1x1 by 1x1 product does not accumulate: it is the bare product,
+//     so it can be −0 where an accumulated one would be +0;
+//   - sums keep their operand order: (φPφ^T) + Q, (HPH^T) + R, Kd + x,
+//     z − Hx, I − KH as the one subtraction I_ij − (KH)_ij, and
+//     symmetrization as (a_ij + a_ji)/2 of the finished product;
+//   - S^-1 uses the closed forms for orders 1 and 2 and Gauss-Jordan with
+//     partial pivoting above (mat.InverseFlat).
+//
+// None of this is visible on ordinary data; it decides the bits when a
+// value is −0, NaN, infinite or about to overflow, which is why the
+// bit-identity tests (TestFilterMatchesReference,
+// FuzzFilterMatchesReference, core's TestGoldenSuppressionTrace) feed
+// exactly those. An edit that reorders, fuses or "simplifies" any of the
+// above changes a suppression decision somewhere and must fail them.
 package kalman
 
 import (
@@ -93,51 +122,31 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// workspace holds the scratch matrices one filter needs to run a full
-// predict/correct cycle without heap allocation, plus the cached
-// innovation covariance. Every Filter owns its workspace exclusively;
-// Clone builds a fresh one, so clones share nothing mutable.
-type workspace struct {
-	ht   *mat.Matrix // n x m: H^T, fixed for the filter's lifetime
-	nn1  *mat.Matrix // n x n scratch
-	nn2  *mat.Matrix // n x n scratch
-	nn3  *mat.Matrix // n x n scratch
-	nm   *mat.Matrix // n x m scratch
-	mn   *mat.Matrix // m x n scratch
-	n1   *mat.Matrix // n x 1 scratch
-	m1   *mat.Matrix // m x 1 scratch
-	row1 *mat.Matrix // 1 x m scratch for the NIS quadratic form
-	row2 *mat.Matrix // 1 x m scratch for the NIS quadratic form
-	s    *mat.Matrix // m x m: innovation covariance S = H P H^T + R
-	sInv *mat.Matrix // m x m: S^-1
-	mm   *mat.Matrix // m x m scratch for InverseInto
-
-	// sValid marks s/sInv/sDet as current for the present (x, P, R).
-	// Correct, NIS and LogLikelihood share the cached triple, so the DKF
-	// source path (NIS gate followed by Correct on the same prediction)
-	// builds and inverts S once instead of twice.
-	sValid bool
-	sDet   float64
-}
-
-func newWorkspace(h *mat.Matrix) *workspace {
-	m, n := h.Rows(), h.Cols()
-	return &workspace{
-		ht:   mat.Transpose(h),
-		nn1:  mat.New(n, n),
-		nn2:  mat.New(n, n),
-		nn3:  mat.New(n, n),
-		nm:   mat.New(n, m),
-		mn:   mat.New(m, n),
-		n1:   mat.New(n, 1),
-		m1:   mat.New(m, 1),
-		row1: mat.New(1, m),
-		row2: mat.New(1, m),
-		s:    mat.New(m, m),
-		sInv: mat.New(m, m),
-		mm:   mat.New(m, m),
-	}
-}
+// Segments of a filter's block, in storage order. x and P lead so the
+// mirror-synchrony comparison is one scan; the rest is model constants,
+// per-correction outputs and scratch.
+const (
+	segX     = iota // n: state estimate (a priori after Predict, a posteriori after Correct)
+	segP            // n x n: error covariance matching x
+	segQ            // n x n: process noise covariance
+	segH            // m x n: measurement matrix
+	segHT           // n x m: H^T, fixed for the filter's lifetime
+	segR            // m x m: measurement noise covariance
+	segGain         // n x m: most recent Kalman gain K
+	segInnov        // m: most recent innovation z - H x^-
+	segS            // m x m: innovation covariance S = H P H^T + R
+	segSInv         // m x m: S^-1
+	segXs           // n scratch
+	segT1           // n x n scratch
+	segT2           // n x n scratch
+	segT3           // n x n scratch
+	segNM           // n x m scratch
+	segHP           // m x n scratch
+	segD            // m scratch: innovation of a NIS/LogLikelihood probe
+	segRow          // m scratch: d^T S^-1
+	segW            // m x m Gauss-Jordan scratch, empty for m <= 2 (closed forms)
+	segCount
+)
 
 // Filter is a discrete Kalman filter over the system
 //
@@ -147,41 +156,61 @@ func newWorkspace(h *mat.Matrix) *workspace {
 // following the paper's Eqs. 3–12.
 type Filter struct {
 	phi TransitionFunc
-	h   *mat.Matrix
-	q   *mat.Matrix
-	r   *mat.Matrix
+	buf []float64           // every matrix and vector the filter owns, one allocation
+	off [segCount + 1]int32 // segment i is buf[off[i]:off[i+1]]
+	n   int                 // state dimension
+	m   int                 // measurement dimension
+	k   int                 // discrete time index: number of Predict steps taken
 
-	x *mat.Matrix // current state estimate (a priori after Predict, a posteriori after Correct)
-	p *mat.Matrix // error covariance matching x
-
-	k         int         // discrete time index: number of Predict steps taken
-	gain      *mat.Matrix // most recent Kalman gain K_k, reused across corrections
-	innov     *mat.Matrix // most recent innovation z - H x^-, reused across corrections
-	corrected bool        // whether Correct has run since the last Predict
-	joseph    bool        // use the Joseph stabilized covariance update
-
-	ws *workspace
+	// sValid marks S, S^-1 and sDet as current for the present (x, P, R).
+	// Correct, NIS and LogLikelihood share the cached triple, so the DKF
+	// source path (NIS gate followed by Correct on the same prediction)
+	// builds and inverts S once instead of twice.
+	sDet      float64
+	sValid    bool
+	hasGain   bool // gain and innov hold a correction's values
+	corrected bool // whether Correct has run since the last Predict
+	joseph    bool // use the Joseph stabilized covariance update
 }
+
+func (f *Filter) seg(i int) []float64 { return f.buf[f.off[i]:f.off[i+1]] }
 
 // New constructs a Filter from cfg, validating dimensions.
 func New(cfg Config) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p0 := cfg.P0
-	if p0 == nil {
-		p0 = mat.ScaledIdentity(cfg.X0.Rows(), 1e3)
+	n, m := cfg.X0.Rows(), cfg.H.Rows()
+	f := &Filter{phi: cfg.Phi, n: n, m: m, joseph: cfg.JosephForm}
+	sizes := [segCount]int{
+		segX: n, segP: n * n, segQ: n * n, segH: m * n, segHT: n * m, segR: m * m,
+		segGain: n * m, segInnov: m, segS: m * m, segSInv: m * m,
+		segXs: n, segT1: n * n, segT2: n * n, segT3: n * n, segNM: n * m, segHP: m * n, segD: m, segRow: m,
 	}
-	return &Filter{
-		phi:    cfg.Phi,
-		h:      cfg.H.Clone(),
-		q:      cfg.Q.Clone(),
-		r:      cfg.R.Clone(),
-		x:      cfg.X0.Clone(),
-		p:      p0.Clone(),
-		joseph: cfg.JosephForm,
-		ws:     newWorkspace(cfg.H),
-	}, nil
+	if m > 2 {
+		sizes[segW] = m * m
+	}
+	total := 0
+	for i, sz := range sizes {
+		f.off[i] = int32(total)
+		total += sz
+	}
+	f.off[segCount] = int32(total)
+	f.buf = make([]float64, total)
+	copy(f.seg(segX), cfg.X0.RawData())
+	copy(f.seg(segQ), cfg.Q.RawData())
+	copy(f.seg(segH), cfg.H.RawData())
+	mat.TransposeFlat(f.seg(segHT), f.seg(segH), m, n)
+	copy(f.seg(segR), cfg.R.RawData())
+	if cfg.P0 != nil {
+		copy(f.seg(segP), cfg.P0.RawData())
+	} else {
+		p := f.seg(segP)
+		for i := 0; i < n; i++ {
+			p[i*n+i] = 1e3
+		}
+	}
+	return f, nil
 }
 
 // MustNew is New but panics on configuration error. For tests and
@@ -195,37 +224,77 @@ func MustNew(cfg Config) *Filter {
 }
 
 // StateDim returns n, the number of state variables.
-func (f *Filter) StateDim() int { return f.x.Rows() }
+func (f *Filter) StateDim() int { return f.n }
 
 // MeasDim returns m, the number of measurement variables.
-func (f *Filter) MeasDim() int { return f.h.Rows() }
+func (f *Filter) MeasDim() int { return f.m }
 
 // K returns the current discrete time index (number of Predict calls).
 func (f *Filter) K() int { return f.k }
 
 // State returns a copy of the current state estimate vector.
-func (f *Filter) State() *mat.Matrix { return f.x.Clone() }
+func (f *Filter) State() *mat.Matrix { return mat.FromSlice(f.n, 1, f.seg(segX)) }
 
 // Cov returns a copy of the current error covariance.
-func (f *Filter) Cov() *mat.Matrix { return f.p.Clone() }
+func (f *Filter) Cov() *mat.Matrix { return mat.FromSlice(f.n, f.n, f.seg(segP)) }
 
 // Gain returns a copy of the most recent Kalman gain, or nil before the
 // first correction.
 func (f *Filter) Gain() *mat.Matrix {
-	if f.gain == nil {
+	if !f.hasGain {
 		return nil
 	}
-	return f.gain.Clone()
+	return mat.FromSlice(f.n, f.m, f.seg(segGain))
 }
 
 // Innovation returns a copy of the most recent innovation z - Hx^-, or nil
 // before the first correction. The paper uses the innovation sequence for
 // outlier detection and adaptive sampling (advantage 5, §3.1).
 func (f *Filter) Innovation() *mat.Matrix {
-	if f.innov == nil {
+	if !f.hasGain {
 		return nil
 	}
-	return f.innov.Clone()
+	return mat.FromSlice(f.m, 1, f.seg(segInnov))
+}
+
+// One- and two-state filters over a scalar measurement — every model of
+// the paper's experiments — run the recursions unrolled, on the three
+// element kernels below; every other shape runs them as loops over
+// mat's flat kernels. Both reproduce, operation for operation, what
+// mat.MulInto, AddInto, SubInto, IdentityMinusInto, SymmetrizeInto and
+// InverseInto compute (see the package comment for the contract).
+
+// mul1 is a 1x1 by 1x1 product, which does not accumulate: a zero left
+// factor yields +0 (so 0·NaN is 0), anything else the bare product (so a
+// −0 product stays −0, where 0 + −0 would be +0). The conversion keeps
+// the product from fusing with a following addition.
+func mul1(a, b float64) float64 {
+	if a == 0 {
+		return 0
+	}
+	return float64(a * b)
+}
+
+// dot1 and dot2 are one element of any other product with inner
+// dimension 1 or 2: terms accumulate left to right from +0, and a term
+// whose left factor is zero is skipped.
+func dot1(a, b float64) float64 {
+	var s float64
+	if a != 0 {
+		s += a * b
+	}
+	return s
+}
+
+func dot2(a0, b0, a1, b1 float64) float64 {
+	var s float64
+	if a0 != 0 {
+		s += a0 * b0
+	}
+	if a1 != 0 {
+		s += a1 * b1
+	}
+	return s
 }
 
 // Predict propagates the state one step forward:
@@ -233,71 +302,138 @@ func (f *Filter) Innovation() *mat.Matrix {
 //	x^- = φ_k x,   P^- = φ_k P φ_k^T + Q.
 //
 // After Predict, State/PredictedMeasurement report the a priori estimate.
-func (f *Filter) Predict() {
-	phi := f.phi(f.k)
-	ws := f.ws
-	mat.MulInto(ws.n1, phi, f.x)
-	f.x, ws.n1 = ws.n1, f.x
-	mat.MulInto(ws.nn1, phi, f.p)
-	mat.TransposeInto(ws.nn2, phi)
-	mat.MulInto(ws.nn3, ws.nn1, ws.nn2)
-	mat.AddInto(ws.nn3, ws.nn3, f.q)
-	mat.SymmetrizeInto(f.p, ws.nn3)
-	f.k++
+func (f *Filter) Predict() { f.PredictN(1) }
+
+// PredictN runs steps consecutive Predicts — the server's catch-up over a
+// run of suppressed readings — locating the block's segments once.
+func (f *Filter) PredictN(steps int) {
+	if steps <= 0 {
+		return
+	}
+	n := f.n
+	x, p, q := f.seg(segX), f.seg(segP), f.seg(segQ)
+	for ; steps > 0; steps-- {
+		phi := f.phi(f.k).RawData()
+		if len(phi) != len(p) {
+			panic(fmt.Sprintf("kalman: Phi(%d) has %d elements, want %dx%d", f.k, len(phi), n, n))
+		}
+		switch n {
+		case 1:
+			x[0] = mul1(phi[0], x[0])
+			p[0] = mul1(mul1(phi[0], p[0]), phi[0]) + q[0]
+		case 2:
+			f00, f01, f10, f11 := phi[0], phi[1], phi[2], phi[3]
+			x[0], x[1] = dot2(f00, x[0], f01, x[1]), dot2(f10, x[0], f11, x[1])
+			// φ P, then (φ P) φ^T + Q, then the symmetrized result.
+			a00, a01 := dot2(f00, p[0], f01, p[2]), dot2(f00, p[1], f01, p[3])
+			a10, a11 := dot2(f10, p[0], f11, p[2]), dot2(f10, p[1], f11, p[3])
+			b01 := dot2(a00, f10, a01, f11) + q[1]
+			b10 := dot2(a10, f00, a11, f01) + q[2]
+			p[0] = dot2(a00, f00, a01, f01) + q[0]
+			p[3] = dot2(a10, f10, a11, f11) + q[3]
+			p[1] = (b01 + b10) / 2
+			p[2] = p[1]
+		default:
+			xs, t1, t2, t3 := f.seg(segXs), f.seg(segT1), f.seg(segT2), f.seg(segT3)
+			mat.MulFlat(xs, phi, x, n, n, 1)
+			copy(x, xs)
+			mat.MulFlat(t1, phi, p, n, n, n)
+			mat.TransposeFlat(t2, phi, n, n)
+			mat.MulFlat(t3, t1, t2, n, n, n)
+			for i, qv := range q {
+				t3[i] += qv
+			}
+			mat.SymmetrizeFlat(p, t3, n)
+		}
+		f.k++
+	}
 	f.corrected = false
-	ws.sValid = false
+	f.sValid = false
 }
 
 // PredictedMeasurement returns H x, the measurement the filter expects
 // given the current state estimate. In the DKF protocol this is the value
 // the server would answer a query with.
 func (f *Filter) PredictedMeasurement() *mat.Matrix {
-	return mat.Mul(f.h, f.x)
+	z := mat.New(f.m, 1)
+	f.PredictedInto(z.RawData())
+	return z
 }
 
-// PredictedMeasurementInto writes H x into dst (m x 1) without
-// allocating, and returns dst. The protocol layer keeps a reusable
-// destination per node to stay off the heap on every reading.
-func (f *Filter) PredictedMeasurementInto(dst *mat.Matrix) *mat.Matrix {
-	return mat.MulInto(dst, f.h, f.x)
+// PredictedInto writes H x into dst (m values) without allocating, and
+// returns dst. The protocol layer keeps a reusable destination per node
+// to stay off the heap on every reading.
+func (f *Filter) PredictedInto(dst []float64) []float64 {
+	h, x := f.seg(segH), f.seg(segX)
+	switch {
+	case f.m == 1 && f.n == 1:
+		dst[0] = mul1(h[0], x[0])
+	case f.m == 1 && f.n == 2:
+		dst[0] = dot2(h[0], x[0], h[1], x[1])
+	default:
+		mat.MulFlat(dst, h, x, f.m, f.n, 1)
+	}
+	return dst
 }
 
-// checkMeasurement validates the shape of a measurement vector.
-func (f *Filter) checkMeasurement(z *mat.Matrix) error {
-	if z.Rows() != f.h.Rows() || z.Cols() != 1 {
-		return fmt.Errorf("kalman: measurement is %dx%d, want %dx1", z.Rows(), z.Cols(), f.h.Rows())
+// checkValues validates the length of a measurement vector.
+func (f *Filter) checkValues(z []float64) error {
+	if len(z) != f.m {
+		return fmt.Errorf("kalman: measurement is %dx1, want %dx1", len(z), f.m)
 	}
 	return nil
+}
+
+// column returns z's values for a Matrix-taking wrapper, or an error
+// when z is not m x 1.
+func (f *Filter) column(z *mat.Matrix) ([]float64, error) {
+	if z.Rows() != f.m || z.Cols() != 1 {
+		return nil, fmt.Errorf("kalman: measurement is %dx%d, want %dx1", z.Rows(), z.Cols(), f.m)
+	}
+	return z.RawData(), nil
 }
 
 // refreshS (re)computes the innovation covariance S = H P H^T + R, its
-// inverse and determinant into the workspace, unless the cached values
-// are still current. This is the single home of the computation Correct,
-// NIS and LogLikelihood previously each rebuilt from scratch.
+// inverse and determinant, unless the cached values are still current.
 func (f *Filter) refreshS() error {
-	ws := f.ws
-	if ws.sValid {
+	if f.sValid {
 		return nil
 	}
-	mat.MulInto(ws.mn, f.h, f.p)
-	mat.MulInto(ws.s, ws.mn, ws.ht)
-	mat.AddInto(ws.s, ws.s, f.r)
-	det, err := mat.InverseInto(ws.sInv, ws.s, ws.mm)
-	if err != nil {
-		return err
+	n, m := f.n, f.m
+	h, p, s := f.seg(segH), f.seg(segP), f.seg(segS)
+	switch {
+	case m == 1 && n == 1:
+		s[0] = mul1(mul1(h[0], p[0]), h[0])
+	case m == 1 && n == 2:
+		s[0] = dot2(dot2(h[0], p[0], h[1], p[2]), h[0], dot2(h[0], p[1], h[1], p[3]), h[1])
+	default:
+		hp := f.seg(segHP)
+		mat.MulFlat(hp, h, p, m, n, n)
+		mat.MulFlat(s, hp, f.seg(segHT), m, n, m)
 	}
-	ws.sDet = det
-	ws.sValid = true
+	for i, rv := range f.seg(segR) {
+		s[i] += rv
+	}
+	det, err := mat.InverseFlat(f.seg(segSInv), s, f.seg(segW), m)
+	if err != nil {
+		return fmt.Errorf("kalman: innovation covariance not invertible: %w", err)
+	}
+	f.sDet = det
+	f.sValid = true
 	return nil
 }
 
-// quadForm returns d^T S^-1 d using the cached S^-1, replicating the
-// left-associated evaluation order of mat.Mul3(Transpose(d), sInv, d).
-func (f *Filter) quadForm(d *mat.Matrix) float64 {
-	ws := f.ws
-	mat.TransposeInto(ws.row1, d)
-	mat.MulInto(ws.row2, ws.row1, ws.sInv)
-	return mat.Dot(ws.row2, d)
+// quadForm returns d^T S^-1 d for the innovation d = z - H x, using the
+// cached S^-1 in the left-associated evaluation order of
+// mat.Mul3(Transpose(d), sInv, d).
+func (f *Filter) quadForm(z []float64) float64 {
+	d, row := f.seg(segD), f.seg(segRow)
+	f.PredictedInto(d)
+	for i, zv := range z {
+		d[i] = zv - d[i]
+	}
+	mat.MulFlat(row, d, f.seg(segSInv), 1, f.m, f.m)
+	return dot(row, d)
 }
 
 // Correct folds measurement z (m x 1) into the state estimate:
@@ -309,45 +445,80 @@ func (f *Filter) quadForm(d *mat.Matrix) float64 {
 // Correct returns an error if the innovation covariance is singular, which
 // indicates a degenerate model (e.g. zero R with an unobservable state).
 func (f *Filter) Correct(z *mat.Matrix) error {
-	if err := f.checkMeasurement(z); err != nil {
+	v, err := f.column(z)
+	if err != nil {
+		return err
+	}
+	return f.CorrectValues(v)
+}
+
+// CorrectValues is Correct on a bare measurement vector of m values; it
+// reads z in place and does not retain it.
+func (f *Filter) CorrectValues(z []float64) error {
+	if err := f.checkValues(z); err != nil {
 		return err
 	}
 	if err := f.refreshS(); err != nil {
-		return fmt.Errorf("kalman: innovation covariance not invertible: %w", err)
+		return err
 	}
-	ws := f.ws
-	if f.gain == nil {
-		f.gain = mat.New(f.x.Rows(), f.h.Rows())
+	n, m := f.n, f.m
+	x, p, h, sInv := f.seg(segX), f.seg(segP), f.seg(segH), f.seg(segSInv)
+	gain, innov := f.seg(segGain), f.seg(segInnov)
+	switch {
+	case m == 1 && n == 1 && !f.joseph:
+		gain[0] = mul1(mul1(p[0], h[0]), sInv[0])
+		innov[0] = z[0] - mul1(h[0], x[0])
+		x[0] = mul1(gain[0], innov[0]) + x[0]
+		p[0] = mul1(1-mul1(gain[0], h[0]), p[0])
+	case m == 1 && n == 2 && !f.joseph:
+		h0, h1 := h[0], h[1]
+		k0 := dot1(dot2(p[0], h0, p[1], h1), sInv[0])
+		k1 := dot1(dot2(p[2], h0, p[3], h1), sInv[0])
+		d := z[0] - dot2(h0, x[0], h1, x[1])
+		gain[0], gain[1], innov[0] = k0, k1, d
+		x[0], x[1] = dot1(k0, d)+x[0], dot1(k1, d)+x[1]
+		// I - K H, then (I - K H) P, then the symmetrized result.
+		a00, a01 := 1-dot1(k0, h0), 0-dot1(k0, h1)
+		a10, a11 := 0-dot1(k1, h0), 1-dot1(k1, h1)
+		b01 := dot2(a00, p[1], a01, p[3])
+		b10 := dot2(a10, p[0], a11, p[2])
+		p[0], p[3] = dot2(a00, p[0], a01, p[2]), dot2(a10, p[1], a11, p[3])
+		p[1] = (b01 + b10) / 2
+		p[2] = p[1]
+	default:
+		nm, xs, t1, t2 := f.seg(segNM), f.seg(segXs), f.seg(segT1), f.seg(segT2)
+		// K = P H^T S^-1.
+		mat.MulFlat(nm, p, f.seg(segHT), n, n, m)
+		mat.MulFlat(gain, nm, sInv, n, m, m)
+		f.PredictedInto(innov)
+		for i, zv := range z {
+			innov[i] = zv - innov[i]
+		}
+		// x = x^- + K d.
+		mat.MulFlat(xs, gain, innov, n, m, 1)
+		for i, v := range xs {
+			x[i] = v + x[i]
+		}
+		// (I - K H) P.
+		mat.MulFlat(t1, gain, h, n, m, n)
+		mat.IdentityMinusFlat(t1, t1, n)
+		mat.MulFlat(t2, t1, p, n, n, n)
+		if f.joseph {
+			// (I-KH) P (I-KH)^T + K R K^T.
+			t3, kt := f.seg(segT3), f.seg(segHP)
+			mat.TransposeFlat(t3, t1, n, n)
+			mat.MulFlat(t1, t2, t3, n, n, n)
+			mat.MulFlat(nm, gain, f.seg(segR), n, m, m)
+			mat.TransposeFlat(kt, gain, n, m)
+			mat.MulFlat(t2, nm, kt, n, m, n)
+			for i, v := range t1 {
+				t2[i] = v + t2[i]
+			}
+		}
+		mat.SymmetrizeFlat(p, t2, n)
 	}
-	if f.innov == nil {
-		f.innov = mat.New(f.h.Rows(), 1)
-	}
-	// K = P H^T S^-1.
-	mat.MulInto(ws.nm, f.p, ws.ht)
-	mat.MulInto(f.gain, ws.nm, ws.sInv)
-	// d = z - H x^-.
-	mat.MulInto(f.innov, f.h, f.x)
-	mat.SubInto(f.innov, z, f.innov)
-	// x = x^- + K d.
-	mat.MulInto(ws.n1, f.gain, f.innov)
-	mat.AddInto(f.x, ws.n1, f.x)
-	// I - K H.
-	mat.MulInto(ws.nn1, f.gain, f.h)
-	mat.IdentityMinusInto(ws.nn1, ws.nn1)
-	if f.joseph {
-		mat.MulInto(ws.nn2, ws.nn1, f.p)
-		mat.TransposeInto(ws.nn3, ws.nn1)
-		mat.MulInto(ws.nn1, ws.nn2, ws.nn3) // (I-KH) P (I-KH)^T
-		mat.MulInto(ws.nm, f.gain, f.r)
-		mat.TransposeInto(ws.mn, f.gain)
-		mat.MulInto(ws.nn2, ws.nm, ws.mn) // K R K^T
-		mat.AddInto(ws.nn2, ws.nn1, ws.nn2)
-		mat.SymmetrizeInto(f.p, ws.nn2)
-	} else {
-		mat.MulInto(ws.nn2, ws.nn1, f.p)
-		mat.SymmetrizeInto(f.p, ws.nn2)
-	}
-	ws.sValid = false
+	f.sValid = false
+	f.hasGain = true
 	f.corrected = true
 	return nil
 }
@@ -370,16 +541,22 @@ func (f *Filter) Corrected() bool { return f.corrected }
 // NIS shares the cached innovation covariance with Correct: the DKF
 // outlier gate's NIS-then-Correct sequence inverts S once.
 func (f *Filter) NIS(z *mat.Matrix) (float64, error) {
-	if err := f.checkMeasurement(z); err != nil {
+	v, err := f.column(z)
+	if err != nil {
+		return 0, err
+	}
+	return f.NISValues(v)
+}
+
+// NISValues is NIS on a bare measurement vector of m values.
+func (f *Filter) NISValues(z []float64) (float64, error) {
+	if err := f.checkValues(z); err != nil {
 		return 0, err
 	}
 	if err := f.refreshS(); err != nil {
-		return 0, fmt.Errorf("kalman: innovation covariance not invertible: %w", err)
+		return 0, err
 	}
-	ws := f.ws
-	mat.MulInto(ws.m1, f.h, f.x)
-	mat.SubInto(ws.m1, z, ws.m1)
-	return f.quadForm(ws.m1), nil
+	return f.quadForm(z), nil
 }
 
 // LogLikelihood returns the Gaussian log-likelihood of measurement z
@@ -391,71 +568,63 @@ func (f *Filter) NIS(z *mat.Matrix) (float64, error) {
 // a model explains the stream — the Bayesian counterpart of the
 // prediction-error scoring used for online model selection.
 func (f *Filter) LogLikelihood(z *mat.Matrix) (float64, error) {
-	if err := f.checkMeasurement(z); err != nil {
+	quad, err := f.NIS(z)
+	if err != nil {
 		return 0, err
 	}
-	if err := f.refreshS(); err != nil {
-		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", 0.0)
+	if f.sDet <= 0 {
+		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", f.sDet)
 	}
-	if f.ws.sDet <= 0 {
-		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", f.ws.sDet)
-	}
-	ws := f.ws
-	mat.MulInto(ws.m1, f.h, f.x)
-	mat.SubInto(ws.m1, z, ws.m1)
-	quad := f.quadForm(ws.m1)
-	m := float64(f.h.Rows())
-	return -0.5 * (m*math.Log(2*math.Pi) + math.Log(f.ws.sDet) + quad), nil
+	return -0.5 * (float64(f.m)*math.Log(2*math.Pi) + math.Log(f.sDet) + quad), nil
 }
 
 // Clone returns a deep copy of the filter sharing only the (stateless)
 // transition function. The DKF protocol clones the server filter to build
-// the byte-identical mirror filter at the source. The clone owns a fresh
-// workspace, so the pair share no mutable matrix whatsoever.
+// the byte-identical mirror filter at the source. The clone owns its own
+// block, so the pair share no mutable storage whatsoever.
 func (f *Filter) Clone() *Filter {
-	c := &Filter{
-		phi:       f.phi,
-		h:         f.h.Clone(),
-		q:         f.q.Clone(),
-		r:         f.r.Clone(),
-		x:         f.x.Clone(),
-		p:         f.p.Clone(),
-		k:         f.k,
-		corrected: f.corrected,
-		joseph:    f.joseph,
-		ws:        newWorkspace(f.h),
-	}
-	if f.gain != nil {
-		c.gain = f.gain.Clone()
-	}
-	if f.innov != nil {
-		c.innov = f.innov.Clone()
-	}
-	return c
+	c := *f
+	c.buf = append([]float64(nil), f.buf...)
+	return &c
 }
 
 // StateEqual reports whether two filters hold exactly the same state
 // estimate, covariance and time index — the mirror-synchrony invariant of
 // the DKF protocol.
 func StateEqual(a, b *Filter) bool {
-	return a.k == b.k && mat.Equal(a.x, b.x) && mat.Equal(a.p, b.p)
+	if a.k != b.k || a.n != b.n {
+		return false
+	}
+	// x and P are the first two segments of either block.
+	bxp := b.buf[:b.off[segQ]]
+	for i, v := range a.buf[:a.off[segQ]] {
+		if v != bxp[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// setMoments overwrites the state estimate and covariance in place.
+func (f *Filter) setMoments(op string, x, p *mat.Matrix) {
+	if x.Rows() != f.n || x.Cols() != 1 {
+		panic(fmt.Sprintf("kalman: %s state is %dx%d, want %dx1", op, x.Rows(), x.Cols(), f.n))
+	}
+	if p.Rows() != f.n || p.Cols() != f.n {
+		panic(fmt.Sprintf("kalman: %s covariance is %dx%d, want %dx%d", op, p.Rows(), p.Cols(), f.n, f.n))
+	}
+	copy(f.seg(segX), x.RawData())
+	copy(f.seg(segP), p.RawData())
+	f.sValid = false
 }
 
 // Reset restores the filter to the given state and covariance and rewinds
 // the time index to zero. Used when a model is reinstalled online.
 func (f *Filter) Reset(x0, p0 *mat.Matrix) {
-	if x0.Rows() != f.x.Rows() || x0.Cols() != 1 {
-		panic(fmt.Sprintf("kalman: Reset state is %dx%d, want %dx1", x0.Rows(), x0.Cols(), f.x.Rows()))
-	}
-	if p0.Rows() != f.p.Rows() || p0.Cols() != f.p.Cols() {
-		panic(fmt.Sprintf("kalman: Reset covariance is %dx%d, want %dx%d", p0.Rows(), p0.Cols(), f.p.Rows(), f.p.Cols()))
-	}
-	f.x = x0.Clone()
-	f.p = p0.Clone()
+	f.setMoments("Reset", x0, p0)
 	f.k = 0
-	f.gain, f.innov = nil, nil
+	f.hasGain = false
 	f.corrected = false
-	f.ws.sValid = false
 }
 
 // Restore overwrites the filter's state estimate, covariance and
@@ -466,21 +635,13 @@ func (f *Filter) Reset(x0, p0 *mat.Matrix) {
 // matrices; the gain/innovation diagnostics reset to their
 // pre-first-correction state and are rebuilt by the next Correct.
 func (f *Filter) Restore(x, p *mat.Matrix, k int) {
-	if x.Rows() != f.x.Rows() || x.Cols() != 1 {
-		panic(fmt.Sprintf("kalman: Restore state is %dx%d, want %dx1", x.Rows(), x.Cols(), f.x.Rows()))
-	}
-	if p.Rows() != f.p.Rows() || p.Cols() != f.p.Cols() {
-		panic(fmt.Sprintf("kalman: Restore covariance is %dx%d, want %dx%d", p.Rows(), p.Cols(), f.p.Rows(), f.p.Cols()))
-	}
 	if k < 0 {
 		panic(fmt.Sprintf("kalman: Restore time index %d, want >= 0", k))
 	}
-	f.x = x.Clone()
-	f.p = p.Clone()
+	f.setMoments("Restore", x, p)
 	f.k = k
-	f.gain, f.innov = nil, nil
+	f.hasGain = false
 	f.corrected = false
-	f.ws.sValid = false
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.
@@ -488,16 +649,16 @@ func (f *Filter) Restore(x, p *mat.Matrix, k int) {
 // adaptive noise estimator.
 func (f *Filter) SetNoise(q, r *mat.Matrix) {
 	if q != nil {
-		if q.Rows() != f.q.Rows() || q.Cols() != f.q.Cols() {
-			panic(fmt.Sprintf("kalman: SetNoise Q is %dx%d, want %dx%d", q.Rows(), q.Cols(), f.q.Rows(), f.q.Cols()))
+		if q.Rows() != f.n || q.Cols() != f.n {
+			panic(fmt.Sprintf("kalman: SetNoise Q is %dx%d, want %dx%d", q.Rows(), q.Cols(), f.n, f.n))
 		}
-		f.q = q.Clone()
+		copy(f.seg(segQ), q.RawData())
 	}
 	if r != nil {
-		if r.Rows() != f.r.Rows() || r.Cols() != f.r.Cols() {
-			panic(fmt.Sprintf("kalman: SetNoise R is %dx%d, want %dx%d", r.Rows(), r.Cols(), f.r.Rows(), f.r.Cols()))
+		if r.Rows() != f.m || r.Cols() != f.m {
+			panic(fmt.Sprintf("kalman: SetNoise R is %dx%d, want %dx%d", r.Rows(), r.Cols(), f.m, f.m))
 		}
-		f.r = r.Clone()
-		f.ws.sValid = false
+		copy(f.seg(segR), r.RawData())
+		f.sValid = false
 	}
 }

@@ -335,11 +335,11 @@ func TestResetRewinds(t *testing.T) {
 func TestSetNoise(t *testing.T) {
 	f := MustNew(scalarConfig(0.1, 0.1, 0))
 	f.SetNoise(mat.Diag(0.5), mat.Diag(0.7))
-	if f.q.At(0, 0) != 0.5 || f.r.At(0, 0) != 0.7 {
-		t.Fatalf("SetNoise: Q=%v R=%v", f.q, f.r)
+	if f.seg(segQ)[0] != 0.5 || f.seg(segR)[0] != 0.7 {
+		t.Fatalf("SetNoise: Q=%v R=%v", f.seg(segQ), f.seg(segR))
 	}
 	f.SetNoise(nil, nil) // no-op
-	if f.q.At(0, 0) != 0.5 {
+	if f.seg(segQ)[0] != 0.5 {
 		t.Fatal("SetNoise(nil,nil) changed Q")
 	}
 }

@@ -161,7 +161,7 @@ func (im *IMM) Step(z *mat.Matrix) error {
 	like := make([]float64, k)
 	for j := 0; j < k; j++ {
 		f := im.filters[j]
-		f.setMoments(mixedX[j], mixedP[j])
+		f.setMoments("IMM mixing", mixedX[j], mixedP[j])
 		f.Predict()
 		ll, err := f.LogLikelihood(z)
 		if err != nil {
@@ -193,14 +193,6 @@ func (im *IMM) Step(z *mat.Matrix) error {
 		im.mu[j] /= norm
 	}
 	return nil
-}
-
-// setMoments overwrites the filter's state and covariance in place,
-// preserving its time index — the IMM mixing step.
-func (f *Filter) setMoments(x, p *mat.Matrix) {
-	f.x = x.Clone()
-	f.p = p.Clone()
-	f.ws.sValid = false
 }
 
 // State returns the probability-weighted combined state estimate.

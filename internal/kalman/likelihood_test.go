@@ -1,6 +1,7 @@
 package kalman
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,6 +49,30 @@ func TestLogLikelihoodErrors(t *testing.T) {
 	f := MustNew(scalarConfig(0.1, 0.1, 0))
 	if _, err := f.LogLikelihood(mat.Vec(1, 2)); err == nil {
 		t.Fatal("accepted wrong-dimension measurement")
+	}
+}
+
+// TestLogLikelihoodSingularS pins the error chain on a singular innovation
+// covariance: LogLikelihood must wrap the inversion failure the way
+// Correct and NIS do, not report a made-up determinant.
+func TestLogLikelihoodSingularS(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"1x1": {Phi: Static(mat.Identity(1)), H: mat.Diag(0), Q: mat.Diag(0.1), R: mat.Diag(0), X0: mat.Vec(0)},
+		"2x2": {
+			Phi: Static(mat.Identity(2)), H: mat.FromRows([][]float64{{1, 0}, {1, 0}}),
+			Q: mat.ScaledIdentity(2, 0.1), R: mat.New(2, 2), X0: mat.Vec(0, 0),
+		},
+	} {
+		f := MustNew(cfg)
+		z := mat.New(cfg.H.Rows(), 1)
+		_, llErr := f.LogLikelihood(z)
+		_, nisErr := f.NIS(z)
+		corrErr := f.Correct(z)
+		for op, err := range map[string]error{"LogLikelihood": llErr, "NIS": nisErr, "Correct": corrErr} {
+			if !errors.Is(err, mat.ErrSingular) {
+				t.Errorf("%s %s on singular S: %v, want an error wrapping mat.ErrSingular", name, op, err)
+			}
+		}
 	}
 }
 

@@ -17,6 +17,13 @@ import "fmt"
 // allocating counterpart (which is now a thin wrapper), so switching an
 // algorithm to the Into forms is bit-identical — the property the DKF
 // mirror-synchrony invariant depends on.
+//
+// The loops themselves live in the Flat forms (MulFlat, TransposeFlat,
+// SymmetrizeFlat, IdentityMinusFlat, InverseFlat), which take bare
+// row-major storage plus dimensions and check nothing: the Kalman filter
+// keeps all its matrices in one block and calls them directly, the Into
+// forms are the same loops behind dimension and aliasing checks. There is
+// one implementation of each operation, so the two cannot drift apart.
 
 // checkDst stays under the inlining budget by keeping the panic
 // formatting in a cold helper: the dimension guard runs on every kernel
@@ -93,34 +100,58 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	}
 	checkNoAlias("MulInto", dst, a, b)
 	checkDst("MulInto", dst, a.rows, b.cols)
-	if a.rows == 1 && a.cols == 1 && b.cols == 1 {
-		// Scalar product — every matrix of the paper's one-attribute
-		// streams. The zero-operand skip mirrors the general loop below,
-		// which leaves dst at its cleared 0 rather than producing 0*NaN.
-		if av := a.data[0]; av == 0 {
-			dst.data[0] = 0
+	MulFlat(dst.data, a.data, b.data, a.rows, a.cols, b.cols)
+	return dst
+}
+
+// MulFlat sets dst (r x q) = a (r x c) · b (c x q) on bare row-major
+// storage; dst must not overlap a or b. Every element accumulates its
+// terms from +0 in order of k, and a term whose left factor a[i][k] is
+// zero is skipped — it adds neither 0 nor, against an infinite or NaN
+// right factor, NaN. A 1x1 by 1x1 product does not accumulate at all: it
+// is the bare product (a −0 stays −0), or +0 for a zero left factor.
+// Rows of 1, 2 and 4 columns — the widths of the paper's models — are
+// unrolled; the arithmetic is the same as in the loop.
+func MulFlat(dst, a, b []float64, r, c, q int) {
+	if r == 1 && c == 1 && q == 1 {
+		if av := a[0]; av == 0 {
+			dst[0] = 0
 		} else {
-			dst.data[0] = av * b.data[0]
+			dst[0] = av * b[0]
 		}
-		return dst
+		return
 	}
-	for i := range dst.data {
-		dst.data[i] = 0
+	dst = dst[:r*q]
+	for i := range dst {
+		dst[i] = 0
 	}
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := dst.data[i*b.cols : (i+1)*b.cols]
-		for k, av := range arow {
+	for i := 0; i < r; i++ {
+		orow := dst[i*q : (i+1)*q]
+		for k, av := range a[i*c : (i+1)*c] {
 			if av == 0 {
 				continue
 			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			brow := b[k*q : (k+1)*q]
+			switch q {
+			case 1:
+				orow[0] += av * brow[0]
+			case 2:
+				o, bb := (*[2]float64)(orow), (*[2]float64)(brow)
+				o[0] += av * bb[0]
+				o[1] += av * bb[1]
+			case 4:
+				o, bb := (*[4]float64)(orow), (*[4]float64)(brow)
+				o[0] += av * bb[0]
+				o[1] += av * bb[1]
+				o[2] += av * bb[2]
+				o[3] += av * bb[3]
+			default:
+				for j, bv := range brow {
+					orow[j] += av * bv
+				}
 			}
 		}
 	}
-	return dst
 }
 
 // mul3RightFirst reports whether computing a*(b*c) needs strictly fewer
@@ -157,12 +188,18 @@ func Mul3Into(dst, a, b, c, scratch *Matrix) *Matrix {
 func TransposeInto(dst, a *Matrix) *Matrix {
 	checkNoAlias("TransposeInto", dst, a)
 	checkDst("TransposeInto", dst, a.cols, a.rows)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			dst.data[j*a.rows+i] = a.data[i*a.cols+j]
+	TransposeFlat(dst.data, a.data, a.rows, a.cols)
+	return dst
+}
+
+// TransposeFlat sets dst (c x r) = a^T for a stored r x c; dst must not
+// overlap a.
+func TransposeFlat(dst, a []float64, r, c int) {
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			dst[j*r+i] = a[i*c+j]
 		}
 	}
-	return dst
 }
 
 // SymmetrizeInto sets dst = (a + a^T)/2 and returns dst. dst may alias a.
@@ -171,16 +208,20 @@ func SymmetrizeInto(dst, a *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: SymmetrizeInto on non-square %dx%d", a.rows, a.cols))
 	}
 	checkDst("SymmetrizeInto", dst, a.rows, a.cols)
-	n := a.rows
+	SymmetrizeFlat(dst.data, a.data, a.rows)
+	return dst
+}
+
+// SymmetrizeFlat sets dst = (a + a^T)/2 for n x n a; dst may be a.
+func SymmetrizeFlat(dst, a []float64, n int) {
 	for i := 0; i < n; i++ {
-		dst.data[i*n+i] = a.data[i*n+i]
+		dst[i*n+i] = a[i*n+i]
 		for j := i + 1; j < n; j++ {
-			v := (a.data[i*n+j] + a.data[j*n+i]) / 2
-			dst.data[i*n+j] = v
-			dst.data[j*n+i] = v
+			v := (a[i*n+j] + a[j*n+i]) / 2
+			dst[i*n+j] = v
+			dst[j*n+i] = v
 		}
 	}
-	return dst
 }
 
 // IdentityMinusInto sets dst = I - a for square a and returns dst. dst may
@@ -191,17 +232,23 @@ func IdentityMinusInto(dst, a *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: IdentityMinusInto on non-square %dx%d", a.rows, a.cols))
 	}
 	checkDst("IdentityMinusInto", dst, a.rows, a.cols)
-	n := a.rows
+	IdentityMinusFlat(dst.data, a.data, a.rows)
+	return dst
+}
+
+// IdentityMinusFlat sets dst = I - a for n x n a, each element the
+// single subtraction I_ij - a_ij (so 0 - a_ij off the diagonal, which is
+// not -a_ij when a_ij is a zero); dst may be a.
+func IdentityMinusFlat(dst, a []float64, n int) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			var id float64
 			if i == j {
 				id = 1
 			}
-			dst.data[i*n+j] = id - a.data[i*n+j]
+			dst[i*n+j] = id - a[i*n+j]
 		}
 	}
-	return dst
 }
 
 // Dot returns the dot product of a and b viewed as flat element sequences
@@ -230,27 +277,8 @@ func InverseInto(dst, a, scratch *Matrix) (float64, error) {
 	checkNoAlias("InverseInto", dst, a, scratch)
 	checkDst("InverseInto", dst, a.rows, a.cols)
 	n := a.rows
-	switch n {
-	case 0:
-		return 1, nil
-	case 1:
-		v := a.data[0]
-		if v == 0 {
-			return 0, ErrSingular
-		}
-		dst.data[0] = 1 / v
-		return v, nil
-	case 2:
-		a00, a01, a10, a11 := a.data[0], a.data[1], a.data[2], a.data[3]
-		det := a00*a11 - a01*a10
-		if det == 0 {
-			return 0, ErrSingular
-		}
-		dst.data[0] = a11 / det
-		dst.data[1] = -a01 / det
-		dst.data[2] = -a10 / det
-		dst.data[3] = a00 / det
-		return det, nil
+	if n <= 2 {
+		return InverseFlat(dst.data, a.data, nil, n)
 	}
 	if scratch == nil {
 		scratch = &Matrix{}
@@ -258,16 +286,43 @@ func InverseInto(dst, a, scratch *Matrix) (float64, error) {
 	if scratch == a {
 		panic("mat: InverseInto scratch aliases an operand")
 	}
-	scratch.Reshape(n, n)
-	copy(scratch.data, a.data)
-	w := scratch.data
+	return InverseFlat(dst.data, a.data, scratch.Reshape(n, n).data, n)
+}
+
+// InverseFlat is InverseInto on bare row-major storage: dst, a and (for
+// n > 2) w hold n*n values each and must not overlap.
+func InverseFlat(dst, a, w []float64, n int) (float64, error) {
+	switch n {
+	case 0:
+		return 1, nil
+	case 1:
+		v := a[0]
+		if v == 0 {
+			return 0, ErrSingular
+		}
+		dst[0] = 1 / v
+		return v, nil
+	case 2:
+		a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
+		det := a00*a11 - a01*a10
+		if det == 0 {
+			return 0, ErrSingular
+		}
+		dst[0] = a11 / det
+		dst[1] = -a01 / det
+		dst[2] = -a10 / det
+		dst[3] = a00 / det
+		return det, nil
+	}
+	dst, w = dst[:n*n], w[:n*n]
+	copy(w, a)
 	// dst starts as the identity and receives every row operation applied
 	// to the working copy, ending as a^-1.
-	for i := range dst.data {
-		dst.data[i] = 0
+	for i := range dst {
+		dst[i] = 0
 	}
 	for i := 0; i < n; i++ {
-		dst.data[i*n+i] = 1
+		dst[i*n+i] = 1
 	}
 	det := 1.0
 	for k := 0; k < n; k++ {
@@ -283,7 +338,7 @@ func InverseInto(dst, a, scratch *Matrix) (float64, error) {
 		if p != k {
 			for j := 0; j < n; j++ {
 				w[p*n+j], w[k*n+j] = w[k*n+j], w[p*n+j]
-				dst.data[p*n+j], dst.data[k*n+j] = dst.data[k*n+j], dst.data[p*n+j]
+				dst[p*n+j], dst[k*n+j] = dst[k*n+j], dst[p*n+j]
 			}
 			det = -det
 		}
@@ -292,7 +347,7 @@ func InverseInto(dst, a, scratch *Matrix) (float64, error) {
 		inv := 1 / piv
 		for j := 0; j < n; j++ {
 			w[k*n+j] *= inv
-			dst.data[k*n+j] *= inv
+			dst[k*n+j] *= inv
 		}
 		for i := 0; i < n; i++ {
 			if i == k {
@@ -304,7 +359,7 @@ func InverseInto(dst, a, scratch *Matrix) (float64, error) {
 			}
 			for j := 0; j < n; j++ {
 				w[i*n+j] -= f * w[k*n+j]
-				dst.data[i*n+j] -= f * dst.data[k*n+j]
+				dst[i*n+j] -= f * dst[k*n+j]
 			}
 		}
 	}

@@ -165,6 +165,13 @@ func (m *Matrix) DataCopy() []float64 {
 	return out
 }
 
+// RawData returns the matrix's own row-major backing slice, length
+// Rows*Cols, without copying: the slice aliases the matrix. It exists for
+// kernels that read operands in place (the Kalman filter reads φ_k and
+// its measurement this way) or fill a matrix they have just made; callers
+// must not retain it past the matrix's next use by anyone else.
+func (m *Matrix) RawData() []float64 { return m.data }
+
 // VecSlice returns the contents of a column vector as a fresh slice.
 // m must have exactly one column.
 func (m *Matrix) VecSlice() []float64 {
