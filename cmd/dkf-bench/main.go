@@ -8,7 +8,6 @@
 //	dkf-bench -list                # list experiment ids and captions
 //	dkf-bench -experiment fig4 -csv out.csv   # also export sweep as CSV
 //	dkf-bench -load -server 127.0.0.1:7474 -sources 4 -n 20000
-//	dkf-bench -fanin -sources 100000 -n 20    # datagram fan-in scale run
 package main
 
 import (
@@ -36,25 +35,8 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "run the load against an embedded durable server over this directory instead of -server (-load mode)")
 		fsync      = flag.String("fsync", "interval", "WAL fsync policy for -data-dir: always|interval|off (-load mode)")
 		selfmon    = flag.Bool("selfmon", false, "enable self-monitoring on the embedded -data-dir server (-load mode)")
-		fanin      = flag.Bool("fanin", false, "drive -sources simulated sources over the datagram transport against an in-process server and report throughput + per-source memory")
-		shards     = flag.Int("shards", 0, "ingest engine shard count; 0 = GOMAXPROCS (-fanin mode)")
-		ring       = flag.Int("ring", 8192, "per-shard SPSC ring capacity (-fanin mode)")
-		lanes      = flag.Int("lanes", 0, "UDP reader lanes sharing the socket; 0 = min(4, GOMAXPROCS) (-fanin mode)")
-		rxBatch    = flag.Int("rxbatch", 0, "max datagrams per receive syscall (recvmmsg); 0 = 32 (-fanin mode)")
-		sendBatch  = flag.Int("sendbatch", 0, "sealed datagrams per send syscall (sendmmsg); 0 = 16, 1 = write per datagram (-fanin mode)")
-		dgram      = flag.Bool("dgram", false, "one update per datagram instead of MTU-packed datagrams — the per-source-agent wire shape (-fanin mode)")
 	)
 	flag.Parse()
-
-	if *fanin {
-		cfg := fanInConfig{sources: *sources, n: *n, shards: *shards, ring: *ring,
-			lanes: *lanes, rxBatch: *rxBatch, sendBatch: *sendBatch, dgram: *dgram}
-		if err := runFanIn(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "dkf-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *load {
 		cfg := loadConfig{server: *server, prefix: *prefix, sources: *sources, n: *n, window: *window, rate: *rate, dataDir: *dataDir, fsync: *fsync, selfmon: *selfmon}

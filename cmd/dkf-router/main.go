@@ -188,7 +188,7 @@ func main() {
 		logger.Info("aggregate registered", "query", q.ID, "func", q.Func, "sources", len(q.SourceIDs))
 	}
 
-	var adminSrv *cluster.AdminServer
+	var adminSrv *dsms.AdminServer
 	if *admin != "" {
 		adminSrv, err = cluster.ServeAdmin(router, *admin, logger)
 		if err != nil {

@@ -109,17 +109,6 @@ func TestFacadeSampledAndSmoother(t *testing.T) {
 	if m.Skipped == 0 {
 		t.Fatal("sampled session never slept on a ramp")
 	}
-
-	lm := streamkf.LinearModel(1, 1, 1e-4, 1)
-	res, err := streamkf.Smooth(streamkf.FilterConfig{
-		Phi: lm.Phi, H: lm.H, Q: lm.Q, R: lm.R, X0: lm.Init(vals[:1]),
-	}, streamkf.MeasurementsFromValues(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.States) != len(vals) {
-		t.Fatalf("smoother states = %d", len(res.States))
-	}
 }
 
 func TestFacadeCQLAndHistory(t *testing.T) {

@@ -2,6 +2,7 @@ package dsms
 
 import (
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
@@ -14,147 +15,50 @@ import (
 	"streamkf/internal/trace"
 )
 
-// AdminServer is the observability endpoint of a DSMS server: a small
-// HTTP listener, separate from the wire-protocol port, serving
-//
-//	/metrics            Prometheus text exposition of the telemetry registry
-//	/healthz            health probe: ok|degraded|unhealthy (?verbose=1 for JSON reasons)
-//	/statusz            self-monitoring dashboard (HTML, sparklines, findings)
-//	/metricsz           windowed rates and quantiles from the history ring (?window=30s&name=)
-//	/streamz            JSON status: latency summaries, WAL state, per-stream records
-//	/tracez             recent trace events across streams (?source=&kind=&decision=&limit=)
-//	/tracez/stream/{id} one stream's decision trail and divergence audit
-//	/debug/pprof/*      the standard Go profiling endpoints
-//
-// Scrapes never stop the data path: every handler reads live atomics or
-// takes only the same short per-source locks queries do. Every response
-// carries Cache-Control: no-store — all of these documents are live
-// state, and a cached health verdict is worse than none.
+// The admin kit: what the shard server's and the router's admin
+// endpoints share — the listener, the no-store wrapper, the pprof
+// mounts, the JSON writer, /tracez parameter parsing and the dashboard
+// stylesheet. ServeAdmin here and cluster.ServeAdmin each mount their
+// own handlers on it.
+
+// AdminServer is an observability endpoint: a small HTTP listener,
+// separate from the wire-protocol port. Scrapes never stop the data
+// path: every handler reads live atomics or takes only the same short
+// per-source locks queries do. Every response carries Cache-Control:
+// no-store — all of these documents are live state, and a cached health
+// verdict is worse than none.
 type AdminServer struct {
 	ln   net.Listener
 	srv  *http.Server
 	done chan struct{}
 }
 
-// MetricsHandler serves reg in Prometheus text exposition format.
-func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	}
-}
-
-// StreamzHandler serves the server status document: latency summaries,
-// durability state, and the per-stream Stats records sorted by source
-// id.
-func StreamzHandler(s *Server) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(s.Streamz())
-	}
-}
-
-// tracezResponse is the /tracez document.
-type tracezResponse struct {
-	Enabled bool         `json:"enabled"`
-	Count   int          `json:"count"`
-	Events  []TraceEntry `json:"events"`
-}
-
-// TracezHandler serves recent trace events, newest first. Query
-// parameters: source (stream id), kind (event kind name), decision
-// (decision name), limit (default 100).
-func TracezHandler(s *Server) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query()
-		limit := 100
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				http.Error(w, "bad limit: "+v, http.StatusBadRequest)
-				return
-			}
-			limit = n
-		}
-		var kind trace.Kind
-		if v := q.Get("kind"); v != "" {
-			k, err := trace.ParseKind(v)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			kind = k
-		}
-		var dec trace.Decision
-		if v := q.Get("decision"); v != "" {
-			d, err := trace.ParseDecision(v)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			dec = d
-		}
-		resp := tracezResponse{Enabled: s.TraceEnabled()}
-		resp.Events = s.TraceRecent(limit, q.Get("source"), kind, dec)
-		resp.Count = len(resp.Events)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
-	}
-}
-
-// TracezStreamHandler serves one stream's decision trail (by source id
-// or query id) with its divergence audit.
-func TracezStreamHandler(s *Server) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		id := strings.TrimPrefix(req.URL.Path, "/tracez/stream/")
-		if id == "" || strings.Contains(id, "/") {
-			http.Error(w, "usage: /tracez/stream/{source-or-query-id}", http.StatusBadRequest)
-			return
-		}
-		st, err := s.TraceStream(id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(st)
-	}
-}
-
-// ServeAdmin starts an admin server for s on addr (e.g. "127.0.0.1:0")
-// and returns once the listener is bound; the bound address is at
-// Addr(). A nil logger discards request-path logs.
-func ServeAdmin(s *Server, addr string, logger *slog.Logger) (*AdminServer, error) {
+// StartAdmin binds addr (e.g. "127.0.0.1:0"), lets mount register the
+// caller's handlers beside /debug/pprof/*, and serves until Close. It
+// returns once the listener is bound; the bound address is at Addr().
+// A nil logger discards request-path logs.
+func StartAdmin(addr string, logger *slog.Logger, mount func(mux *http.ServeMux)) (*AdminServer, error) {
 	if logger == nil {
 		logger = telemetry.NopLogger()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", MetricsHandler(s.Telemetry()))
-	mux.HandleFunc("/healthz", HealthzHandler(s))
-	mux.HandleFunc("/statusz", StatuszHandler(s))
-	mux.HandleFunc("/metricsz", MetricszHandler(s))
-	mux.HandleFunc("/streamz", StreamzHandler(s))
-	mux.HandleFunc("/tracez", TracezHandler(s))
-	mux.HandleFunc("/tracez/stream/", TracezStreamHandler(s))
+	mount(mux)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	noStore := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Cache-Control", "no-store")
+		mux.ServeHTTP(w, req)
+	})
 	a := &AdminServer{
 		ln:   ln,
-		srv:  &http.Server{Handler: noStore(mux), ReadHeaderTimeout: 10 * time.Second},
+		srv:  &http.Server{Handler: noStore, ReadHeaderTimeout: 10 * time.Second},
 		done: make(chan struct{}),
 	}
 	go func() {
@@ -167,15 +71,6 @@ func ServeAdmin(s *Server, addr string, logger *slog.Logger) (*AdminServer, erro
 	return a, nil
 }
 
-// noStore wraps the admin mux so every endpoint forbids caching:
-// metrics, verdicts and traces are live state.
-func noStore(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Cache-Control", "no-store")
-		next.ServeHTTP(w, req)
-	})
-}
-
 // Addr returns the bound listener address.
 func (a *AdminServer) Addr() string { return a.ln.Addr().String() }
 
@@ -185,4 +80,127 @@ func (a *AdminServer) Close() error {
 	err := a.srv.Close()
 	<-a.done
 	return err
+}
+
+// WriteJSON writes v as an indented JSON document with the given
+// status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
+// WriteHealthz serves a health verdict: 200 for ok and degraded (the
+// node still answers), 503 for unhealthy. Plain text `<status>\n` by
+// default; `?verbose=1` returns doc, the full JSON document with
+// machine-readable reasons.
+func WriteHealthz(w http.ResponseWriter, req *http.Request, status string, doc any) {
+	code := http.StatusOK
+	if status == verdictName(verdictUnhealthy) {
+		code = http.StatusServiceUnavailable
+	}
+	if req.URL.Query().Get("verbose") != "" {
+		WriteJSON(w, code, doc)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.WriteHeader(code)
+	fmt.Fprintf(w, "%s\n", status)
+}
+
+// TracezResponse is the /tracez document, the same shape on the shard
+// server and the router so one scraper reads both.
+type TracezResponse struct {
+	Enabled bool         `json:"enabled"`
+	Count   int          `json:"count"`
+	Events  []TraceEntry `json:"events"`
+}
+
+// TracezHandler serves recent trace events, newest first. Query
+// parameters: source (stream id), kind (event kind name), decision
+// (decision name), limit (default 100). recent is Server.TraceRecent or
+// its router twin.
+func TracezHandler(enabled func() bool, recent func(limit int, source string, kind trace.Kind, dec trace.Decision) []TraceEntry) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		q := req.URL.Query()
+		limit := 100
+		if v := q.Get("limit"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n <= 0 {
+				http.Error(w, "bad limit: "+v, http.StatusBadRequest)
+				return
+			}
+			limit = n
+		}
+		var kind trace.Kind
+		var dec trace.Decision
+		var err error
+		if v := q.Get("kind"); v != "" {
+			kind, err = trace.ParseKind(v)
+		}
+		if v := q.Get("decision"); v != "" && err == nil {
+			dec, err = trace.ParseDecision(v)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		evs := recent(limit, q.Get("source"), kind, dec)
+		WriteJSON(w, http.StatusOK, TracezResponse{Enabled: enabled(), Count: len(evs), Events: evs})
+	}
+}
+
+// TracezStreamHandler serves one stream's decision trail, looked up by
+// the source id or query id in the path.
+func TracezStreamHandler[T any](lookup func(id string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		id := strings.TrimPrefix(req.URL.Path, "/tracez/stream/")
+		if id == "" || strings.Contains(id, "/") {
+			http.Error(w, "usage: /tracez/stream/{source-or-query-id}", http.StatusBadRequest)
+			return
+		}
+		st, err := lookup(id)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		WriteJSON(w, http.StatusOK, st)
+	}
+}
+
+// MetricsHandler serves reg in Prometheus text exposition format.
+func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	}
+}
+
+// ServeAdmin starts the admin endpoint of a DSMS server:
+//
+//	/metrics            Prometheus text exposition of the telemetry registry
+//	/healthz            health probe: ok|degraded|unhealthy (?verbose=1 for JSON reasons)
+//	/statusz            self-monitoring dashboard (HTML, sparklines, findings)
+//	/metricsz           windowed rates and quantiles from the history ring (?window=30s&name=)
+//	/streamz            JSON status: latency summaries, WAL state, per-stream records
+//	/tracez             recent trace events across streams (?source=&kind=&decision=&limit=)
+//	/tracez/stream/{id} one stream's decision trail and divergence audit
+//	/debug/pprof/*      the standard Go profiling endpoints
+func ServeAdmin(s *Server, addr string, logger *slog.Logger) (*AdminServer, error) {
+	return StartAdmin(addr, logger, func(mux *http.ServeMux) {
+		mux.HandleFunc("/metrics", MetricsHandler(s.Telemetry()))
+		mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
+			h := s.Health()
+			WriteHealthz(w, req, h.Status, h)
+		})
+		mux.HandleFunc("/statusz", StatuszHandler(s))
+		mux.HandleFunc("/metricsz", MetricszHandler(s))
+		mux.HandleFunc("/streamz", func(w http.ResponseWriter, req *http.Request) {
+			WriteJSON(w, http.StatusOK, s.Streamz())
+		})
+		mux.HandleFunc("/tracez", TracezHandler(s.TraceEnabled, s.TraceRecent))
+		mux.HandleFunc("/tracez/stream/", TracezStreamHandler(s.TraceStream))
+	})
 }

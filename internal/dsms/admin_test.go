@@ -254,9 +254,9 @@ func TestAdminScrapeUnderLoad(t *testing.T) {
 	}
 
 	// The agent registered its instruments in the server's registry, so
-	// the status document carries an ack-RTT summary; a StepAll batch
+	// the status document carries an ack-RTT summary; an AdvanceAll batch
 	// populates the server-side latency summary too.
-	s.StepAll(5000, 0)
+	s.AdvanceAll(5000)
 	z := s.Streamz()
 	if z.StepAll == nil || z.StepAll.Count == 0 || z.StepAll.P99Ns < z.StepAll.P50Ns {
 		t.Fatalf("stepall latency summary not populated: %+v", z.StepAll)

@@ -1,20 +1,16 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"html"
 	"log/slog"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"streamkf/internal/dsms"
-	"streamkf/internal/trace"
 )
 
 // Router admin endpoints, mirroring the shard server's admin surface
@@ -77,47 +73,6 @@ func (r *Router) RingzSnapshot() Ringz {
 	return z
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// RingzHandler serves the topology as JSON.
-func RingzHandler(r *Router) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, r.RingzSnapshot())
-	}
-}
-
-// HealthzHandler serves the rolled-up cluster verdict: 200 for ok and
-// degraded (the cluster still ingests), 503 for unhealthy — a dead
-// upstream data connection or an unhealthy shard. Plain text
-// `<status>\n` by default; `?verbose=1` returns the full /clusterz
-// document. Each probe polls the shard admin endpoints, so the probe
-// interval bounds the federation staleness.
-func HealthzHandler(r *Router) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		cz := r.Clusterz()
-		code := http.StatusOK
-		if cz.Status == "unhealthy" {
-			code = http.StatusServiceUnavailable
-		}
-		if req.URL.Query().Get("verbose") != "" {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(code)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(cz)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(code)
-		fmt.Fprintf(w, "%s\n", cz.Status)
-	}
-}
-
 // eventzResponse is the /eventz document.
 type eventzResponse struct {
 	// Total counts every event ever recorded; Events holds the newest
@@ -142,7 +97,7 @@ func EventzHandler(r *Router) http.HandlerFunc {
 				evs = evs[:n]
 			}
 		}
-		writeJSON(w, eventzResponse{Total: total, Count: len(evs), Events: evs})
+		dsms.WriteJSON(w, http.StatusOK, eventzResponse{Total: total, Count: len(evs), Events: evs})
 	}
 }
 
@@ -152,13 +107,13 @@ func ClusterzHandler(r *Router) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		cz := r.Clusterz()
 		if req.URL.Query().Get("format") == "json" {
-			writeJSON(w, cz)
+			dsms.WriteJSON(w, http.StatusOK, cz)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		var b strings.Builder
 		b.WriteString("<!DOCTYPE html><html><head><title>dkf clusterz</title>")
-		b.WriteString(clusterStyle)
+		b.WriteString(dsms.AdminStyle)
 		b.WriteString("</head><body><h1>DKF cluster fleet</h1>")
 		b.WriteString(routerNav)
 		fmt.Fprintf(&b, `<p>Cluster: <span class="badge %s">%s</span> <span class="muted">epoch %d · %d migrations · %d topology events</span></p>`,
@@ -233,7 +188,7 @@ func StatuszHandler(r *Router) http.HandlerFunc {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		var b strings.Builder
 		b.WriteString("<!DOCTYPE html><html><head><title>dkf router statusz</title>")
-		b.WriteString(clusterStyle)
+		b.WriteString(dsms.AdminStyle)
 		b.WriteString("</head><body><h1>DKF router status</h1>")
 		b.WriteString(routerNav)
 
@@ -267,144 +222,30 @@ func StatuszHandler(r *Router) http.HandlerFunc {
 	}
 }
 
-// tracezResponse is the router /tracez document, shaped like the shard
-// server's so one scraper reads both.
-type tracezResponse struct {
-	Enabled bool              `json:"enabled"`
-	Count   int               `json:"count"`
-	Events  []dsms.TraceEntry `json:"events"`
-}
-
-// TracezHandler serves recent forwarding trace events, newest first.
-// Query parameters: source (stream id), kind (event kind name),
-// decision (decision name), limit (default 100).
-func TracezHandler(r *Router) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query()
-		limit := 100
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				http.Error(w, "bad limit: "+v, http.StatusBadRequest)
-				return
-			}
-			limit = n
-		}
-		var kind trace.Kind
-		if v := q.Get("kind"); v != "" {
-			k, err := trace.ParseKind(v)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			kind = k
-		}
-		var dec trace.Decision
-		if v := q.Get("decision"); v != "" {
-			d, err := trace.ParseDecision(v)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			dec = d
-		}
-		resp := tracezResponse{Enabled: r.TraceEnabled()}
-		resp.Events = r.TraceRecent(limit, q.Get("source"), kind, dec)
-		resp.Count = len(resp.Events)
-		writeJSON(w, resp)
-	}
-}
-
-// TracezStreamHandler serves the spliced cross-node trail for one
-// stream (by source id or query id).
-func TracezStreamHandler(r *Router) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		id := strings.TrimPrefix(req.URL.Path, "/tracez/stream/")
-		if id == "" || strings.Contains(id, "/") {
-			http.Error(w, "usage: /tracez/stream/{source-or-query-id}", http.StatusBadRequest)
-			return
-		}
-		st, err := r.TraceStream(id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		writeJSON(w, st)
-	}
-}
-
-// clusterStyle is the router dashboards' inline stylesheet, matching
-// the shard server's statusz look.
-const clusterStyle = `<style>
-body{font-family:system-ui,sans-serif;margin:1.5rem;color:#1a1a1a;max-width:70rem}
-h1{font-size:1.3rem}h2{font-size:1.05rem;margin-top:1.6rem}
-table{border-collapse:collapse;width:100%}
-th,td{text-align:left;padding:.3rem .6rem;border-bottom:1px solid #ddd;font-size:.85rem}
-th{color:#555;font-weight:600}
-.num{text-align:right;font-variant-numeric:tabular-nums}
-.badge{display:inline-block;padding:.15rem .6rem;border-radius:.3rem;color:#fff;font-weight:600}
-.ok{background:#2a7d2a}.degraded{background:#c77d00}.unhealthy{background:#b3261e}.grey{background:#888}
-.active{color:#b3261e;font-weight:600}
-.muted{color:#888}
-nav a{margin-right:1rem}
-</style>`
-
 // routerNav is the shared dashboard navigation bar.
 const routerNav = `<nav><a href="/metrics">/metrics</a><a href="/clusterz">/clusterz</a><a href="/ringz">/ringz</a><a href="/eventz">/eventz</a><a href="/tracez">/tracez</a><a href="/healthz?verbose=1">/healthz</a><a href="/debug/pprof/">/debug/pprof</a></nav>`
 
-// AdminServer is the router's admin HTTP listener.
-type AdminServer struct {
-	ln   net.Listener
-	srv  *http.Server
-	done chan struct{}
-}
-
-// Addr returns the admin listener's address.
-func (a *AdminServer) Addr() string { return a.ln.Addr().String() }
-
-// Close shuts the admin server down.
-func (a *AdminServer) Close() error {
-	err := a.srv.Close()
-	<-a.done
-	return err
-}
-
-// ServeAdmin starts the router admin mux on addr.
-func ServeAdmin(r *Router, addr string, logger *slog.Logger) (*AdminServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", dsms.MetricsHandler(r.Telemetry()))
-	mux.HandleFunc("/ringz", RingzHandler(r))
-	mux.HandleFunc("/healthz", HealthzHandler(r))
-	mux.HandleFunc("/statusz", StatuszHandler(r))
-	mux.HandleFunc("/clusterz", ClusterzHandler(r))
-	mux.HandleFunc("/eventz", EventzHandler(r))
-	mux.HandleFunc("/tracez", TracezHandler(r))
-	mux.HandleFunc("/tracez/stream/", TracezStreamHandler(r))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: noStore(mux), ReadHeaderTimeout: 10 * time.Second}
-	a := &AdminServer{ln: ln, srv: srv, done: make(chan struct{})}
-	go func() {
-		defer close(a.done)
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed && logger != nil {
-			logger.Error("router admin server", "err", err)
-		}
-	}()
-	return a, nil
-}
-
-// noStore wraps the admin mux so every endpoint forbids caching:
-// metrics, verdicts and traces are live state.
-func noStore(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Cache-Control", "no-store")
-		next.ServeHTTP(w, req)
+// ServeAdmin starts the router admin endpoint on addr: the router's
+// own handlers mounted on the shard server's admin kit, so /tracez is
+// shaped like the shard server's and one scraper reads both.
+func ServeAdmin(r *Router, addr string, logger *slog.Logger) (*dsms.AdminServer, error) {
+	return dsms.StartAdmin(addr, logger, func(mux *http.ServeMux) {
+		mux.HandleFunc("/metrics", dsms.MetricsHandler(r.Telemetry()))
+		mux.HandleFunc("/ringz", func(w http.ResponseWriter, req *http.Request) {
+			dsms.WriteJSON(w, http.StatusOK, r.RingzSnapshot())
+		})
+		// The rolled-up verdict (dsms.WriteHealthz): unhealthy means a dead
+		// upstream data connection or an unhealthy shard; ?verbose=1 is
+		// the /clusterz document. Each probe polls the shard admin
+		// endpoints, so the probe interval bounds federation staleness.
+		mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
+			cz := r.Clusterz()
+			dsms.WriteHealthz(w, req, cz.Status, cz)
+		})
+		mux.HandleFunc("/statusz", StatuszHandler(r))
+		mux.HandleFunc("/clusterz", ClusterzHandler(r))
+		mux.HandleFunc("/eventz", EventzHandler(r))
+		mux.HandleFunc("/tracez", dsms.TracezHandler(r.TraceEnabled, r.TraceRecent))
+		mux.HandleFunc("/tracez/stream/", dsms.TracezStreamHandler(r.TraceStream))
 	})
 }

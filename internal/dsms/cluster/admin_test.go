@@ -151,7 +151,7 @@ func TestRouterAdminEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/tracez status %d", code)
 	}
-	var tz tracezResponse
+	var tz dsms.TracezResponse
 	if err := json.Unmarshal([]byte(body), &tz); err != nil {
 		t.Fatalf("/tracez is not JSON: %v\n%s", err, body)
 	}

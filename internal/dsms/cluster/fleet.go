@@ -108,13 +108,9 @@ type Clusterz struct {
 // it degraded; otherwise ok.
 func (r *Router) Clusterz() Clusterz {
 	// Route occupancy per shard, gathered once.
-	r.routeMu.RLock()
-	routes := make([]*route, len(r.byIdx))
-	copy(routes, r.byIdx)
-	r.routeMu.RUnlock()
 	type occ struct{ routes, pending int }
 	occs := make([]occ, len(r.upstreams))
-	for _, rt := range routes {
+	for _, rt := range r.allRoutes() {
 		rt.pendMu.Lock()
 		pend := len(rt.pending)
 		rt.pendMu.Unlock()

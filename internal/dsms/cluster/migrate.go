@@ -65,67 +65,26 @@ func (r *Router) Migrate(sourceID string, target int) error {
 		Detail: fmt.Sprintf("to shard %d", target),
 	})
 
-	reply, err := oldUp.rpc(func(w *wire.Writer) error { return w.Snapshot(sourceID, epoch) })
+	snap, err := oldUp.state(func(w *wire.Writer) error { return w.Snapshot(sourceID, epoch) })
 	if err != nil {
 		return fmt.Errorf("cluster: snapshot %s on shard %d: %w", sourceID, oldUp.shard, err)
-	}
-	if reply.tag != wire.TagStateAck {
-		return fmt.Errorf("cluster: shard %d replied %v to snapshot", oldUp.shard, reply.tag)
-	}
-	snap, err := wire.DecodeStateAck(reply.p)
-	if err != nil {
-		return err
 	}
 	if len(snap.Payload) == 0 {
 		return errors.New("cluster: empty migration snapshot")
 	}
-
-	reply, err = newUp.rpc(func(w *wire.Writer) error { return w.Restore(epoch, snap.Payload) })
+	ack, err := newUp.state(func(w *wire.Writer) error { return w.Restore(epoch, snap.Payload) })
 	if err != nil {
 		return fmt.Errorf("cluster: restore %s on shard %d: %w", sourceID, target, err)
-	}
-	if reply.tag != wire.TagStateAck {
-		return fmt.Errorf("cluster: shard %d replied %v to restore", target, reply.tag)
-	}
-	ack, err := wire.DecodeStateAck(reply.p)
-	if err != nil {
-		return err
 	}
 	resume := ack.ResumeSeq
 
 	// Cutover: ack the transferred prefix, replay the suffix on target.
 	rt.pendMu.Lock()
-	n := 0
-	for n < len(rt.pending) && rt.pending[n].seq <= resume {
-		rt.free = append(rt.free, rt.pending[n].buf[:0])
-		rt.pending[n].buf = nil
-		n++
-	}
-	if n > 0 {
-		rt.pending = rt.pending[:copy(rt.pending, rt.pending[n:])]
-	}
-	replay := make([][]byte, len(rt.pending))
-	for i := range rt.pending {
-		replay[i] = rt.pending[i].buf
-	}
+	rt.trimThrough(resume)
 	down := rt.down
 	rt.pendMu.Unlock()
-
-	newUp.mu.Lock()
-	werr := newUp.err
-	for _, buf := range replay {
-		if werr != nil {
-			break
-		}
-		werr = newUp.w.Forward(rt.idx, epoch, buf)
-	}
-	if werr == nil {
-		werr = newUp.w.Flush()
-	}
-	newUp.mu.Unlock()
-	if werr != nil {
-		newUp.fail(werr)
-		return fmt.Errorf("cluster: replay to shard %d: %w", target, werr)
+	if err := rt.replayTo(newUp, epoch); err != nil {
+		return fmt.Errorf("cluster: replay to shard %d: %w", target, err)
 	}
 
 	r.ring.Pin(sourceID, target)
@@ -150,8 +109,6 @@ func (r *Router) Migrate(sourceID string, target int) error {
 	// The transferred prefix is durable on the target; release the
 	// source's window for it. The agent's monotonic ack guard makes a
 	// duplicate or reordered cumulative ack harmless.
-	if down != nil && resume >= 0 {
-		down.relayAck(resume)
-	}
+	down.relayAck(resume)
 	return nil
 }

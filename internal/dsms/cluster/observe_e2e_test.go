@@ -159,7 +159,7 @@ func TestClusterTraceE2EChain(t *testing.T) {
 
 	// The router's own /tracez lists the forwarding events.
 	code, _, body = adminGet(t, admin.Addr(), "/tracez?source=walk&kind=fwd_tx")
-	var tz tracezResponse
+	var tz dsms.TracezResponse
 	if err := json.Unmarshal([]byte(body), &tz); err != nil || code != http.StatusOK {
 		t.Fatalf("/tracez = %d (%v): %s", code, err, body)
 	}

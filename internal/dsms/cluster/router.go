@@ -41,13 +41,11 @@ import (
 //     mutex, because upstream readers relay acks concurrently with the
 //     handler's own replies.
 
-const defaultMaxFrame = 1 << 20
-
 // Options configures a Router.
 type Options struct {
 	// VNodes is the virtual-node count per shard (0 = DefaultVNodes).
 	VNodes int
-	// MaxFrame bounds wire frame sizes (0 = 1 MiB).
+	// MaxFrame bounds wire frame sizes (0 = wire.DefaultMaxFrame).
 	MaxFrame int
 	// AggSuppress is the cluster budget split β ∈ [0,1): shards run
 	// their partials at (1-β)Δ and the router re-suppresses outbound
@@ -60,9 +58,9 @@ type Options struct {
 	Logger *slog.Logger
 	// Trace enables the router's own flight recorders: each route gets
 	// a seqlock event ring recording fwd_rx/fwd_tx/fwd_ack for traced
-	// updates, and forwards to hop-capable shards carry the router's
-	// timestamps (wire.FeatHopTrace) so the shard can splice the hop
-	// into the stream's own trail.
+	// updates, and the trace frames it relays carry the router's hop
+	// timestamps (wire.TraceHop) so the shard can splice the hop into
+	// the stream's own trail.
 	Trace bool
 	// TraceRing is the per-route event capacity (0 = trace default).
 	TraceRing int
@@ -81,7 +79,6 @@ type Router struct {
 	opts      Options
 	tel       *routerTelemetry
 	log       *slog.Logger
-	maxFrame  int
 	upstreams []*upstream
 	downFeats byte // features advertised to sources
 
@@ -172,35 +169,19 @@ func (d *downConn) write(f func(w *wire.Writer) error) error {
 	return d.err
 }
 
+// relayAck passes a shard's cumulative ack on to the source. A nil
+// conn (UDP route, or the source hung up) and a negative seq (nothing
+// acked yet) are no-ops; a dead conn is best effort — the route
+// outlives it and the pending window was already cleared.
 func (d *downConn) relayAck(seq int64) {
-	// Best effort: if the source conn died the route outlives it and the
-	// pending window was already cleared by the ack pump.
-	_ = d.write(func(w *wire.Writer) error { return w.Ack(seq) })
+	if d != nil && seq >= 0 {
+		_ = d.write(func(w *wire.Writer) error { return w.Ack(seq) })
+	}
 }
 
-type rpcReply struct {
-	tag wire.Tag
-	p   []byte
-}
-
-// upstream is the pooled connection to one shard.
-type upstream struct {
-	shard    int
-	addr     string
-	maxFrame int
-	router   *Router
-
-	mu    sync.Mutex // write lock: w, err, conn, feats
-	conn  net.Conn
-	w     *wire.Writer
-	err   error
-	feats byte
-	alive bool
-
-	rpcMu      sync.Mutex // one outstanding RPC per upstream
-	rpcWaiting bool       // guarded by mu
-	rpcCh      chan rpcReply
-	dead       chan struct{} // closed when the reader for this conn exits
+// sendError reports a failure to the source, best effort.
+func (d *downConn) sendError(msg string) {
+	_ = d.write(func(w *wire.Writer) error { return w.Error(msg) })
 }
 
 // NewRouter builds a router fronting shards[i] at addr shards[i],
@@ -214,29 +195,24 @@ func NewRouter(listenAddr string, shardAddrs []string, opts Options) (*Router, e
 	if opts.AggSuppress < 0 || opts.AggSuppress >= 1 {
 		return nil, fmt.Errorf("cluster: AggSuppress %v outside [0,1)", opts.AggSuppress)
 	}
-	maxFrame := opts.MaxFrame
-	if maxFrame <= 0 {
-		maxFrame = defaultMaxFrame
-	}
 	log := opts.Logger
 	if log == nil {
 		log = telemetry.NopLogger()
 	}
 	tel := newRouterTelemetry(opts.Registry, len(shardAddrs))
 	r := &Router{
-		ring:     NewRing(len(shardAddrs), opts.VNodes),
-		opts:     opts,
-		tel:      tel,
-		log:      log,
-		maxFrame: maxFrame,
-		events:   newEventLog(tel.reg, opts.EventCap),
-		conns:    make(map[net.Conn]struct{}),
-		routes:   make(map[string]*route),
-		queries:  make(map[string]stream.Query),
-		aggs:     make(map[string]*routerAgg),
+		ring:    NewRing(len(shardAddrs), opts.VNodes),
+		opts:    opts,
+		tel:     tel,
+		log:     log,
+		events:  newEventLog(tel.reg, opts.EventCap),
+		conns:   make(map[net.Conn]struct{}),
+		routes:  make(map[string]*route),
+		queries: make(map[string]stream.Query),
+		aggs:    make(map[string]*routerAgg),
 	}
 	for i, addr := range shardAddrs {
-		up := &upstream{shard: i, addr: addr, maxFrame: maxFrame, router: r, rpcCh: make(chan rpcReply, 1)}
+		up := &upstream{shard: i, addr: addr, router: r, rpcCh: make(chan rpcReply, 1)}
 		if err := up.connect(); err != nil {
 			r.Close()
 			return nil, err
@@ -245,18 +221,11 @@ func NewRouter(listenAddr string, shardAddrs []string, opts Options) (*Router, e
 	}
 	// Sources get trace relay only when every shard can accept it: a
 	// migration must not strand a traced stream on a shard that would
-	// reject the frames. The hop-timestamp extension degrades the same
-	// way: advertised downstream only when every shard accepts it, so a
-	// mixed fleet falls back to plain 65-byte trace relay everywhere.
-	r.downFeats = wire.FeatTrace | wire.FeatHopTrace
+	// reject the frames.
+	r.downFeats = wire.FeatTrace
 	for _, up := range r.upstreams {
 		up.mu.Lock()
-		if up.feats&wire.FeatTrace == 0 {
-			r.downFeats = 0
-		}
-		if up.feats&wire.FeatHopTrace == 0 {
-			r.downFeats &^= wire.FeatHopTrace
-		}
+		r.downFeats &= up.feats
 		up.mu.Unlock()
 	}
 	if listenAddr != "" {
@@ -342,170 +311,6 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Upstream pool
-
-func (up *upstream) connect() error {
-	conn, err := net.Dial("tcp", up.addr)
-	if err != nil {
-		return fmt.Errorf("cluster: shard %d dial: %w", up.shard, err)
-	}
-	w := wire.NewWriter(conn, 64*1024, up.maxFrame)
-	rd := wire.NewReader(conn, 0, up.maxFrame)
-	fail := func(err error) error {
-		conn.Close()
-		return err
-	}
-	if err := w.WritePreambleFeatures(wire.Version, wire.FeatCluster); err != nil {
-		return fail(fmt.Errorf("cluster: shard %d handshake: %w", up.shard, err))
-	}
-	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("cluster: shard %d handshake: %w", up.shard, err))
-	}
-	ver, feats, err := rd.ReadPreambleFeatures()
-	if err != nil {
-		return fail(fmt.Errorf("cluster: shard %d handshake: %w", up.shard, err))
-	}
-	if err := wire.CheckVersion(ver); err != nil {
-		return fail(fmt.Errorf("cluster: shard %d: %w", up.shard, err))
-	}
-	if feats&wire.FeatCluster == 0 {
-		return fail(fmt.Errorf("cluster: shard %d does not speak the cluster extension", up.shard))
-	}
-	dead := make(chan struct{})
-	up.mu.Lock()
-	up.conn = conn
-	up.w = w
-	up.err = nil
-	up.feats = feats
-	up.alive = true
-	up.dead = dead
-	up.mu.Unlock()
-	up.router.tel.upstreamConns.Add(1)
-	up.router.events.record(TopoEvent{Kind: EvShardConnect, Shard: up.shard, Detail: up.addr})
-	go up.readLoop(rd, conn, dead)
-	return nil
-}
-
-// fail records a sticky upstream error and tears the connection down.
-// Routes keep their pending windows; ReconnectShard replays them.
-func (up *upstream) fail(err error) {
-	up.mu.Lock()
-	if !up.alive {
-		up.mu.Unlock()
-		return
-	}
-	up.alive = false
-	if up.err == nil {
-		up.err = err
-	}
-	conn := up.conn
-	up.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-	up.router.tel.upstreamConns.Add(-1)
-	up.router.events.record(TopoEvent{Kind: EvShardDisconnect, Shard: up.shard, Detail: err.Error()})
-	up.router.log.Warn("upstream shard lost", "shard", up.shard, "err", err)
-}
-
-func (up *upstream) close() { up.fail(errors.New("cluster: router closed")) }
-
-// readLoop demultiplexes one upstream connection: ForwardAcks go to the
-// ack pump, everything else is the reply to the (single) pending RPC.
-func (up *upstream) readLoop(rd *wire.Reader, conn net.Conn, dead chan struct{}) {
-	defer close(dead)
-	for {
-		tag, p, err := rd.Next()
-		if err != nil {
-			up.fail(fmt.Errorf("cluster: shard %d recv: %w", up.shard, err))
-			return
-		}
-		if tag == wire.TagForwardAck {
-			idx, seq, err := wire.DecodeForwardAck(p)
-			if err != nil {
-				up.fail(fmt.Errorf("cluster: shard %d: %w", up.shard, err))
-				return
-			}
-			up.router.pumpAck(up.shard, idx, seq)
-			continue
-		}
-		up.mu.Lock()
-		waiting := up.rpcWaiting
-		up.mu.Unlock()
-		if waiting {
-			// The reply frame aliases the reader's buffer; the waiter
-			// outlives this iteration, so hand it a copy.
-			up.rpcCh <- rpcReply{tag: tag, p: append([]byte(nil), p...)}
-			continue
-		}
-		if tag == wire.TagError {
-			msg, _ := wire.DecodeError(p)
-			up.fail(fmt.Errorf("cluster: shard %d error: %s", up.shard, msg))
-			return
-		}
-		up.fail(fmt.Errorf("cluster: shard %d sent unexpected %v", up.shard, tag))
-		return
-	}
-}
-
-// rpc writes one request frame and waits for its reply. The write and
-// the rpcWaiting flag flip under up.mu, so the reader (which sees the
-// reply only after the request reached the shard) always observes
-// waiting == true. The flush also pushes any buffered forwards first —
-// FIFO ordering that migration correctness depends on.
-func (up *upstream) rpc(write func(w *wire.Writer) error) (rpcReply, error) {
-	up.rpcMu.Lock()
-	defer up.rpcMu.Unlock()
-	up.mu.Lock()
-	if up.err != nil {
-		err := up.err
-		up.mu.Unlock()
-		return rpcReply{}, err
-	}
-	select { // drop a stale reply from a failed predecessor
-	case <-up.rpcCh:
-	default:
-	}
-	up.rpcWaiting = true
-	dead := up.dead
-	err := write(up.w)
-	if err == nil {
-		err = up.w.Flush()
-	}
-	if err != nil {
-		up.err = err
-		up.rpcWaiting = false
-		up.mu.Unlock()
-		up.fail(err)
-		return rpcReply{}, err
-	}
-	up.mu.Unlock()
-
-	var reply rpcReply
-	select {
-	case reply = <-up.rpcCh:
-	case <-dead:
-		up.mu.Lock()
-		err = up.err
-		up.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("cluster: shard %d connection lost", up.shard)
-		}
-	}
-	up.mu.Lock()
-	up.rpcWaiting = false
-	up.mu.Unlock()
-	if err != nil {
-		return rpcReply{}, err
-	}
-	if reply.tag == wire.TagError {
-		msg, _ := wire.DecodeError(reply.p)
-		return rpcReply{}, fmt.Errorf("cluster: shard %d: %s", up.shard, msg)
-	}
-	return reply, nil
-}
-
 // pumpAck clears a route's pending window through seq and relays the
 // cumulative ack downstream. Takes ONLY pendMu — see the invariants at
 // the top of the file.
@@ -522,10 +327,12 @@ func (r *Router) pumpAck(shard int, idx uint32, seq int64) {
 	now := nowNanos()
 	hist := r.tel.fwdLatency[shard]
 	rt.pendMu.Lock()
-	n := 0
 	var ackAt int64
-	for n < len(rt.pending) && rt.pending[n].seq <= seq {
-		e := &rt.pending[n]
+	for i := range rt.pending {
+		e := &rt.pending[i]
+		if e.seq > seq {
+			break
+		}
 		hist.Observe(now - e.sentNs)
 		if e.traceID != 0 && rt.rec != nil {
 			// One fwd_ack per traced entry the cumulative ack covers,
@@ -536,18 +343,11 @@ func (r *Router) pumpAck(shard int, idx uint32, seq int64) {
 			rt.rec.Record(&trace.Event{TraceID: e.traceID, Seq: e.seq, At: ackAt, Kind: trace.KindFwdAck, Aux: int64(shard)})
 			r.tel.hopShard.Observe(now - e.sentNs)
 		}
-		rt.free = append(rt.free, e.buf[:0])
-		e.buf = nil
-		n++
 	}
-	if n > 0 {
-		rt.pending = rt.pending[:copy(rt.pending, rt.pending[n:])]
-	}
+	rt.trimThrough(seq)
 	down := rt.down
 	rt.pendMu.Unlock()
-	if down != nil {
-		down.relayAck(seq)
-	}
+	down.relayAck(seq)
 }
 
 // ---------------------------------------------------------------------------
@@ -583,6 +383,70 @@ func (r *Router) routeFor(id []byte) *route {
 	return rt
 }
 
+// allRoutes snapshots the route table.
+func (r *Router) allRoutes() []*route {
+	r.routeMu.RLock()
+	defer r.routeMu.RUnlock()
+	return append([]*route(nil), r.byIdx...)
+}
+
+// trimThrough drops the pending entries a cumulative ack (or a shard's
+// ResumeSeq) at seq covers, recycling their buffers through the
+// freelist. Caller holds pendMu.
+func (rt *route) trimThrough(seq int64) {
+	n := 0
+	for n < len(rt.pending) && rt.pending[n].seq <= seq {
+		rt.free = append(rt.free, rt.pending[n].buf[:0])
+		rt.pending[n].buf = nil
+		n++
+	}
+	if n > 0 {
+		rt.pending = rt.pending[:copy(rt.pending, rt.pending[n:])]
+	}
+}
+
+// replayTo re-forwards the route's whole pending window to up, in send
+// order under epoch, and flushes — how a recovered or newly owning
+// shard receives what its predecessor never acked. Caller holds rt.mu
+// (so no forward can interleave) but not pendMu: the window is copied
+// out first, because the ack pump must stay free to run while this
+// write blocks (see the invariants at the top of the file). A write
+// failure marks the upstream failed.
+func (rt *route) replayTo(up *upstream, epoch int64) error {
+	rt.pendMu.Lock()
+	replay := make([][]byte, len(rt.pending))
+	for i := range rt.pending {
+		replay[i] = rt.pending[i].buf
+	}
+	rt.pendMu.Unlock()
+	up.mu.Lock()
+	err := up.err
+	for _, buf := range replay {
+		if err != nil {
+			break
+		}
+		err = up.w.Forward(rt.idx, epoch, buf)
+	}
+	if err == nil {
+		err = up.w.Flush()
+	}
+	up.mu.Unlock()
+	if err != nil {
+		up.fail(err)
+	}
+	return err
+}
+
+// peekUpdate reads only the routing key of an update payload — u16-len
+// sourceID then i64 seq; the payload is forwarded verbatim and the
+// shard does the full decode.
+func peekUpdate(p []byte) (id []byte, seq int64, ok bool) {
+	c := wire.NewCursor(p)
+	id = c.Take(int(c.U16()))
+	seq = c.I64()
+	return id, seq, c.OK()
+}
+
 // forward ships one update payload to the route's owning shard,
 // optionally preceded by the source's trace frame (written adjacently
 // under the same upstream lock section so the shard sees them paired).
@@ -591,12 +455,12 @@ func (r *Router) routeFor(id []byte) *route {
 // upstream failure is therefore invisible to the source except as acks
 // drying up until its send window backpressures.
 //
-// When the router traces (rt.rec != nil), a relayed trace frame is
-// decoded on the stack, re-encoded with this hop's timestamps toward a
-// hop-capable shard (wire.TraceHop), and recorded as fwd_rx/fwd_tx in
-// the route's flight recorder. trRxNs is when the trace frame arrived
-// from the source (trace clock); zero when there is none.
-func (r *Router) forward(rt *route, payload, tracePayload []byte, seq, trRxNs int64, flush bool) int {
+// d is the decision evidence of the source's trace frame (nil when it
+// sent none) and trRxNs when that frame arrived (trace clock). When the
+// router traces (rt.rec != nil) the frame goes on with this hop's
+// timestamps appended and the hop is recorded as fwd_rx/fwd_tx in the
+// route's flight recorder.
+func (r *Router) forward(rt *route, payload []byte, d *trace.DecisionInfo, seq, trRxNs int64, flush bool) int {
 	rt.mu.Lock()
 	shard := rt.shard
 	up := r.upstreams[shard]
@@ -604,26 +468,13 @@ func (r *Router) forward(rt *route, payload, tracePayload []byte, seq, trRxNs in
 	up.mu.Lock()
 	if up.err == nil {
 		err := error(nil)
-		if tracePayload != nil && up.feats&wire.FeatTrace != 0 {
-			relay := true
+		if d != nil && up.feats&wire.FeatTrace != 0 {
+			var hop *wire.TraceHop
 			if rt.rec != nil {
-				if d, _, _, derr := wire.DecodeTraceExt(tracePayload); derr == nil {
-					tid, txNs, epoch = d.TraceID, trace.Now(), rt.epoch
-					if up.feats&wire.FeatHopTrace != 0 {
-						relay = false
-						err = up.w.TraceHop(&d, wire.TraceHop{
-							Idx: rt.idx, Epoch: rt.epoch,
-							RxUnixNs: trRxNs, TxUnixNs: txNs,
-						})
-					}
-				}
+				tid, txNs, epoch = d.TraceID, trace.Now(), rt.epoch
+				hop = &wire.TraceHop{Idx: rt.idx, Epoch: rt.epoch, RxUnixNs: trRxNs, TxUnixNs: txNs}
 			}
-			if relay && err == nil {
-				// Verbatim relay: either the router is not tracing or the
-				// shard cannot take the extended payload (it still gets
-				// whatever form the source produced).
-				err = up.w.RawFrame(wire.TagTrace, tracePayload)
-			}
+			err = up.w.Trace(d, hop)
 		}
 		if err == nil {
 			err = up.w.Forward(rt.idx, rt.epoch, payload)
@@ -671,27 +522,26 @@ func (r *Router) handleDown(conn net.Conn) {
 	r.tel.downConns.Add(1)
 	defer r.tel.downConns.Add(-1)
 
-	rd := wire.NewReader(conn, 0, r.maxFrame)
-	w := wire.NewWriter(conn, 0, r.maxFrame)
-	dc := &downConn{w: w}
+	rd := wire.NewReader(conn, 0, r.opts.MaxFrame)
+	dc := &downConn{w: wire.NewWriter(conn, 0, r.opts.MaxFrame)}
 
-	ver, err := rd.ReadPreamble()
+	ver, _, err := rd.ReadPreamble()
 	if err != nil {
 		return
 	}
 	if err := wire.CheckVersion(ver); err != nil {
-		_ = dc.write(func(w *wire.Writer) error { return w.Error(err.Error()) })
+		dc.sendError(err.Error())
 		return
 	}
 	if err := dc.write(func(w *wire.Writer) error {
-		return w.WritePreambleFeatures(wire.Version, r.downFeats)
+		return w.WritePreamble(wire.Version, r.downFeats)
 	}); err != nil {
 		return
 	}
 
 	var (
-		boundRoutes []*route // routes this conn is the down side of
-		pendTrace   []byte
+		boundRoutes []*route           // routes this conn is the down side of
+		pend        trace.DecisionInfo // stashed trace evidence for the next update
 		havePend    bool
 		pendRxNs    int64 // when the stashed trace frame arrived
 	)
@@ -714,65 +564,57 @@ func (r *Router) handleDown(conn net.Conn) {
 		case wire.TagHello:
 			id, err := wire.DecodeHello(p)
 			if err != nil {
-				_ = dc.write(func(w *wire.Writer) error { return w.Error(err.Error()) })
+				dc.sendError(err.Error())
 				return
 			}
 			rt := r.routeFor([]byte(id))
 			inst, err := r.helloRoute(rt)
 			if err != nil {
-				_ = dc.write(func(w *wire.Writer) error { return w.Error(err.Error()) })
+				dc.sendError(err.Error())
 				return
 			}
 			rt.pendMu.Lock()
 			rt.down = dc
 			rt.pendMu.Unlock()
 			boundRoutes = append(boundRoutes, rt)
-			r.tel.helloTotal.Inc()
-			if err := dc.write(func(w *wire.Writer) error {
-				return w.Install(inst.SourceID, inst.Model, inst.Delta, inst.F, inst.ResumeSeq)
-			}); err != nil {
+			if err := dc.write(func(w *wire.Writer) error { return w.Install(inst) }); err != nil {
 				return
 			}
 
 		case wire.TagTrace:
-			// Stash for the next update; relayed ahead of its forward so
+			// Stash for the next update; sent on ahead of its forward so
 			// the shard's own trace matching applies. The arrival stamp
 			// becomes the hop's fwd_rx time when the router traces.
-			pendTrace = append(pendTrace[:0], p...)
+			if pend, _, _, err = wire.DecodeTrace(p); err != nil {
+				dc.sendError(err.Error())
+				return
+			}
 			havePend = true
 			if r.opts.Trace {
 				pendRxNs = trace.Now()
 			}
 
 		case wire.TagUpdate:
-			// Peek only the routing key — u16-len sourceID then i64 seq —
-			// and forward the payload verbatim; the shard does the full
-			// decode.
-			c := wire.NewCursor(p)
-			idb := c.Take(int(c.U16()))
-			seq := c.I64()
-			if !c.OK() {
-				_ = dc.write(func(w *wire.Writer) error { return w.Error("malformed update") })
+			idb, seq, ok := peekUpdate(p)
+			if !ok {
+				dc.sendError("malformed update")
 				return
 			}
-			rt := r.routeFor(idb)
-			var tr []byte
-			var trRx int64
+			var d *trace.DecisionInfo
 			if havePend {
-				tr, trRx = pendTrace, pendRxNs
-				havePend = false
+				d, havePend = &pend, false
 			}
-			r.forward(rt, p, tr, seq, trRx, rd.Buffered() == 0)
+			r.forward(r.routeFor(idb), p, d, seq, pendRxNs, rd.Buffered() == 0)
 
 		case wire.TagQuery:
 			qid, seq, err := rd.DecodeQuery(p)
 			if err != nil {
-				_ = dc.write(func(w *wire.Writer) error { return w.Error(err.Error()) })
+				dc.sendError(err.Error())
 				continue
 			}
 			vals, err := r.answerQuery(qid, int(seq))
 			if err != nil {
-				_ = dc.write(func(w *wire.Writer) error { return w.Error(err.Error()) })
+				dc.sendError(err.Error())
 				continue
 			}
 			if err := dc.write(func(w *wire.Writer) error { return w.Answer(qid, vals) }); err != nil {
@@ -780,45 +622,39 @@ func (r *Router) handleDown(conn net.Conn) {
 			}
 
 		default:
-			_ = dc.write(func(w *wire.Writer) error {
-				return w.Error(fmt.Sprintf("cluster: unexpected frame %v", tag))
-			})
+			dc.sendError(fmt.Sprintf("cluster: unexpected frame %v", tag))
 			return
 		}
 	}
 }
 
 // helloRoute relays a source hello to the owning shard and returns the
-// shard's install. Pending forwards at or below the shard's ResumeSeq
-// are cleared here: the RPC's flush pushed every earlier forward ahead
-// of the hello, so ResumeSeq reflects them all.
+// shard's install.
 func (r *Router) helloRoute(rt *route) (wire.Install, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	up := r.upstreams[rt.shard]
-	reply, err := up.rpc(func(w *wire.Writer) error { return w.Hello(rt.sourceID) })
-	if err != nil {
-		return wire.Install{}, err
+	inst, _, err := r.helloLocked(rt)
+	if err == nil {
+		r.tel.helloTotal.Inc()
 	}
-	if reply.tag != wire.TagInstall {
-		return wire.Install{}, fmt.Errorf("cluster: shard %d replied %v to hello", rt.shard, reply.tag)
-	}
-	inst, err := wire.DecodeInstall(reply.p)
+	return inst, err
+}
+
+// helloLocked is helloRoute with rt.mu held. Pending forwards at or
+// below the shard's ResumeSeq are cleared here: the RPC's flush pushed
+// every earlier forward ahead of the hello, so ResumeSeq reflects them
+// all. Also returns the route's downstream conn, for relaying that
+// ResumeSeq as an ack.
+func (r *Router) helloLocked(rt *route) (wire.Install, *downConn, error) {
+	inst, err := r.upstreams[rt.shard].hello(rt.sourceID)
 	if err != nil {
-		return wire.Install{}, err
+		return wire.Install{}, nil, err
 	}
 	rt.pendMu.Lock()
-	n := 0
-	for n < len(rt.pending) && rt.pending[n].seq <= inst.ResumeSeq {
-		rt.free = append(rt.free, rt.pending[n].buf[:0])
-		rt.pending[n].buf = nil
-		n++
-	}
-	if n > 0 {
-		rt.pending = rt.pending[:copy(rt.pending, rt.pending[n:])]
-	}
+	rt.trimThrough(inst.ResumeSeq)
+	down := rt.down
 	rt.pendMu.Unlock()
-	return inst, nil
+	return inst, down, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -830,16 +666,8 @@ func (r *Router) RegisterQuery(q stream.Query) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	shard := r.ring.Owner(q.SourceID)
-	up := r.upstreams[shard]
-	reply, err := up.rpc(func(w *wire.Writer) error {
-		return w.RegisterQuery(wire.ClusterQuery{ID: q.ID, SourceID: q.SourceID, Model: q.Model, Delta: q.Delta, F: q.F})
-	})
-	if err != nil {
+	if err := r.upstreams[r.ring.Owner(q.SourceID)].registerQuery(q); err != nil {
 		return err
-	}
-	if reply.tag != wire.TagRegistered {
-		return fmt.Errorf("cluster: shard %d replied %v to register", shard, reply.tag)
 	}
 	r.regMu.Lock()
 	r.queries[q.ID] = q
@@ -848,50 +676,27 @@ func (r *Router) RegisterQuery(q stream.Query) error {
 }
 
 // RegisterAggregate splits a cross-shard aggregate into per-shard
-// partial aggregates. Budget ladder: with β = AggSuppress, each shard
-// runs at (1-β)Δ — scaled by its member share for sum, full width for
-// avg/min/max — so the shard-local PerSourceDelta() allocation yields
-// exactly the single-server δ_i when β = 0:
-//
-//	sum: δ_i = (1-β)Δ·(n_shard/n_total)/n_shard = (1-β)Δ/n_total
-//	avg/min/max: δ_i = (1-β)Δ
+// partial aggregates (see registerPartial for the budget split).
 func (r *Router) RegisterAggregate(q dsms.AggregateQuery) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	beta := r.opts.AggSuppress
-	per := make(map[int][]string)
+	agg := &routerAgg{q: q, perShard: make(map[int][]string)}
 	for _, src := range q.SourceIDs {
 		s := r.ring.Owner(src)
-		per[s] = append(per[s], src)
+		agg.perShard[s] = append(agg.perShard[s], src)
 	}
-	shards := make([]int, 0, len(per))
-	for s := range per {
-		shards = append(shards, s)
+	for s := range agg.perShard {
+		agg.shards = append(agg.shards, s)
 	}
-	sort.Ints(shards)
-	nTotal := float64(len(q.SourceIDs))
-	for _, s := range shards {
-		members := per[s]
-		shardDelta := (1 - beta) * q.Delta
-		if q.Func == dsms.AggSum {
-			shardDelta *= float64(len(members)) / nTotal
-		}
-		reply, err := r.upstreams[s].rpc(func(w *wire.Writer) error {
-			return w.RegisterAggregate(wire.ClusterAggregate{
-				ID: q.ID, Func: string(q.Func), Model: q.Model,
-				Delta: shardDelta, F: q.F, Partial: true, SourceIDs: members,
-			})
-		})
-		if err != nil {
+	sort.Ints(agg.shards)
+	for _, s := range agg.shards {
+		if err := r.upstreams[s].registerPartial(q, agg.perShard[s], r.opts.AggSuppress); err != nil {
 			return err
-		}
-		if reply.tag != wire.TagRegistered {
-			return fmt.Errorf("cluster: shard %d replied %v to register", s, reply.tag)
 		}
 	}
 	r.regMu.Lock()
-	r.aggs[q.ID] = &routerAgg{q: q, shards: shards, perShard: per}
+	r.aggs[q.ID] = agg
 	r.regMu.Unlock()
 	return nil
 }
@@ -913,16 +718,7 @@ func (r *Router) AnswerAggregate(queryID string, seq int) (float64, error) {
 	exp := agg.scratch[:0]
 	minV, maxV := math.Inf(1), math.Inf(-1)
 	for _, s := range agg.shards {
-		reply, err := r.upstreams[s].rpc(func(w *wire.Writer) error {
-			return w.Query(queryID, int64(seq))
-		})
-		if err != nil {
-			return 0, err
-		}
-		if reply.tag != wire.TagAnswer {
-			return 0, fmt.Errorf("cluster: shard %d replied %v to query", s, reply.tag)
-		}
-		_, vals, err := wire.DecodeAnswer(reply.p)
+		vals, err := r.upstreams[s].query(queryID, seq)
 		if err != nil {
 			return 0, err
 		}
@@ -983,18 +779,7 @@ func (r *Router) answerQuery(queryID string, seq int) ([]float64, error) {
 	if !isPlain {
 		return nil, fmt.Errorf("cluster: unknown query %s", queryID)
 	}
-	shard := r.ring.Owner(q.SourceID)
-	reply, err := r.upstreams[shard].rpc(func(w *wire.Writer) error {
-		return w.Query(queryID, int64(seq))
-	})
-	if err != nil {
-		return nil, err
-	}
-	if reply.tag != wire.TagAnswer {
-		return nil, fmt.Errorf("cluster: shard %d replied %v to query", shard, reply.tag)
-	}
-	_, vals, err := wire.DecodeAnswer(reply.p)
-	return vals, err
+	return r.upstreams[r.ring.Owner(q.SourceID)].query(queryID, seq)
 }
 
 // ---------------------------------------------------------------------------
@@ -1047,102 +832,33 @@ func (r *Router) ReconnectShard(shard int) error {
 		}
 	}
 	r.regMu.Unlock()
-	beta := r.opts.AggSuppress
 	for _, q := range qs {
-		reply, err := up.rpc(func(w *wire.Writer) error {
-			return w.RegisterQuery(wire.ClusterQuery{ID: q.ID, SourceID: q.SourceID, Model: q.Model, Delta: q.Delta, F: q.F})
-		})
-		if err != nil {
+		if err := up.registerQuery(q); err != nil {
 			return err
-		}
-		if reply.tag != wire.TagRegistered {
-			return fmt.Errorf("cluster: shard %d replied %v to register", shard, reply.tag)
 		}
 	}
 	for _, a := range aggs {
-		members := a.perShard[shard]
-		shardDelta := (1 - beta) * a.q.Delta
-		if a.q.Func == dsms.AggSum {
-			shardDelta *= float64(len(members)) / float64(len(a.q.SourceIDs))
-		}
-		reply, err := up.rpc(func(w *wire.Writer) error {
-			return w.RegisterAggregate(wire.ClusterAggregate{
-				ID: a.q.ID, Func: string(a.q.Func), Model: a.q.Model,
-				Delta: shardDelta, F: a.q.F, Partial: true, SourceIDs: members,
-			})
-		})
-		if err != nil {
+		if err := up.registerPartial(a.q, a.perShard[shard], r.opts.AggSuppress); err != nil {
 			return err
-		}
-		if reply.tag != wire.TagRegistered {
-			return fmt.Errorf("cluster: shard %d replied %v to register", shard, reply.tag)
 		}
 	}
 
 	// Resync every route on this shard.
-	r.routeMu.RLock()
-	routes := make([]*route, 0, len(r.byIdx))
-	for _, rt := range r.byIdx {
-		routes = append(routes, rt)
-	}
-	r.routeMu.RUnlock()
-	for _, rt := range routes {
+	for _, rt := range r.allRoutes() {
 		rt.mu.Lock()
 		if rt.shard != shard {
 			rt.mu.Unlock()
 			continue
 		}
-		reply, err := up.rpc(func(w *wire.Writer) error { return w.Hello(rt.sourceID) })
-		if err != nil {
-			rt.mu.Unlock()
-			return err
+		inst, down, err := r.helloLocked(rt)
+		if err == nil {
+			err = rt.replayTo(up, rt.epoch)
 		}
-		if reply.tag != wire.TagInstall {
-			rt.mu.Unlock()
-			return fmt.Errorf("cluster: shard %d replied %v to hello", shard, reply.tag)
-		}
-		inst, err := wire.DecodeInstall(reply.p)
-		if err != nil {
-			rt.mu.Unlock()
-			return err
-		}
-		resume := inst.ResumeSeq
-		rt.pendMu.Lock()
-		n := 0
-		for n < len(rt.pending) && rt.pending[n].seq <= resume {
-			rt.free = append(rt.free, rt.pending[n].buf[:0])
-			rt.pending[n].buf = nil
-			n++
-		}
-		if n > 0 {
-			rt.pending = rt.pending[:copy(rt.pending, rt.pending[n:])]
-		}
-		replay := make([][]byte, len(rt.pending))
-		for i := range rt.pending {
-			replay[i] = rt.pending[i].buf
-		}
-		down := rt.down
-		rt.pendMu.Unlock()
-		up.mu.Lock()
-		werr := up.err
-		for _, buf := range replay {
-			if werr != nil {
-				break
-			}
-			werr = up.w.Forward(rt.idx, rt.epoch, buf)
-		}
-		if werr == nil {
-			werr = up.w.Flush()
-		}
-		up.mu.Unlock()
 		rt.mu.Unlock()
-		if werr != nil {
-			up.fail(werr)
-			return werr
+		if err != nil {
+			return err
 		}
-		if down != nil && resume >= 0 {
-			down.relayAck(resume)
-		}
+		down.relayAck(inst.ResumeSeq)
 	}
 	r.tel.reconnects.Inc()
 	r.events.record(TopoEvent{

@@ -55,22 +55,14 @@ func (r *Router) ServeUDP(addr string) error {
 		for len(frames) > 0 {
 			var tag wire.Tag
 			var p []byte
-			tag, p, frames, err = wire.NextFrame(frames, r.maxFrame)
+			tag, p, frames, err = wire.NextFrame(frames, r.opts.MaxFrame)
 			if err != nil {
 				break
 			}
 			switch tag {
 			case wire.TagUpdate:
-				c := wire.NewCursor(p)
-				idb := c.Take(int(c.U16()))
-				seq := c.I64()
-				if !c.OK() {
-					continue
-				}
-				rt := r.routeFor(idb)
-				shard := r.forward(rt, p, nil, seq, 0, false)
-				if shard >= 0 && shard < len(touched) {
-					touched[shard] = true
+				if idb, seq, ok := peekUpdate(p); ok {
+					touched[r.forward(r.routeFor(idb), p, nil, seq, 0, false)] = true
 				}
 
 			case wire.TagHello:
@@ -84,7 +76,6 @@ func (r *Router) ServeUDP(addr string) error {
 				if err != nil {
 					reply, _ = wire.AppendErrorFrame(reply, err.Error())
 				} else {
-					r.tel.helloTotal.Inc()
 					reply, _ = wire.AppendInstallFrame(reply, inst)
 				}
 				_, _ = pc.WriteTo(reply, from)

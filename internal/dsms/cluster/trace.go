@@ -144,34 +144,12 @@ func (r *Router) TraceStream(id string) (ClusterStreamTrace, error) {
 }
 
 // TraceRecent returns up to limit recent forwarding events across all
-// routes, newest first — the router's /tracez listing. source narrows
-// to one stream; a nonzero kind keeps only matching events.
+// routes, newest first — the router's /tracez listing, filtered like
+// the shard server's.
 func (r *Router) TraceRecent(limit int, source string, kind trace.Kind, dec trace.Decision) []dsms.TraceEntry {
-	if limit <= 0 {
-		limit = 100
+	recs := make(map[string]*trace.Recorder)
+	for _, rt := range r.allRoutes() {
+		recs[rt.sourceID] = rt.rec
 	}
-	r.routeMu.RLock()
-	routes := make([]*route, len(r.byIdx))
-	copy(routes, r.byIdx)
-	r.routeMu.RUnlock()
-	var out []dsms.TraceEntry
-	for _, rt := range routes {
-		if rt.rec == nil || (source != "" && rt.sourceID != source) {
-			continue
-		}
-		for _, ev := range rt.rec.Events() {
-			if kind != 0 && ev.Kind != kind {
-				continue
-			}
-			if dec != trace.DecisionNone && ev.Dec != dec {
-				continue
-			}
-			out = append(out, dsms.TraceEntry{SourceID: rt.sourceID, EventView: ev.View()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AtUnixNs > out[j].AtUnixNs })
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return dsms.RecentTrace(recs, limit, source, kind, dec)
 }

@@ -122,9 +122,9 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
-// TestStepAllAdvancesAllStreams checks the bounded-worker batch path:
-// after ingest stops, StepAll must bring every stream's prediction
-// forward to the target index, whatever the pool size.
+// TestStepAllAdvancesAllStreams checks the batch advance: after ingest
+// stops, AdvanceAll must bring every stream's prediction forward to
+// each successive target index.
 func TestStepAllAdvancesAllStreams(t *testing.T) {
 	const nSources = 5
 	s := NewServer(testCatalog())
@@ -151,26 +151,25 @@ func TestStepAllAdvancesAllStreams(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{0, 1, 3, 16} {
-		target := 100 + 50*workers
-		advanced := s.StepAll(target, workers)
+	for _, target := range []int{100, 150, 250, 900} {
+		advanced := s.AdvanceAll(target)
 		if advanced != nSources {
-			t.Fatalf("StepAll(workers=%d) advanced %d sources, want %d", workers, advanced, nSources)
+			t.Fatalf("AdvanceAll(%d) advanced %d sources, want %d", target, advanced, nSources)
 		}
 		for _, st := range s.Stats() {
 			if st.Seq != target {
-				t.Fatalf("workers=%d: source %s at seq %d, want %d", workers, st.SourceID, st.Seq, target)
+				t.Fatalf("source %s at seq %d, want %d", st.SourceID, st.Seq, target)
 			}
 		}
 		// A second call at the same target is a no-op.
-		if again := s.StepAll(target, workers); again != 0 {
-			t.Fatalf("repeat StepAll advanced %d sources, want 0", again)
+		if again := s.AdvanceAll(target); again != 0 {
+			t.Fatalf("repeat AdvanceAll advanced %d sources, want 0", again)
 		}
 	}
 }
 
-// TestStepAllConcurrentWithQueries runs StepAll from several goroutines
-// while readers query; under -race this pins the pool's per-source
+// TestStepAllConcurrentWithQueries runs AdvanceAll from several
+// goroutines while readers query; under -race this pins its per-source
 // locking against the query path.
 func TestStepAllConcurrentWithQueries(t *testing.T) {
 	const nSources = 4
@@ -204,7 +203,7 @@ func TestStepAllConcurrentWithQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
-				s.StepAll(20+r, 2)
+				s.AdvanceAll(20 + r)
 				if _, err := s.Answer(fmt.Sprintf("q%d", (g+r)%nSources), 0); err != nil {
 					// All sources bootstrapped before this point.
 					t.Errorf("Answer: %v", err)

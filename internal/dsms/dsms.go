@@ -17,7 +17,6 @@ package dsms
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -333,10 +332,9 @@ func (s *Server) Register(q stream.Query) error {
 		if q.F > 0 && (st.cfg.F == 0 || q.F < st.cfg.F) {
 			st.cfg.F = q.F
 		}
-		s.byQuery[q.ID] = st
-		return nil
+	} else {
+		st.cfg = cfg
 	}
-	st.cfg = cfg
 	s.byQuery[q.ID] = st
 	return nil
 }
@@ -367,22 +365,34 @@ func (s *Server) InstallFor(sourceID string) (core.Config, error) {
 	return cfg, nil
 }
 
+// installReply is the handshake reply both transports send a connecting
+// source: the configuration InstallFor installs plus ResumeSeq, which
+// tells a reconnecting source with live mirror state how far this
+// server's (possibly crash-recovered) filter has advanced — resend
+// unacked updates past it, no re-bootstrap. A fresh source ignores it
+// and bootstraps.
+func (s *Server) installReply(sourceID string) (wire.Install, error) {
+	cfg, err := s.InstallFor(sourceID)
+	if err != nil {
+		return wire.Install{}, err
+	}
+	return wire.Install{SourceID: cfg.SourceID, Model: cfg.Model.Name, Delta: cfg.Delta, F: cfg.F, ResumeSeq: s.ResumeSeq(sourceID)}, nil
+}
+
 // HandleUpdate folds one transmitted update into the source's server
 // filter, then evaluates any alerts watching that source (outside all
 // locks, since alert evaluation re-enters Answer). Only the one source's
 // runtime lock is held while the filter steps, so updates from different
 // sources fold in concurrently.
-func (s *Server) HandleUpdate(u core.Update) error {
-	return s.HandleUpdateTraced(u, nil, 0)
-}
+func (s *Server) HandleUpdate(u core.Update) error { return s.ingest(&u, nil, nil, 0) }
 
-// HandleUpdateTraced is HandleUpdate with trace context attached: wd is
-// the source's decision evidence (from a TagTrace frame; nil when the
-// peer sent none) and wireBytes is the received update frame size
-// (0 when the update did not arrive over the wire). With tracing off
-// both are recorded nowhere and the two entry points behave
-// identically.
-func (s *Server) HandleUpdateTraced(u core.Update, wd *trace.DecisionInfo, wireBytes int) error {
+// ingest is the synchronous update entry behind HandleUpdate and the TCP
+// handler. The optional evidence is trace context: wd is the source's
+// decision (from a TagTrace frame; nil when the peer sent none), hop the
+// router hop that frame carried (nil on a direct connection) and
+// wireBytes the received frame size (0 when the update did not arrive
+// over the wire). With tracing off none of it is recorded anywhere.
+func (s *Server) ingest(u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) error {
 	s.mu.RLock()
 	st := s.sources[u.SourceID]
 	s.mu.RUnlock()
@@ -390,7 +400,7 @@ func (s *Server) HandleUpdateTraced(u core.Update, wd *trace.DecisionInfo, wireB
 		return fmt.Errorf("dsms: update for uninstalled source %s", u.SourceID)
 	}
 	st.mu.Lock()
-	sampled, tid, err := s.applyLocked(st, &u, wd, wireBytes)
+	sampled, tid, err := s.applyLocked(st, u, wd, hop, wireBytes)
 	if err != nil {
 		st.mu.Unlock()
 		return err
@@ -399,7 +409,7 @@ func (s *Server) HandleUpdateTraced(u core.Update, wd *trace.DecisionInfo, wireB
 	// ack: rejected updates never enter the log, and the per-source
 	// record order equals the apply order (see persist.go).
 	if s.db != nil && !s.db.replaying {
-		if err := s.db.appendUpdate(st, &u); err != nil {
+		if err := s.db.appendUpdate(st, u); err != nil {
 			st.mu.Unlock()
 			return fmt.Errorf("dsms: logging update %s/%d: %w", u.SourceID, u.Seq, err)
 		}
@@ -416,33 +426,15 @@ func (s *Server) HandleUpdateTraced(u core.Update, wd *trace.DecisionInfo, wireB
 	return nil
 }
 
-// RecordForwardHop splices a router's hop evidence (carried by the
-// 101-byte TagTrace form, see wire/hoptrace.go) into the stream's
-// flight recorder: fwd_rx/fwd_tx events stamped with the router's own
-// timestamps, keyed by the traceID the source minted. Called by the
-// transport before the update's apply so the ring preserves causal
-// order. A no-op when tracing is off, the source is unknown, or the
-// sequence is not sampled.
-func (s *Server) RecordForwardHop(sourceID string, traceID, seq int64, hop wire.TraceHop) {
-	s.mu.RLock()
-	st := s.sources[sourceID]
-	s.mu.RUnlock()
-	if st == nil || st.rec == nil || !st.rec.Sampled(seq) {
-		return
-	}
-	st.rec.Record(&trace.Event{TraceID: traceID, Seq: seq, At: hop.RxUnixNs, Kind: trace.KindFwdRx, Aux: int64(hop.Idx)})
-	st.rec.Record(&trace.Event{TraceID: traceID, Seq: seq, At: hop.TxUnixNs, Kind: trace.KindFwdTx, Aux: hop.Epoch})
-}
-
-// applyLocked is the single apply body shared by the synchronous TCP
-// path (HandleUpdateTraced) and the shard engine's batch path
-// (applyRun): filter step, history, time map, suppression accounting,
-// telemetry, trace and audit. Both transports therefore produce
+// applyLocked is the single apply body shared by the synchronous path
+// (ingest) and the shard engine's batch path (applyRun): filter step,
+// history, time map, suppression accounting, telemetry, trace and
+// audit. Both transports therefore produce
 // bit-identical filter trajectories for the same update sequence.
 // Caller holds st.mu. WAL appending stays with the caller because the
 // two paths commit differently (per-update vs group commit). Returns
 // whether this apply was trace-sampled and the trace id it used.
-func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.DecisionInfo, wireBytes int) (sampled bool, tid int64, err error) {
+func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) (sampled bool, tid int64, err error) {
 	if st.node == nil {
 		return false, 0, fmt.Errorf("dsms: update for uninstalled source %s", u.SourceID)
 	}
@@ -480,13 +472,20 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 	sampled = st.rec != nil && st.rec.Sampled(int64(u.Seq))
 	innov, innovOK := st.node.LastInnovation()
 	if sampled {
+		if hop != nil {
+			// Splice the router's hop into this stream's trail ahead of
+			// the apply events so the ring preserves causal order:
+			// fwd_rx/fwd_tx carry the router's own timestamps, keyed by
+			// the trace id the source minted.
+			st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.RxUnixNs, Kind: trace.KindFwdRx, Aux: int64(hop.Idx)})
+			st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.TxUnixNs, Kind: trace.KindFwdTx, Aux: hop.Epoch})
+		}
 		if wireBytes > 0 {
 			st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWireRx, Aux: int64(wireBytes)})
 		}
 		if wd != nil {
-			// At carries the source's decision timestamp when the hop
-			// extension supplied one (zero lets Record stamp arrival
-			// time), so spliced cross-node trails sort by source time.
+			// At carries the source's decision timestamp, so spliced
+			// cross-node trails sort by source time.
 			st.rec.Record(&trace.Event{
 				TraceID: wd.TraceID, Seq: wd.Seq, At: wd.At, Kind: trace.KindDecision, Dec: wd.Decision,
 				Raw: wd.Raw, Value: wd.Smoothed, Pred: wd.Pred,
@@ -552,17 +551,9 @@ func (s *Server) Answer(queryID string, seq int) ([]float64, error) {
 	return vals, nil
 }
 
-// defaultWorkers is the one parallelism knob shared by the batch
-// paths: StepAll's worker pool and the ingest engine's shard count
-// both default to it, so tuning GOMAXPROCS tunes both.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // advanceOne brings one stream's prediction forward to reading index
-// seq, returning whether it actually advanced. This is the single
-// advance body shared by the pooled StepAll path and the shard-affine
-// path (stepAllSharded in ingest.go): both execute exactly these
-// operations under the same per-source lock, so the two paths produce
-// bit-identical trajectories by construction.
+// seq, returning whether it actually advanced — the body of AdvanceAll
+// (ingest.go), run under the per-source lock.
 func (s *Server) advanceOne(st *sourceState, seq int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -578,58 +569,6 @@ func (s *Server) advanceOne(st *sourceState, seq int) bool {
 		_ = s.db.appendAdvance(st, seq)
 	}
 	return true
-}
-
-// StepAll advances every streaming source's prediction to reading index
-// seq, fanning the per-stream filter steps over a bounded worker pool.
-// This is the batch path for a central clock tick: instead of paying one
-// Answer round-trip per stream, the server brings all filters forward in
-// parallel. workers <= 0 uses GOMAXPROCS. It returns the number of
-// sources whose prediction actually advanced; sources without a
-// bootstrap yet, or already at or past seq, are skipped.
-//
-// Servers running the shard ingest engine should prefer AdvanceAll: this
-// pool is detached from shard ownership, so its workers contend with the
-// shard workers for the per-stream locks.
-func (s *Server) StepAll(seq, workers int) int {
-	start := nowNanos()
-	defer func() { s.tel.stepAllNs.Observe(nowNanos() - start) }()
-	s.mu.RLock()
-	batch := make([]*sourceState, 0, len(s.sources))
-	for _, st := range s.sources {
-		batch = append(batch, st)
-	}
-	s.mu.RUnlock()
-	if len(batch) == 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	var advanced atomic.Int64
-	work := make(chan *sourceState)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for st := range work {
-				if s.advanceOne(st, seq) {
-					advanced.Add(1)
-				}
-			}
-		}()
-	}
-	for _, st := range batch {
-		work <- st
-	}
-	close(work)
-	wg.Wait()
-	s.tel.stepAllAdvanced.Add(advanced.Load())
-	return int(advanced.Load())
 }
 
 // SourceIDs returns the registered source ids, sorted.
@@ -826,37 +765,36 @@ type TraceEntry struct {
 // streams, newest first. source narrows to one stream; a nonzero kind
 // or decision keeps only matching events.
 func (s *Server) TraceRecent(limit int, source string, kind trace.Kind, dec trace.Decision) []TraceEntry {
+	recs := make(map[string]*trace.Recorder)
+	s.mu.RLock()
+	for id, st := range s.sources {
+		st.mu.Lock()
+		recs[id] = st.rec
+		st.mu.Unlock()
+	}
+	s.mu.RUnlock()
+	return RecentTrace(recs, limit, source, kind, dec)
+}
+
+// RecentTrace is the /tracez listing over a set of per-stream flight
+// recorders (nil recorders are skipped), shared with the router.
+func RecentTrace(recs map[string]*trace.Recorder, limit int, source string, kind trace.Kind, dec trace.Decision) []TraceEntry {
 	if limit <= 0 {
 		limit = 100
 	}
-	type streamRec struct {
-		id  string
-		rec *trace.Recorder
-	}
-	s.mu.RLock()
-	streams := make([]streamRec, 0, len(s.sources))
-	for id, st := range s.sources {
-		if source != "" && id != source {
+	var out []TraceEntry
+	for id, rec := range recs {
+		if rec == nil || (source != "" && id != source) {
 			continue
 		}
-		st.mu.Lock()
-		rec := st.rec
-		st.mu.Unlock()
-		if rec != nil {
-			streams = append(streams, streamRec{id: id, rec: rec})
-		}
-	}
-	s.mu.RUnlock()
-	var out []TraceEntry
-	for _, sr := range streams {
-		for _, ev := range sr.rec.Events() {
+		for _, ev := range rec.Events() {
 			if kind != 0 && ev.Kind != kind {
 				continue
 			}
 			if dec != trace.DecisionNone && ev.Dec != dec {
 				continue
 			}
-			out = append(out, TraceEntry{SourceID: sr.id, EventView: ev.View()})
+			out = append(out, TraceEntry{SourceID: id, EventView: ev.View()})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].AtUnixNs > out[j].AtUnixNs })

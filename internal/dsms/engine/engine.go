@@ -39,8 +39,7 @@ type Sink interface {
 // Options tunes an Engine.
 type Options struct {
 	// Shards is the number of shard workers. <= 0 uses
-	// runtime.GOMAXPROCS(0) — the same default StepAll's worker pool
-	// uses, so the two batch paths share one parallelism knob.
+	// runtime.GOMAXPROCS(0).
 	Shards int
 	// RingSize is the per-(producer,shard) ring capacity, rounded up
 	// to a power of two. <= 0 selects 1024.
@@ -123,7 +122,7 @@ type shard struct {
 	depthHWM atomic.Uint64
 
 	// tasks are one-shot closures RunOnShard hands the worker — the
-	// shard-affine batch work (StepAll advances) that must not contend
+	// shard-affine batch work (AdvanceAll) that must not contend
 	// with the worker's own applies. taskCount shadows len(tasks) so the
 	// hot loop's "anything to do?" check stays an atomic load.
 	taskMu    sync.Mutex

@@ -2,12 +2,13 @@
 // worker (internal/dsms/engine), which applies updates in batch and
 // group-commits the WAL — the per-update lock handoff and per-update
 // fsync disappear from the steady-state path. Cross-shard readers
-// (Answer, Stats, Streamz, StepAll) still take the per-source lock;
+// (Answer, Stats, Streamz) still take the per-source lock;
 // shard ownership just guarantees the ingest side of that lock is a
 // single uncontended writer.
 package dsms
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -34,8 +35,7 @@ type shardLog struct {
 // returns it. Callers register producer lanes on the returned engine
 // (the UDP server does this per socket reader) and shut it down with
 // its Close. At most one engine per server; later calls return the
-// existing engine. opts.Shards <= 0 uses the same GOMAXPROCS default as
-// StepAll's worker pool.
+// existing engine. opts.Shards <= 0 selects GOMAXPROCS.
 func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
@@ -43,7 +43,7 @@ func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 		return s.eng
 	}
 	if opts.Shards <= 0 {
-		opts.Shards = defaultWorkers()
+		opts.Shards = runtime.GOMAXPROCS(0)
 	}
 	s.shardLogs = make([]shardLog, opts.Shards)
 	e := engine.New(engineSink{s}, opts)
@@ -59,38 +59,38 @@ func (s *Server) Engine() *engine.Engine {
 	return s.eng
 }
 
-// AdvanceAll advances every stream's prediction to reading index seq.
-// With an ingest engine attached, each stream advances on its owning
-// shard worker (stepAllSharded) — the advance runs where the applies
-// run, so no detached pool fights the shard workers for the per-stream
-// locks. Without an engine it falls back to StepAll's bounded pool.
-// Both paths execute the same advance body (advanceOne), so they are
-// bit-identical; TestStepAllShardedEquivalence pins it.
-func (s *Server) AdvanceAll(seq int) int {
-	if e := s.Engine(); e != nil {
-		return s.stepAllSharded(e, seq)
-	}
-	return s.StepAll(seq, 0)
-}
-
-// stepAllSharded is the engine-affine batch advance: streams are grouped
-// by owning shard and each group advances as one task on its shard's
-// worker goroutine, serialized with that shard's applies. The per-stream
-// lock is still taken inside advanceOne — queries and scrapes read under
-// it from other goroutines — but it is uncontended on the write side,
-// because the single writer for every stream in the group is the worker
-// running the task.
+// AdvanceAll advances every streaming source's prediction to reading
+// index seq — the batch path for a central clock tick: instead of
+// paying one Answer round-trip per stream, the server brings all filters
+// forward at once. It returns the number of sources whose prediction
+// actually advanced; sources without a bootstrap yet, or already at or
+// past seq, are skipped.
+//
+// With an ingest engine attached, streams are grouped by owning shard
+// and each group advances as one task on its shard's worker goroutine,
+// serialized with that shard's applies: the per-stream lock is still
+// taken (queries and scrapes read under it) but is uncontended on the
+// write side. Without an engine it is one group advanced in place on
+// the calling goroutine. Either way every stream runs advanceOne, so
+// the two are bit-identical; TestStepAllShardedEquivalence pins it.
 //
 // Must not be called from inside a shard worker (a sink callback would
-// wait on its own shard). The public entry points (AdvanceAll, admin)
-// only run it from outside the engine.
-func (s *Server) stepAllSharded(e *engine.Engine, seq int) int {
+// wait on its own shard).
+func (s *Server) AdvanceAll(seq int) int {
 	start := nowNanos()
 	defer func() { s.tel.stepAllNs.Observe(nowNanos() - start) }()
+	e := s.Engine()
+	shards := 1
+	if e != nil {
+		shards = e.Shards()
+	}
 	s.mu.RLock()
-	groups := make([][]*sourceState, e.Shards())
+	groups := make([][]*sourceState, shards)
 	for id, st := range s.sources {
-		sh := e.ShardFor(id)
+		sh := 0
+		if e != nil {
+			sh = e.ShardFor(id)
+		}
 		groups[sh] = append(groups[sh], st)
 	}
 	s.mu.RUnlock()
@@ -112,9 +112,9 @@ func (s *Server) stepAllSharded(e *engine.Engine, seq int) int {
 			}
 			advanced.Add(n)
 		}
-		if !e.RunOnShard(sh, task) {
-			// Engine closed under us: run the group here. Correct — the
-			// workers are gone, so there is nothing to contend with.
+		// No engine, or it closed under us: run the group here. Correct —
+		// there are no workers, so there is nothing to contend with.
+		if e == nil || !e.RunOnShard(sh, task) {
 			task()
 		}
 	}
@@ -190,7 +190,7 @@ func (s *Server) applyRun(shard int, run []core.Update) {
 			ins.preBootstrap.Inc()
 			continue
 		}
-		if _, _, err := s.applyLocked(st, u, nil, 0); err != nil {
+		if _, _, err := s.applyLocked(st, u, nil, nil, 0); err != nil {
 			ins.rejected.Inc()
 			continue
 		}

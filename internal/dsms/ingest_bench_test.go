@@ -74,10 +74,9 @@ func BenchmarkUDPIngest(b *testing.B) {
 }
 
 // benchIngestFanIn is the aggregate-ingest benchmark body, IDENTICAL
-// for both transports (the before/after comparison in BENCH_INGEST.json
-// requires it): b.N pre-encoded updates from `sources` simulated
-// sources — plain seq counters, no mirror filters, the dkf-bench -fanin
-// workload — round-robined through the transport-specific send, then
+// for both transports (a same-body comparison requires it): b.N
+// pre-encoded updates from `sources` simulated sources — plain seq
+// counters, no mirror filters — round-robined through the transport-specific send, then
 // drained and checked ≥99% applied. Only the setup closure differs:
 //
 //   - tcp: one connection, one server handler goroutine, one write
@@ -167,7 +166,7 @@ func dialSimTCP(b *testing.B, addr, id string) *tcpSimSource {
 	b.Cleanup(func() { conn.Close() })
 	w := wire.NewWriter(conn, 256, 0)
 	r := wire.NewReader(conn, 0, 0)
-	if err := w.WritePreamble(wire.Version); err != nil {
+	if err := w.WritePreamble(wire.Version, 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Hello(id); err != nil {
@@ -176,7 +175,7 @@ func dialSimTCP(b *testing.B, addr, id string) *tcpSimSource {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := r.ReadPreambleFeatures(); err != nil {
+	if _, _, err := r.ReadPreamble(); err != nil {
 		b.Fatal(err)
 	}
 	tag, _, err := r.Next()
@@ -224,29 +223,17 @@ func setupFanInTCP(b *testing.B, s *Server, ids []string) (func(int, *core.Updat
 }
 
 func setupFanInUDP(b *testing.B, s *Server, ids []string) (func(int, *core.Update) error, func(int), func(int)) {
-	return setupFanInUDPOpts(b, s, UDPServerOptions{Engine: EngineOptions{RingSize: 8192}}, UDPBatcherOptions{})
+	return setupFanInUDPOpts(b, s, UDPServerOptions{Engine: EngineOptions{RingSize: 8192}}, 0)
 }
 
 // setupFanInUDPGram is the one-update-per-datagram wire shape — what a
 // fleet of per-source UDPAgents produces, where the server-side receive
-// syscall cannot be amortized by sender-side packing. batched=false
-// pins every batch knob to 1 (single reader, one datagram per receive
-// syscall, one write per datagram: the pre-lane transport layout, kept
-// runnable so the BENCH_INGEST.json before/after stays reproducible);
-// batched=true uses the recvmmsg/sendmmsg defaults.
-func setupFanInUDPGram(batched bool) func(b *testing.B, s *Server, ids []string) (func(int, *core.Update) error, func(int), func(int)) {
-	return func(b *testing.B, s *Server, ids []string) (func(int, *core.Update) error, func(int), func(int)) {
-		sopts := UDPServerOptions{Engine: EngineOptions{RingSize: 32768}}
-		bopts := UDPBatcherOptions{FlushBytes: 1}
-		if !batched {
-			sopts.Lanes, sopts.RxBatch = 1, 1
-			bopts.SendBatch = 1
-		}
-		return setupFanInUDPOpts(b, s, sopts, bopts)
-	}
+// syscall cannot be amortized by sender-side packing.
+func setupFanInUDPGram(b *testing.B, s *Server, ids []string) (func(int, *core.Update) error, func(int), func(int)) {
+	return setupFanInUDPOpts(b, s, UDPServerOptions{Engine: EngineOptions{RingSize: 32768}}, 1)
 }
 
-func setupFanInUDPOpts(b *testing.B, s *Server, sopts UDPServerOptions, bopts UDPBatcherOptions) (func(int, *core.Update) error, func(int), func(int)) {
+func setupFanInUDPOpts(b *testing.B, s *Server, sopts UDPServerOptions, flushBytes int) (func(int, *core.Update) error, func(int), func(int)) {
 	us, err := NewUDPServer(s, "127.0.0.1:0", sopts)
 	if err != nil {
 		b.Fatal(err)
@@ -256,7 +243,7 @@ func setupFanInUDPOpts(b *testing.B, s *Server, sopts UDPServerOptions, bopts UD
 		us.Close()
 		s.Engine().Close()
 	})
-	batcher, err := DialUDPBatcherOpts(us.Addr().String(), bopts)
+	batcher, err := DialUDPBatcher(us.Addr().String(), flushBytes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -340,14 +327,10 @@ func BenchmarkIngestFanIn(b *testing.B) {
 	}
 	// The per-source-agent wire shape, where sender-side packing cannot
 	// amortize the server's receive syscalls — the case the reader lanes'
-	// recvmmsg batching exists for. udpgram-unbatched reproduces the
-	// pre-lane single-reader syscall pattern as the "before" side.
+	// recvmmsg batching exists for.
 	for _, sources := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("udpgram/%d", sources), func(b *testing.B) {
-			benchIngestFanIn(b, sources, setupFanInUDPGram(true))
-		})
-		b.Run(fmt.Sprintf("udpgram-unbatched/%d", sources), func(b *testing.B) {
-			benchIngestFanIn(b, sources, setupFanInUDPGram(false))
+			benchIngestFanIn(b, sources, setupFanInUDPGram)
 		})
 	}
 }

@@ -51,7 +51,7 @@ import (
 const (
 	walTagRegister byte = 0x10 // str queryID, str sourceID, str model, f64 delta, f64 F
 	walTagUpdate   byte = 0x11 // wire update payload (wire.AppendUpdate), verbatim
-	walTagAdvance  byte = 0x12 // str sourceID, i64 seq (StepAll batch advance)
+	walTagAdvance  byte = 0x12 // str sourceID, i64 seq (AdvanceAll batch advance)
 )
 
 // DurabilityOptions configures Open.

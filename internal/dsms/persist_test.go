@@ -111,7 +111,7 @@ func nodeBits(t *testing.T, s *Server, sourceID string) (x, p []uint64, seq int)
 }
 
 // runReference streams data into a fresh non-durable server, mirroring
-// the exact call sequence of the durable runs (StepAll at stepAt), and
+// the exact call sequence of the durable runs (AdvanceAll at stepAt), and
 // returns the server plus the transcript of transmitted updates.
 func runReference(t *testing.T, q stream.Query, data []stream.Reading, stepAt int) (*Server, []core.Update) {
 	t.Helper()
@@ -134,7 +134,7 @@ func runReference(t *testing.T, q stream.Query, data []stream.Reading, stepAt in
 			t.Fatal(err)
 		}
 		if i == stepAt {
-			s.StepAll(r.Seq, 2)
+			s.AdvanceAll(r.Seq)
 		}
 	}
 	return s, transcript
@@ -175,7 +175,7 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == stepAt {
-			s1.StepAll(data[i].Seq, 2)
+			s1.AdvanceAll(data[i].Seq)
 		}
 		if i == ckptAt {
 			// An explicit checkpoint mid-stream: recovery below must
@@ -596,7 +596,7 @@ func TestDurableServerInterval(t *testing.T) {
 // is WAL-logged under the interval fsync policy before it is
 // acknowledged. The delta between the two benchmarks is the price of
 // durability on the ingest hot path (budget: within 2x of the
-// non-durable path — see BENCH_WAL.json).
+// non-durable path).
 func BenchmarkTCPIngestDurable(b *testing.B) {
 	catalog := testCatalog()
 	s, err := Open(catalog, b.TempDir(), DurabilityOptions{Sync: wal.SyncInterval})

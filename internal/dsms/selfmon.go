@@ -528,7 +528,7 @@ func DefaultSelfSignals() []SelfSignal {
 			Model: "constant", Delta: 0.5, Read: rate("dkf_engine_ring_dropped_total")},
 		{Name: "ring_hwm_growth", Help: "Shard ring high-water-mark growth per second.",
 			Model: "constant", Delta: 8, Read: rate("dkf_engine_ring_depth_hwm")},
-		{Name: "stepall_p99_ms", Help: "StepAll batch latency p99 over the rate window, milliseconds.",
+		{Name: "stepall_p99_ms", Help: "AdvanceAll batch latency p99 over the rate window, milliseconds.",
 			Model: "constant", Delta: 20, Read: p99ms("dkf_server_stepall_ns")},
 		{Name: "wal_fsync_p99_ms", Help: "WAL fsync latency p99 over the rate window, milliseconds.",
 			Model: "constant", Delta: 10, Read: p99ms("streamkf_wal_fsync_duration_nanos")},

@@ -1,7 +1,6 @@
 package dsms
 
 import (
-	"encoding/json"
 	"fmt"
 	"html"
 	"net/http"
@@ -12,37 +11,12 @@ import (
 	"streamkf/internal/telemetry"
 )
 
-// Verdict surfacing: /healthz (machine probe), /statusz (human
+// Verdict surfacing: /healthz (machine probe, admin.go), /statusz (human
 // dashboard) and /metricsz (windowed-rate JSON API). All three are
 // dependency-free — the dashboard is server-rendered HTML with inline
 // SVG sparklines, no scripts, no external assets — and none of them
 // stops the data path: they read the history ring under its RLock and
 // the monitor under its own mutex, exactly like any other query.
-
-// HealthzHandler serves the health verdict: 200 for ok and degraded
-// (the server still answers queries), 503 for unhealthy. Plain text
-// `<status>\n` by default; `?verbose=1` returns the full JSON document
-// with machine-readable reasons.
-func HealthzHandler(s *Server) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		h := s.Health()
-		code := http.StatusOK
-		if h.Status == verdictName(verdictUnhealthy) {
-			code = http.StatusServiceUnavailable
-		}
-		if req.URL.Query().Get("verbose") != "" {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(code)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(h)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(code)
-		fmt.Fprintf(w, "%s\n", h.Status)
-	}
-}
 
 // metricszSeries is one series in the /metricsz document.
 type metricszSeries struct {
@@ -80,9 +54,7 @@ func MetricszHandler(s *Server) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		m := s.SelfMon()
 		if m == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, `{"error": "self-monitoring disabled; start the server with -selfmon"}`)
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "self-monitoring disabled; start the server with -selfmon"})
 			return
 		}
 		window := 30 * time.Second
@@ -131,10 +103,7 @@ func MetricszHandler(s *Server) http.HandlerFunc {
 			}
 			resp.Series = append(resp.Series, out)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -171,8 +140,9 @@ func sparklineSVG(samples []float64, w, h int) string {
 	return b.String()
 }
 
-// statuszStyle is the dashboard's inline stylesheet.
-const statuszStyle = `<style>
+// AdminStyle is the inline stylesheet of every admin dashboard, shard
+// server and router alike.
+const AdminStyle = `<style>
 body{font-family:system-ui,sans-serif;margin:1.5rem;color:#1a1a1a;max-width:70rem}
 h1{font-size:1.3rem}h2{font-size:1.05rem;margin-top:1.6rem}
 table{border-collapse:collapse;width:100%}
@@ -180,7 +150,7 @@ th,td{text-align:left;padding:.3rem .6rem;border-bottom:1px solid #ddd;font-size
 th{color:#555;font-weight:600}
 .num{text-align:right;font-variant-numeric:tabular-nums}
 .badge{display:inline-block;padding:.15rem .6rem;border-radius:.3rem;color:#fff;font-weight:600}
-.ok{background:#2a7d2a}.degraded{background:#c77d00}.unhealthy{background:#b3261e}
+.ok{background:#2a7d2a}.degraded{background:#c77d00}.unhealthy{background:#b3261e}.grey{background:#888}
 .spark{color:#3366cc;vertical-align:middle}
 .active{color:#b3261e;font-weight:600}
 .muted{color:#888}
@@ -196,7 +166,7 @@ func StatuszHandler(s *Server) http.HandlerFunc {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		var b strings.Builder
 		b.WriteString("<!DOCTYPE html><html><head><title>dkf statusz</title>")
-		b.WriteString(statuszStyle)
+		b.WriteString(AdminStyle)
 		b.WriteString("</head><body><h1>DKF server status</h1>")
 		b.WriteString(`<nav><a href="/metrics">/metrics</a><a href="/metricsz">/metricsz</a><a href="/streamz">/streamz</a><a href="/tracez">/tracez</a><a href="/healthz?verbose=1">/healthz</a><a href="/debug/pprof/">/debug/pprof</a></nav>`)
 

@@ -35,8 +35,6 @@ type DialOptions struct {
 	// 0 means DefaultWindow; 1 reproduces the synchronous
 	// ack-per-update protocol.
 	Window int
-	// MaxFrame caps accepted frame sizes; 0 means wire.DefaultMaxFrame.
-	MaxFrame int
 	// Telemetry, when non-nil, receives the agent's instrument set
 	// (offers, sends, ack RTT, window occupancy) under per-source
 	// labels. Recording is allocation-free, so enabling it does not
@@ -150,19 +148,18 @@ func (t *TCPServer) handle(conn net.Conn) {
 		delete(t.conns, conn)
 		t.mu.Unlock()
 	}()
-	r := wire.NewReader(conn, 0, t.maxFrame)
-	w := wire.NewWriter(conn, 0, t.maxFrame)
-	r.OnFrame = tel.rx
-	w.OnFrame = tel.tx
+	c := tcpConn{s: t.server, r: wire.NewReader(conn, 0, t.maxFrame), w: wire.NewWriter(conn, 0, t.maxFrame)}
+	c.r.OnFrame = tel.rx
+	c.w.OnFrame = tel.tx
 
 	// Preamble exchange: validate the client's, answer with ours. A
 	// peer that is not speaking the protocol at all gets an error frame
 	// on the off chance it can parse one, then the close.
-	ver, err := r.ReadPreamble()
+	ver, _, err := c.r.ReadPreamble()
 	if err != nil {
 		tel.countWireError(err)
-		w.Error(err.Error())
-		w.Flush()
+		c.w.Error(err.Error())
+		c.w.Flush()
 		return
 	}
 	// Advertise trace-frame acceptance only while tracing is on, so
@@ -172,305 +169,258 @@ func (t *TCPServer) handle(conn net.Conn) {
 	// requires the bit before it will forward upstream.
 	feats := wire.FeatCluster
 	if t.server.TraceEnabled() {
-		// FeatHopTrace invites the extended TagTrace payloads that carry
-		// decision/router-hop timestamps (see wire/hoptrace.go) so a
-		// spliced cross-node trail can order events by source time.
-		feats |= wire.FeatTrace | wire.FeatHopTrace
+		feats |= wire.FeatTrace
 	}
-	if w.WritePreambleFeatures(wire.Version, feats) != nil {
+	if c.w.WritePreamble(wire.Version, feats) != nil {
 		return
 	}
 	if err := wire.CheckVersion(ver); err != nil {
-		tel.countWireError(err)
-		w.Error(fmt.Sprintf("dsms: %v", err))
-		w.Flush()
+		c.fatal(err)
 		return
 	}
-	if w.Flush() != nil {
+	if c.w.Flush() != nil {
 		return
 	}
-
-	// Per-connection decode state: the update struct and its Values
-	// slice are reused across frames, so the steady-state ingest path
-	// performs no allocations. pend holds decision evidence from a
-	// trace frame until the update it describes arrives.
-	var u core.Update
-	var ackSeq int64
-	pendingAck := false
-	var pend trace.DecisionInfo
-	havePend := false
-	var pendHop wire.TraceHop
-	haveHop := false
-
-	// Forward-ack coalescing (cluster mode): a burst of forwarded
-	// updates acks once per route index, not once per frame. fwdOrder
-	// keeps the flush order deterministic (first-touched first).
-	var fwdAcks map[uint32]int64
-	var fwdOrder []uint32
-
-	// flushAck writes the cumulative ack for everything folded so far.
-	flushAck := func() bool {
-		if pendingAck {
-			if w.Ack(ackSeq) != nil {
-				return false
-			}
-			pendingAck = false
-		}
-		for _, idx := range fwdOrder {
-			if w.ForwardAck(idx, fwdAcks[idx]) != nil {
-				return false
-			}
-			delete(fwdAcks, idx)
-		}
-		fwdOrder = fwdOrder[:0]
-		return w.Flush() == nil
-	}
-
 	for {
-		tag, p, err := r.Next()
+		tag, p, err := c.r.Next()
 		if err != nil {
-			tel.countWireError(err)
 			// Tell a well-behaved client why an oversized or malformed
 			// frame killed the connection; a vanished peer gets nothing.
 			var fse *wire.FrameSizeError
 			if errors.As(err, &fse) || errors.Is(err, wire.ErrMalformed) {
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				c.fatal(err)
+			} else {
+				tel.countWireError(err)
 			}
 			return
 		}
-		switch tag {
-		case wire.TagHello:
-			id, err := wire.DecodeHello(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			cfg, err := t.server.InstallFor(id)
-			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			// ResumeSeq tells a reconnecting source with live mirror
-			// state how far this server's (possibly crash-recovered)
-			// filter has advanced: resend unacked updates past it, no
-			// re-bootstrap. A fresh source ignores it and bootstraps.
-			if w.Install(cfg.SourceID, cfg.Model.Name, cfg.Delta, cfg.F, t.server.ResumeSeq(id)) != nil || !flushAck() {
-				return
-			}
-		case wire.TagUpdate:
-			if err := r.DecodeUpdate(p, &u); err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			var wd *trace.DecisionInfo
-			if havePend {
-				havePend, haveHop = false, false
-				if pend.Seq == int64(u.Seq) {
-					wd = &pend
-				}
-			}
-			if err := t.server.HandleUpdateTraced(u, wd, len(p)+5); err != nil {
-				// Delivered asynchronously: the client fails its next
-				// Offer. Keep reading — the client decides when to hang up.
-				if w.Error(err.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			ackSeq = int64(u.Seq)
-			pendingAck = true
-			// Coalesce acks: only flush when no further frames are
-			// already buffered, so a burst of updates costs one ack
-			// write-out instead of one per update.
-			if r.Buffered() == 0 && !flushAck() {
-				return
-			}
-		case wire.TagTrace:
-			d, hop, hasHop, err := wire.DecodeTraceExt(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			// Not acked: the evidence travels with (and is confirmed by
-			// the ack of) the update frame that follows it.
-			pend, havePend = d, true
-			pendHop, haveHop = hop, hasHop
-		case wire.TagQuery:
-			qid, seq, err := r.DecodeQuery(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			vals, err := t.server.Answer(qid, int(seq))
-			if err != nil {
-				// The id may name an aggregate or windowed query instead.
-				// A Partial aggregate answers its mergeable partial vector
-				// (what a router merges); others answer a scalar.
-				if v, aggErr := t.server.AnswerAggregateVals(qid, int(seq)); aggErr == nil {
-					vals, err = v, nil
-				} else if v, winErr := t.server.AnswerWindow(qid, int(seq)); winErr == nil {
-					vals, err = []float64{v}, nil
-				}
-			}
-			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			if w.Answer(qid, vals) != nil || !flushAck() {
-				return
-			}
-		case wire.TagForward:
-			// A router-forwarded update: the envelope carries the route
-			// index the ack must name (the downstream seq alone is
-			// ambiguous across sources sharing the upstream connection)
-			// and the topology epoch the router routed under.
-			env, err := wire.DecodeForward(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			t.server.ObserveEpoch(env.Epoch)
-			if err := r.DecodeUpdate(env.Payload, &u); err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			if _, rel := t.server.SourceReleased(u.SourceID); rel {
-				// A stale owner: this stream migrated away. Rejecting —
-				// never folding — keeps exactly one shard authoritative.
-				if w.Error(fmt.Sprintf("dsms: source %s released from this shard", u.SourceID)) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			var wd *trace.DecisionInfo
-			wdHop := false
-			if havePend {
-				havePend = false
-				if pend.Seq == int64(u.Seq) {
-					wd = &pend
-					wdHop = haveHop
-				}
-				haveHop = false
-			}
-			if wd != nil && wdHop {
-				// Splice the router's hop into this stream's trail before
-				// the apply/wal events so the ring preserves causal order.
-				t.server.RecordForwardHop(u.SourceID, wd.TraceID, wd.Seq, pendHop)
-			}
-			if err := t.server.HandleUpdateTraced(u, wd, len(p)+5); err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			if _, ok := fwdAcks[env.Idx]; !ok {
-				if fwdAcks == nil {
-					fwdAcks = make(map[uint32]int64)
-				}
-				fwdOrder = append(fwdOrder, env.Idx)
-			}
-			fwdAcks[env.Idx] = int64(u.Seq)
-			if r.Buffered() == 0 && !flushAck() {
-				return
-			}
-		case wire.TagClusterReg:
-			kind, q, agg, err := wire.DecodeClusterReg(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			// Registration is idempotent-adopt: a router re-registering
-			// after a shard restart finds the queries recovered from the
-			// WAL and simply confirms them.
-			var id string
-			var regErr error
-			if kind == wire.RegAggregate {
-				id = agg.ID
-				if !t.server.HasAggregate(agg.ID) {
-					regErr = t.server.RegisterAggregate(AggregateQuery{
-						ID: agg.ID, Func: AggFunc(agg.Func), Model: agg.Model,
-						Delta: agg.Delta, F: agg.F, Partial: agg.Partial, SourceIDs: agg.SourceIDs,
-					})
-				}
-			} else {
-				id = q.ID
-				if !t.server.HasQuery(q.ID) {
-					regErr = t.server.Register(stream.Query{
-						ID: q.ID, SourceID: q.SourceID, Model: q.Model, Delta: q.Delta, F: q.F,
-					})
-				}
-			}
-			if regErr != nil {
-				if w.Error(regErr.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			if w.Registered(id) != nil || !flushAck() {
-				return
-			}
-		case wire.TagSnapshot:
-			srcID, epoch, err := wire.DecodeSnapshot(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			payload, resumeSeq, err := t.server.SnapshotSource(srcID, epoch)
-			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			if w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch, Payload: payload}) != nil || !flushAck() {
-				return
-			}
-		case wire.TagRestore:
-			epoch, payload, err := wire.DecodeRestore(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			srcID, resumeSeq, err := t.server.RestoreSource(payload, epoch)
-			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			if w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch}) != nil || !flushAck() {
-				return
-			}
-		default:
-			tel.errUnknownTag.Inc()
-			if w.Error(fmt.Sprintf("dsms: unknown message tag 0x%02x", byte(tag))) != nil || !flushAck() {
-				return
-			}
+		if !c.frame(tag, p) {
+			return
 		}
 	}
+}
+
+// tcpConn is one connection's serving state. The update struct and its
+// Values slice are reused across frames, so the steady-state ingest
+// path performs no allocations.
+type tcpConn struct {
+	s *Server
+	r *wire.Reader
+	w *wire.Writer
+	u core.Update
+
+	// Cumulative ack for plain updates, written by flushAck.
+	ackSeq     int64
+	pendingAck bool
+	// pend holds decision evidence (and the router's hop, when the
+	// frame carried one) from a trace frame until the next update or
+	// forward frame consumes it.
+	pend     trace.DecisionInfo
+	pendHop  wire.TraceHop
+	havePend bool
+	haveHop  bool
+	// Forward-ack coalescing (cluster mode): a burst of forwarded
+	// updates acks once per route index, not once per frame. fwdOrder
+	// keeps the flush order deterministic (first-touched first).
+	fwdAcks  map[uint32]int64
+	fwdOrder []uint32
+}
+
+// flushAck writes the cumulative acks for everything folded so far and
+// flushes the connection.
+func (c *tcpConn) flushAck() bool {
+	if c.pendingAck {
+		if c.w.Ack(c.ackSeq) != nil {
+			return false
+		}
+		c.pendingAck = false
+	}
+	for _, idx := range c.fwdOrder {
+		if c.w.ForwardAck(idx, c.fwdAcks[idx]) != nil {
+			return false
+		}
+		delete(c.fwdAcks, idx)
+	}
+	c.fwdOrder = c.fwdOrder[:0]
+	return c.w.Flush() == nil
+}
+
+// fatal answers a frame the connection cannot survive (undecodable
+// payload, wrong version) with a best-effort error frame; the false it
+// returns makes the caller hang up.
+func (c *tcpConn) fatal(err error) bool {
+	c.s.tel.countWireError(err)
+	c.w.Error(fmt.Sprintf("dsms: %v", err))
+	c.w.Flush()
+	return false
+}
+
+// reply completes a request whose reply frame is already buffered
+// (werr is that write's result): flush it behind any pending acks.
+func (c *tcpConn) reply(werr error) bool { return werr == nil && c.flushAck() }
+
+// refuse reports a request the server rejected. Delivered as an error
+// frame — asynchronously, for a pipelined update: the client fails its
+// next Offer. Keep reading; the client decides when to hang up.
+func (c *tcpConn) refuse(err error) bool { return c.reply(c.w.Error(err.Error())) }
+
+// frame serves one inbound frame, returning false when the connection
+// must close.
+func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
+	switch tag {
+	case wire.TagUpdate, wire.TagForward:
+		return c.update(tag == wire.TagForward, p)
+	case wire.TagTrace:
+		d, hop, hasHop, err := wire.DecodeTrace(p)
+		if err != nil {
+			return c.fatal(err)
+		}
+		// Not acked: the evidence travels with (and is confirmed by
+		// the ack of) the update frame that follows it.
+		c.pend, c.havePend = d, true
+		c.pendHop, c.haveHop = hop, hasHop
+		return true
+	case wire.TagHello:
+		id, err := wire.DecodeHello(p)
+		if err != nil {
+			return c.fatal(err)
+		}
+		inst, err := c.s.installReply(id)
+		if err != nil {
+			return c.refuse(err)
+		}
+		return c.reply(c.w.Install(inst))
+	case wire.TagQuery:
+		qid, seq, err := c.r.DecodeQuery(p)
+		if err != nil {
+			return c.fatal(err)
+		}
+		vals, err := c.s.Answer(qid, int(seq))
+		if err != nil {
+			// The id may name an aggregate or windowed query instead.
+			// A Partial aggregate answers its mergeable partial vector
+			// (what a router merges); others answer a scalar.
+			if v, aggErr := c.s.AnswerAggregateVals(qid, int(seq)); aggErr == nil {
+				vals, err = v, nil
+			} else if v, winErr := c.s.AnswerWindow(qid, int(seq)); winErr == nil {
+				vals, err = []float64{v}, nil
+			}
+		}
+		if err != nil {
+			return c.refuse(err)
+		}
+		return c.reply(c.w.Answer(qid, vals))
+	case wire.TagClusterReg:
+		kind, q, agg, err := wire.DecodeClusterReg(p)
+		if err != nil {
+			return c.fatal(err)
+		}
+		// Registration is idempotent-adopt: a router re-registering
+		// after a shard restart finds the queries recovered from the
+		// WAL and simply confirms them.
+		id := q.ID
+		if kind == wire.RegAggregate {
+			id = agg.ID
+			if !c.s.HasAggregate(id) {
+				err = c.s.RegisterAggregate(AggregateQuery{
+					ID: agg.ID, Func: AggFunc(agg.Func), Model: agg.Model,
+					Delta: agg.Delta, F: agg.F, Partial: agg.Partial, SourceIDs: agg.SourceIDs,
+				})
+			}
+		} else if !c.s.HasQuery(id) {
+			err = c.s.Register(stream.Query{ID: q.ID, SourceID: q.SourceID, Model: q.Model, Delta: q.Delta, F: q.F})
+		}
+		if err != nil {
+			return c.refuse(err)
+		}
+		return c.reply(c.w.Registered(id))
+	case wire.TagSnapshot:
+		srcID, epoch, err := wire.DecodeSnapshot(p)
+		if err != nil {
+			return c.fatal(err)
+		}
+		payload, resumeSeq, err := c.s.SnapshotSource(srcID, epoch)
+		if err != nil {
+			return c.refuse(err)
+		}
+		return c.reply(c.w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch, Payload: payload}))
+	case wire.TagRestore:
+		epoch, payload, err := wire.DecodeRestore(p)
+		if err != nil {
+			return c.fatal(err)
+		}
+		srcID, resumeSeq, err := c.s.RestoreSource(payload, epoch)
+		if err != nil {
+			return c.refuse(err)
+		}
+		return c.reply(c.w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch}))
+	default:
+		c.s.tel.errUnknownTag.Inc()
+		return c.reply(c.w.Error(fmt.Sprintf("dsms: unknown message tag 0x%02x", byte(tag))))
+	}
+}
+
+// update folds one TagUpdate or (forwarded) TagForward frame into its
+// stream and notes the ack it earns.
+func (c *tcpConn) update(forwarded bool, p []byte) bool {
+	// Consume the stashed trace evidence before anything can exit: it
+	// describes this frame and no other, so a frame that is rejected
+	// below must take its evidence with it — on a router's multiplexed
+	// upstream the next forward may be another source's at the same seq.
+	var wd *trace.DecisionInfo
+	var hop *wire.TraceHop
+	if c.havePend {
+		wd = &c.pend
+		if c.haveHop {
+			hop = &c.pendHop
+		}
+		c.havePend, c.haveHop = false, false
+	}
+	payload := p
+	var idx uint32
+	if forwarded {
+		// The envelope carries the route index the ack must name (the
+		// downstream seq alone is ambiguous across sources sharing the
+		// upstream connection) and the epoch the router routed under.
+		env, err := wire.DecodeForward(p)
+		if err != nil {
+			return c.fatal(err)
+		}
+		c.s.ObserveEpoch(env.Epoch)
+		payload, idx = env.Payload, env.Idx
+	}
+	if err := c.r.DecodeUpdate(payload, &c.u); err != nil {
+		return c.fatal(err)
+	}
+	if forwarded {
+		if _, rel := c.s.SourceReleased(c.u.SourceID); rel {
+			// A stale owner: this stream migrated away. Rejecting —
+			// never folding — keeps exactly one shard authoritative.
+			return c.refuse(fmt.Errorf("dsms: source %s released from this shard", c.u.SourceID))
+		}
+	}
+	seq := int64(c.u.Seq)
+	if wd != nil && wd.Seq != seq {
+		wd, hop = nil, nil
+	}
+	if err := c.s.ingest(&c.u, wd, hop, len(p)+5); err != nil {
+		return c.refuse(err)
+	}
+	if !forwarded {
+		c.ackSeq, c.pendingAck = seq, true
+	} else {
+		if _, ok := c.fwdAcks[idx]; !ok {
+			if c.fwdAcks == nil {
+				c.fwdAcks = make(map[uint32]int64)
+			}
+			c.fwdOrder = append(c.fwdOrder, idx)
+		}
+		c.fwdAcks[idx] = seq
+	}
+	// Coalesce acks: only flush when no further frames are already
+	// buffered, so a burst of updates costs one ack write-out instead
+	// of one per update.
+	return c.r.Buffered() > 0 || c.flushAck()
 }
 
 // RemoteAgent is a source agent connected to a TCPServer. It performs
@@ -510,12 +460,7 @@ type RemoteAgent struct {
 	// wire.FeatTrace. Re-evaluated on every (re)connect, so a tracing
 	// agent keeps interoperating with servers that lack the feature.
 	wireTrace bool
-	// wireHop is true when the server additionally advertised
-	// wire.FeatHopTrace: trace frames then carry the decision timestamp
-	// (73-byte form) so downstream recorders stamp the relayed decision
-	// with source time. Re-evaluated with wireTrace on every connect.
-	wireHop bool
-	tracer  *trace.Recorder // local flight recorder; nil unless opts.Trace
+	tracer    *trace.Recorder // local flight recorder; nil unless opts.Trace
 
 	ins *AgentInstruments // optional; set once at dial, nil-safe
 
@@ -529,53 +474,67 @@ func DialSource(addr, sourceID string, catalog *Catalog) (*RemoteAgent, error) {
 	return DialSourceOptions(addr, sourceID, catalog, DialOptions{})
 }
 
-// dialHandshake dials addr and runs the preamble + hello → install
-// exchange, returning the connection, its framed writer/reader, the
-// decoded install reply, and the server's advertised feature bits. On
-// error the connection is already closed.
-func dialHandshake(addr, sourceID string, window int, opts DialOptions) (net.Conn, *wire.Writer, *wire.Reader, wire.Install, byte, error) {
+// dialWire dials addr, sends this side's preamble — and, for a source
+// (hello != ""), its hello frame in the same write — and validates the
+// server's, returning the connection, its framed writer/reader and the
+// server's advertised feature bits. On error the connection is already
+// closed.
+func dialWire(addr, hello string, wbuf int) (net.Conn, *wire.Writer, *wire.Reader, byte, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, nil, nil, wire.Install{}, 0, fmt.Errorf("dsms: dial: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("dsms: dial: %w", err)
 	}
+	w := wire.NewWriter(conn, wbuf, 0)
+	r := wire.NewReader(conn, 0, 0)
+	err = w.WritePreamble(wire.Version, 0)
+	if err == nil && hello != "" {
+		err = w.Hello(hello)
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		conn.Close()
+		return nil, nil, nil, 0, fmt.Errorf("dsms: send: %w", err)
+	}
+	ver, feats, err := r.ReadPreamble()
+	if err == nil {
+		err = wire.CheckVersion(ver)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, nil, nil, 0, fmt.Errorf("dsms: handshake: %w", err)
+	}
+	return conn, w, r, feats, nil
+}
+
+// dialHandshake runs dialWire plus the hello → install exchange,
+// additionally returning the decoded install reply.
+func dialHandshake(addr, sourceID string, window int) (net.Conn, *wire.Writer, *wire.Reader, wire.Install, byte, error) {
 	// Size the write buffer for a full window of small update frames so
 	// coalesced bursts reach the kernel in one write.
-	w := wire.NewWriter(conn, 64*window, opts.MaxFrame)
-	r := wire.NewReader(conn, 0, opts.MaxFrame)
-	fail := func(err error) (net.Conn, *wire.Writer, *wire.Reader, wire.Install, byte, error) {
-		conn.Close()
+	conn, w, r, feats, err := dialWire(addr, sourceID, 64*window)
+	if err != nil {
 		return nil, nil, nil, wire.Install{}, 0, err
 	}
-	if err := w.WritePreamble(wire.Version); err != nil {
-		return fail(fmt.Errorf("dsms: send: %w", err))
-	}
-	if err := w.Hello(sourceID); err != nil {
-		return fail(fmt.Errorf("dsms: send: %w", err))
-	}
-	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("dsms: send: %w", err))
-	}
-	ver, feats, err := r.ReadPreambleFeatures()
-	if err != nil {
-		return fail(fmt.Errorf("dsms: handshake: %w", err))
-	}
-	if err := wire.CheckVersion(ver); err != nil {
-		return fail(fmt.Errorf("dsms: handshake: %w", err))
-	}
+	var inst wire.Install
 	tag, p, err := r.Next()
-	if err != nil {
-		return fail(fmt.Errorf("dsms: handshake: %w", recvErr(err)))
-	}
-	if tag == wire.TagError {
+	switch {
+	case err != nil:
+		err = fmt.Errorf("dsms: handshake: %w", recvErr(err))
+	case tag == wire.TagError:
 		msg, _ := wire.DecodeError(p)
-		return fail(fmt.Errorf("dsms: server error: %s", msg))
+		err = fmt.Errorf("dsms: server error: %s", msg)
+	case tag != wire.TagInstall:
+		err = fmt.Errorf("dsms: unexpected handshake reply %v", tag)
+	default:
+		if inst, err = wire.DecodeInstall(p); err != nil {
+			err = fmt.Errorf("dsms: handshake: %w", err)
+		}
 	}
-	if tag != wire.TagInstall {
-		return fail(fmt.Errorf("dsms: unexpected handshake reply %v", tag))
-	}
-	inst, err := wire.DecodeInstall(p)
 	if err != nil {
-		return fail(fmt.Errorf("dsms: handshake: %w", err))
+		conn.Close()
+		return nil, nil, nil, wire.Install{}, 0, err
 	}
 	return conn, w, r, inst, feats, nil
 }
@@ -586,7 +545,7 @@ func DialSourceOptions(addr, sourceID string, catalog *Catalog, opts DialOptions
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	conn, w, r, inst, feats, err := dialHandshake(addr, sourceID, window, opts)
+	conn, w, r, inst, feats, err := dialHandshake(addr, sourceID, window)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +580,6 @@ func DialSourceOptions(addr, sourceID string, catalog *Catalog, opts DialOptions
 		ra.tracer = trace.New(trace.Options{RingSize: opts.TraceRing, Sample: opts.TraceSample})
 		agent.SetTrace(ra.tracer)
 		ra.wireTrace = feats&wire.FeatTrace != 0
-		ra.wireHop = ra.wireTrace && feats&wire.FeatHopTrace != 0
 	}
 	ra.agent = agent
 	go ra.readLoop(r)
@@ -677,11 +635,7 @@ func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 				r.pending = r.pending[:copy(r.pending, r.pending[n:])]
 				r.ins.setWindow(len(r.outstanding))
 			}
-			if r.err == nil && r.w.Buffered() > 0 {
-				if err := r.w.Flush(); err != nil {
-					r.err = fmt.Errorf("dsms: send: %w", err)
-				}
-			}
+			r.flushLocked()
 			r.cond.Broadcast()
 			r.mu.Unlock()
 		case wire.TagError:
@@ -715,11 +669,8 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 	for r.err == nil && !r.closing && len(r.outstanding) >= r.window {
 		// Everything buffered must be on the wire before blocking, or
 		// the acks we are waiting for can never be generated.
-		if r.w.Buffered() > 0 {
-			if err := r.w.Flush(); err != nil {
-				r.err = fmt.Errorf("dsms: send: %w", err)
-				break
-			}
+		if r.flushLocked(); r.err != nil {
+			break
 		}
 		r.cond.Wait()
 	}
@@ -742,17 +693,11 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		// numbers agree; a resent update (whose decision is long gone)
 		// simply travels untraced.
 		if d := r.agent.LastDecision(); d.Seq == int64(u.Seq) {
-			var terr error
-			if r.wireHop {
-				// Stamp the decision with this node's trace clock; the
-				// 73-byte form carries it to hop-capable peers.
-				d.At = trace.Now()
-				terr = r.w.TraceAt(&d)
-			} else {
-				terr = r.w.Trace(&d)
-			}
-			if terr != nil {
-				r.err = fmt.Errorf("dsms: send: %w", terr)
+			// Stamp the decision with this node's trace clock so the
+			// server's (and a router's) recorders order it by source time.
+			d.At = trace.Now()
+			if err := r.w.Trace(&d, nil); err != nil {
+				r.err = fmt.Errorf("dsms: send: %w", err)
 				r.pending = append(r.pending, u)
 				return r.err
 			}
@@ -778,12 +723,19 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		// side: write out now. While acks are in flight, readLoop
 		// flushes on their arrival instead, coalescing this frame with
 		// its successors.
+		r.flushLocked()
+	}
+	return r.err
+}
+
+// flushLocked writes buffered frames out, latching a failure as the
+// sticky error. Caller holds r.mu.
+func (r *RemoteAgent) flushLocked() {
+	if r.err == nil && r.w.Buffered() > 0 {
 		if err := r.w.Flush(); err != nil {
 			r.err = fmt.Errorf("dsms: send: %w", err)
-			return r.err
 		}
 	}
-	return nil
 }
 
 // Err returns the sticky transport error, if any — the asynchronous
@@ -824,11 +776,7 @@ func (r *RemoteAgent) Drain() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.err == nil && r.w.Buffered() > 0 {
-		if err := r.w.Flush(); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
-		}
-	}
+	r.flushLocked()
 	for r.err == nil && !r.closing && len(r.outstanding) > 0 {
 		r.cond.Wait()
 	}
@@ -879,7 +827,7 @@ func (r *RemoteAgent) Reconnect() error {
 	oldConn.Close()
 	<-r.readerDone
 
-	conn, w, rd, inst, feats, err := dialHandshake(r.addr, r.sourceID, r.window, r.opts)
+	conn, w, rd, inst, feats, err := dialHandshake(r.addr, r.sourceID, r.window)
 	if err != nil {
 		return err
 	}
@@ -912,7 +860,6 @@ func (r *RemoteAgent) Reconnect() error {
 	// renegotiate rather than assume (resent updates below carry no
 	// fresh decisions, so they are untraced either way).
 	r.wireTrace = r.opts.Trace && feats&wire.FeatTrace != 0
-	r.wireHop = r.wireTrace && feats&wire.FeatHopTrace != 0
 	r.outstanding = r.outstanding[:0]
 	r.sendTimes = r.sendTimes[:0]
 	r.readerDone = make(chan struct{})
@@ -930,11 +877,7 @@ func (r *RemoteAgent) Reconnect() error {
 			r.sendTimes = append(r.sendTimes, nowNanos())
 		}
 	}
-	if r.err == nil && r.w.Buffered() > 0 {
-		if err := r.w.Flush(); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
-		}
-	}
+	r.flushLocked()
 	r.ins.setWindow(len(r.outstanding))
 	go r.readLoop(rd)
 	r.cond.Broadcast()
@@ -969,29 +912,11 @@ type QueryClient struct {
 // DialQuery connects a query client to the server at addr and validates
 // the protocol preamble.
 func DialQuery(addr string) (*QueryClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, w, r, _, err := dialWire(addr, "", 0)
 	if err != nil {
-		return nil, fmt.Errorf("dsms: dial: %w", err)
+		return nil, err
 	}
-	q := &QueryClient{conn: conn, w: wire.NewWriter(conn, 0, 0), r: wire.NewReader(conn, 0, 0)}
-	if err := q.w.WritePreamble(wire.Version); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dsms: send: %w", err)
-	}
-	if err := q.w.Flush(); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dsms: send: %w", err)
-	}
-	ver, err := q.r.ReadPreamble()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dsms: handshake: %w", err)
-	}
-	if err := wire.CheckVersion(ver); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dsms: handshake: %w", err)
-	}
-	return q, nil
+	return &QueryClient{conn: conn, w: w, r: r}, nil
 }
 
 // Ask evaluates queryID at reading index seq.

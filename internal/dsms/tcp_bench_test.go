@@ -57,9 +57,9 @@ func benchTCPIngestSingle(b *testing.B) {
 
 // benchTCPIngestTraced is benchTCPIngestSingle with end-to-end tracing
 // on: server flight recorders, the negotiated trace frame ahead of
-// every update, and the agent-local recorder. The budget pinned in
-// BENCH_TCP.json proves tracing rides the ingest path without
-// allocating.
+// every update, and the agent-local recorder. TestTCPIngestTracedAllocBudget
+// holds it to the untraced budget: tracing rides the ingest path
+// without allocating.
 func benchTCPIngestTraced(b *testing.B) {
 	catalog := testCatalog()
 	s := NewServer(catalog)

@@ -199,7 +199,7 @@ func TestTCPServerRejectsUnknownTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WritePreamble(conn, wire.Version); err != nil {
+	if err := wire.WritePreamble(conn, wire.Version, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A well-formed frame with an unassigned tag.
@@ -207,7 +207,7 @@ func TestTCPServerRejectsUnknownTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(conn, 0, 0)
-	if _, err := r.ReadPreamble(); err != nil {
+	if _, _, err := r.ReadPreamble(); err != nil {
 		t.Fatal(err)
 	}
 	tag, p, err := r.Next()

@@ -37,7 +37,7 @@ var tagLabels = [numTags]string{
 }
 
 // serverTelemetry bundles the server-wide instruments: the registry the
-// admin endpoint scrapes, StepAll batch latency, and the wire-layer
+// admin endpoint scrapes, AdvanceAll batch latency, and the wire-layer
 // traffic and error taxonomy shared by every connection. Per-tag
 // counters are pre-created arrays indexed by the tag byte, so the frame
 // hooks are a bounds check and an atomic add — nothing on the ingest
@@ -91,8 +91,8 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 		telemetry.L("version", Version), telemetry.L("goversion", runtime.Version())).Set(1)
 	reg.GaugeFunc("dkf_uptime_seconds", "Seconds since process start.",
 		func() float64 { return time.Since(epoch).Seconds() })
-	t.stepAllNs = reg.Histogram("dkf_server_stepall_ns", "StepAll batch latency in nanoseconds.")
-	t.stepAllAdvanced = reg.Counter("dkf_server_stepall_advanced_total", "Source filters advanced by StepAll batches.")
+	t.stepAllNs = reg.Histogram("dkf_server_stepall_ns", "AdvanceAll batch latency in nanoseconds.")
+	t.stepAllAdvanced = reg.Counter("dkf_server_stepall_advanced_total", "Source filters advanced by AdvanceAll batches.")
 	t.connsTotal = reg.Counter("dkf_wire_connections_total", "TCP connections accepted.")
 	t.connsActive = reg.Gauge("dkf_wire_connections_active", "TCP connections currently open.")
 	t.aggAnswers = reg.Counter("dkf_aggregate_answers_total", "Aggregate answers computed from member filters (memo misses).")

@@ -2,10 +2,14 @@ package dsms
 
 import (
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
 
+	"streamkf/internal/core"
+	"streamkf/internal/dsms/wire"
 	"streamkf/internal/gen"
 	"streamkf/internal/stream"
 	"streamkf/internal/trace"
@@ -221,6 +225,31 @@ func TestTraceCompatV2Peers(t *testing.T) {
 		}
 	})
 
+	// A server from before the single trace form advertises the retired
+	// 0x01 bit and would reject the 73-byte payload as malformed: the
+	// agent must read that bit as "no tracing" and stay untraced.
+	t.Run("traced-agent-retired-bit-server", func(t *testing.T) {
+		hold := make(chan struct{})
+		defer close(hold)
+		addr := fakeServer(t, func(conn net.Conn) {
+			io.ReadFull(conn, make([]byte, 6)) // client preamble
+			conn.Read(make([]byte, 64))        // its hello
+			w := wire.NewWriter(conn, 0, 0)
+			w.WritePreamble(wire.Version, 0x01)
+			w.Install(wire.Install{SourceID: "walk", Model: "linear", Delta: 0.5, ResumeSeq: -1})
+			w.Flush()
+			<-hold
+		})
+		agent, err := DialSourceOptions(addr, "walk", catalog, DialOptions{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agent.Close()
+		if agent.TraceNegotiated() {
+			t.Fatal("agent negotiated trace frames on the retired 0x01 feature bit")
+		}
+	})
+
 	t.Run("plain-agent-tracing-server", func(t *testing.T) {
 		s := NewServer(catalog)
 		s.EnableTracing(trace.Options{})
@@ -327,6 +356,86 @@ func TestTracezScrapeUnderLoad(t *testing.T) {
 		}
 		if len(st.Events) == 0 || st.Audit.Applies == 0 {
 			t.Fatalf("stream %s has an empty trail after load: %d events, %d applies", id, len(st.Events), st.Audit.Applies)
+		}
+	}
+}
+
+// TestForwardRejectedEvidenceNotInherited pins the evidence-stash fix
+// on a router's multiplexed upstream connection: a traced forward for
+// a released source A is rejected, and the next forward — untraced, a
+// different source B, the same seq (every stream counts from 0, so the
+// collision is the common case) — must not inherit A's decision or hop
+// events into B's trail.
+func TestForwardRejectedEvidenceNotInherited(t *testing.T) {
+	const k = 1
+	s := NewServer(testCatalog())
+	s.EnableTracing(trace.Options{})
+	for _, id := range []string{"A", "B"} {
+		mustRegister(t, s, stream.Query{ID: "q" + id, SourceID: id, Delta: 1, Model: "linear"})
+		if _, err := s.InstallFor(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.HandleUpdate(core.Update{SourceID: id, Seq: 0, Values: []float64{1}, Bootstrap: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.SnapshotSource("A", 2); err != nil { // A migrates away
+		t.Fatal(err)
+	}
+	ts := startServer(t, s)
+
+	_, w, r := rawClient(t, ts.Addr())
+	if err := w.WritePreamble(wire.Version, wire.FeatCluster); err != nil {
+		t.Fatal(err)
+	}
+	payload := func(id string) []byte {
+		p, err := wire.AppendUpdate(nil, &core.Update{SourceID: id, Seq: k, Time: k, Values: []float64{5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	d := trace.DecisionInfo{TraceID: 77, Seq: k, Decision: trace.DecisionSend, At: 1000, Raw: 5, Smoothed: 5, Pred: 1, Residual: 4, Delta: 1}
+	if err := w.Trace(&d, &wire.TraceHop{Idx: 0, Epoch: 2, RxUnixNs: 1100, TxUnixNs: 1200}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Forward(0, 2, payload("A")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Forward(1, 2, payload("B")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, feats, err := r.ReadPreamble(); err != nil || feats&wire.FeatTrace == 0 {
+		t.Fatalf("preamble feats %#02x, %v; want the trace bit", feats, err)
+	}
+	expectErrorFrame(t, r, "released from this shard")
+	tag, p, err := r.Next()
+	if err != nil || tag != wire.TagForwardAck {
+		t.Fatalf("reply to B's forward = %v, %v; want a forward ack", tag, err)
+	}
+	if idx, seq, err := wire.DecodeForwardAck(p); err != nil || idx != 1 || seq != k {
+		t.Fatalf("forward ack = idx %d seq %d, %v; want idx 1 seq %d", idx, seq, err, k)
+	}
+
+	st, err := s.TraceStream("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := traceKinds(st.Events)
+	if !kinds["apply"] {
+		t.Fatalf("B's forward was not applied: %v", kinds)
+	}
+	for _, leaked := range []string{"decision", "fwd_rx", "fwd_tx"} {
+		if kinds[leaked] {
+			t.Errorf("B's trail inherited a %s event from A's rejected forward: %+v", leaked, st.Events)
+		}
+	}
+	for _, ev := range st.Events {
+		if ev.TraceID == d.TraceID {
+			t.Errorf("B's trail carries A's trace id: %+v", ev)
 		}
 	}
 }

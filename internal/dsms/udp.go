@@ -30,16 +30,26 @@ import (
 	"streamkf/internal/trace"
 )
 
+const (
+	// maxDatagram caps accepted datagram sizes at the UDP maximum;
+	// oversize datagrams are truncated by the kernel and then rejected
+	// as malformed.
+	maxDatagram = 64 << 10
+	// udpReadBuffer is the SO_RCVBUF asked of the kernel: the socket
+	// buffer is the only queue between a burst and the engine's rings,
+	// so it is sized generously.
+	udpReadBuffer = 4 << 20
+	// The hello → install handshake is the one loss-sensitive exchange,
+	// so it is retried; everything after it is fire-and-forget.
+	handshakeTimeout = 500 * time.Millisecond
+	handshakeRetries = 5
+	// sendBatch is how many sealed datagrams a UDPBatcher accumulates
+	// before one transmit syscall carries them all.
+	sendBatch = 16
+)
+
 // UDPServerOptions configures a UDPServer.
 type UDPServerOptions struct {
-	// MaxDatagram caps accepted datagram sizes. 0 selects 64 KiB (the
-	// UDP maximum); oversize datagrams are truncated by the kernel and
-	// then rejected as malformed.
-	MaxDatagram int
-	// ReadBuffer asks the kernel for this SO_RCVBUF. 0 selects 4 MiB —
-	// the socket buffer is the only queue between a burst and the
-	// engine's rings, so it is sized generously.
-	ReadBuffer int
 	// Lanes is how many reader goroutines share the socket. Each lane
 	// owns its own receive arena, decode state, and engine producer, so
 	// lanes never synchronize with each other — the kernel serializes
@@ -56,12 +66,6 @@ type UDPServerOptions struct {
 }
 
 func (o UDPServerOptions) withDefaults() UDPServerOptions {
-	if o.MaxDatagram <= 0 {
-		o.MaxDatagram = 64 << 10
-	}
-	if o.ReadBuffer <= 0 {
-		o.ReadBuffer = 4 << 20
-	}
 	if o.Lanes <= 0 {
 		o.Lanes = runtime.GOMAXPROCS(0)
 		if o.Lanes > 4 {
@@ -100,13 +104,12 @@ type UDPServer struct {
 // to their one canonical string: a datagram socket multiplexes every
 // source, so the stream Reader's single-entry cache would thrash.
 type rxLane struct {
-	t        *UDPServer
-	id       int
-	rx       *laneRx
-	prod     *engine.Producer
-	ins      *engineInstruments
-	lane     *laneInstruments
-	maxDgram int
+	t    *UDPServer
+	id   int
+	rx   *laneRx
+	prod *engine.Producer
+	ins  *engineInstruments
+	lane *laneInstruments
 
 	u        core.Update
 	interned map[string]string
@@ -128,12 +131,12 @@ func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServe
 		return nil, fmt.Errorf("dsms: udp listen: %w", err)
 	}
 	// Best effort: some kernels clamp SO_RCVBUF below the request.
-	_ = conn.SetReadBuffer(opts.ReadBuffer)
+	_ = conn.SetReadBuffer(udpReadBuffer)
 	eng := server.StartEngine(opts.Engine)
 	t := &UDPServer{server: server, eng: eng, conn: conn}
 	t.lanes = make([]*rxLane, opts.Lanes)
 	for i := range t.lanes {
-		rx, err := newLaneRx(conn, opts.RxBatch, opts.MaxDatagram)
+		rx, err := newLaneRx(conn, opts.RxBatch, maxDatagram)
 		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("dsms: udp lane %d: %w", i, err)
@@ -145,7 +148,6 @@ func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServe
 			prod:     eng.Producer(),
 			ins:      server.engIns,
 			lane:     server.laneInstruments(i),
-			maxDgram: opts.MaxDatagram,
 			interned: make(map[string]string),
 		}
 		ln.internFn = ln.intern
@@ -258,7 +260,7 @@ func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 		return
 	}
 	for len(rest) > 0 {
-		tag, payload, next, err := wire.NextFrame(rest, ln.maxDgram)
+		tag, payload, next, err := wire.NextFrame(rest, maxDatagram)
 		if err != nil {
 			ln.ins.datagramsBad.Inc()
 			ln.t.server.tel.countWireError(err)
@@ -294,35 +296,20 @@ func (ln *rxLane) handleHello(payload []byte, addr netip.AddrPort) {
 		return
 	}
 	ln.reply = wire.AppendPreamble(ln.reply[:0], wire.Version, 0)
-	cfg, err := ln.t.server.InstallFor(id)
+	inst, err := ln.t.server.installReply(id)
 	if err != nil {
-		if ln.reply, err = wire.AppendErrorFrame(ln.reply, err.Error()); err != nil {
-			return
-		}
+		ln.reply, err = wire.AppendErrorFrame(ln.reply, err.Error())
 	} else {
-		inst := wire.Install{
-			SourceID:  cfg.SourceID,
-			Model:     cfg.Model.Name,
-			Delta:     cfg.Delta,
-			F:         cfg.F,
-			ResumeSeq: ln.t.server.ResumeSeq(id),
-		}
-		if ln.reply, err = wire.AppendInstallFrame(ln.reply, inst); err != nil {
-			return
-		}
+		ln.reply, err = wire.AppendInstallFrame(ln.reply, inst)
+	}
+	if err != nil {
+		return
 	}
 	_, _ = ln.t.conn.WriteToUDPAddrPort(ln.reply, addr)
 }
 
 // UDPDialOptions configures DialSourceUDP.
 type UDPDialOptions struct {
-	// HandshakeTimeout bounds each hello → install attempt. 0 selects
-	// 500ms.
-	HandshakeTimeout time.Duration
-	// HandshakeRetries is how many hello datagrams to send before
-	// giving up (the handshake is the one loss-sensitive exchange, so
-	// it is retried; everything after is fire-and-forget). 0 selects 5.
-	HandshakeRetries int
 	// BootstrapCopies duplicates the bootstrap update datagram: the
 	// bootstrap is the only update whose loss stalls the stream until a
 	// retransmission, and the server's dedup drops the extras for free.
@@ -335,19 +322,6 @@ type UDPDialOptions struct {
 	Trace       bool
 	TraceRing   int
 	TraceSample int
-}
-
-func (o UDPDialOptions) withDefaults() UDPDialOptions {
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 500 * time.Millisecond
-	}
-	if o.HandshakeRetries <= 0 {
-		o.HandshakeRetries = 5
-	}
-	if o.BootstrapCopies <= 0 {
-		o.BootstrapCopies = 3
-	}
-	return o
 }
 
 // UDPAgent is the dial-side datagram agent: the same mirror-filter
@@ -378,7 +352,9 @@ type UDPAgent struct {
 // against a durable server should resume where they left off or use a
 // fresh source id; see DESIGN.md §14.
 func DialSourceUDP(addr, sourceID string, catalog *Catalog, opts UDPDialOptions) (*UDPAgent, error) {
-	opts = opts.withDefaults()
+	if opts.BootstrapCopies <= 0 {
+		opts.BootstrapCopies = 3
+	}
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dsms: udp resolve: %w", err)
@@ -394,14 +370,14 @@ func DialSourceUDP(addr, sourceID string, catalog *Catalog, opts UDPDialOptions)
 	}
 	var inst wire.Install
 	got := false
-	buf := make([]byte, 64<<10)
+	buf := make([]byte, maxDatagram)
 attempts:
-	for i := 0; i < opts.HandshakeRetries; i++ {
+	for i := 0; i < handshakeRetries; i++ {
 		if _, err := conn.Write(hello); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("dsms: udp hello: %w", err)
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(opts.HandshakeTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 		for {
 			n, err := conn.Read(buf)
 			if err != nil {
@@ -435,7 +411,7 @@ attempts:
 	}
 	if !got {
 		conn.Close()
-		return nil, fmt.Errorf("dsms: udp handshake: no install reply from %s after %d attempts", addr, opts.HandshakeRetries)
+		return nil, fmt.Errorf("dsms: udp handshake: no install reply from %s after %d attempts", addr, handshakeRetries)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	m, err := catalog.Resolve(inst.Model)
@@ -513,7 +489,7 @@ func (ua *UDPAgent) Close() error { return ua.conn.Close() }
 // socket, packing update frames into shared datagrams — the 100k-source
 // fan-in shape, where per-source sockets and per-update syscalls are
 // exactly the overhead being amortized away. Sealed datagrams are
-// additionally batched SendBatch at a time into one transmit syscall
+// additionally batched sendBatch at a time into one transmit syscall
 // (sendmmsg on Linux). Safe for concurrent use; Flush transmits
 // everything pending, sealed or not.
 type UDPBatcher struct {
@@ -523,36 +499,16 @@ type UDPBatcher struct {
 	pend       [][]byte // pend[:npend] sealed; pend[npend] open; slots reused
 	npend      int
 	flushBytes int
-	sendBatch  int
-}
-
-// UDPBatcherOptions configures DialUDPBatcherOpts.
-type UDPBatcherOptions struct {
-	// FlushBytes caps the datagram payload before the open datagram is
-	// sealed; <= 0 selects 1200 (conservatively below common path
-	// MTUs). Values below one frame (e.g. 1) seal after every update —
-	// the one-update-per-datagram shape of the per-source UDPAgent.
-	FlushBytes int
-	// SendBatch is how many sealed datagrams accumulate before one
-	// transmit syscall carries them all; <= 0 selects 16. 1 reproduces
-	// the write-per-datagram behavior.
-	SendBatch int
 }
 
 // DialUDPBatcher connects a batching sender to the server at addr.
-// flushBytes is UDPBatcherOptions.FlushBytes; the send batch takes its
-// default.
+// flushBytes caps the datagram payload before the open datagram is
+// sealed; <= 0 selects 1200 (conservatively below common path MTUs).
+// Values below one frame (e.g. 1) seal after every update — the
+// one-update-per-datagram shape of the per-source UDPAgent.
 func DialUDPBatcher(addr string, flushBytes int) (*UDPBatcher, error) {
-	return DialUDPBatcherOpts(addr, UDPBatcherOptions{FlushBytes: flushBytes})
-}
-
-// DialUDPBatcherOpts connects a batching sender to the server at addr.
-func DialUDPBatcherOpts(addr string, opts UDPBatcherOptions) (*UDPBatcher, error) {
-	if opts.FlushBytes <= 0 {
-		opts.FlushBytes = 1200
-	}
-	if opts.SendBatch <= 0 {
-		opts.SendBatch = 16
+	if flushBytes <= 0 {
+		flushBytes = 1200
 	}
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -567,7 +523,7 @@ func DialUDPBatcherOpts(addr string, opts UDPBatcherOptions) (*UDPBatcher, error
 		conn.Close()
 		return nil, fmt.Errorf("dsms: udp dial: %w", err)
 	}
-	return &UDPBatcher{conn: conn, tx: tx, flushBytes: opts.FlushBytes, sendBatch: opts.SendBatch}, nil
+	return &UDPBatcher{conn: conn, tx: tx, flushBytes: flushBytes}, nil
 }
 
 // curSlot returns the open datagram's slot, growing the slot table on
@@ -609,7 +565,7 @@ func (b *UDPBatcher) sealLocked() error {
 	if b.npend < len(b.pend) && len(b.pend[b.npend]) > 0 {
 		b.npend++
 	}
-	if b.npend >= b.sendBatch {
+	if b.npend >= sendBatch {
 		return b.transmitLocked()
 	}
 	return nil

@@ -171,11 +171,11 @@ func TestUDPLaneRxAllocFree(t *testing.T) {
 	}
 }
 
-// TestStepAllShardedEquivalence pins the tentpole's bit-identity claim
-// for batch advances: AdvanceAll on an engine-attached server (each
-// stream advanced on its owning shard worker) must leave every filter
-// bit-identical to the bounded worker-pool StepAll on an engine-less
-// server fed the same updates.
+// TestStepAllShardedEquivalence pins the bit-identity claim for batch
+// advances: AdvanceAll on an engine-attached server (each stream
+// advanced on its owning shard worker) must leave every filter
+// bit-identical to AdvanceAll's in-place loop on an engine-less server
+// fed the same updates.
 func TestStepAllShardedEquivalence(t *testing.T) {
 	const nSrc = 5
 	ups := make([][]core.Update, nSrc)
@@ -206,7 +206,7 @@ func TestStepAllShardedEquivalence(t *testing.T) {
 	}
 	sharded := build(true)
 	defer sharded.Engine().Close()
-	pooled := build(false)
+	inPlace := build(false)
 
 	target := 0
 	for i := 0; i < nSrc; i++ {
@@ -217,20 +217,20 @@ func TestStepAllShardedEquivalence(t *testing.T) {
 	target += 50
 
 	na := sharded.AdvanceAll(target)
-	nb := pooled.AdvanceAll(target)
+	nb := inPlace.AdvanceAll(target)
 	if na != nSrc || nb != nSrc {
-		t.Fatalf("advanced %d (sharded) / %d (pooled) streams, want %d", na, nb, nSrc)
+		t.Fatalf("advanced %d (sharded) / %d (in-place) streams, want %d", na, nb, nSrc)
 	}
 	for i := 0; i < nSrc; i++ {
 		id := laneQuery(i).SourceID
-		assertSameState(t, nodeSnapshot(t, sharded, id), nodeSnapshot(t, pooled, id))
+		assertSameState(t, nodeSnapshot(t, sharded, id), nodeSnapshot(t, inPlace, id))
 	}
-	// Re-advancing to the same seq is a no-op on both paths.
+	// Re-advancing to the same seq is a no-op either way.
 	if n := sharded.AdvanceAll(target); n != 0 {
 		t.Fatalf("second sharded AdvanceAll advanced %d streams, want 0", n)
 	}
-	if n := pooled.AdvanceAll(target); n != 0 {
-		t.Fatalf("second pooled AdvanceAll advanced %d streams, want 0", n)
+	if n := inPlace.AdvanceAll(target); n != 0 {
+		t.Fatalf("second in-place AdvanceAll advanced %d streams, want 0", n)
 	}
 }
 
@@ -238,14 +238,14 @@ func TestStepAllShardedEquivalence(t *testing.T) {
 // real sockets: multi-lane batched receive (recvmmsg where available), a
 // sendmmsg-batched UDPBatcher feeding many sources, and shard-aware
 // AdvanceAll ticking concurrently with ingest. Run under -race in CI,
-// this is the lanes-vs-StepAll interleaving gate; the assertions pin
+// this is the lanes-vs-AdvanceAll interleaving gate; the assertions pin
 // that everything sent is applied and no filter corrupts.
 func TestUDPLanesConcurrentAdvance(t *testing.T) {
 	const nSrc, perSrc = 4, 200
 	s, ts := newLaneServer(t, nSrc, 2, 8)
 	go ts.Serve()
 
-	b, err := DialUDPBatcherOpts(ts.Addr().String(), UDPBatcherOptions{FlushBytes: 200, SendBatch: 4})
+	b, err := DialUDPBatcher(ts.Addr().String(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +341,15 @@ func TestUDPLanesConcurrentAdvance(t *testing.T) {
 	}
 }
 
-// TestUDPBatcherSendBatchOne pins the compatibility shape: SendBatch 1
-// transmits every sealed datagram immediately (the pre-batching
-// behavior), and a tiny FlushBytes produces one update per datagram.
-func TestUDPBatcherSendBatchOne(t *testing.T) {
+// TestUDPBatcherOnePerDatagram pins the per-source-agent wire shape: a
+// flushBytes below one frame seals after every update, so each update
+// travels in its own datagram.
+func TestUDPBatcherOnePerDatagram(t *testing.T) {
 	q := udpQuery()
 	s, ts := newUDPPair(t, q)
 	go ts.Serve()
 
-	b, err := DialUDPBatcherOpts(ts.Addr().String(), UDPBatcherOptions{FlushBytes: 1, SendBatch: 1})
+	b, err := DialUDPBatcher(ts.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -407,20 +407,17 @@ func TestUDPRxAllocFree(t *testing.T) {
 	}
 }
 
-// TestUDPIngestAllocBudget gates the steady-state shard apply path on
-// the allocation budget pinned in BENCH_INGEST.json — the engine must
-// not cost more per applied update than the synchronous path's budget.
+// TestUDPIngestAllocBudget gates the steady-state shard apply path —
+// datagram parse, source intern, ring handoff, filter apply — at zero
+// allocations per applied update.
 func TestUDPIngestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
 	}
-	budget, ok := benchBudgets(t, "../../BENCH_INGEST.json")["BenchmarkUDPIngest/apply"]
-	if !ok {
-		t.Fatal("BENCH_INGEST.json has no BenchmarkUDPIngest/apply entry")
-	}
+	const budget = 0
 	res := testing.Benchmark(benchUDPIngestApply)
 	if got := res.AllocsPerOp(); got > budget {
-		t.Fatalf("UDP shard apply allocates %d/op, budget %d/op (BENCH_INGEST.json)", got, budget)
+		t.Fatalf("UDP shard apply allocates %d/op, budget %d/op", got, budget)
 	}
 }
 

@@ -57,40 +57,14 @@ func clusterTagName(t Tag) (string, bool) {
 	return "", false
 }
 
-// BeginForward opens a forward frame: the envelope (route index +
-// topology epoch) is written here and the caller appends the verbatim
-// update payload bytes — no re-encode of the update — then calls
-// FinishFrame. Splitting the write this way keeps router forwarding
-// zero-copy: the downstream payload slice is appended as-is.
-func (w *Writer) BeginForward(idx uint32, epoch int64) {
+// Forward buffers one forward frame: the envelope (route index +
+// topology epoch) followed by the verbatim update payload bytes as the
+// source sent them — the router never re-encodes an update.
+func (w *Writer) Forward(idx uint32, epoch int64, updatePayload []byte) error {
 	w.begin(TagForward)
 	w.scratch = AppendU32(w.scratch, idx)
 	w.scratch = AppendI64(w.scratch, epoch)
-}
-
-// AppendPayload appends raw payload bytes to the frame opened by a
-// Begin* call.
-func (w *Writer) AppendPayload(p []byte) {
-	w.scratch = append(w.scratch, p...)
-}
-
-// FinishFrame closes a frame opened by a Begin* call.
-func (w *Writer) FinishFrame() error { return w.finish() }
-
-// RawFrame buffers a frame with the given tag and a verbatim payload —
-// the relay path for frames a router passes through undecoded (e.g. a
-// source's trace frame on its way to the owning shard).
-func (w *Writer) RawFrame(tag Tag, payload []byte) error {
-	w.begin(tag)
-	w.scratch = append(w.scratch, payload...)
-	return w.finish()
-}
-
-// Forward buffers one complete forward frame wrapping an encoded
-// update payload.
-func (w *Writer) Forward(idx uint32, epoch int64, updatePayload []byte) error {
-	w.BeginForward(idx, epoch)
-	w.AppendPayload(updatePayload)
+	w.scratch = append(w.scratch, updatePayload...)
 	return w.finish()
 }
 
@@ -167,16 +141,9 @@ type ClusterAggregate struct {
 func (w *Writer) RegisterQuery(q ClusterQuery) error {
 	w.begin(TagClusterReg)
 	w.scratch = append(w.scratch, RegPlain)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, q.ID); err != nil {
-		return err
-	}
-	if w.scratch, err = AppendString(w.scratch, q.SourceID); err != nil {
-		return err
-	}
-	if w.scratch, err = AppendString(w.scratch, q.Model); err != nil {
-		return err
-	}
+	w.str(q.ID)
+	w.str(q.SourceID)
+	w.str(q.Model)
 	w.scratch = AppendF64(w.scratch, q.Delta)
 	w.scratch = AppendF64(w.scratch, q.F)
 	return w.finish()
@@ -189,16 +156,9 @@ func (w *Writer) RegisterAggregate(q ClusterAggregate) error {
 	}
 	w.begin(TagClusterReg)
 	w.scratch = append(w.scratch, RegAggregate)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, q.ID); err != nil {
-		return err
-	}
-	if w.scratch, err = AppendString(w.scratch, q.Func); err != nil {
-		return err
-	}
-	if w.scratch, err = AppendString(w.scratch, q.Model); err != nil {
-		return err
-	}
+	w.str(q.ID)
+	w.str(q.Func)
+	w.str(q.Model)
 	w.scratch = AppendF64(w.scratch, q.Delta)
 	w.scratch = AppendF64(w.scratch, q.F)
 	var flags byte
@@ -208,9 +168,7 @@ func (w *Writer) RegisterAggregate(q ClusterAggregate) error {
 	w.scratch = append(w.scratch, flags)
 	w.scratch = AppendU16(w.scratch, uint16(len(q.SourceIDs)))
 	for _, src := range q.SourceIDs {
-		if w.scratch, err = AppendString(w.scratch, src); err != nil {
-			return err
-		}
+		w.str(src)
 	}
 	return w.finish()
 }
@@ -258,10 +216,7 @@ func DecodeClusterReg(p []byte) (kind byte, q ClusterQuery, agg ClusterAggregate
 // Registered buffers a registration acknowledgement.
 func (w *Writer) Registered(id string) error {
 	w.begin(TagRegistered)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, id); err != nil {
-		return err
-	}
+	w.str(id)
 	return w.finish()
 }
 
@@ -279,10 +234,7 @@ func DecodeRegistered(p []byte) (id string, err error) {
 // the given topology epoch and return its checkpoint state.
 func (w *Writer) Snapshot(sourceID string, epoch int64) error {
 	w.begin(TagSnapshot)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, sourceID); err != nil {
-		return err
-	}
+	w.str(sourceID)
 	w.scratch = AppendI64(w.scratch, epoch)
 	return w.finish()
 }
@@ -333,10 +285,7 @@ type StateAck struct {
 // WriteStateAck buffers a snapshot/restore acknowledgement.
 func (w *Writer) WriteStateAck(a StateAck) error {
 	w.begin(TagStateAck)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, a.SourceID); err != nil {
-		return err
-	}
+	w.str(a.SourceID)
 	w.scratch = AppendI64(w.scratch, a.ResumeSeq)
 	w.scratch = AppendI64(w.scratch, a.Epoch)
 	w.scratch = AppendU32(w.scratch, uint32(len(a.Payload)))

@@ -52,9 +52,6 @@ func TestClusterFrameRoundTrip(t *testing.T) {
 	if err := w.WriteStateAck(ack); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.RawFrame(TagTrace, []byte("opaque")); err != nil {
-		t.Fatal(err)
-	}
 	mustFlush(t, w)
 
 	env, err := DecodeForward(next(t, r, TagForward))
@@ -129,11 +126,6 @@ func TestClusterFrameRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gack, ack) {
 		t.Fatalf("state ack = %+v, want %+v", gack, ack)
-	}
-
-	raw := next(t, r, TagTrace)
-	if string(raw) != "opaque" {
-		t.Fatalf("raw frame payload = %q", raw)
 	}
 }
 

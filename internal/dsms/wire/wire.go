@@ -7,13 +7,19 @@
 //
 // A connection opens with a 6-byte preamble in each direction — 4 magic
 // bytes, a protocol version, and a feature-bit byte (reserved and zero
-// before tracing) — so a peer speaking the wrong protocol (or a future
-// incompatible version) is rejected with a clear error instead of an
-// opaque decode failure. Frames follow:
+// before tracing; FeatCluster and FeatTrace today) — so a peer speaking
+// the wrong protocol (or a future incompatible version) is rejected
+// with a clear error instead of an opaque decode failure. Frames follow:
 //
 //	uint32 LE  length   (tag + payload bytes; never 0, capped by MaxFrame)
 //	uint8      tag
 //	[]byte     payload  (length-1 bytes, layout per tag)
+//
+// Every message has one payload encoder and one decoder: the Writer
+// methods (stream form) and the Append*Frame helpers (datagram form)
+// share the encoder, and the optional TagTrace evidence frame has a
+// single form — Writer.Trace / DecodeTrace — whose router-hop suffix is
+// its only variable part. cluster.go holds the router ↔ shard tags.
 //
 // See DESIGN.md "Wire protocol" for the byte-by-byte payload layouts.
 package wire
@@ -50,13 +56,20 @@ const Version byte = 2
 // *advertisement*, not a demand: a peer that does not know a bit
 // ignores it, so features must only ever enable frames the advertiser
 // is prepared to receive.
+//
+// Bit history: 0x01 advertised the original 65-byte TagTrace payload
+// and is retired — never set, never read. A peer from that era sees no
+// bit it knows and sends (or is sent) no trace frames, so it degrades
+// to untraced instead of receiving a payload length it would reject.
+// 0x02 is FeatCluster (cluster.go). 0x04 keeps the meaning it always
+// had: this side accepts TagTrace payloads carrying timestamps.
 const (
 	// FeatTrace announces that this side accepts TagTrace frames — the
 	// optional decision-evidence tag a tracing server consumes. Agents
 	// must not send trace frames to a server that did not advertise it:
 	// an older server would answer the unknown tag with an error frame,
 	// which is sticky and would fail the agent's next Offer.
-	FeatTrace byte = 0x01
+	FeatTrace byte = 0x04
 )
 
 // DefaultMaxFrame caps the accepted frame length (tag + payload). A
@@ -146,39 +159,24 @@ func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("wire: frame length %d exceeds limit %d", e.Len, e.Max)
 }
 
-// WritePreamble sends the magic/version preamble with no feature bits —
-// the shape every peer through PR 4 emits. Tests may send a non-current
-// version to exercise rejection.
-func WritePreamble(w io.Writer, version byte) error {
-	return WritePreambleFeatures(w, version, 0)
-}
-
-// WritePreambleFeatures sends the magic/version preamble advertising the
-// given feature bits in the sixth byte.
-func WritePreambleFeatures(w io.Writer, version, features byte) error {
+// WritePreamble sends the magic/version preamble advertising the given
+// feature bits in the sixth byte (0 = none, the shape every peer
+// through PR 4 emits). Tests may send a non-current version to exercise
+// rejection.
+func WritePreamble(w io.Writer, version, features byte) error {
 	var p [preambleLen]byte
-	copy(p[:4], Magic[:])
-	p[4] = version
-	p[5] = features
-	if _, err := w.Write(p[:]); err != nil {
+	if _, err := w.Write(AppendPreamble(p[:0], version, features)); err != nil {
 		return fmt.Errorf("wire: write preamble: %w", err)
 	}
 	return nil
 }
 
-// ReadPreamble consumes and validates the peer's preamble, returning its
-// protocol version. The caller decides whether the version is
-// acceptable (CheckVersion implements strict equality).
-func ReadPreamble(r io.Reader) (byte, error) {
-	version, _, err := ReadPreambleFeatures(r)
-	return version, err
-}
-
-// ReadPreambleFeatures consumes and validates the peer's preamble,
-// returning its protocol version and advertised feature bits. Unknown
-// bits must be ignored, which is what keeps the byte forward
-// compatible.
-func ReadPreambleFeatures(r io.Reader) (version, features byte, err error) {
+// ReadPreamble consumes and validates the peer's preamble, returning
+// its protocol version and advertised feature bits. The caller decides
+// whether the version is acceptable (CheckVersion implements strict
+// equality). Unknown bits must be ignored, which is what keeps the byte
+// forward compatible.
+func ReadPreamble(r io.Reader) (version, features byte, err error) {
 	var p [preambleLen]byte
 	if _, err := io.ReadFull(r, p[:]); err != nil {
 		return 0, 0, mapReadErr(err, false)
@@ -224,6 +222,7 @@ func mapReadErr(err error, midMessage bool) error {
 type Writer struct {
 	bw      *bufio.Writer
 	scratch []byte
+	err     error // first encode error in the frame being built; finish reports it
 	max     uint32
 
 	// OnFrame, when set, observes every framed message as it is
@@ -245,19 +244,11 @@ func NewWriter(w io.Writer, bufSize int, maxFrame int) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, bufSize), max: uint32(maxFrame)}
 }
 
-// WritePreamble buffers this side's preamble with no feature bits.
-func (w *Writer) WritePreamble(version byte) error {
-	return w.WritePreambleFeatures(version, 0)
-}
-
-// WritePreambleFeatures buffers this side's preamble advertising the
-// given feature bits.
-func (w *Writer) WritePreambleFeatures(version, features byte) error {
+// WritePreamble buffers this side's preamble advertising the given
+// feature bits.
+func (w *Writer) WritePreamble(version, features byte) error {
 	var p [preambleLen]byte
-	copy(p[:4], Magic[:])
-	p[4] = version
-	p[5] = features
-	_, err := w.bw.Write(p[:])
+	_, err := w.bw.Write(AppendPreamble(p[:0], version, features))
 	return err
 }
 
@@ -269,11 +260,23 @@ func (w *Writer) Buffered() int { return w.bw.Buffered() }
 
 // begin resets the scratch buffer with a frame header placeholder.
 func (w *Writer) begin(tag Tag) {
-	w.scratch = append(w.scratch[:0], 0, 0, 0, 0, byte(tag))
+	w.scratch, w.err = append(w.scratch[:0], 0, 0, 0, 0, byte(tag)), nil
+}
+
+// str appends a string field to the frame being built, latching the
+// first failure (an over-long string) for finish to report — the
+// encode-side twin of Cursor's latch.
+func (w *Writer) str(s string) {
+	if w.err == nil {
+		w.scratch, w.err = AppendString(w.scratch, s)
+	}
 }
 
 // finish patches the length prefix and writes the frame into the buffer.
 func (w *Writer) finish() error {
+	if w.err != nil {
+		return w.err
+	}
 	n := uint32(len(w.scratch) - 4) // tag + payload
 	if n > w.max {
 		return &FrameSizeError{Len: n, Max: w.max}
@@ -322,31 +325,44 @@ func AppendString(b []byte, s string) ([]byte, error) {
 // Hello buffers the source handshake request.
 func (w *Writer) Hello(sourceID string) error {
 	w.begin(TagHello)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, sourceID); err != nil {
-		return err
-	}
+	w.str(sourceID)
 	return w.finish()
 }
 
+// appendInstall appends the install payload — the one encoder behind
+// Writer.Install and its datagram twin AppendInstallFrame.
+func appendInstall(b []byte, inst Install) ([]byte, error) {
+	var err error
+	if b, err = AppendString(b, inst.SourceID); err != nil {
+		return b, err
+	}
+	if b, err = AppendString(b, inst.Model); err != nil {
+		return b, err
+	}
+	b = AppendF64(b, inst.Delta)
+	b = AppendF64(b, inst.F)
+	return AppendI64(b, inst.ResumeSeq), nil
+}
+
+// appendError appends the error payload behind Writer.Error and
+// AppendErrorFrame. Messages beyond 64 KiB are truncated rather than
+// rejected — an error path must not fail on length.
+func appendError(b []byte, msg string) []byte {
+	if len(msg) > math.MaxUint16 {
+		msg = msg[:math.MaxUint16]
+	}
+	b, _ = AppendString(b, msg)
+	return b
+}
+
 // Install buffers the server's handshake reply: the filter configuration
-// the connecting source must run. resumeSeq >= 0 tells a source holding
-// unacknowledged updates past that sequence to resend them and continue
-// without re-bootstrapping (the server recovered its filter state from
-// durable storage); resumeSeq < 0 means the server has no state for the
-// source and expects a bootstrap.
-func (w *Writer) Install(sourceID, model string, delta, f float64, resumeSeq int64) error {
+// the connecting source must run (see the Install type for ResumeSeq).
+func (w *Writer) Install(inst Install) error {
 	w.begin(TagInstall)
 	var err error
-	if w.scratch, err = AppendString(w.scratch, sourceID); err != nil {
+	if w.scratch, err = appendInstall(w.scratch, inst); err != nil {
 		return err
 	}
-	if w.scratch, err = AppendString(w.scratch, model); err != nil {
-		return err
-	}
-	w.scratch = AppendF64(w.scratch, delta)
-	w.scratch = AppendF64(w.scratch, f)
-	w.scratch = AppendI64(w.scratch, resumeSeq)
 	return w.finish()
 }
 
@@ -398,10 +414,7 @@ func (w *Writer) Ack(seq int64) error {
 // Query buffers a value-query request.
 func (w *Writer) Query(queryID string, seq int64) error {
 	w.begin(TagQuery)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, queryID); err != nil {
-		return err
-	}
+	w.str(queryID)
 	w.scratch = AppendI64(w.scratch, seq)
 	return w.finish()
 }
@@ -409,10 +422,7 @@ func (w *Writer) Query(queryID string, seq int64) error {
 // Answer buffers a query result.
 func (w *Writer) Answer(queryID string, values []float64) error {
 	w.begin(TagAnswer)
-	var err error
-	if w.scratch, err = AppendString(w.scratch, queryID); err != nil {
-		return err
-	}
+	w.str(queryID)
 	if len(values) > math.MaxUint16 {
 		return fmt.Errorf("wire: answer with %d values exceeds %d", len(values), math.MaxUint16)
 	}
@@ -423,40 +433,58 @@ func (w *Writer) Answer(queryID string, values []float64) error {
 	return w.finish()
 }
 
-// Trace buffers one decision-evidence frame. It precedes the TagUpdate
-// frame for the same sequence so a tracing server can attach the
-// source's suppression evidence to the apply it is about to perform.
-// The frame is only legal toward a peer that advertised FeatTrace;
-// servers that never saw the bit treat 0x08 as an unknown tag.
+// TraceHop is the optional router-hop suffix of a TagTrace payload:
+// where the traced update was routed and when the router saw and
+// forwarded it, in the trace package's unix-nanosecond clock.
+type TraceHop struct {
+	Idx      uint32 // route table index at the router
+	Epoch    int64  // topology epoch the forward was routed under
+	RxUnixNs int64  // router received the traced update
+	TxUnixNs int64  // router wrote the forward to the shard
+}
+
+// Trace buffers one decision-evidence frame. It precedes the update
+// (or forward) frame for the same sequence so a tracing server can
+// attach the source's suppression evidence to the apply it is about to
+// perform. The frame is only legal toward a peer that advertised
+// FeatTrace; servers that never saw the bit treat 0x08 as an unknown
+// tag. A source passes hop == nil; a tracing router re-encodes the
+// frame with its hop so the shard can splice fwd_rx/fwd_tx into the
+// stream's own trail.
 //
-// Payload layout (65 bytes, fixed):
+// Payload layout (73 bytes, or 101 with the hop suffix):
 //
 //	int64   traceID
 //	int64   seq
 //	uint8   decision (trace.Decision)
 //	float64 raw, smoothed, pred, residual, delta, nis
-func (w *Writer) Trace(d *trace.DecisionInfo) error {
+//	int64   decidedAtUnixNs
+//	-- hop suffix, router → shard only --
+//	uint32  routeIdx
+//	int64   epoch, hopRxUnixNs, hopTxUnixNs
+func (w *Writer) Trace(d *trace.DecisionInfo, hop *TraceHop) error {
 	w.begin(TagTrace)
-	w.scratch = AppendI64(w.scratch, d.TraceID)
-	w.scratch = AppendI64(w.scratch, d.Seq)
-	w.scratch = append(w.scratch, byte(d.Decision))
-	w.scratch = AppendF64(w.scratch, d.Raw)
-	w.scratch = AppendF64(w.scratch, d.Smoothed)
-	w.scratch = AppendF64(w.scratch, d.Pred)
-	w.scratch = AppendF64(w.scratch, d.Residual)
-	w.scratch = AppendF64(w.scratch, d.Delta)
-	w.scratch = AppendF64(w.scratch, d.NIS)
+	b := AppendI64(w.scratch, d.TraceID)
+	b = AppendI64(b, d.Seq)
+	b = append(b, byte(d.Decision))
+	for _, v := range [...]float64{d.Raw, d.Smoothed, d.Pred, d.Residual, d.Delta, d.NIS} {
+		b = AppendF64(b, v)
+	}
+	b = AppendI64(b, d.At)
+	if hop != nil {
+		b = AppendU32(b, hop.Idx)
+		b = AppendI64(b, hop.Epoch)
+		b = AppendI64(b, hop.RxUnixNs)
+		b = AppendI64(b, hop.TxUnixNs)
+	}
+	w.scratch = b
 	return w.finish()
 }
 
-// Error buffers a failure report. Messages beyond 64 KiB are truncated
-// rather than rejected — an error path must not fail on length.
+// Error buffers a failure report.
 func (w *Writer) Error(msg string) error {
-	if len(msg) > math.MaxUint16 {
-		msg = msg[:math.MaxUint16]
-	}
 	w.begin(TagError)
-	w.scratch, _ = AppendString(w.scratch, msg)
+	w.scratch = appendError(w.scratch, msg)
 	return w.finish()
 }
 
@@ -492,15 +520,10 @@ func NewReader(r io.Reader, bufSize int, maxFrame int) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, bufSize), max: uint32(maxFrame)}
 }
 
-// ReadPreamble consumes and validates the peer's preamble.
-func (r *Reader) ReadPreamble() (byte, error) {
+// ReadPreamble consumes and validates the peer's preamble, returning
+// version and feature bits.
+func (r *Reader) ReadPreamble() (version, features byte, err error) {
 	return ReadPreamble(r.br)
-}
-
-// ReadPreambleFeatures consumes and validates the peer's preamble,
-// returning version and feature bits.
-func (r *Reader) ReadPreambleFeatures() (version, features byte, err error) {
-	return ReadPreambleFeatures(r.br)
 }
 
 // Buffered reports how many received bytes wait to be parsed. The
@@ -652,9 +675,11 @@ func DecodeHello(p []byte) (sourceID string, err error) {
 	return string(id), nil
 }
 
-// Install is the decoded handshake reply. ResumeSeq >= 0 means the
-// server already holds filter state for the source through that
-// sequence and the source should resume; < 0 means bootstrap.
+// Install is the handshake reply. ResumeSeq >= 0 tells a source holding
+// unacknowledged updates past that sequence to resend them and continue
+// without re-bootstrapping (the server recovered its filter state from
+// durable storage); ResumeSeq < 0 means the server has no state for the
+// source and expects a bootstrap.
 type Install struct {
 	SourceID  string
 	Model     string
@@ -677,10 +702,12 @@ func DecodeInstall(p []byte) (Install, error) {
 	return Install{SourceID: string(id), Model: string(model), Delta: delta, F: f, ResumeSeq: resume}, nil
 }
 
-// decodeUpdateBody parses the shared update payload layout into u,
-// reusing u.Values. The SourceID bytes are passed through intern (which
-// may allocate or reuse a cached string).
-func decodeUpdateBody(p []byte, u *core.Update, intern func([]byte) string) error {
+// DecodeUpdateInto parses the update payload layout into u, reusing
+// u.Values. The SourceID bytes are passed through the caller-supplied
+// intern (which may allocate or reuse a cached string) — the datagram
+// receiver's hook for a map-based intern, where one socket multiplexes
+// many sources and the reader's single-entry cache would thrash.
+func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) error {
 	c := NewCursor(p)
 	id := c.Str()
 	seq := c.I64()
@@ -706,14 +733,14 @@ func decodeUpdateBody(p []byte, u *core.Update, intern func([]byte) string) erro
 // reader's source-id intern cache so steady-state decoding allocates
 // nothing.
 func (r *Reader) DecodeUpdate(p []byte, u *core.Update) error {
-	return decodeUpdateBody(p, u, func(b []byte) string { return internID(&r.lastID, b) })
+	return DecodeUpdateInto(p, u, func(b []byte) string { return internID(&r.lastID, b) })
 }
 
 // DecodeUpdatePayload parses a standalone update payload (e.g. a WAL
 // record) into u, reusing u.Values. The source id is freshly allocated;
 // callers replaying many records may intern it themselves.
 func DecodeUpdatePayload(p []byte, u *core.Update) error {
-	return decodeUpdateBody(p, u, func(b []byte) string { return string(b) })
+	return DecodeUpdateInto(p, u, func(b []byte) string { return string(b) })
 }
 
 // DecodeAck parses a cumulative ack payload.
@@ -754,10 +781,11 @@ func DecodeAnswer(p []byte) (queryID string, values []float64, err error) {
 	return string(id), values, nil
 }
 
-// DecodeTrace parses a decision-evidence payload.
-func DecodeTrace(p []byte) (trace.DecisionInfo, error) {
+// DecodeTrace parses a decision-evidence payload. hasHop reports
+// whether the router-hop suffix was present. Returns by value so
+// hot-path callers keep the result on the stack.
+func DecodeTrace(p []byte) (d trace.DecisionInfo, hop TraceHop, hasHop bool, err error) {
 	c := NewCursor(p)
-	var d trace.DecisionInfo
 	d.TraceID = c.I64()
 	d.Seq = c.I64()
 	d.Decision = trace.Decision(c.U8())
@@ -767,10 +795,14 @@ func DecodeTrace(p []byte) (trace.DecisionInfo, error) {
 	d.Residual = c.F64()
 	d.Delta = c.F64()
 	d.NIS = c.F64()
-	if !c.Done() {
-		return trace.DecisionInfo{}, malformed(TagTrace)
+	d.At = c.I64()
+	if hasHop = c.OK() && !c.Done(); hasHop {
+		hop = TraceHop{Idx: c.U32(), Epoch: c.I64(), RxUnixNs: c.I64(), TxUnixNs: c.I64()}
 	}
-	return d, nil
+	if !c.Done() {
+		return trace.DecisionInfo{}, TraceHop{}, false, malformed(TagTrace)
+	}
+	return d, hop, hasHop, nil
 }
 
 // DecodeError parses an error payload.
@@ -865,17 +897,10 @@ func AppendHelloFrame(b []byte, sourceID string) ([]byte, error) {
 // AppendInstallFrame appends a complete install frame.
 func AppendInstallFrame(b []byte, inst Install) ([]byte, error) {
 	start := len(b)
-	b = BeginFrame(b, TagInstall)
-	var err error
-	if b, err = AppendString(b, inst.SourceID); err != nil {
+	b, err := appendInstall(BeginFrame(b, TagInstall), inst)
+	if err != nil {
 		return b, err
 	}
-	if b, err = AppendString(b, inst.Model); err != nil {
-		return b, err
-	}
-	b = AppendF64(b, inst.Delta)
-	b = AppendF64(b, inst.F)
-	b = AppendI64(b, inst.ResumeSeq)
 	return EndFrame(b, start)
 }
 
@@ -893,18 +918,5 @@ func AppendUpdateFrame(b []byte, u *core.Update) ([]byte, error) {
 // AppendErrorFrame appends a complete error frame.
 func AppendErrorFrame(b []byte, msg string) ([]byte, error) {
 	start := len(b)
-	b = BeginFrame(b, TagError)
-	var err error
-	if b, err = AppendString(b, msg); err != nil {
-		return b, err
-	}
-	return EndFrame(b, start)
-}
-
-// DecodeUpdateInto parses a standalone update payload into u with a
-// caller-supplied intern function — the datagram receiver's hook for a
-// map-based intern, where one socket multiplexes many sources and the
-// reader's single-entry cache would thrash.
-func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) error {
-	return decodeUpdateBody(p, u, intern)
+	return EndFrame(appendError(BeginFrame(b, TagError), msg), start)
 }

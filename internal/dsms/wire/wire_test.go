@@ -44,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := w.Hello("sensor-a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Install("sensor-a", "linear2d", 2.5, 1e-7, 314); err != nil {
+	if err := w.Install(Install{SourceID: "sensor-a", Model: "linear2d", Delta: 2.5, F: 1e-7, ResumeSeq: 314}); err != nil {
 		t.Fatal(err)
 	}
 	u := core.Update{SourceID: "sensor-a", Seq: 1 << 40, Time: 12.75, Values: []float64{1.5, -2.25, math.Pi}, Bootstrap: true}
@@ -67,7 +67,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		TraceID: 88, Seq: 1 << 40, Decision: trace.DecisionSend,
 		Raw: 5.5, Smoothed: 5.25, Pred: 2.0, Residual: 3.25, Delta: 0.5, NIS: 7.5,
 	}
-	if err := w.Trace(&d); err != nil {
+	if err := w.Trace(&d, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustFlush(t, w)
@@ -105,7 +105,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if msg, err := DecodeError(next(t, r, TagError)); err != nil || msg != "boom" {
 		t.Fatalf("error = %q, %v", msg, err)
 	}
-	if got, err := DecodeTrace(next(t, r, TagTrace)); err != nil || got != d {
+	if got, _, hasHop, err := DecodeTrace(next(t, r, TagTrace)); err != nil || hasHop || got != d {
 		t.Fatalf("trace = %+v, %v; want %+v", got, err, d)
 	}
 	// Stream fully consumed: a clean EOF at the frame boundary.
@@ -183,21 +183,21 @@ func mustNext(t *testing.T, r *Reader) []byte {
 
 func TestPreamble(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePreamble(&buf, Version); err != nil {
+	if err := WritePreamble(&buf, Version, 0); err != nil {
 		t.Fatal(err)
 	}
-	ver, err := ReadPreamble(&buf)
+	ver, _, err := ReadPreamble(&buf)
 	if err != nil || ver != Version {
 		t.Fatalf("preamble = %d, %v", ver, err)
 	}
 
-	if _, err := ReadPreamble(strings.NewReader("GET / HTTP/1.1\r\n")); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := ReadPreamble(strings.NewReader("GET / HTTP/1.1\r\n")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic = %v, want ErrBadMagic", err)
 	}
-	if _, err := ReadPreamble(strings.NewReader("")); !errors.Is(err, core.ErrPeerClosed) {
+	if _, _, err := ReadPreamble(strings.NewReader("")); !errors.Is(err, core.ErrPeerClosed) {
 		t.Fatalf("empty preamble = %v, want core.ErrPeerClosed", err)
 	}
-	if _, err := ReadPreamble(strings.NewReader("DKF")); !errors.Is(err, core.ErrTruncated) {
+	if _, _, err := ReadPreamble(strings.NewReader("DKF")); !errors.Is(err, core.ErrTruncated) {
 		t.Fatalf("partial preamble = %v, want core.ErrTruncated", err)
 	}
 
@@ -214,10 +214,10 @@ func TestPreamble(t *testing.T) {
 func TestPreambleFeatures(t *testing.T) {
 	// A feature-advertising preamble round-trips version and bits.
 	var buf bytes.Buffer
-	if err := WritePreambleFeatures(&buf, Version, FeatTrace); err != nil {
+	if err := WritePreamble(&buf, Version, FeatTrace); err != nil {
 		t.Fatal(err)
 	}
-	ver, feats, err := ReadPreambleFeatures(&buf)
+	ver, feats, err := ReadPreamble(&buf)
 	if err != nil || ver != Version || feats != FeatTrace {
 		t.Fatalf("preamble = v%d feats %#02x, %v; want v%d feats %#02x", ver, feats, err, Version, FeatTrace)
 	}
@@ -225,32 +225,32 @@ func TestPreambleFeatures(t *testing.T) {
 	// A pre-tracing peer writes a zero feature byte: same wire shape,
 	// read by the feature-aware reader as "no features".
 	buf.Reset()
-	if err := WritePreamble(&buf, Version); err != nil {
+	if err := WritePreamble(&buf, Version, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, feats, err = ReadPreambleFeatures(&buf); err != nil || feats != 0 {
+	if _, feats, err = ReadPreamble(&buf); err != nil || feats != 0 {
 		t.Fatalf("legacy preamble feats = %#02x, %v; want 0", feats, err)
 	}
 
 	// And the legacy reader ignores whatever a feature-advertising peer
 	// wrote in byte 5 — the compat contract both directions rely on.
 	buf.Reset()
-	if err := WritePreambleFeatures(&buf, Version, 0xff); err != nil {
+	if err := WritePreamble(&buf, Version, 0xff); err != nil {
 		t.Fatal(err)
 	}
-	if ver, err = ReadPreamble(&buf); err != nil || ver != Version {
+	if ver, _, err = ReadPreamble(&buf); err != nil || ver != Version {
 		t.Fatalf("legacy read of feature preamble = v%d, %v", ver, err)
 	}
 
 	// The buffered Writer/Reader pair speaks the same shape.
 	buf.Reset()
 	w := NewWriter(&buf, 0, 0)
-	if err := w.WritePreambleFeatures(Version, FeatTrace); err != nil {
+	if err := w.WritePreamble(Version, FeatTrace); err != nil {
 		t.Fatal(err)
 	}
 	mustFlush(t, w)
 	r := NewReader(&buf, 0, 0)
-	if ver, feats, err = r.ReadPreambleFeatures(); err != nil || ver != Version || feats != FeatTrace {
+	if ver, feats, err = r.ReadPreamble(); err != nil || ver != Version || feats != FeatTrace {
 		t.Fatalf("buffered preamble = v%d feats %#02x, %v", ver, feats, err)
 	}
 }
@@ -342,8 +342,8 @@ func TestDecodeMalformedPayloads(t *testing.T) {
 		{"query", func() error { _, _, err := r.DecodeQuery([]byte{2, 0, 'q'}); return err }()},
 		{"answer", func() error { _, _, err := DecodeAnswer([]byte{1, 0, 'q', 9, 0}); return err }()},
 		{"error", func() error { _, err := DecodeError([]byte{5, 0, 'x'}); return err }()},
-		{"trace", func() error { _, err := DecodeTrace(make([]byte, 64)); return err }()},
-		{"trace-long", func() error { _, err := DecodeTrace(make([]byte, 66)); return err }()},
+		{"trace", func() error { _, _, _, err := DecodeTrace(make([]byte, 72)); return err }()},
+		{"trace-retired-65", func() error { _, _, _, err := DecodeTrace(make([]byte, 65)); return err }()},
 		{"trailing", func() error { _, err := DecodeAck(append(make([]byte, 8), 0xff)); return err }()},
 	}
 	for _, c := range cases {

@@ -11,9 +11,7 @@
 package synopsis
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 
@@ -171,9 +169,6 @@ func (s *Store) Reconstruct() ([]stream.Reading, error) {
 //	i64      n
 //	u32      corrections; per correction: i64 seq, u16 len, f64 per value
 //	u32      crc (CRC32C over everything before it)
-//
-// Summaries written by earlier builds used encoding/gob; Decode still
-// reads those (a gob stream can never start with "KSYN").
 
 // synMagic opens an encoded Store ("Kalman SYNopsis").
 var synMagic = [4]byte{'K', 'S', 'Y', 'N'}
@@ -181,18 +176,6 @@ var synMagic = [4]byte{'K', 'S', 'Y', 'N'}
 const synVersion = 1
 
 var synCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// encoded is the legacy gob wire shape of a Store, kept for read-only
-// decoding of pre-binary archives.
-type encoded struct {
-	ModelName   string
-	Tol         float64
-	BootSeq     int
-	Boot        []float64
-	Corrections []Point
-	LastSeq     int
-	N           int
-}
 
 // Encode serializes the summary in the framed binary format above.
 func (s *Store) Encode() ([]byte, error) {
@@ -230,13 +213,13 @@ func (s *Store) Encode() ([]byte, error) {
 }
 
 // Decode reconstructs a summary from Encode output, resolving the model
-// by name. Gob payloads from earlier builds decode via the legacy path.
+// by name.
 func Decode(data []byte, resolve func(name string) (model.Model, error)) (*Store, error) {
-	if len(data) < 4 || [4]byte(data[:4]) != synMagic {
-		return decodeGob(data, resolve)
-	}
 	if len(data) < 9 {
 		return nil, fmt.Errorf("synopsis: decode: truncated header")
+	}
+	if [4]byte(data[:4]) != synMagic {
+		return nil, fmt.Errorf("synopsis: decode: bad magic (not a synopsis summary)")
 	}
 	if data[4] != synVersion {
 		return nil, fmt.Errorf("synopsis: decode: version %d, this build reads %d", data[4], synVersion)
@@ -246,25 +229,24 @@ func Decode(data []byte, resolve func(name string) (model.Model, error)) (*Store
 		return nil, fmt.Errorf("synopsis: decode: crc mismatch (corrupt)")
 	}
 	c := wire.NewCursor(body[5:])
-	e := encoded{}
-	e.ModelName = string(c.Str())
-	e.Tol = c.F64()
-	e.BootSeq = int(c.I64())
+	modelName := string(c.Str())
+	tol := c.F64()
+	bootSeq := int(c.I64())
 	nb := int(c.U16())
 	if !c.OK() {
 		return nil, fmt.Errorf("synopsis: decode: truncated summary")
 	}
-	e.Boot = make([]float64, nb)
-	for i := range e.Boot {
-		e.Boot[i] = c.F64()
+	boot := make([]float64, nb)
+	for i := range boot {
+		boot[i] = c.F64()
 	}
-	e.LastSeq = int(c.I64())
-	e.N = int(c.I64())
+	lastSeq := int(c.I64())
+	n := int(c.I64())
 	nc := int(c.U32())
 	if !c.OK() || nc > len(data) {
 		return nil, fmt.Errorf("synopsis: decode: truncated summary")
 	}
-	e.Corrections = make([]Point, 0, nc)
+	corrections := make([]Point, 0, nc)
 	for i := 0; i < nc; i++ {
 		p := Point{Seq: int(c.I64())}
 		nv := int(c.U16())
@@ -275,37 +257,20 @@ func Decode(data []byte, resolve func(name string) (model.Model, error)) (*Store
 		for j := range p.Values {
 			p.Values[j] = c.F64()
 		}
-		e.Corrections = append(e.Corrections, p)
+		corrections = append(corrections, p)
 	}
 	if !c.Done() {
 		return nil, fmt.Errorf("synopsis: decode: malformed summary")
 	}
-	return restore(e, resolve)
-}
-
-// decodeGob reads the legacy gob encoding (read-only fallback).
-func decodeGob(data []byte, resolve func(name string) (model.Model, error)) (*Store, error) {
-	var e encoded
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("synopsis: decode: %w", err)
-	}
-	return restore(e, resolve)
-}
-
-func restore(e encoded, resolve func(name string) (model.Model, error)) (*Store, error) {
-	m, err := resolve(e.ModelName)
+	m, err := resolve(modelName)
 	if err != nil {
 		return nil, err
 	}
-	s, err := New(m, e.Tol)
+	s, err := New(m, tol)
 	if err != nil {
 		return nil, err
 	}
-	s.bootSeq = e.BootSeq
-	s.boot = e.Boot
-	s.corrections = e.Corrections
-	s.lastSeq = e.LastSeq
-	s.n = e.N
+	s.bootSeq, s.boot, s.corrections, s.lastSeq, s.n = bootSeq, boot, corrections, lastSeq, n
 	return s, nil
 }
 

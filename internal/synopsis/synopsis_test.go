@@ -1,8 +1,6 @@
 package synopsis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,47 +202,14 @@ func TestReconstructionToleranceProperty(t *testing.T) {
 	}
 }
 
-// TestDecodeGobFallback: summaries written by earlier builds used
-// encoding/gob; Decode must still read them (the binary format is
-// sniffed by its "KSYN" magic, which no gob stream starts with).
-func TestDecodeGobFallback(t *testing.T) {
-	data := gen.Ramp(120, 5, 1.5, 0.05, 9)
-	s, _ := New(linearModel(), 1)
-	if err := s.AppendAll(data); err != nil {
-		t.Fatal(err)
-	}
-	legacy := encoded{
-		ModelName:   s.modelName,
-		Tol:         s.tol,
-		BootSeq:     s.bootSeq,
-		Boot:        s.boot,
-		Corrections: s.corrections,
-		LastSeq:     s.lastSeq,
-		N:           s.n,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
+// TestDecodeUnknownMagic: anything that does not open with "KSYN" —
+// including a gob stream, the format builds before the binary one wrote
+// — is a plain decode error.
+func TestDecodeUnknownMagic(t *testing.T) {
 	resolve := func(string) (model.Model, error) { return linearModel(), nil }
-	back, err := Decode(buf.Bytes(), resolve)
-	if err != nil {
-		t.Fatalf("legacy gob summary no longer decodes: %v", err)
-	}
-	origRec, err := s.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	backRec, err := back.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(origRec) != len(backRec) {
-		t.Fatalf("gob round-trip length %d vs %d", len(backRec), len(origRec))
-	}
-	for i := range origRec {
-		if origRec[i].Values[0] != backRec[i].Values[0] {
-			t.Fatalf("gob round-trip value mismatch at %d", i)
+	for _, blob := range [][]byte{nil, []byte("KSY"), []byte("GOB!-not-a-summary"), make([]byte, 64)} {
+		if _, err := Decode(blob, resolve); err == nil {
+			t.Fatalf("Decode(%q) succeeded, want an error", blob)
 		}
 	}
 }

@@ -6,8 +6,8 @@
 // The design contract is that the *hot path is free*: Counter.Add,
 // Gauge.Set and Histogram.Observe perform no allocation and take no
 // lock, so the DKF ingest path can be instrumented without disturbing
-// the allocation-free property pinned by BENCH_BASELINE.json and
-// BENCH_TCP.json. Counters are striped across padded shards (folded at
+// the allocation budgets the alloc-gate tests pin (TestFilterStepAllocBudget,
+// TestTCPIngestAllocBudget). Counters are striped across padded shards (folded at
 // scrape time) so concurrent writers on different cores do not bounce a
 // single cache line; histograms use power-of-two buckets indexed by
 // bits.Len64, so bucketing is one instruction instead of a search.

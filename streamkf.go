@@ -206,21 +206,6 @@ func NewSampledSession(cfg Config, sampler *AdaptiveSampler) (*SampledSession, e
 	return core.NewSampledSession(cfg, sampler)
 }
 
-// SmoothResult is a fixed-interval smoothed trajectory.
-type SmoothResult = kalman.SmoothResult
-
-// Smooth runs a forward Kalman pass and a backward Rauch–Tung–Striebel
-// pass over archived measurements, for offline reprocessing.
-func Smooth(cfg FilterConfig, measurements []*Matrix) (*SmoothResult, error) {
-	return kalman.Smooth(cfg, measurements)
-}
-
-// MeasurementsFromValues converts scalar readings into the measurement
-// vectors Smooth expects.
-func MeasurementsFromValues(vals []float64) []*Matrix {
-	return kalman.MeasurementsFromValues(vals)
-}
-
 // Baselines.
 type (
 	// CacheBaseline is the precision-bound value-caching scheme of
