@@ -3,7 +3,7 @@ package dsms
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
 
 	"streamkf/internal/stream"
 )
@@ -96,33 +96,80 @@ func (q AggregateQuery) PerSourceDelta() float64 {
 	return q.Delta
 }
 
-// Evaluate applies the aggregate function to per-source values. Sum
-// and avg use exact (order-independent, correctly rounded) summation,
-// so the answer depends only on the multiset of member values — the
-// property that lets a cluster router merge per-shard partials into an
-// answer bit-identical to a single server's (see fsum.go).
+// Evaluate applies the aggregate function to per-source values — one
+// AggFold over them, the same fold the server memo and the cluster
+// router run, so the answer depends only on the multiset of member
+// values however they are grouped.
 func (q AggregateQuery) Evaluate(values []float64) float64 {
-	switch q.Func {
-	case AggSum:
-		return exactSum(values, nil)
-	case AggAvg:
-		return exactSum(values, nil) / float64(len(values))
+	var f AggFold
+	f.Reset(q.Func)
+	f.Merge(values)
+	return f.Finish(len(values))
+}
+
+// AggFold is the one aggregate accumulator: values go in one at a time
+// (Add) or as another fold's partial state (Merge), and come out as
+// mergeable partial state (Partial) or the finished scalar (Finish).
+// Sum and avg keep Shewchuk's exact non-overlapping expansion (fsum.go),
+// whose rounded value is a function of the value multiset only; min and
+// max keep the one extremum, with ties between -0 and +0 broken by sign.
+// Every grouping of the same members across folds therefore finishes to
+// the same bits — what makes a routed aggregate equal a single server's
+// exactly. The zero value must be Reset before use.
+type AggFold struct {
+	fn    AggFunc
+	state []float64 // sum, avg: the expansion; min, max: the extremum
+}
+
+// Reset empties the fold for fn, keeping its backing array.
+func (f *AggFold) Reset(fn AggFunc) {
+	f.fn, f.state = fn, f.state[:0]
+	switch fn {
 	case AggMin:
-		m := math.Inf(1)
-		for _, v := range values {
-			if v < m {
-				m = v
-			}
+		f.state = append(f.state, math.Inf(1))
+	case AggMax:
+		f.state = append(f.state, math.Inf(-1))
+	}
+}
+
+// Add folds one member value in.
+func (f *AggFold) Add(v float64) {
+	switch f.fn {
+	case AggSum, AggAvg:
+		f.state = addToExpansion(f.state, v)
+	case AggMin:
+		if m := f.state[0]; v < m || (v == m && math.Signbit(v)) {
+			f.state[0] = v
 		}
-		return m
 	default: // AggMax
-		m := math.Inf(-1)
-		for _, v := range values {
-			if v > m {
-				m = v
-			}
+		if m := f.state[0]; v > m || (v == m && !math.Signbit(v)) {
+			f.state[0] = v
 		}
-		return m
+	}
+}
+
+// Merge folds another fold's Partial in: expansion components and
+// extrema both combine by Add.
+func (f *AggFold) Merge(partial []float64) {
+	for _, v := range partial {
+		f.Add(v)
+	}
+}
+
+// Partial returns the mergeable state — for sum and avg the expansion
+// (components whose exact sum is the sum of everything added), for min
+// and max the single extremum. It aliases the fold; copy to keep.
+func (f *AggFold) Partial() []float64 { return f.state }
+
+// Finish returns the aggregate over n members in total.
+func (f *AggFold) Finish(n int) float64 {
+	switch f.fn {
+	case AggSum:
+		return roundExpansion(f.state)
+	case AggAvg:
+		return roundExpansion(f.state) / float64(n)
+	default:
+		return f.state[0]
 	}
 }
 
@@ -134,254 +181,102 @@ func (s *Server) RegisterAggregate(q AggregateQuery) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	if s.aggregate == nil {
-		s.aggregate = make(map[string]AggregateQuery)
-	}
-	if _, dup := s.aggregate[q.ID]; dup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.queries[q.ID] != nil {
 		return fmt.Errorf("dsms: duplicate aggregate query id %s", q.ID)
 	}
+	rec := &query{kind: kindAggregate, agg: &aggregate{def: q}}
 	delta := q.PerSourceDelta()
-	installed := make([]string, 0, len(q.SourceIDs))
+	var installed []string
 	for _, src := range q.SourceIDs {
-		sub := stream.Query{
-			ID:       q.ID + "/" + src,
-			SourceID: src,
-			Delta:    delta,
-			F:        q.F,
-			Model:    q.Model,
-		}
-		// A durable server recovers per-source sub-queries from the WAL
-		// before the aggregate itself is re-installed at startup; the
-		// namespaced id can only come from a prior install of this same
-		// aggregate, so an existing sub-query is adopted, not an error.
-		if s.HasQuery(sub.ID) {
-			continue
-		}
-		if err := s.Register(sub); err != nil {
+		sub := stream.Query{ID: q.ID + "/" + src, SourceID: src, Delta: delta, F: q.F, Model: q.Model}
+		st, created, err := s.adoptOrRegisterLocked(sub)
+		if err != nil {
 			// Roll back the sub-queries installed so far.
 			for _, id := range installed {
-				s.dropQuery(id)
+				s.dropLocked(id)
 			}
 			return fmt.Errorf("dsms: aggregate %s: %w", q.ID, err)
 		}
-		installed = append(installed, sub.ID)
+		if created {
+			installed = append(installed, sub.ID)
+		}
+		rec.agg.members = append(rec.agg.members, st)
 	}
-	s.aggregate[q.ID] = q
+	s.queries[q.ID] = rec
 	return nil
 }
 
-// dropQuery removes a registered (not yet streaming) per-source query.
-func (s *Server) dropQuery(queryID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.byQuery, queryID)
-	for srcID, st := range s.sources {
-		for i, q := range st.queries {
-			if q.ID == queryID {
-				st.queries = append(st.queries[:i], st.queries[i+1:]...)
-				if len(st.queries) == 0 {
-					delete(s.sources, srcID)
-				}
-				return
+// aggregate is the aggregate half of a query record: the definition and
+// the memo of its last computed answer, stamped with the reading index
+// it was computed at and the sum of the members' version counters. A
+// repeated point read of an unchanged aggregate is then O(1): one atomic
+// load per member and no filter work, instead of re-advancing and
+// re-evaluating every member under its lock. Any member mutation (update
+// apply, batch advance, state restore) bumps its version and invalidates
+// the memo.
+type aggregate struct {
+	def     AggregateQuery
+	members []*sourceState // in def.SourceIDs order
+
+	mu    sync.Mutex // guards the memo; taken before any member's lock
+	valid bool
+	seq   int
+	vsum  uint64
+	fold  AggFold // over the local members; its Partial is what a router merges
+	value float64 // fold finished over the local members
+}
+
+// at serves the aggregate at seq — from the memo when no member changed
+// since it was last computed there, recomputing it otherwise — as its
+// finished scalar and, for a Partial aggregate, a copy of the mergeable
+// partial vector a cluster router folds.
+func (a *aggregate) at(tel *serverTelemetry, seq int) (value float64, partial []float64, err error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	// Summing the versions before the member answers makes the memo
+	// conservative: a mutation racing the computation lands a version
+	// the stored stamp misses, forcing a recompute on the next read.
+	var vsum uint64
+	for _, st := range a.members {
+		vsum += uint64(st.version.Load())
+	}
+	if a.valid && a.seq == seq && a.vsum == vsum {
+		tel.aggMemoHits.Inc()
+	} else {
+		a.valid = false
+		a.fold.Reset(a.def.Func)
+		for _, st := range a.members {
+			vals, err := st.answer(seq)
+			if err != nil {
+				return 0, nil, err
 			}
-		}
-	}
-}
-
-// aggMemo caches one aggregate's last computed answer, stamped with
-// the reading index it was computed at and the sum of its members'
-// version counters. A repeated point read of an unchanged aggregate is
-// then O(1): two atomic loads per member and no filter work, instead
-// of re-advancing and re-evaluating every member under its lock. Any
-// member mutation (update apply, batch advance, state restore) bumps
-// its version and invalidates the memo. Guarded by Server.aggMu.
-type aggMemo struct {
-	members []*sourceState // resolved once; aggregate membership is fixed at registration
-	valid   bool
-	seq     int
-	vsum    uint64
-
-	value   float64   // Evaluate over the local members
-	partial []float64 // mergeable partial: exact-sum expansion (sum/avg) or extremum (min/max)
-
-	values  []float64 // member-value scratch
-	scratch []float64 // expansion scratch
-}
-
-// versionSum folds the members' version counters — the memo's change
-// detector. Reading it before the member answers makes the memo
-// conservative: a mutation racing the computation lands a version the
-// stored stamp misses, forcing a recompute on the next read.
-func (m *aggMemo) versionSum() uint64 {
-	var v uint64
-	for _, st := range m.members {
-		v += uint64(st.version.Load())
-	}
-	return v
-}
-
-// memoFor returns (creating on first use) the memo entry for q,
-// resolving the member source states. Caller holds aggMu.
-func (s *Server) memoFor(q AggregateQuery) (*aggMemo, error) {
-	if s.aggMemo == nil {
-		s.aggMemo = make(map[string]*aggMemo)
-	}
-	if m, ok := s.aggMemo[q.ID]; ok {
-		return m, nil
-	}
-	m := &aggMemo{members: make([]*sourceState, 0, len(q.SourceIDs))}
-	s.mu.RLock()
-	for _, src := range q.SourceIDs {
-		st := s.byQuery[q.ID+"/"+src]
-		if st == nil {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("dsms: aggregate %s: sub-query for source %s not registered", q.ID, src)
-		}
-		m.members = append(m.members, st)
-	}
-	s.mu.RUnlock()
-	s.aggMemo[q.ID] = m
-	return m, nil
-}
-
-// answerAggregateLocked serves q's answer at seq from the memo when
-// nothing changed, recomputing it otherwise. Caller holds aggMu.
-func (s *Server) answerAggregateLocked(q AggregateQuery, seq int) (*aggMemo, error) {
-	m, err := s.memoFor(q)
-	if err != nil {
-		return nil, err
-	}
-	vsum := m.versionSum()
-	if m.valid && m.seq == seq && m.vsum == vsum {
-		s.tel.aggMemoHits.Inc()
-		return m, nil
-	}
-	m.valid = false
-	m.values = m.values[:0]
-	for _, src := range q.SourceIDs {
-		vals, err := s.Answer(q.ID+"/"+src, seq)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("dsms: aggregate %s: source %s is not single-attribute", q.ID, src)
-		}
-		m.values = append(m.values, vals[0])
-	}
-	s.tel.aggAnswers.Inc()
-	switch q.Func {
-	case AggSum, AggAvg:
-		m.scratch = m.scratch[:0]
-		for _, v := range m.values {
-			m.scratch = addToExpansion(m.scratch, v)
-		}
-		m.partial = append(m.partial[:0], m.scratch...)
-		m.value = roundExpansion(m.scratch)
-		if q.Func == AggAvg {
-			m.value /= float64(len(m.values))
-		}
-	case AggMin:
-		ext := math.Inf(1)
-		for _, v := range m.values {
-			if v < ext {
-				ext = v
+			if len(vals) != 1 {
+				return 0, nil, fmt.Errorf("dsms: aggregate %s: source %s is not single-attribute", a.def.ID, st.id)
 			}
+			a.fold.Add(vals[0])
 		}
-		m.partial = append(m.partial[:0], ext)
-		m.value = ext
-	default: // AggMax
-		ext := math.Inf(-1)
-		for _, v := range m.values {
-			if v > ext {
-				ext = v
-			}
-		}
-		m.partial = append(m.partial[:0], ext)
-		m.value = ext
+		tel.aggAnswers.Inc()
+		a.value = a.fold.Finish(len(a.members))
+		a.seq, a.vsum, a.valid = seq, vsum, true
 	}
-	m.seq, m.vsum, m.valid = seq, vsum, true
-	return m, nil
+	if a.def.Partial {
+		partial = append(partial, a.fold.Partial()...)
+	}
+	return a.value, partial, nil
 }
 
 // AnswerAggregate evaluates the aggregate query at reading index seq:
 // every participating source's filter is advanced to seq and the
 // aggregate of the predictions is returned. Repeated reads at the same
 // seq with no intervening member changes are served from a memo in
-// O(1) (see aggMemo).
+// O(1) (see aggregate).
 func (s *Server) AnswerAggregate(queryID string, seq int) (float64, error) {
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	q, ok := s.aggregate[queryID]
-	if !ok {
-		return 0, fmt.Errorf("dsms: unknown aggregate query %s", queryID)
-	}
-	m, err := s.answerAggregateLocked(q, seq)
+	q, err := s.lookup(queryID, kindAggregate)
 	if err != nil {
 		return 0, err
 	}
-	return m.value, nil
-}
-
-// AnswerAggregatePartial evaluates the aggregate at seq and returns
-// its mergeable partial state: for sum and avg the exact non-
-// overlapping expansion of the local sum (components whose exact sum
-// is the local sum — fold several shards' expansions together and
-// round once for the exact global sum), for min/max the single local
-// extremum. This is what a shard answers a cluster router with.
-func (s *Server) AnswerAggregatePartial(queryID string, seq int) ([]float64, error) {
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	q, ok := s.aggregate[queryID]
-	if !ok {
-		return nil, fmt.Errorf("dsms: unknown aggregate query %s", queryID)
-	}
-	m, err := s.answerAggregateLocked(q, seq)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), m.partial...), nil
-}
-
-// AnswerAggregateVals is the wire-facing aggregate answer: a Partial
-// aggregate answers with its mergeable partial vector, a regular one
-// with its finished scalar.
-func (s *Server) AnswerAggregateVals(queryID string, seq int) ([]float64, error) {
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	q, ok := s.aggregate[queryID]
-	if !ok {
-		return nil, fmt.Errorf("dsms: unknown aggregate query %s", queryID)
-	}
-	m, err := s.answerAggregateLocked(q, seq)
-	if err != nil {
-		return nil, err
-	}
-	if q.Partial {
-		return append([]float64(nil), m.partial...), nil
-	}
-	return []float64{m.value}, nil
-}
-
-// HasAggregate reports whether an aggregate query id is registered —
-// how a cluster router's re-registration after a shard restart is made
-// idempotent.
-func (s *Server) HasAggregate(queryID string) bool {
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	_, ok := s.aggregate[queryID]
-	return ok
-}
-
-// AggregateIDs returns the registered aggregate query ids, sorted.
-func (s *Server) AggregateIDs() []string {
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	out := make([]string, 0, len(s.aggregate))
-	for id := range s.aggregate {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	v, _, err := q.agg.at(s.tel, seq)
+	return v, err
 }

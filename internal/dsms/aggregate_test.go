@@ -142,8 +142,8 @@ func TestAggregateDuplicateAndRollback(t *testing.T) {
 	if _, err := s.InstallFor("y"); err == nil {
 		t.Fatal("rollback left a sub-query behind for y")
 	}
-	if got := s.AggregateIDs(); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("AggregateIDs = %v", got)
+	if !s.HasQuery("a") || s.HasQuery("b") {
+		t.Fatalf("HasQuery(a) = %v, HasQuery(b) = %v; want only a registered", s.HasQuery("a"), s.HasQuery("b"))
 	}
 }
 

@@ -2,7 +2,6 @@ package dsms
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -65,24 +64,19 @@ type AlertEvent struct {
 	Value   float64
 }
 
-// alertState tracks one registered alert.
+// alertState is one registered alert: a watcher whose sink is the
+// hysteresis state machine and the callback.
 type alertState struct {
-	cfg   Alert
-	fn    func(AlertEvent)
+	cfg Alert
+	fn  func(AlertEvent)
+
+	mu    sync.Mutex // the watched query's streams may fire concurrently
 	fired bool
 }
 
-// alertBook is the server's alert registry.
-type alertBook struct {
-	mu     sync.Mutex
-	alerts map[string]*alertState
-	// bySource maps a source id to the alert ids that may be affected
-	// when that source updates.
-	bySource map[string][]string
-}
-
-// RegisterAlert installs a threshold alert over an existing query. The
-// callback runs synchronously on the update path; keep it short.
+// RegisterAlert installs a threshold alert over an existing query of
+// any kind. The callback runs synchronously on the update path, outside
+// every server lock (it may call back into the server); keep it short.
 func (s *Server) RegisterAlert(a Alert, fn func(AlertEvent)) error {
 	if err := a.Validate(); err != nil {
 		return err
@@ -90,127 +84,32 @@ func (s *Server) RegisterAlert(a Alert, fn func(AlertEvent)) error {
 	if fn == nil {
 		return fmt.Errorf("dsms: alert %s has nil callback", a.ID)
 	}
-	sources, err := s.querySources(a.QueryID)
-	if err != nil {
-		return err
-	}
-	s.alertMu.Lock()
-	defer s.alertMu.Unlock()
-	if s.alerts == nil {
-		s.alerts = make(map[string]*alertState)
-		s.alertsBySource = make(map[string][]string)
-	}
-	if _, dup := s.alerts[a.ID]; dup {
-		return fmt.Errorf("dsms: duplicate alert id %s", a.ID)
-	}
-	s.alerts[a.ID] = &alertState{cfg: a, fn: fn}
-	s.alertCount.Add(1)
-	for _, src := range sources {
-		s.alertsBySource[src] = append(s.alertsBySource[src], a.ID)
-	}
-	return nil
+	return s.watch(a.QueryID, a.ID, &alertState{cfg: a, fn: fn})
 }
 
-// AlertIDs returns the registered alert ids, sorted.
-func (s *Server) AlertIDs() []string {
-	s.alertMu.Lock()
-	defer s.alertMu.Unlock()
-	out := make([]string, 0, len(s.alerts))
-	for id := range s.alerts {
-		out = append(out, id)
+// fire evaluates the alert against the watched query's answer at seq.
+func (st *alertState) fire(s *Server, seq int) {
+	vals, err := s.answer(st.cfg.QueryID, seq)
+	if err != nil || len(vals) != 1 {
+		return // sources not all streaming yet, or not a scalar: nothing to evaluate
 	}
-	sort.Strings(out)
-	return out
-}
-
-// querySources resolves which sources feed a (value or aggregate) query.
-func (s *Server) querySources(queryID string) ([]string, error) {
-	s.aggMu.Lock()
-	if q, ok := s.aggregate[queryID]; ok {
-		s.aggMu.Unlock()
-		return q.SourceIDs, nil
-	}
-	s.aggMu.Unlock()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for srcID, st := range s.sources {
-		for _, q := range st.queries {
-			if q.ID == queryID {
-				return []string{srcID}, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("dsms: alert references unknown query %s", queryID)
-}
-
-// checkAlerts evaluates every alert touched by an update from sourceID
-// at the given sequence number. Called after HandleUpdate releases the
-// server lock.
-func (s *Server) checkAlerts(sourceID string, seq int) {
-	if s.alertCount.Load() == 0 {
-		// No alerts anywhere: skip the lock and map probe. This runs
-		// once per applied update (or per same-source run on the engine
-		// path), so the empty case must cost one atomic load.
-		return
-	}
-	s.alertMu.Lock()
-	ids := append([]string(nil), s.alertsBySource[sourceID]...)
-	s.alertMu.Unlock()
-	for _, id := range ids {
-		s.evalAlert(id, seq)
-	}
-}
-
-func (s *Server) evalAlert(alertID string, seq int) {
-	s.alertMu.Lock()
-	st, ok := s.alerts[alertID]
-	s.alertMu.Unlock()
-	if !ok {
-		return
-	}
-	value, err := s.queryValue(st.cfg.QueryID, seq)
-	if err != nil {
-		return // sources not all streaming yet; nothing to evaluate
-	}
-
-	a := st.cfg
+	a, value := st.cfg, vals[0]
 	inZone := value > a.Threshold
+	rearmed := value < a.Threshold-a.Hysteresis
 	if a.Direction == AlertBelow {
 		inZone = value < a.Threshold
+		rearmed = value > a.Threshold+a.Hysteresis
 	}
-	rearm := a.Threshold - a.Hysteresis
-	if a.Direction == AlertBelow {
-		rearm = a.Threshold + a.Hysteresis
-	}
-
-	s.alertMu.Lock()
-	fire := false
-	switch {
-	case inZone && !st.fired:
-		st.fired = true
-		fire = true
-	case st.fired:
-		// Re-arm only once the value retreats past the hysteresis band.
-		if (a.Direction == AlertAbove && value < rearm) ||
-			(a.Direction == AlertBelow && value > rearm) {
-			st.fired = false
-		}
-	}
-	fn := st.fn
-	s.alertMu.Unlock()
-
+	st.mu.Lock()
+	fire := inZone && !st.fired
 	if fire {
-		fn(AlertEvent{AlertID: a.ID, QueryID: a.QueryID, Seq: seq, Value: value})
+		st.fired = true
+	} else if st.fired && rearmed {
+		// Re-arm only once the value retreats past the hysteresis band.
+		st.fired = false
 	}
-}
-
-// queryValue answers a value or aggregate query as a scalar.
-func (s *Server) queryValue(queryID string, seq int) (float64, error) {
-	if vals, err := s.Answer(queryID, seq); err == nil {
-		if len(vals) != 1 {
-			return 0, fmt.Errorf("dsms: alert query %s is not single-attribute", queryID)
-		}
-		return vals[0], nil
+	st.mu.Unlock()
+	if fire {
+		st.fn(AlertEvent{AlertID: a.ID, QueryID: a.QueryID, Seq: seq, Value: value})
 	}
-	return s.AnswerAggregate(queryID, seq)
 }

@@ -33,18 +33,21 @@ func TestRegisterAlertValidation(t *testing.T) {
 	if err := s.RegisterAlert(a, nil); err == nil {
 		t.Fatal("accepted nil callback")
 	}
-	noop := func(AlertEvent) {}
-	if err := s.RegisterAlert(Alert{ID: "x", QueryID: "ghost", Threshold: 1}, noop); err == nil {
+	fired := 0
+	count := func(AlertEvent) { fired++ }
+	if err := s.RegisterAlert(Alert{ID: "x", QueryID: "ghost", Threshold: 1}, count); err == nil {
 		t.Fatal("accepted unknown query")
 	}
-	if err := s.RegisterAlert(a, noop); err != nil {
+	if err := s.RegisterAlert(a, count); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterAlert(a, noop); err == nil {
+	if err := s.RegisterAlert(a, count); err == nil {
 		t.Fatal("accepted duplicate alert id")
 	}
-	if ids := s.AlertIDs(); len(ids) != 1 || ids[0] != "a" {
-		t.Fatalf("AlertIDs = %v", ids)
+	// Exactly the one accepted registration is installed.
+	driveSource(t, s, "src", []float64{1, 9})
+	if fired != 1 {
+		t.Fatalf("alert fired %d times after one crossing, want 1", fired)
 	}
 }
 

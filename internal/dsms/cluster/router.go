@@ -111,7 +111,7 @@ type routerAgg struct {
 	mu       sync.Mutex
 	cached   float64
 	cachedOK bool
-	scratch  []float64
+	fold     dsms.AggFold
 }
 
 // pendEntry is one forwarded-but-unacked update: its seq, the verbatim
@@ -702,10 +702,10 @@ func (r *Router) RegisterAggregate(q dsms.AggregateQuery) error {
 }
 
 // AnswerAggregate merges per-shard partials into the aggregate answer
-// at seq. For sum/avg the shards ship exact-sum expansions and the
-// router folds and rounds them — the bit-identical single-server value
-// regardless of how members are split. With β > 0 the router serves the
-// cached answer while the fresh merge stays within βΔ of it.
+// at seq through the fold the shards themselves run (dsms.AggFold) —
+// the bit-identical single-server value regardless of how members are
+// split. With β > 0 the router serves the cached answer while the fresh
+// merge stays within βΔ of it.
 func (r *Router) AnswerAggregate(queryID string, seq int) (float64, error) {
 	r.regMu.Lock()
 	agg := r.aggs[queryID]
@@ -715,44 +715,15 @@ func (r *Router) AnswerAggregate(queryID string, seq int) (float64, error) {
 	}
 	agg.mu.Lock()
 	defer agg.mu.Unlock()
-	exp := agg.scratch[:0]
-	minV, maxV := math.Inf(1), math.Inf(-1)
+	agg.fold.Reset(agg.q.Func)
 	for _, s := range agg.shards {
 		vals, err := r.upstreams[s].query(queryID, seq)
 		if err != nil {
 			return 0, err
 		}
-		switch agg.q.Func {
-		case dsms.AggSum, dsms.AggAvg:
-			for _, v := range vals {
-				exp = dsms.AddToExpansion(exp, v)
-			}
-		case dsms.AggMin:
-			for _, v := range vals {
-				if v < minV {
-					minV = v
-				}
-			}
-		default: // AggMax
-			for _, v := range vals {
-				if v > maxV {
-					maxV = v
-				}
-			}
-		}
+		agg.fold.Merge(vals)
 	}
-	agg.scratch = exp
-	var val float64
-	switch agg.q.Func {
-	case dsms.AggSum:
-		val = dsms.RoundExpansion(exp)
-	case dsms.AggAvg:
-		val = dsms.RoundExpansion(exp) / float64(len(agg.q.SourceIDs))
-	case dsms.AggMin:
-		val = minV
-	default:
-		val = maxV
-	}
+	val := agg.fold.Finish(len(agg.q.SourceIDs))
 	r.tel.aggAnswers.Inc()
 	if agg.cachedOK && math.Abs(val-agg.cached) <= r.opts.AggSuppress*agg.q.Delta {
 		r.tel.aggSuppressed.Inc()

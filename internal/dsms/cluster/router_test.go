@@ -172,6 +172,56 @@ func TestClusterAggregateBitIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterAggregateSignedZeroTies pins the part of bit-identity that
+// no ramp exercises: min and max over members tied at -0 and +0. The
+// shared fold breaks the tie by sign, so the routed answer carries the
+// single server's sign bit however the ring splits the members (folding
+// first-seen-wins, the router's shard order and the server's member
+// order disagree).
+func TestClusterAggregateSignedZeroTies(t *testing.T) {
+	// Lead with a shard-1 member, then a shard-0 member of the other
+	// sign: shard 0's partial, merged first, then opens on the opposite
+	// sign from the single server's member order.
+	ring := NewRing(2, 0)
+	sources := []string{"", ""}
+	for i := 0; i < 6; i++ {
+		id := fmt.Sprintf("z-%d", i)
+		switch owner := ring.Owner(id); {
+		case sources[0] == "" && owner == 1:
+			sources[0] = id
+		case sources[1] == "" && owner == 0:
+			sources[1] = id
+		default:
+			sources = append(sources, id)
+		}
+	}
+	for _, first := range []float64{0, math.Copysign(0, -1)} {
+		data := make(map[string][]stream.Reading, len(sources))
+		for i, id := range sources {
+			v := first
+			if i%2 == 1 {
+				v = -first
+			}
+			data[id] = []stream.Reading{{Seq: 0, Values: []float64{v}}}
+		}
+		for _, fn := range []dsms.AggFunc{dsms.AggSum, dsms.AggAvg, dsms.AggMin, dsms.AggMax} {
+			agg := dsms.AggregateQuery{ID: "tie", SourceIDs: sources, Func: fn, Delta: 1, Model: "constant"}
+			single := dsms.NewServer(testCatalog())
+			if err := single.RegisterAggregate(agg); err != nil {
+				t.Fatal(err)
+			}
+			want := driveTCP(t, startShard(t, single, -1).Addr(), "tie", data, []int{0})
+
+			router, _ := startCluster(t, 2, Options{})
+			if err := router.RegisterAggregate(agg); err != nil {
+				t.Fatal(err)
+			}
+			got := driveTCP(t, router.Addr(), "tie", data, []int{0})
+			requireBitIdentical(t, got, want, fmt.Sprintf("%s from %v", fn, first))
+		}
+	}
+}
+
 // TestClusterPlainQueryRouting: a per-stream query registered through
 // the router lands on the owning shard and answers identically to a
 // single server.

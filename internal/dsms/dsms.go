@@ -95,13 +95,15 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// sourceState is the server's bookkeeping for one source object.
+// sourceState is one row of the server's stream table: the installed
+// filter and everything else the server knows about one source object.
 //
 // Topology fields (id, queries, cfg) are guarded by the server's mu;
 // runtime fields (everything below the mutex) are guarded by the
 // per-source mu, so ingest and queries on different sources never
 // contend. The locking order is Server.mu before sourceState.mu, and
-// Server.mu is never acquired while holding a sourceState.mu.
+// Server.mu is never acquired — not even for reading, since a waiting
+// writer blocks new readers — while holding a sourceState.mu.
 type sourceState struct {
 	id      string
 	cfg     core.Config
@@ -118,12 +120,30 @@ type sourceState struct {
 
 	mu      sync.Mutex
 	node    *core.ServerNode
-	ins     *sourceInstruments // update/byte counters; single source of truth for Stats
-	lastSeq int                // seq of the last transmitted update (-1 before any)
-	history *synopsis.Store    // optional historical-query recorder
-	times   timeMap            // seq-to-time mapping from update timestamps
-	walBuf  []byte             // reusable WAL record encode buffer (durable servers)
-	ckptSeq int                // last update seq covered by a checkpoint (-1 before any)
+	lastSeq int             // seq of the last transmitted update (-1 before any)
+	history *synopsis.Store // optional historical-query recorder
+	times   timeMap         // seq-to-time mapping from update timestamps
+	walBuf  []byte          // reusable WAL record encode buffer (durable servers)
+	ckptSeq int             // last update seq covered by a checkpoint (-1 before any)
+
+	// The stream's own ingest counts: what Stats, /streamz, checkpoints
+	// and migration snapshots report, exact for every stream. ins exports
+	// them to the registry — this stream's labeled series, or the shared
+	// "_other" roll-up past the series cap — fed beside them under mu.
+	updates, suppressed, bytes int64
+	ins                        *sourceInstruments
+
+	// releasedAt is the topology epoch at which the stream was migrated
+	// away, -1 while this server owns it. Set in the lock section that
+	// cuts the migration snapshot (shard.go), so no update past the
+	// snapshot is ever folded here.
+	releasedAt int64
+
+	// watchers are the alerts and subscriptions over queries this stream
+	// feeds (watch.go); nil until the first. Copy-on-write: replaced with
+	// Server.mu held for writing, never mutated, so the ingest path loads
+	// the list and fires it outside every lock.
+	watchers atomic.Pointer[[]watcher]
 
 	// rec is the stream's flight recorder; nil unless tracing is
 	// enabled. lastTrace is the trace id of the latest applied update,
@@ -145,43 +165,55 @@ func (st *sourceState) healthSnapshot() core.FilterHealth {
 	return st.node.Health()
 }
 
-// Server is the central DSMS node.
+// queryKind says which of the three query shapes a record is.
+type queryKind uint8
+
+const (
+	kindPoint     queryKind = iota // one stream's value (stream.Query)
+	kindAggregate                  // an aggregate over several streams' values
+	kindWindow                     // an aggregate over one stream's trailing readings
+)
+
+// kindLabel words the "unknown … query" errors.
+var kindLabel = [...]string{kindPoint: "", kindAggregate: "aggregate ", kindWindow: "window "}
+
+// query is one row of the server's query table. Point, aggregate and
+// window queries share one id namespace; every record carries its
+// streams resolved at registration, so answering and watching never
+// look a stream up by id.
+type query struct {
+	kind queryKind
+	src  *sourceState // kindPoint, kindWindow: the one stream
+	agg  *aggregate   // kindAggregate: definition, members and memo (aggregate.go)
+	win  *WindowQuery // kindWindow: definition (windowed.go)
+}
+
+// streams returns the stream records whose updates move the answer.
+func (q *query) streams() []*sourceState {
+	if q.kind == kindAggregate {
+		return q.agg.members
+	}
+	return []*sourceState{q.src}
+}
+
+// Server is the central DSMS node: two tables — one record per stream,
+// one per query — and nothing else keyed by id except the alert-id set.
 //
-// mu is a read-write lock over the topology only: the source map, the
-// byQuery index, and each source's registered queries and shared filter
-// configuration. The streaming hot path (HandleUpdate, Answer) takes it
-// in read mode and then locks just the one source it touches, so
-// concurrent ingest and queries on different streams proceed in
-// parallel; registration-time calls take it in write mode.
+// mu is a read-write lock over the topology only: the two tables, and
+// each source's registered queries and shared filter configuration. The
+// streaming hot path (HandleUpdate, Answer) takes it in read mode and
+// then locks just the one record it touches, so concurrent ingest and
+// queries on different streams proceed in parallel; registration-time
+// calls take it in write mode. Lock order: mu, then an aggregate's memo
+// lock, then a stream's lock; mu is never taken under either.
 type Server struct {
 	catalog *Catalog
 	tel     *serverTelemetry
 
 	mu      sync.RWMutex
 	sources map[string]*sourceState
-	byQuery map[string]*sourceState // query id -> owning source
-
-	aggMu     sync.Mutex
-	aggregate map[string]AggregateQuery
-	aggMemo   map[string]*aggMemo // per-aggregate answer memo (aggregate.go)
-
-	alertMu        sync.Mutex
-	alerts         map[string]*alertState
-	alertsBySource map[string][]string
-	// alertCount shadows len(alerts) so the post-apply hook on the
-	// ingest hot path can skip the alert lock entirely while no alerts
-	// are registered — the common case for pure-ingest servers.
-	alertCount atomic.Int32
-
-	subMu        sync.Mutex
-	subs         map[int]*subscription
-	subNext      int
-	subsBySource map[string][]int
-	// subCount shadows len(subs), for the same hot-path skip.
-	subCount atomic.Int32
-
-	winMu   sync.Mutex
-	windows map[string]WindowQuery
+	queries map[string]*query
+	alerts  map[string]struct{} // registered alert ids, for the duplicate check
 
 	// db is the durability layer (write-ahead log + checkpoints); nil
 	// on an in-memory server. See persist.go.
@@ -212,9 +244,10 @@ type Server struct {
 	selfMu  sync.Mutex
 	selfmon *SelfMonitor
 
-	// shard is the cluster identity and released-stream bookkeeping;
-	// inert (index -1) while the server runs standalone. See shard.go.
-	shard shardState
+	// shardIndex and shardEpoch are the cluster identity: the shard
+	// index (-1 while standalone) and the highest topology epoch
+	// observed. See shard.go.
+	shardIndex, shardEpoch atomic.Int64
 }
 
 // NewServer returns a server resolving models from catalog. Every
@@ -225,9 +258,10 @@ func NewServer(catalog *Catalog) *Server {
 		catalog: catalog,
 		tel:     newServerTelemetry(telemetry.NewRegistry()),
 		sources: make(map[string]*sourceState),
-		byQuery: make(map[string]*sourceState),
+		queries: make(map[string]*query),
+		alerts:  make(map[string]struct{}),
 	}
-	s.shard.index.Store(-1)
+	s.shardIndex.Store(-1)
 	return s
 }
 
@@ -261,14 +295,36 @@ func (s *Server) TraceEnabled() bool {
 	return s.traceOpts != nil
 }
 
-// lookupQuery resolves a query id to its owning source under the
+// source returns the stream record for sourceID, or nil, under the
 // topology read-lock.
-func (s *Server) lookupQuery(queryID string) (*sourceState, bool) {
+func (s *Server) source(sourceID string) *sourceState {
 	s.mu.RLock()
-	st, ok := s.byQuery[queryID]
-	s.mu.RUnlock()
-	return st, ok
+	defer s.mu.RUnlock()
+	return s.sources[sourceID]
 }
+
+// query returns the record registered under queryID, or nil, under the
+// topology read-lock.
+func (s *Server) query(queryID string) *query {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.queries[queryID]
+}
+
+// lookup resolves a query id to its record, requiring the given kind.
+func (s *Server) lookup(queryID string, kind queryKind) (*query, error) {
+	q := s.query(queryID)
+	if q == nil || q.kind != kind {
+		return nil, fmt.Errorf("dsms: unknown %squery %s", kindLabel[kind], queryID)
+	}
+	return q, nil
+}
+
+// HasQuery reports whether a query id — point, aggregate or window — is
+// already registered: how a restarted process discovers that its
+// startup registrations were recovered from the checkpoint and need not
+// (must not) be repeated.
+func (s *Server) HasQuery(queryID string) bool { return s.query(queryID) != nil }
 
 // Register installs a continuous query. Multiple queries over the same
 // source share one filter pair under the paper's simplification: the
@@ -278,25 +334,39 @@ func (s *Server) lookupQuery(queryID string) (*sourceState, bool) {
 // source sends its bootstrap update; afterwards it fails, because
 // reinstalling a filter would desynchronize the mirror.
 func (s *Server) Register(q stream.Query) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.registerLocked(q)
+	return err
+}
+
+// registerLocked is Register with s.mu held for writing — also how
+// aggregate and window registrations install their per-stream queries.
+// It returns the stream record the query now belongs to.
+func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 	if err := q.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	m, err := s.catalog.Resolve(q.Model)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// One id namespace across kinds. Checked before logging: replay sees
+	// point queries only, so it could not repeat a refusal that an
+	// aggregate or window record caused.
+	if s.queries[q.ID] != nil {
+		return nil, fmt.Errorf("dsms: duplicate query id %s", q.ID)
+	}
 	// Log the registration attempt before the remaining in-memory
-	// checks: a record whose registration is then rejected (duplicate
-	// id, model conflict) is rejected identically at replay, so the
-	// log never needs unwinding.
+	// checks: a record whose registration is then rejected (source
+	// streaming, model conflict) is rejected identically at replay, so
+	// the log never needs unwinding.
 	if err := s.db.appendRegister(q); err != nil {
-		return fmt.Errorf("dsms: logging registration: %w", err)
+		return nil, fmt.Errorf("dsms: logging registration: %w", err)
 	}
 	st := s.sources[q.SourceID]
 	if st == nil {
-		st = &sourceState{id: q.SourceID, lastSeq: -1, ckptSeq: -1}
+		st = &sourceState{id: q.SourceID, lastSeq: -1, ckptSeq: -1, releasedAt: -1}
 		st.ins = s.tel.source(q.SourceID, st.healthSnapshot)
 		if s.traceOpts != nil {
 			st.rec = trace.New(*s.traceOpts)
@@ -307,23 +377,17 @@ func (s *Server) Register(q stream.Query) error {
 	streaming := st.node != nil
 	st.mu.Unlock()
 	if streaming {
-		return fmt.Errorf("dsms: source %s already streaming; cannot register %s", q.SourceID, q.ID)
+		return nil, fmt.Errorf("dsms: source %s already streaming; cannot register %s", q.SourceID, q.ID)
 	}
-	for _, existing := range st.queries {
-		if existing.ID == q.ID {
-			return fmt.Errorf("dsms: duplicate query id %s", q.ID)
-		}
-	}
-	st.queries = append(st.queries, q)
-	cfg := core.Config{SourceID: q.SourceID, Model: m, Delta: q.Delta, F: q.F}
-	if len(st.queries) > 1 {
-		// Recompute the shared configuration. All queries must agree on
+	if len(st.queries) == 0 {
+		st.cfg = core.Config{SourceID: q.SourceID, Model: m, Delta: q.Delta, F: q.F}
+	} else {
+		// Fold into the shared configuration. All queries must agree on
 		// the model — mixed models over one source would need separate
 		// filter pairs, which the paper excludes ("we do not have
 		// queries with overlapping sources").
 		if st.cfg.Model.Name != m.Name {
-			st.queries = st.queries[:len(st.queries)-1]
-			return fmt.Errorf("dsms: source %s already registered with model %s; query %s wants %s",
+			return nil, fmt.Errorf("dsms: source %s already registered with model %s; query %s wants %s",
 				q.SourceID, st.cfg.Model.Name, q.ID, m.Name)
 		}
 		if q.Delta < st.cfg.Delta {
@@ -332,11 +396,44 @@ func (s *Server) Register(q stream.Query) error {
 		if q.F > 0 && (st.cfg.F == 0 || q.F < st.cfg.F) {
 			st.cfg.F = q.F
 		}
-	} else {
-		st.cfg = cfg
 	}
-	s.byQuery[q.ID] = st
-	return nil
+	st.queries = append(st.queries, q)
+	s.queries[q.ID] = &query{kind: kindPoint, src: st}
+	return st, nil
+}
+
+// adoptOrRegisterLocked installs a point query that may already be
+// there: the implicit per-stream query under an aggregate or window (a
+// durable server recovers those from its log before the aggregate or
+// window itself is re-installed at startup), or a migrated stream's
+// query the router pre-registered on the target. An existing point
+// query on the same stream is adopted; created tells the caller whether
+// a rollback must drop it. Caller holds s.mu for writing.
+func (s *Server) adoptOrRegisterLocked(sub stream.Query) (st *sourceState, created bool, err error) {
+	if q := s.queries[sub.ID]; q != nil {
+		if q.kind != kindPoint || q.src.id != sub.SourceID {
+			return nil, false, fmt.Errorf("dsms: duplicate query id %s", sub.ID)
+		}
+		return q.src, false, nil
+	}
+	st, err = s.registerLocked(sub)
+	return st, err == nil, err
+}
+
+// dropLocked removes a registered (not yet streaming) point query — the
+// rollback of adoptOrRegisterLocked. Caller holds s.mu for writing.
+func (s *Server) dropLocked(queryID string) {
+	st := s.queries[queryID].src
+	delete(s.queries, queryID)
+	for i := range st.queries {
+		if st.queries[i].ID == queryID {
+			st.queries = append(st.queries[:i], st.queries[i+1:]...)
+			break
+		}
+	}
+	if len(st.queries) == 0 {
+		delete(s.sources, st.id)
+	}
 }
 
 // InstallFor returns the filter configuration a connecting source agent
@@ -380,10 +477,10 @@ func (s *Server) installReply(sourceID string) (wire.Install, error) {
 }
 
 // HandleUpdate folds one transmitted update into the source's server
-// filter, then evaluates any alerts watching that source (outside all
-// locks, since alert evaluation re-enters Answer). Only the one source's
-// runtime lock is held while the filter steps, so updates from different
-// sources fold in concurrently.
+// filter, then fires the stream's watchers (outside all locks, since
+// they re-enter the answer path). Only the one source's runtime lock is
+// held while the filter steps, so updates from different sources fold in
+// concurrently.
 func (s *Server) HandleUpdate(u core.Update) error { return s.ingest(&u, nil, nil, 0) }
 
 // ingest is the synchronous update entry behind HandleUpdate and the TCP
@@ -393,9 +490,7 @@ func (s *Server) HandleUpdate(u core.Update) error { return s.ingest(&u, nil, ni
 // wireBytes the received frame size (0 when the update did not arrive
 // over the wire). With tracing off none of it is recorded anywhere.
 func (s *Server) ingest(u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) error {
-	s.mu.RLock()
-	st := s.sources[u.SourceID]
-	s.mu.RUnlock()
+	st := s.source(u.SourceID)
 	if st == nil {
 		return fmt.Errorf("dsms: update for uninstalled source %s", u.SourceID)
 	}
@@ -418,8 +513,7 @@ func (s *Server) ingest(u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceH
 		}
 	}
 	st.mu.Unlock()
-	s.checkAlerts(u.SourceID, u.Seq)
-	s.notifySubscribers(u.SourceID, u.Seq)
+	s.notify(st, u.Seq)
 	if s.db != nil {
 		s.maybeCheckpoint()
 	}
@@ -438,6 +532,11 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 	if st.node == nil {
 		return false, 0, fmt.Errorf("dsms: update for uninstalled source %s", u.SourceID)
 	}
+	if st.releasedAt >= 0 {
+		// A stale owner: this stream migrated away. Rejecting — never
+		// folding — keeps exactly one shard authoritative.
+		return false, 0, fmt.Errorf("dsms: source %s released from this shard", u.SourceID)
+	}
 	if err := st.node.ApplyUpdate(*u); err != nil {
 		return false, 0, err
 	}
@@ -452,10 +551,14 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 	// gap server-side keeps the suppression ratio observable without any
 	// extra wire traffic.
 	if !u.Bootstrap && st.lastSeq >= 0 && u.Seq > st.lastSeq+1 {
-		st.ins.suppressed.Add(int64(u.Seq - st.lastSeq - 1))
+		gap := int64(u.Seq - st.lastSeq - 1)
+		st.suppressed += gap
+		st.ins.suppressed.Add(gap)
 	}
 	st.lastSeq = u.Seq
+	st.updates++
 	st.ins.updates.Inc()
+	st.bytes += int64(u.WireBytes())
 	st.ins.bytes.Add(int64(u.WireBytes()))
 	st.ins.seq.SetInt(int64(st.node.Seq()))
 	nis, nisOK := st.node.LastNIS()
@@ -518,15 +621,48 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 	return sampled, tid, nil
 }
 
-// Answer evaluates the named query at reading index seq: it advances the
-// source's filter prediction to seq and returns the predicted values.
-// Only the owning source's runtime lock is taken, so queries over
-// different streams evaluate in parallel.
+// Answer evaluates the named point query at reading index seq: it
+// advances the source's filter prediction to seq and returns the
+// predicted values. Only the owning source's runtime lock is taken, so
+// queries over different streams evaluate in parallel.
 func (s *Server) Answer(queryID string, seq int) ([]float64, error) {
-	st, ok := s.lookupQuery(queryID)
-	if !ok {
+	q, err := s.lookup(queryID, kindPoint)
+	if err != nil {
+		return nil, err
+	}
+	return q.src.answer(seq)
+}
+
+// answer is the one entry that maps (query id, seq) to values for every
+// kind of query — what a TCP query frame, an alert and a subscription
+// all read. A point query answers its predicted values, a window query
+// its scalar, an aggregate its finished scalar — or, when registered
+// Partial, the mergeable partial vector a cluster router folds.
+func (s *Server) answer(queryID string, seq int) ([]float64, error) {
+	q := s.query(queryID)
+	if q == nil {
 		return nil, fmt.Errorf("dsms: unknown query %s", queryID)
 	}
+	switch q.kind {
+	case kindPoint:
+		return q.src.answer(seq)
+	case kindAggregate:
+		v, partial, err := q.agg.at(s.tel, seq)
+		if err != nil {
+			return nil, err
+		}
+		if q.agg.def.Partial {
+			return partial, nil
+		}
+		return []float64{v}, nil
+	default:
+		v, err := q.src.answerWindow(q.win, seq)
+		return []float64{v}, err
+	}
+}
+
+// answer advances the stream's prediction to seq and returns it.
+func (st *sourceState) answer(seq int) ([]float64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.node == nil {
@@ -635,8 +771,8 @@ func summarize(s telemetry.HistogramSnapshot) *LatencySummary {
 }
 
 // Stats returns per-source statistics, sorted by source id. The update
-// and byte counts are read from the telemetry counters — the same
-// values /metrics exports, so the two views cannot drift. Each source's
+// and byte counts are the stream record's own — exact for every stream,
+// including those past the registry's per-stream series cap. Each source's
 // node state is read under its runtime lock, so the snapshot of any one
 // source is consistent (the set of sources is fixed under the topology
 // read-lock, but sources keep streaming while others are read).
@@ -648,9 +784,7 @@ func (s *Server) Stats() []Stats {
 		stat := Stats{SourceID: id, Queries: len(st.queries), Model: st.cfg.Model.Name, Delta: st.cfg.Delta, Healthy: true, Durable: s.db != nil}
 		st.mu.Lock()
 		stat.CheckpointSeq = st.ckptSeq
-		stat.Updates = int(st.ins.updates.Value())
-		stat.Suppressed = int(st.ins.suppressed.Value())
-		stat.Bytes = int(st.ins.bytes.Value())
+		stat.Updates, stat.Suppressed, stat.Bytes = int(st.updates), int(st.suppressed), int(st.bytes)
 		if st.node != nil {
 			stat.Seq = st.node.Seq()
 			h := st.node.Health()
@@ -727,8 +861,8 @@ type StreamTrace struct {
 func (s *Server) TraceStream(id string) (StreamTrace, error) {
 	s.mu.RLock()
 	st := s.sources[id]
-	if st == nil {
-		st = s.byQuery[id]
+	if q := s.queries[id]; st == nil && q != nil {
+		st = q.src // nil for an aggregate, which has no single trail
 	}
 	var out StreamTrace
 	if st != nil {
@@ -804,19 +938,21 @@ func RecentTrace(recs map[string]*trace.Recorder, limit int, source string, kind
 	return out
 }
 
-// Agent is the source-side runtime: it performs the install handshake,
-// runs the DKF source node over a reading stream, and ships updates
-// through a transport.
+// Agent is the source-side runtime: it runs the DKF source node an
+// install handshake configured over a reading stream, and ships updates
+// through a transport. The dialed agents (RemoteAgent, UDPAgent) embed
+// one and add only their transport.
 type Agent struct {
-	sourceID string
-	node     *core.SourceNode
-	send     core.Transport
-	ins      *AgentInstruments // optional; nil-safe record methods
+	cfg    core.Config
+	node   *core.SourceNode
+	send   core.Transport
+	ins    *AgentInstruments // optional; nil-safe record methods
+	tracer *trace.Recorder   // optional local flight recorder
 }
 
-// NewAgent builds an agent for sourceID from an installed configuration
-// (obtained via Server.InstallFor or the TCP handshake) and a transport
-// for updates.
+// NewAgent builds an agent for cfg.SourceID from an installed
+// configuration (obtained via Server.InstallFor or a dial's handshake)
+// and a transport for updates.
 func NewAgent(cfg core.Config, send core.Transport) (*Agent, error) {
 	if send == nil {
 		return nil, errors.New("dsms: nil transport")
@@ -825,7 +961,29 @@ func NewAgent(cfg core.Config, send core.Transport) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Agent{sourceID: cfg.SourceID, node: node, send: send}, nil
+	return &Agent{cfg: cfg, node: node, send: send}, nil
+}
+
+// dialedAgent is the shared tail of the TCP and UDP dials: the install
+// reply names the procedure, the catalog resolves its model, and the
+// mirror agent is built over send with the dial's telemetry and tracing
+// attached (opts.Window plays no part).
+func dialedAgent(inst wire.Install, sourceID string, catalog *Catalog, send core.Transport, opts DialOptions) (*Agent, error) {
+	m, err := catalog.Resolve(inst.Model)
+	if err != nil {
+		return nil, err
+	}
+	a, err := NewAgent(core.Config{SourceID: sourceID, Model: m, Delta: inst.Delta, F: inst.F}, send)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Telemetry != nil {
+		a.Instrument(NewAgentInstruments(opts.Telemetry, sourceID))
+	}
+	if opts.Trace {
+		a.SetTrace(trace.New(trace.Options{RingSize: opts.TraceRing, Sample: opts.TraceSample}))
+	}
+	return a, nil
 }
 
 // Instrument attaches telemetry to the agent. Call before streaming;
@@ -835,7 +993,14 @@ func (a *Agent) Instrument(ins *AgentInstruments) { a.ins = ins }
 // SetTrace attaches a flight recorder to the agent's source node. Call
 // before streaming; a nil recorder (the default) records nothing and
 // costs one nil check per reading.
-func (a *Agent) SetTrace(tr *trace.Recorder) { a.node.SetTrace(tr) }
+func (a *Agent) SetTrace(tr *trace.Recorder) {
+	a.tracer = tr
+	a.node.SetTrace(tr)
+}
+
+// Tracer returns the agent's local flight recorder, or nil when none
+// was attached.
+func (a *Agent) Tracer() *trace.Recorder { return a.tracer }
 
 // LastDecision returns the evidence behind the node's most recent
 // send/suppress decision — what the TCP transport ships ahead of a

@@ -12,10 +12,10 @@ import "math"
 // few ULPs from the single-server answer. An expansion sum is a
 // function of the value *multiset* only: every grouping produces the
 // bit-identical, correctly rounded result. Shards therefore ship their
-// partials as expansions (see AnswerAggregatePartial) and the router
-// folds and rounds them; the single-server Evaluate uses the same
-// machinery, which is what makes "routed == direct" an exact equality
-// rather than a tolerance.
+// partials as expansions and the router folds and rounds them through
+// the same AggFold (aggregate.go) the single-server Evaluate uses, which
+// is what makes "routed == direct" an exact equality rather than a
+// tolerance.
 
 // addToExpansion folds x into the non-overlapping partial expansion,
 // returning the updated slice (which reuses partials' backing array).
@@ -100,33 +100,4 @@ func roundExpansion(partials []float64) float64 {
 		}
 	}
 	return hi
-}
-
-// exactSum returns the correctly rounded sum of values, independent of
-// their order. scratch, when non-nil, provides the expansion's backing
-// array so steady-state callers do not allocate.
-func exactSum(values []float64, scratch []float64) float64 {
-	p := scratch[:0]
-	for _, v := range values {
-		p = addToExpansion(p, v)
-	}
-	return roundExpansion(p)
-}
-
-// AddToExpansion and RoundExpansion export the expansion fold and
-// rounding for the cluster router, which merges per-shard partial
-// expansions (AnswerAggregatePartial) with exactly this machinery —
-// the shared code path is what makes "routed == single server" an
-// exact equality.
-
-// AddToExpansion folds x into the non-overlapping expansion partials,
-// returning the updated slice (reusing its backing array).
-func AddToExpansion(partials []float64, x float64) []float64 {
-	return addToExpansion(partials, x)
-}
-
-// RoundExpansion rounds an expansion to the nearest float64 — the
-// correctly rounded value of the exact sum it represents.
-func RoundExpansion(partials []float64) float64 {
-	return roundExpansion(partials)
 }

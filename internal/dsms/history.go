@@ -1,6 +1,7 @@
 package dsms
 
 import (
+	"errors"
 	"fmt"
 
 	"streamkf/internal/stream"
@@ -23,13 +24,23 @@ func (s *Server) EnableHistory(sourceID string) error {
 	if st == nil || len(st.queries) == 0 {
 		return fmt.Errorf("dsms: no query registered for source %s", sourceID)
 	}
+	return st.enableHistory()
+}
+
+// errHistoryEnabled is what a second EnableHistory on one source wraps;
+// RegisterWindow, which only needs history on, tolerates it.
+var errHistoryEnabled = errors.New("dsms: history already enabled")
+
+// enableHistory attaches the synopsis store. Caller holds Server.mu
+// (the store is built from the shared configuration).
+func (st *sourceState) enableHistory() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.node != nil {
-		return fmt.Errorf("dsms: source %s already streaming; enable history before the bootstrap", sourceID)
+		return fmt.Errorf("dsms: source %s already streaming; enable history before the bootstrap", st.id)
 	}
 	if st.history != nil {
-		return fmt.Errorf("dsms: history already enabled for %s", sourceID)
+		return fmt.Errorf("%w for %s", errHistoryEnabled, st.id)
 	}
 	store, err := synopsis.New(st.cfg.Model, st.cfg.Delta)
 	if err != nil {
@@ -57,22 +68,15 @@ func (st *sourceState) recordHistory(seq int, values []float64, bootstrap bool) 
 // source value); update steps return the transmitted measurement
 // exactly.
 func (s *Server) AnswerAt(queryID string, seq int) ([]float64, error) {
-	st, ok := s.lookupQuery(queryID)
-	if !ok {
-		return nil, fmt.Errorf("dsms: unknown query %s", queryID)
+	q, err := s.lookup(queryID, kindPoint)
+	if err != nil {
+		return nil, err
 	}
+	st := q.src
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.history == nil {
-		return nil, fmt.Errorf("dsms: history not enabled for source %s", st.id)
-	}
-	// Sequence numbers beyond the last update are the same
-	// extrapolation the live node performs: extend the log's
-	// prediction out to the asked-for step.
-	if seq > st.history.LastSeq() {
-		if err := st.history.ExtendTo(seq); err != nil {
-			return nil, err
-		}
+	if err := st.extendHistory(seq); err != nil {
+		return nil, err
 	}
 	return st.history.At(seq)
 }
@@ -80,28 +84,40 @@ func (s *Server) AnswerAt(queryID string, seq int) ([]float64, error) {
 // HistoryRange replays the history store over [from, to] for the named
 // query.
 func (s *Server) HistoryRange(queryID string, from, to int) ([]stream.Reading, error) {
-	st, ok := s.lookupQuery(queryID)
-	if !ok {
-		return nil, fmt.Errorf("dsms: unknown query %s", queryID)
+	q, err := s.lookup(queryID, kindPoint)
+	if err != nil {
+		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.history == nil {
-		return nil, fmt.Errorf("dsms: history not enabled for source %s", st.id)
-	}
-	if to > st.history.LastSeq() {
-		if err := st.history.ExtendTo(to); err != nil {
-			return nil, err
-		}
+	q.src.mu.Lock()
+	defer q.src.mu.Unlock()
+	return q.src.historyRange(from, to)
+}
+
+// historyRange replays the store over [from, to]. Caller holds st.mu.
+func (st *sourceState) historyRange(from, to int) ([]stream.Reading, error) {
+	if err := st.extendHistory(to); err != nil {
+		return nil, err
 	}
 	return st.history.Range(from, to)
 }
 
+// extendHistory makes the store (which must be enabled) cover seq.
+// Sequence numbers beyond the last update are the same extrapolation
+// the live node performs: the log's prediction is extended out to the
+// asked-for step. Caller holds st.mu.
+func (st *sourceState) extendHistory(seq int) error {
+	if st.history == nil {
+		return fmt.Errorf("dsms: history not enabled for source %s", st.id)
+	}
+	if seq > st.history.LastSeq() {
+		return st.history.ExtendTo(seq)
+	}
+	return nil
+}
+
 // HistoryStats reports the history store's footprint for a source.
 func (s *Server) HistoryStats(sourceID string) (readings, corrections int, err error) {
-	s.mu.RLock()
-	st := s.sources[sourceID]
-	s.mu.RUnlock()
+	st := s.source(sourceID)
 	if st == nil {
 		return 0, 0, fmt.Errorf("dsms: history not enabled for source %s", sourceID)
 	}

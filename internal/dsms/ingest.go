@@ -160,9 +160,7 @@ func (es engineSink) ApplyBatch(shard int, batch []core.Update) {
 func (s *Server) applyRun(shard int, run []core.Update) {
 	id := run[0].SourceID
 	ins := s.engIns
-	s.mu.RLock()
-	st := s.sources[id]
-	s.mu.RUnlock()
+	st := s.source(id)
 	if st == nil {
 		ins.unknown.Add(int64(len(run)))
 		return
@@ -213,11 +211,9 @@ func (s *Server) applyRun(shard int, run []core.Update) {
 	}
 	st.mu.Unlock()
 	if maxSeq >= 0 {
-		// The batch path coalesces post-apply hooks: one alert and
-		// subscriber evaluation per run, at the run's newest seq, rather
-		// than one per update.
-		s.checkAlerts(id, maxSeq)
-		s.notifySubscribers(id, maxSeq)
+		// The batch path coalesces the post-apply hook: one firing per
+		// run, at the run's newest seq, rather than one per update.
+		s.notify(st, maxSeq)
 	}
 }
 

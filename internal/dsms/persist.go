@@ -167,23 +167,13 @@ func Open(catalog *Catalog, dataDir string, opts DurabilityOptions) (*Server, er
 // Durable reports whether the server persists its state.
 func (s *Server) Durable() bool { return s.db != nil }
 
-// HasQuery reports whether a query id is already registered — how a
-// restarted process discovers that its startup registrations were
-// recovered from the checkpoint and need not (must not) be repeated.
-func (s *Server) HasQuery(queryID string) bool {
-	_, ok := s.lookupQuery(queryID)
-	return ok
-}
-
 // ResumeSeq returns the last update sequence folded into sourceID's
 // filter, or -1 when the source has no bootstrapped filter. The TCP
 // handshake sends it so a reconnecting source with live mirror state
 // resumes — resending only unacknowledged updates past it — instead of
 // re-bootstrapping.
 func (s *Server) ResumeSeq(sourceID string) int64 {
-	s.mu.RLock()
-	st := s.sources[sourceID]
-	s.mu.RUnlock()
+	st := s.source(sourceID)
 	if st == nil {
 		return -1
 	}
@@ -350,9 +340,9 @@ func (s *Server) encodeCheckpoint() ([]byte, map[*sourceState]int) {
 	buf := make([]byte, 0, 1024)
 	buf = wire.AppendU32(buf, uint32(len(s.sources)))
 	for _, st := range s.sources {
-		var seq int
-		buf, seq = appendSourceEntry(buf, st)
-		seqs[st] = seq
+		st.mu.Lock()
+		buf, seqs[st] = appendSourceEntry(buf, st)
+		st.mu.Unlock()
 	}
 	return buf, seqs
 }
@@ -362,7 +352,7 @@ func (s *Server) encodeCheckpoint() ([]byte, map[*sourceState]int) {
 // returning the extended buffer and the last update seq the entry
 // covers. It is the shared snapshot body for whole-server checkpoints
 // and single-stream migration transfers (shard.go). Caller holds s.mu
-// (read suffices); the source's runtime lock is taken here.
+// (read suffices) and the source's runtime lock.
 func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 	buf, _ = wire.AppendString(buf, st.id)
 	buf = wire.AppendU32(buf, uint32(len(st.queries)))
@@ -372,11 +362,10 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 		buf = wire.AppendF64(buf, q.Delta)
 		buf = wire.AppendF64(buf, q.F)
 	}
-	st.mu.Lock()
 	buf = wire.AppendI64(buf, int64(st.lastSeq))
-	buf = wire.AppendI64(buf, st.ins.updates.Value())
-	buf = wire.AppendI64(buf, st.ins.suppressed.Value())
-	buf = wire.AppendI64(buf, st.ins.bytes.Value())
+	buf = wire.AppendI64(buf, st.updates)
+	buf = wire.AppendI64(buf, st.suppressed)
+	buf = wire.AppendI64(buf, st.bytes)
 	buf = append(buf, b2u8(st.times.anchored))
 	buf = wire.AppendI64(buf, int64(st.times.bootSeq))
 	buf = wire.AppendF64(buf, st.times.bootTime)
@@ -392,8 +381,6 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 		buf = append(buf, 2)
 		snap = st.node.Snapshot()
 	}
-	seq := st.lastSeq
-	st.mu.Unlock()
 	if snap != nil {
 		buf = wire.AppendI64(buf, int64(snap.K))
 		buf = wire.AppendI64(buf, int64(snap.Seq))
@@ -416,7 +403,7 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 			}
 		}
 	}
-	return buf, seq
+	return buf, st.lastSeq
 }
 
 func b2u8(b bool) byte {
@@ -457,11 +444,11 @@ func (s *Server) restoreCheckpoint(p []byte) error {
 // layout) from c and installs it: queries re-registered through
 // Register so the shared min-Δ configuration is recomputed, the filter
 // restored bit-identically from its snapshot, counters and seq↔time
-// mapping put back. It is the shared restore body for checkpoint
-// recovery and migration installs (shard.go). Counters are added only
-// when the source's update counter is still zero, so re-adopting a
-// stream that already lived on this server (a migrate-back) does not
-// double-count its history.
+// mapping put back, and the released mark of an earlier migration away
+// cleared (a migrate-back). It is the shared restore body for checkpoint
+// recovery and migration installs (shard.go). The entry's counts are the
+// stream's totals, so they replace the record's; the registry export is
+// moved by the difference.
 func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq int, err error) {
 	sourceID = string(c.Str())
 	nQueries := int(c.U32())
@@ -478,13 +465,12 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 			return "", 0, errBadCheckpoint("truncated query entry")
 		}
 		// An already-present query is adopted, not an error: a migration
-		// target may have the sub-queries pre-registered by the router,
-		// and a checkpoint restore starts from an empty server where
-		// HasQuery is always false.
-		if s.HasQuery(q.ID) {
-			continue
-		}
-		if err := s.Register(q); err != nil {
+		// target may have the sub-queries pre-registered by the router
+		// (a checkpoint restore starts from an empty server).
+		s.mu.Lock()
+		_, _, err := s.adoptOrRegisterLocked(q)
+		s.mu.Unlock()
+		if err != nil {
 			return "", 0, fmt.Errorf("dsms: re-registering %s: %w", q.ID, err)
 		}
 	}
@@ -544,9 +530,7 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 			return "", 0, fmt.Errorf("dsms: reinstalling %s: %w", sourceID, err)
 		}
 	}
-	s.mu.RLock()
-	st := s.sources[sourceID]
-	s.mu.RUnlock()
+	st := s.source(sourceID)
 	if st == nil {
 		return "", 0, errBadCheckpoint("source entry with no queries")
 	}
@@ -559,11 +543,11 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 	}
 	st.lastSeq = lastSeq
 	st.ckptSeq = lastSeq
-	if st.ins.updates.Value() == 0 {
-		st.ins.updates.Add(updates)
-		st.ins.suppressed.Add(suppressed)
-		st.ins.bytes.Add(bytes)
-	}
+	st.ins.updates.Add(updates - st.updates)
+	st.ins.suppressed.Add(suppressed - st.suppressed)
+	st.ins.bytes.Add(bytes - st.bytes)
+	st.updates, st.suppressed, st.bytes = updates, suppressed, bytes
+	st.releasedAt = -1
 	if st.node != nil {
 		st.ins.seq.SetInt(int64(st.node.Seq()))
 	}
@@ -600,9 +584,7 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 		if err := wire.DecodeUpdatePayload(p, u); err != nil {
 			return fmt.Errorf("%w: bad update record: %v", wal.ErrCorrupt, err)
 		}
-		s.mu.RLock()
-		st := s.sources[u.SourceID]
-		s.mu.RUnlock()
+		st := s.source(u.SourceID)
 		if st == nil {
 			return fmt.Errorf("%w: update record for unregistered source %s", wal.ErrCorrupt, u.SourceID)
 		}
@@ -629,9 +611,7 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 		if !c.Done() {
 			return fmt.Errorf("%w: bad advance record", wal.ErrCorrupt)
 		}
-		s.mu.RLock()
-		st := s.sources[sourceID]
-		s.mu.RUnlock()
+		st := s.source(sourceID)
 		if st == nil {
 			return fmt.Errorf("%w: advance record for unregistered source %s", wal.ErrCorrupt, sourceID)
 		}

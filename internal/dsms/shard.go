@@ -2,8 +2,6 @@ package dsms
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"streamkf/internal/dsms/wire"
 )
@@ -12,91 +10,71 @@ import (
 // shard of a consistent-hash cluster behind a dkf-router (see
 // internal/dsms/cluster). A shard is an ordinary server — same filters,
 // same WAL, same query answers — plus three things: an identity (shard
-// index and the topology epoch it has observed), a released-stream set
-// recording streams migrated away, and single-stream snapshot/restore
-// built on the checkpoint encoding (persist.go), which is what moves a
-// live stream between shards without re-bootstrapping its filter pair.
-
-// shardState is the cluster bookkeeping attached to a Server. The
-// identity fields are atomics (read on the forward hot path and by
-// scrapes); the released map is mutated only during migrations.
-type shardState struct {
-	index atomic.Int64 // shard index; -1 while not in a cluster
-	epoch atomic.Int64 // highest topology epoch observed
-
-	mu       sync.Mutex
-	released map[string]int64 // sourceID -> epoch at which it was migrated away
-}
+// index and the topology epoch it has observed, two atomics on Server),
+// a released mark on each stream record migrated away, and single-stream
+// snapshot/restore built on the checkpoint encoding (persist.go), which
+// is what moves a live stream between shards without re-bootstrapping
+// its filter pair.
 
 // SetShardInfo declares this server to be shard index of a cluster at
 // topology epoch. Index -1 (the default) means standalone.
 func (s *Server) SetShardInfo(index int, epoch int64) {
-	s.shard.index.Store(int64(index))
-	s.shard.epoch.Store(epoch)
+	s.shardIndex.Store(int64(index))
+	s.shardEpoch.Store(epoch)
 }
 
 // ShardIndex returns the server's shard index, -1 when standalone.
-func (s *Server) ShardIndex() int { return int(s.shard.index.Load()) }
+func (s *Server) ShardIndex() int { return int(s.shardIndex.Load()) }
 
 // TopologyEpoch returns the highest topology epoch this shard has
 // observed from its router.
-func (s *Server) TopologyEpoch() int64 { return s.shard.epoch.Load() }
+func (s *Server) TopologyEpoch() int64 { return s.shardEpoch.Load() }
 
 // ObserveEpoch folds a router-announced topology epoch into the shard's
 // high-water mark.
 func (s *Server) ObserveEpoch(epoch int64) {
 	for {
-		cur := s.shard.epoch.Load()
-		if epoch <= cur || s.shard.epoch.CompareAndSwap(cur, epoch) {
+		cur := s.shardEpoch.Load()
+		if epoch <= cur || s.shardEpoch.CompareAndSwap(cur, epoch) {
 			return
 		}
 	}
 }
 
 // SourceReleased reports whether sourceID was migrated away from this
-// shard, and at which epoch. A forward for a released stream is a
-// routing error (a stale owner): the shard rejects it so the update is
+// shard, and at which epoch. An update for a released stream is a
+// routing error (a stale owner): the apply path rejects it so it is
 // never folded into a filter that stopped being authoritative.
 func (s *Server) SourceReleased(sourceID string) (int64, bool) {
-	s.shard.mu.Lock()
-	defer s.shard.mu.Unlock()
-	e, ok := s.shard.released[sourceID]
-	return e, ok
-}
-
-// releasedCount returns how many streams have been migrated away.
-func (s *Server) releasedCount() int {
-	s.shard.mu.Lock()
-	defer s.shard.mu.Unlock()
-	return len(s.shard.released)
+	st := s.source(sourceID)
+	if st == nil {
+		return 0, false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return max(st.releasedAt, 0), st.releasedAt >= 0
 }
 
 // SnapshotSource cuts a migration snapshot of one stream — the
 // checkpoint encoding of its queries, counters, time map and filter
 // state — marks the stream released at epoch, and returns the payload
-// plus the last update seq it covers (the cutover ResumeSeq). From this
-// moment the shard rejects forwards for the stream; the router replays
-// anything past resumeSeq on the target.
+// plus the last update seq it covers (the cutover ResumeSeq). The mark
+// is set in the lock section that cuts the snapshot, so no update past
+// resumeSeq is ever applied here; the router replays anything past it
+// on the target.
 func (s *Server) SnapshotSource(sourceID string, epoch int64) (payload []byte, resumeSeq int64, err error) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	st := s.sources[sourceID]
-	var buf []byte
-	var last int
-	if st != nil {
-		buf, last = appendSourceEntry(make([]byte, 0, 512), st)
-	}
-	s.mu.RUnlock()
 	if st == nil {
 		return nil, 0, fmt.Errorf("dsms: snapshot of unknown source %s", sourceID)
 	}
-	s.shard.mu.Lock()
-	if s.shard.released == nil {
-		s.shard.released = make(map[string]int64)
-	}
-	s.shard.released[sourceID] = epoch
-	s.shard.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	payload, last := appendSourceEntry(make([]byte, 0, 512), st)
+	st.releasedAt = epoch
 	s.ObserveEpoch(epoch)
-	return buf, int64(last), nil
+	return payload, int64(last), nil
 }
 
 // RestoreSource installs a migration snapshot (a SnapshotSource
@@ -116,9 +94,6 @@ func (s *Server) RestoreSource(payload []byte, epoch int64) (sourceID string, re
 	if !c.Done() {
 		return "", 0, errBadCheckpoint("trailing bytes after source entry")
 	}
-	s.shard.mu.Lock()
-	delete(s.shard.released, id)
-	s.shard.mu.Unlock()
 	s.ObserveEpoch(epoch)
 	if s.db != nil {
 		// The WAL never saw the transferred history, so the snapshot-
@@ -148,9 +123,15 @@ func (s *Server) clusterStreamz() *ClusterStreamz {
 		return nil
 	}
 	s.mu.RLock()
-	owned := len(s.sources)
+	owned, released := len(s.sources), 0
+	for _, st := range s.sources {
+		st.mu.Lock()
+		if st.releasedAt >= 0 {
+			released++
+		}
+		st.mu.Unlock()
+	}
 	s.mu.RUnlock()
-	released := s.releasedCount()
 	return &ClusterStreamz{
 		ShardIndex:      idx,
 		TopologyEpoch:   s.TopologyEpoch(),

@@ -1,9 +1,6 @@
 package dsms
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Notification is pushed to subscribers when a query's answer refreshes
 // (i.e. when an update from one of its sources arrives).
@@ -13,114 +10,67 @@ type Notification struct {
 	Values  []float64
 }
 
-// subscription is one registered listener.
+// subscription is one registered listener: a watcher whose sink is a
+// drop-oldest channel.
 type subscription struct {
 	queryID string
-	ch      chan Notification
-}
 
-// subscriptions is the server's push registry.
-type subscriptions struct {
-	mu   sync.Mutex
-	subs map[int]*subscription
-	next int
-	// bySource maps source id -> subscription ids to notify.
-	bySource map[string][]int
+	mu     sync.Mutex // orders sends against the close in cancel
+	closed bool
+	ch     chan Notification
 }
 
 // Subscribe returns a channel that receives the query's fresh answer
-// whenever one of its sources transmits an update. The channel is
-// buffered; if the subscriber falls behind, intermediate notifications
-// are dropped (the newest answer always supersedes older ones, so a slow
-// reader only ever misses superseded values). Cancel releases the
-// subscription and closes the channel.
+// whenever one of its sources transmits an update; the query may be of
+// any kind. The channel is buffered; if the subscriber falls behind,
+// intermediate notifications are dropped (the newest answer always
+// supersedes older ones, so a slow reader only ever misses superseded
+// values). Cancel releases the subscription and closes the channel.
 func (s *Server) Subscribe(queryID string, buffer int) (ch <-chan Notification, cancel func(), err error) {
 	if buffer < 1 {
 		buffer = 1
 	}
-	sources, err := s.querySources(queryID)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dsms: subscribe: %w", err)
-	}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.subs == nil {
-		s.subs = make(map[int]*subscription)
-		s.subsBySource = make(map[string][]int)
-	}
-	id := s.subNext
-	s.subNext++
 	sub := &subscription{queryID: queryID, ch: make(chan Notification, buffer)}
-	s.subs[id] = sub
-	s.subCount.Add(1)
-	for _, src := range sources {
-		s.subsBySource[src] = append(s.subsBySource[src], id)
+	if err := s.watch(queryID, "", sub); err != nil {
+		return nil, nil, err
 	}
+	var once sync.Once
 	cancel = func() {
-		s.subMu.Lock()
-		defer s.subMu.Unlock()
-		if cur, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			s.subCount.Add(-1)
-			close(cur.ch)
-		}
+		once.Do(func() {
+			s.unwatch(queryID, sub)
+			sub.mu.Lock()
+			sub.closed = true
+			close(sub.ch)
+			sub.mu.Unlock()
+		})
 	}
 	return sub.ch, cancel, nil
 }
 
-// notifySubscribers pushes fresh answers for every subscription touched
-// by an update from sourceID. Called outside the server lock.
-func (s *Server) notifySubscribers(sourceID string, seq int) {
-	if s.subCount.Load() == 0 {
-		// No subscriptions anywhere: one atomic load instead of a lock
-		// and map probe per applied update.
+// fire pushes the watched query's answer at seq.
+func (sub *subscription) fire(s *Server, seq int) {
+	vals, err := s.answer(sub.queryID, seq)
+	if err != nil {
 		return
 	}
-	s.subMu.Lock()
-	ids := append([]int(nil), s.subsBySource[sourceID]...)
-	s.subMu.Unlock()
-	for _, id := range ids {
-		s.subMu.Lock()
-		sub, ok := s.subs[id]
-		s.subMu.Unlock()
-		if !ok {
-			continue
-		}
-		value, err := s.queryValueVector(sub.queryID, seq)
-		if err != nil {
-			continue
-		}
-		n := Notification{QueryID: sub.queryID, Seq: seq, Values: value}
-		// Non-blocking send with drop-oldest semantics: stale answers
-		// are superseded by this one anyway.
-		s.subMu.Lock()
-		if _, stillOpen := s.subs[id]; stillOpen {
-			select {
-			case sub.ch <- n:
-			default:
-				select {
-				case <-sub.ch:
-				default:
-				}
-				select {
-				case sub.ch <- n:
-				default:
-				}
-			}
-		}
-		s.subMu.Unlock()
+	n := Notification{QueryID: sub.queryID, Seq: seq, Values: vals}
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	if sub.closed {
+		return
 	}
-}
-
-// queryValueVector answers a value query as a vector or an aggregate as
-// a one-element vector.
-func (s *Server) queryValueVector(queryID string, seq int) ([]float64, error) {
-	if vals, err := s.Answer(queryID, seq); err == nil {
-		return vals, nil
+	// Non-blocking send with drop-oldest semantics: stale answers are
+	// superseded by this one anyway.
+	select {
+	case sub.ch <- n:
+	default:
+		select {
+		case <-sub.ch:
+		default:
+		}
+		select {
+		case sub.ch <- n:
+		default:
+		}
 	}
-	v, err := s.AnswerAggregate(queryID, seq)
-	if err != nil {
-		return nil, err
-	}
-	return []float64{v}, nil
 }

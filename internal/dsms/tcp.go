@@ -295,17 +295,7 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 		if err != nil {
 			return c.fatal(err)
 		}
-		vals, err := c.s.Answer(qid, int(seq))
-		if err != nil {
-			// The id may name an aggregate or windowed query instead.
-			// A Partial aggregate answers its mergeable partial vector
-			// (what a router merges); others answer a scalar.
-			if v, aggErr := c.s.AnswerAggregateVals(qid, int(seq)); aggErr == nil {
-				vals, err = v, nil
-			} else if v, winErr := c.s.AnswerWindow(qid, int(seq)); winErr == nil {
-				vals, err = []float64{v}, nil
-			}
-		}
+		vals, err := c.s.answer(qid, int(seq))
 		if err != nil {
 			return c.refuse(err)
 		}
@@ -317,17 +307,23 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 		}
 		// Registration is idempotent-adopt: a router re-registering
 		// after a shard restart finds the queries recovered from the
-		// WAL and simply confirms them.
-		id := q.ID
+		// WAL and simply confirms them — but only as the kind it asks
+		// for; the id namespace is shared.
+		id, want := q.ID, kindPoint
 		if kind == wire.RegAggregate {
-			id = agg.ID
-			if !c.s.HasAggregate(id) {
-				err = c.s.RegisterAggregate(AggregateQuery{
-					ID: agg.ID, Func: AggFunc(agg.Func), Model: agg.Model,
-					Delta: agg.Delta, F: agg.F, Partial: agg.Partial, SourceIDs: agg.SourceIDs,
-				})
-			}
-		} else if !c.s.HasQuery(id) {
+			id, want = agg.ID, kindAggregate
+		}
+		have := c.s.query(id)
+		switch {
+		case have != nil && have.kind != want:
+			err = fmt.Errorf("dsms: duplicate query id %s", id)
+		case have != nil:
+		case want == kindAggregate:
+			err = c.s.RegisterAggregate(AggregateQuery{
+				ID: agg.ID, Func: AggFunc(agg.Func), Model: agg.Model,
+				Delta: agg.Delta, F: agg.F, Partial: agg.Partial, SourceIDs: agg.SourceIDs,
+			})
+		default:
 			err = c.s.Register(stream.Query{ID: q.ID, SourceID: q.SourceID, Model: q.Model, Delta: q.Delta, F: q.F})
 		}
 		if err != nil {
@@ -392,13 +388,6 @@ func (c *tcpConn) update(forwarded bool, p []byte) bool {
 	if err := c.r.DecodeUpdate(payload, &c.u); err != nil {
 		return c.fatal(err)
 	}
-	if forwarded {
-		if _, rel := c.s.SourceReleased(c.u.SourceID); rel {
-			// A stale owner: this stream migrated away. Rejecting —
-			// never folding — keeps exactly one shard authoritative.
-			return c.refuse(fmt.Errorf("dsms: source %s released from this shard", c.u.SourceID))
-		}
-	}
 	seq := int64(c.u.Seq)
 	if wd != nil && wd.Seq != seq {
 		wd, hop = nil, nil
@@ -430,15 +419,12 @@ func (c *tcpConn) update(forwarded bool, p []byte) bool {
 // unacknowledged before Offer blocks. Server errors are sticky and fail
 // every subsequent Offer, Drain, and Close.
 type RemoteAgent struct {
-	agent  *Agent
+	*Agent // Offer and Run are wrapped below; the rest is the agent's own
 	window int
 
 	// Redial state for Reconnect: how this agent was built.
-	addr     string
-	sourceID string
-	catalog  *Catalog
-	opts     DialOptions
-	cfg      core.Config
+	addr string
+	opts DialOptions
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -460,9 +446,6 @@ type RemoteAgent struct {
 	// wire.FeatTrace. Re-evaluated on every (re)connect, so a tracing
 	// agent keeps interoperating with servers that lack the feature.
 	wireTrace bool
-	tracer    *trace.Recorder // local flight recorder; nil unless opts.Trace
-
-	ins *AgentInstruments // optional; set once at dial, nil-safe
 
 	readerDone chan struct{}
 }
@@ -549,39 +532,21 @@ func DialSourceOptions(addr, sourceID string, catalog *Catalog, opts DialOptions
 	if err != nil {
 		return nil, err
 	}
-	m, err := catalog.Resolve(inst.Model)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
 	ra := &RemoteAgent{
 		conn:       conn,
 		window:     window,
 		addr:       addr,
-		sourceID:   sourceID,
-		catalog:    catalog,
 		opts:       opts,
 		w:          w,
 		lastAcked:  -1,
+		wireTrace:  opts.Trace && feats&wire.FeatTrace != 0,
 		readerDone: make(chan struct{}),
 	}
 	ra.cond = sync.NewCond(&ra.mu)
-	ra.cfg = core.Config{SourceID: sourceID, Model: m, Delta: inst.Delta, F: inst.F}
-	agent, err := NewAgent(ra.cfg, core.TransportFunc(ra.sendUpdate))
-	if err != nil {
+	if ra.Agent, err = dialedAgent(inst, sourceID, catalog, core.TransportFunc(ra.sendUpdate), opts); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if opts.Telemetry != nil {
-		ra.ins = NewAgentInstruments(opts.Telemetry, sourceID)
-		agent.Instrument(ra.ins)
-	}
-	if opts.Trace {
-		ra.tracer = trace.New(trace.Options{RingSize: opts.TraceRing, Sample: opts.TraceSample})
-		agent.SetTrace(ra.tracer)
-		ra.wireTrace = feats&wire.FeatTrace != 0
-	}
-	ra.agent = agent
 	go ra.readLoop(r)
 	return ra, nil
 }
@@ -692,7 +657,7 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		// on the reading that produced this very send, so the sequence
 		// numbers agree; a resent update (whose decision is long gone)
 		// simply travels untraced.
-		if d := r.agent.LastDecision(); d.Seq == int64(u.Seq) {
+		if d := r.LastDecision(); d.Seq == int64(u.Seq) {
 			// Stamp the decision with this node's trace clock so the
 			// server's (and a router's) recorders order it by source time.
 			d.At = trace.Now()
@@ -709,7 +674,7 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		return r.err
 	}
 	if r.tracer != nil {
-		d := r.agent.LastDecision()
+		d := r.LastDecision()
 		r.tracer.Record(&trace.Event{TraceID: d.TraceID, Seq: int64(u.Seq), Kind: trace.KindWireTx, Aux: int64(u.WireBytes())})
 	}
 	r.outstanding = append(r.outstanding, int64(u.Seq))
@@ -754,13 +719,13 @@ func (r *RemoteAgent) Offer(reading stream.Reading) (bool, error) {
 	if err := r.Err(); err != nil {
 		return false, err
 	}
-	return r.agent.Offer(reading)
+	return r.Agent.Offer(reading)
 }
 
 // Run drives an entire source stream, then drains the pipeline so the
 // server has folded every update before Run returns.
 func (r *RemoteAgent) Run(src stream.Source) error {
-	if err := r.agent.Run(src); err != nil {
+	if err := r.Agent.Run(src); err != nil {
 		return err
 	}
 	return r.Drain()
@@ -785,13 +750,6 @@ func (r *RemoteAgent) Drain() error {
 	}
 	return r.err
 }
-
-// Stats exposes the source node counters.
-func (r *RemoteAgent) Stats() core.SourceStats { return r.agent.Stats() }
-
-// Tracer returns the agent's local flight recorder, or nil when the
-// agent was dialed without Trace.
-func (r *RemoteAgent) Tracer() *trace.Recorder { return r.tracer }
 
 // TraceNegotiated reports whether the server advertised the trace
 // feature, i.e. whether decision frames precede this agent's updates
@@ -827,7 +785,7 @@ func (r *RemoteAgent) Reconnect() error {
 	oldConn.Close()
 	<-r.readerDone
 
-	conn, w, rd, inst, feats, err := dialHandshake(r.addr, r.sourceID, r.window)
+	conn, w, rd, inst, feats, err := dialHandshake(r.addr, r.cfg.SourceID, r.window)
 	if err != nil {
 		return err
 	}

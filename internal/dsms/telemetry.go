@@ -70,12 +70,12 @@ type serverTelemetry struct {
 
 	// Per-source instrument cardinality cap: at 100k sources, seven
 	// labeled series per source would swamp the registry and every
-	// scrape. Sources past the limit share one overflow instrument set
-	// (label source="_other") — aggregates stay correct, per-source
-	// resolution degrades gracefully.
+	// scrape. Sources past DefaultSourceMetricLimit share one overflow
+	// instrument set (label source="_other") — the export's totals stay
+	// correct and only its per-source resolution degrades; each stream's
+	// own counts live on its record (sourceState), exact regardless.
 	srcMu       sync.Mutex
 	srcCount    int
-	srcLimit    int
 	srcOverflow *sourceInstruments
 }
 
@@ -157,9 +157,10 @@ func (t *serverTelemetry) countWireError(err error) {
 	}
 }
 
-// sourceInstruments is the per-stream instrument set. The counters are
-// the single source of truth for Server.Stats — there are no shadow
-// ints to drift from what /metrics reports.
+// sourceInstruments is the per-stream instrument set: the registry
+// export of a stream record's counts, fed under the record's lock beside
+// them. Past the series cap one set is shared, so Server.Stats and the
+// checkpoint read the record, never these.
 type sourceInstruments struct {
 	updates    *telemetry.Counter
 	suppressed *telemetry.Counter
@@ -174,11 +175,7 @@ type sourceInstruments struct {
 // may be nil (the overflow set, whose sources cannot share one window).
 func (t *serverTelemetry) source(id string, health func() core.FilterHealth) *sourceInstruments {
 	t.srcMu.Lock()
-	limit := t.srcLimit
-	if limit == 0 {
-		limit = DefaultSourceMetricLimit
-	}
-	if t.srcCount >= limit {
+	if t.srcCount >= DefaultSourceMetricLimit {
 		if t.srcOverflow == nil {
 			t.srcOverflow = t.newSourceInstruments("_other", nil)
 		}

@@ -60,9 +60,7 @@ func (t *timeMap) seqFor(tim float64) (int, error) {
 // SeqForTime maps a wall-clock timestamp to the source's reading index,
 // using the sampling rate inferred from its updates.
 func (s *Server) SeqForTime(sourceID string, tim float64) (int, error) {
-	s.mu.RLock()
-	st := s.sources[sourceID]
-	s.mu.RUnlock()
+	st := s.source(sourceID)
 	if st == nil {
 		return 0, fmt.Errorf("dsms: unknown source %s", sourceID)
 	}
@@ -76,10 +74,11 @@ func (s *Server) SeqForTime(sourceID string, tim float64) (int, error) {
 // sampling rate, then resolves like Answer (current/future) — and like
 // AnswerAt when history is enabled and the timestamp is in the past.
 func (s *Server) AnswerAtTime(queryID string, tim float64) ([]float64, error) {
-	st, ok := s.lookupQuery(queryID)
-	if !ok {
-		return nil, fmt.Errorf("dsms: unknown query %s", queryID)
+	q, err := s.lookup(queryID, kindPoint)
+	if err != nil {
+		return nil, err
 	}
+	st := q.src
 	st.mu.Lock()
 	seq, err := st.times.seqFor(tim)
 	if err != nil {

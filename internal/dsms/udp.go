@@ -25,9 +25,7 @@ import (
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
 	"streamkf/internal/dsms/wire"
-	"streamkf/internal/stream"
 	"streamkf/internal/telemetry"
-	"streamkf/internal/trace"
 )
 
 const (
@@ -330,14 +328,11 @@ type UDPDialOptions struct {
 // acks and no resend queue — the DKF protocol's loss tolerance is the
 // reliability layer.
 type UDPAgent struct {
-	conn     *net.UDPConn
-	agent    *Agent
-	inst     wire.Install
-	sourceID string
-	copies   int
-	scratch  []byte
-	tracer   *trace.Recorder
-	ins      *AgentInstruments
+	*Agent
+	conn    *net.UDPConn
+	inst    wire.Install
+	copies  int
+	scratch []byte
 }
 
 // DialSourceUDP runs the retried hello → install handshake against the
@@ -414,27 +409,13 @@ attempts:
 		return nil, fmt.Errorf("dsms: udp handshake: no install reply from %s after %d attempts", addr, handshakeRetries)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	m, err := catalog.Resolve(inst.Model)
+	ua := &UDPAgent{conn: conn, inst: inst, copies: opts.BootstrapCopies}
+	ua.Agent, err = dialedAgent(inst, sourceID, catalog, core.TransportFunc(ua.send),
+		DialOptions{Telemetry: opts.Telemetry, Trace: opts.Trace, TraceRing: opts.TraceRing, TraceSample: opts.TraceSample})
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	ua := &UDPAgent{conn: conn, inst: inst, sourceID: sourceID, copies: opts.BootstrapCopies}
-	cfg := core.Config{SourceID: sourceID, Model: m, Delta: inst.Delta, F: inst.F}
-	agent, err := NewAgent(cfg, core.TransportFunc(ua.send))
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if opts.Telemetry != nil {
-		ua.ins = NewAgentInstruments(opts.Telemetry, sourceID)
-		agent.Instrument(ua.ins)
-	}
-	if opts.Trace {
-		ua.tracer = trace.New(trace.Options{RingSize: opts.TraceRing, Sample: opts.TraceSample})
-		agent.SetTrace(ua.tracer)
-	}
-	ua.agent = agent
 	return ua, nil
 }
 
@@ -459,24 +440,12 @@ func (ua *UDPAgent) send(u core.Update) error {
 	return nil
 }
 
-// Offer feeds one reading to the mirror filter, transmitting iff the
-// suppression protocol demands it.
-func (ua *UDPAgent) Offer(r stream.Reading) (sent bool, err error) {
-	return ua.agent.Offer(r)
-}
-
 // Drain is a no-op on UDP — there are no acks to wait for. It exists so
 // transport-generic callers can treat both agent kinds alike.
 func (ua *UDPAgent) Drain() error { return nil }
 
-// Stats reports the mirror node's offer/send statistics.
-func (ua *UDPAgent) Stats() core.SourceStats { return ua.agent.Stats() }
-
 // Install returns the decoded install reply from the handshake.
 func (ua *UDPAgent) Install() wire.Install { return ua.inst }
-
-// Tracer returns the local flight recorder (nil unless Trace was set).
-func (ua *UDPAgent) Tracer() *trace.Recorder { return ua.tracer }
 
 // TraceNegotiated reports whether decision evidence crosses the wire —
 // never on UDP.

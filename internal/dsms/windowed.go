@@ -1,9 +1,8 @@
 package dsms
 
 import (
+	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"streamkf/internal/stream"
 	"streamkf/internal/window"
@@ -70,93 +69,61 @@ func (s *Server) RegisterWindow(q WindowQuery) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	s.winMu.Lock()
-	defer s.winMu.Unlock()
-	if s.windows == nil {
-		s.windows = make(map[string]WindowQuery)
-	}
-	if _, dup := s.windows[q.ID]; dup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.queries[q.ID] != nil {
 		return fmt.Errorf("dsms: duplicate window query id %s", q.ID)
 	}
-	base := stream.Query{
-		ID:       q.baseQueryID(),
-		SourceID: q.SourceID,
-		Delta:    q.Delta,
-		F:        q.F,
-		Model:    q.Model,
+	base := stream.Query{ID: q.baseQueryID(), SourceID: q.SourceID, Delta: q.Delta, F: q.F, Model: q.Model}
+	st, created, err := s.adoptOrRegisterLocked(base)
+	if err != nil {
+		return fmt.Errorf("dsms: window query %s: %w", q.ID, err)
 	}
-	// The namespaced base id can only exist from a prior install of this
-	// same window query (e.g. recovered from a durable server's WAL):
-	// adopt it instead of failing the re-install.
-	if !s.HasQuery(base.ID) {
-		if err := s.Register(base); err != nil {
-			return fmt.Errorf("dsms: window query %s: %w", q.ID, err)
+	// History may already be enabled for this source; that is fine.
+	if err := st.enableHistory(); err != nil && !errors.Is(err, errHistoryEnabled) {
+		if created {
+			s.dropLocked(base.ID)
 		}
+		return fmt.Errorf("dsms: window query %s: %w", q.ID, err)
 	}
-	if err := s.EnableHistory(q.SourceID); err != nil {
-		// History may already be enabled for this source; that is fine.
-		if !historyAlreadyEnabled(err) {
-			s.dropQuery(base.ID)
-			return fmt.Errorf("dsms: window query %s: %w", q.ID, err)
-		}
-	}
-	s.windows[q.ID] = q
+	s.queries[q.ID] = &query{kind: kindWindow, src: st, win: &q}
 	return nil
-}
-
-func historyAlreadyEnabled(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "history already enabled")
 }
 
 // AnswerWindow evaluates the windowed query ending at reading index seq:
 // the trailing N answers are replayed from history and aggregated. The
 // window is clamped at the stream start.
 func (s *Server) AnswerWindow(queryID string, seq int) (float64, error) {
-	s.winMu.Lock()
-	q, ok := s.windows[queryID]
-	s.winMu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("dsms: unknown window query %s", queryID)
+	q, err := s.lookup(queryID, kindWindow)
+	if err != nil {
+		return 0, err
 	}
-	from := seq - q.N + 1
-	// Clamp at the history's first sequence.
-	s.mu.RLock()
-	st := s.sources[q.SourceID]
-	s.mu.RUnlock()
-	if st == nil {
-		return 0, fmt.Errorf("dsms: window query %s: source %s has no history yet", queryID, q.SourceID)
-	}
+	return q.src.answerWindow(q.win, seq)
+}
+
+// answerWindow replays the stream's history over q's window ending at
+// seq and aggregates it.
+func (st *sourceState) answerWindow(q *WindowQuery, seq int) (float64, error) {
 	st.mu.Lock()
 	if st.history == nil || st.history.Len() == 0 {
 		st.mu.Unlock()
-		return 0, fmt.Errorf("dsms: window query %s: source %s has no history yet", queryID, q.SourceID)
+		return 0, fmt.Errorf("dsms: window query %s: source %s has no history yet", q.ID, st.id)
 	}
+	from := seq - q.N + 1
 	if first := st.history.FirstSeq(); from < first {
 		from = first
 	}
+	rec, err := st.historyRange(from, seq)
 	st.mu.Unlock()
-	rec, err := s.HistoryRange(q.baseQueryID(), from, seq)
 	if err != nil {
 		return 0, err
 	}
 	vals := make([]float64, len(rec))
 	for i, r := range rec {
 		if len(r.Values) != 1 {
-			return 0, fmt.Errorf("dsms: window query %s: source is not single-attribute", queryID)
+			return 0, fmt.Errorf("dsms: window query %s: source is not single-attribute", q.ID)
 		}
 		vals[i] = r.Values[0]
 	}
 	return window.Apply(string(q.Func), vals)
-}
-
-// WindowIDs returns the registered windowed query ids, sorted.
-func (s *Server) WindowIDs() []string {
-	s.winMu.Lock()
-	defer s.winMu.Unlock()
-	out := make([]string, 0, len(s.windows))
-	for id := range s.windows {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
