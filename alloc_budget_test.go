@@ -106,9 +106,10 @@ func TestSourceProcessTraceAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSourceProcessSentAllocBudget pins the transmitted path: the Update
-// and its Values — heap copies because the transport keeps them until
-// they are acknowledged — and nothing else.
+// TestSourceProcessSentAllocBudget pins the transmitted path at zero
+// allocations too: the Update and its Values are the node's own, and a
+// transport that keeps them until they are acknowledged copies them into
+// storage of its own (the TCP agent's ring).
 func TestSourceProcessSentAllocBudget(t *testing.T) {
 	node, err := core.NewSourceNode(core.Config{
 		SourceID: "s1",
@@ -129,7 +130,7 @@ func TestSourceProcessSentAllocBudget(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		offer()
 	}
-	if got := testing.AllocsPerRun(200, offer); got > 2 {
-		t.Errorf("sent Process allocates %v/op, want <= 2 (Update and Values)", got)
+	if got := testing.AllocsPerRun(200, offer); got != 0 {
+		t.Errorf("sent Process allocates %v/op, want 0", got)
 	}
 }

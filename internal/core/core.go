@@ -127,11 +127,13 @@ type SourceNode struct {
 
 	// Node-owned scratch for the per-reading hot path: pred receives H x
 	// and is what Process hands back as the mirrored estimate; smoothBuf
-	// holds the KFc bank's output. The filters read measurements in place,
-	// so only a transmitted Update (which the transport retains) is a heap
-	// copy.
+	// holds the KFc bank's output; upd is the Update Process hands back,
+	// its Values the node's own copy of the transmitted measurement. The
+	// filters read measurements in place, so a reading allocates nothing
+	// whether it is suppressed or sent.
 	pred      []float64
 	smoothBuf []float64
+	upd       Update
 
 	// Flight recorder (nil when tracing is off: every recording site is
 	// one branch), the per-reading trace id counter, and the evidence of
@@ -163,7 +165,17 @@ func NewSourceNode(cfg Config) (*SourceNode, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	return &SourceNode{cfg: cfg, pred: make([]float64, cfg.Model.MeasDim)}, nil
+	m := cfg.Model.MeasDim
+	return &SourceNode{cfg: cfg, pred: make([]float64, m), upd: Update{SourceID: cfg.SourceID, Values: make([]float64, m)}}, nil
+}
+
+// update fills the node-owned Update for a transmission of v at r.
+func (s *SourceNode) update(r stream.Reading, v []float64, bootstrap bool) *Update {
+	s.upd.Seq, s.upd.Time, s.upd.Bootstrap = r.Seq, r.Time, bootstrap
+	copy(s.upd.Values, v)
+	s.stats.Updates++
+	s.stats.BytesSent += s.upd.WireBytes()
+	return &s.upd
 }
 
 // smooth returns the measurement KFm tracks for the raw reading values:
@@ -226,9 +238,9 @@ func (s *SourceNode) LastDecision() trace.DecisionInfo { return s.lastDec }
 // Process handles one sensor reading. It returns a non-nil Update when
 // the reading must be transmitted to the server, and the value the server
 // will be answering queries with after this step (the mirrored server
-// estimate). That estimate is node-owned scratch, valid until the next
-// Process or SkipTick on this node: a caller that keeps it copies it. The
-// Update and its Values are heap copies the transport may retain.
+// estimate). Both are node-owned scratch, valid until the next Process or
+// SkipTick on this node: a caller — a Transport above all — that keeps
+// the Update or its Values past that copies them.
 func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	if len(r.Values) != s.cfg.Model.MeasDim {
 		return nil, nil, fmt.Errorf("core: reading has %d values, model %s wants %d", len(r.Values), s.cfg.Model.Name, s.cfg.Model.MeasDim)
@@ -256,9 +268,7 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 			return nil, nil, err
 		}
 		s.mirror = f
-		u := &Update{SourceID: s.cfg.SourceID, Seq: r.Seq, Time: r.Time, Values: clone(v), Bootstrap: true}
-		s.stats.Updates++
-		s.stats.BytesSent += u.WireBytes()
+		u := s.update(r, v, true)
 		s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionBootstrap, Raw: raw, Smoothed: v[0], Delta: s.cfg.Delta}
 		if s.tr != nil {
 			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionBootstrap, Raw: raw, Value: v[0], Delta: s.cfg.Delta})
@@ -311,9 +321,7 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	if err := s.mirror.CorrectValues(v); err != nil {
 		return nil, nil, err
 	}
-	u := &Update{SourceID: s.cfg.SourceID, Seq: r.Seq, Time: r.Time, Values: clone(v)}
-	s.stats.Updates++
-	s.stats.BytesSent += u.WireBytes()
+	u := s.update(r, v, false)
 	s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionSend, Raw: raw, Smoothed: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: lastNIS}
 	if s.tr != nil {
 		s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionSend, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: lastNIS})

@@ -12,7 +12,10 @@ import (
 // include the in-process DirectTransport here and the binary framed TCP
 // transport in internal/dsms.
 type Transport interface {
-	// Send delivers one update to the server side.
+	// Send delivers one update to the server side. The update's Values
+	// belong to the source node and are valid until its next reading: an
+	// implementation that keeps the update past Send (an ack window, a
+	// transcript) copies them.
 	Send(Update) error
 }
 

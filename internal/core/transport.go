@@ -98,7 +98,8 @@ func NewReliableTransport(inner Transport, maxRetries int) (*ReliableTransport, 
 	return &ReliableTransport{Inner: inner, MaxRetries: maxRetries}, nil
 }
 
-// Send implements Transport with retry-until-delivered semantics.
+// Send implements Transport with retry-until-delivered semantics. Every
+// resend happens inside the call, so the update is never kept past it.
 func (r *ReliableTransport) Send(u Update) error {
 	var err error
 	for attempt := 0; attempt <= r.MaxRetries; attempt++ {

@@ -135,8 +135,8 @@ type route struct {
 	shard int
 	epoch int64
 
-	pendMu  sync.Mutex // inner: the ONLY lock the ack pump takes
-	pending []pendEntry
+	pendMu  sync.Mutex  // inner: the ONLY lock the ack pump takes
+	pending []pendEntry // the live window, oldest first
 	free    [][]byte
 	down    *downConn
 
@@ -392,7 +392,10 @@ func (r *Router) allRoutes() []*route {
 
 // trimThrough drops the pending entries a cumulative ack (or a shard's
 // ResumeSeq) at seq covers, recycling their buffers through the
-// freelist. Caller holds pendMu.
+// freelist. The survivors slide to the front when that moves no more
+// entries than the ack freed (amortised O(1), and the window stays at
+// the start of its array: appends find room, not a new array); else the
+// window just steps past the dead ones. Caller holds pendMu.
 func (rt *route) trimThrough(seq int64) {
 	n := 0
 	for n < len(rt.pending) && rt.pending[n].seq <= seq {
@@ -400,18 +403,19 @@ func (rt *route) trimThrough(seq int64) {
 		rt.pending[n].buf = nil
 		n++
 	}
-	if n > 0 {
-		rt.pending = rt.pending[:copy(rt.pending, rt.pending[n:])]
+	if live := rt.pending[n:]; len(live) <= n {
+		rt.pending = rt.pending[:copy(rt.pending, live)]
+	} else {
+		rt.pending = live
 	}
 }
 
 // replayTo re-forwards the route's whole pending window to up, in send
-// order under epoch, and flushes — how a recovered or newly owning
-// shard receives what its predecessor never acked. Caller holds rt.mu
-// (so no forward can interleave) but not pendMu: the window is copied
-// out first, because the ack pump must stay free to run while this
-// write blocks (see the invariants at the top of the file). A write
-// failure marks the upstream failed.
+// order under epoch, and flushes — how a recovered or newly owning shard
+// receives what its predecessor never acked. Caller holds rt.mu (no
+// forward can interleave) but not pendMu: the window is copied out
+// first, so the ack pump stays free to run while this write blocks (see
+// the invariants above). A write failure marks the upstream failed.
 func (rt *route) replayTo(up *upstream, epoch int64) error {
 	rt.pendMu.Lock()
 	replay := make([][]byte, len(rt.pending))
@@ -419,22 +423,14 @@ func (rt *route) replayTo(up *upstream, epoch int64) error {
 		replay[i] = rt.pending[i].buf
 	}
 	rt.pendMu.Unlock()
-	up.mu.Lock()
-	err := up.err
-	for _, buf := range replay {
-		if err != nil {
-			break
+	return up.write(func(w *wire.Writer) error {
+		for _, buf := range replay {
+			if err := w.Forward(rt.idx, epoch, buf); err != nil {
+				return err
+			}
 		}
-		err = up.w.Forward(rt.idx, epoch, buf)
-	}
-	if err == nil {
-		err = up.w.Flush()
-	}
-	up.mu.Unlock()
-	if err != nil {
-		up.fail(err)
-	}
-	return err
+		return w.Flush()
+	})
 }
 
 // peekUpdate reads only the routing key of an update payload — u16-len
@@ -447,66 +443,89 @@ func peekUpdate(p []byte) (id []byte, seq int64, ok bool) {
 	return id, seq, c.OK()
 }
 
-// forward ships one update payload to the route's owning shard,
-// optionally preceded by the source's trace frame (written adjacently
-// under the same upstream lock section so the shard sees them paired).
-// The payload is always appended to the pending window — even when the
-// upstream is down — because ReconnectShard and Migrate replay from it;
-// upstream failure is therefore invisible to the source except as acks
-// drying up until its send window backpressures.
+// fwdItem is one update frame of a run awaiting relay: its route, seq and
+// verbatim payload (valid while the run is: see wire.Reader).
+type fwdItem struct {
+	rt  *route
+	seq int64
+	p   []byte
+}
+
+// relay forwards a run — the update frames one read from a source
+// connection, or one datagram, delivered — to the owning shards: per
+// sub-run of one route, one rt.mu / up.mu / pendMu section each and one
+// clock read (DESIGN §17). It flushes nothing: it marks the shards it
+// wrote to in touched, for the caller to flush when the burst ends. The
+// payloads join the pending window even when the upstream is down —
+// ReconnectShard and Migrate replay from it — so a source sees upstream
+// failure only as acks drying up until its send window backpressures.
 //
-// d is the decision evidence of the source's trace frame (nil when it
-// sent none) and trRxNs when that frame arrived (trace clock). When the
-// router traces (rt.rec != nil) the frame goes on with this hop's
-// timestamps appended and the hop is recorded as fwd_rx/fwd_tx in the
-// route's flight recorder.
-func (r *Router) forward(rt *route, payload []byte, d *trace.DecisionInfo, seq, trRxNs int64, flush bool) int {
-	rt.mu.Lock()
-	shard := rt.shard
-	up := r.upstreams[shard]
-	var tid, txNs, epoch int64
-	up.mu.Lock()
-	if up.err == nil {
-		err := error(nil)
-		if d != nil && up.feats&wire.FeatTrace != 0 {
-			var hop *wire.TraceHop
-			if rt.rec != nil {
-				tid, txNs, epoch = d.TraceID, trace.Now(), rt.epoch
-				hop = &wire.TraceHop{Idx: rt.idx, Epoch: rt.epoch, RxUnixNs: trRxNs, TxUnixNs: txNs}
-			}
-			err = up.w.Trace(d, hop)
+// d is the evidence of a source's trace frame (nil without one; else a
+// run of one) and trRxNs when it arrived (trace clock). It goes ahead of
+// its forward under the same upstream lock section, so the shard sees
+// them paired; a tracing router (rt.rec != nil) adds this hop's
+// timestamps and records the hop as fwd_rx/fwd_tx on the route.
+func (r *Router) relay(run []fwdItem, d *trace.DecisionInfo, trRxNs int64, touched []bool) {
+	for len(run) > 0 {
+		rt, n := run[0].rt, 1
+		for n < len(run) && run[n].rt == rt {
+			n++
 		}
+		rt.mu.Lock()
+		shard := rt.shard
+		up := r.upstreams[shard]
+		var tid, txNs, epoch int64
+		up.mu.Lock()
+		err := up.err
 		if err == nil {
-			err = up.w.Forward(rt.idx, rt.epoch, payload)
+			if d != nil && up.feats&wire.FeatTrace != 0 {
+				var hop *wire.TraceHop
+				if rt.rec != nil {
+					tid, txNs, epoch = d.TraceID, trace.Now(), rt.epoch
+					hop = &wire.TraceHop{Idx: rt.idx, Epoch: rt.epoch, RxUnixNs: trRxNs, TxUnixNs: txNs}
+				}
+				err = up.w.Trace(d, hop)
+			}
+			for i := 0; err == nil && i < n; i++ {
+				err = up.w.Forward(rt.idx, rt.epoch, run[i].p)
+			}
 		}
-		if err == nil && flush {
-			err = up.w.Flush()
-		}
+		up.mu.Unlock()
 		if err != nil {
-			up.err = err
-			up.mu.Unlock()
-			up.fail(err)
-			up.mu.Lock()
+			up.fail(err) // no-op if it had failed already
+		}
+		if seq := run[0].seq; tid != 0 && rt.rec.Sampled(seq) {
+			rt.rec.Record(&trace.Event{TraceID: tid, Seq: seq, At: trRxNs, Kind: trace.KindFwdRx, Aux: int64(rt.idx)})
+			rt.rec.Record(&trace.Event{TraceID: tid, Seq: seq, At: txNs, Kind: trace.KindFwdTx, Aux: epoch})
+			r.tel.hopRouter.Observe(txNs - trRxNs)
+		}
+		now := nowNanos()
+		rt.pendMu.Lock()
+		for _, it := range run[:n] {
+			e := pendEntry{seq: it.seq, sentNs: now, traceID: tid}
+			if k := len(rt.free); k > 0 {
+				e.buf, rt.free = rt.free[k-1], rt.free[:k-1]
+			}
+			e.buf = append(e.buf[:0], it.p...)
+			rt.pending = append(rt.pending, e)
+		}
+		rt.pendMu.Unlock()
+		rt.mu.Unlock()
+		r.tel.forwarded[shard].Add(int64(n))
+		touched[shard] = true
+		run = run[n:]
+	}
+}
+
+// flushTouched writes out the buffered forwards of every shard marked in
+// touched, and clears the marks.
+func (r *Router) flushTouched(touched []bool) {
+	for shard, up := range r.upstreams {
+		if touched[shard] {
+			touched[shard] = false
+			_ = up.write((*wire.Writer).Flush)
 		}
 	}
-	up.mu.Unlock()
-	if tid != 0 && rt.rec.Sampled(seq) {
-		rt.rec.Record(&trace.Event{TraceID: tid, Seq: seq, At: trRxNs, Kind: trace.KindFwdRx, Aux: int64(rt.idx)})
-		rt.rec.Record(&trace.Event{TraceID: tid, Seq: seq, At: txNs, Kind: trace.KindFwdTx, Aux: epoch})
-		r.tel.hopRouter.Observe(txNs - trRxNs)
-	}
-	now := nowNanos()
-	rt.pendMu.Lock()
-	var buf []byte
-	if n := len(rt.free); n > 0 {
-		buf, rt.free = rt.free[n-1], rt.free[:n-1]
-	}
-	buf = append(buf[:0], payload...)
-	rt.pending = append(rt.pending, pendEntry{seq: seq, sentNs: now, traceID: tid, buf: buf})
-	rt.pendMu.Unlock()
-	rt.mu.Unlock()
-	r.tel.forwarded[shard].Inc()
-	return shard
 }
 
 // ---------------------------------------------------------------------------
@@ -543,8 +562,11 @@ func (r *Router) handleDown(conn net.Conn) {
 		boundRoutes []*route           // routes this conn is the down side of
 		pend        trace.DecisionInfo // stashed trace evidence for the next update
 		havePend    bool
-		pendRxNs    int64 // when the stashed trace frame arrived
+		pendRxNs    int64     // when the stashed trace frame arrived
+		rt          *route    // the route of the last update relayed
+		run         []fwdItem // the run being gathered; reused
 	)
+	touched := make([]bool, len(r.upstreams))
 	defer func() {
 		for _, rt := range boundRoutes {
 			rt.pendMu.Lock()
@@ -595,16 +617,32 @@ func (r *Router) handleDown(conn net.Conn) {
 			}
 
 		case wire.TagUpdate:
-			idb, seq, ok := peekUpdate(p)
-			if !ok {
-				dc.sendError("malformed update")
-				return
-			}
+			// A run: this frame and the update frames the same read
+			// delivered behind it; trace evidence pairs with a run of one.
 			var d *trace.DecisionInfo
 			if havePend {
 				d, havePend = &pend, false
 			}
-			r.forward(r.routeFor(idb), p, d, seq, pendRxNs, rd.Buffered() == 0)
+			for {
+				idb, seq, ok := peekUpdate(p)
+				if !ok {
+					dc.sendError("malformed update")
+					return
+				}
+				if rt == nil || rt.sourceID != string(idb) {
+					rt = r.routeFor(idb)
+				}
+				run = append(run, fwdItem{rt: rt, seq: seq, p: p})
+				if next, ok := rd.Ready(); d != nil || !ok || next != wire.TagUpdate {
+					break
+				}
+				_, p, _ = rd.Next() // buffered in full: cannot fail
+			}
+			r.relay(run, d, pendRxNs, touched)
+			run = run[:0]
+			if rd.Buffered() == 0 {
+				r.flushTouched(touched)
+			}
 
 		case wire.TagQuery:
 			qid, seq, err := rd.DecodeQuery(p)

@@ -34,6 +34,7 @@ func (r *Router) ServeUDP(addr string) error {
 	buf := make([]byte, 64<<10)
 	var reply []byte
 	touched := make([]bool, len(r.upstreams))
+	var run []fwdItem // the datagram's updates; reused
 	for {
 		n, from, err := pc.ReadFrom(buf)
 		if err != nil {
@@ -49,9 +50,6 @@ func (r *Router) ServeUDP(addr string) error {
 		if err != nil {
 			continue // not ours; drop like the shard server does
 		}
-		for i := range touched {
-			touched[i] = false
-		}
 		for len(frames) > 0 {
 			var tag wire.Tag
 			var p []byte
@@ -62,7 +60,7 @@ func (r *Router) ServeUDP(addr string) error {
 			switch tag {
 			case wire.TagUpdate:
 				if idb, seq, ok := peekUpdate(p); ok {
-					touched[r.forward(r.routeFor(idb), p, nil, seq, 0, false)] = true
+					run = append(run, fwdItem{rt: r.routeFor(idb), seq: seq, p: p})
 				}
 
 			case wire.TagHello:
@@ -70,6 +68,9 @@ func (r *Router) ServeUDP(addr string) error {
 				if err != nil {
 					continue
 				}
+				// The hello's RPC flushes: what arrived ahead of it goes first.
+				r.relay(run, nil, 0, touched)
+				run = run[:0]
 				rt := r.routeFor([]byte(id))
 				inst, err := r.helloRoute(rt)
 				reply = wire.AppendPreamble(reply[:0], wire.Version, 0)
@@ -81,29 +82,12 @@ func (r *Router) ServeUDP(addr string) error {
 				_, _ = pc.WriteTo(reply, from)
 			}
 		}
-		// A datagram is a natural burst boundary: flush every shard the
-		// datagram's updates touched.
-		for i, t := range touched {
-			if t {
-				r.flushShard(i)
-			}
-		}
+		// A datagram is a run and a natural burst boundary: relay its
+		// updates together and flush every shard they touched.
+		r.relay(run, nil, 0, touched)
+		run = run[:0]
+		r.flushTouched(touched)
 	}
-}
-
-// flushShard pushes the shard's buffered forwards to the kernel.
-func (r *Router) flushShard(shard int) {
-	up := r.upstreams[shard]
-	up.mu.Lock()
-	if up.err == nil {
-		if err := up.w.Flush(); err != nil {
-			up.err = err
-			up.mu.Unlock()
-			up.fail(err)
-			return
-		}
-	}
-	up.mu.Unlock()
 }
 
 // UDPAddr returns the router's bound UDP address, if ServeUDP is up.

@@ -101,6 +101,21 @@ func (up *upstream) fail(err error) {
 
 func (up *upstream) close() { up.fail(errors.New("cluster: router closed")) }
 
+// write runs f on the shard connection's writer under up.mu, unless the
+// upstream has failed already; a write error fails it.
+func (up *upstream) write(f func(w *wire.Writer) error) error {
+	up.mu.Lock()
+	err := up.err
+	if err == nil {
+		err = f(up.w)
+	}
+	up.mu.Unlock()
+	if err != nil {
+		up.fail(err) // no-op if it had failed already
+	}
+	return err
+}
+
 // readLoop demultiplexes one upstream connection: ForwardAcks go to the
 // ack pump, everything else is the reply to the (single) pending RPC.
 func (up *upstream) readLoop(rd *wire.Reader, conn net.Conn, dead chan struct{}) {
@@ -149,44 +164,31 @@ func (up *upstream) readLoop(rd *wire.Reader, conn net.Conn, dead chan struct{})
 func (up *upstream) rpc(want wire.Tag, write func(w *wire.Writer) error) ([]byte, error) {
 	up.rpcMu.Lock()
 	defer up.rpcMu.Unlock()
-	up.mu.Lock()
-	if up.err != nil {
-		err := up.err
-		up.mu.Unlock()
-		return nil, err
-	}
-	select { // drop a stale reply from a failed predecessor
-	case <-up.rpcCh:
-	default:
-	}
-	up.rpcWaiting = true
-	dead := up.dead
-	err := write(up.w)
-	if err == nil {
-		err = up.w.Flush()
-	}
-	if err != nil {
-		up.err = err
-		up.rpcWaiting = false
-		up.mu.Unlock()
-		up.fail(err)
-		return nil, err
-	}
-	up.mu.Unlock()
-
+	var dead chan struct{}
+	err := up.write(func(w *wire.Writer) error {
+		select { // drop a stale reply from a failed predecessor
+		case <-up.rpcCh:
+		default:
+		}
+		up.rpcWaiting, dead = true, up.dead
+		if err := write(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
 	var reply rpcReply
-	select {
-	case reply = <-up.rpcCh:
-	case <-dead:
-		up.mu.Lock()
-		err = up.err
-		up.mu.Unlock()
-		if err == nil {
+	if err == nil {
+		select {
+		case reply = <-up.rpcCh:
+		case <-dead:
 			err = fmt.Errorf("cluster: shard %d connection lost", up.shard)
 		}
 	}
 	up.mu.Lock()
 	up.rpcWaiting = false
+	if err != nil && up.err != nil {
+		err = up.err // why the connection was lost
+	}
 	up.mu.Unlock()
 	switch {
 	case err != nil:

@@ -123,7 +123,7 @@ type sourceState struct {
 	lastSeq int             // seq of the last transmitted update (-1 before any)
 	history *synopsis.Store // optional historical-query recorder
 	times   timeMap         // seq-to-time mapping from update timestamps
-	walBuf  []byte          // reusable WAL record encode buffer (durable servers)
+	wal     runLog          // WAL records of the run being applied (durable servers)
 	ckptSeq int             // last update seq covered by a checkpoint (-1 before any)
 
 	// The stream's own ingest counts: what Stats, /streamz, checkpoints
@@ -225,7 +225,7 @@ type Server struct {
 	engMu     sync.Mutex
 	eng       *engine.Engine
 	engIns    *engineInstruments
-	shardLogs []shardLog
+	shardLogs []runLog
 
 	// laneMu guards the UDP reader-lane instrument table, indexed by
 	// lane id. Lanes are registered once per id (a second UDP server on
@@ -476,61 +476,120 @@ func (s *Server) installReply(sourceID string) (wire.Install, error) {
 	return wire.Install{SourceID: cfg.SourceID, Model: cfg.Model.Name, Delta: cfg.Delta, F: cfg.F, ResumeSeq: s.ResumeSeq(sourceID)}, nil
 }
 
-// HandleUpdate folds one transmitted update into the source's server
-// filter, then fires the stream's watchers (outside all locks, since
-// they re-enter the answer path). Only the one source's runtime lock is
-// held while the filter steps, so updates from different sources fold in
-// concurrently.
-func (s *Server) HandleUpdate(u core.Update) error { return s.ingest(&u, nil, nil, 0) }
+// HandleUpdate folds one transmitted update — a run of one — into the
+// source's server filter, then fires the stream's watchers (outside all
+// locks: they re-enter the answer path). Only that source's runtime lock
+// is held meanwhile, so different sources' updates fold in concurrently.
+func (s *Server) HandleUpdate(u core.Update) error {
+	run := [1]core.Update{u}
+	_, err := s.applyRun(run[:], nil, nil)
+	s.maybeCheckpoint()
+	return err
+}
 
-// ingest is the synchronous update entry behind HandleUpdate and the TCP
-// handler. The optional evidence is trace context: wd is the source's
-// decision (from a TagTrace frame; nil when the peer sent none), hop the
-// router hop that frame carried (nil on a direct connection) and
-// wireBytes the received frame size (0 when the update did not arrive
-// over the wire). With tracing off none of it is recorded anywhere.
-func (s *Server) ingest(u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) error {
-	st := s.source(u.SourceID)
+// rxFrame is what a TCP connection keeps beside a received update: the
+// route index its ack must name (-1: a source's own update, acked by seq
+// alone), its seq, and what only a trace records — its frame's size on
+// the wire and the evidence a trace frame ahead of it carried.
+type rxFrame struct {
+	route, seq int64
+	bytes      int
+	wd         *trace.DecisionInfo
+	hop        *wire.TraceHop
+}
+
+// What applyRun reports beside the filter's own refusals.
+var (
+	errUninstalled  = errors.New("dsms: update for uninstalled source")
+	errNotLogged    = errors.New("applied but not logged")
+	errDuplicate    = errors.New("dsms: datagram at or below the last applied seq")
+	errPreBootstrap = errors.New("dsms: datagram ahead of the stream's bootstrap")
+)
+
+// applyRun is the one ingest body of both transports (DESIGN §14). It
+// folds the leading updates of run that are one stream's — oldest first;
+// frames, if any, parallel to run — into that stream under one lock
+// section: one lookup, applyLocked per update with its WAL record encoded
+// beside it, one notify at the newest applied seq. It returns how many it
+// applied, and the caller hands in the rest; an error says why it stopped
+// at run[n]: that update was refused, and the caller does its transport's
+// thing with the refusal and goes on from run[n+1:]. Only an error
+// wrapping errNotLogged refuses nothing: the n updates were applied but
+// are not all in the log.
+//
+// Two things under the lock go by batch. nil is a synchronous caller (TCP
+// connection, HandleUpdate): the records go to the stream's own buffer
+// and are committed with one AppendBatch before the lock is released, so
+// an ack follows the commit (DESIGN §11). Non-nil is a shard worker's
+// buffer: the records wait there for the commit that ends the drained
+// batch, and what only a lossy, reordering transport delivers is refused
+// first — an update at or below the last applied seq (a late duplicate
+// bootstrap must not re-initialize the filter) and a non-bootstrap update
+// ahead of the bootstrap (whose loss then only delays convergence).
+func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n int, err error) {
+	st := s.source(run[0].SourceID)
 	if st == nil {
-		return fmt.Errorf("dsms: update for uninstalled source %s", u.SourceID)
+		return 0, errUninstalled
 	}
+	wl, durable := batch, s.db != nil && !s.db.replaying
+	if wl == nil {
+		wl = &st.wal
+	}
+	var (
+		f       rxFrame
+		sampled bool
+		tid     int64
+		logErr  error
+	)
 	st.mu.Lock()
-	sampled, tid, err := s.applyLocked(st, u, wd, hop, wireBytes)
-	if err != nil {
-		st.mu.Unlock()
-		return err
-	}
-	// Log after the apply, under the same lock, before the caller can
-	// ack: rejected updates never enter the log, and the per-source
-	// record order equals the apply order (see persist.go).
-	if s.db != nil && !s.db.replaying {
-		if err := s.db.appendUpdate(st, u); err != nil {
-			st.mu.Unlock()
-			return fmt.Errorf("dsms: logging update %s/%d: %w", u.SourceID, u.Seq, err)
+	for n < len(run) && run[n].SourceID == st.id && logErr == nil {
+		u := &run[n]
+		if frames != nil {
+			f = frames[n]
 		}
-		if sampled {
-			st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWAL, Aux: int64(len(st.walBuf))})
+		switch {
+		case batch != nil && st.lastSeq >= 0 && u.Seq <= st.lastSeq:
+			err = errDuplicate
+		case batch != nil && st.lastSeq < 0 && !u.Bootstrap:
+			err = errPreBootstrap
+		default:
+			sampled, tid, err = s.applyLocked(st, u, f.wd, f.hop, f.bytes)
+		}
+		if err != nil {
+			break
+		}
+		n++
+		if durable {
+			// After the apply, under the same lock: a rejected update
+			// never enters the log, and record order is apply order.
+			var size int
+			if size, logErr = wl.add(u); logErr == nil && sampled {
+				st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWAL, Aux: int64(size)})
+			}
+		}
+	}
+	if batch == nil && durable {
+		if cerr := s.db.commit(wl); logErr == nil {
+			logErr = cerr
 		}
 	}
 	st.mu.Unlock()
-	s.notify(st, u.Seq)
-	if s.db != nil {
-		s.maybeCheckpoint()
+	if n > 0 {
+		s.notify(st, run[n-1].Seq) // the post-apply hook, once per run
 	}
-	return nil
+	if logErr != nil {
+		err = fmt.Errorf("dsms: updates of %s through seq %d %w: %w", st.id, run[n-1].Seq, errNotLogged, logErr)
+	}
+	return n, err
 }
 
-// applyLocked is the single apply body shared by the synchronous path
-// (ingest) and the shard engine's batch path (applyRun): filter step,
-// history, time map, suppression accounting, telemetry, trace and
-// audit. Both transports therefore produce
-// bit-identical filter trajectories for the same update sequence.
-// Caller holds st.mu. WAL appending stays with the caller because the
-// two paths commit differently (per-update vs group commit). Returns
-// whether this apply was trace-sampled and the trace id it used.
+// applyLocked is applyRun's per-update step: filter step, history, time
+// map, suppression accounting, telemetry, trace and audit. wireBytes is
+// the received frame size (0: not in a frame of its own). Caller holds
+// st.mu. Returns whether this apply was trace-sampled, and its trace id.
 func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) (sampled bool, tid int64, err error) {
 	if st.node == nil {
-		return false, 0, fmt.Errorf("dsms: update for uninstalled source %s", u.SourceID)
+		return false, 0, errUninstalled
 	}
 	if st.releasedAt >= 0 {
 		// A stale owner: this stream migrated away. Rejecting — never

@@ -1,35 +1,25 @@
 // Shard ingest engine integration: pins every stream to one shard
-// worker (internal/dsms/engine), which applies updates in batch and
-// group-commits the WAL — the per-update lock handoff and per-update
-// fsync disappear from the steady-state path. Cross-shard readers
-// (Answer, Stats, Streamz) still take the per-source lock;
-// shard ownership just guarantees the ingest side of that lock is a
-// single uncontended writer.
+// worker (internal/dsms/engine), which applies updates in batch through
+// applyRun (dsms.go) and group-commits the WAL — the per-update lock
+// handoff and per-update fsync disappear from the steady-state path.
+// Cross-shard readers (Answer, Stats, Streamz) still take the per-source
+// lock; shard ownership just guarantees the ingest side of that lock is
+// a single uncontended writer.
 package dsms
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
-	"streamkf/internal/dsms/wire"
 )
 
 // EngineOptions aliases engine.Options so callers configure the engine
 // without importing the engine package.
 type EngineOptions = engine.Options
-
-// shardLog is one shard's WAL group-commit state: applied updates are
-// encoded into the arena under the per-source lock, and the whole batch
-// is committed with one lock acquisition (and one fsync under
-// SyncAlways) after the batch finishes. Touched only by the owning
-// shard worker.
-type shardLog struct {
-	arena []byte
-	recs  [][]byte
-}
 
 // StartEngine attaches a shard-per-core ingest engine to the server and
 // returns it. Callers register producer lanes on the returned engine
@@ -45,7 +35,7 @@ func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 	if opts.Shards <= 0 {
 		opts.Shards = runtime.GOMAXPROCS(0)
 	}
-	s.shardLogs = make([]shardLog, opts.Shards)
+	s.shardLogs = make([]runLog, opts.Shards)
 	e := engine.New(engineSink{s}, opts)
 	s.engIns = newEngineInstruments(s.tel.reg, e)
 	s.eng = e
@@ -127,118 +117,45 @@ func (s *Server) AdvanceAll(seq int) int {
 // exporting ApplyBatch on Server itself.
 type engineSink struct{ s *Server }
 
-// ApplyBatch applies one drained batch on the owning shard's worker.
-// Consecutive updates for the same source are applied as a run under a
-// single lock acquisition, and the whole batch's WAL records are
-// group-committed at the end.
+// ApplyBatch applies one drained batch on the owning shard's worker:
+// each run of consecutive updates for one source is one applyRun,
+// and the batch's WAL records are group-committed at the end — one log
+// lock and, under SyncAlways, one fsync. Datagrams are not acked, so
+// there is nothing to hold back: a refused update or a failed commit is
+// counted, and the stream re-converges from the next updates.
 func (es engineSink) ApplyBatch(shard int, batch []core.Update) {
-	s := es.s
+	s, ins := es.s, es.s.engIns
+	wl := &s.shardLogs[shard] // touched only by this worker
 	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].SourceID == batch[i].SourceID {
-			j++
-		}
-		s.applyRun(shard, batch[i:j])
-		i = j
-	}
-	s.commitShard(shard)
-}
-
-// applyRun folds a run of same-source updates into the stream under one
-// lock acquisition. The engine path owns the datagram-transport
-// semantics the synchronous TCP path does not need:
-//
-//   - dedup: any update with seq at or below the last applied seq is
-//     dropped (duplicated or reordered datagrams; a delayed duplicate
-//     bootstrap must not re-initialize the filter);
-//   - pre-bootstrap drops: a non-bootstrap update arriving before the
-//     stream's bootstrap is dropped — loss of the bootstrap datagram
-//     delays convergence until its retransmission, never corrupts x/P;
-//   - lazy install: a registered source's filter is installed on first
-//     contact, since a connectionless transport has no handshake moment
-//     that guarantees install-before-data.
-func (s *Server) applyRun(shard int, run []core.Update) {
-	id := run[0].SourceID
-	ins := s.engIns
-	st := s.source(id)
-	if st == nil {
-		ins.unknown.Add(int64(len(run)))
-		return
-	}
-	st.mu.Lock()
-	installed := st.node != nil
-	st.mu.Unlock()
-	if !installed {
-		if _, err := s.InstallFor(id); err != nil {
-			ins.unknown.Add(int64(len(run)))
-			return
-		}
-	}
-	sl := &s.shardLogs[shard]
-	durable := s.db != nil && !s.db.replaying
-	maxSeq := -1
-	st.mu.Lock()
-	for k := range run {
-		u := &run[k]
-		if st.lastSeq >= 0 && u.Seq <= st.lastSeq {
-			ins.shardDedup[shard].Inc()
+		n, err := s.applyRun(batch[i:], nil, wl)
+		ins.shardApplied[shard].Add(int64(n))
+		i += n
+		switch {
+		case err == nil:
 			continue
-		}
-		if !u.Bootstrap && st.lastSeq < 0 {
-			ins.preBootstrap.Inc()
-			continue
-		}
-		if _, _, err := s.applyLocked(st, u, nil, nil, 0); err != nil {
-			ins.rejected.Inc()
-			continue
-		}
-		maxSeq = u.Seq
-		ins.shardApplied[shard].Inc()
-		if durable {
-			// Encode into the shard arena now (under the same lock as
-			// the apply, preserving per-source record order) but commit
-			// once per batch. Sub-slices stay valid across arena growth
-			// because they pin whichever backing array they landed in.
-			start := len(sl.arena)
-			grown, err := wire.AppendUpdate(sl.arena, u)
-			if err == nil {
-				sl.arena = grown
-				sl.recs = append(sl.recs, sl.arena[start:])
-			} else {
-				ins.walErrors.Inc()
+		case errors.Is(err, errNotLogged):
+			ins.walErrors.Inc()
+			continue // applied; only a record is missing
+		case err == errUninstalled:
+			// Datagrams have no handshake to install a registered
+			// source's filter: first contact does, and tries again.
+			if _, ierr := s.InstallFor(batch[i].SourceID); ierr == nil {
+				continue
 			}
+			ins.unknown.Inc()
+		case err == errDuplicate:
+			ins.shardDedup[shard].Inc()
+		case err == errPreBootstrap:
+			ins.preBootstrap.Inc()
+		default:
+			ins.rejected.Inc()
 		}
+		i++
 	}
-	st.mu.Unlock()
-	if maxSeq >= 0 {
-		// The batch path coalesces the post-apply hook: one firing per
-		// run, at the run's newest seq, rather than one per update.
-		s.notify(st, maxSeq)
-	}
-}
-
-// commitShard group-commits the shard's pending WAL records: one log
-// lock acquisition and, under SyncAlways, one fsync for the whole
-// batch. The datagram transport sends no acks, so there is no
-// acknowledgement to hold back; a commit failure is surfaced through
-// the wal-errors counter and the stream re-converges from the next
-// updates after recovery (the same loss-tolerance the transport
-// already has).
-func (s *Server) commitShard(shard int) {
-	sl := &s.shardLogs[shard]
-	if len(sl.recs) == 0 {
-		return
-	}
-	if s.db != nil && !s.db.replaying {
-		if err := s.db.log.AppendBatch(walTagUpdate, sl.recs); err != nil {
-			s.engIns.walErrors.Inc()
-		} else {
-			s.db.sinceCkpt.Add(int64(len(sl.recs)))
-		}
-	}
-	sl.recs = sl.recs[:0]
-	sl.arena = sl.arena[:0]
 	if s.db != nil {
+		if err := s.db.commit(wl); err != nil {
+			ins.walErrors.Inc()
+		}
 		s.maybeCheckpoint()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,23 +25,19 @@ import (
 // counted (§3.1's update suppression is also a durability optimization:
 // the update stream is the minimal sufficient statistic for KFs).
 //
-// Ordering contract. An update is logged *after* it applies, under the
-// same per-source lock, and before the TCP layer acks it. Logging after
-// applying (rather than write-ahead) matters for exactness: ApplyUpdate
-// rejects updates that arrive behind an already-advanced prediction, and
-// a rejected update must never enter the log or replay would apply it.
-// Because append and apply share one critical section, the per-source
-// record order in the log equals the per-source apply order, which is
-// all replay needs — sources are independent filter pairs, so
-// cross-source interleaving is immaterial.
+// Ordering contract (DESIGN §11). A run's updates are logged *after* they
+// apply — a rejected update must never enter the log, or replay would
+// apply it — under the same per-source lock, so the per-source record
+// order equals the apply order (batch advances included), which is all
+// replay needs; and they are committed with one AppendBatch before the
+// TCP layer acks any of them. A shard worker commits after the lock, once
+// per drained batch: it is its streams' only writer and datagrams are
+// not acked.
 //
-// Crash windows. Applied-but-not-logged (crash between apply and
-// append): the update was never acked, the source resends it after
-// reconnecting, and the recovered server — which never saw it — applies
-// it then. Logged-but-not-acked: the recovered server's install reply
-// carries ResumeSeq = its recovered last sequence, and the source drops
-// pending updates at or below it. Both windows close without double
-// applies or gaps.
+// Crash windows. Applied but not logged: none of the run was acked, and
+// the source resends what the recovered server lacks. Logged but not
+// acked: the install reply's ResumeSeq tells the source what to drop.
+// Neither double-applies nor leaves a gap.
 //
 // Lock order: Server.mu → sourceState.mu → wal.Log's internal mutex
 // (always a leaf); the checkpoint mutex is taken before any of them and
@@ -85,29 +82,12 @@ type durability struct {
 
 	sinceCkpt atomic.Int64 // updates logged since the last checkpoint
 	lastCkpt  atomic.Int64 // wall-clock UnixNano of the last checkpoint (0 before any)
-	ckptMu    chanMutex    // serializes checkpoints without blocking ingest
-}
+	ckptMu    sync.Mutex   // serializes checkpoints without blocking ingest
 
-// chanMutex is a mutex with TryLock semantics on a channel, so the
-// ingest path can trigger a checkpoint opportunistically and walk away
-// when one is already running.
-type chanMutex chan struct{}
-
-func newChanMutex() chanMutex {
-	m := make(chanMutex, 1)
-	m <- struct{}{}
-	return m
-}
-
-func (m chanMutex) lock()   { <-m }
-func (m chanMutex) unlock() { m <- struct{}{} }
-func (m chanMutex) tryLock() bool {
-	select {
-	case <-m:
-		return true
-	default:
-		return false
-	}
+	// The checkpointer goroutine runs the automatic checkpoints, so no
+	// ingest goroutine stops for one. ckptDue (capacity 1) wakes it, Close
+	// stops it; all nil when CheckpointEvery disables the automatism.
+	ckptDue, ckptStop, ckptDone chan struct{}
 }
 
 // Open builds a durable server over dataDir: it opens (creating if
@@ -128,7 +108,7 @@ func Open(catalog *Catalog, dataDir string, opts DurabilityOptions) (*Server, er
 	if err != nil {
 		return nil, fmt.Errorf("dsms: opening wal: %w", err)
 	}
-	s.db = &durability{log: log, dir: dataDir, ins: ins, opts: opts, replaying: true, ckptMu: newChanMutex()}
+	s.db = &durability{log: log, dir: dataDir, ins: ins, opts: opts, replaying: true}
 
 	fail := func(err error) (*Server, error) {
 		log.Close()
@@ -161,6 +141,10 @@ func Open(catalog *Catalog, dataDir string, opts DurabilityOptions) (*Server, er
 	}
 	s.db.replaying = false
 	ins.ObserveRecovery(time.Since(start), replayed)
+	if opts.CheckpointEvery > 0 {
+		s.db.ckptDue, s.db.ckptStop, s.db.ckptDone = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+		go s.checkpointer()
+	}
 	return s, nil
 }
 
@@ -198,6 +182,11 @@ func (s *Server) Close() error {
 	if s.db == nil {
 		return nil
 	}
+	if s.db.ckptStop != nil {
+		close(s.db.ckptStop)
+		<-s.db.ckptDone
+		s.db.ckptStop = nil
+	}
 	ckptErr := s.Checkpoint()
 	closeErr := s.db.log.Close()
 	if ckptErr != nil {
@@ -227,29 +216,51 @@ func (db *durability) appendRegister(q stream.Query) error {
 	return db.log.Append(walTagRegister, buf)
 }
 
-// appendUpdate logs one applied update, reusing the source's scratch
-// buffer (caller holds st.mu), so the steady-state ingest path logs
-// without allocating.
-func (db *durability) appendUpdate(st *sourceState, u *core.Update) error {
-	var err error
-	if st.walBuf, err = wire.AppendUpdate(st.walBuf[:0], u); err != nil {
-		return err
-	}
-	if err := db.log.Append(walTagUpdate, st.walBuf); err != nil {
-		return err
-	}
-	db.sinceCkpt.Add(1)
-	return nil
+// runLog is a group-commit buffer, a stream's or a shard worker's:
+// applied updates are encoded into the arena under the stream's lock and
+// committed together. A record pins the array it is in, so it stays
+// valid across arena growth.
+type runLog struct {
+	arena []byte
+	recs  [][]byte
 }
 
-// appendAdvance logs one batch prediction advance (caller holds st.mu).
+// add encodes one applied update as the next record; returns its size.
+func (wl *runLog) add(u *core.Update) (int, error) {
+	start := len(wl.arena)
+	grown, err := wire.AppendUpdate(wl.arena, u)
+	if err != nil {
+		return 0, err
+	}
+	wl.arena = grown
+	wl.recs = append(wl.recs, grown[start:])
+	return len(grown) - start, nil
+}
+
+// commit group-commits the buffered update records — one log lock and,
+// under SyncAlways, one fsync for all of them — and empties the buffer.
+func (db *durability) commit(wl *runLog) error {
+	if len(wl.recs) == 0 {
+		return nil
+	}
+	err := db.log.AppendBatch(walTagUpdate, wl.recs)
+	if err == nil {
+		db.sinceCkpt.Add(int64(len(wl.recs)))
+	}
+	wl.arena, wl.recs = wl.arena[:0], wl.recs[:0]
+	return err
+}
+
+// appendAdvance logs one batch prediction advance. Caller holds st.mu,
+// under which the stream's run buffer is empty between runs.
 func (db *durability) appendAdvance(st *sourceState, seq int) error {
-	var err error
-	if st.walBuf, err = wire.AppendString(st.walBuf[:0], st.id); err != nil {
+	buf, err := wire.AppendString(st.wal.arena[:0], st.id)
+	if err != nil {
 		return err
 	}
-	st.walBuf = wire.AppendI64(st.walBuf, int64(seq))
-	return db.log.Append(walTagAdvance, st.walBuf)
+	buf = wire.AppendI64(buf, int64(seq))
+	st.wal.arena = buf[:0]
+	return db.log.Append(walTagAdvance, buf)
 }
 
 // shouldCheckpoint reports whether the automatic checkpoint threshold
@@ -259,15 +270,31 @@ func (db *durability) shouldCheckpoint() bool {
 		db.sinceCkpt.Load() >= int64(db.opts.CheckpointEvery)
 }
 
-// maybeCheckpoint runs a checkpoint if one is due and none is running.
-// Called from the ingest path outside all locks; the failure mode is
-// "try again after the next update", so the error is only counted.
+// maybeCheckpoint wakes the checkpointer if a checkpoint is due: the
+// ingest path's check, once per run or drained batch. It never blocks.
 func (s *Server) maybeCheckpoint() {
-	if !s.db.shouldCheckpoint() || !s.db.ckptMu.tryLock() {
-		return
+	if s.db != nil && s.db.shouldCheckpoint() {
+		select {
+		case s.db.ckptDue <- struct{}{}:
+		default: // already woken
+		}
 	}
-	defer s.db.ckptMu.unlock()
-	_ = s.checkpointLocked()
+}
+
+// checkpointer runs the automatic checkpoints until Close. A failed one
+// is retried after the next run; Close's final one reports what persists.
+func (s *Server) checkpointer() {
+	defer close(s.db.ckptDone)
+	for {
+		select {
+		case <-s.db.ckptDue:
+			for s.db.shouldCheckpoint() && s.Checkpoint() == nil {
+				// again if ingest made one due while it ran
+			}
+		case <-s.db.ckptStop:
+			return
+		}
+	}
 }
 
 // Checkpoint snapshots the full server state into the data directory's
@@ -279,13 +306,11 @@ func (s *Server) Checkpoint() error {
 	if s.db == nil {
 		return errors.New("dsms: server is not durable")
 	}
-	s.db.ckptMu.lock()
-	defer s.db.ckptMu.unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Server) checkpointLocked() error {
+	s.db.ckptMu.Lock()
+	defer s.db.ckptMu.Unlock()
 	start := time.Now()
+	// What ingest logs from here on counts toward the next checkpoint.
+	covered := s.db.sinceCkpt.Load()
 	// Seal the current segment first: everything logged before this
 	// instant lands in a sealed segment that the snapshot (cut after)
 	// fully covers, so those segments can be removed.
@@ -307,7 +332,7 @@ func (s *Server) checkpointLocked() error {
 	if _, err := s.db.log.RemoveSegmentsBefore(active); err != nil {
 		return err
 	}
-	s.db.sinceCkpt.Store(0)
+	s.db.sinceCkpt.Add(-covered)
 	s.db.lastCkpt.Store(time.Now().UnixNano())
 	s.db.ins.ObserveCheckpoint(time.Since(start))
 	return nil

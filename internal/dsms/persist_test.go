@@ -123,8 +123,12 @@ func runReference(t *testing.T, q stream.Query, data []stream.Reading, stepAt in
 	}
 	var transcript []core.Update
 	agent, err := NewAgent(cfg, core.TransportFunc(func(u core.Update) error {
+		err := s.HandleUpdate(u)
+		// A transport that keeps an update past Send copies its Values:
+		// they are the source node's until the next reading.
+		u.Values = append([]float64(nil), u.Values...)
 		transcript = append(transcript, u)
-		return s.HandleUpdate(u)
+		return err
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -531,19 +535,22 @@ func TestDurableCheckpointTruncatesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Stats()[0].CheckpointSeq <= 0 {
-		t.Fatalf("CheckpointSeq = %d, want > 0 after %d updates with CheckpointEvery 40",
-			s.Stats()[0].CheckpointSeq, len(transcript))
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without truncation ~len(transcript)*45B / 512B ≈ dozens of
-	// segments would pile up; checkpoints must have removed the sealed
-	// prefix.
-	if len(segs) > 6 {
-		t.Fatalf("%d segments on disk; checkpoints are not truncating", len(segs))
+	// The checkpoints run beside the ingest, on the server's checkpointer:
+	// give the last one due time to finish. Without truncation
+	// ~len(transcript)*45B / 512B ≈ dozens of segments would pile up;
+	// checkpoints must have removed the sealed prefix.
+	var segs []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if segs, err = filepath.Glob(filepath.Join(dir, "seg-*.wal")); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats()[0].CheckpointSeq > 0 && len(segs) <= 6 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("CheckpointSeq = %d with %d segments on disk after %d updates with CheckpointEvery 40; checkpoints are not truncating",
+				s.Stats()[0].CheckpointSeq, len(segs), len(transcript))
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -632,5 +639,71 @@ func BenchmarkTCPIngestDurable(b *testing.B) {
 	}
 	if err := agent.Drain(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestCheckpointOffIngestGoroutine: automatic checkpoints run on the
+// server's checkpointer, never on the shard worker that crossed
+// CheckpointEvery. Each round holds a stream the checkpoint has to
+// snapshot — the way a busy server makes a checkpoint slow — offers three
+// checkpoints' worth of updates to a durable engine server, and requires
+// every one of them applied, none shed, while that checkpoint is still
+// waiting: were it run inline, the worker would stop draining for its
+// whole length and the ring (1,024 slots) would fill.
+func TestCheckpointOffIngestGoroutine(t *testing.T) {
+	const every, inFlight = 500, 512
+	s, err := Open(testCatalog(), t.TempDir(), DurabilityOptions{Sync: wal.SyncOff, CheckpointEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustRegister(t, s, runQuery)
+	mustRegister(t, s, stream.Query{ID: "q-held", SourceID: "held", Delta: 1, Model: "constant"})
+	eng := s.StartEngine(EngineOptions{Shards: 1})
+	defer eng.Close()
+	p, held, holding := eng.Producer(), s.source("held"), false
+	defer func() { // a failed round must not leave Close waiting for the stream
+		if holding {
+			held.mu.Unlock()
+		}
+	}()
+	await := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d of %d offers applied, %d checkpoints", what, eng.Applied(), eng.Offered(), counter(t, s, "streamkf_wal_checkpoints_total"))
+			}
+		}
+	}
+	u := core.Update{SourceID: runQuery.SourceID, Values: []float64{0}}
+	for round := 0; round < 5; round++ {
+		// No checkpoint is under way while the stream is taken, so the
+		// next one cannot get past it.
+		s.db.ckptMu.Lock()
+		held.mu.Lock()
+		holding = true
+		s.db.ckptMu.Unlock()
+		done := counter(t, s, "streamkf_wal_checkpoints_total")
+		for k := 0; k < 3*every; k++ {
+			await("the shard worker stopped draining", func() bool { return eng.Offered()-eng.Applied() < inFlight })
+			u.Time, u.Values[0], u.Bootstrap = float64(u.Seq), float64(u.Seq), u.Seq == 0
+			if !p.TryOffer(0, &u) {
+				t.Fatalf("offer %d shed", u.Seq)
+			}
+			u.Seq++
+		}
+		await("ingest did not finish beside the waiting checkpoint", func() bool { return eng.Applied() == eng.Offered() })
+		if got := counter(t, s, "streamkf_wal_checkpoints_total"); got != done {
+			t.Fatalf("a checkpoint completed past a held stream (%d → %d)", done, got)
+		}
+		held.mu.Unlock()
+		holding = false
+		await("the due checkpoint never ran", func() bool { return counter(t, s, "streamkf_wal_checkpoints_total") > done })
+	}
+	if st := eng.Stats()[0]; st.Dropped != 0 {
+		t.Fatalf("shed %d of %d offers while checkpoints waited", st.Dropped, u.Seq)
+	}
+	if got := s.Stats(); got[1].Updates != u.Seq {
+		t.Fatalf("applied %d of %d offers", got[1].Updates, u.Seq)
 	}
 }

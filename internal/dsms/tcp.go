@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/wire"
@@ -22,9 +24,10 @@ import (
 // error frames and fail the agent's next Offer. Query clients remain
 // synchronous request/response.
 
-// DefaultWindow is the default number of unacknowledged updates a
-// RemoteAgent keeps in flight before Offer blocks for acks.
-const DefaultWindow = 64
+// DefaultWindow is how many unacknowledged updates a RemoteAgent keeps in
+// flight before Offer blocks: past the knee (256–512) where the ack round
+// trip stops setting the batch size (DESIGN §8).
+const DefaultWindow = 1024
 
 // errAgentClosed reports an operation on a RemoteAgent after Close.
 var errAgentClosed = errors.New("dsms: agent closed")
@@ -152,9 +155,8 @@ func (t *TCPServer) handle(conn net.Conn) {
 	c.r.OnFrame = tel.rx
 	c.w.OnFrame = tel.tx
 
-	// Preamble exchange: validate the client's, answer with ours. A
-	// peer that is not speaking the protocol at all gets an error frame
-	// on the off chance it can parse one, then the close.
+	// Preamble exchange: validate the client's, answer with ours. A peer
+	// not speaking the protocol gets a best-effort error frame, then the close.
 	ver, _, err := c.r.ReadPreamble()
 	if err != nil {
 		tel.countWireError(err)
@@ -163,10 +165,8 @@ func (t *TCPServer) handle(conn net.Conn) {
 		return
 	}
 	// Advertise trace-frame acceptance only while tracing is on, so
-	// non-tracing servers never have to parse the optional tag. Cluster
-	// framing is always accepted — the handler below understands the
-	// tags whether or not this server runs as a shard, and a router
-	// requires the bit before it will forward upstream.
+	// non-tracing servers never parse the optional tag. Cluster framing is
+	// always accepted: a router requires the bit before it forwards.
 	feats := wire.FeatCluster
 	if t.server.TraceEnabled() {
 		feats |= wire.FeatTrace
@@ -200,49 +200,40 @@ func (t *TCPServer) handle(conn net.Conn) {
 	}
 }
 
-// tcpConn is one connection's serving state. The update struct and its
-// Values slice are reused across frames, so the steady-state ingest
-// path performs no allocations.
+// tcpConn is one connection's serving state. Its unit of work is a run:
+// the update and forward frames one socket read delivered, decoded into
+// reused slots (steady-state ingest allocates nothing) and folded in
+// together. Every other frame ends the run.
 type tcpConn struct {
 	s *Server
 	r *wire.Reader
 	w *wire.Writer
-	u core.Update
 
-	// Cumulative ack for plain updates, written by flushAck.
-	ackSeq     int64
-	pendingAck bool
-	// pend holds decision evidence (and the router's hop, when the
-	// frame carried one) from a trace frame until the next update or
-	// forward frame consumes it.
+	run    []core.Update // the buffered run
+	frames []rxFrame     // parallel to run
+	acks   []rxFrame     // earned since the last write-out
+	// pend holds a trace frame's decision evidence (and router hop, if it
+	// carried one) until the next update or forward frame consumes it.
 	pend     trace.DecisionInfo
 	pendHop  wire.TraceHop
 	havePend bool
 	haveHop  bool
-	// Forward-ack coalescing (cluster mode): a burst of forwarded
-	// updates acks once per route index, not once per frame. fwdOrder
-	// keeps the flush order deterministic (first-touched first).
-	fwdAcks  map[uint32]int64
-	fwdOrder []uint32
 }
 
-// flushAck writes the cumulative acks for everything folded so far and
-// flushes the connection.
-func (c *tcpConn) flushAck() bool {
-	if c.pendingAck {
-		if c.w.Ack(c.ackSeq) != nil {
-			return false
+// flushAck writes the cumulative acks earned so far — a source's own
+// updates by seq, a router's forwards by route and seq — and flushes,
+// unless the caller has a frame to put behind them first. A failed write
+// is sticky in the writer: the next write or flush reports it.
+func (c *tcpConn) flushAck(flush bool) bool {
+	for _, a := range c.acks {
+		if a.route < 0 {
+			c.w.Ack(a.seq)
+		} else {
+			c.w.ForwardAck(uint32(a.route), a.seq)
 		}
-		c.pendingAck = false
 	}
-	for _, idx := range c.fwdOrder {
-		if c.w.ForwardAck(idx, c.fwdAcks[idx]) != nil {
-			return false
-		}
-		delete(c.fwdAcks, idx)
-	}
-	c.fwdOrder = c.fwdOrder[:0]
-	return c.w.Flush() == nil
+	c.acks = c.acks[:0]
+	return !flush || c.w.Flush() == nil
 }
 
 // fatal answers a frame the connection cannot survive (undecodable
@@ -257,26 +248,29 @@ func (c *tcpConn) fatal(err error) bool {
 
 // reply completes a request whose reply frame is already buffered
 // (werr is that write's result): flush it behind any pending acks.
-func (c *tcpConn) reply(werr error) bool { return werr == nil && c.flushAck() }
+func (c *tcpConn) reply(werr error) bool { return werr == nil && c.flushAck(true) }
 
-// refuse reports a request the server rejected. Delivered as an error
-// frame — asynchronously, for a pipelined update: the client fails its
-// next Offer. Keep reading; the client decides when to hang up.
+// refuse reports a request the server rejected, as an error frame. Keep
+// reading; the client decides when to hang up.
 func (c *tcpConn) refuse(err error) bool { return c.reply(c.w.Error(err.Error())) }
 
 // frame serves one inbound frame, returning false when the connection
 // must close.
 func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
-	switch tag {
-	case wire.TagUpdate, wire.TagForward:
+	if tag == wire.TagUpdate || tag == wire.TagForward {
 		return c.update(tag == wire.TagForward, p)
+	}
+	// Anything else ends the run, and is answered behind its acks.
+	if len(c.run) > 0 && !c.applyBuffered() {
+		return false
+	}
+	switch tag {
 	case wire.TagTrace:
 		d, hop, hasHop, err := wire.DecodeTrace(p)
 		if err != nil {
 			return c.fatal(err)
 		}
-		// Not acked: the evidence travels with (and is confirmed by
-		// the ack of) the update frame that follows it.
+		// Not acked: the ack of the update frame behind it confirms it.
 		c.pend, c.havePend = d, true
 		c.pendHop, c.haveHop = hop, hasHop
 		return true
@@ -305,10 +299,9 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 		if err != nil {
 			return c.fatal(err)
 		}
-		// Registration is idempotent-adopt: a router re-registering
-		// after a shard restart finds the queries recovered from the
-		// WAL and simply confirms them — but only as the kind it asks
-		// for; the id namespace is shared.
+		// Idempotent-adopt: a router re-registering after a shard restart
+		// finds the queries the WAL recovered and confirms them — only as
+		// the kind it asks for; the id namespace is shared.
 		id, want := q.ID, kindPoint
 		if kind == wire.RegAggregate {
 			id, want = agg.ID, kindAggregate
@@ -356,60 +349,80 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 	}
 }
 
-// update folds one TagUpdate or (forwarded) TagForward frame into its
-// stream and notes the ack it earns.
+// update decodes one TagUpdate or (forwarded) TagForward frame onto the
+// buffered run, and applies the run when this frame ends it: the next
+// one is not in the read buffer yet, or this one came with trace
+// evidence, which describes it alone and so pairs with a run of one.
 func (c *tcpConn) update(forwarded bool, p []byte) bool {
-	// Consume the stashed trace evidence before anything can exit: it
-	// describes this frame and no other, so a frame that is rejected
-	// below must take its evidence with it — on a router's multiplexed
-	// upstream the next forward may be another source's at the same seq.
-	var wd *trace.DecisionInfo
-	var hop *wire.TraceHop
-	if c.havePend {
-		wd = &c.pend
-		if c.haveHop {
-			hop = &c.pendHop
-		}
-		c.havePend, c.haveHop = false, false
-	}
-	payload := p
-	var idx uint32
+	payload, f := p, rxFrame{route: -1, bytes: len(p) + 5}
 	if forwarded {
-		// The envelope carries the route index the ack must name (the
-		// downstream seq alone is ambiguous across sources sharing the
-		// upstream connection) and the epoch the router routed under.
+		// The envelope names the route the ack must carry (a seq alone is
+		// ambiguous on a shared upstream) and the epoch routed under.
 		env, err := wire.DecodeForward(p)
 		if err != nil {
 			return c.fatal(err)
 		}
 		c.s.ObserveEpoch(env.Epoch)
-		payload, idx = env.Payload, env.Idx
+		payload, f.route = env.Payload, int64(env.Idx)
 	}
-	if err := c.r.DecodeUpdate(payload, &c.u); err != nil {
+	k := len(c.run)
+	c.run = slices.Grow(c.run, 1)[:k+1] // a used slot keeps its Values capacity
+	if err := c.r.DecodeUpdate(payload, &c.run[k]); err != nil {
 		return c.fatal(err)
 	}
-	seq := int64(c.u.Seq)
-	if wd != nil && wd.Seq != seq {
-		wd, hop = nil, nil
-	}
-	if err := c.s.ingest(&c.u, wd, hop, len(p)+5); err != nil {
-		return c.refuse(err)
-	}
-	if !forwarded {
-		c.ackSeq, c.pendingAck = seq, true
-	} else {
-		if _, ok := c.fwdAcks[idx]; !ok {
-			if c.fwdAcks == nil {
-				c.fwdAcks = make(map[uint32]int64)
+	f.seq = int64(c.run[k].Seq)
+	_, more := c.r.Ready()
+	if c.havePend {
+		// Consumed even if the frame is rejected (on a multiplexed upstream
+		// the next forward may be another source's at the same seq);
+		// evidence for another seq is dropped.
+		if c.pend.Seq == f.seq {
+			if f.wd = &c.pend; c.haveHop {
+				f.hop = &c.pendHop
 			}
-			c.fwdOrder = append(c.fwdOrder, idx)
 		}
-		c.fwdAcks[idx] = seq
+		c.havePend, c.haveHop, more = false, false, false
 	}
-	// Coalesce acks: only flush when no further frames are already
-	// buffered, so a burst of updates costs one ack write-out instead
-	// of one per update.
-	return c.r.Buffered() > 0 || c.flushAck()
+	c.frames = append(c.frames, f)
+	return more || c.applyBuffered()
+}
+
+// applyBuffered folds the buffered run into its streams, one applyRun per
+// sub-run of one stream, and notes the acks earned (a route's consecutive
+// ones fold into its newest). A refused update gets its error frame (the
+// client fails its next Offer) behind the acks of what was applied before
+// it, and the updates after it are applied as if it had not been there.
+// Acks are flushed only when no further frame, whole or partial, is in
+// hand: one write-out a burst.
+func (c *tcpConn) applyBuffered() bool {
+	refused := false
+	for i := 0; i < len(c.run); {
+		n, err := c.s.applyRun(c.run[i:], c.frames[i:], nil)
+		if errors.Is(err, errNotLogged) {
+			// An ack would promise durability the log cannot keep: hang up.
+			c.w.Error(err.Error())
+			c.w.Flush()
+			return false
+		}
+		for _, f := range c.frames[i : i+n] {
+			if last := len(c.acks) - 1; last >= 0 && c.acks[last].route == f.route {
+				c.acks[last] = f
+			} else {
+				c.acks = append(c.acks, f)
+			}
+		}
+		i += n
+		if err != nil {
+			if !c.flushAck(false) || c.w.Error(err.Error()) != nil {
+				return false
+			}
+			refused = true
+			i++
+		}
+	}
+	c.run, c.frames = c.run[:0], c.frames[:0]
+	c.s.maybeCheckpoint()
+	return (!refused && c.r.Buffered() > 0) || c.flushAck(true)
 }
 
 // RemoteAgent is a source agent connected to a TCPServer. It performs
@@ -426,28 +439,71 @@ type RemoteAgent struct {
 	addr string
 	opts DialOptions
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	conn        net.Conn
-	w           *wire.Writer
-	outstanding []int64 // unacked update seqs, oldest first (monotonic)
-	sendTimes   []int64 // send timestamps parallel to outstanding (telemetry only)
-	// pending retains the unacked updates themselves (parallel to
-	// outstanding) so a reconnect can resend exactly what a crashed
-	// server may have lost. Process hands each transmitted update a
-	// fresh Values slice, so retention adds no per-send allocations.
-	pending   []core.Update
-	lastAcked int64 // highest cumulatively acked seq (-1 before any)
-	err       error // sticky transport/server error
-	closing   bool  // suppresses the close-induced read error
+	mu   sync.Mutex
+	cond *sync.Cond
+	conn net.Conn
+	w    *wire.Writer
+	// ring holds every unacknowledged update, oldest first. The first
+	// sent of them are on the wire and count against the window; the rest
+	// (broken connection only) wait for Reconnect to resend them.
+	ring      sendRing
+	sent      int
+	lastAcked int64       // highest cumulatively acked seq (-1 before any)
+	err       error       // sticky transport/server error
+	closing   bool        // suppresses the close-induced read error
+	failed    atomic.Bool // err != nil, for Offer's lock-free check per reading
 
-	// wireTrace is true when both sides opted into trace frames: the
-	// agent asked for tracing and the connected server advertised
-	// wire.FeatTrace. Re-evaluated on every (re)connect, so a tracing
-	// agent keeps interoperating with servers that lack the feature.
+	// wireTrace: the agent asked for tracing and the connected server
+	// advertised wire.FeatTrace. Re-evaluated on every (re)connect.
 	wireTrace bool
 
 	readerDone chan struct{}
+}
+
+// sendRing is the FIFO of a RemoteAgent's unacknowledged updates. Process
+// hands out a node-owned Update valid only until the next reading, so
+// push copies it into a slot that owns its Values storage: warm, keeping
+// an update copies a few floats and an ack is a head bump. It doubles
+// when full, up to the first size that holds the window.
+type sendRing struct {
+	slots   []sentUpdate
+	head, n int
+}
+
+// sentUpdate is one kept update and when it was sent (telemetry only).
+type sentUpdate struct {
+	core.Update
+	sentNs int64
+}
+
+// at returns the i-th oldest kept update, 0 <= i < n.
+func (r *sendRing) at(i int) *sentUpdate {
+	if i += r.head; i >= len(r.slots) {
+		i -= len(r.slots)
+	}
+	return &r.slots[i]
+}
+
+// push copies u, Values included, behind the newest kept update.
+func (r *sendRing) push(u *core.Update) *sentUpdate {
+	if r.n == len(r.slots) {
+		slots := make([]sentUpdate, max(16, 2*r.n))
+		for i := 0; i < r.n; i++ {
+			slots[i] = *r.at(i)
+		}
+		r.slots, r.head = slots, 0
+	}
+	s := r.at(r.n)
+	r.n++
+	vals := append(s.Values[:0], u.Values...)
+	s.Update, s.sentNs = *u, 0
+	s.Values = vals
+	return s
+}
+
+// pop drops the k oldest kept updates, 0 <= k <= n.
+func (r *sendRing) pop(k int) {
+	r.head, r.n = (r.head+k)%max(1, len(r.slots)), r.n-k
 }
 
 // DialSource connects sourceID to the server at addr with default
@@ -460,8 +516,7 @@ func DialSource(addr, sourceID string, catalog *Catalog) (*RemoteAgent, error) {
 // dialWire dials addr, sends this side's preamble — and, for a source
 // (hello != ""), its hello frame in the same write — and validates the
 // server's, returning the connection, its framed writer/reader and the
-// server's advertised feature bits. On error the connection is already
-// closed.
+// server's feature bits. On error the connection is already closed.
 func dialWire(addr, hello string, wbuf int) (net.Conn, *wire.Writer, *wire.Reader, byte, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -494,8 +549,8 @@ func dialWire(addr, hello string, wbuf int) (net.Conn, *wire.Writer, *wire.Reade
 // dialHandshake runs dialWire plus the hello → install exchange,
 // additionally returning the decoded install reply.
 func dialHandshake(addr, sourceID string, window int) (net.Conn, *wire.Writer, *wire.Reader, wire.Install, byte, error) {
-	// Size the write buffer for a full window of small update frames so
-	// coalesced bursts reach the kernel in one write.
+	// A write buffer for a full window of small update frames: a
+	// coalesced burst reaches the kernel in one write.
 	conn, w, r, feats, err := dialWire(addr, sourceID, 64*window)
 	if err != nil {
 		return nil, nil, nil, wire.Install{}, 0, err
@@ -533,14 +588,8 @@ func DialSourceOptions(addr, sourceID string, catalog *Catalog, opts DialOptions
 		return nil, err
 	}
 	ra := &RemoteAgent{
-		conn:       conn,
-		window:     window,
-		addr:       addr,
-		opts:       opts,
-		w:          w,
-		lastAcked:  -1,
-		wireTrace:  opts.Trace && feats&wire.FeatTrace != 0,
-		readerDone: make(chan struct{}),
+		conn: conn, w: w, window: window, addr: addr, opts: opts, lastAcked: -1,
+		wireTrace: opts.Trace && feats&wire.FeatTrace != 0, readerDone: make(chan struct{}),
 	}
 	ra.cond = sync.NewCond(&ra.mu)
 	if ra.Agent, err = dialedAgent(inst, sourceID, catalog, core.TransportFunc(ra.sendUpdate), opts); err != nil {
@@ -561,10 +610,9 @@ func recvErr(err error) error {
 }
 
 // readLoop consumes ack and error frames until the connection dies. It
-// also implements the flush half of the self-clocking write coalescing:
-// whenever acks free window space, any frames buffered since the last
-// write-out are flushed, so burst batch size adapts to the ack rate the
-// way TCP's self-clocking does.
+// is also the flush half of the self-clocking write coalescing: when acks
+// free window space, the frames buffered since the last write-out are
+// flushed, so burst size adapts to the ack rate as TCP's own clock does.
 func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 	defer close(r.readerDone)
 	for {
@@ -584,22 +632,16 @@ func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 			if seq > r.lastAcked {
 				r.lastAcked = seq
 			}
-			n := 0
-			for n < len(r.outstanding) && r.outstanding[n] <= seq {
-				n++
+			k, now := 0, int64(0)
+			if r.ins != nil {
+				now = nowNanos()
 			}
-			if n > 0 {
-				if r.ins != nil {
-					now := nowNanos()
-					for i := 0; i < n; i++ {
-						r.ins.observeAckRTT(now - r.sendTimes[i])
-					}
-					r.sendTimes = r.sendTimes[:copy(r.sendTimes, r.sendTimes[n:])]
-				}
-				r.outstanding = r.outstanding[:copy(r.outstanding, r.outstanding[n:])]
-				r.pending = r.pending[:copy(r.pending, r.pending[n:])]
-				r.ins.setWindow(len(r.outstanding))
+			for ; k < r.sent && int64(r.ring.at(k).Seq) <= seq; k++ {
+				r.ins.observeAckRTT(now - r.ring.at(k).sentNs)
 			}
+			r.ring.pop(k)
+			r.sent -= k
+			r.ins.setWindow(r.sent)
 			r.flushLocked()
 			r.cond.Broadcast()
 			r.mu.Unlock()
@@ -618,20 +660,30 @@ func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 // failure after Close is the expected teardown, not an error.
 func (r *RemoteAgent) fail(err error) {
 	r.mu.Lock()
-	if r.err == nil && !r.closing {
-		r.err = err
+	if !r.closing {
+		r.failLocked(err)
 	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
 
-// sendUpdate implements core.Transport: buffer the frame, enforce the
-// window, and flush only when no ack is in flight to trigger the flush
-// from readLoop (pipelined sends coalesce into bursts).
+// failLocked latches err unless an error is already sticky, and returns
+// the sticky one. Caller holds r.mu.
+func (r *RemoteAgent) failLocked(err error) error {
+	if r.err == nil {
+		r.err = err
+		r.failed.Store(true)
+	}
+	return r.err
+}
+
+// sendUpdate implements core.Transport: keep the update, enforce the
+// window, buffer the frame, and flush only when no ack is in flight to
+// trigger the flush from readLoop (pipelined sends coalesce into bursts).
 func (r *RemoteAgent) sendUpdate(u core.Update) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.err == nil && !r.closing && len(r.outstanding) >= r.window {
+	for r.err == nil && !r.closing && r.sent >= r.window {
 		// Everything buffered must be on the wire before blocking, or
 		// the acks we are waiting for can never be generated.
 		if r.flushLocked(); r.err != nil {
@@ -642,52 +694,42 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 	if r.closing {
 		return errAgentClosed
 	}
+	// Kept before anything below can fail: the mirror filter has already
+	// folded this update in (Process mutates before transmitting), so
+	// dropping it would desynchronize KFs from KFm. On a broken connection
+	// it waits for Reconnect; the caller sees the sticky error.
+	s := r.ring.push(&u)
 	if r.err != nil {
-		// The connection is broken, but the mirror filter has already
-		// folded this update in (core.SourceNode.Process mutates before
-		// transmitting). Dropping it would silently desynchronize KFs
-		// from KFm, so retain it for Reconnect to resend; the caller
-		// sees the sticky error and decides when to redial.
-		r.pending = append(r.pending, u)
 		return r.err
 	}
 	if r.wireTrace {
 		// Ship the decision evidence ahead of its update so the server
-		// can attach it to the apply. LastDecision is the node's verdict
-		// on the reading that produced this very send, so the sequence
-		// numbers agree; a resent update (whose decision is long gone)
-		// simply travels untraced.
+		// can attach it to the apply. LastDecision is the verdict on the
+		// reading behind this very send, so the seqs agree; a resent
+		// update (its decision long gone) travels untraced.
 		if d := r.LastDecision(); d.Seq == int64(u.Seq) {
-			// Stamp the decision with this node's trace clock so the
-			// server's (and a router's) recorders order it by source time.
-			d.At = trace.Now()
+			d.At = trace.Now() // source time orders every recorder's trail
 			if err := r.w.Trace(&d, nil); err != nil {
-				r.err = fmt.Errorf("dsms: send: %w", err)
-				r.pending = append(r.pending, u)
-				return r.err
+				return r.failLocked(fmt.Errorf("dsms: send: %w", err))
 			}
 		}
 	}
-	if err := r.w.Update(&u); err != nil {
-		r.err = fmt.Errorf("dsms: send: %w", err)
-		r.pending = append(r.pending, u)
-		return r.err
+	if err := r.w.Update(&s.Update); err != nil {
+		return r.failLocked(fmt.Errorf("dsms: send: %w", err))
 	}
 	if r.tracer != nil {
 		d := r.LastDecision()
 		r.tracer.Record(&trace.Event{TraceID: d.TraceID, Seq: int64(u.Seq), Kind: trace.KindWireTx, Aux: int64(u.WireBytes())})
 	}
-	r.outstanding = append(r.outstanding, int64(u.Seq))
-	r.pending = append(r.pending, u)
+	r.sent++
 	if r.ins != nil {
-		r.sendTimes = append(r.sendTimes, nowNanos())
-		r.ins.setWindow(len(r.outstanding))
+		s.sentNs = nowNanos()
+		r.ins.setWindow(r.sent)
 	}
-	if len(r.outstanding) == 1 {
-		// No ack is due, so nothing will trigger a flush from the read
-		// side: write out now. While acks are in flight, readLoop
-		// flushes on their arrival instead, coalescing this frame with
-		// its successors.
+	if r.sent == 1 {
+		// No ack is due to trigger a flush from the read side: write out
+		// now. With acks in flight readLoop flushes on their arrival,
+		// coalescing this frame with its successors.
 		r.flushLocked()
 	}
 	return r.err
@@ -698,7 +740,7 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 func (r *RemoteAgent) flushLocked() {
 	if r.err == nil && r.w.Buffered() > 0 {
 		if err := r.w.Flush(); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
+			r.failLocked(fmt.Errorf("dsms: send: %w", err))
 		}
 	}
 }
@@ -716,8 +758,11 @@ func (r *RemoteAgent) Err() error {
 // reported asynchronously for an earlier pipelined update fails the
 // next Offer.
 func (r *RemoteAgent) Offer(reading stream.Reading) (bool, error) {
-	if err := r.Err(); err != nil {
-		return false, err
+	if r.failed.Load() {
+		// A concurrent Reconnect may have cleared it since: then go on.
+		if err := r.Err(); err != nil {
+			return false, err
+		}
 	}
 	return r.Agent.Offer(reading)
 }
@@ -742,10 +787,10 @@ func (r *RemoteAgent) Drain() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushLocked()
-	for r.err == nil && !r.closing && len(r.outstanding) > 0 {
+	for r.err == nil && !r.closing && r.sent > 0 {
 		r.cond.Wait()
 	}
-	if r.err == nil && r.closing && len(r.outstanding) > 0 {
+	if r.err == nil && r.closing && r.sent > 0 {
 		return errAgentClosed
 	}
 	return r.err
@@ -761,16 +806,14 @@ func (r *RemoteAgent) TraceNegotiated() bool {
 }
 
 // Reconnect re-establishes the server connection after a transport
-// failure and resends every update the (possibly crash-recovered)
-// server may not have durably applied. The install reply's ResumeSeq —
-// the sequence the server's recovered filter has reached — decides
-// what to resend: pending updates at or below it were recovered and
-// are dropped, the rest are retransmitted in order. Mirror synchrony
-// survives because the resent suffix is exactly the suffix the server
-// missed. Reconnect fails if the server's recovered state predates an
-// update it already acknowledged (state loss a resend cannot repair)
-// or if the reinstalled procedure no longer matches the one this
-// agent mirrors; the sticky error is cleared only on success.
+// failure and resends every update the (possibly crash-recovered) server
+// may not have durably applied. The install reply's ResumeSeq — where the
+// server's recovered filter stands — decides: retained updates at or
+// below it are dropped, the rest retransmitted in order, exactly the
+// suffix the server missed, so mirror synchrony survives. It fails if
+// the recovered state predates an update already acknowledged (loss a
+// resend cannot repair) or the reinstalled procedure no longer matches
+// the one this agent mirrors; only success clears the sticky error.
 func (r *RemoteAgent) Reconnect() error {
 	r.mu.Lock()
 	if r.closing {
@@ -805,38 +848,34 @@ func (r *RemoteAgent) Reconnect() error {
 		conn.Close()
 		return fmt.Errorf("dsms: reconnect: server recovered to seq %d, behind acknowledged seq %d — durable state lost", inst.ResumeSeq, r.lastAcked)
 	}
-	// Drop the pending prefix the recovered server already holds.
-	n := 0
-	for n < len(r.pending) && int64(r.pending[n].Seq) <= inst.ResumeSeq {
-		n++
+	// Drop the retained prefix the recovered server already holds.
+	k := 0
+	for k < r.ring.n && int64(r.ring.at(k).Seq) <= inst.ResumeSeq {
+		k++
 	}
-	r.pending = r.pending[:copy(r.pending, r.pending[n:])]
+	r.ring.pop(k)
 	r.conn = conn
 	r.w = w
 	r.err = nil
-	// The replacement server may or may not speak trace frames;
-	// renegotiate rather than assume (resent updates below carry no
-	// fresh decisions, so they are untraced either way).
+	r.failed.Store(false)
+	// Renegotiate trace frames with the replacement server (the resent
+	// updates carry no fresh decisions: untraced either way).
 	r.wireTrace = r.opts.Trace && feats&wire.FeatTrace != 0
-	r.outstanding = r.outstanding[:0]
-	r.sendTimes = r.sendTimes[:0]
 	r.readerDone = make(chan struct{})
-	// Retransmit the suffix the server missed before starting the new
-	// reader, so resent frames precede anything a concurrent Offer
-	// ships on the fresh connection.
-	for i := range r.pending {
-		u := &r.pending[i]
-		if err := r.w.Update(u); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
+	// Retransmit before starting the new reader, so resent frames
+	// precede anything a concurrent Offer ships on the fresh connection.
+	for r.sent = 0; r.sent < r.ring.n; r.sent++ {
+		s := r.ring.at(r.sent)
+		if err := r.w.Update(&s.Update); err != nil {
+			r.failLocked(fmt.Errorf("dsms: send: %w", err))
 			break
 		}
-		r.outstanding = append(r.outstanding, int64(u.Seq))
 		if r.ins != nil {
-			r.sendTimes = append(r.sendTimes, nowNanos())
+			s.sentNs = nowNanos()
 		}
 	}
 	r.flushLocked()
-	r.ins.setWindow(len(r.outstanding))
+	r.ins.setWindow(r.sent)
 	go r.readLoop(rd)
 	r.cond.Broadcast()
 	return r.err

@@ -10,16 +10,17 @@ import (
 
 // TestTCPPipelinedEquivalence replays one stream through the old
 // synchronous-ack semantics (window=1: every update waits for its ack)
-// and through the pipelined window (window=64), plus the in-process
-// reference, and requires bit-identical server-side trajectories:
-// identical update/suppression counts and identical query answers at
-// every checkpoint. Pipelining cannot change DKF behavior because
+// and through pipelined windows — 64, the default, and one wider than
+// the stream so whole bursts outgrow the server's read buffer and are
+// folded in as several runs — and requires bit-identical server-side
+// trajectories: identical update/suppression counts and identical query
+// answers at every checkpoint. Pipelining cannot change DKF behavior because
 // suppression decisions are made source-side against the mirror filter
 // — ack latency is invisible to them — and the server folds updates in
 // sequence order either way.
 func TestTCPPipelinedEquivalence(t *testing.T) {
-	data := gen.Ramp(600, 5, 1.7, 0.8, 23)
-	checkpoints := []int{99, 250, 599}
+	data := gen.Ramp(3000, 5, 1.7, 0.8, 23)
+	checkpoints := []int{99, 250, 2999}
 
 	type result struct {
 		updates    int
@@ -68,24 +69,25 @@ func TestTCPPipelinedEquivalence(t *testing.T) {
 	}
 
 	sync := run(1)
-	pipelined := run(DefaultWindow)
-
-	if sync.updates != pipelined.updates || sync.suppressed != pipelined.suppressed {
-		t.Fatalf("protocol counters diverge: sync ack %d/%d, pipelined %d/%d (updates/suppressed)",
-			sync.updates, pipelined.updates, sync.suppressed, pipelined.suppressed)
+	if sync.updates*35 < 2*8192 || sync.suppressed == 0 {
+		t.Fatalf("degenerate stream: updates=%d suppressed=%d, want two read buffers of updates", sync.updates, sync.suppressed)
 	}
-	if sync.updates == 0 || sync.suppressed == 0 {
-		t.Fatalf("degenerate stream: updates=%d suppressed=%d", sync.updates, sync.suppressed)
-	}
-	for i := range checkpoints {
-		a, b := sync.answers[i], pipelined.answers[i]
-		if len(a) != len(b) {
-			t.Fatalf("checkpoint %d: answer lengths %d vs %d", checkpoints[i], len(a), len(b))
+	for _, window := range []int{64, DefaultWindow, 4096} {
+		pipelined := run(window)
+		if sync.updates != pipelined.updates || sync.suppressed != pipelined.suppressed {
+			t.Fatalf("protocol counters diverge: sync ack %d/%d, window %d %d/%d (updates/suppressed)",
+				sync.updates, sync.suppressed, window, pipelined.updates, pipelined.suppressed)
 		}
-		for j := range a {
-			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-				t.Fatalf("checkpoint seq %d attr %d: sync ack %v, pipelined %v — trajectories diverged",
-					checkpoints[i], j, a[j], b[j])
+		for i := range checkpoints {
+			a, b := sync.answers[i], pipelined.answers[i]
+			if len(a) != len(b) {
+				t.Fatalf("checkpoint %d: answer lengths %d vs %d", checkpoints[i], len(a), len(b))
+			}
+			for j := range a {
+				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+					t.Fatalf("checkpoint seq %d attr %d: sync ack %v, window %d %v — trajectories diverged",
+						checkpoints[i], j, a[j], window, b[j])
+				}
 			}
 		}
 	}

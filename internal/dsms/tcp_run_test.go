@@ -1,0 +1,533 @@
+package dsms
+
+import (
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"streamkf/internal/core"
+	"streamkf/internal/dsms/wire"
+	"streamkf/internal/stream"
+	"streamkf/internal/telemetry"
+	"streamkf/internal/wal"
+)
+
+// runQuery transmits every reading: the run tests exercise the wire and
+// the log, not suppression.
+var runQuery = stream.Query{ID: "q-run", SourceID: "run", Delta: 1e-9, Model: "constant"}
+
+// rawSource handshakes a plain connection as sourceID, for writing a run
+// in one piece.
+func rawSource(t *testing.T, addr, sourceID string) (*wire.Writer, *wire.Reader) {
+	t.Helper()
+	_, w, r := rawClient(t, addr)
+	if err := w.WritePreamble(wire.Version, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Hello(sourceID); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.ReadPreamble(); err != nil {
+		t.Fatal(err)
+	}
+	if tag, _, err := r.Next(); err != nil || tag != wire.TagInstall {
+		t.Fatalf("handshake reply %v, %v", tag, err)
+	}
+	return w, r
+}
+
+// writeRun buffers one update frame per seq and sends them in a single
+// write, so the server's read delivers them as one run.
+func writeRun(t *testing.T, w *wire.Writer, sourceID string, seqs ...int) {
+	t.Helper()
+	for _, seq := range seqs {
+		u := core.Update{SourceID: sourceID, Seq: seq, Time: float64(seq), Values: []float64{float64(10 * seq)}, Bootstrap: seq == 0}
+		if err := w.Update(&u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readThrough reads ack and error frames until the cumulative ack
+// reaches last, returning every ack seq received before and after the
+// first error frame, and that error's message.
+func readThrough(t *testing.T, r *wire.Reader, last int64) (before, after []int64, errMsg string) {
+	t.Helper()
+	for {
+		tag, p, err := r.Next()
+		if err != nil {
+			t.Fatalf("waiting for ack %d: %v (acks %v / %v, error %q)", last, err, before, after, errMsg)
+		}
+		switch tag {
+		case wire.TagAck:
+			seq, _ := wire.DecodeAck(p)
+			if errMsg == "" {
+				before = append(before, seq)
+			} else {
+				after = append(after, seq)
+			}
+			if seq >= last {
+				return before, after, errMsg
+			}
+		case wire.TagError:
+			if errMsg != "" {
+				t.Fatalf("second error frame %q", string(p))
+			}
+			errMsg, _ = wire.DecodeError(p)
+		default:
+			t.Fatalf("unexpected %v frame", tag)
+		}
+	}
+}
+
+func counter(t *testing.T, s *Server, name string, labels ...telemetry.Label) int64 {
+	t.Helper()
+	v, ok := s.Telemetry().Get(name, labels...)
+	if !ok {
+		t.Fatalf("no metric %s", name)
+	}
+	return int64(v)
+}
+
+// TestTCPRunRefusedMidRun: one refused update in the middle of a
+// buffered run. The updates before it are acked, it gets its error
+// frame, the updates after it are applied and acked, and exactly the
+// applied ones are in the log: a recovery from the abandoned data
+// directory reproduces the state.
+func TestTCPRunRefusedMidRun(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurabilityOptions{Sync: wal.SyncAlways}
+	s, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, s, runQuery)
+	ts := startServer(t, s)
+	w, r := rawSource(t, ts.Addr(), runQuery.SourceID)
+	writeRun(t, w, runQuery.SourceID, 0)
+	readThrough(t, r, 0)
+	// The prediction moves to seq 5: an update at seq 3 is stale now.
+	if n := s.AdvanceAll(5); n != 1 {
+		t.Fatalf("AdvanceAll advanced %d streams, want 1", n)
+	}
+	logged := counter(t, s, "streamkf_wal_records_appended_total")
+	writeRun(t, w, runQuery.SourceID, 5, 6, 3, 7, 8)
+	before, after, msg := readThrough(t, r, 8)
+	if len(before) == 0 || before[len(before)-1] != 6 {
+		t.Fatalf("acks ahead of the error frame = %v, want them to end at 6", before)
+	}
+	if !strings.Contains(msg, "seq 3") {
+		t.Fatalf("error frame %q, want the refusal of seq 3", msg)
+	}
+	if len(after) == 0 {
+		t.Fatal("nothing acked after the refused update")
+	}
+	if st := s.Stats()[0]; st.Updates != 5 || st.Seq != 8 {
+		t.Fatalf("applied %d updates through seq %d, want 5 through 8", st.Updates, st.Seq)
+	}
+	if got := counter(t, s, "streamkf_wal_records_appended_total") - logged; got != 4 {
+		t.Fatalf("the run logged %d records, want the 4 applied updates", got)
+	}
+
+	// Crash (no Close) and recover: the log holds what was applied.
+	s2, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s2.Close()
+	wantSameStats(t, s2.Stats(), s.Stats())
+	wantSameTrajectory(t, trajectory(t, s2, runQuery.ID, 12), trajectory(t, s, runQuery.ID, 12))
+}
+
+// TestTCPRunGroupCommit: under SyncAlways a buffered run costs one fsync,
+// not one per update.
+func TestTCPRunGroupCommit(t *testing.T) {
+	const n = 800
+	s, err := Open(testCatalog(), t.TempDir(), DurabilityOptions{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustRegister(t, s, runQuery)
+	ts := startServer(t, s)
+	w, r := rawSource(t, ts.Addr(), runQuery.SourceID)
+	writeRun(t, w, runQuery.SourceID, 0)
+	readThrough(t, r, 0)
+	fsyncs := counter(t, s, "streamkf_wal_fsyncs_total")
+	seqs := make([]int, n)
+	for i := range seqs {
+		seqs[i] = i + 1
+	}
+	writeRun(t, w, runQuery.SourceID, seqs...)
+	if _, _, msg := readThrough(t, r, n); msg != "" {
+		t.Fatalf("server error: %s", msg)
+	}
+	if st := s.Stats()[0]; st.Updates != n+1 {
+		t.Fatalf("applied %d updates, want %d", st.Updates, n+1)
+	}
+	if got := counter(t, s, "streamkf_wal_fsyncs_total") - fsyncs; got < 1 || got > n/8 {
+		t.Fatalf("%d pipelined updates cost %d fsyncs, want between 1 and %d", n, got, n/8)
+	}
+	acks := counter(t, s, "dkf_wire_tx_frames_total", telemetry.L("tag", "ack"))
+	if acks > 2+n/8 {
+		t.Fatalf("%d acks for %d updates", acks, n+1)
+	}
+}
+
+// TestDurableTCPResumeCutInsideRun cuts the server between a run's
+// applies and its commit: the log rejects the commit, so the run is in
+// the filter but not in the log, and the connection dies without an ack
+// for any of it. Only unacked updates are lost; Reconnect resends them
+// to the recovered server and the final state is bit-identical to an
+// uninterrupted run.
+func TestDurableTCPResumeCutInsideRun(t *testing.T) {
+	const n, cutAt = 300, 150
+	data := persistData(n)
+	ref, _ := runReference(t, persistQuery, data, -1)
+
+	dir := t.TempDir()
+	opts := DurabilityOptions{Sync: wal.SyncAlways}
+	s1, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, s1, persistQuery)
+	ts1, err := NewTCPServer(s1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ts1.Serve()
+	addr := ts1.Addr()
+	agent, err := DialSource(addr, persistQuery.SourceID, testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	for i := 0; i < cutAt; i++ {
+		if _, err := agent.Offer(data[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := agent.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// From here on every commit fails, as if the process died after the
+	// applies: keep offering until the refusal comes back.
+	if err := s1.db.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for agent.Err() == nil {
+		if next := agent.Stats().Readings; next < n-50 {
+			agent.Offer(data[next]) // its error is the one awaited
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the failed commit never reached the agent")
+		}
+	}
+	if !strings.Contains(agent.Err().Error(), errNotLogged.Error()) {
+		t.Fatalf("agent error %v, want the failed commit", agent.Err())
+	}
+	ts1.Close()
+	if s1.Stats()[0].Seq <= data[cutAt-1].Seq {
+		t.Fatal("nothing was applied past the cut: the test cut between runs, not inside one")
+	}
+
+	s2, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s2.Close()
+	if got, want := s2.ResumeSeq(persistQuery.SourceID), int64(data[cutAt-1].Seq); got > want {
+		t.Fatalf("recovered through seq %d, past the last commit at or below %d", got, want)
+	}
+	ts2, err := NewTCPServer(s2, addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	go ts2.Serve()
+	defer ts2.Close()
+	if err := agent.Reconnect(); err != nil {
+		t.Fatalf("Reconnect: %v", err)
+	}
+	for i := agent.Stats().Readings; i < n; i++ {
+		if _, err := agent.Offer(data[i]); err != nil {
+			t.Fatalf("offer %d after reconnect: %v", i, err)
+		}
+	}
+	if err := agent.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	wantSameStats(t, s2.Stats(), ref.Stats())
+	last := data[n-1].Seq
+	wantSameTrajectory(t, trajectory(t, s2, persistQuery.ID, last), trajectory(t, ref, persistQuery.ID, last))
+}
+
+// scriptedServer accepts source connections and handshakes them with a
+// scripted ResumeSeq, handing the test the framed connection.
+type scriptedServer struct {
+	t  *testing.T
+	ln net.Listener
+}
+
+func newScriptedServer(t *testing.T) *scriptedServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return &scriptedServer{t: t, ln: ln}
+}
+
+// accept completes one handshake, replying install with resumeSeq.
+func (f *scriptedServer) accept(resumeSeq int64) (net.Conn, *wire.Writer, *wire.Reader) {
+	f.t.Helper()
+	conn, err := f.ln.Accept()
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { conn.Close() })
+	w, r := wire.NewWriter(conn, 0, 0), wire.NewReader(conn, 0, 0)
+	if _, _, err := r.ReadPreamble(); err != nil {
+		f.t.Fatal(err)
+	}
+	tag, p, err := r.Next()
+	if err != nil || tag != wire.TagHello {
+		f.t.Fatalf("handshake: %v, %v", tag, err)
+	}
+	id, _ := wire.DecodeHello(p)
+	w.WritePreamble(wire.Version, 0)
+	w.Install(wire.Install{SourceID: id, Model: "constant", Delta: 1e-9, ResumeSeq: resumeSeq})
+	if err := w.Flush(); err != nil {
+		f.t.Fatal(err)
+	}
+	return conn, w, r
+}
+
+// updates reads count update frames and returns their seqs and values.
+func (f *scriptedServer) updates(r *wire.Reader, count int) (seqs []int, vals []float64) {
+	f.t.Helper()
+	var u core.Update
+	for len(seqs) < count {
+		tag, p, err := r.Next()
+		if err != nil || tag != wire.TagUpdate {
+			f.t.Fatalf("after %d updates: %v, %v", len(seqs), tag, err)
+		}
+		if err := r.DecodeUpdate(p, &u); err != nil {
+			f.t.Fatal(err)
+		}
+		seqs, vals = append(seqs, u.Seq), append(vals, u.Values[0])
+	}
+	return seqs, vals
+}
+
+// TestAgentRing drives the agent's ring of unacknowledged updates from a
+// scripted server: acks below the head, inside the window and past its
+// tail, wrap-around of the slots with each update's values intact, and a
+// Reconnect that resends exactly the unacked suffix, in order.
+func TestAgentRing(t *testing.T) {
+	fs := newScriptedServer(t)
+	type dialed struct {
+		a   *RemoteAgent
+		err error
+	}
+	ch := make(chan dialed, 1)
+	go func() {
+		a, err := DialSourceOptions(fs.ln.Addr().String(), "ring", testCatalog(), DialOptions{Window: 8})
+		ch <- dialed{a, err}
+	}()
+	conn, w, r := fs.accept(-1)
+	d := <-ch
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	agent := d.a
+	defer agent.Close()
+
+	value := func(seq int) float64 { return float64(7*seq%11) + 0.5 }
+	next := 0
+	offer := func(count int) {
+		t.Helper()
+		for ; count > 0; count-- {
+			sent, err := agent.Offer(stream.Reading{Seq: next, Time: float64(next), Values: []float64{value(next)}})
+			if err != nil || !sent {
+				t.Fatalf("offer %d: sent %v, %v", next, sent, err)
+			}
+			next++
+		}
+	}
+	// kept waits for the ring to hold want updates and returns their seqs,
+	// checking each slot still carries its own values.
+	kept := func(want int) []int {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			agent.mu.Lock()
+			var seqs []int
+			for i := 0; i < agent.ring.n; i++ {
+				u := agent.ring.at(i).Update
+				if len(u.Values) != 1 || u.Values[0] != value(u.Seq) {
+					t.Errorf("slot %d holds seq %d with values %v, want %v", i, u.Seq, u.Values, value(u.Seq))
+				}
+				seqs = append(seqs, u.Seq)
+			}
+			sent := agent.sent
+			agent.mu.Unlock()
+			if len(seqs) == want && sent == want {
+				return seqs
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("ring holds %v (%d sent), want %d updates", seqs, sent, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// flush puts the frames the ack clock is still holding on the wire.
+	flush := func() {
+		agent.mu.Lock()
+		agent.flushLocked()
+		agent.mu.Unlock()
+	}
+	ack := func(seq int64) {
+		t.Helper()
+		w.Ack(seq)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSeqs := func(got []int, from int) {
+		t.Helper()
+		for i, seq := range got {
+			if seq != from+i {
+				t.Fatalf("ring holds %v, want consecutive seqs from %d", got, from)
+			}
+		}
+	}
+
+	offer(5) // 0..4
+	flush()
+	fs.updates(r, 5)
+	wantSeqs(kept(5), 0)
+	ack(2) // inside: retires 0..2
+	wantSeqs(kept(2), 3)
+	ack(1) // below the head: retires nothing
+	offer(1)
+	wantSeqs(kept(3), 3)
+	ack(7) // past the tail (5): retires everything
+	kept(0)
+	fs.updates(r, 1)
+	// Wrap the slots several times with a part-full window.
+	for round := 0; round < 12; round++ {
+		offer(6)
+		flush()
+		fs.updates(r, 6)
+		ack(int64(next - 4))
+		wantSeqs(kept(3), next-3)
+		ack(int64(next - 1))
+		kept(0)
+	}
+
+	// Seven in flight, the connection dies, the recovered server holds
+	// the first three: Reconnect resends the other four, in order.
+	offer(7)
+	flush()
+	fs.updates(r, 7)
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for agent.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("transport error never surfaced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := agent.Offer(stream.Reading{Seq: next, Values: []float64{0}}); err == nil {
+		t.Fatal("Offer succeeded on a failed connection")
+	}
+	rec := make(chan error, 1)
+	go func() { rec <- agent.Reconnect() }()
+	_, w, r = fs.accept(int64(next - 5))
+	if err := <-rec; err != nil {
+		t.Fatalf("Reconnect: %v", err)
+	}
+	seqs, vals := fs.updates(r, 4)
+	wantSeqs(seqs, next-4)
+	for i, seq := range seqs {
+		if vals[i] != value(seq) {
+			t.Fatalf("resent seq %d carries %v, want %v", seq, vals[i], value(seq))
+		}
+	}
+	wantSeqs(kept(4), next-4)
+	offer(1)
+	ack(int64(next - 1))
+	kept(0)
+	// An Offer that saw the failed flag just before a concurrent Reconnect
+	// cleared the error goes on with its reading; it must not drop it.
+	agent.failed.Store(true)
+	offer(1)
+	agent.failed.Store(false)
+	fs.updates(r, 2)
+	ack(int64(next - 1))
+	kept(0)
+	if err := agent.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSendRing pushes and pops across several wraps and two growths
+// and checks that the ring stays a FIFO whose slots carry their own
+// values — the caller's update is reused between pushes, as
+// SourceNode.Process reuses its own — and that a warm ring allocates
+// nothing.
+func TestSendRing(t *testing.T) {
+	var r sendRing
+	u := core.Update{SourceID: "s", Values: make([]float64, 2)}
+	next, oldest := 0, 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			u.Seq, u.Values[0], u.Values[1] = next, float64(next), float64(-next)
+			if s := r.push(&u); s.Seq != next || s.sentNs != 0 {
+				t.Fatalf("pushed seq %d, slot holds %d mark %d", next, s.Seq, s.sentNs)
+			}
+			next++
+		}
+	}
+	pop := func(k int) { r.pop(k); oldest += k }
+	check := func() {
+		t.Helper()
+		if r.n != next-oldest {
+			t.Fatalf("Len = %d, want %d", r.n, next-oldest)
+		}
+		for i := 0; i < r.n; i++ {
+			s, want := r.at(i), oldest+i
+			if s.Seq != want || s.SourceID != "s" || len(s.Values) != 2 || s.Values[0] != float64(want) || s.Values[1] != float64(-want) {
+				t.Fatalf("At(%d) = seq %d values %v, want seq %d", i, s.Seq, s.Values, want)
+			}
+		}
+	}
+	check()
+	for round := 0; round < 40; round++ { // 16 slots, 5 in and out a round: wraps
+		push(5)
+		check()
+		pop(3)
+		check()
+		pop(2)
+	}
+	push(40) // grows twice with the head mid-array
+	check()
+	pop(0)
+	check()
+	pop(39)
+	check()
+	pop(1)
+	if got := testing.AllocsPerRun(100, func() { push(30); r.pop(30) }); got != 0 {
+		t.Fatalf("a warm ring allocates %v per 30 pushes", got)
+	}
+}

@@ -97,8 +97,10 @@ func TestStatsMatchTelemetryCounters(t *testing.T) {
 
 // tcpIngestAllocBudget is the allocs/op ceiling of one update through
 // the loopback TCP ingest path, agent to ack — with telemetry on, and
-// with full tracing on top: both must ride along for free.
-const tcpIngestAllocBudget = 5
+// with full tracing on top: both must ride along for free. The one
+// allocation is the benchmark's own (each reading's Values); the path
+// from Offer to ack allocates nothing.
+const tcpIngestAllocBudget = 1
 
 // TestTCPIngestAllocBudget gates the instrumented TCP ingest path on
 // tcpIngestAllocBudget: telemetry must ride along for free.

@@ -488,16 +488,19 @@ func (w *Writer) Error(msg string) error {
 	return w.finish()
 }
 
-// Reader decodes inbound frames. Next returns the payload in a buffer
-// reused across calls; decode the frame before reading the next one.
-// Source and query ids repeat per connection, so a one-entry intern
-// cache makes steady-state update decoding allocation-free.
+// Reader decodes inbound frames. Source and query ids repeat per
+// connection, so a one-entry intern cache makes steady-state update
+// decoding allocation-free.
+//
+// A run is the frames one read from the connection delivered: Next, then
+// Next again while Ready reports a frame. A run's payloads alias the read
+// buffer, which only a Next that reads from the connection rewrites, so
+// they stay valid together: a receiver can hold a run as one unit of work.
 //
 // Reader is not safe for concurrent use.
 type Reader struct {
 	br      *bufio.Reader
-	hdr     [5]byte // frame header scratch; a field so io.ReadFull cannot leak it to the heap
-	payload []byte
+	payload []byte // holds a frame larger than the read buffer
 	max     uint32
 	lastID  string // intern cache for Update.SourceID
 	lastQID string // intern cache for query ids
@@ -526,40 +529,56 @@ func (r *Reader) ReadPreamble() (version, features byte, err error) {
 	return ReadPreamble(r.br)
 }
 
-// Buffered reports how many received bytes wait to be parsed. The
-// server uses it to coalesce acks: it flushes acknowledgements only when
-// no further frames are already in hand.
+// Buffered reports how many received bytes wait to be parsed. A receiver
+// coalescing its replies flushes them when it is 0: no further frame,
+// whole or partial, is in hand.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
-// Next reads one frame, returning its tag and payload. The payload
-// slice is only valid until the following Next call. A clean EOF at a
-// frame boundary returns core.ErrPeerClosed; a connection dropped
-// mid-frame returns core.ErrTruncated.
+// Ready reports the tag of the next frame if all of it is in the read
+// buffer already: Next then continues the run, reading nothing.
+func (r *Reader) Ready() (Tag, bool) {
+	buf, _ := r.br.Peek(r.br.Buffered())
+	tag, _, _, err := NextFrame(buf, int(r.max))
+	return tag, err == nil
+}
+
+// Next reads one frame, returning its tag and payload, valid until the
+// first later Next for which Ready was false. A clean EOF at a frame
+// boundary returns core.ErrPeerClosed; mid-frame, core.ErrTruncated.
 func (r *Reader) Next() (Tag, []byte, error) {
-	if n, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+	hdr, err := r.br.Peek(5)
+	if err != nil {
 		// A partial header is a truncation, not a clean close.
-		return 0, nil, mapReadErr(err, n > 0)
+		return 0, nil, mapReadErr(err, len(hdr) > 0)
 	}
-	n := binary.LittleEndian.Uint32(r.hdr[:4])
+	n, tag := binary.LittleEndian.Uint32(hdr), Tag(hdr[4])
 	if n == 0 {
 		return 0, nil, fmt.Errorf("%w: zero-length frame", ErrMalformed)
 	}
 	if n > r.max {
 		return 0, nil, &FrameSizeError{Len: n, Max: r.max}
 	}
-	tag := Tag(r.hdr[4])
-	plen := int(n - 1)
-	if cap(r.payload) < plen {
-		r.payload = make([]byte, plen)
-	}
-	p := r.payload[:plen]
-	if _, err := io.ReadFull(r.br, p); err != nil {
+	size := 4 + int(n)
+	frame, err := r.br.Peek(size)
+	switch {
+	case err == nil:
+		_, _ = r.br.Discard(size) // just peeked: cannot fail
+	case errors.Is(err, bufio.ErrBufferFull):
+		// Larger than the read buffer: copy it out piecewise.
+		if cap(r.payload) < size {
+			r.payload = make([]byte, size)
+		}
+		frame = r.payload[:size]
+		if _, err := io.ReadFull(r.br, frame); err != nil {
+			return 0, nil, mapReadErr(err, true)
+		}
+	default:
 		return 0, nil, mapReadErr(err, true)
 	}
 	if r.OnFrame != nil {
-		r.OnFrame(tag, len(r.hdr)+plen)
+		r.OnFrame(tag, size)
 	}
-	return tag, p, nil
+	return tag, frame[5:], nil
 }
 
 // internID returns a string equal to b, reusing the cached copy when the

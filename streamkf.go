@@ -160,9 +160,9 @@ type (
 	// Session couples a source and server node in process.
 	Session = core.Session
 	// SourceNode is the remote-source side: mirror filter and
-	// suppression decision. The estimate its Process returns is the
-	// node's own scratch, valid until the next Process: copy it to keep
-	// it.
+	// suppression decision. The update and the estimate its Process
+	// returns are the node's own scratch, valid until the next Process:
+	// copy them to keep them.
 	SourceNode = core.SourceNode
 	// ServerNode is the server side: the predicting filter KFs.
 	ServerNode = core.ServerNode
