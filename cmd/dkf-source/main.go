@@ -10,9 +10,9 @@
 //	dkf-source -server 127.0.0.1:7476 -source sensor-c -transport udp -dataset powerload
 //
 // With -transport udp the agent speaks the connectionless datagram
-// protocol (the server must run with -udp): no acks, no resends — the
-// DKF protocol's loss tolerance is the reliability layer, so -window
-// does not apply.
+// protocol (the server must run with -udp): no acks, no resends, so
+// -window does not apply — and a lost update is lost: answers can sit
+// outside δ until later updates pull the server filter back (DESIGN §14).
 //
 // With -trace the agent keeps a local flight recorder of every
 // suppression decision and — when the server also runs -trace — ships

@@ -47,6 +47,13 @@ type Update struct {
 	// Bootstrap marks the first update, which initializes rather than
 	// corrects the server filter.
 	Bootstrap bool
+	// Handle is receiver-side and never on the wire: the 1-based index of
+	// the stream's record in the receiving server's table, set by whoever
+	// resolved SourceID there so the apply need not look it up again. 0 is
+	// unresolved. The receiver checks it against SourceID, and every
+	// decoder clears it, so nothing off the wire names a stream by index.
+	// It sits in the padding after Bootstrap: the struct stays 64 bytes.
+	Handle int32
 }
 
 // WireBytes estimates the update's size on the wire: an 8-byte header,

@@ -232,6 +232,7 @@ func TestClusterzVerdictFlip(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p.TryOffer(0, u)
 	}
+	p.Flush()
 	close(release)
 	tick()
 

@@ -17,6 +17,7 @@ package dsms
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,6 +109,7 @@ type sourceState struct {
 	id      string
 	cfg     core.Config
 	queries []stream.Query
+	handle  int32 // the record's place in Server.streams, set at registration
 
 	// version counts data mutations of this stream's filter state —
 	// update applies, batch advances, snapshot restores. Aggregate
@@ -123,15 +125,13 @@ type sourceState struct {
 	lastSeq int             // seq of the last transmitted update (-1 before any)
 	history *synopsis.Store // optional historical-query recorder
 	times   timeMap         // seq-to-time mapping from update timestamps
-	wal     runLog          // WAL records of the run being applied (durable servers)
+	wal     *runLog         // WAL records of a synchronous caller's run; nil before the first
 	ckptSeq int             // last update seq covered by a checkpoint (-1 before any)
 
-	// The stream's own ingest counts: what Stats, /streamz, checkpoints
-	// and migration snapshots report, exact for every stream. ins exports
-	// them to the registry — this stream's labeled series, or the shared
-	// "_other" roll-up past the series cap — fed beside them under mu.
+	// The stream's own ingest counts: what Stats, /streamz, checkpoints,
+	// migration snapshots and — read at scrape time, telemetry.go — the
+	// per-stream metric series report, exact for every stream.
 	updates, suppressed, bytes int64
-	ins                        *sourceInstruments
 
 	// releasedAt is the topology epoch at which the stream was migrated
 	// away, -1 while this server owns it. Set in the lock section that
@@ -152,17 +152,54 @@ type sourceState struct {
 	lastTrace int64
 }
 
-// healthSnapshot reads the stream's current filter health under its
-// runtime lock — the scrape-time callback behind the lazy whiteness
-// gauges. Before bootstrap the stream reports the resting healthy
-// state, matching the presumption the eager gauges used to publish.
-func (st *sourceState) healthSnapshot() core.FilterHealth {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.node == nil {
-		return core.FilterHealth{Healthy: true}
+// streamTable is the server's handle table: stream records by dense
+// 1-based index, in registration order. Handles are handed out under
+// Server.mu, never reused, and read with no lock at all — by the shard
+// worker, once per run, and by whatever walks every stream — so it is a
+// directory of chunks of atomic pointers, chunk k of 1024<<k entries:
+// adding a stream copies nothing, and an int32 cannot outrun 22 chunks. A
+// dropped registration leaves a nil entry; a released stream keeps its own.
+type streamTable struct {
+	n   atomic.Int32 // handles handed out; written under Server.mu
+	dir [22]atomic.Pointer[[]atomic.Pointer[sourceState]]
+}
+
+// entry returns handle h's slot; h is in 1..n or, for add, n+1 — the only
+// caller that can find its chunk missing.
+func (t *streamTable) entry(h int32) *atomic.Pointer[sourceState] {
+	i := uint32(h) + 1023 // chunk k starts at handle 1024·(2^k−1)+1
+	k := bits.Len32(i) - 11
+	if t.dir[k].Load() == nil {
+		chunk := make([]atomic.Pointer[sourceState], 1024<<k)
+		t.dir[k].Store(&chunk)
 	}
-	return st.node.Health()
+	return &(*t.dir[k].Load())[i-1024<<k]
+}
+
+// add enters st under the next handle — the entry before n, so whoever
+// reads n finds it. Caller holds Server.mu for writing.
+func (t *streamTable) add(st *sourceState) int32 {
+	h := t.n.Load() + 1
+	t.entry(h).Store(st)
+	t.n.Store(h)
+	return h
+}
+
+// at returns handle h's stream: nil for 0, never handed out, or dropped.
+func (t *streamTable) at(h int32) *sourceState {
+	if h <= 0 || h > t.n.Load() {
+		return nil
+	}
+	return t.entry(h).Load()
+}
+
+// each calls fn on every live stream above handle after, in handle order.
+func (t *streamTable) each(after int32, fn func(*sourceState)) {
+	for h := after + 1; h <= t.n.Load(); h++ {
+		if st := t.entry(h).Load(); st != nil {
+			fn(st)
+		}
+	}
 }
 
 // queryKind says which of the three query shapes a record is.
@@ -214,6 +251,7 @@ type Server struct {
 	sources map[string]*sourceState
 	queries map[string]*query
 	alerts  map[string]struct{} // registered alert ids, for the duplicate check
+	streams streamTable         // sources' records by handle, for readers that must not take mu
 
 	// db is the durability layer (write-ahead log + checkpoints); nil
 	// on an in-memory server. See persist.go.
@@ -226,13 +264,6 @@ type Server struct {
 	eng       *engine.Engine
 	engIns    *engineInstruments
 	shardLogs []runLog
-
-	// laneMu guards the UDP reader-lane instrument table, indexed by
-	// lane id. Lanes are registered once per id (a second UDP server on
-	// the same server shares the instruments, as the registry would
-	// dedupe them anyway). See telemetry.go and udp.go.
-	laneMu  sync.Mutex
-	laneIns []*laneInstruments
 
 	// traceOpts, guarded by mu, is non-nil while per-stream tracing is
 	// on; new and existing sources get a flight recorder built from it.
@@ -303,6 +334,15 @@ func (s *Server) source(sourceID string) *sourceState {
 	return s.sources[sourceID]
 }
 
+// stream resolves a stream by handle, checked against its id; a zero,
+// stale or foreign handle falls back to the lookup by id and its lock.
+func (s *Server) stream(handle int32, sourceID string) *sourceState {
+	if st := s.streams.at(handle); st != nil && st.id == sourceID {
+		return st
+	}
+	return s.source(sourceID)
+}
+
 // query returns the record registered under queryID, or nil, under the
 // topology read-lock.
 func (s *Server) query(queryID string) *query {
@@ -367,7 +407,8 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 	st := s.sources[q.SourceID]
 	if st == nil {
 		st = &sourceState{id: q.SourceID, lastSeq: -1, ckptSeq: -1, releasedAt: -1}
-		st.ins = s.tel.source(q.SourceID, st.healthSnapshot)
+		st.handle = s.streams.add(st)
+		s.exportStream(st)
 		if s.traceOpts != nil {
 			st.rec = trace.New(*s.traceOpts)
 		}
@@ -433,6 +474,7 @@ func (s *Server) dropLocked(queryID string) {
 	}
 	if len(st.queries) == 0 {
 		delete(s.sources, st.id)
+		s.streams.entry(st.handle).Store(nil)
 	}
 }
 
@@ -527,14 +569,11 @@ var (
 // bootstrap must not re-initialize the filter) and a non-bootstrap update
 // ahead of the bootstrap (whose loss then only delays convergence).
 func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n int, err error) {
-	st := s.source(run[0].SourceID)
+	st := s.stream(run[0].Handle, run[0].SourceID)
 	if st == nil {
 		return 0, errUninstalled
 	}
 	wl, durable := batch, s.db != nil && !s.db.replaying
-	if wl == nil {
-		wl = &st.wal
-	}
 	var (
 		f       rxFrame
 		sampled bool
@@ -542,6 +581,12 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 		logErr  error
 	)
 	st.mu.Lock()
+	if wl == nil && durable {
+		if st.wal == nil {
+			st.wal = new(runLog) // the first durable run of a synchronous caller
+		}
+		wl = st.wal
+	}
 	for n < len(run) && run[n].SourceID == st.id && logErr == nil {
 		u := &run[n]
 		if frames != nil {
@@ -584,7 +629,7 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 }
 
 // applyLocked is applyRun's per-update step: filter step, history, time
-// map, suppression accounting, telemetry, trace and audit. wireBytes is
+// map, suppression accounting, trace and audit. wireBytes is
 // the received frame size (0: not in a frame of its own). Caller holds
 // st.mu. Returns whether this apply was trace-sampled, and its trace id.
 func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) (sampled bool, tid int64, err error) {
@@ -610,20 +655,11 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 	// gap server-side keeps the suppression ratio observable without any
 	// extra wire traffic.
 	if !u.Bootstrap && st.lastSeq >= 0 && u.Seq > st.lastSeq+1 {
-		gap := int64(u.Seq - st.lastSeq - 1)
-		st.suppressed += gap
-		st.ins.suppressed.Add(gap)
+		st.suppressed += int64(u.Seq - st.lastSeq - 1)
 	}
 	st.lastSeq = u.Seq
 	st.updates++
-	st.ins.updates.Inc()
 	st.bytes += int64(u.WireBytes())
-	st.ins.bytes.Add(int64(u.WireBytes()))
-	st.ins.seq.SetInt(int64(st.node.Seq()))
-	nis, nisOK := st.node.LastNIS()
-	if nisOK {
-		st.ins.nis.Set(nis)
-	}
 	// Trace the apply under the same lock, after the filter stepped:
 	// the recorded evidence (innovation, NIS) is exactly what this
 	// update produced. st.cfg is written only before the source starts
@@ -662,7 +698,7 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 			ev.Dec = trace.DecisionBootstrap
 		} else if innovOK {
 			ev.Residual = innov
-			if nisOK {
+			if nis, ok := st.node.LastNIS(); ok {
 				ev.NIS = nis
 			}
 		}
@@ -761,7 +797,7 @@ func (s *Server) advanceOne(st *sourceState, seq int) bool {
 	st.node.AdvanceTo(seq)
 	st.version.Add(1)
 	if s.db != nil && !s.db.replaying {
-		_ = s.db.appendAdvance(st, seq)
+		_ = s.db.appendAdvance(st.id, seq)
 	}
 	return true
 }
@@ -829,6 +865,27 @@ func summarize(s telemetry.HistogramSnapshot) *LatencySummary {
 	return &LatencySummary{Count: s.Count, P50Ns: s.Quantile(0.50), P99Ns: s.Quantile(0.99)}
 }
 
+// stats reads the runtime half of the stream's Stats under its lock — for
+// Server.Stats and, at scrape time, the per-stream metric series. A nil
+// record (a dropped registration) reports the resting state.
+func (st *sourceState) stats() Stats {
+	stat := Stats{Healthy: true}
+	if st == nil {
+		return stat
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	stat.CheckpointSeq = st.ckptSeq
+	stat.Updates, stat.Suppressed, stat.Bytes = int(st.updates), int(st.suppressed), int(st.bytes)
+	if st.node != nil {
+		stat.Seq = st.node.Seq()
+		h := st.node.Health()
+		stat.NIS, stat.NISValid = h.NIS, h.NISValid
+		stat.Whiteness, stat.HealthReady, stat.Healthy = h.Whiteness, h.Ready, h.Healthy
+	}
+	return stat
+}
+
 // Stats returns per-source statistics, sorted by source id. The update
 // and byte counts are the stream record's own — exact for every stream,
 // including those past the registry's per-stream series cap. Each source's
@@ -840,17 +897,8 @@ func (s *Server) Stats() []Stats {
 	defer s.mu.RUnlock()
 	out := make([]Stats, 0, len(s.sources))
 	for id, st := range s.sources {
-		stat := Stats{SourceID: id, Queries: len(st.queries), Model: st.cfg.Model.Name, Delta: st.cfg.Delta, Healthy: true, Durable: s.db != nil}
-		st.mu.Lock()
-		stat.CheckpointSeq = st.ckptSeq
-		stat.Updates, stat.Suppressed, stat.Bytes = int(st.updates), int(st.suppressed), int(st.bytes)
-		if st.node != nil {
-			stat.Seq = st.node.Seq()
-			h := st.node.Health()
-			stat.NIS, stat.NISValid = h.NIS, h.NISValid
-			stat.Whiteness, stat.HealthReady, stat.Healthy = h.Whiteness, h.Ready, h.Healthy
-		}
-		st.mu.Unlock()
+		stat := st.stats()
+		stat.SourceID, stat.Queries, stat.Model, stat.Delta, stat.Durable = id, len(st.queries), st.cfg.Model.Name, st.cfg.Delta, s.db != nil
 		if total := stat.Updates + stat.Suppressed; total > 0 {
 			stat.SuppressionPct = 100 * float64(stat.Suppressed) / float64(total)
 		}

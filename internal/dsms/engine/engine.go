@@ -67,35 +67,55 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// slot is one ring entry. It owns its Values storage, so republishing
-// into a previously used slot copies floats into retained capacity and
-// allocates nothing.
-type slot struct {
-	sourceID  string
-	seq       int64
-	time      float64
-	bootstrap bool
-	values    []float64
-}
-
-// ring is a lock-free SPSC queue. head (consumer) and tail (producer)
-// are monotonically increasing positions masked into the slot array;
-// each sits on its own cache line so the producer's stores do not
-// bounce the consumer's line.
+// ring is a lock-free SPSC queue of updates. head (consumer) and tail
+// (producer) are monotonically increasing positions masked into the slot
+// array, each on its own cache line: the consumer stores head once per
+// drain, the producer tail once per publication. next is the producer's
+// own write cursor: slots in [tail, next) are written but not yet visible
+// — a datagram's worth on the TryOffer/Flush path. A slot owns its Values
+// storage, so rewriting it copies floats into retained capacity.
 type ring struct {
+	mask  uint64
+	slots []core.Update
+	sh    *shard
+
 	_    [64]byte
 	head atomic.Uint64
 	_    [56]byte
 	tail atomic.Uint64
 	_    [56]byte
-
-	mask  uint64
-	slots []slot
-	sh    *shard
+	next uint64
 }
 
 func newRing(size int, sh *shard) *ring {
-	return &ring{mask: uint64(size - 1), slots: make([]slot, size), sh: sh}
+	return &ring{mask: uint64(size - 1), slots: make([]core.Update, size), sh: sh}
+}
+
+// copyUpdate copies src into dst, floats into dst's own Values storage.
+func copyUpdate(dst, src *core.Update) {
+	vals := dst.Values
+	*dst = *src
+	dst.Values = append(vals[:0], src.Values...)
+}
+
+// full reports whether every slot is written and undrained — by the write
+// cursor, not the tail: an unpublished slot is as taken as a published one.
+func (r *ring) full() bool { return r.next-r.head.Load() >= uint64(len(r.slots)) }
+
+// write copies u into the slot at the write cursor; publish shows it.
+func (r *ring) write(u *core.Update) {
+	copyUpdate(&r.slots[r.next&r.mask], u)
+	r.next++
+}
+
+// publish makes every written slot visible to the worker: offered first
+// (so offered >= visible items), then one tail store, depth note and wake
+// check, however many slots that is.
+func (r *ring) publish() {
+	r.sh.offered.Add(r.next - r.tail.Load())
+	r.tail.Store(r.next)
+	r.sh.noteDepth(r.next - r.head.Load())
+	r.sh.maybeWake()
 }
 
 // shard is one worker's world: the rings feeding it, its wake-up
@@ -260,47 +280,42 @@ func (e *Engine) Producer() *Producer {
 	return p
 }
 
-// publish copies u into the ring slot at tail and makes it visible.
-func (r *ring) publish(t uint64, u *core.Update) {
-	s := &r.slots[t&r.mask]
-	s.sourceID = u.SourceID
-	s.seq = int64(u.Seq)
-	s.time = u.Time
-	s.bootstrap = u.Bootstrap
-	s.values = append(s.values[:0], u.Values...)
-	r.sh.offered.Add(1)
-	r.tail.Store(t + 1)
-	r.sh.noteDepth(t + 1 - r.head.Load())
-	r.sh.maybeWake()
-}
-
-// TryOffer enqueues u on shardID's ring, returning false (and counting
-// a drop) when the ring is full or the engine is closed. This is the
-// datagram path: a reader under overload sheds load rather than
-// blocking the socket.
+// TryOffer writes u into shardID's ring without publishing it, returning
+// false (and counting a drop) when the ring is full or the engine is
+// closed. This is the datagram path: a reader under overload sheds load
+// rather than blocking the socket, and publishes once per datagram —
+// nothing offered is visible, or counted in Offered, until Flush.
 func (p *Producer) TryOffer(shardID int, u *core.Update) bool {
 	r := p.rings[shardID]
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.slots)) || p.e.closed.Load() {
+	if r.full() || p.e.closed.Load() {
 		r.sh.dropped.Add(1)
 		return false
 	}
-	r.publish(t, u)
+	r.write(u)
 	return true
 }
 
-// Offer enqueues u, yielding until ring space frees — the in-process
-// producer path, where backpressure is preferable to loss. Returns
-// false only when the engine is closed.
+// Flush publishes what TryOffer wrote, once per touched ring.
+func (p *Producer) Flush() {
+	for _, r := range p.rings {
+		if r.next != r.tail.Load() {
+			r.publish()
+		}
+	}
+}
+
+// Offer enqueues u and publishes at once, yielding until ring space
+// frees — the in-process producer path, where backpressure is preferable
+// to loss. Returns false only when the engine is closed.
 func (p *Producer) Offer(shardID int, u *core.Update) bool {
 	r := p.rings[shardID]
 	for {
 		if p.e.closed.Load() {
 			return false
 		}
-		t := r.tail.Load()
-		if t-r.head.Load() < uint64(len(r.slots)) {
-			r.publish(t, u)
+		if !r.full() {
+			r.write(u)
+			r.publish()
 			return true
 		}
 		runtime.Gosched()
@@ -308,25 +323,20 @@ func (p *Producer) Offer(shardID int, u *core.Update) bool {
 }
 
 // drain moves up to max published updates into batch (reusing each
-// entry's Values storage) and frees their slots. Returns the count.
+// entry's Values storage) and frees their slots — one head store per
+// ring, after the last copy out of it. Returns the count.
 func (sh *shard) drain(batch []core.Update, max int) int {
 	n := 0
 	for _, r := range sh.ringList() {
-		for n < max {
-			h := r.head.Load()
-			if h == r.tail.Load() {
-				break
-			}
-			s := &r.slots[h&r.mask]
-			dst := &batch[n]
-			dst.SourceID = s.sourceID
-			dst.Seq = int(s.seq)
-			dst.Time = s.time
-			dst.Bootstrap = s.bootstrap
-			dst.Values = append(dst.Values[:0], s.values...)
-			r.head.Store(h + 1)
+		h, t := r.head.Load(), r.tail.Load()
+		if h == t {
+			continue
+		}
+		for ; h != t && n < max; h++ {
+			copyUpdate(&batch[n], &r.slots[h&r.mask])
 			n++
 		}
+		r.head.Store(h)
 		if n >= max {
 			break
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,6 +173,7 @@ func TestEngineTryOfferShedsWhenFull(t *testing.T) {
 			rejected++
 		}
 	}
+	p.Flush()
 	if rejected == 0 {
 		t.Fatalf("expected TryOffer rejections with a blocked sink (accepted=%d)", accepted)
 	}
@@ -327,5 +329,187 @@ func TestRunOnShardCloseSemantics(t *testing.T) {
 	}
 	if e.RunOnShard(0, func() {}) {
 		t.Fatal("RunOnShard accepted a task after Close")
+	}
+}
+
+// TestTryOfferInvisibleUntilFlush pins the publication protocol of the
+// datagram path: what TryOffer writes is neither applied nor counted in
+// Offered until Flush, which publishes it all; Quiesce then sees it through.
+func TestTryOfferInvisibleUntilFlush(t *testing.T) {
+	sink := newRecordSink()
+	e := New(sink, Options{Shards: 2, RingSize: 16})
+	defer e.Close()
+	p := e.Producer()
+	ids := []string{"a", "b", "c", "d", "e"}
+	for seq := 0; seq < 2; seq++ {
+		for _, id := range ids {
+			u := mkUpdate(id, seq)
+			if !p.TryOffer(e.ShardFor(id), &u) {
+				t.Fatalf("TryOffer(%s/%d) shed on an empty ring", id, seq)
+			}
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // a worker that could see them would have applied them
+	if e.Offered() != 0 || e.Applied() != 0 {
+		t.Fatalf("before Flush: offered %d, applied %d, want 0 and 0", e.Offered(), e.Applied())
+	}
+	p.Flush()
+	if got := e.Offered(); got != 10 {
+		t.Fatalf("after Flush: offered %d, want 10", got)
+	}
+	e.Quiesce()
+	p.Flush() // nothing pending: publishes nothing
+	if e.Offered() != 10 || e.Applied() != 10 {
+		t.Fatalf("after Quiesce: offered %d, applied %d, want 10 and 10", e.Offered(), e.Applied())
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for _, id := range ids {
+		if got := fmt.Sprint(sink.seqs[id]); got != "[0 1]" {
+			t.Fatalf("%s applied seqs %s, want [0 1]", id, got)
+		}
+	}
+}
+
+// TestTryOfferShedsExactlyTheOverflow: a datagram with more updates than
+// the ring has free slots sheds the overflow — decided on the unpublished
+// write cursor — counts it, and delivers the rest in order.
+func TestTryOfferShedsExactlyTheOverflow(t *testing.T) {
+	sink := newRecordSink()
+	e := New(sink, Options{Shards: 1, RingSize: 8})
+	defer e.Close()
+	p := e.Producer()
+	accepted := 0
+	for seq := 0; seq < 13; seq++ {
+		u := mkUpdate("only", seq)
+		if p.TryOffer(0, &u) {
+			accepted++
+		}
+	}
+	if st := e.Stats()[0]; accepted != 8 || st.Dropped != 5 || st.Offered != 0 {
+		t.Fatalf("13 offers into 8 free slots: accepted %d, dropped %d, offered %d; want 8, 5, 0", accepted, st.Dropped, st.Offered)
+	}
+	p.Flush()
+	e.Quiesce()
+	if st := e.Stats()[0]; st.Offered != 8 || st.Applied != 8 || st.RingDepthHWM != 8 {
+		t.Fatalf("after Flush: %+v, want offered 8, applied 8, depth high-water 8", st)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if got := fmt.Sprint(sink.seqs["only"]); got != "[0 1 2 3 4 5 6 7]" {
+		t.Fatalf("applied seqs %s, want the first 8 in order", got)
+	}
+}
+
+// TestDeferredWritesWrapAround drives a 4-slot ring through many wraps in
+// datagrams of three: every slot is rewritten while unpublished neighbours
+// wait, and order and payloads must survive.
+func TestDeferredWritesWrapAround(t *testing.T) {
+	sink := newRecordSink()
+	e := New(sink, Options{Shards: 1, RingSize: 4})
+	defer e.Close()
+	p := e.Producer()
+	const n = 300
+	for seq := 0; seq < n; {
+		for k := 0; k < 3 && seq < n; k++ {
+			u := mkUpdate("w", seq)
+			if !p.TryOffer(0, &u) {
+				t.Fatalf("seq %d shed with the ring quiesced before its datagram", seq)
+			}
+			seq++
+		}
+		p.Flush()
+		e.Quiesce()
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.seqs["w"]) != n {
+		t.Fatalf("applied %d of %d", len(sink.seqs["w"]), n)
+	}
+	for i, seq := range sink.seqs["w"] {
+		if seq != i || sink.vals["w"][i] != float64(i)*0.5 {
+			t.Fatalf("position %d: seq %d value %v", i, seq, sink.vals["w"][i])
+		}
+	}
+}
+
+// TestDrainStopsAtMaxMidRing: a drain that fills its batch part-way through
+// a ring frees exactly what it copied — the one head store lands there — and
+// the next drain resumes at the following update.
+func TestDrainStopsAtMaxMidRing(t *testing.T) {
+	sh := &shard{wake: make(chan struct{}, 1)}
+	rings := []*ring{newRing(8, sh), newRing(8, sh)}
+	sh.rings.Store(&rings)
+	for i, r := range rings {
+		for seq := 0; seq < 5; seq++ {
+			u := mkUpdate(fmt.Sprintf("r%d", i), seq)
+			r.write(&u)
+		}
+		r.publish()
+	}
+	batch := make([]core.Update, 3)
+	var got []string
+	for _, wantHeads := range [][2]uint64{{3, 0}, {5, 1}, {5, 4}, {5, 5}} {
+		n := sh.drain(batch, len(batch))
+		for _, u := range batch[:n] {
+			got = append(got, fmt.Sprintf("%s/%d", u.SourceID, u.Seq))
+		}
+		if h := [2]uint64{rings[0].head.Load(), rings[1].head.Load()}; h != wantHeads {
+			t.Fatalf("after draining %v: heads %v, want %v", got, h, wantHeads)
+		}
+	}
+	if want := "[r0/0 r0/1 r0/2 r0/3 r0/4 r1/0 r1/1 r1/2 r1/3 r1/4]"; fmt.Sprint(got) != want {
+		t.Fatalf("drained %v, want %s", got, want)
+	}
+	if n := sh.drain(batch, len(batch)); n != 0 {
+		t.Fatalf("drained %d from empty rings", n)
+	}
+}
+
+// TestTryOfferFlushConcurrentLanes is the -race workhorse of the deferred
+// path: lanes write datagram-sized groups and flush while the workers
+// drain; nothing is lost, duplicated or reordered within a source.
+func TestTryOfferFlushConcurrentLanes(t *testing.T) {
+	sink := newRecordSink()
+	e := New(sink, Options{Shards: 2, RingSize: 64})
+	defer e.Close()
+	const lanes, sourcesEach, per = 3, 4, 400
+	var wg sync.WaitGroup
+	for l := 0; l < lanes; l++ {
+		wg.Add(1)
+		go func(l int, p *Producer) {
+			defer wg.Done()
+			for seq := 0; seq < per; seq++ {
+				for s := 0; s < sourcesEach; s++ {
+					id := fmt.Sprintf("l%d-s%d", l, s)
+					u := mkUpdate(id, seq)
+					for !p.TryOffer(e.ShardFor(id), &u) {
+						p.Flush() // full of its own unpublished writes, or the worker is behind
+						runtime.Gosched()
+					}
+				}
+				if seq%3 == 0 {
+					p.Flush()
+				}
+			}
+			p.Flush()
+		}(l, e.Producer())
+	}
+	wg.Wait()
+	e.Quiesce()
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for l := 0; l < lanes; l++ {
+		for s := 0; s < sourcesEach; s++ {
+			id := fmt.Sprintf("l%d-s%d", l, s)
+			if len(sink.seqs[id]) != per {
+				t.Fatalf("%s: applied %d of %d", id, len(sink.seqs[id]), per)
+			}
+			for i, seq := range sink.seqs[id] {
+				if seq != i {
+					t.Fatalf("%s: position %d has seq %d", id, i, seq)
+				}
+			}
+		}
 	}
 }

@@ -9,12 +9,13 @@ package dsms
 
 import (
 	"errors"
-	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
+	"streamkf/internal/telemetry"
 )
 
 // EngineOptions aliases engine.Options so callers configure the engine
@@ -32,11 +33,8 @@ func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 	if s.eng != nil {
 		return s.eng
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
-	s.shardLogs = make([]runLog, opts.Shards)
 	e := engine.New(engineSink{s}, opts)
+	s.shardLogs = make([]runLog, e.Shards()) // before any producer exists to offer
 	s.engIns = newEngineInstruments(s.tel.reg, e)
 	s.eng = e
 	return e
@@ -56,53 +54,38 @@ func (s *Server) Engine() *engine.Engine {
 // actually advanced; sources without a bootstrap yet, or already at or
 // past seq, are skipped.
 //
-// With an ingest engine attached, streams are grouped by owning shard
-// and each group advances as one task on its shard's worker goroutine,
-// serialized with that shard's applies: the per-stream lock is still
-// taken (queries and scrapes read under it) but is uncontended on the
-// write side. Without an engine it is one group advanced in place on
-// the calling goroutine. Either way every stream runs advanceOne, so
-// the two are bit-identical; TestStepAllShardedEquivalence pins it.
+// With an ingest engine attached, each shard's worker goroutine walks the
+// handle table as one task, serialized with that shard's applies, and
+// advances the streams it owns: the per-stream lock is still taken
+// (queries and scrapes read under it) but is uncontended on the write
+// side. Without an engine it is one walk on the calling goroutine. Either
+// way every stream runs advanceOne, so the two are bit-identical;
+// TestStepAllShardedEquivalence pins it.
 //
 // Must not be called from inside a shard worker (a sink callback would
 // wait on its own shard).
 func (s *Server) AdvanceAll(seq int) int {
 	start := nowNanos()
 	defer func() { s.tel.stepAllNs.Observe(nowNanos() - start) }()
-	e := s.Engine()
-	shards := 1
+	e, shards := s.Engine(), 1
 	if e != nil {
 		shards = e.Shards()
 	}
-	s.mu.RLock()
-	groups := make([][]*sourceState, shards)
-	for id, st := range s.sources {
-		sh := 0
-		if e != nil {
-			sh = e.ShardFor(id)
-		}
-		groups[sh] = append(groups[sh], st)
-	}
-	s.mu.RUnlock()
 	var advanced atomic.Int64
 	var wg sync.WaitGroup
-	for sh, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		group := group
-		wg.Add(1)
+	wg.Add(shards)
+	for sh := 0; sh < shards; sh++ {
 		task := func() {
 			defer wg.Done()
 			n := int64(0)
-			for _, st := range group {
-				if s.advanceOne(st, seq) {
+			s.streams.each(0, func(st *sourceState) {
+				if (e == nil || e.ShardFor(st.id) == sh) && s.advanceOne(st, seq) {
 					n++
 				}
-			}
+			})
 			advanced.Add(n)
 		}
-		// No engine, or it closed under us: run the group here. Correct —
+		// No engine, or it closed under us: run the walk here. Correct —
 		// there are no workers, so there is nothing to contend with.
 		if e == nil || !e.RunOnShard(sh, task) {
 			task()
@@ -126,9 +109,10 @@ type engineSink struct{ s *Server }
 func (es engineSink) ApplyBatch(shard int, batch []core.Update) {
 	s, ins := es.s, es.s.engIns
 	wl := &s.shardLogs[shard] // touched only by this worker
+	applied := 0
 	for i := 0; i < len(batch); {
 		n, err := s.applyRun(batch[i:], nil, wl)
-		ins.shardApplied[shard].Add(int64(n))
+		applied += n
 		i += n
 		switch {
 		case err == nil:
@@ -152,6 +136,7 @@ func (es engineSink) ApplyBatch(shard int, batch []core.Update) {
 		}
 		i++
 	}
+	ins.shardApplied[shard].Add(int64(applied))
 	if s.db != nil {
 		if err := s.db.commit(wl); err != nil {
 			ins.walErrors.Inc()
@@ -236,22 +221,21 @@ func (s *Server) engineStreamz() *EngineStreamz {
 	return z
 }
 
-// laneStreamz snapshots the UDP reader-lane instruments; empty without
-// a UDP server.
-func (s *Server) laneStreamz() []LaneStreamz {
-	s.laneMu.Lock()
-	defer s.laneMu.Unlock()
-	out := make([]LaneStreamz, 0, len(s.laneIns))
-	for i, li := range s.laneIns {
-		if li == nil {
-			continue
+// laneStreamz reads the UDP reader-lane instruments back from the
+// registry, lane 0 upward; empty without a UDP server.
+func (s *Server) laneStreamz() (out []LaneStreamz) {
+	for i := 0; ; i++ {
+		l := telemetry.L("lane", strconv.Itoa(i))
+		h, ok := s.tel.reg.HistogramFor("dkf_udp_lane_batch_size", l)
+		if !ok {
+			return out
 		}
-		snap := li.batch.Snapshot()
-		ls := LaneStreamz{Lane: i, DatagramsRx: li.rx.Value(), Batches: snap.Count}
+		rx, _ := s.tel.reg.Get("dkf_udp_lane_datagrams_rx_total", l)
+		snap := h.Snapshot()
+		ls := LaneStreamz{Lane: i, DatagramsRx: int64(rx), Batches: snap.Count}
 		if snap.Count > 0 {
 			ls.AvgBatch = float64(snap.Sum) / float64(snap.Count)
 		}
 		out = append(out, ls)
 	}
-	return out
 }

@@ -251,16 +251,14 @@ func (db *durability) commit(wl *runLog) error {
 	return err
 }
 
-// appendAdvance logs one batch prediction advance. Caller holds st.mu,
-// under which the stream's run buffer is empty between runs.
-func (db *durability) appendAdvance(st *sourceState, seq int) error {
-	buf, err := wire.AppendString(st.wal.arena[:0], st.id)
+// appendAdvance logs one batch prediction advance, under the stream's lock.
+func (db *durability) appendAdvance(sourceID string, seq int) error {
+	var scratch [64]byte // ids this short stay off the heap
+	buf, err := wire.AppendString(scratch[:0], sourceID)
 	if err != nil {
 		return err
 	}
-	buf = wire.AppendI64(buf, int64(seq))
-	st.wal.arena = buf[:0]
-	return db.log.Append(walTagAdvance, buf)
+	return db.log.Append(walTagAdvance, wire.AppendI64(buf, int64(seq)))
 }
 
 // shouldCheckpoint reports whether the automatic checkpoint threshold
@@ -412,23 +410,33 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 		buf = wire.AppendI64(buf, int64(snap.Ticks))
 		buf = wire.AppendF64(buf, snap.LastNIS)
 		buf = append(buf, b2u8(snap.NISValid))
-		buf = wire.AppendU16(buf, uint16(len(snap.X)))
-		for _, v := range snap.X {
-			buf = wire.AppendF64(buf, v)
-		}
-		buf = wire.AppendU32(buf, uint32(len(snap.P)))
-		for _, v := range snap.P {
-			buf = wire.AppendF64(buf, v)
-		}
+		buf = appendF64s(wire.AppendU16(buf, uint16(len(snap.X))), snap.X)
+		buf = appendF64s(wire.AppendU32(buf, uint32(len(snap.P))), snap.P)
 		buf = wire.AppendU16(buf, uint16(len(snap.Innovations)))
 		for _, innov := range snap.Innovations {
-			buf = wire.AppendU16(buf, uint16(len(innov)))
-			for _, v := range innov {
-				buf = wire.AppendF64(buf, v)
-			}
+			buf = appendF64s(wire.AppendU16(buf, uint16(len(innov))), innov)
 		}
 	}
 	return buf, st.lastSeq
+}
+
+func appendF64s(buf []byte, vs []float64) []byte {
+	for _, v := range vs {
+		buf = wire.AppendF64(buf, v)
+	}
+	return buf
+}
+
+// readF64s reads n floats, or nothing (and nil) when c cannot hold them.
+func readF64s(c *wire.Cursor, n int) []float64 {
+	if !c.OK() || n > c.Remaining() {
+		return nil
+	}
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = c.F64()
+	}
+	return vs
 }
 
 func b2u8(b bool) byte {
@@ -472,8 +480,7 @@ func (s *Server) restoreCheckpoint(p []byte) error {
 // mapping put back, and the released mark of an earlier migration away
 // cleared (a migrate-back). It is the shared restore body for checkpoint
 // recovery and migration installs (shard.go). The entry's counts are the
-// stream's totals, so they replace the record's; the registry export is
-// moved by the difference.
+// stream's totals, so they replace the record's.
 func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq int, err error) {
 	sourceID = string(c.Str())
 	nQueries := int(c.U32())
@@ -517,34 +524,17 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 		snap.Ticks = int(c.I64())
 		snap.LastNIS = c.F64()
 		snap.NISValid = c.U8() != 0
-		nx := int(c.U16())
-		if !c.OK() || nx > c.Remaining() {
+		if snap.X = readF64s(c, int(c.U16())); snap.X == nil {
 			return "", 0, errBadCheckpoint("truncated filter state")
 		}
-		snap.X = make([]float64, nx)
-		for k := range snap.X {
-			snap.X[k] = c.F64()
-		}
-		np := int(c.U32())
-		if !c.OK() || np > c.Remaining() {
+		if snap.P = readF64s(c, int(c.U32())); snap.P == nil {
 			return "", 0, errBadCheckpoint("truncated filter state")
 		}
-		snap.P = make([]float64, np)
-		for k := range snap.P {
-			snap.P[k] = c.F64()
-		}
-		ni := int(c.U16())
-		snap.Innovations = make([][]float64, ni)
+		snap.Innovations = make([][]float64, int(c.U16()))
 		for k := range snap.Innovations {
-			nv := int(c.U16())
-			if !c.OK() || nv > c.Remaining() {
+			if snap.Innovations[k] = readF64s(c, int(c.U16())); snap.Innovations[k] == nil {
 				return "", 0, errBadCheckpoint("truncated innovation window")
 			}
-			innov := make([]float64, nv)
-			for m := range innov {
-				innov[m] = c.F64()
-			}
-			snap.Innovations[k] = innov
 		}
 	}
 	if !c.OK() {
@@ -568,14 +558,8 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 	}
 	st.lastSeq = lastSeq
 	st.ckptSeq = lastSeq
-	st.ins.updates.Add(updates - st.updates)
-	st.ins.suppressed.Add(suppressed - st.suppressed)
-	st.ins.bytes.Add(bytes - st.bytes)
 	st.updates, st.suppressed, st.bytes = updates, suppressed, bytes
 	st.releasedAt = -1
-	if st.node != nil {
-		st.ins.seq.SetInt(int64(st.node.Seq()))
-	}
 	st.times = timeMap{anchored: anchored, bootSeq: bootSeq, bootTime: bootTime, lastSeq: tmLastSeq, lastTime: tmLastTime}
 	st.version.Add(1)
 	st.mu.Unlock()

@@ -690,6 +690,7 @@ func TestCheckpointOffIngestGoroutine(t *testing.T) {
 			if !p.TryOffer(0, &u) {
 				t.Fatalf("offer %d shed", u.Seq)
 			}
+			p.Flush()
 			u.Seq++
 		}
 		await("ingest did not finish beside the waiting checkpoint", func() bool { return eng.Applied() == eng.Offered() })

@@ -255,6 +255,7 @@ func TestSelfMonOverloadE2E(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p.TryOffer(0, u)
 	}
+	p.Flush()
 	dropped := e.Stats()[0].Dropped
 	close(release)
 	if dropped < 50 {

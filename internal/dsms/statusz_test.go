@@ -140,6 +140,7 @@ func TestHealthzOverloadHTTP(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p.TryOffer(0, u)
 	}
+	p.Flush()
 	close(release)
 
 	clk.tick(m)

@@ -344,7 +344,7 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 		}
 		return c.reply(c.w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch}))
 	default:
-		c.s.tel.errUnknownTag.Inc()
+		c.s.tel.errs["unknown_tag"].Inc()
 		return c.reply(c.w.Error(fmt.Sprintf("dsms: unknown message tag 0x%02x", byte(tag))))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"streamkf/internal/core"
@@ -59,32 +58,18 @@ type serverTelemetry struct {
 	txFrames [numTags]*telemetry.Counter
 	txBytes  [numTags]*telemetry.Counter
 
-	errPeerClosed *telemetry.Counter
-	errTruncated  *telemetry.Counter
-	errOversize   *telemetry.Counter
-	errMalformed  *telemetry.Counter
-	errVersion    *telemetry.Counter
-	errBadMagic   *telemetry.Counter
-	errUnknownTag *telemetry.Counter
-	errOther      *telemetry.Counter
-
-	// Per-source instrument cardinality cap: at 100k sources, seven
-	// labeled series per source would swamp the registry and every
-	// scrape. Sources past DefaultSourceMetricLimit share one overflow
-	// instrument set (label source="_other") — the export's totals stay
-	// correct and only its per-source resolution degrades; each stream's
-	// own counts live on its record (sourceState), exact regardless.
-	srcMu       sync.Mutex
-	srcCount    int
-	srcOverflow *sourceInstruments
+	errs map[string]*telemetry.Counter // dkf_wire_errors_total by kind
 }
 
-// DefaultSourceMetricLimit caps how many sources get individually
-// labeled metric series before falling back to the shared overflow set.
+// DefaultSourceMetricLimit caps how many sources get individually labeled
+// metric series: at 100k sources, eight per source would swamp the registry
+// and every scrape. The first that many to register do; the rest share one
+// roll-up (source="_other"), so the export's totals stay correct and only
+// its per-source resolution degrades — Stats is exact regardless.
 const DefaultSourceMetricLimit = 4096
 
 func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
-	t := &serverTelemetry{reg: reg}
+	t := &serverTelemetry{reg: reg, errs: make(map[string]*telemetry.Counter)}
 	// Build identity and uptime, so any scrape names the binary it came
 	// from and restarts are visible as an uptime reset.
 	reg.Gauge("dkf_build_info", "Build identity; the value is always 1.",
@@ -104,132 +89,109 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 		t.txFrames[i] = reg.Counter("dkf_wire_tx_frames_total", "Frames sent, by tag.", tag)
 		t.txBytes[i] = reg.Counter("dkf_wire_tx_bytes_total", "Bytes sent in frames (length prefix included), by tag.", tag)
 	}
-	const errHelp = "Wire protocol failures, by kind."
-	t.errPeerClosed = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "peer_closed"))
-	t.errTruncated = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "truncated"))
-	t.errOversize = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "oversize"))
-	t.errMalformed = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "malformed"))
-	t.errVersion = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "version"))
-	t.errBadMagic = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "bad_magic"))
-	t.errUnknownTag = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "unknown_tag"))
-	t.errOther = reg.Counter("dkf_wire_errors_total", errHelp, telemetry.L("kind", "other"))
+	for _, kind := range []string{"peer_closed", "truncated", "oversize", "malformed", "version", "bad_magic", "unknown_tag", "other"} {
+		t.errs[kind] = reg.Counter("dkf_wire_errors_total", "Wire protocol failures, by kind.", telemetry.L("kind", kind))
+	}
 	return t
 }
 
 // rx and tx are the wire.Reader/Writer OnFrame hooks.
-func (t *serverTelemetry) rx(tag wire.Tag, frameBytes int) {
-	i := int(tag)
-	if i >= numTags {
-		i = 0
-	}
-	t.rxFrames[i].Inc()
-	t.rxBytes[i].Add(int64(frameBytes))
-}
+func (t *serverTelemetry) rx(tag wire.Tag, n int) { countFrame(&t.rxFrames, &t.rxBytes, tag, n) }
+func (t *serverTelemetry) tx(tag wire.Tag, n int) { countFrame(&t.txFrames, &t.txBytes, tag, n) }
 
-func (t *serverTelemetry) tx(tag wire.Tag, frameBytes int) {
+func countFrame(frames, bytes *[numTags]*telemetry.Counter, tag wire.Tag, frameBytes int) {
 	i := int(tag)
 	if i >= numTags {
 		i = 0
 	}
-	t.txFrames[i].Inc()
-	t.txBytes[i].Add(int64(frameBytes))
+	frames[i].Inc()
+	bytes[i].Add(int64(frameBytes))
 }
 
 // countWireError buckets a connection failure into the error taxonomy.
 func (t *serverTelemetry) countWireError(err error) {
 	var fse *wire.FrameSizeError
 	var ve *wire.VersionError
+	kind := "other"
 	switch {
 	case errors.Is(err, core.ErrPeerClosed):
-		t.errPeerClosed.Inc()
+		kind = "peer_closed"
 	case errors.Is(err, core.ErrTruncated):
-		t.errTruncated.Inc()
+		kind = "truncated"
 	case errors.Is(err, wire.ErrBadMagic):
-		t.errBadMagic.Inc()
+		kind = "bad_magic"
 	case errors.Is(err, wire.ErrMalformed):
-		t.errMalformed.Inc()
+		kind = "malformed"
 	case errors.As(err, &fse):
-		t.errOversize.Inc()
+		kind = "oversize"
 	case errors.As(err, &ve):
-		t.errVersion.Inc()
-	default:
-		t.errOther.Inc()
+		kind = "version"
 	}
+	t.errs[kind].Inc()
 }
 
-// sourceInstruments is the per-stream instrument set: the registry
-// export of a stream record's counts, fed under the record's lock beside
-// them. Past the series cap one set is shared, so Server.Stats and the
-// checkpoint read the record, never these.
-type sourceInstruments struct {
-	updates    *telemetry.Counter
-	suppressed *telemetry.Counter
-	bytes      *telemetry.Counter
-	seq        *telemetry.Gauge
-	nis        *telemetry.Gauge
-}
-
-// source creates (or re-fetches) the instruments for one source id,
-// falling back to the shared overflow set past the cardinality cap.
-// health is the scrape-time callback behind the whiteness gauges; it
-// may be nil (the overflow set, whose sources cannot share one window).
-func (t *serverTelemetry) source(id string, health func() core.FilterHealth) *sourceInstruments {
-	t.srcMu.Lock()
-	if t.srcCount >= DefaultSourceMetricLimit {
-		if t.srcOverflow == nil {
-			t.srcOverflow = t.newSourceInstruments("_other", nil)
-		}
-		ovf := t.srcOverflow
-		t.srcMu.Unlock()
-		return ovf
-	}
-	t.srcCount++
-	t.srcMu.Unlock()
-	return t.newSourceInstruments(id, health)
-}
-
-func (t *serverTelemetry) newSourceInstruments(id string, health func() core.FilterHealth) *sourceInstruments {
-	src := telemetry.L("source", id)
-	si := &sourceInstruments{
-		updates:    t.reg.Counter("dkf_server_updates_total", "Updates folded into the server filter.", src),
-		suppressed: t.reg.Counter("dkf_server_suppressed_total", "Source-suppressed steps, inferred from update sequence gaps.", src),
-		bytes:      t.reg.Counter("dkf_server_recv_bytes_total", "Update payload bytes received (wire-cost model).", src),
-		seq:        t.reg.Gauge("dkf_server_seq", "Latest reading index folded into the stream's filter.", src),
-		nis:        t.reg.Gauge("dkf_stream_nis", "Normalized innovation squared of the latest update.", src),
-	}
-	// The whiteness diagnostics are gauge funcs evaluated at scrape time
-	// rather than on every apply: the O(window) autocorrelation scan
-	// leaves the ingest hot path, and a scrape still reads exactly the
-	// value an eager update would have published (the window state is
-	// the same at the moment of observation). A stream is presumed
-	// healthy until a full window says otherwise; the overflow set
-	// (health == nil) reports that resting state permanently, since the
-	// streams sharing it cannot share one innovation window.
-	if health == nil {
-		health = func() core.FilterHealth { return core.FilterHealth{Healthy: true} }
-	}
-	t.reg.GaugeFunc("dkf_stream_whiteness",
-		"Lag-1 autocorrelation of recent innovations (near 0 when healthy).",
-		func() float64 { return health().Whiteness }, src)
-	t.reg.GaugeFunc("dkf_stream_healthy",
-		"1 while the innovation sequence is white; 0 flags a mis-modeled stream.",
-		func() float64 {
-			if health().Healthy {
-				return 1
-			}
+// streamSeries are the eight per-stream metric families, in exposition
+// order, the first three counters. Each is a func of the stream's Stats,
+// read from its record at scrape time: the apply writes the record and
+// nothing else, and the O(window) whiteness scan stays off it.
+var streamSeries = [...]struct {
+	name, help string
+	of         func(Stats) float64
+}{
+	{"dkf_server_updates_total", "Updates folded into the server filter.", func(s Stats) float64 { return float64(s.Updates) }},
+	{"dkf_server_suppressed_total", "Source-suppressed steps, inferred from update sequence gaps.", func(s Stats) float64 { return float64(s.Suppressed) }},
+	{"dkf_server_recv_bytes_total", "Update payload bytes received (wire-cost model).", func(s Stats) float64 { return float64(s.Bytes) }},
+	{"dkf_server_seq", "Latest reading index folded into the stream's filter.", func(s Stats) float64 { return float64(s.Seq) }},
+	{"dkf_stream_nis", "Normalized innovation squared of the latest update.", func(s Stats) float64 { return s.NIS }},
+	{"dkf_stream_whiteness", "Lag-1 autocorrelation of recent innovations (near 0 when healthy).", func(s Stats) float64 { return s.Whiteness }},
+	{"dkf_stream_healthy", "1 while the innovation sequence is white; 0 flags a mis-modeled stream.", func(s Stats) float64 { return float64(b2u8(s.Healthy)) }},
+	{"dkf_server_suppression_ratio", "Fraction of source readings suppressed: suppressed / (updates + suppressed).", func(s Stats) float64 {
+		if s.Updates+s.Suppressed == 0 {
 			return 0
-		}, src)
-	t.reg.GaugeFunc("dkf_server_suppression_ratio",
-		"Fraction of source readings suppressed: suppressed / (updates + suppressed).",
-		func() float64 {
-			u := float64(si.updates.Value())
-			sp := float64(si.suppressed.Value())
-			if u+sp == 0 {
-				return 0
-			}
-			return sp / (u + sp)
-		}, src)
-	return si
+		}
+		return float64(s.Suppressed) / float64(s.Updates+s.Suppressed)
+	}},
+}
+
+// exportStream registers the series of a stream just entered in the handle
+// table: its own, labeled by id, while handles are within the series cap,
+// and the shared roll-up's with the first handle past it. A stream's series
+// resolve it as the apply does, by handle checked against the id, so an id
+// registered again after a drop reports its new record (the registry keeps
+// a label set's first funcs). Caller holds s.mu for writing.
+func (s *Server) exportStream(st *sourceState) {
+	id, h := st.id, st.handle
+	read := func() Stats { return s.stream(h, id).stats() }
+	switch {
+	case h == DefaultSourceMetricLimit+1:
+		id, read = "_other", s.otherStats
+	case h > DefaultSourceMetricLimit:
+		return
+	}
+	for i, m := range streamSeries {
+		register, of := s.tel.reg.GaugeFunc, m.of // of, not m: 4,096 streams × 8 closures hold what they capture
+		if i < 3 {
+			register = s.tel.reg.CounterFunc
+		}
+		register(m.name, m.help, func() float64 { return of(read()) }, telemetry.L("source", id))
+	}
+}
+
+// otherStats is the "_other" roll-up: the sums of the counts of every
+// stream past the series cap, the highest seq and NIS among them, and the
+// resting health — streams cannot share one innovation window.
+func (s *Server) otherStats() Stats {
+	sum := Stats{Healthy: true}
+	s.streams.each(DefaultSourceMetricLimit, func(st *sourceState) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		sum.Updates, sum.Suppressed, sum.Bytes = sum.Updates+int(st.updates), sum.Suppressed+int(st.suppressed), sum.Bytes+int(st.bytes)
+		if st.node != nil {
+			nis, _ := st.node.LastNIS()
+			sum.Seq, sum.NIS = max(sum.Seq, st.node.Seq()), max(sum.NIS, nis)
+		}
+	})
+	return sum
 }
 
 // engineInstruments is the shard ingest engine and datagram transport
@@ -280,27 +242,18 @@ func newEngineInstruments(reg *telemetry.Registry, e *engine.Engine) *engineInst
 // datagrams the lane received and how many each receive syscall
 // drained. A healthy batched receiver shows avg batch > 1 under load;
 // pinned at 1 it is either idle, portable-fallback, or syscall-bound.
+// A second UDP server shares the registry's set; /streamz reads it there.
 type laneInstruments struct {
 	rx    *telemetry.Counter
 	batch *telemetry.Histogram
 }
 
-// laneInstruments returns (creating on first sight) the instruments for
-// one reader lane id.
-func (s *Server) laneInstruments(lane int) *laneInstruments {
-	s.laneMu.Lock()
-	defer s.laneMu.Unlock()
-	for len(s.laneIns) <= lane {
-		s.laneIns = append(s.laneIns, nil)
+func newLaneInstruments(reg *telemetry.Registry, lane int) laneInstruments {
+	l := telemetry.L("lane", strconv.Itoa(lane))
+	return laneInstruments{
+		rx:    reg.Counter("dkf_udp_lane_datagrams_rx_total", "UDP datagrams received, by reader lane.", l),
+		batch: reg.Histogram("dkf_udp_lane_batch_size", "Datagrams drained per receive syscall, by reader lane.", l),
 	}
-	if s.laneIns[lane] == nil {
-		l := telemetry.L("lane", strconv.Itoa(lane))
-		s.laneIns[lane] = &laneInstruments{
-			rx:    s.tel.reg.Counter("dkf_udp_lane_datagrams_rx_total", "UDP datagrams received, by reader lane.", l),
-			batch: s.tel.reg.Histogram("dkf_udp_lane_batch_size", "Datagrams drained per receive syscall, by reader lane.", l),
-		}
-	}
-	return s.laneIns[lane]
 }
 
 // AgentInstruments is the source-agent instrument set: the offer/send

@@ -1,10 +1,15 @@
-// Connectionless UDP transport. DKF updates are small, idempotent by
-// sequence number, and loss-tolerant by design — a lost update is just
-// another suppressed step the server's prediction covers until the next
-// transmission — so the datagram mode keeps no connection state at all:
+// Connectionless UDP transport. DKF updates are small and idempotent by
+// sequence number, so the datagram mode keeps no connection state at all:
 // every datagram is the 6-byte v2 preamble plus one or more standard
 // frames, parsed statelessly and handed to the shard ingest engine,
 // whose seq-dedup makes duplicated and reordered datagrams harmless.
+//
+// Loss is not harmless. The source's mirror applied the correction a lost
+// update carried and the server never saw it, so the two filters are no
+// longer the same filter: answers can sit outside δ until later updates
+// pull the server's back (TestSilentLossBreaksMirrorSynchrony in
+// internal/core pins it), and nothing here detects or repairs that —
+// ROADMAP item 2. Only the bootstrap is covered: it is sent more than once.
 //
 // What is and is not ordered: per-source apply order is guaranteed (one
 // shard worker owns each source and drops anything at or below the last
@@ -15,11 +20,13 @@
 package dsms
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamkf/internal/core"
@@ -85,34 +92,41 @@ func (o UDPServerOptions) withDefaults() UDPServerOptions {
 // shard ingest engine through N reader lanes. Each lane drains whole
 // batches per syscall where the platform allows (recvmmsg on Linux) and
 // owns every piece of mutable receive state — buffer arena, decode
-// scratch, intern map, engine producer — so the steady-state receive
-// path (read batch, parse, intern, hand to ring) allocates nothing and
-// takes no lane-to-lane lock.
+// scratch, stream table, engine producer — so the steady-state receive
+// path (read batch, parse, resolve, hand to ring) allocates nothing and
+// takes no lock.
 type UDPServer struct {
 	server *Server
 	eng    *engine.Engine
 	conn   *net.UDPConn
 	lanes  []*rxLane
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
-// rxLane is one reader goroutine's world. interned maps source-id bytes
-// to their one canonical string: a datagram socket multiplexes every
-// source, so the stream Reader's single-entry cache would thrash.
+// rxLane is one reader goroutine's world. streams is the one lookup of
+// the datagram path, from an update's id bytes to what the rest of the
+// path needs of its stream; it caches registered streams only, each filled
+// from the server at first sight, so an id nobody registered grows nothing.
+// cur is the entry resolve found for the update being decoded.
 type rxLane struct {
 	t    *UDPServer
-	id   int
 	rx   *laneRx
 	prod *engine.Producer
-	ins  *engineInstruments
-	lane *laneInstruments
+	lane laneInstruments
 
-	u        core.Update
-	interned map[string]string
-	internFn func([]byte) string
-	reply    []byte
+	u         core.Update
+	streams   map[string]laneStream
+	cur       laneStream
+	resolveFn func([]byte) string
+	reply     []byte
+}
+
+// laneStream is a lane's entry for a registered stream: canonical id (what
+// ring slots may keep), server handle, owning shard. Zero: not registered.
+type laneStream struct {
+	id            string
+	handle, shard int32
 }
 
 // NewUDPServer binds addr ("host:port", port 0 picks a free one) and
@@ -140,15 +154,13 @@ func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServe
 			return nil, fmt.Errorf("dsms: udp lane %d: %w", i, err)
 		}
 		ln := &rxLane{
-			t:        t,
-			id:       i,
-			rx:       rx,
-			prod:     eng.Producer(),
-			ins:      server.engIns,
-			lane:     server.laneInstruments(i),
-			interned: make(map[string]string),
+			t:       t,
+			rx:      rx,
+			prod:    eng.Producer(),
+			lane:    newLaneInstruments(server.tel.reg, i),
+			streams: make(map[string]laneStream),
 		}
-		ln.internFn = ln.intern
+		ln.resolveFn = ln.resolve
 		t.lanes[i] = ln
 	}
 	return t, nil
@@ -162,8 +174,8 @@ func (t *UDPServer) Lanes() int { return len(t.lanes) }
 
 // Serve receives datagrams until Close, running lane 0 on the calling
 // goroutine and the rest on their own. It returns nil after Close and
-// the first socket error otherwise (any lane's failure closes the
-// socket, releasing the other lanes' blocked reads). The engine is
+// the failed lanes' socket errors otherwise (any lane's failure closes
+// the socket, releasing the other lanes' blocked reads). The engine is
 // shared and stays running — shutting it down is its owner's call
 // (Server.Engine().Close()).
 func (t *UDPServer) Serve() error {
@@ -178,12 +190,7 @@ func (t *UDPServer) Serve() error {
 	}
 	errs[0] = t.serveLane(t.lanes[0])
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 func (t *UDPServer) serveLane(ln *rxLane) error {
@@ -199,10 +206,7 @@ func (ln *rxLane) serve() error {
 	for {
 		n, err := ln.rx.read()
 		if err != nil {
-			ln.t.mu.Lock()
-			closed := ln.t.closed
-			ln.t.mu.Unlock()
-			if closed {
+			if ln.t.closed.Load() {
 				return nil
 			}
 			return fmt.Errorf("dsms: udp read: %w", err)
@@ -216,26 +220,30 @@ func (ln *rxLane) serve() error {
 
 // Close stops Serve. Updates already handed to the engine still drain.
 func (t *UDPServer) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Swap(true) {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
 	return t.conn.Close()
 }
 
-// intern returns the canonical string for a source-id byte slice. The
-// map lookup keyed by string(b) does not allocate; only the first
-// sighting of a source id (per lane) does.
-func (ln *rxLane) intern(b []byte) string {
-	if s, ok := ln.interned[string(b)]; ok {
-		return s
+// resolve is the lane's DecodeUpdateInto hook: it leaves the update's
+// stream in cur and returns its canonical id. Lookups keyed by string(b)
+// do not allocate; only the first sighting of a registered id (per lane)
+// does. An unregistered id is not cached: it resolves once it registers.
+func (ln *rxLane) resolve(b []byte) string {
+	cur, ok := ln.streams[string(b)]
+	if !ok {
+		s := ln.t.server
+		s.mu.RLock()
+		st := s.sources[string(b)]
+		s.mu.RUnlock()
+		if st != nil {
+			cur = laneStream{id: st.id, handle: st.handle, shard: int32(ln.t.eng.ShardFor(st.id))}
+			ln.streams[st.id] = cur
+		}
 	}
-	s := string(b)
-	ln.interned[s] = s
-	return s
+	ln.cur = cur
+	return cur.id
 }
 
 // processDatagram drives lane 0's parser directly — the entry point
@@ -244,40 +252,52 @@ func (t *UDPServer) processDatagram(p []byte, addr netip.AddrPort) {
 	t.lanes[0].processDatagram(p, addr)
 }
 
-// processDatagram parses one datagram and routes its frames: updates go
-// to the owning shard's ring (TryOffer — under overload the ring sheds
-// rather than blocking the socket), hellos get an install reply when
-// addr is valid. Unknown tags are skipped for forward compatibility.
+// processDatagram parses one datagram and routes its frames. Updates of
+// registered streams go to the owning shard's ring with their handle
+// (TryOffer — under overload the ring sheds rather than blocking the
+// socket); the one Flush at the end publishes them together, and their
+// frames are counted once. An update for an id nobody registered is
+// counted and dropped here. Hellos get an install reply when addr is
+// valid; other tags are skipped for forward compatibility.
 func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
-	ln.ins.datagramsRx.Inc()
+	ins, tel := ln.t.server.engIns, ln.t.server.tel
+	ins.datagramsRx.Inc()
 	ln.lane.rx.Inc()
+	var frames, updates, updateBytes int64
 	_, rest, err := wire.CheckPreamble(p)
-	if err != nil {
-		ln.ins.datagramsBad.Inc()
-		ln.t.server.tel.countWireError(err)
-		return
-	}
-	for len(rest) > 0 {
-		tag, payload, next, err := wire.NextFrame(rest, maxDatagram)
-		if err != nil {
-			ln.ins.datagramsBad.Inc()
-			ln.t.server.tel.countWireError(err)
-			return
+	for err == nil && len(rest) > 0 {
+		var tag wire.Tag
+		var payload []byte
+		if tag, payload, rest, err = wire.NextFrame(rest, maxDatagram); err != nil {
+			break
 		}
-		ln.ins.framesRx.Inc()
-		ln.t.server.tel.rx(tag, len(payload)+5)
-		switch tag {
-		case wire.TagUpdate:
-			if err := wire.DecodeUpdateInto(payload, &ln.u, ln.internFn); err != nil {
-				ln.ins.datagramsBad.Inc()
-				ln.t.server.tel.countWireError(err)
-				return
+		frames++
+		if tag != wire.TagUpdate {
+			tel.rx(tag, len(payload)+5)
+			if tag == wire.TagHello {
+				ln.handleHello(payload, addr)
 			}
-			ln.prod.TryOffer(ln.t.eng.ShardFor(ln.u.SourceID), &ln.u)
-		case wire.TagHello:
-			ln.handleHello(payload, addr)
+			continue
 		}
-		rest = next
+		updates++
+		updateBytes += int64(len(payload) + 5)
+		if err = wire.DecodeUpdateInto(payload, &ln.u, ln.resolveFn); err != nil {
+			break
+		}
+		if ln.cur.handle == 0 {
+			ins.unknown.Inc()
+			continue
+		}
+		ln.u.Handle = ln.cur.handle
+		ln.prod.TryOffer(int(ln.cur.shard), &ln.u)
+	}
+	ln.prod.Flush()
+	ins.framesRx.Add(frames)
+	tel.rxFrames[wire.TagUpdate].Add(updates)
+	tel.rxBytes[wire.TagUpdate].Add(updateBytes)
+	if err != nil {
+		ins.datagramsBad.Inc()
+		tel.countWireError(err)
 	}
 }
 
@@ -290,7 +310,7 @@ func (ln *rxLane) handleHello(payload []byte, addr netip.AddrPort) {
 	}
 	id, err := wire.DecodeHello(payload)
 	if err != nil {
-		ln.ins.datagramsBad.Inc()
+		ln.t.server.engIns.datagramsBad.Inc()
 		return
 	}
 	ln.reply = wire.AppendPreamble(ln.reply[:0], wire.Version, 0)
@@ -325,8 +345,7 @@ type UDPDialOptions struct {
 // UDPAgent is the dial-side datagram agent: the same mirror-filter
 // Agent as the TCP path, sending each transmitted update as one
 // self-describing datagram on a connected UDP socket. There are no
-// acks and no resend queue — the DKF protocol's loss tolerance is the
-// reliability layer.
+// acks and no resend queue, so a lost update is lost (package comment).
 type UDPAgent struct {
 	*Agent
 	conn    *net.UDPConn

@@ -724,7 +724,7 @@ func DecodeInstall(p []byte) (Install, error) {
 // DecodeUpdateInto parses the update payload layout into u, reusing
 // u.Values. The SourceID bytes are passed through the caller-supplied
 // intern (which may allocate or reuse a cached string) — the datagram
-// receiver's hook for a map-based intern, where one socket multiplexes
+// receiver's hook for its stream table, where one socket multiplexes
 // many sources and the reader's single-entry cache would thrash.
 func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) error {
 	c := NewCursor(p)
@@ -741,6 +741,7 @@ func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) erro
 	u.Seq = int(seq)
 	u.Time = tim
 	u.Bootstrap = flags&1 != 0
+	u.Handle = 0 // receiver-side: a decoded update is unresolved, whatever u held
 	u.Values = u.Values[:0]
 	for i := 0; i < n; i++ {
 		u.Values = append(u.Values, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:])))

@@ -376,3 +376,33 @@ func TestInternCacheReusesIDs(t *testing.T) {
 		t.Fatal("repeated source id was not interned")
 	}
 }
+
+// TestUpdateHandleNeverOnTheWire pins that Update.Handle is receiver-side
+// only: encoders ignore it, and every decoder clears whatever the target
+// held, so nothing off the wire can name a stream by index.
+func TestUpdateHandleNeverOnTheWire(t *testing.T) {
+	u := core.Update{SourceID: "src", Seq: 7, Time: 7, Values: []float64{1.5}}
+	plain, err := AppendUpdate(nil, &u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Handle = 42
+	withHandle, err := AppendUpdate(nil, &u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, withHandle) {
+		t.Fatal("Handle changed the encoded update")
+	}
+	got := core.Update{Handle: 99}
+	if err := DecodeUpdateInto(withHandle, &got, func(b []byte) string { return string(b) }); err != nil {
+		t.Fatal(err)
+	}
+	if got.Handle != 0 || got.SourceID != "src" || got.Seq != 7 {
+		t.Fatalf("decoded %+v, want the update with Handle 0", got)
+	}
+	got.Handle = 99
+	if err := DecodeUpdatePayload(withHandle, &got); err != nil || got.Handle != 0 {
+		t.Fatalf("DecodeUpdatePayload left Handle %d (err %v), want 0", got.Handle, err)
+	}
+}

@@ -10,7 +10,7 @@ package telemetry
 type SeriesKind int
 
 const (
-	// SeriesCounter is a monotonically increasing Counter.
+	// SeriesCounter is a monotonically increasing Counter or CounterFunc.
 	SeriesCounter SeriesKind = iota
 	// SeriesGauge is a last-write-wins Gauge.
 	SeriesGauge
@@ -50,6 +50,9 @@ type Series struct {
 func (s Series) Scalar() float64 {
 	switch s.Kind {
 	case SeriesCounter:
+		if s.fn != nil {
+			return s.fn()
+		}
 		return float64(s.counter.Value())
 	case SeriesGauge:
 		return s.gauge.Value()
@@ -91,6 +94,8 @@ func (r *Registry) SeriesSnapshot() []Series {
 				s.Kind, s.counter = SeriesCounter, m.counter
 			case kindGauge:
 				s.Kind, s.gauge = SeriesGauge, m.gauge
+			case kindCounterFunc:
+				s.Kind, s.fn = SeriesCounter, m.fn
 			case kindGaugeFunc:
 				s.Kind, s.fn = SeriesGaugeFunc, m.fn
 			case kindHistogram:

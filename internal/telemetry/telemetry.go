@@ -235,6 +235,9 @@ const (
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
+	// kindCounterFunc is a counter whose owner keeps the count and hands
+	// it over at scrape time; it is exposed exactly as a kindCounter is.
+	kindCounterFunc
 )
 
 // metric is one registered instrument instance (a name plus one label
@@ -350,6 +353,17 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // fn must be safe to call concurrently with writers.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, kindGaugeFunc, labels, func() *metric {
+		return &metric{fn: fn}
+	})
+}
+
+// CounterFunc registers a counter whose value is read from fn at scrape
+// time — for a count its owner already keeps under its own
+// synchronization, so the hot path writes it once and not a registry
+// copy beside it. fn must be monotonic and safe to call concurrently with
+// writers. Exposition, Snapshot, Get and Series treat it as a Counter.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.register(name, help, kindCounterFunc, labels, func() *metric {
 		return &metric{fn: fn}
 	})
 }
@@ -481,6 +495,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				b.WriteByte(' ')
 				b.WriteString(strconv.FormatInt(m.counter.Value(), 10))
 				b.WriteByte('\n')
+			case kindCounterFunc:
+				b.WriteString(m.name)
+				writeLabels(&b, m.labels)
+				b.WriteByte(' ')
+				b.WriteString(strconv.FormatInt(int64(m.fn()), 10))
+				b.WriteByte('\n')
 			case kindGauge:
 				b.WriteString(m.name)
 				writeLabels(&b, m.labels)
@@ -573,7 +593,7 @@ func (r *Registry) Snapshot() []Value {
 			out = append(out, Value{m.name, m.labels, float64(m.counter.Value())})
 		case kindGauge:
 			out = append(out, Value{m.name, m.labels, m.gauge.Value()})
-		case kindGaugeFunc:
+		case kindGaugeFunc, kindCounterFunc:
 			out = append(out, Value{m.name, m.labels, m.fn()})
 		case kindHistogram:
 			s := m.hist.Snapshot()
@@ -604,7 +624,7 @@ func (r *Registry) Get(name string, labels ...Label) (float64, bool) {
 		return float64(m.counter.Value()), true
 	case kindGauge:
 		return m.gauge.Value(), true
-	case kindGaugeFunc:
+	case kindGaugeFunc, kindCounterFunc:
 		return m.fn(), true
 	case kindHistogram:
 		return float64(m.hist.Snapshot().Count), true
