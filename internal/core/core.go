@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"streamkf/internal/kalman"
-	"streamkf/internal/mat"
 	"streamkf/internal/model"
 	"streamkf/internal/stream"
 	"streamkf/internal/trace"
@@ -99,6 +98,12 @@ func (c Config) Validate() error {
 	if c.SourceID == "" {
 		return errors.New("core: Config.SourceID is empty")
 	}
+	return c.validateDeployment()
+}
+
+// validateDeployment is Validate without the id: what a Config shared by
+// many sources, its SourceID empty, must still satisfy.
+func (c *Config) validateDeployment() error {
 	if err := c.Model.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -373,27 +378,30 @@ func (s *SourceNode) Mirror() *kalman.Filter { return s.mirror }
 // predict steps for all suppressed readings in between. Because those
 // steps are exactly the ones the mirror executed eagerly, synchrony holds
 // whenever both sides are aligned at the same sequence number.
+//
+// A node is a pointer-light value over one block of floats — the filter's
+// segments, then the health window's healthWindow·m innovations, then the
+// m-value prediction buffer — so a server embeds it in its stream record
+// and carves the block from a BlockPool (Init, Install); NewServerNode is
+// the same thing on the heap. Once built it never allocates: a bootstrap, a
+// re-bootstrap and a restore all rebuild the filter in place.
 type ServerNode struct {
-	cfg     Config
-	filter  *kalman.Filter // KFs
+	cfg     *Config       // shared, read-only; nil until Init
+	filter  kalman.Filter // KFs, over the node's block; a zero-state placeholder until booted
 	ticks   int
 	lastSeq int
 
-	pred []float64 // reusable H x buffer for ApplyUpdate's divergence tap
-
 	// Filter-health diagnostics over the transmitted-update stream: the
 	// NIS of the latest update against the pre-correction prediction and
-	// a sliding window of innovations for the whiteness statistic. Both
-	// are maintained allocation-free once the window is warm.
-	lastNIS  float64
-	nisValid bool
-	health   *kalman.NoiseEstimator
-
+	// a sliding window of innovations for the whiteness statistic.
+	lastNIS float64
 	// Divergence tap: the max-abs innovation |z - H x̂⁻| of the latest
 	// non-bootstrap update against the pre-correction prediction — the
 	// same units as δ, so the trace audit can compare them directly.
-	lastInnov  float64
-	innovValid bool
+	lastInnov float64
+	health    kalman.InnovationWindow
+
+	booted, nisValid, innovValid bool
 }
 
 // healthWindow is the number of recent innovations the per-stream
@@ -401,20 +409,84 @@ type ServerNode struct {
 // changes, large enough that the ±2/√W band is meaningful.
 const healthWindow = 16
 
-// NewServerNode constructs the server side of a DKF pair.
+// NewServerNode constructs the server side of a DKF pair on the heap: its
+// own copy of cfg, its own block.
 func NewServerNode(cfg Config) (*ServerNode, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	m := cfg.Model.MeasDim
-	// The estimator is used only for its innovation window (whiteness);
-	// the floor argument is irrelevant but must be positive.
-	health, err := kalman.NewNoiseEstimator(m, healthWindow, 1e-12)
-	if err != nil {
+	s := new(ServerNode)
+	if err := s.Init(&cfg, make([]float64, cfg.NodeBlockLen())); err != nil {
 		return nil, err
 	}
-	return &ServerNode{cfg: cfg, pred: make([]float64, m), health: health}, nil
+	return s, nil
+}
+
+// NodeBlockLen returns how many float64s a ServerNode for c keeps in its
+// block: what Init's caller provides.
+func (c *Config) NodeBlockLen() int {
+	return c.Model.BlockLen() + (healthWindow+1)*c.Model.MeasDim
+}
+
+// Init builds the node in place over block — NodeBlockLen floats the
+// caller provides and keeps valid while the node is used — for a cfg the
+// caller will not change: every stream with the same deployment can share
+// one, its SourceID left empty. The node awaits its bootstrap; a failed
+// Init leaves node and block as they were.
+func (s *ServerNode) Init(cfg *Config, block []float64) error {
+	if err := cfg.validateDeployment(); err != nil {
+		return err
+	}
+	return s.build(cfg, block)
+}
+
+// Install is Init over a block taken from pool, which gets it back if the
+// node cannot be built; Release's result goes back there when the node is
+// done with.
+func (s *ServerNode) Install(cfg *Config, pool *BlockPool) error {
+	if err := cfg.validateDeployment(); err != nil {
+		return err // before its dimensions size a block
+	}
+	block := pool.Get(cfg.NodeBlockLen())
+	err := s.build(cfg, block)
+	if err != nil {
+		pool.Put(block)
+	}
+	return err
+}
+
+// build is Init for a validated cfg.
+func (s *ServerNode) build(cfg *Config, block []float64) error {
+	if len(block) < cfg.NodeBlockLen() {
+		return fmt.Errorf("core: node block holds %d values, %s needs %d", len(block), cfg.Model.Name, cfg.NodeBlockLen())
+	}
+	var f kalman.Filter
+	if err := cfg.Model.InitFilter(&f, block, nil); err != nil {
+		return err
+	}
+	*s = ServerNode{cfg: cfg, filter: f}
+	return nil
+}
+
+// Installed reports whether the node has been built (Init, Install or
+// NewServerNode) and not released.
+func (s *ServerNode) Installed() bool { return s.cfg != nil }
+
+// Release returns the node's block, zeroed, to whoever provided it — nil
+// from a node that was never built — and the node to its zero value.
+func (s *ServerNode) Release() []float64 {
+	block := s.filter.Block()
+	clear(block)
+	*s = ServerNode{}
+	return block
+}
+
+// window and pred are the two tails of the block behind the filter.
+func (s *ServerNode) window() []float64 { return s.filter.Spare()[:healthWindow*s.cfg.Model.MeasDim] }
+func (s *ServerNode) pred() []float64 {
+	m := s.cfg.Model.MeasDim
+	return s.filter.Spare()[healthWindow*m : (healthWindow+1)*m]
 }
 
 // Tick advances the server's prediction by one time step on which no
@@ -426,7 +498,7 @@ func (s *ServerNode) Tick() { s.AdvanceTo(s.lastSeq + 1) }
 // reading index seq — one PredictN over the whole suppressed run. A no-op
 // before bootstrap or when already at or past seq.
 func (s *ServerNode) AdvanceTo(seq int) {
-	if s.filter == nil || seq <= s.lastSeq {
+	if !s.booted || seq <= s.lastSeq {
 		return
 	}
 	steps := seq - s.lastSeq
@@ -449,21 +521,18 @@ func (s *ServerNode) Seq() int { return s.lastSeq }
 // a correction would desynchronize the new mirror forever. The health
 // window resets with the filter.
 func (s *ServerNode) ApplyUpdate(u Update) error {
-	if s.filter == nil || u.Bootstrap {
+	if !s.booted || u.Bootstrap {
 		if !u.Bootstrap {
 			return fmt.Errorf("core: first update for %s is not a bootstrap", u.SourceID)
 		}
-		f, err := s.cfg.Model.NewFilter(u.Values)
-		if err != nil {
+		if err := s.cfg.Model.InitFilter(&s.filter, s.filter.Block(), u.Values); err != nil {
 			return err
 		}
-		if s.filter != nil {
-			// Re-bootstrap: discard diagnostics from the previous session.
-			s.lastNIS, s.nisValid = 0, false
-			s.lastInnov, s.innovValid = 0, false
-			s.health.RestoreWindow(nil)
-		}
-		s.filter = f
+		// A re-bootstrap discards the diagnostics of the previous session.
+		s.lastNIS, s.nisValid = 0, false
+		s.lastInnov, s.innovValid = 0, false
+		s.health.Reset()
+		s.booted = true
 		s.lastSeq = u.Seq
 		return nil
 	}
@@ -479,12 +548,12 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 	s.AdvanceTo(u.Seq)
 	// The filter reads u.Values in place; a malformed update gets its
 	// dimension error from the filter itself, as it always has.
-	if len(u.Values) == len(s.pred) {
+	if pred := s.pred(); len(u.Values) == len(pred) {
 		// Divergence tap: distance between the pre-correction prediction
 		// and the transmitted measurement, in measurement units. One H x
-		// into the reusable buffer per transmitted update — allocation
+		// into the block's buffer per transmitted update — allocation
 		// free, and transmitted updates are the rare case by design.
-		s.lastInnov, s.innovValid = maxAbsResidual(u.Values, s.filter.PredictedInto(s.pred)), true
+		s.lastInnov, s.innovValid = maxAbsResidual(u.Values, s.filter.PredictedInto(pred)), true
 	}
 	// Health tap: score the update against the pre-correction prediction.
 	// NIS shares the cached innovation covariance with Correct, so this
@@ -495,7 +564,7 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 	if err := s.filter.CorrectValues(u.Values); err != nil {
 		return err
 	}
-	s.health.ObserveFilter(s.filter)
+	s.health.Observe(s.window(), s.filter.LastInnovation())
 	return nil
 }
 
@@ -553,12 +622,12 @@ func (s *ServerNode) LastNIS() (float64, bool) { return s.lastNIS, s.nisValid }
 // allocation-free and safe to call on every ingest.
 func (s *ServerNode) Health() FilterHealth {
 	h := FilterHealth{NIS: s.lastNIS, NISValid: s.nisValid, Healthy: true}
-	if s.filter == nil {
+	if !s.booted {
 		return h
 	}
-	rho, ready := s.health.Whiteness()
+	rho, ready := s.health.Whiteness(s.window(), s.cfg.Model.MeasDim)
 	h.Whiteness, h.Ready = rho, ready
-	if ready && rho > s.health.WhitenessBound() {
+	if ready && rho > kalman.WhitenessBound(healthWindow) {
 		h.Healthy = false
 	}
 	return h
@@ -567,19 +636,24 @@ func (s *ServerNode) Health() FilterHealth {
 // Estimate returns the server's current answer for the stream value, or
 // ok=false before the bootstrap update arrives.
 func (s *ServerNode) Estimate() (values []float64, ok bool) {
-	if s.filter == nil {
+	if !s.booted {
 		return nil, false
 	}
-	return s.filter.PredictedInto(make([]float64, len(s.pred))), true
+	return s.filter.PredictedInto(make([]float64, s.cfg.Model.MeasDim)), true
 }
 
 // Filter exposes KFs for invariant checks and diagnostics; nil before
 // bootstrap.
-func (s *ServerNode) Filter() *kalman.Filter { return s.filter }
+func (s *ServerNode) Filter() *kalman.Filter {
+	if !s.booted {
+		return nil
+	}
+	return &s.filter
+}
 
 // Bootstrapped reports whether the bootstrap update has arrived and the
 // node answers queries.
-func (s *ServerNode) Bootstrapped() bool { return s.filter != nil }
+func (s *ServerNode) Bootstrapped() bool { return s.booted }
 
 // NodeSnapshot is the complete mutable state of a bootstrapped
 // ServerNode, in serialization-ready form: everything a checkpoint must
@@ -605,7 +679,7 @@ type NodeSnapshot struct {
 // bootstrap (an unbootstrapped node has nothing to persist: recovery
 // reconstructs it from its Config alone).
 func (s *ServerNode) Snapshot() *NodeSnapshot {
-	if s.filter == nil {
+	if !s.booted {
 		return nil
 	}
 	return &NodeSnapshot{
@@ -616,34 +690,36 @@ func (s *ServerNode) Snapshot() *NodeSnapshot {
 		Ticks:       s.ticks,
 		LastNIS:     s.lastNIS,
 		NISValid:    s.nisValid,
-		Innovations: s.health.Window(),
+		Innovations: s.health.Snapshot(s.window(), s.cfg.Model.MeasDim),
 	}
 }
 
-// RestoreSnapshot rebuilds the node's filter and diagnostics from a
-// Snapshot taken on a node with the same Config. The restored filter is
-// bit-identical in (x, P, k), so every subsequent Predict/Correct — and
-// therefore every query answer — matches the snapshotted node exactly.
+// RestoreSnapshot rebuilds the node's filter and diagnostics, in place and
+// without allocating, from a Snapshot taken on a node with the same
+// Config. The restored filter is bit-identical in (x, P, k), so every
+// subsequent Predict/Correct — and therefore every query answer — matches
+// the snapshotted node exactly. A snapshot that does not fit the model is
+// refused with the node untouched.
 func (s *ServerNode) RestoreSnapshot(snap *NodeSnapshot) error {
 	if snap == nil {
 		return errors.New("core: nil node snapshot")
 	}
-	n := s.cfg.Model.Dim
+	n, m := s.cfg.Model.Dim, s.cfg.Model.MeasDim
 	if len(snap.X) != n || len(snap.P) != n*n {
 		return fmt.Errorf("core: snapshot for %s has %d states / %d covariances, model %s wants %d / %d",
 			s.cfg.SourceID, len(snap.X), len(snap.P), s.cfg.Model.Name, n, n*n)
 	}
-	// Construct through the model's own bootstrap path so the filter
-	// carries the right matrices, then overwrite the mutable state.
-	f, err := s.cfg.Model.NewFilter(make([]float64, s.cfg.Model.MeasDim))
-	if err != nil {
+	// The window first: it is the one step that can still refuse.
+	if err := s.health.Restore(s.window(), m, snap.Innovations); err != nil {
 		return err
 	}
-	f.Restore(mat.FromSlice(n, 1, snap.X), mat.FromSlice(n, n, snap.P), snap.K)
-	if err := s.health.RestoreWindow(snap.Innovations); err != nil {
+	// Rebuild through the model's own bootstrap path so the filter carries
+	// the right matrices, then overwrite the mutable state.
+	if err := s.cfg.Model.InitFilter(&s.filter, s.filter.Block(), nil); err != nil {
 		return err
 	}
-	s.filter = f
+	s.filter.RestoreValues(snap.X, snap.P, snap.K)
+	s.booted = true
 	s.lastSeq = snap.Seq
 	s.ticks = snap.Ticks
 	s.lastNIS = snap.LastNIS

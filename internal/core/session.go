@@ -156,7 +156,7 @@ func (s *Session) Step(r stream.Reading) ([]float64, error) {
 	}
 
 	if s.CheckSync {
-		if !kalman.StateEqual(s.source.mirror, s.server.filter) {
+		if !kalman.StateEqual(s.source.mirror, &s.server.filter) {
 			return nil, fmt.Errorf("core: mirror synchrony violated at seq %d", r.Seq)
 		}
 		if !equalVals(est, mirrorEst) {

@@ -17,7 +17,6 @@ package dsms
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,7 +96,9 @@ func (c *Catalog) Names() []string {
 }
 
 // sourceState is one row of the server's stream table: the installed
-// filter and everything else the server knows about one source object.
+// filter and everything else the server knows about one source object. It
+// lives by value in the table's chunks, so a *sourceState is good for the
+// server's life, and is five cache lines exactly (TestSourceStateSize).
 //
 // Topology fields (id, queries, cfg) are guarded by the server's mu;
 // runtime fields (everything below the mutex) are guarded by the
@@ -107,9 +108,11 @@ func (c *Catalog) Names() []string {
 // writer blocks new readers — while holding a sourceState.mu.
 type sourceState struct {
 	id      string
-	cfg     core.Config
 	queries []stream.Query
-	handle  int32 // the record's place in Server.streams, set at registration
+	cfg     *core.Config // the deployment its queries fold into; interned, shared, SourceID empty
+	handle  int32        // the record's place in Server.streams, set at registration
+	shard   int32        // the ingest-engine shard that owns the stream; 0 without an engine
+	dead    atomic.Bool  // a dropped registration: the slot is never handed out again
 
 	// version counts data mutations of this stream's filter state —
 	// update applies, batch advances, snapshot restores. Aggregate
@@ -121,11 +124,9 @@ type sourceState struct {
 	version atomic.Int64
 
 	mu      sync.Mutex
-	node    *core.ServerNode
+	node    core.ServerNode // built in place over a slab block by InstallFor
 	lastSeq int             // seq of the last transmitted update (-1 before any)
-	history *synopsis.Store // optional historical-query recorder
 	times   timeMap         // seq-to-time mapping from update timestamps
-	wal     *runLog         // WAL records of a synchronous caller's run; nil before the first
 	ckptSeq int             // last update seq covered by a checkpoint (-1 before any)
 
 	// The stream's own ingest counts: what Stats, /streamz, checkpoints,
@@ -145,6 +146,7 @@ type sourceState struct {
 	// the list and fires it outside every lock.
 	watchers atomic.Pointer[[]watcher]
 
+	history *synopsis.Store // optional historical-query recorder
 	// rec is the stream's flight recorder; nil unless tracing is
 	// enabled. lastTrace is the trace id of the latest applied update,
 	// linking query answers back to the update that shaped them.
@@ -152,51 +154,53 @@ type sourceState struct {
 	lastTrace int64
 }
 
+const streamChunk = 128 // records a chunk: 40 KB, so a server of a few streams pays for one
+
 // streamTable is the server's handle table: stream records by dense
-// 1-based index, in registration order. Handles are handed out under
-// Server.mu, never reused, and read with no lock at all — by the shard
-// worker, once per run, and by whatever walks every stream — so it is a
-// directory of chunks of atomic pointers, chunk k of 1024<<k entries:
-// adding a stream copies nothing, and an int32 cannot outrun 22 chunks. A
-// dropped registration leaves a nil entry; a released stream keeps its own.
+// 1-based index, in registration order, by value in fixed-size chunks that
+// never move. Handles are handed out under Server.mu, never reused, and
+// read with no lock at all — by the shard worker, once per run, and by
+// whatever walks every stream — so the chunk directory is copy-on-grow
+// behind an atomic pointer. A dropped registration leaves a dead record;
+// a released stream keeps its own.
 type streamTable struct {
 	n   atomic.Int32 // handles handed out; written under Server.mu
-	dir [22]atomic.Pointer[[]atomic.Pointer[sourceState]]
+	dir atomic.Pointer[[]*[streamChunk]sourceState]
 }
 
-// entry returns handle h's slot; h is in 1..n or, for add, n+1 — the only
-// caller that can find its chunk missing.
-func (t *streamTable) entry(h int32) *atomic.Pointer[sourceState] {
-	i := uint32(h) + 1023 // chunk k starts at handle 1024·(2^k−1)+1
-	k := bits.Len32(i) - 11
-	if t.dir[k].Load() == nil {
-		chunk := make([]atomic.Pointer[sourceState], 1024<<k)
-		t.dir[k].Store(&chunk)
+// next returns the zero record the next handle names, in a new chunk if
+// need be. The caller fills it in place — it holds a mutex and atomics, so
+// it is never copied — and publishes it by storing its handle in n: whoever
+// reads n finds the record complete. Caller holds Server.mu for writing.
+func (t *streamTable) next() *sourceState {
+	i := int(t.n.Load())
+	var dir []*[streamChunk]sourceState
+	if p := t.dir.Load(); p != nil {
+		dir = *p
 	}
-	return &(*t.dir[k].Load())[i-1024<<k]
-}
-
-// add enters st under the next handle — the entry before n, so whoever
-// reads n finds it. Caller holds Server.mu for writing.
-func (t *streamTable) add(st *sourceState) int32 {
-	h := t.n.Load() + 1
-	t.entry(h).Store(st)
-	t.n.Store(h)
-	return h
+	if i/streamChunk == len(dir) {
+		dir = append(dir[:len(dir):len(dir)], new([streamChunk]sourceState))
+		t.dir.Store(&dir)
+	}
+	st := &dir[i/streamChunk][i%streamChunk]
+	st.handle = int32(i + 1)
+	return st
 }
 
 // at returns handle h's stream: nil for 0, never handed out, or dropped.
 func (t *streamTable) at(h int32) *sourceState {
-	if h <= 0 || h > t.n.Load() {
-		return nil
+	if h > 0 && h <= t.n.Load() {
+		if st := &(*t.dir.Load())[(h-1)/streamChunk][(h-1)%streamChunk]; !st.dead.Load() {
+			return st
+		}
 	}
-	return t.entry(h).Load()
+	return nil
 }
 
-// each calls fn on every live stream above handle after, in handle order.
-func (t *streamTable) each(after int32, fn func(*sourceState)) {
-	for h := after + 1; h <= t.n.Load(); h++ {
-		if st := t.entry(h).Load(); st != nil {
+// each calls fn on every live stream, in handle order.
+func (t *streamTable) each(fn func(*sourceState)) {
+	for h := int32(1); h <= t.n.Load(); h++ {
+		if st := t.at(h); st != nil {
 			fn(st)
 		}
 	}
@@ -251,16 +255,17 @@ type Server struct {
 	sources map[string]*sourceState
 	queries map[string]*query
 	alerts  map[string]struct{} // registered alert ids, for the duplicate check
-	streams streamTable         // sources' records by handle, for readers that must not take mu
+	streams streamTable         // the records themselves, by handle, for readers that must not take mu
+	configs map[configKey]*core.Config
+	blocks  core.BlockPool // what the records' nodes are built over
 
 	// db is the durability layer (write-ahead log + checkpoints); nil
 	// on an in-memory server. See persist.go.
 	db *durability
 
-	// engMu guards attachment of the shard ingest engine. eng, engIns
-	// and shardLogs are written once by StartEngine and immutable after;
-	// the shard workers read them without the lock. See ingest.go.
-	engMu     sync.Mutex
+	// eng, engIns and shardLogs are written once, under mu, by StartEngine
+	// and immutable after; a registration pins its stream to a shard under
+	// mu, the shard workers read them without the lock. See ingest.go.
 	eng       *engine.Engine
 	engIns    *engineInstruments
 	shardLogs []runLog
@@ -291,6 +296,7 @@ func NewServer(catalog *Catalog) *Server {
 		sources: make(map[string]*sourceState),
 		queries: make(map[string]*query),
 		alerts:  make(map[string]struct{}),
+		configs: make(map[configKey]*core.Config),
 	}
 	s.shardIndex.Store(-1)
 	return s
@@ -406,23 +412,26 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 	}
 	st := s.sources[q.SourceID]
 	if st == nil {
-		st = &sourceState{id: q.SourceID, lastSeq: -1, ckptSeq: -1, releasedAt: -1}
-		st.handle = s.streams.add(st)
-		s.exportStream(st)
+		st = s.streams.next()
+		st.id, st.lastSeq, st.ckptSeq, st.releasedAt = q.SourceID, -1, -1, -1
+		if s.eng != nil {
+			st.shard = int32(s.eng.ShardFor(st.id))
+		}
 		if s.traceOpts != nil {
 			st.rec = trace.New(*s.traceOpts)
 		}
+		s.streams.n.Store(st.handle)
+		if st.handle == 1 {
+			s.tel.reg.Table("source", streamColumns[:], s.streamRows)
+		}
+		s.tel.reg.Changed()
 		s.sources[q.SourceID] = st
 	}
-	st.mu.Lock()
-	streaming := st.node != nil
-	st.mu.Unlock()
-	if streaming {
+	if st.node.Installed() { // installs hold mu too
 		return nil, fmt.Errorf("dsms: source %s already streaming; cannot register %s", q.SourceID, q.ID)
 	}
-	if len(st.queries) == 0 {
-		st.cfg = core.Config{SourceID: q.SourceID, Model: m, Delta: q.Delta, F: q.F}
-	} else {
+	cfg := core.Config{Model: m, Delta: q.Delta, F: q.F}
+	if len(st.queries) > 0 {
 		// Fold into the shared configuration. All queries must agree on
 		// the model — mixed models over one source would need separate
 		// filter pairs, which the paper excludes ("we do not have
@@ -431,16 +440,39 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 			return nil, fmt.Errorf("dsms: source %s already registered with model %s; query %s wants %s",
 				q.SourceID, st.cfg.Model.Name, q.ID, m.Name)
 		}
-		if q.Delta < st.cfg.Delta {
-			st.cfg.Delta = q.Delta
+		cfg = *st.cfg
+		if q.Delta < cfg.Delta {
+			cfg.Delta = q.Delta
 		}
-		if q.F > 0 && (st.cfg.F == 0 || q.F < st.cfg.F) {
-			st.cfg.F = q.F
+		if q.F > 0 && (cfg.F == 0 || q.F < cfg.F) {
+			cfg.F = q.F
 		}
 	}
+	st.cfg = s.internConfig(cfg)
 	st.queries = append(st.queries, q)
 	s.queries[q.ID] = &query{kind: kindPoint, src: st}
 	return st, nil
+}
+
+// configKey names a deployment: a catalogued model, a precision width, F.
+type configKey struct {
+	model    string
+	delta, f float64
+}
+
+// internConfig returns the one core.Config every stream deployed as cfg
+// shares — read-only, its SourceID empty; InstallFor fills that in on the
+// copy it hands out. A model re-registered in the catalog under the same
+// name gets a config of its own. Caller holds s.mu for writing.
+func (s *Server) internConfig(cfg core.Config) *core.Config {
+	key := configKey{cfg.Model.Name, cfg.Delta, cfg.F}
+	c := s.configs[key]
+	if c == nil || c.Model.H != cfg.Model.H || c.Model.Q != cfg.Model.Q || c.Model.R != cfg.Model.R {
+		c = new(core.Config) // not &cfg: a hit must not allocate
+		*c = cfg
+		s.configs[key] = c
+	}
+	return c
 }
 
 // adoptOrRegisterLocked installs a point query that may already be
@@ -474,7 +506,13 @@ func (s *Server) dropLocked(queryID string) {
 	}
 	if len(st.queries) == 0 {
 		delete(s.sources, st.id)
-		s.streams.entry(st.handle).Store(nil)
+		// Under the stream's lock, so an apply that resolved the handle
+		// before it died finds no node instead of a block given away.
+		st.mu.Lock()
+		st.dead.Store(true)
+		s.blocks.Put(st.node.Release())
+		st.mu.Unlock()
+		s.tel.reg.Changed()
 	}
 }
 
@@ -482,24 +520,20 @@ func (s *Server) dropLocked(queryID string) {
 // must run — the handshake payload. It errors when no query targets the
 // source.
 func (s *Server) InstallFor(sourceID string) (core.Config, error) {
-	s.mu.RLock()
+	s.mu.RLock() // held throughout: a drop of the registration waits
+	defer s.mu.RUnlock()
 	st := s.sources[sourceID]
-	var cfg core.Config
-	if st != nil && len(st.queries) > 0 {
-		cfg = st.cfg
-	}
-	s.mu.RUnlock()
-	if st == nil || cfg.SourceID == "" {
+	if st == nil || len(st.queries) == 0 {
 		return core.Config{}, fmt.Errorf("dsms: no query registered for source %s", sourceID)
 	}
+	cfg := *st.cfg
+	cfg.SourceID = sourceID
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.node == nil {
-		node, err := core.NewServerNode(cfg)
-		if err != nil {
+	if !st.node.Installed() {
+		if err := st.node.Install(st.cfg, &s.blocks); err != nil {
 			return core.Config{}, err
 		}
-		st.node = node
 	}
 	return cfg, nil
 }
@@ -582,10 +616,8 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 	)
 	st.mu.Lock()
 	if wl == nil && durable {
-		if st.wal == nil {
-			st.wal = new(runLog) // the first durable run of a synchronous caller
-		}
-		wl = st.wal
+		wl = runLogs.Get().(*runLog)
+		defer runLogs.Put(wl)
 	}
 	for n < len(run) && run[n].SourceID == st.id && logErr == nil {
 		u := &run[n]
@@ -633,7 +665,7 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 // the received frame size (0: not in a frame of its own). Caller holds
 // st.mu. Returns whether this apply was trace-sampled, and its trace id.
 func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) (sampled bool, tid int64, err error) {
-	if st.node == nil {
+	if !st.node.Installed() {
 		return false, 0, errUninstalled
 	}
 	if st.releasedAt >= 0 {
@@ -667,7 +699,8 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 	if wd != nil {
 		tid = wd.TraceID
 	}
-	sampled = st.rec != nil && st.rec.Sampled(int64(u.Seq))
+	rec := st.rec
+	sampled = rec.Sampled(int64(u.Seq))
 	innov, innovOK := st.node.LastInnovation()
 	if sampled {
 		if hop != nil {
@@ -675,16 +708,16 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 			// the apply events so the ring preserves causal order:
 			// fwd_rx/fwd_tx carry the router's own timestamps, keyed by
 			// the trace id the source minted.
-			st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.RxUnixNs, Kind: trace.KindFwdRx, Aux: int64(hop.Idx)})
-			st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.TxUnixNs, Kind: trace.KindFwdTx, Aux: hop.Epoch})
+			rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.RxUnixNs, Kind: trace.KindFwdRx, Aux: int64(hop.Idx)})
+			rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.TxUnixNs, Kind: trace.KindFwdTx, Aux: hop.Epoch})
 		}
 		if wireBytes > 0 {
-			st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWireRx, Aux: int64(wireBytes)})
+			rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWireRx, Aux: int64(wireBytes)})
 		}
 		if wd != nil {
 			// At carries the source's decision timestamp, so spliced
 			// cross-node trails sort by source time.
-			st.rec.Record(&trace.Event{
+			rec.Record(&trace.Event{
 				TraceID: wd.TraceID, Seq: wd.Seq, At: wd.At, Kind: trace.KindDecision, Dec: wd.Decision,
 				Raw: wd.Raw, Value: wd.Smoothed, Pred: wd.Pred,
 				Residual: wd.Residual, Delta: wd.Delta, NIS: wd.NIS,
@@ -702,15 +735,15 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 				ev.NIS = nis
 			}
 		}
-		st.rec.Record(&ev)
+		rec.Record(&ev)
 	}
-	if st.rec != nil {
+	if rec != nil {
 		st.lastTrace = tid
 		// The divergence audit sees every non-bootstrap apply, sampled
 		// or not: a transmitted update whose server-side innovation is
 		// within δ is mirror-desync evidence the audit must not miss.
 		if !u.Bootstrap && innovOK {
-			st.rec.Audit().Observe(int64(u.Seq), innov, st.cfg.Delta)
+			rec.Audit().Observe(int64(u.Seq), innov, st.cfg.Delta)
 		}
 	}
 	return sampled, tid, nil
@@ -760,7 +793,7 @@ func (s *Server) answer(queryID string, seq int) ([]float64, error) {
 func (st *sourceState) answer(seq int) ([]float64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.node == nil {
+	if !st.node.Installed() {
 		return nil, fmt.Errorf("dsms: source %s not yet streaming", st.id)
 	}
 	if seq > st.node.Seq() {
@@ -770,14 +803,14 @@ func (st *sourceState) answer(seq int) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("dsms: source %s has no bootstrap yet", st.id)
 	}
-	if st.rec != nil {
+	if rec := st.rec; rec != nil {
 		// Close the causal chain: this answer was shaped by the stream's
 		// latest applied update, so it inherits that update's trace id.
 		ev := trace.Event{TraceID: st.lastTrace, Seq: int64(seq), Kind: trace.KindAnswer}
 		if len(vals) > 0 {
 			ev.Value = vals[0]
 		}
-		st.rec.Record(&ev)
+		rec.Record(&ev)
 	}
 	return vals, nil
 }
@@ -788,7 +821,7 @@ func (st *sourceState) answer(seq int) ([]float64, error) {
 func (s *Server) advanceOne(st *sourceState, seq int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.node == nil || st.node.Seq() >= seq {
+	if !st.node.Installed() || st.node.Seq() >= seq {
 		return false
 	}
 	// Batch advances move the stale-update rejection boundary, so they
@@ -865,22 +898,18 @@ func summarize(s telemetry.HistogramSnapshot) *LatencySummary {
 	return &LatencySummary{Count: s.Count, P50Ns: s.Quantile(0.50), P99Ns: s.Quantile(0.99)}
 }
 
-// stats reads the runtime half of the stream's Stats under its lock — for
-// Server.Stats and, at scrape time, the per-stream metric series. A nil
-// record (a dropped registration) reports the resting state.
-func (st *sourceState) stats() Stats {
+// stats reads the runtime half of the stream's Stats under its lock; without
+// health the O(window) whiteness scan is skipped and its fields rest.
+func (st *sourceState) stats(health bool) Stats {
 	stat := Stats{Healthy: true}
-	if st == nil {
-		return stat
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	stat.CheckpointSeq = st.ckptSeq
 	stat.Updates, stat.Suppressed, stat.Bytes = int(st.updates), int(st.suppressed), int(st.bytes)
-	if st.node != nil {
-		stat.Seq = st.node.Seq()
+	stat.Seq = st.node.Seq()
+	stat.NIS, stat.NISValid = st.node.LastNIS()
+	if health {
 		h := st.node.Health()
-		stat.NIS, stat.NISValid = h.NIS, h.NISValid
 		stat.Whiteness, stat.HealthReady, stat.Healthy = h.Whiteness, h.Ready, h.Healthy
 	}
 	return stat
@@ -897,7 +926,7 @@ func (s *Server) Stats() []Stats {
 	defer s.mu.RUnlock()
 	out := make([]Stats, 0, len(s.sources))
 	for id, st := range s.sources {
-		stat := st.stats()
+		stat := st.stats(true)
 		stat.SourceID, stat.Queries, stat.Model, stat.Delta, stat.Durable = id, len(st.queries), st.cfg.Model.Name, st.cfg.Delta, s.db != nil
 		if total := stat.Updates + stat.Suppressed; total > 0 {
 			stat.SuppressionPct = 100 * float64(stat.Suppressed) / float64(total)
@@ -972,16 +1001,14 @@ func (s *Server) TraceStream(id string) (StreamTrace, error) {
 		st = q.src // nil for an aggregate, which has no single trail
 	}
 	var out StreamTrace
+	var rec *trace.Recorder // attached under mu
 	if st != nil {
-		out = StreamTrace{SourceID: st.id, Model: st.cfg.Model.Name, Delta: st.cfg.Delta}
+		out, rec = StreamTrace{SourceID: st.id, Model: st.cfg.Model.Name, Delta: st.cfg.Delta}, st.rec
 	}
 	s.mu.RUnlock()
 	if st == nil {
 		return StreamTrace{}, fmt.Errorf("dsms: unknown stream or query %s", id)
 	}
-	st.mu.Lock()
-	rec := st.rec
-	st.mu.Unlock()
 	if rec == nil {
 		return out, nil
 	}
@@ -1009,9 +1036,7 @@ func (s *Server) TraceRecent(limit int, source string, kind trace.Kind, dec trac
 	recs := make(map[string]*trace.Recorder)
 	s.mu.RLock()
 	for id, st := range s.sources {
-		st.mu.Lock()
-		recs[id] = st.rec
-		st.mu.Unlock()
+		recs[id] = st.rec // attached under mu
 	}
 	s.mu.RUnlock()
 	return RecentTrace(recs, limit, source, kind, dec)

@@ -36,7 +36,7 @@ var errHistoryEnabled = errors.New("dsms: history already enabled")
 func (st *sourceState) enableHistory() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.node != nil {
+	if st.node.Installed() {
 		return fmt.Errorf("dsms: source %s already streaming; enable history before the bootstrap", st.id)
 	}
 	if st.history != nil {

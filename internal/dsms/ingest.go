@@ -28,8 +28,8 @@ type EngineOptions = engine.Options
 // its Close. At most one engine per server; later calls return the
 // existing engine. opts.Shards <= 0 selects GOMAXPROCS.
 func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.eng != nil {
 		return s.eng
 	}
@@ -37,13 +37,15 @@ func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 	s.shardLogs = make([]runLog, e.Shards()) // before any producer exists to offer
 	s.engIns = newEngineInstruments(s.tel.reg, e)
 	s.eng = e
+	// Pin the streams already registered; no reader of shard exists yet.
+	s.streams.each(func(st *sourceState) { st.shard = int32(e.ShardFor(st.id)) })
 	return e
 }
 
 // Engine returns the attached ingest engine, or nil.
 func (s *Server) Engine() *engine.Engine {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.eng
 }
 
@@ -78,8 +80,8 @@ func (s *Server) AdvanceAll(seq int) int {
 		task := func() {
 			defer wg.Done()
 			n := int64(0)
-			s.streams.each(0, func(st *sourceState) {
-				if (e == nil || e.ShardFor(st.id) == sh) && s.advanceOne(st, seq) {
+			s.streams.each(func(st *sourceState) {
+				if int(st.shard) == sh && s.advanceOne(st, seq) {
 					n++
 				}
 			})

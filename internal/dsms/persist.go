@@ -163,7 +163,7 @@ func (s *Server) ResumeSeq(sourceID string) int64 {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.node == nil || !st.node.Bootstrapped() {
+	if !st.node.Bootstrapped() {
 		return -1
 	}
 	return int64(st.lastSeq)
@@ -224,6 +224,10 @@ type runLog struct {
 	arena []byte
 	recs  [][]byte
 }
+
+// runLogs lends a synchronous caller the buffer its run's records wait in
+// between the apply and the commit, both under the stream's lock.
+var runLogs = sync.Pool{New: func() any { return new(runLog) }}
 
 // add encodes one applied update as the next record; returns its size.
 func (wl *runLog) add(u *core.Update) (int, error) {
@@ -394,16 +398,8 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 	buf = wire.AppendF64(buf, st.times.bootTime)
 	buf = wire.AppendI64(buf, int64(st.times.lastSeq))
 	buf = wire.AppendF64(buf, st.times.lastTime)
-	var snap *core.NodeSnapshot
-	switch {
-	case st.node == nil:
-		buf = append(buf, 0)
-	case !st.node.Bootstrapped():
-		buf = append(buf, 1)
-	default:
-		buf = append(buf, 2)
-		snap = st.node.Snapshot()
-	}
+	snap := st.node.Snapshot() // nil before the bootstrap
+	buf = append(buf, b2u8(st.node.Installed())+b2u8(snap != nil))
 	if snap != nil {
 		buf = wire.AppendI64(buf, int64(snap.K))
 		buf = wire.AppendI64(buf, int64(snap.Seq))
@@ -599,15 +595,12 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 		}
 		st.mu.Lock()
 		covered := u.Seq <= st.ckptSeq
-		needsNode := st.node == nil
 		st.mu.Unlock()
 		if covered {
 			return nil
 		}
-		if needsNode {
-			if _, err := s.InstallFor(u.SourceID); err != nil {
-				return fmt.Errorf("dsms: replay install for %s: %w", u.SourceID, err)
-			}
+		if _, err := s.InstallFor(u.SourceID); err != nil { // a no-op past the stream's first record
+			return fmt.Errorf("dsms: replay install for %s: %w", u.SourceID, err)
 		}
 		if err := s.HandleUpdate(*u); err != nil {
 			return fmt.Errorf("dsms: replaying update %s/%d: %w", u.SourceID, u.Seq, err)
@@ -625,10 +618,8 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 			return fmt.Errorf("%w: advance record for unregistered source %s", wal.ErrCorrupt, sourceID)
 		}
 		st.mu.Lock()
-		if st.node != nil {
-			st.node.AdvanceTo(seq)
-			st.version.Add(1)
-		}
+		st.node.AdvanceTo(seq) // a no-op before the bootstrap
+		st.version.Add(1)
 		st.mu.Unlock()
 		return nil
 	default:

@@ -130,68 +130,55 @@ func (t *serverTelemetry) countWireError(err error) {
 	t.errs[kind].Inc()
 }
 
-// streamSeries are the eight per-stream metric families, in exposition
-// order, the first three counters. Each is a func of the stream's Stats,
-// read from its record at scrape time: the apply writes the record and
-// nothing else, and the O(window) whiteness scan stays off it.
-var streamSeries = [...]struct {
-	name, help string
-	of         func(Stats) float64
-}{
-	{"dkf_server_updates_total", "Updates folded into the server filter.", func(s Stats) float64 { return float64(s.Updates) }},
-	{"dkf_server_suppressed_total", "Source-suppressed steps, inferred from update sequence gaps.", func(s Stats) float64 { return float64(s.Suppressed) }},
-	{"dkf_server_recv_bytes_total", "Update payload bytes received (wire-cost model).", func(s Stats) float64 { return float64(s.Bytes) }},
-	{"dkf_server_seq", "Latest reading index folded into the stream's filter.", func(s Stats) float64 { return float64(s.Seq) }},
-	{"dkf_stream_nis", "Normalized innovation squared of the latest update.", func(s Stats) float64 { return s.NIS }},
-	{"dkf_stream_whiteness", "Lag-1 autocorrelation of recent innovations (near 0 when healthy).", func(s Stats) float64 { return s.Whiteness }},
-	{"dkf_stream_healthy", "1 while the innovation sequence is white; 0 flags a mis-modeled stream.", func(s Stats) float64 { return float64(b2u8(s.Healthy)) }},
-	{"dkf_server_suppression_ratio", "Fraction of source readings suppressed: suppressed / (updates + suppressed).", func(s Stats) float64 {
-		if s.Updates+s.Suppressed == 0 {
-			return 0
-		}
-		return float64(s.Suppressed) / float64(s.Updates+s.Suppressed)
-	}},
+// streamColumns are the eight per-stream metric families, in exposition
+// order: one telemetry.Table whose rows are the stream records, read at
+// scrape time. The apply writes the record and nothing else, and the
+// O(window) whiteness scan stays off it.
+var streamColumns = [...]telemetry.Column{
+	{Name: "dkf_server_updates_total", Help: "Updates folded into the server filter.", Counter: true},
+	{Name: "dkf_server_suppressed_total", Help: "Source-suppressed steps, inferred from update sequence gaps.", Counter: true},
+	{Name: "dkf_server_recv_bytes_total", Help: "Update payload bytes received (wire-cost model).", Counter: true},
+	{Name: "dkf_server_seq", Help: "Latest reading index folded into the stream's filter."},
+	{Name: "dkf_stream_nis", Help: "Normalized innovation squared of the latest update."},
+	{Name: "dkf_stream_whiteness", Help: "Lag-1 autocorrelation of recent innovations (near 0 when healthy)."},
+	{Name: "dkf_stream_healthy", Help: "1 while the innovation sequence is white; 0 flags a mis-modeled stream."},
+	{Name: "dkf_server_suppression_ratio", Help: "Fraction of source readings suppressed: suppressed / (updates + suppressed)."},
 }
 
-// exportStream registers the series of a stream just entered in the handle
-// table: its own, labeled by id, while handles are within the series cap,
-// and the shared roll-up's with the first handle past it. A stream's series
-// resolve it as the apply does, by handle checked against the id, so an id
-// registered again after a drop reports its new record (the registry keeps
-// a label set's first funcs). Caller holds s.mu for writing.
-func (s *Server) exportStream(st *sourceState) {
-	id, h := st.id, st.handle
-	read := func() Stats { return s.stream(h, id).stats() }
-	switch {
-	case h == DefaultSourceMetricLimit+1:
-		id, read = "_other", s.otherStats
-	case h > DefaultSourceMetricLimit:
-		return
+// streamRow fills one row of streamColumns from a stream's Stats.
+func streamRow(vals []float64, s Stats) {
+	var ratio float64
+	if s.Updates+s.Suppressed != 0 {
+		ratio = float64(s.Suppressed) / float64(s.Updates+s.Suppressed)
 	}
-	for i, m := range streamSeries {
-		register, of := s.tel.reg.GaugeFunc, m.of // of, not m: 4,096 streams × 8 closures hold what they capture
-		if i < 3 {
-			register = s.tel.reg.CounterFunc
-		}
-		register(m.name, m.help, func() float64 { return of(read()) }, telemetry.L("source", id))
-	}
+	copy(vals, []float64{float64(s.Updates), float64(s.Suppressed), float64(s.Bytes), float64(s.Seq),
+		s.NIS, s.Whiteness, float64(b2u8(s.Healthy)), ratio})
 }
 
-// otherStats is the "_other" roll-up: the sums of the counts of every
-// stream past the series cap, the highest seq and NIS among them, and the
-// resting health — streams cannot share one innovation window.
-func (s *Server) otherStats() Stats {
-	sum := Stats{Healthy: true}
-	s.streams.each(DefaultSourceMetricLimit, func(st *sourceState) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		sum.Updates, sum.Suppressed, sum.Bytes = sum.Updates+int(st.updates), sum.Suppressed+int(st.suppressed), sum.Bytes+int(st.bytes)
-		if st.node != nil {
-			nis, _ := st.node.LastNIS()
-			sum.Seq, sum.NIS = max(sum.Seq, st.node.Seq()), max(sum.NIS, nis)
+// streamRows produces the table's rows in one walk of the handle table. A
+// live stream whose handle is within the series cap has a row of its own,
+// in the slot its handle names; the rest are summed into source="_other"
+// behind them — counts added, the highest seq and NIS, the resting health
+// (streams cannot share one innovation window) — there once a handle past
+// the cap has been handed out. Rows follow handles, so an id dropped and
+// registered again past the cap is in the roll-up and nowhere else.
+func (s *Server) streamRows(row func(slot int, label string, vals []float64)) {
+	var vals [len(streamColumns)]float64
+	other := Stats{Healthy: true}
+	s.streams.each(func(st *sourceState) {
+		if st.handle <= DefaultSourceMetricLimit {
+			streamRow(vals[:], st.stats(true))
+			row(int(st.handle), st.id, vals[:])
+			return
 		}
+		o := st.stats(false)
+		other.Updates, other.Suppressed, other.Bytes = other.Updates+o.Updates, other.Suppressed+o.Suppressed, other.Bytes+o.Bytes
+		other.Seq, other.NIS = max(other.Seq, o.Seq), max(other.NIS, o.NIS)
 	})
-	return sum
+	if s.streams.n.Load() > DefaultSourceMetricLimit {
+		streamRow(vals[:], other)
+		row(DefaultSourceMetricLimit+1, "_other", vals[:])
+	}
 }
 
 // engineInstruments is the shard ingest engine and datagram transport
@@ -222,7 +209,6 @@ func newEngineInstruments(reg *telemetry.Registry, e *engine.Engine) *engineInst
 		sh := telemetry.L("shard", strconv.Itoa(i))
 		ei.shardApplied[i] = reg.Counter("dkf_engine_applied_total", "Updates applied by the shard worker, by shard.", sh)
 		ei.shardDedup[i] = reg.Counter("dkf_engine_dedup_total", "Duplicate updates (seq at or below last applied) dropped, by shard.", sh)
-		i := i
 		reg.GaugeFunc("dkf_engine_ring_depth_hwm", "High-water mark of SPSC ring occupancy, by shard.",
 			func() float64 { return float64(e.Stats()[i].RingDepthHWM) }, sh)
 		reg.GaugeFunc("dkf_engine_ring_dropped_total", "Updates shed because the shard's ring was full, by shard.",

@@ -1,6 +1,7 @@
 package dsms
 
 import (
+	"io"
 	"testing"
 
 	"streamkf/internal/core"
@@ -126,4 +127,38 @@ func TestTCPIngestTracedAllocBudget(t *testing.T) {
 	if got := res.AllocsPerOp(); got > tcpIngestAllocBudget {
 		t.Fatalf("traced TCP ingest allocates %d/op, budget %d/op", got, tcpIngestAllocBudget)
 	}
+}
+
+// BenchmarkScrape20k is what observing a 20,000-stream server costs: one
+// /metrics exposition, and one in-order pass of a bulk reader (the history
+// ring's capture) over every series. Either walks the handle table once.
+func BenchmarkScrape20k(b *testing.B) {
+	s, ids, _, _ := bootAll(b, "constant", 20000)
+	for seq := 1; seq <= 17; seq++ { // a full innovation window on every stream
+		for _, id := range ids {
+			if err := s.HandleUpdate(core.Update{SourceID: id, Seq: seq, Time: float64(seq), Values: []float64{float64(seq % 3)}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("metrics", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := s.Telemetry().WritePrometheus(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("scalar_pass", func(b *testing.B) {
+		series := s.Telemetry().SeriesSnapshot()
+		b.ResetTimer()
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			for _, sr := range series {
+				sum += sr.Scalar()
+			}
+		}
+		if sum == 0 {
+			b.Fatal("no series read a value")
+		}
+	})
 }

@@ -87,11 +87,7 @@ func (s *Server) AnswerAtTime(queryID string, tim float64) ([]float64, error) {
 	}
 	// Past timestamps need the history store; the present and future
 	// resolve from the live prediction.
-	nodeSeq := 0
-	if st.node != nil {
-		nodeSeq = st.node.Seq()
-	}
-	hasHistory := st.history != nil
+	nodeSeq, hasHistory := st.node.Seq(), st.history != nil
 	st.mu.Unlock()
 	if seq < nodeSeq && hasHistory {
 		return s.AnswerAt(queryID, seq)

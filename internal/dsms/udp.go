@@ -238,7 +238,7 @@ func (ln *rxLane) resolve(b []byte) string {
 		st := s.sources[string(b)]
 		s.mu.RUnlock()
 		if st != nil {
-			cur = laneStream{id: st.id, handle: st.handle, shard: int32(ln.t.eng.ShardFor(st.id))}
+			cur = laneStream{id: st.id, handle: st.handle, shard: st.shard}
 			ln.streams[st.id] = cur
 		}
 	}

@@ -158,7 +158,7 @@ func nodeSnapshot(t testing.TB, s *Server, id string) *core.NodeSnapshot {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.node == nil {
+	if !st.node.Installed() {
 		t.Fatalf("source %q not installed", id)
 	}
 	snap := st.node.Snapshot()

@@ -7,6 +7,112 @@ import (
 	"streamkf/internal/mat"
 )
 
+// InnovationWindow is the cursor of a sliding window over a filter's most
+// recent innovations. The window's storage is its owner's — a flat ring
+// of len(buf)/m slots of m values each, handed to every call — so a
+// server can keep a stream's window in the same block as its filter and
+// pay eight bytes of header for it. The zero value is an empty window.
+type InnovationWindow struct {
+	next   int32 // the slot the next observation takes
+	filled bool  // the ring has wrapped
+}
+
+// Observe records one innovation (m = len(d) values) into buf.
+func (w *InnovationWindow) Observe(buf, d []float64) {
+	at := int(w.next) * len(d)
+	copy(buf[at:at+len(d)], d)
+	if w.next++; int(w.next)*len(d) == len(buf) {
+		w.next, w.filled = 0, true
+	}
+}
+
+// Reset empties the window.
+func (w *InnovationWindow) Reset() { *w = InnovationWindow{} }
+
+// Ready reports whether a full window of innovations has been observed.
+func (w *InnovationWindow) Ready() bool { return w.filled }
+
+// span returns how many innovations buf holds, the slot of the oldest
+// one, and the window size.
+func (w *InnovationWindow) span(buf []float64, m int) (count, oldest, window int) {
+	window = len(buf) / m
+	if w.filled {
+		return window, int(w.next), window
+	}
+	return int(w.next), 0, window
+}
+
+// Snapshot returns the observed innovations in time order, oldest first,
+// each as a fresh value slice. Together with Restore it lets a checkpoint
+// persist the whiteness state of a stream's health monitor, so a
+// recovered server reports the same diagnostics bit for bit.
+func (w *InnovationWindow) Snapshot(buf []float64, m int) [][]float64 {
+	count, oldest, window := w.span(buf, m)
+	out := make([][]float64, 0, count)
+	for i := 0; i < count; i++ {
+		at := (oldest + i) % window * m
+		out = append(out, append([]float64(nil), buf[at:at+m]...))
+	}
+	return out
+}
+
+// Restore refills the window from a Snapshot, oldest first. More
+// innovations than the window holds keeps only the most recent windowful,
+// matching what observing them live would have left. An innovation of the
+// wrong length fails the call before anything is touched.
+func (w *InnovationWindow) Restore(buf []float64, m int, innovs [][]float64) error {
+	for _, v := range innovs {
+		if len(v) != m {
+			return fmt.Errorf("kalman: restored innovation has %d values, want %d", len(v), m)
+		}
+	}
+	if window := len(buf) / m; len(innovs) > window {
+		innovs = innovs[len(innovs)-window:]
+		// The ring has wrapped, exactly as live observation would have.
+	}
+	w.Reset()
+	for _, v := range innovs {
+		w.Observe(buf, v)
+	}
+	return nil
+}
+
+// Whiteness returns the lag-1 autocorrelation of the observed innovation
+// sequence,
+//
+//	ρ₁ = Σ_k d_k · d_{k-1} / Σ_k ‖d_k‖²,
+//
+// over the current window in time order. Under a correct model the
+// innovations are white, so ρ₁ ≈ 0 within ±2/√window; a persistent bias
+// means the installed model is mis-specified for the stream (the
+// server-side filter-health signal, paper §3.2). ok is false until the
+// window has filled.
+func (w *InnovationWindow) Whiteness(buf []float64, m int) (rho float64, ok bool) {
+	count, oldest, window := w.span(buf, m)
+	if count < 2 {
+		return 0, false
+	}
+	var num, den float64
+	var prev []float64
+	for i := 0; i < count; i++ {
+		at := (oldest + i) % window * m
+		d := buf[at : at+m]
+		den += dot(d, d)
+		if prev != nil {
+			num += dot(prev, d)
+		}
+		prev = d
+	}
+	if den == 0 {
+		return 0, false
+	}
+	return num / den, w.filled
+}
+
+// WhitenessBound returns the ±2/√window acceptance band for Whiteness:
+// |ρ₁| beyond the bound flags a mis-modeled stream.
+func WhitenessBound(window int) float64 { return 2 / math.Sqrt(float64(window)) }
+
 // NoiseEstimator estimates the measurement noise covariance R online from
 // the innovation sequence (paper future work item 6: "robustness of the KF
 // when the statistics of the noise are not known").
@@ -16,12 +122,11 @@ import (
 // Ĉ, yields R̂ = Ĉ - H P^- H^T. The estimate is floored element-wise on
 // the diagonal to keep R̂ positive definite.
 type NoiseEstimator struct {
+	win    InnovationWindow
 	m      int
 	window int
 	floor  float64
 	buf    []float64 // ring of window innovations, m values each; allocated by the first Observe
-	next   int
-	filled bool
 }
 
 // NewNoiseEstimator returns an estimator for m-dimensional innovations
@@ -41,10 +146,8 @@ func NewNoiseEstimator(m, window int, floor float64) (*NoiseEstimator, error) {
 }
 
 // Observe records one innovation vector (m x 1). The ring is one flat
-// block allocated on first use, so a stream that never corrects pays
-// nothing and a warm estimator observes without allocating — the
-// property that lets the DSMS server run one estimator per stream on the
-// ingest hot path.
+// block allocated on first use, so an estimator that never observes pays
+// nothing and a warm one observes without allocating.
 func (n *NoiseEstimator) Observe(innov *mat.Matrix) {
 	if innov.Rows() != n.m || innov.Cols() != 1 {
 		panic(fmt.Sprintf("kalman: NoiseEstimator.Observe innovation is %dx%d, want %dx1", innov.Rows(), innov.Cols(), n.m))
@@ -56,102 +159,29 @@ func (n *NoiseEstimator) observe(d []float64) {
 	if n.buf == nil {
 		n.buf = make([]float64, n.window*n.m)
 	}
-	copy(n.slot(n.next), d)
-	n.next++
-	if n.next == n.window {
-		n.next = 0
-		n.filled = true
-	}
+	n.win.Observe(n.buf, d)
 }
-
-// slot returns ring entry i.
-func (n *NoiseEstimator) slot(i int) []float64 { return n.buf[i*n.m : (i+1)*n.m] }
 
 // ObserveFilter records f's most recent innovation (the one produced by
 // its last Correct), without allocating once the ring exists. It
 // reports whether an innovation was available.
 func (n *NoiseEstimator) ObserveFilter(f *Filter) bool {
-	if !f.hasGain {
+	d := f.LastInnovation()
+	if d == nil {
 		return false
 	}
-	n.observe(f.seg(segInnov))
+	n.observe(d)
 	return true
 }
 
 // Ready reports whether a full window of innovations has been observed.
-func (n *NoiseEstimator) Ready() bool { return n.filled }
+func (n *NoiseEstimator) Ready() bool { return n.win.Ready() }
 
-// count returns how many innovations the ring holds and the slot of the
-// oldest one.
-func (n *NoiseEstimator) count() (count, oldest int) {
-	if n.filled {
-		return n.window, n.next
-	}
-	return n.next, 0
-}
+// Whiteness is InnovationWindow.Whiteness over the estimator's own ring.
+func (n *NoiseEstimator) Whiteness() (rho float64, ok bool) { return n.win.Whiteness(n.buf, n.m) }
 
-// Window returns the observed innovations in time order, oldest first,
-// each as a fresh value slice. Together with RestoreWindow it lets a
-// checkpoint persist the whiteness state of a stream's health monitor,
-// so a recovered server reports the same diagnostics bit for bit.
-func (n *NoiseEstimator) Window() [][]float64 {
-	count, oldest := n.count()
-	out := make([][]float64, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, append([]float64(nil), n.slot((oldest+i)%n.window)...))
-	}
-	return out
-}
-
-// RestoreWindow refills the estimator from a Window snapshot, oldest
-// first. More innovations than the window holds keeps only the most
-// recent windowful, matching what observing them live would have left.
-func (n *NoiseEstimator) RestoreWindow(innovs [][]float64) error {
-	if len(innovs) > n.window {
-		innovs = innovs[len(innovs)-n.window:]
-		// The ring has wrapped, exactly as live observation would have.
-	}
-	n.next = 0
-	n.filled = false
-	for _, v := range innovs {
-		if len(v) != n.m {
-			return fmt.Errorf("kalman: RestoreWindow innovation has %d values, want %d", len(v), n.m)
-		}
-		n.observe(v)
-	}
-	return nil
-}
-
-// Whiteness returns the lag-1 autocorrelation of the observed innovation
-// sequence,
-//
-//	ρ₁ = Σ_k d_k · d_{k-1} / Σ_k ‖d_k‖²,
-//
-// over the current window in time order. Under a correct model the
-// innovations are white, so ρ₁ ≈ 0 within ±2/√window; a persistent bias
-// means the installed model is mis-specified for the stream (the
-// server-side filter-health signal, paper §3.2). ok is false until the
-// window has filled.
-func (n *NoiseEstimator) Whiteness() (rho float64, ok bool) {
-	count, oldest := n.count()
-	if count < 2 {
-		return 0, false
-	}
-	var num, den float64
-	var prev []float64
-	for i := 0; i < count; i++ {
-		d := n.slot((oldest + i) % n.window)
-		den += dot(d, d)
-		if prev != nil {
-			num += dot(prev, d)
-		}
-		prev = d
-	}
-	if den == 0 {
-		return 0, false
-	}
-	return num / den, n.filled
-}
+// WhitenessBound is the package function for the estimator's window.
+func (n *NoiseEstimator) WhitenessBound() float64 { return WhitenessBound(n.window) }
 
 // dot is mat.Dot on bare vectors: accumulation from +0 in index order.
 func dot(a, b []float64) float64 {
@@ -162,22 +192,16 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// WhitenessBound returns the ±2/√window acceptance band for Whiteness:
-// |ρ₁| beyond the bound flags a mis-modeled stream.
-func (n *NoiseEstimator) WhitenessBound() float64 {
-	return 2 / math.Sqrt(float64(n.window))
-}
-
 // EstimateR returns R̂ given the filter's current a priori covariance
 // term H P^- H^T. Call only when Ready.
 func (n *NoiseEstimator) EstimateR(hpht *mat.Matrix) *mat.Matrix {
-	if !n.filled {
+	if !n.Ready() {
 		panic("kalman: NoiseEstimator.EstimateR before window filled")
 	}
 	// Sample covariance of innovations (mean assumed ~0 under whiteness).
 	c := mat.New(n.m, n.m)
 	for i := 0; i < n.window; i++ {
-		d := mat.FromSlice(n.m, 1, n.slot(i))
+		d := mat.FromSlice(n.m, 1, n.buf[i*n.m:(i+1)*n.m])
 		c = mat.AddInPlace(mat.Mul(d, mat.Transpose(d)), c)
 	}
 	c = mat.Scale(1/float64(n.window), c)
@@ -214,7 +238,7 @@ func NewAdaptive(f *Filter, window int, floor float64) (*AdaptiveFilter, error) 
 // periodically re-estimates R.
 func (a *AdaptiveFilter) Correct(z *mat.Matrix) error {
 	// H P^- H^T must be captured before the correction consumes P^-.
-	h := mat.FromSlice(a.m, a.n, a.seg(segH))
+	h := mat.FromSlice(int(a.m), int(a.n), a.seg(segH))
 	hpht := mat.Mul3(h, a.Cov(), mat.Transpose(h))
 	if err := a.Filter.Correct(z); err != nil {
 		return err

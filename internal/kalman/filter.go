@@ -12,14 +12,18 @@
 // halves of a predict–correct cycle are driven independently by the
 // protocol layer (internal/core).
 //
-// Layout. A Filter keeps every number it owns — H, H^T, Q, R, x, P, the
-// gain, the innovation, S, S^-1 and all scratch — in one []float64 block,
-// allocated once at construction (the seg* constants name the segments);
-// φ_k is read in place from whatever the TransitionFunc returns. The
-// per-reading path (Predict, Correct, NIS, LogLikelihood, PredictedInto)
-// runs as loops over that block: no matrix objects, no per-operation
-// dimension or aliasing checks, no allocation. The *mat.Matrix-taking
-// methods are wrappers over the slice-taking ones.
+// Layout. A Filter is a small header over one []float64 block holding
+// every number it owns — x, P, Q, H, H^T, R, the gain, the innovation, S,
+// S^-1 and the scratch its kernel touches (the seg* constants name the
+// segments). Where a segment starts depends only on the filter's shape
+// (n, m, Joseph or not), so the offsets live in one interned shape value
+// all such filters share. New allocates the block; Init builds a filter
+// in place over a block its caller provides, which is how a server keeps
+// thousands of filters in slabs. φ_k is read in place from whatever the
+// TransitionFunc returns. The per-reading path (Predict, Correct, NIS,
+// LogLikelihood, PredictedInto) runs as loops over the block: no matrix
+// objects, no per-operation dimension or aliasing checks, no allocation.
+// The *mat.Matrix-taking methods are wrappers over the slice-taking ones.
 //
 // Operation order is a contract. The DKF protocol only works because the
 // source's mirror and the server's filter compute the same bits, on
@@ -54,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"streamkf/internal/mat"
 )
@@ -98,10 +103,14 @@ func (c Config) Validate() error {
 	if c.H == nil || c.Q == nil || c.R == nil || c.X0 == nil {
 		return errors.New("kalman: Config requires H, Q, R and X0")
 	}
-	n := c.X0.Rows()
 	if c.X0.Cols() != 1 {
 		return fmt.Errorf("kalman: X0 must be a column vector, got %dx%d", c.X0.Rows(), c.X0.Cols())
 	}
+	return c.validateDims(c.X0.Rows())
+}
+
+// validateDims checks Phi(0), Q, H, R and P0 against state dimension n.
+func (c Config) validateDims(n int) error {
 	phi0 := c.Phi(0)
 	if phi0.Rows() != n || phi0.Cols() != n {
 		return fmt.Errorf("kalman: Phi(0) is %dx%d, want %dx%d", phi0.Rows(), phi0.Cols(), n, n)
@@ -124,7 +133,8 @@ func (c Config) Validate() error {
 
 // Segments of a filter's block, in storage order. x and P lead so the
 // mirror-synchrony comparison is one scan; the rest is model constants,
-// per-correction outputs and scratch.
+// per-correction outputs and scratch. Q and R stay per filter because
+// SetNoise retunes one filter's alone.
 const (
 	segX     = iota // n: state estimate (a priori after Predict, a posteriori after Correct)
 	segP            // n x n: error covariance matching x
@@ -136,17 +146,76 @@ const (
 	segInnov        // m: most recent innovation z - H x^-
 	segS            // m x m: innovation covariance S = H P H^T + R
 	segSInv         // m x m: S^-1
-	segXs           // n scratch
-	segT1           // n x n scratch
-	segT2           // n x n scratch
-	segT3           // n x n scratch
-	segNM           // n x m scratch
-	segHP           // m x n scratch
+	segXs           // n scratch, general kernel only
+	segT1           // n x n scratch, general kernel only
+	segT2           // n x n scratch, general kernel only
+	segT3           // n x n scratch, general kernel only
+	segNM           // n x m scratch, general kernel only
+	segHP           // m x n scratch, general kernel only
 	segD            // m scratch: innovation of a NIS/LogLikelihood probe
 	segRow          // m scratch: d^T S^-1
 	segW            // m x m Gauss-Jordan scratch, empty for m <= 2 (closed forms)
 	segCount
 )
+
+// shape is what every filter of one (n, m, Joseph or not) has in common:
+// its covariance update and where each segment of its block starts. One- and
+// two-state filters over a scalar measurement in the standard form run
+// only the unrolled kernels, which keep their intermediates in registers,
+// so their six general-kernel scratch segments are empty. Shapes are
+// interned and immutable.
+type shape struct {
+	off    [segCount + 1]int32 // segment i is buf[off[i]:off[i+1]]
+	joseph bool                // use the Joseph stabilized covariance update
+}
+
+var (
+	shapeMu sync.RWMutex
+	shapes  = map[[3]int]*shape{}
+)
+
+// shapeFor returns the interned shape of n-state, m-measurement filters.
+func shapeFor(n, m int, joseph bool) *shape {
+	key := [3]int{n, m, 0}
+	if joseph {
+		key[2] = 1
+	}
+	shapeMu.RLock()
+	sh := shapes[key]
+	shapeMu.RUnlock()
+	if sh != nil {
+		return sh
+	}
+	sizes := [segCount]int{
+		segX: n, segP: n * n, segQ: n * n, segH: m * n, segHT: n * m, segR: m * m,
+		segGain: n * m, segInnov: m, segS: m * m, segSInv: m * m, segD: m, segRow: m,
+	}
+	if n > 2 || m > 1 || joseph {
+		sizes[segXs], sizes[segT1], sizes[segT2], sizes[segT3] = n, n*n, n*n, n*n
+		sizes[segNM], sizes[segHP] = n*m, m*n
+	}
+	if m > 2 {
+		sizes[segW] = m * m
+	}
+	sh = &shape{joseph: joseph}
+	total := 0
+	for i, sz := range sizes {
+		sh.off[i] = int32(total)
+		total += sz
+	}
+	sh.off[segCount] = int32(total)
+	shapeMu.Lock()
+	defer shapeMu.Unlock()
+	if won := shapes[key]; won != nil {
+		return won
+	}
+	shapes[key] = sh
+	return sh
+}
+
+// BlockLen returns how many float64s the block of an n-state,
+// m-measurement filter holds — what Init's caller must provide.
+func BlockLen(n, m int, joseph bool) int { return int(shapeFor(n, m, joseph).off[segCount]) }
 
 // Filter is a discrete Kalman filter over the system
 //
@@ -156,11 +225,9 @@ const (
 // following the paper's Eqs. 3–12.
 type Filter struct {
 	phi TransitionFunc
-	buf []float64           // every matrix and vector the filter owns, one allocation
-	off [segCount + 1]int32 // segment i is buf[off[i]:off[i+1]]
-	n   int                 // state dimension
-	m   int                 // measurement dimension
-	k   int                 // discrete time index: number of Predict steps taken
+	buf []float64 // the block: the shape's segments, then whatever its provider keeps behind them
+	sh  *shape    // segment offsets and update form, shared by every filter of this shape
+	k   int       // discrete time index: number of Predict steps taken
 
 	// sValid marks S, S^-1 and sDet as current for the present (x, P, R).
 	// Correct, NIS and LogLikelihood share the cached triple, so the DKF
@@ -170,34 +237,62 @@ type Filter struct {
 	sValid    bool
 	hasGain   bool // gain and innov hold a correction's values
 	corrected bool // whether Correct has run since the last Predict
-	joseph    bool // use the Joseph stabilized covariance update
+	// The state and measurement dimensions, in the header's padding rather
+	// than the shape: the two calls a suppressed reading makes (PredictN,
+	// PredictedInto) pick their kernel and cut x | P | Q and H — whose
+	// places follow from n and m alone — without a load through sh.
+	n, m uint16
 }
 
-func (f *Filter) seg(i int) []float64 { return f.buf[f.off[i]:f.off[i+1]] }
+func (f *Filter) seg(i int) []float64 { return f.sh.seg(f.buf, i) }
+
+// seg is segment i of a block of this shape; the kernels load the shape
+// once and cut every segment they need through it.
+func (sh *shape) seg(buf []float64, i int) []float64 { return buf[sh.off[i]:sh.off[i+1]] }
 
 // New constructs a Filter from cfg, validating dimensions.
 func New(cfg Config) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n, m := cfg.X0.Rows(), cfg.H.Rows()
-	f := &Filter{phi: cfg.Phi, n: n, m: m, joseph: cfg.JosephForm}
-	sizes := [segCount]int{
-		segX: n, segP: n * n, segQ: n * n, segH: m * n, segHT: n * m, segR: m * m,
-		segGain: n * m, segInnov: m, segS: m * m, segSInv: m * m,
-		segXs: n, segT1: n * n, segT2: n * n, segT3: n * n, segNM: n * m, segHP: m * n, segD: m, segRow: m,
+	f := new(Filter)
+	f.build(cfg, make([]float64, BlockLen(cfg.X0.Rows(), cfg.H.Rows(), cfg.JosephForm)))
+	return f, nil
+}
+
+// Init is New in place: it (re)builds f over block, which the caller
+// provides — at least BlockLen floats for cfg's shape, whatever they hold —
+// and keeps valid for as long as f is used. Nothing is allocated. With
+// cfg.X0 nil the initial state is the n values already at the head of
+// block. Floats past BlockLen are the caller's own (Spare).
+func (f *Filter) Init(block []float64, cfg Config) error {
+	if cfg.Phi == nil || cfg.H == nil || cfg.Q == nil || cfg.R == nil {
+		return errors.New("kalman: Config requires Phi, H, Q and R")
 	}
-	if m > 2 {
-		sizes[segW] = m * m
+	n, m := cfg.H.Cols(), cfg.H.Rows()
+	if cfg.X0 != nil && (cfg.X0.Rows() != n || cfg.X0.Cols() != 1) {
+		return fmt.Errorf("kalman: X0 is %dx%d, want %dx1", cfg.X0.Rows(), cfg.X0.Cols(), n)
 	}
-	total := 0
-	for i, sz := range sizes {
-		f.off[i] = int32(total)
-		total += sz
+	if err := cfg.validateDims(n); err != nil {
+		return err
 	}
-	f.off[segCount] = int32(total)
-	f.buf = make([]float64, total)
-	copy(f.seg(segX), cfg.X0.RawData())
+	if need := BlockLen(n, m, cfg.JosephForm); len(block) < need {
+		return fmt.Errorf("kalman: block holds %d values, a %dx%d filter needs %d", len(block), n, m, need)
+	}
+	*f = Filter{}
+	f.build(cfg, block)
+	return nil
+}
+
+// build fills a zero Filter and its block from a validated cfg.
+func (f *Filter) build(cfg Config, block []float64) {
+	n, m := cfg.H.Cols(), cfg.H.Rows()
+	f.phi, f.buf, f.sh = cfg.Phi, block, shapeFor(n, m, cfg.JosephForm)
+	f.n, f.m = uint16(n), uint16(m)
+	if cfg.X0 != nil {
+		copy(f.seg(segX), cfg.X0.RawData())
+	}
+	clear(block[n:f.sh.off[segCount]])
 	copy(f.seg(segQ), cfg.Q.RawData())
 	copy(f.seg(segH), cfg.H.RawData())
 	mat.TransposeFlat(f.seg(segHT), f.seg(segH), m, n)
@@ -210,8 +305,13 @@ func New(cfg Config) (*Filter, error) {
 			p[i*n+i] = 1e3
 		}
 	}
-	return f, nil
 }
+
+// Block returns the whole block the filter was built over, and Spare the
+// part of it behind the filter's own segments: storage an Init caller
+// sized the block to keep beside the filter.
+func (f *Filter) Block() []float64 { return f.buf }
+func (f *Filter) Spare() []float64 { return f.buf[f.sh.off[segCount]:] }
 
 // MustNew is New but panics on configuration error. For tests and
 // statically known-correct model constructions.
@@ -224,19 +324,19 @@ func MustNew(cfg Config) *Filter {
 }
 
 // StateDim returns n, the number of state variables.
-func (f *Filter) StateDim() int { return f.n }
+func (f *Filter) StateDim() int { return int(f.n) }
 
 // MeasDim returns m, the number of measurement variables.
-func (f *Filter) MeasDim() int { return f.m }
+func (f *Filter) MeasDim() int { return int(f.m) }
 
 // K returns the current discrete time index (number of Predict calls).
 func (f *Filter) K() int { return f.k }
 
 // State returns a copy of the current state estimate vector.
-func (f *Filter) State() *mat.Matrix { return mat.FromSlice(f.n, 1, f.seg(segX)) }
+func (f *Filter) State() *mat.Matrix { return mat.FromSlice(int(f.n), 1, f.seg(segX)) }
 
 // Cov returns a copy of the current error covariance.
-func (f *Filter) Cov() *mat.Matrix { return mat.FromSlice(f.n, f.n, f.seg(segP)) }
+func (f *Filter) Cov() *mat.Matrix { return mat.FromSlice(int(f.n), int(f.n), f.seg(segP)) }
 
 // Gain returns a copy of the most recent Kalman gain, or nil before the
 // first correction.
@@ -244,7 +344,7 @@ func (f *Filter) Gain() *mat.Matrix {
 	if !f.hasGain {
 		return nil
 	}
-	return mat.FromSlice(f.n, f.m, f.seg(segGain))
+	return mat.FromSlice(int(f.n), int(f.m), f.seg(segGain))
 }
 
 // Innovation returns a copy of the most recent innovation z - Hx^-, or nil
@@ -254,7 +354,17 @@ func (f *Filter) Innovation() *mat.Matrix {
 	if !f.hasGain {
 		return nil
 	}
-	return mat.FromSlice(f.m, 1, f.seg(segInnov))
+	return mat.FromSlice(int(f.m), 1, f.seg(segInnov))
+}
+
+// LastInnovation returns the most recent innovation as a view into the
+// filter's block — valid until the next Correct, not to be written — or
+// nil before the first correction. Innovation without the copy.
+func (f *Filter) LastInnovation() []float64 {
+	if !f.hasGain {
+		return nil
+	}
+	return f.seg(segInnov)
 }
 
 // One- and two-state filters over a scalar measurement — every model of
@@ -310,8 +420,8 @@ func (f *Filter) PredictN(steps int) {
 	if steps <= 0 {
 		return
 	}
-	n := f.n
-	x, p, q := f.seg(segX), f.seg(segP), f.seg(segQ)
+	buf, n := f.buf, int(f.n)
+	x, p, q := buf[:n], buf[n:n+n*n], buf[n+n*n:n+2*n*n]
 	for ; steps > 0; steps-- {
 		phi := f.phi(f.k).RawData()
 		if len(phi) != len(p) {
@@ -355,7 +465,7 @@ func (f *Filter) PredictN(steps int) {
 // given the current state estimate. In the DKF protocol this is the value
 // the server would answer a query with.
 func (f *Filter) PredictedMeasurement() *mat.Matrix {
-	z := mat.New(f.m, 1)
+	z := mat.New(int(f.m), 1)
 	f.PredictedInto(z.RawData())
 	return z
 }
@@ -364,22 +474,23 @@ func (f *Filter) PredictedMeasurement() *mat.Matrix {
 // returns dst. The protocol layer keeps a reusable destination per node
 // to stay off the heap on every reading.
 func (f *Filter) PredictedInto(dst []float64) []float64 {
-	h, x := f.seg(segH), f.seg(segX)
+	n, m := int(f.n), int(f.m)
+	h, x := f.buf[n+2*n*n:n+2*n*n+m*n], f.buf[:n]
 	switch {
-	case f.m == 1 && f.n == 1:
+	case m == 1 && n == 1:
 		dst[0] = mul1(h[0], x[0])
-	case f.m == 1 && f.n == 2:
+	case m == 1 && n == 2:
 		dst[0] = dot2(h[0], x[0], h[1], x[1])
 	default:
-		mat.MulFlat(dst, h, x, f.m, f.n, 1)
+		mat.MulFlat(dst, h, x, m, n, 1)
 	}
 	return dst
 }
 
 // checkValues validates the length of a measurement vector.
 func (f *Filter) checkValues(z []float64) error {
-	if len(z) != f.m {
-		return fmt.Errorf("kalman: measurement is %dx1, want %dx1", len(z), f.m)
+	if len(z) != int(f.m) {
+		return fmt.Errorf("kalman: measurement is %dx1, want %dx1", len(z), int(f.m))
 	}
 	return nil
 }
@@ -387,8 +498,8 @@ func (f *Filter) checkValues(z []float64) error {
 // column returns z's values for a Matrix-taking wrapper, or an error
 // when z is not m x 1.
 func (f *Filter) column(z *mat.Matrix) ([]float64, error) {
-	if z.Rows() != f.m || z.Cols() != 1 {
-		return nil, fmt.Errorf("kalman: measurement is %dx%d, want %dx1", z.Rows(), z.Cols(), f.m)
+	if z.Rows() != int(f.m) || z.Cols() != 1 {
+		return nil, fmt.Errorf("kalman: measurement is %dx%d, want %dx1", z.Rows(), z.Cols(), int(f.m))
 	}
 	return z.RawData(), nil
 }
@@ -399,22 +510,23 @@ func (f *Filter) refreshS() error {
 	if f.sValid {
 		return nil
 	}
-	n, m := f.n, f.m
-	h, p, s := f.seg(segH), f.seg(segP), f.seg(segS)
+	sh, buf := f.sh, f.buf
+	n, m := int(f.n), int(f.m)
+	h, p, s := sh.seg(buf, segH), sh.seg(buf, segP), sh.seg(buf, segS)
 	switch {
 	case m == 1 && n == 1:
 		s[0] = mul1(mul1(h[0], p[0]), h[0])
 	case m == 1 && n == 2:
 		s[0] = dot2(dot2(h[0], p[0], h[1], p[2]), h[0], dot2(h[0], p[1], h[1], p[3]), h[1])
 	default:
-		hp := f.seg(segHP)
+		hp := sh.seg(buf, segHP)
 		mat.MulFlat(hp, h, p, m, n, n)
-		mat.MulFlat(s, hp, f.seg(segHT), m, n, m)
+		mat.MulFlat(s, hp, sh.seg(buf, segHT), m, n, m)
 	}
-	for i, rv := range f.seg(segR) {
+	for i, rv := range sh.seg(buf, segR) {
 		s[i] += rv
 	}
-	det, err := mat.InverseFlat(f.seg(segSInv), s, f.seg(segW), m)
+	det, err := mat.InverseFlat(sh.seg(buf, segSInv), s, sh.seg(buf, segW), m)
 	if err != nil {
 		return fmt.Errorf("kalman: innovation covariance not invertible: %w", err)
 	}
@@ -432,7 +544,7 @@ func (f *Filter) quadForm(z []float64) float64 {
 	for i, zv := range z {
 		d[i] = zv - d[i]
 	}
-	mat.MulFlat(row, d, f.seg(segSInv), 1, f.m, f.m)
+	mat.MulFlat(row, d, f.seg(segSInv), 1, int(f.m), int(f.m))
 	return dot(row, d)
 }
 
@@ -461,16 +573,17 @@ func (f *Filter) CorrectValues(z []float64) error {
 	if err := f.refreshS(); err != nil {
 		return err
 	}
-	n, m := f.n, f.m
-	x, p, h, sInv := f.seg(segX), f.seg(segP), f.seg(segH), f.seg(segSInv)
-	gain, innov := f.seg(segGain), f.seg(segInnov)
+	sh, buf := f.sh, f.buf
+	n, m := int(f.n), int(f.m)
+	x, p, h, sInv := sh.seg(buf, segX), sh.seg(buf, segP), sh.seg(buf, segH), sh.seg(buf, segSInv)
+	gain, innov := sh.seg(buf, segGain), sh.seg(buf, segInnov)
 	switch {
-	case m == 1 && n == 1 && !f.joseph:
+	case m == 1 && n == 1 && !sh.joseph:
 		gain[0] = mul1(mul1(p[0], h[0]), sInv[0])
 		innov[0] = z[0] - mul1(h[0], x[0])
 		x[0] = mul1(gain[0], innov[0]) + x[0]
 		p[0] = mul1(1-mul1(gain[0], h[0]), p[0])
-	case m == 1 && n == 2 && !f.joseph:
+	case m == 1 && n == 2 && !sh.joseph:
 		h0, h1 := h[0], h[1]
 		k0 := dot1(dot2(p[0], h0, p[1], h1), sInv[0])
 		k1 := dot1(dot2(p[2], h0, p[3], h1), sInv[0])
@@ -503,7 +616,7 @@ func (f *Filter) CorrectValues(z []float64) error {
 		mat.MulFlat(t1, gain, h, n, m, n)
 		mat.IdentityMinusFlat(t1, t1, n)
 		mat.MulFlat(t2, t1, p, n, n, n)
-		if f.joseph {
+		if sh.joseph {
 			// (I-KH) P (I-KH)^T + K R K^T.
 			t3, kt := f.seg(segT3), f.seg(segHP)
 			mat.TransposeFlat(t3, t1, n, n)
@@ -575,7 +688,7 @@ func (f *Filter) LogLikelihood(z *mat.Matrix) (float64, error) {
 	if f.sDet <= 0 {
 		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", f.sDet)
 	}
-	return -0.5 * (float64(f.m)*math.Log(2*math.Pi) + math.Log(f.sDet) + quad), nil
+	return -0.5 * (float64(int(f.m))*math.Log(2*math.Pi) + math.Log(f.sDet) + quad), nil
 }
 
 // Clone returns a deep copy of the filter sharing only the (stateless)
@@ -584,7 +697,7 @@ func (f *Filter) LogLikelihood(z *mat.Matrix) (float64, error) {
 // block, so the pair share no mutable storage whatsoever.
 func (f *Filter) Clone() *Filter {
 	c := *f
-	c.buf = append([]float64(nil), f.buf...)
+	c.buf = append([]float64(nil), f.buf[:f.sh.off[segCount]]...)
 	return &c
 }
 
@@ -596,8 +709,8 @@ func StateEqual(a, b *Filter) bool {
 		return false
 	}
 	// x and P are the first two segments of either block.
-	bxp := b.buf[:b.off[segQ]]
-	for i, v := range a.buf[:a.off[segQ]] {
+	bxp := b.buf[:b.sh.off[segQ]]
+	for i, v := range a.buf[:a.sh.off[segQ]] {
 		if v != bxp[i] {
 			return false
 		}
@@ -607,15 +720,14 @@ func StateEqual(a, b *Filter) bool {
 
 // setMoments overwrites the state estimate and covariance in place.
 func (f *Filter) setMoments(op string, x, p *mat.Matrix) {
-	if x.Rows() != f.n || x.Cols() != 1 {
-		panic(fmt.Sprintf("kalman: %s state is %dx%d, want %dx1", op, x.Rows(), x.Cols(), f.n))
+	n := int(f.n)
+	if x.Rows() != n || x.Cols() != 1 {
+		panic(fmt.Sprintf("kalman: %s state is %dx%d, want %dx1", op, x.Rows(), x.Cols(), n))
 	}
-	if p.Rows() != f.n || p.Cols() != f.n {
-		panic(fmt.Sprintf("kalman: %s covariance is %dx%d, want %dx%d", op, p.Rows(), p.Cols(), f.n, f.n))
+	if p.Rows() != n || p.Cols() != n {
+		panic(fmt.Sprintf("kalman: %s covariance is %dx%d, want %dx%d", op, p.Rows(), p.Cols(), n, n))
 	}
-	copy(f.seg(segX), x.RawData())
-	copy(f.seg(segP), p.RawData())
-	f.sValid = false
+	f.RestoreValues(x.RawData(), p.RawData(), f.k)
 }
 
 // Reset restores the filter to the given state and covariance and rewinds
@@ -623,8 +735,6 @@ func (f *Filter) setMoments(op string, x, p *mat.Matrix) {
 func (f *Filter) Reset(x0, p0 *mat.Matrix) {
 	f.setMoments("Reset", x0, p0)
 	f.k = 0
-	f.hasGain = false
-	f.corrected = false
 }
 
 // Restore overwrites the filter's state estimate, covariance and
@@ -640,8 +750,16 @@ func (f *Filter) Restore(x, p *mat.Matrix, k int) {
 	}
 	f.setMoments("Restore", x, p)
 	f.k = k
-	f.hasGain = false
-	f.corrected = false
+}
+
+// RestoreValues is Restore on bare slices — n state values, n*n
+// covariances row-major, both read in place — for callers that restore
+// without allocating. The lengths are the caller's to get right.
+func (f *Filter) RestoreValues(x, p []float64, k int) {
+	copy(f.seg(segX), x)
+	copy(f.seg(segP), p)
+	f.k = k
+	f.sValid, f.hasGain, f.corrected = false, false, false
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.
@@ -649,14 +767,14 @@ func (f *Filter) Restore(x, p *mat.Matrix, k int) {
 // adaptive noise estimator.
 func (f *Filter) SetNoise(q, r *mat.Matrix) {
 	if q != nil {
-		if q.Rows() != f.n || q.Cols() != f.n {
-			panic(fmt.Sprintf("kalman: SetNoise Q is %dx%d, want %dx%d", q.Rows(), q.Cols(), f.n, f.n))
+		if q.Rows() != int(f.n) || q.Cols() != int(f.n) {
+			panic(fmt.Sprintf("kalman: SetNoise Q is %dx%d, want %dx%d", q.Rows(), q.Cols(), int(f.n), int(f.n)))
 		}
 		copy(f.seg(segQ), q.RawData())
 	}
 	if r != nil {
-		if r.Rows() != f.m || r.Cols() != f.m {
-			panic(fmt.Sprintf("kalman: SetNoise R is %dx%d, want %dx%d", r.Rows(), r.Cols(), f.m, f.m))
+		if r.Rows() != int(f.m) || r.Cols() != int(f.m) {
+			panic(fmt.Sprintf("kalman: SetNoise R is %dx%d, want %dx%d", r.Rows(), r.Cols(), int(f.m), int(f.m)))
 		}
 		copy(f.seg(segR), r.RawData())
 		f.sValid = false

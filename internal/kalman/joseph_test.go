@@ -63,7 +63,7 @@ func TestJosephFormKeepsCovariancePositiveDefinite(t *testing.T) {
 func TestJosephCloneCarriesFlag(t *testing.T) {
 	f := MustNew(josephConfig(0.1, 0.1))
 	c := f.Clone()
-	if !c.joseph {
+	if !c.sh.joseph {
 		t.Fatal("Clone dropped JosephForm flag")
 	}
 }

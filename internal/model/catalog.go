@@ -21,8 +21,7 @@ func Constant(axes int, q, r float64) Model {
 		H:       mat.Identity(axes),
 		Q:       mat.ScaledIdentity(axes, q),
 		R:       mat.ScaledIdentity(axes, r),
-		Init:    func(z []float64) *mat.Matrix { return mat.Vec(z...) },
-	}
+	}.withInit(func(x, z []float64) { copy(x, z) })
 }
 
 // Linear returns the constant-velocity model of §4.1 (Eq. 13/14/16):
@@ -82,14 +81,11 @@ func polynomial(name string, axes, order int, dt, q, r float64) Model {
 		H:       h,
 		Q:       mat.ScaledIdentity(dim, q),
 		R:       mat.ScaledIdentity(axes, r),
-		Init: func(z []float64) *mat.Matrix {
-			x := mat.New(dim, 1)
-			for a := 0; a < axes; a++ {
-				x.Set(a*order, 0, z[a])
-			}
-			return x
-		},
-	}
+	}.withInit(func(x, z []float64) {
+		for a := 0; a < axes; a++ {
+			x[a*order] = z[a]
+		}
+	})
 }
 
 // Sinusoidal returns the two-state periodic model of §4.2 (Eq. 17):
@@ -114,10 +110,7 @@ func Sinusoidal(omega, theta, gamma, q, r float64) Model {
 		H: mat.FromRows([][]float64{{1, 0}}),
 		Q: mat.ScaledIdentity(2, q),
 		R: mat.Diag(r),
-		Init: func(z []float64) *mat.Matrix {
-			return mat.Vec(z[0], 1)
-		},
-	}
+	}.withInit(func(x, z []float64) { x[0], x[1] = z[0], 1 })
 }
 
 // Smoothing returns the one-state smoothing model of §4.3: φ = [1], and
@@ -134,33 +127,17 @@ func Smoothing(f, r float64) Model {
 		H:       mat.Identity(1),
 		Q:       mat.Diag(f),
 		R:       mat.Diag(r),
-		Init:    func(z []float64) *mat.Matrix { return mat.Vec(z[0]) },
-	}
+	}.withInit(func(x, z []float64) { x[0] = z[0] })
 }
 
 // Custom wraps caller-supplied matrices into a Model. phi may be
 // time-varying. init may be nil, in which case measured dimensions are
 // copied into the leading state entries (requires Dim >= MeasDim).
 func Custom(name string, phi kalman.TransitionFunc, h, q, r *mat.Matrix, init func(z []float64) *mat.Matrix) Model {
-	dim := q.Rows()
-	measDim := r.Rows()
+	m := Model{Name: name, Dim: q.Rows(), MeasDim: r.Rows(), Phi: phi, H: h, Q: q, R: r, Init: init}
 	if init == nil {
-		init = func(z []float64) *mat.Matrix {
-			x := mat.New(dim, 1)
-			for i := 0; i < measDim && i < dim; i++ {
-				x.Set(i, 0, z[i])
-			}
-			return x
-		}
+		lead := min(m.MeasDim, m.Dim)
+		m = m.withInit(func(x, z []float64) { copy(x, z[:lead]) })
 	}
-	return Model{
-		Name:    name,
-		Dim:     dim,
-		MeasDim: measDim,
-		Phi:     phi,
-		H:       h,
-		Q:       q,
-		R:       r,
-		Init:    init,
-	}
+	return m
 }

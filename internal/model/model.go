@@ -36,6 +36,11 @@ type Model struct {
 	R *mat.Matrix
 	// Init maps the first measurement to an initial state estimate.
 	Init func(z []float64) *mat.Matrix
+	// InitInto, when set, is Init writing into x — Dim zeroed values —
+	// instead of allocating the vector, and is what NewFilter and
+	// InitFilter then use: a stream bootstraps without garbage. The
+	// catalogue's models set both from one rule (withInit).
+	InitInto func(x, z []float64)
 	// P0 is the initial covariance; nil lets the filter default apply.
 	P0 *mat.Matrix
 }
@@ -66,21 +71,55 @@ func (m Model) Validate() error {
 	return nil
 }
 
+// withInit sets both forms of the bootstrap rule from its in-place form.
+func (m Model) withInit(into func(x, z []float64)) Model {
+	dim := m.Dim
+	m.InitInto = into
+	m.Init = func(z []float64) *mat.Matrix {
+		x := mat.New(dim, 1)
+		into(x.RawData(), z)
+		return x
+	}
+	return m
+}
+
+// BlockLen returns how many float64s InitFilter's block must hold.
+func (m Model) BlockLen() int { return kalman.BlockLen(m.Dim, m.MeasDim, false) }
+
 // NewFilter instantiates a Kalman filter for this model, bootstrapped
 // from the first measurement z0.
 func (m Model) NewFilter(z0 []float64) (*kalman.Filter, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if len(z0) != m.MeasDim {
-		return nil, fmt.Errorf("model %s: initial measurement has %d values, want %d", m.Name, len(z0), m.MeasDim)
+	f := new(kalman.Filter)
+	if err := m.InitFilter(f, make([]float64, m.BlockLen()), z0); err != nil {
+		return nil, err
 	}
-	return kalman.New(kalman.Config{
-		Phi: m.Phi,
-		H:   m.H,
-		Q:   m.Q,
-		R:   m.R,
-		X0:  m.Init(z0),
-		P0:  m.P0,
-	})
+	return f, nil
+}
+
+// InitFilter is NewFilter in place: it (re)builds f over block — at least
+// BlockLen floats, the caller's to keep valid while f is used; see
+// kalman.Filter.Init — bootstrapped from z0, and allocates nothing when
+// the model has InitInto. A nil z0 leaves the state zero: a placeholder
+// its caller bootstraps or restores later. A failed call leaves f and
+// block as they were. The model is the caller's to have validated.
+func (m Model) InitFilter(f *kalman.Filter, block, z0 []float64) error {
+	if z0 != nil && len(z0) != m.MeasDim {
+		return fmt.Errorf("model %s: initial measurement has %d values, want %d", m.Name, len(z0), m.MeasDim)
+	}
+	if err := f.Init(block, kalman.Config{Phi: m.Phi, H: m.H, Q: m.Q, R: m.R, P0: m.P0}); err != nil {
+		return err
+	}
+	x := block[:m.Dim] // the filter's state segment leads its block
+	clear(x)
+	switch {
+	case z0 == nil:
+	case m.InitInto != nil:
+		m.InitInto(x, z0)
+	default:
+		copy(x, m.Init(z0).RawData())
+	}
+	return nil
 }

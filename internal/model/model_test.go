@@ -240,3 +240,41 @@ func TestPolynomialStructureProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInitFilterInPlace: every catalogue model bootstraps a filter in place
+// without allocating, to the state its Init returns; a Custom model with
+// only an allocating Init still builds; a measurement of the wrong length
+// is refused with the filter as it was.
+func TestInitFilterInPlace(t *testing.T) {
+	custom := Custom("offset", kalman.Static(mat.Identity(1)), mat.Identity(1), mat.Diag(0.1), mat.Diag(0.1),
+		func(z []float64) *mat.Matrix { return mat.Vec(z[0] + 10) })
+	for _, m := range []Model{Constant(2, 0.05, 0.05), Linear(2, 0.1, 0.05, 0.05), Jerk(1, 1, 0.05, 0.05), Sinusoidal(1, 0, 1, 0.05, 0.05), Smoothing(1e-4, 1), custom} {
+		z := make([]float64, m.MeasDim)
+		for i := range z {
+			z[i] = float64(i + 3)
+		}
+		var f kalman.Filter
+		block := make([]float64, m.BlockLen())
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := m.InitFilter(&f, block, z); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A time-varying Phi builds its matrix per call; validation makes one.
+		phi := testing.AllocsPerRun(10, func() { m.Phi(0) })
+		if (allocs != phi) != (m.InitInto == nil) {
+			t.Errorf("%s: InitFilter allocates %v beside Phi's %v; InitInto set: %v", m.Name, allocs, phi, m.InitInto != nil)
+		}
+		if !mat.Equal(f.State(), m.Init(z)) {
+			t.Errorf("%s: bootstrapped to %v, Init says %v", m.Name, f.State(), m.Init(z))
+		}
+		heap, err := m.NewFilter(z)
+		if err != nil || !kalman.StateEqual(heap, &f) {
+			t.Errorf("%s: NewFilter (%v) and InitFilter disagree", m.Name, err)
+		}
+		f.Predict()
+		if err := m.InitFilter(&f, block, append(z, 0)); err == nil || f.K() != 1 {
+			t.Errorf("%s: a measurement one value too long: err %v, filter at k=%d", m.Name, err, f.K())
+		}
+	}
+}

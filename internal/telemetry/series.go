@@ -10,7 +10,7 @@ package telemetry
 type SeriesKind int
 
 const (
-	// SeriesCounter is a monotonically increasing Counter or CounterFunc.
+	// SeriesCounter is a monotonically increasing Counter or Table counter column.
 	SeriesCounter SeriesKind = iota
 	// SeriesGauge is a last-write-wins Gauge.
 	SeriesGauge
@@ -42,17 +42,20 @@ type Series struct {
 	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
+	table   *table // a Table's series: the cell at (slot, col)
+	slot    int32
+	col     int32
 }
 
 // Scalar returns the series' current scalar value: the folded counter
 // total, the gauge value, the gauge func's result, or the histogram's
 // observation count.
 func (s Series) Scalar() float64 {
+	if s.table != nil {
+		return s.table.cell(int(s.slot), int(s.col))
+	}
 	switch s.Kind {
 	case SeriesCounter:
-		if s.fn != nil {
-			return s.fn()
-		}
 		return float64(s.counter.Value())
 	case SeriesGauge:
 		return s.gauge.Value()
@@ -75,27 +78,37 @@ func (s Series) Cumulative() bool {
 }
 
 // Version returns a generation counter incremented on every instrument
-// registration. A bulk reader holding a SeriesSnapshot is complete as
-// long as Version has not moved since the snapshot was taken.
+// registration and every Changed. A bulk reader holding a SeriesSnapshot
+// is complete as long as Version has not moved since the snapshot was
+// taken.
 func (r *Registry) Version() uint64 { return r.version.Load() }
+
+// Changed is how a Table's owner says a row appeared or disappeared.
+func (r *Registry) Changed() { r.version.Add(1) }
 
 // SeriesSnapshot returns a handle for every registered instrument, in
 // family registration order then instance creation order (the same
 // order WritePrometheus renders). The returned slice is the caller's.
 func (r *Registry) SeriesSnapshot() []Series {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Series, 0, len(r.byKey))
-	for _, f := range r.families {
-		for _, m := range f.metrics {
+	families, metrics := r.snapshotFamilies()
+	var out []Series
+	for i, f := range families {
+		if t := f.table; t != nil {
+			t.each(func(c Column, col, slot int, labels []Label, _ float64) {
+				s := Series{Name: c.Name, Labels: labels, Kind: SeriesGaugeFunc, table: t, slot: int32(slot), col: int32(col)}
+				if c.Counter {
+					s.Kind = SeriesCounter
+				}
+				out = append(out, s)
+			})
+		}
+		for _, m := range metrics[i] {
 			s := Series{Name: m.name, Labels: m.labels}
 			switch m.kind {
 			case kindCounter:
 				s.Kind, s.counter = SeriesCounter, m.counter
 			case kindGauge:
 				s.Kind, s.gauge = SeriesGauge, m.gauge
-			case kindCounterFunc:
-				s.Kind, s.fn = SeriesCounter, m.fn
 			case kindGaugeFunc:
 				s.Kind, s.fn = SeriesGaugeFunc, m.fn
 			case kindHistogram:

@@ -235,9 +235,6 @@ const (
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
-	// kindCounterFunc is a counter whose owner keeps the count and hands
-	// it over at scrape time; it is exposed exactly as a kindCounter is.
-	kindCounterFunc
 )
 
 // metric is one registered instrument instance (a name plus one label
@@ -257,12 +254,14 @@ type metric struct {
 }
 
 // family groups every instrument sharing a metric name, so the
-// exposition emits one HELP/TYPE header per name.
+// exposition emits one HELP/TYPE header per name — or stands for all the
+// families of one Table (table.go), which renders itself.
 type family struct {
 	name    string
 	help    string
 	kind    metricKind
 	metrics []*metric
+	table   *table
 }
 
 // Registry names instruments and renders them. Instrument creation
@@ -317,7 +316,7 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label, 
 		f = &family{name: name, help: help, kind: kind}
 		r.byName[name] = f
 		r.families = append(r.families, f)
-	} else if f.kind != kind {
+	} else if f.kind != kind || f.table != nil {
 		panic(fmt.Sprintf("telemetry: metric family %s holds a different type", name))
 	}
 	m := mk()
@@ -353,17 +352,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // fn must be safe to call concurrently with writers.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, kindGaugeFunc, labels, func() *metric {
-		return &metric{fn: fn}
-	})
-}
-
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — for a count its owner already keeps under its own
-// synchronization, so the hot path writes it once and not a registry
-// copy beside it. fn must be monotonic and safe to call concurrently with
-// writers. Exposition, Snapshot, Get and Series treat it as a Counter.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, kindCounterFunc, labels, func() *metric {
 		return &metric{fn: fn}
 	})
 }
@@ -458,24 +446,34 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// snapshotFamilies copies the family list and each family's instrument
+// list under the lock; the instruments themselves — and a Table's rows,
+// whose source must not be called under the registry's lock — are read
+// lock-free afterwards.
+func (r *Registry) snapshotFamilies() ([]*family, [][]*metric) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	families := append([]*family(nil), r.families...)
+	metrics := make([][]*metric, len(families))
+	for i, f := range families {
+		metrics[i] = append([]*metric(nil), f.metrics...)
+	}
+	return families, metrics
+}
+
 // WritePrometheus renders every registered metric in Prometheus text
 // exposition format (version 0.0.4). Families appear in registration
 // order; instruments within a family in creation order. Writers are
 // never stopped: values are read from the live atomics.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	families := make([]*family, len(r.families))
-	copy(families, r.families)
-	// Snapshot the per-family metric slices under the lock; the
-	// instruments themselves are scraped lock-free afterwards.
-	metrics := make([][]*metric, len(families))
-	for i, f := range families {
-		metrics[i] = append([]*metric(nil), f.metrics...)
-	}
-	r.mu.RUnlock()
+	families, metrics := r.snapshotFamilies()
 
 	var b strings.Builder
 	for i, f := range families {
+		if f.table != nil {
+			f.table.write(&b)
+			continue
+		}
 		typ := "counter"
 		switch f.kind {
 		case kindGauge, kindGaugeFunc:
@@ -494,12 +492,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeLabels(&b, m.labels)
 				b.WriteByte(' ')
 				b.WriteString(strconv.FormatInt(m.counter.Value(), 10))
-				b.WriteByte('\n')
-			case kindCounterFunc:
-				b.WriteString(m.name)
-				writeLabels(&b, m.labels)
-				b.WriteByte(' ')
-				b.WriteString(strconv.FormatInt(int64(m.fn()), 10))
 				b.WriteByte('\n')
 			case kindGauge:
 				b.WriteString(m.name)
@@ -580,20 +572,22 @@ type Value struct {
 // (counters, gauges, gauge funcs) plus _sum/_count samples for
 // histograms, sorted by name then label values.
 func (r *Registry) Snapshot() []Value {
-	r.mu.RLock()
-	ms := make([]*metric, 0, len(r.byKey))
-	for _, f := range r.families {
-		ms = append(ms, f.metrics...)
+	families, metrics := r.snapshotFamilies()
+	var out []Value
+	var ms []*metric
+	for i, f := range families {
+		ms = append(ms, metrics[i]...)
+		if f.table != nil {
+			f.table.each(func(c Column, _, _ int, labels []Label, v float64) { out = append(out, Value{c.Name, labels, v}) })
+		}
 	}
-	r.mu.RUnlock()
-	out := make([]Value, 0, len(ms))
 	for _, m := range ms {
 		switch m.kind {
 		case kindCounter:
 			out = append(out, Value{m.name, m.labels, float64(m.counter.Value())})
 		case kindGauge:
 			out = append(out, Value{m.name, m.labels, m.gauge.Value()})
-		case kindGaugeFunc, kindCounterFunc:
+		case kindGaugeFunc:
 			out = append(out, Value{m.name, m.labels, m.fn()})
 		case kindHistogram:
 			s := m.hist.Snapshot()
@@ -615,8 +609,12 @@ func (r *Registry) Snapshot() []Value {
 func (r *Registry) Get(name string, labels ...Label) (float64, bool) {
 	r.mu.RLock()
 	m, ok := r.byKey[key(name, labels)]
+	f := r.byName[name]
 	r.mu.RUnlock()
 	if !ok {
+		if f != nil && f.table != nil && len(labels) == 1 && labels[0].Key == f.table.label {
+			return f.table.get(name, labels[0].Value)
+		}
 		return 0, false
 	}
 	switch m.kind {
@@ -624,7 +622,7 @@ func (r *Registry) Get(name string, labels ...Label) (float64, bool) {
 		return float64(m.counter.Value()), true
 	case kindGauge:
 		return m.gauge.Value(), true
-	case kindGaugeFunc, kindCounterFunc:
+	case kindGaugeFunc:
 		return m.fn(), true
 	case kindHistogram:
 		return float64(m.hist.Snapshot().Count), true
