@@ -1,5 +1,4 @@
-// Command dkf-bench regenerates the paper's tables and figures, and can
-// drive load against a live server for profiling.
+// Command dkf-bench regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -7,7 +6,6 @@
 //	dkf-bench -experiment fig4     # run one experiment
 //	dkf-bench -list                # list experiment ids and captions
 //	dkf-bench -experiment fig4 -csv out.csv   # also export sweep as CSV
-//	dkf-bench -load -server 127.0.0.1:7474 -sources 4 -n 20000
 package main
 
 import (
@@ -15,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"streamkf/internal/dsms"
 	"streamkf/internal/experiments"
 	"streamkf/internal/metrics"
 )
@@ -25,27 +22,8 @@ func main() {
 		experiment = flag.String("experiment", "", "experiment id to run (default: all)")
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		csvPath    = flag.String("csv", "", "write sweep results as CSV to this file (single experiment only)")
-		load       = flag.Bool("load", false, "stream generated load against a live dkf-server instead of running experiments")
-		server     = flag.String("server", "127.0.0.1:7474", "dkf-server address (-load mode)")
-		prefix     = flag.String("prefix", "load-", "source id prefix; source ids are <prefix>0..<prefix>N-1 (-load mode)")
-		sources    = flag.Int("sources", 4, "number of concurrent source agents (-load mode)")
-		n          = flag.Int("n", 20000, "readings per source (-load mode)")
-		window     = flag.Int("window", dsms.DefaultWindow, "max unacked updates in flight per agent (-load mode)")
-		rate       = flag.Duration("rate", 0, "inter-reading delay per agent (-load mode)")
-		dataDir    = flag.String("data-dir", "", "run the load against an embedded durable server over this directory instead of -server (-load mode)")
-		fsync      = flag.String("fsync", "interval", "WAL fsync policy for -data-dir: always|interval|off (-load mode)")
-		selfmon    = flag.Bool("selfmon", false, "enable self-monitoring on the embedded -data-dir server (-load mode)")
 	)
 	flag.Parse()
-
-	if *load {
-		cfg := loadConfig{server: *server, prefix: *prefix, sources: *sources, n: *n, window: *window, rate: *rate, dataDir: *dataDir, fsync: *fsync, selfmon: *selfmon}
-		if err := runLoad(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "dkf-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -346,5 +347,71 @@ func TestAdminCloseNoGoroutineLeak(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked across admin lifecycle: before %d, after %d", before, after)
+	}
+}
+
+// TestLastN pins the one bounded ring behind the finding log, the
+// sparkline samples and the router's event log: nothing before the first
+// Put, both read orders, a limit, wrap-around keeping the newest, and the
+// degenerate capacity of one.
+func TestLastN(t *testing.T) {
+	r := NewLastN[int](3)
+	if got := r.Last(0, true); len(got) != 0 || r.Total() != 0 {
+		t.Fatalf("an empty ring reads %v, total %d", got, r.Total())
+	}
+	check := func(limit int, newestFirst bool, want ...int) {
+		t.Helper()
+		if got := r.Last(limit, newestFirst); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("after %d puts Last(%d, %v) = %v, want %v", r.Total(), limit, newestFirst, got, want)
+		}
+	}
+	r.Put(1)
+	r.Put(2)
+	check(0, true, 2, 1)
+	check(0, false, 1, 2)
+	check(1, true, 2)
+	check(5, false, 1, 2)
+	for v := 3; v <= 7; v++ { // wraps twice
+		r.Put(v)
+	}
+	check(0, true, 7, 6, 5)
+	check(0, false, 5, 6, 7)
+	check(2, false, 6, 7)
+	if r.Total() != 7 {
+		t.Errorf("Total = %d after 7 puts", r.Total())
+	}
+	one := NewLastN[string](1)
+	one.Put("a")
+	one.Put("b")
+	if got := one.Last(0, false); len(got) != 1 || got[0] != "b" {
+		t.Errorf("a ring of one holds %v, want the newest", got)
+	}
+}
+
+// TestPageEscapesEveryCell: whatever a caller hands the page builder —
+// title, badge, line, caption, heading, cell — goes out escaped, so a
+// stream id or an error string cannot carry markup into a dashboard; only
+// HTML built by the kit itself is written as it stands.
+func TestPageEscapesEveryCell(t *testing.T) {
+	const evil = `<script>x</script>`
+	p := NewPage(evil)
+	p.Line(evil, Badge(evil), Span("muted", evil))
+	p.Table(evil, []string{evil, "n"}, [][]any{{evil, 3}, {fmt.Errorf("%s", evil), 2.5}})
+	rec := httptest.NewRecorder()
+	p.Serve(rec)
+	body := rec.Body.String()
+	if strings.Contains(body, "<script>") {
+		t.Fatalf("the page carries unescaped markup:\n%s", body)
+	}
+	if got := strings.Count(body, "&lt;script&gt;"); got != 9 {
+		t.Errorf("the value appears escaped %d times, want 9 (title twice, line, badge, span, caption, heading, two cells):\n%s", got, body)
+	}
+	for _, want := range []string{`<td class=num>3</td>`, `<td class=num>2.5</td>`, `<th class=num>n</th>`, `class="badge grey"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("the page is missing %s:\n%s", want, body)
+		}
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
+		t.Errorf("Content-Type = %q", ct)
 	}
 }

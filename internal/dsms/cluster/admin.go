@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"html"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"streamkf/internal/dsms"
@@ -18,7 +15,7 @@ import (
 //
 //	/metrics            Prometheus text exposition of the router registry
 //	/healthz            rolled-up cluster verdict: ok|degraded|unhealthy (?verbose=1 for JSON)
-//	/statusz            cluster dashboard (HTML)
+//	/statusz            cluster dashboard (HTML): the fleet view under the router's title
 //	/clusterz           federated fleet view (HTML; ?format=json for the document)
 //	/ringz              the placement picture: epoch, shards, pins, routes
 //	/eventz             the topology event log, newest first (?limit=)
@@ -86,43 +83,39 @@ type eventzResponse struct {
 // Parameters: limit (default: the whole ring).
 func EventzHandler(r *Router) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		evs, total := r.events.Events()
+		limit := 0
 		if v := req.URL.Query().Get("limit"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n <= 0 {
 				http.Error(w, "bad limit: "+v, http.StatusBadRequest)
 				return
 			}
-			if n < len(evs) {
-				evs = evs[:n]
-			}
+			limit = n
 		}
+		evs, total := r.events.Events(limit)
 		dsms.WriteJSON(w, http.StatusOK, eventzResponse{Total: total, Count: len(evs), Events: evs})
 	}
 }
 
-// ClusterzHandler serves the federated fleet view: HTML by default,
-// the JSON document with ?format=json.
-func ClusterzHandler(r *Router) http.HandlerFunc {
+// FleetHandler serves the router's dashboard under title — /statusz and
+// /clusterz are one page: the cluster verdict badge, build identity, the
+// fleet table, the ring's counts and recent topology events — or, with
+// ?format=json, the Clusterz document.
+func FleetHandler(r *Router, title string) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		cz := r.Clusterz()
 		if req.URL.Query().Get("format") == "json" {
 			dsms.WriteJSON(w, http.StatusOK, cz)
 			return
 		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		var b strings.Builder
-		b.WriteString("<!DOCTYPE html><html><head><title>dkf clusterz</title>")
-		b.WriteString(dsms.AdminStyle)
-		b.WriteString("</head><body><h1>DKF cluster fleet</h1>")
-		b.WriteString(routerNav)
-		fmt.Fprintf(&b, `<p>Cluster: <span class="badge %s">%s</span> <span class="muted">epoch %d · %d migrations · %d topology events</span></p>`,
-			badgeClass(cz.Status), cz.Status, cz.Epoch, cz.MigrationsTotal, cz.EventsTotal)
-		b.WriteString("<h2>Shards</h2><table><tr><th class=num>shard</th><th>addr</th><th>conn</th><th>verdict</th><th class=num>up</th><th class=num>ingest/s</th><th class=num>shed/s</th><th class=num>errors/s</th><th class=num>ckpt age</th><th class=num>routes</th><th class=num>pending</th><th class=num>forwarded</th><th>detail</th></tr>")
+		p := dsms.NewPage(title, "/metrics", "/clusterz", "/ringz", "/eventz", "/tracez", "/healthz?verbose=1", "/debug/pprof/")
+		p.Line("Cluster:", dsms.Badge(cz.Status), dsms.BuildLine(time.Since(telEpoch),
+			fmt.Sprintf(" · epoch %d · %d migrations · %d topology events", cz.Epoch, cz.MigrationsTotal, cz.EventsTotal)))
+		var rows [][]any
 		for _, sh := range cz.Shards {
-			conn := "up"
+			conn := dsms.HTML("up")
 			if !sh.Connected {
-				conn = `<span class="active">down</span>`
+				conn = dsms.Span("active", "down")
 			}
 			age := "—"
 			if sh.WALCheckpointAgeSeconds >= 0 {
@@ -135,95 +128,28 @@ func ClusterzHandler(r *Router) http.HandlerFunc {
 				}
 				detail += reason.Signal
 			}
-			fmt.Fprintf(&b, `<tr><td class=num>%d</td><td>%s</td><td>%s</td><td><span class="badge %s">%s</span></td><td class=num>%s</td><td class=num>%.3g</td><td class=num>%.3g</td><td class=num>%.3g</td><td class=num>%s</td><td class=num>%d</td><td class=num>%d</td><td class=num>%d</td><td class="muted">%s</td></tr>`,
-				sh.Shard, html.EscapeString(sh.Addr), conn, badgeClass(sh.Status), sh.Status,
-				(time.Duration(sh.UptimeSeconds * float64(time.Second))).Truncate(time.Second),
+			rows = append(rows, []any{sh.Shard, sh.Addr, sh.Admin, conn, dsms.Badge(sh.Status),
+				time.Duration(sh.UptimeSeconds * float64(time.Second)).Truncate(time.Second).String(),
 				sh.IngestRatePerSec, sh.ShedRatePerSec, sh.ErrorRatePerSec, age,
-				sh.Routes, sh.PendingUpdates, sh.ForwardedTotal, html.EscapeString(detail))
+				sh.Routes, sh.PendingUpdates, sh.ForwardedTotal, dsms.Span("muted", detail)})
 		}
-		b.WriteString("</table>")
-		writeEventTable(&b, r, 20)
-		b.WriteString("</body></html>")
-		fmt.Fprint(w, b.String())
-	}
-}
-
-// badgeClass maps a verdict to its dashboard badge style; statuses the
-// stylesheet doesn't know (unreachable, unknown) render grey.
-func badgeClass(status string) string {
-	switch status {
-	case "ok", "degraded", "unhealthy":
-		return status
-	}
-	return "grey"
-}
-
-// writeEventTable appends the newest topology events to an HTML page.
-func writeEventTable(b *strings.Builder, r *Router, limit int) {
-	evs, total := r.events.Events()
-	if len(evs) > limit {
-		evs = evs[:limit]
-	}
-	if len(evs) == 0 {
-		return
-	}
-	fmt.Fprintf(b, `<h2>Topology events <span class="muted">(%d of %d)</span></h2>`, len(evs), total)
-	b.WriteString("<table><tr><th>when</th><th>kind</th><th class=num>shard</th><th>stream</th><th>detail</th><th class=num>ms</th></tr>")
-	for _, ev := range evs {
-		dur := ""
-		if ev.DurMs > 0 {
-			dur = fmt.Sprintf("%.2f", ev.DurMs)
-		}
-		fmt.Fprintf(b, `<tr><td class="muted">%s</td><td>%s</td><td class=num>%d</td><td>%s</td><td class="muted">%s</td><td class=num>%s</td></tr>`,
-			time.Unix(0, ev.At).UTC().Format("15:04:05.000"), html.EscapeString(ev.Kind), ev.Shard,
-			html.EscapeString(ev.SourceID), html.EscapeString(ev.Detail), dur)
-	}
-	b.WriteString("</table>")
-}
-
-// StatuszHandler serves the router dashboard: the cluster verdict
-// badge, build identity, the ring picture, and recent topology events.
-func StatuszHandler(r *Router) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		var b strings.Builder
-		b.WriteString("<!DOCTYPE html><html><head><title>dkf router statusz</title>")
-		b.WriteString(dsms.AdminStyle)
-		b.WriteString("</head><body><h1>DKF router status</h1>")
-		b.WriteString(routerNav)
-
-		cz := r.Clusterz()
-		fmt.Fprintf(&b, `<p>Cluster: <span class="badge %s">%s</span>`, badgeClass(cz.Status), cz.Status)
-		fmt.Fprintf(&b, ` <span class="muted">version %s · %s · up %s · epoch %d</span></p>`,
-			html.EscapeString(dsms.Version), runtime.Version(),
-			time.Since(telEpoch).Truncate(time.Second), cz.Epoch)
-
+		p.Table("Shards", []string{"shard", "addr", "admin", "conn", "verdict", "up", "ingest/s", "shed/s", "errors/s", "ckpt age", "routes", "pending", "forwarded", "detail"}, rows)
 		z := r.RingzSnapshot()
-		b.WriteString("<h2>Ring</h2><table><tr><th class=num>shard</th><th>addr</th><th>admin</th><th>conn</th><th>verdict</th><th class=num>routes</th><th class=num>pending</th></tr>")
-		for i, s := range z.Shards {
-			conn := "up"
-			if !s.Alive {
-				conn = `<span class="active">down</span>`
+		p.Line(dsms.Span("muted", fmt.Sprintf("%d routes · %d pins · %d aggregates · trace %v", z.Routes, len(z.Pins), len(z.Aggregates), r.TraceEnabled())))
+
+		evs, total := r.events.Events(20)
+		rows = nil
+		for _, ev := range evs {
+			dur := ""
+			if ev.DurMs > 0 {
+				dur = fmt.Sprintf("%.2f", ev.DurMs)
 			}
-			verdict, routes, pending := "unknown", 0, 0
-			if i < len(cz.Shards) {
-				verdict, routes, pending = cz.Shards[i].Status, cz.Shards[i].Routes, cz.Shards[i].PendingUpdates
-			}
-			fmt.Fprintf(&b, `<tr><td class=num>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td class=num>%d</td><td class=num>%d</td></tr>`,
-				s.Index, html.EscapeString(s.Addr), html.EscapeString(r.shardAdmin(s.Index)),
-				conn, verdict, routes, pending)
+			rows = append(rows, []any{time.Unix(0, ev.At).UTC().Format("15:04:05.000"), ev.Kind, ev.Shard, ev.SourceID, ev.Detail, dur})
 		}
-		b.WriteString("</table>")
-		fmt.Fprintf(&b, `<p class="muted">%d routes · %d pins · %d aggregates · trace %v</p>`,
-			z.Routes, len(z.Pins), len(z.Aggregates), r.TraceEnabled())
-		writeEventTable(&b, r, 20)
-		b.WriteString("</body></html>")
-		fmt.Fprint(w, b.String())
+		p.Table(fmt.Sprintf("Topology events (%d of %d)", len(evs), total), []string{"when", "kind", "shard", "stream", "detail", "ms"}, rows)
+		p.Serve(w)
 	}
 }
-
-// routerNav is the shared dashboard navigation bar.
-const routerNav = `<nav><a href="/metrics">/metrics</a><a href="/clusterz">/clusterz</a><a href="/ringz">/ringz</a><a href="/eventz">/eventz</a><a href="/tracez">/tracez</a><a href="/healthz?verbose=1">/healthz</a><a href="/debug/pprof/">/debug/pprof</a></nav>`
 
 // ServeAdmin starts the router admin endpoint on addr: the router's
 // own handlers mounted on the shard server's admin kit, so /tracez is
@@ -242,8 +168,8 @@ func ServeAdmin(r *Router, addr string, logger *slog.Logger) (*dsms.AdminServer,
 			cz := r.Clusterz()
 			dsms.WriteHealthz(w, req, cz.Status, cz)
 		})
-		mux.HandleFunc("/statusz", StatuszHandler(r))
-		mux.HandleFunc("/clusterz", ClusterzHandler(r))
+		mux.HandleFunc("/statusz", FleetHandler(r, "DKF router status"))
+		mux.HandleFunc("/clusterz", FleetHandler(r, "DKF cluster fleet"))
 		mux.HandleFunc("/eventz", EventzHandler(r))
 		mux.HandleFunc("/tracez", dsms.TracezHandler(r.TraceEnabled, r.TraceRecent))
 		mux.HandleFunc("/tracez/stream/", dsms.TracezStreamHandler(r.TraceStream))

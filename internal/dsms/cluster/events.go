@@ -3,6 +3,7 @@ package cluster
 import (
 	"sync"
 
+	"streamkf/internal/dsms"
 	"streamkf/internal/telemetry"
 	"streamkf/internal/trace"
 )
@@ -36,66 +37,42 @@ type TopoEvent struct {
 // holds days of history.
 const defaultEventCap = 256
 
-// eventLog is a bounded mutex-guarded ring of topology events. The
+// eventLog is the mutex-guarded last-N of topology events. The
 // control-plane paths that record into it (connect, fail, migrate) are
 // not hot paths, so a plain mutex is the right tool — no seqlock.
 type eventLog struct {
 	reg *telemetry.Registry
 
-	mu    sync.Mutex
-	buf   []TopoEvent
-	next  int    // ring write cursor
-	total uint64 // lifetime count (detects wrap)
+	mu  sync.Mutex
+	evs *dsms.LastN[TopoEvent]
 }
 
 func newEventLog(reg *telemetry.Registry, capacity int) *eventLog {
 	if capacity <= 0 {
 		capacity = defaultEventCap
 	}
-	return &eventLog{reg: reg, buf: make([]TopoEvent, 0, capacity)}
+	return &eventLog{reg: reg, evs: dsms.NewLastN[TopoEvent](capacity)}
 }
 
 // record appends one event, stamping At (trace-clock unix nanoseconds,
 // so event times sort consistently against trace trails) when zero.
 func (l *eventLog) record(ev TopoEvent) {
-	if l == nil {
-		return
-	}
 	if ev.At == 0 {
 		ev.At = trace.Now()
 	}
 	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, ev)
-	} else {
-		l.buf[l.next] = ev
-	}
-	l.next = (l.next + 1) % cap(l.buf)
-	l.total++
+	l.evs.Put(ev)
 	l.mu.Unlock()
-	if l.reg != nil {
-		l.reg.Counter("dkf_router_topology_events_total",
-			"Topology events recorded by the router, by kind.",
-			telemetry.L("kind", ev.Kind)).Inc()
-	}
+	l.reg.Counter("dkf_router_topology_events_total",
+		"Topology events recorded by the router, by kind.",
+		telemetry.L("kind", ev.Kind)).Inc()
 }
 
-// Events returns a newest-first snapshot of the retained events and
-// the lifetime total (total > len(events) means the ring wrapped and
-// older events were dropped).
-func (l *eventLog) Events() ([]TopoEvent, uint64) {
-	if l == nil {
-		return nil, 0
-	}
+// Events returns the newest limit retained events (all of them when limit
+// is not positive), newest first, and the lifetime total (more than are
+// returned means older ones were dropped or not asked for).
+func (l *eventLog) Events(limit int) ([]TopoEvent, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]TopoEvent, 0, len(l.buf))
-	// The ring's oldest entry sits at next when full, at 0 otherwise;
-	// walk backwards from the newest.
-	n := len(l.buf)
-	for i := 0; i < n; i++ {
-		idx := (l.next - 1 - i + n) % n
-		out = append(out, l.buf[idx])
-	}
-	return out, l.total
+	return l.evs.Last(limit, true), l.evs.Total()
 }

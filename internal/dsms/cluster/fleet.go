@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
+	"slices"
 	"time"
 
 	"streamkf/internal/dsms"
 )
 
-// Federated fleet view: the router polls each shard's admin endpoint
-// (/healthz?verbose=1, /metricsz, /streamz) on demand — per /clusterz
-// request, no background goroutine, so tests and scrapes see a
-// deterministic snapshot — and folds the results into one cluster
+// Federated fleet view: the router fetches each shard's status document
+// (/healthz?verbose=1 — verdict, reasons, self-signal values, checkpoint
+// age: a few hundred bytes whatever the shard's stream count) on demand —
+// per /clusterz request, no background goroutine, so tests and scrapes
+// see a deterministic snapshot — and folds the results into one cluster
 // document with a rolled-up verdict. A shard whose admin endpoint is
 // unreachable degrades the cluster but does not fail the scrape: the
 // router still knows whether the shard's data-plane connection is
@@ -25,16 +26,15 @@ import (
 var adminClient = &http.Client{Timeout: 3 * time.Second}
 
 // fetchJSON GETs http://addr+path and decodes the JSON body into v.
-// 503 responses are decoded too: /healthz serves its verdict document
-// with that status when unhealthy, and /metricsz uses it when
-// self-monitoring is off.
+// 503 responses are decoded too: /healthz serves its status document
+// with that status when unhealthy.
 func fetchJSON(addr, path string, v any) error {
 	resp, err := adminClient.Get("http://" + addr + path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	body, err := io.ReadAll(resp.Body) // to EOF, so the connection is kept for the next poll
 	if err != nil {
 		return err
 	}
@@ -52,17 +52,6 @@ func (r *Router) shardAdmin(shard int) string {
 	return r.opts.ShardAdmins[shard]
 }
 
-// metricszDoc mirrors the subset of the shard /metricsz document the
-// fleet view consumes (the full shape lives in dsms/statusz.go).
-type metricszDoc struct {
-	Series []struct {
-		Name       string            `json:"name"`
-		Labels     map[string]string `json:"labels,omitempty"`
-		Value      float64           `json:"value"`
-		RatePerSec *float64          `json:"rate_per_sec,omitempty"`
-	} `json:"series"`
-}
-
 // ShardHealth is one shard's row in the /clusterz document.
 type ShardHealth struct {
 	Shard     int    `json:"shard"`
@@ -76,6 +65,8 @@ type ShardHealth struct {
 	UptimeSeconds float64             `json:"uptime_seconds,omitempty"`
 	Reasons       []dsms.HealthReason `json:"reasons,omitempty"`
 
+	// The shard's ingest_rate, shed_rate and wire_error_rate self-signals
+	// (over its self-monitor's rate window); zero without -selfmon.
 	IngestRatePerSec float64 `json:"ingest_rate_per_sec"`
 	ShedRatePerSec   float64 `json:"shed_rate_per_sec"`
 	ErrorRatePerSec  float64 `json:"error_rate_per_sec"`
@@ -101,8 +92,8 @@ type Clusterz struct {
 	EventsTotal     uint64        `json:"events_total"`
 }
 
-// Clusterz assembles the fleet document by polling every shard's admin
-// endpoint. Rollup rules, strictest wins: a dead upstream connection
+// Clusterz assembles the fleet document from one fetch of every shard's
+// status document. Rollup rules, strictest wins: a dead upstream connection
 // or an unhealthy shard verdict makes the cluster unhealthy; a
 // degraded shard or an unreachable/unconfigured admin endpoint makes
 // it degraded; otherwise ok.
@@ -127,14 +118,9 @@ func (r *Router) Clusterz() Clusterz {
 	if v, ok := r.tel.reg.Get("dkf_router_migrations_total"); ok {
 		out.MigrationsTotal = int64(v)
 	}
-	_, out.EventsTotal = r.events.Events()
+	_, out.EventsTotal = r.events.Events(1)
 
-	worst := 0 // 0 ok, 1 degraded, 2 unhealthy
-	bump := func(level int) {
-		if level > worst {
-			worst = level
-		}
-	}
+	worst := 0 // an index into dsms.Verdicts
 	for i, up := range r.upstreams {
 		up.mu.Lock()
 		alive := up.alive
@@ -148,65 +134,23 @@ func (r *Router) Clusterz() Clusterz {
 			ForwardedTotal:          r.tel.forwarded[i].Value(),
 		}
 		if !alive {
-			bump(2)
-		}
-		if sh.Admin == "" {
-			sh.Error = "no admin endpoint configured"
-			bump(1)
-			out.Shards = append(out.Shards, sh)
-			continue
+			worst = 2
 		}
 		var h dsms.HealthStatus
-		if err := fetchJSON(sh.Admin, "/healthz?verbose=1", &h); err != nil {
-			sh.Status = "unreachable"
-			sh.Error = err.Error()
-			bump(1)
-			out.Shards = append(out.Shards, sh)
-			continue
-		}
-		sh.Status = h.Status
-		sh.UptimeSeconds = h.UptimeSeconds
-		sh.Reasons = h.Reasons
-		switch h.Status {
-		case "unhealthy":
-			bump(2)
-		case "degraded":
-			bump(1)
-		}
-		// Rates are best-effort: /metricsz is 503-with-JSON when the
-		// shard runs without self-monitoring, leaving the rates zero.
-		var m metricszDoc
-		if err := fetchJSON(sh.Admin, "/metricsz", &m); err == nil {
-			for _, s := range m.Series {
-				if s.RatePerSec == nil {
-					continue
-				}
-				switch s.Name {
-				case "dkf_server_updates_total":
-					sh.IngestRatePerSec += *s.RatePerSec
-				case "dkf_engine_ring_dropped_total":
-					sh.ShedRatePerSec += *s.RatePerSec
-				case "dkf_wire_errors_total":
-					sh.ErrorRatePerSec += *s.RatePerSec
-				}
-			}
-		}
-		var z dsms.Streamz
-		if err := fetchJSON(sh.Admin, "/streamz", &z); err == nil && z.WAL != nil {
-			sh.WALCheckpointAgeSeconds = z.WAL.CheckpointAgeSeconds
+		if sh.Admin == "" {
+			sh.Error = "no admin endpoint configured"
+			worst = max(worst, 1)
+		} else if err := fetchJSON(sh.Admin, "/healthz?verbose=1", &h); err != nil {
+			sh.Status, sh.Error = "unreachable", err.Error()
+			worst = max(worst, 1)
+		} else {
+			sh.Status, sh.UptimeSeconds, sh.Reasons = h.Status, h.UptimeSeconds, h.Reasons
+			sh.IngestRatePerSec, sh.ShedRatePerSec, sh.ErrorRatePerSec = h.Signals["ingest_rate"], h.Signals["shed_rate"], h.Signals["wire_error_rate"]
+			sh.WALCheckpointAgeSeconds = h.WALCheckpointAgeSeconds
+			worst = max(worst, slices.Index(dsms.Verdicts[:], h.Status))
 		}
 		out.Shards = append(out.Shards, sh)
 	}
-	switch worst {
-	case 2:
-		out.Status = "unhealthy"
-	case 1:
-		out.Status = "degraded"
-	}
+	out.Status = dsms.Verdicts[worst]
 	return out
-}
-
-// traceStreamPath builds the shard admin path for one stream's trail.
-func traceStreamPath(id string) string {
-	return "/tracez/stream/" + url.PathEscape(id)
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"net/url"
+	"slices"
 	"sort"
 
 	"streamkf/internal/dsms"
@@ -36,33 +38,16 @@ type ClusterStreamTrace struct {
 // TraceEnabled reports whether the router records forwarding events.
 func (r *Router) TraceEnabled() bool { return r.opts.Trace }
 
-// chainRank orders a reading's lifecycle stages causally, for breaking
-// timestamp ties when splicing trails recorded on different nodes.
+// chainOrder is a reading's lifecycle, stage by stage in causal order,
+// for breaking timestamp ties when splicing trails recorded on different
+// nodes; answer and anything future sort after it.
+var chainOrder = []string{"smooth", "predict", "decision", "wire_tx", "fwd_rx", "fwd_tx", "wire_rx", "apply", "wal", "fwd_ack"}
+
 func chainRank(kind string) int {
-	switch kind {
-	case "smooth":
-		return 1
-	case "predict":
-		return 2
-	case "decision":
-		return 3
-	case "wire_tx":
-		return 4
-	case "fwd_rx":
-		return 5
-	case "fwd_tx":
-		return 6
-	case "wire_rx":
-		return 7
-	case "apply":
-		return 8
-	case "wal":
-		return 9
-	case "fwd_ack":
-		return 10
-	default: // answer and anything future
-		return 11
+	if i := slices.Index(chainOrder, kind); i >= 0 {
+		return i
 	}
+	return len(chainOrder)
 }
 
 // TraceStream returns the spliced cross-node trail for a source id or
@@ -104,7 +89,7 @@ func (r *Router) TraceStream(id string) (ClusterStreamTrace, error) {
 		out.Error = "no shard admin endpoint configured"
 	} else {
 		var st dsms.StreamTrace
-		if err := fetchJSON(out.ShardAdmin, traceStreamPath(sourceID), &st); err != nil {
+		if err := fetchJSON(out.ShardAdmin, "/tracez/stream/"+url.PathEscape(sourceID), &st); err != nil {
 			out.Error = err.Error()
 		} else {
 			out.ShardTrace = &st

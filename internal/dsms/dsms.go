@@ -424,7 +424,6 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 		if st.handle == 1 {
 			s.tel.reg.Table("source", streamColumns[:], s.streamRows)
 		}
-		s.tel.reg.Changed()
 		s.sources[q.SourceID] = st
 	}
 	if st.node.Installed() { // installs hold mu too
@@ -512,7 +511,6 @@ func (s *Server) dropLocked(queryID string) {
 		st.dead.Store(true)
 		s.blocks.Put(st.node.Release())
 		st.mu.Unlock()
-		s.tel.reg.Changed()
 	}
 }
 
@@ -959,20 +957,28 @@ type Streamz struct {
 	Streams      []Stats         `json:"streams"`
 }
 
+// checkpointAge is the seconds since the last WAL checkpoint, -1 with no
+// WAL or before the first.
+func (s *Server) checkpointAge() float64 {
+	if s.db != nil {
+		if t := s.db.lastCkpt.Load(); t > 0 {
+			return time.Since(time.Unix(0, t)).Seconds()
+		}
+	}
+	return -1
+}
+
 // Streamz assembles the status document the /streamz endpoint serves.
 func (s *Server) Streamz() Streamz {
 	z := Streamz{Durable: s.db != nil, TraceEnabled: s.TraceEnabled(), Streams: s.Stats()}
 	z.StepAll = summarize(s.tel.stepAllNs.Snapshot())
 	if s.db != nil {
-		w := WALStreamz{CheckpointAgeSeconds: -1}
+		w := WALStreamz{CheckpointAgeSeconds: s.checkpointAge()}
 		if v, ok := s.tel.reg.Get("streamkf_wal_segments"); ok {
 			w.Segments = int64(v)
 		}
 		if v, ok := s.tel.reg.Get("streamkf_wal_checkpoints_total"); ok {
 			w.Checkpoints = int64(v)
-		}
-		if t := s.db.lastCkpt.Load(); t > 0 {
-			w.CheckpointAgeSeconds = time.Since(time.Unix(0, t)).Seconds()
 		}
 		z.WAL = &w
 	}

@@ -204,7 +204,7 @@ func (s *Server) engineStreamz() *EngineStreamz {
 		WALCommitErrors: ins.walErrors.Value(),
 	}
 	if m := s.SelfMon(); m != nil {
-		if r, ok := m.History().Rate("dkf_engine_ring_dropped_total", m.Options().RateWindow); ok {
+		if r, ok := m.ring.Rate("dkf_engine_ring_dropped_total", m.opts.RateWindow); ok {
 			z.ShedRatePerSec = &r
 		}
 	}

@@ -1,6 +1,7 @@
 package dsms
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
 	"runtime/metrics"
@@ -48,7 +49,54 @@ type SelfSignal struct {
 	// Read produces the current signal value. ok=false means the
 	// signal has no value this tick (metric not registered, window not
 	// yet covered); the tick is skipped without advancing the filter.
-	Read func(m *SelfMonitor) (float64, bool)
+	// The stock signals leave it nil: they name how (kind) and from which
+	// metric family's history the monitor reads them.
+	Read   func(m *SelfMonitor) (float64, bool) `json:"-"`
+	kind   signalKind
+	metric string
+}
+
+// signalKind is how SelfMonitor.read turns a stock signal's metric into a value.
+type signalKind int
+
+const (
+	sigCustom     signalKind = iota // SelfSignal.Read
+	sigRate                         // per-second rate over the rate window, the family summed
+	sigErrorRate                    // sigRate less the kind="peer_closed" series: normal closes are not failures
+	sigP99Ms                        // histogram p99 over the rate window, nanoseconds to milliseconds
+	sigLatest                       // the newest sampled value
+	sigGoroutines                   // runtime.NumGoroutine
+	sigHeapMB                       // live heap object bytes, MiB
+)
+
+// peerClosed is preallocated so the variadic pass in read allocates nothing.
+var peerClosed = []telemetry.Label{telemetry.L("kind", "peer_closed")}
+
+// read produces sig's current value; ok=false skips the tick for it.
+func (m *SelfMonitor) read(sig *SelfSignal) (float64, bool) {
+	w := m.opts.RateWindow
+	switch sig.kind {
+	case sigRate:
+		return m.ring.Rate(sig.metric, w)
+	case sigErrorRate:
+		all, ok := m.ring.Rate(sig.metric, w)
+		closed, _ := m.ring.Rate(sig.metric, w, peerClosed...)
+		return all - closed, ok
+	case sigP99Ms:
+		v, ok := m.ring.WindowQuantile(sig.metric, w, 0.99)
+		return v / 1e6, ok
+	case sigLatest:
+		return m.ring.Latest(sig.metric)
+	case sigGoroutines:
+		return float64(runtime.NumGoroutine()), true
+	case sigHeapMB:
+		metrics.Read(m.heap[:])
+		if m.heap[0].Value.Kind() != metrics.KindUint64 {
+			return 0, false
+		}
+		return float64(m.heap[0].Value.Uint64()) / (1 << 20), true
+	}
+	return sig.Read(m)
 }
 
 // SelfMonOptions configure EnableSelfMon.
@@ -88,16 +136,20 @@ func (o *SelfMonOptions) defaults() {
 	}
 }
 
-// HealthFinding is one structured self-monitoring event: a δ-violating
+// HealthFinding is one piece of self-monitoring evidence: a δ-violating
 // innovation or a whiteness failure on a self-stream, with the filter
-// evidence that produced it.
+// state that produced it. The retained findings (/statusz) and the
+// reasons of a non-ok verdict (/healthz) are the same record.
 type HealthFinding struct {
+	// Time is when Value was read: the tick of the event for a retained
+	// finding, the latest tick for a verdict's reason.
 	Time     time.Time `json:"time"`
 	Signal   string    `json:"signal"`
 	Kind     string    `json:"kind"` // "delta_violation" | "whiteness"
 	Critical bool      `json:"critical,omitempty"`
 	// Value is the observed signal value; Pred the filter's prediction
-	// for it; Residual their distance, which exceeded Delta.
+	// at the signal's latest δ-violation; Residual their distance, which
+	// exceeded Delta.
 	Value    float64 `json:"value"`
 	Pred     float64 `json:"pred"`
 	Residual float64 `json:"residual"`
@@ -105,52 +157,47 @@ type HealthFinding struct {
 	// NIS scores the innovation against the filter's own uncertainty
 	// (0 when not computed).
 	NIS float64 `json:"nis,omitempty"`
-	// Whiteness is the lag-1 innovation autocorrelation, set on
-	// whiteness findings.
+	// Whiteness is the lag-1 innovation autocorrelation, set while the
+	// whiteness window is bad.
 	Whiteness float64 `json:"whiteness,omitempty"`
+	// TicksAgo is how many evaluation ticks since the event; a violating
+	// signal deactivates after Recover quiet ticks.
+	TicksAgo int64 `json:"ticks_ago"`
+
+	tick int64 // the monitor tick of the event
 }
 
 // HealthReason explains one active signal in a non-ok verdict.
-type HealthReason struct {
-	Signal    string  `json:"signal"`
-	Kind      string  `json:"kind"`
-	Critical  bool    `json:"critical,omitempty"`
-	Value     float64 `json:"value"`
-	Pred      float64 `json:"pred"`
-	Residual  float64 `json:"residual"`
-	Delta     float64 `json:"delta"`
-	Whiteness float64 `json:"whiteness,omitempty"`
-	// TicksAgo is how many evaluation ticks since the violation; the
-	// signal deactivates after Recover quiet ticks.
-	TicksAgo int64 `json:"ticks_ago"`
-}
+type HealthReason = HealthFinding
 
-// HealthStatus is the /healthz verdict document.
+// HealthStatus is the node's status document, served at
+// /healthz?verbose=1: the verdict with its reasons, and the few numbers a
+// fleet view wants of a shard, so that one small fetch is the whole of
+// what a router asks of it.
 type HealthStatus struct {
 	Status        string         `json:"status"` // ok | degraded | unhealthy
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Reasons       []HealthReason `json:"reasons,omitempty"`
+	// Signals is the current value of every self-signal fed at the latest
+	// tick, by name (ingest_rate, shed_rate, wire_error_rate, …); absent
+	// without self-monitoring.
+	Signals map[string]float64 `json:"signals,omitempty"`
+	// WALCheckpointAgeSeconds is -1 with no WAL or no checkpoint yet.
+	WALCheckpointAgeSeconds float64 `json:"wal_checkpoint_age_seconds"`
 }
 
-// Verdict levels, ordered by severity.
+// Verdict levels, ordered by severity, and their names: the index is what
+// dkf_selfmon_verdict exports and what a fleet roll-up takes the maximum of.
 const (
 	verdictOK int32 = iota
 	verdictDegraded
 	verdictUnhealthy
 )
 
-func verdictName(v int32) string {
-	switch v {
-	case verdictDegraded:
-		return "degraded"
-	case verdictUnhealthy:
-		return "unhealthy"
-	}
-	return "ok"
-}
+var Verdicts = [...]string{"ok", "degraded", "unhealthy"}
 
-// selfStream is one signal's DKF pair plus its finding state and a
-// small fixed ring of recent values for the /statusz sparkline.
+// selfStream is one signal's DKF pair plus its finding state and the
+// recent values of the /statusz sparkline.
 type selfStream struct {
 	sig SelfSignal
 	src *core.SourceNode
@@ -164,18 +211,14 @@ type selfStream struct {
 	lastViolTick int64   // monitor tick of the latest δ-violation (0: none)
 	viol         trace.DecisionInfo
 	whitenessBad bool
-
-	samples [120]float64
-	sHead   int // next write index
-	sCount  int
+	samples      *LastN[float64]
 }
 
-func (st *selfStream) record(v float64) {
-	st.samples[st.sHead] = v
-	st.sHead = (st.sHead + 1) % len(st.samples)
-	if st.sCount < len(st.samples) {
-		st.sCount++
-	}
+// finding is the stream's evidence as of its latest fed tick: the value
+// then, against the prediction and NIS of its latest δ-violation.
+func (st *selfStream) finding(kind string, at time.Time, tick int64) HealthFinding {
+	return HealthFinding{Time: at, Signal: st.sig.Name, Kind: kind, Critical: st.sig.Critical,
+		Value: st.value, Pred: st.viol.Pred, Residual: st.viol.Residual, Delta: st.sig.Delta, NIS: st.viol.NIS, tick: tick}
 }
 
 // SelfMonitor drives the server's self-observation: a history ring
@@ -183,9 +226,8 @@ func (st *selfStream) record(v float64) {
 // finding ring and verdict the admin endpoints surface. Tick may be
 // driven manually (tests) or by Start's background ticker.
 type SelfMonitor struct {
-	server *Server
-	ring   *history.Ring
-	opts   SelfMonOptions
+	ring *history.Ring
+	opts SelfMonOptions
 
 	// verdict is stored atomically so the dkf_selfmon_verdict gauge
 	// func can read it while Tick holds mu (the ring snapshot inside
@@ -196,14 +238,12 @@ type SelfMonitor struct {
 	mu       sync.Mutex
 	streams  []*selfStream
 	tick     int64
-	findings []HealthFinding // fixed-capacity ring
-	fNext    int
-	fCount   int
-	started  bool
-	closed   bool
+	now      time.Time // of the latest tick
+	findings *LastN[HealthFinding]
+	heap     [1]metrics.Sample // sigHeapMB's reusable read
 
-	stop chan struct{}
-	done chan struct{}
+	startOnce, stopOnce sync.Once // the ticker's: launched (or never to be), told to stop
+	stop, done          chan struct{}
 }
 
 // EnableSelfMon attaches a self-monitor to the server: a history ring
@@ -221,10 +261,10 @@ func (s *Server) EnableSelfMon(opts SelfMonOptions) (*SelfMonitor, error) {
 		return nil, errors.New("dsms: self-monitor already enabled")
 	}
 	m := &SelfMonitor{
-		server:   s,
 		ring:     history.New(s.tel.reg, history.Options{Every: opts.Every, Window: opts.Window}),
 		opts:     opts,
-		findings: make([]HealthFinding, opts.Findings),
+		findings: NewLastN[HealthFinding](opts.Findings),
+		heap:     [1]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -243,7 +283,7 @@ func (s *Server) EnableSelfMon(opts SelfMonOptions) (*SelfMonitor, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.streams = append(m.streams, &selfStream{sig: sig, src: src, srv: srv})
+		m.streams = append(m.streams, &selfStream{sig: sig, src: src, srv: srv, samples: NewLastN[float64](120)})
 	}
 	m.findingsTotal = s.tel.reg.Counter("dkf_selfmon_findings_total", "Self-monitoring health findings recorded.")
 	s.tel.reg.GaugeFunc("dkf_selfmon_verdict", "Self-monitoring verdict: 0 ok, 1 degraded, 2 unhealthy.",
@@ -261,65 +301,46 @@ func (s *Server) SelfMon() *SelfMonitor {
 	return s.selfmon
 }
 
-// Health returns the server's current health verdict. Without a
-// self-monitor the server has no evidence of trouble and reports ok.
+// Health returns the server's status document. Without a self-monitor
+// the server has no evidence of trouble and reports ok.
 func (s *Server) Health() HealthStatus {
-	m := s.SelfMon()
-	if m == nil {
-		return HealthStatus{Status: verdictName(verdictOK), UptimeSeconds: time.Since(epoch).Seconds()}
+	h := HealthStatus{Status: Verdicts[verdictOK]}
+	if m := s.SelfMon(); m != nil {
+		h = m.health()
 	}
-	return m.Health()
+	h.UptimeSeconds, h.WALCheckpointAgeSeconds = time.Since(epoch).Seconds(), s.checkpointAge()
+	return h
 }
 
 // History returns the monitor's history ring (the /metricsz backend).
 func (m *SelfMonitor) History() *history.Ring { return m.ring }
 
-// Options returns the effective configuration.
-func (m *SelfMonitor) Options() SelfMonOptions { return m.opts }
-
 // Start launches the background ticker driving Tick every opts.Every.
-// Idempotent; Close stops it.
+// Idempotent, and a no-op once closed; Close stops it.
 func (m *SelfMonitor) Start() {
-	m.mu.Lock()
-	if m.started || m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.started = true
-	m.mu.Unlock()
-	go func() {
-		defer close(m.done)
-		t := time.NewTicker(m.opts.Every)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case now := <-t.C:
-				m.Tick(now)
+	m.startOnce.Do(func() {
+		go func() {
+			defer close(m.done)
+			t := time.NewTicker(m.opts.Every)
+			defer t.Stop()
+			for {
+				select {
+				case <-m.stop:
+					return
+				case now := <-t.C:
+					m.Tick(now)
+				}
 			}
-		}
-	}()
+		}()
+	})
 }
 
 // Close stops the background ticker, if any, and waits for it to exit.
-// The monitor's state stays readable after Close.
+// Idempotent; the monitor's state stays readable after Close.
 func (m *SelfMonitor) Close() {
-	m.mu.Lock()
-	started := m.started
-	if m.closed {
-		m.mu.Unlock()
-		if started {
-			<-m.done
-		}
-		return
-	}
-	m.closed = true
-	m.mu.Unlock()
-	close(m.stop)
-	if started {
-		<-m.done
-	}
+	m.stopOnce.Do(func() { close(m.stop) })
+	m.startOnce.Do(func() { close(m.done) }) // never started: nothing to wait for, and nothing will start
+	<-m.done
 }
 
 // Tick runs one self-observation cycle: snapshot the registry into the
@@ -333,15 +354,16 @@ func (m *SelfMonitor) Tick(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tick++
+	m.now = now
 	t := float64(now.UnixNano()) / 1e9
 	for _, st := range m.streams {
-		v, ok := st.sig.Read(m)
+		v, ok := m.read(&st.sig)
 		st.fed = ok
 		if !ok {
 			continue
 		}
 		st.value = v
-		st.record(v)
+		st.samples.Put(v)
 		// The reading index advances only when the signal is fed: the
 		// mirror predicts once per Process call, and the server-side
 		// AdvanceTo(u.Seq) must replay exactly that many predicts.
@@ -355,10 +377,7 @@ func (m *SelfMonitor) Tick(now time.Time) {
 			if err := st.srv.ApplyUpdate(*u); err == nil && !u.Bootstrap {
 				st.lastViolTick = m.tick
 				st.viol = st.src.LastDecision()
-				m.addFinding(HealthFinding{
-					Time: now, Signal: st.sig.Name, Kind: "delta_violation", Critical: st.sig.Critical,
-					Value: v, Pred: st.viol.Pred, Residual: st.viol.Residual, Delta: st.sig.Delta, NIS: st.viol.NIS,
-				})
+				m.addFinding(st.finding("delta_violation", now, m.tick))
 			}
 		}
 		// Sustained one-sided whiteness failure: the self-stream's
@@ -368,23 +387,18 @@ func (m *SelfMonitor) Tick(now time.Time) {
 		h := st.srv.Health()
 		bad := h.Ready && !h.Healthy
 		if bad && !st.whitenessBad {
-			m.addFinding(HealthFinding{
-				Time: now, Signal: st.sig.Name, Kind: "whiteness", Critical: st.sig.Critical,
-				Value: v, Pred: st.viol.Pred, Residual: st.viol.Residual, Delta: st.sig.Delta, Whiteness: h.Whiteness,
-			})
+			f := st.finding("whiteness", now, m.tick)
+			f.Whiteness = h.Whiteness
+			m.addFinding(f)
 		}
 		st.whitenessBad = bad
 	}
 	m.verdict.Store(m.verdictLocked())
 }
 
-// addFinding appends into the fixed finding ring. Caller holds mu.
+// addFinding retains f among the newest findings. Caller holds mu.
 func (m *SelfMonitor) addFinding(f HealthFinding) {
-	m.findings[m.fNext] = f
-	m.fNext = (m.fNext + 1) % len(m.findings)
-	if m.fCount < len(m.findings) {
-		m.fCount++
-	}
+	m.findings.Put(f)
 	m.findingsTotal.Inc()
 }
 
@@ -413,27 +427,25 @@ func (m *SelfMonitor) verdictLocked() int32 {
 	return v
 }
 
-// Health assembles the verdict document with one reason per active
-// signal. Query path; allocates.
-func (m *SelfMonitor) Health() HealthStatus {
+// health assembles the verdict half of the status document: one reason
+// per active signal and every fed signal's value. Query path; allocates.
+func (m *SelfMonitor) health() HealthStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := HealthStatus{Status: verdictName(m.verdictLocked()), UptimeSeconds: time.Since(epoch).Seconds()}
+	out := HealthStatus{Status: Verdicts[m.verdictLocked()], Signals: make(map[string]float64, len(m.streams))}
 	for _, st := range m.streams {
+		if st.fed {
+			out.Signals[st.sig.Name] = st.value
+		}
 		if !m.active(st) {
 			continue
 		}
-		r := HealthReason{
-			Signal: st.sig.Name, Kind: "delta_violation", Critical: st.sig.Critical,
-			Value: st.value, Pred: st.viol.Pred, Residual: st.viol.Residual, Delta: st.sig.Delta,
-			TicksAgo: m.tick - st.lastViolTick,
-		}
+		r := st.finding("delta_violation", m.now, st.lastViolTick)
+		r.TicksAgo = m.tick - st.lastViolTick
 		if st.whitenessBad {
-			h := st.srv.Health()
-			r.Whiteness = h.Whiteness
-			if st.lastViolTick == 0 || m.tick-st.lastViolTick >= int64(m.opts.Recover) {
-				r.Kind = "whiteness"
-				r.TicksAgo = 0
+			r.Whiteness = st.srv.Health().Whiteness
+			if st.lastViolTick == 0 || r.TicksAgo >= int64(m.opts.Recover) {
+				r.Kind, r.TicksAgo = "whiteness", 0
 			}
 		}
 		out.Reasons = append(out.Reasons, r)
@@ -445,25 +457,18 @@ func (m *SelfMonitor) Health() HealthStatus {
 func (m *SelfMonitor) Findings(limit int) []HealthFinding {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := m.fCount
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]HealthFinding, n)
-	for i := 0; i < n; i++ {
-		idx := (m.fNext - 1 - i + len(m.findings)) % len(m.findings)
-		out[i] = m.findings[idx]
+	out := m.findings.Last(limit, true)
+	for i := range out {
+		out[i].TicksAgo = m.tick - out[i].tick
 	}
 	return out
 }
 
-// SelfSignalView is one signal's state for /statusz.
+// SelfSignalView is one signal's state for /statusz: the signal as it
+// was configured (Model reading "constant" where left empty) and how it
+// is doing.
 type SelfSignalView struct {
-	Name         string    `json:"name"`
-	Help         string    `json:"help,omitempty"`
-	Model        string    `json:"model"`
-	Delta        float64   `json:"delta"`
-	Critical     bool      `json:"critical,omitempty"`
+	SelfSignal
 	Fed          bool      `json:"fed"`
 	Value        float64   `json:"value"`
 	Updates      int       `json:"updates"`    // transmitted (δ-violating + bootstrap) readings
@@ -481,87 +486,47 @@ func (m *SelfMonitor) Signals() []SelfSignalView {
 	out := make([]SelfSignalView, len(m.streams))
 	for i, st := range m.streams {
 		stats := st.src.Stats()
-		mdl := st.sig.Model
-		if mdl == "" {
-			mdl = "constant"
-		}
 		v := SelfSignalView{
-			Name: st.sig.Name, Help: st.sig.Help, Model: mdl, Delta: st.sig.Delta,
-			Critical: st.sig.Critical, Fed: st.fed, Value: st.value,
+			SelfSignal: st.sig, Fed: st.fed, Value: st.value,
 			Updates: stats.Updates, Suppressed: stats.Suppressed,
 			Active: m.active(st), WhitenessBad: st.whitenessBad,
 		}
-		if st.sCount > 0 {
-			v.Samples = make([]float64, st.sCount)
-			for j := 0; j < st.sCount; j++ {
-				v.Samples[j] = st.samples[(st.sHead-st.sCount+j+len(st.samples))%len(st.samples)]
-			}
-		}
+		v.Model = cmp.Or(v.Model, "constant")
+		v.Samples = st.samples.Last(0, false)
 		out[i] = v
 	}
 	return out
 }
 
 // DefaultSelfSignals is the stock signal catalog: the server health
-// dimensions called out in DESIGN.md §15. Signals whose backing metric
-// is absent on a given server (no engine, no WAL, no UDP lanes) simply
-// never feed — Read returns ok=false and the filter stays cold.
+// dimensions called out in DESIGN.md §15, each a row of (name, help,
+// model, δ, critical, kind, metric) that SelfMonitor.read evaluates.
+// Signals whose backing metric is absent on a given server (no engine, no
+// WAL, no UDP lanes) simply never feed — read returns ok=false and the
+// filter stays cold.
 func DefaultSelfSignals() []SelfSignal {
-	rate := func(metric string) func(m *SelfMonitor) (float64, bool) {
-		return func(m *SelfMonitor) (float64, bool) {
-			return m.ring.Rate(metric, m.opts.RateWindow)
-		}
-	}
-	p99ms := func(metric string) func(m *SelfMonitor) (float64, bool) {
-		return func(m *SelfMonitor) (float64, bool) {
-			v, ok := m.ring.WindowQuantile(metric, m.opts.RateWindow, 0.99)
-			return v / 1e6, ok
-		}
-	}
-	// Preallocated so the variadic pass in Read allocates nothing.
-	peerClosed := []telemetry.Label{telemetry.L("kind", "peer_closed")}
-	heapSample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	return []SelfSignal{
 		{Name: "ingest_rate", Help: "Updates folded into server filters per second, all sources.",
-			Model: "linear", Delta: 500, Read: rate("dkf_server_updates_total")},
+			Model: "linear", Delta: 500, kind: sigRate, metric: "dkf_server_updates_total"},
 		{Name: "shed_rate", Help: "Updates shed per second because a shard ring was full.",
-			Model: "constant", Delta: 0.5, Read: rate("dkf_engine_ring_dropped_total")},
+			Model: "constant", Delta: 0.5, kind: sigRate, metric: "dkf_engine_ring_dropped_total"},
 		{Name: "ring_hwm_growth", Help: "Shard ring high-water-mark growth per second.",
-			Model: "constant", Delta: 8, Read: rate("dkf_engine_ring_depth_hwm")},
+			Model: "constant", Delta: 8, kind: sigRate, metric: "dkf_engine_ring_depth_hwm"},
 		{Name: "stepall_p99_ms", Help: "AdvanceAll batch latency p99 over the rate window, milliseconds.",
-			Model: "constant", Delta: 20, Read: p99ms("dkf_server_stepall_ns")},
+			Model: "constant", Delta: 20, kind: sigP99Ms, metric: "dkf_server_stepall_ns"},
 		{Name: "wal_fsync_p99_ms", Help: "WAL fsync latency p99 over the rate window, milliseconds.",
-			Model: "constant", Delta: 10, Read: p99ms("streamkf_wal_fsync_duration_nanos")},
+			Model: "constant", Delta: 10, kind: sigP99Ms, metric: "streamkf_wal_fsync_duration_nanos"},
 		{Name: "wal_error_rate", Help: "Shard batch WAL commit failures per second.",
-			Model: "constant", Delta: 0.1, Critical: true, Read: rate("dkf_engine_wal_errors_total")},
+			Model: "constant", Delta: 0.1, Critical: true, kind: sigRate, metric: "dkf_engine_wal_errors_total"},
 		{Name: "wire_error_rate", Help: "Wire protocol failures per second, normal peer closes excluded.",
-			Model: "constant", Delta: 5, Read: func(m *SelfMonitor) (float64, bool) {
-				all, ok := m.ring.Rate("dkf_wire_errors_total", m.opts.RateWindow)
-				if !ok {
-					return 0, false
-				}
-				pc, _ := m.ring.Rate("dkf_wire_errors_total", m.opts.RateWindow, peerClosed...)
-				return all - pc, true
-			}},
+			Model: "constant", Delta: 5, kind: sigErrorRate, metric: "dkf_wire_errors_total"},
 		{Name: "ack_rtt_p99_ms", Help: "Agent ack round-trip p99 over the rate window, milliseconds.",
-			Model: "constant", Delta: 50, Read: p99ms("dkf_agent_ack_rtt_ns")},
+			Model: "constant", Delta: 50, kind: sigP99Ms, metric: "dkf_agent_ack_rtt_ns"},
 		{Name: "lane_rx_rate", Help: "UDP datagrams received per second across reader lanes.",
-			Model: "linear", Delta: 1000, Read: rate("dkf_udp_lane_datagrams_rx_total")},
+			Model: "linear", Delta: 1000, kind: sigRate, metric: "dkf_udp_lane_datagrams_rx_total"},
 		{Name: "conns_active", Help: "Open TCP wire connections.",
-			Model: "linear", Delta: 64, Read: func(m *SelfMonitor) (float64, bool) {
-				return m.ring.Latest("dkf_wire_connections_active")
-			}},
-		{Name: "goroutines", Help: "Live goroutines.",
-			Model: "linear", Delta: 200, Read: func(m *SelfMonitor) (float64, bool) {
-				return float64(runtime.NumGoroutine()), true
-			}},
-		{Name: "heap_mb", Help: "Live heap object bytes, MiB.",
-			Model: "linear", Delta: 256, Read: func(m *SelfMonitor) (float64, bool) {
-				metrics.Read(heapSample)
-				if heapSample[0].Value.Kind() != metrics.KindUint64 {
-					return 0, false
-				}
-				return float64(heapSample[0].Value.Uint64()) / (1 << 20), true
-			}},
+			Model: "linear", Delta: 64, kind: sigLatest, metric: "dkf_wire_connections_active"},
+		{Name: "goroutines", Help: "Live goroutines.", Model: "linear", Delta: 200, kind: sigGoroutines},
+		{Name: "heap_mb", Help: "Live heap object bytes, MiB.", Model: "linear", Delta: 256, kind: sigHeapMB},
 	}
 }

@@ -1,10 +1,13 @@
 package dsms
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"streamkf/internal/core"
+	"streamkf/internal/stream"
+	"streamkf/internal/telemetry"
 )
 
 // selfClock hands Tick evenly spaced synthetic times so windowed
@@ -297,5 +300,46 @@ func TestSelfMonOverloadE2E(t *testing.T) {
 	}
 	if f := m.Findings(50); len(f) == 0 {
 		t.Fatal("overload produced no findings")
+	}
+}
+
+// TestSelfMonSeesEngineAtScale registers the streams first and the engine
+// and the monitor after — dkf-server's order, and every recovered durable
+// server's — on a server with more streams than the history ring once had
+// room for behind the per-stream table: the ring must shed nothing, track
+// the engine's own series, and feed the overload signals the verdict rests
+// on.
+func TestSelfMonSeesEngineAtScale(t *testing.T) {
+	s := NewServer(testCatalog())
+	for i := 0; i < 1100; i++ {
+		mustRegister(t, s, stream.Query{ID: fmt.Sprintf("q%d", i), SourceID: fmt.Sprintf("s%04d", i), Delta: 1, Model: "constant"})
+	}
+	e := s.StartEngine(EngineOptions{Shards: 1, RingSize: 8})
+	defer e.Close()
+	m, err := s.EnableSelfMon(SelfMonOptions{Every: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newSelfClock(time.Second)
+	for i := 0; i < 3; i++ {
+		clk.tick(m)
+	}
+	if _, _, _, _, dropped := m.History().Meta(); dropped != 0 {
+		t.Errorf("the history ring dropped %d series past its cap", dropped)
+	}
+	if n := len(m.History().Series()); n > 512 {
+		t.Errorf("the history ring tracks %d series over 1,100 streams, want a few hundred at most", n)
+	}
+	if _, ok := m.History().Latest("dkf_engine_ring_dropped_total", telemetry.L("shard", "0")); !ok {
+		t.Error("the ring does not track dkf_engine_ring_dropped_total{shard=\"0\"}")
+	}
+	fed := make(map[string]bool)
+	for _, sig := range m.Signals() {
+		fed[sig.Name] = sig.Fed
+	}
+	for _, name := range []string{"shed_rate", "ring_hwm_growth", "ingest_rate"} {
+		if !fed[name] {
+			t.Errorf("signal %s is not fed", name)
+		}
 	}
 }

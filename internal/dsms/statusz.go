@@ -2,9 +2,9 @@ package dsms
 
 import (
 	"fmt"
-	"html"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -87,19 +87,12 @@ func MetricszHandler(s *Server) http.HandlerFunc {
 				}
 			}
 			out.Value, _ = ring.Latest(info.Name, info.Labels...)
-			switch info.Kind {
-			case telemetry.SeriesCounter, telemetry.SeriesHistogram:
-				if r, ok := ring.Rate(info.Name, window, info.Labels...); ok {
-					out.RatePerSec = &r
-				}
-				if info.Kind == telemetry.SeriesHistogram {
-					if q, ok := ring.WindowQuantile(info.Name, window, 0.50, info.Labels...); ok {
-						out.P50 = &q
-					}
-					if q, ok := ring.WindowQuantile(info.Name, window, 0.99, info.Labels...); ok {
-						out.P99 = &q
-					}
-				}
+			if info.Kind == telemetry.SeriesCounter || info.Kind == telemetry.SeriesHistogram {
+				out.RatePerSec = answered(ring.Rate(info.Name, window, info.Labels...))
+			}
+			if info.Kind == telemetry.SeriesHistogram {
+				out.P50 = answered(ring.WindowQuantile(info.Name, window, 0.50, info.Labels...))
+				out.P99 = answered(ring.WindowQuantile(info.Name, window, 0.99, info.Labels...))
 			}
 			resp.Series = append(resp.Series, out)
 		}
@@ -107,23 +100,24 @@ func MetricszHandler(s *Server) http.HandlerFunc {
 	}
 }
 
+// answered is a windowed read as the document carries it: absent unless
+// the ring could answer.
+func answered(v float64, ok bool) *float64 {
+	if !ok {
+		return nil
+	}
+	return &v
+}
+
 // sparklineSVG renders samples as an inline SVG polyline, oldest to
 // newest, auto-scaled to the sample range. Empty input renders an
 // empty frame.
-func sparklineSVG(samples []float64, w, h int) string {
+func sparklineSVG(samples []float64, w, h int) HTML {
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg width="%d" height="%d" viewBox="0 0 %d %d" preserveAspectRatio="none" class="spark">`, w, h, w, h)
 	if len(samples) >= 2 {
-		lo, hi := samples[0], samples[0]
-		for _, v := range samples {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		span := hi - lo
+		lo := slices.Min(samples)
+		span := slices.Max(samples) - lo
 		if span == 0 {
 			span = 1
 		}
@@ -137,12 +131,12 @@ func sparklineSVG(samples []float64, w, h int) string {
 		b.WriteString(`"/>`)
 	}
 	b.WriteString(`</svg>`)
-	return b.String()
+	return HTML(b.String())
 }
 
-// AdminStyle is the inline stylesheet of every admin dashboard, shard
+// adminStyle is the inline stylesheet of every admin dashboard, shard
 // server and router alike.
-const AdminStyle = `<style>
+const adminStyle = `<style>
 body{font-family:system-ui,sans-serif;margin:1.5rem;color:#1a1a1a;max-width:70rem}
 h1{font-size:1.3rem}h2{font-size:1.05rem;margin-top:1.6rem}
 table{border-collapse:collapse;width:100%}
@@ -157,84 +151,65 @@ th{color:#555;font-weight:600}
 nav a{margin-right:1rem}
 </style>`
 
+// BuildLine is the build identity every dashboard shows beside its badge.
+func BuildLine(up time.Duration, more string) HTML {
+	return Span("muted", fmt.Sprintf("version %s · %s · up %s%s", Version, runtime.Version(), up.Truncate(time.Second), more))
+}
+
+// findingTable adds findings to a page: a verdict's reasons and the
+// retained findings are one record and one table.
+func findingTable(p *Page, caption string, fs []HealthFinding) {
+	var rows [][]any
+	for _, f := range fs {
+		signal := any(f.Signal)
+		if f.Critical {
+			signal = Span("active", f.Signal)
+		}
+		rows = append(rows, []any{f.Time.Format("15:04:05"), signal, f.Kind, f.Value, f.Pred, f.Residual, f.Delta, f.NIS, f.TicksAgo})
+	}
+	p.Table(caption, []string{"time", "signal", "kind", "value", "pred", "residual", "δ", "NIS", "ticks ago"}, rows)
+}
+
 // StatuszHandler serves the self-monitoring dashboard: verdict badge,
 // build identity, active findings, and the per-signal table with
 // sparklines. Degrades gracefully to a pointer page when
 // self-monitoring is off.
 func StatuszHandler(s *Server) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		var b strings.Builder
-		b.WriteString("<!DOCTYPE html><html><head><title>dkf statusz</title>")
-		b.WriteString(AdminStyle)
-		b.WriteString("</head><body><h1>DKF server status</h1>")
-		b.WriteString(`<nav><a href="/metrics">/metrics</a><a href="/metricsz">/metricsz</a><a href="/streamz">/streamz</a><a href="/tracez">/tracez</a><a href="/healthz?verbose=1">/healthz</a><a href="/debug/pprof/">/debug/pprof</a></nav>`)
-
+		p := NewPage("DKF server status", "/metrics", "/metricsz", "/streamz", "/tracez", "/healthz?verbose=1", "/debug/pprof/")
+		defer p.Serve(w)
 		h := s.Health()
-		fmt.Fprintf(&b, `<p>Verdict: <span class="badge %s">%s</span>`, h.Status, h.Status)
-		fmt.Fprintf(&b, ` <span class="muted">version %s · %s · up %s</span></p>`,
-			html.EscapeString(Version), runtime.Version(), time.Duration(h.UptimeSeconds*float64(time.Second)).Truncate(time.Second))
-
+		p.Line("Verdict:", Badge(h.Status), BuildLine(time.Duration(h.UptimeSeconds*float64(time.Second)), ""))
 		m := s.SelfMon()
 		if m == nil {
-			b.WriteString(`<p class="muted">Self-monitoring is off — start the server with <code>-selfmon</code> for verdicts, findings and sparklines.</p></body></html>`)
-			fmt.Fprint(w, b.String())
+			p.Line(Span("muted", "Self-monitoring is off — start the server with -selfmon for verdicts, findings and sparklines."))
 			return
 		}
+		findingTable(p, "Active reasons", h.Reasons)
 
-		if len(h.Reasons) > 0 {
-			b.WriteString("<h2>Active reasons</h2><table><tr><th>signal</th><th>kind</th><th class=num>value</th><th class=num>pred</th><th class=num>residual</th><th class=num>δ</th><th class=num>ticks ago</th></tr>")
-			for _, r := range h.Reasons {
-				cls := ""
-				if r.Critical {
-					cls = ` class="active"`
-				}
-				fmt.Fprintf(&b, `<tr><td%s>%s</td><td>%s</td><td class=num>%.4g</td><td class=num>%.4g</td><td class=num>%.4g</td><td class=num>%.4g</td><td class=num>%d</td></tr>`,
-					cls, html.EscapeString(r.Signal), r.Kind, r.Value, r.Pred, r.Residual, r.Delta, r.TicksAgo)
-			}
-			b.WriteString("</table>")
-		}
-
-		b.WriteString("<h2>Signals</h2><table><tr><th>signal</th><th>trend</th><th class=num>value</th><th class=num>δ</th><th>model</th><th class=num>updates</th><th class=num>suppressed</th><th>state</th></tr>")
+		var rows [][]any
 		for _, sig := range m.Signals() {
-			state := "ok"
-			cls := ""
+			name, state := sig.Name, HTML("ok")
+			if sig.Critical {
+				name += " *"
+			}
 			switch {
 			case sig.Active:
-				state, cls = "active", ` class="active"`
+				state = Span("active", "active")
 			case !sig.Fed:
-				state, cls = "idle", ` class="muted"`
+				state = Span("muted", "idle")
 			}
-			title := html.EscapeString(sig.Help)
-			crit := ""
-			if sig.Critical {
-				crit = " *"
-			}
-			fmt.Fprintf(&b, `<tr><td title="%s">%s%s</td><td>%s</td><td class=num>%.4g</td><td class=num>%.4g</td><td>%s</td><td class=num>%d</td><td class=num>%d</td><td%s>%s</td></tr>`,
-				title, html.EscapeString(sig.Name), crit, sparklineSVG(sig.Samples, 120, 24),
-				sig.Value, sig.Delta, sig.Model, sig.Updates, sig.Suppressed, cls, state)
+			rows = append(rows, []any{name, sparklineSVG(sig.Samples, 120, 24), sig.Value, sig.Delta, sig.Model, sig.Updates, sig.Suppressed, state, Span("muted", sig.Help)})
 		}
-		b.WriteString(`</table><p class="muted">* critical signal — active findings make the verdict unhealthy. updates = δ-violating transmissions (incl. bootstrap), suppressed = readings the self-model predicted within δ.</p>`)
+		p.Table("Signals", []string{"signal", "trend", "value", "δ", "model", "updates", "suppressed", "state", "what"}, rows)
+		p.Line(Span("muted", "* critical signal — active findings make the verdict unhealthy. updates = δ-violating transmissions (incl. bootstrap), suppressed = readings the self-model predicted within δ."))
 
 		findings := m.Findings(20)
-		b.WriteString("<h2>Recent findings</h2>")
+		findingTable(p, "Recent findings", findings)
 		if len(findings) == 0 {
-			b.WriteString(`<p class="muted">None — the server matches its own model.</p>`)
-		} else {
-			b.WriteString("<table><tr><th>time</th><th>signal</th><th>kind</th><th class=num>value</th><th class=num>pred</th><th class=num>residual</th><th class=num>δ</th><th class=num>NIS</th></tr>")
-			for _, f := range findings {
-				fmt.Fprintf(&b, `<tr><td>%s</td><td>%s</td><td>%s</td><td class=num>%.4g</td><td class=num>%.4g</td><td class=num>%.4g</td><td class=num>%.4g</td><td class=num>%.3g</td></tr>`,
-					f.Time.Format("15:04:05"), html.EscapeString(f.Signal), f.Kind, f.Value, f.Pred, f.Residual, f.Delta, f.NIS)
-			}
-			b.WriteString("</table>")
+			p.Line(Span("muted", "No recent findings — the server matches its own model."))
 		}
-
 		slots, filled, every, span, dropped := m.History().Meta()
-		fmt.Fprintf(&b, `<p class="muted">history ring: %d/%d slots · every %s · span %s`, filled, slots, every, span.Truncate(time.Second))
-		if dropped > 0 {
-			fmt.Fprintf(&b, ` · %d series dropped past cap`, dropped)
-		}
-		b.WriteString("</p></body></html>")
-		fmt.Fprint(w, b.String())
+		p.Line(Span("muted", fmt.Sprintf("history ring: %d/%d slots · every %s · span %s · %d series dropped past cap", filled, slots, every, span.Truncate(time.Second), dropped)))
 	}
 }

@@ -2,7 +2,9 @@ package dsms
 
 import (
 	"io"
+	"net/http"
 	"testing"
+	"time"
 
 	"streamkf/internal/core"
 	"streamkf/internal/gen"
@@ -130,8 +132,9 @@ func TestTCPIngestTracedAllocBudget(t *testing.T) {
 }
 
 // BenchmarkScrape20k is what observing a 20,000-stream server costs: one
-// /metrics exposition, and one in-order pass of a bulk reader (the history
-// ring's capture) over every series. Either walks the handle table once.
+// /metrics exposition, and one pass of a bulk reader (the history ring's
+// capture: collect the tables, read every series). Either walks the
+// handle table once.
 func BenchmarkScrape20k(b *testing.B) {
 	s, ids, _, _ := bootAll(b, "constant", 20000)
 	for seq := 1; seq <= 17; seq++ { // a full innovation window on every stream
@@ -153,6 +156,7 @@ func BenchmarkScrape20k(b *testing.B) {
 		b.ResetTimer()
 		var sum float64
 		for i := 0; i < b.N; i++ {
+			s.Telemetry().CollectTables()
 			for _, sr := range series {
 				sum += sr.Scalar()
 			}
@@ -160,5 +164,56 @@ func BenchmarkScrape20k(b *testing.B) {
 		if sum == 0 {
 			b.Fatal("no series read a value")
 		}
+	})
+}
+
+// BenchmarkAdmin20k is what the admin plane costs a 20,000-stream server
+// running -selfmon, streams registered before the engine and the monitor
+// as dkf-server does: one /metricsz document, one status document (what a
+// router's fleet view fetches per shard) — each over HTTP, with the
+// response size — and one self-monitoring tick.
+func BenchmarkAdmin20k(b *testing.B) {
+	s, ids, _, _ := bootAll(b, "constant", 20000)
+	e := s.StartEngine(EngineOptions{})
+	defer e.Close()
+	m, err := s.EnableSelfMon(SelfMonOptions{Every: time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	clk := newSelfClock(time.Second)
+	for seq := 1; seq <= 5; seq++ { // rates to report
+		for _, id := range ids[:100] {
+			if err := s.HandleUpdate(core.Update{SourceID: id, Seq: seq, Time: float64(seq), Values: []float64{1}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		clk.tick(m)
+	}
+	admin, err := ServeAdmin(s, "127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer admin.Close()
+	for _, path := range []string{"/metricsz", "/healthz?verbose=1"} {
+		b.Run(path, func(b *testing.B) {
+			var size int64
+			for i := 0; i < b.N; i++ {
+				resp, err := http.Get("http://" + admin.Addr() + path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				size, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			b.ReportMetric(float64(size), "B/response")
+		})
+	}
+	b.Run("tick", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			clk.tick(m)
+		}
+		_, _, _, _, dropped := m.History().Meta()
+		b.ReportMetric(float64(len(m.History().Series())), "series")
+		b.ReportMetric(float64(dropped), "dropped")
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"streamkf/internal/stream"
-	"streamkf/internal/window"
 )
 
 // WindowQuery is a time-windowed aggregate over one source: "the average
@@ -102,7 +101,8 @@ func (s *Server) AnswerWindow(queryID string, seq int) (float64, error) {
 }
 
 // answerWindow replays the stream's history over q's window ending at
-// seq and aggregates it.
+// seq and folds it through AggFold, the aggregate queries' fold: a window
+// sum and an aggregate sum over the same values are the same bits.
 func (st *sourceState) answerWindow(q *WindowQuery, seq int) (float64, error) {
 	st.mu.Lock()
 	if st.history == nil || st.history.Len() == 0 {
@@ -118,12 +118,16 @@ func (st *sourceState) answerWindow(q *WindowQuery, seq int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	vals := make([]float64, len(rec))
-	for i, r := range rec {
+	if len(rec) == 0 {
+		return 0, fmt.Errorf("dsms: window query %s: no readings in [%d, %d]", q.ID, from, seq)
+	}
+	var f AggFold
+	f.Reset(q.Func)
+	for _, r := range rec {
 		if len(r.Values) != 1 {
 			return 0, fmt.Errorf("dsms: window query %s: source is not single-attribute", q.ID)
 		}
-		vals[i] = r.Values[0]
+		f.Add(r.Values[0])
 	}
-	return window.Apply(string(q.Func), vals)
+	return f.Finish(len(rec)), nil
 }

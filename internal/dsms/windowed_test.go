@@ -126,3 +126,40 @@ func TestWindowSharesHistoryWithExplicitEnable(t *testing.T) {
 		t.Fatalf("window answer = %v", got)
 	}
 }
+
+// TestWindowSumIsTheAggregateFold: a window query folds its replayed
+// values through the aggregate queries' AggFold, so a window sum and an
+// aggregate sum over the same values are the same bits — here over values
+// whose left-to-right float64 sum is not the exact one.
+func TestWindowSumIsTheAggregateFold(t *testing.T) {
+	s := NewServer(testCatalog())
+	for _, fn := range []AggFunc{AggSum, AggAvg} {
+		if err := s.RegisterWindow(WindowQuery{ID: "w/" + string(fn), SourceID: "z", Func: fn, N: 8, Delta: 1e-9, Model: "constant"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	driveSource(t, s, "z", []float64{1e16, 3, -1e16, 0.1, 0.2, 0.3, 1e16, -1e16})
+	replayed, err := s.HistoryRange("w/sum/base", 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, len(replayed))
+	var naive float64
+	for i, r := range replayed {
+		vals[i] = r.Values[0]
+		naive += vals[i]
+	}
+	for _, fn := range []AggFunc{AggSum, AggAvg} {
+		got, err := s.AnswerWindow("w/"+string(fn), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := AggregateQuery{Func: fn}.Evaluate(vals)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("window %s = %v, aggregate %s over the same values = %v", fn, got, fn, want)
+		}
+		if fn == AggSum && got == naive {
+			t.Errorf("the values' naive sum %v is already exact: the case proves nothing", naive)
+		}
+	}
+}

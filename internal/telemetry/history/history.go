@@ -7,10 +7,14 @@
 // increment since the previous snapshot, so rates are a windowed sum),
 // gauges are sampled raw, and histograms store per-bucket count diffs
 // so quantiles can be answered over any trailing window rather than
-// over the process lifetime. After warmup — once every instrument has
-// its buffers — the steady-state Snapshot performs zero allocations
-// (gated by TestHistorySnapshotAllocBudget), so a server can snapshot
-// itself every second forever without disturbing its own heap profile.
+// over the process lifetime. A telemetry.Table is tracked as one series
+// per counter column — its total over the rows, from one walk of them
+// per Snapshot — so the ring's size does not follow the row count and
+// the series cap cannot shed a server-wide series behind per-row ones.
+// After warmup — once every instrument has its buffers — the
+// steady-state Snapshot performs zero allocations (gated by
+// TestHistorySnapshotAllocBudget), so a server can snapshot itself
+// every second forever without disturbing its own heap profile.
 // A registration after warmup is detected via Registry.Version and
 // resynced on the next Snapshot (which then allocates, once).
 //
@@ -220,6 +224,7 @@ func (r *Ring) Snapshot(now time.Time) {
 	if v := r.reg.Version(); v != r.version {
 		r.resync(v)
 	}
+	r.reg.CollectTables()
 	r.head = (r.head + 1) % len(r.times)
 	if r.filled < len(r.times) {
 		r.filled++

@@ -211,6 +211,80 @@ func TestMaxSeriesCap(t *testing.T) {
 	}
 }
 
+// TestRingTracksTableTotals pins how the ring sees a telemetry.Table: one
+// series per counter column however many rows there are, so a table
+// registered first cannot crowd a later instrument past the cap; one walk
+// of the owner per Snapshot; the windowed rate of the total; a row dropped
+// and registered again from zero never a negative delta; nothing for a
+// gauge column; and a steady-state Snapshot that still allocates nothing.
+func TestRingTracksTableTotals(t *testing.T) {
+	const rows = 40
+	counts := make([]float64, rows)
+	live := make([]bool, rows)
+	labels := make([]string, rows)
+	for i := range labels {
+		labels[i] = "s" + string(rune('A'+i))
+	}
+	var vals [2]float64
+	walks := 0
+	reg := telemetry.NewRegistry()
+	reg.Table("source", []telemetry.Column{{Name: "updates_total", Counter: true}, {Name: "level"}},
+		func(row func(slot int, label string, vals []float64)) {
+			walks++
+			for i, on := range live {
+				if on {
+					vals[0], vals[1] = counts[i], 7
+					row(i, labels[i], vals[:])
+				}
+			}
+		})
+	late := reg.Counter("registered_after_the_table_total", "")
+	for i := range live {
+		live[i] = true
+	}
+	r := New(reg, Options{Slots: 8, Every: time.Second, MaxSeries: 4})
+	c := newClock(time.Second)
+	step := func(per float64) {
+		for i := range counts {
+			counts[i] += per
+		}
+		late.Inc()
+		r.Snapshot(c.next())
+	}
+	step(100) // baseline
+	step(1)
+	step(1)
+	if _, _, _, _, dropped := r.Meta(); dropped != 0 || len(r.Series()) != 2 {
+		t.Fatalf("ring tracks %d series and dropped %d over a %d-row table, want 2 and 0", len(r.Series()), dropped, rows)
+	}
+	if walks != 3 {
+		t.Fatalf("3 snapshots walked the table's owner %d times", walks)
+	}
+	if got, ok := r.Rate("updates_total", 2*time.Second); !ok || got != rows {
+		t.Fatalf("Rate of the column total = %v ok=%v, want %d/s", got, ok, rows)
+	}
+	if got, ok := r.Latest("updates_total"); !ok || got != rows*102 {
+		t.Fatalf("Latest of the column total = %v ok=%v, want %d", got, ok, rows*102)
+	}
+	if got, ok := r.Rate("registered_after_the_table_total", 2*time.Second); !ok || got != 1 {
+		t.Fatalf("Rate of the instrument registered after the table = %v ok=%v, want 1/s", got, ok)
+	}
+	if _, ok := r.Latest("level"); ok {
+		t.Fatal("a gauge column has a series in the ring")
+	}
+	live[3] = false
+	step(1)
+	live[3], counts[3] = true, 0 // registered again: same slot here, counting from zero
+	step(1)
+	trend, _ := r.Trend("updates_total", 2)
+	if len(trend) != 2 || trend[0] != rows-1 || trend[1] != rows-1 {
+		t.Fatalf("deltas across a row's drop and return = %v, want %d twice (the other rows' increases, never negative)", trend, rows-1)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { step(1) }); allocs != 0 {
+		t.Fatalf("steady-state Snapshot over a table allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // populatedRing builds a ring over a registry shaped like a live
 // server's: counters (some labeled), gauges, a non-allocating gauge
 // func, and histograms.

@@ -3,14 +3,16 @@ package telemetry
 // Bulk-reader API: stable handles onto every registered instrument, for
 // components that sample the whole registry repeatedly (the history ring
 // in internal/telemetry/history). A reader snapshots the handle list
-// once, then reads values lock-free on every sample; Version tells it
-// when the instrument population changed and the list must be rebuilt.
+// once, then on every pass calls CollectTables and reads values
+// lock-free; Version tells it when the instrument population changed and
+// the list must be rebuilt.
 
 // SeriesKind identifies the instrument class behind a Series handle.
 type SeriesKind int
 
 const (
-	// SeriesCounter is a monotonically increasing Counter or Table counter column.
+	// SeriesCounter is a monotonically increasing Counter, or the total of
+	// a Table's counter column.
 	SeriesCounter SeriesKind = iota
 	// SeriesGauge is a last-write-wins Gauge.
 	SeriesGauge
@@ -39,29 +41,23 @@ type Series struct {
 	Kind SeriesKind
 
 	counter *Counter
-	gauge   *Gauge
+	gauge   *Gauge // a Gauge, or a Table counter column's total
 	fn      func() float64
 	hist    *Histogram
-	table   *table // a Table's series: the cell at (slot, col)
-	slot    int32
-	col     int32
 }
 
 // Scalar returns the series' current scalar value: the folded counter
-// total, the gauge value, the gauge func's result, or the histogram's
-// observation count.
+// total, the gauge value, the gauge func's result, the histogram's
+// observation count, or a table column's total as of the last collection.
 func (s Series) Scalar() float64 {
-	if s.table != nil {
-		return s.table.cell(int(s.slot), int(s.col))
-	}
-	switch s.Kind {
-	case SeriesCounter:
+	switch {
+	case s.counter != nil:
 		return float64(s.counter.Value())
-	case SeriesGauge:
+	case s.gauge != nil:
 		return s.gauge.Value()
-	case SeriesGaugeFunc:
+	case s.fn != nil:
 		return s.fn()
-	case SeriesHistogram:
+	case s.hist != nil:
 		return float64(s.hist.Snapshot().Count)
 	}
 	return 0
@@ -78,13 +74,10 @@ func (s Series) Cumulative() bool {
 }
 
 // Version returns a generation counter incremented on every instrument
-// registration and every Changed. A bulk reader holding a SeriesSnapshot
-// is complete as long as Version has not moved since the snapshot was
-// taken.
+// registration. A bulk reader holding a SeriesSnapshot is complete as
+// long as Version has not moved since the snapshot was taken; a Table's
+// rows come and go without moving it.
 func (r *Registry) Version() uint64 { return r.version.Load() }
-
-// Changed is how a Table's owner says a row appeared or disappeared.
-func (r *Registry) Changed() { r.version.Add(1) }
 
 // SeriesSnapshot returns a handle for every registered instrument, in
 // family registration order then instance creation order (the same
@@ -94,13 +87,11 @@ func (r *Registry) SeriesSnapshot() []Series {
 	var out []Series
 	for i, f := range families {
 		if t := f.table; t != nil {
-			t.each(func(c Column, col, slot int, labels []Label, _ float64) {
-				s := Series{Name: c.Name, Labels: labels, Kind: SeriesGaugeFunc, table: t, slot: int32(slot), col: int32(col)}
+			for ci, c := range t.cols {
 				if c.Counter {
-					s.Kind = SeriesCounter
+					out = append(out, Series{Name: c.Name, Kind: SeriesCounter, gauge: &t.totals[ci]})
 				}
-				out = append(out, s)
-			})
+			}
 		}
 		for _, m := range metrics[i] {
 			s := Series{Name: m.name, Labels: m.labels}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,11 +9,16 @@ import (
 // A Table is a set of metric families whose series are not instruments
 // but rows their owner already keeps: one registration stands for
 // columns × rows series, one label distinguishes the rows, and one walk
-// of the owner's rows (TableSource.Each) serves a whole exposition or a
-// whole bulk-reader pass. It is how a server exports per-stream series
-// for thousands of streams without a closure, a label slice, a key
-// string and two map entries per series — and without reading each
-// stream once per family.
+// of the owner's rows (TableRows) serves a whole exposition. It is how a
+// server exports per-stream series for thousands of streams without a
+// closure, a label slice, a key string and two map entries per series —
+// and without reading each stream once per family.
+//
+// A bulk reader (SeriesSnapshot) does not see the rows at all: a table is
+// one unlabelled series per counter column, holding the column's total
+// over its rows as of the last collection — what every windowed reader
+// of a per-row family sums to anyway — so the reader's size does not
+// follow the owner's row count. A gauge column has no total and no series.
 
 // Column is one metric family of a Table.
 type Column struct {
@@ -29,24 +33,26 @@ type Column struct {
 // integer — a label reports the same slot every time and no other label
 // ever does; vals holds one value per column and is valid during the
 // call. It runs with the table's lock held, never the registry's, and
-// must be safe beside its owner's writers. When a row appears or
-// disappears the owner says so with Registry.Changed.
+// must be safe beside its owner's writers.
 type TableRows func(row func(slot int, label string, vals []float64))
 
 type table struct {
 	label string
 	cols  []Column
 	rows  TableRows
+	row   func(slot int, label string, vals []float64) // t.take, bound once so a collection allocates nothing
 
 	mu     sync.Mutex
 	labels []string  // by slot as of the last collection; "" where there is no row
-	vals   []float64 // by slot, then column
-	// cursor is the position — column-major, the order SeriesSnapshot
-	// lists a table's series in — of the last cell read since the last
-	// collection. A read at or before it starts a new pass and collects
-	// afresh, so a reader going through its series in order walks the
-	// source once a pass and no read is older than its pass.
-	cursor int64
+	vals   []float64 // by slot, then column; a vanished row's stay as its baseline
+	// totals is, by column, every increase any row's cell has shown from
+	// one collection to the next — the first sight of a row counting from
+	// zero. A row that vanishes keeps what it added and a cell that reads
+	// lower adds nothing, so a counter column's total never goes backwards
+	// whatever the owner drops or rolls up. sums is the running value under
+	// mu; totals is what readers load, published once a collection.
+	sums   []float64
+	totals []Gauge
 }
 
 // Table registers cols as metric families whose rows the owner's rows
@@ -55,7 +61,8 @@ type table struct {
 func (r *Registry) Table(label string, cols []Column, rows TableRows) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := &table{label: label, cols: cols, rows: rows, cursor: math.MaxInt64}
+	t := &table{label: label, cols: cols, rows: rows, sums: make([]float64, len(cols)), totals: make([]Gauge, len(cols))}
+	t.row = t.take
 	f := &family{table: t}
 	for _, c := range cols {
 		if _, dup := r.byName[c.Name]; dup {
@@ -67,34 +74,47 @@ func (r *Registry) Table(label string, cols []Column, rows TableRows) {
 	r.version.Add(1)
 }
 
-// collect walks the source into labels and vals. Caller holds t.mu.
-func (t *table) collect() {
-	clear(t.labels)
-	nc := len(t.cols)
-	t.rows(func(slot int, label string, vals []float64) {
-		for slot >= len(t.labels) {
-			t.labels = append(t.labels, "")
-			t.vals = append(t.vals, make([]float64, nc)...)
+// CollectTables walks every table's rows once and brings its column
+// totals up to date: the top of a bulk reader's pass, so that all the
+// totals it then reads are of one walk.
+func (r *Registry) CollectTables() {
+	r.mu.RLock()
+	families := r.families // append-only: the elements below len never change
+	r.mu.RUnlock()
+	for _, f := range families {
+		if t := f.table; t != nil {
+			t.mu.Lock()
+			t.collect()
+			t.mu.Unlock()
 		}
-		t.labels[slot] = label
-		copy(t.vals[slot*nc:], vals)
-	})
-	t.cursor = math.MaxInt64 // the next cell read is a new pass
+	}
 }
 
-// cell is one series' current value for a bulk reader.
-func (t *table) cell(slot, col int) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pos := int64(col)<<32 | int64(slot)
-	if pos <= t.cursor {
-		t.collect()
+// collect walks the source into labels and vals and adds the counter
+// columns' increases to totals. Caller holds t.mu.
+func (t *table) collect() {
+	clear(t.labels)
+	t.rows(t.row)
+	for ci, sum := range t.sums {
+		t.totals[ci].Set(sum)
 	}
-	t.cursor = pos
-	if slot >= len(t.labels) || t.labels[slot] == "" {
-		return 0
+}
+
+// take is collect's side of TableRows: one row.
+func (t *table) take(slot int, label string, vals []float64) {
+	nc := len(t.cols)
+	for slot >= len(t.labels) {
+		t.labels = append(t.labels, "")
+		t.vals = append(t.vals, make([]float64, nc)...)
 	}
-	return t.vals[slot*len(t.cols)+col]
+	t.labels[slot] = label
+	was := t.vals[slot*nc : slot*nc+nc]
+	for ci, v := range vals {
+		if t.cols[ci].Counter && v > was[ci] {
+			t.sums[ci] += v - was[ci]
+		}
+	}
+	copy(was, vals)
 }
 
 // get is the labelled row's value in column name, from a fresh collection.
@@ -153,16 +173,16 @@ func (t *table) write(b *strings.Builder) {
 	}
 }
 
-// each calls fn for every series of the table — column-major, rows in
+// each calls fn for every cell of the table — column-major, rows in
 // slot order — from one fresh collection.
-func (t *table) each(fn func(c Column, col, slot int, labels []Label, v float64)) {
+func (t *table) each(fn func(name string, labels []Label, v float64)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.collect()
 	for ci, c := range t.cols {
 		for slot, label := range t.labels {
 			if label != "" {
-				fn(c, ci, slot, []Label{{t.label, label}}, t.vals[slot*len(t.cols)+ci])
+				fn(c.Name, []Label{{t.label, label}}, t.vals[slot*len(t.cols)+ci])
 			}
 		}
 	}

@@ -80,53 +80,62 @@ after 2
 }
 
 // TestTableBulkReader pins what SeriesSnapshot holders get from a table:
-// its series where the exposition puts them, one walk of the owner per
-// in-order pass however many cells the pass reads, fresh values every
-// pass, a cell read twice read afresh, a vanished row reading 0, and a
-// version that moves when the owner says its rows changed.
+// one unlabelled series per counter column where the exposition puts the
+// family, none for a gauge column, no walk of the owner to list them and
+// one per CollectTables however many totals the pass reads, and a total
+// that only ever grows — by what each row's cell rose between collections,
+// whichever reader collected — through a row vanishing, coming back lower
+// and a roll-up row shrinking.
 func TestTableBulkReader(t *testing.T) {
 	f := &fakeRows{labels: []string{"", "a", "b"}, vals: [][]float64{nil, {1, 10}, {2, 20}}}
 	reg := newTableRegistry(f)
 	series := reg.SeriesSnapshot()
 	var names []string
 	for _, s := range series {
-		name := s.Name + "/"
-		if len(s.Labels) > 0 {
-			name += s.Labels[0].Value
+		names = append(names, s.Name)
+		if len(s.Labels) != 0 {
+			t.Errorf("%s carries labels %v", s.Name, s.Labels)
 		}
-		names = append(names, name)
 	}
-	if got, want := strings.Join(names, " "), "before_total/ rows_total/a rows_total/b rows_level/a rows_level/b after/"; got != want {
+	if got, want := strings.Join(names, " "), "before_total rows_total after"; got != want {
 		t.Fatalf("series are %q, want %q", got, want)
 	}
-	if series[1].Kind != SeriesCounter || !series[1].Cumulative() || series[3].Kind != SeriesGaugeFunc {
-		t.Errorf("a counter column reads as kind %v, a gauge column as %v", series[1].Kind, series[3].Kind)
+	total := series[1]
+	if total.Kind != SeriesCounter || !total.Cumulative() {
+		t.Errorf("a counter column's total reads as kind %v", total.Kind)
 	}
-	pass := func() (vals []float64) {
-		for _, s := range series {
-			vals = append(vals, s.Scalar())
+	if f.walks != 0 || total.Scalar() != 0 {
+		t.Fatalf("listing the series walked the owner %d times and the total reads %v before any collection", f.walks, total.Scalar())
+	}
+	pass := func(want float64, why string) {
+		t.Helper()
+		walks := f.walks
+		reg.CollectTables()
+		for i := 0; i < 3; i++ {
+			if got := total.Scalar(); got != want {
+				t.Fatalf("total is %v, want %v: %s", got, want, why)
+			}
 		}
-		return vals
+		if f.walks != walks+1 {
+			t.Fatalf("a pass walked the owner %d times", f.walks-walks)
+		}
 	}
-	f.walks = 0
-	if got := pass(); got[1] != 1 || got[2] != 2 || got[3] != 10 || got[4] != 20 || f.walks != 1 {
-		t.Fatalf("first pass read %v in %d walks, want the rows' values in 1", got, f.walks)
+	pass(3, "the rows' 1 + 2 at first sight")
+	f.vals[1][0] = 5
+	pass(7, "row a rose by 4")
+	f.labels[2] = ""
+	pass(7, "a vanished row keeps what it added")
+	f.labels[2], f.vals[2][0] = "b", 1
+	pass(7, "a row back below where it was adds nothing")
+	f.vals[2][0] = 4
+	pass(10, "and counts on from there")
+	f.vals[1][0] = 6
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil { // a scrape collects too
+		t.Fatal(err)
 	}
-	f.vals[1][1], f.labels[2] = 11, ""
-	if got := pass(); got[3] != 11 || got[2] != 0 || got[4] != 0 || f.walks != 2 {
-		t.Fatalf("second pass read %v in %d walks, want the new value, 0 for the vanished row, 2 walks", got, f.walks)
+	if got := total.Scalar(); got != 11 {
+		t.Fatalf("total is %v after a scrape saw row a rise by 1, want 11", got)
 	}
-	series[1].Scalar() // back to the first cell: a third pass begins
-	f.vals[1][1] = 12
-	if got := series[3].Scalar(); got != 11 || f.walks != 3 {
-		t.Errorf("a cell further along the same pass read %v after %d walks, want the pass's 11 and 3", got, f.walks)
-	}
-	if got := series[3].Scalar(); got != 12 || f.walks != 4 {
-		t.Errorf("a cell read twice read %v after %d walks, want a fresh 12 and 4", got, f.walks)
-	}
-	v := reg.Version()
-	reg.Changed()
-	if reg.Version() == v {
-		t.Error("Changed left the version where it was")
-	}
+	pass(11, "nothing is counted twice")
 }

@@ -578,7 +578,7 @@ func (r *Registry) Snapshot() []Value {
 	for i, f := range families {
 		ms = append(ms, metrics[i]...)
 		if f.table != nil {
-			f.table.each(func(c Column, _, _ int, labels []Label, v float64) { out = append(out, Value{c.Name, labels, v}) })
+			f.table.each(func(name string, labels []Label, v float64) { out = append(out, Value{name, labels, v}) })
 		}
 	}
 	for _, m := range ms {

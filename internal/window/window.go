@@ -171,43 +171,3 @@ func (e *EWMA) Observe(v float64) float64 {
 
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Apply computes a windowed aggregate over a complete slice: a
-// convenience for batch evaluation over history replays.
-func Apply(fn string, vals []float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("window: empty input")
-	}
-	switch fn {
-	case "avg":
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return s / float64(len(vals)), nil
-	case "sum":
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return s, nil
-	case "min":
-		m := vals[0]
-		for _, v := range vals {
-			if v < m {
-				m = v
-			}
-		}
-		return m, nil
-	case "max":
-		m := vals[0]
-		for _, v := range vals {
-			if v > m {
-				m = v
-			}
-		}
-		return m, nil
-	default:
-		return 0, fmt.Errorf("window: unknown aggregate %q", fn)
-	}
-}

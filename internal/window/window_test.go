@@ -87,23 +87,6 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	vals := []float64{3, -1, 7}
-	cases := map[string]float64{"avg": 3, "sum": 9, "min": -1, "max": 7}
-	for fn, want := range cases {
-		got, err := Apply(fn, vals)
-		if err != nil || got != want {
-			t.Errorf("Apply(%s) = %v, %v; want %v", fn, got, err, want)
-		}
-	}
-	if _, err := Apply("median", vals); err == nil {
-		t.Fatal("unknown aggregate accepted")
-	}
-	if _, err := Apply("avg", nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
 // Property: windowed Stats and MinMax agree with naive recomputation
 // over the trailing window at every step.
 func TestWindowAgainstNaiveProperty(t *testing.T) {

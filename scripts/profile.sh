@@ -3,8 +3,9 @@
 #
 # Usage: scripts/profile.sh cpu|heap [outfile]
 #
-# Starts dkf-server with four load queries, drives dkf-bench -load
-# against it, and fetches the requested profile from the admin
+# Starts dkf-server with one query per load source, streams $SOURCES
+# dkf-source processes (httptraffic, $READINGS readings each, a seed
+# apiece) against it, and fetches the requested profile from the admin
 # endpoint's /debug/pprof while ingest is running. Inspect the result
 # with `go tool pprof <outfile>`.
 set -eu
@@ -27,7 +28,7 @@ esac
 BIN="$(mktemp -d)"
 SERVER_PID=""
 trap '[ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT INT TERM
-"$GO" build -o "$BIN" ./cmd/dkf-server ./cmd/dkf-bench
+"$GO" build -o "$BIN" ./cmd/dkf-server ./cmd/dkf-source
 
 QUERY_FLAGS=""
 i=0
@@ -48,13 +49,20 @@ until curl -sf "http://$ADMIN/healthz" >/dev/null 2>&1; do
     sleep 0.1
 done
 
-"$BIN/dkf-bench" -load -server "$LISTEN" -sources "$SOURCES" -n "$READINGS" &
-LOAD_PID=$!
+LOAD_PIDS=""
+i=0
+while [ "$i" -lt "$SOURCES" ]; do
+    "$BIN/dkf-source" -server "$LISTEN" -source "load-$i" -dataset httptraffic -n "$READINGS" \
+        -seed "$((i + 1))" -log-level warn &
+    LOAD_PIDS="$LOAD_PIDS $!"
+    i=$((i + 1))
+done
 
 echo "fetching $PPROF_URL ..."
 curl -sf -o "$OUT" "$PPROF_URL"
 
-wait "$LOAD_PID"
+# shellcheck disable=SC2086  # LOAD_PIDS is a deliberate word list
+wait $LOAD_PIDS
 kill "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true
 
