@@ -29,11 +29,12 @@
 // -shard order), /eventz (the topology event log), and /debug/pprof.
 //
 // With -trace the router records fwd_rx/fwd_tx/fwd_ack flight-recorder
-// events for traced forwards and serves /tracez plus
-// /tracez/stream/{id}, which splices the router's hop events into the
-// owning shard's trail (fetched from its -shard-admin endpoint) for
-// the full source→router→shard chain. Tracing also needs -trace on
-// the shards and a traced source.
+// events for traced forwards — on its own per-route recorders; the
+// forward itself is the source's payload verbatim, traced or not — and
+// serves /tracez plus /tracez/stream/{id}, which splices the router's
+// hop events into the owning shard's trail (fetched from its
+// -shard-admin endpoint) for the full source→router→shard chain.
+// Tracing also needs -trace on the shards and a traced source.
 //
 // With -udp the router also accepts the connectionless datagram
 // transport and forwards those updates over the pooled shard
@@ -117,7 +118,7 @@ func main() {
 		maxFrame    = flag.Int("maxframe", 0, "max accepted wire frame size in bytes (0 = 1 MiB default)")
 		beta        = flag.Float64("agg-suppress", 0, "cluster budget split β in [0,1): shards run partials at (1-β)Δ, the router re-suppresses within βΔ; 0 reproduces single-server answers exactly")
 		reconnect   = flag.Duration("reconnect-every", 2*time.Second, "probe interval for lost shards (0 disables auto-reconnect)")
-		doTrace     = flag.Bool("trace", false, "record forwarding flight-recorder events and serve /tracez on the admin listener")
+		doTrace     = flag.Bool("trace", false, "record each traced forward's hop (fwd_rx/fwd_tx/fwd_ack) on the route's own recorder and serve /tracez on the admin listener")
 		traceRing   = flag.Int("trace-ring", 0, "per-route trace ring size (0 = default)")
 		eventCap    = flag.Int("event-cap", 0, "topology event log capacity (0 = 256)")
 		shards      stringsFlag

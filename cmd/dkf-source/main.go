@@ -16,8 +16,8 @@
 //
 // With -trace the agent keeps a local flight recorder of every
 // suppression decision and — when the server also runs -trace — ships
-// the decision evidence ahead of each update so the server's /tracez
-// can show the full causal chain.
+// the decision evidence as a trailer of each update so the server's
+// /tracez can show the full causal chain.
 package main
 
 import (
@@ -107,7 +107,7 @@ func main() {
 	defer agent.Close()
 	logger.Info("connected", "source", *source, "server", *server, "transport", *transport, "readings", len(data), "window", *window)
 	if *traceOn {
-		logger.Info("tracing enabled", "wire_frames", agent.TraceNegotiated())
+		logger.Info("tracing enabled", "wire_evidence", agent.TraceNegotiated())
 	}
 
 	start := time.Now()

@@ -149,12 +149,12 @@ type SourceNode struct {
 
 	// Flight recorder (nil when tracing is off: every recording site is
 	// one branch), the per-reading trace id counter, and the evidence of
-	// the latest suppression decision. lastDec is maintained even with
-	// tracing off — a handful of scalar stores — so transports can ship
-	// it the moment tracing is enabled.
+	// the latest suppression decision, a KindDecision event. lastDec is
+	// maintained even with tracing off — a handful of scalar stores — so
+	// transports can ship it the moment tracing is enabled.
 	tr       *trace.Recorder
 	traceSeq int64
-	lastDec  trace.DecisionInfo
+	lastDec  trace.Event
 }
 
 // SourceStats counts source-side protocol events.
@@ -243,9 +243,9 @@ func (s *SourceNode) Tracer() *trace.Recorder { return s.tr }
 
 // LastDecision returns the evidence of the most recent Process
 // decision: what was measured, what the mirror predicted, the residual
-// against δ, and the outcome. Transports ship it next to the update it
-// explains (wire.TagTrace).
-func (s *SourceNode) LastDecision() trace.DecisionInfo { return s.lastDec }
+// against δ, and the outcome. Transports ship it as the trailer of the
+// update it explains.
+func (s *SourceNode) LastDecision() trace.Event { return s.lastDec }
 
 // Process handles one sensor reading. It returns a non-nil Update when
 // the reading must be transmitted to the server, and the value the server
@@ -259,7 +259,6 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	}
 	s.stats.Readings++
 	s.traceSeq++
-	traceID := s.traceSeq
 	seq := int64(r.Seq)
 	raw := r.Values[0]
 	v, err := s.smooth(r.Values)
@@ -271,7 +270,7 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	// always recorded — they are the rare, interesting events.
 	sampled := s.tr.Sampled(seq)
 	if sampled && s.cfg.F > 0 {
-		s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindSmooth, Raw: raw, Value: v[0]})
+		s.tr.Record(&trace.Event{TraceID: s.traceSeq, Seq: seq, Kind: trace.KindSmooth, Raw: raw, Value: v[0]})
 	}
 	if s.mirror == nil {
 		// Bootstrap: first measurement initializes both filters.
@@ -281,9 +280,9 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		}
 		s.mirror = f
 		u := s.update(r, v, true)
-		s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionBootstrap, Raw: raw, Smoothed: v[0], Delta: s.cfg.Delta}
+		s.decide(trace.DecisionBootstrap, seq, raw, v[0], 0, 0, 0)
 		if s.tr != nil {
-			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionBootstrap, Raw: raw, Value: v[0], Delta: s.cfg.Delta})
+			s.record(false)
 		}
 		return u, s.mirror.PredictedInto(s.pred), nil
 	}
@@ -299,30 +298,24 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		// The server's prediction is good enough: suppress.
 		s.stats.Suppressed++
 		s.outliers = 0
-		s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionSuppress, Raw: raw, Smoothed: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta}
+		s.decide(trace.DecisionSuppress, seq, raw, v[0], pred[0], residual, 0)
 		if sampled {
-			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindPredict, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta})
-			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionSuppress, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta})
+			s.record(true)
 		}
 		return nil, pred, nil
 	}
-	if sampled {
-		s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindPredict, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta})
-	}
 
-	var lastNIS float64
+	var nis float64
 	if s.cfg.OutlierNIS > 0 && s.outliers < s.cfg.MaxConsecutiveOutliers {
-		nis, err := s.mirror.NISValues(v)
-		if err == nil {
-			lastNIS = nis
-			if nis > s.cfg.OutlierNIS {
+		if n, err := s.mirror.NISValues(v); err == nil {
+			if nis = n; nis > s.cfg.OutlierNIS {
 				// Glitch: reject without transmitting. The mirror keeps its
 				// prediction, exactly as the server will, so synchrony holds.
 				s.outliers++
 				s.stats.OutliersRejected++
-				s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionOutlier, Raw: raw, Smoothed: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: nis}
+				s.decide(trace.DecisionOutlier, seq, raw, v[0], pred[0], residual, nis)
 				if s.tr != nil {
-					s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionOutlier, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: nis})
+					s.record(sampled)
 				}
 				return nil, pred, nil
 			}
@@ -334,13 +327,35 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		return nil, nil, err
 	}
 	u := s.update(r, v, false)
-	s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionSend, Raw: raw, Smoothed: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: lastNIS}
+	s.decide(trace.DecisionSend, seq, raw, v[0], pred[0], residual, nis)
 	if s.tr != nil {
-		s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionSend, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: lastNIS})
+		s.record(sampled)
 	}
-	// pred's pre-correction value is recorded above; it now takes the
+	// pred's pre-correction value is in the evidence; it now takes the
 	// corrected estimate.
 	return u, s.mirror.PredictedInto(pred), nil
+}
+
+// decide builds the evidence record of the reading's decision — the one
+// place it is built, in one store — from what the outcome knows: value is
+// the smoothed measurement, pred and residual the mirror's prediction and
+// its max-abs miss, nis the gate's statistic when it computed one.
+func (s *SourceNode) decide(dec trace.Decision, seq int64, raw, value, pred, residual, nis float64) {
+	s.lastDec = trace.Event{TraceID: s.traceSeq, Seq: seq, Kind: trace.KindDecision, Dec: dec,
+		Raw: raw, Value: value, Pred: pred, Residual: residual, Delta: s.cfg.Delta, NIS: nis}
+}
+
+// record appends the evidence record to the flight recorder, which stamps
+// its At: the decided-at time a traced update carries. With predict set
+// the prediction step it decided on — the same numbers, no verdict —
+// goes in just ahead of it.
+func (s *SourceNode) record(predict bool) {
+	if predict {
+		p := s.lastDec
+		p.Kind, p.Dec, p.NIS = trace.KindPredict, trace.DecisionNone, 0
+		s.tr.Record(&p)
+	}
+	s.tr.Record(&s.lastDec)
 }
 
 // maxAbsResidual returns max_i |pred[i] - v[i]| — the residual the

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -170,8 +172,9 @@ func TestRouterAdminEndpoints(t *testing.T) {
 }
 
 // TestClusterzAdminDegraded covers the federation failure modes: no
-// admin endpoint configured and an unreachable one both degrade the
-// cluster verdict without failing the scrape.
+// admin endpoint configured, an unreachable one and one that streams a
+// body without end all degrade the cluster verdict without failing — or
+// hanging — the scrape.
 func TestClusterzAdminDegraded(t *testing.T) {
 	r, _ := startCluster(t, 2, Options{})
 	cz := r.Clusterz()
@@ -190,5 +193,29 @@ func TestClusterzAdminDegraded(t *testing.T) {
 	cz = r2.Clusterz()
 	if cz.Status != "degraded" || cz.Shards[0].Status != "unreachable" {
 		t.Fatalf("unreachable admin: %+v, want degraded/unreachable", cz)
+	}
+
+	// An endpoint that opens a valid status document and never closes it:
+	// the fetch stops at its limit and says so, instead of decoding a
+	// prefix or reading until the client's timeout.
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"status":"ok","pad":"`)
+		for pad := strings.Repeat("x", 64<<10); ; {
+			if _, err := io.WriteString(w, pad); err != nil {
+				return
+			}
+		}
+	}))
+	defer endless.Close()
+	admin := strings.TrimPrefix(endless.URL, "http://")
+	var doc dsms.HealthStatus
+	err := fetchJSON(admin, "/healthz?verbose=1", &doc)
+	if want := fmt.Sprintf("exceeds the %d-byte limit", maxAdminBody); err == nil || !strings.Contains(err.Error(), want) || doc.Status != "" {
+		t.Fatalf("endless body: fetchJSON = %v (decoded %+v), want an error naming the limit: %q", err, doc, want)
+	}
+	r3, _ := startCluster(t, 1, Options{ShardAdmins: []string{admin}})
+	cz = r3.Clusterz()
+	if sh := cz.Shards[0]; cz.Status != "degraded" || sh.Status != "unreachable" || !strings.Contains(sh.Error, "limit") {
+		t.Fatalf("endless admin body: %+v, want degraded/unreachable with the limit in the row's error", cz)
 	}
 }

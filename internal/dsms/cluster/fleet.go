@@ -25,18 +25,28 @@ import (
 // /clusterz render when a shard's admin port blackholes.
 var adminClient = &http.Client{Timeout: 3 * time.Second}
 
+// maxAdminBody bounds a fetched shard document. Both kinds are small — a
+// status document is a few hundred bytes, a stream's trail its ring of
+// events at some 200 bytes each — so a body past this is not one.
+const maxAdminBody = 8 << 20
+
 // fetchJSON GETs http://addr+path and decodes the JSON body into v.
 // 503 responses are decoded too: /healthz serves its status document
-// with that status when unhealthy.
+// with that status when unhealthy. A body past maxAdminBody is an error
+// naming the limit, never a truncated decode.
 func fetchJSON(addr, path string, v any) error {
 	resp, err := adminClient.Get("http://" + addr + path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body) // to EOF, so the connection is kept for the next poll
+	// To EOF when within the limit, so the connection is kept for the next poll.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxAdminBody+1))
 	if err != nil {
 		return err
+	}
+	if len(body) > maxAdminBody {
+		return fmt.Errorf("%s%s: body exceeds the %d-byte limit", addr, path, maxAdminBody)
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 		return fmt.Errorf("%s%s: %s", addr, path, resp.Status)

@@ -58,9 +58,8 @@ type Options struct {
 	Logger *slog.Logger
 	// Trace enables the router's own flight recorders: each route gets
 	// a seqlock event ring recording fwd_rx/fwd_tx/fwd_ack for traced
-	// updates, and the trace frames it relays carry the router's hop
-	// timestamps (wire.TraceHop) so the shard can splice the hop into
-	// the stream's own trail.
+	// updates, under the trace id their evidence trailer carries. The
+	// forward itself is verbatim either way.
 	Trace bool
 	// TraceRing is the per-route event capacity (0 = trace default).
 	TraceRing int
@@ -117,8 +116,8 @@ type routerAgg struct {
 // pendEntry is one forwarded-but-unacked update: its seq, the verbatim
 // update payload (kept for replay after shard failure or migration
 // cutover), and the monotonic send stamp for the latency histogram.
-// traceID is nonzero when the forward carried hop-trace evidence; the
-// ack pump then records the fwd_ack event under the same id.
+// traceID is nonzero when a tracing router forwarded a traced update;
+// the ack pump then records the fwd_ack event under the same id.
 type pendEntry struct {
 	seq     int64
 	sentNs  int64
@@ -219,10 +218,10 @@ func NewRouter(listenAddr string, shardAddrs []string, opts Options) (*Router, e
 		}
 		r.upstreams = append(r.upstreams, up)
 	}
-	// Sources get trace relay only when every shard can accept it: a
+	// Sources are asked for evidence only when every shard asks for it: a
 	// migration must not strand a traced stream on a shard that would
-	// reject the frames.
-	r.downFeats = wire.FeatTrace
+	// reject its payloads.
+	r.downFeats = wire.FeatEvidence
 	for _, up := range r.upstreams {
 		up.mu.Lock()
 		r.downFeats &= up.feats
@@ -460,49 +459,42 @@ type fwdItem struct {
 // ReconnectShard and Migrate replay from it — so a source sees upstream
 // failure only as acks drying up until its send window backpressures.
 //
-// d is the evidence of a source's trace frame (nil without one; else a
-// run of one) and trRxNs when it arrived (trace clock). It goes ahead of
-// its forward under the same upstream lock section, so the shard sees
-// them paired; a tracing router (rt.rec != nil) adds this hop's
-// timestamps and records the hop as fwd_rx/fwd_tx on the route.
-func (r *Router) relay(run []fwdItem, d *trace.DecisionInfo, trRxNs int64, touched []bool) {
+// A tracing router (rt.rec != nil) records the hop where it happens:
+// fwd_rx/fwd_tx on the route for every update of the sub-run that carries
+// evidence, under the trace id peeked from it, stamped when the sub-run's
+// relay began and when its forwards were written.
+func (r *Router) relay(run []fwdItem, touched []bool) {
 	for len(run) > 0 {
 		rt, n := run[0].rt, 1
 		for n < len(run) && run[n].rt == rt {
 			n++
 		}
+		var rxNs, txNs int64
+		if rt.rec != nil {
+			rxNs = trace.Now()
+		}
 		rt.mu.Lock()
 		shard := rt.shard
 		up := r.upstreams[shard]
-		var tid, txNs, epoch int64
 		up.mu.Lock()
 		err := up.err
-		if err == nil {
-			if d != nil && up.feats&wire.FeatTrace != 0 {
-				var hop *wire.TraceHop
-				if rt.rec != nil {
-					tid, txNs, epoch = d.TraceID, trace.Now(), rt.epoch
-					hop = &wire.TraceHop{Idx: rt.idx, Epoch: rt.epoch, RxUnixNs: trRxNs, TxUnixNs: txNs}
-				}
-				err = up.w.Trace(d, hop)
-			}
-			for i := 0; err == nil && i < n; i++ {
-				err = up.w.Forward(rt.idx, rt.epoch, run[i].p)
-			}
+		for i := 0; err == nil && i < n; i++ {
+			err = up.w.Forward(rt.idx, rt.epoch, run[i].p)
 		}
 		up.mu.Unlock()
 		if err != nil {
 			up.fail(err) // no-op if it had failed already
 		}
-		if seq := run[0].seq; tid != 0 && rt.rec.Sampled(seq) {
-			rt.rec.Record(&trace.Event{TraceID: tid, Seq: seq, At: trRxNs, Kind: trace.KindFwdRx, Aux: int64(rt.idx)})
-			rt.rec.Record(&trace.Event{TraceID: tid, Seq: seq, At: txNs, Kind: trace.KindFwdTx, Aux: epoch})
-			r.tel.hopRouter.Observe(txNs - trRxNs)
+		if rt.rec != nil {
+			txNs = trace.Now()
 		}
 		now := nowNanos()
 		rt.pendMu.Lock()
 		for _, it := range run[:n] {
-			e := pendEntry{seq: it.seq, sentNs: now, traceID: tid}
+			e := pendEntry{seq: it.seq, sentNs: now}
+			if rt.rec != nil {
+				e.traceID = r.recordHop(it, rxNs, txNs)
+			}
 			if k := len(rt.free); k > 0 {
 				e.buf, rt.free = rt.free[k-1], rt.free[:k-1]
 			}
@@ -515,6 +507,21 @@ func (r *Router) relay(run []fwdItem, d *trace.DecisionInfo, trRxNs int64, touch
 		touched[shard] = true
 		run = run[n:]
 	}
+}
+
+// recordHop records a traced update's hop on its route's recorder, under
+// the trace id its evidence carries, and returns that id; 0 without a
+// record when the update carries none. Caller holds the route's mu.
+func (r *Router) recordHop(it fwdItem, rxNs, txNs int64) int64 {
+	ev := wire.UpdateEvidence(it.p)
+	if ev == nil {
+		return 0
+	}
+	rt, tid := it.rt, ev.TraceID()
+	rt.rec.Record(&trace.Event{TraceID: tid, Seq: it.seq, At: rxNs, Kind: trace.KindFwdRx, Aux: int64(rt.idx)})
+	rt.rec.Record(&trace.Event{TraceID: tid, Seq: it.seq, At: txNs, Kind: trace.KindFwdTx, Aux: rt.epoch})
+	r.tel.hopRouter.Observe(txNs - rxNs)
+	return tid
 }
 
 // flushTouched writes out the buffered forwards of every shard marked in
@@ -559,10 +566,7 @@ func (r *Router) handleDown(conn net.Conn) {
 	}
 
 	var (
-		boundRoutes []*route           // routes this conn is the down side of
-		pend        trace.DecisionInfo // stashed trace evidence for the next update
-		havePend    bool
-		pendRxNs    int64     // when the stashed trace frame arrived
+		boundRoutes []*route  // routes this conn is the down side of
 		rt          *route    // the route of the last update relayed
 		run         []fwdItem // the run being gathered; reused
 	)
@@ -603,26 +607,9 @@ func (r *Router) handleDown(conn net.Conn) {
 				return
 			}
 
-		case wire.TagTrace:
-			// Stash for the next update; sent on ahead of its forward so
-			// the shard's own trace matching applies. The arrival stamp
-			// becomes the hop's fwd_rx time when the router traces.
-			if pend, _, _, err = wire.DecodeTrace(p); err != nil {
-				dc.sendError(err.Error())
-				return
-			}
-			havePend = true
-			if r.opts.Trace {
-				pendRxNs = trace.Now()
-			}
-
 		case wire.TagUpdate:
 			// A run: this frame and the update frames the same read
-			// delivered behind it; trace evidence pairs with a run of one.
-			var d *trace.DecisionInfo
-			if havePend {
-				d, havePend = &pend, false
-			}
+			// delivered behind it.
 			for {
 				idb, seq, ok := peekUpdate(p)
 				if !ok {
@@ -633,12 +620,12 @@ func (r *Router) handleDown(conn net.Conn) {
 					rt = r.routeFor(idb)
 				}
 				run = append(run, fwdItem{rt: rt, seq: seq, p: p})
-				if next, ok := rd.Ready(); d != nil || !ok || next != wire.TagUpdate {
+				if next, ok := rd.Ready(); !ok || next != wire.TagUpdate {
 					break
 				}
 				_, p, _ = rd.Next() // buffered in full: cannot fail
 			}
-			r.relay(run, d, pendRxNs, touched)
+			r.relay(run, touched)
 			run = run[:0]
 			if rd.Buffered() == 0 {
 				r.flushTouched(touched)

@@ -69,7 +69,7 @@ func (r *Router) ServeUDP(addr string) error {
 					continue
 				}
 				// The hello's RPC flushes: what arrived ahead of it goes first.
-				r.relay(run, nil, 0, touched)
+				r.relay(run, touched)
 				run = run[:0]
 				rt := r.routeFor([]byte(id))
 				inst, err := r.helloRoute(rt)
@@ -84,7 +84,7 @@ func (r *Router) ServeUDP(addr string) error {
 		}
 		// A datagram is a run and a natural burst boundary: relay its
 		// updates together and flush every shard they touched.
-		r.relay(run, nil, 0, touched)
+		r.relay(run, touched)
 		run = run[:0]
 		r.flushTouched(touched)
 	}

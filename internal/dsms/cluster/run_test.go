@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"streamkf/internal/core"
+	"streamkf/internal/dsms"
 	"streamkf/internal/dsms/wire"
 	"streamkf/internal/stream"
+	"streamkf/internal/trace"
+	"streamkf/internal/wal"
 )
 
 // TestRouterRunTwoSources: one downstream connection carrying two
@@ -15,8 +18,40 @@ import (
 // order (every update applies, none is refused as stale), each shard ack
 // finds its own route (both pending windows drain) and the connection
 // sees both streams acked through their last seq.
+//
+// Traced — tracing router, tracing SyncAlways shards, every update
+// carrying its evidence — it is the same run: one relay per sub-run and
+// runs, not singles, at the shards, with each update's hop on its
+// route's recorder under its own trace id.
 func TestRouterRunTwoSources(t *testing.T) {
-	r, servers := startCluster(t, 2, Options{})
+	for name, traced := range map[string]bool{"untraced": false, "traced": true} {
+		t.Run(name, func(t *testing.T) { testRouterRunTwoSources(t, traced) })
+	}
+}
+
+func testRouterRunTwoSources(t *testing.T, traced bool) {
+	var r *Router
+	var servers []*dsms.Server
+	if !traced {
+		r, servers = startCluster(t, 2, Options{})
+	} else {
+		addrs := make([]string, 2)
+		for i := range addrs {
+			s, err := dsms.Open(testCatalog(), t.TempDir(), dsms.DurabilityOptions{Sync: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			s.EnableTracing(trace.Options{})
+			servers, addrs[i] = append(servers, s), startShard(t, s, i).Addr()
+		}
+		var err error
+		if r, err = NewRouter("127.0.0.1:0", addrs, Options{Trace: true, TraceRing: 1024}); err != nil {
+			t.Fatal(err)
+		}
+		go r.Serve()
+		t.Cleanup(func() { r.Close() })
+	}
 	for _, id := range []string{"left", "right"} {
 		if err := r.RegisterQuery(stream.Query{ID: "q-" + id, SourceID: id, Delta: 1e-9, Model: "constant"}); err != nil {
 			t.Fatal(err)
@@ -34,15 +69,24 @@ func TestRouterRunTwoSources(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rd.ReadPreamble(); err != nil {
-		t.Fatal(err)
+	if _, feats, err := rd.ReadPreamble(); err != nil || (feats&wire.FeatEvidence != 0) != traced {
+		t.Fatalf("router preamble feats %#02x, %v; evidence bit wanted: %v", feats, err, traced)
 	}
 	for i := 0; i < 2; i++ {
 		if tag, _, err := rd.Next(); err != nil || tag != wire.TagInstall {
 			t.Fatalf("handshake reply %v, %v", tag, err)
 		}
 	}
-	// left runs seqs 0..n-1, right 1000..1000+n-1, in uneven turns.
+	fsyncs := func() (total int64) {
+		for _, s := range servers {
+			v, _ := s.Telemetry().Get("streamkf_wal_fsyncs_total")
+			total += int64(v)
+		}
+		return total
+	}
+	synced := fsyncs()
+	// left runs seqs 0..n-1, right 1000..1000+n-1, in uneven turns; traced,
+	// an update's trace id is its seq + 1.
 	const n = 120
 	next := map[string]int{"left": 0, "right": 1000}
 	for sent, turn := 0, 0; sent < 2*n; turn++ {
@@ -50,7 +94,11 @@ func TestRouterRunTwoSources(t *testing.T) {
 		for k := 0; k <= turn%5 && next[id]%1000 < n; k++ {
 			seq := next[id]
 			u := core.Update{SourceID: id, Seq: seq, Time: float64(seq), Values: []float64{float64(seq)}, Bootstrap: seq%1000 == 0}
-			if err := w.Update(&u); err != nil {
+			var ev *trace.Event
+			if traced {
+				ev = &trace.Event{TraceID: int64(seq) + 1, Kind: trace.KindDecision, Dec: trace.DecisionSend, Value: u.Values[0], Delta: 1e-9}
+			}
+			if err := w.Update(&u, ev); err != nil {
 				t.Fatal(err)
 			}
 			next[id]++
@@ -96,6 +144,38 @@ func TestRouterRunTwoSources(t *testing.T) {
 		rt.pendMu.Unlock()
 		if left != 0 {
 			t.Fatalf("route %s still holds %d pending updates after its last ack", rt.sourceID, left)
+		}
+	}
+	if !traced {
+		return
+	}
+	// A turn is 1–5 updates (3 on average) and a relay or a shard's run
+	// ends early only where a socket read does: well under n/2 of each.
+	if got := fsyncs() - synced; got > n {
+		t.Fatalf("%d traced updates cost the shards %d fsyncs: they saw singles, not runs", 2*n, got)
+	}
+	for _, rt := range r.allRoutes() {
+		hops := map[trace.Kind]map[int64]bool{}
+		relays := map[int64]bool{}
+		for _, ev := range rt.rec.Events() {
+			if ev.TraceID != ev.Seq+1 {
+				t.Fatalf("route %s: event %+v is not under its own update's trace id", rt.sourceID, ev)
+			}
+			if hops[ev.Kind] == nil {
+				hops[ev.Kind] = map[int64]bool{}
+			}
+			hops[ev.Kind][ev.Seq] = true
+			if ev.Kind == trace.KindFwdTx {
+				relays[ev.At] = true
+			}
+		}
+		for _, kind := range []trace.Kind{trace.KindFwdRx, trace.KindFwdTx, trace.KindFwdAck} {
+			if len(hops[kind]) != n {
+				t.Fatalf("route %s recorded %v for %d of %d traced updates", rt.sourceID, kind, len(hops[kind]), n)
+			}
+		}
+		if len(relays) > n/2 {
+			t.Fatalf("route %s: %d updates went out in %d relays: one per update, not one per sub-run", rt.sourceID, n, len(relays))
 		}
 	}
 }

@@ -10,13 +10,14 @@ import (
 	"streamkf/internal/trace"
 )
 
-// Distributed /tracez: the router keeps its own per-route flight
-// recorders (fwd_rx/fwd_tx/fwd_ack), and TraceStream fans the lookup
-// out to the owning shard's admin endpoint, splicing both trails into
-// one causal chain keyed by the traceID the source minted. Because
-// hop-capable peers carry the source's decision timestamp on the wire
-// (see wire/hoptrace.go), the spliced chain is time-ordered end to
-// end: decision → fwd_rx → fwd_tx → wire_rx → apply → wal → fwd_ack.
+// Distributed /tracez: a hop is recorded once, where it happens — the
+// router keeps fwd_rx/fwd_tx/fwd_ack in its own per-route flight
+// recorders, the shard everything from wire_rx on — and TraceStream fans
+// the lookup out to the owning shard's admin endpoint, splicing both
+// trails into one causal chain keyed by the traceID the source minted.
+// Because a traced update carries the source's decision timestamp, the
+// spliced chain is time-ordered end to end:
+// decision → fwd_rx → fwd_tx → wire_rx → apply → wal → fwd_ack.
 
 // ClusterStreamTrace is the router's /tracez/stream/{id} document.
 type ClusterStreamTrace struct {
@@ -29,8 +30,8 @@ type ClusterStreamTrace struct {
 	// shard admin endpoint is unreachable or unconfigured — see Error).
 	RouterEvents []trace.EventView `json:"router_events"`
 	ShardTrace   *dsms.StreamTrace `json:"shard_trace,omitempty"`
-	// Chain merges both trails, deduplicated by (trace_id, seq, kind)
-	// and ordered by timestamp (causal stage rank breaks ties).
+	// Chain merges both trails (they share no event), ordered by
+	// timestamp (causal stage rank breaks ties).
 	Chain []trace.EventView `json:"chain"`
 	Error string            `json:"error,omitempty"`
 }
@@ -96,24 +97,9 @@ func (r *Router) TraceStream(id string) (ClusterStreamTrace, error) {
 		}
 	}
 
-	type key struct {
-		tid, seq int64
-		kind     string
-	}
-	seen := make(map[key]bool)
-	add := func(evs []trace.EventView) {
-		for _, ev := range evs {
-			k := key{ev.TraceID, ev.Seq, ev.Kind}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out.Chain = append(out.Chain, ev)
-		}
-	}
-	add(out.RouterEvents)
+	out.Chain = append(out.Chain, out.RouterEvents...)
 	if out.ShardTrace != nil {
-		add(out.ShardTrace.Events)
+		out.Chain = append(out.Chain, out.ShardTrace.Events...)
 	}
 	sort.SliceStable(out.Chain, func(i, j int) bool {
 		a, b := out.Chain[i], out.Chain[j]

@@ -39,28 +39,13 @@ type upstream struct {
 }
 
 func (up *upstream) connect() error {
-	conn, err := net.Dial("tcp", up.addr)
-	if err != nil {
-		return fmt.Errorf("cluster: shard %d dial: %w", up.shard, err)
-	}
-	w := wire.NewWriter(conn, 64*1024, up.router.opts.MaxFrame)
-	rd := wire.NewReader(conn, 0, up.router.opts.MaxFrame)
-	var ver, feats byte
-	if err = w.WritePreamble(wire.Version, wire.FeatCluster); err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		ver, feats, err = rd.ReadPreamble()
-	}
-	if err == nil {
-		err = wire.CheckVersion(ver)
-	}
+	conn, w, rd, feats, err := dsms.DialWire(up.addr, "", wire.FeatCluster, 64*1024, up.router.opts.MaxFrame)
 	if err == nil && feats&wire.FeatCluster == 0 {
+		conn.Close()
 		err = errors.New("peer does not speak the cluster extension")
 	}
 	if err != nil {
-		conn.Close()
-		return fmt.Errorf("cluster: shard %d handshake: %w", up.shard, err)
+		return fmt.Errorf("cluster: shard %d: %w", up.shard, err)
 	}
 	dead := make(chan struct{})
 	up.mu.Lock()

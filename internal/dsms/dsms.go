@@ -564,12 +564,12 @@ func (s *Server) HandleUpdate(u core.Update) error {
 // rxFrame is what a TCP connection keeps beside a received update: the
 // route index its ack must name (-1: a source's own update, acked by seq
 // alone), its seq, and what only a trace records — its frame's size on
-// the wire and the evidence a trace frame ahead of it carried.
+// the wire and the evidence trailer it carried (nil: none), still in its
+// payload.
 type rxFrame struct {
 	route, seq int64
 	bytes      int
-	wd         *trace.DecisionInfo
-	hop        *wire.TraceHop
+	ev         *wire.Evidence
 }
 
 // What applyRun reports beside the filter's own refusals.
@@ -628,7 +628,7 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 		case batch != nil && st.lastSeq < 0 && !u.Bootstrap:
 			err = errPreBootstrap
 		default:
-			sampled, tid, err = s.applyLocked(st, u, f.wd, f.hop, f.bytes)
+			sampled, tid, err = s.applyLocked(st, u, f.ev, f.bytes)
 		}
 		if err != nil {
 			break
@@ -659,10 +659,11 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 }
 
 // applyLocked is applyRun's per-update step: filter step, history, time
-// map, suppression accounting, trace and audit. wireBytes is
-// the received frame size (0: not in a frame of its own). Caller holds
-// st.mu. Returns whether this apply was trace-sampled, and its trace id.
-func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.DecisionInfo, hop *wire.TraceHop, wireBytes int) (sampled bool, tid int64, err error) {
+// map, suppression accounting, trace and audit. evid is the evidence the
+// update carried (nil: none) and wireBytes the received frame size (0:
+// not in a frame of its own). Caller holds st.mu. Returns whether this
+// apply was trace-sampled, and its trace id.
+func (s *Server) applyLocked(st *sourceState, u *core.Update, evid *wire.Evidence, wireBytes int) (sampled bool, tid int64, err error) {
 	if !st.node.Installed() {
 		return false, 0, errUninstalled
 	}
@@ -694,32 +695,21 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, wd *trace.Decision
 	// the recorded evidence (innovation, NIS) is exactly what this
 	// update produced. st.cfg is written only before the source starts
 	// streaming, so reading Delta here needs no topology lock.
-	if wd != nil {
-		tid = wd.TraceID
+	if evid != nil {
+		tid = evid.TraceID()
 	}
 	rec := st.rec
 	sampled = rec.Sampled(int64(u.Seq))
 	innov, innovOK := st.node.LastInnovation()
 	if sampled {
-		if hop != nil {
-			// Splice the router's hop into this stream's trail ahead of
-			// the apply events so the ring preserves causal order:
-			// fwd_rx/fwd_tx carry the router's own timestamps, keyed by
-			// the trace id the source minted.
-			rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.RxUnixNs, Kind: trace.KindFwdRx, Aux: int64(hop.Idx)})
-			rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), At: hop.TxUnixNs, Kind: trace.KindFwdTx, Aux: hop.Epoch})
-		}
 		if wireBytes > 0 {
 			rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWireRx, Aux: int64(wireBytes)})
 		}
-		if wd != nil {
-			// At carries the source's decision timestamp, so spliced
-			// cross-node trails sort by source time.
-			rec.Record(&trace.Event{
-				TraceID: wd.TraceID, Seq: wd.Seq, At: wd.At, Kind: trace.KindDecision, Dec: wd.Decision,
-				Raw: wd.Raw, Value: wd.Smoothed, Pred: wd.Pred,
-				Residual: wd.Residual, Delta: wd.Delta, NIS: wd.NIS,
-			})
+		if evid != nil {
+			// The source's decision event, recorded as received: its At is
+			// source time, so spliced cross-node trails sort by it.
+			d := evid.Event(int64(u.Seq))
+			rec.Record(&d)
 		}
 		ev := trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindApply, Delta: st.cfg.Delta}
 		if len(u.Values) > 0 {
@@ -1141,9 +1131,9 @@ func (a *Agent) SetTrace(tr *trace.Recorder) {
 func (a *Agent) Tracer() *trace.Recorder { return a.tracer }
 
 // LastDecision returns the evidence behind the node's most recent
-// send/suppress decision — what the TCP transport ships ahead of a
-// traced update frame.
-func (a *Agent) LastDecision() trace.DecisionInfo { return a.node.LastDecision() }
+// send/suppress decision — what the TCP transport ships as a traced
+// update's trailer.
+func (a *Agent) LastDecision() trace.Event { return a.node.LastDecision() }
 
 // Offer processes one reading, transmitting if the protocol requires.
 // It returns whether an update was sent.

@@ -205,7 +205,7 @@ func setupFanInTCP(b *testing.B, s *Server, ids []string) (func(int, *core.Updat
 	}
 	send := func(src int, u *core.Update) error {
 		c := srcs[src]
-		if err := c.w.Update(u); err != nil {
+		if err := c.w.Update(u, nil); err != nil {
 			return err
 		}
 		// Flush per update: the suppression protocol transmits the

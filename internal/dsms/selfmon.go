@@ -209,7 +209,7 @@ type selfStream struct {
 	fed          bool    // the latest tick produced a value
 	value        float64 // latest read value
 	lastViolTick int64   // monitor tick of the latest δ-violation (0: none)
-	viol         trace.DecisionInfo
+	viol         trace.Event
 	whitenessBad bool
 	samples      *LastN[float64]
 }

@@ -44,11 +44,11 @@ type DialOptions struct {
 	// disturb the pipelined send path's alloc budget.
 	Telemetry *telemetry.Registry
 	// Trace attaches a flight recorder to the agent's source node and —
-	// when the server advertises wire.FeatTrace — ships each send
-	// decision's evidence ahead of its update frame so the server can
-	// audit the suppression protocol end to end. Against a server
-	// without the feature bit the recorder still runs locally and
-	// nothing extra crosses the wire.
+	// when the server advertises wire.FeatEvidence — ships each send
+	// decision's evidence as the trailer of its update frame so the
+	// server can audit the suppression protocol end to end. Against a
+	// server without the feature bit the recorder still runs locally
+	// and nothing extra crosses the wire.
 	Trace bool
 	// TraceRing sizes the local flight recorder ring; 0 means
 	// trace.DefaultRingSize. Only meaningful with Trace.
@@ -164,12 +164,12 @@ func (t *TCPServer) handle(conn net.Conn) {
 		c.w.Flush()
 		return
 	}
-	// Advertise trace-frame acceptance only while tracing is on, so
-	// non-tracing servers never parse the optional tag. Cluster framing is
-	// always accepted: a router requires the bit before it forwards.
+	// Ask for evidence trailers only while tracing is on: a non-tracing
+	// server would step over them unread. Cluster framing is always
+	// accepted: a router requires the bit before it forwards.
 	feats := wire.FeatCluster
-	if t.server.TraceEnabled() {
-		feats |= wire.FeatTrace
+	if c.traced = t.server.TraceEnabled(); c.traced {
+		feats |= wire.FeatEvidence
 	}
 	if c.w.WritePreamble(wire.Version, feats) != nil {
 		return
@@ -212,12 +212,7 @@ type tcpConn struct {
 	run    []core.Update // the buffered run
 	frames []rxFrame     // parallel to run
 	acks   []rxFrame     // earned since the last write-out
-	// pend holds a trace frame's decision evidence (and router hop, if it
-	// carried one) until the next update or forward frame consumes it.
-	pend     trace.DecisionInfo
-	pendHop  wire.TraceHop
-	havePend bool
-	haveHop  bool
+	traced bool          // evidence trailers were asked for: keep them
 }
 
 // flushAck writes the cumulative acks earned so far — a source's own
@@ -265,15 +260,6 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 		return false
 	}
 	switch tag {
-	case wire.TagTrace:
-		d, hop, hasHop, err := wire.DecodeTrace(p)
-		if err != nil {
-			return c.fatal(err)
-		}
-		// Not acked: the ack of the update frame behind it confirms it.
-		c.pend, c.havePend = d, true
-		c.pendHop, c.haveHop = hop, hasHop
-		return true
 	case wire.TagHello:
 		id, err := wire.DecodeHello(p)
 		if err != nil {
@@ -351,8 +337,8 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 
 // update decodes one TagUpdate or (forwarded) TagForward frame onto the
 // buffered run, and applies the run when this frame ends it: the next
-// one is not in the read buffer yet, or this one came with trace
-// evidence, which describes it alone and so pairs with a run of one.
+// one is not in the read buffer yet. A traced update's evidence stays
+// where it arrived, in its payload, which is valid while the run is.
 func (c *tcpConn) update(forwarded bool, p []byte) bool {
 	payload, f := p, rxFrame{route: -1, bytes: len(p) + 5}
 	if forwarded {
@@ -371,19 +357,11 @@ func (c *tcpConn) update(forwarded bool, p []byte) bool {
 		return c.fatal(err)
 	}
 	f.seq = int64(c.run[k].Seq)
-	_, more := c.r.Ready()
-	if c.havePend {
-		// Consumed even if the frame is rejected (on a multiplexed upstream
-		// the next forward may be another source's at the same seq);
-		// evidence for another seq is dropped.
-		if c.pend.Seq == f.seq {
-			if f.wd = &c.pend; c.haveHop {
-				f.hop = &c.pendHop
-			}
-		}
-		c.havePend, c.haveHop, more = false, false, false
+	if c.traced {
+		f.ev = wire.UpdateEvidence(payload)
 	}
 	c.frames = append(c.frames, f)
+	_, more := c.r.Ready()
 	return more || c.applyBuffered()
 }
 
@@ -454,7 +432,7 @@ type RemoteAgent struct {
 	failed    atomic.Bool // err != nil, for Offer's lock-free check per reading
 
 	// wireTrace: the agent asked for tracing and the connected server
-	// advertised wire.FeatTrace. Re-evaluated on every (re)connect.
+	// advertised wire.FeatEvidence. Re-evaluated on every (re)connect.
 	wireTrace bool
 
 	readerDone chan struct{}
@@ -513,18 +491,21 @@ func DialSource(addr, sourceID string, catalog *Catalog) (*RemoteAgent, error) {
 	return DialSourceOptions(addr, sourceID, catalog, DialOptions{})
 }
 
-// dialWire dials addr, sends this side's preamble — and, for a source
-// (hello != ""), its hello frame in the same write — and validates the
-// server's, returning the connection, its framed writer/reader and the
-// server's feature bits. On error the connection is already closed.
-func dialWire(addr, hello string, wbuf int) (net.Conn, *wire.Writer, *wire.Reader, byte, error) {
+// DialWire dials addr, sends this side's preamble advertising offer —
+// and, for a source (hello != ""), its hello frame in the same write —
+// and validates the server's, returning the connection, its framed
+// writer/reader (write buffer wbuf, frame limit maxFrame; 0: the wire
+// defaults) and the server's feature bits. On error the connection is
+// already closed. Every client of the protocol — source, query client,
+// router upstream — dials through it.
+func DialWire(addr, hello string, offer byte, wbuf, maxFrame int) (net.Conn, *wire.Writer, *wire.Reader, byte, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("dsms: dial: %w", err)
 	}
-	w := wire.NewWriter(conn, wbuf, 0)
-	r := wire.NewReader(conn, 0, 0)
-	err = w.WritePreamble(wire.Version, 0)
+	w := wire.NewWriter(conn, wbuf, maxFrame)
+	r := wire.NewReader(conn, 0, maxFrame)
+	err = w.WritePreamble(wire.Version, offer)
 	if err == nil && hello != "" {
 		err = w.Hello(hello)
 	}
@@ -546,12 +527,12 @@ func dialWire(addr, hello string, wbuf int) (net.Conn, *wire.Writer, *wire.Reade
 	return conn, w, r, feats, nil
 }
 
-// dialHandshake runs dialWire plus the hello → install exchange,
+// dialHandshake runs DialWire plus the hello → install exchange,
 // additionally returning the decoded install reply.
 func dialHandshake(addr, sourceID string, window int) (net.Conn, *wire.Writer, *wire.Reader, wire.Install, byte, error) {
 	// A write buffer for a full window of small update frames: a
 	// coalesced burst reaches the kernel in one write.
-	conn, w, r, feats, err := dialWire(addr, sourceID, 64*window)
+	conn, w, r, feats, err := DialWire(addr, sourceID, 0, 64*window, 0)
 	if err != nil {
 		return nil, nil, nil, wire.Install{}, 0, err
 	}
@@ -589,7 +570,7 @@ func DialSourceOptions(addr, sourceID string, catalog *Catalog, opts DialOptions
 	}
 	ra := &RemoteAgent{
 		conn: conn, w: w, window: window, addr: addr, opts: opts, lastAcked: -1,
-		wireTrace: opts.Trace && feats&wire.FeatTrace != 0, readerDone: make(chan struct{}),
+		wireTrace: opts.Trace && feats&wire.FeatEvidence != 0, readerDone: make(chan struct{}),
 	}
 	ra.cond = sync.NewCond(&ra.mu)
 	if ra.Agent, err = dialedAgent(inst, sourceID, catalog, core.TransportFunc(ra.sendUpdate), opts); err != nil {
@@ -702,23 +683,19 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 	if r.err != nil {
 		return r.err
 	}
+	// LastDecision is the verdict on the reading behind this very send:
+	// its evidence rides the update as a trailer when the server asked
+	// for it. Its At — stamped by the node's recorder, which a wireTrace
+	// agent always has — is source time, ordering every recorder's trail.
+	d := r.LastDecision()
+	var ev *trace.Event
 	if r.wireTrace {
-		// Ship the decision evidence ahead of its update so the server
-		// can attach it to the apply. LastDecision is the verdict on the
-		// reading behind this very send, so the seqs agree; a resent
-		// update (its decision long gone) travels untraced.
-		if d := r.LastDecision(); d.Seq == int64(u.Seq) {
-			d.At = trace.Now() // source time orders every recorder's trail
-			if err := r.w.Trace(&d, nil); err != nil {
-				return r.failLocked(fmt.Errorf("dsms: send: %w", err))
-			}
-		}
+		ev = &d
 	}
-	if err := r.w.Update(&s.Update); err != nil {
+	if err := r.w.Update(&s.Update, ev); err != nil {
 		return r.failLocked(fmt.Errorf("dsms: send: %w", err))
 	}
 	if r.tracer != nil {
-		d := r.LastDecision()
 		r.tracer.Record(&trace.Event{TraceID: d.TraceID, Seq: int64(u.Seq), Kind: trace.KindWireTx, Aux: int64(u.WireBytes())})
 	}
 	r.sent++
@@ -796,9 +773,9 @@ func (r *RemoteAgent) Drain() error {
 	return r.err
 }
 
-// TraceNegotiated reports whether the server advertised the trace
-// feature, i.e. whether decision frames precede this agent's updates
-// on the wire.
+// TraceNegotiated reports whether the server advertised the evidence
+// feature, i.e. whether this agent's updates carry their decision
+// evidence on the wire.
 func (r *RemoteAgent) TraceNegotiated() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -858,15 +835,15 @@ func (r *RemoteAgent) Reconnect() error {
 	r.w = w
 	r.err = nil
 	r.failed.Store(false)
-	// Renegotiate trace frames with the replacement server (the resent
-	// updates carry no fresh decisions: untraced either way).
-	r.wireTrace = r.opts.Trace && feats&wire.FeatTrace != 0
+	// Renegotiate evidence trailers with the replacement server (the
+	// resent updates carry no fresh decisions: untraced either way).
+	r.wireTrace = r.opts.Trace && feats&wire.FeatEvidence != 0
 	r.readerDone = make(chan struct{})
 	// Retransmit before starting the new reader, so resent frames
 	// precede anything a concurrent Offer ships on the fresh connection.
 	for r.sent = 0; r.sent < r.ring.n; r.sent++ {
 		s := r.ring.at(r.sent)
-		if err := r.w.Update(&s.Update); err != nil {
+		if err := r.w.Update(&s.Update, nil); err != nil {
 			r.failLocked(fmt.Errorf("dsms: send: %w", err))
 			break
 		}
@@ -909,7 +886,7 @@ type QueryClient struct {
 // DialQuery connects a query client to the server at addr and validates
 // the protocol preamble.
 func DialQuery(addr string) (*QueryClient, error) {
-	conn, w, r, _, err := dialWire(addr, "", 0)
+	conn, w, r, _, err := DialWire(addr, "", 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"streamkf/internal/dsms/wire"
 	"streamkf/internal/stream"
 	"streamkf/internal/telemetry"
+	"streamkf/internal/trace"
 	"streamkf/internal/wal"
 )
 
@@ -41,12 +42,17 @@ func rawSource(t *testing.T, addr, sourceID string) (*wire.Writer, *wire.Reader)
 }
 
 // writeRun buffers one update frame per seq and sends them in a single
-// write, so the server's read delivers them as one run.
-func writeRun(t *testing.T, w *wire.Writer, sourceID string, seqs ...int) {
+// write, so the server's read delivers them as one run. Traced, every
+// update carries decision evidence under trace id seq+1.
+func writeRun(t *testing.T, w *wire.Writer, sourceID string, traced bool, seqs ...int) {
 	t.Helper()
 	for _, seq := range seqs {
 		u := core.Update{SourceID: sourceID, Seq: seq, Time: float64(seq), Values: []float64{float64(10 * seq)}, Bootstrap: seq == 0}
-		if err := w.Update(&u); err != nil {
+		var ev *trace.Event
+		if traced {
+			ev = &trace.Event{TraceID: int64(seq) + 1, Kind: trace.KindDecision, Dec: trace.DecisionSend, Value: u.Values[0], Residual: 10, Delta: 1e-9}
+		}
+		if err := w.Update(&u, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,14 +117,14 @@ func TestTCPRunRefusedMidRun(t *testing.T) {
 	mustRegister(t, s, runQuery)
 	ts := startServer(t, s)
 	w, r := rawSource(t, ts.Addr(), runQuery.SourceID)
-	writeRun(t, w, runQuery.SourceID, 0)
+	writeRun(t, w, runQuery.SourceID, false, 0)
 	readThrough(t, r, 0)
 	// The prediction moves to seq 5: an update at seq 3 is stale now.
 	if n := s.AdvanceAll(5); n != 1 {
 		t.Fatalf("AdvanceAll advanced %d streams, want 1", n)
 	}
 	logged := counter(t, s, "streamkf_wal_records_appended_total")
-	writeRun(t, w, runQuery.SourceID, 5, 6, 3, 7, 8)
+	writeRun(t, w, runQuery.SourceID, false, 5, 6, 3, 7, 8)
 	before, after, msg := readThrough(t, r, 8)
 	if len(before) == 0 || before[len(before)-1] != 6 {
 		t.Fatalf("acks ahead of the error frame = %v, want them to end at 6", before)
@@ -147,37 +153,69 @@ func TestTCPRunRefusedMidRun(t *testing.T) {
 }
 
 // TestTCPRunGroupCommit: under SyncAlways a buffered run costs one fsync,
-// not one per update.
+// not one per update — and a traced run is still one run: each update
+// carries its own evidence, so tracing costs no extra commit or ack.
 func TestTCPRunGroupCommit(t *testing.T) {
+	for name, traced := range map[string]bool{"untraced": false, "traced": true} {
+		t.Run(name, func(t *testing.T) { testTCPRunGroupCommit(t, traced) })
+	}
+}
+
+func testTCPRunGroupCommit(t *testing.T, traced bool) {
 	const n = 800
 	s, err := Open(testCatalog(), t.TempDir(), DurabilityOptions{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if traced {
+		s.EnableTracing(trace.Options{})
+	}
 	mustRegister(t, s, runQuery)
 	ts := startServer(t, s)
 	w, r := rawSource(t, ts.Addr(), runQuery.SourceID)
-	writeRun(t, w, runQuery.SourceID, 0)
+	writeRun(t, w, runQuery.SourceID, traced, 0)
 	readThrough(t, r, 0)
 	fsyncs := counter(t, s, "streamkf_wal_fsyncs_total")
 	seqs := make([]int, n)
 	for i := range seqs {
 		seqs[i] = i + 1
 	}
-	writeRun(t, w, runQuery.SourceID, seqs...)
+	writeRun(t, w, runQuery.SourceID, traced, seqs...)
 	if _, _, msg := readThrough(t, r, n); msg != "" {
 		t.Fatalf("server error: %s", msg)
 	}
 	if st := s.Stats()[0]; st.Updates != n+1 {
 		t.Fatalf("applied %d updates, want %d", st.Updates, n+1)
 	}
-	if got := counter(t, s, "streamkf_wal_fsyncs_total") - fsyncs; got < 1 || got > n/8 {
+	got := counter(t, s, "streamkf_wal_fsyncs_total") - fsyncs
+	if got < 1 || got > n/8 {
 		t.Fatalf("%d pipelined updates cost %d fsyncs, want between 1 and %d", n, got, n/8)
 	}
 	acks := counter(t, s, "dkf_wire_tx_frames_total", telemetry.L("tag", "ack"))
 	if acks > 2+n/8 {
 		t.Fatalf("%d acks for %d updates", acks, n+1)
+	}
+	t.Logf("%d pipelined updates: %d fsyncs, %d acks", n, got, acks)
+	if !traced {
+		return
+	}
+	// Inside a run each update still found its own evidence.
+	st, err := s.TraceStream(runQuery.SourceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decisions := 0
+	for _, ev := range st.Events {
+		if ev.TraceID != ev.Seq+1 {
+			t.Fatalf("event %+v is not under its own update's trace id", ev)
+		}
+		if ev.Kind == "decision" {
+			decisions++
+		}
+	}
+	if decisions < trace.DefaultRingSize/5 {
+		t.Fatalf("the trail holds %d decision events of a traced run: %+v", decisions, st.Events)
 	}
 }
 

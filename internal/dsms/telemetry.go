@@ -24,14 +24,14 @@ var Version = "dev"
 // nowNanos returns monotonic nanoseconds since process start.
 func nowNanos() int64 { return int64(time.Since(epoch)) }
 
-// numTags sizes the per-tag counter arrays: wire tags are 0x01..0x08
-// plus the cluster tags 0x09..0x0f; index 0 collects anything out of
-// range.
+// numTags sizes the per-tag counter arrays: wire tags are 0x01..0x07
+// (0x08 is the retired trace frame) plus the cluster tags 0x09..0x0f;
+// index 0 collects anything out of range.
 const numTags = 16
 
 // tagLabels names the per-tag label values, indexed by wire.Tag.
 var tagLabels = [numTags]string{
-	"other", "hello", "install", "update", "ack", "query", "answer", "error", "trace",
+	"other", "hello", "install", "update", "ack", "query", "answer", "error", "retired_trace",
 	"forward", "forward_ack", "cluster_reg", "registered", "snapshot", "restore", "state_ack",
 }
 

@@ -12,6 +12,7 @@ import (
 	"streamkf/internal/dsms/wire"
 	"streamkf/internal/gen"
 	"streamkf/internal/stream"
+	"streamkf/internal/telemetry"
 	"streamkf/internal/trace"
 )
 
@@ -194,8 +195,8 @@ func eventViews(events []trace.Event) []trace.EventView {
 }
 
 // TestTraceCompatV2Peers pins wire compatibility in both directions: a
-// tracing peer and a plain v2 peer must interoperate, with trace
-// frames sent only when the server advertised the feature.
+// tracing peer and a plain v2 peer must interoperate, with evidence
+// sent only when the server advertised the feature.
 func TestTraceCompatV2Peers(t *testing.T) {
 	catalog := testCatalog()
 
@@ -209,10 +210,10 @@ func TestTraceCompatV2Peers(t *testing.T) {
 		}
 		defer agent.Close()
 		if agent.wireTrace {
-			t.Fatal("agent negotiated trace frames against a non-tracing server")
+			t.Fatal("agent negotiated evidence against a non-tracing server")
 		}
 		if agent.Tracer() == nil {
-			t.Fatal("local recorder must work even when the peer cannot accept trace frames")
+			t.Fatal("local recorder must work even when the peer does not take evidence")
 		}
 		if err := agent.Run(stream.NewSliceSource(gen.Ramp(200, 0, 2, 0.3, 7))); err != nil {
 			t.Fatal(err)
@@ -225,28 +226,52 @@ func TestTraceCompatV2Peers(t *testing.T) {
 		}
 	})
 
-	// A server from before the single trace form advertises the retired
-	// 0x01 bit and would reject the 73-byte payload as malformed: the
-	// agent must read that bit as "no tracing" and stay untraced.
-	t.Run("traced-agent-retired-bit-server", func(t *testing.T) {
-		hold := make(chan struct{})
-		defer close(hold)
-		addr := fakeServer(t, func(conn net.Conn) {
-			io.ReadFull(conn, make([]byte, 6)) // client preamble
-			conn.Read(make([]byte, 64))        // its hello
-			w := wire.NewWriter(conn, 0, 0)
-			w.WritePreamble(wire.Version, 0x01)
-			w.Install(wire.Install{SourceID: "walk", Model: "linear", Delta: 0.5, ResumeSeq: -1})
-			w.Flush()
-			<-hold
+	// A server from the TagTrace era advertises a retired bit — 0x01 (the
+	// 65-byte frame) or 0x04 (the 73-byte one) — and would reject an
+	// update with a trailer as malformed: the agent must read either bit
+	// as "no tracing" and stay untraced. A TagTrace frame from such an
+	// agent is an unknown tag to this server, answered as one.
+	for name, bit := range map[string]byte{"retired-bit": 0x01, "retired-bit-0x04": 0x04} {
+		t.Run("traced-agent-"+name+"-server", func(t *testing.T) {
+			hold := make(chan struct{})
+			defer close(hold)
+			addr := fakeServer(t, func(conn net.Conn) {
+				io.ReadFull(conn, make([]byte, 6)) // client preamble
+				conn.Read(make([]byte, 64))        // its hello
+				w := wire.NewWriter(conn, 0, 0)
+				w.WritePreamble(wire.Version, bit)
+				w.Install(wire.Install{SourceID: "walk", Model: "linear", Delta: 0.5, ResumeSeq: -1})
+				w.Flush()
+				<-hold
+			})
+			agent, err := DialSourceOptions(addr, "walk", catalog, DialOptions{Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agent.Close()
+			if agent.TraceNegotiated() {
+				t.Fatalf("agent negotiated evidence on the retired %#02x feature bit", bit)
+			}
 		})
-		agent, err := DialSourceOptions(addr, "walk", catalog, DialOptions{Trace: true})
-		if err != nil {
+	}
+	t.Run("retired-tag-tracing-server", func(t *testing.T) {
+		s := NewServer(catalog)
+		s.EnableTracing(trace.Options{})
+		ts := startServer(t, s)
+		conn, w, r := rawClient(t, ts.Addr())
+		w.WritePreamble(wire.Version, 0x04)
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		defer agent.Close()
-		if agent.TraceNegotiated() {
-			t.Fatal("agent negotiated trace frames on the retired 0x01 feature bit")
+		if _, feats, err := r.ReadPreamble(); err != nil || feats&(0x01|0x04) != 0 {
+			t.Fatalf("preamble feats %#02x, %v; want neither retired bit", feats, err)
+		}
+		if _, err := conn.Write(append([]byte{74, 0, 0, 0, 0x08}, make([]byte, 73)...)); err != nil {
+			t.Fatal(err)
+		}
+		expectErrorFrame(t, r, "unknown message tag 0x08")
+		if got := counter(t, s, "dkf_wire_errors_total", telemetry.L("kind", "unknown_tag")); got != 1 {
+			t.Fatalf("unknown_tag errors = %d, want 1", got)
 		}
 	})
 
@@ -271,18 +296,18 @@ func TestTraceCompatV2Peers(t *testing.T) {
 		if !kinds["apply"] || !kinds["wire_rx"] {
 			t.Fatalf("tracing server recorded no applies from a plain agent: %v", kinds)
 		}
-		// No trace frames arrived, so the wire half of the chain is
-		// anonymous: trace id 0, no decision evidence.
+		// No evidence arrived, so the wire half of the chain is
+		// anonymous: trace id 0, no decision events.
 		for _, e := range st.Events {
 			if e.Kind == "decision" {
-				t.Fatalf("decision event without a trace frame: %+v", e)
+				t.Fatalf("decision event without evidence: %+v", e)
 			}
 			if e.TraceID != 0 {
-				t.Fatalf("nonzero trace id without trace frames: %+v", e)
+				t.Fatalf("nonzero trace id without evidence: %+v", e)
 			}
 		}
 		if st.Audit.Applies == 0 {
-			t.Fatal("divergence audit must run without trace frames")
+			t.Fatal("divergence audit must run without evidence")
 		}
 	})
 }
@@ -360,12 +385,12 @@ func TestTracezScrapeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestForwardRejectedEvidenceNotInherited pins the evidence-stash fix
-// on a router's multiplexed upstream connection: a traced forward for
-// a released source A is rejected, and the next forward — untraced, a
-// different source B, the same seq (every stream counts from 0, so the
-// collision is the common case) — must not inherit A's decision or hop
-// events into B's trail.
+// TestForwardRejectedEvidenceNotInherited pins, on a router's
+// multiplexed upstream connection, that evidence belongs to the update
+// that carries it: a traced forward for a released source A is rejected,
+// and the next forward in the same run — untraced, a different source B,
+// the same seq (every stream counts from 0, so the collision is the
+// common case) — holds nothing of A's in its trail.
 func TestForwardRejectedEvidenceNotInherited(t *testing.T) {
 	const k = 1
 	s := NewServer(testCatalog())
@@ -388,28 +413,25 @@ func TestForwardRejectedEvidenceNotInherited(t *testing.T) {
 	if err := w.WritePreamble(wire.Version, wire.FeatCluster); err != nil {
 		t.Fatal(err)
 	}
-	payload := func(id string) []byte {
-		p, err := wire.AppendUpdate(nil, &core.Update{SourceID: id, Seq: k, Time: k, Values: []float64{5}})
+	payload := func(id string, ev *trace.Event) []byte {
+		p, err := wire.AppendTracedUpdate(nil, &core.Update{SourceID: id, Seq: k, Time: k, Values: []float64{5}}, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	d := trace.DecisionInfo{TraceID: 77, Seq: k, Decision: trace.DecisionSend, At: 1000, Raw: 5, Smoothed: 5, Pred: 1, Residual: 4, Delta: 1}
-	if err := w.Trace(&d, &wire.TraceHop{Idx: 0, Epoch: 2, RxUnixNs: 1100, TxUnixNs: 1200}); err != nil {
+	d := trace.Event{TraceID: 77, Seq: k, Kind: trace.KindDecision, Dec: trace.DecisionSend, At: 1000, Raw: 5, Value: 5, Pred: 1, Residual: 4, Delta: 1}
+	if err := w.Forward(0, 2, payload("A", &d)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Forward(0, 2, payload("A")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Forward(1, 2, payload("B")); err != nil {
+	if err := w.Forward(1, 2, payload("B", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, feats, err := r.ReadPreamble(); err != nil || feats&wire.FeatTrace == 0 {
-		t.Fatalf("preamble feats %#02x, %v; want the trace bit", feats, err)
+	if _, feats, err := r.ReadPreamble(); err != nil || feats&wire.FeatEvidence == 0 {
+		t.Fatalf("preamble feats %#02x, %v; want the evidence bit", feats, err)
 	}
 	expectErrorFrame(t, r, "released from this shard")
 	tag, p, err := r.Next()
@@ -428,10 +450,8 @@ func TestForwardRejectedEvidenceNotInherited(t *testing.T) {
 	if !kinds["apply"] {
 		t.Fatalf("B's forward was not applied: %v", kinds)
 	}
-	for _, leaked := range []string{"decision", "fwd_rx", "fwd_tx"} {
-		if kinds[leaked] {
-			t.Errorf("B's trail inherited a %s event from A's rejected forward: %+v", leaked, st.Events)
-		}
+	if kinds["decision"] {
+		t.Errorf("B's trail inherited a decision event from A's rejected forward: %+v", st.Events)
 	}
 	for _, ev := range st.Events {
 		if ev.TraceID == d.TraceID {

@@ -14,6 +14,7 @@ import (
 	"streamkf/internal/gen"
 	"streamkf/internal/netsim"
 	"streamkf/internal/stream"
+	"streamkf/internal/trace"
 )
 
 // udpQuery is the shared registration for the datagram-semantics tests:
@@ -377,13 +378,39 @@ func TestUDPIngestLoopbackEndToEnd(t *testing.T) {
 
 // TestUDPRxAllocFree gates the steady-state datagram receive path —
 // preamble check, frame walk, update decode, source-id intern, ring
-// handoff, shard dedup — at zero allocations per datagram.
+// handoff, shard dedup — at zero allocations per datagram. Its datagram
+// carries an evidence trailer, which UDP has no capability to ask for:
+// the update is applied all the same and the evidence ignored, even by a
+// tracing server.
 func TestUDPRxAllocFree(t *testing.T) {
 	q := udpQuery()
-	_, ts := newUDPPair(t, q)
+	s, ts := newUDPPair(t, q)
+	s.EnableTracing(trace.Options{})
 
 	boot := core.Update{SourceID: q.SourceID, Seq: 0, Time: 0, Values: []float64{1}, Bootstrap: true}
-	deliver(t, ts, []core.Update{boot}, []int{0})
+	ev := trace.Event{TraceID: 77, Kind: trace.KindDecision, Dec: trace.DecisionBootstrap, Raw: 1, Value: 1, Delta: q.Delta}
+	dg := wire.BeginFrame(wire.AppendPreamble(nil, wire.Version, 0), wire.TagUpdate)
+	dg, err := wire.AppendTracedUpdate(dg, &boot, &ev)
+	if err == nil {
+		dg, err = wire.EndFrame(dg, 6)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.processDatagram(dg, netip.AddrPort{})
+	ts.eng.Quiesce()
+	if st := s.Stats()[0]; st.Updates != 1 {
+		t.Fatalf("a datagram update with a trailer was applied %d times, want 1", st.Updates)
+	}
+	tr, err := s.TraceStream(q.SourceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr.Events {
+		if e.Kind == "decision" || e.TraceID != 0 {
+			t.Fatalf("the datagram's evidence reached the trail: %+v", e)
+		}
+	}
 
 	// Replaying the bootstrap's seq exercises the full rx path into the
 	// shard's dedup drop — the steady-state shape for duplicated
@@ -391,7 +418,6 @@ func TestUDPRxAllocFree(t *testing.T) {
 	// by TestUDPIngestAllocBudget). Warm two full ring wraps first:
 	// every slot's value buffer allocates once on its first use, and the
 	// steady-state claim starts after that.
-	dg := updateDatagram(t, &boot)
 	for wrap := 0; wrap < 4; wrap++ {
 		for i := 0; i < 2048; i++ { // half the ring: quiesce before it can fill and shed
 			ts.processDatagram(dg, netip.AddrPort{})

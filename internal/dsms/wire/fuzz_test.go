@@ -31,24 +31,29 @@ func FuzzFrameDecode(f *testing.F) {
 		return w.Install(Install{SourceID: "s", Model: "linear", Delta: 2.5, F: 1e-7, ResumeSeq: 41})
 	}))
 	f.Add(seed(func(w *Writer) error {
-		return w.Update(&core.Update{SourceID: "s", Seq: 7, Time: 3.5, Values: []float64{1, 2}, Bootstrap: true})
+		return w.Update(&core.Update{SourceID: "s", Seq: 7, Time: 3.5, Values: []float64{1, 2}, Bootstrap: true}, nil)
 	}))
 	f.Add(seed(func(w *Writer) error { return w.Answer("q", []float64{1.5}) }))
 	f.Add(seed(func(w *Writer) error { return w.Query("q", 12) }))
 	f.Add(seed(func(w *Writer) error { return w.Ack(-3) }))
 	f.Add(seed(func(w *Writer) error { return w.Error("boom") }))
-	// The one TagTrace form at its two lengths (73 without the hop
-	// suffix, 101 with), plus the retired 65-byte payload, which must
-	// decode as malformed like any other length.
-	d := trace.DecisionInfo{
-		TraceID: 17, Seq: 9, Decision: trace.DecisionSend, At: 123456789,
-		Raw: 3.25, Smoothed: 3.0, Pred: 1.5, Residual: 1.5, Delta: 0.5, NIS: 4.0,
+	// Trailer-bearing updates: whole, cut inside the trailer, and the flag
+	// bit with no trailer behind it; plus a frame under the retired
+	// TagTrace tag, which no decoder owns any more.
+	ev := trace.Event{
+		TraceID: 17, At: 123456789, Kind: trace.KindDecision, Dec: trace.DecisionSend,
+		Raw: 3.25, Value: 3.0, Pred: 1.5, Residual: 1.5, Delta: 0.5, NIS: 4.0,
 	}
-	f.Add(seed(func(w *Writer) error { return w.Trace(&d, nil) }))
-	f.Add(seed(func(w *Writer) error {
-		return w.Trace(&d, &TraceHop{Idx: 3, Epoch: 7, RxUnixNs: 1000, TxUnixNs: 2000})
-	}))
-	f.Add(append([]byte{66, 0, 0, 0, byte(TagTrace)}, make([]byte, 65)...))
+	traced := seed(func(w *Writer) error {
+		return w.Update(&core.Update{SourceID: "s", Seq: 9, Time: 4.5, Values: []float64{1, 2}}, &ev)
+	})
+	f.Add(traced)
+	for _, cut := range []int{1, evidenceLen / 2, evidenceLen} {
+		short := append([]byte(nil), traced[:len(traced)-cut]...)
+		short[0] -= byte(cut)
+		f.Add(short)
+	}
+	f.Add(append([]byte{74, 0, 0, 0, 0x08}, make([]byte, 73)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data), 0, 0)
@@ -68,7 +73,9 @@ func FuzzFrameDecode(f *testing.F) {
 			_, _, _ = r.DecodeQuery(p)
 			_, _, _ = DecodeAnswer(p)
 			_, _ = DecodeError(p)
-			_, _, _, _ = DecodeTrace(p)
+			if e := UpdateEvidence(p); e != nil {
+				_ = e.Event(e.TraceID())
+			}
 			_ = tag
 		}
 	})

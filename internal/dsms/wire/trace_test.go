@@ -1,57 +1,112 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"streamkf/internal/core"
 	"streamkf/internal/trace"
 )
 
-// TestTraceRoundTrip covers both lengths of the one TagTrace form
-// through the one decoder: the 73-byte payload a source writes and the
-// 101-byte payload a router writes with its hop record appended.
-func TestTraceRoundTrip(t *testing.T) {
-	d := trace.DecisionInfo{
-		TraceID: 17, Seq: 9, Decision: trace.DecisionSend, At: 123_456_789,
-		Raw: 3.25, Smoothed: 3.0, Pred: 1.5, Residual: 1.5, Delta: 0.5, NIS: 4.0,
+// testEvidence is a decision event with every trailer field set; seq is
+// the update's own.
+func testEvidence(seq int64) trace.Event {
+	return trace.Event{
+		TraceID: 17, Seq: seq, At: 123_456_789, Kind: trace.KindDecision, Dec: trace.DecisionSend,
+		Raw: 3.25, Value: 3.0, Pred: 1.5, Residual: 1.5, Delta: 0.5, NIS: 4.0,
 	}
-	hop := TraceHop{Idx: 3, Epoch: 7, RxUnixNs: 1_000_000, TxUnixNs: 2_000_000}
+}
+
+// TestTraceRoundTrip sends an update with and without its evidence
+// trailer through the one codec: both decode to the same update, the
+// traced one yields the event it was built from, and without its trailer
+// (and the flag bit) it is byte for byte the untraced payload — what the
+// WAL logs.
+func TestTraceRoundTrip(t *testing.T) {
+	u := core.Update{SourceID: "sensor-a", Seq: 9, Time: 4.5, Values: []float64{3, -1}, Bootstrap: true}
+	ev := testEvidence(int64(u.Seq))
 
 	w, r, _ := pipe()
-	if err := w.Trace(&d, nil); err != nil {
+	if err := w.Update(&u, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Trace(&d, &hop); err != nil {
+	if err := w.Update(&u, &ev); err != nil {
 		t.Fatal(err)
 	}
 	mustFlush(t, w)
 
-	got, gotHop, hasHop, err := DecodeTrace(next(t, r, TagTrace))
-	if err != nil || hasHop || got != d || gotHop != (TraceHop{}) {
-		t.Fatalf("source form = %+v hop=%v/%+v, %v; want %+v", got, hasHop, gotHop, err, d)
+	plain := append([]byte(nil), next(t, r, TagUpdate)...)
+	traced := next(t, r, TagUpdate)
+	if len(traced) != len(plain)+evidenceLen {
+		t.Fatalf("traced payload is %d bytes, plain %d: trailer is not %d", len(traced), len(plain), evidenceLen)
 	}
-	got, gotHop, hasHop, err = DecodeTrace(next(t, r, TagTrace))
-	if err != nil || !hasHop || got != d || gotHop != hop {
-		t.Fatalf("hop form = %+v hop=%v/%+v, %v; want %+v %+v", got, hasHop, gotHop, err, d, hop)
+	for _, p := range [][]byte{plain, traced} {
+		var got core.Update
+		if err := r.DecodeUpdate(p, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.SourceID != u.SourceID || got.Seq != u.Seq || got.Time != u.Time || !got.Bootstrap || len(got.Values) != 2 || got.Values[1] != -1 {
+			t.Fatalf("decoded %+v, want %+v", got, u)
+		}
+	}
+	if UpdateEvidence(plain) != nil {
+		t.Fatal("an untraced payload yielded evidence")
+	}
+	e := UpdateEvidence(traced)
+	if e == nil {
+		t.Fatal("a traced payload yielded no evidence")
+	}
+	if got := e.Event(int64(u.Seq)); got != ev || e.TraceID() != ev.TraceID {
+		t.Fatalf("evidence = %+v (trace id %d), want %+v", got, e.TraceID(), ev)
+	}
+	stripped := append([]byte(nil), traced[:len(plain)]...)
+	stripped[2+len(u.SourceID)+16] &^= flagEvidence
+	if !bytes.Equal(stripped, plain) {
+		t.Fatal("a traced payload is not the untraced one plus flag bit and trailer")
 	}
 }
 
-// TestTraceLengthsExhaustive walks every payload length around the
-// form: 73 (no hop) and 101 (hop suffix) are the only ones that
-// decode; the retired 65-byte payload and everything else is
-// ErrMalformed.
+// TestTraceLengthsExhaustive walks every trailer length: behind the flag
+// bit only the exact one decodes, without it only none, and anything else
+// trailing is ErrMalformed — for the reader's decoder and the standalone
+// one (UDP lanes, WAL replay) alike.
 func TestTraceLengthsExhaustive(t *testing.T) {
-	for size := 0; size <= 110; size++ {
-		_, _, hasHop, err := DecodeTrace(make([]byte, size))
-		switch size {
-		case 73, 101:
-			if err != nil || hasHop != (size == 101) {
-				t.Errorf("DecodeTrace(%d bytes) = hop %v, %v; want hop %v, nil", size, hasHop, err, size == 101)
+	u := core.Update{SourceID: "s", Seq: 3, Time: 3, Values: []float64{1}}
+	ev := testEvidence(3)
+	traced, err := AppendTracedUpdate(nil, &u, &ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := len(traced) - evidenceLen
+	var r Reader
+	for _, flagged := range []bool{false, true} {
+		for size := 0; size <= evidenceLen+10; size++ {
+			p := append(append([]byte(nil), traced[:body]...), make([]byte, size)...)
+			if !flagged {
+				p[2+len(u.SourceID)+16] &^= flagEvidence
 			}
-		default:
-			if !errors.Is(err, ErrMalformed) {
-				t.Errorf("DecodeTrace(%d bytes) = %v, want ErrMalformed", size, err)
+			want := size == 0 && !flagged || size == evidenceLen && flagged
+			var got core.Update
+			for name, err := range map[string]error{"Reader.DecodeUpdate": r.DecodeUpdate(p, &got), "DecodeUpdatePayload": DecodeUpdatePayload(p, &got)} {
+				if want && (err != nil || got.Seq != u.Seq) {
+					t.Errorf("%s(flag %v, %d trailing bytes) = %v, want the update", name, flagged, size, err)
+				}
+				if !want && !errors.Is(err, ErrMalformed) {
+					t.Errorf("%s(flag %v, %d trailing bytes) = %v, want ErrMalformed", name, flagged, size, err)
+				}
 			}
+			if has := UpdateEvidence(p) != nil; has && !want {
+				t.Errorf("UpdateEvidence(flag %v, %d trailing bytes) found a trailer in a malformed payload's place", flagged, size)
+			} else if want && has != flagged {
+				t.Errorf("UpdateEvidence(flag %v, %d trailing bytes) = %v", flagged, size, has)
+			}
+		}
+	}
+	// Short of the flags byte there is nothing to find, and no panic.
+	for size := 0; size < body; size++ {
+		if UpdateEvidence(traced[:size]) != nil {
+			t.Errorf("UpdateEvidence of a %d-byte prefix found a trailer", size)
 		}
 	}
 }

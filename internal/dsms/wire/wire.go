@@ -7,7 +7,7 @@
 //
 // A connection opens with a 6-byte preamble in each direction — 4 magic
 // bytes, a protocol version, and a feature-bit byte (reserved and zero
-// before tracing; FeatCluster and FeatTrace today) — so a peer speaking
+// before tracing; FeatCluster and FeatEvidence today) — so a peer speaking
 // the wrong protocol (or a future incompatible version) is rejected
 // with a clear error instead of an opaque decode failure. Frames follow:
 //
@@ -17,9 +17,10 @@
 //
 // Every message has one payload encoder and one decoder: the Writer
 // methods (stream form) and the Append*Frame helpers (datagram form)
-// share the encoder, and the optional TagTrace evidence frame has a
-// single form — Writer.Trace / DecodeTrace — whose router-hop suffix is
-// its only variable part. cluster.go holds the router ↔ shard tags.
+// share the encoder. A traced update carries its decision evidence as a
+// fixed-size trailer of its own payload (AppendTracedUpdate, Evidence),
+// so every frame is self-contained. cluster.go holds the router ↔ shard
+// tags.
 //
 // See DESIGN.md "Wire protocol" for the byte-by-byte payload layouts.
 package wire
@@ -46,7 +47,7 @@ import (
 //	2  install frames carry ResumeSeq so a durable server can tell a
 //	   reconnecting source to resume instead of re-bootstrapping.
 //	   Within v2 the preamble's sixth byte, written 0 and ignored
-//	   through PR 4, became a feature-bit field (FeatTrace): peers that
+//	   through PR 4, became a feature-bit field: peers that
 //	   predate it still write 0 (no features) and still ignore what
 //	   they read, so feature negotiation is backward compatible without
 //	   a version bump.
@@ -57,19 +58,19 @@ const Version byte = 2
 // ignores it, so features must only ever enable frames the advertiser
 // is prepared to receive.
 //
-// Bit history: 0x01 advertised the original 65-byte TagTrace payload
-// and is retired — never set, never read. A peer from that era sees no
-// bit it knows and sends (or is sent) no trace frames, so it degrades
-// to untraced instead of receiving a payload length it would reject.
-// 0x02 is FeatCluster (cluster.go). 0x04 keeps the meaning it always
-// had: this side accepts TagTrace payloads carrying timestamps.
+// Bit history: 0x01 advertised the original 65-byte TagTrace payload and
+// 0x04 the 73-byte one with timestamps; both are retired — never set,
+// never read — with the TagTrace frame itself. A peer from either era
+// sees no bit it knows and sends (or is sent) no evidence, so it degrades
+// to untraced instead of receiving bytes it would reject. 0x02 is
+// FeatCluster (cluster.go).
 const (
-	// FeatTrace announces that this side accepts TagTrace frames — the
-	// optional decision-evidence tag a tracing server consumes. Agents
-	// must not send trace frames to a server that did not advertise it:
-	// an older server would answer the unknown tag with an error frame,
-	// which is sticky and would fail the agent's next Offer.
-	FeatTrace byte = 0x04
+	// FeatEvidence announces that this side accepts update payloads
+	// carrying an evidence trailer — what a tracing server consumes.
+	// Agents must not send trailers to a server that did not advertise
+	// it: an older server would answer the longer payload with an error
+	// frame, which is sticky and would fail the agent's next Offer.
+	FeatEvidence byte = 0x08
 )
 
 // DefaultMaxFrame caps the accepted frame length (tag + payload). A
@@ -98,7 +99,8 @@ const (
 	TagQuery   Tag = 0x05 // client → server: queryID at seq
 	TagAnswer  Tag = 0x06 // server → client: query result values
 	TagError   Tag = 0x07 // server → client: failure description
-	TagTrace   Tag = 0x08 // client → server: decision evidence for the next update (requires FeatTrace)
+	// 0x08 was TagTrace, a decision-evidence frame ahead of its update:
+	// retired, not reused — inbound it is an unknown tag like any other.
 )
 
 // String names the tag for diagnostics.
@@ -118,8 +120,6 @@ func (t Tag) String() string {
 		return "answer"
 	case TagError:
 		return "error"
-	case TagTrace:
-		return "trace"
 	default:
 		if name, ok := clusterTagName(t); ok {
 			return name
@@ -366,11 +366,38 @@ func (w *Writer) Install(inst Install) error {
 	return w.finish()
 }
 
+// Update payload flags.
+const (
+	flagBootstrap byte = 0x01
+	flagEvidence  byte = 0x02 // the evidence trailer follows the values
+)
+
+// evidenceLen is the size of an update payload's evidence trailer:
+//
+//	int64   traceID
+//	uint8   decision (trace.Decision)
+//	float64 raw, value, pred, residual, delta, nis
+//	int64   decidedAtUnixNs
+//
+// the KindDecision event behind the update, less its seq (the update's
+// own). Only this file knows the layout.
+const evidenceLen = 8 + 1 + 6*8 + 8
+
 // AppendUpdate appends the update payload encoding of u to b — the
-// exact bytes a TagUpdate frame carries, also reused verbatim as the
-// WAL update record payload. Appending into a scratch buffer with spare
-// capacity allocates nothing.
+// exact bytes an untraced TagUpdate frame carries, also reused verbatim
+// as the WAL update record payload. Appending into a scratch buffer with
+// spare capacity allocates nothing.
 func AppendUpdate(b []byte, u *core.Update) ([]byte, error) {
+	return AppendTracedUpdate(b, u, nil)
+}
+
+// AppendTracedUpdate is AppendUpdate with the decision evidence ev (a
+// KindDecision event; nil for none) as the payload's trailer:
+//
+//	id | seq | time | flags | n | values [| evidence]
+//
+// It is only legal toward a peer that advertised FeatEvidence.
+func AppendTracedUpdate(b []byte, u *core.Update, ev *trace.Event) ([]byte, error) {
 	var err error
 	if b, err = AppendString(b, u.SourceID); err != nil {
 		return b, err
@@ -382,22 +409,34 @@ func AppendUpdate(b []byte, u *core.Update) ([]byte, error) {
 	b = AppendF64(b, u.Time)
 	var flags byte
 	if u.Bootstrap {
-		flags |= 1
+		flags |= flagBootstrap
+	}
+	if ev != nil {
+		flags |= flagEvidence
 	}
 	b = append(b, flags)
 	b = AppendU16(b, uint16(len(u.Values)))
 	for _, v := range u.Values {
 		b = AppendF64(b, v)
 	}
+	if ev != nil {
+		b = AppendI64(b, ev.TraceID)
+		b = append(b, byte(ev.Dec))
+		for _, v := range [...]float64{ev.Raw, ev.Value, ev.Pred, ev.Residual, ev.Delta, ev.NIS} {
+			b = AppendF64(b, v)
+		}
+		b = AppendI64(b, ev.At)
+	}
 	return b, nil
 }
 
-// Update buffers one DKF update frame. Seq travels as int64 so 32-bit
-// sources and 64-bit servers agree on the encoding.
-func (w *Writer) Update(u *core.Update) error {
+// Update buffers one DKF update frame, with ev (nil for none) as its
+// evidence trailer. Seq travels as int64 so 32-bit sources and 64-bit
+// servers agree on the encoding.
+func (w *Writer) Update(u *core.Update, ev *trace.Event) error {
 	w.begin(TagUpdate)
 	var err error
-	if w.scratch, err = AppendUpdate(w.scratch, u); err != nil {
+	if w.scratch, err = AppendTracedUpdate(w.scratch, u, ev); err != nil {
 		return err
 	}
 	return w.finish()
@@ -430,54 +469,6 @@ func (w *Writer) Answer(queryID string, values []float64) error {
 	for _, v := range values {
 		w.scratch = AppendF64(w.scratch, v)
 	}
-	return w.finish()
-}
-
-// TraceHop is the optional router-hop suffix of a TagTrace payload:
-// where the traced update was routed and when the router saw and
-// forwarded it, in the trace package's unix-nanosecond clock.
-type TraceHop struct {
-	Idx      uint32 // route table index at the router
-	Epoch    int64  // topology epoch the forward was routed under
-	RxUnixNs int64  // router received the traced update
-	TxUnixNs int64  // router wrote the forward to the shard
-}
-
-// Trace buffers one decision-evidence frame. It precedes the update
-// (or forward) frame for the same sequence so a tracing server can
-// attach the source's suppression evidence to the apply it is about to
-// perform. The frame is only legal toward a peer that advertised
-// FeatTrace; servers that never saw the bit treat 0x08 as an unknown
-// tag. A source passes hop == nil; a tracing router re-encodes the
-// frame with its hop so the shard can splice fwd_rx/fwd_tx into the
-// stream's own trail.
-//
-// Payload layout (73 bytes, or 101 with the hop suffix):
-//
-//	int64   traceID
-//	int64   seq
-//	uint8   decision (trace.Decision)
-//	float64 raw, smoothed, pred, residual, delta, nis
-//	int64   decidedAtUnixNs
-//	-- hop suffix, router → shard only --
-//	uint32  routeIdx
-//	int64   epoch, hopRxUnixNs, hopTxUnixNs
-func (w *Writer) Trace(d *trace.DecisionInfo, hop *TraceHop) error {
-	w.begin(TagTrace)
-	b := AppendI64(w.scratch, d.TraceID)
-	b = AppendI64(b, d.Seq)
-	b = append(b, byte(d.Decision))
-	for _, v := range [...]float64{d.Raw, d.Smoothed, d.Pred, d.Residual, d.Delta, d.NIS} {
-		b = AppendF64(b, v)
-	}
-	b = AppendI64(b, d.At)
-	if hop != nil {
-		b = AppendU32(b, hop.Idx)
-		b = AppendI64(b, hop.Epoch)
-		b = AppendI64(b, hop.RxUnixNs)
-		b = AppendI64(b, hop.TxUnixNs)
-	}
-	w.scratch = b
 	return w.finish()
 }
 
@@ -722,10 +713,12 @@ func DecodeInstall(p []byte) (Install, error) {
 }
 
 // DecodeUpdateInto parses the update payload layout into u, reusing
-// u.Values. The SourceID bytes are passed through the caller-supplied
-// intern (which may allocate or reuse a cached string) — the datagram
-// receiver's hook for its stream table, where one socket multiplexes
-// many sources and the reader's single-entry cache would thrash.
+// u.Values; a well-formed evidence trailer is accepted and stepped over,
+// whether or not the receiver traces. The SourceID bytes are passed
+// through the caller-supplied intern (which may allocate or reuse a
+// cached string) — the datagram receiver's hook for its stream table,
+// where one socket multiplexes many sources and the reader's
+// single-entry cache would thrash.
 func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) error {
 	c := NewCursor(p)
 	id := c.Str()
@@ -734,13 +727,16 @@ func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) erro
 	flags := c.U8()
 	n := int(c.U16())
 	vals := c.Take(8 * n)
+	if flags&flagEvidence != 0 {
+		c.Take(evidenceLen) // stepped over: UpdateEvidence reads it
+	}
 	if !c.Done() || id == nil {
 		return malformed(TagUpdate)
 	}
 	u.SourceID = intern(id)
 	u.Seq = int(seq)
 	u.Time = tim
-	u.Bootstrap = flags&1 != 0
+	u.Bootstrap = flags&flagBootstrap != 0
 	u.Handle = 0 // receiver-side: a decoded update is unresolved, whatever u held
 	u.Values = u.Values[:0]
 	for i := 0; i < n; i++ {
@@ -801,28 +797,38 @@ func DecodeAnswer(p []byte) (queryID string, values []float64, err error) {
 	return string(id), values, nil
 }
 
-// DecodeTrace parses a decision-evidence payload. hasHop reports
-// whether the router-hop suffix was present. Returns by value so
-// hot-path callers keep the result on the stack.
-func DecodeTrace(p []byte) (d trace.DecisionInfo, hop TraceHop, hasHop bool, err error) {
+// Evidence is the undecoded evidence trailer of a traced update payload,
+// aliasing the payload's bytes: valid as long as they are.
+type Evidence [evidenceLen]byte
+
+// UpdateEvidence returns the evidence trailer of update payload p, nil
+// when it carries none or is not laid out as one that does.
+func UpdateEvidence(p []byte) *Evidence {
 	c := NewCursor(p)
-	d.TraceID = c.I64()
-	d.Seq = c.I64()
-	d.Decision = trace.Decision(c.U8())
-	d.Raw = c.F64()
-	d.Smoothed = c.F64()
-	d.Pred = c.F64()
-	d.Residual = c.F64()
-	d.Delta = c.F64()
-	d.NIS = c.F64()
-	d.At = c.I64()
-	if hasHop = c.OK() && !c.Done(); hasHop {
-		hop = TraceHop{Idx: c.U32(), Epoch: c.I64(), RxUnixNs: c.I64(), TxUnixNs: c.I64()}
+	c.Str()
+	c.Take(16) // seq, time
+	flags, n := c.U8(), int(c.U16())
+	c.Take(8 * n)
+	ev := c.Take(evidenceLen)
+	if flags&flagEvidence == 0 || !c.Done() {
+		return nil
 	}
-	if !c.Done() {
-		return trace.DecisionInfo{}, TraceHop{}, false, malformed(TagTrace)
+	return (*Evidence)(ev)
+}
+
+// TraceID is the id the source minted for the update's reading — all a
+// forwarding hop needs of the evidence.
+func (e *Evidence) TraceID() int64 { return int64(binary.LittleEndian.Uint64(e[:])) }
+
+// Event decodes the trailer into the KindDecision event it encodes; seq
+// is its update's.
+func (e *Evidence) Event(seq int64) trace.Event {
+	c := NewCursor(e[:])
+	return trace.Event{
+		TraceID: c.I64(), Seq: seq, Kind: trace.KindDecision, Dec: trace.Decision(c.U8()),
+		Raw: c.F64(), Value: c.F64(), Pred: c.F64(), Residual: c.F64(), Delta: c.F64(), NIS: c.F64(),
+		At: c.I64(),
 	}
-	return d, hop, hasHop, nil
 }
 
 // DecodeError parses an error payload.

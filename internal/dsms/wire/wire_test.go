@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"streamkf/internal/core"
-	"streamkf/internal/trace"
 )
 
 // pipe builds a connected Writer/Reader pair over an in-memory buffer.
@@ -48,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := core.Update{SourceID: "sensor-a", Seq: 1 << 40, Time: 12.75, Values: []float64{1.5, -2.25, math.Pi}, Bootstrap: true}
-	if err := w.Update(&u); err != nil {
+	if err := w.Update(&u, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Ack(-9); err != nil {
@@ -61,13 +60,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.Error("boom"); err != nil {
-		t.Fatal(err)
-	}
-	d := trace.DecisionInfo{
-		TraceID: 88, Seq: 1 << 40, Decision: trace.DecisionSend,
-		Raw: 5.5, Smoothed: 5.25, Pred: 2.0, Residual: 3.25, Delta: 0.5, NIS: 7.5,
-	}
-	if err := w.Trace(&d, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustFlush(t, w)
@@ -105,9 +97,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	if msg, err := DecodeError(next(t, r, TagError)); err != nil || msg != "boom" {
 		t.Fatalf("error = %q, %v", msg, err)
 	}
-	if got, _, hasHop, err := DecodeTrace(next(t, r, TagTrace)); err != nil || hasHop || got != d {
-		t.Fatalf("trace = %+v, %v; want %+v", got, err, d)
-	}
 	// Stream fully consumed: a clean EOF at the frame boundary.
 	if _, _, err := r.Next(); !errors.Is(err, core.ErrPeerClosed) {
 		t.Fatalf("EOF at boundary = %v, want core.ErrPeerClosed", err)
@@ -132,13 +121,13 @@ func TestUpdateEncodeDecodeZeroAlloc(t *testing.T) {
 
 	w := NewWriter(io.Discard, 0, 0)
 	// Warm the scratch buffer, then require allocation-free encoding.
-	if err := w.Update(&u); err != nil {
+	if err := w.Update(&u, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustFlush(t, w)
 	if n := testing.AllocsPerRun(1000, func() {
 		u.Seq++
-		if err := w.Update(&u); err != nil {
+		if err := w.Update(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 		if w.Buffered() > 4096 {
@@ -150,7 +139,7 @@ func TestUpdateEncodeDecodeZeroAlloc(t *testing.T) {
 
 	var buf bytes.Buffer
 	wb := NewWriter(&buf, 0, 0)
-	if err := wb.Update(&u); err != nil {
+	if err := wb.Update(&u, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustFlush(t, wb)
@@ -214,12 +203,12 @@ func TestPreamble(t *testing.T) {
 func TestPreambleFeatures(t *testing.T) {
 	// A feature-advertising preamble round-trips version and bits.
 	var buf bytes.Buffer
-	if err := WritePreamble(&buf, Version, FeatTrace); err != nil {
+	if err := WritePreamble(&buf, Version, FeatEvidence); err != nil {
 		t.Fatal(err)
 	}
 	ver, feats, err := ReadPreamble(&buf)
-	if err != nil || ver != Version || feats != FeatTrace {
-		t.Fatalf("preamble = v%d feats %#02x, %v; want v%d feats %#02x", ver, feats, err, Version, FeatTrace)
+	if err != nil || ver != Version || feats != FeatEvidence {
+		t.Fatalf("preamble = v%d feats %#02x, %v; want v%d feats %#02x", ver, feats, err, Version, FeatEvidence)
 	}
 
 	// A pre-tracing peer writes a zero feature byte: same wire shape,
@@ -245,12 +234,12 @@ func TestPreambleFeatures(t *testing.T) {
 	// The buffered Writer/Reader pair speaks the same shape.
 	buf.Reset()
 	w := NewWriter(&buf, 0, 0)
-	if err := w.WritePreamble(Version, FeatTrace); err != nil {
+	if err := w.WritePreamble(Version, FeatEvidence); err != nil {
 		t.Fatal(err)
 	}
 	mustFlush(t, w)
 	r := NewReader(&buf, 0, 0)
-	if ver, feats, err = r.ReadPreamble(); err != nil || ver != Version || feats != FeatTrace {
+	if ver, feats, err = r.ReadPreamble(); err != nil || ver != Version || feats != FeatEvidence {
 		t.Fatalf("buffered preamble = v%d feats %#02x, %v", ver, feats, err)
 	}
 }
@@ -309,7 +298,7 @@ func TestWriterRejectsOverlongStrings(t *testing.T) {
 		t.Fatal("overlong hello accepted")
 	}
 	u := core.Update{SourceID: long, Seq: 1, Values: []float64{1}}
-	if err := w.Update(&u); err == nil {
+	if err := w.Update(&u, nil); err == nil {
 		t.Fatal("overlong update source id accepted")
 	}
 	// Error messages are truncated, never rejected.
@@ -321,7 +310,7 @@ func TestWriterRejectsOverlongStrings(t *testing.T) {
 func TestWriterRejectsOversizedFrame(t *testing.T) {
 	w := NewWriter(io.Discard, 0, 128)
 	u := core.Update{SourceID: "s", Seq: 1, Values: make([]float64, 100)}
-	err := w.Update(&u)
+	err := w.Update(&u, nil)
 	var fse *FrameSizeError
 	if !errors.As(err, &fse) {
 		t.Fatalf("oversized update = %v, want FrameSizeError", err)
@@ -342,8 +331,6 @@ func TestDecodeMalformedPayloads(t *testing.T) {
 		{"query", func() error { _, _, err := r.DecodeQuery([]byte{2, 0, 'q'}); return err }()},
 		{"answer", func() error { _, _, err := DecodeAnswer([]byte{1, 0, 'q', 9, 0}); return err }()},
 		{"error", func() error { _, err := DecodeError([]byte{5, 0, 'x'}); return err }()},
-		{"trace", func() error { _, _, _, err := DecodeTrace(make([]byte, 72)); return err }()},
-		{"trace-retired-65", func() error { _, _, _, err := DecodeTrace(make([]byte, 65)); return err }()},
 		{"trailing", func() error { _, err := DecodeAck(append(make([]byte, 8), 0xff)); return err }()},
 	}
 	for _, c := range cases {
@@ -358,7 +345,7 @@ func TestInternCacheReusesIDs(t *testing.T) {
 	u := core.Update{SourceID: "sensor-a", Seq: 1, Values: []float64{1}}
 	for i := 0; i < 2; i++ {
 		u.Seq = i
-		if err := w.Update(&u); err != nil {
+		if err := w.Update(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -131,10 +131,15 @@ func ParseDecision(s string) (Decision, error) {
 
 // Event is one point on a reading's causal chain. TraceID links the
 // events of one reading across layers (it is assigned by the source
-// node and rides the optional wire trace tag to the server); Seq is the
-// reading's stream sequence number. The float fields carry the decision
-// evidence for the stream's first attribute; Residual/Delta are the
-// max-abs residual across attributes against the precision width.
+// node and rides its update's evidence trailer to the server); Seq is
+// the reading's stream sequence number. The float fields carry the
+// decision evidence for the stream's first attribute; Residual/Delta are
+// the max-abs residual across attributes against the precision width.
+//
+// A KindDecision event is the evidence record of a suppression decision:
+// what SourceNode.LastDecision returns, what a traced update carries on
+// the wire, and what the server records as received — At is then when
+// the source decided.
 type Event struct {
 	TraceID int64
 	Seq     int64
@@ -224,28 +229,6 @@ func (e Event) View() EventView {
 		NIS:      e.NIS,
 		Aux:      e.Aux,
 	}
-}
-
-// DecisionInfo is the evidence bundle for one source-side suppression
-// decision — what the optional wire trace tag carries to the server so
-// /tracez/stream/{id} can show why a transmitted update was sent.
-// Scalar evidence is for the stream's first attribute; Residual is the
-// max-abs residual across attributes.
-type DecisionInfo struct {
-	TraceID  int64
-	Seq      int64
-	Decision Decision
-	Raw      float64
-	Smoothed float64
-	Pred     float64
-	Residual float64
-	Delta    float64
-	NIS      float64
-	// At is when the source made the decision, in unix nanoseconds.
-	// Zero means unknown (a peer that does not carry timestamps); the
-	// hop-trace wire extension fills it so downstream recorders can
-	// stamp the relayed decision event with source time.
-	At int64
 }
 
 // slot is one ring cell: a version word bracketing the event words.
@@ -504,9 +487,8 @@ var epochUnixNs = epochWall.UnixNano()
 // nanoseconds.
 func nowUnixNanos() int64 { return epochUnixNs + int64(time.Since(epochWall)) }
 
-// Now exposes the recorder's clock so other layers (the wire hop-trace
-// extension, the cluster router) can stamp timestamps that sort
-// consistently against recorded events.
+// Now exposes the recorder's clock so other layers (the cluster router)
+// can stamp timestamps that sort consistently against recorded events.
 func Now() int64 { return nowUnixNanos() }
 
 // f64bits/f64frombits shorten math.Float64bits/Float64frombits at the

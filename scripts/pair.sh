@@ -12,13 +12,15 @@
 # change read better, and a verdict against the metric's BENCHMARK.json
 # bound; plus each side's total of failed operations — and then the same
 # rows as the markdown table CHANGES.md uses. Every run's output is kept
-# beside the checkouts. Needs git, tar and jq.
+# beside the checkouts, and the run set is appended as one line — commits,
+# date, host, go version, each row's quartiles — to the committed
+# BENCH_TRAJECTORY.jsonl (ROADMAP 5(e)). Needs git, tar and jq.
 #
 # An uncommitted change can be measured as `$(git stash create)` after
 # `git add -A`.
 set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-[ $# -ge 2 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
 parent=$(git -C "$root" rev-parse --verify "$1^{commit}")
 change=$(git -C "$root" rev-parse --verify "$2^{commit}")
 shift 2
@@ -81,6 +83,10 @@ def quartiles: {q1: q(0.25), median: q(0.5), q3: q(0.75)};
                        and ([$c[] | $sign * .] | max) >= ([$p[] | $sign * .] | min) then "unresolved"
                   else "no worse" end)}]}
 ' "$runs" | tee "$out/result.json"
+
+jq -c --arg date "$(date -u +%F)" --arg host "$(uname -srm), $(nproc) vCPU" --arg go "$(go env GOVERSION)" \
+    '{date: $date, parent, change, host: $host, go: $go, pairs, failed, rows: [.rows[] | {workload, metric, parent, change, verdict}]}' \
+    "$out/result.json" >>"$root/BENCH_TRAJECTORY.jsonl"
 
 jq -r '
 def f: if . == (. | floor) then tostring else (. * 10000 | round / 10000 | tostring) end;
