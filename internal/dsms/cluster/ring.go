@@ -142,13 +142,6 @@ func (r *Ring) Epoch() int64 {
 	return r.epoch
 }
 
-// Shards returns the live shard indices, sorted.
-func (r *Ring) Shards() []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]int(nil), r.shards...)
-}
-
 // AddShard adds a shard index to the ring, bumping the epoch. The
 // consistent-hash property: only streams whose new owner IS the added
 // shard change placement; everything else keeps its owner.
@@ -208,12 +201,4 @@ func (r *Ring) Pin(sourceID string, shard int) {
 		r.pins[sourceID] = shard
 	}
 	r.epoch++
-}
-
-// Pinned returns sourceID's pin, if any.
-func (r *Ring) Pinned(sourceID string) (int, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.pins[sourceID]
-	return s, ok
 }

@@ -77,12 +77,12 @@ func TestRingPin(t *testing.T) {
 	if got := r.Owner(id); got != other {
 		t.Fatalf("pinned owner %d, want %d", got, other)
 	}
-	if s, ok := r.Pinned(id); !ok || s != other {
-		t.Fatalf("Pinned = %d,%v, want %d,true", s, ok, other)
+	if s, ok := r.pins[id]; !ok || s != other {
+		t.Fatalf("pin = %d,%v, want %d,true", s, ok, other)
 	}
 	// Pinning back to the hash owner removes the override.
 	r.Pin(id, home)
-	if _, ok := r.Pinned(id); ok {
+	if _, ok := r.pins[id]; ok {
 		t.Fatal("pin to hash owner should clear the override")
 	}
 	if got := r.Owner(id); got != home {

@@ -317,8 +317,8 @@ func TestClusterMigration(t *testing.T) {
 	if err := router.Migrate(id, target); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-	if _, released := shards[home].SourceReleased(id); !released {
-		t.Fatal("old shard did not mark the stream released")
+	if z := shards[home].Streamz().Cluster; z.ReleasedStreams != 1 {
+		t.Fatalf("old shard marked %d streams released, want the migrated one", z.ReleasedStreams)
 	}
 	if owner := router.Ring().Owner(id); owner != target {
 		t.Fatalf("post-migration owner %d, want %d", owner, target)

@@ -17,6 +17,7 @@ package dsms
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,6 +207,88 @@ func (t *streamTable) each(fn func(*sourceState)) {
 	}
 }
 
+// idSlot is one cache line of the id index: all the datagram path needs of
+// a stream, so a hit on an id of up to 32 bytes reads nothing else. Its
+// fields are written before its handle is stored and never after.
+type idSlot struct {
+	handle atomic.Int32 // 0: empty
+	shard  int32        // the owning engine shard, copied from the record
+	tag    uint64       // the id's hash under the index's seed
+	id     string       // canonical: what ring slots and records keep
+	head   [32]byte     // the id's first 32 bytes, zero-padded
+}
+
+// idIndex is the server's one id-keyed table of streams: open addressing,
+// linear probing, a power-of-two table at most 3/4 full. It is written only
+// under Server.mu — an insert fills an empty slot and publishes it by the
+// handle store; a growth, a drop or StartEngine rebuilds the table from the
+// handle table's live records and publishes it by the pointer — and read
+// with no lock at all. A slot may name a record dropped since the reader
+// loaded its table: streamTable.at is the authority on dead records.
+type idIndex struct {
+	seed maphash.Seed
+	n    int // entries; written under Server.mu
+	tab  atomic.Pointer[[]idSlot]
+}
+
+// find returns id's slot, or nil. id may be a view of a receive buffer: it
+// is hashed and compared, never kept.
+func (x *idIndex) find(id string) *idSlot {
+	tab := *x.tab.Load()
+	h := maphash.String(x.seed, id)
+	for i := h; ; i++ {
+		sl := &tab[i&uint64(len(tab)-1)]
+		if sl.handle.Load() == 0 {
+			return nil
+		}
+		if sl.tag != h || len(sl.id) != len(id) {
+			continue
+		}
+		// A longer id compares against the canonical string.
+		if len(id) <= len(sl.head) && string(sl.head[:len(id)]) == id || sl.id == id {
+			return sl
+		}
+	}
+}
+
+// place fills the first empty slot of st's probe sequence in tab and counts
+// the entry.
+func (x *idIndex) place(tab []idSlot, st *sourceState) {
+	h := maphash.String(x.seed, st.id)
+	for i := h; ; i++ {
+		if sl := &tab[i&uint64(len(tab)-1)]; sl.handle.Load() == 0 {
+			sl.shard, sl.tag, sl.id = st.shard, h, st.id
+			copy(sl.head[:], st.id)
+			sl.handle.Store(st.handle)
+			x.n++
+			return
+		}
+	}
+}
+
+// add indexes a record just published in streams, growing the table instead
+// if it would pass 3/4 full. Caller holds Server.mu for writing.
+func (x *idIndex) add(st *sourceState, streams *streamTable) {
+	if tab := *x.tab.Load(); 4*(x.n+1) <= 3*len(tab) {
+		x.place(tab, st)
+	} else {
+		x.rebuild(streams)
+	}
+}
+
+// rebuild publishes a new table of streams' live records, sized for every
+// handle handed out and one more. Caller holds Server.mu for writing.
+func (x *idIndex) rebuild(streams *streamTable) {
+	size := 16
+	for 4*(int(streams.n.Load())+1) > 3*size {
+		size *= 2
+	}
+	tab := make([]idSlot, size)
+	x.n = 0
+	streams.each(func(st *sourceState) { x.place(tab, st) })
+	x.tab.Store(&tab)
+}
+
 // queryKind says which of the three query shapes a record is.
 type queryKind uint8
 
@@ -238,24 +321,25 @@ func (q *query) streams() []*sourceState {
 }
 
 // Server is the central DSMS node: two tables — one record per stream,
-// one per query — and nothing else keyed by id except the alert-id set.
+// found by handle or through the id index, and one per query — and nothing
+// else keyed by id except the alert-id set.
 //
-// mu is a read-write lock over the topology only: the two tables, and
-// each source's registered queries and shared filter configuration. The
-// streaming hot path (HandleUpdate, Answer) takes it in read mode and
-// then locks just the one record it touches, so concurrent ingest and
-// queries on different streams proceed in parallel; registration-time
-// calls take it in write mode. Lock order: mu, then an aggregate's memo
-// lock, then a stream's lock; mu is never taken under either.
+// mu is a read-write lock over the topology only: the tables, and each
+// source's registered queries and shared filter configuration. It is taken
+// for writing by registration-time calls; the stream table and the id
+// index are read with no lock, so ingest takes none server-wide, and an
+// Answer takes mu in read mode to find its query. Lock order: mu, then an
+// aggregate's memo lock, then a stream's lock; mu is never taken under
+// either.
 type Server struct {
 	catalog *Catalog
 	tel     *serverTelemetry
 
 	mu      sync.RWMutex
-	sources map[string]*sourceState
+	ids     idIndex // id → stream, read with no lock
 	queries map[string]*query
 	alerts  map[string]struct{} // registered alert ids, for the duplicate check
-	streams streamTable         // the records themselves, by handle, for readers that must not take mu
+	streams streamTable         // the records themselves, by handle, read with no lock
 	configs map[configKey]*core.Config
 	blocks  core.BlockPool // what the records' nodes are built over
 
@@ -293,11 +377,12 @@ func NewServer(catalog *Catalog) *Server {
 	s := &Server{
 		catalog: catalog,
 		tel:     newServerTelemetry(telemetry.NewRegistry()),
-		sources: make(map[string]*sourceState),
+		ids:     idIndex{seed: maphash.MakeSeed()},
 		queries: make(map[string]*query),
 		alerts:  make(map[string]struct{}),
 		configs: make(map[configKey]*core.Config),
 	}
+	s.ids.rebuild(&s.streams)
 	s.shardIndex.Store(-1)
 	return s
 }
@@ -316,13 +401,13 @@ func (s *Server) EnableTracing(opts trace.Options) {
 	defer s.mu.Unlock()
 	o := opts
 	s.traceOpts = &o
-	for _, st := range s.sources {
+	s.streams.each(func(st *sourceState) {
 		st.mu.Lock()
 		if st.rec == nil {
 			st.rec = trace.New(o)
 		}
 		st.mu.Unlock()
-	}
+	})
 }
 
 // TraceEnabled reports whether per-stream tracing is on.
@@ -332,16 +417,17 @@ func (s *Server) TraceEnabled() bool {
 	return s.traceOpts != nil
 }
 
-// source returns the stream record for sourceID, or nil, under the
-// topology read-lock.
+// source returns the live stream record for sourceID, or nil, with no
+// lock: the index names the handle, the handle table says if it lives.
 func (s *Server) source(sourceID string) *sourceState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sources[sourceID]
+	if sl := s.ids.find(sourceID); sl != nil {
+		return s.streams.at(sl.handle.Load())
+	}
+	return nil
 }
 
 // stream resolves a stream by handle, checked against its id; a zero,
-// stale or foreign handle falls back to the lookup by id and its lock.
+// stale or foreign handle falls back to the lookup by id.
 func (s *Server) stream(handle int32, sourceID string) *sourceState {
 	if st := s.streams.at(handle); st != nil && st.id == sourceID {
 		return st
@@ -410,7 +496,7 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 	if err := s.db.appendRegister(q); err != nil {
 		return nil, fmt.Errorf("dsms: logging registration: %w", err)
 	}
-	st := s.sources[q.SourceID]
+	st := s.source(q.SourceID)
 	if st == nil {
 		st = s.streams.next()
 		st.id, st.lastSeq, st.ckptSeq, st.releasedAt = q.SourceID, -1, -1, -1
@@ -424,7 +510,7 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 		if st.handle == 1 {
 			s.tel.reg.Table("source", streamColumns[:], s.streamRows)
 		}
-		s.sources[q.SourceID] = st
+		s.ids.add(st, &s.streams)
 	}
 	if st.node.Installed() { // installs hold mu too
 		return nil, fmt.Errorf("dsms: source %s already streaming; cannot register %s", q.SourceID, q.ID)
@@ -504,13 +590,13 @@ func (s *Server) dropLocked(queryID string) {
 		}
 	}
 	if len(st.queries) == 0 {
-		delete(s.sources, st.id)
 		// Under the stream's lock, so an apply that resolved the handle
 		// before it died finds no node instead of a block given away.
 		st.mu.Lock()
 		st.dead.Store(true)
 		s.blocks.Put(st.node.Release())
 		st.mu.Unlock()
+		s.ids.rebuild(&s.streams) // without the dead record
 	}
 }
 
@@ -520,7 +606,7 @@ func (s *Server) dropLocked(queryID string) {
 func (s *Server) InstallFor(sourceID string) (core.Config, error) {
 	s.mu.RLock() // held throughout: a drop of the registration waits
 	defer s.mu.RUnlock()
-	st := s.sources[sourceID]
+	st := s.source(sourceID)
 	if st == nil || len(st.queries) == 0 {
 		return core.Config{}, fmt.Errorf("dsms: no query registered for source %s", sourceID)
 	}
@@ -825,12 +911,8 @@ func (s *Server) advanceOne(st *sourceState, seq int) bool {
 
 // SourceIDs returns the registered source ids, sorted.
 func (s *Server) SourceIDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.sources))
-	for id := range s.sources {
-		out = append(out, id)
-	}
+	out := make([]string, 0, s.streams.n.Load())
+	s.streams.each(func(st *sourceState) { out = append(out, st.id) })
 	sort.Strings(out)
 	return out
 }
@@ -912,18 +994,18 @@ func (st *sourceState) stats(health bool) Stats {
 func (s *Server) Stats() []Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Stats, 0, len(s.sources))
-	for id, st := range s.sources {
+	out := make([]Stats, 0, s.streams.n.Load())
+	s.streams.each(func(st *sourceState) {
 		stat := st.stats(true)
-		stat.SourceID, stat.Queries, stat.Model, stat.Delta, stat.Durable = id, len(st.queries), st.cfg.Model.Name, st.cfg.Delta, s.db != nil
+		stat.SourceID, stat.Queries, stat.Model, stat.Delta, stat.Durable = st.id, len(st.queries), st.cfg.Model.Name, st.cfg.Delta, s.db != nil
 		if total := stat.Updates + stat.Suppressed; total > 0 {
 			stat.SuppressionPct = 100 * float64(stat.Suppressed) / float64(total)
 		}
-		if h, ok := s.tel.reg.HistogramFor("dkf_agent_ack_rtt_ns", telemetry.L("source", id)); ok {
+		if h, ok := s.tel.reg.HistogramFor("dkf_agent_ack_rtt_ns", telemetry.L("source", st.id)); ok {
 			stat.AckRTT = summarize(h.Snapshot())
 		}
 		out = append(out, stat)
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].SourceID < out[j].SourceID })
 	return out
 }
@@ -992,7 +1074,7 @@ type StreamTrace struct {
 // TraceStream returns the decision trail for a source id or query id.
 func (s *Server) TraceStream(id string) (StreamTrace, error) {
 	s.mu.RLock()
-	st := s.sources[id]
+	st := s.source(id)
 	if q := s.queries[id]; st == nil && q != nil {
 		st = q.src // nil for an aggregate, which has no single trail
 	}
@@ -1031,9 +1113,7 @@ type TraceEntry struct {
 func (s *Server) TraceRecent(limit int, source string, kind trace.Kind, dec trace.Decision) []TraceEntry {
 	recs := make(map[string]*trace.Recorder)
 	s.mu.RLock()
-	for id, st := range s.sources {
-		recs[id] = st.rec // attached under mu
-	}
+	s.streams.each(func(st *sourceState) { recs[st.id] = st.rec }) // attached under mu
 	s.mu.RUnlock()
 	return RecentTrace(recs, limit, source, kind, dec)
 }

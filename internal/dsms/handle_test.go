@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -31,6 +32,9 @@ func TestSourceStateSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(core.Update{}); n != 64 {
 		t.Fatalf("core.Update is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(idSlot{}); n != 64 {
+		t.Fatalf("idSlot is %d bytes, want 64", n)
 	}
 }
 
@@ -69,7 +73,7 @@ func TestUDPHandleLifetime(t *testing.T) {
 	}
 
 	// A registration the lane has seen, then dropped: its handle's entry is
-	// nil, the lane's cached entry is stale, and the update is unknown.
+	// nil, the index no longer holds its id, and the update is unknown.
 	mustRegister(t, s, stream.Query{ID: "q-gone", SourceID: "gone", Delta: 1, Model: "constant"})
 	gone := s.source("gone").handle
 	send(boot("gone"))
@@ -91,8 +95,7 @@ func TestUDPHandleLifetime(t *testing.T) {
 		t.Fatalf("update for a dropped stream reached another stream (%d updates)", got)
 	}
 
-	// The id registers again: a new record under a new handle, found by id
-	// behind the lane's stale entry.
+	// The id registers again: a new record under a new handle, found by id.
 	mustRegister(t, s, stream.Query{ID: "q-gone2", SourceID: "gone", Delta: 1, Model: "constant"})
 	if h := s.source("gone").handle; h == gone {
 		t.Fatalf("handle %d reused", h)
@@ -139,8 +142,8 @@ func TestUDPHandleLifetime(t *testing.T) {
 }
 
 // TestUDPUnknownFlood pins what an id nobody registered costs the
-// datagram path: a count, and nothing else — no allocation, no lane table
-// entry, no ring slot — and that it resolves once it registers.
+// datagram path: a count, and nothing else — no allocation, no index
+// growth or entry, no ring slot — and that it resolves once it registers.
 func TestUDPUnknownFlood(t *testing.T) {
 	s, ts := newUDPPair(t, udpQuery())
 	const n = 10000
@@ -149,15 +152,15 @@ func TestUDPUnknownFlood(t *testing.T) {
 		grams[i] = updateDatagram(t, &core.Update{SourceID: fmt.Sprintf("nobody-%d", i), Values: []float64{1}, Bootstrap: true})
 	}
 	ts.processDatagram(grams[0], netip.AddrPort{}) // warm the lane's decode scratch
-	tableLen, i := len(ts.lanes[0].streams), 0
+	tab, entries, i := s.ids.tab.Load(), occupied(s), 0
 	if allocs := testing.AllocsPerRun(n-2, func() {
 		i++
 		ts.processDatagram(grams[i], netip.AddrPort{})
 	}); allocs != 0 {
 		t.Fatalf("an unknown id allocates %v per update, want 0", allocs)
 	}
-	if got := len(ts.lanes[0].streams); got != tableLen {
-		t.Fatalf("lane table grew %d → %d under unknown ids", tableLen, got)
+	if s.ids.tab.Load() != tab || occupied(s) != entries || s.ids.n != entries {
+		t.Fatalf("index changed under unknown ids: %d → %d entries, table replaced %v", entries, occupied(s), s.ids.tab.Load() != tab)
 	}
 	if z := engineBlock(t, s); z.UnknownSource != n || ts.eng.Offered() != 0 {
 		t.Fatalf("unknown_source = %d, offered = %d, want %d and 0", z.UnknownSource, ts.eng.Offered(), n)
@@ -169,6 +172,160 @@ func TestUDPUnknownFlood(t *testing.T) {
 	ts.eng.Quiesce()
 	if st := s.source(id).stats(false); st.Updates != 1 {
 		t.Fatalf("an id registered after the flood applied %d updates, want 1", st.Updates)
+	}
+}
+
+// occupied counts the id index's filled slots.
+func occupied(s *Server) (n int) {
+	tab := *s.ids.tab.Load()
+	for i := range tab {
+		if tab[i].handle.Load() != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestIDIndexRaceAndShape registers, drops and re-registers the same ids
+// through at least three table growths while two goroutines look every id
+// up — by string, and by a view of a byte buffer as a lane does. A lookup
+// finds nothing, or its own id's canonical string and a handle that id was
+// given (current or dropped), never another id's. The ids are 1, 32, 33
+// and 200 bytes long, and all but the first two kinds share their first 32
+// bytes.
+func TestIDIndexRaceAndShape(t *testing.T) {
+	s := NewServer(testCatalog())
+	x32 := strings.Repeat("x", 32)
+	ids := []string{x32}
+	for i := 0; i < 60; i++ {
+		ids = append(ids, string(rune('!'+i)), fmt.Sprintf("%032d", i), x32+string(rune('!'+i)), x32+fmt.Sprintf("%0168d", i))
+	}
+	// handle h's record, dead or alive: its id never changes.
+	recordID := func(h int32) string {
+		return (*s.streams.dir.Load())[(h-1)/streamChunk][(h-1)%streamChunk].id
+	}
+	check := func(id string, sl *idSlot) bool {
+		if sl != nil && (sl.id != id || recordID(sl.handle.Load()) != id) {
+			t.Errorf("lookup of %q (%d B) found %q at handle %d, a record of %q", id, len(id), sl.id, sl.handle.Load(), recordID(sl.handle.Load()))
+			return false
+		}
+		return true
+	}
+	initial := len(*s.ids.tab.Load())
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			bufs := make([][]byte, len(ids))
+			for i, id := range ids {
+				bufs[i] = []byte(id)
+			}
+			for {
+				for i, id := range ids {
+					sl := s.ids.find(id)
+					if r == 1 {
+						sl = s.ids.find(unsafe.String(unsafe.SliceData(bufs[i]), len(bufs[i])))
+					} else if st := s.source(id); st != nil && st.id != id {
+						t.Errorf("source(%q) is %q's record", id, st.id)
+						return
+					}
+					if !check(id, sl) {
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	reg := func(round int, id string) {
+		mustRegister(t, s, stream.Query{ID: fmt.Sprintf("q%d/%s", round, id), SourceID: id, Delta: 1, Model: "constant"})
+	}
+	drop := func(round int, id string) {
+		s.mu.Lock()
+		s.dropLocked(fmt.Sprintf("q%d/%s", round, id))
+		s.mu.Unlock()
+	}
+	for _, id := range ids {
+		reg(0, id)
+	}
+	round := make([]int, len(ids)) // ids[i]'s live query is q<round[i]>/ids[i]
+	for r := 1; r <= 3; r++ {
+		for i := r % 3; i < len(ids); i += 3 {
+			drop(round[i], ids[i])
+			reg(r, ids[i])
+			round[i] = r
+		}
+	}
+	gone := map[string]bool{}
+	for i := 0; i < len(ids); i += 5 {
+		drop(round[i], ids[i])
+		gone[ids[i]] = true
+	}
+	close(done)
+	wg.Wait()
+
+	tab := *s.ids.tab.Load()
+	if len(tab) < 8*initial {
+		t.Errorf("the index grew %d → %d slots, want at least three doublings", initial, len(tab))
+	}
+	if uintptr(unsafe.Pointer(&tab[0]))%64 != 0 {
+		t.Errorf("the index's slots are not on cache lines")
+	}
+	if occupied(s) != s.ids.n || s.ids.n != len(ids)-len(gone) {
+		t.Errorf("index holds %d slots, counts %d, want %d", occupied(s), s.ids.n, len(ids)-len(gone))
+	}
+	for _, id := range ids {
+		sl, st := s.ids.find(id), s.source(id)
+		switch {
+		case gone[id] && (sl != nil || st != nil):
+			t.Errorf("dropped %q still found", id)
+		case !gone[id] && (st == nil || sl.handle.Load() != st.handle || s.streams.at(st.handle) != st):
+			t.Errorf("%q not found at its current handle", id)
+		}
+		check(id, sl)
+	}
+}
+
+// TestEngineAfterRegistration follows dkf-server's order — 2,000
+// registrations, then the engine, then datagrams — and requires every
+// stream's updates to be applied by the shard Engine.ShardFor names. The
+// index caches each stream's shard, so StartEngine must republish it.
+func TestEngineAfterRegistration(t *testing.T) {
+	s := NewServer(testCatalog())
+	const n = 2000
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("s-%d", i)
+		mustRegister(t, s, stream.Query{ID: "q/" + id, SourceID: id, Delta: 1, Model: "constant"})
+	}
+	eng := s.StartEngine(EngineOptions{Shards: 2, RingSize: 4096})
+	ts, err := NewUDPServer(s, "127.0.0.1:0", UDPServerOptions{Lanes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Close()
+	})
+	want := make([]int64, eng.Shards())
+	for i := 0; i < n; i++ {
+		u := core.Update{SourceID: fmt.Sprintf("s-%d", i), Values: []float64{1}, Bootstrap: true}
+		want[eng.ShardFor(u.SourceID)]++
+		ts.processDatagram(updateDatagram(t, &u), netip.AddrPort{})
+	}
+	eng.Quiesce()
+	if want[0] == 0 || want[1] == 0 {
+		t.Fatalf("the ids split %v over the shards; the test needs both", want)
+	}
+	for _, sh := range engineBlock(t, s).PerShard {
+		if sh.Applied != want[sh.Shard] || sh.Dropped != 0 {
+			t.Errorf("shard %d applied %d (shed %d), want %d", sh.Shard, sh.Applied, sh.Dropped, want[sh.Shard])
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 func (s *Server) EnableHistory(sourceID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.sources[sourceID]
+	st := s.source(sourceID)
 	if st == nil || len(st.queries) == 0 {
 		return fmt.Errorf("dsms: no query registered for source %s", sourceID)
 	}

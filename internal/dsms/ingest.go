@@ -37,8 +37,10 @@ func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 	s.shardLogs = make([]runLog, e.Shards()) // before any producer exists to offer
 	s.engIns = newEngineInstruments(s.tel.reg, e)
 	s.eng = e
-	// Pin the streams already registered; no reader of shard exists yet.
+	// Pin the streams already registered — no reader of the record's shard
+	// exists yet — and republish the index, whose slots cached shard 0.
 	s.streams.each(func(st *sourceState) { st.shard = int32(e.ShardFor(st.id)) })
+	s.ids.rebuild(&s.streams)
 	return e
 }
 

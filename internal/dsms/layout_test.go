@@ -48,9 +48,10 @@ func bootAll(t testing.TB, model string, n int) (s *Server, ids []string, bytes 
 // TestStreamFootprint is the per-stream memory budget: heap bytes and heap
 // objects one registered, installed and bootstrapped stream adds, over
 // 20,000 streams behind no transport — the record, its slab block, its
-// query record and its share of the two id-keyed maps. Before the record
-// was laid out by the handle these read 1,725 B (constant) and 1,901 B
-// (linear) in about 14 objects.
+// query record, its share of the queries map and its slot of the id index
+// (64 B at most 3/4 full: ≈ 105 B). Before the record was laid out by the
+// handle these read 1,725 B (constant) and 1,901 B (linear) in about 14
+// objects; with Server.sources in place of the index, 744 and 811 B.
 func TestStreamFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates 20,000 streams twice")

@@ -1,6 +1,7 @@
 package dsms
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -147,9 +148,6 @@ func Open(catalog *Catalog, dataDir string, opts DurabilityOptions) (*Server, er
 	}
 	return s, nil
 }
-
-// Durable reports whether the server persists its state.
-func (s *Server) Durable() bool { return s.db != nil }
 
 // ResumeSeq returns the last update sequence folded into sourceID's
 // filter, or -1 when the source has no bootstrapped filter. The TCP
@@ -363,14 +361,14 @@ func (s *Server) Checkpoint() error {
 func (s *Server) encodeCheckpoint() ([]byte, map[*sourceState]int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seqs := make(map[*sourceState]int, len(s.sources))
-	buf := make([]byte, 0, 1024)
-	buf = wire.AppendU32(buf, uint32(len(s.sources)))
-	for _, st := range s.sources {
+	seqs := make(map[*sourceState]int, s.streams.n.Load())
+	buf := wire.AppendU32(make([]byte, 0, 1024), 0) // the count, filled in below
+	s.streams.each(func(st *sourceState) {
 		st.mu.Lock()
 		buf, seqs[st] = appendSourceEntry(buf, st)
 		st.mu.Unlock()
-	}
+	})
+	binary.LittleEndian.PutUint32(buf, uint32(len(seqs)))
 	return buf, seqs
 }
 

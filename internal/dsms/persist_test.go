@@ -87,9 +87,7 @@ func wantSameStats(t *testing.T, got, want []Stats) {
 // and covariance, for exact x/P comparison.
 func nodeBits(t *testing.T, s *Server, sourceID string) (x, p []uint64, seq int) {
 	t.Helper()
-	s.mu.RLock()
-	st := s.sources[sourceID]
-	s.mu.RUnlock()
+	st := s.source(sourceID)
 	if st == nil {
 		t.Fatalf("no source %s", sourceID)
 	}
@@ -196,7 +194,7 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	if !s2.Durable() {
+	if s2.db == nil {
 		t.Fatal("recovered server is not durable")
 	}
 	if !s2.HasQuery(persistQuery.ID) {

@@ -41,20 +41,6 @@ func (s *Server) ObserveEpoch(epoch int64) {
 	}
 }
 
-// SourceReleased reports whether sourceID was migrated away from this
-// shard, and at which epoch. An update for a released stream is a
-// routing error (a stale owner): the apply path rejects it so it is
-// never folded into a filter that stopped being authoritative.
-func (s *Server) SourceReleased(sourceID string) (int64, bool) {
-	st := s.source(sourceID)
-	if st == nil {
-		return 0, false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return max(st.releasedAt, 0), st.releasedAt >= 0
-}
-
 // SnapshotSource cuts a migration snapshot of one stream — the
 // checkpoint encoding of its queries, counters, time map and filter
 // state — marks the stream released at epoch, and returns the payload
@@ -65,7 +51,7 @@ func (s *Server) SourceReleased(sourceID string) (int64, bool) {
 func (s *Server) SnapshotSource(sourceID string, epoch int64) (payload []byte, resumeSeq int64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := s.sources[sourceID]
+	st := s.source(sourceID)
 	if st == nil {
 		return nil, 0, fmt.Errorf("dsms: snapshot of unknown source %s", sourceID)
 	}
@@ -122,16 +108,15 @@ func (s *Server) clusterStreamz() *ClusterStreamz {
 	if idx < 0 {
 		return nil
 	}
-	s.mu.RLock()
-	owned, released := len(s.sources), 0
-	for _, st := range s.sources {
+	owned, released := 0, 0
+	s.streams.each(func(st *sourceState) {
+		owned++
 		st.mu.Lock()
 		if st.releasedAt >= 0 {
 			released++
 		}
 		st.mu.Unlock()
-	}
-	s.mu.RUnlock()
+	})
 	return &ClusterStreamz{
 		ShardIndex:      idx,
 		TopologyEpoch:   s.TopologyEpoch(),

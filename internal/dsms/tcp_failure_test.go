@@ -25,6 +25,12 @@ func rawClient(t *testing.T, addr string) (net.Conn, *wire.Writer, *wire.Reader)
 	return conn, wire.NewWriter(conn, 0, 0), wire.NewReader(conn, 0, 0)
 }
 
+// writePreamble sends a preamble of any version straight to conn.
+func writePreamble(conn net.Conn, version, features byte) error {
+	_, err := conn.Write(wire.AppendPreamble(nil, version, features))
+	return err
+}
+
 func expectErrorFrame(t *testing.T, r *wire.Reader, want string) {
 	t.Helper()
 	tag, p, err := r.Next()
@@ -46,7 +52,7 @@ func expectErrorFrame(t *testing.T, r *wire.Reader, want string) {
 func TestTCPVersionMismatchRejected(t *testing.T) {
 	ts := startServer(t, NewServer(testCatalog()))
 	conn, _, r := rawClient(t, ts.Addr())
-	if err := wire.WritePreamble(conn, 99, 0); err != nil {
+	if err := writePreamble(conn, 99, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r.ReadPreamble(); err != nil {
@@ -76,7 +82,7 @@ func TestTCPBadMagicRejected(t *testing.T) {
 func TestTCPOversizedFrameRejected(t *testing.T) {
 	ts := startServer(t, NewServer(testCatalog()))
 	conn, _, r := rawClient(t, ts.Addr())
-	if err := wire.WritePreamble(conn, wire.Version, 0); err != nil {
+	if err := writePreamble(conn, wire.Version, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Frame header announcing 2 MiB, beyond the 1 MiB default cap.
@@ -176,7 +182,7 @@ func fakeServer(t *testing.T, fn func(conn net.Conn)) string {
 
 func TestTCPDialSourceServerSpeaksWrongVersion(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
-		wire.WritePreamble(conn, 42, 0)
+		writePreamble(conn, 42, 0)
 		// Give the client a moment to read before the close.
 		time.Sleep(50 * time.Millisecond)
 	})
@@ -189,7 +195,7 @@ func TestTCPDialSourceServerSpeaksWrongVersion(t *testing.T) {
 
 func TestTCPDialSourceTruncatedHandshake(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
-		wire.WritePreamble(conn, wire.Version, 0)
+		writePreamble(conn, wire.Version, 0)
 		// Absorb the client's preamble and hello: closing with them
 		// unread would answer with RST, not the FIN this test is about.
 		io.ReadFull(conn, make([]byte, 6))
@@ -208,7 +214,7 @@ func TestTCPDialSourceTruncatedHandshake(t *testing.T) {
 // part of a frame. The client must still report core.ErrTruncated.
 func TestTCPDialSourceResetMidFrame(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
-		wire.WritePreamble(conn, wire.Version, 0)
+		writePreamble(conn, wire.Version, 0)
 		io.ReadFull(conn, make([]byte, 6))
 		conn.Read(make([]byte, 64))
 		conn.Write([]byte{51, 0, 0, 0, byte(wire.TagInstall), 1, 2, 3})
@@ -224,7 +230,7 @@ func TestTCPDialSourceResetMidFrame(t *testing.T) {
 
 func TestTCPDialSourceCleanClose(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
-		wire.WritePreamble(conn, wire.Version, 0)
+		writePreamble(conn, wire.Version, 0)
 		// Absorb the client's preamble and hello, as above: unread, they
 		// turn the close into a RST about one run in twenty.
 		io.ReadFull(conn, make([]byte, 6))
@@ -244,7 +250,7 @@ func TestTCPQueryClientDistinguishesCloseFromTruncation(t *testing.T) {
 	// absorbs the query first so the client's write succeeds and the
 	// failure is observed on the read side.
 	addr := fakeServer(t, func(conn net.Conn) {
-		wire.WritePreamble(conn, wire.Version, 0)
+		writePreamble(conn, wire.Version, 0)
 		io.ReadFull(conn, make([]byte, 6)) // client preamble
 		conn.Read(make([]byte, 64))        // the query frame
 	})
@@ -259,7 +265,7 @@ func TestTCPQueryClientDistinguishesCloseFromTruncation(t *testing.T) {
 
 	// Partial frame then close: ErrTruncated.
 	addr = fakeServer(t, func(conn net.Conn) {
-		wire.WritePreamble(conn, wire.Version, 0)
+		writePreamble(conn, wire.Version, 0)
 		io.ReadFull(conn, make([]byte, 6))
 		conn.Read(make([]byte, 64))
 		conn.Write([]byte{99, 0, 0, 0, byte(wire.TagAnswer), 7})

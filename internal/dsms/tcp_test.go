@@ -199,7 +199,7 @@ func TestTCPServerRejectsUnknownTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WritePreamble(conn, wire.Version, 0); err != nil {
+	if err := writePreamble(conn, wire.Version, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A well-formed frame with an unassigned tag.

@@ -57,18 +57,6 @@ func (t *timeMap) seqFor(tim float64) (int, error) {
 	return seq, nil
 }
 
-// SeqForTime maps a wall-clock timestamp to the source's reading index,
-// using the sampling rate inferred from its updates.
-func (s *Server) SeqForTime(sourceID string, tim float64) (int, error) {
-	st := s.source(sourceID)
-	if st == nil {
-		return 0, fmt.Errorf("dsms: unknown source %s", sourceID)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.times.seqFor(tim)
-}
-
 // AnswerAtTime evaluates a value query at a wall-clock timestamp: the
 // timestamp maps to a reading index through the source's inferred
 // sampling rate, then resolves like Answer (current/future) — and like

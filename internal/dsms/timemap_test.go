@@ -65,11 +65,8 @@ func TestAnswerAtTimeEndToEnd(t *testing.T) {
 	}
 
 	// Sampling rate inferred from updates: 0.5 s per reading.
-	if seq, err := s.SeqForTime("src", 1000+0.5*60); err != nil || seq != 60 {
-		t.Fatalf("SeqForTime = %d, %v; want 60", seq, err)
-	}
-	if _, err := s.SeqForTime("ghost", 1000); err == nil {
-		t.Fatal("SeqForTime for unknown source")
+	if seq, err := s.source("src").times.seqFor(1000 + 0.5*60); err != nil || seq != 60 {
+		t.Fatalf("seqFor = %d, %v; want 60", seq, err)
 	}
 
 	// Past timestamp resolves through history.

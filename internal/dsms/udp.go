@@ -9,7 +9,7 @@
 // longer the same filter: answers can sit outside δ until later updates
 // pull the server's back (TestSilentLossBreaksMirrorSynchrony in
 // internal/core pins it), and nothing here detects or repairs that —
-// ROADMAP item 2. Only the bootstrap is covered: it is sent more than once.
+// ROADMAP item 1. Only the bootstrap is covered: it is sent more than once.
 //
 // What is and is not ordered: per-source apply order is guaranteed (one
 // shard worker owns each source and drops anything at or below the last
@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
@@ -92,9 +93,9 @@ func (o UDPServerOptions) withDefaults() UDPServerOptions {
 // shard ingest engine through N reader lanes. Each lane drains whole
 // batches per syscall where the platform allows (recvmmsg on Linux) and
 // owns every piece of mutable receive state — buffer arena, decode
-// scratch, stream table, engine producer — so the steady-state receive
-// path (read batch, parse, resolve, hand to ring) allocates nothing and
-// takes no lock.
+// scratch, engine producer — so the steady-state receive path (read
+// batch, parse, resolve in the server's id index, hand to ring) allocates
+// nothing and takes no lock.
 type UDPServer struct {
 	server *Server
 	eng    *engine.Engine
@@ -104,11 +105,8 @@ type UDPServer struct {
 	closed atomic.Bool
 }
 
-// rxLane is one reader goroutine's world. streams is the one lookup of
-// the datagram path, from an update's id bytes to what the rest of the
-// path needs of its stream; it caches registered streams only, each filled
-// from the server at first sight, so an id nobody registered grows nothing.
-// cur is the entry resolve found for the update being decoded.
+// rxLane is one reader goroutine's world. cur is the id-index slot
+// resolve found for the update being decoded (nil: no registered id).
 type rxLane struct {
 	t    *UDPServer
 	rx   *laneRx
@@ -116,17 +114,9 @@ type rxLane struct {
 	lane laneInstruments
 
 	u         core.Update
-	streams   map[string]laneStream
-	cur       laneStream
+	cur       *idSlot
 	resolveFn func([]byte) string
 	reply     []byte
-}
-
-// laneStream is a lane's entry for a registered stream: canonical id (what
-// ring slots may keep), server handle, owning shard. Zero: not registered.
-type laneStream struct {
-	id            string
-	handle, shard int32
 }
 
 // NewUDPServer binds addr ("host:port", port 0 picks a free one) and
@@ -154,11 +144,10 @@ func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServe
 			return nil, fmt.Errorf("dsms: udp lane %d: %w", i, err)
 		}
 		ln := &rxLane{
-			t:       t,
-			rx:      rx,
-			prod:    eng.Producer(),
-			lane:    newLaneInstruments(server.tel.reg, i),
-			streams: make(map[string]laneStream),
+			t:    t,
+			rx:   rx,
+			prod: eng.Producer(),
+			lane: newLaneInstruments(server.tel.reg, i),
 		}
 		ln.resolveFn = ln.resolve
 		t.lanes[i] = ln
@@ -226,24 +215,14 @@ func (t *UDPServer) Close() error {
 	return t.conn.Close()
 }
 
-// resolve is the lane's DecodeUpdateInto hook: it leaves the update's
-// stream in cur and returns its canonical id. Lookups keyed by string(b)
-// do not allocate; only the first sighting of a registered id (per lane)
-// does. An unregistered id is not cached: it resolves once it registers.
+// resolve is the lane's DecodeUpdateInto hook: one probe of the server's id
+// index, with no lock, leaving the slot in cur and returning its canonical
+// id ("" when nobody registered b). It allocates nothing and keeps nothing.
 func (ln *rxLane) resolve(b []byte) string {
-	cur, ok := ln.streams[string(b)]
-	if !ok {
-		s := ln.t.server
-		s.mu.RLock()
-		st := s.sources[string(b)]
-		s.mu.RUnlock()
-		if st != nil {
-			cur = laneStream{id: st.id, handle: st.handle, shard: st.shard}
-			ln.streams[st.id] = cur
-		}
+	if ln.cur = ln.t.server.ids.find(unsafe.String(unsafe.SliceData(b), len(b))); ln.cur == nil {
+		return ""
 	}
-	ln.cur = cur
-	return cur.id
+	return ln.cur.id
 }
 
 // processDatagram drives lane 0's parser directly — the entry point
@@ -284,11 +263,11 @@ func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 		if err = wire.DecodeUpdateInto(payload, &ln.u, ln.resolveFn); err != nil {
 			break
 		}
-		if ln.cur.handle == 0 {
+		if ln.cur == nil {
 			ins.unknown.Inc()
 			continue
 		}
-		ln.u.Handle = ln.cur.handle
+		ln.u.Handle = ln.cur.handle.Load()
 		ln.prod.TryOffer(int(ln.cur.shard), &ln.u)
 	}
 	ln.prod.Flush()
@@ -462,9 +441,6 @@ func (ua *UDPAgent) send(u core.Update) error {
 // Drain is a no-op on UDP — there are no acks to wait for. It exists so
 // transport-generic callers can treat both agent kinds alike.
 func (ua *UDPAgent) Drain() error { return nil }
-
-// Install returns the decoded install reply from the handshake.
-func (ua *UDPAgent) Install() wire.Install { return ua.inst }
 
 // TraceNegotiated reports whether decision evidence crosses the wire —
 // never on UDP.

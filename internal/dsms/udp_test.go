@@ -151,9 +151,7 @@ func refServer(t testing.TB, q stream.Query, ups []core.Update) *Server {
 // source on s.
 func nodeSnapshot(t testing.TB, s *Server, id string) *core.NodeSnapshot {
 	t.Helper()
-	s.mu.RLock()
-	st := s.sources[id]
-	s.mu.RUnlock()
+	st := s.source(id)
 	if st == nil {
 		t.Fatalf("source %q not on server", id)
 	}
@@ -333,10 +331,10 @@ func TestUDPIngestLoopbackEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agent.Close()
-	if inst := agent.Install(); inst.Model != q.Model || inst.Delta != q.Delta {
+	if inst := agent.inst; inst.Model != q.Model || inst.Delta != q.Delta {
 		t.Fatalf("install reply %+v does not match registration", inst)
 	}
-	if inst := agent.Install(); inst.ResumeSeq != -1 {
+	if inst := agent.inst; inst.ResumeSeq != -1 {
 		t.Fatalf("fresh source got ResumeSeq %d", inst.ResumeSeq)
 	}
 

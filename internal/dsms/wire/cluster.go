@@ -220,16 +220,6 @@ func (w *Writer) Registered(id string) error {
 	return w.finish()
 }
 
-// DecodeRegistered parses a registration acknowledgement.
-func DecodeRegistered(p []byte) (id string, err error) {
-	c := NewCursor(p)
-	b := c.Str()
-	if !c.Done() || b == nil {
-		return "", malformed(TagRegistered)
-	}
-	return string(b), nil
-}
-
 // Snapshot buffers a migration snapshot request: release sourceID at
 // the given topology epoch and return its checkpoint state.
 func (w *Writer) Snapshot(sourceID string, epoch int64) error {

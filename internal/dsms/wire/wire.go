@@ -159,18 +159,6 @@ func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("wire: frame length %d exceeds limit %d", e.Len, e.Max)
 }
 
-// WritePreamble sends the magic/version preamble advertising the given
-// feature bits in the sixth byte (0 = none, the shape every peer
-// through PR 4 emits). Tests may send a non-current version to exercise
-// rejection.
-func WritePreamble(w io.Writer, version, features byte) error {
-	var p [preambleLen]byte
-	if _, err := w.Write(AppendPreamble(p[:0], version, features)); err != nil {
-		return fmt.Errorf("wire: write preamble: %w", err)
-	}
-	return nil
-}
-
 // ReadPreamble consumes and validates the peer's preamble, returning
 // its protocol version and advertised feature bits. The caller decides
 // whether the version is acceptable (CheckVersion implements strict

@@ -171,11 +171,7 @@ func mustNext(t *testing.T, r *Reader) []byte {
 }
 
 func TestPreamble(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePreamble(&buf, Version, 0); err != nil {
-		t.Fatal(err)
-	}
-	ver, _, err := ReadPreamble(&buf)
+	ver, _, err := ReadPreamble(bytes.NewReader(AppendPreamble(nil, Version, 0)))
 	if err != nil || ver != Version {
 		t.Fatalf("preamble = %d, %v", ver, err)
 	}
@@ -202,37 +198,26 @@ func TestPreamble(t *testing.T) {
 
 func TestPreambleFeatures(t *testing.T) {
 	// A feature-advertising preamble round-trips version and bits.
-	var buf bytes.Buffer
-	if err := WritePreamble(&buf, Version, FeatEvidence); err != nil {
-		t.Fatal(err)
-	}
-	ver, feats, err := ReadPreamble(&buf)
+	preamble := func(features byte) *bytes.Reader { return bytes.NewReader(AppendPreamble(nil, Version, features)) }
+	ver, feats, err := ReadPreamble(preamble(FeatEvidence))
 	if err != nil || ver != Version || feats != FeatEvidence {
 		t.Fatalf("preamble = v%d feats %#02x, %v; want v%d feats %#02x", ver, feats, err, Version, FeatEvidence)
 	}
 
 	// A pre-tracing peer writes a zero feature byte: same wire shape,
 	// read by the feature-aware reader as "no features".
-	buf.Reset()
-	if err := WritePreamble(&buf, Version, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, feats, err = ReadPreamble(&buf); err != nil || feats != 0 {
+	if _, feats, err = ReadPreamble(preamble(0)); err != nil || feats != 0 {
 		t.Fatalf("legacy preamble feats = %#02x, %v; want 0", feats, err)
 	}
 
 	// And the legacy reader ignores whatever a feature-advertising peer
 	// wrote in byte 5 — the compat contract both directions rely on.
-	buf.Reset()
-	if err := WritePreamble(&buf, Version, 0xff); err != nil {
-		t.Fatal(err)
-	}
-	if ver, _, err = ReadPreamble(&buf); err != nil || ver != Version {
+	if ver, _, err = ReadPreamble(preamble(0xff)); err != nil || ver != Version {
 		t.Fatalf("legacy read of feature preamble = v%d, %v", ver, err)
 	}
 
 	// The buffered Writer/Reader pair speaks the same shape.
-	buf.Reset()
+	var buf bytes.Buffer
 	w := NewWriter(&buf, 0, 0)
 	if err := w.WritePreamble(Version, FeatEvidence); err != nil {
 		t.Fatal(err)
