@@ -487,16 +487,23 @@ func BenchmarkDKFStepLinear2D(b *testing.B) {
 // BenchmarkFilterStep measures the raw per-reading Predict+Correct cost
 // for the paper's model sizes: the scalar constant model (n=1, m=1), the
 // 1-D linear model (n=2, m=1), and the 2-D linear tracking model of
-// Example 1 (n=4, m=2). Steady state must report 0 allocs/op.
+// Example 1 (n=4, m=2). Steady state must report 0 allocs/op. Dense, the
+// scalar and linear1d covariances settle onto their cycle, which these
+// cases then time; the -sparse cases put one predict-only step before
+// each Step (the tcp_sparse pattern), which keeps them on the full
+// Riccati path.
 func BenchmarkFilterStep(b *testing.B) {
 	cases := []struct {
-		name string
-		m    model.Model
-		z    []float64
+		name   string
+		m      model.Model
+		z      []float64
+		sparse bool
 	}{
-		{"scalar", model.Constant(1, 0.05, 0.05), []float64{1.5}},
-		{"linear1d", model.Linear(1, 1, 0.05, 0.05), []float64{1.5}},
-		{"linear2d", model.Linear(2, 0.1, 0.05, 0.05), []float64{1.5, -0.5}},
+		{"scalar", model.Constant(1, 0.05, 0.05), []float64{1.5}, false},
+		{"linear1d", model.Linear(1, 1, 0.05, 0.05), []float64{1.5}, false},
+		{"linear2d", model.Linear(2, 0.1, 0.05, 0.05), []float64{1.5, -0.5}, false},
+		{"scalar-sparse", model.Constant(1, 0.05, 0.05), []float64{1.5}, true},
+		{"linear1d-sparse", model.Linear(1, 1, 0.05, 0.05), []float64{1.5}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -509,6 +516,9 @@ func BenchmarkFilterStep(b *testing.B) {
 			z := mat.Vec(tc.z...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if tc.sparse {
+					f.Predict()
+				}
 				if err := f.Step(z); err != nil {
 					b.Fatal(err)
 				}

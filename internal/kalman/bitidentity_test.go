@@ -110,11 +110,21 @@ func sameMatrix(a, b *mat.Matrix) bool {
 // measurement values in order.
 func replay(t testing.TB, cfg kalman.Config, steps int, delta float64, next func() float64) (corrections int) {
 	t.Helper()
+	return replayWatch(t, cfg, steps, delta, next, nil)
+}
+
+// replayWatch is replay calling watch, when not nil, with the filter
+// after each step's predict.
+func replayWatch(t testing.TB, cfg kalman.Config, steps int, delta float64, next func() float64, watch func(*kalman.Filter)) (corrections int) {
+	t.Helper()
 	f, ref := kalman.MustNew(cfg), kalman.NewRefFilter(cfg)
 	m := cfg.H.Rows()
 	for step := 0; step < steps; step++ {
 		f.Predict()
 		ref.Predict()
+		if watch != nil {
+			watch(f)
+		}
 		zv := make([]float64, m)
 		for i := range zv {
 			zv[i] = next()

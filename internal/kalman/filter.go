@@ -52,6 +52,14 @@
 // FuzzFilterMatchesReference, core's TestGoldenSuppressionTrace) feed
 // exactly those. An edit that reorders, fuses or "simplifies" any of the
 // above changes a suppression decision somewhere and must fail them.
+//
+// The covariance cycle (cycle.go) is held to the same contract. Once a
+// dense filter's P repeats bit for bit, it copies in the P, S, S^-1,
+// det S and K the full path computed for the same P; everything that
+// reads a measurement — φ x, z − Hx, Kd + x — it computes itself, with
+// the operations above in their order. So every value a filter leaves in
+// its block is the full path's, whichever path ran
+// (TestFilterCycleMatchesReference, TestCycleDifferential).
 package kalman
 
 import (
@@ -97,38 +105,45 @@ type Config struct {
 
 // Validate checks that the configuration is dimensionally consistent.
 func (c Config) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
+// validate is Validate returning the values of Phi(0).
+func (c Config) validate() ([]float64, error) {
 	if c.Phi == nil {
-		return errors.New("kalman: Config.Phi is nil")
+		return nil, errors.New("kalman: Config.Phi is nil")
 	}
 	if c.H == nil || c.Q == nil || c.R == nil || c.X0 == nil {
-		return errors.New("kalman: Config requires H, Q, R and X0")
+		return nil, errors.New("kalman: Config requires H, Q, R and X0")
 	}
 	if c.X0.Cols() != 1 {
-		return fmt.Errorf("kalman: X0 must be a column vector, got %dx%d", c.X0.Rows(), c.X0.Cols())
+		return nil, fmt.Errorf("kalman: X0 must be a column vector, got %dx%d", c.X0.Rows(), c.X0.Cols())
 	}
 	return c.validateDims(c.X0.Rows())
 }
 
-// validateDims checks Phi(0), Q, H, R and P0 against state dimension n.
-func (c Config) validateDims(n int) error {
+// validateDims checks Phi(0), Q, H, R and P0 against state dimension n,
+// and returns the values of Phi(0).
+func (c Config) validateDims(n int) ([]float64, error) {
 	phi0 := c.Phi(0)
 	if phi0.Rows() != n || phi0.Cols() != n {
-		return fmt.Errorf("kalman: Phi(0) is %dx%d, want %dx%d", phi0.Rows(), phi0.Cols(), n, n)
+		return nil, fmt.Errorf("kalman: Phi(0) is %dx%d, want %dx%d", phi0.Rows(), phi0.Cols(), n, n)
 	}
 	if c.Q.Rows() != n || c.Q.Cols() != n {
-		return fmt.Errorf("kalman: Q is %dx%d, want %dx%d", c.Q.Rows(), c.Q.Cols(), n, n)
+		return nil, fmt.Errorf("kalman: Q is %dx%d, want %dx%d", c.Q.Rows(), c.Q.Cols(), n, n)
 	}
 	m := c.H.Rows()
 	if c.H.Cols() != n {
-		return fmt.Errorf("kalman: H is %dx%d, want %dx%d", c.H.Rows(), c.H.Cols(), m, n)
+		return nil, fmt.Errorf("kalman: H is %dx%d, want %dx%d", c.H.Rows(), c.H.Cols(), m, n)
 	}
 	if c.R.Rows() != m || c.R.Cols() != m {
-		return fmt.Errorf("kalman: R is %dx%d, want %dx%d", c.R.Rows(), c.R.Cols(), m, m)
+		return nil, fmt.Errorf("kalman: R is %dx%d, want %dx%d", c.R.Rows(), c.R.Cols(), m, m)
 	}
 	if c.P0 != nil && (c.P0.Rows() != n || c.P0.Cols() != n) {
-		return fmt.Errorf("kalman: P0 is %dx%d, want %dx%d", c.P0.Rows(), c.P0.Cols(), n, n)
+		return nil, fmt.Errorf("kalman: P0 is %dx%d, want %dx%d", c.P0.Rows(), c.P0.Cols(), n, n)
 	}
-	return nil
+	return phi0.RawData(), nil
 }
 
 // Segments of a filter's block, in storage order. x and P lead so the
@@ -164,9 +179,14 @@ const (
 // only the unrolled kernels, which keep their intermediates in registers,
 // so their six general-kernel scratch segments are empty. Shapes are
 // interned and immutable.
+//
+// A record is such a shape interned per model constants too (cycle.go):
+// the filters that point at it share the bits of Φ(0), Q, H, R and P0,
+// and so the covariance cycle found from them.
 type shape struct {
 	off    [segCount + 1]int32 // segment i is buf[off[i]:off[i+1]]
 	joseph bool                // use the Joseph stabilized covariance update
+	cyc    *cycle              // a record's cycle; nil on a plain shape
 }
 
 var (
@@ -235,8 +255,9 @@ type Filter struct {
 	// builds and inverts S once instead of twice.
 	sDet      float64
 	sValid    bool
-	hasGain   bool // gain and innov hold a correction's values
-	corrected bool // whether Correct has run since the last Predict
+	hasGain   bool  // gain and innov hold a correction's values
+	corrected bool  // whether Correct has run since the last Predict
+	cy        uint8 // the cy* bits: where the filter stands on its record's covariance cycle
 	// The state and measurement dimensions, in the header's padding rather
 	// than the shape: the two calls a suppressed reading makes (PredictN,
 	// PredictedInto) pick their kernel and cut x | P | Q and H — whose
@@ -252,11 +273,13 @@ func (sh *shape) seg(buf []float64, i int) []float64 { return buf[sh.off[i]:sh.o
 
 // New constructs a Filter from cfg, validating dimensions.
 func New(cfg Config) (*Filter, error) {
-	if err := cfg.Validate(); err != nil {
+	phi0, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	f := new(Filter)
 	f.build(cfg, make([]float64, BlockLen(cfg.X0.Rows(), cfg.H.Rows(), cfg.JosephForm)))
+	f.intern(phi0)
 	return f, nil
 }
 
@@ -273,7 +296,8 @@ func (f *Filter) Init(block []float64, cfg Config) error {
 	if cfg.X0 != nil && (cfg.X0.Rows() != n || cfg.X0.Cols() != 1) {
 		return fmt.Errorf("kalman: X0 is %dx%d, want %dx1", cfg.X0.Rows(), cfg.X0.Cols(), n)
 	}
-	if err := cfg.validateDims(n); err != nil {
+	phi0, err := cfg.validateDims(n)
+	if err != nil {
 		return err
 	}
 	if need := BlockLen(n, m, cfg.JosephForm); len(block) < need {
@@ -281,10 +305,12 @@ func (f *Filter) Init(block []float64, cfg Config) error {
 	}
 	*f = Filter{}
 	f.build(cfg, block)
+	f.intern(phi0)
 	return nil
 }
 
-// build fills a zero Filter and its block from a validated cfg.
+// build fills a zero Filter and its block from a validated cfg, on the
+// plain shape.
 func (f *Filter) build(cfg Config, block []float64) {
 	n, m := cfg.H.Cols(), cfg.H.Rows()
 	f.phi, f.buf, f.sh = cfg.Phi, block, shapeFor(n, m, cfg.JosephForm)
@@ -426,6 +452,15 @@ func (f *Filter) PredictN(steps int) {
 		phi := f.phi(f.k).RawData()
 		if len(phi) != len(p) {
 			panic(fmt.Sprintf("kalman: Phi(%d) has %d elements, want %dx%d", f.k, len(phi), n, n))
+		}
+		// Off the covariance cycle a predict pays this one test and writes
+		// nothing. On it, a single step straight after a Correct takes it,
+		// and any other predict leaves it.
+		if cy := f.cy; cy != 0 {
+			if steps == 1 && cy&cyFast == 0 && f.predictCycle(phi) {
+				return
+			}
+			f.cy = 0
 		}
 		switch n {
 		case 1:
@@ -570,6 +605,10 @@ func (f *Filter) CorrectValues(z []float64) error {
 	if err := f.checkValues(z); err != nil {
 		return err
 	}
+	if f.cy&cyFast != 0 {
+		f.correctCycle(z)
+		return nil
+	}
 	if err := f.refreshS(); err != nil {
 		return err
 	}
@@ -633,6 +672,9 @@ func (f *Filter) CorrectValues(z []float64) error {
 	f.sValid = false
 	f.hasGain = true
 	f.corrected = true
+	if c := sh.cyc; c != nil {
+		f.cy = f.enterCycle(c)
+	}
 	return nil
 }
 
@@ -760,12 +802,22 @@ func (f *Filter) RestoreValues(x, p []float64, k int) {
 	copy(f.seg(segP), p)
 	f.k = k
 	f.sValid, f.hasGain, f.corrected = false, false, false
+	f.cy = 0
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.
 // Nil arguments leave the corresponding covariance unchanged. Used by the
-// adaptive noise estimator.
+// adaptive noise estimator. A retuned filter leaves its record for the
+// plain shape, and so the covariance cycle for the full path: records are
+// interned per construction-time constants only, so their set stays
+// bounded however often a filter is retuned.
 func (f *Filter) SetNoise(q, r *mat.Matrix) {
+	if q != nil || r != nil {
+		if f.sh.cyc != nil {
+			f.sh = shapeFor(int(f.n), int(f.m), f.sh.joseph)
+		}
+		f.cy = 0
+	}
 	if q != nil {
 		if q.Rows() != int(f.n) || q.Cols() != int(f.n) {
 			panic(fmt.Sprintf("kalman: SetNoise Q is %dx%d, want %dx%d", q.Rows(), q.Cols(), int(f.n), int(f.n)))
