@@ -40,8 +40,8 @@ import (
 // acked: the install reply's ResumeSeq tells the source what to drop.
 // Neither double-applies nor leaves a gap.
 //
-// Lock order: Server.mu → sourceState.mu → wal.Log's internal mutex
-// (always a leaf); the checkpoint mutex is taken before any of them and
+// Lock order: Server.mu → sourceState.mu → wal.Log's internal mutexes
+// (always leaves); the checkpoint mutex is taken before any of them and
 // never inside.
 
 // WAL record tags. The wire protocol owns 0x01–0x0f; durability records
@@ -240,7 +240,7 @@ func (wl *runLog) add(u *core.Update) (int, error) {
 }
 
 // commit group-commits the buffered update records — one log lock and,
-// under SyncAlways, one fsync for all of them — and empties the buffer.
+// under SyncAlways, one shared fsync for all of them — and empties it.
 func (db *durability) commit(wl *runLog) error {
 	if len(wl.recs) == 0 {
 		return nil

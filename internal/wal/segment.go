@@ -24,6 +24,11 @@ import (
 // so a file that is not a WAL segment — or one written by an
 // incompatible future version — is rejected before any record is
 // trusted.
+//
+// A rotation creates the next segment as seg-<n>.wal.tmp and renames it
+// to its segment name only once the segment before it is sealed, so the
+// directory never shows a segment after one whose tail a power loss could
+// still tear. Open deletes a leftover .tmp: nothing in it was durable.
 
 // segMagic opens every segment file ("DKF Log").
 var segMagic = [4]byte{'D', 'K', 'F', 'L'}
@@ -33,12 +38,17 @@ const (
 	segmentHeaderLen = 8
 	segPrefix        = "seg-"
 	segSuffix        = ".wal"
+	pendingSuffix    = ".tmp"
 )
 
 // segmentName renders the file name of segment idx.
 func segmentName(idx int) string {
 	return fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix)
 }
+
+// pendingName renders the file name segment idx has until the segment
+// before it is sealed.
+func pendingName(idx int) string { return segmentName(idx) + pendingSuffix }
 
 // parseSegmentName extracts the index from a segment file name, or
 // ok=false for unrelated files.
@@ -54,23 +64,25 @@ func parseSegmentName(name string) (idx int, ok bool) {
 	return n, true
 }
 
-// listSegments returns the indices of every segment in dir, ascending.
-func listSegments(dir string) ([]int, error) {
+// listSegments returns the indices of every segment in dir, ascending,
+// and the names of any pending (not yet published) segment files.
+func listSegments(dir string) (idxs []int, pending []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var idxs []int
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		if idx, ok := parseSegmentName(e.Name()); ok {
 			idxs = append(idxs, idx)
+		} else if _, ok := parseSegmentName(strings.TrimSuffix(e.Name(), pendingSuffix)); ok {
+			pending = append(pending, e.Name())
 		}
 	}
 	sort.Ints(idxs)
-	return idxs, nil
+	return idxs, pending, nil
 }
 
 // segmentHeader renders the 8-byte header.

@@ -46,11 +46,12 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 	}
 }
 
-func (i *Instruments) observeAppend(frameBytes int) {
+// observeAppend counts one batch: one Add per counter, whatever its size.
+func (i *Instruments) observeAppend(records, frameBytes int) {
 	if i == nil {
 		return
 	}
-	i.RecordsAppended.Inc()
+	i.RecordsAppended.Add(int64(records))
 	i.BytesAppended.Add(int64(frameBytes))
 }
 

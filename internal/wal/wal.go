@@ -15,9 +15,18 @@
 // Records reuse the internal/dsms/wire encoding (u32 LE length, u8 tag,
 // payload) with a trailing CRC32C, so the server's ingest path logs the
 // exact payload bytes it received from the network without re-encoding,
-// and the append hot path allocates nothing. Recovery = read checkpoint
-// (if any) + replay remaining segments, tolerating a torn record at the
-// tail of the last segment only.
+// framed straight into the active segment's buffer, and the append hot
+// path allocates nothing. Recovery = read checkpoint (if any) + replay
+// remaining segments, tolerating a torn record at the tail of the last
+// segment only.
+//
+// The log's mutex guards memory, not the disk: appenders frame, hand the
+// buffer to write(2) and swap segments under it, while every fsync,
+// segment creation, seal, close, readdir, unlink and directory sync runs
+// outside it. A caller that needs its bytes durable waits for one fsync
+// that covers their logical offset, so concurrent SyncAlways committers
+// share fsyncs (group commit) and an appender never waits for the disk
+// under SyncInterval or SyncOff.
 //
 // The log itself is payload-agnostic: record tags and their layouts
 // belong to the caller (internal/dsms defines the server's).
@@ -26,9 +35,12 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,8 +48,9 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: an acknowledged update is a
-	// durable update. Highest latency, zero loss window.
+	// SyncAlways returns from an append only once an fsync covering its
+	// records has finished: an acknowledged update is a durable update.
+	// Concurrent appenders share fsyncs. Highest latency, zero loss window.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval buffers appends and fsyncs on a timer (Options.
 	// SyncEvery): bounded loss window, near-zero append overhead.
@@ -102,53 +115,58 @@ func (o Options) withDefaults() Options {
 }
 
 // Log is an append-only segmented write-ahead log in one directory.
-// Append/Sync/Rotate are safe for concurrent use; Replay is for the
-// recovery phase before appending begins.
+// Append, AppendBatch, Sync, Rotate and RemoveSegmentsBefore are safe for
+// concurrent use; Replay is for the recovery phase before appending
+// begins.
+//
+// Offsets. end counts the bytes appended since Open across all segments;
+// durable is the prefix of it a finished fsync covers. Every wait for the
+// disk is a wait for durable to pass an offset, in one sync round at a
+// time (round), so a caller an earlier or in-flight round already covers
+// issues no fsync of its own.
+//
+// Lock order: rotMu → mu and syncMu → mu; rotMu and syncMu are never held
+// together. mu is held only for memory work and write(2).
 type Log struct {
 	dir  string
 	opts Options
 
-	mu      sync.Mutex
-	f       *os.File // active segment
-	w       *segmentWriter
-	seg     int   // active segment index
-	size    int64 // bytes in the active segment
-	scratch []byte
-	closed  bool
+	// rotMu serialises rotations: creating the next segment and swapping
+	// to it. The segment index changes only under rotMu and mu.
+	rotMu sync.Mutex
 
-	flushStop chan struct{}
-	flushDone chan struct{}
+	// syncMu serialises sync rounds and is held across their fsyncs.
+	syncMu  sync.Mutex
+	durable atomic.Int64
+	fsync   func(*os.File) error // (*os.File).Sync; a seam for the stall tests
+
+	mu       sync.Mutex
+	f        *os.File // active segment; nil once closed
+	buf      []byte   // the active segment's buffer: framed records not yet written
+	seg      int      // active segment index
+	size     int64    // bytes in the active segment, buffered ones included
+	end      int64
+	sealing  []unsealed // rotated-out segments not yet fsynced and closed
+	segments int        // segment files in the directory
+	scratch  []byte     // framing for a record larger than buf
+	failed   error      // sticky: a write, fsync or close the log could not complete
+	closed   bool
+
+	// The syncer goroutine runs the SyncInterval ticker and seals
+	// size-rotated segments; sealDue (capacity 1) wakes it, Close stops it.
+	sealDue, stop, done chan struct{}
 }
 
-// segmentWriter is a minimal buffered writer whose buffer the Log owns,
-// so append stays allocation-free and flush boundaries are explicit.
-type segmentWriter struct {
+// unsealed is rotated-out segment idx: every byte before end is in it or
+// in an earlier segment, and segment idx+1 keeps its pending name until
+// it is sealed.
+type unsealed struct {
 	f   *os.File
-	buf []byte
+	idx int
+	end int64
 }
 
-func (w *segmentWriter) write(p []byte) error {
-	if len(w.buf)+len(p) > cap(w.buf) {
-		if err := w.flush(); err != nil {
-			return err
-		}
-	}
-	if len(p) > cap(w.buf) {
-		_, err := w.f.Write(p)
-		return err
-	}
-	w.buf = append(w.buf, p...)
-	return nil
-}
-
-func (w *segmentWriter) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	_, err := w.f.Write(w.buf)
-	w.buf = w.buf[:0]
-	return err
-}
+var errClosed = errors.New("wal: log is closed")
 
 // Open opens (creating if necessary) the log in dir. If segments exist,
 // the tail segment is scanned and any torn final record is truncated
@@ -160,16 +178,32 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, scratch: make([]byte, 0, 512)}
+	l := &Log{
+		dir: dir, opts: opts, fsync: (*os.File).Sync,
+		buf:     make([]byte, 0, 1<<16),
+		sealDue: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{}),
+	}
 
-	idxs, err := listSegments(dir)
+	idxs, pending, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(idxs) == 0 {
-		if err := l.createSegment(1); err != nil {
+	for _, name := range pending { // a rotation's next segment, never published
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
 			return nil, err
 		}
+	}
+	if len(idxs) == 0 {
+		if l.f, err = createSegment(filepath.Join(dir, segmentName(1))); err == nil {
+			err = syncDir(dir)
+		}
+		if err != nil {
+			if l.f != nil {
+				l.f.Close()
+			}
+			return nil, err
+		}
+		l.seg, l.size, l.segments = 1, segmentHeaderLen, 1
 	} else {
 		last := idxs[len(idxs)-1]
 		path := filepath.Join(dir, segmentName(last))
@@ -201,90 +235,44 @@ func Open(dir string, opts Options) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
-		l.f = f
-		l.w = &segmentWriter{f: f, buf: make([]byte, 0, 1<<16)}
-		l.seg = last
-		l.size = validLen
+		l.f, l.seg, l.size, l.segments = f, last, validLen, len(idxs)
 	}
-	l.opts.Ins.observeSegments(l.segmentCountLocked())
-
-	if opts.Sync == SyncInterval {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flushLoop()
-	}
+	l.opts.Ins.observeSegments(l.segments)
+	go l.syncer()
 	return l, nil
 }
 
-// createSegment starts segment idx as the active segment. Caller holds
-// l.mu (or is Open, before the log is shared).
-func (l *Log) createSegment(idx int) error {
-	path := filepath.Join(l.dir, segmentName(idx))
+// createSegment creates a segment file at path and writes and fsyncs its
+// header. The caller makes the directory entry durable.
+func createSegment(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(segmentHeader()); err != nil {
+	if _, err = f.Write(segmentHeader()); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
-		return err
+		_ = os.Remove(path) // best effort: a file left behind holds no record
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return err
-	}
-	l.f = f
-	if l.w == nil {
-		l.w = &segmentWriter{f: f, buf: make([]byte, 0, 1<<16)}
-	} else {
-		l.w.f = f
-		l.w.buf = l.w.buf[:0]
-	}
-	l.seg = idx
-	l.size = segmentHeaderLen
-	return nil
+	return f, nil
 }
 
 // Append durably (per the sync policy) appends one record. The payload
-// is copied into the log's scratch buffer, so the caller may reuse it
+// is framed into the segment buffer, so the caller may reuse it
 // immediately. Steady-state appends allocate nothing.
 func (l *Log) Append(tag byte, payload []byte) error {
-	if 1+len(payload) > MaxRecord {
-		return fmt.Errorf("wal: record payload of %d bytes exceeds %d", len(payload), MaxRecord-1)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
-	}
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	l.scratch = appendRecord(l.scratch[:0], tag, payload)
-	if err := l.w.write(l.scratch); err != nil {
-		return err
-	}
-	l.size += int64(len(l.scratch))
-	l.opts.Ins.observeAppend(len(l.scratch))
-	if l.opts.Sync == SyncAlways {
-		return l.syncLocked()
-	}
-	return nil
+	return l.AppendBatch(tag, [][]byte{payload})
 }
 
-var errClosed = errors.New("wal: log is closed")
-
 // AppendBatch appends records under a single lock acquisition and, under
-// SyncAlways, a single fsync covering the whole batch — the group-commit
-// path for the shard ingest engine, which logs one record per applied
-// update but commits once per drained batch. Records land in slice
-// order; payloads may alias a caller-owned arena and are copied out
-// before return. On error, records before the failure may have been
+// SyncAlways, returns once one fsync covers the whole batch — the
+// group-commit path: the TCP handler commits a run, a shard worker a
+// drained batch, and concurrent committers share the fsync. Records land
+// in slice order; payloads may alias a caller-owned arena and are copied
+// out before return. On error, records before the failure may have been
 // written (the same partial-durability window a crash leaves, and the
 // replay path already tolerates it).
 func (l *Log) AppendBatch(tag byte, payloads [][]byte) error {
@@ -297,100 +285,289 @@ func (l *Log) AppendBatch(tag byte, payloads [][]byte) error {
 		}
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
+	err := l.usableLocked()
+	records, bytes := 0, 0
+	for err == nil && records < len(payloads) {
+		var n int
+		if n, err = l.frameLocked(tag, payloads[records]); err == nil {
+			records++
+			bytes += n
+		}
 	}
-	for _, p := range payloads {
-		if l.size >= l.opts.SegmentBytes {
-			if err := l.rotateLocked(); err != nil {
-				return err
-			}
-		}
-		l.scratch = appendRecord(l.scratch[:0], tag, p)
-		if err := l.w.write(l.scratch); err != nil {
-			return err
-		}
-		l.size += int64(len(l.scratch))
-		l.opts.Ins.observeAppend(len(l.scratch))
+	end := l.end
+	l.mu.Unlock()
+	if bytes > 0 {
+		l.opts.Ins.observeAppend(records, bytes)
+	}
+	if err != nil {
+		return err
 	}
 	if l.opts.Sync == SyncAlways {
-		return l.syncLocked()
+		return l.syncTo(end)
 	}
 	return nil
 }
 
-// Sync flushes buffered appends and fsyncs the active segment.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+func (l *Log) usableLocked() error {
 	if l.closed {
 		return errClosed
 	}
-	return l.syncLocked()
+	return l.failed
 }
 
-func (l *Log) syncLocked() error {
-	if err := l.w.flush(); err != nil {
+// frameLocked frames one record straight into the segment buffer, after
+// rotating when the active segment is full, and returns its framed size.
+// Caller holds mu; a rotation releases it while the next segment is
+// created.
+func (l *Log) frameLocked(tag byte, p []byte) (int, error) {
+	if l.size >= l.opts.SegmentBytes {
+		from := l.seg
+		l.mu.Unlock()
+		_, err := l.rotate(from)
+		l.mu.Lock()
+		if err == nil {
+			err = l.usableLocked()
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	n := recordOverhead + len(p)
+	if len(l.buf)+n > cap(l.buf) {
+		if err := l.flushLocked(); err != nil {
+			return 0, err
+		}
+	}
+	if n <= cap(l.buf) {
+		l.buf = appendRecord(l.buf, tag, p)
+	} else {
+		l.scratch = appendRecord(l.scratch[:0], tag, p)
+		if _, err := l.f.Write(l.scratch); err != nil {
+			return 0, l.failLocked(err)
+		}
+	}
+	l.size += int64(n)
+	l.end += int64(n)
+	return n, nil
+}
+
+// flushLocked hands the segment buffer to the active file.
+func (l *Log) flushLocked() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	_, err := l.f.Write(l.buf)
+	l.buf = l.buf[:0]
+	if err != nil {
+		return l.failLocked(err)
+	}
+	return nil
+}
+
+// failLocked records the first error that leaves the log unable to vouch
+// for bytes it accepted: a dropped buffer, or an fsync whose failure may
+// have lost pages. Every later append and sync returns it.
+func (l *Log) failLocked(err error) error {
+	if l.failed == nil {
+		l.failed = err
+	}
+	return l.failed
+}
+
+// Sync flushes buffered appends and returns once they are durable.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	end, err := l.end, l.usableLocked()
+	l.mu.Unlock()
+	if err != nil {
 		return err
 	}
+	return l.syncTo(end)
+}
+
+// syncTo returns once an fsync covering logical offset target has
+// finished: at once when one already has, else after waiting for the
+// round in flight and, if that did not cover target, running one.
+func (l *Log) syncTo(target int64) error {
+	if l.durable.Load() >= target {
+		return nil
+	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if l.durable.Load() >= target {
+		return nil
+	}
+	return l.round(target)
+}
+
+// seal returns once every rotated-out segment is sealed and the segment
+// after it published.
+func (l *Log) seal() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	pending, err := len(l.sealing) > 0, l.failed
+	l.mu.Unlock()
+	if err != nil || !pending {
+		return err
+	}
+	return l.round(0)
+}
+
+// round is one sync round; the caller holds syncMu. It seals every
+// rotated-out segment, oldest first — fsync, close, then rename the next
+// segment to its name and sync the directory — and when target lies past
+// them also flushes the buffer and fsyncs the active segment; then it
+// advances the durable offset past what it covered. Only the flush runs
+// under mu.
+func (l *Log) round(target int64) error {
+	l.mu.Lock()
+	if l.failed != nil {
+		l.mu.Unlock()
+		return l.failed
+	}
+	seals := l.sealing
+	l.sealing = nil
+	var active *os.File
+	var upTo int64
+	var err error
+	if n := len(seals); n > 0 {
+		upTo = seals[n-1].end
+	}
+	if target > upTo {
+		if l.f == nil {
+			err = errClosed
+		} else if err = l.flushLocked(); err == nil {
+			active, upTo = l.f, l.end
+		}
+	}
+	l.mu.Unlock()
+
+	for _, s := range seals {
+		if err == nil {
+			err = l.syncFile(s.f)
+		}
+		if e := s.f.Close(); err == nil {
+			err = e
+		}
+		if err == nil {
+			err = l.publish(s.idx + 1)
+		}
+	}
+	if err == nil && active != nil {
+		err = l.syncFile(active)
+	}
+	if err != nil {
+		if !errors.Is(err, errClosed) {
+			l.mu.Lock()
+			err = l.failLocked(err)
+			l.mu.Unlock()
+		}
+		return err
+	}
+	if upTo > l.durable.Load() {
+		l.durable.Store(upTo)
+	}
+	return nil
+}
+
+// publish gives segment idx its name once the segment before it is
+// sealed, and makes the entry durable.
+func (l *Log) publish(idx int) error {
+	if err := os.Rename(filepath.Join(l.dir, pendingName(idx)), filepath.Join(l.dir, segmentName(idx))); err != nil {
+		return err
+	}
+	return syncDir(l.dir)
+}
+
+func (l *Log) syncFile(f *os.File) error {
 	start := time.Now()
-	if err := l.f.Sync(); err != nil {
+	if err := l.fsync(f); err != nil {
 		return err
 	}
 	l.opts.Ins.observeFsync(time.Since(start))
 	return nil
 }
 
-// flushLoop is the SyncInterval background flusher.
-func (l *Log) flushLoop() {
-	defer close(l.flushDone)
-	t := time.NewTicker(l.opts.SyncEvery)
-	defer t.Stop()
+// syncer is the background half of the sync path: the SyncInterval
+// ticker's rounds, and the seal of a segment an append rotated out. A
+// failed round stays on the log and surfaces on the next foreground call.
+func (l *Log) syncer() {
+	defer close(l.done)
+	var tick <-chan time.Time
+	if l.opts.Sync == SyncInterval {
+		t := time.NewTicker(l.opts.SyncEvery)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
-		case <-t.C:
+		case <-tick:
 			l.mu.Lock()
-			if !l.closed {
-				// A failed background sync surfaces on the next
-				// foreground Sync/Close; the loop keeps trying.
-				_ = l.syncLocked()
-			}
+			end := l.end
 			l.mu.Unlock()
-		case <-l.flushStop:
+			_ = l.syncTo(end)
+		case <-l.sealDue:
+			_ = l.seal()
+		case <-l.stop:
 			return
 		}
 	}
 }
 
-// Rotate seals the active segment (flush + fsync + close) and starts a
-// fresh one, returning the new active segment's index. The checkpoint
-// procedure rotates first so every record that predates the snapshot
-// lives in a sealed segment that can be removed afterwards.
+// Rotate starts a fresh segment and returns its index once the segment
+// it replaced is sealed (fsynced and closed) and the new one published.
+// The checkpoint procedure rotates first so every record that predates
+// the snapshot lives in a sealed segment that can be removed afterwards.
 func (l *Log) Rotate() (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, errClosed
-	}
-	if err := l.rotateLocked(); err != nil {
+	idx, err := l.rotate(0)
+	if err != nil {
 		return 0, err
 	}
-	return l.seg, nil
+	return idx, l.seal()
 }
 
-func (l *Log) rotateLocked() error {
-	if err := l.syncLocked(); err != nil {
-		return err
+// rotate makes segment from+1 active and returns its index — unless a
+// racing rotation already moved past from, when it returns the active
+// index; from 0 rotates whatever segment is active. The next segment is
+// created outside mu under its pending name; under mu the old buffer is
+// flushed and the file swapped, and the old segment is left to the next
+// round to seal, which publishes the new one.
+func (l *Log) rotate(from int) (int, error) {
+	l.rotMu.Lock()
+	defer l.rotMu.Unlock()
+	l.mu.Lock()
+	cur, err := l.seg, l.usableLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
-	if err := l.f.Close(); err != nil {
-		return err
+	if from != 0 && from != cur {
+		return cur, nil
 	}
-	if err := l.createSegment(l.seg + 1); err != nil {
-		return err
+	f, err := createSegment(filepath.Join(l.dir, pendingName(cur+1)))
+	if err != nil {
+		return 0, err
 	}
-	l.opts.Ins.observeSegments(l.segmentCountLocked())
-	return nil
+	l.mu.Lock()
+	if err := l.flushLocked(); err != nil {
+		l.mu.Unlock()
+		f.Close()
+		// Best effort: a header-only segment left behind holds no record.
+		_ = os.Remove(f.Name())
+		return 0, err
+	}
+	l.sealing = append(l.sealing, unsealed{f: l.f, idx: cur, end: l.end})
+	l.f, l.seg, l.size = f, cur+1, segmentHeaderLen
+	l.segments++
+	n := l.segments
+	l.mu.Unlock()
+	l.opts.Ins.observeSegments(n)
+	select {
+	case l.sealDue <- struct{}{}:
+	default: // already woken
+	}
+	return cur + 1, nil
 }
 
 // RemoveSegmentsBefore deletes every sealed segment with index < idx —
@@ -398,14 +575,13 @@ func (l *Log) rotateLocked() error {
 // is never removed. Returns how many segments were deleted.
 func (l *Log) RemoveSegmentsBefore(idx int) (int, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	closed := l.closed
+	idx = min(idx, l.seg)
+	l.mu.Unlock()
+	if closed {
 		return 0, errClosed
 	}
-	if idx > l.seg {
-		idx = l.seg
-	}
-	idxs, err := listSegments(l.dir)
+	idxs, _, err := listSegments(l.dir)
 	if err != nil {
 		return 0, err
 	}
@@ -414,18 +590,24 @@ func (l *Log) RemoveSegmentsBefore(idx int) (int, error) {
 		if i >= idx {
 			break
 		}
-		if err := os.Remove(filepath.Join(l.dir, segmentName(i))); err != nil {
-			return removed, err
+		if err = os.Remove(filepath.Join(l.dir, segmentName(i))); err != nil {
+			if errors.Is(err, fs.ErrNotExist) { // a concurrent truncation took it
+				err = nil
+				continue
+			}
+			break
 		}
 		removed++
 	}
-	if removed > 0 {
-		if err := syncDir(l.dir); err != nil {
-			return removed, err
-		}
+	if err == nil && removed > 0 {
+		err = syncDir(l.dir)
 	}
-	l.opts.Ins.observeSegments(l.segmentCountLocked())
-	return removed, nil
+	l.mu.Lock()
+	l.segments -= removed
+	n := l.segments
+	l.mu.Unlock()
+	l.opts.Ins.observeSegments(n)
+	return removed, err
 }
 
 // Replay reads every record in every segment in order, calling fn(tag,
@@ -435,23 +617,29 @@ func (l *Log) RemoveSegmentsBefore(idx int) (int, error) {
 // else returns an error wrapping ErrCorrupt. Call before the first
 // Append.
 func (l *Log) Replay(fn func(tag byte, payload []byte) error) error {
+	// Appends made before a replay would be invisible to the file reads
+	// below — buffered, or in a segment not yet published; recovery
+	// replays before streaming, so just seal and flush.
+	err := l.seal()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
+	if err == nil {
+		err = l.usableLocked()
 	}
-	// Appends buffered before a replay would be invisible to the file
-	// reads below; recovery replays before streaming, so just flush.
-	if err := l.w.flush(); err != nil {
+	if err == nil {
+		err = l.flushLocked()
+	}
+	active := l.seg
+	l.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	idxs, err := listSegments(l.dir)
+	idxs, _, err := listSegments(l.dir)
 	if err != nil {
 		return err
 	}
 	for _, idx := range idxs {
 		path := filepath.Join(l.dir, segmentName(idx))
-		if _, err := scanSegment(path, idx == l.seg, fn); err != nil {
+		if _, err := scanSegment(path, idx == active, fn); err != nil {
 			return err
 		}
 	}
@@ -462,15 +650,7 @@ func (l *Log) Replay(fn func(tag byte, payload []byte) error) error {
 func (l *Log) SegmentCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.segmentCountLocked()
-}
-
-func (l *Log) segmentCountLocked() int {
-	idxs, err := listSegments(l.dir)
-	if err != nil {
-		return 0
-	}
-	return len(idxs)
+	return l.segments
 }
 
 // ActiveSegment returns the index of the segment currently appended to.
@@ -486,21 +666,29 @@ func (l *Log) Dir() string { return l.dir }
 // Close flushes, fsyncs and closes the log. Records appended before a
 // clean Close are durable under every sync policy.
 func (l *Log) Close() error {
+	l.rotMu.Lock() // no rotation is half done
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	closed := l.closed
+	l.closed = true
+	l.mu.Unlock()
+	l.rotMu.Unlock()
+	if closed {
 		return nil
 	}
-	err := l.syncLocked()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.closed = true
-	stop := l.flushStop
+	close(l.stop)
+	<-l.done
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	err := l.round(math.MaxInt64) // the active segment too, appended to or not
+	l.mu.Lock()
+	f, seals := l.f, l.sealing // seals are left only by a failed log
+	l.f, l.sealing = nil, nil
 	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-l.flushDone
+	for _, s := range seals {
+		s.f.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

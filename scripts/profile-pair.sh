@@ -1,38 +1,45 @@
 #!/usr/bin/env bash
 # CPU profiles of the saturate phase of two commits, side by side (ROADMAP
-# 5(a), first half):
+# 5(a)), and with -block the off-CPU half — time spent waiting on mutexes:
 #
-#   scripts/profile-pair.sh <parent> <change> [-workload W] [-runs N]
+#   scripts/profile-pair.sh <parent> <change> [-workload W] [-runs N] [-block]
 #
 # Checks both commits out under .bench_build/profile/ with git archive, as
 # pair.sh does, and in those copies only wraps the saturate phase's
-# r.saturate call in bench/run.go in pprof.StartCPUProfile/StopCPUProfile.
-# Then runs `bash bench/run.sh -workload W -trace 0` in each, N runs a side
+# r.saturate call in bench/run.go in pprof.StartCPUProfile/StopCPUProfile
+# (with -block, in runtime/trace Start/Stop too). Then runs
+# `bash bench/run.sh -workload W -trace 0` in each, N runs a side
 # (default tcp_durable_dense, 3), alternating which side runs first, and
 # prints one row per run: its readings_per_s and the profile's self seconds
 # summed per package — kalman, core, dsms, wire, wal, engine, cluster,
 # runtime, syscall, everything else — with the benchmark's reference
 # kernel (main.refKernel, which times the machine) in a column of its own.
-# Profiles and run output stay beside the checkouts. Needs git, tar, jq
-# and awk.
+# With -block a second table follows: per run, the seconds goroutines
+# waited to lock a sync.Mutex or RWMutex, from `go tool trace -pprof=sync`,
+# charged to the function that called Lock — the wal.(*Log).AppendBatch
+# row, then the five largest others. A CPU profile cannot show that time.
+# Profiles, traces and run output stay beside the checkouts. Needs git,
+# tar, jq and awk.
 #
 # An uncommitted change can be profiled as `$(git stash create)` after
 # `git add -A`.
 set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-[ $# -ge 2 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
 parent=$(git -C "$root" rev-parse --verify "$1^{commit}")
 change=$(git -C "$root" rev-parse --verify "$2^{commit}")
 shift 2
 workload=tcp_durable_dense
 runs=3
+block=0
 while [ $# -gt 0 ]; do
     case $1 in
-    -workload) workload=$2 ;;
-    -runs) runs=$2 ;;
+    -workload) workload=$2; shift ;;
+    -runs) runs=$2; shift ;;
+    -block) block=1 ;;
     *) echo "profile-pair.sh: unknown flag $1" >&2; exit 2 ;;
     esac
-    shift 2
+    shift
 done
 
 out="$root/.bench_build/profile"
@@ -43,8 +50,12 @@ for side in parent change; do
     git -C "$root" archive "${!side}" | tar -x -C "$out/$side"
     run_go="$out/$side/bench/run.go"
     grep -qF "$call" "$run_go" || { echo "profile-pair.sh: $side: no r.saturate call in bench/run.go" >&2; exit 1; }
-    awk -v call="$call" '
-        /^import \($/ && !imported { print; print "\t\"runtime/pprof\""; imported = 1; next }
+    awk -v call="$call" -v block="$block" '
+        /^import \($/ && !imported {
+            print; print "\t\"runtime/pprof\""
+            if (block) print "\trtrace \"runtime/trace\""
+            imported = 1; next
+        }
         index($0, call) == 1 {
             print "\tprof, perr := os.Create(os.Getenv(\"DKF_E2E_CPUPROFILE\"))"
             print "\tif perr != nil {"
@@ -53,7 +64,17 @@ for side in parent change; do
             print "\tif perr = pprof.StartCPUProfile(prof); perr != nil {"
             print "\t\treturn nil, perr"
             print "\t}"
+            if (block) {
+                print "\ttf, terr := os.Create(os.Getenv(\"DKF_E2E_TRACE\"))"
+                print "\tif terr != nil {"
+                print "\t\treturn nil, terr"
+                print "\t}"
+                print "\tif terr = rtrace.Start(tf); terr != nil {"
+                print "\t\treturn nil, terr"
+                print "\t}"
+            }
             print
+            if (block) { print "\trtrace.Stop()"; print "\ttf.Close()" }
             print "\tpprof.StopCPUProfile()"
             print "\tprof.Close()"
             next
@@ -80,6 +101,23 @@ buckets() {
         END { for (p in sum) print p, sum[p] }'
 }
 
+# mutex wait seconds per calling function of one trace, largest first, as
+# "function seconds" lines: only waits inside sync.Mutex/RWMutex locks
+# count (the sync profile also holds channel and select waits), and sync,
+# internal/sync and runtime frames are hidden, so a wait is charged to the
+# function that called Lock.
+mutexwait() {
+    go tool trace -pprof=sync "$1" >"$1.sync.pprof" 2>/dev/null &&
+        go tool pprof -top -nodecount=1000000 -unit=ms -focus='^sync\.\(\*(RW)?Mutex\)\.R?Lock' \
+            -hide='^(sync|internal/sync|runtime)\.' "$1.sync.pprof" 2>/dev/null |
+        awk '$2 ~ /%$/ && $1 ~ /ms$/ {
+            name = $6
+            for (i = 7; i <= NF; i++) name = name " " $i
+            sub(/^.*\//, "", name)
+            printf "%s %.3f\n", name, substr($1, 1, length($1) - 2) / 1000
+        }'
+}
+
 cols="kalman core dsms wire wal engine cluster runtime syscall other ref"
 echo "| side | run | readings_per_s | $(echo $cols | sed 's/ / | /g') |"
 echo "|---|---|---:|$(for c in $cols; do printf -- '---:|'; done)"
@@ -89,8 +127,9 @@ for i in $(seq 1 "$runs"); do
     for side in $order; do
         log="$out/$side.$i.out"
         prof="$out/$side.$i.pprof"
+        tr="$out/$side.$i.trace"
         echo "profile-pair.sh: $workload run $i/$runs: $side" >&2
-        DKF_E2E_CPUPROFILE="$prof" bash "$out/$side/bench/run.sh" -workload "$workload" -trace 0 >"$log" 2>&1 || true
+        DKF_E2E_CPUPROFILE="$prof" DKF_E2E_TRACE="$tr" bash "$out/$side/bench/run.sh" -workload "$workload" -trace 0 >"$log" 2>&1 || true
         rate=$(tail -n 1 "$log" | jq -r '.metrics.readings_per_s.value // "failed"' 2>/dev/null || echo failed)
         row="| $side | $i | $rate |"
         if [ -s "$prof" ]; then
@@ -102,5 +141,21 @@ for i in $(seq 1 "$runs"); do
             row="$row no profile |"
         fi
         echo "$row"
+        if [ "$block" = 1 ]; then
+            row="| $side | $i | $rate |"
+            if [ -s "$tr" ] && w=$(mutexwait "$tr"); then
+                row="$row $(echo "$w" | awk '$1 == "wal.(*Log).AppendBatch" { v = $2 } END { printf "%.3f", v }') |"
+                row="$row $(echo "$w" | awk '$1 != "wal.(*Log).AppendBatch" && n < 5 { printf "%s%s %s", (n++ ? ", " : ""), $1, $2 }') |"
+            else
+                row="$row no trace | |"
+            fi
+            blockrows="${blockrows:-}$row"$'\n'
+        fi
     done
 done
+if [ "$block" = 1 ]; then
+    echo
+    echo "| side | run | readings_per_s | mutex wait in wal.(*Log).AppendBatch, s | top five other callers of Lock, s |"
+    echo "|---|---|---:|---:|---|"
+    printf '%s' "$blockrows"
+fi
