@@ -4,7 +4,9 @@
 // through the relevant scheme per iteration and reports the figure's
 // headline quantity (e.g. %updates) via b.ReportMetric, so
 // `go test -bench=. -benchmem` regenerates both the performance numbers
-// and the experimental result.
+// and the experimental result. The Riccati ablation (§3.2 case 5) is
+// BenchmarkFilterStep: its dense cases run on the covariance cycle, its
+// -sparse cases on the full recursion.
 package streamkf_test
 
 import (
@@ -19,7 +21,6 @@ import (
 	"streamkf/internal/core"
 	"streamkf/internal/experiments"
 	"streamkf/internal/gen"
-	"streamkf/internal/kalman"
 	"streamkf/internal/mat"
 	"streamkf/internal/model"
 	"streamkf/internal/stream"
@@ -320,38 +321,6 @@ func BenchmarkTable1Comparison(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Ablation: dynamic Riccati vs precomputed steady-state gain ---
-
-func BenchmarkAblationSteadyState(b *testing.B) {
-	phi := mat.FromRows([][]float64{{1, 1}, {0, 1}})
-	h := mat.FromRows([][]float64{{1, 0}})
-	q := mat.ScaledIdentity(2, 0.05)
-	r := mat.Diag(0.05)
-	z := mat.Vec(1)
-	b.Run("dynamic", func(b *testing.B) {
-		b.ReportAllocs()
-		f := kalman.MustNew(kalman.Config{Phi: kalman.Static(phi), H: h, Q: q, R: r, X0: mat.Vec(0, 0)})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := f.Step(z); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("steadyState", func(b *testing.B) {
-		b.ReportAllocs()
-		f, err := kalman.NewStatic(phi, h, q, r, mat.Vec(0, 0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.Predict()
-			f.Correct(z)
-		}
-	})
 }
 
 // --- Ablation: correcting the mirror on every reading breaks synchrony ---

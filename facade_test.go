@@ -237,33 +237,6 @@ func TestFacadeSourceServerNodesAndArchive(t *testing.T) {
 }
 
 func TestFacadeWindowing(t *testing.T) {
-	ws, err := streamkf.NewWindowStats(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.Observe(1)
-	ws.Observe(2)
-	ws.Observe(3)
-	if ws.Mean() != 2 {
-		t.Fatalf("window mean %v", ws.Mean())
-	}
-	mm, err := streamkf.NewWindowMinMax(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm.Observe(5)
-	mm.Observe(1)
-	if mn, _ := mm.Min(); mn != 1 {
-		t.Fatalf("window min %v", mn)
-	}
-	ew, err := streamkf.NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ew.Observe(4); got != 4 {
-		t.Fatalf("EWMA %v", got)
-	}
-
 	catalog := streamkf.DefaultCatalog(1)
 	server := streamkf.NewDSMSServer(catalog)
 	name, err := streamkf.InstallCQL(server, "SELECT AVG FROM z OVER 4 MODEL constant WITHIN 1 AS w")

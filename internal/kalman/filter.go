@@ -1,9 +1,9 @@
 // Package kalman implements the discrete Kalman filter family the paper
-// builds on: the standard linear filter (Eq. 3–12 of the paper), the
-// steady-state filter obtained by iterating the Riccati equation (§3.2
-// case 5), the extended Kalman filter for non-linear models (§3.2 cases
-// 2–3), recursive least squares as the zero-measurement-noise degenerate
-// case (§3.2 case 4), and innovation-based adaptive noise estimation
+// builds on: the standard linear filter (Eq. 3–12 of the paper), whose
+// covariance, gain and innovation covariance a dense stream copies from
+// their settled bit-exact cycle instead of recomputing them (§3.2 case 5,
+// cycle.go), the extended Kalman filter for non-linear models (§3.2 cases
+// 2–3), the IMM mixture, and innovation-based adaptive noise estimation
 // (future work item 6).
 //
 // The filter deliberately exposes Predict and Correct as separate steps:

@@ -9,9 +9,9 @@ import (
 // ErrSingular is returned when a linear system has no unique solution.
 var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input is not
-// symmetric positive definite.
-var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
+// LU, Solve and Det are safety code: no binary calls them, but they are
+// the independent reference the InverseInto tests check its closed forms
+// and its Gauss-Jordan path against.
 
 // LU holds an LU decomposition with partial pivoting: P*A = L*U.
 type LU struct {
@@ -132,17 +132,6 @@ func Solve(a, b *Matrix) (*Matrix, error) {
 	return lu.Solve(b)
 }
 
-// Inverse returns a^-1. It is a thin wrapper over InverseInto: closed
-// forms for orders 1 and 2, Gauss-Jordan elimination with partial
-// pivoting above that.
-func Inverse(a *Matrix) (*Matrix, error) {
-	out := New(a.rows, a.cols)
-	if _, err := InverseInto(out, a, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Det returns the determinant of a square matrix (0 if singular).
 func Det(a *Matrix) float64 {
 	lu, err := DecomposeLU(a)
@@ -150,76 +139,4 @@ func Det(a *Matrix) float64 {
 		return 0
 	}
 	return lu.Det()
-}
-
-// Cholesky holds the lower-triangular factor L with A = L*L^T.
-type Cholesky struct {
-	l *Matrix
-}
-
-// DecomposeCholesky factors a symmetric positive-definite matrix.
-// Only the lower triangle of a is read.
-func DecomposeCholesky(a *Matrix) (*Cholesky, error) {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("mat: DecomposeCholesky on non-square %dx%d", a.rows, a.cols))
-	}
-	n := a.rows
-	l := New(n, n)
-	for j := 0; j < n; j++ {
-		var d float64
-		for k := 0; k < j; k++ {
-			var s float64
-			for i := 0; i < k; i++ {
-				s += l.data[k*n+i] * l.data[j*n+i]
-			}
-			s = (a.data[j*n+k] - s) / l.data[k*n+k]
-			l.data[j*n+k] = s
-			d += s * s
-		}
-		d = a.data[j*n+j] - d
-		if d <= 0 {
-			return nil, ErrNotPositiveDefinite
-		}
-		l.data[j*n+j] = math.Sqrt(d)
-	}
-	return &Cholesky{l: l}, nil
-}
-
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
-
-// Solve solves A*X = B using the Cholesky factorization.
-func (c *Cholesky) Solve(b *Matrix) *Matrix {
-	n := c.l.rows
-	if b.rows != n {
-		panic(fmt.Sprintf("mat: Cholesky.Solve rhs has %d rows, want %d", b.rows, n))
-	}
-	nrhs := b.cols
-	x := b.Clone()
-	// Forward: L*y = b.
-	for k := 0; k < n; k++ {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < k; i++ {
-				x.data[k*nrhs+j] -= x.data[i*nrhs+j] * c.l.data[k*n+i]
-			}
-			x.data[k*nrhs+j] /= c.l.data[k*n+k]
-		}
-	}
-	// Backward: L^T*x = y.
-	for k := n - 1; k >= 0; k-- {
-		for j := 0; j < nrhs; j++ {
-			for i := k + 1; i < n; i++ {
-				x.data[k*nrhs+j] -= x.data[i*nrhs+j] * c.l.data[i*n+k]
-			}
-			x.data[k*nrhs+j] /= c.l.data[k*n+k]
-		}
-	}
-	return x
-}
-
-// IsPositiveDefinite reports whether the symmetric matrix a is positive
-// definite, by attempting a Cholesky factorization.
-func IsPositiveDefinite(a *Matrix) bool {
-	_, err := DecomposeCholesky(a)
-	return err == nil
 }

@@ -5,13 +5,13 @@ import "fmt"
 // Destination-taking kernels for allocation-free inner loops.
 //
 // Convention: the destination is the first argument and must already have
-// the result's dimensions (Mul3Into and InverseInto reshape their scratch
-// argument themselves). Element-wise kernels (AddInto, SubInto, ScaleInto,
+// the result's dimensions (InverseInto reshapes its scratch argument
+// itself). Element-wise kernels (AddInto, SubInto, ScaleInto,
 // SymmetrizeInto, IdentityMinusInto) permit dst to alias an operand.
-// Data-movement kernels (MulInto, Mul3Into, TransposeInto, InverseInto)
-// require dst and scratch to be distinct from every operand and panic on
-// violation. Matrices in this package never share backing storage, so
-// pointer identity is a complete aliasing check.
+// Data-movement kernels (MulInto, TransposeInto, InverseInto) require dst
+// and scratch to be distinct from every operand and panic on violation.
+// Matrices in this package never share backing storage, so pointer
+// identity is a complete aliasing check.
 //
 // Every kernel applies the same floating-point operation order as its
 // allocating counterpart (which is now a thin wrapper), so switching an
@@ -164,26 +164,6 @@ func mul3RightFirst(a, b, c *Matrix) bool {
 	return right < left
 }
 
-// Mul3Into sets dst = a * b * c, associating whichever way is cheaper for
-// the operand shapes. scratch holds the intermediate product and is
-// reshaped as needed; a nil scratch allocates one. dst must not alias any
-// operand, and scratch must be distinct from dst and all operands.
-func Mul3Into(dst, a, b, c, scratch *Matrix) *Matrix {
-	if scratch == nil {
-		scratch = &Matrix{}
-	}
-	checkNoAlias("Mul3Into", dst, a, b, c, scratch)
-	checkNoAlias("Mul3Into scratch", scratch, a, b, c)
-	if mul3RightFirst(a, b, c) {
-		scratch.Reshape(b.rows, c.cols)
-		MulInto(scratch, b, c)
-		return MulInto(dst, a, scratch)
-	}
-	scratch.Reshape(a.rows, b.cols)
-	MulInto(scratch, a, b)
-	return MulInto(dst, scratch, c)
-}
-
 // TransposeInto sets dst = a^T and returns dst. dst must not alias a.
 func TransposeInto(dst, a *Matrix) *Matrix {
 	checkNoAlias("TransposeInto", dst, a)
@@ -249,19 +229,6 @@ func IdentityMinusFlat(dst, a []float64, n int) {
 			dst[i*n+j] = id - a[i*n+j]
 		}
 	}
-}
-
-// Dot returns the dot product of a and b viewed as flat element sequences
-// (row and column vectors of equal length are the common case).
-func Dot(a, b *Matrix) float64 {
-	if len(a.data) != len(b.data) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	var s float64
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s
 }
 
 // InverseInto sets dst = a^-1 for square a and returns det(a). Orders 1

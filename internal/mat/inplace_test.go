@@ -16,16 +16,10 @@ func seqMatrix(r, c int, start float64) *Matrix {
 func TestIntoKernelsMatchAllocatingAPI(t *testing.T) {
 	a := seqMatrix(3, 4, 1)
 	b := seqMatrix(4, 2, -2)
-	c := seqMatrix(2, 5, 0.3)
 
 	got := MulInto(New(3, 2), a, b)
 	if !Equal(got, Mul(a, b)) {
 		t.Fatalf("MulInto = %v, want %v", got, Mul(a, b))
-	}
-
-	got = Mul3Into(New(3, 5), a, b, c, nil)
-	if !Equal(got, Mul3(a, b, c)) {
-		t.Fatalf("Mul3Into = %v, want %v", got, Mul3(a, b, c))
 	}
 
 	got = TransposeInto(New(4, 3), a)
@@ -91,7 +85,6 @@ func TestMulIntoAliasPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { MulInto(a, a, b) },
 		func() { TransposeInto(a, a) },
-		func() { Mul3Into(a, b, b, b, a) },
 		func() { InverseInto(a, a, nil) },
 	} {
 		func() {
@@ -124,18 +117,6 @@ func TestMul3CostAwareAssociation(t *testing.T) {
 	ht := Transpose(h)
 	if mul3RightFirst(h, p, ht) {
 		t.Fatalf("H P H^T must stay left-associated on a cost tie")
-	}
-}
-
-func TestDot(t *testing.T) {
-	a := Vec(1, 2, 3)
-	b := Vec(4, -5, 6)
-	if got := Dot(a, b); got != 1*4+2*-5+3*6 {
-		t.Fatalf("Dot = %v", got)
-	}
-	row := Transpose(a)
-	if got := Dot(row, b); got != 12 {
-		t.Fatalf("row-column Dot = %v", got)
 	}
 }
 
@@ -192,14 +173,6 @@ func TestInverseIntoGaussJordan(t *testing.T) {
 	if !ApproxEqual(Mul(dst, a), Identity(4), 1e-10) {
 		t.Fatalf("4x4 inverse does not invert")
 	}
-	// The scratch-free call must agree.
-	dst2, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(dst, dst2) {
-		t.Fatalf("Inverse wrapper disagrees with InverseInto")
-	}
 }
 
 func TestInverseIntoSingular(t *testing.T) {
@@ -244,7 +217,6 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	})
 	checks := map[string]func(){
 		"MulInto":       func() { MulInto(dst, a, b) },
-		"Mul3Into":      func() { Mul3Into(dst, a, b, b, scratch) },
 		"TransposeInto": func() { TransposeInto(dst, a) },
 		"AddInto":       func() { AddInto(dst, a, b) },
 		"SubInto":       func() { SubInto(dst, a, b) },

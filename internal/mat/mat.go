@@ -1,6 +1,6 @@
 // Package mat implements a small dense matrix library sufficient for Kalman
-// filtering: construction, arithmetic, transposition, LU and Cholesky
-// decompositions, linear solves, inversion and a handful of norms.
+// filtering: construction, arithmetic, transposition and inversion, with
+// an LU decomposition kept as the inverse's test reference.
 //
 // It plays the role the JAMA Java matrix package played in the original
 // SIGMOD 2004 implementation of the Dual Kalman Filter.
@@ -8,8 +8,8 @@
 // All matrices are dense, row-major, float64. Dimension mismatches are
 // programmer errors and panic with a descriptive message, mirroring the
 // convention of gonum and the Go standard library (e.g. slice bounds).
-// Numerical failures that depend on data values (singular systems,
-// non-positive-definite inputs) are reported as errors.
+// Numerical failures that depend on data values (singular systems) are
+// reported as errors.
 package mat
 
 import (
@@ -126,36 +126,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// CopyFrom overwrites m's elements with src's. Dimensions must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic(fmt.Sprintf("mat: CopyFrom dimension mismatch %dx%d <- %dx%d", m.rows, m.cols, src.rows, src.cols))
-	}
-	copy(m.data, src.data)
-}
-
-// Col returns column j as a fresh slice.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: column %d out of range %dx%d", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Row returns row i as a fresh slice.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range %dx%d", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // DataCopy returns the matrix contents as a fresh row-major slice of
 // length Rows*Cols — the serialization form used by checkpoint and
 // snapshot code. FromSlice is the inverse.
@@ -252,38 +222,6 @@ func Symmetrize(a *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: Symmetrize on non-square %dx%d", a.rows, a.cols))
 	}
 	return SymmetrizeInto(New(a.rows, a.cols), a)
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func Trace(a *Matrix) float64 {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("mat: Trace on non-square %dx%d", a.rows, a.cols))
-	}
-	var t float64
-	for i := 0; i < a.rows; i++ {
-		t += a.data[i*a.cols+i]
-	}
-	return t
-}
-
-// FrobeniusNorm returns sqrt(sum a_ij^2).
-func FrobeniusNorm(a *Matrix) float64 {
-	var s float64
-	for _, v := range a.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns max |a_ij|, the element-wise infinity norm.
-func MaxAbs(a *Matrix) float64 {
-	var mx float64
-	for _, v := range a.data {
-		if av := math.Abs(v); av > mx {
-			mx = av
-		}
-	}
-	return mx
 }
 
 // Equal reports whether a and b have identical dimensions and elements.

@@ -1,0 +1,85 @@
+#!/bin/sh
+# Library code that nothing built from this repository runs:
+#
+#   sh scripts/reach.sh
+#
+# Builds every cmd/*, every examples/* and the benchmark SUT (bench/)
+# with inlining off (-gcflags=all=-l), so every function a binary can
+# call is a symbol of its own, and reads their symbols with go tool nm.
+# Then prints each non-test top-level func and method under internal/
+# and of the root package (the facade) that no binary contains, as
+# file:line, its line count and its name, and a total. Methods match
+# whatever their receiver, pointer or value; generic functions and
+# methods match by the name before their type arguments, so any
+# instantiation counts. Tests are not binaries here: code that only
+# tests reach is listed, and whether it stays (a test's reference, say)
+# is a decision for the reader. Needs go, sh and a POSIX awk; writes
+# only to a temporary directory it removes.
+set -eu
+cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT INT TERM
+mkdir "$tmp/cmd" "$tmp/examples"
+export GOTOOLCHAIN=local
+go build -gcflags=all=-l -o "$tmp/cmd/" ./cmd/...
+go build -gcflags=all=-l -o "$tmp/examples/" ./examples/...
+go build -C bench -gcflags=all=-l -o "$tmp/dkf-e2e" .
+
+# Reached names, normalized: type arguments, "(*", ")" and a method
+# value's "-fm" dropped, so streamkf/internal/mat.(*Matrix).Clone reads
+# streamkf/internal/mat.Matrix.Clone.
+for b in "$tmp"/cmd/* "$tmp"/examples/* "$tmp/dkf-e2e"; do
+    go tool nm "$b"
+done | awk '
+{
+    s = $0
+    sub(/^ *[0-9a-f]* +[A-Za-z] +/, "", s)
+    if (s !~ /^streamkf[.\/]/) next
+    out = ""; depth = 0
+    for (i = 1; i <= length(s); i++) {
+        c = substr(s, i, 1)
+        if (c == "[") depth++
+        else if (c == "]") depth--
+        else if (depth == 0 && c != "(" && c != ")" && c != "*") out = out c
+    }
+    sub(/-fm$/, "", out)
+    print out
+}' | sort -u >"$tmp/reached"
+
+# Declared names in the same form, with their extent: a func ends at the
+# line that closes it at column 0, or on its own line when it is one.
+{
+    find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
+    find . -maxdepth 1 -name '*.go' ! -name '*_test.go'
+} | sed 's|^\./||' | sort | xargs awk '
+function flush() {
+    if (name != "") printf "%s %s:%d %d\n", pkg "." name, FILENAME, start, FNR - start + 1
+    name = ""
+}
+FNR == 1 {
+    name = ""; dir = FILENAME; sub(/\/?[^\/]*$/, "", dir)
+    pkg = dir == "" ? "streamkf" : "streamkf/" dir
+}
+/^func / {
+    s = $0; sub(/^func /, "", s); recv = ""
+    if (s ~ /^\(/) {
+        r = s; sub(/\).*/, "", r); sub(/^\(/, "", r)
+        n = split(r, parts, " "); recv = parts[n]
+        gsub(/[*]/, "", recv); sub(/\[.*/, "", recv)
+        sub(/^\([^)]*\) */, "", s)
+    }
+    sub(/[[(].*/, "", s)
+    if (s == "init" || s == "main") next
+    name = (recv != "" ? recv "." : "") s; start = FNR
+    if ($0 ~ /}[ \t]*(\/\/.*)?$/) flush()
+    next
+}
+/^}/ { flush() }' >"$tmp/declared"
+
+awk 'NR == FNR { reached[$1] = 1; next }
+!($1 in reached) {
+    name = $1; sub(/^streamkf(\/[^.]*)?\./, "", name)
+    printf "%-44s %5d  %s\n", $2, $3, name
+    total += $3; n++
+}
+END { printf "%-44s %5d  (%d funcs)\n", "total", total, n }' "$tmp/reached" "$tmp/declared"

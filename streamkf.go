@@ -29,10 +29,10 @@
 //
 // This root package re-exports the stable public surface. The
 // implementation lives in internal packages: mat (dense matrices), kalman
-// (filter family), model (stream model catalogue), core (the DKF
-// protocol), baseline (comparison schemes), gen (workload generators),
-// dsms (the end-to-end query server with TCP/UDP transports and the
-// shard-per-core ingest engine), adapt (online
+// (the filter, EKF, IMM and noise adaptation), model (stream models), core
+// (the DKF protocol), baseline (comparison schemes), gen (workloads), dsms
+// (the end-to-end query server with TCP/UDP transports and the
+// shard-per-core ingest engine), cql (the query language), adapt (online
 // model switching), synopsis (error-bounded stream storage), netsim
 // (sensor energy accounting), and experiments (the paper's evaluation).
 package streamkf
@@ -51,7 +51,6 @@ import (
 	"streamkf/internal/netsim"
 	"streamkf/internal/stream"
 	"streamkf/internal/synopsis"
-	"streamkf/internal/window"
 )
 
 // Stream abstractions.
@@ -85,8 +84,6 @@ type (
 	EKF = kalman.EKF
 	// EKFConfig configures an EKF.
 	EKFConfig = kalman.EKFConfig
-	// RLS is recursive least squares, the zero-noise degenerate filter.
-	RLS = kalman.RLS
 	// IMM is the Interacting Multiple Model estimator: a Bayesian
 	// mixture over a bank of dynamics hypotheses.
 	IMM = kalman.IMM
@@ -108,16 +105,6 @@ func NewFilter(cfg FilterConfig) (*Filter, error) { return kalman.New(cfg) }
 
 // NewEKF constructs an extended Kalman filter.
 func NewEKF(cfg EKFConfig) (*EKF, error) { return kalman.NewEKF(cfg) }
-
-// NewRLS returns a recursive least squares estimator for n parameters
-// with forgetting factor lambda and prior covariance scale delta.
-func NewRLS(n int, lambda, delta float64) (*RLS, error) { return kalman.NewRLS(n, lambda, delta) }
-
-// SteadyState solves the discrete Riccati recursion to a fixed point,
-// returning the converged covariance and gain (paper §3.2 case 5).
-func SteadyState(phi, h, q, r *Matrix, tol float64, maxIter int) (p, k *Matrix, err error) {
-	return kalman.SteadyState(phi, h, q, r, tol, maxIter)
-}
 
 // Model is a stream model: transition, measurement, noise and bootstrap.
 type Model = model.Model
@@ -277,7 +264,7 @@ type (
 	RemoteAgent = dsms.RemoteAgent
 	// QueryClient asks a TCPServer for answers.
 	QueryClient = dsms.QueryClient
-	// DialOptions tunes a RemoteAgent connection (ack window, frame cap).
+	// DialOptions tunes a RemoteAgent: ack window, telemetry, tracing.
 	DialOptions = dsms.DialOptions
 	// UDPServer accepts the connectionless datagram transport on one
 	// socket and feeds the shard-per-core ingest engine.
@@ -382,22 +369,7 @@ type (
 	// WindowQuery is a time-windowed aggregate over one source,
 	// evaluated by history replay.
 	WindowQuery = dsms.WindowQuery
-	// WindowStats maintains sliding-window mean/variance.
-	WindowStats = window.Stats
-	// WindowMinMax maintains sliding-window extrema in O(1) amortized.
-	WindowMinMax = window.MinMax
-	// EWMA is an exponentially weighted moving average.
-	EWMA = window.EWMA
 )
-
-// NewWindowStats returns a sliding-window statistic over n observations.
-func NewWindowStats(n int) (*WindowStats, error) { return window.NewStats(n) }
-
-// NewWindowMinMax returns a sliding-window extremum tracker.
-func NewWindowMinMax(n int) (*WindowMinMax, error) { return window.NewMinMax(n) }
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) (*EWMA, error) { return window.NewEWMA(alpha) }
 
 // Aggregate functions.
 const (
