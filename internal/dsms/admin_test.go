@@ -76,7 +76,6 @@ func TestAdminEndpoints(t *testing.T) {
 		`dkf_server_suppression_ratio{source="walk"}`,
 		`dkf_stream_nis{source="walk"}`,
 		`dkf_stream_healthy{source="walk"} 1`,
-		"# TYPE dkf_server_stepall_ns histogram",
 		`dkf_build_info{version="dev"`,
 		"# TYPE dkf_uptime_seconds gauge",
 		"dkf_uptime_seconds",
@@ -209,7 +208,7 @@ func TestAdminScrapeUnderLoad(t *testing.T) {
 	}
 	defer admin.Close()
 
-	agent, err := DialSourceOptions(ts.Addr(), "walk", catalog, DialOptions{Telemetry: s.Telemetry()})
+	agent, err := DialSource(ts.Addr(), "walk", catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,24 +248,6 @@ func TestAdminScrapeUnderLoad(t *testing.T) {
 	st := s.Stats()[0]
 	if want := fmt.Sprintf("dkf_server_updates_total{source=\"walk\"} %d", st.Updates); !strings.Contains(body, want) {
 		t.Fatalf("final scrape missing %q", want)
-	}
-	if want := fmt.Sprintf("dkf_agent_sends_total{source=\"walk\"} %d", st.Updates); !strings.Contains(body, want) {
-		t.Fatalf("final scrape missing %q (agent/server disagree)", want)
-	}
-
-	// The agent registered its instruments in the server's registry, so
-	// the status document carries an ack-RTT summary; an AdvanceAll batch
-	// populates the server-side latency summary too.
-	s.AdvanceAll(5000)
-	z := s.Streamz()
-	if z.StepAll == nil || z.StepAll.Count == 0 || z.StepAll.P99Ns < z.StepAll.P50Ns {
-		t.Fatalf("stepall latency summary not populated: %+v", z.StepAll)
-	}
-	if len(z.Streams) != 1 || z.Streams[0].AckRTT == nil {
-		t.Fatalf("ack RTT summary missing from status document: %+v", z.Streams)
-	}
-	if rtt := z.Streams[0].AckRTT; rtt.Count != int64(st.Updates) || rtt.P50Ns <= 0 || rtt.P99Ns < rtt.P50Ns {
-		t.Fatalf("ack RTT summary inconsistent: %+v (want count %d)", rtt, st.Updates)
 	}
 }
 

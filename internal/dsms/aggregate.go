@@ -214,7 +214,7 @@ func (s *Server) RegisterAggregate(q AggregateQuery) error {
 // repeated point read of an unchanged aggregate is then O(1): one atomic
 // load per member and no filter work, instead of re-advancing and
 // re-evaluating every member under its lock. Any member mutation (update
-// apply, batch advance, state restore) bumps its version and invalidates
+// apply, replayed advance, state restore) bumps its version and invalidates
 // the memo.
 type aggregate struct {
 	def     AggregateQuery

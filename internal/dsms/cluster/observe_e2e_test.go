@@ -222,12 +222,21 @@ func TestClusterzVerdictFlip(t *testing.T) {
 	}
 
 	// Stall the only shard worker, then slam the ring: TryOffer sheds
-	// once the slots fill, driving dkf_engine_ring_dropped_total.
-	release := make(chan struct{})
-	if !e.RunOnShard(0, func() { <-release }) {
-		t.Fatal("RunOnShard refused on a live engine")
+	// once the slots fill, driving dkf_engine_ring_dropped_total. The
+	// stall is a blocking alert callback, which runs on the worker.
+	if err := s.Register(stream.Query{ID: "stall", SourceID: "stall", Delta: 1, Model: "constant"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InstallFor("stall"); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	if err := s.RegisterAlert(dsms.Alert{ID: "stall", QueryID: "stall"}, func(dsms.AlertEvent) { close(entered); <-release }); err != nil {
+		t.Fatal(err)
 	}
 	p := e.Producer()
+	p.Offer(0, &core.Update{SourceID: "stall", Values: []float64{1}, Bootstrap: true})
+	<-entered
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {
 		p.TryOffer(0, u)

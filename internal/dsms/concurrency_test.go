@@ -121,102 +121,3 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		}
 	}
 }
-
-// TestStepAllAdvancesAllStreams checks the batch advance: after ingest
-// stops, AdvanceAll must bring every stream's prediction forward to
-// each successive target index.
-func TestStepAllAdvancesAllStreams(t *testing.T) {
-	const nSources = 5
-	s := NewServer(testCatalog())
-	for i := 0; i < nSources; i++ {
-		q := stream.Query{
-			ID:       fmt.Sprintf("q%d", i),
-			SourceID: fmt.Sprintf("s%d", i),
-			Delta:    0.5,
-			Model:    "linear",
-		}
-		if err := s.Register(q); err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := s.InstallFor(q.SourceID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agent, err := NewAgent(cfg, core.TransportFunc(s.HandleUpdate))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := agent.Run(stream.NewSliceSource(concurrencyReadings(i, 50))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, target := range []int{100, 150, 250, 900} {
-		advanced := s.AdvanceAll(target)
-		if advanced != nSources {
-			t.Fatalf("AdvanceAll(%d) advanced %d sources, want %d", target, advanced, nSources)
-		}
-		for _, st := range s.Stats() {
-			if st.Seq != target {
-				t.Fatalf("source %s at seq %d, want %d", st.SourceID, st.Seq, target)
-			}
-		}
-		// A second call at the same target is a no-op.
-		if again := s.AdvanceAll(target); again != 0 {
-			t.Fatalf("repeat AdvanceAll advanced %d sources, want 0", again)
-		}
-	}
-}
-
-// TestStepAllConcurrentWithQueries runs AdvanceAll from several
-// goroutines while readers query; under -race this pins its per-source
-// locking against the query path.
-func TestStepAllConcurrentWithQueries(t *testing.T) {
-	const nSources = 4
-	s := NewServer(testCatalog())
-	for i := 0; i < nSources; i++ {
-		q := stream.Query{
-			ID:       fmt.Sprintf("q%d", i),
-			SourceID: fmt.Sprintf("s%d", i),
-			Delta:    0.5,
-			Model:    "linear",
-		}
-		if err := s.Register(q); err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := s.InstallFor(q.SourceID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agent, err := NewAgent(cfg, core.TransportFunc(s.HandleUpdate))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := agent.Run(stream.NewSliceSource(concurrencyReadings(i, 20))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < 50; r++ {
-				s.AdvanceAll(20 + r)
-				if _, err := s.Answer(fmt.Sprintf("q%d", (g+r)%nSources), 0); err != nil {
-					// All sources bootstrapped before this point.
-					t.Errorf("Answer: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	for _, st := range s.Stats() {
-		if st.Seq < 69 {
-			t.Errorf("source %s at seq %d, want >= 69", st.SourceID, st.Seq)
-		}
-	}
-}

@@ -116,7 +116,7 @@ type sourceState struct {
 	dead    atomic.Bool  // a dropped registration: the slot is never handed out again
 
 	// version counts data mutations of this stream's filter state —
-	// update applies, batch advances, snapshot restores. Aggregate
+	// update applies, snapshot restores, replayed advance records. Aggregate
 	// memos sum member versions as their change detector (aggregate.go),
 	// so it must be bumped by every mutation that can move a query
 	// answer, and only by those (Answer's internal advance does not
@@ -889,26 +889,6 @@ func (st *sourceState) answer(seq int) ([]float64, error) {
 	return vals, nil
 }
 
-// advanceOne brings one stream's prediction forward to reading index
-// seq, returning whether it actually advanced — the body of AdvanceAll
-// (ingest.go), run under the per-source lock.
-func (s *Server) advanceOne(st *sourceState, seq int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.node.Installed() || st.node.Seq() >= seq {
-		return false
-	}
-	// Batch advances move the stale-update rejection boundary, so they
-	// are logged (after advancing, same lock) for exact replay; a log
-	// failure here surfaces on the next ingest append.
-	st.node.AdvanceTo(seq)
-	st.version.Add(1)
-	if s.db != nil && !s.db.replaying {
-		_ = s.db.appendAdvance(st.id, seq)
-	}
-	return true
-}
-
 // SourceIDs returns the registered source ids, sorted.
 func (s *Server) SourceIDs() []string {
 	out := make([]string, 0, s.streams.n.Load())
@@ -943,29 +923,6 @@ type Stats struct {
 	// update sequence captured by a checkpoint (-1 before the first).
 	Durable       bool `json:"durable"`
 	CheckpointSeq int  `json:"checkpoint_seq,omitempty"`
-
-	// AckRTT summarizes the send-to-ack round trip for this source's
-	// agent. Present only when the agent registered its instruments in
-	// this server's registry (in-process transports); over TCP the
-	// agent's registry lives in the source process.
-	AckRTT *LatencySummary `json:"ack_rtt,omitempty"`
-}
-
-// LatencySummary is a compact quantile view of a latency histogram,
-// resolved to the histogram's power-of-two bucket bounds.
-type LatencySummary struct {
-	Count int64 `json:"count"`
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-}
-
-// summarize folds a histogram snapshot into a LatencySummary, or nil
-// when nothing was observed.
-func summarize(s telemetry.HistogramSnapshot) *LatencySummary {
-	if s.Count == 0 {
-		return nil
-	}
-	return &LatencySummary{Count: s.Count, P50Ns: s.Quantile(0.50), P99Ns: s.Quantile(0.99)}
 }
 
 // stats reads the runtime half of the stream's Stats under its lock; without
@@ -1001,9 +958,6 @@ func (s *Server) Stats() []Stats {
 		if total := stat.Updates + stat.Suppressed; total > 0 {
 			stat.SuppressionPct = 100 * float64(stat.Suppressed) / float64(total)
 		}
-		if h, ok := s.tel.reg.HistogramFor("dkf_agent_ack_rtt_ns", telemetry.L("source", st.id)); ok {
-			stat.AckRTT = summarize(h.Snapshot())
-		}
 		out = append(out, stat)
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].SourceID < out[j].SourceID })
@@ -1017,12 +971,11 @@ type WALStreamz struct {
 	CheckpointAgeSeconds float64 `json:"checkpoint_age_seconds"` // -1 before the first checkpoint
 }
 
-// Streamz is the full /streamz status document: server-wide latency
-// summaries and durability state wrapped around the per-stream records.
+// Streamz is the full /streamz status document: server-wide durability,
+// engine and cluster state wrapped around the per-stream records.
 type Streamz struct {
 	Durable      bool            `json:"durable"`
 	TraceEnabled bool            `json:"trace_enabled"`
-	StepAll      *LatencySummary `json:"stepall_latency,omitempty"`
 	WAL          *WALStreamz     `json:"wal,omitempty"`
 	Engine       *EngineStreamz  `json:"engine,omitempty"`
 	Cluster      *ClusterStreamz `json:"cluster,omitempty"`
@@ -1043,7 +996,6 @@ func (s *Server) checkpointAge() float64 {
 // Streamz assembles the status document the /streamz endpoint serves.
 func (s *Server) Streamz() Streamz {
 	z := Streamz{Durable: s.db != nil, TraceEnabled: s.TraceEnabled(), Streams: s.Stats()}
-	z.StepAll = summarize(s.tel.stepAllNs.Snapshot())
 	if s.db != nil {
 		w := WALStreamz{CheckpointAgeSeconds: s.checkpointAge()}
 		if v, ok := s.tel.reg.Get("streamkf_wal_segments"); ok {
@@ -1154,8 +1106,7 @@ type Agent struct {
 	cfg    core.Config
 	node   *core.SourceNode
 	send   core.Transport
-	ins    *AgentInstruments // optional; nil-safe record methods
-	tracer *trace.Recorder   // optional local flight recorder
+	tracer *trace.Recorder // optional local flight recorder
 }
 
 // NewAgent builds an agent for cfg.SourceID from an installed
@@ -1174,8 +1125,8 @@ func NewAgent(cfg core.Config, send core.Transport) (*Agent, error) {
 
 // dialedAgent is the shared tail of the TCP and UDP dials: the install
 // reply names the procedure, the catalog resolves its model, and the
-// mirror agent is built over send with the dial's telemetry and tracing
-// attached (opts.Window plays no part).
+// mirror agent is built over send with the dial's tracing attached
+// (opts.Window plays no part).
 func dialedAgent(inst wire.Install, sourceID string, catalog *Catalog, send core.Transport, opts DialOptions) (*Agent, error) {
 	m, err := catalog.Resolve(inst.Model)
 	if err != nil {
@@ -1185,18 +1136,11 @@ func dialedAgent(inst wire.Install, sourceID string, catalog *Catalog, send core
 	if err != nil {
 		return nil, err
 	}
-	if opts.Telemetry != nil {
-		a.Instrument(NewAgentInstruments(opts.Telemetry, sourceID))
-	}
 	if opts.Trace {
 		a.SetTrace(trace.New(trace.Options{RingSize: opts.TraceRing, Sample: opts.TraceSample}))
 	}
 	return a, nil
 }
-
-// Instrument attaches telemetry to the agent. Call before streaming;
-// a nil set (the default) records nothing.
-func (a *Agent) Instrument(ins *AgentInstruments) { a.ins = ins }
 
 // SetTrace attaches a flight recorder to the agent's source node. Call
 // before streaming; a nil recorder (the default) records nothing and
@@ -1223,10 +1167,8 @@ func (a *Agent) Offer(r stream.Reading) (sent bool, err error) {
 		return false, err
 	}
 	if u == nil {
-		a.ins.recordOffer(false, 0)
 		return false, nil
 	}
-	a.ins.recordOffer(true, u.WireBytes())
 	return true, a.send.Send(*u)
 }
 

@@ -1,10 +1,10 @@
 // Package engine implements the shard-per-core ingest engine: every
 // stream is pinned to one of N shards by a hash of its source id, and
-// each shard owns a single worker goroutine that applies updates for
-// its streams in batch. Network readers (or in-process producers) hand
-// decoded updates to the owning shard over lock-free single-producer /
-// single-consumer ring buffers, so the steady-state ingest path crosses
-// no mutex between the socket and the filter apply.
+// each shard owns a single worker goroutine that only drains its rings
+// and applies the updates in batch. Network readers (or in-process
+// producers) hand decoded updates to the owning shard over lock-free
+// single-producer / single-consumer ring buffers, so the steady-state
+// ingest path crosses no mutex between the socket and the filter apply.
 //
 // The decomposition is sound for the DKF workload because streams are
 // independent filter pairs — there is no cross-stream state on the
@@ -140,14 +140,6 @@ type shard struct {
 	dropped atomic.Uint64
 	// depthHWM is the high-water mark of any feeding ring's occupancy.
 	depthHWM atomic.Uint64
-
-	// tasks are one-shot closures RunOnShard hands the worker — the
-	// shard-affine batch work (AdvanceAll) that must not contend
-	// with the worker's own applies. taskCount shadows len(tasks) so the
-	// hot loop's "anything to do?" check stays an atomic load.
-	taskMu    sync.Mutex
-	tasks     []func()
-	taskCount atomic.Int32
 }
 
 func (sh *shard) ringList() []*ring {
@@ -176,24 +168,6 @@ func (sh *shard) maybeWake() {
 		default:
 		}
 	}
-}
-
-// takeTask pops the oldest pending task, or nil.
-func (sh *shard) takeTask() func() {
-	if sh.taskCount.Load() == 0 {
-		return nil
-	}
-	sh.taskMu.Lock()
-	defer sh.taskMu.Unlock()
-	if len(sh.tasks) == 0 {
-		return nil
-	}
-	fn := sh.tasks[0]
-	n := copy(sh.tasks, sh.tasks[1:])
-	sh.tasks[n] = nil
-	sh.tasks = sh.tasks[:n]
-	sh.taskCount.Add(-1)
-	return fn
 }
 
 // noteDepth folds a ring occupancy observation into the high-water mark.
@@ -233,8 +207,7 @@ func New(sink Sink, opts Options) *Engine {
 	return e
 }
 
-// Shards returns the shard count — also the worker parallelism, and
-// the knob Server.AdvanceAll routes batch prediction advances through.
+// Shards returns the shard count — also the worker parallelism.
 func (e *Engine) Shards() int { return len(e.shards) }
 
 // ShardFor returns the shard that owns sourceID. The pinning is a pure
@@ -344,9 +317,7 @@ func (sh *shard) drain(batch []core.Update, max int) int {
 	return n
 }
 
-// run is the shard worker: drain, apply, run tasks, park when idle.
-// Ring updates outrank tasks — an advance can wait a batch, a full ring
-// sheds — so tasks only run when the rings are momentarily dry.
+// run is the shard worker: drain, apply, park when idle.
 func (e *Engine) run(sh *shard) {
 	defer e.wg.Done()
 	batch := make([]core.Update, e.opts.BatchSize)
@@ -355,10 +326,6 @@ func (e *Engine) run(sh *shard) {
 		if n > 0 {
 			e.sink.ApplyBatch(sh.id, batch[:n])
 			sh.applied.Add(uint64(n))
-			continue
-		}
-		if fn := sh.takeTask(); fn != nil {
-			fn()
 			continue
 		}
 		if e.closed.Load() {
@@ -373,7 +340,7 @@ func (e *Engine) run(sh *shard) {
 		// before seeing sleeping=1 is caught by the pending() check; one
 		// that published after will win the 1→0 CAS and send the token.
 		sh.sleeping.Store(1)
-		if sh.pending() > 0 || sh.taskCount.Load() > 0 || e.closed.Load() {
+		if sh.pending() > 0 || e.closed.Load() {
 			sh.sleeping.Store(0)
 			continue
 		}
@@ -383,31 +350,6 @@ func (e *Engine) run(sh *shard) {
 		}
 		sh.sleeping.Store(0)
 	}
-}
-
-// RunOnShard hands fn to shardID's worker goroutine, returning false if
-// the engine is closed (the caller should run fn itself, or not at all).
-// Tasks run when the shard's rings are momentarily empty, serialized
-// with the worker's own ApplyBatch calls — so fn touches shard-owned
-// stream state with the exact single-writer guarantee ApplyBatch has.
-// fn must not block on work scheduled for this same shard (deadlock) and
-// should be short: the shard's rings buffer but do not apply while it
-// runs.
-func (e *Engine) RunOnShard(shardID int, fn func()) bool {
-	sh := e.shards[shardID]
-	sh.taskMu.Lock()
-	if e.closed.Load() {
-		// Checked under taskMu: Close drains the task list under this
-		// same lock after the workers exit, so a task appended while
-		// closed=false is always observed — by the worker or by Close.
-		sh.taskMu.Unlock()
-		return false
-	}
-	sh.tasks = append(sh.tasks, fn)
-	sh.taskCount.Add(1)
-	sh.taskMu.Unlock()
-	sh.maybeWake()
-	return true
 }
 
 // Quiesce blocks until every update offered so far has been applied.
@@ -422,24 +364,13 @@ func (e *Engine) Quiesce() {
 }
 
 // Close drains what was already offered, stops the workers, and waits
-// them out. Offers after Close return false. Tasks enqueued before the
-// close still run — on their worker when it sweeps out, here otherwise —
-// so a RunOnShard caller waiting on its task never hangs across a close.
+// them out. Offers after Close return false.
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
 	}
 	close(e.stop)
 	e.wg.Wait()
-	for _, sh := range e.shards {
-		for {
-			fn := sh.takeTask()
-			if fn == nil {
-				break
-			}
-			fn()
-		}
-	}
 }
 
 // ShardStats is one shard's occupancy snapshot.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,101 +233,6 @@ func TestEngineWakesParkedWorker(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("round %d: parked worker never woke", round)
 		}
-	}
-}
-
-// TestRunOnShardExecutesTasks asserts tasks hand-delivered to shard
-// workers all run, interleaved with ongoing applies, and that the
-// engine still applies afterwards.
-func TestRunOnShardExecutesTasks(t *testing.T) {
-	sink := newRecordSink()
-	e := New(sink, Options{Shards: 4})
-	defer e.Close()
-
-	var ran atomic.Int32
-	var wg sync.WaitGroup
-	for round := 0; round < 8; round++ {
-		for sh := 0; sh < 4; sh++ {
-			wg.Add(1)
-			if !e.RunOnShard(sh, func() { ran.Add(1); wg.Done() }) {
-				t.Fatalf("RunOnShard(%d) refused on a live engine", sh)
-			}
-		}
-	}
-	wg.Wait()
-	if got := ran.Load(); got != 32 {
-		t.Fatalf("%d tasks ran, want 32", got)
-	}
-
-	p := e.Producer()
-	u := mkUpdate("after-tasks", 1)
-	if !p.Offer(e.ShardFor(u.SourceID), &u) {
-		t.Fatal("Offer failed after tasks drained")
-	}
-	e.Quiesce()
-	if len(sink.seqs["after-tasks"]) != 1 {
-		t.Fatal("apply after RunOnShard never landed")
-	}
-}
-
-// TestRunOnShardSerializedWithApplies is the single-writer proof the
-// shard-aware StepAll leans on: tasks and ApplyBatch touch the same
-// unsynchronized per-shard state, and only the worker-serialization
-// guarantee keeps that sound. Run with -race, any overlap is an error.
-func TestRunOnShardSerializedWithApplies(t *testing.T) {
-	// One shard, so every apply and every task contend for one worker.
-	var unsynced int // written by sink and tasks with no lock
-	sink := countSink{n: &unsynced}
-	e := New(sink, Options{Shards: 1, RingSize: 64})
-	defer e.Close()
-
-	p := e.Producer()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			u := mkUpdate("s", i)
-			p.Offer(0, &u)
-		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		for !e.RunOnShard(0, func() { unsynced++; wg.Done() }) {
-			t.Fatal("RunOnShard refused on a live engine")
-		}
-	}
-	<-done
-	wg.Wait()
-	e.Quiesce()
-	if unsynced != 600 {
-		t.Fatalf("unsynced counter = %d, want 600 (500 applies + 100 tasks)", unsynced)
-	}
-}
-
-// countSink bumps an unsynchronized counter per applied update — only
-// sound because ApplyBatch is worker-serialized.
-type countSink struct{ n *int }
-
-func (cs countSink) ApplyBatch(_ int, batch []core.Update) { *cs.n += len(batch) }
-
-// TestRunOnShardCloseSemantics: tasks enqueued before Close still run
-// (by the worker or by Close's drain), and RunOnShard after Close
-// refuses — the caller falls back to running the task inline.
-func TestRunOnShardCloseSemantics(t *testing.T) {
-	e := New(newRecordSink(), Options{Shards: 2})
-	var ran atomic.Int32
-	for i := 0; i < 50; i++ {
-		if !e.RunOnShard(i%2, func() { ran.Add(1) }) {
-			t.Fatal("RunOnShard refused before Close")
-		}
-	}
-	e.Close()
-	if got := ran.Load(); got != 50 {
-		t.Fatalf("%d of 50 pre-Close tasks ran after Close returned", got)
-	}
-	if e.RunOnShard(0, func() {}) {
-		t.Fatal("RunOnShard accepted a task after Close")
 	}
 }
 

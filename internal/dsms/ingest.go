@@ -1,17 +1,15 @@
 // Shard ingest engine integration: pins every stream to one shard
 // worker (internal/dsms/engine), which applies updates in batch through
 // applyRun (dsms.go) and group-commits the WAL — the per-update lock
-// handoff and per-update fsync disappear from the steady-state path.
-// Cross-shard readers (Answer, Stats, Streamz) still take the per-source
-// lock; shard ownership just guarantees the ingest side of that lock is
-// a single uncontended writer.
+// handoff and per-update fsync disappear from the steady-state path. The
+// worker only drains and applies. Cross-shard readers (Answer, Stats,
+// Streamz) still take the per-source lock; shard ownership just
+// guarantees the ingest side of that lock is a single uncontended writer.
 package dsms
 
 import (
 	"errors"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
@@ -49,55 +47,6 @@ func (s *Server) Engine() *engine.Engine {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.eng
-}
-
-// AdvanceAll advances every streaming source's prediction to reading
-// index seq — the batch path for a central clock tick: instead of
-// paying one Answer round-trip per stream, the server brings all filters
-// forward at once. It returns the number of sources whose prediction
-// actually advanced; sources without a bootstrap yet, or already at or
-// past seq, are skipped.
-//
-// With an ingest engine attached, each shard's worker goroutine walks the
-// handle table as one task, serialized with that shard's applies, and
-// advances the streams it owns: the per-stream lock is still taken
-// (queries and scrapes read under it) but is uncontended on the write
-// side. Without an engine it is one walk on the calling goroutine. Either
-// way every stream runs advanceOne, so the two are bit-identical;
-// TestStepAllShardedEquivalence pins it.
-//
-// Must not be called from inside a shard worker (a sink callback would
-// wait on its own shard).
-func (s *Server) AdvanceAll(seq int) int {
-	start := nowNanos()
-	defer func() { s.tel.stepAllNs.Observe(nowNanos() - start) }()
-	e, shards := s.Engine(), 1
-	if e != nil {
-		shards = e.Shards()
-	}
-	var advanced atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for sh := 0; sh < shards; sh++ {
-		task := func() {
-			defer wg.Done()
-			n := int64(0)
-			s.streams.each(func(st *sourceState) {
-				if int(st.shard) == sh && s.advanceOne(st, seq) {
-					n++
-				}
-			})
-			advanced.Add(n)
-		}
-		// No engine, or it closed under us: run the walk here. Correct —
-		// there are no workers, so there is nothing to contend with.
-		if e == nil || !e.RunOnShard(sh, task) {
-			task()
-		}
-	}
-	wg.Wait()
-	s.tel.stepAllAdvanced.Add(advanced.Load())
-	return int(advanced.Load())
 }
 
 // engineSink adapts the server to the engine's batch interface without

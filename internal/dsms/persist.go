@@ -18,22 +18,21 @@ import (
 
 // Durability: the server's crash-recovery layer over internal/wal.
 //
-// Every state-mutating event is logged — query registrations, received
-// updates (bootstrap included) and batch prediction advances — and a
-// periodic checkpoint snapshots the full per-stream filter state so the
-// log can be truncated. Suppressed readings cost nothing: they are
-// reconstructed at replay from the same sequence gaps the live server
-// counted (§3.1's update suppression is also a durability optimization:
-// the update stream is the minimal sufficient statistic for KFs).
+// Every state-mutating event is logged — query registrations and received
+// updates (bootstrap included) — and a periodic checkpoint snapshots the
+// full per-stream filter state so the log can be truncated. Suppressed
+// readings cost nothing: they are reconstructed at replay from the same
+// sequence gaps the live server counted (§3.1's update suppression is
+// also a durability optimization: the update stream is the minimal
+// sufficient statistic for KFs).
 //
 // Ordering contract (DESIGN §11). A run's updates are logged *after* they
 // apply — a rejected update must never enter the log, or replay would
 // apply it — under the same per-source lock, so the per-source record
-// order equals the apply order (batch advances included), which is all
-// replay needs; and they are committed with one AppendBatch before the
-// TCP layer acks any of them. A shard worker commits after the lock, once
-// per drained batch: it is its streams' only writer and datagrams are
-// not acked.
+// order equals the apply order, which is all replay needs; and they are
+// committed with one AppendBatch before the TCP layer acks any of them.
+// A shard worker commits after the lock, once per drained batch: it is
+// its streams' only writer and datagrams are not acked.
 //
 // Crash windows. Applied but not logged: none of the run was acked, and
 // the source resends what the recovered server lacks. Logged but not
@@ -49,7 +48,7 @@ import (
 const (
 	walTagRegister byte = 0x10 // str queryID, str sourceID, str model, f64 delta, f64 F
 	walTagUpdate   byte = 0x11 // wire update payload (wire.AppendUpdate), verbatim
-	walTagAdvance  byte = 0x12 // str sourceID, i64 seq (AdvanceAll batch advance)
+	walTagAdvance  byte = 0x12 // str sourceID, i64 seq; replayed, never written (logs of older servers)
 )
 
 // DurabilityOptions configures Open.
@@ -251,16 +250,6 @@ func (db *durability) commit(wl *runLog) error {
 	}
 	wl.arena, wl.recs = wl.arena[:0], wl.recs[:0]
 	return err
-}
-
-// appendAdvance logs one batch prediction advance, under the stream's lock.
-func (db *durability) appendAdvance(sourceID string, seq int) error {
-	var scratch [64]byte // ids this short stay off the heap
-	buf, err := wire.AppendString(scratch[:0], sourceID)
-	if err != nil {
-		return err
-	}
-	return db.log.Append(walTagAdvance, wire.AppendI64(buf, int64(seq)))
 }
 
 // shouldCheckpoint reports whether the automatic checkpoint threshold
@@ -562,9 +551,10 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 
 // replayRecord applies one WAL record during recovery. Records already
 // covered by the checkpoint are skipped by sequence number; everything
-// else flows through the same Register/HandleUpdate/AdvanceTo paths the
-// live server used, so the recovered state is the state those calls
-// produced the first time.
+// else flows through the same Register/HandleUpdate paths the live server
+// used, so the recovered state is the state those calls produced the
+// first time. An advance record, which only older servers wrote, moves
+// the prediction as their batch advance did.
 func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 	switch tag {
 	case walTagRegister:

@@ -1,13 +1,16 @@
 package dsms
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"streamkf/internal/core"
+	"streamkf/internal/dsms/wire"
 	"streamkf/internal/gen"
 	"streamkf/internal/stream"
 	"streamkf/internal/wal"
@@ -109,9 +112,9 @@ func nodeBits(t *testing.T, s *Server, sourceID string) (x, p []uint64, seq int)
 }
 
 // runReference streams data into a fresh non-durable server, mirroring
-// the exact call sequence of the durable runs (AdvanceAll at stepAt), and
-// returns the server plus the transcript of transmitted updates.
-func runReference(t *testing.T, q stream.Query, data []stream.Reading, stepAt int) (*Server, []core.Update) {
+// the exact call sequence of the durable runs, and returns the server
+// plus the transcript of transmitted updates.
+func runReference(t *testing.T, q stream.Query, data []stream.Reading) (*Server, []core.Update) {
 	t.Helper()
 	s := NewServer(testCatalog())
 	mustRegister(t, s, q)
@@ -131,12 +134,9 @@ func runReference(t *testing.T, q stream.Query, data []stream.Reading, stepAt in
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range data {
+	for _, r := range data {
 		if _, err := agent.Offer(r); err != nil {
 			t.Fatal(err)
-		}
-		if i == stepAt {
-			s.AdvanceAll(r.Seq)
 		}
 	}
 	return s, transcript
@@ -147,9 +147,9 @@ func runReference(t *testing.T, q stream.Query, data []stream.Reading, stepAt in
 // server recovers from its data directory, the stream continues, and
 // the final state must be bit-identical to an uninterrupted run.
 func TestDurableRecoveryEquivalence(t *testing.T) {
-	const n, crashAt, stepAt, ckptAt = 400, 250, 120, 200
+	const n, crashAt, ckptAt = 400, 250, 200
 	data := persistData(n)
-	ref, _ := runReference(t, persistQuery, data, stepAt)
+	ref, _ := runReference(t, persistQuery, data)
 
 	dir := t.TempDir()
 	opts := DurabilityOptions{Sync: wal.SyncAlways, CheckpointEvery: 64}
@@ -175,9 +175,6 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 	for i := 0; i < crashAt; i++ {
 		if _, err := agent.Offer(data[i]); err != nil {
 			t.Fatal(err)
-		}
-		if i == stepAt {
-			s1.AdvanceAll(data[i].Seq)
 		}
 		if i == ckptAt {
 			// An explicit checkpoint mid-stream: recovery below must
@@ -269,6 +266,114 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 	wantSameStats(t, s3.Stats(), preClose)
 }
 
+// TestReplayLegacyAdvanceRecord: servers that still had a batch advance
+// logged advance records (tag 0x12) between a stream's updates. Nothing
+// writes them now, but a log written then must recover as it did: the
+// filter bit-identical to one advanced at the same point, the stale-update
+// boundary the advance moved still in force, and the updates logged after
+// it replayed on top. A truncated advance record is corruption.
+func TestReplayLegacyAdvanceRecord(t *testing.T) {
+	q, opts := chattyQuery, DurabilityOptions{Sync: wal.SyncAlways}
+	_, transcript := runReference(t, q, persistData(200))
+	// Advance mid-stream, strictly inside a suppressed run, so an update
+	// the advance made stale exists.
+	k := len(transcript) / 2
+	for transcript[k].Seq-transcript[k-1].Seq < 3 {
+		k++
+	}
+	before, after := transcript[:k], transcript[k:]
+	advanceTo := before[k-1].Seq + 2
+	feed := func(s *Server, ups []core.Update) {
+		t.Helper()
+		for _, u := range ups {
+			if err := s.HandleUpdate(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// durableUpTo writes register, update and advance records (the advance
+	// encoded as the removed writer did, truncated by cut bytes) and
+	// abandons the server: the crash.
+	durableUpTo := func(dir string, cut int) {
+		t.Helper()
+		s, err := Open(testCatalog(), dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustRegister(t, s, q)
+		if _, err := s.InstallFor(q.SourceID); err != nil {
+			t.Fatal(err)
+		}
+		feed(s, before)
+		rec, err := wire.AppendString(nil, q.SourceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = wire.AppendI64(rec, int64(advanceTo))
+		if err := s.db.log.Append(walTagAdvance, rec[:len(rec)-cut]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameNode := func(got, want *Server) {
+		t.Helper()
+		gx, gp, gseq := nodeBits(t, got, q.SourceID)
+		wx, wp, wseq := nodeBits(t, want, q.SourceID)
+		if gseq != wseq {
+			t.Fatalf("recovered filter at seq %d, want %d", gseq, wseq)
+		}
+		for i := range wx {
+			if gx[i] != wx[i] {
+				t.Fatalf("x[%d] = %x, want %x (not bit-identical)", i, gx[i], wx[i])
+			}
+		}
+		for i := range wp {
+			if gp[i] != wp[i] {
+				t.Fatalf("P[%d] = %x, want %x (not bit-identical)", i, gp[i], wp[i])
+			}
+		}
+	}
+
+	ref := NewServer(testCatalog())
+	mustRegister(t, ref, q)
+	if _, err := ref.InstallFor(q.SourceID); err != nil {
+		t.Fatal(err)
+	}
+	feed(ref, before)
+	st := ref.source(q.SourceID)
+	st.mu.Lock()
+	st.node.AdvanceTo(advanceTo)
+	st.mu.Unlock()
+
+	dir := t.TempDir()
+	durableUpTo(dir, 0)
+	s2, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	sameNode(s2, ref)
+	stale := before[k-1]
+	stale.Bootstrap, stale.Seq = false, advanceTo-1
+	if err := s2.HandleUpdate(stale); err == nil || !strings.Contains(err.Error(), "after prediction advanced") {
+		t.Fatalf("update at seq %d behind the replayed advance to %d: err %v, want the stale refusal", stale.Seq, advanceTo, err)
+	}
+	// More updates, logged behind the advance record, then a second crash.
+	feed(s2, after)
+	feed(ref, after)
+	s3, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer s3.Close()
+	sameNode(s3, ref)
+	wantSameStats(t, s3.Stats(), ref.Stats())
+
+	torn := t.TempDir()
+	durableUpTo(torn, 1)
+	if _, err := Open(testCatalog(), torn, opts); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("a truncated advance record recovered with err %v, want wal.ErrCorrupt", err)
+	}
+}
+
 // TestDurableTornTailEveryOffset cuts the WAL's last segment at every
 // byte offset — every possible crash point of a partial append — and
 // requires that recovery plus the source's resend of unacknowledged
@@ -276,7 +381,7 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 func TestDurableTornTailEveryOffset(t *testing.T) {
 	const n = 60
 	data := persistData(n)
-	ref, transcript := runReference(t, persistQuery, data, -1)
+	ref, transcript := runReference(t, persistQuery, data)
 	refStats := ref.Stats()
 	last := data[n-1].Seq
 	refTraj := trajectory(t, ref, persistQuery.ID, last)
@@ -347,7 +452,7 @@ func TestDurableTornTailEveryOffset(t *testing.T) {
 func TestDurableTCPResume(t *testing.T) {
 	const n, crashAt = 300, 180
 	data := persistData(n)
-	ref, _ := runReference(t, persistQuery, data, -1)
+	ref, _ := runReference(t, persistQuery, data)
 
 	dir := t.TempDir()
 	opts := DurabilityOptions{Sync: wal.SyncAlways}
@@ -487,7 +592,7 @@ func TestDurableOpenRejectsCorruptCheckpoint(t *testing.T) {
 	if _, err := s1.InstallFor(persistQuery.SourceID); err != nil {
 		t.Fatal(err)
 	}
-	_, transcript := runReference(t, persistQuery, persistData(50), -1)
+	_, transcript := runReference(t, persistQuery, persistData(50))
 	for _, u := range transcript {
 		if err := s1.HandleUpdate(u); err != nil {
 			t.Fatal(err)
@@ -527,7 +632,7 @@ func TestDurableCheckpointTruncatesSegments(t *testing.T) {
 	if _, err := s.InstallFor(chattyQuery.SourceID); err != nil {
 		t.Fatal(err)
 	}
-	_, transcript := runReference(t, chattyQuery, persistData(600), -1)
+	_, transcript := runReference(t, chattyQuery, persistData(600))
 	for _, u := range transcript {
 		if err := s.HandleUpdate(u); err != nil {
 			t.Fatal(err)
@@ -555,7 +660,7 @@ func TestDurableCheckpointTruncatesSegments(t *testing.T) {
 	}
 
 	// And the truncated log still recovers the full state.
-	ref, _ := runReference(t, chattyQuery, persistData(600), -1)
+	ref, _ := runReference(t, chattyQuery, persistData(600))
 	s2, err := Open(testCatalog(), dir, DurabilityOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -579,7 +684,7 @@ func TestDurableServerInterval(t *testing.T) {
 	if _, err := s.InstallFor(persistQuery.SourceID); err != nil {
 		t.Fatal(err)
 	}
-	ref, transcript := runReference(t, persistQuery, persistData(200), -1)
+	ref, transcript := runReference(t, persistQuery, persistData(200))
 	for _, u := range transcript {
 		if err := s.HandleUpdate(u); err != nil {
 			t.Fatal(err)
@@ -618,7 +723,7 @@ func BenchmarkTCPIngestDurable(b *testing.B) {
 	}
 	go ts.Serve()
 	defer ts.Close()
-	agent, err := DialSourceOptions(ts.Addr(), "bench", catalog, DialOptions{Telemetry: s.Telemetry()})
+	agent, err := DialSource(ts.Addr(), "bench", catalog)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -512,16 +512,12 @@ func DefaultSelfSignals() []SelfSignal {
 			Model: "constant", Delta: 0.5, kind: sigRate, metric: "dkf_engine_ring_dropped_total"},
 		{Name: "ring_hwm_growth", Help: "Shard ring high-water-mark growth per second.",
 			Model: "constant", Delta: 8, kind: sigRate, metric: "dkf_engine_ring_depth_hwm"},
-		{Name: "stepall_p99_ms", Help: "AdvanceAll batch latency p99 over the rate window, milliseconds.",
-			Model: "constant", Delta: 20, kind: sigP99Ms, metric: "dkf_server_stepall_ns"},
 		{Name: "wal_fsync_p99_ms", Help: "WAL fsync latency p99 over the rate window, milliseconds.",
 			Model: "constant", Delta: 10, kind: sigP99Ms, metric: "streamkf_wal_fsync_duration_nanos"},
 		{Name: "wal_error_rate", Help: "Shard batch WAL commit failures per second.",
 			Model: "constant", Delta: 0.1, Critical: true, kind: sigRate, metric: "dkf_engine_wal_errors_total"},
 		{Name: "wire_error_rate", Help: "Wire protocol failures per second, normal peer closes excluded.",
 			Model: "constant", Delta: 5, kind: sigErrorRate, metric: "dkf_wire_errors_total"},
-		{Name: "ack_rtt_p99_ms", Help: "Agent ack round-trip p99 over the rate window, milliseconds.",
-			Model: "constant", Delta: 50, kind: sigP99Ms, metric: "dkf_agent_ack_rtt_ns"},
 		{Name: "lane_rx_rate", Help: "UDP datagrams received per second across reader lanes.",
 			Model: "linear", Delta: 1000, kind: sigRate, metric: "dkf_udp_lane_datagrams_rx_total"},
 		{Name: "conns_active", Help: "Open TCP wire connections.",

@@ -224,6 +224,59 @@ func TestSelfMonCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestSelfSignalsRegistered: every stock signal that reads a metric reads
+// one a real server registers. A server configured as fully as dkf-server
+// can be — durable, a registered stream, UDP reader lanes on the shard
+// engine, a TCP listener, self-monitoring — must hold each such signal's
+// metric in its registry, so the catalogue carries no signal that no
+// deployment can feed.
+func TestSelfSignalsRegistered(t *testing.T) {
+	s, err := Open(testCatalog(), t.TempDir(), DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustRegister(t, s, persistQuery)
+	us, err := NewUDPServer(s, "127.0.0.1:0", UDPServerOptions{Lanes: 2, Engine: EngineOptions{Shards: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Engine().Close()
+	defer us.Close()
+	startServer(t, s)
+	if _, err := s.EnableSelfMon(SelfMonOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	registered := make(map[string]bool)
+	for _, sr := range s.Telemetry().SeriesSnapshot() {
+		registered[sr.Name] = true
+	}
+	for _, sig := range DefaultSelfSignals() {
+		if sig.metric != "" && !registered[sig.metric] {
+			t.Errorf("signal %s reads %s, which this server never registers", sig.Name, sig.metric)
+		}
+	}
+}
+
+// stallShard parks the worker of s's one-shard engine and returns what
+// lets it go: a "stall" stream's alert callback blocks, and the post-apply
+// hook runs it on the worker, so the worker stops draining its rings.
+func stallShard(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	mustRegister(t, s, stream.Query{ID: "stall", SourceID: "stall", Delta: 1, Model: "constant"})
+	if _, err := s.InstallFor("stall"); err != nil {
+		t.Fatal(err)
+	}
+	entered, released := make(chan struct{}), make(chan struct{})
+	if err := s.RegisterAlert(Alert{ID: "stall", QueryID: "stall"}, func(AlertEvent) { close(entered); <-released }); err != nil {
+		t.Fatal(err)
+	}
+	u := core.Update{SourceID: "stall", Values: []float64{1}, Bootstrap: true}
+	s.Engine().Producer().Offer(0, &u)
+	<-entered
+	return func() { close(released) }
+}
+
 // TestSelfMonOverloadE2E is the acceptance end-to-end at the verdict
 // level: a real ring-shed burst on the ingest engine flips the verdict
 // ok → degraded with shed_rate as the machine-readable reason, and the
@@ -249,10 +302,7 @@ func TestSelfMonOverloadE2E(t *testing.T) {
 
 	// Stall the only shard worker, then slam the ring: TryOffer sheds
 	// once the 8 slots fill, driving dkf_engine_ring_dropped_total.
-	release := make(chan struct{})
-	if !e.RunOnShard(0, func() { <-release }) {
-		t.Fatal("RunOnShard refused on a live engine")
-	}
+	release := stallShard(t, s)
 	p := e.Producer()
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {
@@ -260,7 +310,7 @@ func TestSelfMonOverloadE2E(t *testing.T) {
 	}
 	p.Flush()
 	dropped := e.Stats()[0].Dropped
-	close(release)
+	release()
 	if dropped < 50 {
 		t.Fatalf("ring shed only %d updates; overload not induced", dropped)
 	}

@@ -131,17 +131,14 @@ func TestHealthzOverloadHTTP(t *testing.T) {
 		t.Fatalf("pre-overload /healthz = %d %q", resp.StatusCode, body)
 	}
 
-	release := make(chan struct{})
-	if !e.RunOnShard(0, func() { <-release }) {
-		t.Fatal("RunOnShard refused on a live engine")
-	}
+	release := stallShard(t, s)
 	p := e.Producer()
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {
 		p.TryOffer(0, u)
 	}
 	p.Flush()
-	close(release)
+	release()
 
 	clk.tick(m)
 	resp, body := adminGetResp(t, admin.Addr(), "/healthz")
@@ -358,7 +355,7 @@ func TestStatuszMetricszScrapeUnderLoad(t *testing.T) {
 	}
 	defer admin.Close()
 
-	agent, err := DialSourceOptions(ts.Addr(), "walk", catalog, DialOptions{Telemetry: s.Telemetry()})
+	agent, err := DialSource(ts.Addr(), "walk", catalog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/wire"
 	"streamkf/internal/stream"
-	"streamkf/internal/telemetry"
 	"streamkf/internal/trace"
 )
 
@@ -38,11 +37,6 @@ type DialOptions struct {
 	// 0 means DefaultWindow; 1 reproduces the synchronous
 	// ack-per-update protocol.
 	Window int
-	// Telemetry, when non-nil, receives the agent's instrument set
-	// (offers, sends, ack RTT, window occupancy) under per-source
-	// labels. Recording is allocation-free, so enabling it does not
-	// disturb the pipelined send path's alloc budget.
-	Telemetry *telemetry.Registry
 	// Trace attaches a flight recorder to the agent's source node and —
 	// when the server advertises wire.FeatEvidence — ships each send
 	// decision's evidence as the trailer of its update frame so the
@@ -444,18 +438,12 @@ type RemoteAgent struct {
 // an update copies a few floats and an ack is a head bump. It doubles
 // when full, up to the first size that holds the window.
 type sendRing struct {
-	slots   []sentUpdate
+	slots   []core.Update
 	head, n int
 }
 
-// sentUpdate is one kept update and when it was sent (telemetry only).
-type sentUpdate struct {
-	core.Update
-	sentNs int64
-}
-
 // at returns the i-th oldest kept update, 0 <= i < n.
-func (r *sendRing) at(i int) *sentUpdate {
+func (r *sendRing) at(i int) *core.Update {
 	if i += r.head; i >= len(r.slots) {
 		i -= len(r.slots)
 	}
@@ -463,9 +451,9 @@ func (r *sendRing) at(i int) *sentUpdate {
 }
 
 // push copies u, Values included, behind the newest kept update.
-func (r *sendRing) push(u *core.Update) *sentUpdate {
+func (r *sendRing) push(u *core.Update) *core.Update {
 	if r.n == len(r.slots) {
-		slots := make([]sentUpdate, max(16, 2*r.n))
+		slots := make([]core.Update, max(16, 2*r.n))
 		for i := 0; i < r.n; i++ {
 			slots[i] = *r.at(i)
 		}
@@ -474,7 +462,7 @@ func (r *sendRing) push(u *core.Update) *sentUpdate {
 	s := r.at(r.n)
 	r.n++
 	vals := append(s.Values[:0], u.Values...)
-	s.Update, s.sentNs = *u, 0
+	*s = *u
 	s.Values = vals
 	return s
 }
@@ -613,16 +601,12 @@ func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 			if seq > r.lastAcked {
 				r.lastAcked = seq
 			}
-			k, now := 0, int64(0)
-			if r.ins != nil {
-				now = nowNanos()
-			}
-			for ; k < r.sent && int64(r.ring.at(k).Seq) <= seq; k++ {
-				r.ins.observeAckRTT(now - r.ring.at(k).sentNs)
+			k := 0
+			for k < r.sent && int64(r.ring.at(k).Seq) <= seq {
+				k++
 			}
 			r.ring.pop(k)
 			r.sent -= k
-			r.ins.setWindow(r.sent)
 			r.flushLocked()
 			r.cond.Broadcast()
 			r.mu.Unlock()
@@ -692,17 +676,13 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 	if r.wireTrace {
 		ev = &d
 	}
-	if err := r.w.Update(&s.Update, ev); err != nil {
+	if err := r.w.Update(s, ev); err != nil {
 		return r.failLocked(fmt.Errorf("dsms: send: %w", err))
 	}
 	if r.tracer != nil {
 		r.tracer.Record(&trace.Event{TraceID: d.TraceID, Seq: int64(u.Seq), Kind: trace.KindWireTx, Aux: int64(u.WireBytes())})
 	}
 	r.sent++
-	if r.ins != nil {
-		s.sentNs = nowNanos()
-		r.ins.setWindow(r.sent)
-	}
 	if r.sent == 1 {
 		// No ack is due to trigger a flush from the read side: write out
 		// now. With acks in flight readLoop flushes on their arrival,
@@ -757,10 +737,6 @@ func (r *RemoteAgent) Run(src stream.Source) error {
 // acknowledged every in-flight update, returning the sticky error if
 // the pipeline broke.
 func (r *RemoteAgent) Drain() error {
-	if r.ins != nil {
-		start := nowNanos()
-		defer func() { r.ins.observeDrain(nowNanos() - start) }()
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushLocked()
@@ -842,17 +818,12 @@ func (r *RemoteAgent) Reconnect() error {
 	// Retransmit before starting the new reader, so resent frames
 	// precede anything a concurrent Offer ships on the fresh connection.
 	for r.sent = 0; r.sent < r.ring.n; r.sent++ {
-		s := r.ring.at(r.sent)
-		if err := r.w.Update(&s.Update, nil); err != nil {
+		if err := r.w.Update(r.ring.at(r.sent), nil); err != nil {
 			r.failLocked(fmt.Errorf("dsms: send: %w", err))
 			break
 		}
-		if r.ins != nil {
-			s.sentNs = nowNanos()
-		}
 	}
 	r.flushLocked()
-	r.ins.setWindow(r.sent)
 	go r.readLoop(rd)
 	r.cond.Broadcast()
 	return r.err

@@ -18,8 +18,8 @@ func benchReading(seq int, base float64) stream.Reading {
 
 // benchTCPIngestSingle is the single-agent loopback ingest benchmark
 // body: one update encoded, shipped, decoded, and folded into the
-// server filter per iteration. Telemetry is fully enabled on both sides
-// — the alloc budget is the instrumented cost. Shared between
+// server filter per iteration, with the server's telemetry on — the
+// alloc budget is the instrumented cost. Shared between
 // BenchmarkTCPIngest and the TestTCPIngestAllocBudget regression gate.
 func benchTCPIngestSingle(b *testing.B) {
 	catalog := testCatalog()
@@ -33,7 +33,7 @@ func benchTCPIngestSingle(b *testing.B) {
 	}
 	go ts.Serve()
 	defer ts.Close()
-	agent, err := DialSourceOptions(ts.Addr(), "bench", catalog, DialOptions{Telemetry: s.Telemetry()})
+	agent, err := DialSource(ts.Addr(), "bench", catalog)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func benchTCPIngestTraced(b *testing.B) {
 	}
 	go ts.Serve()
 	defer ts.Close()
-	agent, err := DialSourceOptions(ts.Addr(), "bench", catalog, DialOptions{Telemetry: s.Telemetry(), Trace: true})
+	agent, err := DialSourceOptions(ts.Addr(), "bench", catalog, DialOptions{Trace: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -119,9 +119,9 @@ func TestTCPRunRefusedMidRun(t *testing.T) {
 	w, r := rawSource(t, ts.Addr(), runQuery.SourceID)
 	writeRun(t, w, runQuery.SourceID, false, 0)
 	readThrough(t, r, 0)
-	// The prediction moves to seq 5: an update at seq 3 is stale now.
-	if n := s.AdvanceAll(5); n != 1 {
-		t.Fatalf("AdvanceAll advanced %d streams, want 1", n)
+	// An answer moves the prediction to seq 5: an update at seq 3 is stale now.
+	if _, err := s.Answer(runQuery.ID, 5); err != nil {
+		t.Fatal(err)
 	}
 	logged := counter(t, s, "streamkf_wal_records_appended_total")
 	writeRun(t, w, runQuery.SourceID, false, 5, 6, 3, 7, 8)
@@ -228,7 +228,7 @@ func testTCPRunGroupCommit(t *testing.T, traced bool) {
 func TestDurableTCPResumeCutInsideRun(t *testing.T) {
 	const n, cutAt = 300, 150
 	data := persistData(n)
-	ref, _ := runReference(t, persistQuery, data, -1)
+	ref, _ := runReference(t, persistQuery, data)
 
 	dir := t.TempDir()
 	opts := DurabilityOptions{Sync: wal.SyncAlways}
@@ -411,7 +411,7 @@ func TestAgentRing(t *testing.T) {
 			agent.mu.Lock()
 			var seqs []int
 			for i := 0; i < agent.ring.n; i++ {
-				u := agent.ring.at(i).Update
+				u := agent.ring.at(i)
 				if len(u.Values) != 1 || u.Values[0] != value(u.Seq) {
 					t.Errorf("slot %d holds seq %d with values %v, want %v", i, u.Seq, u.Values, value(u.Seq))
 				}
@@ -531,8 +531,8 @@ func TestSendRing(t *testing.T) {
 	push := func(k int) {
 		for ; k > 0; k-- {
 			u.Seq, u.Values[0], u.Values[1] = next, float64(next), float64(-next)
-			if s := r.push(&u); s.Seq != next || s.sentNs != 0 {
-				t.Fatalf("pushed seq %d, slot holds %d mark %d", next, s.Seq, s.sentNs)
+			if s := r.push(&u); s.Seq != next {
+				t.Fatalf("pushed seq %d, slot holds %d", next, s.Seq)
 			}
 			next++
 		}

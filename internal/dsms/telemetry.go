@@ -12,17 +12,12 @@ import (
 	"streamkf/internal/telemetry"
 )
 
-// epoch anchors monotonic timestamps for latency instruments: nowNanos
-// is a single time.Since against it, so recording a timestamp never
-// allocates and survives wall-clock adjustments.
+// epoch is process start, the zero of dkf_uptime_seconds.
 var epoch = time.Now()
 
 // Version identifies the build in dkf_build_info and on /statusz.
 // Overridden at link time: -ldflags "-X streamkf/internal/dsms.Version=v1.2.3".
 var Version = "dev"
-
-// nowNanos returns monotonic nanoseconds since process start.
-func nowNanos() int64 { return int64(time.Since(epoch)) }
 
 // numTags sizes the per-tag counter arrays: wire tags are 0x01..0x07
 // (0x08 is the retired trace frame) plus the cluster tags 0x09..0x0f;
@@ -36,16 +31,12 @@ var tagLabels = [numTags]string{
 }
 
 // serverTelemetry bundles the server-wide instruments: the registry the
-// admin endpoint scrapes, AdvanceAll batch latency, and the wire-layer
-// traffic and error taxonomy shared by every connection. Per-tag
-// counters are pre-created arrays indexed by the tag byte, so the frame
-// hooks are a bounds check and an atomic add — nothing on the ingest
-// hot path allocates or locks.
+// admin endpoint scrapes and the wire-layer traffic and error taxonomy
+// shared by every connection. Per-tag counters are pre-created arrays
+// indexed by the tag byte, so the frame hooks are a bounds check and an
+// atomic add — nothing on the ingest hot path allocates or locks.
 type serverTelemetry struct {
 	reg *telemetry.Registry
-
-	stepAllNs       *telemetry.Histogram
-	stepAllAdvanced *telemetry.Counter
 
 	connsTotal  *telemetry.Counter
 	connsActive *telemetry.Gauge
@@ -76,8 +67,6 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 		telemetry.L("version", Version), telemetry.L("goversion", runtime.Version())).Set(1)
 	reg.GaugeFunc("dkf_uptime_seconds", "Seconds since process start.",
 		func() float64 { return time.Since(epoch).Seconds() })
-	t.stepAllNs = reg.Histogram("dkf_server_stepall_ns", "AdvanceAll batch latency in nanoseconds.")
-	t.stepAllAdvanced = reg.Counter("dkf_server_stepall_advanced_total", "Source filters advanced by AdvanceAll batches.")
 	t.connsTotal = reg.Counter("dkf_wire_connections_total", "TCP connections accepted.")
 	t.connsActive = reg.Gauge("dkf_wire_connections_active", "TCP connections currently open.")
 	t.aggAnswers = reg.Counter("dkf_aggregate_answers_total", "Aggregate answers computed from member filters (memo misses).")
@@ -240,77 +229,4 @@ func newLaneInstruments(reg *telemetry.Registry, lane int) laneInstruments {
 		rx:    reg.Counter("dkf_udp_lane_datagrams_rx_total", "UDP datagrams received, by reader lane.", l),
 		batch: reg.Histogram("dkf_udp_lane_batch_size", "Datagrams drained per receive syscall, by reader lane.", l),
 	}
-}
-
-// AgentInstruments is the source-agent instrument set: the offer/send
-// split that realizes the paper's update suppression, plus transport
-// behavior (ack round-trips, window occupancy, drain latency) for the
-// pipelined TCP path. All record methods are nil-receiver safe so
-// agents without telemetry pay one branch.
-type AgentInstruments struct {
-	offers    *telemetry.Counter
-	sends     *telemetry.Counter
-	unsent    *telemetry.Counter
-	sentBytes *telemetry.Counter
-	ackRTTNs  *telemetry.Histogram
-	drainNs   *telemetry.Histogram
-	window    *telemetry.Gauge
-}
-
-// NewAgentInstruments registers the agent instrument set for sourceID.
-func NewAgentInstruments(reg *telemetry.Registry, sourceID string) *AgentInstruments {
-	src := telemetry.L("source", sourceID)
-	ai := &AgentInstruments{
-		offers:    reg.Counter("dkf_agent_offers_total", "Readings offered to the source node.", src),
-		sends:     reg.Counter("dkf_agent_sends_total", "Updates transmitted to the server.", src),
-		unsent:    reg.Counter("dkf_agent_suppressed_total", "Readings not transmitted (suppressed or outlier-rejected).", src),
-		sentBytes: reg.Counter("dkf_agent_sent_bytes_total", "Update payload bytes transmitted (wire-cost model).", src),
-		ackRTTNs:  reg.Histogram("dkf_agent_ack_rtt_ns", "Send-to-cumulative-ack round trip in nanoseconds.", src),
-		drainNs:   reg.Histogram("dkf_agent_drain_ns", "Drain latency in nanoseconds (flush plus wait for all acks).", src),
-		window:    reg.Gauge("dkf_agent_window_occupancy", "Unacknowledged updates currently in flight.", src),
-	}
-	reg.GaugeFunc("dkf_agent_send_ratio",
-		"Fraction of offered readings actually transmitted: sends / offers.",
-		func() float64 {
-			o := float64(ai.offers.Value())
-			if o == 0 {
-				return 0
-			}
-			return float64(ai.sends.Value()) / o
-		}, src)
-	return ai
-}
-
-func (ai *AgentInstruments) recordOffer(sent bool, wireBytes int) {
-	if ai == nil {
-		return
-	}
-	ai.offers.Inc()
-	if sent {
-		ai.sends.Inc()
-		ai.sentBytes.Add(int64(wireBytes))
-	} else {
-		ai.unsent.Inc()
-	}
-}
-
-func (ai *AgentInstruments) observeAckRTT(ns int64) {
-	if ai == nil {
-		return
-	}
-	ai.ackRTTNs.Observe(ns)
-}
-
-func (ai *AgentInstruments) observeDrain(ns int64) {
-	if ai == nil {
-		return
-	}
-	ai.drainNs.Observe(ns)
-}
-
-func (ai *AgentInstruments) setWindow(n int) {
-	if ai == nil {
-		return
-	}
-	ai.window.SetInt(int64(n))
 }

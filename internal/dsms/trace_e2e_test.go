@@ -48,7 +48,7 @@ func TestTraceE2EChain(t *testing.T) {
 	}
 	defer admin.Close()
 
-	agent, err := DialSourceOptions(ts.Addr(), "walk", catalog, DialOptions{Telemetry: s.Telemetry(), Trace: true})
+	agent, err := DialSourceOptions(ts.Addr(), "walk", catalog, DialOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

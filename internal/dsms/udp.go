@@ -33,7 +33,6 @@ import (
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
 	"streamkf/internal/dsms/wire"
-	"streamkf/internal/telemetry"
 )
 
 const (
@@ -312,8 +311,6 @@ type UDPDialOptions struct {
 	// retransmission, and the server's dedup drops the extras for free.
 	// 0 selects 3.
 	BootstrapCopies int
-	// Telemetry, as in DialOptions.
-	Telemetry *telemetry.Registry
 	// Trace attaches a local flight recorder to the agent's source
 	// node. Decision evidence does not cross the wire on UDP.
 	Trace       bool
@@ -409,7 +406,7 @@ attempts:
 	_ = conn.SetReadDeadline(time.Time{})
 	ua := &UDPAgent{conn: conn, inst: inst, copies: opts.BootstrapCopies}
 	ua.Agent, err = dialedAgent(inst, sourceID, catalog, core.TransportFunc(ua.send),
-		DialOptions{Telemetry: opts.Telemetry, Trace: opts.Trace, TraceRing: opts.TraceRing, TraceSample: opts.TraceSample})
+		DialOptions{Trace: opts.Trace, TraceRing: opts.TraceRing, TraceSample: opts.TraceSample})
 	if err != nil {
 		conn.Close()
 		return nil, err

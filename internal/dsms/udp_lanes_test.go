@@ -171,76 +171,13 @@ func TestUDPLaneRxAllocFree(t *testing.T) {
 	}
 }
 
-// TestStepAllShardedEquivalence pins the bit-identity claim for batch
-// advances: AdvanceAll on an engine-attached server (each stream
-// advanced on its owning shard worker) must leave every filter
-// bit-identical to AdvanceAll's in-place loop on an engine-less server
-// fed the same updates.
-func TestStepAllShardedEquivalence(t *testing.T) {
-	const nSrc = 5
-	ups := make([][]core.Update, nSrc)
-	for i := 0; i < nSrc; i++ {
-		ups[i] = makeUpdates(t, laneQuery(i), laneData(i))
-	}
-	build := func(withEngine bool) *Server {
-		s := NewServer(testCatalog())
-		for i := 0; i < nSrc; i++ {
-			if err := s.Register(laneQuery(i)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.InstallFor(laneQuery(i).SourceID); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if withEngine {
-			s.StartEngine(EngineOptions{Shards: 2})
-		}
-		for i := 0; i < nSrc; i++ {
-			for k := range ups[i] {
-				if err := s.HandleUpdate(ups[i][k]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return s
-	}
-	sharded := build(true)
-	defer sharded.Engine().Close()
-	inPlace := build(false)
-
-	target := 0
-	for i := 0; i < nSrc; i++ {
-		if last := ups[i][len(ups[i])-1].Seq; last > target {
-			target = last
-		}
-	}
-	target += 50
-
-	na := sharded.AdvanceAll(target)
-	nb := inPlace.AdvanceAll(target)
-	if na != nSrc || nb != nSrc {
-		t.Fatalf("advanced %d (sharded) / %d (in-place) streams, want %d", na, nb, nSrc)
-	}
-	for i := 0; i < nSrc; i++ {
-		id := laneQuery(i).SourceID
-		assertSameState(t, nodeSnapshot(t, sharded, id), nodeSnapshot(t, inPlace, id))
-	}
-	// Re-advancing to the same seq is a no-op either way.
-	if n := sharded.AdvanceAll(target); n != 0 {
-		t.Fatalf("second sharded AdvanceAll advanced %d streams, want 0", n)
-	}
-	if n := inPlace.AdvanceAll(target); n != 0 {
-		t.Fatalf("second in-place AdvanceAll advanced %d streams, want 0", n)
-	}
-}
-
-// TestUDPLanesConcurrentAdvance exercises the whole tentpole together on
-// real sockets: multi-lane batched receive (recvmmsg where available), a
-// sendmmsg-batched UDPBatcher feeding many sources, and shard-aware
-// AdvanceAll ticking concurrently with ingest. Run under -race in CI,
-// this is the lanes-vs-AdvanceAll interleaving gate; the assertions pin
-// that everything sent is applied and no filter corrupts.
-func TestUDPLanesConcurrentAdvance(t *testing.T) {
+// TestUDPLanesConcurrentAnswer exercises the datagram path whole on real
+// sockets: multi-lane batched receive (recvmmsg where available), a
+// sendmmsg-batched UDPBatcher feeding many sources, and a reader answering
+// queries concurrently with ingest. Run under -race in CI, this is the
+// lanes-vs-readers interleaving gate; the assertions pin that everything
+// sent is applied and no filter corrupts.
+func TestUDPLanesConcurrentAnswer(t *testing.T) {
 	const nSrc, perSrc = 4, 200
 	s, ts := newLaneServer(t, nSrc, 2, 8)
 	go ts.Serve()
@@ -252,18 +189,17 @@ func TestUDPLanesConcurrentAdvance(t *testing.T) {
 	defer b.Close()
 
 	stop := make(chan struct{})
-	var adv sync.WaitGroup
-	adv.Add(1)
+	var reader sync.WaitGroup
+	reader.Add(1)
 	go func() {
-		defer adv.Done()
-		seq := 0
-		for {
+		defer reader.Done()
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
-				s.AdvanceAll(seq)
-				seq += 3
+				// Errors only before a stream's bootstrap has landed.
+				_, _ = s.Answer(laneQuery(i%nSrc).ID, 0)
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
@@ -302,7 +238,7 @@ func TestUDPLanesConcurrentAdvance(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
-	adv.Wait()
+	reader.Wait()
 
 	for i := 0; i < nSrc; i++ {
 		snap := nodeSnapshot(t, s, laneQuery(i).SourceID)

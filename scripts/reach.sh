@@ -13,8 +13,18 @@
 # methods match by the name before their type arguments, so any
 # instantiation counts. Tests are not binaries here: code that only
 # tests reach is listed, and whether it stays (a test's reference, say)
-# is a decision for the reader. Needs go, sh and a POSIX awk; writes
-# only to a temporary directory it removes.
+# is a decision for the reader.
+#
+# A second list, after a blank line, does the same for options: each
+# exported field of an exported struct named …Options under internal/
+# that no non-test cmd/*, examples/* or bench/*.go file sets by name — as
+# a composite-literal key (Field:) or an assignment (.Field =) — as
+# file:line and Struct.Field, and a total. The match is by field name
+# alone, so a field set on one struct counts as set on every struct
+# with a field of that name.
+#
+# Needs go, sh and a POSIX awk; writes only to a temporary directory it
+# removes.
 set -eu
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -83,3 +93,37 @@ awk 'NR == FNR { reached[$1] = 1; next }
     total += $3; n++
 }
 END { printf "%-44s %5d  (%d funcs)\n", "total", total, n }' "$tmp/reached" "$tmp/declared"
+
+# Names the binaries' sources set: Field: keys and .Field = assignments.
+echo
+{
+    find cmd examples -name '*.go' ! -name '*_test.go'
+    find bench -maxdepth 1 -name '*.go' ! -name '*_test.go'
+} | sort | xargs cat | awk '
+{
+    s = " " $0
+    while (match(s, /[^A-Za-z0-9_.][A-Z][A-Za-z0-9_]*:/)) {
+        print substr(s, RSTART + 1, RLENGTH - 2)
+        s = substr(s, RSTART + RLENGTH)
+    }
+    s = $0
+    while (match(s, /\.[A-Z][A-Za-z0-9_]* *=/)) {
+        t = substr(s, RSTART + 1, RLENGTH - 2)
+        s = substr(s, RSTART + RLENGTH)
+        if (substr(s, 1, 1) != "=") { sub(/ *$/, "", t); print t }
+    }
+}' | sort -u >"$tmp/set"
+
+# Declared option fields: file:line, struct, field.
+find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | xargs awk '
+FNR == 1 { st = "" }
+/^type ([A-Z][A-Za-z0-9_]*)?Options struct [{]/ { st = $2; next }
+st != "" && /^}/ { st = ""; next }
+st != "" && match($0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)* /) {
+    n = split(substr($0, 2, RLENGTH - 2), names, /, */)
+    for (i = 1; i <= n; i++) printf "%s:%d %s %s\n", FILENAME, FNR, st, names[i]
+}' >"$tmp/fields"
+
+awk 'NR == FNR { set[$1] = 1; next }
+!($3 in set) { printf "%-44s  %s.%s\n", $1, $2, $3; n++ }
+END { printf "%-44s  (%d fields)\n", "total", n }' "$tmp/set" "$tmp/fields"

@@ -264,7 +264,7 @@ type (
 	RemoteAgent = dsms.RemoteAgent
 	// QueryClient asks a TCPServer for answers.
 	QueryClient = dsms.QueryClient
-	// DialOptions tunes a RemoteAgent: ack window, telemetry, tracing.
+	// DialOptions tunes a RemoteAgent: ack window, tracing.
 	DialOptions = dsms.DialOptions
 	// UDPServer accepts the connectionless datagram transport on one
 	// socket and feeds the shard-per-core ingest engine.
