@@ -169,14 +169,12 @@ func BenchmarkIMMStep(b *testing.B) {
 }
 
 // BenchmarkHistoryReplay measures answering a historical range from the
-// update-log synopsis.
+// update-log synopsis: a window of 1,001 readings, replayed and summed.
 func BenchmarkHistoryReplay(b *testing.B) {
 	catalog := streamkf.DefaultCatalog(1)
 	server := streamkf.NewDSMSServer(catalog)
-	if err := server.Register(stream.Query{ID: "q", SourceID: "s", Delta: 2, Model: "linear"}); err != nil {
-		b.Fatal(err)
-	}
-	if err := server.EnableHistory("s"); err != nil {
+	w := streamkf.WindowQuery{ID: "q", SourceID: "s", Func: streamkf.AggSum, N: 1001, Delta: 2, Model: "linear"}
+	if err := server.RegisterWindow(w); err != nil {
 		b.Fatal(err)
 	}
 	cfg, err := server.InstallFor("s")
@@ -193,7 +191,7 @@ func BenchmarkHistoryReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := server.HistoryRange("q", 1000, 2000); err != nil {
+		if _, err := server.AnswerWindow("q", 2000); err != nil {
 			b.Fatal(err)
 		}
 	}

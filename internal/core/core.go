@@ -336,13 +336,13 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	return u, s.mirror.PredictedInto(pred), nil
 }
 
-// decide builds the evidence record of the reading's decision — the one
-// place it is built, in one store — from what the outcome knows: value is
-// the smoothed measurement, pred and residual the mirror's prediction and
-// its max-abs miss, nis the gate's statistic when it computed one.
+// decide stores the reading's decision evidence field by field, not as a
+// literal built aside and copied: value is the smoothed measurement, pred
+// and residual the mirror's prediction and miss, nis the gate's statistic.
 func (s *SourceNode) decide(dec trace.Decision, seq int64, raw, value, pred, residual, nis float64) {
-	s.lastDec = trace.Event{TraceID: s.traceSeq, Seq: seq, Kind: trace.KindDecision, Dec: dec,
-		Raw: raw, Value: value, Pred: pred, Residual: residual, Delta: s.cfg.Delta, NIS: nis}
+	d := &s.lastDec
+	d.TraceID, d.Seq, d.At, d.Kind, d.Dec, d.Aux = s.traceSeq, seq, 0, trace.KindDecision, dec, 0
+	d.Raw, d.Value, d.Pred, d.Residual, d.Delta, d.NIS = raw, value, pred, residual, s.cfg.Delta, nis
 }
 
 // record appends the evidence record to the flight recorder, which stamps

@@ -85,7 +85,6 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 				// only data races (caught by -race) are failures here.
 				s.Answer(qid, 0)
 				s.Stats()
-				s.SourceIDs()
 				s.HistoryStats(fmt.Sprintf("s%d", (i+r)%nSources))
 			}
 		}(i)

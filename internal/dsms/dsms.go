@@ -889,14 +889,6 @@ func (st *sourceState) answer(seq int) ([]float64, error) {
 	return vals, nil
 }
 
-// SourceIDs returns the registered source ids, sorted.
-func (s *Server) SourceIDs() []string {
-	out := make([]string, 0, s.streams.n.Load())
-	s.streams.each(func(st *sourceState) { out = append(out, st.id) })
-	sort.Strings(out)
-	return out
-}
-
 // Stats reports one source's ingest counters, filter position, and
 // filter health — the per-stream record behind the /streamz endpoint
 // (hence the JSON tags).

@@ -123,8 +123,8 @@ func TestEndToEndInProcess(t *testing.T) {
 	if len(stats) != 1 || stats[0].Updates != st.Updates {
 		t.Fatalf("server stats %+v do not match agent %+v", stats, st)
 	}
-	if ids := s.SourceIDs(); len(ids) != 1 || ids[0] != "walk" {
-		t.Fatalf("SourceIDs = %v", ids)
+	if stats[0].SourceID != "walk" {
+		t.Fatalf("stats name source %q, want walk", stats[0].SourceID)
 	}
 }
 

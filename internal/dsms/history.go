@@ -81,18 +81,6 @@ func (s *Server) AnswerAt(queryID string, seq int) ([]float64, error) {
 	return st.history.At(seq)
 }
 
-// HistoryRange replays the history store over [from, to] for the named
-// query.
-func (s *Server) HistoryRange(queryID string, from, to int) ([]stream.Reading, error) {
-	q, err := s.lookup(queryID, kindPoint)
-	if err != nil {
-		return nil, err
-	}
-	q.src.mu.Lock()
-	defer q.src.mu.Unlock()
-	return q.src.historyRange(from, to)
-}
-
 // historyRange replays the store over [from, to]. Caller holds st.mu.
 func (st *sourceState) historyRange(from, to int) ([]stream.Reading, error) {
 	if err := st.extendHistory(to); err != nil {

@@ -76,7 +76,11 @@ func TestAnswerAtReplaysPastWithinDelta(t *testing.T) {
 
 func TestHistoryRange(t *testing.T) {
 	s, data := historyServer(t)
-	got, err := s.HistoryRange("q", 100, 150)
+	st := s.source("src")
+	st.mu.Lock()
+	got, err := st.historyRange(100, 150)
+	_, errFrom := st.historyRange(-5, 10)
+	st.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestHistoryRange(t *testing.T) {
 			t.Fatalf("seq %d: range answer err %v", r.Seq, d)
 		}
 	}
-	if _, err := s.HistoryRange("q", -5, 10); err == nil {
+	if errFrom == nil {
 		t.Fatal("accepted out-of-range from")
 	}
 }
@@ -129,7 +133,11 @@ func TestHistoryDisabledErrors(t *testing.T) {
 	if _, err := s.AnswerAt("q", 1); err == nil {
 		t.Fatal("AnswerAt succeeded without history")
 	}
-	if _, err := s.HistoryRange("q", 0, 1); err == nil {
-		t.Fatal("HistoryRange succeeded without history")
+	st := s.source("src")
+	st.mu.Lock()
+	_, err := st.historyRange(0, 1)
+	st.mu.Unlock()
+	if err == nil {
+		t.Fatal("a history range replayed without history")
 	}
 }

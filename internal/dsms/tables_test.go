@@ -129,12 +129,12 @@ func TestOneQueryNamespace(t *testing.T) {
 			if err := reg1(s, "x"); err != nil {
 				t.Fatalf("%s: %v", first, err)
 			}
-			sources := len(s.SourceIDs())
+			sources := len(s.Stats())
 			err := reg2(s, "x")
 			if err == nil || !strings.Contains(err.Error(), "duplicate") {
 				t.Errorf("%s then %s under one id: err = %v, want a duplicate-id error", first, second, err)
 			}
-			if got := len(s.SourceIDs()); got != sources {
+			if got := len(s.Stats()); got != sources {
 				t.Errorf("%s then %s: refused registration left %d sources, want %d", first, second, got, sources)
 			}
 		}

@@ -10,6 +10,8 @@
 // pull the server's back (TestSilentLossBreaksMirrorSynchrony in
 // internal/core pins it), and nothing here detects or repairs that —
 // ROADMAP item 1. Only the bootstrap is covered: it is sent more than once.
+// On Linux a batcher's run of datagrams crosses the host as one segmented
+// message (udp_linux.go), so a full receive buffer drops the run whole.
 //
 // What is and is not ordered: per-source apply order is guaranteed (one
 // shard worker owns each source and drops anything at or below the last
@@ -61,9 +63,9 @@ type UDPServerOptions struct {
 	// the dequeue and lanes overlap the parse/route work. 0 selects
 	// min(4, GOMAXPROCS); 1 reproduces the single-reader layout.
 	Lanes int
-	// RxBatch caps how many datagrams one receive syscall may drain
-	// (recvmmsg on Linux). 0 selects 32. Platforms without a batched
-	// receive read one datagram per call regardless.
+	// RxBatch caps the messages one receive syscall drains (recvmmsg on
+	// Linux, where a message may hold a run of datagrams). 0 selects 32.
+	// Platforms without a batched receive read one datagram per call.
 	RxBatch int
 	// Engine tunes the ingest engine when the server does not have one
 	// attached yet; ignored otherwise.
@@ -449,16 +451,17 @@ func (ua *UDPAgent) Close() error { return ua.conn.Close() }
 // UDPBatcher multiplexes many sources' updates over one connected UDP
 // socket, packing update frames into shared datagrams — the 100k-source
 // fan-in shape, where per-source sockets and per-update syscalls are
-// exactly the overhead being amortized away. Sealed datagrams are
-// additionally batched sendBatch at a time into one transmit syscall
-// (sendmmsg on Linux). Safe for concurrent use; Flush transmits
-// everything pending, sealed or not.
+// exactly the overhead being amortized away. One transmit syscall carries
+// sendBatch sealed datagrams (sendmmsg on Linux, each run of equal-size
+// ones a single segmented message). Safe for concurrent use; Flush
+// transmits everything pending, sealed or not.
 type UDPBatcher struct {
 	mu         sync.Mutex
 	conn       *net.UDPConn
 	tx         *batchTx
-	pend       [][]byte // pend[:npend] sealed; pend[npend] open; slots reused
-	npend      int
+	buf        []byte   // the sealed datagrams, then the open one from open on
+	pkts       [][]byte // the sealed datagrams, slices of buf
+	open       int
 	flushBytes int
 }
 
@@ -487,62 +490,37 @@ func DialUDPBatcher(addr string, flushBytes int) (*UDPBatcher, error) {
 	return &UDPBatcher{conn: conn, tx: tx, flushBytes: flushBytes}, nil
 }
 
-// curSlot returns the open datagram's slot, growing the slot table on
-// first use. Slot backing arrays are retained across transmits, so the
-// steady state allocates nothing.
-func (b *UDPBatcher) curSlot() *[]byte {
-	for len(b.pend) <= b.npend {
-		b.pend = append(b.pend, nil)
-	}
-	return &b.pend[b.npend]
-}
-
 // Send appends u's frame to the open datagram, sealing it first if
 // full. Implements core.Transport, so per-source Agents can share one
 // batcher: NewAgent(cfg, batcher).
 func (b *UDPBatcher) Send(u core.Update) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur := b.curSlot()
-	if len(*cur) >= b.flushBytes {
-		if err := b.sealLocked(); err != nil {
+	if len(b.buf)-b.open >= b.flushBytes {
+		if err := b.sealLocked(sendBatch); err != nil {
 			return err
 		}
-		cur = b.curSlot()
 	}
-	if len(*cur) == 0 {
-		*cur = wire.AppendPreamble(*cur, wire.Version, 0)
+	if len(b.buf) == b.open {
+		b.buf = wire.AppendPreamble(b.buf, wire.Version, 0)
 	}
 	var err error
-	if *cur, err = wire.AppendUpdateFrame(*cur, &u); err != nil {
-		return err
-	}
-	return nil
+	b.buf, err = wire.AppendUpdateFrame(b.buf, &u)
+	return err
 }
 
-// sealLocked closes the open datagram and transmits once sendBatch
-// datagrams are sealed.
-func (b *UDPBatcher) sealLocked() error {
-	if b.npend < len(b.pend) && len(b.pend[b.npend]) > 0 {
-		b.npend++
+// sealLocked closes the open datagram, if it holds anything, and sends
+// the sealed ones in one batch once there are atLeast. One that buf
+// outgrew stays valid where it is: a sealed datagram never changes.
+func (b *UDPBatcher) sealLocked(atLeast int) error {
+	if len(b.buf) > b.open {
+		b.pkts, b.open = append(b.pkts, b.buf[b.open:]), len(b.buf)
 	}
-	if b.npend >= sendBatch {
-		return b.transmitLocked()
-	}
-	return nil
-}
-
-// transmitLocked hands every sealed datagram to one batched send.
-func (b *UDPBatcher) transmitLocked() error {
-	if b.npend == 0 {
+	if len(b.pkts) < atLeast {
 		return nil
 	}
-	pkts := b.pend[:b.npend]
-	err := b.tx.sendAll(pkts)
-	for i := range pkts {
-		pkts[i] = pkts[i][:0]
-	}
-	b.npend = 0
+	err := b.tx.sendAll(b.pkts)
+	b.buf, b.pkts, b.open = b.buf[:0], b.pkts[:0], 0
 	if err != nil {
 		return fmt.Errorf("dsms: udp send: %w", err)
 	}
@@ -554,10 +532,7 @@ func (b *UDPBatcher) transmitLocked() error {
 func (b *UDPBatcher) Flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.npend < len(b.pend) && len(b.pend[b.npend]) > 0 {
-		b.npend++
-	}
-	return b.transmitLocked()
+	return b.sealLocked(1)
 }
 
 // Close flushes and releases the socket.

@@ -139,7 +139,10 @@ func TestWindowSumIsTheAggregateFold(t *testing.T) {
 		}
 	}
 	driveSource(t, s, "z", []float64{1e16, 3, -1e16, 0.1, 0.2, 0.3, 1e16, -1e16})
-	replayed, err := s.HistoryRange("w/sum/base", 0, 7)
+	st := s.source("z")
+	st.mu.Lock()
+	replayed, err := st.historyRange(0, 7)
+	st.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 DIRS="internal/dsms internal/dsms/cluster internal/dsms/engine internal/dsms/wire"
-CEILING=9995
+CEILING=9994
 LIB_CEILING=14010
 total=0
 for d in $DIRS; do

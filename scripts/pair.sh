@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Paired benchmark runs of two commits (ROADMAP 4(b)):
+# Paired benchmark runs of two commits (ROADMAP 5, the ledger):
 #
 #   scripts/pair.sh <parent> <change> [-workload W] [-pairs N]
 #
@@ -14,7 +14,7 @@
 # rows as the markdown table CHANGES.md uses. Every run's output is kept
 # beside the checkouts, and the run set is appended as one line — commits,
 # date, host, go version, each row's quartiles — to the committed
-# BENCH_TRAJECTORY.jsonl (ROADMAP 5(e)). Needs git, tar and jq.
+# BENCH_TRAJECTORY.jsonl (ROADMAP 5). Needs git, tar and jq.
 #
 # An uncommitted change can be measured as `$(git stash create)` after
 # `git add -A`.
