@@ -24,7 +24,7 @@
 // The -admin listener serves /metrics (per-shard forward counters and
 // latency histograms, connection gauges), /ringz (the placement ring as
 // JSON: epochs, pins, shard liveness), /healthz (the rolled-up cluster
-// verdict), /statusz and /clusterz (the federated fleet view — point
+// verdict), /clusterz (the federated fleet view as JSON — point
 // each -shard-admin flag at the matching shard's admin address, in
 // -shard order), /eventz (the topology event log), and /debug/pprof.
 //

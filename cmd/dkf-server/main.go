@@ -39,8 +39,8 @@
 // feed a metrics history ring (-history-window / -history-every tune
 // it), ~10 health signals run through the same Kalman filters the data
 // path uses, and /healthz becomes a real probe (ok|degraded|unhealthy,
-// 503 when unhealthy, JSON reasons with ?verbose=1). /statusz renders
-// the live dashboard and /metricsz serves windowed rates as JSON.
+// 503 when unhealthy, JSON reasons with ?verbose=1). /statusz serves the
+// signals and recent findings, /metricsz windowed rates, both as JSON.
 package main
 
 import (
@@ -115,7 +115,7 @@ func main() {
 		traceOn    = flag.Bool("trace", false, "record per-update decision trails, served at /tracez")
 		traceRing  = flag.Int("trace-ring", 0, "flight-recorder ring size per stream (0 = 256 default)")
 		traceSamp  = flag.Int("trace-sample", 0, "record the routine trail for 1-in-N updates (0/1 = all; decisions are always kept)")
-		selfmon    = flag.Bool("selfmon", false, "self-monitoring: metrics history ring, Kalman-filtered health verdicts at /healthz, /statusz dashboard, /metricsz windowed rates")
+		selfmon    = flag.Bool("selfmon", false, "self-monitoring: metrics history ring, Kalman-filtered health verdicts at /healthz, signals and findings at /statusz, /metricsz windowed rates")
 		shardIndex = flag.Int("shard-index", -1, "shard index when serving behind dkf-router (-1 = standalone); adds the cluster block to /streamz")
 		histWindow = flag.Duration("history-window", 2*time.Minute, "metrics history retained for -selfmon windowed queries")
 		histEvery  = flag.Duration("history-every", time.Second, "registry snapshot cadence for -selfmon")

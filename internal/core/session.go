@@ -234,7 +234,7 @@ func NewAdaptiveSampler(delta, alpha float64, maxStride int) (*AdaptiveSampler, 
 // Observe folds in the absolute prediction error of the latest sampled
 // reading and recomputes the stride.
 func (a *AdaptiveSampler) Observe(absErr float64) {
-	a.ewma = a.alpha*absErr + (1-a.alpha)*a.ewma
+	a.ewma = float64(a.alpha*absErr) + float64((1-a.alpha)*a.ewma)
 	// Error well below δ → prediction is reliable → widen the stride.
 	ratio := a.ewma / a.delta
 	switch {

@@ -3,12 +3,11 @@ package dsms
 import (
 	"encoding/json"
 	"fmt"
-	"html"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"slices"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -19,9 +18,10 @@ import (
 
 // The admin kit: what the shard server's and the router's admin
 // endpoints share — the listener, the no-store wrapper, the pprof
-// mounts, the JSON writer, /tracez parameter parsing, the dashboard page
-// builder and the last-N ring behind every bounded log. ServeAdmin here
-// and cluster.ServeAdmin each mount their own handlers on it.
+// mounts, the JSON writer, /tracez parameter parsing and the last-N ring
+// behind every bounded log. ServeAdmin here and cluster.ServeAdmin each
+// mount their own handlers on it. Every document is data: JSON, or
+// Prometheus text at /metrics.
 
 // AdminServer is an observability endpoint: a small HTTP listener,
 // separate from the wire-protocol port. Scrapes never stop the data
@@ -113,8 +113,8 @@ func WriteHealthz(w http.ResponseWriter, req *http.Request, status string, doc a
 }
 
 // LastN keeps the newest values put into it, up to the capacity it was
-// made with: the finding log, a signal's sparkline samples and the
-// router's topology events. Not safe for concurrent use.
+// made with: the finding log and the router's topology events. Not safe
+// for concurrent use.
 type LastN[T any] struct {
 	buf []T
 	n   uint64 // values ever put; the next one lands in buf[n % cap]
@@ -155,95 +155,6 @@ func (r *LastN[T]) Last(limit int, newestFirst bool) []T {
 		}
 	}
 	return out
-}
-
-// HTML is markup a Page writes as it stands; any other cell is escaped.
-type HTML string
-
-// Span wraps text, escaped, in a stylesheet class (active, muted).
-func Span(class, text string) HTML {
-	return HTML(`<span class="` + class + `">` + html.EscapeString(text) + `</span>`)
-}
-
-// Badge renders a verdict as its coloured badge; statuses the stylesheet
-// does not know (unreachable, unknown) render grey.
-func Badge(status string) HTML {
-	class := "grey"
-	if slices.Contains(Verdicts[:], status) {
-		class = status
-	}
-	return Span("badge "+class, status)
-}
-
-// Page builds an admin dashboard — server /statusz, router /statusz and
-// /clusterz are the same few parts — server-rendered, no scripts, no
-// external assets. Cells are any values: HTML goes out as it stands,
-// numbers right-aligned in a compact format, everything else escaped, so
-// no caller assembles markup from a stream id or an error string.
-type Page struct{ b strings.Builder }
-
-// NewPage starts a page titled title with links to the nav paths.
-func NewPage(title string, nav ...string) *Page {
-	p := &Page{}
-	fmt.Fprintf(&p.b, "<!DOCTYPE html><html><head><title>%s</title>%s</head><body><h1>%[1]s</h1><nav>", html.EscapeString(title), adminStyle)
-	for _, path := range nav {
-		label, _, _ := strings.Cut(path, "?")
-		fmt.Fprintf(&p.b, `<a href="%s">%s</a>`, path, label)
-	}
-	p.b.WriteString("</nav>")
-	return p
-}
-
-// cell renders one value and, for a number, the class that right-aligns it.
-func cell(v any) (text, class string) {
-	switch v := v.(type) {
-	case HTML:
-		return string(v), ""
-	case float64:
-		return fmt.Sprintf("%.4g", v), " class=num"
-	case int, int64, uint64:
-		return fmt.Sprint(v), " class=num"
-	}
-	return html.EscapeString(fmt.Sprint(v)), ""
-}
-
-// Line adds a paragraph of cells separated by spaces: the badge line, a
-// footnote.
-func (p *Page) Line(cells ...any) {
-	p.b.WriteString("<p>")
-	for _, c := range cells {
-		text, _ := cell(c)
-		p.b.WriteString(text + " ")
-	}
-	p.b.WriteString("</p>")
-}
-
-// Table adds a captioned table, or nothing when there are no rows. A
-// heading is aligned like the first row's cell under it.
-func (p *Page) Table(caption string, head []string, rows [][]any) {
-	if len(rows) == 0 {
-		return
-	}
-	p.b.WriteString("<h2>" + html.EscapeString(caption) + "</h2><table><tr>")
-	for col, h := range head {
-		_, class := cell(rows[0][col])
-		p.b.WriteString("<th" + class + ">" + html.EscapeString(h) + "</th>")
-	}
-	for _, row := range rows {
-		p.b.WriteString("</tr><tr>")
-		for _, c := range row {
-			text, class := cell(c)
-			p.b.WriteString("<td" + class + ">" + text + "</td>")
-		}
-	}
-	p.b.WriteString("</tr></table>")
-}
-
-// Serve closes the page and writes it as the response.
-func (p *Page) Serve(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	p.b.WriteString("</body></html>")
-	fmt.Fprint(w, p.b.String())
 }
 
 // TracezResponse is the /tracez document, the same shape on the shard
@@ -289,11 +200,13 @@ func TracezHandler(enabled func() bool, recent func(limit int, source string, ki
 }
 
 // TracezStreamHandler serves one stream's decision trail, looked up by
-// the source id or query id in the path.
+// the source id or query id in the path. The id is one path segment, so
+// an id containing "/" arrives escaped as %2F (url.PathEscape).
 func TracezStreamHandler[T any](lookup func(id string) (T, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		id := strings.TrimPrefix(req.URL.Path, "/tracez/stream/")
-		if id == "" || strings.Contains(id, "/") {
+		esc := strings.TrimPrefix(req.URL.EscapedPath(), "/tracez/stream/")
+		id, err := url.PathUnescape(esc)
+		if id == "" || err != nil || strings.Contains(esc, "/") {
 			http.Error(w, "usage: /tracez/stream/{source-or-query-id}", http.StatusBadRequest)
 			return
 		}
@@ -318,7 +231,7 @@ func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
 //
 //	/metrics            Prometheus text exposition of the telemetry registry
 //	/healthz            health probe: ok|degraded|unhealthy (?verbose=1 for JSON reasons)
-//	/statusz            self-monitoring dashboard (HTML, sparklines, findings)
+//	/statusz            the verdict, every self-signal's state and the retained findings
 //	/metricsz           windowed rates and quantiles from the history ring (?window=30s&name=)
 //	/streamz            JSON status: latency summaries, WAL state, per-stream records
 //	/tracez             recent trace events across streams (?source=&kind=&decision=&limit=)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -331,10 +330,10 @@ func TestAdminCloseNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestLastN pins the one bounded ring behind the finding log, the
-// sparkline samples and the router's event log: nothing before the first
-// Put, both read orders, a limit, wrap-around keeping the newest, and the
-// degenerate capacity of one.
+// TestLastN pins the one bounded ring behind the finding log and the
+// router's event log: nothing before the first Put, both read orders, a
+// limit, wrap-around keeping the newest, and the degenerate capacity of
+// one.
 func TestLastN(t *testing.T) {
 	r := NewLastN[int](3)
 	if got := r.Last(0, true); len(got) != 0 || r.Total() != 0 {
@@ -366,33 +365,5 @@ func TestLastN(t *testing.T) {
 	one.Put("b")
 	if got := one.Last(0, false); len(got) != 1 || got[0] != "b" {
 		t.Errorf("a ring of one holds %v, want the newest", got)
-	}
-}
-
-// TestPageEscapesEveryCell: whatever a caller hands the page builder —
-// title, badge, line, caption, heading, cell — goes out escaped, so a
-// stream id or an error string cannot carry markup into a dashboard; only
-// HTML built by the kit itself is written as it stands.
-func TestPageEscapesEveryCell(t *testing.T) {
-	const evil = `<script>x</script>`
-	p := NewPage(evil)
-	p.Line(evil, Badge(evil), Span("muted", evil))
-	p.Table(evil, []string{evil, "n"}, [][]any{{evil, 3}, {fmt.Errorf("%s", evil), 2.5}})
-	rec := httptest.NewRecorder()
-	p.Serve(rec)
-	body := rec.Body.String()
-	if strings.Contains(body, "<script>") {
-		t.Fatalf("the page carries unescaped markup:\n%s", body)
-	}
-	if got := strings.Count(body, "&lt;script&gt;"); got != 9 {
-		t.Errorf("the value appears escaped %d times, want 9 (title twice, line, badge, span, caption, heading, two cells):\n%s", got, body)
-	}
-	for _, want := range []string{`<td class=num>3</td>`, `<td class=num>2.5</td>`, `<th class=num>n</th>`, `class="badge grey"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("the page is missing %s:\n%s", want, body)
-		}
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("Content-Type = %q", ct)
 	}
 }

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"time"
 
 	"streamkf/internal/dsms"
 )
@@ -15,8 +13,7 @@ import (
 //
 //	/metrics            Prometheus text exposition of the router registry
 //	/healthz            rolled-up cluster verdict: ok|degraded|unhealthy (?verbose=1 for JSON)
-//	/statusz            cluster dashboard (HTML): the fleet view under the router's title
-//	/clusterz           federated fleet view (HTML; ?format=json for the document)
+//	/clusterz           the federated fleet view: the Clusterz document
 //	/ringz              the placement picture: epoch, shards, pins, routes
 //	/eventz             the topology event log, newest first (?limit=)
 //	/tracez             recent forwarding trace events (?source=&kind=&decision=&limit=)
@@ -97,60 +94,6 @@ func EventzHandler(r *Router) http.HandlerFunc {
 	}
 }
 
-// FleetHandler serves the router's dashboard under title — /statusz and
-// /clusterz are one page: the cluster verdict badge, build identity, the
-// fleet table, the ring's counts and recent topology events — or, with
-// ?format=json, the Clusterz document.
-func FleetHandler(r *Router, title string) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		cz := r.Clusterz()
-		if req.URL.Query().Get("format") == "json" {
-			dsms.WriteJSON(w, http.StatusOK, cz)
-			return
-		}
-		p := dsms.NewPage(title, "/metrics", "/clusterz", "/ringz", "/eventz", "/tracez", "/healthz?verbose=1", "/debug/pprof/")
-		p.Line("Cluster:", dsms.Badge(cz.Status), dsms.BuildLine(time.Since(telEpoch),
-			fmt.Sprintf(" · epoch %d · %d migrations · %d topology events", cz.Epoch, cz.MigrationsTotal, cz.EventsTotal)))
-		var rows [][]any
-		for _, sh := range cz.Shards {
-			conn := dsms.HTML("up")
-			if !sh.Connected {
-				conn = dsms.Span("active", "down")
-			}
-			age := "—"
-			if sh.WALCheckpointAgeSeconds >= 0 {
-				age = fmt.Sprintf("%.1fs", sh.WALCheckpointAgeSeconds)
-			}
-			detail := sh.Error
-			for _, reason := range sh.Reasons {
-				if detail != "" {
-					detail += "; "
-				}
-				detail += reason.Signal
-			}
-			rows = append(rows, []any{sh.Shard, sh.Addr, sh.Admin, conn, dsms.Badge(sh.Status),
-				time.Duration(sh.UptimeSeconds * float64(time.Second)).Truncate(time.Second).String(),
-				sh.IngestRatePerSec, sh.ShedRatePerSec, sh.ErrorRatePerSec, age,
-				sh.Routes, sh.PendingUpdates, sh.ForwardedTotal, dsms.Span("muted", detail)})
-		}
-		p.Table("Shards", []string{"shard", "addr", "admin", "conn", "verdict", "up", "ingest/s", "shed/s", "errors/s", "ckpt age", "routes", "pending", "forwarded", "detail"}, rows)
-		z := r.RingzSnapshot()
-		p.Line(dsms.Span("muted", fmt.Sprintf("%d routes · %d pins · %d aggregates · trace %v", z.Routes, len(z.Pins), len(z.Aggregates), r.TraceEnabled())))
-
-		evs, total := r.events.Events(20)
-		rows = nil
-		for _, ev := range evs {
-			dur := ""
-			if ev.DurMs > 0 {
-				dur = fmt.Sprintf("%.2f", ev.DurMs)
-			}
-			rows = append(rows, []any{time.Unix(0, ev.At).UTC().Format("15:04:05.000"), ev.Kind, ev.Shard, ev.SourceID, ev.Detail, dur})
-		}
-		p.Table(fmt.Sprintf("Topology events (%d of %d)", len(evs), total), []string{"when", "kind", "shard", "stream", "detail", "ms"}, rows)
-		p.Serve(w)
-	}
-}
-
 // ServeAdmin starts the router admin endpoint on addr: the router's
 // own handlers mounted on the shard server's admin kit, so /tracez is
 // shaped like the shard server's and one scraper reads both.
@@ -168,8 +111,9 @@ func ServeAdmin(r *Router, addr string, logger *slog.Logger) (*dsms.AdminServer,
 			cz := r.Clusterz()
 			dsms.WriteHealthz(w, req, cz.Status, cz)
 		})
-		mux.HandleFunc("/statusz", FleetHandler(r, "DKF router status"))
-		mux.HandleFunc("/clusterz", FleetHandler(r, "DKF cluster fleet"))
+		mux.HandleFunc("/clusterz", func(w http.ResponseWriter, req *http.Request) {
+			dsms.WriteJSON(w, http.StatusOK, r.Clusterz())
+		})
 		mux.HandleFunc("/eventz", EventzHandler(r))
 		mux.HandleFunc("/tracez", dsms.TracezHandler(r.TraceEnabled, r.TraceRecent))
 		mux.HandleFunc("/tracez/stream/", dsms.TracezStreamHandler(r.TraceStream))

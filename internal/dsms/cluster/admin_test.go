@@ -3,14 +3,22 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"streamkf/internal/dsms"
+	"streamkf/internal/gen"
+	"streamkf/internal/stream"
+	"streamkf/internal/trace"
 )
 
 // adminGet fetches a path from an admin server without connection
@@ -116,13 +124,16 @@ func TestRouterAdminEndpoints(t *testing.T) {
 		}
 	}
 
-	code, _, body = adminGet(t, admin.Addr(), "/clusterz")
-	if code != http.StatusOK || !strings.Contains(body, "DKF cluster fleet") {
-		t.Fatalf("/clusterz HTML = %d %.80q", code, body)
+	// Without ?format=json it is the same document, and the router serves
+	// no /statusz: the fleet view is /clusterz.
+	code, hdr, body = adminGet(t, admin.Addr(), "/clusterz")
+	var again Clusterz
+	if code != http.StatusOK || hdr.Get("Content-Type") != "application/json" || json.Unmarshal([]byte(body), &again) != nil ||
+		again.Status != "ok" || len(again.Shards) != 2 {
+		t.Fatalf("/clusterz = %d %q %.80q", code, hdr.Get("Content-Type"), body)
 	}
-	code, _, body = adminGet(t, admin.Addr(), "/statusz")
-	if code != http.StatusOK || !strings.Contains(body, "DKF router status") {
-		t.Fatalf("/statusz = %d %.80q", code, body)
+	if code, _, _ = adminGet(t, admin.Addr(), "/statusz"); code != http.StatusNotFound {
+		t.Fatalf("router /statusz status %d, want 404", code)
 	}
 
 	code, _, body = adminGet(t, admin.Addr(), "/eventz")
@@ -217,5 +228,139 @@ func TestClusterzAdminDegraded(t *testing.T) {
 	cz = r3.Clusterz()
 	if sh := cz.Shards[0]; cz.Status != "degraded" || sh.Status != "unreachable" || !strings.Contains(sh.Error, "limit") {
 		t.Fatalf("endless admin body: %+v, want degraded/unreachable with the limit in the row's error", cz)
+	}
+}
+
+// TestTracezStreamIDWithSlash: a stream id may contain "/"
+// (stream.Query.Validate asks only that it be non-empty). The router asks
+// the owning shard for /tracez/stream/plant%2F3, and both admin surfaces
+// must read the escaped segment as the one id plant/3; a raw "/" is not
+// an id.
+func TestTracezStreamIDWithSlash(t *testing.T) {
+	const id = "plant/3"
+	catalog := testCatalog()
+	s := dsms.NewServer(catalog)
+	s.EnableTracing(trace.Options{})
+	shardAddr := startShard(t, s, 0).Addr()
+	shardAdmin, err := dsms.ServeAdmin(s, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shardAdmin.Close()
+	r, err := NewRouter("127.0.0.1:0", []string{shardAddr}, Options{Trace: true, ShardAdmins: []string{shardAdmin.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r.Serve()
+	t.Cleanup(func() { r.Close() })
+	if err := r.RegisterQuery(stream.Query{ID: "q", SourceID: id, Delta: 1, Model: "linear"}); err != nil {
+		t.Fatal(err)
+	}
+	routerAdmin, err := ServeAdmin(r, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routerAdmin.Close()
+	agent, err := dsms.DialSourceOptions(r.Addr(), id, catalog, dsms.DialOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	if err := agent.Run(stream.NewSliceSource(gen.Ramp(20, 0, 2, 0, 1))); err != nil {
+		t.Fatal(err)
+	}
+
+	path := "/tracez/stream/" + url.PathEscape(id)
+	if code, _, body := adminGet(t, shardAdmin.Addr(), path); code != http.StatusOK || !strings.Contains(body, `"source_id": "plant/3"`) {
+		t.Fatalf("shard GET %s = %d %s", path, code, body)
+	}
+	ct, err := r.TraceStream(id)
+	if err != nil || ct.ShardTrace == nil || ct.Error != "" || ct.ShardTrace.SourceID != id {
+		t.Fatalf("router TraceStream(%q) = %+v, %v; want the shard half spliced in", id, ct, err)
+	}
+	if code, _, body := adminGet(t, routerAdmin.Addr(), path); code != http.StatusOK || !strings.Contains(body, `"shard_trace"`) {
+		t.Fatalf("router GET %s = %d %s", path, code, body)
+	}
+	for _, admin := range []string{shardAdmin.Addr(), routerAdmin.Addr()} {
+		if code, _, _ := adminGet(t, admin, "/tracez/stream/plant/3"); code != http.StatusBadRequest {
+			t.Errorf("GET /tracez/stream/plant/3 on %s = %d, want 400", admin, code)
+		}
+	}
+}
+
+// mountedPaths reads the patterns a Go source file mounts with
+// mux.HandleFunc, so a walk over them covers an endpoint added later.
+func mountedPaths(t *testing.T, file string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		lit, isLit := call.Args[0].(*ast.BasicLit)
+		if ok && isLit && sel.Sel.Name == "HandleFunc" && lit.Kind == token.STRING {
+			p, _ := strconv.Unquote(lit.Value)
+			paths = append(paths, p)
+		}
+		return true
+	})
+	return paths
+}
+
+// TestAdminServesDataOnly walks every path dsms.ServeAdmin and
+// cluster.ServeAdmin mount, on a shard with a self-monitor behind a
+// router, and checks that each answers JSON or plain text (Prometheus
+// exposition, the health probe's one word, an error line), never HTML.
+// The standard library's /debug/pprof/ is the one exception and is
+// skipped.
+func TestAdminServesDataOnly(t *testing.T) {
+	r, servers := startClusterAdmins(t, 1, Options{})
+	m, err := servers[0].EnableSelfMon(dsms.SelfMonOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Tick(time.Now())
+	shardAdmin, err := dsms.ServeAdmin(servers[0], "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shardAdmin.Close()
+	routerAdmin, err := ServeAdmin(r, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routerAdmin.Close()
+	for file, addr := range map[string]string{"../admin.go": shardAdmin.Addr(), "admin.go": routerAdmin.Addr()} {
+		walked := 0
+		for _, p := range mountedPaths(t, file) {
+			if strings.HasPrefix(p, "/debug/pprof/") {
+				continue
+			}
+			if strings.HasSuffix(p, "/") {
+				p += "nope"
+			}
+			for _, path := range []string{p, p + "?verbose=1"} {
+				code, hdr, body := adminGet(t, addr, path)
+				switch ct := hdr.Get("Content-Type"); {
+				case ct == "application/json":
+					if !json.Valid([]byte(body)) {
+						t.Errorf("%s GET %s: %d, invalid JSON %.80q", file, path, code, body)
+					}
+				case strings.HasPrefix(ct, "text/plain"):
+				default:
+					t.Errorf("%s GET %s: %d Content-Type %q, want JSON or plain text", file, path, code, ct)
+				}
+			}
+			walked++
+		}
+		if walked < 6 {
+			t.Errorf("%s: walked %d paths; the parse found too few mounts", file, walked)
+		}
 	}
 }

@@ -52,8 +52,6 @@ type Options struct {
 	// answers within βΔ of the last one it released. β = 0 (the
 	// default) reproduces the single-server answer bit-for-bit.
 	AggSuppress float64
-	// Registry receives router metrics (nil = a fresh registry).
-	Registry *telemetry.Registry
 	// Logger, nil for silent.
 	Logger *slog.Logger
 	// Trace enables the router's own flight recorders: each route gets
@@ -198,7 +196,7 @@ func NewRouter(listenAddr string, shardAddrs []string, opts Options) (*Router, e
 	if log == nil {
 		log = telemetry.NopLogger()
 	}
-	tel := newRouterTelemetry(opts.Registry, len(shardAddrs))
+	tel := newRouterTelemetry(len(shardAddrs))
 	r := &Router{
 		ring:    NewRing(len(shardAddrs), opts.VNodes),
 		opts:    opts,

@@ -43,10 +43,8 @@ type routerTelemetry struct {
 	hopShard  *telemetry.Histogram
 }
 
-func newRouterTelemetry(reg *telemetry.Registry, shards int) *routerTelemetry {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+func newRouterTelemetry(shards int) *routerTelemetry {
+	reg := telemetry.NewRegistry()
 	t := &routerTelemetry{
 		reg:        reg,
 		forwarded:  make([]*telemetry.Counter, shards),

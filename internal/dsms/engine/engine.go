@@ -44,10 +44,10 @@ type Options struct {
 	// RingSize is the per-(producer,shard) ring capacity, rounded up
 	// to a power of two. <= 0 selects 1024.
 	RingSize int
-	// BatchSize caps how many updates one ApplyBatch call carries.
-	// <= 0 selects 256.
-	BatchSize int
 }
+
+// batchSize caps how many updates one ApplyBatch call carries.
+const batchSize = 256
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
@@ -55,9 +55,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RingSize <= 0 {
 		o.RingSize = 1024
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
 	}
 	n := 1
 	for n < o.RingSize {
@@ -320,9 +317,9 @@ func (sh *shard) drain(batch []core.Update, max int) int {
 // run is the shard worker: drain, apply, park when idle.
 func (e *Engine) run(sh *shard) {
 	defer e.wg.Done()
-	batch := make([]core.Update, e.opts.BatchSize)
+	batch := make([]core.Update, batchSize)
 	for {
-		n := sh.drain(batch, e.opts.BatchSize)
+		n := sh.drain(batch, batchSize)
 		if n > 0 {
 			e.sink.ApplyBatch(sh.id, batch[:n])
 			sh.applied.Add(uint64(n))

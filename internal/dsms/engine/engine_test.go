@@ -159,7 +159,7 @@ func TestEngineConcurrentProducers(t *testing.T) {
 
 func TestEngineTryOfferShedsWhenFull(t *testing.T) {
 	bs := &blockSink{release: make(chan struct{})}
-	e := New(bs, Options{Shards: 1, RingSize: 8, BatchSize: 4})
+	e := New(bs, Options{Shards: 1, RingSize: 8})
 	p := e.Producer()
 	// Fill until the ring rejects. The worker may drain one batch into
 	// the blocked ApplyBatch, so offer enough to guarantee saturation.

@@ -32,20 +32,20 @@ import (
 // SelfSignal describes one tracked health signal.
 type SelfSignal struct {
 	// Name identifies the signal in findings and on /statusz.
-	Name string
-	// Help is the one-line description shown on /statusz.
-	Help string
+	Name string `json:"name"`
+	// Help is the one-line description served on /statusz.
+	Help string `json:"help"`
 	// Model selects the filter dynamics: "constant" for signals that
 	// should hold a level (error rates, latency quantiles), "linear"
 	// for signals with legitimate drift (throughput, heap).
-	Model string
+	Model string `json:"model"`
 	// Delta is the suppression threshold in the signal's own units: a
 	// reading further than Delta from the filter's prediction is a
 	// finding.
-	Delta float64
+	Delta float64 `json:"delta"`
 	// Critical marks signals whose active findings make the verdict
 	// unhealthy rather than degraded.
-	Critical bool
+	Critical bool `json:"critical"`
 	// Read produces the current signal value. ok=false means the
 	// signal has no value this tick (metric not registered, window not
 	// yet covered); the tick is skipped without advancing the filter.
@@ -114,8 +114,6 @@ type SelfMonOptions struct {
 	Recover int
 	// Signals is the tracked signal set; nil means DefaultSelfSignals.
 	Signals []SelfSignal
-	// Findings caps the retained finding ring (default 64).
-	Findings int
 }
 
 func (o *SelfMonOptions) defaults() {
@@ -130,9 +128,6 @@ func (o *SelfMonOptions) defaults() {
 	}
 	if o.Recover <= 0 {
 		o.Recover = 5
-	}
-	if o.Findings <= 0 {
-		o.Findings = 64
 	}
 }
 
@@ -196,8 +191,7 @@ const (
 
 var Verdicts = [...]string{"ok", "degraded", "unhealthy"}
 
-// selfStream is one signal's DKF pair plus its finding state and the
-// recent values of the /statusz sparkline.
+// selfStream is one signal's DKF pair plus its finding state.
 type selfStream struct {
 	sig SelfSignal
 	src *core.SourceNode
@@ -211,7 +205,6 @@ type selfStream struct {
 	lastViolTick int64   // monitor tick of the latest δ-violation (0: none)
 	viol         trace.Event
 	whitenessBad bool
-	samples      *LastN[float64]
 }
 
 // finding is the stream's evidence as of its latest fed tick: the value
@@ -263,7 +256,7 @@ func (s *Server) EnableSelfMon(opts SelfMonOptions) (*SelfMonitor, error) {
 	m := &SelfMonitor{
 		ring:     history.New(s.tel.reg, history.Options{Every: opts.Every, Window: opts.Window}),
 		opts:     opts,
-		findings: NewLastN[HealthFinding](opts.Findings),
+		findings: NewLastN[HealthFinding](64), // the newest findings /statusz serves
 		heap:     [1]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -283,7 +276,7 @@ func (s *Server) EnableSelfMon(opts SelfMonOptions) (*SelfMonitor, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.streams = append(m.streams, &selfStream{sig: sig, src: src, srv: srv, samples: NewLastN[float64](120)})
+		m.streams = append(m.streams, &selfStream{sig: sig, src: src, srv: srv})
 	}
 	m.findingsTotal = s.tel.reg.Counter("dkf_selfmon_findings_total", "Self-monitoring health findings recorded.")
 	s.tel.reg.GaugeFunc("dkf_selfmon_verdict", "Self-monitoring verdict: 0 ok, 1 degraded, 2 unhealthy.",
@@ -363,7 +356,6 @@ func (m *SelfMonitor) Tick(now time.Time) {
 			continue
 		}
 		st.value = v
-		st.samples.Put(v)
 		// The reading index advances only when the signal is fed: the
 		// mirror predicts once per Process call, and the server-side
 		// AdvanceTo(u.Seq) must replay exactly that many predicts.
@@ -469,13 +461,12 @@ func (m *SelfMonitor) Findings(limit int) []HealthFinding {
 // is doing.
 type SelfSignalView struct {
 	SelfSignal
-	Fed          bool      `json:"fed"`
-	Value        float64   `json:"value"`
-	Updates      int       `json:"updates"`    // transmitted (δ-violating + bootstrap) readings
-	Suppressed   int       `json:"suppressed"` // within-δ readings
-	Active       bool      `json:"active"`
-	WhitenessBad bool      `json:"whiteness_bad,omitempty"`
-	Samples      []float64 `json:"samples,omitempty"` // recent values, oldest first
+	Fed          bool    `json:"fed"`
+	Value        float64 `json:"value"`
+	Updates      int     `json:"updates"`    // transmitted (δ-violating + bootstrap) readings
+	Suppressed   int     `json:"suppressed"` // within-δ readings
+	Active       bool    `json:"active"`
+	WhitenessBad bool    `json:"whiteness_bad"`
 }
 
 // Signals returns every signal's current state, in registration order.
@@ -492,7 +483,6 @@ func (m *SelfMonitor) Signals() []SelfSignalView {
 			Active: m.active(st), WhitenessBad: st.whitenessBad,
 		}
 		v.Model = cmp.Or(v.Model, "constant")
-		v.Samples = st.samples.Last(0, false)
 		out[i] = v
 	}
 	return out

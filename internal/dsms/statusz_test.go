@@ -183,9 +183,10 @@ func TestHealthzOverloadHTTP(t *testing.T) {
 	}
 }
 
-// TestStatuszDashboard checks the rendered dashboard in both modes:
-// with self-monitoring on (verdict badge, signal rows, sparklines,
-// findings, build identity) and off (graceful pointer page).
+// TestStatuszDashboard checks the /statusz document in both modes: with
+// self-monitoring on it carries the verdict, every signal's state (δ,
+// model, updates, suppressed, active, whiteness) and the retained
+// findings newest first; off, it is the health document alone.
 func TestStatuszDashboard(t *testing.T) {
 	val := 3.0
 	s := NewServer(testCatalog())
@@ -209,32 +210,45 @@ func TestStatuszDashboard(t *testing.T) {
 		clk.tick(m)
 	}
 	val = 30
-	clk.tick(m) // one finding, so the findings table renders
+	clk.tick(m) // a finding
+	val = 300
+	clk.tick(m) // and a newer one
 
 	resp, body := adminGetResp(t, admin.Addr(), "/statusz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/statusz status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("/statusz Content-Type = %q", ct)
 	}
-	for _, want := range []string{
-		"DKF server status",
-		`class="badge degraded"`,
-		"demo_sig",
-		"scripted demo signal",
-		"<polyline",   // the sparkline rendered
-		"version dev", // build identity
-		"delta_violation",
-		"history ring:",
-	} {
+	var doc Statusz
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/statusz is not a Statusz document: %v\n%s", err, body)
+	}
+	if h := doc.Health; h.Status != "degraded" || h.UptimeSeconds <= 0 || len(h.Reasons) != 1 || h.Reasons[0].Signal != "demo_sig" || h.Signals["demo_sig"] != 300 {
+		t.Fatalf("/statusz health = %+v", h)
+	}
+	if len(doc.Signals) != 1 {
+		t.Fatalf("/statusz signals = %+v, want demo_sig alone", doc.Signals)
+	}
+	sig := doc.Signals[0]
+	if sig.Name != "demo_sig" || sig.Help != "scripted demo signal" || sig.Model != "constant" || sig.Delta != 1 ||
+		!sig.Fed || sig.Value != 300 || !sig.Active || sig.Updates != 3 || sig.Suppressed != 4 {
+		t.Fatalf("/statusz signal = %+v", sig)
+	}
+	if len(doc.Findings) != 2 || doc.Findings[0].Value != 300 || doc.Findings[1].Value != 30 ||
+		doc.Findings[0].Kind != "delta_violation" || doc.Findings[0].TicksAgo != 0 || doc.Findings[1].TicksAgo != 1 {
+		t.Fatalf("/statusz findings, newest first = %+v", doc.Findings)
+	}
+	// The keys a reader of the document finds, as it spells them.
+	for _, want := range []string{`"name": "demo_sig"`, `"delta": 1`, `"model": "constant"`, `"updates": 3`,
+		`"suppressed": 4`, `"active": true`, `"whiteness_bad": false`, `"residual"`} {
 		if !strings.Contains(body, want) {
-			t.Errorf("/statusz missing %q", want)
+			t.Errorf("/statusz missing %s", want)
 		}
 	}
 
-	// Without self-monitoring the page degrades to a pointer, not an
-	// error.
+	// Without self-monitoring the document is the health document alone.
 	bare := NewServer(testCatalog())
 	admin2, err := ServeAdmin(bare, "127.0.0.1:0", nil)
 	if err != nil {
@@ -242,8 +256,12 @@ func TestStatuszDashboard(t *testing.T) {
 	}
 	defer admin2.Close()
 	resp, body = adminGetResp(t, admin2.Addr(), "/statusz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "-selfmon") {
-		t.Fatalf("/statusz without selfmon = %d, body should point at -selfmon:\n%s", resp.StatusCode, body)
+	doc = Statusz{}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/statusz without selfmon = %d (%v):\n%s", resp.StatusCode, err, body)
+	}
+	if doc.Health.Status != "ok" || doc.Signals != nil || doc.Findings != nil || strings.Contains(body, `"signals"`) {
+		t.Fatalf("/statusz without selfmon should be the health document alone:\n%s", body)
 	}
 }
 

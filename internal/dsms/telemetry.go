@@ -15,7 +15,7 @@ import (
 // epoch is process start, the zero of dkf_uptime_seconds.
 var epoch = time.Now()
 
-// Version identifies the build in dkf_build_info and on /statusz.
+// Version identifies the build in dkf_build_info, the server's and the router's.
 // Overridden at link time: -ldflags "-X streamkf/internal/dsms.Version=v1.2.3".
 var Version = "dev"
 

@@ -187,7 +187,7 @@ func (n *NoiseEstimator) WhitenessBound() float64 { return WhitenessBound(n.wind
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }

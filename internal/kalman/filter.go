@@ -50,8 +50,8 @@
 // value is −0, NaN, infinite or about to overflow, which is why the
 // bit-identity tests (TestFilterMatchesReference,
 // FuzzFilterMatchesReference, core's TestGoldenSuppressionTrace) feed
-// exactly those. An edit that reorders, fuses or "simplifies" any of the
-// above changes a suppression decision somewhere and must fail them.
+// exactly those. An edit that reorders, fuses (scripts/fma.sh) or
+// "simplifies" any of the above changes a suppression decision and fails.
 //
 // The covariance cycle (cycle.go) is held to the same contract. Once a
 // dense filter's P repeats bit for bit, it copies in the P, S, S^-1,
@@ -412,12 +412,12 @@ func mul1(a, b float64) float64 {
 }
 
 // dot1 and dot2 are one element of any other product with inner
-// dimension 1 or 2: terms accumulate left to right from +0, and a term
-// whose left factor is zero is skipped.
+// dimension 1 or 2: terms accumulate left to right from +0, a term whose
+// left factor is zero is skipped, and each product is converted as in mul1.
 func dot1(a, b float64) float64 {
 	var s float64
 	if a != 0 {
-		s += a * b
+		s += float64(a * b)
 	}
 	return s
 }
@@ -425,10 +425,10 @@ func dot1(a, b float64) float64 {
 func dot2(a0, b0, a1, b1 float64) float64 {
 	var s float64
 	if a0 != 0 {
-		s += a0 * b0
+		s += float64(a0 * b0)
 	}
 	if a1 != 0 {
-		s += a1 * b1
+		s += float64(a1 * b1)
 	}
 	return s
 }
@@ -730,7 +730,7 @@ func (f *Filter) LogLikelihood(z *mat.Matrix) (float64, error) {
 	if f.sDet <= 0 {
 		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", f.sDet)
 	}
-	return -0.5 * (float64(int(f.m))*math.Log(2*math.Pi) + math.Log(f.sDet) + quad), nil
+	return -0.5 * (float64(float64(int(f.m))*math.Log(2*math.Pi)) + math.Log(f.sDet) + quad), nil
 }
 
 // Clone returns a deep copy of the filter sharing only the (stateless)

@@ -122,7 +122,7 @@ func (im *IMM) Step(z *mat.Matrix) error {
 	c := make([]float64, k)
 	for j := 0; j < k; j++ {
 		for i := 0; i < k; i++ {
-			c[j] += im.trans.At(i, j) * im.mu[i]
+			c[j] += float64(im.trans.At(i, j) * im.mu[i])
 		}
 	}
 	mixedX := make([]*mat.Matrix, k)

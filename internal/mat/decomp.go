@@ -59,7 +59,7 @@ func DecomposeLU(a *Matrix) (*LU, error) {
 			f := lu.data[i*n+k] / pivVal
 			lu.data[i*n+k] = f
 			for j := k + 1; j < n; j++ {
-				lu.data[i*n+j] -= f * lu.data[k*n+j]
+				lu.data[i*n+j] -= float64(f * lu.data[k*n+j])
 			}
 		}
 	}
@@ -97,7 +97,7 @@ func (d *LU) Solve(b *Matrix) (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < nrhs; j++ {
-				x.data[i*nrhs+j] -= f * x.data[k*nrhs+j]
+				x.data[i*nrhs+j] -= float64(f * x.data[k*nrhs+j])
 			}
 		}
 	}
@@ -116,7 +116,7 @@ func (d *LU) Solve(b *Matrix) (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < nrhs; j++ {
-				x.data[i*nrhs+j] -= f * x.data[k*nrhs+j]
+				x.data[i*nrhs+j] -= float64(f * x.data[k*nrhs+j])
 			}
 		}
 	}

@@ -134,20 +134,20 @@ func MulFlat(dst, a, b []float64, r, c, q int) {
 			brow := b[k*q : (k+1)*q]
 			switch q {
 			case 1:
-				orow[0] += av * brow[0]
+				orow[0] += float64(av * brow[0])
 			case 2:
 				o, bb := (*[2]float64)(orow), (*[2]float64)(brow)
-				o[0] += av * bb[0]
-				o[1] += av * bb[1]
+				o[0] += float64(av * bb[0])
+				o[1] += float64(av * bb[1])
 			case 4:
 				o, bb := (*[4]float64)(orow), (*[4]float64)(brow)
-				o[0] += av * bb[0]
-				o[1] += av * bb[1]
-				o[2] += av * bb[2]
-				o[3] += av * bb[3]
+				o[0] += float64(av * bb[0])
+				o[1] += float64(av * bb[1])
+				o[2] += float64(av * bb[2])
+				o[3] += float64(av * bb[3])
 			default:
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -271,7 +271,7 @@ func InverseFlat(dst, a, w []float64, n int) (float64, error) {
 		return v, nil
 	case 2:
 		a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
-		det := a00*a11 - a01*a10
+		det := float64(a00*a11) - float64(a01*a10)
 		if det == 0 {
 			return 0, ErrSingular
 		}
@@ -325,8 +325,8 @@ func InverseFlat(dst, a, w []float64, n int) (float64, error) {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				w[i*n+j] -= f * w[k*n+j]
-				dst[i*n+j] -= f * dst[k*n+j]
+				w[i*n+j] -= float64(f * w[k*n+j])
+				dst[i*n+j] -= float64(f * dst[k*n+j])
 			}
 		}
 	}

@@ -103,7 +103,7 @@ func Sinusoidal(omega, theta, gamma, q, r float64) Model {
 		MeasDim: 1,
 		Phi: func(k int) *mat.Matrix {
 			return mat.FromRows([][]float64{
-				{1, gamma * math.Cos(omega*float64(k)+theta)},
+				{1, gamma * math.Cos(float64(omega*float64(k))+theta)},
 				{0, 1},
 			})
 		},

@@ -88,17 +88,17 @@ func Pendulum(dt, gOverL, damping, q, r float64) Nonlinear {
 		MeasDim: 1,
 		F: func(_ int, x *mat.Matrix) *mat.Matrix {
 			th, om := x.At(0, 0), x.At(1, 0)
-			om2 := (1-damping*dt)*om - gOverL*math.Sin(th)*dt
-			return mat.Vec(th+om2*dt, om2)
+			om2 := float64((1-float64(damping*dt))*om) - float64(gOverL*math.Sin(th)*dt)
+			return mat.Vec(th+float64(om2*dt), om2)
 		},
 		FJac: func(_ int, x *mat.Matrix) *mat.Matrix {
 			th := x.At(0, 0)
 			// ∂ω'/∂θ = −g·dt·cosθ, ∂ω'/∂ω = 1 − damping·dt,
 			// ∂θ'/∂θ = 1 − g·dt²·cosθ, ∂θ'/∂ω = (1 − damping·dt)·dt.
 			dOmDth := -gOverL * math.Cos(th) * dt
-			dOmDom := 1 - damping*dt
+			dOmDom := 1 - float64(damping*dt)
 			return mat.FromRows([][]float64{
-				{1 + dOmDth*dt, dOmDom * dt},
+				{1 + float64(dOmDth*dt), dOmDom * dt},
 				{dOmDth, dOmDom},
 			})
 		},
