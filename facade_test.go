@@ -205,35 +205,6 @@ func TestFacadeSourceServerNodesAndArchive(t *testing.T) {
 	if err := srv.ApplyUpdate(*u); err != nil {
 		t.Fatal(err)
 	}
-
-	arch, err := streamkf.OpenSynopsisArchive(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := streamkf.LinearModel(1, 1, 0.05, 0.05)
-	w, err := arch.NewWriter("s", m, 1, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]float64, 120)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	for _, r := range streamkf.FromValues(vals, 1) {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := arch.ReconstructAll("s", func(string) (streamkf.Model, error) { return m, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(vals) {
-		t.Fatalf("archive reconstructed %d readings, want %d", len(back), len(vals))
-	}
 }
 
 func TestFacadeWindowing(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package baseline implements the comparison schemes from the paper's
 // evaluation (§5): the cached-approximation precision-bound scheme of
-// Olston et al. used by the STREAM project, its adaptive bound-width
-// variant, the moving-average smoother of Example 3, and a ship-everything
-// reference.
+// Olston et al. used by the STREAM project, the moving-average smoother
+// of Example 3, and a ship-everything reference.
 package baseline
 
 import (
@@ -116,116 +115,6 @@ func (c *Cache) Run(readings []stream.Reading) (Metrics, error) {
 		}
 	}
 	return c.metrics, nil
-}
-
-// Metrics returns the counters accumulated so far.
-func (c *Cache) Metrics() Metrics { return c.metrics }
-
-// AdaptiveCache extends Cache with the bound growing/shrinking of Olston,
-// Loo and Widom (Adaptive precision setting for cached approximate
-// values, SIGMOD 2001): bounds that keep containing readings grow by
-// growFactor up to the precision constraint δ; a bound that is violated
-// shrinks by shrinkFactor. The paper excludes this from its own results
-// ("we do not consider dynamic bound growing and shrinking"), so it is
-// provided as an extra baseline for the ablation benches.
-type AdaptiveCache struct {
-	delta        float64
-	growFactor   float64
-	shrinkFactor float64
-	dims         int
-	width        []float64
-	lo, hi       []float64
-	cached       []float64
-	started      bool
-	metrics      Metrics
-}
-
-// NewAdaptiveCache returns an adaptive-width caching baseline. Widths
-// start at delta/2, grow by growFactor (>1) on quiet periods and shrink
-// by shrinkFactor (<1) on violations, never exceeding delta.
-func NewAdaptiveCache(delta float64, dims int, growFactor, shrinkFactor float64) (*AdaptiveCache, error) {
-	if delta <= 0 {
-		return nil, fmt.Errorf("baseline: adaptive cache delta = %v, want > 0", delta)
-	}
-	if dims <= 0 {
-		return nil, fmt.Errorf("baseline: adaptive cache dims = %d, want > 0", dims)
-	}
-	if growFactor <= 1 {
-		return nil, fmt.Errorf("baseline: growFactor = %v, want > 1", growFactor)
-	}
-	if shrinkFactor <= 0 || shrinkFactor >= 1 {
-		return nil, fmt.Errorf("baseline: shrinkFactor = %v, want (0, 1)", shrinkFactor)
-	}
-	a := &AdaptiveCache{
-		delta: delta, growFactor: growFactor, shrinkFactor: shrinkFactor,
-		dims:   dims,
-		width:  make([]float64, dims),
-		lo:     make([]float64, dims),
-		hi:     make([]float64, dims),
-		cached: make([]float64, dims),
-	}
-	for i := range a.width {
-		a.width[i] = delta / 2
-	}
-	return a, nil
-}
-
-// Process handles one reading.
-func (a *AdaptiveCache) Process(r stream.Reading) (sent bool, serverValues []float64, err error) {
-	if len(r.Values) != a.dims {
-		return false, nil, fmt.Errorf("baseline: reading has %d values, cache wants %d", len(r.Values), a.dims)
-	}
-	a.metrics.Readings++
-	ship := !a.started
-	if a.started {
-		for i, v := range r.Values {
-			if v < a.lo[i] || v > a.hi[i] {
-				ship = true
-				break
-			}
-		}
-	}
-	if ship {
-		for i, v := range r.Values {
-			if a.started {
-				a.width[i] *= a.shrinkFactor
-			}
-			a.cached[i] = v
-			a.lo[i] = v - a.width[i]/2
-			a.hi[i] = v + a.width[i]/2
-		}
-		a.started = true
-		a.metrics.Updates++
-		a.metrics.BytesSent += 8 + 4 + 8*a.dims
-	} else {
-		for i := range a.width {
-			a.width[i] *= a.growFactor
-			if a.width[i] > a.delta {
-				a.width[i] = a.delta
-			}
-			mid := a.cached[i]
-			a.lo[i] = mid - a.width[i]/2
-			a.hi[i] = mid + a.width[i]/2
-		}
-	}
-	e := stream.AbsErrorSum(r.Values, a.cached)
-	a.metrics.SumAbsErr += e
-	if e > a.metrics.MaxAbsErr {
-		a.metrics.MaxAbsErr = e
-	}
-	out := make([]float64, a.dims)
-	copy(out, a.cached)
-	return ship, out, nil
-}
-
-// Run drives a full dataset through the adaptive cache.
-func (a *AdaptiveCache) Run(readings []stream.Reading) (Metrics, error) {
-	for _, r := range readings {
-		if _, _, err := a.Process(r); err != nil {
-			return a.metrics, err
-		}
-	}
-	return a.metrics, nil
 }
 
 // MovingAverage is the Example 3 comparison smoother: a sliding-window

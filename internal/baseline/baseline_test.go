@@ -119,48 +119,6 @@ func TestCacheErrorBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestAdaptiveCacheValidation(t *testing.T) {
-	bad := [][4]float64{{0, 1, 2, 0.5}, {1, 0, 2, 0.5}, {1, 1, 1, 0.5}, {1, 1, 2, 0}, {1, 1, 2, 1}}
-	for i, b := range bad {
-		if _, err := NewAdaptiveCache(b[0], int(b[1]), b[2], b[3]); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestAdaptiveCacheBeatsFixedOnMixedWorkload(t *testing.T) {
-	// On a workload alternating quiet and volatile phases, adaptive
-	// widths should not do worse than the fixed half-width cache by a
-	// large margin, and widths must stay <= delta.
-	var data []stream.Reading
-	rng := rand.New(rand.NewSource(4))
-	v := 0.0
-	for i := 0; i < 1000; i++ {
-		if (i/100)%2 == 0 {
-			v += 0.01 * rng.NormFloat64() // quiet
-		} else {
-			v += 2 * rng.NormFloat64() // volatile
-		}
-		data = append(data, stream.Reading{Seq: i, Values: []float64{v}})
-	}
-	a, err := NewAdaptiveCache(4, 1, 1.2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, err := a.Run(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range a.width {
-		if w > 4+1e-9 {
-			t.Fatalf("width %v exceeded delta", w)
-		}
-	}
-	if ma.Updates == 0 || ma.Updates == len(data) {
-		t.Fatalf("degenerate update count %d", ma.Updates)
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	if _, err := NewMovingAverage(0); err == nil {
 		t.Fatal("accepted window 0")

@@ -504,11 +504,6 @@ func (s *ServerNode) pred() []float64 {
 	return s.filter.Spare()[healthWindow*m : (healthWindow+1)*m]
 }
 
-// Tick advances the server's prediction by one time step on which no
-// update arrived. Before bootstrap it is a no-op (the server has no
-// estimate yet).
-func (s *ServerNode) Tick() { s.AdvanceTo(s.lastSeq + 1) }
-
 // AdvanceTo runs predict steps until the node's prediction corresponds to
 // reading index seq — one PredictN over the whole suppressed run. A no-op
 // before bootstrap or when already at or past seq.

@@ -66,7 +66,6 @@ func TestServerRejectsNonBootstrapFirst(t *testing.T) {
 	if _, ok := srv.Estimate(); ok {
 		t.Fatal("server has estimate before bootstrap")
 	}
-	srv.Tick() // must be a harmless no-op before bootstrap
 }
 
 func TestProcessDimensionMismatch(t *testing.T) {

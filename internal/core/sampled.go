@@ -150,6 +150,3 @@ func (s *SampledSession) Run(readings []stream.Reading) (SampledMetrics, error) 
 
 // Metrics returns the counters so far.
 func (s *SampledSession) Metrics() SampledMetrics { return s.metrics }
-
-// Sampler exposes the sampler for inspection.
-func (s *SampledSession) Sampler() *AdaptiveSampler { return s.sampler }

@@ -32,7 +32,7 @@ const DefaultVNodes = 64
 // finalizer. Raw FNV-1a disperses poorly in the high bits for the
 // near-identical strings a ring hashes ("shard-3-vnode-17", sequential
 // source ids), and ring ordering is dominated by the high bits — a
-// freshly added shard's vnodes can cluster and capture nothing. The
+// shard's vnodes can cluster and capture nothing. The
 // finalizer avalanches every input bit across the word while keeping
 // the function deterministic across processes and platforms, which is
 // what makes every router and every test agree on sourceID→shard
@@ -70,7 +70,6 @@ type ringPoint struct {
 type Ring struct {
 	mu     sync.RWMutex
 	vnodes int
-	shards []int // live shard indices, sorted
 	points []ringPoint
 	pins   map[string]int // sourceID -> shard, overriding hash placement
 	epoch  int64
@@ -82,20 +81,9 @@ func NewRing(shards, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes, pins: make(map[string]int)}
-	for i := 0; i < shards; i++ {
-		r.shards = append(r.shards, i)
-	}
-	r.rebuild()
-	r.epoch = 1
-	return r
-}
-
-// rebuild recomputes the sorted point list. Caller holds mu.
-func (r *Ring) rebuild() {
-	r.points = r.points[:0]
-	for _, s := range r.shards {
-		for v := 0; v < r.vnodes; v++ {
+	r := &Ring{vnodes: vnodes, pins: make(map[string]int), epoch: 1}
+	for s := 0; s < shards; s++ {
+		for v := 0; v < vnodes; v++ {
 			h := fnv1a(fmt.Sprintf("shard-%d-vnode-%d", s, v))
 			r.points = append(r.points, ringPoint{hash: h, shard: s})
 		}
@@ -110,6 +98,7 @@ func (r *Ring) rebuild() {
 		// and deterministic.
 		return a.shard < b.shard
 	})
+	return r
 }
 
 // Owner returns the shard owning sourceID: its pin if one exists, else
@@ -140,54 +129,6 @@ func (r *Ring) Epoch() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.epoch
-}
-
-// AddShard adds a shard index to the ring, bumping the epoch. The
-// consistent-hash property: only streams whose new owner IS the added
-// shard change placement; everything else keeps its owner.
-func (r *Ring) AddShard(shard int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.shards {
-		if s == shard {
-			return fmt.Errorf("cluster: shard %d already in ring", shard)
-		}
-	}
-	r.shards = append(r.shards, shard)
-	sort.Ints(r.shards)
-	r.rebuild()
-	r.epoch++
-	return nil
-}
-
-// RemoveShard removes a shard index, bumping the epoch. Pins to the
-// removed shard are dropped (the pinned streams fall back to hash
-// placement among the survivors). Streams owned by surviving shards
-// keep their owners.
-func (r *Ring) RemoveShard(shard int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	kept := r.shards[:0]
-	found := false
-	for _, s := range r.shards {
-		if s == shard {
-			found = true
-			continue
-		}
-		kept = append(kept, s)
-	}
-	if !found {
-		return fmt.Errorf("cluster: shard %d not in ring", shard)
-	}
-	r.shards = kept
-	for id, s := range r.pins {
-		if s == shard {
-			delete(r.pins, id)
-		}
-	}
-	r.rebuild()
-	r.epoch++
-	return nil
 }
 
 // Pin overrides sourceID's placement to shard — the durable half of a

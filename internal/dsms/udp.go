@@ -42,6 +42,9 @@ const (
 	// oversize datagrams are truncated by the kernel and then rejected
 	// as malformed.
 	maxDatagram = 64 << 10
+	// maxPayload is the largest IPv4 UDP payload: no datagram a batcher
+	// seals, and no run the segmented send hands the kernel, exceeds it.
+	maxPayload = 65507
 	// udpReadBuffer is the SO_RCVBUF asked of the kernel: the socket
 	// buffer is the only queue between a burst and the engine's rings,
 	// so it is sized generously.
@@ -491,22 +494,35 @@ func DialUDPBatcher(addr string, flushBytes int) (*UDPBatcher, error) {
 }
 
 // Send appends u's frame to the open datagram, sealing it first if
-// full. Implements core.Transport, so per-source Agents can share one
-// batcher: NewAgent(cfg, batcher).
+// full or if the frame would take it past maxPayload. An update whose
+// frame fails to encode or fits no datagram is refused, and the open
+// datagram is left as it was. Implements core.Transport, so per-source
+// Agents can share one batcher: NewAgent(cfg, batcher).
 func (b *UDPBatcher) Send(u core.Update) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.buf)-b.open >= b.flushBytes {
-		if err := b.sealLocked(sendBatch); err != nil {
+	for seal := len(b.buf)-b.open >= b.flushBytes; ; seal = true {
+		if seal {
+			if err := b.sealLocked(sendBatch); err != nil {
+				return err
+			}
+		}
+		mark := len(b.buf)
+		if mark == b.open {
+			b.buf = wire.AppendPreamble(b.buf, wire.Version, 0)
+		}
+		buf, err := wire.AppendUpdateFrame(b.buf, &u)
+		if err == nil && len(buf)-b.open <= maxPayload {
+			b.buf = buf
+			return nil
+		}
+		if b.buf = b.buf[:mark]; err != nil {
 			return err
 		}
+		if mark == b.open {
+			return fmt.Errorf("dsms: udp update for %q does not fit a %d-byte datagram", u.SourceID, maxPayload)
+		}
 	}
-	if len(b.buf) == b.open {
-		b.buf = wire.AppendPreamble(b.buf, wire.Version, 0)
-	}
-	var err error
-	b.buf, err = wire.AppendUpdateFrame(b.buf, &u)
-	return err
 }
 
 // sealLocked closes the open datagram, if it holds anything, and sends

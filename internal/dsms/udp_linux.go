@@ -38,7 +38,7 @@ const (
 	udpGRO     = 104 // UDP_GRO at IPPROTO_UDP: receive a run whole, with its size
 	// A run stays inside the kernel's limits: UDP_MAX_SEGMENTS (64, the
 	// least any kernel with UDP_SEGMENT has) and the largest IPv4 payload.
-	gsoMaxSegs, gsoMaxBytes = 64, 65507
+	gsoMaxSegs, gsoMaxBytes = 64, maxPayload
 )
 
 // mmsghdr mirrors struct mmsghdr from <sys/socket.h>.

@@ -221,16 +221,6 @@ func Ramp(n int, start, slope, noiseStd float64, seed int64) []stream.Reading {
 	return stream.FromValues(vals, 1)
 }
 
-// Sine generates v_k = offset + amp*sin(omega*k + phase) with noise.
-func Sine(n int, offset, amp, omega, phase, noiseStd float64, seed int64) []stream.Reading {
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]float64, n)
-	for k := range vals {
-		vals[k] = offset + amp*math.Sin(omega*float64(k)+phase) + noiseStd*rng.NormFloat64()
-	}
-	return stream.FromValues(vals, 1)
-}
-
 // RandomWalk generates v_k = v_{k-1} + N(0, stepStd).
 func RandomWalk(n int, start, stepStd float64, seed int64) []stream.Reading {
 	rng := rand.New(rand.NewSource(seed))
@@ -239,25 +229,6 @@ func RandomWalk(n int, start, stepStd float64, seed int64) []stream.Reading {
 	for k := range vals {
 		v += stepStd * rng.NormFloat64()
 		vals[k] = v
-	}
-	return stream.FromValues(vals, 1)
-}
-
-// Steps generates a piecewise-constant series that jumps to a new level
-// drawn from N(0, levelStd) every holdLen samples — a worst case for
-// trend-following models.
-func Steps(n, holdLen int, levelStd float64, seed int64) []stream.Reading {
-	if holdLen <= 0 {
-		holdLen = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]float64, n)
-	level := 0.0
-	for k := range vals {
-		if k%holdLen == 0 {
-			level = levelStd * rng.NormFloat64()
-		}
-		vals[k] = level
 	}
 	return stream.FromValues(vals, 1)
 }

@@ -131,23 +131,12 @@ func TestPrimitives(t *testing.T) {
 	if r[9].Values[0] != 5+2*9 {
 		t.Fatalf("Ramp end = %v", r[9].Values[0])
 	}
-	s := Sine(100, 1, 2, 0.1, 0, 0, 1)
-	if math.Abs(s[0].Values[0]-1) > 1e-12 {
-		t.Fatalf("Sine start = %v, want 1", s[0].Values[0])
-	}
 	w := RandomWalk(50, 0, 1, 7)
 	w2 := RandomWalk(50, 0, 1, 7)
 	for i := range w {
 		if w[i].Values[0] != w2[i].Values[0] {
 			t.Fatal("RandomWalk not deterministic")
 		}
-	}
-	st := Steps(20, 5, 10, 3)
-	if st[0].Values[0] != st[4].Values[0] {
-		t.Fatal("Steps changed level within hold")
-	}
-	if st[0].Values[0] == st[5].Values[0] {
-		t.Fatal("Steps failed to change level")
 	}
 }
 

@@ -3,8 +3,6 @@ package kalman
 import (
 	"fmt"
 	"math"
-
-	"streamkf/internal/mat"
 )
 
 // InnovationWindow is the cursor of a sliding window over a filter's most
@@ -28,9 +26,6 @@ func (w *InnovationWindow) Observe(buf, d []float64) {
 
 // Reset empties the window.
 func (w *InnovationWindow) Reset() { *w = InnovationWindow{} }
-
-// Ready reports whether a full window of innovations has been observed.
-func (w *InnovationWindow) Ready() bool { return w.filled }
 
 // span returns how many innovations buf holds, the slot of the oldest
 // one, and the window size.
@@ -113,76 +108,6 @@ func (w *InnovationWindow) Whiteness(buf []float64, m int) (rho float64, ok bool
 // |ρ₁| beyond the bound flags a mis-modeled stream.
 func WhitenessBound(window int) float64 { return 2 / math.Sqrt(float64(window)) }
 
-// NoiseEstimator estimates the measurement noise covariance R online from
-// the innovation sequence (paper future work item 6: "robustness of the KF
-// when the statistics of the noise are not known").
-//
-// Under a correct model the innovation d_k = z_k - H x_k^- has covariance
-// S = H P^- H^T + R, so a windowed sample covariance of the innovations,
-// Ĉ, yields R̂ = Ĉ - H P^- H^T. The estimate is floored element-wise on
-// the diagonal to keep R̂ positive definite.
-type NoiseEstimator struct {
-	win    InnovationWindow
-	m      int
-	window int
-	floor  float64
-	buf    []float64 // ring of window innovations, m values each; allocated by the first Observe
-}
-
-// NewNoiseEstimator returns an estimator for m-dimensional innovations
-// using a sliding window of the given size; diagonal entries of the
-// estimate are floored at floor (> 0).
-func NewNoiseEstimator(m, window int, floor float64) (*NoiseEstimator, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("kalman: NewNoiseEstimator m = %d, want > 0", m)
-	}
-	if window < 2 {
-		return nil, fmt.Errorf("kalman: NewNoiseEstimator window = %d, want >= 2", window)
-	}
-	if floor <= 0 {
-		return nil, fmt.Errorf("kalman: NewNoiseEstimator floor = %v, want > 0", floor)
-	}
-	return &NoiseEstimator{m: m, window: window, floor: floor}, nil
-}
-
-// Observe records one innovation vector (m x 1). The ring is one flat
-// block allocated on first use, so an estimator that never observes pays
-// nothing and a warm one observes without allocating.
-func (n *NoiseEstimator) Observe(innov *mat.Matrix) {
-	if innov.Rows() != n.m || innov.Cols() != 1 {
-		panic(fmt.Sprintf("kalman: NoiseEstimator.Observe innovation is %dx%d, want %dx1", innov.Rows(), innov.Cols(), n.m))
-	}
-	n.observe(innov.RawData())
-}
-
-func (n *NoiseEstimator) observe(d []float64) {
-	if n.buf == nil {
-		n.buf = make([]float64, n.window*n.m)
-	}
-	n.win.Observe(n.buf, d)
-}
-
-// ObserveFilter records f's most recent innovation (the one produced by
-// its last Correct), without allocating once the ring exists. It
-// reports whether an innovation was available.
-func (n *NoiseEstimator) ObserveFilter(f *Filter) bool {
-	d := f.LastInnovation()
-	if d == nil {
-		return false
-	}
-	n.observe(d)
-	return true
-}
-
-// Ready reports whether a full window of innovations has been observed.
-func (n *NoiseEstimator) Ready() bool { return n.win.Ready() }
-
-// Whiteness is InnovationWindow.Whiteness over the estimator's own ring.
-func (n *NoiseEstimator) Whiteness() (rho float64, ok bool) { return n.win.Whiteness(n.buf, n.m) }
-
-// WhitenessBound is the package function for the estimator's window.
-func (n *NoiseEstimator) WhitenessBound() float64 { return WhitenessBound(n.window) }
-
 // dot is mat.Dot on bare vectors: accumulation from +0 in index order.
 func dot(a, b []float64) float64 {
 	var s float64
@@ -190,69 +115,4 @@ func dot(a, b []float64) float64 {
 		s += float64(v * b[i])
 	}
 	return s
-}
-
-// EstimateR returns R̂ given the filter's current a priori covariance
-// term H P^- H^T. Call only when Ready.
-func (n *NoiseEstimator) EstimateR(hpht *mat.Matrix) *mat.Matrix {
-	if !n.Ready() {
-		panic("kalman: NoiseEstimator.EstimateR before window filled")
-	}
-	// Sample covariance of innovations (mean assumed ~0 under whiteness).
-	c := mat.New(n.m, n.m)
-	for i := 0; i < n.window; i++ {
-		d := mat.FromSlice(n.m, 1, n.buf[i*n.m:(i+1)*n.m])
-		c = mat.AddInPlace(mat.Mul(d, mat.Transpose(d)), c)
-	}
-	c = mat.Scale(1/float64(n.window), c)
-	r := mat.Sub(c, hpht)
-	for i := 0; i < n.m; i++ {
-		if r.At(i, i) < n.floor {
-			r.Set(i, i, n.floor)
-		}
-	}
-	return mat.Symmetrize(r)
-}
-
-// AdaptiveFilter wraps a Filter and retunes R every window steps from the
-// observed innovation sequence.
-type AdaptiveFilter struct {
-	*Filter
-	est   *NoiseEstimator
-	every int
-	count int
-}
-
-// NewAdaptive wraps f with innovation-based R estimation over the given
-// window. Retuning happens each time another `window` corrections have
-// been observed.
-func NewAdaptive(f *Filter, window int, floor float64) (*AdaptiveFilter, error) {
-	est, err := NewNoiseEstimator(f.MeasDim(), window, floor)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveFilter{Filter: f, est: est, every: window}, nil
-}
-
-// Correct corrects the underlying filter, records the innovation, and
-// periodically re-estimates R.
-func (a *AdaptiveFilter) Correct(z *mat.Matrix) error {
-	// H P^- H^T must be captured before the correction consumes P^-.
-	h := mat.FromSlice(int(a.m), int(a.n), a.seg(segH))
-	hpht := mat.Mul3(h, a.Cov(), mat.Transpose(h))
-	if err := a.Filter.Correct(z); err != nil {
-		return err
-	}
-	a.est.ObserveFilter(a.Filter)
-	a.count++
-	if a.est.Ready() && a.count%a.every == 0 {
-		a.SetNoise(nil, a.est.EstimateR(hpht))
-	}
-	return nil
-}
-
-// Step runs Predict then the adaptive Correct.
-func (a *AdaptiveFilter) Step(z *mat.Matrix) error {
-	a.Predict()
-	return a.Correct(z)
 }

@@ -179,21 +179,3 @@ func (e *EKF) Innovation() *mat.Matrix {
 	}
 	return e.innov.Clone()
 }
-
-// Clone returns a deep copy sharing only the stateless model functions.
-// The clone gets a fresh workspace, so the pair share no mutable matrix.
-func (e *EKF) Clone() *EKF {
-	c := &EKF{
-		f: e.f, fJac: e.fJac, h: e.h, hJac: e.hJac,
-		q: e.q.Clone(), r: e.r.Clone(),
-		x: e.x.Clone(), p: e.p.Clone(), k: e.k,
-		ws: newEKFWorkspace(e.x.Rows(), e.r.Rows()),
-	}
-	if e.gain != nil {
-		c.gain = e.gain.Clone()
-	}
-	if e.innov != nil {
-		c.innov = e.innov.Clone()
-	}
-	return c
-}

@@ -92,21 +92,6 @@ func TestEKFBeatsDeadReckoning(t *testing.T) {
 	}
 }
 
-func TestEKFCloneIndependent(t *testing.T) {
-	e := pendulumEKF(0.01, 9.8, 1e-6, 0.01)
-	if err := e.Step(mat.Vec(0.2)); err != nil {
-		t.Fatal(err)
-	}
-	c := e.Clone()
-	if !mat.Equal(c.State(), e.State()) || !mat.Equal(c.Cov(), e.Cov()) {
-		t.Fatal("clone state mismatch")
-	}
-	c.Predict()
-	if mat.Equal(c.State(), e.State()) {
-		t.Fatal("clone shares state")
-	}
-}
-
 func TestEKFConfigValidation(t *testing.T) {
 	ok := EKFConfig{
 		F:    func(_ int, x *mat.Matrix) *mat.Matrix { return x },

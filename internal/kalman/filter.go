@@ -571,8 +571,7 @@ func (f *Filter) refreshS() error {
 }
 
 // quadForm returns d^T S^-1 d for the innovation d = z - H x, using the
-// cached S^-1 in the left-associated evaluation order of
-// mat.Mul3(Transpose(d), sInv, d).
+// cached S^-1 in the left-associated evaluation order (d^T S^-1) d.
 func (f *Filter) quadForm(z []float64) float64 {
 	d, row := f.seg(segD), f.seg(segRow)
 	f.PredictedInto(d)
@@ -779,24 +778,16 @@ func (f *Filter) Reset(x0, p0 *mat.Matrix) {
 	f.k = 0
 }
 
-// Restore overwrites the filter's state estimate, covariance and
+// RestoreValues overwrites the filter's state estimate, covariance and
 // discrete time index — the checkpoint-recovery counterpart of Reset,
-// which rewinds k to zero instead. The restored filter produces the
-// exact same Predict/Correct trajectory as the original because those
-// operations read only (x, P, k) plus the construction-time model
-// matrices; the gain/innovation diagnostics reset to their
-// pre-first-correction state and are rebuilt by the next Correct.
-func (f *Filter) Restore(x, p *mat.Matrix, k int) {
-	if k < 0 {
-		panic(fmt.Sprintf("kalman: Restore time index %d, want >= 0", k))
-	}
-	f.setMoments("Restore", x, p)
-	f.k = k
-}
-
-// RestoreValues is Restore on bare slices — n state values, n*n
-// covariances row-major, both read in place — for callers that restore
-// without allocating. The lengths are the caller's to get right.
+// which rewinds k to zero instead — from bare slices: n state values,
+// n*n covariances row-major, both read in place, so a restore does not
+// allocate. The restored filter produces the exact same Predict/Correct
+// trajectory as the original because those operations read only
+// (x, P, k) plus the construction-time model matrices; the
+// gain/innovation diagnostics reset to their pre-first-correction state
+// and are rebuilt by the next Correct. The lengths are the caller's to
+// get right.
 func (f *Filter) RestoreValues(x, p []float64, k int) {
 	copy(f.seg(segX), x)
 	copy(f.seg(segP), p)
@@ -806,11 +797,11 @@ func (f *Filter) RestoreValues(x, p []float64, k int) {
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.
-// Nil arguments leave the corresponding covariance unchanged. Used by the
-// adaptive noise estimator. A retuned filter leaves its record for the
-// plain shape, and so the covariance cycle for the full path: records are
-// interned per construction-time constants only, so their set stays
-// bounded however often a filter is retuned.
+// Nil arguments leave the corresponding covariance unchanged. A retuned
+// filter leaves its record for the plain shape, and so the covariance
+// cycle for the full path: records are interned per construction-time
+// constants only, so their set stays bounded however often a filter is
+// retuned.
 func (f *Filter) SetNoise(q, r *mat.Matrix) {
 	if q != nil || r != nil {
 		if f.sh.cyc != nil {

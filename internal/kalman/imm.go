@@ -204,18 +204,6 @@ func (im *IMM) State() *mat.Matrix {
 	return x
 }
 
-// PredictedMeasurement returns H_j-weighted combined measurement; all
-// models share the measurement map in practice, so this uses the first
-// filter's H applied to the combined state via each model's own
-// PredictedMeasurement, weighted.
-func (im *IMM) PredictedMeasurement() *mat.Matrix {
-	z := mat.New(im.m, 1)
-	for j, f := range im.filters {
-		z = mat.AddInPlace(mat.Scale(im.mu[j], f.PredictedMeasurement()), z)
-	}
-	return z
-}
-
 // ModelProbabilities returns a copy of the current model probabilities.
 func (im *IMM) ModelProbabilities() []float64 {
 	out := make([]float64, len(im.mu))

@@ -184,18 +184,3 @@ func TestIMMBeatsWorstSingleModelOnRegimeData(t *testing.T) {
 		t.Fatalf("IMM RMSE %v more than 2x best fixed %v", immErr, best)
 	}
 }
-
-func TestIMMPredictedMeasurement(t *testing.T) {
-	im, err := NewIMM(IMMConfig{Filters: immBank()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 50; k++ {
-		if err := im.Step(mat.Vec(7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := im.PredictedMeasurement().At(0, 0); math.Abs(got-7) > 0.5 {
-		t.Fatalf("combined predicted measurement %v, want ~7", got)
-	}
-}

@@ -154,16 +154,6 @@ func MulFlat(dst, a, b []float64, r, c, q int) {
 	}
 }
 
-// mul3RightFirst reports whether computing a*(b*c) needs strictly fewer
-// multiply-adds than (a*b)*c. Ties keep the left association, so shapes
-// where both orders cost the same (every product in the Kalman recursions)
-// are bit-identical to the historical left-to-right evaluation.
-func mul3RightFirst(a, b, c *Matrix) bool {
-	left := a.rows*a.cols*b.cols + a.rows*b.cols*c.cols
-	right := b.rows*b.cols*c.cols + a.rows*a.cols*c.cols
-	return right < left
-}
-
 // TransposeInto sets dst = a^T and returns dst. dst must not alias a.
 func TransposeInto(dst, a *Matrix) *Matrix {
 	checkNoAlias("TransposeInto", dst, a)

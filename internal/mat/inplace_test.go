@@ -98,28 +98,6 @@ func TestMulIntoAliasPanics(t *testing.T) {
 	}
 }
 
-func TestMul3CostAwareAssociation(t *testing.T) {
-	// Shapes where right-association is far cheaper: (10x2)·(2x10)·(10x1).
-	a := seqMatrix(10, 2, 1)
-	b := seqMatrix(2, 10, -3)
-	c := seqMatrix(10, 1, 0.5)
-	if !mul3RightFirst(a, b, c) {
-		t.Fatalf("expected right-first association for 10x2 * 2x10 * 10x1")
-	}
-	want := Mul(Mul(a, b), c)
-	got := Mul3(a, b, c)
-	if !ApproxEqual(got, want, 1e-9) {
-		t.Fatalf("Mul3 = %v, want %v", got, want)
-	}
-	// Symmetric-cost products must keep left association (tie).
-	h := seqMatrix(2, 4, 1)
-	p := seqMatrix(4, 4, 2)
-	ht := Transpose(h)
-	if mul3RightFirst(h, p, ht) {
-		t.Fatalf("H P H^T must stay left-associated on a cost tie")
-	}
-}
-
 func TestInverseIntoClosedForms(t *testing.T) {
 	// 1x1.
 	a := Diag(4)

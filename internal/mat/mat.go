@@ -194,17 +194,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return MulInto(New(a.rows, b.cols), a, b)
 }
 
-// Mul3 returns a * b * c, associating whichever way costs fewer
-// multiply-adds for the operand shapes. Ties keep the historical
-// left-to-right association, so results stay bit-identical for the
-// symmetric-cost products of the Kalman recursions.
-func Mul3(a, b, c *Matrix) *Matrix {
-	if mul3RightFirst(a, b, c) {
-		return Mul(a, Mul(b, c))
-	}
-	return Mul(Mul(a, b), c)
-}
-
 // Scale returns s * a.
 func Scale(s float64, a *Matrix) *Matrix {
 	return ScaleInto(New(a.rows, a.cols), s, a)

@@ -142,15 +142,6 @@ func TestMulDimMismatchPanics(t *testing.T) {
 	Mul(New(2, 3), New(2, 3))
 }
 
-func TestMul3(t *testing.T) {
-	a := FromRows([][]float64{{2}})
-	b := FromRows([][]float64{{3}})
-	c := FromRows([][]float64{{4}})
-	if got := Mul3(a, b, c).At(0, 0); got != 24 {
-		t.Fatalf("Mul3 = %v, want 24", got)
-	}
-}
-
 func TestScaleNegTrace(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	s := Scale(2, a)

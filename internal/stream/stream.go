@@ -18,13 +18,6 @@ type Reading struct {
 	Values []float64
 }
 
-// Clone returns a deep copy of the reading.
-func (r Reading) Clone() Reading {
-	v := make([]float64, len(r.Values))
-	copy(v, r.Values)
-	return Reading{Seq: r.Seq, Time: r.Time, Values: v}
-}
-
 // Source yields readings in sequence order. Next reports ok=false when
 // the stream is exhausted.
 type Source interface {

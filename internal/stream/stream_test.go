@@ -6,15 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestReadingClone(t *testing.T) {
-	r := Reading{Seq: 1, Time: 0.5, Values: []float64{1, 2}}
-	c := r.Clone()
-	c.Values[0] = 99
-	if r.Values[0] != 1 {
-		t.Fatal("Clone aliases Values")
-	}
-}
-
 func TestSliceSource(t *testing.T) {
 	data := FromValues([]float64{10, 20, 30}, 0.1)
 	s := NewSliceSource(data)

@@ -110,15 +110,6 @@ func (g *Gauge) Set(v float64) {
 // SetInt stores an integer value (a common case for occupancies).
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
 
-// SetBool stores 1 for true, 0 for false (health flags).
-func (g *Gauge) SetBool(v bool) {
-	if v {
-		g.Set(1)
-	} else {
-		g.Set(0)
-	}
-}
-
 // Add shifts the gauge by delta with a CAS loop — for up/down values
 // tracked incrementally (active connections, window occupancy).
 // Nil-safe, allocation-free.

@@ -29,7 +29,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	g.Set(1)
 	g.SetInt(2)
-	g.SetBool(true)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge has a value")
 	}
@@ -81,10 +80,6 @@ func TestGauge(t *testing.T) {
 	g.Set(3.5)
 	if g.Value() != 3.5 {
 		t.Fatalf("Value = %v, want 3.5", g.Value())
-	}
-	g.SetBool(true)
-	if g.Value() != 1 {
-		t.Fatalf("SetBool(true) = %v, want 1", g.Value())
 	}
 }
 

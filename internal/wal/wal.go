@@ -660,9 +660,6 @@ func (l *Log) ActiveSegment() int {
 	return l.seg
 }
 
-// Dir returns the log's data directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close flushes, fsyncs and closes the log. Records appended before a
 // clean Close are durable under every sync policy.
 func (l *Log) Close() error {

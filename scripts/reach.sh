@@ -1,5 +1,6 @@
 #!/bin/sh
-# Library code that nothing built from this repository runs:
+# Library code that nothing built from this repository runs, gated by
+# a keep-list:
 #
 #   sh scripts/reach.sh
 #
@@ -12,8 +13,7 @@
 # whatever their receiver, pointer or value; generic functions and
 # methods match by the name before their type arguments, so any
 # instantiation counts. Tests are not binaries here: code that only
-# tests reach is listed, and whether it stays (a test's reference, say)
-# is a decision for the reader.
+# tests reach is listed.
 #
 # A second list, after a blank line, does the same for options: each
 # exported field of an exported struct named …Options under internal/
@@ -22,6 +22,13 @@
 # file:line and Struct.Field, and a total. The match is by field name
 # alone, so a field set on one struct counts as set on every struct
 # with a field of that name.
+#
+# Every row of both lists must be named in scripts/reach.keep with the
+# reason it stays (the file's header gives the format and the four
+# reasons). The script exits 1, naming each one on stderr, when a row or
+# field is printed that the list does not name, when an entry names
+# nothing printed (stale: delete the entry) and when an entry's reason is
+# not one of the four; otherwise it exits 0.
 #
 # Needs go, sh and a POSIX awk; writes only to a temporary directory it
 # removes.
@@ -86,10 +93,14 @@ FNR == 1 {
 }
 /^}/ { flush() }' >"$tmp/declared"
 
-awk 'NR == FNR { reached[$1] = 1; next }
+# Each printed row's key, "<package dir> <name>", goes to keys.
+: >"$tmp/keys"
+awk -v keys="$tmp/keys" 'NR == FNR { reached[$1] = 1; next }
 !($1 in reached) {
     name = $1; sub(/^streamkf(\/[^.]*)?\./, "", name)
     printf "%-44s %5d  %s\n", $2, $3, name
+    dir = $2; sub(/\/?[^\/]*$/, "", dir)
+    print (dir == "" ? "." : dir), name >>keys
     total += $3; n++
 }
 END { printf "%-44s %5d  (%d funcs)\n", "total", total, n }' "$tmp/reached" "$tmp/declared"
@@ -124,6 +135,32 @@ st != "" && match($0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)* /) {
     for (i = 1; i <= n; i++) printf "%s:%d %s %s\n", FILENAME, FNR, st, names[i]
 }' >"$tmp/fields"
 
-awk 'NR == FNR { set[$1] = 1; next }
-!($3 in set) { printf "%-44s  %s.%s\n", $1, $2, $3; n++ }
+awk -v keys="$tmp/keys" 'NR == FNR { set[$1] = 1; next }
+!($3 in set) {
+    printf "%-44s  %s.%s\n", $1, $2, $3; n++
+    dir = $1; sub(/\/[^\/]*$/, "", dir)
+    print dir, $2 "." $3 >>keys
+}
 END { printf "%-44s  (%d fields)\n", "total", n }' "$tmp/set" "$tmp/fields"
+
+# The gate: each printed key against scripts/reach.keep.
+awk -v keys="$tmp/keys" 'FILENAME == keys { printed[$0] = 1; next }
+/^[ \t]*(#|$)/ { next }
+{
+    k = $1 " " $2
+    if ($3 !~ /^\([abcd]\)$/)
+        printf "scripts/reach.keep:%d: %s: reason is not (a), (b), (c) or (d)\n", FNR, k
+    if (k in kept)
+        printf "scripts/reach.keep:%d: %s: listed twice\n", FNR, k
+    else if (!(k in printed))
+        printf "scripts/reach.keep:%d: %s: stale, nothing of that name is printed\n", FNR, k
+    kept[k] = 1
+}
+END {
+    for (k in printed)
+        if (!(k in kept)) printf "reach: %s: not in scripts/reach.keep; delete it or add it with its reason\n", k
+}' "$tmp/keys" scripts/reach.keep | sort >"$tmp/verdict"
+if [ -s "$tmp/verdict" ]; then
+    cat "$tmp/verdict" >&2
+    exit 1
+fi

@@ -29,7 +29,7 @@
 //
 // This root package re-exports the stable public surface. The
 // implementation lives in internal packages: mat (dense matrices), kalman
-// (the filter, EKF, IMM and noise adaptation), model (stream models), core
+// (the filter, EKF and IMM), model (stream models), core
 // (the DKF protocol), baseline (comparison schemes), gen (workloads), dsms
 // (the end-to-end query server with TCP/UDP transports and the
 // shard-per-core ingest engine), cql (the query language), adapt (online
@@ -198,8 +198,6 @@ type (
 	// CacheBaseline is the precision-bound value-caching scheme of
 	// Olston et al. the paper evaluates against.
 	CacheBaseline = baseline.Cache
-	// AdaptiveCacheBaseline grows/shrinks its bounds (SIGMOD 2001).
-	AdaptiveCacheBaseline = baseline.AdaptiveCache
 	// MovingAverage is the Example 3 smoothing comparison.
 	MovingAverage = baseline.MovingAverage
 	// BaselineMetrics aggregates a baseline run.
@@ -210,11 +208,6 @@ type (
 // dims attributes.
 func NewCacheBaseline(w float64, dims int) (*CacheBaseline, error) {
 	return baseline.NewCache(w, dims)
-}
-
-// NewAdaptiveCacheBaseline returns the grow/shrink variant.
-func NewAdaptiveCacheBaseline(delta float64, dims int, grow, shrink float64) (*AdaptiveCacheBaseline, error) {
-	return baseline.NewAdaptiveCache(delta, dims, grow, shrink)
 }
 
 // NewMovingAverage returns a window-length moving average.
@@ -492,14 +485,7 @@ type (
 	// SynopsisStore summarizes a stream under a reconstruction error
 	// tolerance.
 	SynopsisStore = synopsis.Store
-	// SynopsisArchive persists synopsis segments on disk with checksums.
-	SynopsisArchive = synopsis.Archive
-	// SynopsisWriter archives a live stream with segment rotation.
-	SynopsisWriter = synopsis.Writer
 )
-
-// OpenSynopsisArchive opens (creating if needed) an on-disk archive.
-func OpenSynopsisArchive(dir string) (*SynopsisArchive, error) { return synopsis.OpenArchive(dir) }
 
 // NewSynopsis returns an empty synopsis store under model m with
 // per-attribute reconstruction tolerance tol.

@@ -72,9 +72,6 @@ func TestFacadeGeneratorsAndBaselines(t *testing.T) {
 	if bm.Readings != len(data) {
 		t.Fatalf("baseline readings = %d", bm.Readings)
 	}
-	if _, err := streamkf.NewAdaptiveCacheBaseline(4, 1, 1.2, 0.5); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := streamkf.NewMovingAverage(10); err != nil {
 		t.Fatal(err)
 	}
