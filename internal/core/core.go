@@ -287,7 +287,7 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		return u, s.mirror.PredictedInto(s.pred), nil
 	}
 
-	s.mirror.Predict()
+	s.mirror.Coast(1)
 	pred := s.mirror.PredictedInto(s.pred)
 	// The max-abs residual both decides suppression (residual <= δ is
 	// exactly stream.WithinPrecision) and is the numeric evidence the
@@ -390,8 +390,8 @@ func (s *SourceNode) Mirror() *kalman.Filter { return s.mirror }
 // The node is sequence-driven: it tracks the last reading index it has
 // advanced its prediction to, so in a distributed deployment — where the
 // server sees only the sparse update stream — AdvanceTo lazily runs the
-// predict steps for all suppressed readings in between. Because those
-// steps are exactly the ones the mirror executed eagerly, synchrony holds
+// predict steps for all suppressed readings in between: one Coast, which
+// leaves the bits of the mirror's Coast per reading, so synchrony holds
 // whenever both sides are aligned at the same sequence number.
 //
 // A node is a pointer-light value over one block of floats — the filter's
@@ -505,14 +505,14 @@ func (s *ServerNode) pred() []float64 {
 }
 
 // AdvanceTo runs predict steps until the node's prediction corresponds to
-// reading index seq — one PredictN over the whole suppressed run. A no-op
+// reading index seq — one Coast over the whole suppressed run. A no-op
 // before bootstrap or when already at or past seq.
 func (s *ServerNode) AdvanceTo(seq int) {
 	if !s.booted || seq <= s.lastSeq {
 		return
 	}
 	steps := seq - s.lastSeq
-	s.filter.PredictN(steps)
+	s.filter.Coast(steps)
 	s.ticks += steps
 	s.lastSeq = seq
 }
@@ -547,15 +547,10 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 		return nil
 	}
 	if u.Seq < s.lastSeq {
-		// A query already advanced the prediction beyond this update's
-		// time step: correcting now would run the server's filter ahead
-		// of the mirror's operation sequence and desynchronize them.
 		return fmt.Errorf("core: update for %s at seq %d arrived after prediction advanced to seq %d", u.SourceID, u.Seq, s.lastSeq)
 	}
-	// AdvanceTo is a no-op when a query already advanced exactly to
-	// u.Seq; in that case the server has performed precisely the same
-	// number of predicts as the mirror and the correction aligns.
 	s.AdvanceTo(u.Seq)
+	s.filter.Settle() // the correction below moves the anchor anyway
 	// The filter reads u.Values in place; a malformed update gets its
 	// dimension error from the filter itself, as it always has.
 	if pred := s.pred(); len(u.Values) == len(pred) {
@@ -645,11 +640,15 @@ func (s *ServerNode) Health() FilterHealth {
 
 // Estimate returns the server's current answer for the stream value, or
 // ok=false before the bootstrap update arrives.
-func (s *ServerNode) Estimate() (values []float64, ok bool) {
+func (s *ServerNode) Estimate() (values []float64, ok bool) { return s.EstimateAt(s.lastSeq) }
+
+// EstimateAt is Estimate at reading index seq (at most Seq: the current
+// value), stepped on a copy of x with the bits AdvanceTo would leave.
+func (s *ServerNode) EstimateAt(seq int) (values []float64, ok bool) {
 	if !s.booted {
 		return nil, false
 	}
-	return s.filter.PredictedInto(make([]float64, s.cfg.Model.MeasDim)), true
+	return s.filter.PredictedAheadInto(make([]float64, s.cfg.Model.MeasDim), max(seq-s.lastSeq, 0)), true
 }
 
 // Filter exposes KFs for invariant checks and diagnostics; nil before
@@ -692,6 +691,7 @@ func (s *ServerNode) Snapshot() *NodeSnapshot {
 	if !s.booted {
 		return nil
 	}
+	s.filter.Settle() // owes only after a replayed legacy advance record
 	return &NodeSnapshot{
 		X:           s.filter.State().VecSlice(),
 		P:           s.filter.Cov().DataCopy(),

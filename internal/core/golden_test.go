@@ -32,7 +32,11 @@ func goldenTrace() []float64 {
 // numbers, and a hash of the server's answer (every bit of it) after
 // every reading. The golden values were generated at commit d12ff30, the
 // last one whose filter ran on matrix objects; they change only if a
-// suppression decision or an answer changes in any bit. Unlike the
+// suppression decision or an answer changes in any bit. The answer hashes
+// of linear, constant and linear-smoothed-gated were re-recorded when
+// their covariance steps over a gap of two or more became owed and
+// settled in closed form (kalman/owed.go); their update counts and seq
+// hashes did not move. Unlike the
 // kalman package's reference tests this shares no code with what it
 // checks, the general shapes' loops in internal/mat included.
 func TestGoldenSuppressionTrace(t *testing.T) {
@@ -43,9 +47,9 @@ func TestGoldenSuppressionTrace(t *testing.T) {
 		seqHash    uint64
 		answerHash uint64
 	}{
-		{"linear", Config{Model: model.Linear(1, 1, 0.05, 0.05), Delta: 0.19}, 12257, 0x182da0f8fa8ec623, 0xf8998fcc37da0e54},
-		{"constant", Config{Model: model.Constant(1, 0.05, 0.05), Delta: 0.19}, 41692, 0x16e35e6df9b90d8, 0x74bec55d8c4d36bc},
-		{"linear-smoothed-gated", Config{Model: model.Linear(1, 1, 0.05, 0.05), Delta: 0.19, F: 0.5, OutlierNIS: 25}, 12324, 0x99b4c61afcd35c1f, 0xd8d9037c9486e71c},
+		{"linear", Config{Model: model.Linear(1, 1, 0.05, 0.05), Delta: 0.19}, 12257, 0x182da0f8fa8ec623, 0x959e9dc35682ba9e},
+		{"constant", Config{Model: model.Constant(1, 0.05, 0.05), Delta: 0.19}, 41692, 0x16e35e6df9b90d8, 0x38ff30589f77dfd1},
+		{"linear-smoothed-gated", Config{Model: model.Linear(1, 1, 0.05, 0.05), Delta: 0.19, F: 0.5, OutlierNIS: 25}, 12324, 0x99b4c61afcd35c1f, 0xecb32cfca6e2ce7a},
 		// Two axes (the second a third of a period behind): the 4x2 shape
 		// runs the filter's general loops, not the unrolled small ones.
 		{"linear2d", Config{Model: model.Linear(2, 0.1, 0.05, 0.05), Delta: 0.19}, 44445, 0x6544f84853d1fde8, 0x682d1adf4f9ff193},

@@ -16,7 +16,7 @@ func (s *SourceNode) SkipTick() ([]float64, error) {
 	if s.mirror == nil {
 		return nil, fmt.Errorf("core: SkipTick before bootstrap")
 	}
-	s.mirror.Predict()
+	s.mirror.Coast(1)
 	return s.mirror.PredictedInto(s.pred), nil
 }
 

@@ -268,8 +268,8 @@ func (a *aggregate) at(tel *serverTelemetry, seq int) (value float64, partial []
 }
 
 // AnswerAggregate evaluates the aggregate query at reading index seq:
-// every participating source's filter is advanced to seq and the
-// aggregate of the predictions is returned. Repeated reads at the same
+// the aggregate of every participating source's prediction at seq is
+// returned, no filter advanced. Repeated reads at the same
 // seq with no intervening member changes are served from a memo in
 // O(1) (see aggregate).
 func (s *Server) AnswerAggregate(queryID string, seq int) (float64, error) {

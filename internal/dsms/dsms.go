@@ -824,8 +824,8 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, evid *wire.Evidenc
 }
 
 // Answer evaluates the named point query at reading index seq: it
-// advances the source's filter prediction to seq and returns the
-// predicted values. Only the owning source's runtime lock is taken, so
+// returns the source's prediction at seq without advancing the filter.
+// Only the owning source's runtime lock is taken, so
 // queries over different streams evaluate in parallel.
 func (s *Server) Answer(queryID string, seq int) ([]float64, error) {
 	q, err := s.lookup(queryID, kindPoint)
@@ -863,17 +863,15 @@ func (s *Server) answer(queryID string, seq int) ([]float64, error) {
 	}
 }
 
-// answer advances the stream's prediction to seq and returns it.
+// answer returns the stream's prediction at seq. It does not advance the
+// filter: only an applied update does.
 func (st *sourceState) answer(seq int) ([]float64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.node.Installed() {
 		return nil, fmt.Errorf("dsms: source %s not yet streaming", st.id)
 	}
-	if seq > st.node.Seq() {
-		st.node.AdvanceTo(seq)
-	}
-	vals, ok := st.node.Estimate()
+	vals, ok := st.node.EstimateAt(seq)
 	if !ok {
 		return nil, fmt.Errorf("dsms: source %s has no bootstrap yet", st.id)
 	}

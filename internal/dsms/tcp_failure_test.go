@@ -297,14 +297,16 @@ func TestTCPPipelinedServerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison the server by advancing the filter past the next update's
-	// sequence number: folding seq 1 after the prediction reached 100
-	// is a protocol violation the server reports per-update.
+	// sequence number, as a replayed advance record would: folding seq 1
+	// after the prediction reached 100 is a protocol violation the server
+	// reports per-update.
 	if err := agent.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Answer("q1", 100); err != nil {
-		t.Fatal(err)
-	}
+	st := s.source("src")
+	st.mu.Lock()
+	st.node.AdvanceTo(100)
+	st.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	var offerErr error
 	for i := 1; time.Now().Before(deadline); i++ {

@@ -51,7 +51,9 @@ import (
 //	   predate it still write 0 (no features) and still ignore what
 //	   they read, so feature negotiation is backward compatible without
 //	   a version bump.
-const Version byte = 2
+//	3  constant and linear models settle a gap's covariance steps in closed
+//	   form (kalman/owed.go): a v2 peer would lose synchrony, so is refused.
+const Version byte = 3
 
 // Feature bits carried in the preamble's reserved byte. A bit is an
 // *advertisement*, not a demand: a peer that does not know a bit

@@ -69,16 +69,15 @@ type phase struct {
 	post         [4]float64 // P⁺, n x n
 }
 
-// cycle is the sequence of phases P⁺ repeats under the Φ it was found
-// with; after phase j comes phase (j+1) mod period.
+// cycle is the sequence of phases P⁺ repeats under its record's Φ; after
+// phase j comes phase (j+1) mod period.
 type cycle struct {
-	phi    [4]uint64 // bits of Φ, n x n
-	period uint8     // 1 or 2
+	period uint8 // 1 or 2
 	phases [2]phase
 }
 
-// records maps constants to their record or, when they have no cycle to
-// use, to the plain shape.
+// records maps constants to their record or, when they have neither a
+// cycle to use nor owed steps to take, to the plain shape.
 var (
 	recordMu sync.RWMutex
 	records  = map[recordKey]*shape{}
@@ -109,15 +108,22 @@ func (f *Filter) intern(phi0 []float64) {
 		recordMu.Lock()
 		defer recordMu.Unlock()
 		if rec = records[key]; rec == nil {
+			// Owed steps (owed.go) need Φ(0) = [1] or [[1,d],[0,1]], Q = q·I.
+			q := f.seg(segQ)
+			rec = &shape{off: f.sh.off, poly: phi0[0] == 1 && (n == 1 || phi0[2] == 0 && phi0[3] == 1 && q[1] == 0 && q[2] == 0 && q[0] == q[3])}
+			copy(rec.phi[:], phi0)
 			if len(records) >= maxRecords {
+				// Past the bound a poly record still owes, as its twin does.
+				if rec.poly {
+					f.sh = rec
+				}
 				return
 			}
-			rec = f.sh
-			if c := discover(Config{
+			if rec.cyc = discover(Config{
 				Phi: Static(mat.FromSlice(n, n, phi0)), Q: mat.FromSlice(n, n, f.seg(segQ)),
 				H: mat.FromSlice(1, n, f.seg(segH)), R: mat.FromSlice(1, 1, f.seg(segR)), P0: mat.FromSlice(n, n, f.seg(segP)),
-			}); c != nil {
-				rec = &shape{off: f.sh.off, cyc: c}
+			}); rec.cyc == nil && !rec.poly {
+				rec = f.sh
 			}
 			records[key] = rec
 		}
@@ -135,9 +141,6 @@ func discover(cfg Config) *cycle {
 		return nil
 	}
 	c := &cycle{period: uint8(period)}
-	for i, v := range cfg.Phi(0).RawData() {
-		c.phi[i] = math.Float64bits(v)
-	}
 	zero := []float64{0}
 	for j := range period {
 		ph := &c.phases[j]
@@ -229,40 +232,37 @@ func (f *Filter) enterCycle(c *cycle) uint8 {
 }
 
 // predictCycle is PredictN(1) straight after a Correct that left P on a
-// phase — the byte holds cyOn without cyFast — when φ_k is the cycle's Φ bit for bit — which also catches a
-// TransitionFunc that mutates and returns one matrix: x ← φ_k x with the
-// kernel's operations, and the next phase's P⁻, S, S⁻¹ and det S copied
-// in. For any other φ_k it reports false and touches nothing.
+// phase — the byte holds cyOn without cyFast — when φ_k is the record's Φ
+// bit for bit, which also catches a TransitionFunc that mutates and
+// returns one matrix: x ← φ_k x with the kernel's operations, then
+// takePhase. For any other φ_k it reports false and touches nothing.
 func (f *Filter) predictCycle(phi []float64) bool {
-	c := f.sh.cyc
-	for i, v := range phi {
-		if math.Float64bits(v) != c.phi[i] {
-			return false
-		}
+	if !f.sh.isPhi(phi, int(f.n)) {
+		return false
 	}
-	ph := f.cy & cyPhase
+	stepX(f.buf[:f.n], nil, phi)
+	f.takePhase()
+	f.k++
+	f.corrected = false
+	return true
+}
+
+// takePhase steps P, a phase's P⁺, on: the next phase's P⁻, S, S⁻¹ and
+// det S copied in, and the Correct to come marked as the cycle's.
+func (f *Filter) takePhase() {
+	c, ph := f.sh.cyc, f.cy&cyPhase
 	if c.period == 2 {
 		ph ^= cyPhase
 	}
 	next := &c.phases[ph/cyPhase]
-	sh, buf := f.sh, f.buf
-	if f.n == 1 {
-		buf[0] = mul1(phi[0], buf[0])
-		buf[1] = next.prior[0]
-	} else {
-		x := buf[:2]
-		x[0], x[1] = dot2(phi[0], x[0], phi[1], x[1]), dot2(phi[2], x[0], phi[3], x[1])
-		copy(buf[2:6], next.prior[:])
-	}
+	sh, buf, n := f.sh, f.buf, int(f.n)
+	copy(buf[n:n+n*n], next.prior[:])
 	sh.seg(buf, segS)[0], sh.seg(buf, segSInv)[0] = next.s, next.sInv
 	f.sDet, f.sValid = next.det, true
-	f.k++
-	f.corrected = false
 	f.cy = cyOn | cyFast | ph
-	return true
 }
 
-// correctCycle is CorrectValues after predictCycle: the phase's K and P⁺
+// correctCycle is CorrectValues after takePhase: the phase's K and P⁺
 // copied in, the innovation and x ← Kd + x computed with the kernel's
 // operations.
 func (f *Filter) correctCycle(z []float64) {

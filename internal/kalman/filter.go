@@ -60,6 +60,14 @@
 // the operations above in their order. So every value a filter leaves in
 // its block is the full path's, whichever path ran
 // (TestFilterCycleMatchesReference, TestCycleDifferential).
+//
+// Owed steps (owed.go) extend it. On a record whose Φ(0) is [1] or
+// [[1,d],[0,1]] and whose Q is q·I, Coast steps x as above and owes the P
+// step; P in the block is an anchor that only Correct, Init,
+// RestoreValues, Settle and a full predict move. Whatever reads P reads
+// it settled — into a copy unless it is Correct — one owed step by the
+// kernel's (or the cycle's) step, so dense streams keep every bit, and
+// j ≥ 2 by the closed form in the order owe spells out.
 package kalman
 
 import (
@@ -127,6 +135,9 @@ func (c Config) validate() ([]float64, error) {
 // and returns the values of Phi(0).
 func (c Config) validateDims(n int) ([]float64, error) {
 	phi0 := c.Phi(0)
+	if n > math.MaxUint8 || c.H.Rows() > math.MaxUint8 {
+		return nil, fmt.Errorf("kalman: %dx%d filter, at most 255 states and measurements", n, c.H.Rows())
+	}
 	if phi0.Rows() != n || phi0.Cols() != n {
 		return nil, fmt.Errorf("kalman: Phi(0) is %dx%d, want %dx%d", phi0.Rows(), phi0.Cols(), n, n)
 	}
@@ -182,10 +193,13 @@ const (
 //
 // A record is such a shape interned per model constants too (cycle.go):
 // the filters that point at it share the bits of Φ(0), Q, H, R and P0,
-// and so the covariance cycle found from them.
+// and so the covariance cycle found from them and whether their predicts
+// may owe their covariance steps (owed.go).
 type shape struct {
 	off    [segCount + 1]int32 // segment i is buf[off[i]:off[i+1]]
 	joseph bool                // use the Joseph stabilized covariance update
+	poly   bool                // a record whose Φ(0) is [1] or [[1,d],[0,1]] and Q = q·I
+	phi    [4]float64          // a record's Φ(0), n x n
 	cyc    *cycle              // a record's cycle; nil on a plain shape
 }
 
@@ -259,10 +273,11 @@ type Filter struct {
 	corrected bool  // whether Correct has run since the last Predict
 	cy        uint8 // the cy* bits: where the filter stands on its record's covariance cycle
 	// The state and measurement dimensions, in the header's padding rather
-	// than the shape: the two calls a suppressed reading makes (PredictN,
+	// than the shape: the two calls a suppressed reading makes (Coast,
 	// PredictedInto) pick their kernel and cut x | P | Q and H — whose
 	// places follow from n and m alone — without a load through sh.
-	n, m uint16
+	n, m uint8
+	lag  uint16 // the covariance steps Coast owes (owed.go)
 }
 
 func (f *Filter) seg(i int) []float64 { return f.sh.seg(f.buf, i) }
@@ -314,7 +329,7 @@ func (f *Filter) Init(block []float64, cfg Config) error {
 func (f *Filter) build(cfg Config, block []float64) {
 	n, m := cfg.H.Cols(), cfg.H.Rows()
 	f.phi, f.buf, f.sh = cfg.Phi, block, shapeFor(n, m, cfg.JosephForm)
-	f.n, f.m = uint16(n), uint16(m)
+	f.n, f.m = uint8(n), uint8(m)
 	if cfg.X0 != nil {
 		copy(f.seg(segX), cfg.X0.RawData())
 	}
@@ -361,8 +376,14 @@ func (f *Filter) K() int { return f.k }
 // State returns a copy of the current state estimate vector.
 func (f *Filter) State() *mat.Matrix { return mat.FromSlice(int(f.n), 1, f.seg(segX)) }
 
-// Cov returns a copy of the current error covariance.
-func (f *Filter) Cov() *mat.Matrix { return mat.FromSlice(int(f.n), int(f.n), f.seg(segP)) }
+// Cov returns a copy of the current error covariance, owed steps settled.
+func (f *Filter) Cov() *mat.Matrix {
+	c := mat.FromSlice(int(f.n), int(f.n), f.seg(segP))
+	if f.lag > 0 {
+		f.owe(c.RawData(), int(f.lag))
+	}
+	return c
+}
 
 // Gain returns a copy of the most recent Kalman gain, or nil before the
 // first correction.
@@ -440,12 +461,13 @@ func dot2(a0, b0, a1, b1 float64) float64 {
 // After Predict, State/PredictedMeasurement report the a priori estimate.
 func (f *Filter) Predict() { f.PredictN(1) }
 
-// PredictN runs steps consecutive Predicts — the server's catch-up over a
-// run of suppressed readings — locating the block's segments once.
+// PredictN runs steps consecutive Predicts, locating the block's segments
+// once. It settles first whatever Coast left owed.
 func (f *Filter) PredictN(steps int) {
 	if steps <= 0 {
 		return
 	}
+	f.Settle()
 	buf, n := f.buf, int(f.n)
 	x, p, q := buf[:n], buf[n:n+n*n], buf[n+n*n:n+2*n*n]
 	for ; steps > 0; steps-- {
@@ -462,26 +484,12 @@ func (f *Filter) PredictN(steps int) {
 			}
 			f.cy = 0
 		}
-		switch n {
-		case 1:
-			x[0] = mul1(phi[0], x[0])
-			p[0] = mul1(mul1(phi[0], p[0]), phi[0]) + q[0]
-		case 2:
-			f00, f01, f10, f11 := phi[0], phi[1], phi[2], phi[3]
-			x[0], x[1] = dot2(f00, x[0], f01, x[1]), dot2(f10, x[0], f11, x[1])
-			// φ P, then (φ P) φ^T + Q, then the symmetrized result.
-			a00, a01 := dot2(f00, p[0], f01, p[2]), dot2(f00, p[1], f01, p[3])
-			a10, a11 := dot2(f10, p[0], f11, p[2]), dot2(f10, p[1], f11, p[3])
-			b01 := dot2(a00, f10, a01, f11) + q[1]
-			b10 := dot2(a10, f00, a11, f01) + q[2]
-			p[0] = dot2(a00, f00, a01, f01) + q[0]
-			p[3] = dot2(a10, f10, a11, f11) + q[3]
-			p[1] = (b01 + b10) / 2
-			p[2] = p[1]
-		default:
-			xs, t1, t2, t3 := f.seg(segXs), f.seg(segT1), f.seg(segT2), f.seg(segT3)
-			mat.MulFlat(xs, phi, x, n, n, 1)
-			copy(x, xs)
+		if n <= 2 {
+			stepX(x, nil, phi)
+			predictP(p, q, phi)
+		} else {
+			t1, t2, t3 := f.seg(segT1), f.seg(segT2), f.seg(segT3)
+			stepX(x, f.seg(segXs), phi)
 			mat.MulFlat(t1, phi, p, n, n, n)
 			mat.TransposeFlat(t2, phi, n, n)
 			mat.MulFlat(t3, t1, t2, n, n, n)
@@ -496,6 +504,37 @@ func (f *Filter) PredictN(steps int) {
 	f.sValid = false
 }
 
+// stepX is x ← φ x, in place, with xs as scratch for n > 2.
+func stepX(x, xs, phi []float64) {
+	switch n := len(x); n {
+	case 1:
+		x[0] = mul1(phi[0], x[0])
+	case 2:
+		x[0], x[1] = dot2(phi[0], x[0], phi[1], x[1]), dot2(phi[2], x[0], phi[3], x[1])
+	default:
+		mat.MulFlat(xs, phi, x, n, n, 1)
+		copy(x, xs)
+	}
+}
+
+// predictP is the unrolled kernels' covariance step, P ← φ P φ^T + Q for
+// n = 1 or 2: φ P, then (φ P) φ^T + Q, then the symmetrized result.
+func predictP(p, q, phi []float64) {
+	if len(p) == 1 {
+		p[0] = mul1(mul1(phi[0], p[0]), phi[0]) + q[0]
+		return
+	}
+	f00, f01, f10, f11 := phi[0], phi[1], phi[2], phi[3]
+	a00, a01 := dot2(f00, p[0], f01, p[2]), dot2(f00, p[1], f01, p[3])
+	a10, a11 := dot2(f10, p[0], f11, p[2]), dot2(f10, p[1], f11, p[3])
+	b01 := dot2(a00, f10, a01, f11) + q[1]
+	b10 := dot2(a10, f00, a11, f01) + q[2]
+	p[0] = dot2(a00, f00, a01, f01) + q[0]
+	p[3] = dot2(a10, f10, a11, f11) + q[3]
+	p[1] = (b01 + b10) / 2
+	p[2] = p[1]
+}
+
 // PredictedMeasurement returns H x, the measurement the filter expects
 // given the current state estimate. In the DKF protocol this is the value
 // the server would answer a query with.
@@ -508,9 +547,29 @@ func (f *Filter) PredictedMeasurement() *mat.Matrix {
 // PredictedInto writes H x into dst (m values) without allocating, and
 // returns dst. The protocol layer keeps a reusable destination per node
 // to stay off the heap on every reading.
-func (f *Filter) PredictedInto(dst []float64) []float64 {
+func (f *Filter) PredictedInto(dst []float64) []float64 { return f.hx(dst, f.buf[:f.n]) }
+
+// PredictedAheadInto writes into dst (m values) the H x the filter will
+// predict steps Predicts from now, and returns dst. It steps a copy of x
+// with PredictN's operations and writes nothing of the filter's.
+func (f *Filter) PredictedAheadInto(dst []float64, steps int) []float64 {
+	n := int(f.n)
+	x := append(make([]float64, 0, 8), f.buf[:n]...)
+	x = append(x, x...) // x, then stepX's scratch
+	for k := f.k; k < f.k+steps; k++ {
+		phi := f.phi(k).RawData()
+		if len(phi) != n*n {
+			panic(fmt.Sprintf("kalman: Phi(%d) has %d elements, want %dx%d", k, len(phi), n, n))
+		}
+		stepX(x[:n], x[n:], phi)
+	}
+	return f.hx(dst, x[:n])
+}
+
+// hx writes H x into dst for a state x of the filter's shape.
+func (f *Filter) hx(dst, x []float64) []float64 {
 	n, m := int(f.n), int(f.m)
-	h, x := f.buf[n+2*n*n:n+2*n*n+m*n], f.buf[:n]
+	h := f.buf[n+2*n*n : n+2*n*n+m*n]
 	switch {
 	case m == 1 && n == 1:
 		dst[0] = mul1(h[0], x[0])
@@ -548,6 +607,11 @@ func (f *Filter) refreshS() error {
 	sh, buf := f.sh, f.buf
 	n, m := int(f.n), int(f.m)
 	h, p, s := sh.seg(buf, segH), sh.seg(buf, segP), sh.seg(buf, segS)
+	var settled [4]float64 // n <= 2 wherever P steps are owed
+	if f.lag > 0 {
+		p = settled[:copy(settled[:], p)]
+		f.owe(p, int(f.lag))
+	}
 	switch {
 	case m == 1 && n == 1:
 		s[0] = mul1(mul1(h[0], p[0]), h[0])
@@ -604,6 +668,7 @@ func (f *Filter) CorrectValues(z []float64) error {
 	if err := f.checkValues(z); err != nil {
 		return err
 	}
+	f.Settle()
 	if f.cy&cyFast != 0 {
 		f.correctCycle(z)
 		return nil
@@ -744,9 +809,9 @@ func (f *Filter) Clone() *Filter {
 
 // StateEqual reports whether two filters hold exactly the same state
 // estimate, covariance and time index — the mirror-synchrony invariant of
-// the DKF protocol.
+// the DKF protocol; the covariance is the anchor and its owed steps.
 func StateEqual(a, b *Filter) bool {
-	if a.k != b.k || a.n != b.n {
+	if a.k != b.k || a.n != b.n || a.lag != b.lag {
 		return false
 	}
 	// x and P are the first two segments of either block.
@@ -793,7 +858,7 @@ func (f *Filter) RestoreValues(x, p []float64, k int) {
 	copy(f.seg(segP), p)
 	f.k = k
 	f.sValid, f.hasGain, f.corrected = false, false, false
-	f.cy = 0
+	f.cy, f.lag = 0, 0
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.
@@ -804,7 +869,8 @@ func (f *Filter) RestoreValues(x, p []float64, k int) {
 // retuned.
 func (f *Filter) SetNoise(q, r *mat.Matrix) {
 	if q != nil || r != nil {
-		if f.sh.cyc != nil {
+		f.Settle() // under the old Q, and while the record can
+		if f.sh.cyc != nil || f.sh.poly {
 			f.sh = shapeFor(int(f.n), int(f.m), f.sh.joseph)
 		}
 		f.cy = 0

@@ -52,7 +52,7 @@ func (s *Store) RecordUpdate(seq int, values []float64) error {
 		return fmt.Errorf("synopsis: update has %d values, model wants %d", len(values), s.mdl.MeasDim)
 	}
 	for s.lastSeq < seq {
-		s.filter.Predict()
+		s.filter.Coast(1)
 		s.lastSeq++
 		s.n++
 	}
@@ -71,7 +71,7 @@ func (s *Store) ExtendTo(seq int) error {
 		return fmt.Errorf("synopsis: ExtendTo before RecordBootstrap")
 	}
 	for s.lastSeq < seq {
-		s.filter.Predict()
+		s.filter.Coast(1)
 		s.lastSeq++
 		s.n++
 	}
@@ -118,7 +118,7 @@ func (s *Store) Range(from, to int) ([]stream.Reading, error) {
 	// Index of the first correction at or after bootSeq+1.
 	ci := sort.Search(len(s.corrections), func(i int) bool { return s.corrections[i].Seq > s.bootSeq })
 	for seq := s.bootSeq + 1; seq <= to; seq++ {
-		f.Predict()
+		f.Coast(1)
 		if ci < len(s.corrections) && s.corrections[ci].Seq == seq {
 			if err := f.Correct(mat.Vec(s.corrections[ci].Values...)); err != nil {
 				return nil, err

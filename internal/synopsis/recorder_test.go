@@ -43,7 +43,8 @@ func TestRecorderValidation(t *testing.T) {
 // TestRecorderMatchesLiveProtocol is the load-bearing test: a store fed
 // only the session's transmitted updates must reproduce, at every
 // sequence number, either the exact transmitted value (update steps) or
-// the very prediction the server answered live (suppressed steps).
+// the very prediction the server answered live (suppressed steps), bit
+// for bit.
 func TestRecorderMatchesLiveProtocol(t *testing.T) {
 	m := model.Linear(1, 1, 0.05, 0.05)
 	cfg := core.Config{SourceID: "s", Model: m, Delta: 2}
@@ -102,7 +103,7 @@ func TestRecorderMatchesLiveProtocol(t *testing.T) {
 			continue
 		}
 		// Suppressed step: replay must equal the live server answer.
-		if math.Abs(r.Values[0]-liveAnswers[i]) > 1e-9 {
+		if math.Float64bits(r.Values[0]) != math.Float64bits(liveAnswers[i]) {
 			t.Fatalf("seq %d: replay %v != live answer %v", r.Seq, r.Values[0], liveAnswers[i])
 		}
 	}

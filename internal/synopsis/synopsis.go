@@ -78,7 +78,7 @@ func (s *Store) Append(r stream.Reading) error {
 	if r.Seq != s.lastSeq+1 {
 		return fmt.Errorf("synopsis: non-consecutive seq %d after %d", r.Seq, s.lastSeq)
 	}
-	s.filter.Predict()
+	s.filter.Coast(1)
 	pred := s.filter.PredictedMeasurement().VecSlice()
 	if !stream.WithinPrecision(pred, r.Values, s.tol) {
 		if err := s.filter.Correct(mat.Vec(r.Values...)); err != nil {
@@ -134,7 +134,7 @@ func (s *Store) Reconstruct() ([]stream.Reading, error) {
 	out = append(out, stream.Reading{Seq: s.bootSeq, Values: cloneVals(s.boot)})
 	ci := 0
 	for seq := s.bootSeq + 1; seq <= s.lastSeq; seq++ {
-		f.Predict()
+		f.Coast(1)
 		if ci < len(s.corrections) && s.corrections[ci].Seq == seq {
 			// A corrected step stored the exact measurement: emit it
 			// verbatim (zero error) while the filter folds it in for the
