@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"streamkf/internal/kalman"
 	"streamkf/internal/model"
@@ -377,6 +378,16 @@ func maxAbsResidual(pred, v []float64) float64 {
 	return m
 }
 
+// maxAbs is maxAbsResidual of a difference d already taken.
+func maxAbs(d []float64) (m float64) {
+	for _, v := range d {
+		if v = math.Abs(v); v > m {
+			m = v
+		}
+	}
+	return m
+}
+
 // Stats returns the source-side counters.
 func (s *SourceNode) Stats() SourceStats { return s.stats }
 
@@ -412,7 +423,8 @@ type ServerNode struct {
 	lastNIS float64
 	// Divergence tap: the max-abs innovation |z - H x̂⁻| of the latest
 	// non-bootstrap update against the pre-correction prediction — the
-	// same units as δ, so the trace audit can compare them directly.
+	// same units as δ, so the trace audit can compare them directly. Both
+	// taps and the health window read the correction's own innovation.
 	lastInnov float64
 	health    kalman.InnovationWindow
 
@@ -550,26 +562,24 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 		return fmt.Errorf("core: update for %s at seq %d arrived after prediction advanced to seq %d", u.SourceID, u.Seq, s.lastSeq)
 	}
 	s.AdvanceTo(u.Seq)
-	s.filter.Settle() // the correction below moves the anchor anyway
+	s.filter.Settle() // in place, refused update or not
 	// The filter reads u.Values in place; a malformed update gets its
 	// dimension error from the filter itself, as it always has.
-	if pred := s.pred(); len(u.Values) == len(pred) {
-		// Divergence tap: distance between the pre-correction prediction
-		// and the transmitted measurement, in measurement units. One H x
-		// into the block's buffer per transmitted update — allocation
-		// free, and transmitted updates are the rare case by design.
-		s.lastInnov, s.innovValid = maxAbsResidual(u.Values, s.filter.PredictedInto(pred)), true
-	}
-	// Health tap: score the update against the pre-correction prediction.
-	// NIS shares the cached innovation covariance with Correct, so this
-	// adds one quadratic form, no allocation, and no second inversion.
-	if nis, err := s.filter.NISValues(u.Values); err == nil {
-		s.lastNIS, s.nisValid = nis, true
-	}
 	if err := s.filter.CorrectValues(u.Values); err != nil {
+		// A singular S refuses the correction but not the divergence tap:
+		// H x̂⁻ into the block's buffer.
+		if pred := s.pred(); len(u.Values) == len(pred) {
+			s.lastInnov, s.innovValid = maxAbsResidual(u.Values, s.filter.PredictedInto(pred)), true
+		}
 		return err
 	}
-	s.health.Observe(s.window(), s.filter.LastInnovation())
+	// The taps read the correction's innovation d = z − H x̂⁻ and the S⁻¹
+	// it used: the divergence tap max |d|, in δ's units; the health tap,
+	// the NIS dᵀS⁻¹d; and the whiteness window. H x̂⁻ is computed once.
+	d := s.filter.LastInnovation()
+	s.lastInnov, s.innovValid = maxAbs(d), true
+	s.lastNIS, s.nisValid = s.filter.CorrectedNIS(), true
+	s.health.Observe(s.window(), d)
 	return nil
 }
 

@@ -49,8 +49,22 @@ func sparseBlock(seed int64) []float64 {
 // pair's ns per reading, the server's ns per applied update and the
 // sends per reading.
 func BenchmarkSparsePair(b *testing.B) {
+	benchPair(b, Config{SourceID: "sparse", Model: model.Linear(1, 1, 0.05, 0.05), Delta: 0.19})
+}
+
+// BenchmarkDensePair is BenchmarkSparsePair at δ 1e-6, so every reading
+// is sent and both sides settle each step on the covariance cycle: the
+// constant and the linear model, with the same metrics.
+func BenchmarkDensePair(b *testing.B) {
+	for _, m := range []model.Model{model.Constant(1, 0.05, 0.05), model.Linear(1, 1, 0.05, 0.05)} {
+		b.Run(m.Name, func(b *testing.B) {
+			benchPair(b, Config{SourceID: "dense", Model: m, Delta: 1e-6})
+		})
+	}
+}
+
+func benchPair(b *testing.B, cfg Config) {
 	block := sparseBlock(1)
-	cfg := Config{SourceID: "sparse", Model: model.Linear(1, 1, 0.05, 0.05), Delta: 0.19}
 	src, err := NewSourceNode(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"streamkf/internal/gen"
 	"streamkf/internal/kalman"
 	"streamkf/internal/stream"
+	"streamkf/internal/wal"
 )
 
 // sameFilter reports whether two servers' filters for sourceID are
@@ -90,5 +91,60 @@ func TestQueryAheadRefusesNoUpdate(t *testing.T) {
 	}
 	if !sameFilter(t, s, twin, q.SourceID) {
 		t.Fatal("the queried server and its twin ended with different filters")
+	}
+}
+
+// TestCrashAfterQueryAheadRecovers: an answer is not logged because it
+// writes nothing, so a durable server that crashes after a query far
+// ahead of its stream — no Close, its log as SyncAlways left it — recovers
+// StateEqual to the live one, and both answer the same bits ahead.
+func TestCrashAfterQueryAheadRecovers(t *testing.T) {
+	q := stream.Query{ID: "q1", SourceID: "walk", Delta: 3, Model: "linear"}
+	dir := t.TempDir()
+	opts := DurabilityOptions{Sync: wal.SyncAlways, CheckpointEvery: 64}
+	live, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, live, q)
+	cfg, err := live.InstallFor(q.SourceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, err := NewAgent(cfg, core.TransportFunc(live.HandleUpdate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range gen.RandomWalk(350, 0, 2, 13) {
+		if _, err := agent.Offer(r); err != nil {
+			t.Fatalf("reading %d refused: %v", r.Seq, err)
+		}
+		if r.Seq == 199 {
+			if _, err := live.Answer(q.ID, 300); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := live.Answer(q.ID, 400); err != nil { // the crash follows a query too
+		t.Fatal(err)
+	}
+	recovered, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer recovered.Close()
+	if !sameFilter(t, live, recovered, q.SourceID) {
+		t.Fatal("the recovered server's filter differs from the live one's")
+	}
+	a, err := live.Answer(q.ID, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := recovered.Answer(q.ID, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(a[0]) != math.Float64bits(b[0]) {
+		t.Fatalf("answer at 400: live %v, recovered %v", a[0], b[0])
 	}
 }

@@ -171,12 +171,48 @@ func TestUDPLaneRxAllocFree(t *testing.T) {
 	}
 }
 
+// TestUDPLanesOvertakenBootstrapCounted pins ROADMAP item 1's known loss
+// without a socket: a stream's updates that one lane hands the engine
+// before another lane's bootstrap of that stream is applied are dropped,
+// each counted in pre_bootstrap_dropped, and the stream starts at its
+// bootstrap; an update after it applies.
+func TestUDPLanesOvertakenBootstrapCounted(t *testing.T) {
+	s, ts := newLaneServer(t, 1, 2, 8)
+	id := laneQuery(0).SourceID
+	upd := func(seq int) []byte {
+		return updateDatagram(t, &core.Update{SourceID: id, Seq: seq, Time: float64(seq), Values: []float64{float64(seq)}, Bootstrap: seq == 0})
+	}
+	const early = 5
+	for seq := 1; seq <= early; seq++ {
+		ts.lanes[1].processDatagram(upd(seq), netip.AddrPort{})
+	}
+	ts.eng.Quiesce()
+	ts.lanes[0].processDatagram(upd(0), netip.AddrPort{})
+	ts.eng.Quiesce()
+	if got := s.Streamz().Engine.PreBootstrap; got != early {
+		t.Fatalf("pre_bootstrap_dropped = %d, want %d: one per overtaken update", got, early)
+	}
+	if snap := nodeSnapshot(t, s, id); snap.Seq != 0 {
+		t.Fatalf("stream at seq %d after its late bootstrap, want 0", snap.Seq)
+	}
+	ts.lanes[1].processDatagram(upd(early+1), netip.AddrPort{})
+	ts.eng.Quiesce()
+	if snap := nodeSnapshot(t, s, id); snap.Seq != early+1 {
+		t.Fatalf("stream at seq %d, want %d: the update after the bootstrap applies", snap.Seq, early+1)
+	}
+	if got := s.Streamz().Engine.PreBootstrap; got != early {
+		t.Fatalf("pre_bootstrap_dropped = %d after the bootstrap, want %d", got, early)
+	}
+}
+
 // TestUDPLanesConcurrentAnswer exercises the datagram path whole on real
 // sockets: multi-lane batched receive (recvmmsg where available), a
 // sendmmsg-batched UDPBatcher feeding many sources, and a reader answering
 // queries concurrently with ingest. Run under -race in CI, this is the
 // lanes-vs-readers interleaving gate; the assertions pin that everything
-// sent is applied and no filter corrupts.
+// sent is applied and no filter corrupts. The bootstraps land before the
+// streams start, so that one lane cannot run a stream's updates ahead of
+// another's bootstrap (TestUDPLanesOvertakenBootstrapCounted).
 func TestUDPLanesConcurrentAnswer(t *testing.T) {
 	const nSrc, perSrc = 4, 200
 	s, ts := newLaneServer(t, nSrc, 2, 8)
@@ -187,6 +223,32 @@ func TestUDPLanesConcurrentAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	eng := s.Engine()
+	counters := func() string { return fmt.Sprintf("engine %+v", *s.Streamz().Engine) }
+	update := func(i, seq int) core.Update {
+		return core.Update{
+			SourceID:  laneQuery(i).SourceID,
+			Seq:       seq,
+			Time:      float64(seq),
+			Values:    []float64{float64(i) + 1.5*float64(seq)},
+			Bootstrap: seq == 0,
+		}
+	}
+	for i := 0; i < nSrc; i++ {
+		if err := b.Send(update(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Applied() < nSrc {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine applied %d of %d bootstraps; %s", eng.Applied(), nSrc, counters())
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
@@ -205,18 +267,10 @@ func TestUDPLanesConcurrentAnswer(t *testing.T) {
 		}
 	}()
 
-	eng := s.Engine()
-	sent := 0
-	for seq := 0; seq < perSrc; seq++ {
+	sent := nSrc
+	for seq := 1; seq < perSrc; seq++ {
 		for i := 0; i < nSrc; i++ {
-			u := core.Update{
-				SourceID:  laneQuery(i).SourceID,
-				Seq:       seq,
-				Time:      float64(seq),
-				Values:    []float64{float64(i) + 1.5*float64(seq)},
-				Bootstrap: seq == 0,
-			}
-			if err := b.Send(u); err != nil {
+			if err := b.Send(update(i, seq)); err != nil {
 				t.Fatal(err)
 			}
 			sent++
@@ -230,10 +284,10 @@ func TestUDPLanesConcurrentAnswer(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for eng.Applied() < uint64(sent) {
 		if time.Now().After(deadline) {
-			t.Fatalf("engine applied %d of %d sent updates", eng.Applied(), sent)
+			t.Fatalf("engine applied %d of %d sent updates; %s", eng.Applied(), sent, counters())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -244,7 +298,7 @@ func TestUDPLanesConcurrentAnswer(t *testing.T) {
 		snap := nodeSnapshot(t, s, laneQuery(i).SourceID)
 		assertFiniteState(t, snap)
 		if snap.Seq < perSrc-1 {
-			t.Fatalf("src %d stopped at seq %d, want >= %d", i, snap.Seq, perSrc-1)
+			t.Fatalf("src %d stopped at seq %d, want >= %d; %s", i, snap.Seq, perSrc-1, counters())
 		}
 	}
 

@@ -57,7 +57,8 @@ const (
 const maxRecords = 256
 
 // recordKey is the bits of n, Φ(0), Q, H, R and P0, in that order, of a
-// filter the cycle covers: everything the covariance recursion reads.
+// filter the cycle covers: everything the covariance recursion reads. A
+// declared time-invariant Φ sets bit 8 of the first word.
 type recordKey [1 + 4 + 4 + 2 + 1 + 4]uint64
 
 // phase is one dense step of a cycle: what its predict leaves in P, S,
@@ -77,7 +78,7 @@ type cycle struct {
 }
 
 // records maps constants to their record or, when they have neither a
-// cycle to use nor owed steps to take, to the plain shape.
+// cycle to use, owed steps to take nor a declared Φ, to the plain shape.
 var (
 	recordMu sync.RWMutex
 	records  = map[recordKey]*shape{}
@@ -86,14 +87,18 @@ var (
 // intern points f, just built on its plain shape, at the record of its
 // constants when its shape is one the cycle covers and they have a cycle.
 // The first filter of new constants discovers it, under recordMu. phi0
-// holds Φ(0), which validation has read: nothing here calls Φ.
-func (f *Filter) intern(phi0 []float64) {
+// holds Φ(0), which validation has read: nothing here calls Φ. A declared
+// filter always gets a record, which keeps phi0 as its Φ for every step.
+func (f *Filter) intern(phi0 []float64, declared bool) {
 	n := int(f.n)
 	if n > 2 || f.m != 1 || f.sh.joseph {
 		return
 	}
 	var key recordKey
 	key[0] = uint64(n)
+	if declared {
+		key[0] |= 1 << 8
+	}
 	i := 1
 	for _, seg := range [...][]float64{phi0, f.seg(segQ), f.seg(segH), f.seg(segR), f.seg(segP)} {
 		for _, v := range seg {
@@ -110,11 +115,12 @@ func (f *Filter) intern(phi0 []float64) {
 		if rec = records[key]; rec == nil {
 			// Owed steps (owed.go) need Φ(0) = [1] or [[1,d],[0,1]], Q = q·I.
 			q := f.seg(segQ)
-			rec = &shape{off: f.sh.off, poly: phi0[0] == 1 && (n == 1 || phi0[2] == 0 && phi0[3] == 1 && q[1] == 0 && q[2] == 0 && q[0] == q[3])}
+			rec = &shape{off: f.sh.off, static: declared, poly: phi0[0] == 1 && (n == 1 || phi0[2] == 0 && phi0[3] == 1 && q[1] == 0 && q[2] == 0 && q[0] == q[3])}
 			copy(rec.phi[:], phi0)
 			if len(records) >= maxRecords {
-				// Past the bound a poly record still owes, as its twin does.
-				if rec.poly {
+				// Past the bound a poly record still owes, as its twin does,
+				// and a declared one keeps its Φ.
+				if rec.poly || rec.static {
 					f.sh = rec
 				}
 				return
@@ -122,7 +128,7 @@ func (f *Filter) intern(phi0 []float64) {
 			if rec.cyc = discover(Config{
 				Phi: Static(mat.FromSlice(n, n, phi0)), Q: mat.FromSlice(n, n, f.seg(segQ)),
 				H: mat.FromSlice(1, n, f.seg(segH)), R: mat.FromSlice(1, 1, f.seg(segR)), P0: mat.FromSlice(n, n, f.seg(segP)),
-			}); rec.cyc == nil && !rec.poly {
+			}); rec.cyc == nil && !rec.poly && !rec.static {
 				rec = f.sh
 			}
 			records[key] = rec
@@ -232,12 +238,13 @@ func (f *Filter) enterCycle(c *cycle) uint8 {
 }
 
 // predictCycle is PredictN(1) straight after a Correct that left P on a
-// phase — the byte holds cyOn without cyFast — when φ_k is the record's Φ
-// bit for bit, which also catches a TransitionFunc that mutates and
-// returns one matrix: x ← φ_k x with the kernel's operations, then
-// takePhase. For any other φ_k it reports false and touches nothing.
+// phase — the byte holds cyOn without cyFast — when φ_k is the record's Φ:
+// on a declared record always, on any other when it is bit for bit, which
+// also catches a TransitionFunc that mutates and returns one matrix: x ←
+// φ_k x with the kernel's operations, then takePhase. For any other φ_k it
+// reports false and touches nothing.
 func (f *Filter) predictCycle(phi []float64) bool {
-	if !f.sh.isPhi(phi, int(f.n)) {
+	if sh := f.sh; !sh.static && !sh.isPhi(phi, int(f.n)) {
 		return false
 	}
 	stepX(f.buf[:f.n], nil, phi)

@@ -19,8 +19,10 @@
 // (n, m, Joseph or not), so the offsets live in one interned shape value
 // all such filters share. New allocates the block; Init builds a filter
 // in place over a block its caller provides, which is how a server keeps
-// thousands of filters in slabs. φ_k is read in place from whatever the
-// TransitionFunc returns. The per-reading path (Predict, Correct, NIS,
+// thousands of filters in slabs. A filter declared time-invariant keeps
+// Φ(0) in its interned record (cycle.go) and never calls Phi after build;
+// any other reads φ_k in place from what the TransitionFunc returns, every
+// step. The per-reading path (Predict, Correct, NIS,
 // LogLikelihood, PredictedInto) runs as loops over the block: no matrix
 // objects, no per-operation dimension or aliasing checks, no allocation.
 // The *mat.Matrix-taking methods are wrappers over the slice-taking ones.
@@ -63,11 +65,12 @@
 //
 // Owed steps (owed.go) extend it. On a record whose Φ(0) is [1] or
 // [[1,d],[0,1]] and whose Q is q·I, Coast steps x as above and owes the P
-// step; P in the block is an anchor that only Correct, Init,
-// RestoreValues, Settle and a full predict move. Whatever reads P reads
-// it settled — into a copy unless it is Correct — one owed step by the
-// kernel's (or the cycle's) step, so dense streams keep every bit, and
-// j ≥ 2 by the closed form in the order owe spells out.
+// step — with no φ_k fetched or compared when the record is declared. P
+// in the block is an anchor that only Correct, Init, RestoreValues,
+// Settle and a full predict move. Whatever reads P reads it settled —
+// into a copy unless it is Correct — one owed step by the kernel's (or
+// the cycle's) step, so dense streams keep every bit, and j ≥ 2 by the
+// closed form in the order owe spells out.
 package kalman
 
 import (
@@ -109,6 +112,9 @@ type Config struct {
 	// positive semi-definiteness under roundoff at ~2x the cost of the
 	// standard (I-KH) P form. See BenchmarkAblationJosephForm.
 	JosephForm bool
+	// TimeInvariant declares that Phi(k) is Phi(0) for every k, so a
+	// filter on an interned record reads Φ once, at build.
+	TimeInvariant bool
 }
 
 // Validate checks that the configuration is dimensionally consistent.
@@ -199,6 +205,7 @@ type shape struct {
 	off    [segCount + 1]int32 // segment i is buf[off[i]:off[i+1]]
 	joseph bool                // use the Joseph stabilized covariance update
 	poly   bool                // a record whose Φ(0) is [1] or [[1,d],[0,1]] and Q = q·I
+	static bool                // a declared record: phi is φ_k for every k
 	phi    [4]float64          // a record's Φ(0), n x n
 	cyc    *cycle              // a record's cycle; nil on a plain shape
 }
@@ -294,7 +301,7 @@ func New(cfg Config) (*Filter, error) {
 	}
 	f := new(Filter)
 	f.build(cfg, make([]float64, BlockLen(cfg.X0.Rows(), cfg.H.Rows(), cfg.JosephForm)))
-	f.intern(phi0)
+	f.intern(phi0, cfg.TimeInvariant)
 	return f, nil
 }
 
@@ -320,7 +327,7 @@ func (f *Filter) Init(block []float64, cfg Config) error {
 	}
 	*f = Filter{}
 	f.build(cfg, block)
-	f.intern(phi0)
+	f.intern(phi0, cfg.TimeInvariant)
 	return nil
 }
 
@@ -471,10 +478,7 @@ func (f *Filter) PredictN(steps int) {
 	buf, n := f.buf, int(f.n)
 	x, p, q := buf[:n], buf[n:n+n*n], buf[n+n*n:n+2*n*n]
 	for ; steps > 0; steps-- {
-		phi := f.phi(f.k).RawData()
-		if len(phi) != len(p) {
-			panic(fmt.Sprintf("kalman: Phi(%d) has %d elements, want %dx%d", f.k, len(phi), n, n))
-		}
+		phi := f.transition(f.k)
 		// Off the covariance cycle a predict pays this one test and writes
 		// nothing. On it, a single step straight after a Correct takes it,
 		// and any other predict leaves it.
@@ -502,6 +506,20 @@ func (f *Filter) PredictN(steps int) {
 	}
 	f.corrected = false
 	f.sValid = false
+}
+
+// transition returns φ_k's values: a declared record's Φ, with no call
+// and no check, or what the TransitionFunc returns, refused unless n x n.
+func (f *Filter) transition(k int) []float64 {
+	n := int(f.n)
+	if sh := f.sh; sh.static {
+		return sh.phi[:n*n]
+	}
+	phi := f.phi(k).RawData()
+	if len(phi) != n*n {
+		panic(fmt.Sprintf("kalman: Phi(%d) has %d elements, want %dx%d", k, len(phi), n, n))
+	}
+	return phi
 }
 
 // stepX is x ← φ x, in place, with xs as scratch for n > 2.
@@ -557,11 +575,7 @@ func (f *Filter) PredictedAheadInto(dst []float64, steps int) []float64 {
 	x := append(make([]float64, 0, 8), f.buf[:n]...)
 	x = append(x, x...) // x, then stepX's scratch
 	for k := f.k; k < f.k+steps; k++ {
-		phi := f.phi(k).RawData()
-		if len(phi) != n*n {
-			panic(fmt.Sprintf("kalman: Phi(%d) has %d elements, want %dx%d", k, len(phi), n, n))
-		}
-		stepX(x[:n], x[n:], phi)
+		stepX(x[:n], x[n:], f.transition(k))
 	}
 	return f.hx(dst, x[:n])
 }
@@ -634,17 +648,19 @@ func (f *Filter) refreshS() error {
 	return nil
 }
 
-// quadForm returns d^T S^-1 d for the innovation d = z - H x, using the
-// cached S^-1 in the left-associated evaluation order (d^T S^-1) d.
-func (f *Filter) quadForm(z []float64) float64 {
-	d, row := f.seg(segD), f.seg(segRow)
-	f.PredictedInto(d)
-	for i, zv := range z {
-		d[i] = zv - d[i]
-	}
+// quadForm returns d^T S^-1 d for an innovation d, using the cached S^-1
+// in the left-associated evaluation order (d^T S^-1) d.
+func (f *Filter) quadForm(d []float64) float64 {
+	row := f.seg(segRow)
 	mat.MulFlat(row, d, f.seg(segSInv), 1, int(f.m), int(f.m))
 	return dot(row, d)
 }
+
+// CorrectedNIS returns the NIS of the last correction, its innovation
+// under the S^-1 it used: the bits NISValues gives for its measurement
+// just before it. Valid after a successful Correct until the next
+// predict, NIS or LogLikelihood.
+func (f *Filter) CorrectedNIS() float64 { return f.quadForm(f.seg(segInnov)) }
 
 // Correct folds measurement z (m x 1) into the state estimate:
 //
@@ -775,7 +791,12 @@ func (f *Filter) NISValues(z []float64) (float64, error) {
 	if err := f.refreshS(); err != nil {
 		return 0, err
 	}
-	return f.quadForm(z), nil
+	d := f.seg(segD) // d = z - H x
+	f.PredictedInto(d)
+	for i, zv := range z {
+		d[i] = zv - d[i]
+	}
+	return f.quadForm(d), nil
 }
 
 // LogLikelihood returns the Gaussian log-likelihood of measurement z
@@ -870,8 +891,12 @@ func (f *Filter) RestoreValues(x, p []float64, k int) {
 func (f *Filter) SetNoise(q, r *mat.Matrix) {
 	if q != nil || r != nil {
 		f.Settle() // under the old Q, and while the record can
-		if f.sh.cyc != nil || f.sh.poly {
-			f.sh = shapeFor(int(f.n), int(f.m), f.sh.joseph)
+		if sh := f.sh; sh.cyc != nil || sh.poly || sh.static {
+			if sh.static { // the record's Φ(0), not what Phi may return now
+				n := int(f.n)
+				f.phi = Static(mat.FromSlice(n, n, sh.phi[:n*n]))
+			}
+			f.sh = shapeFor(int(f.n), int(f.m), sh.joseph)
 		}
 		f.cy = 0
 	}

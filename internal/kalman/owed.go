@@ -11,31 +11,43 @@ import "math"
 
 // Coast runs steps predicts the way the DKF protocol does between
 // corrections, with the same bits in one call as in steps single ones. On
-// a poly record each steps x and owes its P step, unless φ_k is not the
-// record's Φ bit for bit or the count is full: that step settles and runs
-// PredictN(1). On any other filter Coast is PredictN.
+// a poly record each steps x and owes its P step, unless the count is full
+// or, on an undeclared record, φ_k is not the record's Φ bit for bit: that
+// step settles and runs PredictN(1). A declared record fetches no φ_k and
+// books a run of owed steps at once. On any other filter Coast is
+// PredictN.
 func (f *Filter) Coast(steps int) {
-	sh, x := f.sh, f.buf[:f.n]
-	for ; steps > 0 && sh.poly; steps-- {
-		phi := f.phi(f.k).RawData()
-		if !sh.isPhi(phi, len(x)) || f.lag == math.MaxUint16 {
+	sh := f.sh
+	for steps > 0 && sh.poly {
+		j := 1
+		if sh.static {
+			j = steps
+		} else if !sh.isPhi(f.phi(f.k).RawData(), int(f.n)) {
+			j = 0
+		}
+		if j = min(j, math.MaxUint16-int(f.lag)); j == 0 {
 			f.PredictN(1) // settles first; refuses a φ of the wrong size
+			steps--
 			continue
 		}
-		// stepX's bits under the record's Φ — dot2's products by one are
-		// exact, its zero factors skipped, and for n = 1 x stays — at an
-		// eighth less CPU a pair's reading than a call (BenchmarkSparsePair).
-		if len(x) == 2 {
-			x0 := 0 + x[0]
-			if d := sh.phi[1]; d != 0 {
-				x0 += float64(d * x[1])
+		// j steps of stepX's bits under the record's Φ — dot2's products by
+		// one are exact, its zero factors skipped, and for n = 1 x stays — at
+		// an eighth less CPU a pair's reading than a call (BenchmarkSparsePair).
+		if x := f.buf[:f.n]; len(x) == 2 {
+			x0, x1, d := x[0], x[1], sh.phi[1]
+			for range j {
+				x0 = 0 + x0
+				if d != 0 {
+					x0 += float64(d * x1)
+				}
+				x1 = 0 + x1
 			}
-			x[0], x[1] = x0, 0+x[1]
+			x[0], x[1] = x0, x1
 		}
-		f.k++
+		f.k, steps = f.k+j, steps-j
 		f.corrected, f.sValid = false, false
 		// A single step owed on a phase's P⁺ settles by the cycle.
-		if f.lag++; f.lag > 1 || f.cy&cyFast != 0 {
+		if f.lag += uint16(j); f.lag > 1 || f.cy&cyFast != 0 {
 			f.cy = 0
 		}
 	}

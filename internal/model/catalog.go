@@ -21,6 +21,8 @@ func Constant(axes int, q, r float64) Model {
 		H:       mat.Identity(axes),
 		Q:       mat.ScaledIdentity(axes, q),
 		R:       mat.ScaledIdentity(axes, r),
+
+		TimeInvariant: true, // Φ = I at every step
 	}.withInit(func(x, z []float64) { copy(x, z) })
 }
 
@@ -81,6 +83,8 @@ func polynomial(name string, axes, order int, dt, q, r float64) Model {
 		H:       h,
 		Q:       mat.ScaledIdentity(dim, q),
 		R:       mat.ScaledIdentity(axes, r),
+
+		TimeInvariant: true, // the Taylor block at dt at every step
 	}.withInit(func(x, z []float64) {
 		for a := 0; a < axes; a++ {
 			x[a*order] = z[a]
@@ -127,6 +131,8 @@ func Smoothing(f, r float64) Model {
 		H:       mat.Identity(1),
 		Q:       mat.Diag(f),
 		R:       mat.Diag(r),
+
+		TimeInvariant: true, // φ = [1] at every step
 	}.withInit(func(x, z []float64) { x[0] = z[0] })
 }
 

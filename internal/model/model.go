@@ -28,6 +28,9 @@ type Model struct {
 	MeasDim int
 	// Phi returns the state transition matrix for step k.
 	Phi kalman.TransitionFunc
+	// TimeInvariant declares that Phi(k) is Phi(0) for every k
+	// (kalman.Config.TimeInvariant); the catalogue's static models do.
+	TimeInvariant bool
 	// H is the m x n measurement matrix.
 	H *mat.Matrix
 	// Q is the n x n process noise covariance.
@@ -109,7 +112,7 @@ func (m Model) InitFilter(f *kalman.Filter, block, z0 []float64) error {
 	if z0 != nil && len(z0) != m.MeasDim {
 		return fmt.Errorf("model %s: initial measurement has %d values, want %d", m.Name, len(z0), m.MeasDim)
 	}
-	if err := f.Init(block, kalman.Config{Phi: m.Phi, H: m.H, Q: m.Q, R: m.R, P0: m.P0}); err != nil {
+	if err := f.Init(block, kalman.Config{Phi: m.Phi, H: m.H, Q: m.Q, R: m.R, P0: m.P0, TimeInvariant: m.TimeInvariant}); err != nil {
 		return err
 	}
 	x := block[:m.Dim] // the filter's state segment leads its block

@@ -12,8 +12,10 @@
 # (default tcp_durable_dense, 3), alternating which side runs first, and
 # prints one row per run: its readings_per_s and the profile's self seconds
 # summed per package — kalman, core, dsms, wire, wal, engine, cluster,
-# runtime, syscall, everything else — with the benchmark's reference
-# kernel (main.refKernel, which times the machine) in a column of its own.
+# runtime, syscall, sync (sync, internal/sync and sync/atomic: locks and
+# atomics inlined anywhere), harness (the benchmark's own main.*),
+# everything else — with the benchmark's reference kernel (main.refKernel,
+# which times the machine) in a column of its own.
 # With -block a second table follows: per run, the seconds goroutines
 # waited to lock a sync.Mutex or RWMutex, from `go tool trace -pprof=sync`,
 # charged to the function that called Lock — the wal.(*Log).AppendBatch
@@ -93,9 +95,13 @@ buckets() {
             if (name == "main.refKernel") { sum["ref"] += flat; next }
             pkg = name
             sub(/[(\[].*$/, "", pkg) # receiver and type arguments may hold slashes
-            sub(/^.*\//, "", pkg)    # the last path element
-            sub(/\..*$/, "", pkg)
-            if (pkg !~ /^(kalman|core|dsms|wire|wal|engine|cluster|runtime|syscall)$/) pkg = "other"
+            sub(/\.[^\/]*$/, "", pkg) # the import path
+            if (pkg ~ /^(sync|internal\/sync|sync\/atomic)$/) pkg = "sync"
+            else if (pkg == "main") pkg = "harness"
+            else {
+                sub(/^.*\//, "", pkg) # the last path element
+                if (pkg !~ /^(kalman|core|dsms|wire|wal|engine|cluster|runtime|syscall)$/) pkg = "other"
+            }
             sum[pkg] += flat
         }
         END { for (p in sum) print p, sum[p] }'
@@ -118,7 +124,7 @@ mutexwait() {
         }'
 }
 
-cols="kalman core dsms wire wal engine cluster runtime syscall other ref"
+cols="kalman core dsms wire wal engine cluster runtime syscall sync harness other ref"
 echo "| side | run | readings_per_s | $(echo $cols | sed 's/ / | /g') |"
 echo "|---|---|---:|$(for c in $cols; do printf -- '---:|'; done)"
 for i in $(seq 1 "$runs"); do
