@@ -38,9 +38,7 @@ type Update struct {
 	SourceID string
 	// Seq is the reading's discrete time index.
 	Seq int
-	// Time is the reading's sampling timestamp in seconds. It lets the
-	// server maintain a seq↔time mapping so clients can query by wall
-	// clock (dsms.AnswerAtTime).
+	// Time is the reading's sampling timestamp in seconds.
 	Time float64
 	// Values is the measurement vector folded into both filters.
 	Values []float64

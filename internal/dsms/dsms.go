@@ -127,8 +127,8 @@ type sourceState struct {
 	mu      sync.Mutex
 	node    core.ServerNode // built in place over a slab block by InstallFor
 	lastSeq int             // seq of the last transmitted update (-1 before any)
-	times   timeMap         // seq-to-time mapping from update timestamps
 	ckptSeq int             // last update seq covered by a checkpoint (-1 before any)
+	_       [40]byte        // pads the record to five cache lines
 
 	// The stream's own ingest counts: what Stats, /streamz, checkpoints,
 	// migration snapshots and — read at scrape time, telemetry.go — the
@@ -649,11 +649,13 @@ func (s *Server) HandleUpdate(u core.Update) error {
 
 // rxFrame is what a TCP connection keeps beside a received update: the
 // route index its ack must name (-1: a source's own update, acked by seq
-// alone), its seq, and what only a trace records — its frame's size on
-// the wire and the evidence trailer it carried (nil: none), still in its
-// payload.
+// alone), its seq, its update payload as received — what the log
+// records, valid in the read buffer while the run is — and what only a
+// trace records: its frame's size on the wire and the evidence trailer
+// it carried (nil: none), still in its payload.
 type rxFrame struct {
 	route, seq int64
+	payload    []byte
 	bytes      int
 	ev         *wire.Evidence
 }
@@ -669,18 +671,19 @@ var (
 // applyRun is the one ingest body of both transports (DESIGN §14). It
 // folds the leading updates of run that are one stream's — oldest first;
 // frames, if any, parallel to run — into that stream under one lock
-// section: one lookup, applyLocked per update with its WAL record encoded
-// beside it, one notify at the newest applied seq. It returns how many it
-// applied, and the caller hands in the rest; an error says why it stopped
-// at run[n]: that update was refused, and the caller does its transport's
-// thing with the refusal and goes on from run[n+1:]. Only an error
+// section: one lookup, applyLocked per update with its frame added to the
+// run's WAL record beside it, one notify at the newest applied seq. It
+// returns how many it applied, and the caller hands in the rest; an error
+// says why it stopped at run[n]: that update was refused, and the caller
+// does its transport's thing with the refusal and goes on from run[n+1:].
+// Only an error
 // wrapping errNotLogged refuses nothing: the n updates were applied but
 // are not all in the log.
 //
 // Two things under the lock go by batch. nil is a synchronous caller (TCP
-// connection, HandleUpdate): the records go to the stream's own buffer
-// and are committed with one AppendBatch before the lock is released, so
-// an ack follows the commit (DESIGN §11). Non-nil is a shard worker's
+// connection, HandleUpdate): the frames go to the stream's own buffer
+// and are committed as one record before the lock is released, so an ack
+// follows the commit (DESIGN §11). Non-nil is a shard worker's
 // buffer: the records wait there for the commit that ends the drained
 // batch, and what only a lossy, reordering transport delivers is refused
 // first — an update at or below the last applied seq (a late duplicate
@@ -724,7 +727,7 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 			// After the apply, under the same lock: a rejected update
 			// never enters the log, and record order is apply order.
 			var size int
-			if size, logErr = wl.add(u); logErr == nil && sampled {
+			if size, logErr = s.db.add(wl, f.payload, u); logErr == nil && sampled {
 				st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWAL, Aux: int64(size)})
 			}
 		}
@@ -744,8 +747,8 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 	return n, err
 }
 
-// applyLocked is applyRun's per-update step: filter step, history, time
-// map, suppression accounting, trace and audit. evid is the evidence the
+// applyLocked is applyRun's per-update step: filter step, history,
+// suppression accounting, trace and audit. evid is the evidence the
 // update carried (nil: none) and wireBytes the received frame size (0:
 // not in a frame of its own). Caller holds st.mu. Returns whether this
 // apply was trace-sampled, and its trace id.
@@ -765,7 +768,6 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, evid *wire.Evidenc
 	if err := st.recordHistory(u.Seq, u.Values, u.Bootstrap); err != nil {
 		return false, 0, fmt.Errorf("dsms: recording history for %s: %w", u.SourceID, err)
 	}
-	st.times.observe(u.Seq, u.Time)
 	// Every sequence number skipped between consecutive transmissions is
 	// a reading the source suppressed (or outlier-rejected): the DKF
 	// contract is that the server's prediction covered it. Counting the

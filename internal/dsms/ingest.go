@@ -55,8 +55,8 @@ type engineSink struct{ s *Server }
 
 // ApplyBatch applies one drained batch on the owning shard's worker:
 // each run of consecutive updates for one source is one applyRun,
-// and the batch's WAL records are group-committed at the end — one log
-// lock and, under SyncAlways, one fsync. Datagrams are not acked, so
+// and the batch's applied updates are committed at the end as one run
+// record — one log lock and, under SyncAlways, one fsync. Datagrams are not acked, so
 // there is nothing to hold back: a refused update or a failed commit is
 // counted, and the stream re-converges from the next updates.
 func (es engineSink) ApplyBatch(shard int, batch []core.Update) {

@@ -19,8 +19,9 @@ import (
 // Durability: the server's crash-recovery layer over internal/wal.
 //
 // Every state-mutating event is logged — query registrations and received
-// updates (bootstrap included) — and a periodic checkpoint snapshots the
-// full per-stream filter state so the log can be truncated. Suppressed
+// updates (bootstrap included), a run of them as one record of their
+// update frames — and a periodic checkpoint snapshots the full per-stream
+// filter state so replay can start where the snapshot was cut. Suppressed
 // readings cost nothing: they are reconstructed at replay from the same
 // sequence gaps the live server counted (§3.1's update suppression is
 // also a durability optimization: the update stream is the minimal
@@ -30,7 +31,7 @@ import (
 // apply — a rejected update must never enter the log, or replay would
 // apply it — under the same per-source lock, so the per-source record
 // order equals the apply order, which is all replay needs; and they are
-// committed with one AppendBatch before the TCP layer acks any of them.
+// committed as one record before the TCP layer acks any of them.
 // A shard worker commits after the lock, once per drained batch: it is
 // its streams' only writer and datagrams are not acked.
 //
@@ -47,8 +48,9 @@ import (
 // start at 0x10.
 const (
 	walTagRegister byte = 0x10 // str queryID, str sourceID, str model, f64 delta, f64 F
-	walTagUpdate   byte = 0x11 // wire update payload (wire.AppendUpdate), verbatim
+	walTagUpdate   byte = 0x11 // one wire update payload; replayed, never written (logs of older servers)
 	walTagAdvance  byte = 0x12 // str sourceID, i64 seq; replayed, never written (logs of older servers)
+	walTagRun      byte = 0x13 // wire update frames (wire.AppendUpdateFrame layout), back to back
 )
 
 // DurabilityOptions configures Open.
@@ -92,8 +94,8 @@ type durability struct {
 
 // Open builds a durable server over dataDir: it opens (creating if
 // empty) the write-ahead log, restores the latest checkpoint, replays
-// the remaining log records, and returns a server whose filters,
-// counters and seq↔time mappings are bit-identical to the process that
+// the log records from the position it was cut at, and returns a server
+// whose filters and counters are bit-identical to the process that
 // wrote them. A torn final record — a crash mid-append — is truncated
 // away; corruption anywhere else fails recovery loudly.
 func Open(catalog *Catalog, dataDir string, opts DurabilityOptions) (*Server, error) {
@@ -119,8 +121,9 @@ func Open(catalog *Catalog, dataDir string, opts DurabilityOptions) (*Server, er
 	if err != nil {
 		return fail(fmt.Errorf("dsms: reading checkpoint: %w", err))
 	}
+	var from wal.Position // without a checkpoint, or in one of older servers: replay it all
 	if payload != nil {
-		if err := s.restoreCheckpoint(payload); err != nil {
+		if from, err = s.restoreCheckpoint(payload); err != nil {
 			return fail(fmt.Errorf("dsms: restoring checkpoint: %w", err))
 		}
 		// Seed the checkpoint age from the file's mtime so a freshly
@@ -132,7 +135,7 @@ func Open(catalog *Catalog, dataDir string, opts DurabilityOptions) (*Server, er
 	}
 	var u core.Update
 	var replayed int64
-	err = log.Replay(func(tag byte, p []byte) error {
+	err = log.Replay(from, func(tag byte, p []byte) error {
 		replayed++
 		return s.replayRecord(tag, p, &u)
 	})
@@ -214,41 +217,58 @@ func (db *durability) appendRegister(q stream.Query) error {
 }
 
 // runLog is a group-commit buffer, a stream's or a shard worker's:
-// applied updates are encoded into the arena under the stream's lock and
-// committed together. A record pins the array it is in, so it stays
-// valid across arena growth.
+// applied updates' frames wait in it, under the stream's lock, to be
+// committed as one run record.
 type runLog struct {
-	arena []byte
-	recs  [][]byte
+	frames  []byte
+	updates int
 }
 
 // runLogs lends a synchronous caller the buffer its run's records wait in
 // between the apply and the commit, both under the stream's lock.
 var runLogs = sync.Pool{New: func() any { return new(runLog) }}
 
-// add encodes one applied update as the next record; returns its size.
-func (wl *runLog) add(u *core.Update) (int, error) {
-	start := len(wl.arena)
-	grown, err := wire.AppendUpdate(wl.arena, u)
+// add appends one applied update's frame to the run record: its received
+// payload verbatim behind a frame header, or u encoded anew when it came
+// without one (nil payload). A record that would outgrow wal.MaxRecord is
+// committed before it. Returns the frame's size.
+func (db *durability) add(wl *runLog, payload []byte, u *core.Update) (int, error) {
+	start := len(wl.frames)
+	var err error
+	if payload != nil {
+		wl.frames = append(wire.BeginFrame(wl.frames, wire.TagUpdate), payload...)
+		wl.frames, err = wire.EndFrame(wl.frames, start)
+	} else {
+		wl.frames, err = wire.AppendUpdateFrame(wl.frames, u)
+	}
 	if err != nil {
+		wl.frames = wl.frames[:start]
 		return 0, err
 	}
-	wl.arena = grown
-	wl.recs = append(wl.recs, grown[start:])
-	return len(grown) - start, nil
+	size := len(wl.frames) - start
+	if len(wl.frames) >= wal.MaxRecord && start > 0 {
+		frame := wl.frames[start:]
+		wl.frames = wl.frames[:start]
+		if err := db.commit(wl); err != nil {
+			return 0, err
+		}
+		wl.frames = append(wl.frames, frame...) // moves down: the array is the same
+	}
+	wl.updates++
+	return size, nil
 }
 
-// commit group-commits the buffered update records — one log lock and,
-// under SyncAlways, one shared fsync for all of them — and empties it.
+// commit group-commits the buffered run — one record, one log lock and,
+// under SyncAlways, one shared fsync — and empties it.
 func (db *durability) commit(wl *runLog) error {
-	if len(wl.recs) == 0 {
+	if wl.updates == 0 {
 		return nil
 	}
-	err := db.log.AppendBatch(walTagUpdate, wl.recs)
+	err := db.log.Append(walTagRun, wl.frames)
 	if err == nil {
-		db.sinceCkpt.Add(int64(len(wl.recs)))
+		db.sinceCkpt.Add(int64(wl.updates))
 	}
-	wl.arena, wl.recs = wl.arena[:0], wl.recs[:0]
+	wl.frames, wl.updates = wl.frames[:0], 0
 	return err
 }
 
@@ -287,10 +307,11 @@ func (s *Server) checkpointer() {
 }
 
 // Checkpoint snapshots the full server state into the data directory's
-// checkpoint file and truncates the log's sealed segments. Safe to call
-// concurrently with ingest: streams keep flowing while the snapshot is
-// cut, and the per-source sequence numbers in the snapshot make replay
-// of any overlapping records idempotent.
+// checkpoint file, with the log position it was cut at, and removes the
+// segments wholly before that position. Safe to call concurrently with
+// ingest: streams keep flowing while the snapshot is cut, and the
+// per-source sequence numbers in the snapshot make replay of any
+// overlapping records idempotent.
 func (s *Server) Checkpoint() error {
 	if s.db == nil {
 		return errors.New("dsms: server is not durable")
@@ -300,25 +321,25 @@ func (s *Server) Checkpoint() error {
 	start := time.Now()
 	// What ingest logs from here on counts toward the next checkpoint.
 	covered := s.db.sinceCkpt.Load()
-	// Seal the current segment first: everything logged before this
-	// instant lands in a sealed segment that the snapshot (cut after)
-	// fully covers, so those segments can be removed.
-	active, err := s.db.log.Rotate()
+	// Every record before from is durable, and applied before it was
+	// logged: the snapshot cut after it covers them all, so recovery
+	// replays from there.
+	from, err := s.db.log.Mark()
 	if err != nil {
 		return err
 	}
-	payload, seqs := s.encodeCheckpoint()
+	payload, seqs := s.encodeCheckpoint(from)
 	if err := wal.WriteCheckpoint(s.db.dir, payload); err != nil {
 		return err
 	}
 	// The snapshot is durable: publish the per-source coverage marks
-	// and drop the sealed segments it supersedes.
+	// and drop the segments a size-triggered rotation left behind it.
 	for st, seq := range seqs {
 		st.mu.Lock()
 		st.ckptSeq = seq
 		st.mu.Unlock()
 	}
-	if _, err := s.db.log.RemoveSegmentsBefore(active); err != nil {
+	if _, err := s.db.log.RemoveSegmentsBefore(from.Seg); err != nil {
 		return err
 	}
 	s.db.sinceCkpt.Add(-covered)
@@ -330,16 +351,26 @@ func (s *Server) Checkpoint() error {
 // Checkpoint payload layout (wrapped by wal's checksummed checkpoint
 // file; all integers little-endian, strings u16-length-prefixed):
 //
+//	u32 positionMark, u32 seg, i64 off   (the log position replay starts at)
 //	u32 sources
 //	per source:
 //	  str sourceID
 //	  u32 queries; per query: str id, str model, f64 delta, f64 F
 //	  i64 lastSeq            (last transmitted update; -1 before any)
 //	  i64 updates, suppressed, bytes   (counter values)
-//	  u8 anchored; i64 bootSeq; f64 bootTime; i64 tmLastSeq; f64 tmLastTime
 //	  u8 nodeState           (0 none, 1 installed, 2 bootstrapped)
 //	  if bootstrapped: i64 k, i64 seq, i64 ticks, f64 lastNIS, u8 nisValid,
 //	    u16 len(x), f64…, u32 len(p), f64…, u16 innovs, per innov: u16 len, f64…
+//
+// Older servers wrote no position: their payload opens with the source
+// count, which never reaches positionMark, and replays every segment. Each
+// of their entries holds 33 bytes more before nodeState, the time map
+// they kept (u8 anchored, i64 bootSeq, f64 bootTime, i64 lastSeq, f64
+// lastTime), read and discarded.
+const (
+	positionMark     = 0xffffffff
+	legacyTimeMapLen = 1 + 4*8
+)
 
 // encodeCheckpoint cuts a consistent-per-source snapshot of the whole
 // server. The topology is pinned by the read lock; each source is
@@ -347,26 +378,28 @@ func (s *Server) Checkpoint() error {
 // counters and sequence numbers are mutually consistent even while
 // other streams keep ingesting. Returns the payload and each source's
 // covered sequence number, to publish once the checkpoint is durable.
-func (s *Server) encodeCheckpoint() ([]byte, map[*sourceState]int) {
+func (s *Server) encodeCheckpoint(from wal.Position) ([]byte, map[*sourceState]int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	seqs := make(map[*sourceState]int, s.streams.n.Load())
-	buf := wire.AppendU32(make([]byte, 0, 1024), 0) // the count, filled in below
+	buf := wire.AppendU32(make([]byte, 0, 1024), positionMark)
+	buf = wire.AppendI64(wire.AppendU32(buf, uint32(from.Seg)), from.Off)
+	buf = wire.AppendU32(buf, 0) // the count, filled in below
 	s.streams.each(func(st *sourceState) {
 		st.mu.Lock()
 		buf, seqs[st] = appendSourceEntry(buf, st)
 		st.mu.Unlock()
 	})
-	binary.LittleEndian.PutUint32(buf, uint32(len(seqs)))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(len(seqs)))
 	return buf, seqs
 }
 
 // appendSourceEntry encodes one source's full state — queries, counters,
-// seq↔time mapping, filter snapshot — in the checkpoint layout above,
-// returning the extended buffer and the last update seq the entry
-// covers. It is the shared snapshot body for whole-server checkpoints
-// and single-stream migration transfers (shard.go). Caller holds s.mu
-// (read suffices) and the source's runtime lock.
+// filter snapshot — in the checkpoint layout above, returning the
+// extended buffer and the last update seq the entry covers. It is the
+// shared snapshot body for whole-server checkpoints and single-stream
+// migration transfers (shard.go). Caller holds s.mu (read suffices) and
+// the source's runtime lock.
 func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 	buf, _ = wire.AppendString(buf, st.id)
 	buf = wire.AppendU32(buf, uint32(len(st.queries)))
@@ -380,11 +413,6 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 	buf = wire.AppendI64(buf, st.updates)
 	buf = wire.AppendI64(buf, st.suppressed)
 	buf = wire.AppendI64(buf, st.bytes)
-	buf = append(buf, b2u8(st.times.anchored))
-	buf = wire.AppendI64(buf, int64(st.times.bootSeq))
-	buf = wire.AppendF64(buf, st.times.bootTime)
-	buf = wire.AppendI64(buf, int64(st.times.lastSeq))
-	buf = wire.AppendF64(buf, st.times.lastTime)
 	snap := st.node.Snapshot() // nil before the bootstrap
 	buf = append(buf, b2u8(st.node.Installed())+b2u8(snap != nil))
 	if snap != nil {
@@ -435,36 +463,42 @@ func errBadCheckpoint(what string) error {
 	return fmt.Errorf("%w: checkpoint payload: %s", wal.ErrCorrupt, what)
 }
 
-// restoreCheckpoint rebuilds the server from a checkpoint payload. It
-// routes queries back through Register — so the shared per-source
-// configuration is recomputed by the same min-Δ rules that produced it —
-// then restores each filter bit-identically from its snapshot.
-func (s *Server) restoreCheckpoint(p []byte) error {
+// restoreCheckpoint rebuilds the server from a checkpoint payload and
+// returns the log position to replay from. It routes queries back through
+// Register — so the shared per-source configuration is recomputed by the
+// same min-Δ rules that produced it — then restores each filter
+// bit-identically from its snapshot.
+func (s *Server) restoreCheckpoint(p []byte) (from wal.Position, err error) {
 	c := wire.NewCursor(p)
-	nSources := int(c.U32())
-	if !c.OK() {
-		return errBadCheckpoint("truncated header")
+	nSources := c.U32()
+	timeMapped := nSources != positionMark
+	if !timeMapped {
+		from = wal.Position{Seg: int(c.U32()), Off: c.I64()}
+		nSources = c.U32()
 	}
-	for i := 0; i < nSources; i++ {
-		if _, _, err := s.restoreSourceEntry(&c); err != nil {
-			return err
+	if !c.OK() {
+		return from, errBadCheckpoint("truncated header")
+	}
+	for i := 0; i < int(nSources); i++ {
+		if _, _, err := s.restoreSourceEntry(&c, timeMapped); err != nil {
+			return from, err
 		}
 	}
 	if !c.Done() {
-		return errBadCheckpoint("trailing bytes")
+		return from, errBadCheckpoint("trailing bytes")
 	}
-	return nil
+	return from, nil
 }
 
 // restoreSourceEntry decodes one source entry (the appendSourceEntry
-// layout) from c and installs it: queries re-registered through
-// Register so the shared min-Δ configuration is recomputed, the filter
-// restored bit-identically from its snapshot, counters and seq↔time
-// mapping put back, and the released mark of an earlier migration away
-// cleared (a migrate-back). It is the shared restore body for checkpoint
-// recovery and migration installs (shard.go). The entry's counts are the
-// stream's totals, so they replace the record's.
-func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq int, err error) {
+// layout, with the legacy time map if timeMapped) from c and installs
+// it: queries re-registered through Register so the shared min-Δ
+// configuration is recomputed, the filter restored bit-identically from
+// its snapshot, counters put back, and the released mark of an earlier
+// migration away cleared (a migrate-back). It is the shared restore body
+// for checkpoint recovery and migration installs (shard.go). The entry's
+// counts are the stream's totals, so they replace the record's.
+func (s *Server) restoreSourceEntry(c *wire.Cursor, timeMapped bool) (sourceID string, lastSeq int, err error) {
 	sourceID = string(c.Str())
 	nQueries := int(c.U32())
 	if !c.OK() {
@@ -493,11 +527,9 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 	updates := c.I64()
 	suppressed := c.I64()
 	bytes := c.I64()
-	anchored := c.U8() != 0
-	bootSeq := int(c.I64())
-	bootTime := c.F64()
-	tmLastSeq := int(c.I64())
-	tmLastTime := c.F64()
+	if timeMapped {
+		c.Take(legacyTimeMapLen)
+	}
 	nodeState := c.U8()
 	var snap *core.NodeSnapshot
 	if nodeState == 2 {
@@ -543,7 +575,6 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor) (sourceID string, lastSeq in
 	st.ckptSeq = lastSeq
 	st.updates, st.suppressed, st.bytes = updates, suppressed, bytes
 	st.releasedAt = -1
-	st.times = timeMap{anchored: anchored, bootSeq: bootSeq, bootTime: bootTime, lastSeq: tmLastSeq, lastTime: tmLastTime}
 	st.version.Add(1)
 	st.mu.Unlock()
 	return sourceID, lastSeq, nil
@@ -573,27 +604,20 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 		// a failing replay of one reproduces a failed live call: skip.
 		_ = s.Register(q)
 		return nil
-	case walTagUpdate:
-		if err := wire.DecodeUpdatePayload(p, u); err != nil {
-			return fmt.Errorf("%w: bad update record: %v", wal.ErrCorrupt, err)
-		}
-		st := s.source(u.SourceID)
-		if st == nil {
-			return fmt.Errorf("%w: update record for unregistered source %s", wal.ErrCorrupt, u.SourceID)
-		}
-		st.mu.Lock()
-		covered := u.Seq <= st.ckptSeq
-		st.mu.Unlock()
-		if covered {
-			return nil
-		}
-		if _, err := s.InstallFor(u.SourceID); err != nil { // a no-op past the stream's first record
-			return fmt.Errorf("dsms: replay install for %s: %w", u.SourceID, err)
-		}
-		if err := s.HandleUpdate(*u); err != nil {
-			return fmt.Errorf("dsms: replaying update %s/%d: %w", u.SourceID, u.Seq, err)
+	case walTagRun:
+		for len(p) > 0 {
+			tag, payload, rest, err := wire.NextFrame(p, wal.MaxRecord)
+			if err != nil || tag != wire.TagUpdate {
+				return fmt.Errorf("%w: bad run record: %v frame, %v", wal.ErrCorrupt, tag, err)
+			}
+			if err := s.replayUpdate(payload, u); err != nil {
+				return err
+			}
+			p = rest
 		}
 		return nil
+	case walTagUpdate:
+		return s.replayUpdate(p, u)
 	case walTagAdvance:
 		c := wire.NewCursor(p)
 		sourceID := string(c.Str())
@@ -613,4 +637,29 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 	default:
 		return fmt.Errorf("%w: unknown record tag 0x%02x", wal.ErrCorrupt, tag)
 	}
+}
+
+// replayUpdate applies one logged update payload unless the checkpoint
+// covers it.
+func (s *Server) replayUpdate(p []byte, u *core.Update) error {
+	if err := wire.DecodeUpdatePayload(p, u); err != nil {
+		return fmt.Errorf("%w: bad update record: %v", wal.ErrCorrupt, err)
+	}
+	st := s.source(u.SourceID)
+	if st == nil {
+		return fmt.Errorf("%w: update record for unregistered source %s", wal.ErrCorrupt, u.SourceID)
+	}
+	st.mu.Lock()
+	covered := u.Seq <= st.ckptSeq
+	st.mu.Unlock()
+	if covered {
+		return nil
+	}
+	if _, err := s.InstallFor(u.SourceID); err != nil { // a no-op past the stream's first record
+		return fmt.Errorf("dsms: replay install for %s: %w", u.SourceID, err)
+	}
+	if err := s.HandleUpdate(*u); err != nil {
+		return fmt.Errorf("dsms: replaying update %s/%d: %w", u.SourceID, u.Seq, err)
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -810,4 +811,136 @@ func TestCheckpointOffIngestGoroutine(t *testing.T) {
 	if got := s.Stats(); got[1].Updates != u.Seq {
 		t.Fatalf("applied %d of %d offers", got[1].Updates, u.Seq)
 	}
+}
+
+// wantSameFilter fails unless got's filter for sourceID holds the same x
+// and P bits at the same seq as want's.
+func wantSameFilter(t *testing.T, got, want *Server, sourceID string) {
+	t.Helper()
+	gx, gp, gseq := nodeBits(t, got, sourceID)
+	wx, wp, wseq := nodeBits(t, want, sourceID)
+	if gseq != wseq || !slices.Equal(gx, wx) || !slices.Equal(gp, wp) {
+		t.Fatalf("filter at seq %d x %x P %x, want seq %d x %x P %x (not bit-identical)", gseq, gx, gp, wseq, wx, wp)
+	}
+}
+
+// TestRecoverLegacyDataDir: testdata/legacy-datadir is what a server of
+// the previous format left when it was killed (no Close) after streaming
+// persistData(300) under chattyQuery with SyncAlways and one explicit
+// Checkpoint halfway: a version 1 checkpoint that carries the time map,
+// and one 0x11 record per update after it. It recovers to the filter,
+// counters and answers of a server that never stopped.
+func TestRecoverLegacyDataDir(t *testing.T) {
+	dir := t.TempDir()
+	names, err := filepath.Glob(filepath.Join("testdata", "legacy-datadir", "*"))
+	if err != nil || len(names) != 2 {
+		t.Fatalf("fixture files %v, %v", names, err)
+	}
+	for _, name := range names {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(testCatalog(), dir, DurabilityOptions{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s.Close()
+	ref, _ := runReference(t, chattyQuery, persistData(300))
+	wantSameFilter(t, s, ref, chattyQuery.SourceID)
+	wantSameStats(t, s.Stats(), ref.Stats())
+	if got := s.ResumeSeq(chattyQuery.SourceID); got != 299 {
+		t.Fatalf("ResumeSeq = %d, want 299", got)
+	}
+	wantSameTrajectory(t, trajectory(t, s, chattyQuery.ID, 310), trajectory(t, ref, chattyQuery.ID, 310))
+}
+
+// TestReplayFromLastCheckpoint: checkpoints cut inside one segment leave
+// it in place, and recovery replays only the records logged after the
+// last one's position — counted by the recovery instrument — to the
+// state of a server that never stopped.
+func TestReplayFromLastCheckpoint(t *testing.T) {
+	const tail = 17
+	dir := t.TempDir()
+	opts := DurabilityOptions{Sync: wal.SyncAlways}
+	s, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, s, chattyQuery)
+	if _, err := s.InstallFor(chattyQuery.SourceID); err != nil {
+		t.Fatal(err)
+	}
+	ref, transcript := runReference(t, chattyQuery, persistData(400))
+	if len(transcript) < 3*tail+1 {
+		t.Fatalf("%d updates: too few for the test", len(transcript))
+	}
+	last := len(transcript) - tail
+	for i, u := range transcript {
+		if i == tail || i == 2*tail || i == last {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.HandleUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal")); len(segs) != 1 {
+		t.Fatalf("segments %v, want the one the checkpoints were cut inside", segs)
+	}
+	// Crash: no Close.
+	s2, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s2.Close()
+	if got := counter(t, s2, "streamkf_wal_recovered_records"); got != tail {
+		t.Fatalf("recovery replayed %d records, want the %d logged after the last checkpoint", got, tail)
+	}
+	wantSameFilter(t, s2, ref, chattyQuery.SourceID)
+	wantSameStats(t, s2.Stats(), ref.Stats())
+}
+
+// TestRunRecordSplitsAtMaxRecord: a run whose frames would outgrow
+// wal.MaxRecord — here forty updates of a stream with a 60,000-byte id —
+// is committed as several run records, each cut at a frame boundary, and
+// a crash recovers all of it.
+func TestRunRecordSplitsAtMaxRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(testCatalog(), dir, DurabilityOptions{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := stream.Query{ID: "q-long", SourceID: strings.Repeat("x", 60000), Delta: 1e-9, Model: "constant"}
+	mustRegister(t, s, q)
+	if _, err := s.InstallFor(q.SourceID); err != nil {
+		t.Fatal(err)
+	}
+	run := make([]core.Update, 40)
+	for i := range run {
+		run[i] = core.Update{SourceID: q.SourceID, Seq: i, Time: float64(i), Values: []float64{float64(i % 7)}, Bootstrap: i == 0}
+	}
+	records := counter(t, s, "streamkf_wal_records_appended_total")
+	if n, err := s.applyRun(run, nil, nil); n != len(run) || err != nil {
+		t.Fatalf("applyRun = %d, %v", n, err)
+	}
+	// 40 frames of 60,034 bytes: 17 fit under the 1 MiB cap, so three records.
+	if got := counter(t, s, "streamkf_wal_records_appended_total") - records; got != 3 {
+		t.Fatalf("the run was logged as %d records, want 3", got)
+	}
+	if err := s.db.log.Sync(); err != nil { // SyncOff: make the crash keep it
+		t.Fatal(err)
+	}
+	s2, err := Open(testCatalog(), dir, DurabilityOptions{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s2.Close()
+	wantSameFilter(t, s2, s, q.SourceID)
+	wantSameStats(t, s2.Stats(), s.Stats())
 }

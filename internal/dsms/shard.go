@@ -42,7 +42,7 @@ func (s *Server) ObserveEpoch(epoch int64) {
 }
 
 // SnapshotSource cuts a migration snapshot of one stream — the
-// checkpoint encoding of its queries, counters, time map and filter
+// checkpoint encoding of its queries, counters and filter
 // state — marks the stream released at epoch, and returns the payload
 // plus the last update seq it covers (the cutover ResumeSeq). The mark
 // is set in the lock section that cuts the snapshot, so no update past
@@ -73,7 +73,7 @@ func (s *Server) SnapshotSource(sourceID string, epoch int64) (payload []byte, r
 // the snapshot covers.
 func (s *Server) RestoreSource(payload []byte, epoch int64) (sourceID string, resumeSeq int64, err error) {
 	c := wire.NewCursor(payload)
-	id, last, err := s.restoreSourceEntry(&c)
+	id, last, err := s.restoreSourceEntry(&c, false)
 	if err != nil {
 		return "", 0, err
 	}

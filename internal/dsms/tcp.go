@@ -138,16 +138,16 @@ func (t *TCPServer) handle(conn net.Conn) {
 	tel := t.server.tel
 	tel.connsTotal.Inc()
 	tel.connsActive.Add(1)
+	c := tcpConn{s: t.server, r: wire.NewReader(conn, 0, t.maxFrame), w: wire.NewWriter(conn, 0, t.maxFrame)}
+	c.w.OnFrame = tel.tx
 	defer func() {
+		c.countRx() // a run the connection ended inside
 		conn.Close()
 		tel.connsActive.Add(-1)
 		t.mu.Lock()
 		delete(t.conns, conn)
 		t.mu.Unlock()
 	}()
-	c := tcpConn{s: t.server, r: wire.NewReader(conn, 0, t.maxFrame), w: wire.NewWriter(conn, 0, t.maxFrame)}
-	c.r.OnFrame = tel.rx
-	c.w.OnFrame = tel.tx
 
 	// Preamble exchange: validate the client's, answer with ours. A peer
 	// not speaking the protocol gets a best-effort error frame, then the close.
@@ -207,6 +207,22 @@ type tcpConn struct {
 	frames []rxFrame     // parallel to run
 	acks   []rxFrame     // earned since the last write-out
 	traced bool          // evidence trailers were asked for: keep them
+
+	// rxFrames and rxBytes count the update [0] and forward [1] frames
+	// read since they were last added to the per-tag totals.
+	rxFrames, rxBytes [2]int64
+}
+
+// countRx adds the update and forward frames read since the last count to
+// the per-tag totals: once a run, as a UDP lane does once a datagram.
+func (c *tcpConn) countRx() {
+	for i, tag := range [2]wire.Tag{wire.TagUpdate, wire.TagForward} {
+		if c.rxFrames[i] > 0 {
+			c.s.tel.rxFrames[tag].Add(c.rxFrames[i])
+			c.s.tel.rxBytes[tag].Add(c.rxBytes[i])
+		}
+	}
+	c.rxFrames, c.rxBytes = [2]int64{}, [2]int64{}
 }
 
 // flushAck writes the cumulative acks earned so far — a source's own
@@ -249,6 +265,7 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 	if tag == wire.TagUpdate || tag == wire.TagForward {
 		return c.update(tag == wire.TagForward, p)
 	}
+	c.s.tel.rx(tag, len(p)+5)
 	// Anything else ends the run, and is answered behind its acks.
 	if len(c.run) > 0 && !c.applyBuffered() {
 		return false
@@ -335,6 +352,8 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 // where it arrived, in its payload, which is valid while the run is.
 func (c *tcpConn) update(forwarded bool, p []byte) bool {
 	payload, f := p, rxFrame{route: -1, bytes: len(p) + 5}
+	c.rxFrames[b2u8(forwarded)]++
+	c.rxBytes[b2u8(forwarded)] += int64(f.bytes)
 	if forwarded {
 		// The envelope names the route the ack must carry (a seq alone is
 		// ambiguous on a shared upstream) and the epoch routed under.
@@ -350,7 +369,7 @@ func (c *tcpConn) update(forwarded bool, p []byte) bool {
 	if err := c.r.DecodeUpdate(payload, &c.run[k]); err != nil {
 		return c.fatal(err)
 	}
-	f.seq = int64(c.run[k].Seq)
+	f.seq, f.payload = int64(c.run[k].Seq), payload
 	if c.traced {
 		f.ev = wire.UpdateEvidence(payload)
 	}
@@ -393,6 +412,7 @@ func (c *tcpConn) applyBuffered() bool {
 		}
 	}
 	c.run, c.frames = c.run[:0], c.frames[:0]
+	c.countRx()
 	c.s.maybeCheckpoint()
 	return (!refused && c.r.Buffered() > 0) || c.flushAck(true)
 }

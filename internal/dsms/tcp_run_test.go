@@ -2,6 +2,7 @@ package dsms
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +94,36 @@ func readThrough(t *testing.T, r *wire.Reader, last int64) (before, after []int6
 	}
 }
 
+// loggedSeqs replays the log in dir, as a crash leaves it, and returns
+// the seq of every update its run records hold, in log order.
+func loggedSeqs(t *testing.T, dir string) []int {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var seqs []int
+	var u core.Update
+	err = l.Replay(wal.Position{}, func(tag byte, p []byte) error {
+		for tag == walTagRun && len(p) > 0 {
+			_, payload, rest, err := wire.NextFrame(p, 0)
+			if err != nil {
+				return err
+			}
+			if err := wire.DecodeUpdatePayload(payload, &u); err != nil {
+				return err
+			}
+			seqs, p = append(seqs, u.Seq), rest
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seqs
+}
+
 func counter(t *testing.T, s *Server, name string, labels ...telemetry.Label) int64 {
 	t.Helper()
 	v, ok := s.Telemetry().Get(name, labels...)
@@ -119,11 +150,11 @@ func TestTCPRunRefusedMidRun(t *testing.T) {
 	w, r := rawSource(t, ts.Addr(), runQuery.SourceID)
 	writeRun(t, w, runQuery.SourceID, false, 0)
 	readThrough(t, r, 0)
-	// An answer moves the prediction to seq 5: an update at seq 3 is stale now.
+	// An answer ahead of the stream moves no filter (reads do not write):
+	// seq 3 is refused because it is older than the last applied seq, 6.
 	if _, err := s.Answer(runQuery.ID, 5); err != nil {
 		t.Fatal(err)
 	}
-	logged := counter(t, s, "streamkf_wal_records_appended_total")
 	writeRun(t, w, runQuery.SourceID, false, 5, 6, 3, 7, 8)
 	before, after, msg := readThrough(t, r, 8)
 	if len(before) == 0 || before[len(before)-1] != 6 {
@@ -138,8 +169,8 @@ func TestTCPRunRefusedMidRun(t *testing.T) {
 	if st := s.Stats()[0]; st.Updates != 5 || st.Seq != 8 {
 		t.Fatalf("applied %d updates through seq %d, want 5 through 8", st.Updates, st.Seq)
 	}
-	if got := counter(t, s, "streamkf_wal_records_appended_total") - logged; got != 4 {
-		t.Fatalf("the run logged %d records, want the 4 applied updates", got)
+	if got := loggedSeqs(t, dir); !slices.Equal(got, []int{0, 5, 6, 7, 8}) {
+		t.Fatalf("the log holds updates %v, want the bootstrap and the 4 applied updates 5 6 7 8", got)
 	}
 
 	// Crash (no Close) and recover: the log holds what was applied.
@@ -567,5 +598,141 @@ func TestSendRing(t *testing.T) {
 	pop(1)
 	if got := testing.AllocsPerRun(100, func() { push(30); r.pop(30) }); got != 0 {
 		t.Fatalf("a warm ring allocates %v per 30 pushes", got)
+	}
+}
+
+// TestTCPRxCountedPerRun: the handler adds a run's update and forward
+// frames to dkf_wire_rx_frames_total and dkf_wire_rx_bytes_total once a
+// run, and the totals by tag still equal what the clients framed: around
+// a refused update, for a forwarded run, and for connections that end
+// inside a run — one cut off in a frame after whole ones, one whose
+// malformed frame makes the server hang up before it applies the run.
+func TestTCPRxCountedPerRun(t *testing.T) {
+	s := NewServer(testCatalog())
+	for _, id := range []string{"run", "fwd", "cut", "bad"} {
+		mustRegister(t, s, stream.Query{ID: "q-" + id, SourceID: id, Delta: 1e-9, Model: "constant"})
+	}
+	ts := startServer(t, s)
+	sent := map[wire.Tag][2]int64{} // frames, bytes
+	note := func(tag wire.Tag, n int) {
+		c := sent[tag]
+		sent[tag] = [2]int64{c[0] + 1, c[1] + int64(n)}
+	}
+	dial := func(source string) (net.Conn, *wire.Writer, *wire.Reader) {
+		conn, w, r := rawClient(t, ts.Addr())
+		w.OnFrame = note
+		feats := byte(0)
+		if source == "" {
+			feats = wire.FeatCluster
+		}
+		if err := w.WritePreamble(wire.Version, feats); err != nil {
+			t.Fatal(err)
+		}
+		if source != "" {
+			if err := w.Hello(source); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.ReadPreamble(); err != nil {
+			t.Fatal(err)
+		}
+		if source != "" {
+			if tag, _, err := r.Next(); err != nil || tag != wire.TagInstall {
+				t.Fatalf("handshake reply %v, %v", tag, err)
+			}
+			writeRun(t, w, source, false, 0)
+			readThrough(t, r, 0)
+		}
+		return conn, w, r
+	}
+
+	// A run with a refused update.
+	_, w, r := dial("run")
+	writeRun(t, w, "run", false, 5, 6, 3, 7, 8)
+	if _, _, msg := readThrough(t, r, 8); !strings.Contains(msg, "seq 3") {
+		t.Fatalf("error frame %q, want the refusal of seq 3", msg)
+	}
+
+	// A forwarded run.
+	if _, err := s.InstallFor("fwd"); err != nil {
+		t.Fatal(err)
+	}
+	_, w, r = dial("")
+	for seq := 0; seq < 5; seq++ {
+		p, err := wire.AppendUpdate(nil, &core.Update{SourceID: "fwd", Seq: seq, Values: []float64{1}, Bootstrap: seq == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Forward(0, 1, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for seq := int64(-1); seq < 4; {
+		tag, p, err := r.Next()
+		if err != nil || tag != wire.TagForwardAck {
+			t.Fatalf("reply %v, %v; want forward acks through seq 4", tag, err)
+		}
+		_, seq, _ = wire.DecodeForwardAck(p)
+	}
+
+	// Whole frames, then a frame cut off by the hang-up.
+	// Each waits for the server's hang-up, so the frames are read first.
+	hungUp := func(r *wire.Reader) {
+		for {
+			if _, _, err := r.Next(); err != nil {
+				return
+			}
+		}
+	}
+	conn, w, r := dial("cut")
+	writeRun(t, w, "cut", false, 1, 2)
+	partial, err := wire.AppendUpdateFrame(nil, &core.Update{SourceID: "cut", Seq: 3, Values: []float64{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(partial[:len(partial)-3]); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	hungUp(r)
+
+	// A malformed frame inside a run: the server hangs up with the run unapplied.
+	conn, _, r = dial("bad")
+	var buf []byte
+	for seq := 1; seq <= 3; seq++ {
+		start := len(buf)
+		if seq < 3 {
+			buf, err = wire.AppendUpdateFrame(buf, &core.Update{SourceID: "bad", Seq: seq, Values: []float64{1}})
+		} else {
+			buf, err = wire.EndFrame(append(wire.BeginFrame(buf, wire.TagUpdate), 0xff), start)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		note(wire.TagUpdate, len(buf)-start)
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	hungUp(r)
+
+	ts.Close() // ends the two connections still open
+	for deadline := time.Now().Add(5 * time.Second); counter(t, s, "dkf_wire_connections_active") != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("connections still open")
+		}
+	}
+	for _, tag := range []wire.Tag{wire.TagHello, wire.TagUpdate, wire.TagForward} {
+		l := telemetry.L("tag", tagLabels[tag])
+		got := [2]int64{counter(t, s, "dkf_wire_rx_frames_total", l), counter(t, s, "dkf_wire_rx_bytes_total", l)}
+		if got != sent[tag] {
+			t.Errorf("%v: server counted %d frames, %d bytes; the clients framed %d, %d", tag, got[0], got[1], sent[tag][0], sent[tag][1])
+		}
 	}
 }

@@ -84,7 +84,7 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 	return t
 }
 
-// rx and tx are the wire.Reader/Writer OnFrame hooks.
+// rx counts a received frame; tx is the wire.Writer OnFrame hook.
 func (t *serverTelemetry) rx(tag wire.Tag, n int) { countFrame(&t.rxFrames, &t.rxBytes, tag, n) }
 func (t *serverTelemetry) tx(tag wire.Tag, n int) { countFrame(&t.txFrames, &t.txBytes, tag, n) }
 

@@ -485,11 +485,6 @@ type Reader struct {
 	max     uint32
 	lastID  string // intern cache for Update.SourceID
 	lastQID string // intern cache for query ids
-
-	// OnFrame, when set, observes every successfully read frame: the tag
-	// and the full frame size in bytes (length prefix included). Used for
-	// per-tag traffic telemetry; the hook must not allocate or block.
-	OnFrame func(tag Tag, frameBytes int)
 }
 
 // NewReader wraps r. bufSize <= 0 picks a default; maxFrame <= 0 uses
@@ -555,9 +550,6 @@ func (r *Reader) Next() (Tag, []byte, error) {
 		}
 	default:
 		return 0, nil, mapReadErr(err, true)
-	}
-	if r.OnFrame != nil {
-		r.OnFrame(tag, size)
 	}
 	return tag, frame[5:], nil
 }

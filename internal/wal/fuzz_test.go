@@ -30,7 +30,7 @@ func FuzzWALReplay(f *testing.F) {
 		l, err := Open(dir, Options{Sync: SyncOff})
 		if err == nil {
 			records := 0
-			if err := l.Replay(func(tag byte, p []byte) error {
+			if err := l.Replay(Position{}, func(tag byte, p []byte) error {
 				records++
 				return nil
 			}); err != nil {
@@ -40,7 +40,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Errorf("append after repair: %v", err)
 			}
 			after := 0
-			if err := l.Replay(func(byte, []byte) error { after++; return nil }); err != nil {
+			if err := l.Replay(Position{}, func(byte, []byte) error { after++; return nil }); err != nil {
 				t.Errorf("replay after append: %v", err)
 			}
 			if after != records+1 {
@@ -60,7 +60,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		if l2, err := Open(dir2, Options{Sync: SyncOff}); err == nil {
-			_ = l2.Replay(func(byte, []byte) error { return nil })
+			_ = l2.Replay(Position{}, func(byte, []byte) error { return nil })
 			l2.Close()
 		}
 	})

@@ -104,26 +104,25 @@ func checkSegmentHeader(h []byte) error {
 	return nil
 }
 
-// scanSegment reads every record of the segment at path in order,
-// calling fn(tag, payload) for each (payload is only valid during the
-// call). tail selects the torn-write policy: the last (tail) segment may
-// legitimately end mid-record after a crash, so its first invalid record
-// ends the scan and its byte offset is returned as validLen for the
-// caller to truncate to; any earlier segment was sealed by a rotation
-// and an invalid record in it is hard corruption.
+// scanSegment reads the records of the segment at path from byte offset
+// from (past the header) on, calling fn(tag, payload) for each (valid
+// during the call). tail selects the torn-write policy: the last (tail)
+// segment may legitimately end mid-record after a crash, so its first
+// invalid record ends the scan and its byte offset is returned as
+// validLen for the caller to truncate to; any earlier segment was sealed
+// by a rotation and an invalid record in it is hard corruption.
 //
 // A short header on an empty tail file (crash between create and header
 // write) is reported as validLen 0.
-func scanSegment(path string, tail bool, fn func(tag byte, payload []byte) error) (validLen int64, err error) {
+func scanSegment(path string, tail bool, from int64, fn func(tag byte, payload []byte) error) (validLen int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
 
-	br := bufio.NewReaderSize(f, 1<<16)
 	hdr := make([]byte, segmentHeaderLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if _, err := io.ReadFull(f, hdr); err != nil {
 		if tail && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 			return 0, nil
 		}
@@ -132,8 +131,12 @@ func scanSegment(path string, tail bool, fn func(tag byte, payload []byte) error
 	if err := checkSegmentHeader(hdr); err != nil {
 		return 0, fmt.Errorf("%s: %w", filepath.Base(path), err)
 	}
+	if _, err := f.Seek(from, io.SeekStart); err != nil {
+		return 0, err
+	}
 
-	valid := int64(segmentHeaderLen)
+	br := bufio.NewReaderSize(f, 1<<16)
+	valid := from
 	var buf []byte
 	for {
 		tag, payload, nextBuf, rerr := readRecord(br, buf)

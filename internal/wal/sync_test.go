@@ -333,8 +333,8 @@ func TestRotateRacesAppends(t *testing.T) {
 			t.Fatalf("segments on disk %v are not contiguous", segs)
 		}
 	}
-	if active := l.ActiveSegment(); len(segs) == 0 || segs[len(segs)-1] != active || len(pending) != 0 {
-		t.Fatalf("segments on disk %v (pending %v) do not end at the active segment %d", segs, pending, active)
+	if at, err := l.Mark(); err != nil || len(segs) == 0 || segs[len(segs)-1] != at.Seg || len(pending) != 0 {
+		t.Fatalf("segments on disk %v (pending %v) do not end at the active segment %d (%v)", segs, pending, at.Seg, err)
 	}
 	if n := l.SegmentCount(); n != len(segs) {
 		t.Fatalf("SegmentCount = %d, %d segments on disk", n, len(segs))

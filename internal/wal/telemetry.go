@@ -47,26 +47,19 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 }
 
 // observeAppend counts one batch: one Add per counter, whatever its size.
+// It, observeFsync and observeSegments are the Log's own hooks, whose
+// Instruments are never nil (Options.withDefaults).
 func (i *Instruments) observeAppend(records, frameBytes int) {
-	if i == nil {
-		return
-	}
 	i.RecordsAppended.Add(int64(records))
 	i.BytesAppended.Add(int64(frameBytes))
 }
 
 func (i *Instruments) observeFsync(d time.Duration) {
-	if i == nil {
-		return
-	}
 	i.Fsyncs.Inc()
 	i.FsyncNanos.Observe(d.Nanoseconds())
 }
 
 func (i *Instruments) observeSegments(n int) {
-	if i == nil {
-		return
-	}
 	i.Segments.SetInt(int64(n))
 }
 

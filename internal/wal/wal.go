@@ -115,9 +115,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Log is an append-only segmented write-ahead log in one directory.
-// Append, AppendBatch, Sync, Rotate and RemoveSegmentsBefore are safe for
-// concurrent use; Replay is for the recovery phase before appending
-// begins.
+// Append, AppendBatch, Sync, Mark, Rotate and RemoveSegmentsBefore are
+// safe for concurrent use; Replay is for the recovery phase before
+// appending begins.
 //
 // Offsets. end counts the bytes appended since Open across all segments;
 // durable is the prefix of it a finished fsync covers. Every wait for the
@@ -207,7 +207,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	} else {
 		last := idxs[len(idxs)-1]
 		path := filepath.Join(dir, segmentName(last))
-		validLen, err := scanSegment(path, true, nil)
+		validLen, err := scanSegment(path, true, segmentHeaderLen, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -405,12 +405,6 @@ func (l *Log) syncTo(target int64) error {
 func (l *Log) seal() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	pending, err := len(l.sealing) > 0, l.failed
-	l.mu.Unlock()
-	if err != nil || !pending {
-		return err
-	}
 	return l.round(0)
 }
 
@@ -517,8 +511,6 @@ func (l *Log) syncer() {
 
 // Rotate starts a fresh segment and returns its index once the segment
 // it replaced is sealed (fsynced and closed) and the new one published.
-// The checkpoint procedure rotates first so every record that predates
-// the snapshot lives in a sealed segment that can be removed afterwards.
 func (l *Log) Rotate() (int, error) {
 	idx, err := l.rotate(0)
 	if err != nil {
@@ -570,9 +562,9 @@ func (l *Log) rotate(from int) (int, error) {
 	return cur + 1, nil
 }
 
-// RemoveSegmentsBefore deletes every sealed segment with index < idx —
-// the truncation step after a successful checkpoint. The active segment
-// is never removed. Returns how many segments were deleted.
+// RemoveSegmentsBefore deletes every segment with index < idx — the
+// truncation after a checkpoint, whose Mark published segment idx — but
+// never the active one, and returns how many it deleted.
 func (l *Log) RemoveSegmentsBefore(idx int) (int, error) {
 	l.mu.Lock()
 	closed := l.closed
@@ -610,36 +602,57 @@ func (l *Log) RemoveSegmentsBefore(idx int) (int, error) {
 	return removed, err
 }
 
-// Replay reads every record in every segment in order, calling fn(tag,
-// payload) for each; the payload slice is only valid during the call.
-// A torn record at the tail of the last segment ends the replay cleanly
-// (Open has already truncated it from the file); corruption anywhere
-// else returns an error wrapping ErrCorrupt. Call before the first
-// Append.
-func (l *Log) Replay(fn func(tag byte, payload []byte) error) error {
-	// Appends made before a replay would be invisible to the file reads
-	// below — buffered, or in a segment not yet published; recovery
-	// replays before streaming, so just seal and flush.
-	err := l.seal()
+// Position names a place in the log: a byte offset in a segment.
+type Position struct {
+	Seg int
+	Off int64
+}
+
+// Mark returns where the next record will be appended, once every record
+// before it is durable in a published segment: a checkpoint that covers
+// them replays from there.
+func (l *Log) Mark() (Position, error) {
 	l.mu.Lock()
-	if err == nil {
-		err = l.usableLocked()
-	}
-	if err == nil {
-		err = l.flushLocked()
-	}
-	active := l.seg
+	at, end, err := Position{l.seg, l.size}, l.end, l.usableLocked()
 	l.mu.Unlock()
 	if err != nil {
+		return at, err
+	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if l.durable.Load() >= end {
+		end = 0 // only seal what a rotation left
+	}
+	return at, l.round(end)
+}
+
+// Replay reads every record from position from on (the zero Position:
+// all), in order, calling fn(tag, payload) for each; the payload is only
+// valid during the call. A torn record at the tail of the last segment
+// ends the replay cleanly (Open has already truncated it from the file);
+// corruption anywhere else returns an error wrapping ErrCorrupt. Call
+// before the first Append.
+func (l *Log) Replay(from Position, fn func(tag byte, payload []byte) error) error {
+	active, err := l.Mark() // the file reads below see what was appended before
+	if err != nil {
 		return err
+	}
+	if from.Seg > active.Seg || from.Seg == active.Seg && from.Off > active.Off {
+		return fmt.Errorf("%w: replay from segment %d offset %d, past the log's end", ErrCorrupt, from.Seg, from.Off)
 	}
 	idxs, _, err := listSegments(l.dir)
 	if err != nil {
 		return err
 	}
 	for _, idx := range idxs {
-		path := filepath.Join(l.dir, segmentName(idx))
-		if _, err := scanSegment(path, idx == active, fn); err != nil {
+		if idx < from.Seg {
+			continue
+		}
+		off := int64(segmentHeaderLen)
+		if idx == from.Seg {
+			off = max(off, from.Off)
+		}
+		if _, err := scanSegment(filepath.Join(l.dir, segmentName(idx)), idx == active.Seg, off, fn); err != nil {
 			return err
 		}
 	}
@@ -651,13 +664,6 @@ func (l *Log) SegmentCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.segments
-}
-
-// ActiveSegment returns the index of the segment currently appended to.
-func (l *Log) ActiveSegment() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seg
 }
 
 // Close flushes, fsyncs and closes the log. Records appended before a

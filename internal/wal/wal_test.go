@@ -20,7 +20,7 @@ type rec struct {
 func collect(t *testing.T, l *Log) []rec {
 	t.Helper()
 	var out []rec
-	err := l.Replay(func(tag byte, p []byte) error {
+	err := l.Replay(Position{}, func(tag byte, p []byte) error {
 		out = append(out, rec{tag, append([]byte(nil), p...)})
 		return nil
 	})
@@ -160,8 +160,8 @@ func TestRotationAndTruncation(t *testing.T) {
 	defer l2.Close()
 	// The one-byte threshold rotates again on the post-truncation append,
 	// so the reopened tail is at least the post-checkpoint segment.
-	if l2.ActiveSegment() < active {
-		t.Fatalf("ActiveSegment after reopen = %d, want >= %d", l2.ActiveSegment(), active)
+	if at, err := l2.Mark(); err != nil || at.Seg < active {
+		t.Fatalf("active segment after reopen = %d (%v), want >= %d", at.Seg, err, active)
 	}
 	wantRecords(t, collect(t, l2), []rec{tail})
 }
@@ -267,7 +267,7 @@ func TestSealedSegmentCorruptionIsFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	err = l2.Replay(func(byte, []byte) error { return nil })
+	err = l2.Replay(Position{}, func(byte, []byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Replay over corrupt sealed segment = %v, want ErrCorrupt", err)
 	}
@@ -282,6 +282,63 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	// torn write (the header is not a record).
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open over foreign file = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReplayFromMark: a replay from a Mark reads exactly the records
+// appended after it, seeking into the marked segment and skipping whole
+// segments before it — also when a size-triggered rotation moved the log
+// on in between, and after a reopen.
+func TestReplayFromMark(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncOff, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after []rec
+	var at Position
+	for i := 0; i < 12; i++ {
+		r := rec{0x13, bytes.Repeat([]byte{byte(i)}, 20)}
+		if i == 7 {
+			if at, err = l.Mark(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i >= 7 {
+			after = append(after, r)
+		}
+		if err := l.Append(r.tag, r.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at.Seg < 2 {
+		t.Fatalf("Mark at %+v: the 64-byte segments should have rotated before it", at)
+	}
+	if removed, err := l.RemoveSegmentsBefore(at.Seg); err != nil || removed == 0 {
+		t.Fatalf("RemoveSegmentsBefore(%d) = %d, %v", at.Seg, removed, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var got []rec
+	if err := l2.Replay(at, func(tag byte, p []byte) error {
+		got = append(got, rec{tag, append([]byte(nil), p...)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, got, after)
+	end, err := l2.Mark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Replay(Position{end.Seg + 1, segmentHeaderLen}, func(byte, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Replay past the log's end = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -416,7 +473,7 @@ func TestReplayStopsOnCallbackError(t *testing.T) {
 	}
 	boom := fmt.Errorf("boom")
 	calls := 0
-	err = l.Replay(func(byte, []byte) error {
+	err = l.Replay(Position{}, func(byte, []byte) error {
 		calls++
 		if calls == 2 {
 			return boom

@@ -3,24 +3,26 @@
 #
 #   scripts/pair.sh <parent> <change> [-workload W] [-pairs N]
 #
-# Checks both commits out under .bench_build/pair/ (git archive, so the
-# repository's own work tree and refs are untouched), then runs
+# Checks both commits out under .bench_build/pair/parent and change (git
+# archive, so the repository's own work tree and refs are untouched), then runs
 # `bash bench/run.sh -workload W -trace 0` in each, N pairs per workload
 # (default 10, every workload), alternating which side runs first. Prints
 # one JSON object — per (workload, end-to-end metric) the parent's and the
 # change's q1/median/q3, the ratio of medians, in how many pairs the
 # change read better, and a verdict against the metric's BENCHMARK.json
 # bound; plus each side's total of failed operations — and then the same
-# rows as the markdown table CHANGES.md uses. Every run's output is kept
-# beside the checkouts, and the run set is appended as one line — commits,
-# date, host, go version, each row's quartiles — to the committed
-# BENCH_TRAJECTORY.jsonl (ROADMAP 5). Needs git, tar and jq.
+# rows as the markdown table CHANGES.md uses. Each set keeps every run's
+# output, its runs.jsonl and its result.json in a directory of its own,
+# .bench_build/pair/<UTC time>-<parent7>-<change7>/, which a later set
+# leaves alone: only the checkouts are rebuilt. The run set is appended as
+# one line — commits, date, host, go version, each row's quartiles — to
+# the committed BENCH_TRAJECTORY.jsonl (ROADMAP 5). Needs git, tar and jq.
 #
 # An uncommitted change can be measured as `$(git stash create)` after
 # `git add -A`.
 set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-[ $# -ge 2 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
 parent=$(git -C "$root" rev-parse --verify "$1^{commit}")
 change=$(git -C "$root" rev-parse --verify "$2^{commit}")
 shift 2
@@ -36,20 +38,23 @@ while [ $# -gt 0 ]; do
 done
 
 out="$root/.bench_build/pair"
-rm -rf "$out"
+set_dir="$out/$(date -u +%Y%m%dT%H%M%SZ)-${parent:0:7}-${change:0:7}"
 for side in parent change; do
+    rm -rf "${out:?}/$side"
     mkdir -p "$out/$side"
     git -C "$root" archive "${!side}" | tar -x -C "$out/$side"
 done
+mkdir -p "$set_dir"
+echo "pair.sh: this set is kept in $set_dir" >&2
 
-runs="$out/runs.jsonl"
+runs="$set_dir/runs.jsonl"
 : >"$runs"
 for w in $workloads; do
     for i in $(seq 1 "$pairs"); do
         order="parent change"
         [ $((i % 2)) -eq 0 ] && order="change parent"
         for side in $order; do
-            log="$out/$side.$w.$i.out"
+            log="$set_dir/$side.$w.$i.out"
             echo "pair.sh: $w pair $i/$pairs: $side" >&2
             # A failed run still ends in its result line; a run with none
             # is recorded as one failed operation.
@@ -82,11 +87,11 @@ def quartiles: {q1: q(0.25), median: q(0.5), q3: q(0.75)};
                   elif ($pq.q3 - $pq.q1) / $pq.median > $m.bound
                        and ([$c[] | $sign * .] | max) >= ([$p[] | $sign * .] | min) then "unresolved"
                   else "no worse" end)}]}
-' "$runs" | tee "$out/result.json"
+' "$runs" | tee "$set_dir/result.json"
 
 jq -c --arg date "$(date -u +%F)" --arg host "$(uname -srm), $(nproc) vCPU" --arg go "$(go env GOVERSION)" \
     '{date: $date, parent, change, host: $host, go: $go, pairs, failed, rows: [.rows[] | {workload, metric, parent, change, verdict}]}' \
-    "$out/result.json" >>"$root/BENCH_TRAJECTORY.jsonl"
+    "$set_dir/result.json" >>"$root/BENCH_TRAJECTORY.jsonl"
 
 jq -r '
 def f: if . == (. | floor) then tostring else (. * 10000 | round / 10000 | tostring) end;
@@ -96,4 +101,4 @@ def cell(m): if m == "wire_bytes_per_reading" then map(tostring) else map(f) end
 (.pairs as $n | .rows[] | .metric as $m
     | "| \(.workload) | \($m) | \([.parent.q1, .parent.median, .parent.q3] | cell($m)) | \([.change.q1, .change.median, .change.q3] | cell($m)) | \(.ratio * 1000 | round / 1000) | \(.wins)/\($n) | \(.verdict) |"),
 "| | pairs=\(.pairs) failed parent=\(.failed.parent) change=\(.failed.change) | | | | | |"
-' "$out/result.json"
+' "$set_dir/result.json"

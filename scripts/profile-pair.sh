@@ -4,8 +4,8 @@
 #
 #   scripts/profile-pair.sh <parent> <change> [-workload W] [-runs N] [-block]
 #
-# Checks both commits out under .bench_build/profile/ with git archive, as
-# pair.sh does, and in those copies only wraps the saturate phase's
+# Checks both commits out under .bench_build/profile/parent and change with
+# git archive, as pair.sh does, and in those copies only wraps the saturate phase's
 # r.saturate call in bench/run.go in pprof.StartCPUProfile/StopCPUProfile
 # (with -block, in runtime/trace Start/Stop too). Then runs
 # `bash bench/run.sh -workload W -trace 0` in each, N runs a side
@@ -20,14 +20,16 @@
 # waited to lock a sync.Mutex or RWMutex, from `go tool trace -pprof=sync`,
 # charged to the function that called Lock — the wal.(*Log).AppendBatch
 # row, then the five largest others. A CPU profile cannot show that time.
-# Profiles, traces and run output stay beside the checkouts. Needs git,
-# tar, jq and awk.
+# Profiles, traces and run output are kept in a directory of the set's
+# own, .bench_build/profile/<UTC time>-<parent7>-<change7>/, which a later
+# set leaves alone: only the checkouts are rebuilt. Needs git, tar, jq
+# and awk.
 #
 # An uncommitted change can be profiled as `$(git stash create)` after
 # `git add -A`.
 set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-[ $# -ge 2 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,29p' "$0" >&2; exit 2; }
 parent=$(git -C "$root" rev-parse --verify "$1^{commit}")
 change=$(git -C "$root" rev-parse --verify "$2^{commit}")
 shift 2
@@ -45,9 +47,12 @@ while [ $# -gt 0 ]; do
 done
 
 out="$root/.bench_build/profile"
-rm -rf "$out"
+set_dir="$out/$(date -u +%Y%m%dT%H%M%SZ)-${parent:0:7}-${change:0:7}"
+mkdir -p "$set_dir"
+echo "profile-pair.sh: this set is kept in $set_dir" >&2
 call='	sat, err := r.saturate('
 for side in parent change; do
+    rm -rf "${out:?}/$side"
     mkdir -p "$out/$side"
     git -C "$root" archive "${!side}" | tar -x -C "$out/$side"
     run_go="$out/$side/bench/run.go"
@@ -131,9 +136,9 @@ for i in $(seq 1 "$runs"); do
     order="parent change"
     [ $((i % 2)) -eq 0 ] && order="change parent"
     for side in $order; do
-        log="$out/$side.$i.out"
-        prof="$out/$side.$i.pprof"
-        tr="$out/$side.$i.trace"
+        log="$set_dir/$side.$i.out"
+        prof="$set_dir/$side.$i.pprof"
+        tr="$set_dir/$side.$i.trace"
         echo "profile-pair.sh: $workload run $i/$runs: $side" >&2
         DKF_E2E_CPUPROFILE="$prof" DKF_E2E_TRACE="$tr" bash "$out/$side/bench/run.sh" -workload "$workload" -trace 0 >"$log" 2>&1 || true
         rate=$(tail -n 1 "$log" | jq -r '.metrics.readings_per_s.value // "failed"' 2>/dev/null || echo failed)
