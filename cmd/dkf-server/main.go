@@ -35,12 +35,12 @@
 // cluster: it accepts forwarded updates, answers partial aggregates,
 // and reports the cluster block on /streamz. See cmd/dkf-router.
 //
-// With -selfmon the server watches itself: periodic registry snapshots
-// feed a metrics history ring (-history-window / -history-every tune
-// it), ~10 health signals run through the same Kalman filters the data
-// path uses, and /healthz becomes a real probe (ok|degraded|unhealthy,
-// 503 when unhealthy, JSON reasons with ?verbose=1). /statusz serves the
-// signals and recent findings, /metricsz windowed rates, both as JSON.
+// With -selfmon the server watches itself: every -history-every tick ~10
+// health signals, each a windowed rate or quantile of one metric family,
+// run through the same Kalman filters the data path uses, and /healthz
+// becomes a real probe (ok|degraded|unhealthy, 503 when unhealthy, JSON
+// reasons with ?verbose=1). /statusz serves the signals and recent
+// findings as JSON.
 package main
 
 import (
@@ -115,10 +115,9 @@ func main() {
 		traceOn    = flag.Bool("trace", false, "record per-update decision trails, served at /tracez")
 		traceRing  = flag.Int("trace-ring", 0, "flight-recorder ring size per stream (0 = 256 default)")
 		traceSamp  = flag.Int("trace-sample", 0, "record the routine trail for 1-in-N updates (0/1 = all; decisions are always kept)")
-		selfmon    = flag.Bool("selfmon", false, "self-monitoring: metrics history ring, Kalman-filtered health verdicts at /healthz, signals and findings at /statusz, /metricsz windowed rates")
+		selfmon    = flag.Bool("selfmon", false, "self-monitoring: Kalman-filtered health verdicts at /healthz, signals and findings at /statusz")
 		shardIndex = flag.Int("shard-index", -1, "shard index when serving behind dkf-router (-1 = standalone); adds the cluster block to /streamz")
-		histWindow = flag.Duration("history-window", 2*time.Minute, "metrics history retained for -selfmon windowed queries")
-		histEvery  = flag.Duration("history-every", time.Second, "registry snapshot cadence for -selfmon")
+		histEvery  = flag.Duration("history-every", time.Second, "signal sampling cadence for -selfmon")
 		queries    queryFlags
 		statements stringsFlag
 	)
@@ -166,17 +165,14 @@ func main() {
 		logger.Info("tracing enabled", "ring", *traceRing, "sample", *traceSamp)
 	}
 	if *selfmon {
-		mon, err := server.EnableSelfMon(dsms.SelfMonOptions{
-			Window: *histWindow,
-			Every:  *histEvery,
-		})
+		mon, err := server.EnableSelfMon(dsms.SelfMonOptions{Every: *histEvery})
 		if err != nil {
 			logger.Error("self-monitoring failed", "err", err)
 			os.Exit(2)
 		}
 		mon.Start()
 		logger.Info("self-monitoring enabled",
-			"window", *histWindow, "every", *histEvery,
+			"every", *histEvery,
 			"signals", len(mon.Signals()))
 	}
 	if *shardIndex >= 0 {

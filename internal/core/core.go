@@ -38,7 +38,8 @@ type Update struct {
 	SourceID string
 	// Seq is the reading's discrete time index.
 	Seq int
-	// Time is the reading's sampling timestamp in seconds.
+	// Time is the reading's sampling timestamp in seconds. It is not
+	// sent: the wire carries no time, and a decoded update has Time 0.
 	Time float64
 	// Values is the measurement vector folded into both filters.
 	Values []float64

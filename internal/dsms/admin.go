@@ -232,7 +232,6 @@ func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
 //	/metrics            Prometheus text exposition of the telemetry registry
 //	/healthz            health probe: ok|degraded|unhealthy (?verbose=1 for JSON reasons)
 //	/statusz            the verdict, every self-signal's state and the retained findings
-//	/metricsz           windowed rates and quantiles from the history ring (?window=30s&name=)
 //	/streamz            JSON status: latency summaries, WAL state, per-stream records
 //	/tracez             recent trace events across streams (?source=&kind=&decision=&limit=)
 //	/tracez/stream/{id} one stream's decision trail and divergence audit
@@ -245,7 +244,6 @@ func ServeAdmin(s *Server, addr string, logger *slog.Logger) (*AdminServer, erro
 			WriteHealthz(w, req, h.Status, h)
 		})
 		mux.HandleFunc("/statusz", StatuszHandler(s))
-		mux.HandleFunc("/metricsz", MetricszHandler(s))
 		mux.HandleFunc("/streamz", func(w http.ResponseWriter, req *http.Request) {
 			WriteJSON(w, http.StatusOK, s.Streamz())
 		})

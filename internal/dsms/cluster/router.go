@@ -431,12 +431,11 @@ func (rt *route) replayTo(up *upstream, epoch int64) error {
 }
 
 // peekUpdate reads only the routing key of an update payload — u16-len
-// sourceID then i64 seq; the payload is forwarded verbatim and the
+// sourceID then uvarint seq; the payload is forwarded verbatim and the
 // shard does the full decode.
 func peekUpdate(p []byte) (id []byte, seq int64, ok bool) {
 	c := wire.NewCursor(p)
-	id = c.Take(int(c.U16()))
-	seq = c.I64()
+	id, seq = c.Str(), c.Uvarint()
 	return id, seq, c.OK()
 }
 

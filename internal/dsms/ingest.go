@@ -131,7 +131,7 @@ type EngineStreamz struct {
 	// rate window, summed across shards — the first-class version of
 	// the number operators used to derive from consecutive scrapes of
 	// dkf_engine_ring_dropped_total. Present only with self-monitoring
-	// enabled (the history ring supplies the time dimension).
+	// enabled (the shed_rate signal's window supplies the time dimension).
 	ShedRatePerSec *float64       `json:"shed_rate_per_sec,omitempty"`
 	PerShard       []ShardStreamz `json:"per_shard"`
 	Lanes          []LaneStreamz  `json:"lanes,omitempty"`
@@ -155,8 +155,10 @@ func (s *Server) engineStreamz() *EngineStreamz {
 		WALCommitErrors: ins.walErrors.Value(),
 	}
 	if m := s.SelfMon(); m != nil {
-		if r, ok := m.ring.Rate("dkf_engine_ring_dropped_total", m.opts.RateWindow); ok {
-			z.ShedRatePerSec = &r
+		for _, sig := range m.Signals() {
+			if sig.Name == "shed_rate" && sig.Fed {
+				z.ShedRatePerSec = &sig.Value
+			}
 		}
 	}
 	stats := e.Stats()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,9 +49,10 @@ import (
 // start at 0x10.
 const (
 	walTagRegister byte = 0x10 // str queryID, str sourceID, str model, f64 delta, f64 F
-	walTagUpdate   byte = 0x11 // one wire update payload; replayed, never written (logs of older servers)
+	walTagUpdate   byte = 0x11 // one wire v3 update payload; replayed, never written (logs of older servers)
 	walTagAdvance  byte = 0x12 // str sourceID, i64 seq; replayed, never written (logs of older servers)
-	walTagRun      byte = 0x13 // wire update frames (wire.AppendUpdateFrame layout), back to back
+	walTagRunV3    byte = 0x13 // wire v3 update frames, back to back; replayed, never written (logs of older servers)
+	walTagRun      byte = 0x14 // wire update frames (wire.AppendUpdateFrame layout), back to back
 )
 
 // DurabilityOptions configures Open.
@@ -604,20 +606,24 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 		// a failing replay of one reproduces a failed live call: skip.
 		_ = s.Register(q)
 		return nil
-	case walTagRun:
+	case walTagRun, walTagRunV3:
+		decode := wire.DecodeUpdatePayload
+		if tag == walTagRunV3 {
+			decode = decodeV3Update
+		}
 		for len(p) > 0 {
-			tag, payload, rest, err := wire.NextFrame(p, wal.MaxRecord)
-			if err != nil || tag != wire.TagUpdate {
-				return fmt.Errorf("%w: bad run record: %v frame, %v", wal.ErrCorrupt, tag, err)
+			ftag, payload, rest, err := wire.NextFrame(p, wal.MaxRecord)
+			if err != nil || ftag != wire.TagUpdate {
+				return fmt.Errorf("%w: bad run record: %v frame, %v", wal.ErrCorrupt, ftag, err)
 			}
-			if err := s.replayUpdate(payload, u); err != nil {
+			if err := s.replayUpdate(payload, u, decode); err != nil {
 				return err
 			}
 			p = rest
 		}
 		return nil
 	case walTagUpdate:
-		return s.replayUpdate(p, u)
+		return s.replayUpdate(p, u, decodeV3Update)
 	case walTagAdvance:
 		c := wire.NewCursor(p)
 		sourceID := string(c.Str())
@@ -639,10 +645,10 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 	}
 }
 
-// replayUpdate applies one logged update payload unless the checkpoint
-// covers it.
-func (s *Server) replayUpdate(p []byte, u *core.Update) error {
-	if err := wire.DecodeUpdatePayload(p, u); err != nil {
+// replayUpdate applies one logged update payload, decoded by decode,
+// unless the checkpoint covers it.
+func (s *Server) replayUpdate(p []byte, u *core.Update, decode func([]byte, *core.Update) error) error {
+	if err := decode(p, u); err != nil {
 		return fmt.Errorf("%w: bad update record: %v", wal.ErrCorrupt, err)
 	}
 	st := s.source(u.SourceID)
@@ -660,6 +666,27 @@ func (s *Server) replayUpdate(p []byte, u *core.Update) error {
 	}
 	if err := s.HandleUpdate(*u); err != nil {
 		return fmt.Errorf("dsms: replaying update %s/%d: %w", u.SourceID, u.Seq, err)
+	}
+	return nil
+}
+
+// decodeV3Update parses a wire v3 update payload, the layout the logs of
+// older servers hold in records 0x11 and 0x13: str id | i64 seq | f64 time
+// | u8 flags | u16 n | n f64 values [| evidence trailer, behind flag 0x02].
+// Replay is its only reader.
+func decodeV3Update(p []byte, u *core.Update) error {
+	c := wire.NewCursor(p)
+	id, seq, _, flags, n := c.Str(), c.I64(), c.F64(), c.U8(), int(c.U16())
+	vals := c.Take(8 * n)
+	if flags&0x02 != 0 {
+		c.Take(len(wire.Evidence{}))
+	}
+	if !c.Done() {
+		return errors.New("bad v3 update payload")
+	}
+	*u = core.Update{SourceID: string(id), Seq: int(seq), Bootstrap: flags&0x01 != 0, Values: u.Values[:0]}
+	for i := 0; i < n; i++ {
+		u.Values = append(u.Values, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:])))
 	}
 	return nil
 }

@@ -859,6 +859,59 @@ func TestRecoverLegacyDataDir(t *testing.T) {
 	wantSameTrajectory(t, trajectory(t, s, chattyQuery.ID, 310), trajectory(t, ref, chattyQuery.ID, 310))
 }
 
+// TestRecoverV3RunDataDir opens a copy of testdata/run-v3-datadir, which
+// a server of wire v3 left unclosed: a checkpoint cut half way through
+// chattyQuery's 216 updates, then run records (tag 0x13) of v3 update
+// frames, every other one with an evidence trailer. Recovery replays them
+// through the v3 payload decoder to the x and P bits, seq, counters and
+// answer trajectory of a server that never stopped.
+func TestRecoverV3RunDataDir(t *testing.T) {
+	fixture := func() string {
+		dir := t.TempDir()
+		names, err := filepath.Glob(filepath.Join("testdata", "run-v3-datadir", "*"))
+		if err != nil || len(names) != 2 {
+			t.Fatalf("fixture files %v, %v", names, err)
+		}
+		for _, name := range names {
+			raw, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	log, err := wal.Open(fixture(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := map[byte]int{}
+	if err := log.Replay(wal.Position{}, func(tag byte, _ []byte) error { tags[tag]++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if len(tags) != 2 || tags[walTagRegister] != 1 || tags[walTagRunV3] == 0 {
+		t.Fatalf("fixture records by tag %v, want one registration and v3 run records only", tags)
+	}
+	s, err := Open(testCatalog(), fixture(), DurabilityOptions{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s.Close()
+	if got := counter(t, s, "streamkf_wal_recovered_records"); got == 0 {
+		t.Fatal("recovery replayed no record past the checkpoint")
+	}
+	ref, transcript := runReference(t, chattyQuery, persistData(300))
+	wantSameFilter(t, s, ref, chattyQuery.SourceID)
+	wantSameStats(t, s.Stats(), ref.Stats())
+	if got, want := s.ResumeSeq(chattyQuery.SourceID), int64(transcript[len(transcript)-1].Seq); got != want {
+		t.Fatalf("ResumeSeq = %d, want %d", got, want)
+	}
+	wantSameTrajectory(t, trajectory(t, s, chattyQuery.ID, 310), trajectory(t, ref, chattyQuery.ID, 310))
+}
+
 // TestReplayFromLastCheckpoint: checkpoints cut inside one segment leave
 // it in place, and recovery replays only the records logged after the
 // last one's position — counted by the recovery instrument — to the

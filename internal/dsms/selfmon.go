@@ -13,18 +13,18 @@ import (
 	"streamkf/internal/model"
 	"streamkf/internal/stream"
 	"streamkf/internal/telemetry"
-	"streamkf/internal/telemetry/history"
 	"streamkf/internal/trace"
 )
 
 // Self-monitoring: the server watches its own telemetry with the same
 // machinery it sells to clients. Each tracked health signal — a windowed
-// rate or quantile pulled from the history ring — is fed into a DKF
-// pair (core.SourceNode mirror + core.ServerNode) exactly like a remote
-// sensor stream: the filter predicts the signal, readings within δ of
-// the prediction are suppressed, and only δ-violating innovations —
-// the moments the server's behavior diverges from its own model of
-// itself — become structured health findings. A healthy steady-state
+// rate or quantile of one metric family, over samples the signal keeps
+// itself — is fed into a DKF pair (core.SourceNode mirror +
+// core.ServerNode) exactly like a remote sensor stream: the filter
+// predicts the signal, readings within δ of the prediction are
+// suppressed, and only δ-violating innovations — the moments the
+// server's behavior diverges from its own model of itself — become
+// structured health findings. A healthy steady-state
 // server therefore records almost nothing, and /healthz verdicts rest
 // on filter evidence (prediction, residual, δ, NIS) rather than static
 // thresholds alone.
@@ -50,7 +50,7 @@ type SelfSignal struct {
 	// signal has no value this tick (metric not registered, window not
 	// yet covered); the tick is skipped without advancing the filter.
 	// The stock signals leave it nil: they name how (kind) and from which
-	// metric family's history the monitor reads them.
+	// metric family the monitor reads them.
 	Read   func(m *SelfMonitor) (float64, bool) `json:"-"`
 	kind   signalKind
 	metric string
@@ -64,7 +64,7 @@ const (
 	sigRate                         // per-second rate over the rate window, the family summed
 	sigErrorRate                    // sigRate less the kind="peer_closed" series: normal closes are not failures
 	sigP99Ms                        // histogram p99 over the rate window, nanoseconds to milliseconds
-	sigLatest                       // the newest sampled value
+	sigLatest                       // the family's current total
 	sigGoroutines                   // runtime.NumGoroutine
 	sigHeapMB                       // live heap object bytes, MiB
 )
@@ -72,21 +72,38 @@ const (
 // peerClosed is preallocated so the variadic pass in read allocates nothing.
 var peerClosed = []telemetry.Label{telemetry.L("kind", "peer_closed")}
 
-// read produces sig's current value; ok=false skips the tick for it.
-func (m *SelfMonitor) read(sig *SelfSignal) (float64, bool) {
-	w := m.opts.RateWindow
+// read produces st's current value at now, sampling a stock signal's
+// family into its window; ok=false skips the tick for it.
+func (m *SelfMonitor) read(st *selfStream, now time.Time) (float64, bool) {
+	sig := &st.sig
 	switch sig.kind {
-	case sigRate:
-		return m.ring.Rate(sig.metric, w)
-	case sigErrorRate:
-		all, ok := m.ring.Rate(sig.metric, w)
-		closed, _ := m.ring.Rate(sig.metric, w, peerClosed...)
-		return all - closed, ok
+	case sigRate, sigErrorRate:
+		var skip []telemetry.Label
+		if sig.kind == sigErrorRate {
+			skip = peerClosed
+		}
+		v, ok := m.reg.FamilyTotal(sig.metric, skip...)
+		if !ok {
+			return 0, false
+		}
+		j, secs := st.win.push(now, m.opts.RateWindow, v, nil)
+		if secs == 0 {
+			return 0, false
+		}
+		return (v - st.win.total[j]) / secs, true
 	case sigP99Ms:
-		v, ok := m.ring.WindowQuantile(sig.metric, w, 0.99)
-		return v / 1e6, ok
+		h, ok := m.reg.FamilyHistogram(sig.metric)
+		if !ok {
+			return 0, false
+		}
+		j, _ := st.win.push(now, m.opts.RateWindow, 0, &h)
+		for b, c := range st.win.hist[j].Counts { // h becomes what the window observed
+			h.Counts[b] -= c
+		}
+		h.Count -= st.win.hist[j].Count
+		return float64(h.Quantile(0.99)) / 1e6, h.Count > 0
 	case sigLatest:
-		return m.ring.Latest(sig.metric)
+		return m.reg.FamilyTotal(sig.metric)
 	case sigGoroutines:
 		return float64(runtime.NumGoroutine()), true
 	case sigHeapMB:
@@ -99,14 +116,46 @@ func (m *SelfMonitor) read(sig *SelfSignal) (float64, bool) {
 	return sig.Read(m)
 }
 
+// window is what a rate or p99 signal keeps of its metric family: the
+// family's total, or a p99 signal's merged histogram, at each of its
+// latest fed ticks. It is a fixed ring of RateWindow/Every + 1 samples,
+// the n-th pushed in slot n mod its length.
+type window struct {
+	at    []int64 // UnixNano
+	total []float64
+	hist  []telemetry.HistogramSnapshot // a p99 signal's; nil otherwise
+	n     int
+}
+
+// push records the family as of now. It returns the slot of the oldest
+// sample within d of it (at least the one before it, if any) and the
+// seconds between the two: 0 until two samples span some time.
+func (w *window) push(now time.Time, d time.Duration, total float64, h *telemetry.HistogramSnapshot) (oldest int, secs float64) {
+	size := len(w.at)
+	i := w.n % size
+	w.at[i], w.total[i] = now.UnixNano(), total
+	if h != nil {
+		w.hist[i] = *h
+	}
+	w.n++
+	oldest = i
+	for k := 1; k < min(w.n, size); k++ {
+		j := (w.n - 1 - k) % size
+		if k > 1 && time.Duration(w.at[i]-w.at[j]) > d {
+			break
+		}
+		oldest = j
+	}
+	return oldest, time.Duration(w.at[i] - w.at[oldest]).Seconds()
+}
+
 // SelfMonOptions configure EnableSelfMon.
 type SelfMonOptions struct {
-	// Window is the history ring's retention span (default 2m).
-	Window time.Duration
-	// Every is the snapshot-and-evaluate cadence (default 1s).
+	// Every is the sample-and-evaluate cadence (default 1s).
 	Every time.Duration
 	// RateWindow is the trailing window the default signals compute
-	// rates and quantiles over (default 30s).
+	// rates and quantiles over (default 30s). Each keeps
+	// RateWindow/Every + 1 samples of its metric family.
 	RateWindow time.Duration
 	// Recover is how many ticks a δ-violation keeps its signal active
 	// (default 5): the verdict returns to ok only after Recover quiet
@@ -117,9 +166,6 @@ type SelfMonOptions struct {
 }
 
 func (o *SelfMonOptions) defaults() {
-	if o.Window <= 0 {
-		o.Window = 2 * time.Minute
-	}
 	if o.Every <= 0 {
 		o.Every = time.Second
 	}
@@ -199,6 +245,7 @@ type selfStream struct {
 
 	seq  int        // reading index; advances only on fed ticks
 	vals [1]float64 // reusable Reading.Values backing array
+	win  window     // a rate or p99 signal's samples of its family
 
 	fed          bool    // the latest tick produced a value
 	value        float64 // latest read value
@@ -214,17 +261,17 @@ func (st *selfStream) finding(kind string, at time.Time, tick int64) HealthFindi
 		Value: st.value, Pred: st.viol.Pred, Residual: st.viol.Residual, Delta: st.sig.Delta, NIS: st.viol.NIS, tick: tick}
 }
 
-// SelfMonitor drives the server's self-observation: a history ring
-// snapshotted every tick, the self-stream filters fed from it, and the
-// finding ring and verdict the admin endpoints surface. Tick may be
-// driven manually (tests) or by Start's background ticker.
+// SelfMonitor drives the server's self-observation: every tick each
+// signal reads its metric family, the self-stream filters are fed, and
+// the finding ring and verdict the admin endpoints surface are updated.
+// Tick may be driven manually (tests) or by Start's background ticker.
 type SelfMonitor struct {
-	ring *history.Ring
+	reg  *telemetry.Registry
 	opts SelfMonOptions
 
 	// verdict is stored atomically so the dkf_selfmon_verdict gauge
-	// func can read it while Tick holds mu (the ring snapshot inside
-	// Tick evaluates every registered gauge func).
+	// func can read it while Tick holds mu (a scrape, or a signal reading
+	// a gauge func family inside Tick).
 	verdict       atomic.Int32
 	findingsTotal *telemetry.Counter
 
@@ -239,10 +286,10 @@ type SelfMonitor struct {
 	stop, done          chan struct{}
 }
 
-// EnableSelfMon attaches a self-monitor to the server: a history ring
-// over its telemetry registry and one DKF pair per signal. No
-// goroutine is started — call Start for the background ticker, or
-// drive Tick manually. Fails when already enabled.
+// EnableSelfMon attaches a self-monitor to the server: one DKF pair per
+// signal, read from its telemetry registry. No goroutine is started —
+// call Start for the background ticker, or drive Tick manually. Fails
+// when already enabled.
 func (s *Server) EnableSelfMon(opts SelfMonOptions) (*SelfMonitor, error) {
 	opts.defaults()
 	if opts.Signals == nil {
@@ -254,7 +301,7 @@ func (s *Server) EnableSelfMon(opts SelfMonOptions) (*SelfMonitor, error) {
 		return nil, errors.New("dsms: self-monitor already enabled")
 	}
 	m := &SelfMonitor{
-		ring:     history.New(s.tel.reg, history.Options{Every: opts.Every, Window: opts.Window}),
+		reg:      s.tel.reg,
 		opts:     opts,
 		findings: NewLastN[HealthFinding](64), // the newest findings /statusz serves
 		heap:     [1]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}},
@@ -276,7 +323,15 @@ func (s *Server) EnableSelfMon(opts SelfMonOptions) (*SelfMonitor, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.streams = append(m.streams, &selfStream{sig: sig, src: src, srv: srv})
+		st := &selfStream{sig: sig, src: src, srv: srv}
+		if k := sig.kind; k == sigRate || k == sigErrorRate || k == sigP99Ms {
+			n := int((opts.RateWindow+opts.Every-1)/opts.Every) + 1
+			st.win = window{at: make([]int64, n), total: make([]float64, n)}
+			if k == sigP99Ms {
+				st.win.hist = make([]telemetry.HistogramSnapshot, n)
+			}
+		}
+		m.streams = append(m.streams, st)
 	}
 	m.findingsTotal = s.tel.reg.Counter("dkf_selfmon_findings_total", "Self-monitoring health findings recorded.")
 	s.tel.reg.GaugeFunc("dkf_selfmon_verdict", "Self-monitoring verdict: 0 ok, 1 degraded, 2 unhealthy.",
@@ -304,9 +359,6 @@ func (s *Server) Health() HealthStatus {
 	h.UptimeSeconds, h.WALCheckpointAgeSeconds = time.Since(epoch).Seconds(), s.checkpointAge()
 	return h
 }
-
-// History returns the monitor's history ring (the /metricsz backend).
-func (m *SelfMonitor) History() *history.Ring { return m.ring }
 
 // Start launches the background ticker driving Tick every opts.Every.
 // Idempotent, and a no-op once closed; Close stops it.
@@ -336,21 +388,20 @@ func (m *SelfMonitor) Close() {
 	<-m.done
 }
 
-// Tick runs one self-observation cycle: snapshot the registry into the
-// history ring, read every signal, feed the fed ones through their DKF
+// Tick runs one self-observation cycle: read every signal (a stock one
+// samples its metric family alone), feed the fed ones through their DKF
 // pairs, turn δ-violations and fresh whiteness failures into findings,
 // and refresh the verdict. Steady state (all signals suppressed) costs
 // one small allocation per fed signal — SourceNode.Process's estimate
 // copy, the contract pinned by TestSelfStreamAllocBudget.
 func (m *SelfMonitor) Tick(now time.Time) {
-	m.ring.Snapshot(now)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tick++
 	m.now = now
 	t := float64(now.UnixNano()) / 1e9
 	for _, st := range m.streams {
-		v, ok := m.read(&st.sig)
+		v, ok := m.read(st, now)
 		st.fed = ok
 		if !ok {
 			continue

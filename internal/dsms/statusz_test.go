@@ -59,7 +59,7 @@ func TestHealthzSemantics(t *testing.T) {
 	}
 
 	// ok: 200, plain text, and no-store everywhere.
-	for _, path := range []string{"/healthz", "/metrics", "/statusz", "/metricsz", "/streamz", "/tracez"} {
+	for _, path := range []string{"/healthz", "/metrics", "/statusz", "/streamz", "/tracez"} {
 		resp, _ := adminGetResp(t, admin.Addr(), path)
 		if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
 			t.Errorf("GET %s Cache-Control = %q, want no-store", path, cc)
@@ -265,97 +265,10 @@ func TestStatuszDashboard(t *testing.T) {
 	}
 }
 
-// TestMetricszWindowedRates drives deterministic traffic through the
-// registry and asserts the windowed-rate JSON: exact counter rates,
-// histogram quantiles, parameter validation, and the 503 when
-// self-monitoring is off.
-func TestMetricszWindowedRates(t *testing.T) {
-	s := NewServer(testCatalog())
-	ctr := s.Telemetry().Counter("test_ops_total", "test counter")
-	hist := s.Telemetry().Histogram("test_lat_ns", "test histogram")
-	m, err := s.EnableSelfMon(SelfMonOptions{Every: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	admin, err := ServeAdmin(s, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	clk := newSelfClock(time.Second)
-	clk.tick(m) // baseline
-	for i := 0; i < 10; i++ {
-		ctr.Add(10)
-		hist.Observe(1_000_000)
-		clk.tick(m)
-	}
-
-	resp, body := adminGetResp(t, admin.Addr(), "/metricsz?window=5s&name=test_ops_total")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metricsz status %d", resp.StatusCode)
-	}
-	var doc metricszResponse
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/metricsz is not JSON: %v\n%s", err, body)
-	}
-	if doc.WindowSeconds != 5 || len(doc.Series) != 1 {
-		t.Fatalf("/metricsz document shape wrong: %+v", doc)
-	}
-	sr := doc.Series[0]
-	if sr.Name != "test_ops_total" || sr.Kind != "counter" || sr.Value != 100 {
-		t.Fatalf("counter series wrong: %+v", sr)
-	}
-	if sr.RatePerSec == nil || *sr.RatePerSec != 10 {
-		t.Fatalf("counter rate = %v, want exactly 10/s", sr.RatePerSec)
-	}
-
-	_, body = adminGetResp(t, admin.Addr(), "/metricsz?name=test_lat_ns")
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatal(err)
-	}
-	hs := doc.Series[0]
-	if hs.Kind != "histogram" || hs.P99 == nil || *hs.P99 < 1_000_000 || hs.P50 == nil {
-		t.Fatalf("histogram series wrong: %+v", hs)
-	}
-	if hs.RatePerSec == nil || *hs.RatePerSec != 1 {
-		t.Fatalf("histogram observation rate = %v, want exactly 1/s", hs.RatePerSec)
-	}
-
-	// Unfiltered: the document includes the server's own instruments.
-	_, body = adminGetResp(t, admin.Addr(), "/metricsz")
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool, len(doc.Series))
-	for _, sr := range doc.Series {
-		names[sr.Name] = true
-	}
-	for _, want := range []string{"dkf_build_info", "dkf_uptime_seconds", "dkf_selfmon_verdict", "test_ops_total"} {
-		if !names[want] {
-			t.Errorf("/metricsz missing series %s", want)
-		}
-	}
-
-	if resp, _ := adminGetResp(t, admin.Addr(), "/metricsz?window=bogus"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("/metricsz?window=bogus status %d, want 400", resp.StatusCode)
-	}
-
-	bare := NewServer(testCatalog())
-	admin2, err := ServeAdmin(bare, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin2.Close()
-	resp, body = adminGetResp(t, admin2.Addr(), "/metricsz")
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "self-monitoring disabled") {
-		t.Fatalf("/metricsz without selfmon = %d %q, want 503 with explanation", resp.StatusCode, body)
-	}
-}
-
-// TestStatuszMetricszScrapeUnderLoad hammers the new endpoints while a
+// TestStatuszMetricszScrapeUnderLoad hammers the status endpoints while a
 // TCP agent streams and the self-monitor's real ticker runs — the
-// scrape-never-stops-writers contract under -race, now including the
-// history ring snapshot path.
+// scrape-never-stops-writers contract under -race, the signals' family
+// reads included.
 func TestStatuszMetricszScrapeUnderLoad(t *testing.T) {
 	catalog := testCatalog()
 	s := NewServer(catalog)
@@ -388,7 +301,7 @@ func TestStatuszMetricszScrapeUnderLoad(t *testing.T) {
 	}()
 
 	var wg sync.WaitGroup
-	for _, path := range []string{"/statusz", "/metricsz", "/healthz?verbose=1"} {
+	for _, path := range []string{"/statusz", "/healthz?verbose=1"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()

@@ -138,27 +138,13 @@ func BenchmarkScrape20k(b *testing.B) {
 			}
 		}
 	})
-	b.Run("scalar_pass", func(b *testing.B) {
-		series := s.Telemetry().SeriesSnapshot()
-		b.ResetTimer()
-		var sum float64
-		for i := 0; i < b.N; i++ {
-			s.Telemetry().CollectTables()
-			for _, sr := range series {
-				sum += sr.Scalar()
-			}
-		}
-		if sum == 0 {
-			b.Fatal("no series read a value")
-		}
-	})
 }
 
 // BenchmarkAdmin20k is what the admin plane costs a 20,000-stream server
 // running -selfmon, streams registered before the engine and the monitor
-// as dkf-server does: one /metricsz document, one status document (what a
-// router's fleet view fetches per shard) — each over HTTP, with the
-// response size — and one self-monitoring tick.
+// as dkf-server does: one status document (what a router's fleet view
+// fetches per shard) over HTTP, with the response size, and one
+// self-monitoring tick.
 func BenchmarkAdmin20k(b *testing.B) {
 	s, ids, _, _ := bootAll(b, "constant", 20000)
 	e := s.StartEngine(EngineOptions{})
@@ -181,7 +167,7 @@ func BenchmarkAdmin20k(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer admin.Close()
-	for _, path := range []string{"/metricsz", "/healthz?verbose=1"} {
+	for _, path := range []string{"/healthz?verbose=1"} {
 		b.Run(path, func(b *testing.B) {
 			var size int64
 			for i := 0; i < b.N; i++ {
@@ -199,8 +185,5 @@ func BenchmarkAdmin20k(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			clk.tick(m)
 		}
-		_, _, _, _, dropped := m.History().Meta()
-		b.ReportMetric(float64(len(m.History().Series())), "series")
-		b.ReportMetric(float64(dropped), "dropped")
 	})
 }

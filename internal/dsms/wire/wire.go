@@ -17,10 +17,11 @@
 //
 // Every message has one payload encoder and one decoder: the Writer
 // methods (stream form) and the Append*Frame helpers (datagram form)
-// share the encoder. A traced update carries its decision evidence as a
-// fixed-size trailer of its own payload (AppendTracedUpdate, Evidence),
-// so every frame is self-contained. cluster.go holds the router ↔ shard
-// tags.
+// share the encoder. An update carries only what the server reads: its
+// seq is a uvarint and its value count is what the payload's length
+// leaves. A traced update carries its decision evidence as a fixed-size
+// trailer of its own payload (AppendTracedUpdate, Evidence), so every
+// frame is self-contained. cluster.go holds the router ↔ shard tags.
 //
 // See DESIGN.md "Wire protocol" for the byte-by-byte payload layouts.
 package wire
@@ -53,7 +54,9 @@ import (
 //	   a version bump.
 //	3  constant and linear models settle a gap's covariance steps in closed
 //	   form (kalman/owed.go): a v2 peer would lose synchrony, so is refused.
-const Version byte = 3
+//	4  the update payload drops its time and value count and carries its
+//	   seq as a uvarint: id | seq | flags | values [| evidence].
+const Version byte = 4
 
 // Feature bits carried in the preamble's reserved byte. A bit is an
 // *advertisement*, not a demand: a peer that does not know a bit
@@ -356,10 +359,14 @@ func (w *Writer) Install(inst Install) error {
 	return w.finish()
 }
 
-// Update payload flags.
+// Update payload flags. Every trailer rides behind a bit of its own and
+// is fixed-size or self-delimiting, so that the values are what is left
+// (DESIGN §8). A payload with a bit this side does not know is refused:
+// its trailer could not be told from values.
 const (
 	flagBootstrap byte = 0x01
 	flagEvidence  byte = 0x02 // the evidence trailer follows the values
+	flagsKnown         = flagBootstrap | flagEvidence
 )
 
 // evidenceLen is the size of an update payload's evidence trailer:
@@ -384,19 +391,19 @@ func AppendUpdate(b []byte, u *core.Update) ([]byte, error) {
 // AppendTracedUpdate is AppendUpdate with the decision evidence ev (a
 // KindDecision event; nil for none) as the payload's trailer:
 //
-//	id | seq | time | flags | n | values [| evidence]
+//	str id | uvarint seq | u8 flags | f64 values… [| evidence]
 //
-// It is only legal toward a peer that advertised FeatEvidence.
+// u.Time is not sent. It is only legal toward a peer that advertised
+// FeatEvidence.
 func AppendTracedUpdate(b []byte, u *core.Update, ev *trace.Event) ([]byte, error) {
+	if u.Seq < 0 {
+		return b, fmt.Errorf("wire: update seq %d is negative", u.Seq)
+	}
 	var err error
 	if b, err = AppendString(b, u.SourceID); err != nil {
 		return b, err
 	}
-	if len(u.Values) > math.MaxUint16 {
-		return b, fmt.Errorf("wire: update with %d values exceeds %d", len(u.Values), math.MaxUint16)
-	}
-	b = AppendI64(b, int64(u.Seq))
-	b = AppendF64(b, u.Time)
+	b = binary.AppendUvarint(b, uint64(u.Seq))
 	var flags byte
 	if u.Bootstrap {
 		flags |= flagBootstrap
@@ -405,7 +412,6 @@ func AppendTracedUpdate(b []byte, u *core.Update, ev *trace.Event) ([]byte, erro
 		flags |= flagEvidence
 	}
 	b = append(b, flags)
-	b = AppendU16(b, uint16(len(u.Values)))
 	for _, v := range u.Values {
 		b = AppendF64(b, v)
 	}
@@ -421,8 +427,7 @@ func AppendTracedUpdate(b []byte, u *core.Update, ev *trace.Event) ([]byte, erro
 }
 
 // Update buffers one DKF update frame, with ev (nil for none) as its
-// evidence trailer. Seq travels as int64 so 32-bit sources and 64-bit
-// servers agree on the encoding.
+// evidence trailer.
 func (w *Writer) Update(u *core.Update, ev *trace.Event) error {
 	w.begin(TagUpdate)
 	var err error
@@ -623,6 +628,21 @@ func (c *Cursor) I64() int64 {
 	return int64(binary.LittleEndian.Uint64(s))
 }
 
+// Uvarint consumes an unsigned LEB128 varint in its canonical (shortest)
+// form and no larger than math.MaxInt64; anything else latches failure.
+func (c *Cursor) Uvarint() int64 {
+	if !c.ok {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 || v > math.MaxInt64 || n > 1 && c.b[c.off+n-1] == 0 {
+		c.ok = false
+		return 0
+	}
+	c.off += n
+	return int64(v)
+}
+
 // F64 consumes a little-endian IEEE 754 float64.
 func (c *Cursor) F64() float64 {
 	s := c.Take(8)
@@ -694,6 +714,22 @@ func DecodeInstall(p []byte) (Install, error) {
 	return Install{SourceID: string(id), Model: string(model), Delta: delta, F: f, ResumeSeq: resume}, nil
 }
 
+// updateFields splits update payload p into its fields. ok is false for
+// an overlong or out-of-range seq, an unknown flag bit, or values that
+// are not whole f64s once the flagged trailer is set apart.
+func updateFields(p []byte) (id []byte, seq int64, flags byte, vals, ev []byte, ok bool) {
+	c := NewCursor(p)
+	id, seq, flags = c.Str(), c.Uvarint(), c.U8()
+	n := c.Remaining()
+	if flags&flagEvidence != 0 {
+		n -= evidenceLen
+	}
+	if !c.OK() || n < 0 || n%8 != 0 || flags&^flagsKnown != 0 {
+		return nil, 0, 0, nil, nil, false
+	}
+	return id, seq, flags, c.Take(n), c.Take(c.Remaining()), true
+}
+
 // DecodeUpdateInto parses the update payload layout into u, reusing
 // u.Values; a well-formed evidence trailer is accepted and stepped over,
 // whether or not the receiver traces. The SourceID bytes are passed
@@ -702,27 +738,17 @@ func DecodeInstall(p []byte) (Install, error) {
 // where one socket multiplexes many sources and the reader's
 // single-entry cache would thrash.
 func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) error {
-	c := NewCursor(p)
-	id := c.Str()
-	seq := c.I64()
-	tim := c.F64()
-	flags := c.U8()
-	n := int(c.U16())
-	vals := c.Take(8 * n)
-	if flags&flagEvidence != 0 {
-		c.Take(evidenceLen) // stepped over: UpdateEvidence reads it
-	}
-	if !c.Done() || id == nil {
+	id, seq, flags, vals, _, ok := updateFields(p)
+	if !ok {
 		return malformed(TagUpdate)
 	}
 	u.SourceID = intern(id)
 	u.Seq = int(seq)
-	u.Time = tim
 	u.Bootstrap = flags&flagBootstrap != 0
-	u.Handle = 0 // receiver-side: a decoded update is unresolved, whatever u held
+	u.Time, u.Handle = 0, 0 // neither is on the wire, whatever u held
 	u.Values = u.Values[:0]
-	for i := 0; i < n; i++ {
-		u.Values = append(u.Values, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:])))
+	for i := 0; i < len(vals); i += 8 {
+		u.Values = append(u.Values, math.Float64frombits(binary.LittleEndian.Uint64(vals[i:])))
 	}
 	return nil
 }
@@ -786,13 +812,8 @@ type Evidence [evidenceLen]byte
 // UpdateEvidence returns the evidence trailer of update payload p, nil
 // when it carries none or is not laid out as one that does.
 func UpdateEvidence(p []byte) *Evidence {
-	c := NewCursor(p)
-	c.Str()
-	c.Take(16) // seq, time
-	flags, n := c.U8(), int(c.U16())
-	c.Take(8 * n)
-	ev := c.Take(evidenceLen)
-	if flags&flagEvidence == 0 || !c.Done() {
+	_, _, flags, _, ev, ok := updateFields(p)
+	if !ok || flags&flagEvidence == 0 {
 		return nil
 	}
 	return (*Evidence)(ev)

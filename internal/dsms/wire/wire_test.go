@@ -75,7 +75,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := r.DecodeUpdate(next(t, r, TagUpdate), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.SourceID != u.SourceID || got.Seq != u.Seq || got.Time != u.Time || got.Bootstrap != u.Bootstrap {
+	if got.SourceID != u.SourceID || got.Seq != u.Seq || got.Bootstrap != u.Bootstrap {
 		t.Fatalf("update = %+v, want %+v", got, u)
 	}
 	for i, v := range u.Values {

@@ -1,13 +1,12 @@
 package telemetry
 
-// Bulk-reader API: stable handles onto every registered instrument, for
-// components that sample the whole registry repeatedly (the history ring
-// in internal/telemetry/history). A reader snapshots the handle list
-// once, then on every pass calls CollectTables and reads values
-// lock-free; Version tells it when the instrument population changed and
-// the list must be rebuilt.
+// Family reads: what a reader that samples a few metric families on a
+// cadence (the self-monitor, internal/dsms/selfmon.go) needs of the
+// registry — one family's total, or its merged histogram — at the cost
+// of that family alone, however many others the registry holds.
 
-// SeriesKind identifies the instrument class behind a Series handle.
+// SeriesKind identifies the instrument class of a listed series, in the
+// registry's own order of instrument kinds.
 type SeriesKind int
 
 const (
@@ -22,16 +21,7 @@ const (
 	SeriesHistogram
 )
 
-// NumHistogramBuckets is the fixed bucket count of every Histogram
-// (one per power of two of an int64 observation). Exported so bulk
-// readers can size per-bucket storage without depending on the
-// HistogramSnapshot array type.
-const NumHistogramBuckets = histBuckets
-
-// Series is a read handle on one registered instrument instance. The
-// handle stays valid for the life of the registry; reading through it
-// takes no lock and allocates nothing (GaugeFunc series are as
-// allocation-free as the registered fn).
+// Series names one registered instrument instance.
 type Series struct {
 	// Name is the metric family name.
 	Name string
@@ -39,74 +29,90 @@ type Series struct {
 	Labels []Label
 	// Kind is the instrument class.
 	Kind SeriesKind
-
-	counter *Counter
-	gauge   *Gauge // a Gauge, or a Table counter column's total
-	fn      func() float64
-	hist    *Histogram
 }
 
-// Scalar returns the series' current scalar value: the folded counter
-// total, the gauge value, the gauge func's result, the histogram's
-// observation count, or a table column's total as of the last collection.
-func (s Series) Scalar() float64 {
-	switch {
-	case s.counter != nil:
-		return float64(s.counter.Value())
-	case s.gauge != nil:
-		return s.gauge.Value()
-	case s.fn != nil:
-		return s.fn()
-	case s.hist != nil:
-		return float64(s.hist.Snapshot().Count)
-	}
-	return 0
-}
-
-// Hist returns the underlying histogram, or nil for scalar series.
-func (s Series) Hist() *Histogram { return s.hist }
-
-// Cumulative reports whether the series is monotonically non-decreasing
-// by construction (counters and histogram observation counts), i.e.
-// whether per-interval deltas and rates are meaningful.
-func (s Series) Cumulative() bool {
-	return s.Kind == SeriesCounter || s.Kind == SeriesHistogram
-}
-
-// Version returns a generation counter incremented on every instrument
-// registration. A bulk reader holding a SeriesSnapshot is complete as
-// long as Version has not moved since the snapshot was taken; a Table's
-// rows come and go without moving it.
-func (r *Registry) Version() uint64 { return r.version.Load() }
-
-// SeriesSnapshot returns a handle for every registered instrument, in
-// family registration order then instance creation order (the same
-// order WritePrometheus renders). The returned slice is the caller's.
+// SeriesSnapshot lists every registered instrument, in family
+// registration order then instance creation order (the same order
+// WritePrometheus renders); a Table stands as one unlabelled series per
+// counter column. The returned slice is the caller's.
 func (r *Registry) SeriesSnapshot() []Series {
 	families, metrics := r.snapshotFamilies()
 	var out []Series
 	for i, f := range families {
 		if t := f.table; t != nil {
-			for ci, c := range t.cols {
+			for _, c := range t.cols {
 				if c.Counter {
-					out = append(out, Series{Name: c.Name, Kind: SeriesCounter, gauge: &t.totals[ci]})
+					out = append(out, Series{Name: c.Name, Kind: SeriesCounter})
 				}
 			}
 		}
 		for _, m := range metrics[i] {
-			s := Series{Name: m.name, Labels: m.labels}
-			switch m.kind {
-			case kindCounter:
-				s.Kind, s.counter = SeriesCounter, m.counter
-			case kindGauge:
-				s.Kind, s.gauge = SeriesGauge, m.gauge
-			case kindGaugeFunc:
-				s.Kind, s.fn = SeriesGaugeFunc, m.fn
-			case kindHistogram:
-				s.Kind, s.hist = SeriesHistogram, m.hist
-			}
-			out = append(out, s)
+			out = append(out, Series{Name: m.name, Labels: m.labels, Kind: SeriesKind(m.kind)})
 		}
 	}
 	return out
+}
+
+// family returns the family registered under name, and its instances as
+// of now (append-only: the elements below len never change).
+func (r *Registry) family(name string) (*family, []*metric) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	f := r.byName[name]
+	if f == nil {
+		return nil, nil
+	}
+	return f, f.metrics
+}
+
+// FamilyTotal sums the current values of the named family's instances,
+// leaving out any instance that carries a label of skip. A Table's
+// counter column reads its total over the rows, from one walk of them.
+// ok is false when no counter, gauge or counter column has the name.
+func (r *Registry) FamilyTotal(name string, skip ...Label) (total float64, ok bool) {
+	f, ms := r.family(name)
+	switch {
+	case f == nil:
+		return 0, false
+	case f.table != nil:
+		return f.table.total(name)
+	case f.kind == kindHistogram:
+		return 0, false
+	}
+	for _, m := range ms {
+		if !hasLabel(m.labels, skip) {
+			total += m.value()
+		}
+	}
+	return total, true
+}
+
+// FamilyHistogram merges the bucket counts of the named histogram
+// family's instances; ok is false when no histogram has the name.
+func (r *Registry) FamilyHistogram(name string) (merged HistogramSnapshot, ok bool) {
+	f, ms := r.family(name)
+	if f == nil || f.table != nil || f.kind != kindHistogram {
+		return merged, false
+	}
+	for _, m := range ms {
+		s := m.hist.Snapshot()
+		for i, c := range s.Counts {
+			merged.Counts[i] += c
+		}
+		merged.Count += s.Count
+		merged.Sum += s.Sum
+	}
+	return merged, true
+}
+
+// hasLabel reports whether labels holds any label of set.
+func hasLabel(labels, set []Label) bool {
+	for _, l := range labels {
+		for _, s := range set {
+			if l == s {
+				return true
+			}
+		}
+	}
+	return false
 }

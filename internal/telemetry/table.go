@@ -14,11 +14,9 @@ import (
 // closure, a label slice, a key string and two map entries per series —
 // and without reading each stream once per family.
 //
-// A bulk reader (SeriesSnapshot) does not see the rows at all: a table is
-// one unlabelled series per counter column, holding the column's total
-// over its rows as of the last collection — what every windowed reader
-// of a per-row family sums to anyway — so the reader's size does not
-// follow the owner's row count. A gauge column has no total and no series.
+// A family reader (FamilyTotal) does not see the rows: a counter column
+// reads as its total over them — what every windowed reader of a per-row
+// family sums to anyway. A gauge column has no total.
 
 // Column is one metric family of a Table.
 type Column struct {
@@ -71,23 +69,6 @@ func (r *Registry) Table(label string, cols []Column, rows TableRows) {
 		r.byName[c.Name] = f
 	}
 	r.families = append(r.families, f)
-	r.version.Add(1)
-}
-
-// CollectTables walks every table's rows once and brings its column
-// totals up to date: the top of a bulk reader's pass, so that all the
-// totals it then reads are of one walk.
-func (r *Registry) CollectTables() {
-	r.mu.RLock()
-	families := r.families // append-only: the elements below len never change
-	r.mu.RUnlock()
-	for _, f := range families {
-		if t := f.table; t != nil {
-			t.mu.Lock()
-			t.collect()
-			t.mu.Unlock()
-		}
-	}
 }
 
 // collect walks the source into labels and vals and adds the counter
@@ -115,6 +96,20 @@ func (t *table) take(slot int, label string, vals []float64) {
 		}
 	}
 	copy(was, vals)
+}
+
+// total is counter column name's total over the rows, from a fresh
+// collection; ok is false for a gauge column.
+func (t *table) total(name string) (float64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.collect()
+	for ci, c := range t.cols {
+		if c.Name == name && c.Counter {
+			return t.totals[ci].Value(), true
+		}
+	}
+	return 0, false
 }
 
 // get is the labelled row's value in column name, from a fresh collection.

@@ -79,13 +79,12 @@ after 2
 	}
 }
 
-// TestTableBulkReader pins what SeriesSnapshot holders get from a table:
-// one unlabelled series per counter column where the exposition puts the
-// family, none for a gauge column, no walk of the owner to list them and
-// one per CollectTables however many totals the pass reads, and a total
-// that only ever grows — by what each row's cell rose between collections,
-// whichever reader collected — through a row vanishing, coming back lower
-// and a roll-up row shrinking.
+// TestTableBulkReader pins what a family reader gets from a table: one
+// unlabelled series per counter column listed where the exposition puts
+// the family, none for a gauge column, no walk of the owner to list them
+// and one per FamilyTotal read, and a total that only ever grows — by what
+// each row's cell rose between collections, whichever reader collected —
+// through a row vanishing, coming back lower and a roll-up row shrinking.
 func TestTableBulkReader(t *testing.T) {
 	f := &fakeRows{labels: []string{"", "a", "b"}, vals: [][]float64{nil, {1, 10}, {2, 20}}}
 	reg := newTableRegistry(f)
@@ -100,24 +99,23 @@ func TestTableBulkReader(t *testing.T) {
 	if got, want := strings.Join(names, " "), "before_total rows_total after"; got != want {
 		t.Fatalf("series are %q, want %q", got, want)
 	}
-	total := series[1]
-	if total.Kind != SeriesCounter || !total.Cumulative() {
-		t.Errorf("a counter column's total reads as kind %v", total.Kind)
+	if series[1].Kind != SeriesCounter {
+		t.Errorf("a counter column's total reads as kind %v", series[1].Kind)
 	}
-	if f.walks != 0 || total.Scalar() != 0 {
-		t.Fatalf("listing the series walked the owner %d times and the total reads %v before any collection", f.walks, total.Scalar())
+	if f.walks != 0 {
+		t.Fatalf("listing the series walked the owner %d times", f.walks)
+	}
+	if _, ok := reg.FamilyTotal("rows_level"); ok {
+		t.Error("a gauge column read as a total")
 	}
 	pass := func(want float64, why string) {
 		t.Helper()
 		walks := f.walks
-		reg.CollectTables()
-		for i := 0; i < 3; i++ {
-			if got := total.Scalar(); got != want {
-				t.Fatalf("total is %v, want %v: %s", got, want, why)
-			}
+		if got, ok := reg.FamilyTotal("rows_total"); !ok || got != want {
+			t.Fatalf("total is %v (%v), want %v: %s", got, ok, want, why)
 		}
 		if f.walks != walks+1 {
-			t.Fatalf("a pass walked the owner %d times", f.walks-walks)
+			t.Fatalf("a read walked the owner %d times", f.walks-walks)
 		}
 	}
 	pass(3, "the rows' 1 + 2 at first sight")
@@ -134,8 +132,47 @@ func TestTableBulkReader(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil { // a scrape collects too
 		t.Fatal(err)
 	}
-	if got := total.Scalar(); got != 11 {
-		t.Fatalf("total is %v after a scrape saw row a rise by 1, want 11", got)
-	}
 	pass(11, "nothing is counted twice")
+}
+
+// TestFamilyTotal: a family reads as the sum of its instances' values,
+// less those carrying a skipped label; a histogram family reads only as
+// its instances' merged buckets; a name nobody registered reads as
+// nothing.
+func TestFamilyTotal(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("errs_total", "", L("kind", "io")).Add(3)
+	reg.Counter("errs_total", "", L("kind", "peer_closed")).Add(5)
+	reg.Counter("errs_total", "", L("kind", "decode")).Add(7)
+	reg.GaugeFunc("depth", "", func() float64 { return 2.5 }, L("shard", "0"))
+	reg.GaugeFunc("depth", "", func() float64 { return 4 }, L("shard", "1"))
+	reg.Histogram("lat_ns", "", L("op", "a")).Observe(3)
+	reg.Histogram("lat_ns", "", L("op", "b")).Observe(1000)
+	for _, c := range []struct {
+		name string
+		skip []Label
+		want float64
+	}{
+		{"errs_total", nil, 15},
+		{"errs_total", []Label{L("kind", "peer_closed")}, 10},
+		{"errs_total", []Label{L("kind", "peer_closed"), L("kind", "io")}, 7},
+		{"depth", nil, 6.5},
+	} {
+		if got, ok := reg.FamilyTotal(c.name, c.skip...); !ok || got != c.want {
+			t.Errorf("FamilyTotal(%s, %v) = %v, %v; want %v", c.name, c.skip, got, ok, c.want)
+		}
+	}
+	if _, ok := reg.FamilyTotal("lat_ns"); ok {
+		t.Error("a histogram family read as a total")
+	}
+	if _, ok := reg.FamilyTotal("nobody"); ok {
+		t.Error("an unregistered name read as a total")
+	}
+	h, ok := reg.FamilyHistogram("lat_ns")
+	if !ok || h.Count != 2 || h.Sum != 1003 || h.Counts[2] != 1 || h.Counts[10] != 1 {
+		t.Errorf("FamilyHistogram(lat_ns) = %+v, %v; want the two observations merged", h, ok)
+	}
+	if _, ok := reg.FamilyHistogram("errs_total"); ok {
+		t.Error("a counter family read as a histogram")
+	}
 }

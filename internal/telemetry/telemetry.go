@@ -263,9 +263,6 @@ type Registry struct {
 	families []*family
 	byName   map[string]*family
 	byKey    map[string]*metric
-	// version counts instrument registrations, so bulk readers
-	// (SeriesSnapshot holders) can detect population changes cheaply.
-	version atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -316,7 +313,6 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label, 
 	m.labels = append([]Label(nil), labels...)
 	f.metrics = append(f.metrics, m)
 	r.byKey[k] = m
-	r.version.Add(1)
 	return m
 }
 
@@ -608,15 +604,19 @@ func (r *Registry) Get(name string, labels ...Label) (float64, bool) {
 		}
 		return 0, false
 	}
+	return m.value(), true
+}
+
+// value is the instrument's current scalar: the counter's total, the
+// gauge's or gauge func's value, the histogram's observation count.
+func (m *metric) value() float64 {
 	switch m.kind {
 	case kindCounter:
-		return float64(m.counter.Value()), true
+		return float64(m.counter.Value())
 	case kindGauge:
-		return m.gauge.Value(), true
+		return m.gauge.Value()
 	case kindGaugeFunc:
-		return m.fn(), true
-	case kindHistogram:
-		return float64(m.hist.Snapshot().Count), true
+		return m.fn()
 	}
-	return 0, false
+	return float64(m.hist.Snapshot().Count)
 }
