@@ -190,14 +190,11 @@ func (s *SourceNode) update(r stream.Reading, v []float64, bootstrap bool) *Upda
 	return &s.upd
 }
 
-// smooth returns the measurement KFm tracks for the raw reading values:
-// the output of the KFc bank when smoothing is enabled (one independent
-// one-state smoother per attribute), the raw values otherwise. It
-// advances KFc, so call exactly once per reading (Process does).
+// smooth returns the measurement KFm tracks for the raw reading values
+// when smoothing is enabled: the output of the KFc bank, one independent
+// one-state smoother per attribute. It advances KFc, so call exactly once
+// per reading (Process does).
 func (s *SourceNode) smooth(raw []float64) ([]float64, error) {
-	if s.cfg.F <= 0 {
-		return raw, nil
-	}
 	if s.smoothers == nil {
 		s.smoothers = make([]*kalman.Filter, len(raw))
 		m := model.Smoothing(s.cfg.F, s.cfg.SmootherR)
@@ -260,10 +257,12 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	s.stats.Readings++
 	s.traceSeq++
 	seq := int64(r.Seq)
-	raw := r.Values[0]
-	v, err := s.smooth(r.Values)
-	if err != nil {
-		return nil, nil, err
+	raw, v := r.Values[0], r.Values
+	if s.cfg.F > 0 {
+		var err error
+		if v, err = s.smooth(v); err != nil {
+			return nil, nil, err
+		}
 	}
 	// Sampling gates only the routine per-reading trail (smooth,
 	// predict, suppress); sends, bootstraps and outlier rejections are
@@ -287,12 +286,16 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		return u, s.mirror.PredictedInto(s.pred), nil
 	}
 
-	s.mirror.Coast(1)
-	pred := s.mirror.PredictedInto(s.pred)
+	pred := s.mirror.CoastPredicted(s.pred)
 	// The max-abs residual both decides suppression (residual <= δ is
 	// exactly stream.WithinPrecision) and is the numeric evidence the
-	// trace records.
-	residual := maxAbsResidual(pred, v)
+	// trace records; for m = 1 it is written out, NaN reading 0.
+	residual := math.Abs(pred[0] - v[0])
+	if len(pred) > 1 {
+		residual = maxAbsResidual(pred, v)
+	} else if !(residual > 0) {
+		residual = 0
+	}
 
 	if residual <= s.cfg.Delta {
 		// The server's prediction is good enough: suppress.
@@ -358,30 +361,18 @@ func (s *SourceNode) record(predict bool) {
 	s.tr.Record(&s.lastDec)
 }
 
-// maxAbsResidual returns max_i |pred[i] - v[i]| — the residual the
-// suppression decision compares against δ, and the server's divergence
-// tap. Comparing it to delta with <= is equivalent to
+// maxAbsResidual returns max_i |a[i] − b[i]|, or max_i |a[i]| for b nil —
+// the residual the suppression decision compares against δ, and the
+// server's divergence tap. Comparing it to delta with <= is equivalent to
 // stream.WithinPrecision (NaN components never raise the max, matching
 // WithinPrecision's NaN behavior).
-func maxAbsResidual(pred, v []float64) float64 {
-	var m float64
-	for i := range pred {
-		d := pred[i] - v[i]
-		if d < 0 {
-			d = -d
+func maxAbsResidual(a, b []float64) (m float64) {
+	for i, d := range a {
+		if b != nil {
+			d -= b[i]
 		}
-		if d > m {
+		if d = math.Abs(d); d > m {
 			m = d
-		}
-	}
-	return m
-}
-
-// maxAbs is maxAbsResidual of a difference d already taken.
-func maxAbs(d []float64) (m float64) {
-	for _, v := range d {
-		if v = math.Abs(v); v > m {
-			m = v
 		}
 	}
 	return m
@@ -576,7 +567,7 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 	// it used: the divergence tap max |d|, in δ's units; the health tap,
 	// the NIS dᵀS⁻¹d; and the whiteness window. H x̂⁻ is computed once.
 	d := s.filter.LastInnovation()
-	s.lastInnov, s.innovValid = maxAbs(d), true
+	s.lastInnov, s.innovValid = maxAbsResidual(d, nil), true
 	s.lastNIS, s.nisValid = s.filter.CorrectedNIS(), true
 	s.health.Observe(s.window(), d)
 	return nil

@@ -273,10 +273,13 @@ func TestReregisteredPastCapCountedOnce(t *testing.T) {
 		t.Errorf("_other counts %v updates, want the 4 + 5 of the two streams past the cap", got)
 	}
 	var rows, stats float64
-	for _, v := range s.Telemetry().Snapshot() {
-		if v.Name == "dkf_server_updates_total" {
-			rows += v.Value
-		}
+	labels := []string{"again", "_other"}
+	for i := 1; i < DefaultSourceMetricLimit+2; i++ {
+		labels = append(labels, fmt.Sprintf("s%04d", i))
+	}
+	for _, id := range labels {
+		v, _ := s.Telemetry().Get("dkf_server_updates_total", telemetry.L("source", id))
+		rows += v
 	}
 	for _, st := range s.Stats() {
 		stats += float64(st.Updates)

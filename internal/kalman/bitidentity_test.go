@@ -190,6 +190,9 @@ func TestFilterMatchesReference(t *testing.T) {
 	specials := []float64{0, negZero, 1e300, -1e300, math.NaN()}
 	for _, z0 := range []float64{1.5, 0, negZero} {
 		cfgs := bitIdentityConfigs(z0)
+		// Every catalogue model with one state measures it with H = 1, so
+		// (P H) S⁻¹ and P (H S⁻¹) agree there; a gain of 0.3 tells them apart.
+		cfgs["constant-h0.3"] = kalman.Config{Phi: kalman.Static(mat.Identity(1)), H: mat.Diag(0.3), Q: mat.Diag(0.05), R: mat.Diag(0.05), X0: mat.Vec(z0)}
 		for _, name := range sortedNames(cfgs) {
 			cfg := cfgs[name]
 			t.Run(name, func(t *testing.T) {

@@ -116,6 +116,7 @@ func (f *Filter) intern(phi0 []float64, declared bool) {
 			// Owed steps (owed.go) need Φ(0) = [1] or [[1,d],[0,1]], Q = q·I.
 			q := f.seg(segQ)
 			rec = &shape{off: f.sh.off, static: declared, poly: phi0[0] == 1 && (n == 1 || phi0[2] == 0 && phi0[3] == 1 && q[1] == 0 && q[2] == 0 && q[0] == q[3])}
+			rec.line = rec.static && rec.poly && f.seg(segH)[0] == 1 && (n == 1 || f.seg(segH)[1] == 0)
 			copy(rec.phi[:], phi0)
 			if len(records) >= maxRecords {
 				// Past the bound a poly record still owes, as its twin does,
@@ -267,28 +268,4 @@ func (f *Filter) takePhase() {
 	sh.seg(buf, segS)[0], sh.seg(buf, segSInv)[0] = next.s, next.sInv
 	f.sDet, f.sValid = next.det, true
 	f.cy = cyOn | cyFast | ph
-}
-
-// correctCycle is CorrectValues after takePhase: the phase's K and P⁺
-// copied in, the innovation and x ← Kd + x computed with the kernel's
-// operations.
-func (f *Filter) correctCycle(z []float64) {
-	ph := &f.sh.cyc.phases[f.cy&cyPhase/cyPhase]
-	sh, buf := f.sh, f.buf
-	h, gain, innov := sh.seg(buf, segH), sh.seg(buf, segGain), sh.seg(buf, segInnov)
-	if f.n == 1 {
-		gain[0] = ph.gain[0]
-		innov[0] = z[0] - mul1(h[0], buf[0])
-		buf[0] = mul1(gain[0], innov[0]) + buf[0]
-		buf[1] = ph.post[0]
-	} else {
-		x := buf[:2]
-		k0, k1 := ph.gain[0], ph.gain[1]
-		d := z[0] - dot2(h[0], x[0], h[1], x[1])
-		gain[0], gain[1], innov[0] = k0, k1, d
-		x[0], x[1] = dot1(k0, d)+x[0], dot1(k1, d)+x[1]
-		copy(buf[2:6], ph.post[:])
-	}
-	f.sValid, f.hasGain, f.corrected = false, true, true
-	f.cy ^= cyFast
 }

@@ -29,8 +29,9 @@ func declare(cfg Config, calls *int) Config {
 
 // TestDeclaredDifferential drives a filter built with its Φ declared
 // time-invariant and an undeclared twin over the same matrices through
-// seeded runs: dense steps, suppressed runs a step at a time and in one
-// Coast, outlier NIS probes that never correct, a Coast across the owed
+// seeded runs: dense steps, suppressed runs a step at a time (Coast(1),
+// or CoastPredicted against the twin's Coast(1) and PredictedInto) and in
+// one Coast, outlier NIS probes that never correct, a Coast across the owed
 // count's overflow, PredictedAheadInto, RestoreValues, SetNoise and a
 // re-Init. After every call the two are StateEqual with the same gain,
 // innovation, NIS and answer bits, and the declared filter has not called
@@ -150,9 +151,18 @@ func driveTwins(t *testing.T, name string, rng *rand.Rand, d, u *Filter, reinit 
 		switch rng.Intn(8) {
 		case 0, 1: // a suppressed run at the mirror, then an outlier probe and a send
 			for i := 1 + rng.Intn(30); i > 0; i-- {
-				d.Coast(1)
+				if i%2 == 0 {
+					d.Coast(1)
+					u.Coast(1)
+					check("Coast(1)")
+					continue
+				}
+				got := d.CoastPredicted(make([]float64, 1))
 				u.Coast(1)
-				check("Coast(1)")
+				if want := u.PredictedInto(make([]float64, 1)); !sameFloats(got, want) {
+					t.Fatalf("%s: CoastPredicted %v, twin's Coast(1) and PredictedInto %v", at("CoastPredicted"), got, want)
+				}
+				check("CoastPredicted")
 			}
 			probe([]float64{1e6})
 			correct(z())

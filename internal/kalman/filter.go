@@ -190,6 +190,14 @@ const (
 	segCount
 )
 
+// The unrolled shapes' blocks as fixed-size arrays, for n = 1 and n = 2:
+// where shapeFor puts H, R, K, the innovation, S and S⁻¹ (x is at 0 and
+// P at n), and how long the array is. TestShapeSegments holds them to it.
+const (
+	u1H, u1R, u1Gain, u1Innov, u1S, u1SInv, u1Len = 3, 5, 6, 7, 8, 9, 10
+	u2H, u2R, u2Gain, u2Innov, u2S, u2SInv, u2Len = 10, 14, 15, 17, 18, 19, 20
+)
+
 // shape is what every filter of one (n, m, Joseph or not) has in common:
 // its covariance update and where each segment of its block starts. One- and
 // two-state filters over a scalar measurement in the standard form run
@@ -206,6 +214,7 @@ type shape struct {
 	joseph bool                // use the Joseph stabilized covariance update
 	poly   bool                // a record whose Φ(0) is [1] or [[1,d],[0,1]] and Q = q·I
 	static bool                // a declared record: phi is φ_k for every k
+	line   bool                // a declared poly record with H = e₁: CoastPredicted's straight-line step
 	phi    [4]float64          // a record's Φ(0), n x n
 	cyc    *cycle              // a record's cycle; nil on a plain shape
 }
@@ -280,8 +289,8 @@ type Filter struct {
 	corrected bool  // whether Correct has run since the last Predict
 	cy        uint8 // the cy* bits: where the filter stands on its record's covariance cycle
 	// The state and measurement dimensions, in the header's padding rather
-	// than the shape: the two calls a suppressed reading makes (Coast,
-	// PredictedInto) pick their kernel and cut x | P | Q and H — whose
+	// than the shape: Coast and PredictedInto, a suppressed reading's step
+	// off a line record, pick their kernel and cut x | P | Q and H — whose
 	// places follow from n and m alone — without a load through sh.
 	n, m uint8
 	lag  uint16 // the covariance steps Coast owes (owed.go)
@@ -639,18 +648,42 @@ func (f *Filter) refreshS() error {
 	for i, rv := range sh.seg(buf, segR) {
 		s[i] += rv
 	}
+	if m == 1 {
+		_, err := f.invS1(s[0], &s[0], &sh.seg(buf, segSInv)[0])
+		return err
+	}
 	det, err := mat.InverseFlat(sh.seg(buf, segSInv), s, sh.seg(buf, segW), m)
 	if err != nil {
 		return fmt.Errorf("kalman: innovation covariance not invertible: %w", err)
 	}
-	f.sDet = det
-	f.sValid = true
+	f.sDet, f.sValid = det, true
 	return nil
+}
+
+var errSingularS = fmt.Errorf("kalman: innovation covariance not invertible: %w", mat.ErrSingular)
+
+// invS1 is S⁻¹ for m = 1: the cached one while sValid holds, else that of
+// sv, cached in s and sInv with InverseFlat's order-1 closed form, det S =
+// S and S⁻¹ = 1/S; a singular S is refused.
+func (f *Filter) invS1(sv float64, s, sInv *float64) (float64, error) {
+	if f.sValid {
+		return *sInv, nil
+	}
+	if *s = sv; sv == 0 {
+		return 0, errSingularS
+	}
+	inv := 1 / sv
+	*sInv, f.sDet, f.sValid = inv, sv, true
+	return inv, nil
 }
 
 // quadForm returns d^T S^-1 d for an innovation d, using the cached S^-1
 // in the left-associated evaluation order (d^T S^-1) d.
 func (f *Filter) quadForm(d []float64) float64 {
+	if len(d) == 1 {
+		// MulFlat's 1x1 product, then dot's sum from +0.
+		return 0 + float64(mul1(d[0], f.seg(segSInv)[0])*d[0])
+	}
 	row := f.seg(segRow)
 	mat.MulFlat(row, d, f.seg(segSInv), 1, int(f.m), int(f.m))
 	return dot(row, d)
@@ -685,39 +718,63 @@ func (f *Filter) CorrectValues(z []float64) error {
 		return err
 	}
 	f.Settle()
-	if f.cy&cyFast != 0 {
-		f.correctCycle(z)
-		return nil
-	}
-	if err := f.refreshS(); err != nil {
-		return err
-	}
 	sh, buf := f.sh, f.buf
 	n, m := int(f.n), int(f.m)
-	x, p, h, sInv := sh.seg(buf, segX), sh.seg(buf, segP), sh.seg(buf, segH), sh.seg(buf, segSInv)
-	gain, innov := sh.seg(buf, segGain), sh.seg(buf, segInnov)
+	// The unrolled shapes run one fixed-size kernel over the block, with S
+	// (unless cached), S⁻¹, K, the innovation, x and P in named locals. On
+	// the covariance cycle (cyFast) K and P⁺ are the phase's, copied in.
 	switch {
 	case m == 1 && n == 1 && !sh.joseph:
-		gain[0] = mul1(mul1(p[0], h[0]), sInv[0])
-		innov[0] = z[0] - mul1(h[0], x[0])
-		x[0] = mul1(gain[0], innov[0]) + x[0]
-		p[0] = mul1(1-mul1(gain[0], h[0]), p[0])
+		b := (*[u1Len]float64)(buf)
+		h, p, k := b[u1H], b[1], 0.0
+		if f.cy&cyFast != 0 {
+			ph := &sh.cyc.phases[f.cy&cyPhase/cyPhase]
+			k, p = ph.gain[0], ph.post[0]
+		} else {
+			sInv, err := f.invS1(mul1(mul1(h, p), h)+b[u1R], &b[u1S], &b[u1SInv])
+			if err != nil {
+				return err
+			}
+			k = mul1(mul1(p, h), sInv)
+			p = mul1(1-mul1(k, h), p)
+		}
+		d := z[0] - mul1(h, b[0])
+		b[u1Gain], b[u1Innov], b[1] = k, d, p
+		b[0] = mul1(k, d) + b[0]
 	case m == 1 && n == 2 && !sh.joseph:
-		h0, h1 := h[0], h[1]
-		k0 := dot1(dot2(p[0], h0, p[1], h1), sInv[0])
-		k1 := dot1(dot2(p[2], h0, p[3], h1), sInv[0])
-		d := z[0] - dot2(h0, x[0], h1, x[1])
-		gain[0], gain[1], innov[0] = k0, k1, d
-		x[0], x[1] = dot1(k0, d)+x[0], dot1(k1, d)+x[1]
-		// I - K H, then (I - K H) P, then the symmetrized result.
-		a00, a01 := 1-dot1(k0, h0), 0-dot1(k0, h1)
-		a10, a11 := 0-dot1(k1, h0), 1-dot1(k1, h1)
-		b01 := dot2(a00, p[1], a01, p[3])
-		b10 := dot2(a10, p[0], a11, p[2])
-		p[0], p[3] = dot2(a00, p[0], a01, p[2]), dot2(a10, p[1], a11, p[3])
-		p[1] = (b01 + b10) / 2
-		p[2] = p[1]
+		b := (*[u2Len]float64)(buf)
+		h0, h1, p0, p1, p2, p3 := b[u2H], b[u2H+1], b[2], b[3], b[4], b[5]
+		var k0, k1 float64
+		if f.cy&cyFast != 0 {
+			ph := &sh.cyc.phases[f.cy&cyPhase/cyPhase]
+			k0, k1, p0, p1, p2, p3 = ph.gain[0], ph.gain[1], ph.post[0], ph.post[1], ph.post[2], ph.post[3]
+		} else {
+			s := dot2(dot2(h0, p0, h1, p2), h0, dot2(h0, p1, h1, p3), h1) + b[u2R]
+			sInv, err := f.invS1(s, &b[u2S], &b[u2SInv])
+			if err != nil {
+				return err
+			}
+			k0 = dot1(dot2(p0, h0, p1, h1), sInv)
+			k1 = dot1(dot2(p2, h0, p3, h1), sInv)
+			// I - K H, then (I - K H) P, then the symmetrized result.
+			a00, a01 := 1-dot1(k0, h0), 0-dot1(k0, h1)
+			a10, a11 := 0-dot1(k1, h0), 1-dot1(k1, h1)
+			b01 := dot2(a00, p1, a01, p3)
+			b10 := dot2(a10, p0, a11, p2)
+			p0, p3 = dot2(a00, p0, a01, p2), dot2(a10, p1, a11, p3)
+			p1 = (b01 + b10) / 2
+			p2 = p1
+		}
+		d := z[0] - dot2(h0, b[0], h1, b[1])
+		b[u2Gain], b[u2Gain+1], b[u2Innov] = k0, k1, d
+		b[0], b[1] = dot1(k0, d)+b[0], dot1(k1, d)+b[1]
+		b[2], b[3], b[4], b[5] = p0, p1, p2, p3
 	default:
+		if err := f.refreshS(); err != nil {
+			return err
+		}
+		x, p, h, sInv := sh.seg(buf, segX), sh.seg(buf, segP), sh.seg(buf, segH), sh.seg(buf, segSInv)
+		gain, innov := sh.seg(buf, segGain), sh.seg(buf, segInnov)
 		nm, xs, t1, t2 := f.seg(segNM), f.seg(segXs), f.seg(segT1), f.seg(segT2)
 		// K = P H^T S^-1.
 		mat.MulFlat(nm, p, f.seg(segHT), n, n, m)
@@ -749,10 +806,10 @@ func (f *Filter) CorrectValues(z []float64) error {
 		}
 		mat.SymmetrizeFlat(p, t2, n)
 	}
-	f.sValid = false
-	f.hasGain = true
-	f.corrected = true
-	if c := sh.cyc; c != nil {
+	f.sValid, f.hasGain, f.corrected = false, true, true
+	if f.cy&cyFast != 0 {
+		f.cy ^= cyFast
+	} else if c := sh.cyc; c != nil {
 		f.cy = f.enterCycle(c)
 	}
 	return nil

@@ -30,19 +30,8 @@ func (f *Filter) Coast(steps int) {
 			steps--
 			continue
 		}
-		// j steps of stepX's bits under the record's Φ — dot2's products by
-		// one are exact, its zero factors skipped, and for n = 1 x stays — at
-		// an eighth less CPU a pair's reading than a call (BenchmarkSparsePair).
-		if x := f.buf[:f.n]; len(x) == 2 {
-			x0, x1, d := x[0], x[1], sh.phi[1]
-			for range j {
-				x0 = 0 + x0
-				if d != 0 {
-					x0 += float64(d * x1)
-				}
-				x1 = 0 + x1
-			}
-			x[0], x[1] = x0, x1
+		if f.n == 2 { // for n = 1 x stays
+			coastX((*[2]float64)(f.buf), sh.phi[1], j)
 		}
 		f.k, steps = f.k+j, steps-j
 		f.corrected, f.sValid = false, false
@@ -51,7 +40,51 @@ func (f *Filter) Coast(steps int) {
 			f.cy = 0
 		}
 	}
-	f.PredictN(steps)
+	if steps > 0 {
+		f.PredictN(steps)
+	}
+}
+
+// coastX is j >= 1 steps of stepX's bits on x under Φ = [[1,d],[0,1]]:
+// dot2's products by one are exact and its zero factors skipped. A step
+// adds +0 to x0 and to x1, which changes only a −0, and no sum here is
+// −0: after the first step x1, and so d·x1, stay, and each further step
+// is x0 + d·x1.
+func coastX(x *[2]float64, d float64, j int) {
+	x0, x1 := 0+x[0], x[1]
+	if d != 0 {
+		x0 += float64(d * x1)
+		for dx := float64(d * (0 + x1)); j > 1; j-- {
+			x0 += dx
+		}
+	}
+	x[0], x[1] = x0, 0+x1
+}
+
+// CoastPredicted is Coast(1) then PredictedInto(dst): a reading's step at
+// the mirror and the prediction its suppression is decided on. On a line
+// record — declared, owing, H = e₁ — it is straight-line code with their
+// bits, H x̂ being 1·x0 for n = 1 (−0 stays −0) and 0 + 1·x0 for n = 2. A
+// full count takes Coast's settling step.
+func (f *Filter) CoastPredicted(dst []float64) []float64 {
+	sh := f.sh
+	if !sh.line || f.lag == math.MaxUint16 {
+		f.Coast(1)
+		return f.PredictedInto(dst)
+	}
+	if f.n == 1 {
+		dst[0] = float64(1 * f.buf[0])
+	} else {
+		x := (*[2]float64)(f.buf)
+		coastX(x, sh.phi[1], 1)
+		dst[0] = 0 + x[0]
+	}
+	f.k++
+	f.corrected, f.sValid = false, false
+	if f.lag++; f.lag > 1 || f.cy&cyFast != 0 {
+		f.cy = 0
+	}
+	return dst
 }
 
 // isPhi reports whether phi is the record's Φ, n x n for n <= 2, bit for

@@ -1,6 +1,7 @@
 package kalman
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -195,6 +196,102 @@ func TestCoastStepsXAsStepX(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCoastPredictedMatchesCoast: on a declared constant or linear record
+// CoastPredicted is straight-line code, and on an undeclared twin it is
+// Coast(1) then PredictedInto. With x and z drawn from ±0, subnormals,
+// ±MaxFloat64, ±Inf, NaN and ordinary values, both must leave the same
+// prediction, x, k, owed count and cycle byte after each of two steps,
+// the same NIS probes, and the same S, S⁻¹, det S, K, innovation, P, NIS
+// and cycle byte after the correction that follows — from a filter on
+// its covariance cycle and from one off it. A full owed count and a
+// filter SetNoise moved off its record take the twin's path, bit for bit.
+func TestCoastPredictedMatchesCoast(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1.5, 3e-310, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for name, base := range declaredConfigs() {
+		calls := 0
+		decl := declare(base, &calls)
+		onCycle := []*Filter{corrected(t, decl), corrected(t, base)}
+		for i := 0; onCycle[0].cy == 0 && i < maxSettle; i++ {
+			for _, f := range onCycle {
+				f.Predict()
+				if err := f.CorrectValues([]float64{0.5}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		offCycle := []*Filter{MustNew(decl), MustNew(base)}
+		built := calls
+		if !onCycle[0].sh.line || onCycle[1].sh.line || onCycle[0].cy == 0 || offCycle[0].cy != 0 {
+			t.Fatalf("%s: line records %v/%v, cycle bytes %d/%d", name, onCycle[0].sh.line, onCycle[1].sh.line, onCycle[0].cy, offCycle[0].cy)
+		}
+		n := int(onCycle[0].n)
+		step := func(at string, d, u *Filter) {
+			t.Helper()
+			got := d.CoastPredicted(make([]float64, 1))
+			u.Coast(1)
+			if want := u.PredictedInto(make([]float64, 1)); !sameFloats(got, want) {
+				t.Fatalf("%s: CoastPredicted %v, Coast and PredictedInto %v", at, got, want)
+			}
+			requireSame(t, at, d, u)
+			if d.lag != u.lag || d.cy != u.cy || d.sValid != u.sValid || d.corrected != u.corrected {
+				t.Fatalf("%s: owed %d cycle %#x, twin owed %d cycle %#x", at, d.lag, d.cy, u.lag, u.cy)
+			}
+		}
+		probe := func(at string, d, u *Filter, z float64) {
+			t.Helper()
+			a, errD := d.NISValues([]float64{z})
+			b, errU := u.NISValues([]float64{z})
+			if (errD == nil) != (errU == nil) || !sameFloats([]float64{a}, []float64{b}) {
+				t.Fatalf("%s: NIS %v (%v), twin %v (%v)", at, a, errD, b, errU)
+			}
+		}
+		correct := func(at string, d, u *Filter, z float64) {
+			t.Helper()
+			probe(at, d, u, z)
+			errD, errU := d.CorrectValues([]float64{z}), u.CorrectValues([]float64{z})
+			if (errD == nil) != (errU == nil) {
+				t.Fatalf("%s: Correct %v, twin %v", at, errD, errU)
+			}
+			requireSame(t, at, d, u)
+			if d.cy != u.cy || !sameFloats([]float64{d.sDet, d.CorrectedNIS()}, []float64{u.sDet, u.CorrectedNIS()}) {
+				t.Fatalf("%s: cycle %#x det %v NIS %v, twin cycle %#x det %v NIS %v", at, d.cy, d.sDet, d.CorrectedNIS(), u.cy, u.sDet, u.CorrectedNIS())
+			}
+		}
+		for pi, pair := range [][]*Filter{onCycle, offCycle} {
+			for i, x0 := range vals {
+				for _, x1 := range vals[:1+(n-1)*(len(vals)-1)] {
+					z := vals[(i+pi)%len(vals)]
+					d, u := pair[0].Clone(), pair[1].Clone()
+					copy(d.seg(segX), []float64{x0, x1}[:n])
+					copy(u.seg(segX), []float64{x0, x1}[:n])
+					at := fmt.Sprintf("%s cycle %v x (%v, %v) z %v", name, pi == 0, x0, x1, z)
+					probe(at+" probe", d, u, x0) // an outlier's probe leaves S cached
+					step(at+" step 1", d, u)
+					step(at+" step 2", d, u)
+					correct(at, d, u, z)
+					step(at+" step after", d, u)
+				}
+			}
+			d, u := pair[0].Clone(), pair[1].Clone()
+			d.Coast(math.MaxUint16)
+			u.Coast(math.MaxUint16)
+			step(name+" full owed count", d, u)
+			if d.lag != 0 {
+				t.Fatalf("%s: the step past a full count left %d owed", name, d.lag)
+			}
+			correct(name+" after a full count", d, u, 1.5)
+			q := mat.ScaledIdentity(n, 0.07)
+			d.SetNoise(q, nil)
+			u.SetNoise(q, nil)
+			step(name+" after SetNoise", d, u)
+			correct(name+" after SetNoise", d, u, -2.5)
+		}
+		if calls != built {
+			t.Fatalf("%s: the declared filters called Phi %d times after build", name, calls-built)
 		}
 	}
 }

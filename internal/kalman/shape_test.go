@@ -22,7 +22,8 @@ func generalConfig() Config {
 // TestShapeSegments pins which segments a shape's block has: the fused
 // kernels' shapes carry no general-kernel scratch, every other shape —
 // Joseph form included — carries all of it, and the Gauss-Jordan scratch
-// exists only above the closed-form inverses.
+// exists only above the closed-form inverses. The fused shapes' segments
+// sit where CorrectValues' fixed-size kernel reads them.
 func TestShapeSegments(t *testing.T) {
 	scratch := []int{segXs, segT1, segT2, segT3, segNM, segHP}
 	for _, tc := range []struct {
@@ -56,6 +57,13 @@ func TestShapeSegments(t *testing.T) {
 		}
 		if sh.off[segX] != 0 || int(sh.off[segP]) != tc.n || int(sh.off[segQ]) != tc.n+tc.n*tc.n {
 			t.Errorf("%s: x | P do not lead the block", tc.name)
+		}
+		if tc.fused {
+			want := [...][7]int32{{u1H, u1R, u1Gain, u1Innov, u1S, u1SInv, u1Len}, {u2H, u2R, u2Gain, u2Innov, u2S, u2SInv, u2Len}}[tc.n-1]
+			got := [7]int32{sh.off[segH], sh.off[segR], sh.off[segGain], sh.off[segInnov], sh.off[segS], sh.off[segSInv], sh.off[segSInv+1]}
+			if got != want {
+				t.Errorf("%s: H, R, K, innovation, S, S⁻¹ and the kernel's length at %v, the kernel reads %v", tc.name, got, want)
+			}
 		}
 	}
 	if n := unsafe.Sizeof(Filter{}); n != 64 {

@@ -167,18 +167,3 @@ func (t *table) write(b *strings.Builder) {
 		}
 	}
 }
-
-// each calls fn for every cell of the table — column-major, rows in
-// slot order — from one fresh collection.
-func (t *table) each(fn func(name string, labels []Label, v float64)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.collect()
-	for ci, c := range t.cols {
-		for slot, label := range t.labels {
-			if label != "" {
-				fn(c.Name, []Label{{t.label, label}}, t.vals[slot*len(t.cols)+ci])
-			}
-		}
-	}
-}

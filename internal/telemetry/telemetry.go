@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -545,50 +544,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Value is one scraped sample, for programmatic snapshots (tests,
-// /streamz internals).
-type Value struct {
-	Name   string
-	Labels []Label
-	Value  float64
-}
-
-// Snapshot returns the current value of every scalar instrument
-// (counters, gauges, gauge funcs) plus _sum/_count samples for
-// histograms, sorted by name then label values.
-func (r *Registry) Snapshot() []Value {
-	families, metrics := r.snapshotFamilies()
-	var out []Value
-	var ms []*metric
-	for i, f := range families {
-		ms = append(ms, metrics[i]...)
-		if f.table != nil {
-			f.table.each(func(name string, labels []Label, v float64) { out = append(out, Value{name, labels, v}) })
-		}
-	}
-	for _, m := range ms {
-		switch m.kind {
-		case kindCounter:
-			out = append(out, Value{m.name, m.labels, float64(m.counter.Value())})
-		case kindGauge:
-			out = append(out, Value{m.name, m.labels, m.gauge.Value()})
-		case kindGaugeFunc:
-			out = append(out, Value{m.name, m.labels, m.fn()})
-		case kindHistogram:
-			s := m.hist.Snapshot()
-			out = append(out, Value{m.name + "_sum", m.labels, float64(s.Sum)})
-			out = append(out, Value{m.name + "_count", m.labels, float64(s.Count)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return fmt.Sprint(out[i].Labels) < fmt.Sprint(out[j].Labels)
-	})
-	return out
 }
 
 // Get returns the scraped value of the named instrument with exactly

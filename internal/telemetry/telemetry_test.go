@@ -210,7 +210,7 @@ func TestScrapeDuringWrites(t *testing.T) {
 		if !strings.Contains(b.String(), "c_total") {
 			t.Fatal("scrape lost a metric family")
 		}
-		reg.Snapshot()
+		reg.SeriesSnapshot()
 	}
 	if v, ok := reg.Get("c_total"); !ok || v != writers*per {
 		t.Fatalf("Get(c_total) = %v, %v; want %d", v, ok, writers*per)
