@@ -186,7 +186,7 @@ func (s *Server) RegisterAggregate(q AggregateQuery) error {
 	if s.queries[q.ID] != nil {
 		return fmt.Errorf("dsms: duplicate aggregate query id %s", q.ID)
 	}
-	rec := &query{kind: kindAggregate, agg: &aggregate{def: q}}
+	rec := &query{agg: &aggregate{def: q}}
 	delta := q.PerSourceDelta()
 	var installed []string
 	for _, src := range q.SourceIDs {

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
@@ -99,21 +100,29 @@ func (c *Catalog) Names() []string {
 // sourceState is one row of the server's stream table: the installed
 // filter and everything else the server knows about one source object. It
 // lives by value in the table's chunks, so a *sourceState is good for the
-// server's life, and is five cache lines exactly (TestSourceStateSize).
+// server's life, and is four cache lines exactly (TestSourceStateSize).
 //
-// Topology fields (id, queries, cfg) are guarded by the server's mu;
-// runtime fields (everything below the mutex) are guarded by the
+// Topology fields (the first cache line, and shard) are guarded by the
+// server's mu; runtime fields (from the mutex on) are guarded by the
 // per-source mu, so ingest and queries on different sources never
 // contend. The locking order is Server.mu before sourceState.mu, and
 // Server.mu is never acquired — not even for reading, since a waiting
 // writer blocks new readers — while holding a sourceState.mu.
 type sourceState struct {
 	id      string
-	queries []stream.Query
 	cfg     *core.Config // the deployment its queries fold into; interned, shared, SourceID empty
-	handle  int32        // the record's place in Server.streams, set at registration
-	shard   int32        // the ingest-engine shard that owns the stream; 0 without an engine
-	dead    atomic.Bool  // a dropped registration: the slot is never handed out again
+	queries *query       // its point queries, chained by next in registration order
+
+	// watchers are the alerts and subscriptions over queries this stream
+	// feeds (watch.go); nil until the first. Copy-on-write: replaced with
+	// Server.mu held for writing, never mutated, so the ingest path loads
+	// the list and fires it outside every lock.
+	watchers atomic.Pointer[[]watcher]
+
+	history *synopsis.Store // optional historical-query recorder
+	ext     *streamExt      // nil until tracing gives the stream a flight recorder
+	handle  int32           // the record's place in Server.streams, set at registration
+	dead    atomic.Bool     // a dropped registration: the slot is never handed out again
 
 	// version counts data mutations of this stream's filter state —
 	// update applies, snapshot restores, replayed advance records. Aggregate
@@ -128,7 +137,6 @@ type sourceState struct {
 	node    core.ServerNode // built in place over a slab block by InstallFor
 	lastSeq int             // seq of the last transmitted update (-1 before any)
 	ckptSeq int             // last update seq covered by a checkpoint (-1 before any)
-	_       [40]byte        // pads the record to five cache lines
 
 	// The stream's own ingest counts: what Stats, /streamz, checkpoints,
 	// migration snapshots and — read at scrape time, telemetry.go — the
@@ -141,18 +149,24 @@ type sourceState struct {
 	// snapshot is ever folded here.
 	releasedAt int64
 
-	// watchers are the alerts and subscriptions over queries this stream
-	// feeds (watch.go); nil until the first. Copy-on-write: replaced with
-	// Server.mu held for writing, never mutated, so the ingest path loads
-	// the list and fires it outside every lock.
-	watchers atomic.Pointer[[]watcher]
+	shard int32 // the engine shard that owns the stream (0 without one); topology, like the first line
+}
 
-	history *synopsis.Store // optional historical-query recorder
-	// rec is the stream's flight recorder; nil unless tracing is
-	// enabled. lastTrace is the trace id of the latest applied update,
-	// linking query answers back to the update that shaped them.
+// streamExt is what only a traced stream carries: its flight recorder, and
+// the trace id of the latest applied update, which links query answers back
+// to the update that shaped them. The recorder is attached under both
+// Server.mu and the stream's mu, so either one reads it.
+type streamExt struct {
 	rec       *trace.Recorder
 	lastTrace int64
+}
+
+// rec returns the stream's flight recorder, or nil.
+func (st *sourceState) rec() *trace.Recorder {
+	if st.ext == nil {
+		return nil
+	}
+	return st.ext.rec
 }
 
 const streamChunk = 128 // records a chunk: 40 KB, so a server of a few streams pays for one
@@ -207,16 +221,21 @@ func (t *streamTable) each(fn func(*sourceState)) {
 	}
 }
 
-// idSlot is one cache line of the id index: all the datagram path needs of
-// a stream, so a hit on an id of up to 32 bytes reads nothing else. Its
+// idSlot is half a cache line of the id index: all the datagram path needs
+// of a stream, so a hit on an id of up to 12 bytes reads nothing else. Its
 // fields are written before its handle is stored and never after.
 type idSlot struct {
 	handle atomic.Int32 // 0: empty
-	shard  int32        // the owning engine shard, copied from the record
-	tag    uint64       // the id's hash under the index's seed
-	id     string       // canonical: what ring slots and records keep
-	head   [32]byte     // the id's first 32 bytes, zero-padded
+	tag    uint16       // the top bits of the id's hash under the index's seed
+	shard  uint16       // the owning engine shard, copied from the record
+	data   *byte        // the canonical id's bytes: the record's own string
+	n      uint32       // the id's length
+	head   [12]byte     // the id's first 12 bytes, zero-padded
 }
+
+// id returns the canonical id — the record's own string, so what a ring slot
+// keeps of it compares pointer-equal with the record's.
+func (sl *idSlot) id() string { return unsafe.String(sl.data, sl.n) }
 
 // idIndex is the server's one id-keyed table of streams: open addressing,
 // linear probing, a power-of-two table at most 3/4 full. It is written only
@@ -241,11 +260,11 @@ func (x *idIndex) find(id string) *idSlot {
 		if sl.handle.Load() == 0 {
 			return nil
 		}
-		if sl.tag != h || len(sl.id) != len(id) {
+		if sl.tag != uint16(h>>48) || int(sl.n) != len(id) {
 			continue
 		}
 		// A longer id compares against the canonical string.
-		if len(id) <= len(sl.head) && string(sl.head[:len(id)]) == id || sl.id == id {
+		if len(id) <= len(sl.head) && string(sl.head[:len(id)]) == id || sl.id() == id {
 			return sl
 		}
 	}
@@ -257,7 +276,7 @@ func (x *idIndex) place(tab []idSlot, st *sourceState) {
 	h := maphash.String(x.seed, st.id)
 	for i := h; ; i++ {
 		if sl := &tab[i&uint64(len(tab)-1)]; sl.handle.Load() == 0 {
-			sl.shard, sl.tag, sl.id = st.shard, h, st.id
+			sl.tag, sl.shard, sl.data, sl.n = uint16(h>>48), uint16(st.shard), unsafe.StringData(st.id), uint32(len(st.id))
 			copy(sl.head[:], st.id)
 			sl.handle.Store(st.handle)
 			x.n++
@@ -304,17 +323,33 @@ var kindLabel = [...]string{kindPoint: "", kindAggregate: "aggregate ", kindWind
 // query is one row of the server's query table. Point, aggregate and
 // window queries share one id namespace; every record carries its
 // streams resolved at registration, so answering and watching never
-// look a stream up by id.
+// look a stream up by id. A point query's record is also its
+// registration — what checkpoints and Stats read — chained from its
+// stream's record; its model is the stream's, which every query on the
+// stream shares.
 type query struct {
-	kind queryKind
-	src  *sourceState // kindPoint, kindWindow: the one stream
-	agg  *aggregate   // kindAggregate: definition, members and memo (aggregate.go)
-	win  *WindowQuery // kindWindow: definition (windowed.go)
+	src      *sourceState // point, window: the one stream
+	agg      *aggregate   // aggregate: definition, members and memo (aggregate.go)
+	win      *WindowQuery // window: definition (windowed.go)
+	next     *query       // point: the stream's next point query
+	id       string       // point: its id
+	delta, f float64      // point: its precision width and smoothing factor
+}
+
+// kind says which of the three shapes the record is.
+func (q *query) kind() queryKind {
+	switch {
+	case q.agg != nil:
+		return kindAggregate
+	case q.win != nil:
+		return kindWindow
+	}
+	return kindPoint
 }
 
 // streams returns the stream records whose updates move the answer.
 func (q *query) streams() []*sourceState {
-	if q.kind == kindAggregate {
+	if q.agg != nil {
 		return q.agg.members
 	}
 	return []*sourceState{q.src}
@@ -403,8 +438,8 @@ func (s *Server) EnableTracing(opts trace.Options) {
 	s.traceOpts = &o
 	s.streams.each(func(st *sourceState) {
 		st.mu.Lock()
-		if st.rec == nil {
-			st.rec = trace.New(o)
+		if st.ext == nil {
+			st.ext = &streamExt{rec: trace.New(o)}
 		}
 		st.mu.Unlock()
 	})
@@ -446,7 +481,7 @@ func (s *Server) query(queryID string) *query {
 // lookup resolves a query id to its record, requiring the given kind.
 func (s *Server) lookup(queryID string, kind queryKind) (*query, error) {
 	q := s.query(queryID)
-	if q == nil || q.kind != kind {
+	if q == nil || q.kind() != kind {
 		return nil, fmt.Errorf("dsms: unknown %squery %s", kindLabel[kind], queryID)
 	}
 	return q, nil
@@ -457,6 +492,24 @@ func (s *Server) lookup(queryID string, kind queryKind) (*query, error) {
 // startup registrations were recovered from the checkpoint and need not
 // (must not) be repeated.
 func (s *Server) HasQuery(queryID string) bool { return s.query(queryID) != nil }
+
+// link returns the link of the stream's query chain that holds q — for nil,
+// the chain's end. Caller holds Server.mu.
+func (st *sourceState) link(q *query) **query {
+	p := &st.queries
+	for *p != q {
+		p = &(*p).next
+	}
+	return p
+}
+
+// nQueries counts the stream's point queries. Caller holds Server.mu.
+func (st *sourceState) nQueries() (n int) {
+	for q := st.queries; q != nil; q = q.next {
+		n++
+	}
+	return n
+}
 
 // Register installs a continuous query. Multiple queries over the same
 // source share one filter pair under the paper's simplification: the
@@ -504,7 +557,7 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 			st.shard = int32(s.eng.ShardFor(st.id))
 		}
 		if s.traceOpts != nil {
-			st.rec = trace.New(*s.traceOpts)
+			st.ext = &streamExt{rec: trace.New(*s.traceOpts)}
 		}
 		s.streams.n.Store(st.handle)
 		if st.handle == 1 {
@@ -516,7 +569,7 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 		return nil, fmt.Errorf("dsms: source %s already streaming; cannot register %s", q.SourceID, q.ID)
 	}
 	cfg := core.Config{Model: m, Delta: q.Delta, F: q.F}
-	if len(st.queries) > 0 {
+	if st.queries != nil {
 		// Fold into the shared configuration. All queries must agree on
 		// the model — mixed models over one source would need separate
 		// filter pairs, which the paper excludes ("we do not have
@@ -534,8 +587,8 @@ func (s *Server) registerLocked(q stream.Query) (*sourceState, error) {
 		}
 	}
 	st.cfg = s.internConfig(cfg)
-	st.queries = append(st.queries, q)
-	s.queries[q.ID] = &query{kind: kindPoint, src: st}
+	pq := &query{src: st, id: q.ID, delta: q.Delta, f: q.F}
+	*st.link(nil), s.queries[q.ID] = pq, pq
 	return st, nil
 }
 
@@ -569,7 +622,7 @@ func (s *Server) internConfig(cfg core.Config) *core.Config {
 // a rollback must drop it. Caller holds s.mu for writing.
 func (s *Server) adoptOrRegisterLocked(sub stream.Query) (st *sourceState, created bool, err error) {
 	if q := s.queries[sub.ID]; q != nil {
-		if q.kind != kindPoint || q.src.id != sub.SourceID {
+		if q.kind() != kindPoint || q.src.id != sub.SourceID {
 			return nil, false, fmt.Errorf("dsms: duplicate query id %s", sub.ID)
 		}
 		return q.src, false, nil
@@ -581,15 +634,10 @@ func (s *Server) adoptOrRegisterLocked(sub stream.Query) (st *sourceState, creat
 // dropLocked removes a registered (not yet streaming) point query — the
 // rollback of adoptOrRegisterLocked. Caller holds s.mu for writing.
 func (s *Server) dropLocked(queryID string) {
-	st := s.queries[queryID].src
+	q := s.queries[queryID]
+	st := q.src
 	delete(s.queries, queryID)
-	for i := range st.queries {
-		if st.queries[i].ID == queryID {
-			st.queries = append(st.queries[:i], st.queries[i+1:]...)
-			break
-		}
-	}
-	if len(st.queries) == 0 {
+	if *st.link(q) = q.next; st.queries == nil {
 		// Under the stream's lock, so an apply that resolved the handle
 		// before it died finds no node instead of a block given away.
 		st.mu.Lock()
@@ -607,7 +655,7 @@ func (s *Server) InstallFor(sourceID string) (core.Config, error) {
 	s.mu.RLock() // held throughout: a drop of the registration waits
 	defer s.mu.RUnlock()
 	st := s.source(sourceID)
-	if st == nil || len(st.queries) == 0 {
+	if st == nil || st.queries == nil {
 		return core.Config{}, fmt.Errorf("dsms: no query registered for source %s", sourceID)
 	}
 	cfg := *st.cfg
@@ -728,7 +776,7 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 			// never enters the log, and record order is apply order.
 			var size int
 			if size, logErr = s.db.add(wl, f.payload, u); logErr == nil && sampled {
-				st.rec.Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWAL, Aux: int64(size)})
+				st.rec().Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWAL, Aux: int64(size)})
 			}
 		}
 	}
@@ -786,7 +834,7 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, evid *wire.Evidenc
 	if evid != nil {
 		tid = evid.TraceID()
 	}
-	rec := st.rec
+	rec := st.rec()
 	sampled = rec.Sampled(int64(u.Seq))
 	innov, innovOK := st.node.LastInnovation()
 	if sampled {
@@ -814,7 +862,7 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, evid *wire.Evidenc
 		rec.Record(&ev)
 	}
 	if rec != nil {
-		st.lastTrace = tid
+		st.ext.lastTrace = tid
 		// The divergence audit sees every non-bootstrap apply, sampled
 		// or not: a transmitted update whose server-side innovation is
 		// within δ is mirror-desync evidence the audit must not miss.
@@ -847,7 +895,7 @@ func (s *Server) answer(queryID string, seq int) ([]float64, error) {
 	if q == nil {
 		return nil, fmt.Errorf("dsms: unknown query %s", queryID)
 	}
-	switch q.kind {
+	switch q.kind() {
 	case kindPoint:
 		return q.src.answer(seq)
 	case kindAggregate:
@@ -877,10 +925,10 @@ func (st *sourceState) answer(seq int) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("dsms: source %s has no bootstrap yet", st.id)
 	}
-	if rec := st.rec; rec != nil {
+	if rec := st.rec(); rec != nil {
 		// Close the causal chain: this answer was shaped by the stream's
 		// latest applied update, so it inherits that update's trace id.
-		ev := trace.Event{TraceID: st.lastTrace, Seq: int64(seq), Kind: trace.KindAnswer}
+		ev := trace.Event{TraceID: st.ext.lastTrace, Seq: int64(seq), Kind: trace.KindAnswer}
 		if len(vals) > 0 {
 			ev.Value = vals[0]
 		}
@@ -946,7 +994,7 @@ func (s *Server) Stats() []Stats {
 	out := make([]Stats, 0, s.streams.n.Load())
 	s.streams.each(func(st *sourceState) {
 		stat := st.stats(true)
-		stat.SourceID, stat.Queries, stat.Model, stat.Delta, stat.Durable = st.id, len(st.queries), st.cfg.Model.Name, st.cfg.Delta, s.db != nil
+		stat.SourceID, stat.Queries, stat.Model, stat.Delta, stat.Durable = st.id, st.nQueries(), st.cfg.Model.Name, st.cfg.Delta, s.db != nil
 		if total := stat.Updates + stat.Suppressed; total > 0 {
 			stat.SuppressionPct = 100 * float64(stat.Suppressed) / float64(total)
 		}
@@ -1022,20 +1070,16 @@ func (s *Server) TraceStream(id string) (StreamTrace, error) {
 	if q := s.queries[id]; st == nil && q != nil {
 		st = q.src // nil for an aggregate, which has no single trail
 	}
-	var out StreamTrace
-	var rec *trace.Recorder // attached under mu
-	if st != nil {
-		out, rec = StreamTrace{SourceID: st.id, Model: st.cfg.Model.Name, Delta: st.cfg.Delta}, st.rec
-	}
-	s.mu.RUnlock()
 	if st == nil {
+		s.mu.RUnlock()
 		return StreamTrace{}, fmt.Errorf("dsms: unknown stream or query %s", id)
 	}
+	out, rec := StreamTrace{SourceID: st.id, Model: st.cfg.Model.Name, Delta: st.cfg.Delta}, st.rec() // attached under mu
+	s.mu.RUnlock()
 	if rec == nil {
 		return out, nil
 	}
-	out.Enabled = true
-	out.Audit = rec.Audit().Snapshot()
+	out.Enabled, out.Audit = true, rec.Audit().Snapshot()
 	evs := rec.Events()
 	out.Events = make([]trace.EventView, len(evs))
 	for i := range evs {
@@ -1057,7 +1101,7 @@ type TraceEntry struct {
 func (s *Server) TraceRecent(limit int, source string, kind trace.Kind, dec trace.Decision) []TraceEntry {
 	recs := make(map[string]*trace.Recorder)
 	s.mu.RLock()
-	s.streams.each(func(st *sourceState) { recs[st.id] = st.rec }) // attached under mu
+	s.streams.each(func(st *sourceState) { recs[st.id] = st.rec() }) // attached under mu
 	s.mu.RUnlock()
 	return RecentTrace(recs, limit, source, kind, dec)
 }

@@ -16,13 +16,18 @@ import (
 	"streamkf/internal/wal"
 )
 
-// TestSourceStateSize pins the stream record at five cache lines exactly —
+// TestSourceStateSize pins the stream record at four cache lines exactly —
 // records sit by value in the handle table's chunks, so a size off a
 // multiple of 64 would have neighbours on different shards share a line —
-// and the two values embedded in it at the sizes DESIGN §14 budgets.
+// with its topology in the first line and its runtime state from the
+// second on, the values embedded in it at the sizes DESIGN §14 budgets, and
+// an id-index slot at half a line.
 func TestSourceStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(sourceState{}); n != 320 {
-		t.Fatalf("sourceState is %d bytes, want 320", n)
+	if n := unsafe.Sizeof(sourceState{}); n != 256 {
+		t.Fatalf("sourceState is %d bytes, want 256", n)
+	}
+	if off := unsafe.Offsetof(sourceState{}.version); off != 64 {
+		t.Fatalf("sourceState's runtime fields start at byte %d, want 64", off)
 	}
 	if n := unsafe.Sizeof(core.ServerNode{}); n != 120 {
 		t.Fatalf("core.ServerNode is %d bytes, want 120", n)
@@ -33,8 +38,8 @@ func TestSourceStateSize(t *testing.T) {
 	if n := unsafe.Sizeof(core.Update{}); n != 64 {
 		t.Fatalf("core.Update is %d bytes, want 64", n)
 	}
-	if n := unsafe.Sizeof(idSlot{}); n != 64 {
-		t.Fatalf("idSlot is %d bytes, want 64", n)
+	if n := unsafe.Sizeof(idSlot{}); n != 32 {
+		t.Fatalf("idSlot is %d bytes, want 32", n)
 	}
 }
 
@@ -190,23 +195,25 @@ func occupied(s *Server) (n int) {
 // through at least three table growths while two goroutines look every id
 // up — by string, and by a view of a byte buffer as a lane does. A lookup
 // finds nothing, or its own id's canonical string and a handle that id was
-// given (current or dropped), never another id's. The ids are 1, 32, 33
-// and 200 bytes long, and all but the first two kinds share their first 32
-// bytes.
+// given (current or dropped), never another id's. The ids are 1 byte, a
+// slot's inline length L less one, L, L+1 and 200 bytes long, and the last
+// two kinds share their first L bytes.
 func TestIDIndexRaceAndShape(t *testing.T) {
 	s := NewServer(testCatalog())
-	x32 := strings.Repeat("x", 32)
-	ids := []string{x32}
+	l := len(idSlot{}.head)
+	xl := strings.Repeat("x", l)
+	ids := []string{xl}
 	for i := 0; i < 60; i++ {
-		ids = append(ids, string(rune('!'+i)), fmt.Sprintf("%032d", i), x32+string(rune('!'+i)), x32+fmt.Sprintf("%0168d", i))
+		ids = append(ids, string(rune('!'+i)), fmt.Sprintf("%0*d", l-1, i), fmt.Sprintf("%0*d", l, i),
+			xl+string(rune('!'+i)), xl+fmt.Sprintf("%0*d", 200-l, i))
 	}
 	// handle h's record, dead or alive: its id never changes.
 	recordID := func(h int32) string {
 		return (*s.streams.dir.Load())[(h-1)/streamChunk][(h-1)%streamChunk].id
 	}
 	check := func(id string, sl *idSlot) bool {
-		if sl != nil && (sl.id != id || recordID(sl.handle.Load()) != id) {
-			t.Errorf("lookup of %q (%d B) found %q at handle %d, a record of %q", id, len(id), sl.id, sl.handle.Load(), recordID(sl.handle.Load()))
+		if sl != nil && (sl.id() != id || recordID(sl.handle.Load()) != id) {
+			t.Errorf("lookup of %q (%d B) found %q at handle %d, a record of %q", id, len(id), sl.id(), sl.handle.Load(), recordID(sl.handle.Load()))
 			return false
 		}
 		return true

@@ -21,7 +21,7 @@ func (s *Server) EnableHistory(sourceID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.source(sourceID)
-	if st == nil || len(st.queries) == 0 {
+	if st == nil || st.queries == nil {
 		return fmt.Errorf("dsms: no query registered for source %s", sourceID)
 	}
 	return st.enableHistory()

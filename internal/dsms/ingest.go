@@ -31,6 +31,7 @@ func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 	if s.eng != nil {
 		return s.eng
 	}
+	opts.Shards = min(opts.Shards, 1<<16) // an id-index slot keeps the shard in 16 bits
 	e := engine.New(engineSink{s}, opts)
 	s.shardLogs = make([]runLog, e.Shards()) // before any producer exists to offer
 	s.engIns = newEngineInstruments(s.tel.reg, e)

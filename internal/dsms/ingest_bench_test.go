@@ -145,7 +145,8 @@ func benchIngestFanIn(b *testing.B, sources int, setup func(b *testing.B, s *Ser
 		applied += st.Updates
 	}
 	if total := warm + b.N; applied < total*99/100 {
-		b.Fatalf("only %d/%d updates applied (<99%%)", applied, total)
+		_, losses := engineApplied(s)
+		b.Fatalf("only %d/%d updates applied (<99%%): %s", applied, total, losses)
 	}
 }
 
@@ -304,7 +305,8 @@ func waitApplied(b *testing.B, s *Server, want int) {
 					min, minID = st.Updates, st.SourceID
 				}
 			}
-			b.Fatalf("applied %d/%d updates; ingest stalled (min source %s=%d)", applied, want, minID, min)
+			_, losses := engineApplied(s)
+			b.Fatalf("applied %d/%d updates; ingest stalled (min source %s=%d; %s)", applied, want, minID, min, losses)
 		}
 		// Sleep, don't spin: on one CPU sleeping is what lets the
 		// server's reader and shard worker run.

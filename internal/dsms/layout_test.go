@@ -47,11 +47,14 @@ func bootAll(t testing.TB, model string, n int) (s *Server, ids []string, bytes 
 
 // TestStreamFootprint is the per-stream memory budget: heap bytes and heap
 // objects one registered, installed and bootstrapped stream adds, over
-// 20,000 streams behind no transport — the record, its slab block, its
-// query record, its share of the queries map and its slot of the id index
-// (64 B at most 3/4 full: ≈ 105 B). Before the record was laid out by the
-// handle these read 1,725 B (constant) and 1,901 B (linear) in about 14
-// objects; with Server.sources in place of the index, 744 and 811 B.
+// 20,000 streams behind no transport. A `constant` stream's 656 B are its
+// 256 B record (257 with the last chunk's spare records), its 256 B slab
+// block, its 64 B point-query record, ≈ 27 B of the queries map and its
+// 32 B slot of the id index at most 3/4 full (≈ 52 B); a `linear` stream's
+// block is 320 B. With a 320 B record, a 64 B slot and the queries in a
+// slice of stream.Query beside a 32 B query record these read 805 B
+// (constant) and 872 B (linear) in 3.03 objects; before the record was laid
+// out by the handle, 1,725 B and 1,901 B in about 14 objects.
 func TestStreamFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates 20,000 streams twice")
@@ -59,14 +62,14 @@ func TestStreamFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		model  string
 		budget uint64
-	}{{"constant", 850}, {"linear", 1000}} {
+	}{{"constant", 660}, {"linear", 730}} {
 		s, _, bytes, mallocs := bootAll(t, tc.model, 20000)
 		t.Logf("%s: %d B and %.2f heap objects per stream", tc.model, bytes, mallocs)
 		if bytes > tc.budget {
 			t.Errorf("%s: %d B per stream, budget %d", tc.model, bytes, tc.budget)
 		}
-		if mallocs > 4 {
-			t.Errorf("%s: %.2f heap objects per stream, budget 4", tc.model, mallocs)
+		if mallocs > 3 {
+			t.Errorf("%s: %.2f heap objects per stream, budget 3", tc.model, mallocs)
 		}
 		runtime.KeepAlive(s)
 	}

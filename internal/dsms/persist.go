@@ -204,14 +204,10 @@ func (db *durability) appendRegister(q stream.Query) error {
 	}
 	buf := make([]byte, 0, 64+len(q.ID)+len(q.SourceID)+len(q.Model))
 	var err error
-	if buf, err = wire.AppendString(buf, q.ID); err != nil {
-		return err
-	}
-	if buf, err = wire.AppendString(buf, q.SourceID); err != nil {
-		return err
-	}
-	if buf, err = wire.AppendString(buf, q.Model); err != nil {
-		return err
+	for _, str := range [...]string{q.ID, q.SourceID, q.Model} {
+		if buf, err = wire.AppendString(buf, str); err != nil {
+			return err
+		}
 	}
 	buf = wire.AppendF64(buf, q.Delta)
 	buf = wire.AppendF64(buf, q.F)
@@ -404,17 +400,16 @@ func (s *Server) encodeCheckpoint(from wal.Position) ([]byte, map[*sourceState]i
 // the source's runtime lock.
 func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 	buf, _ = wire.AppendString(buf, st.id)
-	buf = wire.AppendU32(buf, uint32(len(st.queries)))
-	for _, q := range st.queries {
-		buf, _ = wire.AppendString(buf, q.ID)
-		buf, _ = wire.AppendString(buf, q.Model)
-		buf = wire.AppendF64(buf, q.Delta)
-		buf = wire.AppendF64(buf, q.F)
+	buf = wire.AppendU32(buf, uint32(st.nQueries()))
+	for q := st.queries; q != nil; q = q.next {
+		buf, _ = wire.AppendString(buf, q.id)
+		buf, _ = wire.AppendString(buf, st.cfg.Model.Name)
+		buf = wire.AppendF64(buf, q.delta)
+		buf = wire.AppendF64(buf, q.f)
 	}
-	buf = wire.AppendI64(buf, int64(st.lastSeq))
-	buf = wire.AppendI64(buf, st.updates)
-	buf = wire.AppendI64(buf, st.suppressed)
-	buf = wire.AppendI64(buf, st.bytes)
+	for _, v := range [...]int64{int64(st.lastSeq), st.updates, st.suppressed, st.bytes} {
+		buf = wire.AppendI64(buf, v)
+	}
 	snap := st.node.Snapshot() // nil before the bootstrap
 	buf = append(buf, b2u8(st.node.Installed())+b2u8(snap != nil))
 	if snap != nil {
@@ -507,11 +502,7 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor, timeMapped bool) (sourceID s
 		return "", 0, errBadCheckpoint("truncated source entry")
 	}
 	for j := 0; j < nQueries; j++ {
-		q := stream.Query{SourceID: sourceID}
-		q.ID = string(c.Str())
-		q.Model = string(c.Str())
-		q.Delta = c.F64()
-		q.F = c.F64()
+		q := stream.Query{ID: string(c.Str()), SourceID: sourceID, Model: string(c.Str()), Delta: c.F64(), F: c.F64()}
 		if !c.OK() {
 			return "", 0, errBadCheckpoint("truncated query entry")
 		}
@@ -526,21 +517,14 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor, timeMapped bool) (sourceID s
 		}
 	}
 	lastSeq = int(c.I64())
-	updates := c.I64()
-	suppressed := c.I64()
-	bytes := c.I64()
+	updates, suppressed, bytes := c.I64(), c.I64(), c.I64()
 	if timeMapped {
 		c.Take(legacyTimeMapLen)
 	}
 	nodeState := c.U8()
 	var snap *core.NodeSnapshot
 	if nodeState == 2 {
-		snap = &core.NodeSnapshot{}
-		snap.K = int(c.I64())
-		snap.Seq = int(c.I64())
-		snap.Ticks = int(c.I64())
-		snap.LastNIS = c.F64()
-		snap.NISValid = c.U8() != 0
+		snap = &core.NodeSnapshot{K: int(c.I64()), Seq: int(c.I64()), Ticks: int(c.I64()), LastNIS: c.F64(), NISValid: c.U8() != 0}
 		if snap.X = readF64s(c, int(c.U16())); snap.X == nil {
 			return "", 0, errBadCheckpoint("truncated filter state")
 		}
@@ -592,12 +576,7 @@ func (s *Server) replayRecord(tag byte, p []byte, u *core.Update) error {
 	switch tag {
 	case walTagRegister:
 		c := wire.NewCursor(p)
-		q := stream.Query{}
-		q.ID = string(c.Str())
-		q.SourceID = string(c.Str())
-		q.Model = string(c.Str())
-		q.Delta = c.F64()
-		q.F = c.F64()
+		q := stream.Query{ID: string(c.Str()), SourceID: string(c.Str()), Model: string(c.Str()), Delta: c.F64(), F: c.F64()}
 		if !c.Done() {
 			return fmt.Errorf("%w: bad register record", wal.ErrCorrupt)
 		}

@@ -305,7 +305,7 @@ func (c *tcpConn) frame(tag wire.Tag, p []byte) bool {
 		}
 		have := c.s.query(id)
 		switch {
-		case have != nil && have.kind != want:
+		case have != nil && have.kind() != want:
 			err = fmt.Errorf("dsms: duplicate query id %s", id)
 		case have != nil:
 		case want == kindAggregate:

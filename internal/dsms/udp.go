@@ -226,7 +226,7 @@ func (ln *rxLane) resolve(b []byte) string {
 	if ln.cur = ln.t.server.ids.find(unsafe.String(unsafe.SliceData(b), len(b))); ln.cur == nil {
 		return ""
 	}
-	return ln.cur.id
+	return ln.cur.id()
 }
 
 // processDatagram drives lane 0's parser directly — the entry point

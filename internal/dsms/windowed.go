@@ -85,7 +85,7 @@ func (s *Server) RegisterWindow(q WindowQuery) error {
 		}
 		return fmt.Errorf("dsms: window query %s: %w", q.ID, err)
 	}
-	s.queries[q.ID] = &query{kind: kindWindow, src: st, win: &q}
+	s.queries[q.ID] = &query{src: st, win: &q}
 	return nil
 }
 

@@ -101,8 +101,7 @@ func (w *Writer) ForwardAck(idx uint32, seq int64) error {
 // DecodeForwardAck parses a forward-ack payload.
 func DecodeForwardAck(p []byte) (idx uint32, seq int64, err error) {
 	c := NewCursor(p)
-	idx = c.U32()
-	seq = c.I64()
+	idx, seq = c.U32(), c.I64()
 	if !c.Done() {
 		return 0, 0, malformed(TagForwardAck)
 	}
@@ -180,22 +179,14 @@ func DecodeClusterReg(p []byte) (kind byte, q ClusterQuery, agg ClusterAggregate
 	kind = c.U8()
 	switch kind {
 	case RegPlain:
-		q.ID = string(c.Str())
-		q.SourceID = string(c.Str())
-		q.Model = string(c.Str())
-		q.Delta = c.F64()
-		q.F = c.F64()
+		q = ClusterQuery{ID: string(c.Str()), SourceID: string(c.Str()), Model: string(c.Str()), Delta: c.F64(), F: c.F64()}
 		if !c.Done() {
 			return 0, ClusterQuery{}, ClusterAggregate{}, malformed(TagClusterReg)
 		}
 		return kind, q, ClusterAggregate{}, nil
 	case RegAggregate:
-		agg.ID = string(c.Str())
-		agg.Func = string(c.Str())
-		agg.Model = string(c.Str())
-		agg.Delta = c.F64()
-		agg.F = c.F64()
-		agg.Partial = c.U8()&1 != 0
+		agg = ClusterAggregate{ID: string(c.Str()), Func: string(c.Str()), Model: string(c.Str()),
+			Delta: c.F64(), F: c.F64(), Partial: c.U8()&1 != 0}
 		n := int(c.U16())
 		if !c.OK() || n > len(p) {
 			return 0, ClusterQuery{}, ClusterAggregate{}, malformed(TagClusterReg)
@@ -232,8 +223,7 @@ func (w *Writer) Snapshot(sourceID string, epoch int64) error {
 // DecodeSnapshot parses a snapshot request.
 func DecodeSnapshot(p []byte) (sourceID string, epoch int64, err error) {
 	c := NewCursor(p)
-	id := c.Str()
-	epoch = c.I64()
+	id, epoch := c.Str(), c.I64()
 	if !c.Done() || id == nil {
 		return "", 0, malformed(TagSnapshot)
 	}
@@ -253,9 +243,7 @@ func (w *Writer) Restore(epoch int64, payload []byte) error {
 // DecodeRestore parses a restore request. The payload aliases p.
 func DecodeRestore(p []byte) (epoch int64, payload []byte, err error) {
 	c := NewCursor(p)
-	epoch = c.I64()
-	n := int(c.U32())
-	payload = c.Take(n)
+	epoch, payload = c.I64(), c.Take(int(c.U32()))
 	if !c.Done() || payload == nil {
 		return 0, nil, malformed(TagRestore)
 	}
@@ -288,16 +276,9 @@ func (w *Writer) WriteStateAck(a StateAck) error {
 // across reads.
 func DecodeStateAck(p []byte) (StateAck, error) {
 	c := NewCursor(p)
-	var a StateAck
-	id := c.Str()
-	a.ResumeSeq = c.I64()
-	a.Epoch = c.I64()
-	n := int(c.U32())
-	payload := c.Take(n)
+	id, resume, epoch, payload := c.Str(), c.I64(), c.I64(), c.Take(int(c.U32()))
 	if !c.Done() || id == nil || payload == nil {
 		return StateAck{}, malformed(TagStateAck)
 	}
-	a.SourceID = string(id)
-	a.Payload = append([]byte(nil), payload...)
-	return a, nil
+	return StateAck{SourceID: string(id), ResumeSeq: resume, Epoch: epoch, Payload: append([]byte(nil), payload...)}, nil
 }

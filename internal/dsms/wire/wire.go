@@ -703,15 +703,11 @@ type Install struct {
 // DecodeInstall parses an install payload.
 func DecodeInstall(p []byte) (Install, error) {
 	c := NewCursor(p)
-	id := c.Str()
-	model := c.Str()
-	delta := c.F64()
-	f := c.F64()
-	resume := c.I64()
+	in := Install{SourceID: string(c.Str()), Model: string(c.Str()), Delta: c.F64(), F: c.F64(), ResumeSeq: c.I64()}
 	if !c.Done() {
 		return Install{}, malformed(TagInstall)
 	}
-	return Install{SourceID: string(id), Model: string(model), Delta: delta, F: f, ResumeSeq: resume}, nil
+	return in, nil
 }
 
 // updateFields splits update payload p into its fields. ok is false for
@@ -780,8 +776,7 @@ func DecodeAck(p []byte) (seq int64, err error) {
 // DecodeQuery parses a query payload, interning the repeated query id.
 func (r *Reader) DecodeQuery(p []byte) (queryID string, seq int64, err error) {
 	c := NewCursor(p)
-	id := c.Str()
-	seq = c.I64()
+	id, seq := c.Str(), c.I64()
 	if !c.Done() || id == nil {
 		return "", 0, malformed(TagQuery)
 	}
@@ -792,8 +787,7 @@ func (r *Reader) DecodeQuery(p []byte) (queryID string, seq int64, err error) {
 // allocated: answers are handed to callers who retain them.
 func DecodeAnswer(p []byte) (queryID string, values []float64, err error) {
 	c := NewCursor(p)
-	id := c.Str()
-	n := int(c.U16())
+	id, n := c.Str(), int(c.U16())
 	raw := c.Take(8 * n)
 	if !c.Done() || id == nil {
 		return "", nil, malformed(TagAnswer)
