@@ -55,7 +55,7 @@ func main() {
 		dt        = flag.Float64("dt", 1.0, "sampling interval assumed by the model catalog")
 		seed      = flag.Int64("seed", 0, "generator seed override")
 		n         = flag.Int("n", 0, "generator length override")
-		window    = flag.Int("window", dsms.DefaultWindow, "max unacked updates in flight (the default is past where a wider window stops paying; 1 = synchronous ack per update; tcp only)")
+		window    = flag.Int("window", dsms.DefaultWindow, "max unacked updates in flight (the default fills a routed path and costs ~32 B an update in flight; 1 = synchronous ack per update; tcp only)")
 		transport = flag.String("transport", "tcp", "transport protocol: tcp | udp")
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		traceOn   = flag.Bool("trace", false, "record decision trails locally and offer them to the server")

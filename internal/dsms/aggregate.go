@@ -273,10 +273,14 @@ func (a *aggregate) at(tel *serverTelemetry, seq int) (value float64, partial []
 // seq with no intervening member changes are served from a memo in
 // O(1) (see aggregate).
 func (s *Server) AnswerAggregate(queryID string, seq int) (float64, error) {
-	q, err := s.lookup(queryID, kindAggregate)
+	var v [1]float64
+	return scalar(s.answer(queryID, kindAggregate, seq, v[:0]))
+}
+
+// scalar is the value of a one-value answer.
+func scalar(vals []float64, err error) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, _, err := q.agg.at(s.tel, seq)
-	return v, err
+	return vals[0], nil
 }

@@ -89,7 +89,7 @@ func (s *Server) RegisterAlert(a Alert, fn func(AlertEvent)) error {
 
 // fire evaluates the alert against the watched query's answer at seq.
 func (st *alertState) fire(s *Server, seq int) {
-	vals, err := s.answer(st.cfg.QueryID, seq)
+	vals, err := s.answer(st.cfg.QueryID, kindAny, seq, nil)
 	if err != nil || len(vals) != 1 {
 		return // sources not all streaming yet, or not a scalar: nothing to evaluate
 	}

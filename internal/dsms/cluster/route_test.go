@@ -10,18 +10,19 @@ import (
 )
 
 // routeWithPending builds a route whose pending window holds one entry
-// per seq, each buffer carrying its seq so replay order is checkable.
+// per seq, each payload carrying its seq so replay order is checkable.
 func routeWithPending(seqs ...int64) *route {
 	rt := &route{idx: 7}
 	for _, seq := range seqs {
-		rt.pending = append(rt.pending, pendEntry{seq: seq, buf: []byte{byte(seq)}})
+		rt.log = append(rt.log, byte(seq))
+		rt.pending = append(rt.pending, pendEntry{seq: seq, end: len(rt.log)})
 	}
 	return rt
 }
 
 // TestRouteTrimThroughReplayTo pins the two window helpers pumpAck,
 // helloRoute, ReconnectShard and Migrate all rely on: trimThrough drops
-// exactly the acked prefix and recycles its buffers, and replayTo
+// exactly the acked prefix and its payloads from the log, and replayTo
 // re-forwards what is left in send order under the given epoch.
 func TestRouteTrimThroughReplayTo(t *testing.T) {
 	cases := []struct {
@@ -47,18 +48,13 @@ func TestRouteTrimThroughReplayTo(t *testing.T) {
 				t.Fatalf("pending = %d entries, want %d", len(rt.pending), len(tc.left))
 			}
 			for i, e := range rt.pending {
-				if e.seq != tc.left[i] || e.buf == nil {
-					t.Fatalf("pending[%d] = seq %d buf %v, want seq %d with its buffer", i, e.seq, e.buf, tc.left[i])
+				if e.seq != tc.left[i] || e.end-rt.head != i+1 {
+					t.Fatalf("pending[%d] = seq %d ending at %d past the head, want seq %d ending at %d", i, e.seq, e.end-rt.head, tc.left[i], i+1)
 				}
 			}
-			// Every trimmed buffer went back to the freelist, emptied.
-			if want := len(tc.pending) - len(tc.left); len(rt.free) != want {
-				t.Fatalf("free holds %d buffers, want %d", len(rt.free), want)
-			}
-			for _, b := range rt.free {
-				if len(b) != 0 || cap(b) == 0 {
-					t.Fatalf("recycled buffer len %d cap %d, want emptied with capacity kept", len(b), cap(b))
-				}
+			// The log keeps exactly the live payloads, from its head on.
+			if live := len(rt.log) - rt.head; live != len(tc.left) {
+				t.Fatalf("log keeps %d live bytes, want %d", live, len(tc.left))
 			}
 
 			var sent bytes.Buffer

@@ -111,16 +111,17 @@ type routerAgg struct {
 	fold     dsms.AggFold
 }
 
-// pendEntry is one forwarded-but-unacked update: its seq, the verbatim
-// update payload (kept for replay after shard failure or migration
-// cutover), and the monotonic send stamp for the latency histogram.
-// traceID is nonzero when a tracing router forwarded a traced update;
-// the ack pump then records the fwd_ack event under the same id.
+// pendEntry is one forwarded-but-unacked update: its seq, the monotonic
+// send stamp for the latency histogram, and where its verbatim update
+// payload (kept for replay after shard failure or migration cutover)
+// ends in the route's log. traceID is nonzero when a tracing router
+// forwarded a traced update; the ack pump then records the fwd_ack event
+// under the same id.
 type pendEntry struct {
 	seq     int64
 	sentNs  int64
 	traceID int64
-	buf     []byte
+	end     int
 }
 
 // route is the per-stream forwarding state.
@@ -134,7 +135,8 @@ type route struct {
 
 	pendMu  sync.Mutex  // inner: the ONLY lock the ack pump takes
 	pending []pendEntry // the live window, oldest first
-	free    [][]byte
+	log     []byte      // their payloads back to back, the first at head
+	head    int
 	down    *downConn
 
 	// rec is the route's flight recorder (nil unless Options.Trace):
@@ -157,13 +159,12 @@ func (d *downConn) write(f func(w *wire.Writer) error) error {
 	if d.err != nil {
 		return d.err
 	}
-	if err := f(d.w); err == nil {
+	err := f(d.w)
+	if err == nil {
 		err = d.w.Flush()
-		d.err = err
-	} else {
-		d.err = err
 	}
-	return d.err
+	d.err = err
+	return err
 }
 
 // relayAck passes a shard's cumulative ack on to the source. A nil
@@ -388,43 +389,54 @@ func (r *Router) allRoutes() []*route {
 }
 
 // trimThrough drops the pending entries a cumulative ack (or a shard's
-// ResumeSeq) at seq covers, recycling their buffers through the
-// freelist. The survivors slide to the front when that moves no more
-// entries than the ack freed (amortised O(1), and the window stays at
-// the start of its array: appends find room, not a new array); else the
-// window just steps past the dead ones. Caller holds pendMu.
+// ResumeSeq) at seq covers, advancing the log's head past their payloads.
+// Once the dead bytes are at least half the log, the survivors and their
+// payloads slide to the front (amortised O(1), and the window stays at
+// the start of its arrays: appends find room, not new arrays); until then
+// the window just steps past the dead ones. Caller holds pendMu.
 func (rt *route) trimThrough(seq int64) {
 	n := 0
 	for n < len(rt.pending) && rt.pending[n].seq <= seq {
-		rt.free = append(rt.free, rt.pending[n].buf[:0])
-		rt.pending[n].buf = nil
 		n++
 	}
-	if live := rt.pending[n:]; len(live) <= n {
-		rt.pending = rt.pending[:copy(rt.pending, live)]
-	} else {
-		rt.pending = live
+	if n == 0 {
+		return
 	}
+	live := rt.pending[n:]
+	if rt.head = rt.pending[n-1].end; 2*rt.head < len(rt.log) {
+		rt.pending = live
+		return
+	}
+	rt.pending = rt.pending[:len(live)]
+	for i, e := range live {
+		e.end -= rt.head
+		rt.pending[i] = e
+	}
+	rt.log, rt.head = rt.log[:copy(rt.log, rt.log[rt.head:])], 0
 }
 
 // replayTo re-forwards the route's whole pending window to up, in send
 // order under epoch, and flushes — how a recovered or newly owning shard
 // receives what its predecessor never acked. Caller holds rt.mu (no
 // forward can interleave) but not pendMu: the window is copied out
-// first, so the ack pump stays free to run while this write blocks (see
-// the invariants above). A write failure marks the upstream failed.
+// first, so the ack pump stays free to trim the log while this write
+// blocks (see the invariants above). A write failure marks the upstream
+// failed.
 func (rt *route) replayTo(up *upstream, epoch int64) error {
 	rt.pendMu.Lock()
-	replay := make([][]byte, len(rt.pending))
-	for i := range rt.pending {
-		replay[i] = rt.pending[i].buf
+	log := append([]byte(nil), rt.log[rt.head:]...)
+	ends := make([]int, len(rt.pending))
+	for i, e := range rt.pending {
+		ends[i] = e.end - rt.head
 	}
 	rt.pendMu.Unlock()
 	return up.write(func(w *wire.Writer) error {
-		for _, buf := range replay {
-			if err := w.Forward(rt.idx, epoch, buf); err != nil {
+		start := 0
+		for _, end := range ends {
+			if err := w.Forward(rt.idx, epoch, log[start:end]); err != nil {
 				return err
 			}
+			start = end
 		}
 		return w.Flush()
 	})
@@ -488,15 +500,12 @@ func (r *Router) relay(run []fwdItem, touched []bool) {
 		now := nowNanos()
 		rt.pendMu.Lock()
 		for _, it := range run[:n] {
-			e := pendEntry{seq: it.seq, sentNs: now}
+			var tid int64
 			if rt.rec != nil {
-				e.traceID = r.recordHop(it, rxNs, txNs)
+				tid = r.recordHop(it, rxNs, txNs)
 			}
-			if k := len(rt.free); k > 0 {
-				e.buf, rt.free = rt.free[k-1], rt.free[:k-1]
-			}
-			e.buf = append(e.buf[:0], it.p...)
-			rt.pending = append(rt.pending, e)
+			rt.log = append(rt.log, it.p...)
+			rt.pending = append(rt.pending, pendEntry{seq: it.seq, sentNs: now, traceID: tid, end: len(rt.log)})
 		}
 		rt.pendMu.Unlock()
 		rt.mu.Unlock()

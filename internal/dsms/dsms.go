@@ -315,10 +315,11 @@ const (
 	kindPoint     queryKind = iota // one stream's value (stream.Query)
 	kindAggregate                  // an aggregate over several streams' values
 	kindWindow                     // an aggregate over one stream's trailing readings
+	kindAny                        // what Server.answer is asked for untyped
 )
 
 // kindLabel words the "unknown … query" errors.
-var kindLabel = [...]string{kindPoint: "", kindAggregate: "aggregate ", kindWindow: "window "}
+var kindLabel = [...]string{kindPoint: "", kindAggregate: "aggregate ", kindWindow: "window ", kindAny: ""}
 
 // query is one row of the server's query table. Point, aggregate and
 // window queries share one id namespace; every record carries its
@@ -476,15 +477,6 @@ func (s *Server) query(queryID string) *query {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.queries[queryID]
-}
-
-// lookup resolves a query id to its record, requiring the given kind.
-func (s *Server) lookup(queryID string, kind queryKind) (*query, error) {
-	q := s.query(queryID)
-	if q == nil || q.kind() != kind {
-		return nil, fmt.Errorf("dsms: unknown %squery %s", kindLabel[kind], queryID)
-	}
-	return q, nil
 }
 
 // HasQuery reports whether a query id — point, aggregate or window — is
@@ -878,22 +870,20 @@ func (s *Server) applyLocked(st *sourceState, u *core.Update, evid *wire.Evidenc
 // Only the owning source's runtime lock is taken, so
 // queries over different streams evaluate in parallel.
 func (s *Server) Answer(queryID string, seq int) ([]float64, error) {
-	q, err := s.lookup(queryID, kindPoint)
-	if err != nil {
-		return nil, err
-	}
-	return q.src.answer(seq)
+	return s.answer(queryID, kindPoint, seq, nil)
 }
 
 // answer is the one entry that maps (query id, seq) to values for every
 // kind of query — what a TCP query frame, an alert and a subscription
-// all read. A point query answers its predicted values, a window query
+// read as kindAny, and Answer, AnswerAggregate and AnswerWindow as their
+// own kind. A point query answers its predicted values, a window query
 // its scalar, an aggregate its finished scalar — or, when registered
-// Partial, the mergeable partial vector a cluster router folds.
-func (s *Server) answer(queryID string, seq int) ([]float64, error) {
+// Partial and read as kindAny, the mergeable partial vector a cluster
+// router folds. A scalar is appended to buf (nil for a new slice).
+func (s *Server) answer(queryID string, want queryKind, seq int, buf []float64) ([]float64, error) {
 	q := s.query(queryID)
-	if q == nil {
-		return nil, fmt.Errorf("dsms: unknown query %s", queryID)
+	if q == nil || want != kindAny && q.kind() != want {
+		return nil, fmt.Errorf("dsms: unknown %squery %s", kindLabel[want], queryID)
 	}
 	switch q.kind() {
 	case kindPoint:
@@ -903,13 +893,13 @@ func (s *Server) answer(queryID string, seq int) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if q.agg.def.Partial {
+		if q.agg.def.Partial && want == kindAny {
 			return partial, nil
 		}
-		return []float64{v}, nil
+		return append(buf, v), nil
 	default:
 		v, err := q.src.answerWindow(q.win, seq)
-		return []float64{v}, err
+		return append(buf, v), err
 	}
 }
 

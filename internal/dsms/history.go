@@ -68,9 +68,9 @@ func (st *sourceState) recordHistory(seq int, values []float64, bootstrap bool) 
 // source value); update steps return the transmitted measurement
 // exactly.
 func (s *Server) AnswerAt(queryID string, seq int) ([]float64, error) {
-	q, err := s.lookup(queryID, kindPoint)
-	if err != nil {
-		return nil, err
+	q := s.query(queryID)
+	if q == nil || q.kind() != kindPoint {
+		return nil, fmt.Errorf("dsms: unknown query %s", queryID)
 	}
 	st := q.src
 	st.mu.Lock()

@@ -3,6 +3,8 @@ package dsms
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -275,14 +277,22 @@ func TestReregisteredPastCapCountedOnce(t *testing.T) {
 	if got, _ := s.Telemetry().Get("dkf_server_updates_total", telemetry.L("source", "_other")); got != 4+5 {
 		t.Errorf("_other counts %v updates, want the 4 + 5 of the two streams past the cap", got)
 	}
+	// The rows are read from one scrape: a Get per label would collect the
+	// whole table once per label, 4,098 rows 4,099 times.
 	var rows, stats float64
-	labels := []string{"again", "_other"}
-	for i := 1; i < DefaultSourceMetricLimit+2; i++ {
-		labels = append(labels, fmt.Sprintf("s%04d", i))
+	var scrape strings.Builder
+	if err := s.Telemetry().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range labels {
-		v, _ := s.Telemetry().Get("dkf_server_updates_total", telemetry.L("source", id))
-		rows += v
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if row, ok := strings.CutPrefix(line, `dkf_server_updates_total{source="`); ok {
+			_, count, _ := strings.Cut(row, `"} `)
+			v, err := strconv.ParseFloat(count, 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			rows += v
+		}
 	}
 	for _, st := range s.Stats() {
 		stats += float64(st.Updates)

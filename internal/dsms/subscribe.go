@@ -49,7 +49,7 @@ func (s *Server) Subscribe(queryID string, buffer int) (ch <-chan Notification, 
 
 // fire pushes the watched query's answer at seq.
 func (sub *subscription) fire(s *Server, seq int) {
-	vals, err := s.answer(sub.queryID, seq)
+	vals, err := s.answer(sub.queryID, kindAny, seq, nil)
 	if err != nil {
 		return
 	}

@@ -1,6 +1,8 @@
 package dsms
 
 import (
+	"bytes"
+	"errors"
 	"net"
 	"slices"
 	"strings"
@@ -342,8 +344,9 @@ func TestDurableTCPResumeCutInsideRun(t *testing.T) {
 // scriptedServer accepts source connections and handshakes them with a
 // scripted ResumeSeq, handing the test the framed connection.
 type scriptedServer struct {
-	t  *testing.T
-	ln net.Listener
+	t     *testing.T
+	ln    net.Listener
+	feats byte // the feature bits its preamble advertises
 }
 
 func newScriptedServer(t *testing.T) *scriptedServer {
@@ -373,7 +376,7 @@ func (f *scriptedServer) accept(resumeSeq int64) (net.Conn, *wire.Writer, *wire.
 		f.t.Fatalf("handshake: %v, %v", tag, err)
 	}
 	id, _ := wire.DecodeHello(p)
-	w.WritePreamble(wire.Version, 0)
+	w.WritePreamble(wire.Version, f.feats)
 	w.Install(wire.Install{SourceID: id, Model: "constant", Delta: 1e-9, ResumeSeq: resumeSeq})
 	if err := w.Flush(); err != nil {
 		f.t.Fatal(err)
@@ -550,53 +553,166 @@ func TestAgentRing(t *testing.T) {
 	}
 }
 
-// TestSendRing pushes and pops across several wraps and two growths
-// and checks that the ring stays a FIFO whose slots carry their own
-// values — the caller's update is reused between pushes, as
-// SourceNode.Process reuses its own — and that a warm ring allocates
-// nothing.
-func TestSendRing(t *testing.T) {
-	var r sendRing
+// TestReconnectResendsUntraced: a tracing agent keeps its unacknowledged
+// updates with their evidence trailers, and Reconnect resends what the
+// recovered server lacks without them — the replacement server may not
+// take evidence — in order, values intact.
+func TestReconnectResendsUntraced(t *testing.T) {
+	fs := newScriptedServer(t)
+	fs.feats = wire.FeatEvidence
+	type dialed struct {
+		a   *RemoteAgent
+		err error
+	}
+	ch := make(chan dialed, 1)
+	go func() {
+		a, err := DialSourceOptions(fs.ln.Addr().String(), "traced", testCatalog(), DialOptions{Window: 8, Trace: true})
+		ch <- dialed{a, err}
+	}()
+	conn, _, r := fs.accept(-1)
+	d := <-ch
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	agent := d.a
+	defer agent.Close()
+	if !agent.TraceNegotiated() {
+		t.Fatal("evidence not negotiated with a server that advertises it")
+	}
+	// next reads one update frame, requiring evidence on it or none.
+	next := func(r *wire.Reader, seq int, evidence bool) {
+		t.Helper()
+		var u core.Update
+		tag, p, err := r.Next()
+		if err == nil {
+			err = r.DecodeUpdate(p, &u)
+		}
+		if err != nil || tag != wire.TagUpdate || u.Seq != seq || u.Values[0] != float64(3*seq) {
+			t.Fatalf("read %v seq %d values %v (%v), want seq %d", tag, u.Seq, u.Values, err, seq)
+		}
+		if got := wire.UpdateEvidence(p) != nil; got != evidence {
+			t.Fatalf("seq %d carries evidence: %v, want %v", seq, got, evidence)
+		}
+	}
+	for seq := 0; seq < 3; seq++ {
+		if sent, err := agent.Offer(stream.Reading{Seq: seq, Time: float64(seq), Values: []float64{float64(3 * seq)}}); err != nil || !sent {
+			t.Fatalf("offer %d: sent %v, %v", seq, sent, err)
+		}
+	}
+	agent.mu.Lock()
+	agent.flushLocked()
+	agent.mu.Unlock()
+	for seq := 0; seq < 3; seq++ {
+		next(r, seq, true)
+	}
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for agent.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("transport error never surfaced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fs.feats = 0
+	rec := make(chan error, 1)
+	go func() { rec <- agent.Reconnect() }()
+	_, _, r = fs.accept(0) // the recovered server holds seq 0
+	if err := <-rec; err != nil {
+		t.Fatalf("Reconnect: %v", err)
+	}
+	if agent.TraceNegotiated() {
+		t.Fatal("evidence still negotiated with a server that does not advertise it")
+	}
+	next(r, 1, false)
+	next(r, 2, false)
+}
+
+// at decodes the i-th oldest kept update, 0 <= i < n.
+func (r *frameRing) at(i int) core.Update {
+	off := 0
+	for ; i > 0; i-- {
+		off += len(r.frame(off))
+	}
+	var u core.Update
+	if err := wire.DecodeUpdatePayload(r.frame(off)[5:], &u); err != nil {
+		panic(err)
+	}
+	return u
+}
+
+// TestFrameRing pushes and pops across several wraps — frames straddling
+// the end among them — two growths and pops to the head, and checks that
+// the ring stays a FIFO of whole frames that carry their own values (the
+// caller's update is reused between pushes, as SourceNode.Process reuses
+// its own), that its spans from the head are those frames as they are
+// written out, and that a warm ring allocates nothing.
+func TestFrameRing(t *testing.T) {
+	var r frameRing
 	u := core.Update{SourceID: "s", Values: make([]float64, 2)}
 	next, oldest := 0, 0
 	push := func(k int) {
 		for ; k > 0; k-- {
 			u.Seq, u.Values[0], u.Values[1] = next, float64(next), float64(-next)
-			if s := r.push(&u); s.Seq != next {
-				t.Fatalf("pushed seq %d, slot holds %d", next, s.Seq)
+			if _, err := r.push(&u, nil); err != nil {
+				t.Fatal(err)
 			}
 			next++
 		}
 	}
-	pop := func(k int) { r.pop(k); oldest += k }
+	pop := func(k int) {
+		t.Helper()
+		if got := r.popThrough(int64(oldest+k-1), r.n); got != k {
+			t.Fatalf("popThrough retired %d frames, want %d", got, k)
+		}
+		oldest += k
+	}
 	check := func() {
 		t.Helper()
 		if r.n != next-oldest {
-			t.Fatalf("Len = %d, want %d", r.n, next-oldest)
+			t.Fatalf("n = %d, want %d", r.n, next-oldest)
 		}
 		for i := 0; i < r.n; i++ {
 			s, want := r.at(i), oldest+i
 			if s.Seq != want || s.SourceID != "s" || len(s.Values) != 2 || s.Values[0] != float64(want) || s.Values[1] != float64(-want) {
-				t.Fatalf("At(%d) = seq %d values %v, want seq %d", i, s.Seq, s.Values, want)
+				t.Fatalf("at(%d) = seq %d values %v, want seq %d", i, s.Seq, s.Values, want)
 			}
+		}
+		var iov [2][]byte
+		rd := wire.NewReader(bytes.NewReader(bytes.Join(r.spans(0, &iov), nil)), 0, 0)
+		for want := oldest; want < next; want++ {
+			tag, p, err := rd.Next()
+			if err == nil {
+				err = rd.DecodeUpdate(p, &u)
+			}
+			if err != nil || tag != wire.TagUpdate || u.Seq != want {
+				t.Fatalf("spans hold %v seq %d (%v), want seq %d", tag, u.Seq, err, want)
+			}
+		}
+		if _, _, err := rd.Next(); !errors.Is(err, core.ErrPeerClosed) {
+			t.Fatalf("spans hold more than the kept frames: %v", err)
 		}
 	}
 	check()
-	for round := 0; round < 40; round++ { // 16 slots, 5 in and out a round: wraps
+	for round := 0; round < 40; round++ { // 256 bytes, 5 frames of 26–27 in and out a round: wraps
 		push(5)
 		check()
 		pop(3)
 		check()
 		pop(2)
 	}
-	push(40) // grows twice with the head mid-array
+	check()
+	push(40) // grows three times with the head mid-array
 	check()
 	pop(0)
 	check()
 	pop(39)
 	check()
-	pop(1)
-	if got := testing.AllocsPerRun(100, func() { push(30); r.pop(30) }); got != 0 {
+	pop(1) // to the head: empty
+	check()
+	if r.used != 0 {
+		t.Fatalf("an empty ring keeps %d bytes", r.used)
+	}
+	if got := testing.AllocsPerRun(100, func() { push(30); r.popThrough(int64(next), r.n); oldest = next }); got != 0 {
 		t.Fatalf("a warm ring allocates %v per 30 pushes", got)
 	}
 }

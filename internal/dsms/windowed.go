@@ -93,11 +93,8 @@ func (s *Server) RegisterWindow(q WindowQuery) error {
 // the trailing N answers are replayed from history and aggregated. The
 // window is clamped at the stream start.
 func (s *Server) AnswerWindow(queryID string, seq int) (float64, error) {
-	q, err := s.lookup(queryID, kindWindow)
-	if err != nil {
-		return 0, err
-	}
-	return q.src.answerWindow(q.win, seq)
+	var v [1]float64
+	return scalar(s.answer(queryID, kindWindow, seq, v[:0]))
 }
 
 // answerWindow replays the stream's history over q's window ending at

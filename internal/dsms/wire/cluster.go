@@ -36,27 +36,6 @@ const (
 // it (an older server would answer TagForward with a sticky error).
 const FeatCluster byte = 0x02
 
-// clusterTagName names the cluster tags for Tag.String.
-func clusterTagName(t Tag) (string, bool) {
-	switch t {
-	case TagForward:
-		return "forward", true
-	case TagForwardAck:
-		return "forward_ack", true
-	case TagClusterReg:
-		return "cluster_reg", true
-	case TagRegistered:
-		return "registered", true
-	case TagSnapshot:
-		return "snapshot", true
-	case TagRestore:
-		return "restore", true
-	case TagStateAck:
-		return "state_ack", true
-	}
-	return "", false
-}
-
 // Forward buffers one forward frame: the envelope (route index +
 // topology epoch) followed by the verbatim update payload bytes as the
 // source sent them — the router never re-encodes an update.

@@ -108,29 +108,20 @@ const (
 	// retired, not reused — inbound it is an unknown tag like any other.
 )
 
+// tagNames names the tags, the cluster range (cluster.go) included.
+var tagNames = [...]string{
+	TagHello: "hello", TagInstall: "install", TagUpdate: "update", TagAck: "ack",
+	TagQuery: "query", TagAnswer: "answer", TagError: "error",
+	TagForward: "forward", TagForwardAck: "forward_ack", TagClusterReg: "cluster_reg",
+	TagRegistered: "registered", TagSnapshot: "snapshot", TagRestore: "restore", TagStateAck: "state_ack",
+}
+
 // String names the tag for diagnostics.
 func (t Tag) String() string {
-	switch t {
-	case TagHello:
-		return "hello"
-	case TagInstall:
-		return "install"
-	case TagUpdate:
-		return "update"
-	case TagAck:
-		return "ack"
-	case TagQuery:
-		return "query"
-	case TagAnswer:
-		return "answer"
-	case TagError:
-		return "error"
-	default:
-		if name, ok := clusterTagName(t); ok {
-			return name
-		}
-		return fmt.Sprintf("tag(0x%02x)", byte(t))
+	if int(t) < len(tagNames) && tagNames[t] != "" {
+		return tagNames[t]
 	}
+	return fmt.Sprintf("tag(0x%02x)", byte(t))
 }
 
 // ErrBadMagic reports a peer that is not speaking the streamkf wire
@@ -247,9 +238,6 @@ func (w *Writer) WritePreamble(version, features byte) error {
 
 // Flush pushes all buffered frames to the connection.
 func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Buffered returns the number of bytes waiting for a Flush.
-func (w *Writer) Buffered() int { return w.bw.Buffered() }
 
 // begin resets the scratch buffer with a frame header placeholder.
 func (w *Writer) begin(tag Tag) {
@@ -517,10 +505,14 @@ func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 // Ready reports the tag of the next frame if all of it is in the read
 // buffer already: Next then continues the run, reading nothing.
+// It decides from the header and the buffered length, making no error.
 func (r *Reader) Ready() (Tag, bool) {
 	buf, _ := r.br.Peek(r.br.Buffered())
-	tag, _, _, err := NextFrame(buf, int(r.max))
-	return tag, err == nil
+	if len(buf) < 5 {
+		return 0, false
+	}
+	n := binary.LittleEndian.Uint32(buf)
+	return Tag(buf[4]), n >= 1 && n <= r.max && len(buf) >= 4+int(n)
 }
 
 // Next reads one frame, returning its tag and payload, valid until the
@@ -592,41 +584,28 @@ func (c *Cursor) Take(n int) []byte {
 	return s
 }
 
-// U8 consumes one byte.
-func (c *Cursor) U8() byte {
-	s := c.Take(1)
-	if s == nil {
-		return 0
+// fixed is Take for a fixed-width field of n <= 8 bytes: zeros past the
+// end, so the field reads as 0 once the cursor has failed.
+func (c *Cursor) fixed(n int) []byte {
+	if s := c.Take(n); s != nil {
+		return s
 	}
-	return s[0]
+	return zeros[:n]
 }
+
+var zeros [8]byte
+
+// U8 consumes one byte.
+func (c *Cursor) U8() byte { return c.fixed(1)[0] }
 
 // U16 consumes a little-endian uint16.
-func (c *Cursor) U16() uint16 {
-	s := c.Take(2)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(s)
-}
+func (c *Cursor) U16() uint16 { return binary.LittleEndian.Uint16(c.fixed(2)) }
 
 // U32 consumes a little-endian uint32.
-func (c *Cursor) U32() uint32 {
-	s := c.Take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
+func (c *Cursor) U32() uint32 { return binary.LittleEndian.Uint32(c.fixed(4)) }
 
 // I64 consumes a little-endian int64.
-func (c *Cursor) I64() int64 {
-	s := c.Take(8)
-	if s == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(s))
-}
+func (c *Cursor) I64() int64 { return int64(binary.LittleEndian.Uint64(c.fixed(8))) }
 
 // Uvarint consumes an unsigned LEB128 varint in its canonical (shortest)
 // form and no larger than math.MaxInt64; anything else latches failure.
@@ -644,19 +623,10 @@ func (c *Cursor) Uvarint() int64 {
 }
 
 // F64 consumes a little-endian IEEE 754 float64.
-func (c *Cursor) F64() float64 {
-	s := c.Take(8)
-	if s == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(s))
-}
+func (c *Cursor) F64() float64 { return math.Float64frombits(binary.LittleEndian.Uint64(c.fixed(8))) }
 
 // Str consumes a u16-length-prefixed byte string.
-func (c *Cursor) Str() []byte {
-	n := int(c.U16())
-	return c.Take(n)
-}
+func (c *Cursor) Str() []byte { return c.Take(int(c.U16())) }
 
 // OK reports whether every read so far stayed in bounds.
 func (c *Cursor) OK() bool { return c.ok }

@@ -130,9 +130,6 @@ func TestUpdateEncodeDecodeZeroAlloc(t *testing.T) {
 		if err := w.Update(&u, nil); err != nil {
 			t.Fatal(err)
 		}
-		if w.Buffered() > 4096 {
-			mustFlush(t, w)
-		}
 	}); n != 0 {
 		t.Fatalf("update encode allocates %v/op, want 0", n)
 	}
@@ -376,5 +373,38 @@ func TestUpdateHandleNeverOnTheWire(t *testing.T) {
 	got.Handle = 99
 	if err := DecodeUpdatePayload(withHandle, &got); err != nil || got.Handle != 0 {
 		t.Fatalf("DecodeUpdatePayload left Handle %d (err %v), want 0", got.Handle, err)
+	}
+}
+
+// TestReaderReadyAllocs: Ready, called at the end of every run, answers
+// from the buffered bytes alone without allocating — on an empty buffer,
+// a partial header, a partial frame and a whole frame.
+func TestReaderReadyAllocs(t *testing.T) {
+	frame, err := AppendUpdateFrame(nil, &core.Update{SourceID: "s", Seq: 3, Values: []float64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tail []byte // buffered behind the frame Next returns
+		want bool
+	}{
+		{"empty buffer", nil, false},
+		{"partial header", frame[:3], false},
+		{"partial frame", frame[:len(frame)-1], false},
+		{"whole frame", frame, true},
+	} {
+		r := NewReader(bytes.NewReader(append(append([]byte(nil), frame...), tc.tail...)), 0, 0)
+		if _, _, err := r.Next(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var tag Tag
+		var ok bool
+		if allocs := testing.AllocsPerRun(100, func() { tag, ok = r.Ready() }); allocs != 0 {
+			t.Errorf("%s: Ready allocates %v", tc.name, allocs)
+		}
+		if ok != tc.want || ok && tag != TagUpdate {
+			t.Errorf("%s: Ready = %v, %v; want %v", tc.name, tag, ok, tc.want)
+		}
 	}
 }
