@@ -221,7 +221,7 @@ func TestClusterzVerdictFlip(t *testing.T) {
 		t.Fatalf("pre-overload clusterz = %q (shard 0 %q), want ok", cz.Status, cz.Shards[0].Status)
 	}
 
-	// Stall the only shard worker, then slam the ring: TryOffer sheds
+	// Stall the only shard worker, then slam the ring: Next sheds
 	// once the slots fill, driving dkf_engine_ring_dropped_total. The
 	// stall is a blocking alert callback, which runs on the worker.
 	if err := s.Register(stream.Query{ID: "stall", SourceID: "stall", Delta: 1, Model: "constant"}); err != nil {
@@ -239,7 +239,12 @@ func TestClusterzVerdictFlip(t *testing.T) {
 	<-entered
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {
-		p.TryOffer(0, u)
+		if slot := p.Next(0); slot != nil {
+			vals := slot.Values
+			*slot = *u
+			slot.Values = append(vals[:0], u.Values...)
+			p.Commit(0)
+		}
 	}
 	p.Flush()
 	close(release)

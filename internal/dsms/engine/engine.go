@@ -1,8 +1,8 @@
 // Package engine implements the shard-per-core ingest engine: every
 // stream is pinned to one of N shards by a hash of its source id, and
-// each shard owns a single worker goroutine that only drains its rings
-// and applies the updates in batch. Network readers (or in-process
-// producers) hand decoded updates to the owning shard over lock-free
+// each shard owns a single worker goroutine that only applies, in batch,
+// what its rings publish, where it lies. Network readers (or in-process
+// producers) write updates into the owning shard's lock-free
 // single-producer / single-consumer ring buffers, so the steady-state
 // ingest path crosses no mutex between the socket and the filter apply.
 //
@@ -12,7 +12,7 @@
 // the same observation made formally). Shard ownership gives each
 // stream a single writer, so per-update locking degenerates to one
 // uncontended acquisition per *batch run*, and the write-ahead log can
-// group-commit a whole batch.
+// group-commit a whole round of batches.
 //
 // The package is deliberately ignorant of the DSMS: it moves
 // core.Update values and calls a Sink. internal/dsms wires it to the
@@ -20,21 +20,28 @@
 package engine
 
 import (
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"streamkf/internal/core"
 )
 
-// Sink consumes drained batches. ApplyBatch is invoked only from the
+// Sink consumes published batches. ApplyBatch is invoked only from the
 // owning shard's worker goroutine — implementations need no locking
 // against other shards, only against cross-shard readers of their own
-// state. The batch slice and each update's Values are reused after the
-// call returns; the sink must not retain them.
+// state. A batch aliases ring slots, which producers rewrite once
+// ApplyBatch returns: the sink must not retain any of it.
 type Sink interface {
 	ApplyBatch(shard int, batch []core.Update)
 }
+
+// RoundEnder is a Sink told when a worker's round — up to batchSize
+// updates from the shard's rings, however many batches — ends, before its
+// updates count as applied: where a sink group-commits.
+type RoundEnder interface{ EndRound(shard int) }
 
 // Options tunes an Engine.
 type Options struct {
@@ -46,7 +53,7 @@ type Options struct {
 	RingSize int
 }
 
-// batchSize caps how many updates one ApplyBatch call carries.
+// batchSize caps a worker's round: its ApplyBatch calls and group commit.
 const batchSize = 256
 
 func (o Options) withDefaults() Options {
@@ -56,21 +63,16 @@ func (o Options) withDefaults() Options {
 	if o.RingSize <= 0 {
 		o.RingSize = 1024
 	}
-	n := 1
-	for n < o.RingSize {
-		n <<= 1
-	}
-	o.RingSize = n
+	o.RingSize = 1 << bits.Len(uint(o.RingSize-1))
 	return o
 }
 
 // ring is a lock-free SPSC queue of updates. head (consumer) and tail
 // (producer) are monotonically increasing positions masked into the slot
-// array, each on its own cache line: the consumer stores head once per
-// drain, the producer tail once per publication. next is the producer's
-// own write cursor: slots in [tail, next) are written but not yet visible
-// — a datagram's worth on the TryOffer/Flush path. A slot owns its Values
-// storage, so rewriting it copies floats into retained capacity.
+// array, each on its own cache line, stored once per applied segment and
+// once per publication. Slots in [tail, next), next the producer's own
+// write cursor, are committed but not yet visible — a datagram's worth. A
+// slot owns its Values storage, so rewriting it fills retained capacity.
 type ring struct {
 	mask  uint64
 	slots []core.Update
@@ -88,22 +90,9 @@ func newRing(size int, sh *shard) *ring {
 	return &ring{mask: uint64(size - 1), slots: make([]core.Update, size), sh: sh}
 }
 
-// copyUpdate copies src into dst, floats into dst's own Values storage.
-func copyUpdate(dst, src *core.Update) {
-	vals := dst.Values
-	*dst = *src
-	dst.Values = append(vals[:0], src.Values...)
-}
-
-// full reports whether every slot is written and undrained — by the write
+// full reports whether every slot is written and unapplied — by the write
 // cursor, not the tail: an unpublished slot is as taken as a published one.
 func (r *ring) full() bool { return r.next-r.head.Load() >= uint64(len(r.slots)) }
-
-// write copies u into the slot at the write cursor; publish shows it.
-func (r *ring) write(u *core.Update) {
-	copyUpdate(&r.slots[r.next&r.mask], u)
-	r.next++
-}
 
 // publish makes every written slot visible to the worker: offered first
 // (so offered >= visible items), then one tail store, depth note and wake
@@ -132,8 +121,8 @@ type shard struct {
 	// with quiescent producers means the shard is drained.
 	offered atomic.Uint64
 	applied atomic.Uint64
-	// dropped counts TryOffer rejections (ring full — datagram
-	// semantics shed load instead of blocking the reader).
+	// dropped counts Next refusals (ring full — datagram semantics shed
+	// load instead of blocking the reader).
 	dropped atomic.Uint64
 	// depthHWM is the high-water mark of any feeding ring's occupancy.
 	depthHWM atomic.Uint64
@@ -233,7 +222,7 @@ type Producer struct {
 }
 
 // Producer registers a new producer lane. Safe to call while the
-// engine is running; workers pick the new rings up on their next scan.
+// engine is running; workers pick the new rings up on their next round.
 func (e *Engine) Producer() *Producer {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -241,31 +230,29 @@ func (e *Engine) Producer() *Producer {
 	for i, sh := range e.shards {
 		r := newRing(e.opts.RingSize, sh)
 		p.rings[i] = r
-		old := sh.ringList()
-		next := make([]*ring, len(old)+1)
-		copy(next, old)
-		next[len(old)] = r
+		next := append(slices.Clip(sh.ringList()), r) // workers may be reading the old list
 		sh.rings.Store(&next)
 	}
 	return p
 }
 
-// TryOffer writes u into shardID's ring without publishing it, returning
-// false (and counting a drop) when the ring is full or the engine is
-// closed. This is the datagram path: a reader under overload sheds load
-// rather than blocking the socket, and publishes once per datagram —
-// nothing offered is visible, or counted in Offered, until Flush.
-func (p *Producer) TryOffer(shardID int, u *core.Update) bool {
+// Next returns shardID's slot at the write cursor, to fill in place, or
+// nil — counting a drop — when the ring is full or the engine is closed:
+// under overload a datagram reader sheds rather than block the socket.
+// Until Commit, the next Next returns the same slot.
+func (p *Producer) Next(shardID int) *core.Update {
 	r := p.rings[shardID]
 	if r.full() || p.e.closed.Load() {
 		r.sh.dropped.Add(1)
-		return false
+		return nil
 	}
-	r.write(u)
-	return true
+	return &r.slots[r.next&r.mask]
 }
 
-// Flush publishes what TryOffer wrote, once per touched ring.
+// Commit keeps Next's slot: Flush makes it visible and counts it.
+func (p *Producer) Commit(shardID int) { p.rings[shardID].next++ }
+
+// Flush publishes what Commit kept, once per touched ring.
 func (p *Producer) Flush() {
 	for _, r := range p.rings {
 		if r.next != r.tail.Load() {
@@ -284,7 +271,9 @@ func (p *Producer) Offer(shardID int, u *core.Update) bool {
 			return false
 		}
 		if !r.full() {
-			r.write(u)
+			slot := &r.slots[r.next&r.mask]
+			*slot, slot.Values = *u, append(slot.Values[:0], u.Values...)
+			r.next++
 			r.publish()
 			return true
 		}
@@ -292,37 +281,41 @@ func (p *Producer) Offer(shardID int, u *core.Update) bool {
 	}
 }
 
-// drain moves up to max published updates into batch (reusing each
-// entry's Values storage) and frees their slots — one head store per
-// ring, after the last copy out of it. Returns the count.
-func (sh *shard) drain(batch []core.Update, max int) int {
+// segment returns the published slots in [h, t), cut at the end of the
+// slot array: a run that wraps is two segments.
+func (r *ring) segment(h, t uint64) []core.Update {
+	i := h & r.mask
+	return r.slots[i : i+min(t-h, uint64(len(r.slots))-i)]
+}
+
+// round applies up to batchSize published updates, ring by ring, where
+// they lie: one ApplyBatch per segment, whose slots are freed once it
+// returns. Returns the count.
+func (e *Engine) round(sh *shard) int {
 	n := 0
 	for _, r := range sh.ringList() {
-		h, t := r.head.Load(), r.tail.Load()
-		if h == t {
-			continue
+		for h, t := r.head.Load(), r.tail.Load(); h != t && n < batchSize; {
+			seg := r.segment(h, min(t, h+uint64(batchSize-n)))
+			e.sink.ApplyBatch(sh.id, seg)
+			h += uint64(len(seg))
+			r.head.Store(h)
+			n += len(seg)
 		}
-		for ; h != t && n < max; h++ {
-			copyUpdate(&batch[n], &r.slots[h&r.mask])
-			n++
+	}
+	if n > 0 {
+		if re, ok := e.sink.(RoundEnder); ok {
+			re.EndRound(sh.id)
 		}
-		r.head.Store(h)
-		if n >= max {
-			break
-		}
+		sh.applied.Add(uint64(n))
 	}
 	return n
 }
 
-// run is the shard worker: drain, apply, park when idle.
+// run is the shard worker: apply rounds, park when idle.
 func (e *Engine) run(sh *shard) {
 	defer e.wg.Done()
-	batch := make([]core.Update, batchSize)
 	for {
-		n := sh.drain(batch, batchSize)
-		if n > 0 {
-			e.sink.ApplyBatch(sh.id, batch[:n])
-			sh.applied.Add(uint64(n))
+		if e.round(sh) > 0 {
 			continue
 		}
 		if e.closed.Load() {

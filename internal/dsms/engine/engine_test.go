@@ -47,6 +47,20 @@ func mkUpdate(id string, seq int) core.Update {
 	return core.Update{SourceID: id, Seq: seq, Time: float64(seq), Values: []float64{float64(seq) * 0.5}}
 }
 
+// fill is a lane's handling of one datagram update: claim the shard's
+// next slot, write id/seq's update into it in place, commit. False when
+// the ring shed it.
+func fill(p *Producer, shard int, id string, seq int) bool {
+	u := p.Next(shard)
+	if u == nil {
+		return false
+	}
+	u.SourceID, u.Seq, u.Time = id, seq, float64(seq)
+	u.Values = append(u.Values[:0], float64(seq)*0.5)
+	p.Commit(shard)
+	return true
+}
+
 func TestShardForDeterministicAndSpread(t *testing.T) {
 	sink := newRecordSink()
 	e := New(sink, Options{Shards: 8})
@@ -157,16 +171,19 @@ func TestEngineConcurrentProducers(t *testing.T) {
 	}
 }
 
-func TestEngineTryOfferShedsWhenFull(t *testing.T) {
+func TestEngineNextShedsWhenFull(t *testing.T) {
 	bs := &blockSink{release: make(chan struct{})}
 	e := New(bs, Options{Shards: 1, RingSize: 8})
 	p := e.Producer()
-	// Fill until the ring rejects. The worker may drain one batch into
-	// the blocked ApplyBatch, so offer enough to guarantee saturation.
+	// Fill until the ring rejects, flushing as a lane does per datagram:
+	// the worker may take a published batch into the blocked ApplyBatch,
+	// whose slots stay taken while it blocks.
 	accepted, rejected := 0, 0
 	for i := 0; i < 64; i++ {
-		u := mkUpdate("only", i)
-		if p.TryOffer(0, &u) {
+		if i%4 == 0 {
+			p.Flush()
+		}
+		if fill(p, 0, "only", i) {
 			accepted++
 		} else {
 			rejected++
@@ -174,7 +191,7 @@ func TestEngineTryOfferShedsWhenFull(t *testing.T) {
 	}
 	p.Flush()
 	if rejected == 0 {
-		t.Fatalf("expected TryOffer rejections with a blocked sink (accepted=%d)", accepted)
+		t.Fatalf("expected Next refusals with a blocked sink (accepted=%d)", accepted)
 	}
 	st := e.Stats()[0]
 	if st.Dropped != uint64(rejected) {
@@ -208,7 +225,7 @@ func TestEngineCloseDrainsOffered(t *testing.T) {
 		t.Fatalf("Close drained %d of %d offered updates", total, n)
 	}
 	u := mkUpdate("late", 0)
-	if p.Offer(e.ShardFor("late"), &u) || p.TryOffer(e.ShardFor("late"), &u) {
+	if p.Offer(e.ShardFor("late"), &u) || p.Next(e.ShardFor("late")) != nil {
 		t.Fatalf("offer accepted after Close")
 	}
 }
@@ -236,10 +253,11 @@ func TestEngineWakesParkedWorker(t *testing.T) {
 	}
 }
 
-// TestTryOfferInvisibleUntilFlush pins the publication protocol of the
-// datagram path: what TryOffer writes is neither applied nor counted in
-// Offered until Flush, which publishes it all; Quiesce then sees it through.
-func TestTryOfferInvisibleUntilFlush(t *testing.T) {
+// TestNextCommitInvisibleUntilFlush pins the publication protocol of the
+// datagram path: what Commit keeps is neither applied nor counted in
+// Offered until Flush, which publishes it all; Quiesce then sees it
+// through. A slot Next returned and nobody committed is returned again.
+func TestNextCommitInvisibleUntilFlush(t *testing.T) {
 	sink := newRecordSink()
 	e := New(sink, Options{Shards: 2, RingSize: 16})
 	defer e.Close()
@@ -247,9 +265,12 @@ func TestTryOfferInvisibleUntilFlush(t *testing.T) {
 	ids := []string{"a", "b", "c", "d", "e"}
 	for seq := 0; seq < 2; seq++ {
 		for _, id := range ids {
-			u := mkUpdate(id, seq)
-			if !p.TryOffer(e.ShardFor(id), &u) {
-				t.Fatalf("TryOffer(%s/%d) shed on an empty ring", id, seq)
+			sh := e.ShardFor(id)
+			if claimed := p.Next(sh); claimed == nil || p.Next(sh) != claimed {
+				t.Fatalf("Next(%d) before %s/%d: %p, then another slot", sh, id, seq, claimed)
+			}
+			if !fill(p, sh, id, seq) {
+				t.Fatalf("Next for %s/%d shed on an empty ring", id, seq)
 			}
 		}
 	}
@@ -275,23 +296,22 @@ func TestTryOfferInvisibleUntilFlush(t *testing.T) {
 	}
 }
 
-// TestTryOfferShedsExactlyTheOverflow: a datagram with more updates than
-// the ring has free slots sheds the overflow — decided on the unpublished
+// TestNextShedsExactlyTheOverflow: a datagram with more updates than the
+// ring has free slots sheds the overflow — decided on the unpublished
 // write cursor — counts it, and delivers the rest in order.
-func TestTryOfferShedsExactlyTheOverflow(t *testing.T) {
+func TestNextShedsExactlyTheOverflow(t *testing.T) {
 	sink := newRecordSink()
 	e := New(sink, Options{Shards: 1, RingSize: 8})
 	defer e.Close()
 	p := e.Producer()
 	accepted := 0
 	for seq := 0; seq < 13; seq++ {
-		u := mkUpdate("only", seq)
-		if p.TryOffer(0, &u) {
+		if fill(p, 0, "only", seq) {
 			accepted++
 		}
 	}
 	if st := e.Stats()[0]; accepted != 8 || st.Dropped != 5 || st.Offered != 0 {
-		t.Fatalf("13 offers into 8 free slots: accepted %d, dropped %d, offered %d; want 8, 5, 0", accepted, st.Dropped, st.Offered)
+		t.Fatalf("13 updates into 8 free slots: accepted %d, dropped %d, offered %d; want 8, 5, 0", accepted, st.Dropped, st.Offered)
 	}
 	p.Flush()
 	e.Quiesce()
@@ -306,8 +326,8 @@ func TestTryOfferShedsExactlyTheOverflow(t *testing.T) {
 }
 
 // TestDeferredWritesWrapAround drives a 4-slot ring through many wraps in
-// datagrams of three: every slot is rewritten while unpublished neighbours
-// wait, and order and payloads must survive.
+// datagrams of three: every slot is rewritten in place while unpublished
+// neighbours wait, and order and payloads must survive.
 func TestDeferredWritesWrapAround(t *testing.T) {
 	sink := newRecordSink()
 	e := New(sink, Options{Shards: 1, RingSize: 4})
@@ -316,8 +336,7 @@ func TestDeferredWritesWrapAround(t *testing.T) {
 	const n = 300
 	for seq := 0; seq < n; {
 		for k := 0; k < 3 && seq < n; k++ {
-			u := mkUpdate("w", seq)
-			if !p.TryOffer(0, &u) {
+			if !fill(p, 0, "w", seq) {
 				t.Fatalf("seq %d shed with the ring quiesced before its datagram", seq)
 			}
 			seq++
@@ -337,43 +356,87 @@ func TestDeferredWritesWrapAround(t *testing.T) {
 	}
 }
 
-// TestDrainStopsAtMaxMidRing: a drain that fills its batch part-way through
-// a ring frees exactly what it copied — the one head store lands there — and
-// the next drain resumes at the following update.
-func TestDrainStopsAtMaxMidRing(t *testing.T) {
-	sh := &shard{wake: make(chan struct{}, 1)}
-	rings := []*ring{newRing(8, sh), newRing(8, sh)}
-	sh.rings.Store(&rings)
-	for i, r := range rings {
-		for seq := 0; seq < 5; seq++ {
-			u := mkUpdate(fmt.Sprintf("r%d", i), seq)
-			r.write(&u)
-		}
-		r.publish()
+// segmentSink checks that every batch is the ring's own slots at its
+// unmoved head and records the batch lengths and rounds.
+type segmentSink struct {
+	t      *testing.T
+	rings  []*ring
+	lens   []int
+	seqs   []string
+	rounds int
+}
+
+func (ss *segmentSink) ApplyBatch(_ int, batch []core.Update) {
+	owned := false
+	for _, r := range ss.rings {
+		owned = owned || &batch[0] == &r.slots[r.head.Load()&r.mask]
 	}
-	batch := make([]core.Update, 3)
-	var got []string
-	for _, wantHeads := range [][2]uint64{{3, 0}, {5, 1}, {5, 4}, {5, 5}} {
-		n := sh.drain(batch, len(batch))
-		for _, u := range batch[:n] {
-			got = append(got, fmt.Sprintf("%s/%d", u.SourceID, u.Seq))
-		}
-		if h := [2]uint64{rings[0].head.Load(), rings[1].head.Load()}; h != wantHeads {
-			t.Fatalf("after draining %v: heads %v, want %v", got, h, wantHeads)
-		}
+	if !owned {
+		ss.t.Fatalf("batch of %d is not a ring's slots at its head", len(batch))
 	}
-	if want := "[r0/0 r0/1 r0/2 r0/3 r0/4 r1/0 r1/1 r1/2 r1/3 r1/4]"; fmt.Sprint(got) != want {
-		t.Fatalf("drained %v, want %s", got, want)
-	}
-	if n := sh.drain(batch, len(batch)); n != 0 {
-		t.Fatalf("drained %d from empty rings", n)
+	ss.lens = append(ss.lens, len(batch))
+	for _, u := range batch {
+		ss.seqs = append(ss.seqs, fmt.Sprintf("%s/%d", u.SourceID, u.Seq))
 	}
 }
 
-// TestTryOfferFlushConcurrentLanes is the -race workhorse of the deferred
-// path: lanes write datagram-sized groups and flush while the workers
-// drain; nothing is lost, duplicated or reordered within a source.
-func TestTryOfferFlushConcurrentLanes(t *testing.T) {
+func (ss *segmentSink) EndRound(int) { ss.rounds++ }
+
+// TestSegmentStopsAtBatchSizeAndWrap: a round applies up to batchSize
+// published updates, ring by ring, where they lie — one ApplyBatch per
+// segment, cut at the end of the slot array and where the round's
+// batchSize runs out — and frees each segment (its head store) only after
+// the call that read it; one EndRound closes each round, and the next
+// round resumes where the last one stopped.
+func TestSegmentStopsAtBatchSizeAndWrap(t *testing.T) {
+	const size, start, n = 2 * batchSize, 2*batchSize - 12, batchSize + 44
+	sh := &shard{wake: make(chan struct{}, 1)}
+	rings := []*ring{newRing(size, sh), newRing(size, sh)}
+	sh.rings.Store(&rings)
+	rings[0].head.Store(start)
+	rings[0].tail.Store(start)
+	rings[0].next = start
+	for i, r := range rings {
+		for seq := 0; seq < []int{n, 5}[i]; seq++ {
+			u := &r.slots[r.next&r.mask]
+			u.SourceID, u.Seq = fmt.Sprintf("r%d", i), seq
+			r.next++
+		}
+		r.publish()
+	}
+	ss := &segmentSink{t: t, rings: rings}
+	e := &Engine{sink: ss}
+	for _, want := range []struct {
+		applied int
+		lens    string
+		heads   [2]uint64
+	}{
+		// ring 0: 12 to the end of the array, then the rest of batchSize.
+		{batchSize, "[12 244]", [2]uint64{start + batchSize, 0}},
+		// ring 0's last 44, then ring 1.
+		{49, "[12 244 44 5]", [2]uint64{start + n, 5}},
+		{0, "[12 244 44 5]", [2]uint64{start + n, 5}},
+	} {
+		got := e.round(sh)
+		if h := [2]uint64{rings[0].head.Load(), rings[1].head.Load()}; got != want.applied || fmt.Sprint(ss.lens) != want.lens || h != want.heads {
+			t.Fatalf("round applied %d in segments %v, heads %v; want %d in %s, heads %v", got, ss.lens, h, want.applied, want.lens, want.heads)
+		}
+	}
+	for at, want := range map[int]string{0: "r0/0", 11: "r0/11", 12: "r0/12", 255: "r0/255", 256: "r0/256", 299: "r0/299", 300: "r1/0", 304: "r1/4"} {
+		if ss.seqs[at] != want {
+			t.Fatalf("update %d applied is %s, want %s", at, ss.seqs[at], want)
+		}
+	}
+	if ss.rounds != 2 || sh.applied.Load() != n+5 {
+		t.Fatalf("%d rounds ended, %d applied; want 2 and %d", ss.rounds, sh.applied.Load(), n+5)
+	}
+}
+
+// TestNextCommitFlushConcurrentLanes is the -race workhorse of the
+// deferred path: lanes fill datagram-sized groups in place and flush
+// while the workers apply; nothing is lost, duplicated or reordered within
+// a source.
+func TestNextCommitFlushConcurrentLanes(t *testing.T) {
 	sink := newRecordSink()
 	e := New(sink, Options{Shards: 2, RingSize: 64})
 	defer e.Close()
@@ -386,8 +449,7 @@ func TestTryOfferFlushConcurrentLanes(t *testing.T) {
 			for seq := 0; seq < per; seq++ {
 				for s := 0; s < sourcesEach; s++ {
 					id := fmt.Sprintf("l%d-s%d", l, s)
-					u := mkUpdate(id, seq)
-					for !p.TryOffer(e.ShardFor(id), &u) {
+					for !fill(p, e.ShardFor(id), id, seq) {
 						p.Flush() // full of its own unpublished writes, or the worker is behind
 						runtime.Gosched()
 					}
@@ -410,8 +472,8 @@ func TestTryOfferFlushConcurrentLanes(t *testing.T) {
 				t.Fatalf("%s: applied %d of %d", id, len(sink.seqs[id]), per)
 			}
 			for i, seq := range sink.seqs[id] {
-				if seq != i {
-					t.Fatalf("%s: position %d has seq %d", id, i, seq)
+				if seq != i || sink.vals[id][i] != float64(i)*0.5 {
+					t.Fatalf("%s: position %d has seq %d value %v", id, i, seq, sink.vals[id][i])
 				}
 			}
 		}

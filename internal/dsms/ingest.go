@@ -1,8 +1,8 @@
 // Shard ingest engine integration: pins every stream to one shard
 // worker (internal/dsms/engine), which applies updates in batch through
-// applyRun (dsms.go) and group-commits the WAL — the per-update lock
-// handoff and per-update fsync disappear from the steady-state path. The
-// worker only drains and applies. Cross-shard readers (Answer, Stats,
+// applyRun (dsms.go) and group-commits the WAL once a round — the
+// per-update lock handoff and per-update fsync disappear from the
+// steady-state path. Cross-shard readers (Answer, Stats,
 // Streamz) still take the per-source lock; shard ownership just
 // guarantees the ingest side of that lock is a single uncontended writer.
 package dsms
@@ -54,12 +54,11 @@ func (s *Server) Engine() *engine.Engine {
 // exporting ApplyBatch on Server itself.
 type engineSink struct{ s *Server }
 
-// ApplyBatch applies one drained batch on the owning shard's worker:
-// each run of consecutive updates for one source is one applyRun,
-// and the batch's applied updates are committed at the end as one run
-// record — one log lock and, under SyncAlways, one fsync. Datagrams are not acked, so
-// there is nothing to hold back: a refused update or a failed commit is
-// counted, and the stream re-converges from the next updates.
+// ApplyBatch applies a batch of ring slots on the owning shard's worker:
+// each run of consecutive updates for one source is one applyRun, logged
+// to the shard's run record. Datagrams are not acked, so there is nothing
+// to hold back: a refused update or a failed commit is counted, and the
+// stream re-converges from the next updates.
 func (es engineSink) ApplyBatch(shard int, batch []core.Update) {
 	s, ins := es.s, es.s.engIns
 	wl := &s.shardLogs[shard] // touched only by this worker
@@ -91,9 +90,14 @@ func (es engineSink) ApplyBatch(shard int, batch []core.Update) {
 		i++
 	}
 	ins.shardApplied[shard].Add(int64(applied))
-	if s.db != nil {
-		if err := s.db.commit(wl); err != nil {
-			ins.walErrors.Inc()
+}
+
+// EndRound commits the round's run record: one log lock and, under
+// SyncAlways, one fsync, however many batches the round took.
+func (es engineSink) EndRound(shard int) {
+	if s := es.s; s.db != nil {
+		if err := s.db.commit(&s.shardLogs[shard]); err != nil {
+			s.engIns.walErrors.Inc()
 		}
 		s.maybeCheckpoint()
 	}

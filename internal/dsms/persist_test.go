@@ -791,7 +791,7 @@ func TestCheckpointOffIngestGoroutine(t *testing.T) {
 		for k := 0; k < 3*every; k++ {
 			await("the shard worker stopped draining", func() bool { return eng.Offered()-eng.Applied() < inFlight })
 			u.Time, u.Values[0], u.Bootstrap = float64(u.Seq), float64(u.Seq), u.Seq == 0
-			if !p.TryOffer(0, &u) {
+			if !tryOffer(p, 0, &u) {
 				t.Fatalf("offer %d shed", u.Seq)
 			}
 			p.Flush()
@@ -810,6 +810,44 @@ func TestCheckpointOffIngestGoroutine(t *testing.T) {
 	}
 	if got := s.Stats(); got[1].Updates != u.Seq {
 		t.Fatalf("applied %d of %d offers", got[1].Updates, u.Seq)
+	}
+}
+
+// TestEngineRoundOneGroupCommit: a shard worker's round is one WAL group
+// commit, however many ApplyBatch calls it takes. Two producers' updates
+// for two streams wait in their own rings while the only worker is held
+// inside the round that applies stallShard's update; released, that round
+// commits its record, and the next applies both rings — one batch each —
+// and commits them as one more.
+func TestEngineRoundOneGroupCommit(t *testing.T) {
+	s, err := Open(testCatalog(), t.TempDir(), DurabilityOptions{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	eng := s.StartEngine(EngineOptions{Shards: 1})
+	defer eng.Close()
+	ids := []string{"a", "b"}
+	for _, id := range ids {
+		mustRegister(t, s, stream.Query{ID: "q-" + id, SourceID: id, Delta: 1, Model: "constant"})
+	}
+	release := stallShard(t, s)
+	before := counter(t, s, "streamkf_wal_records_appended_total")
+	for _, id := range ids {
+		p := eng.Producer()
+		for seq := 0; seq < 3; seq++ {
+			p.Offer(0, &core.Update{SourceID: id, Seq: seq, Values: []float64{float64(seq)}, Bootstrap: seq == 0})
+		}
+	}
+	release()
+	eng.Quiesce()
+	if got := counter(t, s, "streamkf_wal_records_appended_total") - before; got != 2 {
+		t.Fatalf("two rounds (the held one, then both producers' rings) appended %d run records, want 2", got)
+	}
+	for _, st := range s.Stats() {
+		if st.SourceID != "stall" && st.Updates != 3 {
+			t.Fatalf("%s applied %d of 3 updates", st.SourceID, st.Updates)
+		}
 	}
 }
 

@@ -106,6 +106,10 @@ func TestCrashAfterQueryAheadRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// live is never closed: it stands for a crash. Its checkpointer is
+	// stopped, with no final checkpoint, before dir is removed (cleanups
+	// run last in, first out), so that it writes nothing into dir then.
+	t.Cleanup(func() { close(live.db.ckptStop); <-live.db.ckptDone })
 	mustRegister(t, live, q)
 	cfg, err := live.InstallFor(q.SourceID)
 	if err != nil {

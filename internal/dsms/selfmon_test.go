@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamkf/internal/core"
+	"streamkf/internal/dsms/engine"
 	"streamkf/internal/stream"
 	"streamkf/internal/telemetry"
 )
@@ -277,6 +278,21 @@ func stallShard(t *testing.T, s *Server) (release func()) {
 	return func() { close(released) }
 }
 
+// tryOffer claims shard's next slot on p, fills it with a copy of u and
+// commits it — what a lane does for one datagram update. False when the
+// ring shed it.
+func tryOffer(p *engine.Producer, shard int, u *core.Update) bool {
+	slot := p.Next(shard)
+	if slot == nil {
+		return false
+	}
+	vals := slot.Values
+	*slot = *u
+	slot.Values = append(vals[:0], u.Values...)
+	p.Commit(shard)
+	return true
+}
+
 // TestSelfMonOverloadE2E is the acceptance end-to-end at the verdict
 // level: a real ring-shed burst on the ingest engine flips the verdict
 // ok → degraded with shed_rate as the machine-readable reason, and the
@@ -300,13 +316,13 @@ func TestSelfMonOverloadE2E(t *testing.T) {
 		t.Fatalf("pre-overload health = %+v, want ok", h)
 	}
 
-	// Stall the only shard worker, then slam the ring: TryOffer sheds
+	// Stall the only shard worker, then slam the ring: Next sheds
 	// once the 8 slots fill, driving dkf_engine_ring_dropped_total.
 	release := stallShard(t, s)
 	p := e.Producer()
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {
-		p.TryOffer(0, u)
+		tryOffer(p, 0, u)
 	}
 	p.Flush()
 	dropped := e.Stats()[0].Dropped

@@ -135,7 +135,7 @@ func TestHealthzOverloadHTTP(t *testing.T) {
 	p := e.Producer()
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {
-		p.TryOffer(0, u)
+		tryOffer(p, 0, u)
 	}
 	p.Flush()
 	release()

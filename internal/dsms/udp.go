@@ -61,7 +61,7 @@ const (
 // UDPServerOptions configures a UDPServer.
 type UDPServerOptions struct {
 	// Lanes is how many reader goroutines share the socket. Each lane
-	// owns its own receive arena, decode state, and engine producer, so
+	// owns its own receive arena and engine producer, so
 	// lanes never synchronize with each other — the kernel serializes
 	// the dequeue and lanes overlap the parse/route work. 0 selects
 	// min(4, GOMAXPROCS); 1 reproduces the single-reader layout.
@@ -96,10 +96,10 @@ func (o UDPServerOptions) withDefaults() UDPServerOptions {
 // UDPServer accepts DKF datagrams on one socket and feeds the server's
 // shard ingest engine through N reader lanes. Each lane drains whole
 // batches per syscall where the platform allows (recvmmsg on Linux) and
-// owns every piece of mutable receive state — buffer arena, decode
-// scratch, engine producer — so the steady-state receive path (read
-// batch, parse, resolve in the server's id index, hand to ring) allocates
-// nothing and takes no lock.
+// owns every piece of mutable receive state — buffer arena, engine
+// producer — so the steady-state receive path (read batch, parse, resolve
+// in the server's id index, decode into a ring slot) allocates nothing
+// and takes no lock.
 type UDPServer struct {
 	server *Server
 	eng    *engine.Engine
@@ -109,18 +109,13 @@ type UDPServer struct {
 	closed atomic.Bool
 }
 
-// rxLane is one reader goroutine's world. cur is the id-index slot
-// resolve found for the update being decoded (nil: no registered id).
+// rxLane is one reader goroutine's world.
 type rxLane struct {
-	t    *UDPServer
-	rx   *laneRx
-	prod *engine.Producer
-	lane laneInstruments
-
-	u         core.Update
-	cur       *idSlot
-	resolveFn func([]byte) string
-	reply     []byte
+	t     *UDPServer
+	rx    *laneRx
+	prod  *engine.Producer
+	lane  laneInstruments
+	reply []byte
 }
 
 // NewUDPServer binds addr ("host:port", port 0 picks a free one) and
@@ -147,14 +142,12 @@ func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServe
 			conn.Close()
 			return nil, fmt.Errorf("dsms: udp lane %d: %w", i, err)
 		}
-		ln := &rxLane{
+		t.lanes[i] = &rxLane{
 			t:    t,
 			rx:   rx,
 			prod: eng.Producer(),
 			lane: newLaneInstruments(server.tel.reg, i),
 		}
-		ln.resolveFn = ln.resolve
-		t.lanes[i] = ln
 	}
 	return t, nil
 }
@@ -219,34 +212,25 @@ func (t *UDPServer) Close() error {
 	return t.conn.Close()
 }
 
-// resolve is the lane's DecodeUpdateInto hook: one probe of the server's id
-// index, with no lock, leaving the slot in cur and returning its canonical
-// id ("" when nobody registered b). It allocates nothing and keeps nothing.
-func (ln *rxLane) resolve(b []byte) string {
-	if ln.cur = ln.t.server.ids.find(unsafe.String(unsafe.SliceData(b), len(b))); ln.cur == nil {
-		return ""
-	}
-	return ln.cur.id()
-}
-
 // processDatagram drives lane 0's parser directly — the entry point
 // tests and alloc gates use. Not safe concurrently with Serve.
 func (t *UDPServer) processDatagram(p []byte, addr netip.AddrPort) {
 	t.lanes[0].processDatagram(p, addr)
 }
 
-// processDatagram parses one datagram and routes its frames. Updates of
-// registered streams go to the owning shard's ring with their handle
-// (TryOffer — under overload the ring sheds rather than blocking the
-// socket); the one Flush at the end publishes them together, and their
-// frames are counted once. An update for an id nobody registered is
-// counted and dropped here. Hellos get an install reply when addr is
-// valid; other tags are skipped for forward compatibility.
+// processDatagram parses one datagram and routes its frames. An update's
+// id is resolved by one lock-free probe of the server's id index, and the
+// update decoded straight into the owning shard's ring slot (Next: a full
+// ring sheds); one Flush publishes the datagram's updates, whose frames
+// are counted once. An update for an id nobody registered is counted and
+// dropped. Hellos get an install reply when addr is valid; other tags are
+// skipped for forward compatibility.
 func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 	ins, tel := ln.t.server.engIns, ln.t.server.tel
 	ins.datagramsRx.Inc()
 	ln.lane.rx.Inc()
 	var frames, updates, updateBytes int64
+	var f wire.UpdateFields
 	_, rest, err := wire.CheckPreamble(p)
 	for err == nil && len(rest) > 0 {
 		var tag wire.Tag
@@ -264,15 +248,20 @@ func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 		}
 		updates++
 		updateBytes += int64(len(payload) + 5)
-		if err = wire.DecodeUpdateInto(payload, &ln.u, ln.resolveFn); err != nil {
+		if !f.Parse(payload) {
+			err = wire.ErrMalformed
 			break
 		}
-		if ln.cur == nil {
+		st := ln.t.server.ids.find(unsafe.String(unsafe.SliceData(f.ID), len(f.ID)))
+		if st == nil {
 			ins.unknown.Inc()
 			continue
 		}
-		ln.u.Handle = ln.cur.handle.Load()
-		ln.prod.TryOffer(int(ln.cur.shard), &ln.u)
+		if u := ln.prod.Next(int(st.shard)); u != nil {
+			f.DecodeInto(u, st.id())
+			u.Handle = st.handle.Load()
+			ln.prod.Commit(int(st.shard))
+		}
 	}
 	ln.prod.Flush()
 	ins.framesRx.Add(frames)

@@ -680,42 +680,56 @@ func DecodeInstall(p []byte) (Install, error) {
 	return in, nil
 }
 
-// updateFields splits update payload p into its fields. ok is false for
-// an overlong or out-of-range seq, an unknown flag bit, or values that
-// are not whole f64s once the flagged trailer is set apart.
-func updateFields(p []byte) (id []byte, seq int64, flags byte, vals, ev []byte, ok bool) {
+// UpdateFields is an update payload split by Parse, aliasing it: a
+// receiver resolves ID before it decides where DecodeInto writes.
+type UpdateFields struct {
+	ID    []byte
+	seq   int64
+	flags byte
+	vals  []byte
+}
+
+// Parse splits update payload p into f's fields in place (a returned struct
+// is copied out through the stack): false for an overlong or out-of-range
+// seq, an unknown flag bit, or values not whole f64s past the trailer.
+func (f *UpdateFields) Parse(p []byte) bool {
 	c := NewCursor(p)
-	id, seq, flags = c.Str(), c.Uvarint(), c.U8()
+	f.ID, f.seq, f.flags = c.Str(), c.Uvarint(), c.U8()
 	n := c.Remaining()
-	if flags&flagEvidence != 0 {
+	if f.flags&flagEvidence != 0 {
 		n -= evidenceLen
 	}
-	if !c.OK() || n < 0 || n%8 != 0 || flags&^flagsKnown != 0 {
-		return nil, 0, 0, nil, nil, false
+	if !c.OK() || n < 0 || n%8 != 0 || f.flags&^flagsKnown != 0 {
+		return false
 	}
-	return id, seq, flags, c.Take(n), c.Take(c.Remaining()), true
+	f.vals = c.Take(n)
+	return true
+}
+
+// DecodeInto writes the update into u, reusing u.Values, with id as its
+// SourceID and Time and Handle zeroed: neither is on the wire.
+func (f *UpdateFields) DecodeInto(u *core.Update, id string) {
+	u.SourceID = id
+	u.Seq = int(f.seq)
+	u.Bootstrap = f.flags&flagBootstrap != 0
+	u.Time, u.Handle = 0, 0
+	u.Values = u.Values[:0]
+	for i := 0; i < len(f.vals); i += 8 {
+		u.Values = append(u.Values, math.Float64frombits(binary.LittleEndian.Uint64(f.vals[i:])))
+	}
 }
 
 // DecodeUpdateInto parses the update payload layout into u, reusing
 // u.Values; a well-formed evidence trailer is accepted and stepped over,
 // whether or not the receiver traces. The SourceID bytes are passed
 // through the caller-supplied intern (which may allocate or reuse a
-// cached string) — the datagram receiver's hook for its stream table,
-// where one socket multiplexes many sources and the reader's
-// single-entry cache would thrash.
+// cached string).
 func DecodeUpdateInto(p []byte, u *core.Update, intern func([]byte) string) error {
-	id, seq, flags, vals, _, ok := updateFields(p)
-	if !ok {
+	var f UpdateFields
+	if !f.Parse(p) {
 		return malformed(TagUpdate)
 	}
-	u.SourceID = intern(id)
-	u.Seq = int(seq)
-	u.Bootstrap = flags&flagBootstrap != 0
-	u.Time, u.Handle = 0, 0 // neither is on the wire, whatever u held
-	u.Values = u.Values[:0]
-	for i := 0; i < len(vals); i += 8 {
-		u.Values = append(u.Values, math.Float64frombits(binary.LittleEndian.Uint64(vals[i:])))
-	}
+	f.DecodeInto(u, intern(f.ID))
 	return nil
 }
 
@@ -776,11 +790,11 @@ type Evidence [evidenceLen]byte
 // UpdateEvidence returns the evidence trailer of update payload p, nil
 // when it carries none or is not laid out as one that does.
 func UpdateEvidence(p []byte) *Evidence {
-	_, _, flags, _, ev, ok := updateFields(p)
-	if !ok || flags&flagEvidence == 0 {
+	var f UpdateFields
+	if !f.Parse(p) || f.flags&flagEvidence == 0 {
 		return nil
 	}
-	return (*Evidence)(ev)
+	return (*Evidence)(p[len(p)-evidenceLen:])
 }
 
 // TraceID is the id the source minted for the update's reading — all a
