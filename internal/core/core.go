@@ -396,11 +396,12 @@ func (s *SourceNode) Mirror() *kalman.Filter { return s.mirror }
 // whenever both sides are aligned at the same sequence number.
 //
 // A node is a pointer-light value over one block of floats — the filter's
-// segments, then the health window's healthWindow·m innovations, then the
-// m-value prediction buffer — so a server embeds it in its stream record
-// and carves the block from a BlockPool (Init, Install); NewServerNode is
-// the same thing on the heap. Once built it never allocates: a bootstrap, a
-// re-bootstrap and a restore all rebuild the filter in place.
+// segments, then the whiteness tap's m+2 (two sums and the previous
+// innovation), then the m-value prediction buffer — so a server embeds it
+// in its stream record and carves the block from a BlockPool (Init,
+// Install); NewServerNode is the same thing on the heap. Once built it
+// never allocates: a bootstrap, a re-bootstrap and a restore all rebuild
+// the filter in place.
 type ServerNode struct {
 	cfg     *Config       // shared, read-only; nil until Init
 	filter  kalman.Filter // KFs, over the node's block; a zero-state placeholder until booted
@@ -409,22 +410,17 @@ type ServerNode struct {
 
 	// Filter-health diagnostics over the transmitted-update stream: the
 	// NIS of the latest update against the pre-correction prediction and
-	// a sliding window of innovations for the whiteness statistic.
+	// the running sums of the whiteness statistic.
 	lastNIS float64
 	// Divergence tap: the max-abs innovation |z - H x̂⁻| of the latest
 	// non-bootstrap update against the pre-correction prediction — the
 	// same units as δ, so the trace audit can compare them directly. Both
-	// taps and the health window read the correction's own innovation.
+	// taps and the whiteness sums read the correction's own innovation.
 	lastInnov float64
-	health    kalman.InnovationWindow
+	health    kalman.InnovationSums
 
 	booted, nisValid, innovValid bool
 }
-
-// healthWindow is the number of recent innovations the per-stream
-// whiteness statistic is computed over. Small enough to track regime
-// changes, large enough that the ±2/√W band is meaningful.
-const healthWindow = 16
 
 // NewServerNode constructs the server side of a DKF pair on the heap: its
 // own copy of cfg, its own block.
@@ -443,7 +439,7 @@ func NewServerNode(cfg Config) (*ServerNode, error) {
 // NodeBlockLen returns how many float64s a ServerNode for c keeps in its
 // block: what Init's caller provides.
 func (c *Config) NodeBlockLen() int {
-	return c.Model.BlockLen() + (healthWindow+1)*c.Model.MeasDim
+	return c.Model.BlockLen() + 2*c.Model.MeasDim + 2
 }
 
 // Init builds the node in place over block — NodeBlockLen floats the
@@ -499,11 +495,11 @@ func (s *ServerNode) Release() []float64 {
 	return block
 }
 
-// window and pred are the two tails of the block behind the filter.
-func (s *ServerNode) window() []float64 { return s.filter.Spare()[:healthWindow*s.cfg.Model.MeasDim] }
+// sums and pred are the two tails of the block behind the filter.
+func (s *ServerNode) sums() []float64 { return s.filter.Spare()[:s.cfg.Model.MeasDim+2] }
 func (s *ServerNode) pred() []float64 {
 	m := s.cfg.Model.MeasDim
-	return s.filter.Spare()[healthWindow*m : (healthWindow+1)*m]
+	return s.filter.Spare()[m+2 : 2*m+2]
 }
 
 // AdvanceTo runs predict steps until the node's prediction corresponds to
@@ -530,8 +526,8 @@ func (s *ServerNode) Seq() int { return s.lastSeq }
 // A bootstrap update on an already-bootstrapped node re-initializes it:
 // that is a source that lost its mirror state (e.g. the sensor process
 // restarted) starting a fresh DKF session, and folding its bootstrap as
-// a correction would desynchronize the new mirror forever. The health
-// window resets with the filter.
+// a correction would desynchronize the new mirror forever. The whiteness
+// sums reset with the filter.
 func (s *ServerNode) ApplyUpdate(u Update) error {
 	if !s.booted || u.Bootstrap {
 		if !u.Bootstrap {
@@ -543,7 +539,7 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 		// A re-bootstrap discards the diagnostics of the previous session.
 		s.lastNIS, s.nisValid = 0, false
 		s.lastInnov, s.innovValid = 0, false
-		s.health.Reset()
+		s.health.Reset(s.sums())
 		s.booted = true
 		s.lastSeq = u.Seq
 		return nil
@@ -565,11 +561,11 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 	}
 	// The taps read the correction's innovation d = z − H x̂⁻ and the S⁻¹
 	// it used: the divergence tap max |d|, in δ's units; the health tap,
-	// the NIS dᵀS⁻¹d; and the whiteness window. H x̂⁻ is computed once.
+	// the NIS dᵀS⁻¹d; and the whiteness sums. H x̂⁻ is computed once.
 	d := s.filter.LastInnovation()
 	s.lastInnov, s.innovValid = maxAbsResidual(d, nil), true
 	s.lastNIS, s.nisValid = s.filter.CorrectedNIS(), true
-	s.health.Observe(s.window(), d)
+	s.health.Observe(s.sums(), d)
 	return nil
 }
 
@@ -590,13 +586,15 @@ type FilterHealth struct {
 	// NISValid reports whether NIS has been computed (false until the
 	// first non-bootstrap update).
 	NISValid bool
-	// Whiteness is the lag-1 autocorrelation of recent innovations; ~0
-	// for a healthy filter.
+	// Whiteness is the lag-1 autocorrelation of recent innovations,
+	// exponentially weighted over kalman.WhitenessWindow of them; ~0 for
+	// a healthy filter.
 	Whiteness float64
-	// Ready reports whether the whiteness window has filled.
+	// Ready reports whether kalman.WhitenessWindow innovations have been
+	// observed since the (re)bootstrap.
 	Ready bool
-	// Healthy is false when the whiteness window is full and Whiteness
-	// exceeds the +2/√window acceptance bound — the "model mismatch"
+	// Healthy is false when Whiteness is ready and exceeds the
+	// +2/√WhitenessWindow acceptance bound — the "model mismatch"
 	// gauge exposed per stream on /metrics.
 	//
 	// The test is one-sided because the server only sees δ-censored
@@ -619,8 +617,7 @@ func (s *ServerNode) LastInnovation() (float64, bool) { return s.lastInnov, s.in
 
 // LastNIS returns the normalized innovation squared of the latest
 // non-bootstrap update, and whether one has been computed. Unlike
-// Health it touches no window state, so the ingest hot path can record
-// the score without paying for the whiteness scan.
+// Health it touches no whiteness state.
 func (s *ServerNode) LastNIS() (float64, bool) { return s.lastNIS, s.nisValid }
 
 // Health returns the stream's current filter-health diagnostics. It is
@@ -630,9 +627,9 @@ func (s *ServerNode) Health() FilterHealth {
 	if !s.booted {
 		return h
 	}
-	rho, ready := s.health.Whiteness(s.window(), s.cfg.Model.MeasDim)
+	rho, ready := s.health.Whiteness(s.sums())
 	h.Whiteness, h.Ready = rho, ready
-	if ready && rho > kalman.WhitenessBound(healthWindow) {
+	if ready && rho > kalman.WhitenessBound(kalman.WhitenessWindow) {
 		h.Healthy = false
 	}
 	return h
@@ -679,9 +676,11 @@ type NodeSnapshot struct {
 
 	LastNIS  float64
 	NISValid bool
-	// Innovations is the health monitor's whiteness window, oldest
-	// first, each m values.
-	Innovations [][]float64
+	// Sums is the whiteness statistic, m+2 values: its two sums and the
+	// previous innovation. SumsCount is how many innovations it has
+	// observed, up to kalman.WhitenessWindow.
+	Sums      []float64
+	SumsCount int
 }
 
 // Snapshot captures the node's state for a checkpoint, or nil before
@@ -693,14 +692,15 @@ func (s *ServerNode) Snapshot() *NodeSnapshot {
 	}
 	s.filter.Settle() // owes only after a replayed legacy advance record
 	return &NodeSnapshot{
-		X:           s.filter.State().VecSlice(),
-		P:           s.filter.Cov().DataCopy(),
-		K:           s.filter.K(),
-		Seq:         s.lastSeq,
-		Ticks:       s.ticks,
-		LastNIS:     s.lastNIS,
-		NISValid:    s.nisValid,
-		Innovations: s.health.Snapshot(s.window(), s.cfg.Model.MeasDim),
+		X:         s.filter.State().VecSlice(),
+		P:         s.filter.Cov().DataCopy(),
+		K:         s.filter.K(),
+		Seq:       s.lastSeq,
+		Ticks:     s.ticks,
+		LastNIS:   s.lastNIS,
+		NISValid:  s.nisValid,
+		Sums:      clone(s.sums()),
+		SumsCount: s.health.N,
 	}
 }
 
@@ -715,13 +715,9 @@ func (s *ServerNode) RestoreSnapshot(snap *NodeSnapshot) error {
 		return errors.New("core: nil node snapshot")
 	}
 	n, m := s.cfg.Model.Dim, s.cfg.Model.MeasDim
-	if len(snap.X) != n || len(snap.P) != n*n {
-		return fmt.Errorf("core: snapshot for %s has %d states / %d covariances, model %s wants %d / %d",
-			s.cfg.SourceID, len(snap.X), len(snap.P), s.cfg.Model.Name, n, n*n)
-	}
-	// The window first: it is the one step that can still refuse.
-	if err := s.health.Restore(s.window(), m, snap.Innovations); err != nil {
-		return err
+	if len(snap.X) != n || len(snap.P) != n*n || len(snap.Sums) != m+2 {
+		return fmt.Errorf("core: snapshot for %s has %d states / %d covariances / %d whiteness sums, model %s wants %d / %d / %d",
+			s.cfg.SourceID, len(snap.X), len(snap.P), len(snap.Sums), s.cfg.Model.Name, n, n*n, m+2)
 	}
 	// Rebuild through the model's own bootstrap path so the filter carries
 	// the right matrices, then overwrite the mutable state.
@@ -729,6 +725,8 @@ func (s *ServerNode) RestoreSnapshot(snap *NodeSnapshot) error {
 		return err
 	}
 	s.filter.RestoreValues(snap.X, snap.P, snap.K)
+	copy(s.sums(), snap.Sums)
+	s.health.N = snap.SumsCount
 	s.booted = true
 	s.lastSeq = snap.Seq
 	s.ticks = snap.Ticks

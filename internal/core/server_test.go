@@ -142,7 +142,7 @@ func TestServerNodeHealth(t *testing.T) {
 	}
 	// Feed updates every step; the linear model tracks a ramp well, so
 	// NIS becomes available and stays finite.
-	for seq := 1; seq <= healthWindow+2; seq++ {
+	for seq := 1; seq <= kalman.WhitenessWindow+2; seq++ {
 		u := Update{SourceID: "s1", Seq: seq, Values: []float64{float64(seq)}}
 		if err := srv.ApplyUpdate(u); err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestServerNodeHealth(t *testing.T) {
 		t.Fatal("NIS not valid after non-bootstrap updates")
 	}
 	if !h.Ready {
-		t.Fatalf("whiteness window not ready after %d updates", healthWindow+2)
+		t.Fatalf("whiteness window not ready after %d updates", kalman.WhitenessWindow+2)
 	}
 	if math.IsNaN(h.NIS) || math.IsInf(h.NIS, 0) || h.NIS < 0 {
 		t.Fatalf("NIS = %v, want finite non-negative", h.NIS)
@@ -173,7 +173,7 @@ func TestServerNodeHealthFlagsMisModel(t *testing.T) {
 	if err := srv.ApplyUpdate(Update{SourceID: "s1", Seq: 0, Values: []float64{0}, Bootstrap: true}); err != nil {
 		t.Fatal(err)
 	}
-	for seq := 1; seq <= healthWindow+4; seq++ {
+	for seq := 1; seq <= kalman.WhitenessWindow+4; seq++ {
 		v := float64(seq) * float64(seq) // acceleration a constant model cannot express
 		if err := srv.ApplyUpdate(Update{SourceID: "s1", Seq: seq, Values: []float64{v}}); err != nil {
 			t.Fatal(err)
@@ -188,5 +188,49 @@ func TestServerNodeHealthFlagsMisModel(t *testing.T) {
 	}
 	if h.Whiteness < 0.5 {
 		t.Fatalf("whiteness = %v, want strongly positive for one-sided innovations", h.Whiteness)
+	}
+}
+
+// TestWhitenessSurvivesNonFinite feeds a node's health tap a few finite
+// innovations, one NaN, ±Inf or ±1e300, then kalman.WhitenessWindow
+// finite ones, on m = 1 and m = 2. A non-finite statistic must not
+// outlive the value that made it: the tap reads ready, with a finite ρ₁
+// and the same verdict as a tap that saw only the trailing finite
+// sequence, for an alternating (healthy) and a one-sided (mis-model)
+// sequence.
+func TestWhitenessSurvivesNonFinite(t *testing.T) {
+	boot := func(m int) *ServerNode {
+		s, err := NewServerNode(Config{SourceID: "s", Model: model.Constant(m, 0.05, 0.05), Delta: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ApplyUpdate(Update{SourceID: "s", Values: make([]float64, m), Bootstrap: true}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	observe := func(s *ServerNode, d []float64) { s.health.Observe(s.sums(), d) }
+	for _, m := range []int{1, 2} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300} {
+			for name, at := range map[string]func(k, i int) float64{
+				"alternating": func(k, i int) float64 { return float64(1-2*(k%2)) * (1 + 0.5*math.Sin(float64(k+i))) },
+				"one-sided":   func(k, i int) float64 { return 1 + 0.1*float64(k+i) },
+			} {
+				s, ref := boot(m), boot(m)
+				for k := 0; k < 5; k++ {
+					observe(s, []float64{at(k, 0), at(k, 1)}[:m])
+				}
+				observe(s, []float64{bad, 0.5}[:m])
+				for k := 0; k < kalman.WhitenessWindow; k++ {
+					d := []float64{at(k, 0), at(k, 1)}[:m]
+					observe(s, d)
+					observe(ref, d)
+				}
+				got, want := s.Health(), ref.Health()
+				if !got.Ready || math.IsNaN(got.Whiteness) || math.IsInf(got.Whiteness, 0) || got.Healthy != want.Healthy || want.Healthy != (name == "alternating") {
+					t.Errorf("m %d, %v then %d %s innovations: health %+v, want ready, finite and healthy=%v (%+v)", m, bad, kalman.WhitenessWindow, name, got, want.Healthy, want)
+				}
+			}
+		}
 	}
 }

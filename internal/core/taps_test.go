@@ -31,7 +31,7 @@ func applySeparateTaps(s *ServerNode, u Update) error {
 	if err := s.filter.CorrectValues(u.Values); err != nil {
 		return err
 	}
-	s.health.Observe(s.window(), s.filter.LastInnovation())
+	s.health.Observe(s.sums(), s.filter.LastInnovation())
 	return nil
 }
 
@@ -64,7 +64,7 @@ func requireSameTaps(t *testing.T, at string, errF, errR error, fused, ref *Serv
 // sparse pairs, on the constant and the linear model, to a node whose taps
 // read the correction's innovation (ApplyUpdate) and to one that computes
 // them apart (applySeparateTaps): the divergence tap, the NIS and the
-// health window must be bit-identical after every update. The readings
+// whiteness sums must be bit-identical after every update. The readings
 // carry ±0, NaN, ±Inf and ±1e300 in turn.
 func TestFusedTapsMatchSeparate(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300}

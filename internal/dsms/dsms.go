@@ -955,21 +955,13 @@ type Stats struct {
 	CheckpointSeq int  `json:"checkpoint_seq,omitempty"`
 }
 
-// stats reads the runtime half of the stream's Stats under its lock; without
-// health the O(window) whiteness scan is skipped and its fields rest.
-func (st *sourceState) stats(health bool) Stats {
-	stat := Stats{Healthy: true}
+// stats reads the runtime half of the stream's Stats under its lock.
+func (st *sourceState) stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	stat.CheckpointSeq = st.ckptSeq
-	stat.Updates, stat.Suppressed, stat.Bytes = int(st.updates), int(st.suppressed), int(st.bytes)
-	stat.Seq = st.node.Seq()
-	stat.NIS, stat.NISValid = st.node.LastNIS()
-	if health {
-		h := st.node.Health()
-		stat.Whiteness, stat.HealthReady, stat.Healthy = h.Whiteness, h.Ready, h.Healthy
-	}
-	return stat
+	h := st.node.Health()
+	return Stats{CheckpointSeq: st.ckptSeq, Updates: int(st.updates), Suppressed: int(st.suppressed), Bytes: int(st.bytes), Seq: st.node.Seq(),
+		NIS: h.NIS, NISValid: h.NISValid, Whiteness: h.Whiteness, HealthReady: h.Ready, Healthy: h.Healthy}
 }
 
 // Stats returns per-source statistics, sorted by source id. The update
@@ -983,7 +975,7 @@ func (s *Server) Stats() []Stats {
 	defer s.mu.RUnlock()
 	out := make([]Stats, 0, s.streams.n.Load())
 	s.streams.each(func(st *sourceState) {
-		stat := st.stats(true)
+		stat := st.stats()
 		stat.SourceID, stat.Queries, stat.Model, stat.Delta, stat.Durable = st.id, st.nQueries(), st.cfg.Model.Name, st.cfg.Delta, s.db != nil
 		if total := stat.Updates + stat.Suppressed; total > 0 {
 			stat.SuppressionPct = 100 * float64(stat.Suppressed) / float64(total)

@@ -20,8 +20,9 @@ import (
 //     made);
 //   - setup_ns/stream: wall time from the first registration until the
 //     bootstraps are applied, per stream;
-//   - readings/s: the rate of b.N rounds of one reading per stream, each
-//     round sent and then drained.
+//   - readings/s: the rate of fanInRounds rounds per iteration, a round
+//     one reading per stream, sent and then drained. A fixed count keeps
+//     -benchtime 1x from timing one round's worth of set-up noise.
 //
 // The transport is benchIngestFanIn's UDP setup: sends are paced against
 // the engine's applied count, so no queue on the path overflows into loss;
@@ -72,7 +73,7 @@ func benchFanIn(b *testing.B, n int) {
 
 	b.ResetTimer()
 	start = time.Now()
-	for r := 1; r <= b.N; r++ {
+	for r := 1; r <= b.N*fanInRounds; r++ {
 		round(r)
 	}
 	elapsed := time.Since(start)
@@ -82,8 +83,11 @@ func benchFanIn(b *testing.B, n int) {
 	}
 	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(n), "heap_B/stream")
 	b.ReportMetric(float64(setup.Nanoseconds())/float64(n), "setup_ns/stream")
-	b.ReportMetric(float64(b.N*n)/elapsed.Seconds(), "readings/s")
+	b.ReportMetric(float64(b.N*fanInRounds*n)/elapsed.Seconds(), "readings/s")
 }
+
+// fanInRounds is how many rounds one BenchmarkFanIn iteration times.
+const fanInRounds = 8
 
 // engineApplied returns how many updates the server's shard workers
 // applied, and words where the others they were handed went: refused as

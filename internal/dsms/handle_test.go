@@ -175,7 +175,7 @@ func TestUDPUnknownFlood(t *testing.T) {
 	mustRegister(t, s, stream.Query{ID: "q-late", SourceID: id, Delta: 1, Model: "constant"})
 	ts.processDatagram(grams[n/2], netip.AddrPort{})
 	ts.eng.Quiesce()
-	if st := s.source(id).stats(false); st.Updates != 1 {
+	if st := s.source(id).stats(); st.Updates != 1 {
 		t.Fatalf("an id registered after the flood applied %d updates, want 1", st.Updates)
 	}
 }
@@ -356,7 +356,9 @@ func streamSeriesText(t *testing.T, s *Server) string {
 // streamSeriesGolden is what the server that fed per-stream registry
 // instruments on every apply (59d793a) printed for seriesScenario, with
 // the NIS and whiteness digits re-recorded when a gap's covariance steps
-// came to be settled in closed form (kalman/owed.go).
+// came to be settled in closed form (kalman/owed.go), and the whiteness
+// digits again when ρ₁ came to be kept as exponentially weighted sums
+// (kalman/adaptive.go).
 const streamSeriesGolden = `# HELP dkf_server_updates_total Updates folded into the server filter.
 # TYPE dkf_server_updates_total counter
 dkf_server_updates_total{source="a"} 24
@@ -384,7 +386,7 @@ dkf_stream_nis{source="b"} 0
 dkf_stream_nis{source="c"} 0
 # HELP dkf_stream_whiteness Lag-1 autocorrelation of recent innovations (near 0 when healthy).
 # TYPE dkf_stream_whiteness gauge
-dkf_stream_whiteness{source="a"} 0.4826524030838398
+dkf_stream_whiteness{source="a"} 0.457647068747026
 dkf_stream_whiteness{source="b"} 0
 dkf_stream_whiteness{source="c"} 0
 # HELP dkf_stream_healthy 1 while the innovation sequence is white; 0 flags a mis-modeled stream.

@@ -85,12 +85,11 @@ func BenchmarkUDPIngest(b *testing.B) {
 //   - udp: every source multiplexed over one batching datagram socket
 //     feeding the shard engine, so syscalls amortize across ~28 updates.
 //
-// Before the timer starts, every source is driven past its noise
-// estimator's whiteness window (bootstrap + warmSeqs updates): the
-// first core.healthWindow (16) innovations per source clone into cold
-// ring slots, a one-time warmup cost that would otherwise smear
-// allocations and GC time over the steady state the before/after
-// comparison records.
+// Before the timer starts, every source is driven bootstrap + warmSeqs
+// updates in, so the timed loop sees only the steady state the
+// before/after comparison records: no bootstrap, a whiteness tap past its
+// first kalman.WhitenessWindow innovations, and the covariance cycle
+// (DESIGN §7) that a dense `constant` stream enters by step 23.
 func benchIngestFanIn(b *testing.B, sources int, setup func(b *testing.B, s *Server, ids []string) (send func(src int, u *core.Update) error, pace func(sent int), drain func(want int))) {
 	const warmSeqs = 16 + 8
 	catalog := testCatalog()

@@ -49,14 +49,16 @@ func bootAll(t testing.TB, model string, n int) (s *Server, ids []string, bytes 
 
 // TestStreamFootprint is the per-stream memory budget: heap bytes and heap
 // objects one registered, installed and bootstrapped stream adds, over
-// 20,000 streams behind no transport. A `constant` stream's 656 B are its
-// 256 B record (257 with the last chunk's spare records), its 256 B slab
+// 20,000 streams behind no transport. A `constant` stream's 528 B are its
+// 256 B record (257 with the last chunk's spare records), its 128 B slab
 // block, its 64 B point-query record, ≈ 27 B of the queries map and its
 // 32 B slot of the id index at most 3/4 full (≈ 52 B); a `linear` stream's
-// block is 320 B. With a 320 B record, a 64 B slot and the queries in a
-// slice of stream.Query beside a 32 B query record these read 805 B
-// (constant) and 872 B (linear) in 3.03 objects; before the record was laid
-// out by the handle, 1,725 B and 1,901 B in about 14 objects.
+// block is 256 B. With 16 innovations in the block instead of the
+// whiteness sums (256 B and 320 B blocks) these read 656 B and 723 B; with
+// a 320 B record, a 64 B slot and the queries in a slice of stream.Query
+// beside a 32 B query record, 805 B (constant) and 872 B (linear) in 3.03
+// objects; before the record was laid out by the handle, 1,725 B and
+// 1,901 B in about 14 objects.
 func TestStreamFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates 20,000 streams twice")
@@ -64,7 +66,7 @@ func TestStreamFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		model  string
 		budget uint64
-	}{{"constant", 660}, {"linear", 730}} {
+	}{{"constant", 540}, {"linear", 670}} {
 		s, _, bytes, mallocs := bootAll(t, tc.model, 20000)
 		t.Logf("%s: %d B and %.2f heap objects per stream", tc.model, bytes, mallocs)
 		if bytes > tc.budget {
@@ -243,7 +245,7 @@ func TestTableGrowthUnderLoad(t *testing.T) {
 		if d := got[0] - float64(i); d > 0.01 || d < -0.01 {
 			t.Fatalf("%s answers %v after %d updates of %d: not its own stream's state", id, got, rounds, i)
 		}
-		if st := recs[i].stats(false); st.Updates != rounds+1 {
+		if st := recs[i].stats(); st.Updates != rounds+1 {
 			t.Fatalf("%s counts %d updates, want %d", id, st.Updates, rounds+1)
 		}
 	}

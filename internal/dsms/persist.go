@@ -13,6 +13,7 @@ import (
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/wire"
+	"streamkf/internal/kalman"
 	"streamkf/internal/stream"
 	"streamkf/internal/wal"
 )
@@ -356,15 +357,17 @@ func (s *Server) Checkpoint() error {
 //	  u32 queries; per query: str id, str model, f64 delta, f64 F
 //	  i64 lastSeq            (last transmitted update; -1 before any)
 //	  i64 updates, suppressed, bytes   (counter values)
-//	  u8 nodeState           (0 none, 1 installed, 2 bootstrapped)
+//	  u8 nodeState           (0 none, 1 installed, 3 bootstrapped)
 //	  if bootstrapped: i64 k, i64 seq, i64 ticks, f64 lastNIS, u8 nisValid,
-//	    u16 len(x), f64…, u32 len(p), f64…, u16 innovs, per innov: u16 len, f64…
+//	    u16 len(x), f64…, u32 len(p), f64…, u8 count, u16 len(sums), f64…
 //
 // Older servers wrote no position: their payload opens with the source
 // count, which never reaches positionMark, and replays every segment. Each
 // of their entries holds 33 bytes more before nodeState, the time map
 // they kept (u8 anchored, i64 bootSeq, f64 bootTime, i64 lastSeq, f64
-// lastTime), read and discarded.
+// lastTime), read and discarded. Servers that kept 16 innovations wrote a
+// bootstrapped stream as nodeState 2, the window in the sums' place (u16
+// innovs, per innov: u16 len, f64…, oldest first), folded in on restore.
 const (
 	positionMark     = 0xffffffff
 	legacyTimeMapLen = 1 + 4*8
@@ -411,7 +414,7 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 		buf = wire.AppendI64(buf, v)
 	}
 	snap := st.node.Snapshot() // nil before the bootstrap
-	buf = append(buf, b2u8(st.node.Installed())+b2u8(snap != nil))
+	buf = append(buf, b2u8(st.node.Installed())+2*b2u8(snap != nil))
 	if snap != nil {
 		buf = wire.AppendI64(buf, int64(snap.K))
 		buf = wire.AppendI64(buf, int64(snap.Seq))
@@ -420,10 +423,8 @@ func appendSourceEntry(buf []byte, st *sourceState) ([]byte, int) {
 		buf = append(buf, b2u8(snap.NISValid))
 		buf = appendF64s(wire.AppendU16(buf, uint16(len(snap.X))), snap.X)
 		buf = appendF64s(wire.AppendU32(buf, uint32(len(snap.P))), snap.P)
-		buf = wire.AppendU16(buf, uint16(len(snap.Innovations)))
-		for _, innov := range snap.Innovations {
-			buf = appendF64s(wire.AppendU16(buf, uint16(len(innov))), innov)
-		}
+		buf = append(buf, byte(snap.SumsCount))
+		buf = appendF64s(wire.AppendU16(buf, uint16(len(snap.Sums))), snap.Sums)
 	}
 	return buf, st.lastSeq
 }
@@ -435,14 +436,16 @@ func appendF64s(buf []byte, vs []float64) []byte {
 	return buf
 }
 
-// readF64s reads n floats, or nothing (and nil) when c cannot hold them.
+// readF64s reads n floats, or latches c's failure and returns nil when c
+// cannot hold them.
 func readF64s(c *wire.Cursor, n int) []float64 {
-	if !c.OK() || n > c.Remaining() {
+	b := c.Take(8 * n)
+	if !c.OK() {
 		return nil
 	}
 	vs := make([]float64, n)
 	for i := range vs {
-		vs[i] = c.F64()
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return vs
 }
@@ -497,10 +500,8 @@ func (s *Server) restoreCheckpoint(p []byte) (from wal.Position, err error) {
 // counts are the stream's totals, so they replace the record's.
 func (s *Server) restoreSourceEntry(c *wire.Cursor, timeMapped bool) (sourceID string, lastSeq int, err error) {
 	sourceID = string(c.Str())
-	nQueries := int(c.U32())
-	if !c.OK() {
-		return "", 0, errBadCheckpoint("truncated source entry")
-	}
+	nQueries := int(c.U32()) // 0 past the end, where the state check below fails
+	m := 0                   // the stream's measurement dimension, once a query registers it
 	for j := 0; j < nQueries; j++ {
 		q := stream.Query{ID: string(c.Str()), SourceID: sourceID, Model: string(c.Str()), Delta: c.F64(), F: c.F64()}
 		if !c.OK() {
@@ -510,7 +511,10 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor, timeMapped bool) (sourceID s
 		// target may have the sub-queries pre-registered by the router
 		// (a checkpoint restore starts from an empty server).
 		s.mu.Lock()
-		_, _, err := s.adoptOrRegisterLocked(q)
+		st, _, err := s.adoptOrRegisterLocked(q)
+		if err == nil {
+			m = st.cfg.Model.MeasDim
+		}
 		s.mu.Unlock()
 		if err != nil {
 			return "", 0, fmt.Errorf("dsms: re-registering %s: %w", q.ID, err)
@@ -523,19 +527,23 @@ func (s *Server) restoreSourceEntry(c *wire.Cursor, timeMapped bool) (sourceID s
 	}
 	nodeState := c.U8()
 	var snap *core.NodeSnapshot
-	if nodeState == 2 {
+	if nodeState >= 2 {
 		snap = &core.NodeSnapshot{K: int(c.I64()), Seq: int(c.I64()), Ticks: int(c.I64()), LastNIS: c.F64(), NISValid: c.U8() != 0}
-		if snap.X = readF64s(c, int(c.U16())); snap.X == nil {
-			return "", 0, errBadCheckpoint("truncated filter state")
-		}
-		if snap.P = readF64s(c, int(c.U32())); snap.P == nil {
-			return "", 0, errBadCheckpoint("truncated filter state")
-		}
-		snap.Innovations = make([][]float64, int(c.U16()))
-		for k := range snap.Innovations {
-			if snap.Innovations[k] = readF64s(c, int(c.U16())); snap.Innovations[k] == nil {
-				return "", 0, errBadCheckpoint("truncated innovation window")
+		snap.X = readF64s(c, int(c.U16()))
+		snap.P = readF64s(c, int(c.U32()))
+		if nodeState == 2 { // the innovation window, folded in oldest first
+			var w kalman.InnovationSums
+			snap.Sums = make([]float64, m+2)
+			for k := c.U16(); k > 0; k-- {
+				d := readF64s(c, int(c.U16()))
+				if len(d) != m {
+					return "", 0, errBadCheckpoint("bad innovation window")
+				}
+				w.Observe(snap.Sums, d)
 			}
+			snap.SumsCount = w.N
+		} else {
+			snap.SumsCount, snap.Sums = int(c.U8()), readF64s(c, int(c.U16()))
 		}
 	}
 	if !c.OK() {

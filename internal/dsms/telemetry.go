@@ -121,8 +121,7 @@ func (t *serverTelemetry) countWireError(err error) {
 
 // streamColumns are the eight per-stream metric families, in exposition
 // order: one telemetry.Table whose rows are the stream records, read at
-// scrape time. The apply writes the record and nothing else, and the
-// O(window) whiteness scan stays off it.
+// scrape time. The apply writes the record and nothing else.
 var streamColumns = [...]telemetry.Column{
 	{Name: "dkf_server_updates_total", Help: "Updates folded into the server filter.", Counter: true},
 	{Name: "dkf_server_suppressed_total", Help: "Source-suppressed steps, inferred from update sequence gaps.", Counter: true},
@@ -148,7 +147,7 @@ func streamRow(vals []float64, s Stats) {
 // live stream whose handle is within the series cap has a row of its own,
 // in the slot its handle names; the rest are summed into source="_other"
 // behind them — counts added, the highest seq and NIS, the resting health
-// (streams cannot share one innovation window) — there once a handle past
+// (streams cannot share one whiteness statistic) — there once a handle past
 // the cap has been handed out. Rows follow handles, so an id dropped and
 // registered again past the cap is in the roll-up and nowhere else.
 func (s *Server) streamRows(row func(slot int, label string, vals []float64)) {
@@ -156,11 +155,11 @@ func (s *Server) streamRows(row func(slot int, label string, vals []float64)) {
 	other := Stats{Healthy: true}
 	s.streams.each(func(st *sourceState) {
 		if st.handle <= DefaultSourceMetricLimit {
-			streamRow(vals[:], st.stats(true))
+			streamRow(vals[:], st.stats())
 			row(int(st.handle), st.id, vals[:])
 			return
 		}
-		o := st.stats(false)
+		o := st.stats()
 		other.Updates, other.Suppressed, other.Bytes = other.Updates+o.Updates, other.Suppressed+o.Suppressed, other.Bytes+o.Bytes
 		other.Seq, other.NIS = max(other.Seq, o.Seq), max(other.NIS, o.NIS)
 	})

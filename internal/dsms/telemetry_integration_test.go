@@ -124,7 +124,7 @@ func TestTCPIngestTracedAllocBudget(t *testing.T) {
 // handle table once.
 func BenchmarkScrape20k(b *testing.B) {
 	s, ids, _, _ := bootAll(b, "constant", 20000)
-	for seq := 1; seq <= 17; seq++ { // a full innovation window on every stream
+	for seq := 1; seq <= 17; seq++ { // a ready whiteness tap on every stream
 		for _, id := range ids {
 			if err := s.HandleUpdate(core.Update{SourceID: id, Seq: seq, Time: float64(seq), Values: []float64{float64(seq % 3)}}); err != nil {
 				b.Fatal(err)

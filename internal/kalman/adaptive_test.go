@@ -7,20 +7,23 @@ import (
 )
 
 func TestWhitenessWhiteSequence(t *testing.T) {
-	var w InnovationWindow
-	buf := make([]float64, 64)
-	if _, ok := w.Whiteness(buf, 1); ok {
-		t.Fatal("Whiteness ready before window filled")
+	var w InnovationSums
+	buf := make([]float64, 1+2)
+	if _, ok := w.Whiteness(buf); ok {
+		t.Fatal("Whiteness ready before any innovation")
 	}
 	// Deterministic pseudo-white sequence: alternating-sign values with
 	// varying magnitude have near-zero lag-1 autocorrelation.
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 64; i++ {
+		if _, ok := w.Whiteness(buf); ok != (i >= WhitenessWindow) {
+			t.Fatalf("after %d innovations Whiteness ready = %v", i, ok)
+		}
 		w.Observe(buf, []float64{rng.NormFloat64()})
 	}
-	rho, ok := w.Whiteness(buf, 1)
+	rho, ok := w.Whiteness(buf)
 	if !ok {
-		t.Fatal("Whiteness not ready after a full window")
+		t.Fatal("Whiteness not ready after 64 innovations")
 	}
 	if math.Abs(rho) > WhitenessBound(64) {
 		t.Fatalf("white sequence has rho = %v beyond bound %v", rho, WhitenessBound(64))
@@ -28,13 +31,13 @@ func TestWhitenessWhiteSequence(t *testing.T) {
 }
 
 func TestWhitenessCorrelatedSequence(t *testing.T) {
-	var w InnovationWindow
-	buf := make([]float64, 32)
+	var w InnovationSums
+	buf := make([]float64, 1+2)
 	// A slow ramp is maximally correlated at lag 1.
 	for i := 0; i < 32; i++ {
 		w.Observe(buf, []float64{1 + 0.01*float64(i)})
 	}
-	rho, ok := w.Whiteness(buf, 1)
+	rho, ok := w.Whiteness(buf)
 	if !ok {
 		t.Fatal("Whiteness not ready")
 	}
@@ -46,20 +49,19 @@ func TestWhitenessCorrelatedSequence(t *testing.T) {
 	}
 }
 
-// TestObserveZeroAllocWhenWarm pins the ring-buffer reuse: a warm
-// window records innovations and evaluates whiteness without heap
-// allocation, so the per-stream health tap stays off the ingest path's
-// allocation budget.
+// TestObserveZeroAllocWhenWarm pins the owner's buffer: warm sums record
+// innovations and evaluate whiteness without heap allocation, so the
+// per-stream health tap stays off the ingest path's allocation budget.
 func TestObserveZeroAllocWhenWarm(t *testing.T) {
-	var w InnovationWindow
-	buf := make([]float64, 8*2)
+	var w InnovationSums
+	buf := make([]float64, 2+2)
 	d := []float64{0.5, -0.5}
 	for i := 0; i < 8; i++ {
 		w.Observe(buf, d)
 	}
 	if n := testing.AllocsPerRun(500, func() {
 		w.Observe(buf, d)
-		w.Whiteness(buf, 2)
+		w.Whiteness(buf)
 	}); n != 0 {
 		t.Fatalf("warm Observe+Whiteness allocates %v per run, want 0", n)
 	}
