@@ -62,7 +62,7 @@ func TestUDPHandleLifetime(t *testing.T) {
 	s, ts := newUDPPair(t, stream.Query{ID: "q-keep", SourceID: "keep", Delta: 1, Model: "constant"})
 	send := func(u core.Update) {
 		t.Helper()
-		ts.processDatagram(updateDatagram(t, &u), netip.AddrPort{})
+		ts.lanes[0].processDatagram(updateDatagram(t, &u), netip.AddrPort{})
 		ts.eng.Quiesce()
 	}
 	updates := func(id string) int {
@@ -156,11 +156,11 @@ func TestUDPUnknownFlood(t *testing.T) {
 	for i := range grams {
 		grams[i] = updateDatagram(t, &core.Update{SourceID: fmt.Sprintf("nobody-%d", i), Values: []float64{1}, Bootstrap: true})
 	}
-	ts.processDatagram(grams[0], netip.AddrPort{}) // warm the lane's decode scratch
+	ts.lanes[0].processDatagram(grams[0], netip.AddrPort{}) // warm the lane's decode scratch
 	tab, entries, i := s.ids.tab.Load(), occupied(s), 0
 	if allocs := testing.AllocsPerRun(n-2, func() {
 		i++
-		ts.processDatagram(grams[i], netip.AddrPort{})
+		ts.lanes[0].processDatagram(grams[i], netip.AddrPort{})
 	}); allocs != 0 {
 		t.Fatalf("an unknown id allocates %v per update, want 0", allocs)
 	}
@@ -173,7 +173,7 @@ func TestUDPUnknownFlood(t *testing.T) {
 
 	id := fmt.Sprintf("nobody-%d", n/2)
 	mustRegister(t, s, stream.Query{ID: "q-late", SourceID: id, Delta: 1, Model: "constant"})
-	ts.processDatagram(grams[n/2], netip.AddrPort{})
+	ts.lanes[0].processDatagram(grams[n/2], netip.AddrPort{})
 	ts.eng.Quiesce()
 	if st := s.source(id).stats(); st.Updates != 1 {
 		t.Fatalf("an id registered after the flood applied %d updates, want 1", st.Updates)
@@ -323,7 +323,7 @@ func TestEngineAfterRegistration(t *testing.T) {
 	for i := 0; i < n; i++ {
 		u := core.Update{SourceID: fmt.Sprintf("s-%d", i), Values: []float64{1}, Bootstrap: true}
 		want[eng.ShardFor(u.SourceID)]++
-		ts.processDatagram(updateDatagram(t, &u), netip.AddrPort{})
+		ts.lanes[0].processDatagram(updateDatagram(t, &u), netip.AddrPort{})
 	}
 	eng.Quiesce()
 	if want[0] == 0 || want[1] == 0 {

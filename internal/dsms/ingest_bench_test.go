@@ -47,14 +47,14 @@ func benchUDPIngestApply(b *testing.B) {
 		}
 	}
 	encode(0)
-	ts.processDatagram(dg, netip.AddrPort{})
+	ts.lanes[0].processDatagram(dg, netip.AddrPort{})
 	eng.Quiesce()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		encode(i + 1)
-		ts.processDatagram(dg, netip.AddrPort{})
+		ts.lanes[0].processDatagram(dg, netip.AddrPort{})
 		if i&1023 == 1023 {
 			// Keep the producer loop from outrunning the shard worker
 			// into ring shed — the bench measures apply, not overload.

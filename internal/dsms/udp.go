@@ -77,10 +77,7 @@ type UDPServerOptions struct {
 
 func (o UDPServerOptions) withDefaults() UDPServerOptions {
 	if o.Lanes <= 0 {
-		o.Lanes = runtime.GOMAXPROCS(0)
-		if o.Lanes > 4 {
-			o.Lanes = 4
-		}
+		o.Lanes = min(4, runtime.GOMAXPROCS(0))
 	}
 	if o.RxBatch <= 0 {
 		o.RxBatch = 32
@@ -116,6 +113,12 @@ type rxLane struct {
 	prod  *engine.Producer
 	lane  laneInstruments
 	reply []byte
+	// parsed holds the updates processDatagram has resolved and not yet
+	// enqueued; its size bounds how many id probes are in flight at once.
+	parsed [32]struct {
+		f  wire.UpdateFields
+		sl *idSlot
+	}
 }
 
 // NewUDPServer binds addr ("host:port", port 0 picks a free one) and
@@ -123,14 +126,11 @@ type rxLane struct {
 // none is attached yet. Call Serve to start receiving.
 func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServer, error) {
 	opts = opts.withDefaults()
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dsms: udp resolve: %w", err)
-	}
-	conn, err := net.ListenUDP("udp", uaddr)
+	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dsms: udp listen: %w", err)
 	}
+	conn := pc.(*net.UDPConn)
 	// Best effort: some kernels clamp SO_RCVBUF below the request.
 	_ = conn.SetReadBuffer(udpReadBuffer)
 	eng := server.StartEngine(opts.Engine)
@@ -171,20 +171,12 @@ func (t *UDPServer) Serve() error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = t.serveLane(t.lanes[i])
+			errs[i] = t.lanes[i].serve()
 		}(i)
 	}
-	errs[0] = t.serveLane(t.lanes[0])
+	errs[0] = t.lanes[0].serve()
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-func (t *UDPServer) serveLane(ln *rxLane) error {
-	err := ln.serve()
-	if err != nil {
-		_ = t.Close()
-	}
-	return err
 }
 
 // serve is one lane's receive loop: drain a batch, route each datagram.
@@ -195,6 +187,7 @@ func (ln *rxLane) serve() error {
 			if ln.t.closed.Load() {
 				return nil
 			}
+			_ = ln.t.Close()
 			return fmt.Errorf("dsms: udp read: %w", err)
 		}
 		ln.lane.batch.Observe(int64(n))
@@ -212,25 +205,22 @@ func (t *UDPServer) Close() error {
 	return t.conn.Close()
 }
 
-// processDatagram drives lane 0's parser directly — the entry point
-// tests and alloc gates use. Not safe concurrently with Serve.
-func (t *UDPServer) processDatagram(p []byte, addr netip.AddrPort) {
-	t.lanes[0].processDatagram(p, addr)
-}
-
-// processDatagram parses one datagram and routes its frames. An update's
-// id is resolved by one lock-free probe of the server's id index, and the
-// update decoded straight into the owning shard's ring slot (Next: a full
-// ring sheds); one Flush publishes the datagram's updates, whose frames
-// are counted once. An update for an id nobody registered is counted and
-// dropped. Hellos get an install reply when addr is valid; other tags are
-// skipped for forward compatibility.
+// processDatagram parses one datagram and routes its frames, in two
+// passes over the lane's batch of parsed updates. The first parses each
+// update and resolves its id by one lock-free probe of the server's id
+// index, touching no ring, so no slot claim or decode waits between two
+// probes (group prefetching, Chen et al., ICDE 2004); the second, run
+// whenever the batch fills and at the end, hands the same updates on in
+// the same order, its slot claims back to back (enqueue). One Flush
+// publishes the datagram's updates, whose frames are counted once. Hellos
+// get an install reply when addr is valid; other tags are skipped for
+// forward compatibility.
 func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 	ins, tel := ln.t.server.engIns, ln.t.server.tel
 	ins.datagramsRx.Inc()
 	ln.lane.rx.Inc()
 	var frames, updates, updateBytes int64
-	var f wire.UpdateFields
+	n := 0
 	_, rest, err := wire.CheckPreamble(p)
 	for err == nil && len(rest) > 0 {
 		var tag wire.Tag
@@ -248,21 +238,18 @@ func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 		}
 		updates++
 		updateBytes += int64(len(payload) + 5)
-		if !f.Parse(payload) {
+		b := &ln.parsed[n]
+		if !b.f.Parse(payload) {
 			err = wire.ErrMalformed
 			break
 		}
-		st := ln.t.server.ids.find(unsafe.String(unsafe.SliceData(f.ID), len(f.ID)))
-		if st == nil {
-			ins.unknown.Inc()
-			continue
-		}
-		if u := ln.prod.Next(int(st.shard)); u != nil {
-			f.DecodeInto(u, st.id())
-			u.Handle = st.handle.Load()
-			ln.prod.Commit(int(st.shard))
+		b.sl = ln.t.server.ids.find(unsafe.String(unsafe.SliceData(b.f.ID), len(b.f.ID)))
+		if n++; n == len(ln.parsed) {
+			ln.enqueue(n)
+			n = 0
 		}
 	}
+	ln.enqueue(n)
 	ln.prod.Flush()
 	ins.framesRx.Add(frames)
 	tel.rxFrames[wire.TagUpdate].Add(updates)
@@ -270,6 +257,22 @@ func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 	if err != nil {
 		ins.datagramsBad.Inc()
 		tel.countWireError(err)
+	}
+}
+
+// enqueue decodes the batch's first n updates, in order, straight into
+// their owning shards' ring slots (Next: a full ring sheds). An update for
+// an id nobody registered is counted and dropped.
+func (ln *rxLane) enqueue(n int) {
+	for i := range ln.parsed[:n] {
+		b := &ln.parsed[i]
+		if b.sl == nil {
+			ln.t.server.engIns.unknown.Inc()
+		} else if u := ln.prod.Next(int(b.sl.shard)); u != nil {
+			b.f.DecodeInto(u, b.sl.id())
+			u.Handle = b.sl.handle.Load()
+			ln.prod.Commit(int(b.sl.shard))
+		}
 	}
 }
 
@@ -339,14 +342,11 @@ func DialSourceUDP(addr, sourceID string, catalog *Catalog, opts UDPDialOptions)
 	if opts.BootstrapCopies <= 0 {
 		opts.BootstrapCopies = 3
 	}
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dsms: udp resolve: %w", err)
-	}
-	conn, err := net.DialUDP("udp", nil, uaddr)
+	c, err := net.Dial("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dsms: udp dial: %w", err)
 	}
+	conn := c.(*net.UDPConn)
 	hello := wire.AppendPreamble(nil, wire.Version, 0)
 	if hello, err = wire.AppendHelloFrame(hello, sourceID); err != nil {
 		conn.Close()
@@ -466,14 +466,11 @@ func DialUDPBatcher(addr string, flushBytes int) (*UDPBatcher, error) {
 	if flushBytes <= 0 {
 		flushBytes = 1200
 	}
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dsms: udp resolve: %w", err)
-	}
-	conn, err := net.DialUDP("udp", nil, uaddr)
+	c, err := net.Dial("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dsms: udp dial: %w", err)
 	}
+	conn := c.(*net.UDPConn)
 	tx, err := newBatchTx(conn)
 	if err != nil {
 		conn.Close()

@@ -3,7 +3,9 @@ package dsms
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"net"
 	"net/netip"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"streamkf/internal/gen"
 	"streamkf/internal/netsim"
 	"streamkf/internal/stream"
+	"streamkf/internal/telemetry"
 	"streamkf/internal/trace"
 )
 
@@ -97,7 +100,7 @@ func updateDatagram(t testing.TB, u *core.Update) []byte {
 func deliver(t testing.TB, ts *UDPServer, ups []core.Update, order []int) {
 	t.Helper()
 	for _, idx := range order {
-		ts.processDatagram(updateDatagram(t, &ups[idx]), netip.AddrPort{})
+		ts.lanes[0].processDatagram(updateDatagram(t, &ups[idx]), netip.AddrPort{})
 	}
 	ts.eng.Quiesce()
 	for _, sh := range ts.eng.Stats() {
@@ -395,7 +398,7 @@ func TestUDPRxAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.processDatagram(dg, netip.AddrPort{})
+	ts.lanes[0].processDatagram(dg, netip.AddrPort{})
 	ts.eng.Quiesce()
 	if st := s.Stats()[0]; st.Updates != 1 {
 		t.Fatalf("a datagram update with a trailer was applied %d times, want 1", st.Updates)
@@ -418,12 +421,12 @@ func TestUDPRxAllocFree(t *testing.T) {
 	// steady-state claim starts after that.
 	for wrap := 0; wrap < 4; wrap++ {
 		for i := 0; i < 2048; i++ { // half the ring: quiesce before it can fill and shed
-			ts.processDatagram(dg, netip.AddrPort{})
+			ts.lanes[0].processDatagram(dg, netip.AddrPort{})
 		}
 		ts.eng.Quiesce()
 	}
 	n := testing.AllocsPerRun(200, func() {
-		ts.processDatagram(dg, netip.AddrPort{})
+		ts.lanes[0].processDatagram(dg, netip.AddrPort{})
 	})
 	ts.eng.Quiesce()
 	if n != 0 {
@@ -495,5 +498,169 @@ func TestEngineTelemetryScrape(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("Prometheus exposition missing %s", want)
 		}
+	}
+}
+
+// TestLaneDatagramOutcome pins what lane 0 makes of one fixed datagram
+// sequence on a one-shard engine with an 8-slot ring, quiescing between
+// datagrams: the engine block, the wire counters, each stream's counts and
+// its filter, bit for bit against a server that applied only the updates
+// the lane should have kept. The sequence crosses every edge of the lane's
+// batch of parsed updates (32): a datagram longer than the batch with
+// unknown ids on both sides of the cut, an update ahead of its bootstrap
+// and a duplicated bootstrap, a hello between updates, a ring that fills
+// partway through a datagram, and an update with an unknown flag bit and a
+// truncated frame each after valid updates.
+func TestLaneDatagramOutcome(t *testing.T) {
+	s := NewServer(testCatalog())
+	ref := NewServer(testCatalog())
+	for _, id := range []string{"a", "b"} {
+		q := stream.Query{ID: "q-" + id, SourceID: id, Delta: 0.5, Model: "linear"}
+		mustRegister(t, s, q)
+		mustRegister(t, ref, q)
+		if _, err := ref.InstallFor(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, err := NewUDPServer(s, "127.0.0.1:0", UDPServerOptions{Lanes: 1, Engine: EngineOptions{Shards: 1, RingSize: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ts.Close()
+		s.Engine().Close()
+	})
+	if n := len(ts.lanes[0].parsed); n >= 40 {
+		t.Fatalf("the lane's batch holds %d updates; the long datagram below no longer crosses it", n)
+	}
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	var dg []byte
+	var updateBytes int64
+	// up appends an update frame to dg; keep marks one the engine applies,
+	// which the reference server applies too.
+	up := func(id string, seq int, boot, keep bool) {
+		t.Helper()
+		u := core.Update{SourceID: id, Seq: seq, Values: []float64{1.5*float64(seq) + float64(len(id))}, Bootstrap: boot}
+		start := len(dg)
+		if dg, err = wire.AppendUpdateFrame(dg, &u); err != nil {
+			t.Fatal(err)
+		}
+		updateBytes += int64(len(dg) - start)
+		if keep {
+			if err := ref.HandleUpdate(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send := func(addr netip.AddrPort) {
+		ts.lanes[0].processDatagram(dg, addr)
+		ts.eng.Quiesce()
+		dg = wire.AppendPreamble(nil, wire.Version, 0)
+	}
+	dg = wire.AppendPreamble(nil, wire.Version, 0)
+
+	// Ahead of its bootstrap, the bootstrap, a hello, a duplicated bootstrap.
+	up("a", 1, false, false)
+	up("a", 0, true, true)
+	if dg, err = wire.AppendHelloFrame(dg, "b"); err != nil {
+		t.Fatal(err)
+	}
+	up("b", 0, true, true)
+	up("b", 0, true, false)
+	send(peer.LocalAddr().(*net.UDPAddr).AddrPort())
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, maxDatagram)
+	n, err := peer.Read(buf)
+	if err != nil {
+		t.Fatalf("no reply to the hello: %v", err)
+	}
+	if _, rest, err := wire.CheckPreamble(buf[:n]); err != nil {
+		t.Fatal(err)
+	} else if tag, p, _, err := wire.NextFrame(rest, 0); err != nil || tag != wire.TagInstall {
+		t.Fatalf("hello answered with tag %v (%v), want an install", tag, err)
+	} else if inst, err := wire.DecodeInstall(p); err != nil || inst.SourceID != "b" {
+		t.Fatalf("install for %q (%v), want b", inst.SourceID, err)
+	}
+
+	// 40 updates, every fifth a known stream's and the rest unknown ids:
+	// unknown ids at 31 to 34 straddle the batch's cut at 32, and known
+	// updates lie on both sides of it (30 and 35).
+	for i := 0; i < 40; i++ {
+		switch {
+		case i%10 == 0:
+			up("a", 2+i/5, false, true)
+		case i%5 == 0:
+			up("b", 2+i/5, false, true)
+		default:
+			up(fmt.Sprintf("x-%d", i), 0, true, false)
+		}
+	}
+	send(netip.AddrPort{})
+
+	// Twelve known updates: the ring takes eight and sheds the last four.
+	for seq := 10; seq < 16; seq++ {
+		up("a", seq, false, seq < 14)
+		up("b", seq, false, seq < 14)
+	}
+	send(netip.AddrPort{})
+
+	// Valid updates, then one with an unknown flag bit: the datagram is bad
+	// from there on.
+	up("a", 16, false, true)
+	up("b", 16, false, true)
+	up("a", 17, false, false)
+	dg[len(dg)-9] |= 0x80 // the flags byte, before the one value
+	send(netip.AddrPort{})
+
+	// Valid updates, then a frame cut inside its header, which is never
+	// counted.
+	up("a", 18, false, true)
+	up("b", 18, false, true)
+	counted, end := updateBytes, len(dg)
+	up("a", 19, false, false)
+	dg, updateBytes = dg[:end+3], counted
+	send(netip.AddrPort{})
+
+	z := engineBlock(t, s)
+	if z.DatagramsRx != 5 || z.DatagramsBad != 2 || z.FramesRx != 62 || z.PreBootstrap != 1 || z.UnknownSource != 32 || z.Rejected != 0 {
+		t.Fatalf("engine block: rx %d, bad %d, frames %d, pre-bootstrap %d, unknown %d, rejected %d; want 5, 2, 62, 1, 32, 0",
+			z.DatagramsRx, z.DatagramsBad, z.FramesRx, z.PreBootstrap, z.UnknownSource, z.Rejected)
+	}
+	if sh := z.PerShard[0]; len(z.PerShard) != 1 || sh.Applied != 22 || sh.Dedup != 1 || sh.Dropped != 4 || sh.RingDepthHWM != 8 {
+		t.Fatalf("shard block %+v, want applied 22, dedup 1, dropped 4, ring depth hwm 8", z.PerShard)
+	}
+	if len(z.Lanes) != 1 || z.Lanes[0].DatagramsRx != 5 {
+		t.Fatalf("lane blocks %+v, want one with 5 datagrams", z.Lanes)
+	}
+	tag := func(name string) telemetry.Label { return telemetry.L("tag", name) }
+	for _, c := range []struct {
+		name  string
+		label telemetry.Label
+		want  int64
+	}{
+		{"dkf_wire_rx_frames_total", tag("update"), 61},
+		{"dkf_wire_rx_bytes_total", tag("update"), updateBytes},
+		{"dkf_wire_rx_frames_total", tag("hello"), 1},
+		{"dkf_wire_errors_total", telemetry.L("kind", "malformed"), 1},
+		{"dkf_wire_errors_total", telemetry.L("kind", "truncated"), 1},
+	} {
+		if got := counter(t, s, c.name, c.label); got != c.want {
+			t.Errorf("%s{%s} = %d, want %d", c.name, c.label.Value, got, c.want)
+		}
+	}
+	got, want := s.Stats(), ref.Stats()
+	for i := range got {
+		if got[i].Updates != 11 || got[i].Seq != 18 {
+			t.Errorf("%s: %d updates to seq %d, want 11 to 18", got[i].SourceID, got[i].Updates, got[i].Seq)
+		}
+		if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", want[i]) {
+			t.Errorf("stats %+v, want %+v", got[i], want[i])
+		}
+		assertSameState(t, nodeSnapshot(t, s, got[i].SourceID), nodeSnapshot(t, ref, got[i].SourceID))
 	}
 }

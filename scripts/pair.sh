@@ -9,20 +9,24 @@
 # (default 10, every workload), alternating which side runs first. Prints
 # one JSON object — per (workload, end-to-end metric) the parent's and the
 # change's q1/median/q3, the ratio of medians, in how many pairs the
-# change read better, and a verdict against the metric's BENCHMARK.json
-# bound; plus each side's total of failed operations — and then the same
-# rows as the markdown table CHANGES.md uses. Each set keeps every run's
+# change read better, a verdict against the metric's BENCHMARK.json bound
+# and whether a gain is resolved (the change read better in at least nine
+# pairs in ten and its median is better than the parent's by more than the
+# parent's q3 − q1; "unresolved" otherwise); plus each side's total of
+# failed operations — and then the same rows as the markdown table
+# CHANGES.md uses. Each set keeps every run's
 # output, its runs.jsonl and its result.json in a directory of its own,
 # .bench_build/pair/<UTC time>-<parent7>-<change7>/, which a later set
 # leaves alone: only the checkouts are rebuilt. The run set is appended as
-# one line — commits, date, host, go version, each row's quartiles — to
-# the committed BENCH_TRAJECTORY.jsonl (ROADMAP 5). Needs git, tar and jq.
+# one line — commits, date, host, go version, each row's quartiles,
+# verdict and gain — to the committed BENCH_TRAJECTORY.jsonl (ROADMAP 5).
+# Needs git, tar and jq.
 #
 # An uncommitted change can be measured as `$(git stash create)` after
 # `git add -A`.
 set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-[ $# -ge 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,26p' "$0" >&2; exit 2; }
 parent=$(git -C "$root" rev-parse --verify "$1^{commit}")
 change=$(git -C "$root" rev-parse --verify "$2^{commit}")
 shift 2
@@ -80,25 +84,28 @@ def quartiles: {q1: q(0.25), median: q(0.5), q3: q(0.75)};
      | (if $m.better == "lower" then 1 else -1 end) as $sign
      | ($p | quartiles) as $pq | ($c | quartiles) as $cq
      | ($sign * ($cq.median - $pq.median) / $pq.median) as $worse
+     | ([($p | length), ($c | length)] | min) as $n
+     | ([range(0; $n) | select($sign * ($c[.] - $p[.]) < 0)] | length) as $wins
      | {workload: $w, metric: $m.name, bound: $m.bound, parent: $pq, change: $cq,
-        ratio: ($cq.median / $pq.median),
-        wins: ([range(0; [($p | length), ($c | length)] | min) | select($sign * ($c[.] - $p[.]) < 0)] | length),
+        ratio: ($cq.median / $pq.median), wins: $wins,
         verdict: (if $worse > $m.bound then "worse"
                   elif ($pq.q3 - $pq.q1) / $pq.median > $m.bound
                        and ([$c[] | $sign * .] | max) >= ([$p[] | $sign * .] | min) then "unresolved"
-                  else "no worse" end)}]}
+                  else "no worse" end),
+        gain: (if 10 * $wins >= 9 * $n and $sign * ($pq.median - $cq.median) > $pq.q3 - $pq.q1
+               then "resolved" else "unresolved" end)}]}
 ' "$runs" | tee "$set_dir/result.json"
 
 jq -c --arg date "$(date -u +%F)" --arg host "$(uname -srm), $(nproc) vCPU" --arg go "$(go env GOVERSION)" \
-    '{date: $date, parent, change, host: $host, go: $go, pairs, failed, rows: [.rows[] | {workload, metric, parent, change, verdict}]}' \
+    '{date: $date, parent, change, host: $host, go: $go, pairs, failed, rows: [.rows[] | {workload, metric, parent, change, verdict, gain}]}' \
     "$set_dir/result.json" >>"$root/BENCH_TRAJECTORY.jsonl"
 
 jq -r '
 def f: if . == (. | floor) then tostring else (. * 10000 | round / 10000 | tostring) end;
 def cell(m): if m == "wire_bytes_per_reading" then map(tostring) else map(f) end | join(" / ");
-"| workload | metric | parent q1 / median / q3 | change q1 / median / q3 | ratio | wins | verdict |",
-"|---|---|---|---|---|---|---|",
+"| workload | metric | parent q1 / median / q3 | change q1 / median / q3 | ratio | wins | verdict | gain |",
+"|---|---|---|---|---|---|---|---|",
 (.pairs as $n | .rows[] | .metric as $m
-    | "| \(.workload) | \($m) | \([.parent.q1, .parent.median, .parent.q3] | cell($m)) | \([.change.q1, .change.median, .change.q3] | cell($m)) | \(.ratio * 1000 | round / 1000) | \(.wins)/\($n) | \(.verdict) |"),
-"| | pairs=\(.pairs) failed parent=\(.failed.parent) change=\(.failed.change) | | | | | |"
+    | "| \(.workload) | \($m) | \([.parent.q1, .parent.median, .parent.q3] | cell($m)) | \([.change.q1, .change.median, .change.q3] | cell($m)) | \(.ratio * 1000 | round / 1000) | \(.wins)/\($n) | \(.verdict) | \(.gain) |"),
+"| | pairs=\(.pairs) failed parent=\(.failed.parent) change=\(.failed.change) | | | | | | |"
 ' "$set_dir/result.json"
