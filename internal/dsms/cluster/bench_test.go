@@ -227,8 +227,8 @@ func BenchmarkClusterAggregateAnswer(b *testing.B) {
 
 // routerForwardAllocBudget is the allocs/op ceiling of one update
 // through a 2-shard router, agent to ack — the same 1 as direct TCP
-// ingest, the benchmark's own reading (the router keeps pending
-// payloads back to back in one log per route), traced or not.
+// ingest, the benchmark's own reading (the router keeps no payload),
+// traced or not.
 const routerForwardAllocBudget = 1
 
 // TestRouterForwardAllocBudget gates the routed ingest path on

@@ -86,7 +86,6 @@ type ShardHealth struct {
 
 	// Router-side route occupancy for this shard.
 	Routes         int   `json:"routes"`
-	PendingUpdates int   `json:"pending_updates"`
 	ForwardedTotal int64 `json:"forwarded_total"`
 
 	Error string `json:"error,omitempty"`
@@ -108,20 +107,12 @@ type Clusterz struct {
 // degraded shard or an unreachable/unconfigured admin endpoint makes
 // it degraded; otherwise ok.
 func (r *Router) Clusterz() Clusterz {
-	// Route occupancy per shard, gathered once.
-	type occ struct{ routes, pending int }
-	occs := make([]occ, len(r.upstreams))
+	// Routes per shard, counted once.
+	routes := make([]int, len(r.upstreams))
 	for _, rt := range r.allRoutes() {
-		rt.pendMu.Lock()
-		pend := len(rt.pending)
-		rt.pendMu.Unlock()
 		rt.mu.Lock()
-		shard := rt.shard
+		routes[rt.shard]++
 		rt.mu.Unlock()
-		if shard >= 0 && shard < len(occs) {
-			occs[shard].routes++
-			occs[shard].pending += pend
-		}
 	}
 
 	out := Clusterz{Status: "ok", Epoch: r.ring.Epoch()}
@@ -139,8 +130,7 @@ func (r *Router) Clusterz() Clusterz {
 			Shard: i, Addr: up.addr, Admin: r.shardAdmin(i),
 			Connected: alive, Status: "unknown",
 			WALCheckpointAgeSeconds: -1,
-			Routes:                  occs[i].routes,
-			PendingUpdates:          occs[i].pending,
+			Routes:                  routes[i],
 			ForwardedTotal:          r.tel.forwarded[i].Value(),
 		}
 		if !alive {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"streamkf/internal/dsms/wire"
 	"streamkf/internal/trace"
@@ -12,20 +13,24 @@ import (
 // end so no forward can slip between the snapshot and the cutover:
 //
 //  1. Snapshot RPC to the old shard. The RPC's flush pushes every
-//     buffered forward ahead of it (FIFO per upstream), so the snapshot
-//     — the checkpoint encoding of the stream's queries, counters and
-//     filter state — covers everything the router ever forwarded. The
-//     old shard marks the stream released and rejects later forwards.
+//     buffered forward ahead of it (FIFO per upstream), and the shard
+//     applies what it has read before it answers, so the snapshot — the
+//     checkpoint encoding of the stream's queries, counters and filter
+//     state — covers everything the router ever forwarded (a refused
+//     forward fails the whole upstream, and the RPC with it). The old
+//     shard marks the stream released and rejects later forwards.
 //  2. Restore RPC installs the snapshot on the target, which replies
 //     StateAck(resumeSeq): the last update seq its adopted state
 //     covers. On a durable target the state is checkpointed before the
 //     ack, so a crash after this point recovers the stream.
-//  3. Cutover: pending forwards at or below resumeSeq are acked
-//     through to the source (they are inside the transferred state);
-//     the rest are re-forwarded to the target, which resumes the
-//     filter pair from the snapshot — no re-bootstrap, no dropped
-//     acked update. The ring pins the stream to the target so future
-//     placement (queries, reconnects) agrees.
+//  3. Cutover: the ring pins the stream to the target so future
+//     placement (queries, reconnects) agrees, and the route resumes on
+//     the target from resumeSeq (Router.resume). With a live old shard
+//     resumeSeq covers every update the route has read, so the source is
+//     acked through it; had the route dropped any (its shard was lost),
+//     the source resends them to the target. Either way the target
+//     resumes the filter pair from the snapshot — no re-bootstrap, no
+//     dropped acked update.
 //
 // The source notices nothing: its connection, its install, and its
 // cumulative ack stream are all continuous.
@@ -40,13 +45,9 @@ func (r *Router) Migrate(sourceID string, target int) error {
 	// refuse rather than silently double-count.
 	r.regMu.Lock()
 	for id, a := range r.aggs {
-		for _, members := range a.perShard {
-			for _, m := range members {
-				if m == sourceID {
-					r.regMu.Unlock()
-					return fmt.Errorf("cluster: %s is a member of aggregate %s; re-register the aggregate instead of migrating", sourceID, id)
-				}
-			}
+		if slices.Contains(a.q.SourceIDs, sourceID) {
+			r.regMu.Unlock()
+			return fmt.Errorf("cluster: %s is a member of aggregate %s; re-register the aggregate instead of migrating", sourceID, id)
 		}
 	}
 	r.regMu.Unlock()
@@ -78,15 +79,6 @@ func (r *Router) Migrate(sourceID string, target int) error {
 	}
 	resume := ack.ResumeSeq
 
-	// Cutover: ack the transferred prefix, replay the suffix on target.
-	rt.pendMu.Lock()
-	rt.trimThrough(resume)
-	down := rt.down
-	rt.pendMu.Unlock()
-	if err := rt.replayTo(newUp, epoch); err != nil {
-		return fmt.Errorf("cluster: replay to shard %d: %w", target, err)
-	}
-
 	r.ring.Pin(sourceID, target)
 	rt.shard = target
 	rt.epoch = r.ring.Epoch()
@@ -107,8 +99,9 @@ func (r *Router) Migrate(sourceID string, target int) error {
 	r.log.Info("stream migrated", "source", sourceID, "from", oldUp.shard, "to", target, "resume_seq", resume)
 
 	// The transferred prefix is durable on the target; release the
-	// source's window for it. The agent's monotonic ack guard makes a
-	// duplicate or reordered cumulative ack harmless.
-	down.relayAck(resume)
+	// source's window for it (the agent's monotonic ack guard makes a
+	// duplicate or reordered cumulative ack harmless), or have it resend
+	// what the target lacks.
+	r.resume(rt, resume)
 	return nil
 }

@@ -8,9 +8,9 @@
 // changes: to them the router is just a DSMS server.
 //
 // Layout: ring.go places streams; router.go is the front door (source
-// connections, the forward path, routes and their pending windows —
-// route.trimThrough and route.replayTo are the window's only two
-// operations — queries, shard recovery); upstream.go is the pooled
+// connections, the forward path, routes — which keep no update: a
+// shard's loss is repaired by its sources' resends, Router.resume —
+// queries, shard recovery); upstream.go is the pooled
 // connection to a shard and every router→shard protocol step, each
 // written once on upstream.rpc; migrate.go moves a live stream;
 // trace.go, fleet.go, events.go and admin.go are the observability

@@ -27,9 +27,13 @@ import (
 // filter), and the source's send window gives the cluster end-to-end
 // flow control with zero source-side changes.
 //
+// The router keeps no copy of an update: its source's agent resends what
+// a shard lost (resume, below).
+//
 // Concurrency invariants (the whole file leans on these):
 //   - route.mu (outer) serialises a stream's forward path against its
-//     migration; route.pendMu (inner) guards only the pending window.
+//     migration, recovery and hellos; route.pendMu (inner) guards only
+//     the ack pump's stamps and down (written under both).
 //   - The upstream ack pump takes ONLY pendMu, never route.mu, so a
 //     migration blocked in an RPC can never deadlock against the acks
 //     that RPC's flush produces.
@@ -111,17 +115,10 @@ type routerAgg struct {
 	fold     dsms.AggFold
 }
 
-// pendEntry is one forwarded-but-unacked update: its seq, the monotonic
-// send stamp for the latency histogram, and where its verbatim update
-// payload (kept for replay after shard failure or migration cutover)
-// ends in the route's log. traceID is nonzero when a tracing router
-// forwarded a traced update; the ack pump then records the fwd_ack event
-// under the same id.
-type pendEntry struct {
-	seq     int64
-	sentNs  int64
-	traceID int64
-	end     int
+// stamp is a forward's seq and send time (trace.Now, and its trace id,
+// for a traced one).
+type stamp struct {
+	seq, sentNs, traceID int64
 }
 
 // route is the per-stream forwarding state.
@@ -129,15 +126,20 @@ type route struct {
 	idx      uint32 // dense index, the ForwardAck demux key
 	sourceID string
 
-	mu    sync.Mutex // outer: forward path vs migration/reconnect
+	mu    sync.Mutex // outer: forward path vs migration/reconnect/hello
 	shard int
 	epoch int64
+	inst  wire.Install // of the source's last hello
+	hi    int64        // the highest seq read, relayed or dropped
+	// What the route reads is dropped while it is fenced or owed resend
+	// markers for the Installs resume wrote.
+	fenced bool
+	owed   int
 
-	pendMu  sync.Mutex  // inner: the ONLY lock the ack pump takes
-	pending []pendEntry // the live window, oldest first
-	log     []byte      // their payloads back to back, the first at head
-	head    int
-	down    *downConn
+	pendMu sync.Mutex // inner: the ONLY lock the ack pump takes
+	down   *downConn
+	sample stamp   // the forward timed for fwdLatency (sentNs 0: none)
+	traced []stamp // traced forwards not yet acked, oldest first
 
 	// rec is the route's flight recorder (nil unless Options.Trace):
 	// fwd_rx/fwd_tx/fwd_ack events for traced updates through this
@@ -148,9 +150,11 @@ type route struct {
 
 // downConn serialises writes to one downstream source connection.
 type downConn struct {
-	mu  sync.Mutex
-	w   *wire.Writer
-	err error
+	conn   net.Conn
+	resume bool // the source offered wire.FeatResume
+	mu     sync.Mutex
+	w      *wire.Writer
+	err    error
 }
 
 func (d *downConn) write(f func(w *wire.Writer) error) error {
@@ -170,7 +174,7 @@ func (d *downConn) write(f func(w *wire.Writer) error) error {
 // relayAck passes a shard's cumulative ack on to the source. A nil
 // conn (UDP route, or the source hung up) and a negative seq (nothing
 // acked yet) are no-ops; a dead conn is best effort — the route
-// outlives it and the pending window was already cleared.
+// outlives it.
 func (d *downConn) relayAck(seq int64) {
 	if d != nil && seq >= 0 {
 		_ = d.write(func(w *wire.Writer) error { return w.Ack(seq) })
@@ -309,9 +313,9 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// pumpAck clears a route's pending window through seq and relays the
-// cumulative ack downstream. Takes ONLY pendMu — see the invariants at
-// the top of the file.
+// pumpAck settles a route's stamps through seq and relays the cumulative
+// ack downstream. Takes ONLY pendMu — see the invariants at the top of
+// the file.
 func (r *Router) pumpAck(shard int, idx uint32, seq int64) {
 	r.routeMu.RLock()
 	var rt *route
@@ -322,27 +326,23 @@ func (r *Router) pumpAck(shard int, idx uint32, seq int64) {
 	if rt == nil {
 		return
 	}
-	now := nowNanos()
-	hist := r.tel.fwdLatency[shard]
 	rt.pendMu.Lock()
-	var ackAt int64
-	for i := range rt.pending {
-		e := &rt.pending[i]
-		if e.seq > seq {
-			break
-		}
-		hist.Observe(now - e.sentNs)
-		if e.traceID != 0 && rt.rec != nil {
-			// One fwd_ack per traced entry the cumulative ack covers,
-			// all stamped with the ack's arrival time.
-			if ackAt == 0 {
-				ackAt = trace.Now()
-			}
-			rt.rec.Record(&trace.Event{TraceID: e.traceID, Seq: e.seq, At: ackAt, Kind: trace.KindFwdAck, Aux: int64(shard)})
-			r.tel.hopShard.Observe(now - e.sentNs)
-		}
+	if rt.sample.sentNs != 0 && rt.sample.seq <= seq {
+		r.tel.fwdLatency[shard].Observe(nowNanos() - rt.sample.sentNs)
+		rt.sample.sentNs = 0
 	}
-	rt.trimThrough(seq)
+	k := 0
+	for k < len(rt.traced) && rt.traced[k].seq <= seq {
+		k++
+	}
+	if k > 0 { // one fwd_ack per traced forward covered, at the ack's arrival
+		ackAt := trace.Now()
+		for _, e := range rt.traced[:k] {
+			rt.rec.Record(&trace.Event{TraceID: e.traceID, Seq: e.seq, At: ackAt, Kind: trace.KindFwdAck, Aux: int64(shard)})
+			r.tel.hopShard.Observe(ackAt - e.sentNs)
+		}
+		rt.traced = rt.traced[:copy(rt.traced, rt.traced[k:])]
+	}
 	down := rt.down
 	rt.pendMu.Unlock()
 	down.relayAck(seq)
@@ -372,6 +372,7 @@ func (r *Router) routeFor(id []byte) *route {
 		sourceID: sid,
 		shard:    r.ring.Owner(sid),
 		epoch:    r.ring.Epoch(),
+		hi:       -1,
 	}
 	if r.opts.Trace {
 		rt.rec = trace.New(trace.Options{RingSize: r.opts.TraceRing})
@@ -386,60 +387,6 @@ func (r *Router) allRoutes() []*route {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	return append([]*route(nil), r.byIdx...)
-}
-
-// trimThrough drops the pending entries a cumulative ack (or a shard's
-// ResumeSeq) at seq covers, advancing the log's head past their payloads.
-// Once the dead bytes are at least half the log, the survivors and their
-// payloads slide to the front (amortised O(1), and the window stays at
-// the start of its arrays: appends find room, not new arrays); until then
-// the window just steps past the dead ones. Caller holds pendMu.
-func (rt *route) trimThrough(seq int64) {
-	n := 0
-	for n < len(rt.pending) && rt.pending[n].seq <= seq {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	live := rt.pending[n:]
-	if rt.head = rt.pending[n-1].end; 2*rt.head < len(rt.log) {
-		rt.pending = live
-		return
-	}
-	rt.pending = rt.pending[:len(live)]
-	for i, e := range live {
-		e.end -= rt.head
-		rt.pending[i] = e
-	}
-	rt.log, rt.head = rt.log[:copy(rt.log, rt.log[rt.head:])], 0
-}
-
-// replayTo re-forwards the route's whole pending window to up, in send
-// order under epoch, and flushes — how a recovered or newly owning shard
-// receives what its predecessor never acked. Caller holds rt.mu (no
-// forward can interleave) but not pendMu: the window is copied out
-// first, so the ack pump stays free to trim the log while this write
-// blocks (see the invariants above). A write failure marks the upstream
-// failed.
-func (rt *route) replayTo(up *upstream, epoch int64) error {
-	rt.pendMu.Lock()
-	log := append([]byte(nil), rt.log[rt.head:]...)
-	ends := make([]int, len(rt.pending))
-	for i, e := range rt.pending {
-		ends[i] = e.end - rt.head
-	}
-	rt.pendMu.Unlock()
-	return up.write(func(w *wire.Writer) error {
-		start := 0
-		for _, end := range ends {
-			if err := w.Forward(rt.idx, epoch, log[start:end]); err != nil {
-				return err
-			}
-			start = end
-		}
-		return w.Flush()
-	})
 }
 
 // peekUpdate reads only the routing key of an update payload — u16-len
@@ -461,15 +408,15 @@ type fwdItem struct {
 
 // relay forwards a run — the update frames one read from a source
 // connection, or one datagram, delivered — to the owning shards: per
-// sub-run of one route, one rt.mu / up.mu / pendMu section each and one
-// clock read (DESIGN §17). It flushes nothing: it marks the shards it
-// wrote to in touched, for the caller to flush when the burst ends. The
-// payloads join the pending window even when the upstream is down —
-// ReconnectShard and Migrate replay from it — so a source sees upstream
-// failure only as acks drying up until its send window backpressures.
+// sub-run of one route, one rt.mu / up.mu / pendMu section each (DESIGN
+// §17). It flushes nothing: it marks the shards it wrote to in touched,
+// for the caller to flush when the burst ends. A fenced route, or a failed
+// upstream, drops the sub-run: its source resends it when resume asks, so
+// it sees upstream failure only as acks drying up until its send window
+// backpressures.
 //
 // A tracing router (rt.rec != nil) records the hop where it happens:
-// fwd_rx/fwd_tx on the route for every update of the sub-run that carries
+// fwd_rx/fwd_tx on the route for every forwarded update that carries
 // evidence, under the trace id peeked from it, stamped when the sub-run's
 // relay began and when its forwards were written.
 func (r *Router) relay(run []fwdItem, touched []bool) {
@@ -483,34 +430,37 @@ func (r *Router) relay(run []fwdItem, touched []bool) {
 			rxNs = trace.Now()
 		}
 		rt.mu.Lock()
-		shard := rt.shard
-		up := r.upstreams[shard]
-		up.mu.Lock()
-		err := up.err
-		for i := 0; err == nil && i < n; i++ {
-			err = up.w.Forward(rt.idx, rt.epoch, run[i].p)
-		}
-		up.mu.Unlock()
-		if err != nil {
-			up.fail(err) // no-op if it had failed already
-		}
-		if rt.rec != nil {
-			txNs = trace.Now()
-		}
-		now := nowNanos()
-		rt.pendMu.Lock()
-		for _, it := range run[:n] {
-			var tid int64
-			if rt.rec != nil {
-				tid = r.recordHop(it, rxNs, txNs)
+		rt.hi = max(rt.hi, run[n-1].seq)
+		sent := !rt.fenced && rt.owed == 0
+		if up := r.upstreams[rt.shard]; sent {
+			up.mu.Lock()
+			err := up.err
+			for i := 0; err == nil && i < n; i++ {
+				err = up.w.Forward(rt.idx, rt.epoch, run[i].p)
 			}
-			rt.log = append(rt.log, it.p...)
-			rt.pending = append(rt.pending, pendEntry{seq: it.seq, sentNs: now, traceID: tid, end: len(rt.log)})
+			up.mu.Unlock()
+			if sent = err == nil; !sent {
+				up.fail(err) // no-op if it had failed already
+			}
 		}
-		rt.pendMu.Unlock()
+		if sent {
+			rt.pendMu.Lock()
+			if rt.sample.sentNs == 0 {
+				rt.sample = stamp{seq: run[n-1].seq, sentNs: nowNanos()}
+			}
+			if rt.rec != nil {
+				txNs = trace.Now()
+				for _, it := range run[:n] {
+					if tid := r.recordHop(it, rxNs, txNs); tid != 0 {
+						rt.traced = append(rt.traced, stamp{seq: it.seq, sentNs: txNs, traceID: tid})
+					}
+				}
+			}
+			rt.pendMu.Unlock()
+			r.tel.forwarded[rt.shard].Add(int64(n))
+			touched[rt.shard] = true
+		}
 		rt.mu.Unlock()
-		r.tel.forwarded[shard].Add(int64(n))
-		touched[shard] = true
 		run = run[n:]
 	}
 }
@@ -555,12 +505,13 @@ func (r *Router) handleDown(conn net.Conn) {
 	defer r.tel.downConns.Add(-1)
 
 	rd := wire.NewReader(conn, 0, r.opts.MaxFrame)
-	dc := &downConn{w: wire.NewWriter(conn, 0, r.opts.MaxFrame)}
+	dc := &downConn{conn: conn, w: wire.NewWriter(conn, 0, r.opts.MaxFrame)}
 
-	ver, _, err := rd.ReadPreamble()
+	ver, feats, err := rd.ReadPreamble()
 	if err != nil {
 		return
 	}
+	dc.resume = feats&wire.FeatResume != 0
 	if err := wire.CheckVersion(ver); err != nil {
 		dc.sendError(err.Error())
 		return
@@ -579,11 +530,13 @@ func (r *Router) handleDown(conn net.Conn) {
 	touched := make([]bool, len(r.upstreams))
 	defer func() {
 		for _, rt := range boundRoutes {
+			rt.mu.Lock()
 			rt.pendMu.Lock()
 			if rt.down == dc {
 				rt.down = nil
 			}
 			rt.pendMu.Unlock()
+			rt.mu.Unlock()
 		}
 	}()
 
@@ -600,18 +553,11 @@ func (r *Router) handleDown(conn net.Conn) {
 				return
 			}
 			rt := r.routeFor([]byte(id))
-			inst, err := r.helloRoute(rt)
-			if err != nil {
+			if _, err := r.hello(rt, dc); err != nil {
 				dc.sendError(err.Error())
 				return
 			}
-			rt.pendMu.Lock()
-			rt.down = dc
-			rt.pendMu.Unlock()
 			boundRoutes = append(boundRoutes, rt)
-			if err := dc.write(func(w *wire.Writer) error { return w.Install(inst) }); err != nil {
-				return
-			}
 
 		case wire.TagUpdate:
 			// A run: this frame and the update frames the same read
@@ -659,33 +605,61 @@ func (r *Router) handleDown(conn net.Conn) {
 	}
 }
 
-// helloRoute relays a source hello to the owning shard and returns the
-// shard's install.
-func (r *Router) helloRoute(rt *route) (wire.Install, error) {
+// hello serves a source's hello for rt on dc (nil for a datagram source).
+// On a connection that owes the route a resend marker (see resume) it is
+// that marker. Otherwise the shard's install is returned and written to
+// dc, which the route binds, ending its fence. The RPC's flush pushed
+// every earlier forward ahead of the hello: ResumeSeq reflects them all.
+func (r *Router) hello(rt *route, dc *downConn) (wire.Install, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	inst, _, err := r.helloLocked(rt)
-	if err == nil {
-		r.tel.helloTotal.Inc()
+	if dc != nil && rt.owed > 0 && rt.down == dc {
+		rt.owed--
+		return wire.Install{}, nil
+	}
+	inst, err := r.upstreams[rt.shard].hello(rt.sourceID)
+	if err != nil {
+		return inst, err
+	}
+	rt.inst = inst
+	r.tel.helloTotal.Inc()
+	rt.fenced, rt.owed = false, 0
+	if dc != nil {
+		rt.pendMu.Lock()
+		rt.down = dc
+		rt.pendMu.Unlock()
+		err = dc.write(func(w *wire.Writer) error { return w.Install(inst) })
 	}
 	return inst, err
 }
 
-// helloLocked is helloRoute with rt.mu held. Pending forwards at or
-// below the shard's ResumeSeq are cleared here: the RPC's flush pushed
-// every earlier forward ahead of the hello, so ResumeSeq reflects them
-// all. Also returns the route's downstream conn, for relaying that
-// ResumeSeq as an ack.
-func (r *Router) helloLocked(rt *route) (wire.Install, *downConn, error) {
-	inst, err := r.upstreams[rt.shard].hello(rt.sourceID)
-	if err != nil {
-		return wire.Install{}, nil, err
-	}
+// resume puts the route back in step with its shard, which holds the
+// stream through seq, after a recovery or a cutover. If that is all the
+// route has read, the source is acked through seq. Otherwise the source
+// resends the rest: it is written an Install carrying seq, and the route
+// drops what it reads until the hello that marks the resend. A source
+// without wire.FeatResume is sent an error and hung up on (the route stays
+// fenced until it hellos again); a datagram route's forwards past seq are
+// lost. Caller holds rt.mu.
+func (r *Router) resume(rt *route, seq int64) {
 	rt.pendMu.Lock()
-	rt.trimThrough(inst.ResumeSeq)
+	rt.sample.sentNs, rt.traced = 0, rt.traced[:0] // forwards from before: no ack will time them
 	down := rt.down
 	rt.pendMu.Unlock()
-	return inst, down, nil
+	rt.fenced = false
+	switch {
+	case seq >= rt.hi || down == nil:
+		down.relayAck(seq)
+	case !down.resume:
+		rt.fenced = true
+		down.sendError(fmt.Sprintf("cluster: stream %s lost its updates past seq %d with its shard; reconnect to resume", rt.sourceID, seq))
+		down.conn.Close()
+	default:
+		rt.owed++
+		inst := rt.inst
+		inst.ResumeSeq = seq
+		_ = down.write(func(w *wire.Writer) error { return w.Install(inst) })
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -804,10 +778,9 @@ func (r *Router) DeadShards() []int {
 // ReconnectShard redials a lost shard and resynchronises: queries and
 // aggregates owned by the shard are re-registered (idempotent on the
 // shard side — a shard restarting from its WAL already has them), and
-// every route on the shard replays its pending window past the shard's
-// recovered ResumeSeq. Because the source↔router connection never
-// broke, the router also relays the recovered ack downstream — that is
-// what reopens the source's send window.
+// every route on the shard resumes from its recovered ResumeSeq. The
+// routes are fenced before the redial: none relays a fresh update into
+// the recovered shard past a gap before its own resume.
 func (r *Router) ReconnectShard(shard int) error {
 	if shard < 0 || shard >= len(r.upstreams) {
 		return fmt.Errorf("cluster: no shard %d", shard)
@@ -815,32 +788,31 @@ func (r *Router) ReconnectShard(shard int) error {
 	reconnStart := trace.Now()
 	up := r.upstreams[shard]
 	up.fail(errors.New("cluster: reconnecting")) // idempotent if already down
+	for _, rt := range r.allRoutes() {
+		rt.mu.Lock()
+		rt.fenced = rt.fenced || rt.shard == shard
+		rt.mu.Unlock()
+	}
 	if err := up.connect(); err != nil {
 		return err
 	}
 
 	// Re-register registrations owned by this shard.
+	var regs []func() error
 	r.regMu.Lock()
-	var qs []stream.Query
-	var aggs []*routerAgg
 	for _, q := range r.queries {
 		if r.ring.Owner(q.SourceID) == shard {
-			qs = append(qs, q)
+			regs = append(regs, func() error { return up.registerQuery(q) })
 		}
 	}
 	for _, a := range r.aggs {
-		if _, ok := a.perShard[shard]; ok {
-			aggs = append(aggs, a)
+		if members, ok := a.perShard[shard]; ok {
+			regs = append(regs, func() error { return up.registerPartial(a.q, members, r.opts.AggSuppress) })
 		}
 	}
 	r.regMu.Unlock()
-	for _, q := range qs {
-		if err := up.registerQuery(q); err != nil {
-			return err
-		}
-	}
-	for _, a := range aggs {
-		if err := up.registerPartial(a.q, a.perShard[shard], r.opts.AggSuppress); err != nil {
+	for _, reg := range regs {
+		if err := reg(); err != nil {
 			return err
 		}
 	}
@@ -852,15 +824,15 @@ func (r *Router) ReconnectShard(shard int) error {
 			rt.mu.Unlock()
 			continue
 		}
-		inst, down, err := r.helloLocked(rt)
+		inst, err := up.hello(rt.sourceID)
 		if err == nil {
-			err = rt.replayTo(up, rt.epoch)
+			rt.inst = inst
+			r.resume(rt, inst.ResumeSeq)
 		}
 		rt.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		down.relayAck(inst.ResumeSeq)
 	}
 	r.tel.reconnects.Inc()
 	r.events.record(TopoEvent{

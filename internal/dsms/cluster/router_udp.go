@@ -14,7 +14,8 @@ import (
 // no connection state, dedup-by-seq at the shard. A hello datagram gets
 // an install datagram back, so the handshake works too. Routes created
 // here have no downstream conn (down == nil): shard ForwardAcks still
-// clear the pending window, there is just nobody to relay them to.
+// settle the route's stamps, there is just nobody to relay them to, and
+// nobody to resend what a lost shard lacks (see Router.resume).
 
 // ServeUDP binds a datagram socket and forwards until Close. Blocks.
 func (r *Router) ServeUDP(addr string) error {
@@ -72,7 +73,7 @@ func (r *Router) ServeUDP(addr string) error {
 				r.relay(run, touched)
 				run = run[:0]
 				rt := r.routeFor([]byte(id))
-				inst, err := r.helloRoute(rt)
+				inst, err := r.hello(rt, nil)
 				reply = wire.AppendPreamble(reply[:0], wire.Version, 0)
 				if err != nil {
 					reply, _ = wire.AppendErrorFrame(reply, err.Error())

@@ -61,7 +61,7 @@ func newRouterTelemetry(shards int) *routerTelemetry {
 		t.forwarded[i] = reg.Counter("dkf_router_forwarded_total",
 			"Updates forwarded to the owning shard.", lbl)
 		t.fwdLatency[i] = reg.Histogram("dkf_router_forward_latency_nanos",
-			"Forward round-trip: update written upstream to shard ack received.", lbl)
+			"Forward round-trip, update written upstream to shard ack received: sampled, one stamp per route per ack round trip.", lbl)
 	}
 	t.upstreamConns = reg.Gauge("dkf_router_upstream_conns",
 		"Live upstream shard connections.")

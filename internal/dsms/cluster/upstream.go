@@ -63,7 +63,7 @@ func (up *upstream) connect() error {
 }
 
 // fail records a sticky upstream error and tears the connection down.
-// Routes keep their pending windows; ReconnectShard replays them.
+// Routes drop what they read meanwhile; ReconnectShard resumes them.
 func (up *upstream) fail(err error) {
 	up.mu.Lock()
 	if !up.alive {

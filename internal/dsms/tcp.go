@@ -583,9 +583,10 @@ func DialWire(addr, hello string, offer byte, wbuf, maxFrame int) (net.Conn, *wi
 
 // dialHandshake runs DialWire plus the hello → install exchange,
 // returning the decoded install reply. The agent writes its frames from
-// its ring, so the writer, done with the hello, is dropped.
+// its ring, so the writer, done with the hello, is dropped. It offers
+// wire.FeatResume (RemoteAgent.resume).
 func dialHandshake(addr, sourceID string) (net.Conn, *wire.Reader, wire.Install, byte, error) {
-	conn, _, r, feats, err := DialWire(addr, sourceID, 0, 0, 0)
+	conn, _, r, feats, err := DialWire(addr, sourceID, wire.FeatResume, 0, 0)
 	if err != nil {
 		return nil, nil, wire.Install{}, 0, err
 	}
@@ -643,10 +644,10 @@ func recvErr(err error) error {
 	return fmt.Errorf("dsms: receive: %w", err)
 }
 
-// readLoop consumes ack and error frames until the connection dies. It
-// is also the flush half of the self-clocking write coalescing: when acks
-// free window space, the frames buffered since the last write-out are
-// flushed, so burst size adapts to the ack rate as TCP's own clock does.
+// readLoop consumes ack, install and error frames until the connection
+// dies. It is also the flush half of the self-clocking write coalescing:
+// when acks free window space, the frames buffered since the last write-out
+// are flushed, so burst size adapts to the ack rate as TCP's own clock does.
 func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 	defer close(r.readerDone)
 	for {
@@ -672,6 +673,11 @@ func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 			r.unflushed = min(r.unflushed, r.ring.used)
 			r.cond.Broadcast()
 			r.mu.Unlock()
+		case wire.TagInstall:
+			if err := r.resume(p); err != nil {
+				r.fail(fmt.Errorf("dsms: resume: %w", err))
+				return
+			}
 		case wire.TagError:
 			msg, _ := wire.DecodeError(p)
 			r.fail(fmt.Errorf("dsms: server error: %s", msg))
@@ -853,11 +859,6 @@ func (r *RemoteAgent) Reconnect() error {
 	if err != nil {
 		return err
 	}
-	if inst.Model != r.cfg.Model.Name || inst.Delta != r.cfg.Delta || inst.F != r.cfg.F {
-		conn.Close()
-		return fmt.Errorf("dsms: reconnect: server procedure changed (model %s delta=%v F=%v; agent mirrors model %s delta=%v F=%v)",
-			inst.Model, inst.Delta, inst.F, r.cfg.Model.Name, r.cfg.Delta, r.cfg.F)
-	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -865,9 +866,9 @@ func (r *RemoteAgent) Reconnect() error {
 		conn.Close()
 		return errAgentClosed
 	}
-	if inst.ResumeSeq < r.lastAcked {
+	if err := r.checkInstall(inst); err != nil {
 		conn.Close()
-		return fmt.Errorf("dsms: reconnect: server recovered to seq %d, behind acknowledged seq %d — durable state lost", inst.ResumeSeq, r.lastAcked)
+		return fmt.Errorf("dsms: reconnect: %w", err)
 	}
 	// Drop the retained prefix the recovered server already holds; keep
 	// the rest untraced, for the replacement server may not take evidence
@@ -893,6 +894,44 @@ func (r *RemoteAgent) Reconnect() error {
 	r.flushLocked()
 	go r.readLoop(rd)
 	r.cond.Broadcast()
+	return r.err
+}
+
+// checkInstall refuses an install of another procedure, or one behind an
+// acknowledged update (loss a resend cannot repair). Caller holds r.mu.
+func (r *RemoteAgent) checkInstall(inst wire.Install) error {
+	if inst.Model != r.cfg.Model.Name || inst.Delta != r.cfg.Delta || inst.F != r.cfg.F {
+		return fmt.Errorf("server procedure changed (model %s delta=%v F=%v; agent mirrors model %s delta=%v F=%v)",
+			inst.Model, inst.Delta, inst.F, r.cfg.Model.Name, r.cfg.Delta, r.cfg.F)
+	}
+	if inst.ResumeSeq < r.lastAcked {
+		return fmt.Errorf("server recovered to seq %d, behind acknowledged seq %d — durable state lost", inst.ResumeSeq, r.lastAcked)
+	}
+	return nil
+}
+
+// resume serves a mid-stream install, payload p: a router that lost the
+// shard behind it, which holds the stream through the install's
+// ResumeSeq. The kept frames past it are resent verbatim, behind a hello
+// that marks for the router where the resend begins.
+func (r *RemoteAgent) resume(p []byte) error {
+	inst, err := wire.DecodeInstall(p)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err == nil {
+		err = r.checkInstall(inst)
+	}
+	if err != nil || r.err != nil || r.closing {
+		return err
+	}
+	r.ring.popThrough(inst.ResumeSeq, r.ring.n)
+	r.sent, r.unflushed = r.ring.n, r.ring.used
+	r.cond.Broadcast()
+	marker, _ := wire.AppendHelloFrame(nil, r.cfg.SourceID) // framed once already, at the dial
+	if _, err := r.conn.Write(marker); err != nil {
+		return r.failLocked(fmt.Errorf("dsms: send: %w", err))
+	}
+	r.flushLocked()
 	return r.err
 }
 

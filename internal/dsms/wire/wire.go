@@ -7,7 +7,7 @@
 //
 // A connection opens with a 6-byte preamble in each direction — 4 magic
 // bytes, a protocol version, and a feature-bit byte (reserved and zero
-// before tracing; FeatCluster and FeatEvidence today) — so a peer speaking
+// before tracing; the Feat* bits below and FeatCluster) — so a peer speaking
 // the wrong protocol (or a future incompatible version) is rejected
 // with a clear error instead of an opaque decode failure. Frames follow:
 //
@@ -76,6 +76,10 @@ const (
 	// it: an older server would answer the longer payload with an error
 	// frame, which is sticky and would fail the agent's next Offer.
 	FeatEvidence byte = 0x08
+	// FeatResume announces that a source takes a mid-stream Install (from
+	// a router that lost a shard): it resends what it keeps past the
+	// ResumeSeq on the same connection, behind a hello as the marker.
+	FeatResume byte = 0x10
 )
 
 // DefaultMaxFrame caps the accepted frame length (tag + payload). A
