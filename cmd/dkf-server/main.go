@@ -106,8 +106,6 @@ func main() {
 		udpListen  = flag.String("udp", "", "also accept the connectionless datagram transport on this address (empty disables)")
 		shards     = flag.Int("shards", 0, "ingest engine shard count for -udp; 0 = GOMAXPROCS")
 		ring       = flag.Int("ring", 0, "per-shard SPSC ring capacity for -udp (0 = default)")
-		lanes      = flag.Int("lanes", 0, "UDP reader lanes sharing the -udp socket; 0 = min(4, GOMAXPROCS)")
-		rxBatch    = flag.Int("rxbatch", 0, "max datagrams per receive syscall on -udp (recvmmsg; 0 = 32)")
 		dataDir    = flag.String("data-dir", "", "directory for the write-ahead log and checkpoints (empty = non-durable)")
 		fsync      = flag.String("fsync", "interval", "WAL fsync policy: always|interval|off")
 		fsyncEvery = flag.Duration("fsync-interval", 0, "flush period for -fsync interval (0 = 50ms default)")
@@ -210,11 +208,7 @@ func main() {
 
 	var us *dsms.UDPServer
 	if *udpListen != "" {
-		us, err = dsms.NewUDPServer(server, *udpListen, dsms.UDPServerOptions{
-			Lanes:   *lanes,
-			RxBatch: *rxBatch,
-			Engine:  dsms.EngineOptions{Shards: *shards, RingSize: *ring},
-		})
+		us, err = dsms.NewUDPServer(server, *udpListen, dsms.UDPServerOptions{Engine: dsms.EngineOptions{Shards: *shards, RingSize: *ring}})
 		if err != nil {
 			logger.Error("udp listen failed", "addr", *udpListen, "err", err)
 			os.Exit(1)
@@ -224,7 +218,7 @@ func main() {
 				logger.Error("udp serve failed", "err", err)
 			}
 		}()
-		logger.Info("datagram transport listening", "addr", us.Addr(), "shards", server.Engine().Shards(), "lanes", us.Lanes())
+		logger.Info("datagram transport listening", "addr", us.Addr(), "shards", server.Engine().Shards())
 	}
 
 	var adminSrv *dsms.AdminServer

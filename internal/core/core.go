@@ -419,7 +419,8 @@ type ServerNode struct {
 	lastInnov float64
 	health    kalman.InnovationSums
 
-	booted, nisValid, innovValid bool
+	// atUpdate: lastSeq is an applied update's seq, not one AdvanceTo reached.
+	booted, nisValid, innovValid, atUpdate bool
 }
 
 // NewServerNode constructs the server side of a DKF pair on the heap: its
@@ -512,7 +513,7 @@ func (s *ServerNode) AdvanceTo(seq int) {
 	steps := seq - s.lastSeq
 	s.filter.Coast(steps)
 	s.ticks += steps
-	s.lastSeq = seq
+	s.lastSeq, s.atUpdate = seq, false
 }
 
 // Seq returns the reading index the node's estimate corresponds to.
@@ -528,6 +529,10 @@ func (s *ServerNode) Seq() int { return s.lastSeq }
 // restarted) starting a fresh DKF session, and folding its bootstrap as
 // a correction would desynchronize the new mirror forever. The whiteness
 // sums reset with the filter.
+//
+// Any other update behind the node's seq, or at it when an update was
+// applied there, is refused: the mirror corrected once, and folding a
+// repeat in again would leave the two filters different.
 func (s *ServerNode) ApplyUpdate(u Update) error {
 	if !s.booted || u.Bootstrap {
 		if !u.Bootstrap {
@@ -541,13 +546,14 @@ func (s *ServerNode) ApplyUpdate(u Update) error {
 		s.lastInnov, s.innovValid = 0, false
 		s.health.Reset(s.sums())
 		s.booted = true
-		s.lastSeq = u.Seq
+		s.lastSeq, s.atUpdate = u.Seq, true
 		return nil
 	}
-	if u.Seq < s.lastSeq {
-		return fmt.Errorf("core: update for %s at seq %d arrived after prediction advanced to seq %d", u.SourceID, u.Seq, s.lastSeq)
+	if u.Seq < s.lastSeq || u.Seq == s.lastSeq && s.atUpdate {
+		return fmt.Errorf("core: update for %s at seq %d repeats the last applied or arrived after prediction advanced to seq %d", u.SourceID, u.Seq, s.lastSeq)
 	}
 	s.AdvanceTo(u.Seq)
+	s.atUpdate = true
 	s.filter.Settle() // in place, refused update or not
 	// The filter reads u.Values in place; a malformed update gets its
 	// dimension error from the filter itself, as it always has.
@@ -728,7 +734,7 @@ func (s *ServerNode) RestoreSnapshot(snap *NodeSnapshot) error {
 	copy(s.sums(), snap.Sums)
 	s.health.N = snap.SumsCount
 	s.booted = true
-	s.lastSeq = snap.Seq
+	s.lastSeq, s.atUpdate = snap.Seq, true // replay and sources resume past it
 	s.ticks = snap.Ticks
 	s.lastNIS = snap.LastNIS
 	s.nisValid = snap.NISValid

@@ -72,6 +72,41 @@ func TestServerNodeUpdateAtCurrentSeqAllowed(t *testing.T) {
 	}
 }
 
+// TestServerNodeRepeatRefused: an update at the seq of the last one
+// applied is a repeat, refused with the filter left as the mirror's; a
+// bootstrap there still re-initializes.
+func TestServerNodeRepeatRefused(t *testing.T) {
+	cfg := linearCfg(1)
+	srv, err := NewServerNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewSourceNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last Update
+	for seq, v := range []float64{0, 100} {
+		u, _, err := src.Process(stream.Reading{Seq: seq, Values: []float64{v}})
+		if err != nil || u == nil {
+			t.Fatalf("seq %d: update %v, %v", seq, u, err)
+		}
+		if err := srv.ApplyUpdate(*u); err != nil {
+			t.Fatal(err)
+		}
+		last = *u
+	}
+	if err := srv.ApplyUpdate(last); err == nil {
+		t.Fatal("a repeat of the last update was applied")
+	}
+	if !kalman.StateEqual(src.Mirror(), srv.Filter()) {
+		t.Fatal("the refused repeat moved the filter")
+	}
+	if err := srv.ApplyUpdate(Update{SourceID: "s1", Seq: last.Seq, Values: []float64{7}, Bootstrap: true}); err != nil {
+		t.Fatalf("a bootstrap at the last seq was refused: %v", err)
+	}
+}
+
 func TestServerNodeUpdateBehindPredictionRejected(t *testing.T) {
 	cfg := linearCfg(1)
 	srv, err := NewServerNode(cfg)

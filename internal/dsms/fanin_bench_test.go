@@ -16,7 +16,7 @@ import (
 //
 //   - heap_B/stream: the heap a registered, installed and bootstrapped
 //     stream holds, measured as TestStreamFootprint does (after a GC, the
-//     server, its UDP lanes and the batcher already up, the ids already
+//     server, its UDP reader and the batcher already up, the ids already
 //     made);
 //   - setup_ns/stream: wall time from the first registration until the
 //     bootstraps are applied, per stream;

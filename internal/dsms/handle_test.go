@@ -62,7 +62,7 @@ func TestUDPHandleLifetime(t *testing.T) {
 	s, ts := newUDPPair(t, stream.Query{ID: "q-keep", SourceID: "keep", Delta: 1, Model: "constant"})
 	send := func(u core.Update) {
 		t.Helper()
-		ts.lanes[0].processDatagram(updateDatagram(t, &u), netip.AddrPort{})
+		ts.processDatagram(updateDatagram(t, &u), netip.AddrPort{})
 		ts.eng.Quiesce()
 	}
 	updates := func(id string) int {
@@ -156,11 +156,11 @@ func TestUDPUnknownFlood(t *testing.T) {
 	for i := range grams {
 		grams[i] = updateDatagram(t, &core.Update{SourceID: fmt.Sprintf("nobody-%d", i), Values: []float64{1}, Bootstrap: true})
 	}
-	ts.lanes[0].processDatagram(grams[0], netip.AddrPort{}) // warm the lane's decode scratch
+	ts.processDatagram(grams[0], netip.AddrPort{}) // warm the lane's decode scratch
 	tab, entries, i := s.ids.tab.Load(), occupied(s), 0
 	if allocs := testing.AllocsPerRun(n-2, func() {
 		i++
-		ts.lanes[0].processDatagram(grams[i], netip.AddrPort{})
+		ts.processDatagram(grams[i], netip.AddrPort{})
 	}); allocs != 0 {
 		t.Fatalf("an unknown id allocates %v per update, want 0", allocs)
 	}
@@ -173,7 +173,7 @@ func TestUDPUnknownFlood(t *testing.T) {
 
 	id := fmt.Sprintf("nobody-%d", n/2)
 	mustRegister(t, s, stream.Query{ID: "q-late", SourceID: id, Delta: 1, Model: "constant"})
-	ts.lanes[0].processDatagram(grams[n/2], netip.AddrPort{})
+	ts.processDatagram(grams[n/2], netip.AddrPort{})
 	ts.eng.Quiesce()
 	if st := s.source(id).stats(); st.Updates != 1 {
 		t.Fatalf("an id registered after the flood applied %d updates, want 1", st.Updates)
@@ -193,7 +193,7 @@ func occupied(s *Server) (n int) {
 
 // TestIDIndexRaceAndShape registers, drops and re-registers the same ids
 // through at least three table growths while two goroutines look every id
-// up — by string, and by a view of a byte buffer as a lane does. A lookup
+// up — by string, and by a view of a byte buffer as the UDP reader does. A lookup
 // finds nothing, or its own id's canonical string and a handle that id was
 // given (current or dropped), never another id's. The ids are 1 byte, a
 // slot's inline length L less one, L, L+1 and 200 bytes long, and the last
@@ -311,7 +311,7 @@ func TestEngineAfterRegistration(t *testing.T) {
 		mustRegister(t, s, stream.Query{ID: "q/" + id, SourceID: id, Delta: 1, Model: "constant"})
 	}
 	eng := s.StartEngine(EngineOptions{Shards: 2, RingSize: 4096})
-	ts, err := NewUDPServer(s, "127.0.0.1:0", UDPServerOptions{Lanes: 1})
+	ts, err := NewUDPServer(s, "127.0.0.1:0", UDPServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestEngineAfterRegistration(t *testing.T) {
 	for i := 0; i < n; i++ {
 		u := core.Update{SourceID: fmt.Sprintf("s-%d", i), Values: []float64{1}, Bootstrap: true}
 		want[eng.ShardFor(u.SourceID)]++
-		ts.lanes[0].processDatagram(updateDatagram(t, &u), netip.AddrPort{})
+		ts.processDatagram(updateDatagram(t, &u), netip.AddrPort{})
 	}
 	eng.Quiesce()
 	if want[0] == 0 || want[1] == 0 {

@@ -9,11 +9,9 @@ package dsms
 
 import (
 	"errors"
-	"strconv"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
-	"streamkf/internal/telemetry"
 )
 
 // EngineOptions aliases engine.Options so callers configure the engine
@@ -21,10 +19,9 @@ import (
 type EngineOptions = engine.Options
 
 // StartEngine attaches a shard-per-core ingest engine to the server and
-// returns it. Callers register producer lanes on the returned engine
-// (the UDP server does this per socket reader) and shut it down with
-// its Close. At most one engine per server; later calls return the
-// existing engine. opts.Shards <= 0 selects GOMAXPROCS.
+// returns it, or the one already attached; its Close shuts it down. A UDP
+// server takes a producer on it for its reader. opts.Shards <= 0 selects
+// GOMAXPROCS.
 func (s *Server) StartEngine(opts EngineOptions) *engine.Engine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,17 +109,17 @@ type ShardStreamz struct {
 	RingDepthHWM int64 `json:"ring_depth_hwm"`
 }
 
-// LaneStreamz is one UDP reader lane's occupancy block in /streamz.
+// LaneStreamz is the UDP reader's block in /streamz: how many receive
+// syscalls it made and how many datagrams each drained. The reader of a
+// second UDPServer on the same Server adds into the same block.
 type LaneStreamz struct {
-	Lane        int     `json:"lane"`
-	DatagramsRx int64   `json:"datagrams_rx"`
-	Batches     int64   `json:"batches"`
-	AvgBatch    float64 `json:"avg_batch"`
+	Batches  int64   `json:"batches"`
+	AvgBatch float64 `json:"avg_batch"`
 }
 
 // EngineStreamz is the ingest engine's status document: per-shard
 // occupancy plus the datagram transport's rx/drop taxonomy and, when a
-// UDP server feeds the engine, its reader lanes.
+// UDP server feeds the engine, its reader's one entry in Lanes.
 type EngineStreamz struct {
 	Shards          int   `json:"shards"`
 	DatagramsRx     int64 `json:"datagrams_rx"`
@@ -177,25 +174,13 @@ func (s *Server) engineStreamz() *EngineStreamz {
 			RingDepthHWM: int64(sh.RingDepthHWM),
 		}
 	}
-	z.Lanes = s.laneStreamz()
-	return z
-}
-
-// laneStreamz reads the UDP reader-lane instruments back from the
-// registry, lane 0 upward; empty without a UDP server.
-func (s *Server) laneStreamz() (out []LaneStreamz) {
-	for i := 0; ; i++ {
-		l := telemetry.L("lane", strconv.Itoa(i))
-		h, ok := s.tel.reg.HistogramFor("dkf_udp_lane_batch_size", l)
-		if !ok {
-			return out
-		}
-		rx, _ := s.tel.reg.Get("dkf_udp_lane_datagrams_rx_total", l)
+	if h, ok := s.tel.reg.HistogramFor("dkf_udp_rx_batch_size"); ok {
 		snap := h.Snapshot()
-		ls := LaneStreamz{Lane: i, DatagramsRx: int64(rx), Batches: snap.Count}
+		ls := LaneStreamz{Batches: snap.Count}
 		if snap.Count > 0 {
 			ls.AvgBatch = float64(snap.Sum) / float64(snap.Count)
 		}
-		out = append(out, ls)
+		z.Lanes = []LaneStreamz{ls}
 	}
+	return z
 }

@@ -47,14 +47,14 @@ func benchUDPIngestApply(b *testing.B) {
 		}
 	}
 	encode(0)
-	ts.lanes[0].processDatagram(dg, netip.AddrPort{})
+	ts.processDatagram(dg, netip.AddrPort{})
 	eng.Quiesce()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		encode(i + 1)
-		ts.lanes[0].processDatagram(dg, netip.AddrPort{})
+		ts.processDatagram(dg, netip.AddrPort{})
 		if i&1023 == 1023 {
 			// Keep the producer loop from outrunning the shard worker
 			// into ring shed — the bench measures apply, not overload.
@@ -327,7 +327,7 @@ func BenchmarkIngestFanIn(b *testing.B) {
 		})
 	}
 	// The per-source-agent wire shape, where sender-side packing cannot
-	// amortize the server's receive syscalls — the case the reader lanes'
+	// amortize the server's receive syscalls — the case the reader's
 	// recvmmsg batching exists for.
 	for _, sources := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("udpgram/%d", sources), func(b *testing.B) {

@@ -543,7 +543,7 @@ func (m *SelfMonitor) Signals() []SelfSignalView {
 // dimensions called out in DESIGN.md §15, each a row of (name, help,
 // model, δ, critical, kind, metric) that SelfMonitor.read evaluates.
 // Signals whose backing metric is absent on a given server (no engine, no
-// WAL, no UDP lanes) simply never feed — read returns ok=false and the
+// WAL, no UDP server) simply never feed — read returns ok=false and the
 // filter stays cold.
 func DefaultSelfSignals() []SelfSignal {
 	return []SelfSignal{
@@ -559,8 +559,8 @@ func DefaultSelfSignals() []SelfSignal {
 			Model: "constant", Delta: 0.1, Critical: true, kind: sigRate, metric: "dkf_engine_wal_errors_total"},
 		{Name: "wire_error_rate", Help: "Wire protocol failures per second, normal peer closes excluded.",
 			Model: "constant", Delta: 5, kind: sigErrorRate, metric: "dkf_wire_errors_total"},
-		{Name: "lane_rx_rate", Help: "UDP datagrams received per second across reader lanes.",
-			Model: "linear", Delta: 1000, kind: sigRate, metric: "dkf_udp_lane_datagrams_rx_total"},
+		{Name: "udp_rx_rate", Help: "UDP datagrams received per second.",
+			Model: "linear", Delta: 1000, kind: sigRate, metric: "dkf_udp_datagrams_rx_total"},
 		{Name: "conns_active", Help: "Open TCP wire connections.",
 			Model: "linear", Delta: 64, kind: sigLatest, metric: "dkf_wire_connections_active"},
 		{Name: "goroutines", Help: "Live goroutines.", Model: "linear", Delta: 200, kind: sigGoroutines},

@@ -227,7 +227,7 @@ func TestSelfMonCloseIdempotent(t *testing.T) {
 
 // TestSelfSignalsRegistered: every stock signal that reads a metric reads
 // one a real server registers. A server configured as fully as dkf-server
-// can be — durable, a registered stream, UDP reader lanes on the shard
+// can be — durable, a registered stream, a UDP server on the shard
 // engine, a TCP listener, self-monitoring — must hold each such signal's
 // metric in its registry, so the catalogue carries no signal that no
 // deployment can feed.
@@ -238,7 +238,7 @@ func TestSelfSignalsRegistered(t *testing.T) {
 	}
 	defer s.Close()
 	mustRegister(t, s, persistQuery)
-	us, err := NewUDPServer(s, "127.0.0.1:0", UDPServerOptions{Lanes: 2, Engine: EngineOptions{Shards: 1}})
+	us, err := NewUDPServer(s, "127.0.0.1:0", UDPServerOptions{Engine: EngineOptions{Shards: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func stallShard(t *testing.T, s *Server) (release func()) {
 }
 
 // tryOffer claims shard's next slot on p, fills it with a copy of u and
-// commits it — what a lane does for one datagram update. False when the
+// commits it — what the UDP reader does for one datagram update. False when the
 // ring shed it.
 func tryOffer(p *engine.Producer, shard int, u *core.Update) bool {
 	slot := p.Next(shard)

@@ -215,7 +215,7 @@ type tcpConn struct {
 }
 
 // countRx adds the update and forward frames read since the last count to
-// the per-tag totals: once a run, as a UDP lane does once a datagram.
+// the per-tag totals: once a run, as the UDP reader does once a datagram.
 func (c *tcpConn) countRx() {
 	for i, tag := range [2]wire.Tag{wire.TagUpdate, wire.TagForward} {
 		if c.rxFrames[i] > 0 {

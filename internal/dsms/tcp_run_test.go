@@ -185,6 +185,41 @@ func TestTCPRunRefusedMidRun(t *testing.T) {
 	wantSameTrajectory(t, trajectory(t, s2, runQuery.ID, 12), trajectory(t, s, runQuery.ID, 12))
 }
 
+// TestTCPRepeatedUpdateRefused: a raw source sends updates 0 and 1, and
+// then 1 again, as a resend overlapping what was applied would. The repeat
+// gets an error frame and is not folded in a second time: the server
+// counts 2 updates and its filter is StateEqual to a server that applied
+// 0 and 1.
+func TestTCPRepeatedUpdateRefused(t *testing.T) {
+	s, ref := NewServer(testCatalog()), NewServer(testCatalog())
+	mustRegister(t, s, runQuery)
+	mustRegister(t, ref, runQuery)
+	if _, err := ref.InstallFor(runQuery.SourceID); err != nil {
+		t.Fatal(err)
+	}
+	ts := startServer(t, s)
+	w, r := rawSource(t, ts.Addr(), runQuery.SourceID)
+	writeRun(t, w, runQuery.SourceID, false, 0, 1)
+	if _, _, msg := readThrough(t, r, 1); msg != "" {
+		t.Fatalf("error frame %q before the repeat", msg)
+	}
+	writeRun(t, w, runQuery.SourceID, false, 1)
+	expectErrorFrame(t, r, "seq 1 repeats")
+
+	for seq := 0; seq < 2; seq++ {
+		u := core.Update{SourceID: runQuery.SourceID, Seq: seq, Time: float64(seq), Values: []float64{float64(10 * seq)}, Bootstrap: seq == 0}
+		if err := ref.HandleUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats()[0]; st.Updates != 2 || st.Seq != 1 {
+		t.Fatalf("applied %d updates through seq %d, want 2 through 1", st.Updates, st.Seq)
+	}
+	if !sameFilter(t, s, ref, runQuery.SourceID) {
+		t.Fatal("the filter differs from a server that applied 0 and 1")
+	}
+}
+
 // TestTCPRunGroupCommit: under SyncAlways a buffered run costs one fsync,
 // not one per update — and a traced run is still one run: each update
 // carries its own evidence, so tracing costs no extra commit or ack.

@@ -211,21 +211,3 @@ func newEngineInstruments(reg *telemetry.Registry, e *engine.Engine) *engineInst
 	ei.walErrors = reg.Counter("dkf_engine_wal_errors_total", "Shard batch WAL commits that failed.")
 	return ei
 }
-
-// laneInstruments is one UDP reader lane's instrument set: how many
-// datagrams the lane received and how many each receive syscall
-// drained. A healthy batched receiver shows avg batch > 1 under load;
-// pinned at 1 it is either idle, portable-fallback, or syscall-bound.
-// A second UDP server shares the registry's set; /streamz reads it there.
-type laneInstruments struct {
-	rx    *telemetry.Counter
-	batch *telemetry.Histogram
-}
-
-func newLaneInstruments(reg *telemetry.Registry, lane int) laneInstruments {
-	l := telemetry.L("lane", strconv.Itoa(lane))
-	return laneInstruments{
-		rx:    reg.Counter("dkf_udp_lane_datagrams_rx_total", "UDP datagrams received, by reader lane.", l),
-		batch: reg.Histogram("dkf_udp_lane_batch_size", "Datagrams drained per receive syscall, by reader lane.", l),
-	}
-}

@@ -1,8 +1,8 @@
-// Connectionless UDP transport. DKF updates are small and idempotent by
-// sequence number, so the datagram mode keeps no connection state at all:
+// Connectionless UDP transport. DKF updates are small and carry their
+// sequence numbers, so the datagram mode keeps no connection state at all:
 // every datagram is the 6-byte v2 preamble plus one or more standard
 // frames, parsed statelessly and handed to the shard ingest engine,
-// whose seq-dedup makes duplicated and reordered datagrams harmless.
+// whose seq-dedup makes duplicated datagrams harmless.
 //
 // Loss is not harmless. The source's mirror applied the correction a lost
 // update carried and the server never saw it, so the two filters are no
@@ -13,20 +13,21 @@
 // On Linux a batcher's run of datagrams crosses the host as one segmented
 // message (udp_linux.go), so a full receive buffer drops the run whole.
 //
-// What is and is not ordered: per-source apply order is guaranteed (one
-// shard worker owns each source and drops anything at or below the last
-// applied seq); datagram arrival order is not, and cross-source order
-// never was. A source must use one transport at a time — interleaving
-// TCP and UDP for the same source id is a misconfiguration (two
-// producers would race the dedup boundary).
+// What is and is not ordered: a socket has one reader and the reader one
+// engine producer, so a stream's updates reach its shard worker in the
+// order the socket queued them, and the worker applies them in that order.
+// Only the network reorders a source's datagrams, and a reorder is a loss:
+// the worker drops an update at or below the last applied seq, and one
+// ahead of its stream's bootstrap. Cross-source order was never kept. A
+// source must use one transport at a time — interleaving TCP and UDP for
+// the same source id is a misconfiguration (two producers would race the
+// dedup boundary).
 package dsms
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,7 @@ import (
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/engine"
 	"streamkf/internal/dsms/wire"
+	"streamkf/internal/telemetry"
 )
 
 const (
@@ -60,72 +62,43 @@ const (
 
 // UDPServerOptions configures a UDPServer.
 type UDPServerOptions struct {
-	// Lanes is how many reader goroutines share the socket. Each lane
-	// owns its own receive arena and engine producer, so
-	// lanes never synchronize with each other — the kernel serializes
-	// the dequeue and lanes overlap the parse/route work. 0 selects
-	// min(4, GOMAXPROCS); 1 reproduces the single-reader layout.
-	Lanes int
-	// RxBatch caps the messages one receive syscall drains (recvmmsg on
-	// Linux, where a message may hold a run of datagrams). 0 selects 32.
-	// Platforms without a batched receive read one datagram per call.
-	RxBatch int
 	// Engine tunes the ingest engine when the server does not have one
 	// attached yet; ignored otherwise.
 	Engine EngineOptions
 }
 
-func (o UDPServerOptions) withDefaults() UDPServerOptions {
-	if o.Lanes <= 0 {
-		o.Lanes = min(4, runtime.GOMAXPROCS(0))
-	}
-	if o.RxBatch <= 0 {
-		o.RxBatch = 32
-	}
-	if !mmsgAvailable {
-		// The portable read path returns one datagram per call; a batch
-		// arena deeper than 1 would just be dead memory.
-		o.RxBatch = 1
-	}
-	return o
-}
-
 // UDPServer accepts DKF datagrams on one socket and feeds the server's
-// shard ingest engine through N reader lanes. Each lane drains whole
-// batches per syscall where the platform allows (recvmmsg on Linux) and
-// owns every piece of mutable receive state — buffer arena, engine
-// producer — so the steady-state receive path (read batch, parse, resolve
-// in the server's id index, decode into a ring slot) allocates nothing
-// and takes no lock.
+// shard ingest engine from one reader goroutine, so a stream's updates
+// reach its shard's ring in the order the socket queued them. The reader
+// drains up to rxBatch datagrams per syscall where the platform allows
+// (recvmmsg on Linux) and owns every piece of mutable receive state —
+// buffer arena, engine producer — so the steady-state receive path (read
+// batch, parse, resolve in the server's id index, decode into a ring
+// slot) allocates nothing and takes no lock. A host where one reader
+// cannot keep up opens a second socket (a second UDPServer on the same
+// Server), never a second reader on this one.
 type UDPServer struct {
 	server *Server
 	eng    *engine.Engine
 	conn   *net.UDPConn
-	lanes  []*rxLane
-
-	closed atomic.Bool
-}
-
-// rxLane is one reader goroutine's world.
-type rxLane struct {
-	t     *UDPServer
-	rx    *laneRx
-	prod  *engine.Producer
-	lane  laneInstruments
-	reply []byte
+	rx     *recvBatch
+	prod   *engine.Producer
+	batch  *telemetry.Histogram
+	reply  []byte
 	// parsed holds the updates processDatagram has resolved and not yet
 	// enqueued; its size bounds how many id probes are in flight at once.
 	parsed [32]struct {
 		f  wire.UpdateFields
 		sl *idSlot
 	}
+
+	closed atomic.Bool
 }
 
 // NewUDPServer binds addr ("host:port", port 0 picks a free one) and
 // attaches to server's ingest engine, starting one with opts.Engine if
 // none is attached yet. Call Serve to start receiving.
 func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServer, error) {
-	opts = opts.withDefaults()
 	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dsms: udp listen: %w", err)
@@ -133,66 +106,37 @@ func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServe
 	conn := pc.(*net.UDPConn)
 	// Best effort: some kernels clamp SO_RCVBUF below the request.
 	_ = conn.SetReadBuffer(udpReadBuffer)
-	eng := server.StartEngine(opts.Engine)
-	t := &UDPServer{server: server, eng: eng, conn: conn}
-	t.lanes = make([]*rxLane, opts.Lanes)
-	for i := range t.lanes {
-		rx, err := newLaneRx(conn, opts.RxBatch, maxDatagram)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("dsms: udp lane %d: %w", i, err)
-		}
-		t.lanes[i] = &rxLane{
-			t:    t,
-			rx:   rx,
-			prod: eng.Producer(),
-			lane: newLaneInstruments(server.tel.reg, i),
-		}
+	rx, err := newRecvBatch(conn, rxBatch, maxDatagram)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("dsms: udp listen: %w", err)
 	}
-	return t, nil
+	eng := server.StartEngine(opts.Engine)
+	return &UDPServer{server: server, eng: eng, conn: conn, rx: rx, prod: eng.Producer(),
+		batch: server.tel.reg.Histogram("dkf_udp_rx_batch_size", "Datagrams drained per receive syscall.")}, nil
 }
 
 // Addr returns the bound UDP address.
 func (t *UDPServer) Addr() net.Addr { return t.conn.LocalAddr() }
 
-// Lanes returns how many reader lanes Serve runs.
-func (t *UDPServer) Lanes() int { return len(t.lanes) }
-
-// Serve receives datagrams until Close, running lane 0 on the calling
-// goroutine and the rest on their own. It returns nil after Close and
-// the failed lanes' socket errors otherwise (any lane's failure closes
-// the socket, releasing the other lanes' blocked reads). The engine is
-// shared and stays running — shutting it down is its owner's call
+// Serve receives datagrams until Close: drain a batch, route each
+// datagram, in the order the socket queued them. It returns nil after
+// Close and the socket's error otherwise, closing the server. The engine
+// is shared and stays running — shutting it down is its owner's call
 // (Server.Engine().Close()).
 func (t *UDPServer) Serve() error {
-	errs := make([]error, len(t.lanes))
-	var wg sync.WaitGroup
-	for i := 1; i < len(t.lanes); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = t.lanes[i].serve()
-		}(i)
-	}
-	errs[0] = t.lanes[0].serve()
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// serve is one lane's receive loop: drain a batch, route each datagram.
-func (ln *rxLane) serve() error {
 	for {
-		n, err := ln.rx.read()
+		n, err := t.rx.read()
 		if err != nil {
-			if ln.t.closed.Load() {
+			if t.closed.Load() {
 				return nil
 			}
-			_ = ln.t.Close()
+			_ = t.Close()
 			return fmt.Errorf("dsms: udp read: %w", err)
 		}
-		ln.lane.batch.Observe(int64(n))
+		t.batch.Observe(int64(n))
 		for i := 0; i < n; i++ {
-			ln.processDatagram(ln.rx.msg(i), ln.rx.addr(i))
+			t.processDatagram(t.rx.msg(i), t.rx.addr(i))
 		}
 	}
 }
@@ -206,7 +150,7 @@ func (t *UDPServer) Close() error {
 }
 
 // processDatagram parses one datagram and routes its frames, in two
-// passes over the lane's batch of parsed updates. The first parses each
+// passes over the reader's batch of parsed updates. The first parses each
 // update and resolves its id by one lock-free probe of the server's id
 // index, touching no ring, so no slot claim or decode waits between two
 // probes (group prefetching, Chen et al., ICDE 2004); the second, run
@@ -215,10 +159,9 @@ func (t *UDPServer) Close() error {
 // publishes the datagram's updates, whose frames are counted once. Hellos
 // get an install reply when addr is valid; other tags are skipped for
 // forward compatibility.
-func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
-	ins, tel := ln.t.server.engIns, ln.t.server.tel
+func (t *UDPServer) processDatagram(p []byte, addr netip.AddrPort) {
+	ins, tel := t.server.engIns, t.server.tel
 	ins.datagramsRx.Inc()
-	ln.lane.rx.Inc()
 	var frames, updates, updateBytes int64
 	n := 0
 	_, rest, err := wire.CheckPreamble(p)
@@ -232,25 +175,25 @@ func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 		if tag != wire.TagUpdate {
 			tel.rx(tag, len(payload)+5)
 			if tag == wire.TagHello {
-				ln.handleHello(payload, addr)
+				t.handleHello(payload, addr)
 			}
 			continue
 		}
 		updates++
 		updateBytes += int64(len(payload) + 5)
-		b := &ln.parsed[n]
+		b := &t.parsed[n]
 		if !b.f.Parse(payload) {
 			err = wire.ErrMalformed
 			break
 		}
-		b.sl = ln.t.server.ids.find(unsafe.String(unsafe.SliceData(b.f.ID), len(b.f.ID)))
-		if n++; n == len(ln.parsed) {
-			ln.enqueue(n)
+		b.sl = t.server.ids.find(unsafe.String(unsafe.SliceData(b.f.ID), len(b.f.ID)))
+		if n++; n == len(t.parsed) {
+			t.enqueue(n)
 			n = 0
 		}
 	}
-	ln.enqueue(n)
-	ln.prod.Flush()
+	t.enqueue(n)
+	t.prod.Flush()
 	ins.framesRx.Add(frames)
 	tel.rxFrames[wire.TagUpdate].Add(updates)
 	tel.rxBytes[wire.TagUpdate].Add(updateBytes)
@@ -263,42 +206,41 @@ func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
 // enqueue decodes the batch's first n updates, in order, straight into
 // their owning shards' ring slots (Next: a full ring sheds). An update for
 // an id nobody registered is counted and dropped.
-func (ln *rxLane) enqueue(n int) {
-	for i := range ln.parsed[:n] {
-		b := &ln.parsed[i]
+func (t *UDPServer) enqueue(n int) {
+	for i := range t.parsed[:n] {
+		b := &t.parsed[i]
 		if b.sl == nil {
-			ln.t.server.engIns.unknown.Inc()
-		} else if u := ln.prod.Next(int(b.sl.shard)); u != nil {
+			t.server.engIns.unknown.Inc()
+		} else if u := t.prod.Next(int(b.sl.shard)); u != nil {
 			b.f.DecodeInto(u, b.sl.id())
 			u.Handle = b.sl.handle.Load()
-			ln.prod.Commit(int(b.sl.shard))
+			t.prod.Commit(int(b.sl.shard))
 		}
 	}
 }
 
 // handleHello answers a handshake datagram with an install (or error)
-// datagram. Handshakes are rare, so this path may allocate. The reply
-// buffer is lane-owned; the socket write itself is thread-safe.
-func (ln *rxLane) handleHello(payload []byte, addr netip.AddrPort) {
+// datagram. Handshakes are rare, so this path may allocate.
+func (t *UDPServer) handleHello(payload []byte, addr netip.AddrPort) {
 	if !addr.IsValid() {
 		return
 	}
 	id, err := wire.DecodeHello(payload)
 	if err != nil {
-		ln.t.server.engIns.datagramsBad.Inc()
+		t.server.engIns.datagramsBad.Inc()
 		return
 	}
-	ln.reply = wire.AppendPreamble(ln.reply[:0], wire.Version, 0)
-	inst, err := ln.t.server.installReply(id)
+	t.reply = wire.AppendPreamble(t.reply[:0], wire.Version, 0)
+	inst, err := t.server.installReply(id)
 	if err != nil {
-		ln.reply, err = wire.AppendErrorFrame(ln.reply, err.Error())
+		t.reply, err = wire.AppendErrorFrame(t.reply, err.Error())
 	} else {
-		ln.reply, err = wire.AppendInstallFrame(ln.reply, inst)
+		t.reply, err = wire.AppendInstallFrame(t.reply, inst)
 	}
 	if err != nil {
 		return
 	}
-	_, _ = ln.t.conn.WriteToUDPAddrPort(ln.reply, addr)
+	_, _ = t.conn.WriteToUDPAddrPort(t.reply, addr)
 }
 
 // UDPDialOptions configures DialSourceUDP.

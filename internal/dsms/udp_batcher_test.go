@@ -107,7 +107,7 @@ func TestUDPBatcherDatagramPayloadLimit(t *testing.T) {
 
 	// The largest update one datagram carries, behind an open datagram
 	// it does not fit beside. The server drops it (src2 is one value
-	// wide) after the lane has parsed it, so the datagram is not bad.
+	// wide) after the reader has parsed it, so the datagram is not bad.
 	n := sort.Search(8200, func(n int) bool {
 		big := bootstrap("src2", n)
 		frame, err := wire.AppendUpdateFrame(wire.AppendPreamble(nil, wire.Version, 0), &big)

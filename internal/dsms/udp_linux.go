@@ -1,18 +1,18 @@
 //go:build linux && (amd64 || arm64)
 
-// Batched datagram I/O on Linux: a lane drains up to RxBatch messages
+// Batched datagram I/O on Linux: the reader drains up to rxBatch messages
 // with one recvmmsg and the batcher sends a sealed batch with one
 // sendmmsg, both raw against the netpoller-registered fd through
-// syscall.RawConn, so a lane still parks in the runtime poller on EAGAIN.
-// The callback is a method value bound once: a closure built per call
-// would allocate per batch (TestUDPLaneRxAllocFreeGRO gates it).
+// syscall.RawConn, so the reader still parks in the runtime poller on
+// EAGAIN. The callback is a method value bound once: a closure built per
+// call would allocate per batch (TestUDPLaneRxAllocFreeGRO gates it).
 //
 // The kernel moves batches, not datagrams. On send, each run of
 // consecutive datagrams of one length (the last may be shorter) is one
 // message with a UDP_SEGMENT control message naming that length, cut
 // back into the same datagrams before the wire, or on loopback before a
-// socket that did not ask for runs. The lanes' socket asks (UDP_GRO), so
-// a run reaches a lane as one message with its segment size, and read
+// socket that did not ask for runs. The server's socket asks (UDP_GRO), so
+// a run reaches the reader as one message with its segment size, and read
 // cuts it there again: msg(i) and addr(i) name datagrams. A kernel that
 // refuses a segmented message (no UDP_SEGMENT, no checksum offload, a
 // segment above the MTU) turns segmentation off for that batcher.
@@ -29,9 +29,8 @@ import (
 	"unsafe"
 )
 
-// mmsgAvailable reports that read/send batching is real on this
-// platform (the batch-size knobs do something).
-const mmsgAvailable = true
+// rxBatch is how many messages one receive syscall drains.
+const rxBatch = 32
 
 const (
 	udpSegment = 103 // UDP_SEGMENT at IPPROTO_UDP: send a run, cut at this size
@@ -80,12 +79,12 @@ func (m *mmsg) raw(fd uintptr) bool {
 	return true
 }
 
-// laneRx is one lane's batched receive state: RxBatch message buffers,
+// recvBatch is the reader's batched receive state: batch message buffers,
 // each as large as the largest run, and the iovec, sockaddr, control and
 // msghdr tables describing them, laid out once. dgs are the last read's
 // datagrams and from[i] the message dgs[i] came in; both grow to the
 // most datagrams one read has cut, so the steady state allocates nothing.
-type laneRx struct {
+type recvBatch struct {
 	mmsg
 	bufs  [][]byte
 	names []syscall.RawSockaddrAny
@@ -94,14 +93,14 @@ type laneRx struct {
 	from  []int
 }
 
-func newLaneRx(conn *net.UDPConn, batch, maxDatagram int) (*laneRx, error) {
+func newRecvBatch(conn *net.UDPConn, batch, maxDatagram int) (*recvBatch, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
 	// Best effort: a kernel without UDP_GRO hands over datagrams one by one.
 	_ = rc.Control(func(fd uintptr) { _ = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1) })
-	rx := &laneRx{mmsg: mmsg{rc: rc, trap: syscall.SYS_RECVMMSG, count: batch},
+	rx := &recvBatch{mmsg: mmsg{rc: rc, trap: syscall.SYS_RECVMMSG, count: batch},
 		bufs: make([][]byte, batch), names: make([]syscall.RawSockaddrAny, batch), ctrl: make([]udpCmsg, batch)}
 	rx.iovs, rx.hdrs, rx.call = make([]syscall.Iovec, batch), make([]mmsghdr, batch), rx.raw
 	arena := make([]byte, batch*maxDatagram)
@@ -119,7 +118,7 @@ func newLaneRx(conn *net.UDPConn, batch, maxDatagram int) (*laneRx, error) {
 // read blocks until at least one datagram arrives and returns how many
 // the batch drained, a run counting as its datagrams. msg(i)/addr(i) are
 // valid until the next read.
-func (rx *laneRx) read() (int, error) {
+func (rx *recvBatch) read() (int, error) {
 	for i := range rx.hdrs {
 		rx.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(rx.names[0]))
 		rx.hdrs[i].hdr.Controllen = uint64(unsafe.Sizeof(rx.ctrl[0]))
@@ -147,12 +146,12 @@ func (rx *laneRx) read() (int, error) {
 }
 
 // msg returns the i-th drained datagram's bytes.
-func (rx *laneRx) msg(i int) []byte { return rx.dgs[i] }
+func (rx *recvBatch) msg(i int) []byte { return rx.dgs[i] }
 
 // addr decodes the i-th datagram's peer address without allocating.
 // Port bytes are read individually, so the conversion from network
 // byte order is endianness-agnostic.
-func (rx *laneRx) addr(i int) netip.AddrPort {
+func (rx *recvBatch) addr(i int) netip.AddrPort {
 	name := &rx.names[rx.from[i]]
 	switch name.Addr.Family {
 	case syscall.AF_INET:

@@ -87,7 +87,7 @@ func listenUDP(t *testing.T) *net.UDPConn {
 
 // laneRead reads from rx until want datagrams have arrived and returns
 // copies of them and how many messages carried them.
-func laneRead(t *testing.T, rx *laneRx, want int) (got [][]byte, msgs int) {
+func laneRead(t *testing.T, rx *recvBatch, want int) (got [][]byte, msgs int) {
 	t.Helper()
 	for len(got) < want {
 		n, err := rx.read()
@@ -119,13 +119,13 @@ func sameDatagrams(t *testing.T, got, want [][]byte) {
 
 // TestUDPSegmentationKeepsDatagramBoundaries sends batches through
 // batchTx and checks that the same datagrams, byte for byte and in
-// order, come out of a lane that takes runs whole (UDP_GRO), out of a
-// plain socket that the kernel hands them to one by one, and out of a
-// lane again when the kernel refuses segmentation (SO_NO_CHECK) and the
+// order, come out of a reader that takes runs whole (UDP_GRO), out of a
+// plain socket that the kernel hands them to one by one, and out of the
+// reader again when the kernel refuses segmentation (SO_NO_CHECK) and the
 // batcher falls back to one datagram per message.
 func TestUDPSegmentationKeepsDatagramBoundaries(t *testing.T) {
 	lane := listenUDP(t)
-	rx, err := newLaneRx(lane, 8, maxDatagram)
+	rx, err := newRecvBatch(lane, 8, maxDatagram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,18 +181,17 @@ func TestUDPSegmentationKeepsDatagramBoundaries(t *testing.T) {
 	}
 }
 
-// TestUDPLaneRxAllocFreeGRO extends TestUDPLaneRxAllocFree to the socket
-// half: a batch sent as one segmented message, read whole by a lane,
+// TestUDPLaneRxAllocFreeGRO extends TestUDPRxAllocFree to the socket
+// half: a batch sent as one segmented message, read whole by the reader,
 // split at its segment size and routed datagram by datagram, allocates
 // nothing in the steady state.
 func TestUDPLaneRxAllocFreeGRO(t *testing.T) {
-	_, ts := newLaneServer(t, 1, 2, 8)
-	ln := ts.lanes[1]
+	_, ts := newSourcesServer(t, 1)
 	tx := batchSender(t, ts.Addr(), false)
 	if !tx.gso {
 		t.Skip("kernel without UDP_SEGMENT")
 	}
-	boot := core.Update{SourceID: laneQuery(0).SourceID, Seq: 0, Time: 0, Values: []float64{1}, Bootstrap: true}
+	boot := core.Update{SourceID: srcQuery(0).SourceID, Seq: 0, Time: 0, Values: []float64{1}, Bootstrap: true}
 	dg := updateDatagram(t, &boot)
 	pkts := [][]byte{dg, dg, dg, dg}
 	msgs := 0
@@ -202,19 +201,19 @@ func TestUDPLaneRxAllocFreeGRO(t *testing.T) {
 			t.Fatal(err)
 		}
 		for got := 0; got < len(pkts); {
-			n, err := ln.rx.read()
+			n, err := ts.rx.read()
 			if err != nil {
 				t.Fatal(err)
 			}
-			msgs += ln.rx.n
-			ln.lane.batch.Observe(int64(n))
+			msgs += ts.rx.n
+			ts.batch.Observe(int64(n))
 			for i := 0; i < n; i++ {
-				ln.processDatagram(ln.rx.msg(i), ln.rx.addr(i))
+				ts.processDatagram(ts.rx.msg(i), ts.rx.addr(i))
 			}
 			got += n
 		}
 	}
-	// Warm several ring wraps first, as TestUDPLaneRxAllocFree does.
+	// Warm several ring wraps first, as TestUDPRxAllocFree does.
 	for wrap := 0; wrap < 4; wrap++ {
 		for i := 0; i < 2048/len(pkts); i++ {
 			step()
@@ -227,6 +226,6 @@ func TestUDPLaneRxAllocFreeGRO(t *testing.T) {
 	n := testing.AllocsPerRun(200, step)
 	ts.eng.Quiesce()
 	if n != 0 {
-		t.Fatalf("lane rx path with GRO allocates %v/batch, want 0", n)
+		t.Fatalf("rx path with GRO allocates %v/batch, want 0", n)
 	}
 }

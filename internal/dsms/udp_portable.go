@@ -2,10 +2,9 @@
 
 // Portable datagram I/O fallback: one ReadFromUDPAddrPort per receive
 // (a batch of exactly 1) and one Write per sealed datagram. Platforms
-// with batched syscalls get udp_linux.go instead; the lane structure
-// above this layer is identical either way, so the multi-lane server
-// and the batcher behave the same everywhere — only the syscalls-per-
-// datagram ratio differs.
+// with batched syscalls get udp_linux.go instead; the reader above this
+// layer is identical either way, so the server and the batcher behave
+// the same everywhere — only the syscalls-per-datagram ratio differs.
 package dsms
 
 import (
@@ -13,24 +12,23 @@ import (
 	"net/netip"
 )
 
-// mmsgAvailable reports that the batch-size knobs are inert here: reads
-// return one datagram and sends issue one syscall per datagram.
-const mmsgAvailable = false
+// rxBatch is 1: a read returns one datagram.
+const rxBatch = 1
 
-// laneRx is one lane's receive state: a single datagram buffer.
-type laneRx struct {
+// recvBatch is the reader's receive state: a single datagram buffer.
+type recvBatch struct {
 	conn *net.UDPConn
 	buf  []byte
 	n    int
 	from netip.AddrPort
 }
 
-func newLaneRx(conn *net.UDPConn, batch, maxDatagram int) (*laneRx, error) {
-	return &laneRx{conn: conn, buf: make([]byte, maxDatagram)}, nil
+func newRecvBatch(conn *net.UDPConn, batch, maxDatagram int) (*recvBatch, error) {
+	return &recvBatch{conn: conn, buf: make([]byte, maxDatagram)}, nil
 }
 
 // read blocks for one datagram and reports a batch of 1.
-func (rx *laneRx) read() (int, error) {
+func (rx *recvBatch) read() (int, error) {
 	n, addr, err := rx.conn.ReadFromUDPAddrPort(rx.buf)
 	if err != nil {
 		return 0, err
@@ -39,8 +37,8 @@ func (rx *laneRx) read() (int, error) {
 	return 1, nil
 }
 
-func (rx *laneRx) msg(i int) []byte          { return rx.buf[:rx.n] }
-func (rx *laneRx) addr(i int) netip.AddrPort { return rx.from }
+func (rx *recvBatch) msg(i int) []byte          { return rx.buf[:rx.n] }
+func (rx *recvBatch) addr(i int) netip.AddrPort { return rx.from }
 
 // batchTx degrades to a write per datagram.
 type batchTx struct{ conn *net.UDPConn }

@@ -39,7 +39,7 @@ func TestV2PeerRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts.lanes[0].processDatagram(dg, netip.AddrPort{})
+			ts.processDatagram(dg, netip.AddrPort{})
 		}
 		ts.eng.Quiesce()
 		versionErrs, _ := s.Telemetry().Get("dkf_wire_errors_total", telemetry.L("kind", "version"))
@@ -134,7 +134,7 @@ func TestV3PeerRefused(t *testing.T) {
 	t.Run("udp", func(t *testing.T) {
 		s, ts := newUDPPair(t, q)
 		for i := range ups {
-			ts.lanes[0].processDatagram(appendV3UpdateFrame(wire.AppendPreamble(nil, v3, 0), &ups[i]), netip.AddrPort{})
+			ts.processDatagram(appendV3UpdateFrame(wire.AppendPreamble(nil, v3, 0), &ups[i]), netip.AddrPort{})
 		}
 		ts.eng.Quiesce()
 		versionErrs, _ := s.Telemetry().Get("dkf_wire_errors_total", telemetry.L("kind", "version"))

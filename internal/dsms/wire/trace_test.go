@@ -72,7 +72,7 @@ func TestTraceRoundTrip(t *testing.T) {
 // trailer is a whole number of f64s, into one value more per eight bytes,
 // and UpdateEvidence finds a trailer exactly when the flag bit is set and
 // the payload decodes — for the reader's decoder and the standalone one
-// (UDP lanes, WAL replay) alike. Anything else is ErrMalformed.
+// (the UDP reader, WAL replay) alike. Anything else is ErrMalformed.
 func TestTraceLengthsExhaustive(t *testing.T) {
 	u := core.Update{SourceID: "s", Seq: 3, Values: []float64{1}}
 	ev := testEvidence(3)
