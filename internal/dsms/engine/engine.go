@@ -38,7 +38,7 @@ type Sink interface {
 	ApplyBatch(shard int, batch []core.Update)
 }
 
-// RoundEnder is a Sink told when a worker's round — up to batchSize
+// RoundEnder is a Sink told when a worker's round — up to BatchSize
 // updates from the shard's rings, however many batches — ends, before its
 // updates count as applied: where a sink group-commits.
 type RoundEnder interface{ EndRound(shard int) }
@@ -53,8 +53,9 @@ type Options struct {
 	RingSize int
 }
 
-// batchSize caps a worker's round: its ApplyBatch calls and group commit.
-const batchSize = 256
+// BatchSize caps a worker's round (its ApplyBatch calls and group commit)
+// and a chunk of a TCP read applied or relayed as one run.
+const BatchSize = 256
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
@@ -288,14 +289,14 @@ func (r *ring) segment(h, t uint64) []core.Update {
 	return r.slots[i : i+min(t-h, uint64(len(r.slots))-i)]
 }
 
-// round applies up to batchSize published updates, ring by ring, where
+// round applies up to BatchSize published updates, ring by ring, where
 // they lie: one ApplyBatch per segment, whose slots are freed once it
 // returns. Returns the count.
 func (e *Engine) round(sh *shard) int {
 	n := 0
 	for _, r := range sh.ringList() {
-		for h, t := r.head.Load(), r.tail.Load(); h != t && n < batchSize; {
-			seg := r.segment(h, min(t, h+uint64(batchSize-n)))
+		for h, t := r.head.Load(), r.tail.Load(); h != t && n < BatchSize; {
+			seg := r.segment(h, min(t, h+uint64(BatchSize-n)))
 			e.sink.ApplyBatch(sh.id, seg)
 			h += uint64(len(seg))
 			r.head.Store(h)

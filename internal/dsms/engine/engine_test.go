@@ -382,14 +382,14 @@ func (ss *segmentSink) ApplyBatch(_ int, batch []core.Update) {
 
 func (ss *segmentSink) EndRound(int) { ss.rounds++ }
 
-// TestSegmentStopsAtBatchSizeAndWrap: a round applies up to batchSize
+// TestSegmentStopsAtBatchSizeAndWrap: a round applies up to BatchSize
 // published updates, ring by ring, where they lie — one ApplyBatch per
 // segment, cut at the end of the slot array and where the round's
-// batchSize runs out — and frees each segment (its head store) only after
+// BatchSize runs out — and frees each segment (its head store) only after
 // the call that read it; one EndRound closes each round, and the next
 // round resumes where the last one stopped.
 func TestSegmentStopsAtBatchSizeAndWrap(t *testing.T) {
-	const size, start, n = 2 * batchSize, 2*batchSize - 12, batchSize + 44
+	const size, start, n = 2 * BatchSize, 2*BatchSize - 12, BatchSize + 44
 	sh := &shard{wake: make(chan struct{}, 1)}
 	rings := []*ring{newRing(size, sh), newRing(size, sh)}
 	sh.rings.Store(&rings)
@@ -411,8 +411,8 @@ func TestSegmentStopsAtBatchSizeAndWrap(t *testing.T) {
 		lens    string
 		heads   [2]uint64
 	}{
-		// ring 0: 12 to the end of the array, then the rest of batchSize.
-		{batchSize, "[12 244]", [2]uint64{start + batchSize, 0}},
+		// ring 0: 12 to the end of the array, then the rest of BatchSize.
+		{BatchSize, "[12 244]", [2]uint64{start + BatchSize, 0}},
 		// ring 0's last 44, then ring 1.
 		{49, "[12 244 44 5]", [2]uint64{start + n, 5}},
 		{0, "[12 244 44 5]", [2]uint64{start + n, 5}},

@@ -4,15 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"streamkf/internal/dsms/wire"
 	"streamkf/internal/gen"
 	"streamkf/internal/stream"
+	"streamkf/internal/telemetry"
 )
 
 // TestTCPPipelinedEquivalence replays one stream through the old
 // synchronous-ack semantics (window=1: every update waits for its ack)
 // and through pipelined windows — 64, 1,024, the default, which is wider
 // than the stream, and twice that, so whole bursts outgrow the server's
-// read buffer and are folded in as several runs — and requires
+// read buffer at its full size and are folded in over several reads — and requires
 // bit-identical server-side trajectories: identical update/suppression
 // counts and identical query answers at every checkpoint. Pipelining
 // cannot change DKF behavior because
@@ -20,12 +22,13 @@ import (
 // — ack latency is invisible to them — and the server folds updates in
 // sequence order either way.
 func TestTCPPipelinedEquivalence(t *testing.T) {
-	data := gen.Ramp(3000, 5, 1.7, 0.8, 23)
-	checkpoints := []int{99, 250, 2999}
+	data := gen.Ramp(40000, 5, 1.7, 0.8, 23)
+	checkpoints := []int{99, 250, 2999, len(data) - 1}
 
 	type result struct {
 		updates    int
 		suppressed int
+		rxBytes    int64 // update frames the server read
 		answers    [][]float64
 	}
 	run := func(window int) result {
@@ -66,13 +69,16 @@ func TestTCPPipelinedEquivalence(t *testing.T) {
 		}
 		st := agent.Stats()
 		res.updates, res.suppressed = st.Updates, st.Suppressed
+		res.rxBytes = counter(t, s, "dkf_wire_rx_bytes_total", telemetry.L("tag", "update"))
 		return res
 	}
 
 	sync := run(1)
-	if sync.updates*35 < 2*8192 || sync.suppressed == 0 {
-		t.Fatalf("degenerate stream: updates=%d suppressed=%d, want two read buffers of updates", sync.updates, sync.suppressed)
+	if sync.rxBytes < 2*wire.MaxReadBuffer || sync.suppressed == 0 {
+		t.Fatalf("degenerate stream: updates=%d (%d B) suppressed=%d, want two full read buffers of updates",
+			sync.updates, sync.rxBytes, sync.suppressed)
 	}
+	t.Logf("updates=%d (%d B) suppressed=%d", sync.updates, sync.rxBytes, sync.suppressed)
 	for _, window := range []int{64, 1024, DefaultWindow, 2 * DefaultWindow} {
 		pipelined := run(window)
 		if sync.updates != pipelined.updates || sync.suppressed != pipelined.suppressed {

@@ -159,22 +159,6 @@ func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("wire: frame length %d exceeds limit %d", e.Len, e.Max)
 }
 
-// ReadPreamble consumes and validates the peer's preamble, returning
-// its protocol version and advertised feature bits. The caller decides
-// whether the version is acceptable (CheckVersion implements strict
-// equality). Unknown bits must be ignored, which is what keeps the byte
-// forward compatible.
-func ReadPreamble(r io.Reader) (version, features byte, err error) {
-	var p [preambleLen]byte
-	if _, err := io.ReadFull(r, p[:]); err != nil {
-		return 0, 0, mapReadErr(err, false)
-	}
-	if [4]byte(p[:4]) != Magic {
-		return 0, 0, ErrBadMagic
-	}
-	return p[4], p[5], nil
-}
-
 // CheckVersion rejects any peer version other than ours.
 func CheckVersion(got byte) error {
 	if got != Version {
@@ -466,6 +450,9 @@ func (w *Writer) Error(msg string) error {
 	return w.finish()
 }
 
+// MaxReadBuffer is the size a growing Reader's buffer doubles up to.
+const MaxReadBuffer = 64 << 10
+
 // Reader decodes inbound frames. Source and query ids repeat per
 // connection, so a one-entry intern cache makes steady-state update
 // decoding allocation-free.
@@ -475,43 +462,72 @@ func (w *Writer) Error(msg string) error {
 // buffer, which only a Next that reads from the connection rewrites, so
 // they stay valid together: a receiver can hold a run as one unit of work.
 //
+// The buffer starts at 8 KiB. A growing reader doubles it, up to its cap,
+// at the read after one that filled it, so a burst is read in fewer,
+// larger reads while a peer whose reads never fill 8 KiB keeps 8 KiB. A
+// frame larger than the buffer grows it to the frame's size.
+//
 // Reader is not safe for concurrent use.
 type Reader struct {
-	br      *bufio.Reader
-	payload []byte // holds a frame larger than the read buffer
+	rd      io.Reader
+	buf     []byte // buf[r:w] is received and not yet returned
+	r, w    int
+	limit   int   // the size buf doubles up to
+	err     error // of the last read, returned once buf[r:w] runs short
 	max     uint32
 	lastID  string // intern cache for Update.SourceID
 	lastQID string // intern cache for query ids
 }
 
-// NewReader wraps r. bufSize <= 0 picks a default; maxFrame <= 0 uses
-// DefaultMaxFrame.
-func NewReader(r io.Reader, bufSize int, maxFrame int) *Reader {
-	if bufSize <= 0 {
-		bufSize = 8192
-	}
+// NewReader wraps rd with a buffer that starts at 8 KiB and doubles up to
+// maxBuf (<= 8 KiB: it does not). maxFrame <= 0 uses DefaultMaxFrame.
+func NewReader(rd io.Reader, maxBuf, maxFrame int) *Reader {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	return &Reader{br: bufio.NewReaderSize(r, bufSize), max: uint32(maxFrame)}
+	return &Reader{rd: rd, buf: make([]byte, 8<<10), limit: maxBuf, max: uint32(maxFrame)}
+}
+
+// fill reads until n bytes are buffered. Before each read the buffered
+// bytes move to the front: into a new buffer if the last read filled
+// this one and it may grow, or if n does not fit.
+func (r *Reader) fill(n int) error {
+	for r.w-r.r < n {
+		if r.err != nil {
+			return r.err
+		}
+		buf := r.buf
+		if r.w == len(buf) && len(buf) < r.limit || n > len(buf) {
+			buf = make([]byte, max(n, min(2*len(buf), r.limit)))
+		}
+		r.buf, r.w, r.r = buf, copy(buf, r.buf[r.r:r.w]), 0
+		m, err := r.rd.Read(buf[r.w:])
+		r.w, r.err = r.w+m, err
+	}
+	return nil
 }
 
 // ReadPreamble consumes and validates the peer's preamble, returning
-// version and feature bits.
+// its protocol version and advertised feature bits. The caller decides
+// whether the version is acceptable (CheckVersion implements strict
+// equality). Unknown bits must be ignored, which is what keeps the byte
+// forward compatible.
 func (r *Reader) ReadPreamble() (version, features byte, err error) {
-	return ReadPreamble(r.br)
+	if err := r.fill(preambleLen); err != nil {
+		return 0, 0, mapReadErr(err, r.w > r.r)
+	}
+	p := r.buf[r.r:]
+	if r.r += preambleLen; [4]byte(p[:4]) != Magic {
+		return 0, 0, ErrBadMagic
+	}
+	return p[4], p[5], nil
 }
-
-// Buffered reports how many received bytes wait to be parsed. A receiver
-// coalescing its replies flushes them when it is 0: no further frame,
-// whole or partial, is in hand.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 // Ready reports the tag of the next frame if all of it is in the read
 // buffer already: Next then continues the run, reading nothing.
 // It decides from the header and the buffered length, making no error.
 func (r *Reader) Ready() (Tag, bool) {
-	buf, _ := r.br.Peek(r.br.Buffered())
+	buf := r.buf[r.r:r.w]
 	if len(buf) < 5 {
 		return 0, false
 	}
@@ -523,36 +539,18 @@ func (r *Reader) Ready() (Tag, bool) {
 // first later Next for which Ready was false. A clean EOF at a frame
 // boundary returns core.ErrPeerClosed; mid-frame, core.ErrTruncated.
 func (r *Reader) Next() (Tag, []byte, error) {
-	hdr, err := r.br.Peek(5)
-	if err != nil {
+	if err := r.fill(5); err != nil {
 		// A partial header is a truncation, not a clean close.
-		return 0, nil, mapReadErr(err, len(hdr) > 0)
+		return 0, nil, mapReadErr(err, r.w > r.r)
 	}
-	n, tag := binary.LittleEndian.Uint32(hdr), Tag(hdr[4])
-	if n == 0 {
-		return 0, nil, fmt.Errorf("%w: zero-length frame", ErrMalformed)
-	}
-	if n > r.max {
-		return 0, nil, &FrameSizeError{Len: n, Max: r.max}
-	}
-	size := 4 + int(n)
-	frame, err := r.br.Peek(size)
-	switch {
-	case err == nil:
-		_, _ = r.br.Discard(size) // just peeked: cannot fail
-	case errors.Is(err, bufio.ErrBufferFull):
-		// Larger than the read buffer: copy it out piecewise.
-		if cap(r.payload) < size {
-			r.payload = make([]byte, size)
-		}
-		frame = r.payload[:size]
-		if _, err := io.ReadFull(r.br, frame); err != nil {
+	if n := binary.LittleEndian.Uint32(r.buf[r.r:]); n >= 1 && n <= r.max {
+		if err := r.fill(4 + int(n)); err != nil {
 			return 0, nil, mapReadErr(err, true)
 		}
-	default:
-		return 0, nil, mapReadErr(err, true)
 	}
-	return tag, frame[5:], nil
+	tag, p, rest, err := NextFrame(r.buf[r.r:r.w], int(r.max))
+	r.r = r.w - len(rest)
+	return tag, p, err
 }
 
 // internID returns a string equal to b, reusing the cached copy when the
@@ -889,7 +887,7 @@ func NextFrame(p []byte, maxFrame int) (tag Tag, payload, rest []byte, err error
 		return 0, nil, nil, &FrameSizeError{Len: n, Max: uint32(maxFrame)}
 	}
 	if n < 1 || len(p) < 4+int(n) {
-		return 0, nil, nil, fmt.Errorf("%w: frame length %d beyond datagram", ErrMalformed, n)
+		return 0, nil, nil, fmt.Errorf("%w: frame length %d is zero or past the end", ErrMalformed, n)
 	}
 	return Tag(p[4]), p[5 : 4+n], p[4+n:], nil
 }

@@ -168,18 +168,20 @@ func mustNext(t *testing.T, r *Reader) []byte {
 }
 
 func TestPreamble(t *testing.T) {
-	ver, _, err := ReadPreamble(bytes.NewReader(AppendPreamble(nil, Version, 0)))
+	// readPreamble reads a preamble off a fresh Reader over src.
+	readPreamble := func(src io.Reader) (byte, byte, error) { return NewReader(src, 0, 0).ReadPreamble() }
+	ver, _, err := readPreamble(bytes.NewReader(AppendPreamble(nil, Version, 0)))
 	if err != nil || ver != Version {
 		t.Fatalf("preamble = %d, %v", ver, err)
 	}
 
-	if _, _, err := ReadPreamble(strings.NewReader("GET / HTTP/1.1\r\n")); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := readPreamble(strings.NewReader("GET / HTTP/1.1\r\n")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic = %v, want ErrBadMagic", err)
 	}
-	if _, _, err := ReadPreamble(strings.NewReader("")); !errors.Is(err, core.ErrPeerClosed) {
+	if _, _, err := readPreamble(strings.NewReader("")); !errors.Is(err, core.ErrPeerClosed) {
 		t.Fatalf("empty preamble = %v, want core.ErrPeerClosed", err)
 	}
-	if _, _, err := ReadPreamble(strings.NewReader("DKF")); !errors.Is(err, core.ErrTruncated) {
+	if _, _, err := readPreamble(strings.NewReader("DKF")); !errors.Is(err, core.ErrTruncated) {
 		t.Fatalf("partial preamble = %v, want core.ErrTruncated", err)
 	}
 
@@ -195,21 +197,23 @@ func TestPreamble(t *testing.T) {
 
 func TestPreambleFeatures(t *testing.T) {
 	// A feature-advertising preamble round-trips version and bits.
-	preamble := func(features byte) *bytes.Reader { return bytes.NewReader(AppendPreamble(nil, Version, features)) }
-	ver, feats, err := ReadPreamble(preamble(FeatEvidence))
+	preamble := func(features byte) *Reader {
+		return NewReader(bytes.NewReader(AppendPreamble(nil, Version, features)), 0, 0)
+	}
+	ver, feats, err := preamble(FeatEvidence).ReadPreamble()
 	if err != nil || ver != Version || feats != FeatEvidence {
 		t.Fatalf("preamble = v%d feats %#02x, %v; want v%d feats %#02x", ver, feats, err, Version, FeatEvidence)
 	}
 
 	// A pre-tracing peer writes a zero feature byte: same wire shape,
 	// read by the feature-aware reader as "no features".
-	if _, feats, err = ReadPreamble(preamble(0)); err != nil || feats != 0 {
+	if _, feats, err = preamble(0).ReadPreamble(); err != nil || feats != 0 {
 		t.Fatalf("legacy preamble feats = %#02x, %v; want 0", feats, err)
 	}
 
 	// And the legacy reader ignores whatever a feature-advertising peer
 	// wrote in byte 5 — the compat contract both directions rely on.
-	if ver, _, err = ReadPreamble(preamble(0xff)); err != nil || ver != Version {
+	if ver, _, err = preamble(0xff).ReadPreamble(); err != nil || ver != Version {
 		t.Fatalf("legacy read of feature preamble = v%d, %v", ver, err)
 	}
 

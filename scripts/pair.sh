@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of two commits (ROADMAP 5, the ledger):
 #
-#   scripts/pair.sh <parent> <change> [-workload W] [-pairs N]
+#   scripts/pair.sh <parent> <change> [-workload W] [-pairs N] [-seconds S]
 #
 # Checks both commits out under .bench_build/pair/parent and change (git
 # archive, so the repository's own work tree and refs are untouched), then runs
 # `bash bench/run.sh -workload W -trace 0` in each, N pairs per workload
-# (default 10, every workload), alternating which side runs first. Prints
+# (default 10, every workload), alternating which side runs first; -seconds
+# is passed on to run.sh (its default, 12, otherwise). Prints
 # one JSON object — per (workload, end-to-end metric) the parent's and the
 # change's q1/median/q3, the ratio of medians, in how many pairs the
 # change read better, a verdict against the metric's BENCHMARK.json bound
@@ -18,7 +19,7 @@
 # output, its runs.jsonl and its result.json in a directory of its own,
 # .bench_build/pair/<UTC time>-<parent7>-<change7>/, which a later set
 # leaves alone: only the checkouts are rebuilt. The run set is appended as
-# one line — commits, date, host, go version, each row's quartiles,
+# one line — commits, date, host, go version, the phases' seconds, each row's quartiles,
 # verdict and gain — to the committed BENCH_TRAJECTORY.jsonl (ROADMAP 5).
 # Needs git, tar and jq.
 #
@@ -26,16 +27,18 @@
 # `git add -A`.
 set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-[ $# -ge 2 ] || { sed -n '2,26p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,27p' "$0" >&2; exit 2; }
 parent=$(git -C "$root" rev-parse --verify "$1^{commit}")
 change=$(git -C "$root" rev-parse --verify "$2^{commit}")
 shift 2
 workloads=$(jq -r '.workloads[].name' "$root/BENCHMARK.json")
 pairs=10
+seconds=
 while [ $# -gt 0 ]; do
     case $1 in
     -workload) workloads=$2 ;;
     -pairs) pairs=$2 ;;
+    -seconds) seconds=$2 ;;
     *) echo "pair.sh: unknown flag $1" >&2; exit 2 ;;
     esac
     shift 2
@@ -62,7 +65,7 @@ for w in $workloads; do
             echo "pair.sh: $w pair $i/$pairs: $side" >&2
             # A failed run still ends in its result line; a run with none
             # is recorded as one failed operation.
-            bash "$out/$side/bench/run.sh" -workload "$w" -trace 0 >"$log" 2>&1 || true
+            bash "$out/$side/bench/run.sh" -workload "$w" -trace 0 ${seconds:+-seconds "$seconds"} >"$log" 2>&1 || true
             tail -n 1 "$log" | jq -c --arg side "$side" --arg w "$w" --argjson i "$i" \
                 '{side: $side, workload: $w, pair: $i} + .' >>"$runs" 2>/dev/null ||
                 echo "{\"side\":\"$side\",\"workload\":\"$w\",\"pair\":$i,\"correct\":false,\"failed\":1,\"metrics\":{}}" >>"$runs"
@@ -70,12 +73,15 @@ for w in $workloads; do
     done
 done
 
-jq -s --slurpfile bm "$root/BENCHMARK.json" --arg parent "$parent" --arg change "$change" --argjson pairs "$pairs" '
+# The seconds the runs measured, as their header lines print them.
+seconds=$(grep -ho '^# dkf-e2e .* seconds=[^ ]*' "$set_dir"/*.out | sed -n '1s/.*seconds=//p' || true)
+jq -s --slurpfile bm "$root/BENCHMARK.json" --arg parent "$parent" --arg change "$change" --argjson pairs "$pairs" \
+    --argjson seconds "${seconds:-null}" '
 def q(p): sort as $s | ((($s | length) - 1) * p) as $h | ($h | floor) as $lo
     | $s[$lo] + ($h - $lo) * (($s[$lo + 1] // $s[$lo]) - $s[$lo]);
 def quartiles: {q1: q(0.25), median: q(0.5), q3: q(0.75)};
 . as $runs
-| {parent: $parent, change: $change, pairs: $pairs,
+| {parent: $parent, change: $change, pairs: $pairs, seconds: $seconds,
    failed: (["parent", "change"] | map({key: ., value: (. as $s | [$runs[] | select(.side == $s) | .failed] | add)}) | from_entries),
    rows: [($runs | map(.workload) | unique[]) as $w | $bm[0].end_to_end[] as $m
      | [$runs[] | select(.workload == $w and .side == "parent") | .metrics[$m.name].value // empty] as $p
@@ -97,7 +103,7 @@ def quartiles: {q1: q(0.25), median: q(0.5), q3: q(0.75)};
 ' "$runs" | tee "$set_dir/result.json"
 
 jq -c --arg date "$(date -u +%F)" --arg host "$(uname -srm), $(nproc) vCPU" --arg go "$(go env GOVERSION)" \
-    '{date: $date, parent, change, host: $host, go: $go, pairs, failed, rows: [.rows[] | {workload, metric, parent, change, verdict, gain}]}' \
+    '{date: $date, parent, change, host: $host, go: $go, pairs, seconds, failed, rows: [.rows[] | {workload, metric, parent, change, verdict, gain}]}' \
     "$set_dir/result.json" >>"$root/BENCH_TRAJECTORY.jsonl"
 
 jq -r '
