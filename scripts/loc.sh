@@ -14,7 +14,7 @@ OBS="internal/dsms/selfmon.go internal/dsms/statusz.go internal/dsms/history.go
     internal/dsms/admin.go internal/dsms/telemetry.go internal/dsms/cluster/admin.go
     internal/dsms/cluster/fleet.go internal/dsms/cluster/events.go
     internal/dsms/cluster/trace.go internal/dsms/cluster/telemetry.go"
-CEILING=9575
+CEILING=9573
 LIB_CEILING=13130
 OBS_CEILING=1748
 total=0
