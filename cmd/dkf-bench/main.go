@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"streamkf/internal/experiments"
@@ -38,7 +39,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dkf-bench: unknown experiment %q; use -list\n", *experiment)
 			os.Exit(2)
 		}
-		if err := runOne(e, *csvPath); err != nil {
+		if err := runOne(os.Stdout, e, *csvPath); err != nil {
 			fmt.Fprintf(os.Stderr, "dkf-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -50,7 +51,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, e := range experiments.All() {
-		if err := runOne(e, ""); err != nil {
+		if err := runOne(os.Stdout, e, ""); err != nil {
 			fmt.Fprintf(os.Stderr, "dkf-bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
@@ -58,13 +59,12 @@ func main() {
 	}
 }
 
-func runOne(e experiments.Experiment, csvPath string) error {
+func runOne(w io.Writer, e experiments.Experiment, csvPath string) error {
 	r, err := e.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Print(r.Table())
-	fmt.Printf("expected shape: %s\n", e.Expected)
+	fmt.Fprintf(w, "%sexpected shape: %s\n", r.Table(), e.Expected)
 	if csvPath == "" {
 		return nil
 	}

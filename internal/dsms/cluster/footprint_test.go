@@ -109,18 +109,26 @@ func TestInFlightFootprint(t *testing.T) {
 	r := &Router{
 		ring: NewRing(1, 0), tel: newRouterTelemetry(1), routes: make(map[string]*route),
 		upstreams: []*upstream{{w: wire.NewWriter(io.Discard, 0, 0)}},
+		opts:      Options{MaxFrame: wire.DefaultMaxFrame},
 	}
 	u := core.Update{SourceID: id, Values: []float64{0}}
-	var payloads [][]byte
+	var stream []byte // the window's frames back to back, as a source's reads deliver them
+	var frames [][]byte
 	for i := 0; i < window; i++ {
 		u.Seq, u.Values[0] = 1<<20+i, float64(i%7)
-		p, err := wire.AppendUpdate(nil, &u)
+		var err error
+		if stream, err = wire.AppendUpdateFrame(stream, &u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rest := stream; len(rest) > 0; {
+		_, _, next, err := wire.NextFrame(rest, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads = append(payloads, p)
+		frames, rest = append(frames, rest[:len(rest)-len(next)]), next
 	}
-	// The payloads are the first stream's; relay forwards them verbatim,
+	// The frames are the first stream's; relay forwards them verbatim,
 	// so every route may reuse them. Many routes, for a per-route figure
 	// the collector's own noise does not swamp.
 	const routes = 256
@@ -132,8 +140,8 @@ func TestInFlightFootprint(t *testing.T) {
 	before = heapInUse()
 	for _, id := range ids {
 		rt := r.routeFor(id)
-		for i, p := range payloads { // runs of 64, as sources' reads deliver them
-			if run = append(run, fwdItem{rt: rt, seq: int64(1<<20 + i), p: p}); len(run) == cap(run) {
+		for i, f := range frames { // runs of 64, as sources' reads deliver them
+			if run = append(run, fwdItem{rt: rt, seq: int64(1<<20 + i), f: f}); len(run) == cap(run) {
 				r.relay(run, touched)
 				run = run[:0]
 			}
@@ -144,7 +152,7 @@ func TestInFlightFootprint(t *testing.T) {
 	}
 	perRoute := (int64(heapInUse()) - int64(before)) / routes
 	runtime.KeepAlive(r)
-	runtime.KeepAlive(payloads)
+	runtime.KeepAlive(frames)
 	runtime.KeepAlive(ids)
 	runtime.KeepAlive(run)
 

@@ -52,16 +52,15 @@ func (r *Router) ServeUDP(addr string) error {
 			continue // not ours; drop like the shard server does
 		}
 		for len(frames) > 0 {
-			var tag wire.Tag
-			var p []byte
-			tag, p, frames, err = wire.NextFrame(frames, r.opts.MaxFrame)
+			tag, p, rest, err := wire.NextFrame(frames, r.opts.MaxFrame)
 			if err != nil {
 				break
 			}
-			switch tag {
+			f := frames[:len(frames)-len(rest)]
+			switch frames = rest; tag {
 			case wire.TagUpdate:
 				if idb, seq, ok := peekUpdate(p); ok {
-					run = append(run, fwdItem{rt: r.routeFor(idb), seq: seq, p: p})
+					run = append(run, fwdItem{rt: r.routeFor(idb), seq: seq, f: f})
 				}
 
 			case wire.TagHello:

@@ -689,14 +689,12 @@ func (s *Server) HandleUpdate(u core.Update) error {
 
 // rxFrame is what a TCP connection keeps beside a received update: the
 // route index its ack must name (-1: a source's own update, acked by seq
-// alone), its seq, its update payload as received — what the log
-// records, valid in the read buffer while the run is — and what only a
-// trace records: its frame's size on the wire and the evidence trailer
-// it carried (nil: none), still in its payload.
+// alone), its seq, its update frame as received — what the log records
+// and, by its size, a trace, valid in the read buffer while the run is —
+// and the evidence trailer it carried (nil: none), still in its payload.
 type rxFrame struct {
 	route, seq int64
-	payload    []byte
-	bytes      int
+	frame      []byte
 	ev         *wire.Evidence
 }
 
@@ -757,7 +755,7 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 		case batch != nil && st.lastSeq < 0 && !u.Bootstrap:
 			err = errPreBootstrap
 		default:
-			sampled, tid, err = s.applyLocked(st, u, f.ev, f.bytes)
+			sampled, tid, err = s.applyLocked(st, u, f.ev, len(f.frame))
 		}
 		if err != nil {
 			break
@@ -767,7 +765,7 @@ func (s *Server) applyRun(run []core.Update, frames []rxFrame, batch *runLog) (n
 			// After the apply, under the same lock: a rejected update
 			// never enters the log, and record order is apply order.
 			var size int
-			if size, logErr = s.db.add(wl, f.payload, u); logErr == nil && sampled {
+			if size, logErr = s.db.add(wl, f.frame, u); logErr == nil && sampled {
 				st.rec().Record(&trace.Event{TraceID: tid, Seq: int64(u.Seq), Kind: trace.KindWAL, Aux: int64(size)})
 			}
 		}

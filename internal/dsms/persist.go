@@ -227,17 +227,14 @@ type runLog struct {
 // between the apply and the commit, both under the stream's lock.
 var runLogs = sync.Pool{New: func() any { return new(runLog) }}
 
-// add appends one applied update's frame to the run record: its received
-// payload verbatim behind a frame header, or u encoded anew when it came
-// without one (nil payload). A record that would outgrow wal.MaxRecord is
-// committed before it. Returns the frame's size.
-func (db *durability) add(wl *runLog, payload []byte, u *core.Update) (int, error) {
+// add appends one applied update's frame to the run record: the frame
+// received, verbatim, or u encoded anew when it came without one (nil
+// frame). A record that would outgrow wal.MaxRecord is committed before
+// it. Returns the frame's size.
+func (db *durability) add(wl *runLog, frame []byte, u *core.Update) (int, error) {
 	start := len(wl.frames)
 	var err error
-	if payload != nil {
-		wl.frames = append(wire.BeginFrame(wl.frames, wire.TagUpdate), payload...)
-		wl.frames, err = wire.EndFrame(wl.frames, start)
-	} else {
+	if wl.frames = append(wl.frames, frame...); frame == nil {
 		wl.frames, err = wire.AppendUpdateFrame(wl.frames, u)
 	}
 	if err != nil {

@@ -407,9 +407,9 @@ func TestReleaseAtomicWithSnapshot(t *testing.T) {
 		sent := make(chan error, 1)
 		go func() {
 			for seq := 1; seq <= forwards; seq++ {
-				p, err := wire.AppendUpdate(nil, &core.Update{SourceID: "m", Seq: seq, Time: float64(seq), Values: []float64{float64(seq)}})
+				f, err := wire.AppendUpdateFrame(nil, &core.Update{SourceID: "m", Seq: seq, Time: float64(seq), Values: []float64{float64(seq)}})
 				if err == nil {
-					err = w.Forward(0, 1, p)
+					err = w.Forward(0, 1, f)
 				}
 				if err == nil {
 					err = w.Flush()

@@ -11,6 +11,7 @@ import (
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/wire"
 	"streamkf/internal/stream"
+	"streamkf/internal/telemetry"
 )
 
 // rawClient opens a plain TCP connection with framing helpers, for
@@ -365,5 +366,54 @@ func TestTCPServeAcceptErrorWaitsForHandlers(t *testing.T) {
 	// each decrements the active-connections gauge in its defer.
 	if v, ok := s.Telemetry().Get("dkf_wire_connections_active"); !ok || v != 0 {
 		t.Fatalf("dkf_wire_connections_active = %v after Serve returned; handler goroutines leaked", v)
+	}
+}
+
+// TestTCPForwardInnerFrameMalformed: a forward whose run holds a frame
+// that is not an update, or one cut short, is a malformed frame like any
+// other — an error frame, the hang-up, and none of the run applied, not
+// even the whole update ahead of the bad frame.
+func TestTCPForwardInnerFrameMalformed(t *testing.T) {
+	s := NewServer(testCatalog())
+	mustRegister(t, s, stream.Query{ID: "q", SourceID: "fwd", Delta: 1, Model: "constant"})
+	if _, err := s.InstallFor("fwd"); err != nil {
+		t.Fatal(err)
+	}
+	ts := startServer(t, s)
+	good, err := wire.AppendUpdateFrame(nil, &core.Update{SourceID: "fwd", Seq: 0, Values: []float64{1}, Bootstrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, _ := wire.AppendHelloFrame(nil, "fwd")
+	for name, frames := range map[string][]byte{
+		"hello":             hello,
+		"update then hello": append(append([]byte(nil), good...), hello...),
+		"cut short":         good[:len(good)-2],
+		"update then a cut": append(append([]byte(nil), good...), good[:len(good)-1]...),
+	} {
+		before := counter(t, s, "dkf_wire_errors_total", telemetry.L("kind", "malformed"))
+		_, w, r := rawClient(t, ts.Addr())
+		if err := w.WritePreamble(wire.Version, wire.FeatCluster); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Forward(0, 1, frames); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.ReadPreamble(); err != nil {
+			t.Fatal(err)
+		}
+		expectErrorFrame(t, r, "malformed")
+		if tag, _, err := r.Next(); err == nil {
+			t.Fatalf("%s: connection open after the error frame: read %v", name, tag)
+		}
+		if got := counter(t, s, "dkf_wire_errors_total", telemetry.L("kind", "malformed")); got != before+1 {
+			t.Errorf("%s: %d malformed frames counted, want 1", name, got-before)
+		}
+		if st := s.Stats()[0]; st.Updates != 0 {
+			t.Fatalf("%s: %d updates applied from a refused forward", name, st.Updates)
+		}
 	}
 }

@@ -68,6 +68,21 @@ func writeRun(t *testing.T, w *wire.Writer, sourceID string, traced bool, seqs .
 	}
 }
 
+// appendFrame appends u's update frame, with ev (nil for none) as its
+// evidence trailer, to b: what a source sends and a router forwards.
+func appendFrame(t *testing.T, b []byte, u core.Update, ev *trace.Event) []byte {
+	t.Helper()
+	start := len(b)
+	b, err := wire.AppendTracedUpdate(wire.BeginFrame(b, wire.TagUpdate), &u, ev)
+	if err == nil {
+		b, err = wire.EndFrame(b, start)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // readThrough reads ack and error frames until the cumulative ack
 // reaches last, returning every ack seq received before and after the
 // first error frame, and that error's message.
@@ -1038,12 +1053,14 @@ func TestTCPRxCountedPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, w, r = dial("")
+	var frames []byte
+	cuts := []int{0}
 	for seq := 0; seq < 5; seq++ {
-		p, err := wire.AppendUpdate(nil, &core.Update{SourceID: "fwd", Seq: seq, Values: []float64{1}, Bootstrap: seq == 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Forward(0, 1, p); err != nil {
+		frames = appendFrame(t, frames, core.Update{SourceID: "fwd", Seq: seq, Values: []float64{1}, Bootstrap: seq == 0}, nil)
+		cuts = append(cuts, len(frames))
+	}
+	for _, run := range [][2]int{{0, 3}, {3, 4}, {4, 5}} { // a run of three, two runs of one
+		if err := w.Forward(0, 1, frames[cuts[run[0]]:cuts[run[1]]]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -413,18 +413,14 @@ func TestForwardRejectedEvidenceNotInherited(t *testing.T) {
 	if err := w.WritePreamble(wire.Version, wire.FeatCluster); err != nil {
 		t.Fatal(err)
 	}
-	payload := func(id string, ev *trace.Event) []byte {
-		p, err := wire.AppendTracedUpdate(nil, &core.Update{SourceID: id, Seq: k, Time: k, Values: []float64{5}}, ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	frame := func(id string, ev *trace.Event) []byte {
+		return appendFrame(t, nil, core.Update{SourceID: id, Seq: k, Time: k, Values: []float64{5}}, ev)
 	}
 	d := trace.Event{TraceID: 77, Seq: k, Kind: trace.KindDecision, Dec: trace.DecisionSend, At: 1000, Raw: 5, Value: 5, Pred: 1, Residual: 4, Delta: 1}
-	if err := w.Forward(0, 2, payload("A", &d)); err != nil {
+	if err := w.Forward(0, 2, frame("A", &d)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Forward(1, 2, payload("B", nil)); err != nil {
+	if err := w.Forward(1, 2, frame("B", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

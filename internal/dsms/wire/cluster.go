@@ -21,7 +21,7 @@ import (
 // FeatCluster in its preamble; a router refuses an upstream that does
 // not, so plain v2 servers never see these tags.
 const (
-	TagForward    Tag = 0x09 // router → shard: u32 idx, i64 epoch, then a standard update payload
+	TagForward    Tag = 0x09 // router → shard: u32 idx, i64 epoch, then one route's run of update frames
 	TagForwardAck Tag = 0x0a // shard → router: u32 idx, i64 seq (cumulative per route)
 	TagClusterReg Tag = 0x0b // router → shard: remote query/aggregate registration
 	TagRegistered Tag = 0x0c // shard → router: str id (registration accepted or adopted)
@@ -32,41 +32,39 @@ const (
 
 // FeatCluster announces that this side accepts the cluster tags above.
 // Servers advertise it unconditionally; the dkf-router requires it on
-// every upstream connection and refuses to forward to a peer without
-// it (an older server would answer TagForward with a sticky error).
-const FeatCluster byte = 0x02
+// every upstream connection and refuses to forward to a peer without it
+// (0x02, retired, announced the one-update forward, which it misparses).
+const FeatCluster byte = 0x20
+
+// ForwardHead is a forward frame's length, tag and envelope.
+const ForwardHead = 4 + 1 + 4 + 8
 
 // Forward buffers one forward frame: the envelope (route index +
-// topology epoch) followed by the verbatim update payload bytes as the
-// source sent them — the router never re-encodes an update.
-func (w *Writer) Forward(idx uint32, epoch int64, updatePayload []byte) error {
+// topology epoch) then one route's update frames back to back as the
+// source sent them — never re-encoded, copied once, into the buffer.
+func (w *Writer) Forward(idx uint32, epoch int64, frames []byte) error {
 	w.begin(TagForward)
 	w.scratch = AppendU32(w.scratch, idx)
 	w.scratch = AppendI64(w.scratch, epoch)
-	w.scratch = append(w.scratch, updatePayload...)
-	return w.finish()
+	return w.finish(frames)
 }
 
-// ForwardEnvelope is the decoded forward header; Payload is the
-// standard update payload that follows it (aliasing the frame buffer —
-// decode before the next read).
-type ForwardEnvelope struct {
-	Idx     uint32
-	Epoch   int64
-	Payload []byte
-}
-
-// DecodeForward splits a forward payload into its envelope and the
-// wrapped update payload. The update itself is decoded separately with
-// the usual update decoder.
-func DecodeForward(p []byte) (ForwardEnvelope, error) {
-	if len(p) < 12 {
-		return ForwardEnvelope{}, malformed(TagForward)
+// DecodeForward splits a forward payload into its envelope and (non-empty) frames.
+func DecodeForward(p []byte) (idx uint32, epoch int64, frames []byte, err error) {
+	if len(p) <= ForwardHead-5 {
+		return 0, 0, nil, malformed(TagForward)
 	}
 	c := NewCursor(p)
-	env := ForwardEnvelope{Idx: c.U32(), Epoch: c.I64()}
-	env.Payload = p[12:]
-	return env, nil
+	return c.U32(), c.I64(), p[ForwardHead-5:], nil
+}
+
+// NextForwarded splits the first frame off frames: ErrMalformed unless a whole update.
+func NextForwarded(frames []byte) (frame, rest []byte, err error) {
+	tag, _, rest, err := NextFrame(frames, len(frames))
+	if err != nil || tag != TagUpdate {
+		return nil, nil, malformed(TagForward)
+	}
+	return frames[:len(frames)-len(rest)], rest, nil
 }
 
 // ForwardAck buffers a cumulative per-route acknowledgement.
@@ -74,7 +72,7 @@ func (w *Writer) ForwardAck(idx uint32, seq int64) error {
 	w.begin(TagForwardAck)
 	w.scratch = AppendU32(w.scratch, idx)
 	w.scratch = AppendI64(w.scratch, seq)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // DecodeForwardAck parses a forward-ack payload.
@@ -124,7 +122,7 @@ func (w *Writer) RegisterQuery(q ClusterQuery) error {
 	w.str(q.Model)
 	w.scratch = AppendF64(w.scratch, q.Delta)
 	w.scratch = AppendF64(w.scratch, q.F)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // RegisterAggregate buffers an aggregate remote registration.
@@ -148,7 +146,7 @@ func (w *Writer) RegisterAggregate(q ClusterAggregate) error {
 	for _, src := range q.SourceIDs {
 		w.str(src)
 	}
-	return w.finish()
+	return w.finish(nil)
 }
 
 // DecodeClusterReg parses a remote registration payload. Exactly one
@@ -187,7 +185,7 @@ func DecodeClusterReg(p []byte) (kind byte, q ClusterQuery, agg ClusterAggregate
 func (w *Writer) Registered(id string) error {
 	w.begin(TagRegistered)
 	w.str(id)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // Snapshot buffers a migration snapshot request: release sourceID at
@@ -196,7 +194,7 @@ func (w *Writer) Snapshot(sourceID string, epoch int64) error {
 	w.begin(TagSnapshot)
 	w.str(sourceID)
 	w.scratch = AppendI64(w.scratch, epoch)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // DecodeSnapshot parses a snapshot request.
@@ -216,7 +214,7 @@ func (w *Writer) Restore(epoch int64, payload []byte) error {
 	w.scratch = AppendI64(w.scratch, epoch)
 	w.scratch = AppendU32(w.scratch, uint32(len(payload)))
 	w.scratch = append(w.scratch, payload...)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // DecodeRestore parses a restore request. The payload aliases p.
@@ -247,7 +245,7 @@ func (w *Writer) WriteStateAck(a StateAck) error {
 	w.scratch = AppendI64(w.scratch, a.Epoch)
 	w.scratch = AppendU32(w.scratch, uint32(len(a.Payload)))
 	w.scratch = append(w.scratch, a.Payload...)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // DecodeStateAck parses a snapshot/restore acknowledgement. The

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -15,15 +16,34 @@ import (
 func TestClusterFrameRoundTrip(t *testing.T) {
 	w, r, _ := pipe()
 
-	// Forward: envelope + verbatim update payload.
-	u := core.Update{SourceID: "node-7", Seq: 1<<33 + 5, Time: 99.25, Values: []float64{-3.5, math.Pi}}
-	payload, err := AppendUpdate(nil, &u)
-	if err != nil {
-		t.Fatal(err)
+	// Forward: the envelope, then a route's update frames verbatim — a run
+	// of one, and a run of three.
+	seq, _ := seqCase(t, 1<<33+5)
+	us := []core.Update{
+		{SourceID: "node-7", Seq: seq, Time: 99.25, Values: []float64{-3.5, math.Pi}},
+		{SourceID: "node-7", Seq: seq + 1, Values: []float64{2}, Bootstrap: true},
+		{SourceID: "node-7", Seq: seq + 9},
 	}
-	if err := w.Forward(41, 3, payload); err != nil {
-		t.Fatal(err)
+	var frames []byte
+	for i := range us {
+		var err error
+		if frames, err = AppendUpdateFrame(frames, &us[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
+	one, _ := AppendUpdateFrame(nil, &us[0])
+	runs := []struct {
+		idx    uint32
+		epoch  int64
+		frames []byte
+		us     []core.Update
+	}{{41, 3, one, us[:1]}, {42, 1 << 40, frames, us}}
+	for _, run := range runs {
+		if err := w.Forward(run.idx, run.epoch, run.frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u := us[0]
 	if err := w.ForwardAck(41, int64(u.Seq)); err != nil {
 		t.Fatal(err)
 	}
@@ -54,30 +74,44 @@ func TestClusterFrameRoundTrip(t *testing.T) {
 	}
 	mustFlush(t, w)
 
-	env, err := DecodeForward(next(t, r, TagForward))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Idx != 41 || env.Epoch != 3 {
-		t.Fatalf("forward envelope = %+v, want idx 41 epoch 3", env)
-	}
-	if !bytes.Equal(env.Payload, payload) {
-		t.Fatal("forwarded update payload not verbatim")
-	}
-	var got core.Update
-	if err := DecodeUpdatePayload(env.Payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.SourceID != u.SourceID || got.Seq != u.Seq || !reflect.DeepEqual(got.Values, u.Values) {
-		t.Fatalf("wrapped update = %+v, want %+v", got, u)
+	for _, run := range runs {
+		idx, epoch, frames, err := DecodeForward(next(t, r, TagForward))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx != run.idx || epoch != run.epoch || !bytes.Equal(frames, run.frames) {
+			t.Fatalf("forward = idx %d epoch %d, %d B of frames; want idx %d epoch %d, %d B verbatim",
+				idx, epoch, len(frames), run.idx, run.epoch, len(run.frames))
+		}
+		for i, want := range run.us {
+			f, rest, err := NextForwarded(frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got core.Update
+			if err := DecodeUpdatePayload(f[5:], &got); err != nil {
+				t.Fatal(err)
+			}
+			if len(f) != len(frames)-len(rest) || !bytes.Equal(f, frames[:len(f)]) {
+				t.Fatalf("update %d of forward %d: a %d-byte frame, %d B left of %d", i, idx, len(f), len(rest), len(frames))
+			}
+			if got.SourceID != want.SourceID || got.Seq != want.Seq || got.Bootstrap != want.Bootstrap ||
+				len(got.Values) != len(want.Values) || len(want.Values) > 0 && !reflect.DeepEqual(got.Values, want.Values) {
+				t.Fatalf("update %d of forward %d = %+v, want %+v", i, idx, got, want)
+			}
+			frames = rest
+		}
+		if len(frames) != 0 {
+			t.Fatalf("forward %d: %d B past its updates", idx, len(frames))
+		}
 	}
 
-	idx, seq, err := DecodeForwardAck(next(t, r, TagForwardAck))
+	idx, ackSeq, err := DecodeForwardAck(next(t, r, TagForwardAck))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != 41 || seq != int64(u.Seq) {
-		t.Fatalf("forward ack = (%d, %d), want (41, %d)", idx, seq, u.Seq)
+	if idx != 41 || ackSeq != int64(u.Seq) {
+		t.Fatalf("forward ack = (%d, %d), want (41, %d)", idx, ackSeq, u.Seq)
 	}
 
 	kind, gq, _, err := DecodeClusterReg(next(t, r, TagClusterReg))
@@ -129,8 +163,10 @@ func TestClusterFrameRoundTrip(t *testing.T) {
 // TestClusterDecodeMalformed feeds truncated or corrupt payloads to
 // every cluster decoder; all must fail cleanly.
 func TestClusterDecodeMalformed(t *testing.T) {
-	if _, err := DecodeForward(make([]byte, 11)); err == nil {
-		t.Error("short forward accepted")
+	for n := 0; n <= 12; n++ { // an envelope cut short, or with no frame behind it
+		if _, _, _, err := DecodeForward(make([]byte, n)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%d-byte forward: %v, want ErrMalformed", n, err)
+		}
 	}
 	if _, _, err := DecodeForwardAck(make([]byte, 13)); err == nil {
 		t.Error("overlong forward ack accepted")
@@ -175,5 +211,54 @@ func TestClusterTagNames(t *testing.T) {
 		if got := tag.String(); got != name {
 			t.Errorf("Tag(%#x).String() = %q, want %q", byte(tag), got, name)
 		}
+	}
+}
+
+// TestForwardedFrames: a forward's update frames are walked one by one,
+// and an inner frame that is cut short, overruns the forward, is empty or
+// is not an update is ErrMalformed — what a shard hangs up on. A forward
+// that would pass the writer's max frame is not written.
+func TestForwardedFrames(t *testing.T) {
+	u := core.Update{SourceID: "s", Seq: 3, Values: []float64{1}}
+	good, err := AppendUpdateFrame(nil, &u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, _ := AppendHelloFrame(nil, "s")
+	overrun := append([]byte(nil), good...)
+	overrun[0]++
+	for name, frames := range map[string][]byte{
+		"cut in the header":   good[:4],
+		"cut in the payload":  good[:len(good)-1],
+		"length past the end": overrun,
+		"empty frame":         {0, 0, 0, 0, byte(TagUpdate)},
+		"hello":               hello,
+		"update then hello":   append(append([]byte(nil), good...), hello...),
+		"update then a cut":   append(append([]byte(nil), good...), good[:7]...),
+	} {
+		var err error
+		for rest := frames; len(rest) > 0 && err == nil; {
+			_, rest, err = NextForwarded(rest)
+		}
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: %v, want ErrMalformed", name, err)
+		}
+	}
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf, 0, ForwardHead-4+2*len(good))
+	var framed []int
+	w.OnFrame = func(tag Tag, n int) { framed = append(framed, n) }
+	two := append(append([]byte(nil), good...), good...)
+	if err := w.Forward(1, 2, two); err != nil {
+		t.Fatalf("a forward of exactly the max frame: %v", err)
+	}
+	var fse *FrameSizeError
+	if err := w.Forward(1, 2, append(two, good[:1]...)); !errors.As(err, &fse) {
+		t.Fatalf("a forward a byte past the max frame: %v, want a FrameSizeError", err)
+	}
+	mustFlush(t, w)
+	if len(framed) != 1 || framed[0] != ForwardHead+len(two) || buf.Len() != framed[0] {
+		t.Fatalf("framed %v, %d B buffered; want one %d-byte forward", framed, buf.Len(), ForwardHead+len(two))
 	}
 }

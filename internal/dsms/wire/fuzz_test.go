@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"streamkf/internal/core"
@@ -65,6 +66,15 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(frame)
 	}
 
+	// Forwards: a run of one update frame, a run of three, and runs with a
+	// frame cut short or a hello inside, which the shard refuses.
+	one, _ := AppendUpdateFrame(nil, &core.Update{SourceID: "s", Seq: 4, Values: []float64{1}})
+	three := append(append(append([]byte(nil), one...), one...), one...)
+	hello, _ := AppendHelloFrame(nil, "s")
+	for _, frames := range [][]byte{one, three, three[:len(three)-3], append(append([]byte(nil), one...), hello...)} {
+		f.Add(seed(func(w *Writer) error { return w.Forward(2, 7, frames) }))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data), 0, 0)
 		var u core.Update
@@ -89,6 +99,24 @@ func FuzzFrameDecode(f *testing.F) {
 			_, _ = DecodeError(p)
 			if e := UpdateEvidence(p); e != nil {
 				_ = e.Event(e.TraceID())
+			}
+			// A forward's frames walk as the shard walks them, every update
+			// through the one decoder, to the end or to ErrMalformed.
+			if _, _, frames, err := DecodeForward(p); err == nil {
+				for len(frames) > 0 {
+					f, rest, err := NextForwarded(frames)
+					if err != nil {
+						if !errors.Is(err, ErrMalformed) {
+							t.Fatalf("inner frame refused with %v, want ErrMalformed", err)
+						}
+						break
+					}
+					if len(f) < 6 || len(f)+len(rest) != len(frames) {
+						t.Fatalf("a %d-byte inner frame with %d B left of %d", len(f), len(rest), len(frames))
+					}
+					_ = r.DecodeUpdate(f[5:], &u)
+					frames = rest
+				}
 			}
 			_ = tag
 		}

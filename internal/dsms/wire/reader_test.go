@@ -49,10 +49,13 @@ func mixedStream(t *testing.T) []byte {
 			err = w.Answer("q-mid", mid)
 		case i%97 == 0:
 			err = w.Query("q", int64(i))
-		case i%3 == 0:
-			var p []byte
-			if p, err = AppendUpdate(nil, &u); err == nil {
-				err = w.Forward(uint32(i%7), 1, p)
+		case i%3 == 0: // a forward of a run of one to four update frames
+			var f []byte
+			for k := 0; k <= i%4 && err == nil; k++ {
+				f, err = AppendUpdateFrame(f, &u)
+			}
+			if err == nil {
+				err = w.Forward(uint32(i%7), 1, f)
 			}
 		default:
 			err = w.Update(&u, nil)
@@ -65,26 +68,29 @@ func mixedStream(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// readFrame is a frame as read: its tag and the whole frame, header
+// included.
 type readFrame struct {
-	tag     Tag
-	payload string
+	tag   Tag
+	frame string
 }
 
 // TestReaderGrowthKeepsEveryFrame reads one mixed stream through a growing
 // Reader and through one fixed at MaxReadBuffer, over sources that return
 // random short reads, and requires both to yield exactly the frames the
-// stream holds. Under the random reads the growing reader doubles to its
+// stream holds, each whole through Frame around the payload Next returned
+// (a router forwards update frames so). Under the random reads the growing reader doubles to its
 // cap, and at least once with part of a frame in hand that must move to
 // the new buffer.
 func TestReaderGrowthKeepsEveryFrame(t *testing.T) {
 	stream := mixedStream(t)
 	var want []readFrame
 	for p := stream; len(p) > 0; {
-		tag, payload, rest, err := NextFrame(p, 0)
+		tag, _, rest, err := NextFrame(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, p = append(want, readFrame{tag, string(payload)}), rest
+		want, p = append(want, readFrame{tag, string(p[:len(p)-len(rest)])}), rest
 	}
 	// drain reads every frame off r, counts the reads that grew the buffer
 	// for more of a stream (not for a frame too large for it) with part of
@@ -103,7 +109,10 @@ func TestReaderGrowthKeepsEveryFrame(t *testing.T) {
 				straddled += min(held, 1)
 			}
 			capped = capped || len(r.buf) == MaxReadBuffer
-			got = append(got, readFrame{tag, string(p)})
+			if f := r.Frame(p); len(f) != len(p)+5 || string(f[5:]) != string(p) {
+				t.Fatalf("frame %d: Frame is %d B around a %d-byte payload", len(got), len(f), len(p))
+			}
+			got = append(got, readFrame{tag, string(r.Frame(p))})
 		}
 	}
 	short := func(seed int64) func() io.Reader {
@@ -131,7 +140,7 @@ func TestReaderGrowthKeepsEveryFrame(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s, %s reader: frame %d is %v (%d B), want %v (%d B)",
-						tc.name, name, i, got[i].tag, len(got[i].payload), want[i].tag, len(want[i].payload))
+						tc.name, name, i, got[i].tag, len(got[i].frame), want[i].tag, len(want[i].frame))
 				}
 			}
 			if r == growing && tc.grows && (!capped || straddled == 0) {

@@ -67,8 +67,8 @@ const Version byte = 4
 // 0x04 the 73-byte one with timestamps; both are retired — never set,
 // never read — with the TagTrace frame itself. A peer from either era
 // sees no bit it knows and sends (or is sent) no evidence, so it degrades
-// to untraced instead of receiving bytes it would reject. 0x02 is
-// FeatCluster (cluster.go).
+// to untraced instead of receiving bytes it would reject. 0x02 was the
+// one-update forward's FeatCluster, retired so; 0x20 is (cluster.go).
 const (
 	// FeatEvidence announces that this side accepts update payloads
 	// carrying an evidence trailer — what a tracing server consumes.
@@ -241,21 +241,22 @@ func (w *Writer) str(s string) {
 	}
 }
 
-// finish patches the length prefix and writes the frame into the buffer.
-func (w *Writer) finish() error {
+// finish patches the length prefix and writes the frame, tail last, into the buffer.
+func (w *Writer) finish(tail []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	n := uint32(len(w.scratch) - 4) // tag + payload
+	n := uint32(len(w.scratch) - 4 + len(tail)) // tag + payload
 	if n > w.max {
 		return &FrameSizeError{Len: n, Max: w.max}
 	}
 	binary.LittleEndian.PutUint32(w.scratch[:4], n)
-	if _, err := w.bw.Write(w.scratch); err != nil {
+	_, _ = w.bw.Write(w.scratch) // a failed write is sticky in bw: the next one reports it
+	if _, err := w.bw.Write(tail); err != nil {
 		return err
 	}
 	if w.OnFrame != nil {
-		w.OnFrame(Tag(w.scratch[4]), len(w.scratch))
+		w.OnFrame(Tag(w.scratch[4]), 4+int(n))
 	}
 	return nil
 }
@@ -295,7 +296,7 @@ func AppendString(b []byte, s string) ([]byte, error) {
 func (w *Writer) Hello(sourceID string) error {
 	w.begin(TagHello)
 	w.str(sourceID)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // appendInstall appends the install payload — the one encoder behind
@@ -332,7 +333,7 @@ func (w *Writer) Install(inst Install) error {
 	if w.scratch, err = appendInstall(w.scratch, inst); err != nil {
 		return err
 	}
-	return w.finish()
+	return w.finish(nil)
 }
 
 // Update payload flags. Every trailer rides behind a bit of its own and
@@ -410,7 +411,7 @@ func (w *Writer) Update(u *core.Update, ev *trace.Event) error {
 	if w.scratch, err = AppendTracedUpdate(w.scratch, u, ev); err != nil {
 		return err
 	}
-	return w.finish()
+	return w.finish(nil)
 }
 
 // Ack buffers a cumulative acknowledgement: every update with sequence
@@ -418,7 +419,7 @@ func (w *Writer) Update(u *core.Update, ev *trace.Event) error {
 func (w *Writer) Ack(seq int64) error {
 	w.begin(TagAck)
 	w.scratch = AppendI64(w.scratch, seq)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // Query buffers a value-query request.
@@ -426,7 +427,7 @@ func (w *Writer) Query(queryID string, seq int64) error {
 	w.begin(TagQuery)
 	w.str(queryID)
 	w.scratch = AppendI64(w.scratch, seq)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // Answer buffers a query result.
@@ -440,14 +441,14 @@ func (w *Writer) Answer(queryID string, values []float64) error {
 	for _, v := range values {
 		w.scratch = AppendF64(w.scratch, v)
 	}
-	return w.finish()
+	return w.finish(nil)
 }
 
 // Error buffers a failure report.
 func (w *Writer) Error(msg string) error {
 	w.begin(TagError)
 	w.scratch = appendError(w.scratch, msg)
-	return w.finish()
+	return w.finish(nil)
 }
 
 // MaxReadBuffer is the size a growing Reader's buffer doubles up to.
@@ -552,6 +553,9 @@ func (r *Reader) Next() (Tag, []byte, error) {
 	r.r = r.w - len(rest)
 	return tag, p, err
 }
+
+// Frame returns the frame, header included, of payload p the last Next returned.
+func (r *Reader) Frame(p []byte) []byte { return r.buf[r.r-len(p)-5 : r.r] }
 
 // internID returns a string equal to b, reusing the cached copy when the
 // bytes repeat (they always do: one source per connection).
@@ -693,7 +697,8 @@ type UpdateFields struct {
 
 // Parse splits update payload p into f's fields in place (a returned struct
 // is copied out through the stack): false for an overlong or out-of-range
-// seq, an unknown flag bit, or values not whole f64s past the trailer.
+// seq (past an int: 2^31−1 on a 32-bit build), an unknown flag bit, or
+// values not whole f64s past the trailer.
 func (f *UpdateFields) Parse(p []byte) bool {
 	c := NewCursor(p)
 	f.ID, f.seq, f.flags = c.Str(), c.Uvarint(), c.U8()
@@ -701,7 +706,7 @@ func (f *UpdateFields) Parse(p []byte) bool {
 	if f.flags&flagEvidence != 0 {
 		n -= evidenceLen
 	}
-	if !c.OK() || n < 0 || n%8 != 0 || f.flags&^flagsKnown != 0 {
+	if !c.OK() || n < 0 || n%8 != 0 || f.flags&^flagsKnown != 0 || f.seq > math.MaxInt {
 		return false
 	}
 	f.vals = c.Take(n)

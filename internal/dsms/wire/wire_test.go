@@ -46,7 +46,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := w.Install(Install{SourceID: "sensor-a", Model: "linear2d", Delta: 2.5, F: 1e-7, ResumeSeq: 314}); err != nil {
 		t.Fatal(err)
 	}
-	u := core.Update{SourceID: "sensor-a", Seq: 1 << 40, Time: 12.75, Values: []float64{1.5, -2.25, math.Pi}, Bootstrap: true}
+	wide, _ := seqCase(t, 1<<40)
+	u := core.Update{SourceID: "sensor-a", Seq: wide, Time: 12.75, Values: []float64{1.5, -2.25, math.Pi}, Bootstrap: true}
 	if err := w.Update(&u, nil); err != nil {
 		t.Fatal(err)
 	}
